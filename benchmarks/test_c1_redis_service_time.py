@@ -1,11 +1,13 @@
 """C1 - "Redis spends about 2 us on each read request" (section 3.2).
 
-The Redis-like KV server on the Demikernel DPDK libOS: server-side CPU
-time per GET request must land in the low-single-digit-microsecond range
-the paper's argument depends on - leaving no room for kernel overhead.
+The Redis-like KV server (``ProtoServer`` over a ``KvEngine``) on the
+Demikernel DPDK libOS: server-side CPU time per GET request must land in
+the low-single-digit-microsecond range the paper's argument depends on -
+leaving no room for kernel overhead.
 """
 
-from repro.apps.kvstore import OP_GET, OP_PUT, DemiKvServer, demi_kv_client
+from repro.apps.kvstore import OP_GET, OP_PUT, KvEngine, demi_kv_client
+from repro.apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from repro.bench.report import print_table, us
 from repro.testbed import make_dpdk_libos_pair
 
@@ -14,8 +16,10 @@ N_GETS = 50
 
 def run_kv_service_time(value_size):
     w, client, server_libos = make_dpdk_libos_pair()
-    server = DemiKvServer(server_libos)
-    w.sim.spawn(server.run())
+    server = ProtoServer(server_libos, LegacyKvCodec,
+                         KvEngineStore(KvEngine(server_libos.host)),
+                         port=6379)
+    w.sim.spawn(server.start())
     ops = ([(OP_PUT, b"hotkey", b"v" * value_size)]
            + [(OP_GET, b"hotkey", None)] * N_GETS)
     cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))

@@ -9,11 +9,11 @@ per request for the Demikernel frontend vs the POSIX frontend.
 from repro.apps.kvstore import (
     OP_GET,
     OP_PUT,
-    DemiKvServer,
     KvEngine,
     demi_kv_client,
     kv_workload,
 )
+from repro.apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from repro.bench.report import print_table, us
 from repro.libos.dpdk_libos import DpdkLibOS
 from repro.sim.rand import Rng
@@ -42,8 +42,10 @@ def build_world():
 
 def run_demi_throughput():
     w, server_libos, clients = build_world()
-    server = DemiKvServer(server_libos)
-    w.sim.spawn(server.run())
+    server = ProtoServer(server_libos, LegacyKvCodec,
+                         KvEngineStore(KvEngine(server_libos.host)),
+                         port=6379)
+    w.sim.spawn(server.start())
 
     procs = []
     for i, client in enumerate(clients):

@@ -14,13 +14,13 @@ from repro.apps.echo import demi_echo_client, demi_echo_server
 from repro.apps.kvstore import (
     OP_GET,
     OP_PUT,
-    DemiKvServer,
     KvEngine,
     demi_kv_client,
     kv_workload,
     posix_kv_client,
     posix_kv_server,
 )
+from repro.apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from repro.bench.report import print_table, us
 from repro.sim.rand import Rng
 from repro.testbed import (
@@ -59,8 +59,10 @@ def kv_comparison():
 
     # Demikernel frontend.
     world, client_libos, server_libos = make_dpdk_libos_pair()
-    server = DemiKvServer(server_libos)
-    world.sim.spawn(server.run())
+    server = ProtoServer(server_libos, LegacyKvCodec,
+                         KvEngineStore(KvEngine(server_libos.host)),
+                         port=6379)
+    world.sim.spawn(server.start())
     client = world.sim.spawn(demi_kv_client(client_libos, "10.0.0.2", ops))
     world.sim.run_until_complete(client, limit=10**13)
     server.stop()

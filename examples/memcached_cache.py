@@ -10,37 +10,56 @@ libOS, with a periodic timer sweeping expired entries.
 Run:  python examples/memcached_cache.py
 """
 
-from repro.apps.cache import (
-    ST_HIT,
-    ST_MISS,
-    CacheServer,
-    cache_client,
-    encode_get,
-    encode_set,
-)
+from repro.apps.cache import cache_server
+from repro.apps.proto import (ST_MISS, ST_VALUE, LegacyCacheCodec, Request)
 from repro.bench.report import print_table
 from repro.testbed import make_dpdk_libos_pair
+
+PORT = 11211
+
+
+def cache_client(libos, requests):
+    """Closed loop: one request, then its reply."""
+    codec = LegacyCacheCodec()
+    qd = yield from libos.socket()
+    yield from libos.connect(qd, "10.0.0.2", PORT)
+    replies = []
+    for request in requests:
+        yield from libos.blocking_push(
+            qd, libos.sga_alloc(codec.encode_request(request)))
+        result = yield from libos.blocking_pop(qd)
+        replies += codec.feed_responses(result.sga.tobytes())
+    yield from libos.close(qd)
+    return replies
+
+
+def SET(key, value, ttl_ms=0):
+    return Request(op="set", key=key, value=value, ttl_ms=ttl_ms)
+
+
+def GET(key):
+    return Request(op="get", key=key)
 
 
 def main():
     world, client_libos, server_libos = make_dpdk_libos_pair()
-    server = CacheServer(server_libos, max_entries=3)
+    server = cache_server(server_libos, port=PORT, max_entries=3)
+    stats = server.service.store.cache.stats
     world.sim.spawn(server.start(), name="cache-server")
 
     def scenario():
         # Fill past capacity: LRU eviction kicks in.
-        replies = yield from cache_client(client_libos, "10.0.0.2", [
-            encode_set(b"alpha", b"1"),
-            encode_set(b"beta", b"2", ttl_ms=1),   # 1 ms TTL
-            encode_set(b"gamma", b"3"),
-            encode_set(b"delta", b"4"),            # evicts alpha (LRU)
-            encode_get(b"alpha"),
-            encode_get(b"gamma"),
+        replies = yield from cache_client(client_libos, [
+            SET(b"alpha", b"1"),
+            SET(b"beta", b"2", ttl_ms=1),   # 1 ms TTL
+            SET(b"gamma", b"3"),
+            SET(b"delta", b"4"),            # evicts alpha (LRU)
+            GET(b"alpha"),
+            GET(b"gamma"),
         ])
         # Outlive beta's TTL; the loop's timer sweep collects it.
         yield world.sim.timeout(3_000_000)
-        replies += yield from cache_client(client_libos, "10.0.0.2",
-                                           [encode_get(b"beta")])
+        replies += yield from cache_client(client_libos, [GET(b"beta")])
         return replies
 
     proc = world.sim.spawn(scenario())
@@ -48,19 +67,19 @@ def main():
     server.stop()
 
     replies = proc.value
-    assert replies[4][0] == ST_MISS   # alpha evicted
-    assert replies[5] == (ST_HIT, b"3")
-    assert replies[6][0] == ST_MISS   # beta expired
+    assert replies[4].status == ST_MISS   # alpha evicted
+    assert (replies[5].status, replies[5].value) == (ST_VALUE, b"3")
+    assert replies[6].status == ST_MISS   # beta expired
 
     print_table(
         "cache server on DemiEventLoop",
         ["stat", "value"],
         [
-            ("sets", server.stats.sets),
-            ("hits", server.stats.hits),
-            ("misses", server.stats.misses),
-            ("LRU evictions", server.stats.evictions),
-            ("TTL expirations", server.stats.expirations),
+            ("sets", stats.sets),
+            ("hits", stats.hits),
+            ("misses", stats.misses),
+            ("LRU evictions", stats.evictions),
+            ("TTL expirations", stats.expirations),
             ("event-loop dispatches", server.loop.dispatches),
             ("timer fires", server.loop.timer_fires),
         ],

@@ -1,6 +1,6 @@
 """Applications: the workloads the paper motivates, on every stack."""
 
-from .cache import CacheServer, CacheStats, cache_client
+from .cache import CacheStats, LruTtlCache, cache_server
 from .echo import (
     demi_echo_client,
     demi_echo_server,
@@ -13,12 +13,8 @@ from .echo import (
 )
 from .eventloop import EpollWorkerPool, WaitAnyWorkerPool
 from .kvstore import (
-    DemiKvServer,
     KvEngine,
     demi_kv_client,
-    encode_get,
-    encode_put,
-    decode_response,
     kv_workload,
     posix_kv_client,
     posix_kv_server,
@@ -28,9 +24,9 @@ from .steering import SteeringPipeline, partition_of
 from .storelog import demi_log_writer, posix_log_writer
 
 __all__ = [
-    "CacheServer",
     "CacheStats",
-    "cache_client",
+    "LruTtlCache",
+    "cache_server",
     "demi_echo_server",
     "demi_echo_client",
     "demi_udp_echo_server",
@@ -42,14 +38,10 @@ __all__ = [
     "EpollWorkerPool",
     "WaitAnyWorkerPool",
     "KvEngine",
-    "DemiKvServer",
     "demi_kv_client",
     "posix_kv_server",
     "posix_kv_client",
     "kv_workload",
-    "encode_get",
-    "encode_put",
-    "decode_response",
     "run_relay",
     "SteeringPipeline",
     "partition_of",

@@ -6,96 +6,30 @@ kernel-bypass transparently."  This is that application shape: a
 callback-structured cache server - per-connection request callbacks plus
 a periodic expiry timer - running entirely on
 :class:`repro.core.eventloop.DemiEventLoop`, so it works unchanged on any
-libOS.
-
-The wire format lives in :class:`repro.apps.proto.legacy.
-LegacyCacheCodec` (big-endian)::
-
-    request:  op:u8 ('S'|'G'|'D')  klen:u16  key
-              [S: ttl_ms:u32  vlen:u32  value]
-    response: status:u8 ('H' hit | 'M' miss | 'S' stored | 'D' deleted)
-              [H: vlen:u32  value]
-
-The server parses incrementally per connection, so a request split
-across queue elements or several requests pipelined into one element
-both decode correctly (the old parser assumed one complete request per
-element and silently truncated split values).
+libOS.  There is no cache-specific server class: :func:`cache_server`
+builds a :class:`~repro.apps.proto.server.ProtoServer` over an
+:class:`LruTtlCache` and registers the sweep timer on its loop.  It
+speaks :class:`repro.apps.proto.legacy.LegacyCacheCodec`; put the same
+store behind ``RespCodec`` or ``MemcachedCodec`` for a real protocol.
 
 Cache policy lives in :class:`LruTtlCache` - bounded entry count with
 LRU eviction; per-entry TTL enforced lazily on access and eagerly by
-the timer sweep - so the protocol layer (:class:`repro.apps.proto.
-server.LruCacheStore`) can reuse it behind RESP or memcached-binary.
+the timer sweep.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generator, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core.api import LibOS
-from ..core.eventloop import DemiEventLoop
-from ..core.types import Sga
-from ..telemetry import names
+from .proto.legacy import LegacyCacheCodec
+from .proto.server import LruCacheStore, ProtoServer
 
-__all__ = ["CacheServer", "CacheStats", "LruTtlCache", "cache_client",
-           "encode_set", "encode_get", "encode_delete", "decode_reply"]
+__all__ = ["CacheStats", "LruTtlCache", "cache_server"]
 
-OP_SET = ord("S")
-OP_GET = ord("G")
-OP_DELETE = ord("D")
-ST_HIT = ord("H")
-ST_MISS = ord("M")
-ST_STORED = ord("S")
-ST_DELETED = ord("D")
-
-
-# -- codec - thin deprecated delegates over the unified codec layer ------
-# New code should use repro.apps.proto.legacy.LegacyCacheCodec directly.
-
-def _codec():
-    from .proto.legacy import LegacyCacheCodec
-
-    return LegacyCacheCodec()
-
-
-def encode_set(key: bytes, value: bytes, ttl_ms: int = 0) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(
-        Request(op="set", key=key, value=value, ttl_ms=ttl_ms))
-
-
-def encode_get(key: bytes) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(Request(op="get", key=key))
-
-
-def encode_delete(key: bytes) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(Request(op="delete", key=key))
-
-
-def decode_reply(data: bytes) -> Tuple[int, Optional[bytes]]:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyCacheCodec`."""
-    from .proto.codec import ST_COUNT, ST_STORED as P_STORED, ST_VALUE, \
-        CodecError
-
-    replies = _codec().feed_responses(data)
-    if not replies:
-        raise CodecError("truncated cache reply (%d bytes)" % len(data))
-    reply = replies[0]
-    if reply.status == ST_VALUE:
-        return ST_HIT, reply.value
-    if reply.status == P_STORED:
-        return ST_STORED, None
-    if reply.status == ST_COUNT and reply.count > 0:
-        return ST_DELETED, None
-    return ST_MISS, None
+#: cadence of the eager expiry sweep
+SWEEP_INTERVAL_NS = 1_000_000  # 1 ms
 
 
 class CacheStats:
@@ -174,118 +108,16 @@ class LruTtlCache:
         return len(self._entries)
 
 
-class CacheServer:
-    """LRU+TTL cache served through DemiEventLoop callbacks."""
+def cache_server(libos: LibOS, port: int = 11211,
+                 max_entries: int = 1024) -> ProtoServer:
+    """An LRU+TTL cache behind :class:`ProtoServer`, sweep timer armed.
 
-    SWEEP_INTERVAL_NS = 1_000_000  # 1 ms
-
-    def __init__(self, libos: LibOS, port: int = 11211,
-                 max_entries: int = 1024):
-        self.libos = libos
-        self.port = port
-        self.max_entries = max_entries
-        self.loop = DemiEventLoop(libos)
-        self.cache = LruTtlCache(lambda: libos.sim.now, max_entries)
-        self.decode_errors = 0
-        self._started = False
-
-    # -- cache policy (delegated; kept for compatibility) ------------------
-    @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.cache.get(key)
-
-    def _set(self, key: bytes, value: bytes, ttl_ms: int) -> None:
-        self.cache.set(key, value, ttl_ms)
-
-    def _delete(self, key: bytes) -> bool:
-        return self.cache.delete(key)
-
-    def _sweep_expired(self) -> None:
-        self.cache.sweep_expired()
-
-    @property
-    def entry_count(self) -> int:
-        return self.cache.entry_count
-
-    # -- server plumbing ---------------------------------------------------
-    def start(self) -> Generator:
-        """Spawn-me: listen, register callbacks, run the event loop."""
-        libos = self.libos
-        listen_qd = yield from libos.socket()
-        yield from libos.bind(listen_qd, self.port)
-        yield from libos.listen(listen_qd)
-        self.loop.add_timer(self.SWEEP_INTERVAL_NS,
-                            self._sweep_expired, periodic=True)
-        libos.sim.spawn(self._acceptor(listen_qd),
-                        name="cache.acceptor")
-        self._started = True
-        yield from self.loop.run()
-
-    def stop(self) -> None:
-        self.loop.stop()
-
-    def _acceptor(self, listen_qd: int) -> Generator:
-        while True:
-            qd = yield from self.libos.accept(listen_qd)
-            self.loop.add_pop_event(qd, self._make_handler(qd))
-
-    def _make_handler(self, qd: int):
-        codec = _codec()  # per-connection incremental parser state
-
-        def on_request(result):
-            if result.error is not None:
-                return  # connection gone; one-shot cleanup via loop
-            yield from self._serve(qd, codec, result.sga)
-        return on_request
-
-    def _serve(self, qd: int, codec, request: Sga) -> Generator:
-        from .proto.codec import (ST_COUNT, ST_MISS as P_MISS,
-                                  ST_STORED as P_STORED, ST_VALUE,
-                                  CodecError, Response)
-
-        libos = self.libos
-        yield libos.core.busy(libos.costs.kv_parse_ns)
-        try:
-            requests = codec.feed(request.tobytes())
-        except CodecError:
-            # Stream desync: count it and close the connection.
-            self.decode_errors += 1
-            libos.count(names.PROTO_DECODE_ERRORS)
-            yield from libos.close(qd)
-            return
-        for req in requests:
-            if req.op == "set":
-                yield libos.core.busy(libos.costs.kv_put_ns)
-                self._set(req.key, bytes(req.value), req.ttl_ms)
-                response = Response(status=P_STORED)
-            elif req.op == "get":
-                yield libos.core.busy(libos.costs.kv_get_ns)
-                found = self._get(req.key)
-                response = (Response(status=P_MISS) if found is None
-                            else Response(status=ST_VALUE, value=found))
-            else:  # delete
-                yield libos.core.busy(libos.costs.kv_get_ns)
-                deleted = self._delete(req.key)
-                response = Response(status=ST_COUNT,
-                                    count=1 if deleted else 0)
-            # One reply per request keeps one-pop-per-request clients
-            # working; pipelined clients just pop replies in order.
-            yield from libos.blocking_push(
-                qd, libos.sga_alloc(codec.encode(response)))
-
-
-def cache_client(libos: LibOS, server_addr: str, requests,
-                 port: int = 11211) -> Generator:
-    """Send raw encoded requests; returns decoded (status, value) pairs."""
-    qd = yield from libos.socket()
-    yield from libos.connect(qd, server_addr, port)
-    replies = []
-    for request in requests:
-        yield from libos.blocking_push(qd, libos.sga_alloc(request))
-        result = yield from libos.blocking_pop(qd)
-        replies.append(decode_reply(result.sga.tobytes()))
-    yield from libos.close(qd)
-    return replies
+    The cache (and its :class:`CacheStats`) is ``server.service.store.
+    cache``.
+    """
+    cache = LruTtlCache(lambda: libos.sim.now, max_entries)
+    server = ProtoServer(libos, LegacyCacheCodec, LruCacheStore(cache),
+                         port=port)
+    server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired,
+                          periodic=True)
+    return server

@@ -1,20 +1,23 @@
 """A Redis-like in-memory key-value store (the paper's running example).
 
-One protocol, one storage engine, two server frontends:
+One storage engine (:class:`KvEngine`) and one binary wire format
+(:class:`repro.apps.proto.legacy.LegacyKvCodec`), reached three ways:
 
-* :class:`DemiKvServer` - the Demikernel version: a ``wait_any`` event
-  loop over per-connection pop tokens, zero-copy responses (the reply
-  sga's value segment *is* the stored buffer), and the section-4.5 PUT
-  pattern - allocate a fresh value buffer and swap the pointer, never
-  update in place, so free-protection makes the old buffer safe to free
-  even mid-DMA.
+* over a stream connection the server is :class:`repro.apps.proto.
+  server.ProtoServer` with a :class:`~repro.apps.proto.server.
+  KvEngineStore` - there is no KV-specific stream server;
+  :func:`demi_kv_client` is the closed-loop client for it;
+* :class:`UdpKvServer` - one datagram per request, replies leave by
+  ``push_to`` as zero-copy sgas (the reply's value segment *is* the
+  stored buffer), optionally fronted by the NIC-resident
+  :class:`KvNicOffload` GET program (claim C6);
 * :func:`posix_kv_server` - the same engine behind kernel sockets, with
-  the copies and syscalls that entails.
+  the copies and syscalls that entails (the baseline C1/C2 compare
+  against).
 
-Wire format (all integers big-endian)::
-
-    request:  op:u8 ('G'|'P')  klen:u16  key  [vlen:u32  value]
-    response: status:u8 ('K'|'N')  [vlen:u32  value]
+The engine follows the section-4.5 PUT pattern - allocate a fresh value
+buffer and swap the pointer, never update in place - so free-protection
+makes the old buffer safe to free even mid-DMA.
 """
 
 from __future__ import annotations
@@ -23,92 +26,44 @@ import struct
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.api import LibOS
-from ..core.types import DemiTimeout, Sga, SgaSegment
+from ..core.types import DemiError, DemiTimeout, Sga, SgaSegment
 from ..kernelos.kernel import Kernel
 from ..memory.buffer import Buffer
 from ..netstack.framing import Deframer, frame_message
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
+from .proto.codec import (ST_MISS, ST_STORED, ST_VALUE, CodecError, Request,
+                          Response)
+from .proto.legacy import LegacyKvCodec
 
 __all__ = [
     "KvEngine",
-    "DemiKvServer",
     "UdpKvServer",
     "KvNicOffload",
     "posix_kv_server",
     "demi_kv_client",
-    "udp_kv_client",
     "posix_kv_client",
     "kv_workload",
-    "encode_get",
-    "encode_put",
-    "decode_response",
+    "op_request",
+    "get_result",
 ]
 
+#: operation tags of the ``(op, key, value)`` workload tuples
 OP_GET = ord("G")
 OP_PUT = ord("P")
-STATUS_OK = ord("K")
-STATUS_MISSING = ord("N")
 
 
-# ---------------------------------------------------------------------------
-# Protocol codec - thin deprecated delegates over the unified codec layer
-# ---------------------------------------------------------------------------
-# The wire format now lives in repro.apps.proto.legacy.LegacyKvCodec
-# (same bytes, incremental parsing).  These module helpers stay for the
-# existing tests and workloads; new code should use the codec directly.
-
-def _codec():
-    from .proto.legacy import LegacyKvCodec
-
-    return LegacyKvCodec()
+def op_request(op: int, key: bytes, value: Optional[bytes]) -> Request:
+    """The codec-level request for one ``(op, key, value)`` workload op."""
+    if op == OP_PUT:
+        return Request(op="set", key=key, value=value)
+    return Request(op="get", key=key)
 
 
-def encode_get(key: bytes) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyKvCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(Request(op="get", key=key))
-
-
-def encode_put(key: bytes, value: bytes) -> bytes:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyKvCodec`."""
-    from .proto.codec import Request
-
-    return _codec().encode_request(Request(op="set", key=key, value=value))
-
-
-def decode_request(data: bytes) -> Tuple[int, bytes, Optional[bytes]]:
-    """Decode one *complete* request; raises ``CodecError`` if truncated.
-
-    Deprecated entry point.  The old hand-rolled parser silently
-    truncated a PUT whose value was cut short (a split read stored a
-    partial value); the codec now refuses: incomplete bytes raise
-    instead of decoding garbage.
-    """
-    from .proto.codec import CodecError
-
-    requests = _codec().feed(data)
-    if not requests:
-        raise CodecError("truncated kv request (%d bytes)" % len(data))
-    request = requests[0]
-    if request.op == "set":
-        return OP_PUT, request.key, request.value
-    return OP_GET, request.key, None
-
-
-def decode_response(data: bytes) -> Tuple[bool, Optional[bytes]]:
-    """Deprecated: use :class:`repro.apps.proto.legacy.LegacyKvCodec`."""
-    from .proto.codec import ST_VALUE, CodecError
-
-    replies = _codec().feed_responses(data)
-    if not replies:
-        raise CodecError("truncated kv response (%d bytes)" % len(data))
-    reply = replies[0]
-    if reply.status == ST_VALUE:
-        return True, reply.value
-    return False, None
+def get_result(reply: Response) -> Tuple[bool, Optional[bytes]]:
+    """A GET's ``(found, value)`` as the closed-loop clients report it."""
+    return (True, reply.value) if reply.status == ST_VALUE else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -171,153 +126,52 @@ class KvEngine:
             self.mm.free(buf)
         return True
 
-    def service_cost(self, op: int) -> int:
-        return self.costs.kv_get_ns if op == OP_GET else self.costs.kv_put_ns
+    def service_cost(self, op: str) -> int:
+        """CPU for one decoded request's ``op`` (``"set"`` or ``"get"``)."""
+        return self.costs.kv_put_ns if op == "set" else self.costs.kv_get_ns
 
     def __len__(self) -> int:
         return len(self._table)
 
 
 # ---------------------------------------------------------------------------
-# Demikernel frontend
+# The closed-loop Demikernel client (any libOS, TCP/RDMA stream or UDP)
 # ---------------------------------------------------------------------------
-
-class DemiKvServer:
-    """Event-driven KV server on the Figure-3 API.
-
-    The main loop is a single ``wait_any`` over (a) an accept token and
-    (b) one outstanding pop token per connection - the structure the
-    paper says applications should have instead of epoll loops.
-    """
-
-    def __init__(self, libos: LibOS, port: int = 6379,
-                 engine: Optional[KvEngine] = None,
-                 shard_index: int = 0, n_shards: int = 1):
-        self.libos = libos
-        self.engine = engine or KvEngine(libos.host, name=libos.name + ".kv")
-        self.port = port
-        #: which KV partition this instance owns (sharded deployments run
-        #: one server per core; see ``repro.cluster``)
-        self.shard_index = shard_index
-        self.n_shards = n_shards
-        self.requests_served = 0
-        #: requests for keys another shard owns - nonzero means the
-        #: client's flow steering and key partitioning disagree
-        self.misrouted = 0
-        #: application service time per request: pop completion ->
-        #: response push completion (what C1 measures)
-        self.service_stats = LatencyStats("kv-service")
-        self._stop = False
-        self._status_ok: Optional[Buffer] = None
-
-    def stop(self) -> None:
-        self._stop = True
-
-    def run(self) -> Generator:
-        """The server process body (spawn it)."""
-        libos = self.libos
-        listen_qd = yield from libos.socket()
-        yield from libos.bind(listen_qd, self.port)
-        yield from libos.listen(listen_qd)
-        # Serve connections as they come; one outstanding pop per conn.
-        conn_tokens: List[int] = []
-        conn_qds: List[int] = []
-        accept_proc = libos.sim.spawn(self._acceptor(listen_qd, conn_qds),
-                                      name="kv.acceptor")
-        while not self._stop:
-            # Refresh the token set: one pop token per known connection.
-            while len(conn_tokens) < len(conn_qds):
-                conn_tokens.append(libos.pop(conn_qds[len(conn_tokens)]))
-            if not conn_tokens:
-                yield libos.sim.timeout(10_000)
-                continue
-            try:
-                index, result = yield from libos.wait_any(
-                    conn_tokens, timeout_ns=1_000_000)
-            except DemiTimeout:
-                continue
-            qd = conn_qds[index]
-            if result.error is not None:
-                # Connection finished: drop it from the sets.
-                conn_qds.pop(index)
-                conn_tokens.pop(index)
-                continue
-            ok = yield from self._serve(qd, result.sga)
-            if not ok:
-                # Malformed request: the stream is desynced; close it.
-                yield from libos.close(qd)
-                conn_qds.pop(index)
-                conn_tokens.pop(index)
-                continue
-            conn_tokens[index] = libos.pop(qd)
-        accept_proc.interrupt("server stopped")
-        return self.requests_served
-
-    def _acceptor(self, listen_qd: int, conn_qds: List[int]) -> Generator:
-        while not self._stop:
-            qd = yield from self.libos.accept(listen_qd)
-            conn_qds.append(qd)
-
-    def _serve(self, qd: int, request_sga: Sga) -> Generator:
-        from .proto.codec import CodecError
-
-        libos = self.libos
-        engine = self.engine
-        service_start = libos.sim.now
-        yield libos.core.busy(engine.parse_cost())
-        try:
-            op, key, value = decode_request(request_sga.tobytes())
-        except CodecError:
-            libos.count(names.KV_MALFORMED_REQUESTS)
-            return False
-        if self.n_shards > 1:
-            from .steering import key_partition
-
-            if key_partition(key, self.n_shards) != self.shard_index:
-                self.misrouted += 1
-                libos.count(names.SHARD_MISROUTED)
-        yield libos.core.busy(engine.service_cost(op))
-        if op == OP_PUT:
-            engine.put(key, bytes(value))
-            reply = self._small_reply(struct.pack("!BI", STATUS_OK, 0))
-        else:
-            buf = engine.get(key)
-            if buf is None:
-                reply = self._small_reply(bytes([STATUS_MISSING]))
-            else:
-                # Zero-copy response: header segment + the stored value
-                # buffer itself as the second segment.
-                header = libos.mm.alloc(5)
-                header.write(0, struct.pack("!BI", STATUS_OK, buf.capacity))
-                reply = Sga([SgaSegment(header), SgaSegment(buf)])
-        yield from libos.blocking_push(qd, reply)
-        self.service_stats.add(libos.sim.now - service_start)
-        self.requests_served += 1
-        return True
-
-    def _small_reply(self, payload: bytes) -> Sga:
-        buf = self.libos.mm.alloc(len(payload))
-        buf.write(0, payload)
-        return Sga.from_buffer(buf, len(payload))
-
 
 def demi_kv_client(libos: LibOS, server_addr: str,
                    operations: Sequence[Tuple[int, bytes, Optional[bytes]]],
                    port: int = 6379,
-                   stats: Optional[LatencyStats] = None) -> Generator:
-    """Run (op, key, value) operations; returns (results, stats)."""
+                   stats: Optional[LatencyStats] = None,
+                   proto: Optional[str] = None,
+                   src_port: Optional[int] = None) -> Generator:
+    """Run (op, key, value) operations; returns (results, stats).
+
+    *proto* picks the socket kind (``"udp"`` for :class:`UdpKvServer`;
+    default: the libOS's stream socket).  *src_port* pins the source
+    port, which is how a client steers its flow onto one shard's RX
+    queue (:func:`repro.cluster.client.src_port_for_queue`).
+    """
     stats = stats if stats is not None else LatencyStats("kv-rtt")
-    qd = yield from libos.socket()
-    yield from libos.connect(qd, server_addr, port)
+    codec = LegacyKvCodec()
+    qd = yield from (libos.socket() if proto is None
+                     else libos.socket(proto))
+    if src_port is None:
+        yield from libos.connect(qd, server_addr, port)
+    else:
+        yield from libos.connect(qd, server_addr, port, src_port=src_port)
     results = []
     for op, key, value in operations:
-        request = encode_put(key, value) if op == OP_PUT else encode_get(key)
+        request = codec.encode_request(op_request(op, key, value))
         start = libos.sim.now
         yield from libos.blocking_push(qd, libos.sga_alloc(request))
-        result = yield from libos.blocking_pop(qd)
+        replies: List[Response] = []
+        while not replies:
+            result = yield from libos.blocking_pop(qd)
+            if result.error is not None:
+                raise DemiError("kv connection lost: %s" % result.error)
+            replies = codec.feed_responses(result.sga.tobytes())
         stats.add(libos.sim.now - start)
-        results.append(decode_response(result.sga.tobytes())
-                       if op == OP_GET else None)
+        results.append(get_result(replies[0]) if op == OP_GET else None)
     yield from libos.close(qd)
     return results, stats
 
@@ -344,6 +198,7 @@ class UdpKvServer:
         self.port = port
         self.shard_index = shard_index
         self.n_shards = n_shards
+        self.codec = LegacyKvCodec()
         self.requests_served = 0
         self.service_stats = LatencyStats("kv-service")
         self._stop = False
@@ -370,39 +225,36 @@ class UdpKvServer:
         return self.requests_served
 
     def _serve(self, qd: int, result) -> Generator:
-        from .proto.codec import CodecError
-
         libos = self.libos
         engine = self.engine
+        codec = self.codec
         service_start = libos.sim.now
         yield libos.core.busy(engine.parse_cost())
         try:
-            op, key, value = decode_request(result.sga.tobytes())
+            request = codec.decode_message(result.sga.tobytes())
         except CodecError:
             # UDP has no stream to desync: drop the datagram and move on.
             libos.count(names.KV_MALFORMED_REQUESTS)
             return
-        yield libos.core.busy(engine.service_cost(op))
-        if op == OP_PUT:
-            engine.put(key, bytes(value))
-            reply = self._small_reply(struct.pack("!BI", STATUS_OK, 0))
+        yield libos.core.busy(engine.service_cost(request.op))
+        if request.op == "set":
+            engine.put(request.key, request.value)
+            reply = libos.sga_alloc(codec.encode(Response(ST_STORED)))
         else:
-            buf = engine.get(key)
+            buf = engine.get(request.key)
             if buf is None:
-                reply = self._small_reply(bytes([STATUS_MISSING]))
+                reply = libos.sga_alloc(codec.encode(Response(ST_MISS)))
             else:
-                header = libos.mm.alloc(5)
-                header.write(0, struct.pack("!BI", STATUS_OK, buf.capacity))
-                reply = Sga([SgaSegment(header), SgaSegment(buf)])
+                # Zero-copy response: header segment + the stored value
+                # buffer itself as the second segment.
+                header = codec.value_header(buf.capacity)
+                header_buf = libos.mm.alloc(len(header))
+                header_buf.write(0, header)
+                reply = Sga([SgaSegment(header_buf), SgaSegment(buf)])
         push_token = libos.push_to(qd, reply, result.value)
         yield from libos.qtokens.wait(push_token)
         self.service_stats.add(libos.sim.now - service_start)
         self.requests_served += 1
-
-    def _small_reply(self, payload: bytes) -> Sga:
-        buf = self.libos.mm.alloc(len(payload))
-        buf.write(0, payload)
-        return Sga.from_buffer(buf, len(payload))
 
 
 class KvNicOffload:
@@ -439,6 +291,7 @@ class KvNicOffload:
         self.port = port
         self.n_shards = n_shards
         self.inline_value_limit = inline_value_limit
+        self.codec = LegacyKvCodec()
         self.hits = 0
         self.misses = 0
         self.steered = 0
@@ -468,26 +321,27 @@ class KvNicOffload:
             offload.count(names.OFFLOAD_KV_PUNTS)
             return None
         # -- map stage: parse + key hash -----------------------------------
+        codec = self.codec
         try:
-            op, key, _value = decode_request(frame[42:])
-        except Exception:
+            request = codec.decode_message(frame[42:])
+        except CodecError:
             self.punts += 1
             offload.count(names.OFFLOAD_KV_PUNTS)
             return None
-        if op == OP_GET:
+        key = request.key
+        if request.op == "get":
             buf = self.engine.get(key)
             if buf is None:
                 self.misses += 1
                 offload.count(names.OFFLOAD_KV_MISSES)
-                return self._reply(frame, bytes([STATUS_MISSING]))
+                return self._reply(frame, codec.encode(Response(ST_MISS)))
             if buf.capacity <= self.inline_value_limit:
                 # DMA the value out of host memory: device time, not CPU.
                 offload.charge_device(self.nic.costs.dma_ns(buf.capacity))
                 self.hits += 1
                 offload.count(names.OFFLOAD_KV_HITS)
-                payload = (struct.pack("!BI", STATUS_OK, buf.capacity)
-                           + buf.read())
-                return self._reply(frame, payload)
+                return self._reply(frame, codec.encode(
+                    Response(ST_VALUE, value=buf.read())))
         # -- steer stage: the owning shard's RX queue ----------------------
         from .steering import key_partition
 
@@ -514,27 +368,6 @@ class KvNicOffload:
         return ("reply", src_mac, reply)
 
 
-def udp_kv_client(libos: LibOS, server_ip: str,
-                  operations: Sequence[Tuple[int, bytes, Optional[bytes]]],
-                  port: int = 6379,
-                  stats: Optional[LatencyStats] = None) -> Generator:
-    """Closed-loop UDP KV client: one datagram per request/response."""
-    stats = stats if stats is not None else LatencyStats("kv-rtt")
-    qd = yield from libos.socket("udp")
-    yield from libos.connect(qd, server_ip, port)
-    results = []
-    for op, key, value in operations:
-        request = encode_put(key, value) if op == OP_PUT else encode_get(key)
-        start = libos.sim.now
-        yield from libos.blocking_push(qd, libos.sga_alloc(request))
-        result = yield from libos.blocking_pop(qd)
-        stats.add(libos.sim.now - start)
-        results.append(decode_response(result.sga.tobytes())
-                       if op == OP_GET else None)
-    yield from libos.close(qd)
-    return results, stats
-
-
 # ---------------------------------------------------------------------------
 # POSIX frontend (the copying baseline)
 # ---------------------------------------------------------------------------
@@ -548,6 +381,7 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
     yield from sys.listen(listen_fd)
     conn_fd = yield from sys.accept(listen_fd)
     deframer = Deframer()
+    codec = LegacyKvCodec()
     served = 0
     core = kernel.host.cpu
     while max_requests == 0 or served < max_requests:
@@ -556,23 +390,23 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
             break
         for message in deframer.feed(data):
             yield core.busy(engine.parse_cost())
-            op, key, value = decode_request(message)
-            yield core.busy(engine.service_cost(op))
-            if op == OP_PUT:
-                engine.put(key, bytes(value))
-                reply = struct.pack("!BI", STATUS_OK, 0)
+            request = codec.decode_message(message)
+            yield core.busy(engine.service_cost(request.op))
+            if request.op == "set":
+                engine.put(request.key, request.value)
+                reply = codec.encode(Response(ST_STORED))
             else:
-                buf = engine.get(key)
+                buf = engine.get(request.key)
                 if buf is None:
-                    reply = bytes([STATUS_MISSING])
+                    reply = codec.encode(Response(ST_MISS))
                 else:
                     # POSIX cannot hand the stored buffer to the NIC: the
                     # value is copied into the reply (and copied again
                     # crossing into the kernel inside send()).
                     yield core.busy(kernel.costs.copy_ns(buf.capacity))
                     kernel.count(names.KV_VALUE_COPIES)
-                    reply = (struct.pack("!BI", STATUS_OK, buf.capacity)
-                             + buf.read())
+                    reply = codec.encode(
+                        Response(ST_VALUE, value=buf.read()))
             yield from sys.send(conn_fd, frame_message(reply))
             served += 1
     return served
@@ -587,9 +421,10 @@ def posix_kv_client(kernel: Kernel, server_ip: str,
     fd = yield from sys.socket()
     yield from sys.connect(fd, server_ip, port)
     deframer = Deframer()
+    codec = LegacyKvCodec()
     results = []
     for op, key, value in operations:
-        request = encode_put(key, value) if op == OP_PUT else encode_get(key)
+        request = codec.encode_request(op_request(op, key, value))
         start = kernel.sim.now
         yield from sys.send(fd, frame_message(request))
         reply = None
@@ -601,7 +436,8 @@ def posix_kv_client(kernel: Kernel, server_ip: str,
             if messages:
                 reply = messages[0]
         stats.add(kernel.sim.now - start)
-        results.append(decode_response(reply) if op == OP_GET else None)
+        results.append(get_result(codec.decode_reply(reply))
+                       if op == OP_GET else None)
     yield from sys.close(fd)
     return results, stats
 

@@ -7,10 +7,7 @@ POSIX path re-chunks on top.  Every server-side protocol therefore has
 to be *incremental*: bytes in, zero-or-more complete messages out, with
 partial state buffered between feeds.
 
-Before this module, ``kvstore.py``, ``cache.py``, and ``echo.py`` each
-hand-rolled struct packing plus ad-hoc ``encode_*``/``decode_*`` module
-functions, none of which survived a split header.  :class:`Codec` is the
-one contract they all implement now:
+:class:`Codec` is the one contract every wire format implements:
 
 * server side - ``feed(bytes) -> [Request]`` and ``encode(Response) ->
   bytes``;
@@ -180,6 +177,22 @@ class Codec(ABC):
         self.responses_decoded += len(out)
         return out
 
+    # -- message transports ------------------------------------------------
+    @classmethod
+    def decode_message(cls, data: bytes) -> Request:
+        """Decode one self-contained request (a datagram, a framed record).
+
+        There is no stream behind such a message to deliver the rest, so
+        truncated or trailing bytes raise :class:`CodecError` instead of
+        being buffered.
+        """
+        return _exactly_one(cls().feed(data), "request", data)
+
+    @classmethod
+    def decode_reply(cls, data: bytes) -> Response:
+        """Decode one self-contained reply; see :meth:`decode_message`."""
+        return _exactly_one(cls().feed_responses(data), "reply", data)
+
     # -- the incremental core each format implements -----------------------
     @abstractmethod
     def _try_decode_request(self, buf: _StreamBuffer):
@@ -197,6 +210,13 @@ class Codec(ABC):
     def pending(self) -> bool:
         """True if a partially-received message is buffered."""
         return self._rx.pending() or self._rx_replies.pending()
+
+
+def _exactly_one(messages: list, what: str, data: bytes):
+    if len(messages) != 1:
+        raise CodecError("expected one %s in %d bytes, found %d"
+                         % (what, len(data), len(messages)))
+    return messages[0]
 
 
 def check_len(n: int, what: str) -> int:

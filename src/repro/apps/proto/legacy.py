@@ -1,12 +1,16 @@
-"""The repo's original binary KV and cache formats, ported to the Codec.
+"""The repo's original binary KV and cache formats, as Codecs.
 
-``apps.kvstore`` and ``apps.cache`` predate the protocol layer; their
-wire formats stay byte-for-byte identical here (the old module-level
-``encode_*``/``decode_*`` helpers now delegate to these classes), but
-parsing is incremental - a header split across two queue pops no longer
-decodes garbage, it just waits for the rest.  That split-read bug is
-exactly what the hand-rolled ``struct.unpack_from`` parsers had: a
-truncated PUT silently stored a truncated value.
+This module is the only definition of both wire formats (all integers
+big-endian); every server, client and NIC program that speaks them holds
+one of these codecs.  Parsing is incremental - a header split across two
+queue pops waits for the rest instead of decoding garbage::
+
+    kv     request:  op:u8 ('G'|'P')  klen:u16  key  [P: vlen:u32  value]
+           response: status:u8 ('K'|'N')  [K: vlen:u32  value]
+    cache  request:  op:u8 ('S'|'G'|'D')  klen:u16  key
+                     [S: ttl_ms:u32  vlen:u32  value]
+           response: status:u8 ('H' hit | 'M' miss | 'S' stored |
+                     'D' deleted)  [H: vlen:u32  value]
 
 Neither format can carry an inline error reply (there is no status code
 for "bad request" on the wire), so asking either codec to encode
@@ -27,13 +31,13 @@ __all__ = ["LegacyKvCodec", "LegacyCacheCodec"]
 _HDR = struct.Struct("!BH")      # op + key length
 _U32 = struct.Struct("!I")
 
-# kvstore opcodes / statuses (must match apps.kvstore)
+# kv opcodes / statuses
 _KV_GET = ord("G")
 _KV_PUT = ord("P")
 _KV_OK = ord("K")
 _KV_MISSING = ord("N")
 
-# cache opcodes / statuses (must match apps.cache)
+# cache opcodes / statuses
 _C_SET = ord("S")
 _C_GET = ord("G")
 _C_DELETE = ord("D")
@@ -84,11 +88,16 @@ class LegacyKvCodec(Codec):
         if status == ST_STORED:
             return struct.pack("!BI", _KV_OK, 0)
         if status == ST_VALUE:
-            return struct.pack("!BI", _KV_OK, len(response.value)) \
-                + response.value
+            return self.value_header(len(response.value)) + response.value
         if status == ST_MISS:
             return bytes([_KV_MISSING])
         raise CodecError("legacy-kv cannot encode status %r" % status)
+
+    @staticmethod
+    def value_header(vlen: int) -> bytes:
+        """A hit reply's bytes up to the value, for zero-copy senders
+        whose value segment is the stored buffer itself."""
+        return struct.pack("!BI", _KV_OK, vlen)
 
     def encode_request(self, request: Request) -> bytes:
         if request.op == "get":

@@ -2,13 +2,13 @@
 
 :class:`ProtoServer` is the section-4.4 application shape - a
 callback-per-connection server on :class:`~repro.core.eventloop.
-DemiEventLoop` - with the protocol factored out: pass ``RespCodec`` and
-it is a Redis; pass ``MemcachedCodec`` and it is a memcached; pass a
-legacy codec and it speaks the repo's original binary formats.  The
-storage behind it is equally pluggable: :class:`KvEngineStore` adapts
-the zero-copy :class:`~repro.apps.kvstore.KvEngine`,
-:class:`LruCacheStore` adapts the TTL+LRU :class:`~repro.apps.cache.
-LruTtlCache`.
+DemiEventLoop` - and the only stream server in the repo, with the
+protocol factored out: pass ``RespCodec`` and it is a Redis; pass
+``MemcachedCodec`` and it is a memcached; pass a legacy codec and it
+speaks the repo's original binary formats.  The storage behind it is
+equally pluggable: :class:`KvEngineStore` adapts the
+:class:`~repro.apps.kvstore.KvEngine`, :class:`LruCacheStore` adapts
+the TTL+LRU :class:`~repro.apps.cache.LruTtlCache`.
 
 Because the codec is incremental, the server is indifferent to how the
 client chunked its bytes: one element may hold half a request (buffered)
@@ -19,20 +19,22 @@ connection; requests the codec *could* frame but not accept come back
 as ``op == "invalid"`` and get the protocol's inline error reply.
 
 :class:`ProtoService` holds the codec-independent request execution
-(including CAS bookkeeping for memcached) so the sharded frontend
-(:class:`repro.cluster.shard.ShardProtoServer`) reuses it verbatim.
+(including CAS bookkeeping for memcached and the sharded deployment's
+misroute accounting); :class:`repro.cluster.shard.ShardProtoServer` is
+this server constructed per shard.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional
 
-from ...core.api import LibOS  # noqa: F401  (typing reference)
-from ..kvstore import KvEngine
+from ...core.eventloop import DemiEventLoop
+from ...sim.trace import LatencyStats
+from ...telemetry import names
+from ..steering import key_partition
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
 
-# re-exported late to avoid a circular import with apps.cache
 __all__ = ["KvEngineStore", "LruCacheStore", "ProtoService", "ProtoServer"]
 
 
@@ -43,7 +45,7 @@ class KvEngineStore:
     TTL ignored (memcached semantics for a backend that never expires).
     """
 
-    def __init__(self, engine: KvEngine):
+    def __init__(self, engine):
         self.engine = engine
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -76,25 +78,33 @@ class LruCacheStore:
 class ProtoService:
     """Codec-independent request execution against a store.
 
-    Charges the same CPU costs the hand-written servers charge
-    (``kv_parse_ns`` per request, ``kv_get_ns``/``kv_put_ns`` per
-    operation) and keeps the CAS version map the memcached binary
-    protocol exposes.
+    Charges ``kv_parse_ns`` per request and ``kv_get_ns``/``kv_put_ns``
+    per operation, and keeps the CAS version map the memcached binary
+    protocol exposes.  ``shard_index``/``n_shards`` name the KV
+    partition this instance owns when one runs per core (see
+    :mod:`repro.cluster`).
     """
 
-    def __init__(self, libos, store):
+    def __init__(self, libos, store, shard_index: int = 0, n_shards: int = 1):
         self.libos = libos
         self.store = store
+        self.shard_index = shard_index
+        self.n_shards = n_shards
         self.requests_served = 0
         self.error_replies = 0
+        #: requests for keys another shard owns - nonzero means the
+        #: client's flow steering and key partitioning disagree
+        self.misrouted = 0
         self._cas: Dict[bytes, int] = {}
         self._cas_counter = 0
 
     def apply(self, request: Request) -> Generator:
         """Sim-coroutine: execute one request; returns the Response."""
-        from ...telemetry import names
-
         libos = self.libos
+        if (self.n_shards > 1 and request.key and key_partition(
+                request.key, self.n_shards) != self.shard_index):
+            self.misrouted += 1
+            libos.count(names.SHARD_MISROUTED)
         yield libos.core.busy(libos.costs.kv_parse_ns)
         op = request.op
         self.requests_served += 1
@@ -154,8 +164,6 @@ class ProtoService:
         Pipelined replies are coalesced into one byte string so a batch
         of N requests costs one push.
         """
-        from ...telemetry import names
-
         libos = self.libos
         try:
             requests = codec.feed(data)
@@ -185,18 +193,18 @@ class ProtoServer:
     """Any codec, any store, served through DemiEventLoop callbacks."""
 
     def __init__(self, libos, codec_factory: Callable[[], Codec],
-                 store, port: int = 6390):
-        from ...core.eventloop import DemiEventLoop
-
+                 store, port: int = 6390,
+                 shard_index: int = 0, n_shards: int = 1):
         self.libos = libos
         self.codec_factory = codec_factory
         self.port = port
         self.loop = DemiEventLoop(libos)
-        self.service = ProtoService(libos, store)
+        self.service = ProtoService(libos, store, shard_index, n_shards)
         self.connections_accepted = 0
         self.decode_errors = 0
-        self._accept_proc = None
-        self._started = False
+        #: application service time per served element: pop completion
+        #: -> reply push completion (what C1 measures)
+        self.service_stats = LatencyStats("kv-service")
 
     # -- aggregates the benches read --------------------------------------
     @property
@@ -207,46 +215,42 @@ class ProtoServer:
     def error_replies(self) -> int:
         return self.service.error_replies
 
-    def start(self) -> Generator:
-        """Spawn-me: listen, accept, dispatch the event loop."""
-        from ...telemetry import names  # noqa: F401
+    @property
+    def misrouted(self) -> int:
+        return self.service.misrouted
 
+    def start(self) -> Generator:
+        """Spawn-me: listen, then dispatch the event loop until stopped."""
         libos = self.libos
         listen_qd = yield from libos.socket()
         yield from libos.bind(listen_qd, self.port)
         yield from libos.listen(listen_qd)
-        self._accept_proc = libos.sim.spawn(
-            self._acceptor(listen_qd),
-            name="proto.%s.acceptor" % self.codec_factory().name)
-        self._started = True
+        self.loop.add_accept_event(listen_qd, self._on_conn)
         yield from self.loop.run()
+        return self.requests_served
 
     def stop(self) -> None:
         self.loop.stop()
-        if self._accept_proc is not None and self._accept_proc.alive:
-            self._accept_proc.interrupt("server stopped")
 
-    def _acceptor(self, listen_qd: int) -> Generator:
-        from ...telemetry import names
-
-        while True:
-            qd = yield from self.libos.accept(listen_qd)
-            self.connections_accepted += 1
-            self.libos.count(names.PROTO_CONNS)
-            self.loop.add_pop_event(qd, self._make_handler(qd))
-
-    def _make_handler(self, qd: int):
-        codec = self.codec_factory()
+    def _on_conn(self, qd: int) -> None:
+        libos = self.libos
+        codec = self.codec_factory()  # per-connection incremental state
+        self.connections_accepted += 1
+        libos.count(names.PROTO_CONNS)
 
         def on_data(result):
             if result.error is not None:
-                return  # connection gone; the loop drops the event
+                return  # connection gone; the loop retires the event
+            service_start = libos.sim.now
             ok, reply = yield from self.service.handle(
                 codec, result.sga.tobytes())
             if reply:
-                yield from self.libos.blocking_push(
-                    qd, self.libos.sga_alloc(reply))
+                yield from libos.blocking_push(qd, libos.sga_alloc(reply))
+                self.service_stats.add(libos.sim.now - service_start)
+            libos.count(names.SHARD_REQUESTS)
             if not ok:
                 self.decode_errors += 1
-                yield from self.libos.close(qd)
-        return on_data
+                self.loop.remove(handle)
+                yield from libos.close(qd)
+
+        handle = self.loop.add_pop_event(qd, on_data)

@@ -22,13 +22,13 @@ from ..apps.echo import (
 from ..apps.kvstore import (
     OP_GET,
     OP_PUT,
-    DemiKvServer,
     KvEngine,
     demi_kv_client,
     kv_workload,
     posix_kv_client,
     posix_kv_server,
 )
+from ..apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from ..sim.trace import LatencyStats
 from ..testbed import (
     make_dpdk_libos_pair,
@@ -148,8 +148,10 @@ def kv_rtt(flavor: str, value_size: int = 1024, n_gets: int = 20,
         server_cpu = kb.host.cpus[0].busy_ns
     elif flavor == "dpdk":
         w, client, server_libos = make_dpdk_libos_pair(seed=seed)
-        server = DemiKvServer(server_libos)
-        w.sim.spawn(server.run())
+        server = ProtoServer(server_libos, LegacyKvCodec,
+                             KvEngineStore(KvEngine(server_libos.host)),
+                             port=6379)
+        w.sim.spawn(server.start())
         cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))
         w.sim.run_until_complete(cp, limit=10**13)
         server.stop()
@@ -178,11 +180,12 @@ def kv_rtt_sharded(n_shards: int, n_ops: int = 200, n_keys: int = 32,
     the row carries the wasted/cross wake-up totals (both must be zero)
     alongside throughput and per-core utilization.
     """
-    from ..cluster import shard_workload, sharded_kv_client
+    from ..cluster import shard_workload, src_port_for_queue
     from ..sim.rand import Rng
     from ..testbed import make_sharded_kv_world
 
-    w, server, clients = make_sharded_kv_world(n_shards, seed=seed)
+    w, server, clients = make_sharded_kv_world(
+        n_shards, seed=seed, server_kwargs={"codec_factory": LegacyKvCodec})
     server.start()
     rng = Rng(seed).fork_named("kv-scaling")
     procs = []
@@ -197,17 +200,20 @@ def kv_rtt_sharded(n_shards: int, n_ops: int = 200, n_keys: int = 32,
                              n_keys=n_keys, value_size=value_size,
                              get_fraction=get_fraction)
         procs.append(w.sim.spawn(
-            sharded_kv_client(client, server.ip, i, n_shards, ops,
-                              port=server.port, stats=per_client[i]),
+            demi_kv_client(client, server.ip, ops, port=server.port,
+                           stats=per_client[i],
+                           src_port=src_port_for_queue(
+                               client.ip, server.ip, i, n_shards,
+                               server.port)),
             name="bench.client%d" % i))
     for proc in procs:
         w.sim.run_until_complete(proc, limit=10**13)
-    elapsed_ns = w.sim.now
+    # The row is the run: read it before stop() wakes every dispatcher.
+    row = server.metrics_row(w.sim.now, w.tracer)
     server.stop()
     stats = LatencyStats("kv-rtt-sharded")
     for client_stats in per_client:
         stats.extend(client_stats.samples[WARMUP:])
-    row = server.metrics_row(elapsed_ns, w.tracer)
     row["rtt_mean_ns"] = stats.mean
     row["rtt_p99_ns"] = stats.p99
     return row
@@ -236,7 +242,7 @@ def kv_scaling_document_from_rows(rows: List[Dict[str, object]],
     The experiment runner produces the rows (one
     :func:`kv_rtt_sharded` result per core count, possibly computed in
     parallel worker processes); this assembles the exact persisted
-    document ``tools.check_bench`` / ``repro exp validate`` gate on.
+    document ``repro exp validate`` gates on.
     """
     return {
         "bench": "kv_scaling",

@@ -15,7 +15,7 @@ Commands:
   and exit nonzero if any invariant was violated;
 * ``bench``       - run a persisted benchmark (``kv-scaling``: the
   sharded throughput sweep) and write its JSON document
-  (``tools.check_bench`` validates it in CI);
+  (``repro exp validate`` checks it in CI);
 * ``exp``         - declarative experiment orchestration
   (:mod:`repro.experiments`): ``run`` a spec file (specs and/or
   matrices) across worker processes and append the schema-validated
@@ -138,12 +138,14 @@ def _run_traced(workload: str, kind: str, seed: int = 42):
             name="trace.echo.client")
         world.sim.run_until_complete(proc)
     else:  # kv
-        from .apps.kvstore import DemiKvServer, demi_kv_client, kv_workload
+        from .apps.kvstore import KvEngine, demi_kv_client, kv_workload
+        from .apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 
         ops = kv_workload(rng, 40, n_keys=32, value_size=256,
                           get_fraction=0.7)
-        kv = DemiKvServer(server, port=6379)
-        world.sim.spawn(kv.run(), name="trace.kv.server")
+        kv = ProtoServer(server, LegacyKvCodec,
+                         KvEngineStore(KvEngine(server.host)), port=6379)
+        world.sim.spawn(kv.start(), name="trace.kv.server")
         proc = world.sim.spawn(
             demi_kv_client(client, _SERVER_ADDR[kind], ops, port=6379),
             name="trace.kv.client")
@@ -286,7 +288,7 @@ def cmd_bench(args) -> int:
     if args.append:
         # Trajectory mode: keep prior sweeps alongside the new one so a
         # run's history accumulates instead of being overwritten
-        # (tools.check_bench validates every document in the list).
+        # (``exp validate`` checks every document in the list).
         append_document(args.output, doc)
     else:
         atomic_write_json(args.output, doc)

@@ -14,15 +14,14 @@ with crash failover, log replay, and a retrying client router
 (:class:`~repro.cluster.client.ReplicatedKvClient`).
 """
 
-from .client import (ReplicatedKvClient, shard_workload, sharded_kv_client,
-                     src_port_for_queue)
+from .client import ReplicatedKvClient, shard_workload, src_port_for_queue
 from .replica import (DEFAULT_KV_PORT, STATUS_MOVED, ClusterDirectory,
                       ReplicaNode, decode_entry, encode_entry)
-from .shard import Shard, ShardKvServer, ShardedKvServer
+from .shard import Shard, ShardProtoServer, ShardedKvServer
 
 __all__ = [
     "Shard",
-    "ShardKvServer",
+    "ShardProtoServer",
     "ShardedKvServer",
     "ClusterDirectory",
     "ReplicaNode",
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_KV_PORT",
     "encode_entry",
     "decode_entry",
-    "sharded_kv_client",
     "shard_workload",
     "src_port_for_queue",
 ]

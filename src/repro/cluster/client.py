@@ -6,17 +6,18 @@ the source port: :func:`src_port_for_queue` walks the ephemeral range
 until the tuple hashes onto the wanted RX queue (a handful of probes on
 average - real load generators do exactly this).  The workload generator
 then draws only keys the same shard owns, so flow steering and key
-partitioning agree end to end.
+partitioning agree end to end: pass the port as ``src_port`` to
+:func:`repro.apps.kvstore.demi_kv_client`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
-from ..apps.kvstore import (OP_GET, OP_PUT, STATUS_OK, decode_response,
-                            encode_get, encode_put)
+from ..apps.kvstore import OP_GET, OP_PUT, get_result, op_request
+from ..apps.proto.codec import ST_STORED, ST_VALUE, CodecError
+from ..apps.proto.legacy import LegacyKvCodec
 from ..apps.steering import key_partition
-from ..core.api import LibOS
 from ..core.retry import retry_with_backoff
 from ..core.types import DemiError, DemiTimeout
 from ..hw.nic import rss_queue_for_flow
@@ -24,8 +25,7 @@ from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
 
-__all__ = ["src_port_for_queue", "sharded_kv_client", "shard_workload",
-           "ReplicatedKvClient"]
+__all__ = ["src_port_for_queue", "shard_workload", "ReplicatedKvClient"]
 
 #: first ephemeral port (matches the netstack's allocator)
 EPHEMERAL_START = 49152
@@ -41,34 +41,6 @@ def src_port_for_queue(client_ip: str, server_ip: str, queue: int,
             return port
     raise DemiError("no source port steers %s->%s onto queue %d/%d"
                     % (client_ip, server_ip, queue, n_queues))
-
-
-def sharded_kv_client(libos: LibOS, server_ip: str, shard_index: int,
-                      n_shards: int,
-                      operations: Sequence[Tuple[int, bytes, Optional[bytes]]],
-                      port: int = 6379,
-                      stats: Optional[LatencyStats] = None) -> Generator:
-    """Like :func:`~repro.apps.kvstore.demi_kv_client`, flow-steered.
-
-    Connects from a source port whose RSS hash lands the connection on
-    shard *shard_index*'s RX queue.  Returns ``(results, stats)``.
-    """
-    stats = stats if stats is not None else LatencyStats("kv-rtt")
-    src_port = src_port_for_queue(libos.ip, server_ip, shard_index,
-                                  n_shards, port)
-    qd = yield from libos.socket()
-    yield from libos.connect(qd, server_ip, port, src_port=src_port)
-    results = []
-    for op, key, value in operations:
-        request = encode_put(key, value) if op == OP_PUT else encode_get(key)
-        start = libos.sim.now
-        yield from libos.blocking_push(qd, libos.sga_alloc(request))
-        result = yield from libos.blocking_pop(qd)
-        stats.add(libos.sim.now - start)
-        results.append(decode_response(result.sga.tobytes())
-                       if op == OP_GET else None)
-    yield from libos.close(qd)
-    return results, stats
 
 
 def shard_workload(rng: Rng, n_ops: int, shard: int, n_shards: int,
@@ -132,6 +104,7 @@ class ReplicatedKvClient:
         self.max_attempts = max_attempts
         self.budget_ns = budget_ns
         self.stats = LatencyStats("repl-kv-rtt")
+        self.codec = LegacyKvCodec()
         self._conns: Dict[str, int] = {}
 
     # -- public ops ---------------------------------------------------------
@@ -173,17 +146,21 @@ class ReplicatedKvClient:
             raise DemiError("chain %d has no live members" % chain_id)
         try:
             qd = yield from self._conn(target)
-            request = (encode_put(key, value) if op == OP_PUT
-                       else encode_get(key))
-            reply = yield from self._request(qd, request)
-            if reply[0] != STATUS_OK and op == OP_PUT:
-                raise DemiError("PUT not acknowledged by %s (status %d)"
-                                % (target, reply[0]))
+            request = op_request(op, key, value)
+            data = yield from self._request(
+                qd, self.codec.encode_request(request))
+            try:
+                reply = self.codec.decode_reply(data)
+            except CodecError:
+                # STATUS_MOVED (or anything else the KV format does not
+                # define): this node is not the key's head/tail any more.
+                raise DemiError("%s redirected by %s (status %r)"
+                                % (request.op, target, data[:1]))
             if op == OP_GET:
-                if reply[0] not in (STATUS_OK, ord("N")):
-                    raise DemiError("GET redirected by %s (status %d)"
-                                    % (target, reply[0]))
-                return decode_response(bytes(reply))
+                return get_result(reply)
+            if reply.status not in (ST_STORED, ST_VALUE):
+                raise DemiError("PUT not acknowledged by %s (%s)"
+                                % (target, reply.status))
             return None
         except DemiError:
             self.libos.count(names.REPL_CLIENT_RETRIES)

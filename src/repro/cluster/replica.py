@@ -38,8 +38,9 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List, Optional, Sequence
 
-from ..apps.kvstore import (OP_GET, OP_PUT, STATUS_MISSING, STATUS_OK,
-                            KvEngine, decode_request)
+from ..apps.kvstore import KvEngine
+from ..apps.proto.codec import ST_MISS, ST_STORED, ST_VALUE, Response
+from ..apps.proto.legacy import LegacyKvCodec
 from ..apps.steering import key_partition
 from ..core.retry import RetryBudgetExceeded, retry_with_backoff
 from ..core.types import DemiError, DemiTimeout
@@ -230,6 +231,7 @@ class ReplicaNode:
                                name="%s.catmint" % name)
         self.mm = self.host.mm
         self.engine = KvEngine(self.host, name="%s.kv" % name)
+        self.codec = LegacyKvCodec()
         self.port = port
         self.repl_port = port + REPL_PORT_OFFSET
         self.slot_size = slot_size
@@ -541,7 +543,7 @@ class ReplicaNode:
             seq, key, value = decode_entry(payload)
             if seq != chain.applied + 1:
                 continue   # a replayed duplicate from a fresh link
-            yield self.libos.core.busy(self.engine.service_cost(OP_PUT))
+            yield self.libos.core.busy(self.engine.service_cost("set"))
             self.engine.put(key, value)
             chain.applied = seq
             chain.log.append((key, value))
@@ -648,28 +650,29 @@ class ReplicaNode:
 
     def _serve_request(self, qd: int, request: bytes) -> Generator:
         libos = self.libos
+        codec = self.codec
         yield libos.core.busy(self.engine.parse_cost())
-        op, key, value = decode_request(request)
-        chain_id = self.directory.chain_for_key(key)
+        req = codec.decode_message(request)
+        chain_id = self.directory.chain_for_key(req.key)
         chain = self.chains.get(chain_id)
         reply: Optional[bytes] = None
-        if op == OP_PUT:
+        if req.op == "set":
             if chain is not None and self._is_head(chain_id):
-                yield libos.core.busy(self.engine.service_cost(op))
-                seq = self._apply_local(chain, key, bytes(value))
+                yield libos.core.busy(self.engine.service_cost(req.op))
+                seq = self._apply_local(chain, req.key, req.value)
                 committed = yield from self._wait_committed(chain, seq)
                 if committed:
                     self.counters.count(names.REPL_WRITES_ACKED)
-                    reply = struct.pack("!BI", STATUS_OK, 0)
+                    reply = codec.encode(Response(ST_STORED))
         else:
             if chain is not None and self._is_tail(chain_id):
-                yield libos.core.busy(self.engine.service_cost(op))
-                buf = self.engine.get(key)
+                yield libos.core.busy(self.engine.service_cost(req.op))
+                buf = self.engine.get(req.key)
                 if buf is None:
-                    reply = bytes([STATUS_MISSING])
+                    reply = codec.encode(Response(ST_MISS))
                 else:
-                    reply = (struct.pack("!BI", STATUS_OK, buf.capacity)
-                             + buf.read())
+                    reply = codec.encode(
+                        Response(ST_VALUE, value=buf.read()))
         if reply is None:
             self.counters.count(names.REPL_REDIRECTS)
             reply = bytes([STATUS_MOVED])

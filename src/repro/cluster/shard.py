@@ -8,11 +8,12 @@ function steers each client flow to exactly one queue, so a shard only
 ever sees its own connections - the shared-nothing recipe every
 kernel-bypass server (seastar, mTCP, Caladan...) uses.
 
-The wake-one claim at N workers (paper section 4.4): each shard's event
-loop is a single ``wait_any`` over per-operation qtokens with **no
-timeout**.  Every wake-up therefore carries exactly one completed
-operation that belongs to this shard.  The loop counts every wake and
-classifies the failures the claim rules out:
+The wake-one claim at N workers (paper section 4.4): each shard serves
+through its own :class:`~repro.core.eventloop.DemiEventLoop` - a single
+``wait_any_n`` over per-operation qtokens with **no timeout**.  Every
+wake-up therefore carries completed operations that belong to this
+shard.  The loop counts every wake and classifies the failures the
+claim rules out:
 
 * ``shard_wasted_wakeups`` - woke with nothing to do (a timeout);
 * ``shard_cross_wakeups`` - woke for an operation some other shard owns.
@@ -23,184 +24,31 @@ scaling bench and the cluster tests assert.
 
 from __future__ import annotations
 
-import struct
-from typing import Generator, List, Optional
+from typing import List, Optional
 
-from ..apps.kvstore import DemiKvServer, KvEngine
-from ..core.types import DemiTimeout
+from ..apps.kvstore import KvEngine
+from ..apps.proto.resp import RespCodec
+from ..apps.proto.server import KvEngineStore, ProtoServer
 from ..libos.dpdk_libos import DpdkLibOS
-from ..telemetry import names
 
-__all__ = ["Shard", "ShardKvServer", "ShardProtoServer", "ShardedKvServer"]
-
-
-class ShardKvServer(DemiKvServer):
-    """A :class:`DemiKvServer` whose event loop never wastes a wake-up.
-
-    The base class polls: ``wait_any(..., timeout_ns=1ms)`` and a retry
-    loop around the accept path.  That shape is fine for one core but
-    the timeouts are exactly the wasted wake-ups the paper says qtokens
-    eliminate, so the sharded loop replaces them: the acceptor forwards
-    new connections through an in-memory Demikernel queue, and the main
-    loop is one ``wait_any`` - no timeout - over (channel pop + one pop
-    per connection).  Every wake-up dequeues real work.
-    """
-
-    def __init__(self, libos: DpdkLibOS, port: int = 6379,
-                 engine: Optional[KvEngine] = None,
-                 shard_index: int = 0, n_shards: int = 1):
-        super().__init__(libos, port=port, engine=engine,
-                         shard_index=shard_index, n_shards=n_shards)
-        self.wakeups = 0
-        self.wasted_wakeups = 0
-        self.cross_wakeups = 0
-        self.connections_accepted = 0
-        self._accept_proc = None
-
-    def run(self) -> Generator:
-        libos = self.libos
-        listen_qd = yield from libos.socket()
-        yield from libos.bind(listen_qd, self.port)
-        yield from libos.listen(listen_qd)
-        # New connections arrive as elements on an in-memory queue, so
-        # the main loop has a single uniform wait set.
-        conn_chan = libos.queue()
-        self._accept_proc = libos.sim.spawn(
-            self._chan_acceptor(listen_qd, conn_chan),
-            name="%s.acceptor" % libos.name)
-        owned = {conn_chan}
-        conn_qds: List[int] = []          # conn_qds[i] belongs to tokens[i+1]
-        tokens = [libos.pop(conn_chan)]
-        while not self._stop:
-            try:
-                # Batch drain: one crossing returns *every* completion
-                # that is ready at the wake-up instant, so a loaded
-                # shard services N requests per wakeup instead of
-                # re-crossing once per request.
-                ready = yield from libos.wait_any_n(tokens)
-            except DemiTimeout:  # pragma: no cover - structurally unreachable
-                # No timeout is ever armed; this branch exists to make
-                # the claim measurable rather than assumed.
-                self.wasted_wakeups += 1
-                libos.count(names.SHARD_WASTED_WAKEUPS)
-                continue
-            self.wakeups += 1
-            libos.count(names.SHARD_WAKEUPS)
-            libos.count(names.SHARD_BATCH_COMPLETIONS, len(ready))
-            dead: List[int] = []
-            # ``ready`` is sorted by index; appends for new connections
-            # land past every index in the batch, and dead entries are
-            # removed only after the sweep, so positions stay stable.
-            for index, result in ready:
-                if result.qd not in owned:  # pragma: no cover - the claim
-                    self.cross_wakeups += 1
-                    libos.count(names.SHARD_CROSS_WAKEUPS)
-                if index == 0:
-                    # A new connection fed through the channel.
-                    (new_qd,) = struct.unpack("!I", result.sga.tobytes())
-                    owned.add(new_qd)
-                    conn_qds.append(new_qd)
-                    tokens.append(libos.pop(new_qd))
-                    tokens[0] = libos.pop(conn_chan)
-                    self.connections_accepted += 1
-                    libos.count(names.SHARD_CONNS)
-                    continue
-                qd = conn_qds[index - 1]
-                if result.error is not None:
-                    # Connection done (EOF/reset): drop it after the sweep.
-                    dead.append(index)
-                    continue
-                ok = yield from self._serve(qd, result.sga)
-                libos.count(names.SHARD_REQUESTS)
-                if ok is False:
-                    # Stream desync (malformed request): close the
-                    # connection and drop it after the sweep.
-                    yield from libos.close(qd)
-                    dead.append(index)
-                    continue
-                tokens[index] = libos.pop(qd)
-            for index in sorted(dead, reverse=True):
-                conn_qds.pop(index - 1)
-                tokens.pop(index)
-        return self.requests_served
-
-    def _chan_acceptor(self, listen_qd: int, conn_chan: int) -> Generator:
-        libos = self.libos
-        while not self._stop:
-            qd = yield from libos.accept(listen_qd)
-            yield from libos.blocking_push(
-                conn_chan, libos.sga_alloc(struct.pack("!I", qd)))
+__all__ = ["Shard", "ShardProtoServer", "ShardedKvServer"]
 
 
-class ShardProtoServer(ShardKvServer):
-    """A shard speaking a real wire protocol (RESP / memcached-binary).
+class ShardProtoServer(ProtoServer):
+    """One shard's :class:`ProtoServer`: its engine partition as the store.
 
-    Same wake-one event loop as :class:`ShardKvServer`; only the byte
-    layer differs - each connection gets its own incremental
-    :class:`~repro.apps.proto.codec.Codec` (split and pipelined requests
-    both decode correctly) and execution goes through the shared
-    :class:`~repro.apps.proto.server.ProtoService`, so the sharded
-    frontend and the single-core :class:`~repro.apps.proto.server.
-    ProtoServer` answer byte-identically.
+    Nothing but construction differs from the single-core server - the
+    sharded frontend and a lone ``ProtoServer`` answer byte-identically.
     """
 
     def __init__(self, libos: DpdkLibOS, port: int = 6379,
                  engine: Optional[KvEngine] = None,
                  shard_index: int = 0, n_shards: int = 1,
                  codec_factory=None):
-        from ..apps.proto import KvEngineStore, ProtoService, RespCodec
-
-        super().__init__(libos, port=port, engine=engine,
+        self.engine = engine or KvEngine(libos.host, name=libos.name + ".kv")
+        super().__init__(libos, codec_factory or RespCodec,
+                         KvEngineStore(self.engine), port=port,
                          shard_index=shard_index, n_shards=n_shards)
-        self.codec_factory = codec_factory or RespCodec
-        self.service = ProtoService(libos, KvEngineStore(self.engine))
-        self.decode_errors = 0
-        self._codecs: dict = {}  # qd -> per-connection codec state
-
-    def _serve(self, qd: int, request_sga) -> Generator:
-        from ..apps.proto.codec import CodecError
-        from ..apps.steering import key_partition
-
-        libos = self.libos
-        service_start = libos.sim.now
-        codec = self._codecs.get(qd)
-        if codec is None:
-            codec = self._codecs[qd] = self.codec_factory()
-        try:
-            requests = codec.feed(request_sga.tobytes())
-        except CodecError:
-            self.decode_errors += 1
-            libos.count(names.PROTO_DECODE_ERRORS)
-            self._codecs.pop(qd, None)
-            return False
-        if not requests:
-            libos.count(names.PROTO_PARTIAL_FEEDS)
-            return True
-        if len(requests) > 1:
-            libos.count(names.PROTO_PIPELINE_BATCHES)
-        ok = True
-        out = bytearray()
-        for request in requests:
-            if self.n_shards > 1 and request.key:
-                if key_partition(request.key, self.n_shards) \
-                        != self.shard_index:
-                    self.misrouted += 1
-                    libos.count(names.SHARD_MISROUTED)
-            response = yield from self.service.apply(request)
-            try:
-                out += codec.encode(response)
-            except CodecError:
-                self.decode_errors += 1
-                libos.count(names.PROTO_DECODE_ERRORS)
-                ok = False
-                break
-        if out:
-            yield from libos.blocking_push(qd, libos.sga_alloc(bytes(out)))
-        self.service_stats.add(libos.sim.now - service_start)
-        self.requests_served = self.service.requests_served
-        if not ok:
-            self._codecs.pop(qd, None)
-        return ok
 
 
 class Shard:
@@ -226,7 +74,7 @@ class Shard:
             batching=True,
         )
         self.engine = KvEngine(host, name="%s.kv%d" % (host.name, index))
-        server_cls = server_cls or ShardKvServer
+        server_cls = server_cls or ShardProtoServer
         self.server = server_cls(self.libos, port=port, engine=self.engine,
                                  shard_index=index, n_shards=n_shards,
                                  **(server_kwargs or {}))
@@ -234,15 +82,10 @@ class Shard:
 
     def start(self) -> None:
         self.proc = self.libos.sim.spawn(
-            self.server.run(), name="shard%d.server" % self.index)
+            self.server.start(), name="shard%d.server" % self.index)
 
     def stop(self) -> None:
         self.server.stop()
-        if self.proc is not None and self.proc.alive:
-            self.proc.interrupt("shard stopped")
-        if (self.server._accept_proc is not None
-                and self.server._accept_proc.alive):
-            self.server._accept_proc.interrupt("shard stopped")
 
     def qtoken_identity_ok(self) -> bool:
         """The lifecycle identity, per shard (chaos tests assert it)."""
@@ -294,15 +137,15 @@ class ShardedKvServer:
 
     @property
     def wakeups(self) -> int:
-        return sum(s.server.wakeups for s in self.shards)
+        return sum(s.server.loop.wakeups for s in self.shards)
 
     @property
     def wasted_wakeups(self) -> int:
-        return sum(s.server.wasted_wakeups for s in self.shards)
+        return sum(s.server.loop.wasted_wakeups for s in self.shards)
 
     @property
     def cross_wakeups(self) -> int:
-        return sum(s.server.cross_wakeups for s in self.shards)
+        return sum(s.server.loop.cross_wakeups for s in self.shards)
 
     @property
     def misrouted(self) -> int:
@@ -310,8 +153,7 @@ class ShardedKvServer:
 
     @property
     def decode_errors(self) -> int:
-        return sum(getattr(s.server, "decode_errors", 0)
-                   for s in self.shards)
+        return sum(s.server.decode_errors for s in self.shards)
 
     def per_shard_requests(self) -> List[int]:
         return [s.server.requests_served for s in self.shards]

@@ -18,8 +18,7 @@ shapes.  This package replaces them with one pipeline::
 * :mod:`~repro.experiments.runner` - :class:`Runner` fan-out over host
   processes, typed :class:`RunResult` rows, resumable batches;
 * :mod:`~repro.experiments.schema` - per-bench document validation
-  (structural keys + budgets + monotonicity) shared with
-  ``tools/check_bench.py``;
+  (structural keys + budgets + monotonicity);
 * :mod:`~repro.experiments.store` - fsync-and-rename persistence so an
   interrupted run can never truncate a committed baseline.
 

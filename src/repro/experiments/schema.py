@@ -5,9 +5,8 @@ JSON list of documents accumulated with ``--append``.  Every document
 names its schema via ``"bench"`` and is validated by the registered
 checker for that name:
 
-* ``kv_scaling`` - the sharded scaling sweep (this is the checker
-  ``tools/check_bench.py`` has always applied; it now lives here and
-  the tool delegates).  Structural keys plus the pinned claims:
+* ``kv_scaling`` - the sharded scaling sweep.  Structural keys plus
+  the pinned claims:
   strictly increasing throughput, zero wasted/cross wake-ups, qtoken
   identity, and the per-op CPU budget with amortized setup allowance.
 * ``experiment`` - a trajectory produced by :mod:`repro.experiments.

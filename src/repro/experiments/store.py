@@ -69,7 +69,7 @@ def append_document(path: str, document: dict) -> List[Any]:
 
     A missing file starts a fresh trajectory; an existing single
     document is promoted to a one-element trajectory first (the shape
-    ``tools.check_bench`` accepts either way).  Returns the full
+    ``repro exp validate`` accepts either way).  Returns the full
     trajectory as written.
     """
     payload = load_payload(path)

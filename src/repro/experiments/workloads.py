@@ -403,7 +403,7 @@ def _kv_offload_variant(spec: ExperimentSpec, with_program: bool):
     the server NIC, so the host-CPU delta is exactly the offloaded work.
     """
     from ..apps.kvstore import (OP_GET, OP_PUT, KvNicOffload, UdpKvServer,
-                                udp_kv_client)
+                                demi_kv_client)
     from ..testbed import make_dpdk_libos_pair
 
     params = spec.params
@@ -424,10 +424,9 @@ def _kv_offload_variant(spec: ExperimentSpec, with_program: bool):
               for i in range(n_gets)]
            + [(OP_GET, b"missing", None)])
 
-    def body():
-        return (yield from udp_kv_client(client, server.ip, ops))
-
-    cproc = w.sim.spawn(body(), name="kv-offload.client")
+    cproc = w.sim.spawn(
+        demi_kv_client(client, server.ip, ops, proto="udp"),
+        name="kv-offload.client")
     w.sim.run_until_complete(cproc, limit=10 ** 12)
     srv.stop()
     w.sim.run(until=w.sim.now + 5_000_000)

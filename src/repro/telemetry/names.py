@@ -250,15 +250,15 @@ MM_REGIONS_RECLAIMED = "regions_reclaimed"
 RELAY_ESTABLISHED = "relay_established"
 KV_VALUE_COPIES = "kv_value_copies"
 
-# ------------------------------------------------------------------ cluster
-# One set per shard (counted against the shard's libOS scope).  The
-# paper's wake-one claim at N workers is the pair of zeros: a sharded
-# run must end with shard_wasted_wakeups == shard_cross_wakeups == 0.
+# --------------------------------------------------- serve loop / cluster
+# Counted by DemiEventLoop and ProtoServer against the serving libOS
+# scope, so a sharded deployment gets one set per shard.  The paper's
+# wake-one claim at N workers is the pair of zeros: a run must end with
+# shard_wasted_wakeups == shard_cross_wakeups == 0.
 SHARD_WAKEUPS = "shard_wakeups"
 SHARD_WASTED_WAKEUPS = "shard_wasted_wakeups"
 SHARD_CROSS_WAKEUPS = "shard_cross_wakeups"
 SHARD_MISROUTED = "shard_misrouted_requests"
-SHARD_CONNS = "shard_connections"
 SHARD_REQUESTS = "shard_requests"
 #: completions drained per shard wake-up (the N-per-crossing win)
 SHARD_BATCH_COMPLETIONS = "shard_batch_completions"
@@ -297,7 +297,7 @@ PROTO_ERROR_REPLIES = "proto_error_replies"
 PROTO_PIPELINE_BATCHES = "proto_pipeline_batches"
 PROTO_PARTIAL_FEEDS = "proto_partial_feeds"
 PROTO_CONNS = "proto_connections"
-#: malformed legacy KV/cache requests dropped by the binary servers
+#: malformed datagrams UdpKvServer dropped
 KV_MALFORMED_REQUESTS = "kv_malformed_requests"
 
 # ------------------------------------------------------------------ loadgen

@@ -30,8 +30,9 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..apps.echo import demi_echo_client, demi_echo_server
-from ..apps.kvstore import (OP_GET, OP_PUT, DemiKvServer, demi_kv_client,
+from ..apps.kvstore import (OP_GET, OP_PUT, KvEngine, demi_kv_client,
                             kv_workload)
+from ..apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from ..cluster.client import ReplicatedKvClient
 from ..cluster.replica import ClusterDirectory, ReplicaNode
 from ..core.retry import RetryBudgetExceeded
@@ -292,8 +293,9 @@ def run_kv_scenario(kind: str, plan: FaultPlan, name: str = "kv",
     rng = Rng(plan.seed).fork_named("workload")
     ops = kv_workload(rng, n_ops, n_keys=n_keys, value_size=value_size,
                       get_fraction=0.7)
-    kv = DemiKvServer(server, port=6379)
-    server_proc = world.sim.spawn(kv.run(), name="chaos.kv.server")
+    kv = ProtoServer(server, LegacyKvCodec,
+                     KvEngineStore(KvEngine(server.host)), port=6379)
+    server_proc = world.sim.spawn(kv.start(), name="chaos.kv.server")
     client_proc = world.sim.spawn(
         demi_kv_client(client, _SERVER_ADDR[kind], ops, port=6379),
         name="chaos.kv.client")
@@ -356,7 +358,7 @@ def run_kv_concurrent_scenario(kind: str, plan: FaultPlan,
     """The KV store under faults with *n_clients* closed loops at once.
 
     This is the experiment layer's generic matrix workload: one
-    :class:`DemiKvServer` serves ``n_clients`` concurrent connections
+    :class:`ProtoServer` serves ``n_clients`` concurrent connections
     (each a closed loop of ``n_ops`` operations) while the plan
     misbehaves underneath.  Every client owns a disjoint key space
     (keys are prefixed with the client index), so each reply stream is
@@ -369,8 +371,9 @@ def run_kv_concurrent_scenario(kind: str, plan: FaultPlan,
     """
     world, client, server = _build_net_pair(kind, plan, telemetry=telemetry)
     rng = Rng(plan.seed).fork_named("workload")
-    kv = DemiKvServer(server, port=6379)
-    server_proc = world.sim.spawn(kv.run(), name="chaos.kv.server")
+    kv = ProtoServer(server, LegacyKvCodec,
+                     KvEngineStore(KvEngine(server.host)), port=6379)
+    server_proc = world.sim.spawn(kv.start(), name="chaos.kv.server")
     per_client_ops = []
     procs = []
     for i in range(n_clients):

@@ -1,168 +1,213 @@
-"""Tests for the memcached-like cache server on the event loop."""
+"""The LRU+TTL cache behind ProtoServer, under every cache-capable codec.
 
-from repro.apps.cache import (
-    ST_DELETED,
-    ST_HIT,
-    ST_MISS,
-    ST_STORED,
-    CacheServer,
-    cache_client,
-    encode_delete,
-    encode_get,
-    encode_set,
-)
+There is no cache-specific server: ``cache_server`` is ``ProtoServer``
+over an ``LruCacheStore`` plus a sweep timer on its event loop.  The
+cases below run once per wire format, so the policy is checked
+independently of the protocol.
+"""
 
-from ..conftest import make_dpdk_libos_pair
+import pytest
+
+from repro.apps.cache import SWEEP_INTERVAL_NS, LruTtlCache, cache_server
+from repro.apps.proto import (LegacyCacheCodec, LruCacheStore, MemcachedCodec,
+                              ProtoServer, RespCodec)
+from repro.apps.proto.codec import (ST_COUNT, ST_MISS, ST_STORED, ST_VALUE,
+                                    Request)
+
+from ..conftest import make_dpdk_libos_pair, proto_client
+
+PORT = 11211
+ALL_CODECS = [LegacyCacheCodec, RespCodec, MemcachedCodec]
+#: memcached-binary carries expiry in whole seconds; the TTL cases need ms
+MS_TTL_CODECS = [LegacyCacheCodec, RespCodec]
 
 
-def run_requests(requests, max_entries=1024, extra_sim_ns=0):
+def by_name(codec_cls):
+    return codec_cls.name
+
+
+def SET(key, value, ttl_ms=0):
+    return Request(op="set", key=key, value=value, ttl_ms=ttl_ms)
+
+
+def GET(key):
+    return Request(op="get", key=key)
+
+
+def DELETE(key):
+    return Request(op="delete", key=key)
+
+
+HIT = ST_VALUE
+STORED = ST_STORED
+DELETED = "deleted"
+MISS = ST_MISS
+
+
+def outcome(reply):
+    """(kind, value) with each protocol's "nothing there" folded to MISS."""
+    if reply.status == ST_VALUE:
+        return HIT, reply.value
+    if reply.status == ST_COUNT:
+        return (DELETED if reply.count else MISS), None
+    return reply.status, None
+
+
+def cache_client(libos, codec_cls, requests):
+    """Closed loop: one request, then its reply; returns the outcomes."""
+    replies = yield from proto_client(libos, codec_cls, requests, port=PORT)
+    return [outcome(reply) for reply in replies]
+
+
+def start_server(codec_cls, max_entries=1024):
     w, client, server_libos = make_dpdk_libos_pair()
-    server = CacheServer(server_libos, max_entries=max_entries)
+    if codec_cls is LegacyCacheCodec:
+        server = cache_server(server_libos, port=PORT,
+                              max_entries=max_entries)
+    else:
+        cache = LruTtlCache(lambda: server_libos.sim.now, max_entries)
+        server = ProtoServer(server_libos, codec_cls, LruCacheStore(cache),
+                             port=PORT)
+        server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired,
+                              periodic=True)
     w.sim.spawn(server.start(), name="cache-server")
-    cp = w.sim.spawn(cache_client(client, "10.0.0.2", requests))
+    return w, client, server, server.service.store.cache
+
+
+def run_requests(codec_cls, requests, max_entries=1024):
+    w, client, server, cache = start_server(codec_cls, max_entries)
+    cp = w.sim.spawn(cache_client(client, codec_cls, requests))
     w.sim.run_until_complete(cp, limit=10**13)
-    if extra_sim_ns:
-        w.run(until=w.sim.now + extra_sim_ns)
     server.stop()
-    return w, server, cp.value
+    assert server.decode_errors == 0
+    return cache, cp.value
 
 
+@pytest.mark.parametrize("codec_cls", ALL_CODECS, ids=by_name)
 class TestBasicOps:
-    def test_set_then_get(self):
-        _w, server, replies = run_requests([
-            encode_set(b"k", b"cached-value"),
-            encode_get(b"k"),
+    def test_set_then_get(self, codec_cls):
+        cache, replies = run_requests(codec_cls, [
+            SET(b"k", b"cached-value"),
+            GET(b"k"),
         ])
-        assert replies[0] == (ST_STORED, None)
-        assert replies[1] == (ST_HIT, b"cached-value")
-        assert server.stats.hits == 1
+        assert replies[0] == (STORED, None)
+        assert replies[1] == (HIT, b"cached-value")
+        assert cache.stats.hits == 1
 
-    def test_get_missing_misses(self):
-        _w, server, replies = run_requests([encode_get(b"nope")])
-        assert replies == [(ST_MISS, None)]
-        assert server.stats.misses == 1
+    def test_get_missing_misses(self, codec_cls):
+        cache, replies = run_requests(codec_cls, [GET(b"nope")])
+        assert replies == [(MISS, None)]
+        assert cache.stats.misses == 1
 
-    def test_delete(self):
-        _w, server, replies = run_requests([
-            encode_set(b"k", b"v"),
-            encode_delete(b"k"),
-            encode_get(b"k"),
-            encode_delete(b"k"),
+    def test_delete(self, codec_cls):
+        _cache, replies = run_requests(codec_cls, [
+            SET(b"k", b"v"),
+            DELETE(b"k"),
+            GET(b"k"),
+            DELETE(b"k"),
         ])
-        assert replies[1] == (ST_DELETED, None)
-        assert replies[2] == (ST_MISS, None)
-        assert replies[3] == (ST_MISS, None)
+        assert replies[1] == (DELETED, None)
+        assert replies[2] == (MISS, None)
+        assert replies[3] == (MISS, None)
 
-    def test_overwrite(self):
-        _w, _server, replies = run_requests([
-            encode_set(b"k", b"old"),
-            encode_set(b"k", b"new"),
-            encode_get(b"k"),
+    def test_overwrite(self, codec_cls):
+        _cache, replies = run_requests(codec_cls, [
+            SET(b"k", b"old"),
+            SET(b"k", b"new"),
+            GET(b"k"),
         ])
-        assert replies[2] == (ST_HIT, b"new")
+        assert replies[2] == (HIT, b"new")
 
 
+@pytest.mark.parametrize("codec_cls", ALL_CODECS, ids=by_name)
 class TestLru:
-    def test_eviction_at_capacity(self):
-        requests = [encode_set(b"key-%d" % i, b"v") for i in range(6)]
-        requests.append(encode_get(b"key-0"))  # evicted (oldest)
-        requests.append(encode_get(b"key-5"))  # still present
-        _w, server, replies = run_requests(requests, max_entries=4)
-        assert server.stats.evictions == 2
-        assert replies[-2] == (ST_MISS, None)
-        assert replies[-1] == (ST_HIT, b"v")
+    def test_eviction_at_capacity(self, codec_cls):
+        requests = [SET(b"key-%d" % i, b"v") for i in range(6)]
+        requests.append(GET(b"key-0"))  # evicted (oldest)
+        requests.append(GET(b"key-5"))  # still present
+        cache, replies = run_requests(codec_cls, requests, max_entries=4)
+        assert cache.stats.evictions == 2
+        assert replies[-2] == (MISS, None)
+        assert replies[-1] == (HIT, b"v")
 
-    def test_get_refreshes_lru_position(self):
+    def test_get_refreshes_lru_position(self, codec_cls):
         requests = [
-            encode_set(b"a", b"1"),
-            encode_set(b"b", b"2"),
-            encode_get(b"a"),          # touch a: b becomes LRU
-            encode_set(b"c", b"3"),    # evicts b
-            encode_get(b"a"),
-            encode_get(b"b"),
+            SET(b"a", b"1"),
+            SET(b"b", b"2"),
+            GET(b"a"),          # touch a: b becomes LRU
+            SET(b"c", b"3"),    # evicts b
+            GET(b"a"),
+            GET(b"b"),
         ]
-        _w, _server, replies = run_requests(requests, max_entries=2)
-        assert replies[-2] == (ST_HIT, b"1")
-        assert replies[-1] == (ST_MISS, None)
+        _cache, replies = run_requests(codec_cls, requests, max_entries=2)
+        assert replies[-2] == (HIT, b"1")
+        assert replies[-1] == (MISS, None)
 
 
+@pytest.mark.parametrize("codec_cls", MS_TTL_CODECS, ids=by_name)
 class TestTtl:
-    def test_expired_entry_misses_on_access(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = CacheServer(server_libos)
-        w.sim.spawn(server.start(), name="cache-server")
+    def test_expired_entry_misses_on_access(self, codec_cls):
+        w, client, server, cache = start_server(codec_cls)
 
         def scenario():
             replies = yield from cache_client(
-                client, "10.0.0.2", [encode_set(b"t", b"v", ttl_ms=1)])
+                client, codec_cls, [SET(b"t", b"v", ttl_ms=1)])
             yield w.sim.timeout(2_000_000)  # 2 ms > 1 ms TTL
-            replies += yield from cache_client(
-                client, "10.0.0.2", [encode_get(b"t")])
+            replies += yield from cache_client(client, codec_cls,
+                                               [GET(b"t")])
             return replies
 
         p = w.sim.spawn(scenario())
         w.sim.run_until_complete(p, limit=10**13)
         server.stop()
-        assert p.value[0] == (ST_STORED, None)
-        assert p.value[1] == (ST_MISS, None)
-        assert server.stats.expirations >= 1
+        assert p.value[0] == (STORED, None)
+        assert p.value[1] == (MISS, None)
+        assert cache.stats.expirations >= 1
 
-    def test_timer_sweep_removes_expired_entries(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = CacheServer(server_libos)
-        w.sim.spawn(server.start(), name="cache-server")
+    def test_timer_sweep_removes_expired_entries(self, codec_cls):
+        w, client, server, cache = start_server(codec_cls)
 
         def scenario():
-            yield from cache_client(client, "10.0.0.2", [
-                encode_set(b"short", b"v", ttl_ms=1),
-                encode_set(b"forever", b"v"),
+            yield from cache_client(client, codec_cls, [
+                SET(b"short", b"v", ttl_ms=1),
+                SET(b"forever", b"v"),
             ])
             # Let the periodic sweep (1 ms cadence) run past the TTL.
             yield w.sim.timeout(5_000_000)
-            return server.entry_count
+            return cache.entry_count
 
         p = w.sim.spawn(scenario())
         w.sim.run_until_complete(p, limit=10**13)
         server.stop()
         assert p.value == 1  # only the TTL-free entry survives
-        assert server.stats.expirations == 1
+        assert cache.stats.expirations == 1
+        assert server.loop.timer_fires >= 4
+        assert server.loop.wasted_wakeups == 0
 
-    def test_ttl_zero_never_expires(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = CacheServer(server_libos)
-        w.sim.spawn(server.start(), name="cache-server")
+    def test_ttl_zero_never_expires(self, codec_cls):
+        w, client, server, _cache = start_server(codec_cls)
 
         def scenario():
-            yield from cache_client(client, "10.0.0.2",
-                                    [encode_set(b"k", b"v", ttl_ms=0)])
+            yield from cache_client(client, codec_cls,
+                                    [SET(b"k", b"v", ttl_ms=0)])
             yield w.sim.timeout(10_000_000)
-            return (yield from cache_client(client, "10.0.0.2",
-                                            [encode_get(b"k")]))
+            return (yield from cache_client(client, codec_cls, [GET(b"k")]))
 
         p = w.sim.spawn(scenario())
         w.sim.run_until_complete(p, limit=10**13)
         server.stop()
-        assert p.value == [(ST_HIT, b"v")]
+        assert p.value == [(HIT, b"v")]
 
 
+@pytest.mark.parametrize("codec_cls", ALL_CODECS, ids=by_name)
 class TestMultipleClients:
-    def test_two_connections_share_the_cache(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = CacheServer(server_libos)
-        w.sim.spawn(server.start(), name="cache-server")
+    def test_two_connections_share_the_cache(self, codec_cls):
+        w, client, server, _cache = start_server(codec_cls)
 
-        def writer():
-            return (yield from cache_client(
-                client, "10.0.0.2", [encode_set(b"shared", b"data")]))
-
-        wp = w.sim.spawn(writer())
+        wp = w.sim.spawn(cache_client(client, codec_cls,
+                                      [SET(b"shared", b"data")]))
         w.sim.run_until_complete(wp, limit=10**13)
-
-        def reader():
-            return (yield from cache_client(
-                client, "10.0.0.2", [encode_get(b"shared")]))
-
-        rp = w.sim.spawn(reader())
+        rp = w.sim.spawn(cache_client(client, codec_cls, [GET(b"shared")]))
         w.sim.run_until_complete(rp, limit=10**13)
         server.stop()
-        assert rp.value == [(ST_HIT, b"data")]
+        assert rp.value == [(HIT, b"data")]

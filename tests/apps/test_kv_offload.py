@@ -10,7 +10,7 @@ normal RSS path untouched.
 import pytest
 
 from repro.apps.kvstore import (OP_GET, OP_PUT, KvNicOffload, UdpKvServer,
-                                udp_kv_client)
+                                demi_kv_client)
 
 from ..conftest import make_dpdk_libos_pair
 
@@ -24,10 +24,9 @@ def run_kv(ops, with_program=True, port=6379):
         prog.install()
     w.sim.spawn(srv.run(), name="server")
 
-    def body():
-        return (yield from udp_kv_client(client, server.ip, ops, port=port))
-
-    cproc = w.sim.spawn(body(), name="client")
+    cproc = w.sim.spawn(
+        demi_kv_client(client, server.ip, ops, port=port, proto="udp"),
+        name="client")
     w.sim.run_until_complete(cproc, limit=10**12)
     srv.stop()
     w.sim.run(until=w.sim.now + 5_000_000)
@@ -128,10 +127,8 @@ class TestInstallationGuards:
         prog.uninstall()
         w.sim.spawn(srv.run(), name="server")
 
-        def body():
-            return (yield from udp_kv_client(client, server.ip, ops))
-
-        p = w.sim.spawn(body(), name="client")
+        p = w.sim.spawn(demi_kv_client(client, server.ip, ops, proto="udp"),
+                        name="client")
         w.sim.run_until_complete(p, limit=10**12)
         srv.stop()
         w.sim.run(until=w.sim.now + 5_000_000)

@@ -1,40 +1,28 @@
 """Tests for the Redis-like KV store on both frontends."""
 
+import pytest
+
 from repro.apps.kvstore import (
     OP_GET,
     OP_PUT,
-    DemiKvServer,
     KvEngine,
-    decode_response,
     demi_kv_client,
-    encode_get,
-    encode_put,
+    get_result,
     kv_workload,
+    op_request,
     posix_kv_client,
     posix_kv_server,
 )
+from repro.apps.proto import (KvEngineStore, LegacyKvCodec, MemcachedCodec,
+                              ProtoServer, RespCodec)
 from repro.sim.rand import Rng
 
-from ..conftest import make_dpdk_libos_pair, make_kernel_pair
+from ..conftest import make_dpdk_libos_pair, make_kernel_pair, proto_client
 
 
-class TestCodec:
-    def test_get_roundtrip(self):
-        from repro.apps.kvstore import decode_request
-        op, key, value = decode_request(encode_get(b"mykey"))
-        assert (op, key, value) == (OP_GET, b"mykey", None)
-
-    def test_put_roundtrip(self):
-        from repro.apps.kvstore import decode_request
-        op, key, value = decode_request(encode_put(b"k", b"v" * 100))
-        assert (op, key, value) == (OP_PUT, b"k", b"v" * 100)
-
-    def test_response_decode(self):
-        import struct
-        ok, value = decode_response(struct.pack("!BI", ord("K"), 3) + b"abc")
-        assert ok and value == b"abc"
-        ok, value = decode_response(bytes([ord("N")]))
-        assert not ok and value is None
+def kv_server(server_libos, codec_cls=LegacyKvCodec):
+    return ProtoServer(server_libos, codec_cls,
+                       KvEngineStore(KvEngine(server_libos.host)), port=6379)
 
 
 class TestEngine:
@@ -74,44 +62,55 @@ class TestEngine:
         assert world.tracer.get("mm.deferred_frees") == 1
 
 
-class TestDemiKvServer:
-    def run_ops(self, operations):
+def kv_op_client(libos, codec_cls, operations):
+    """(op, key, value) tuples under any codec; results like the KV client."""
+    replies = yield from proto_client(
+        libos, codec_cls, [op_request(*op) for op in operations])
+    return [None if op == OP_PUT else get_result(reply)
+            for (op, _key, _value), reply in zip(operations, replies)]
+
+
+@pytest.mark.parametrize("codec_cls",
+                         [LegacyKvCodec, RespCodec, MemcachedCodec],
+                         ids=lambda c: c.name)
+class TestKvServer:
+    def run_ops(self, codec_cls, operations):
         w, client, server_libos = make_dpdk_libos_pair()
-        server = DemiKvServer(server_libos)
-        w.sim.spawn(server.run(), name="kv-server")
-        cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", operations))
+        server = kv_server(server_libos, codec_cls)
+        w.sim.spawn(server.start(), name="kv-server")
+        cp = w.sim.spawn(kv_op_client(client, codec_cls, operations))
         w.sim.run_until_complete(cp, limit=10**12)
         server.stop()
         w.run(until=w.sim.now + 10_000_000)
         return w, server, cp.value
 
-    def test_put_then_get(self):
+    def test_put_then_get(self, codec_cls):
         ops = [(OP_PUT, b"hello", b"world"), (OP_GET, b"hello", None)]
-        _w, server, (results, _stats) = self.run_ops(ops)
+        _w, server, results = self.run_ops(codec_cls, ops)
         assert results[1] == (True, b"world")
         assert server.requests_served == 2
 
-    def test_get_missing_key(self):
+    def test_get_missing_key(self, codec_cls):
         ops = [(OP_GET, b"ghost", None)]
-        _w, _server, (results, _) = self.run_ops(ops)
+        _w, _server, results = self.run_ops(codec_cls, ops)
         assert results[0] == (False, None)
 
-    def test_overwrite_returns_new_value(self):
+    def test_overwrite_returns_new_value(self, codec_cls):
         ops = [
             (OP_PUT, b"k", b"v1"),
             (OP_PUT, b"k", b"v2-new"),
             (OP_GET, b"k", None),
         ]
-        _w, _server, (results, _) = self.run_ops(ops)
+        _w, _server, results = self.run_ops(codec_cls, ops)
         assert results[2] == (True, b"v2-new")
 
-    def test_many_operations(self):
+    def test_many_operations(self, codec_cls):
         rng = Rng(7)
         ops = kv_workload(rng, 50, n_keys=10, value_size=128,
                           get_fraction=0.5)
-        _w, server, (results, stats) = self.run_ops(ops)
+        _w, server, results = self.run_ops(codec_cls, ops)
         assert server.requests_served == 50
-        assert stats.count == 50
+        assert server.service_stats.count == 50
         # GETs on keys already PUT must return their latest values.
         latest = {}
         for (op, key, value), result in zip(ops, results):
@@ -121,6 +120,22 @@ class TestDemiKvServer:
                 ok, got = result
                 if key in latest:
                     assert ok and got == latest[key]
+
+
+class TestDemiKvClient:
+    def test_closed_loop_results_and_stats(self):
+        w, client, server_libos = make_dpdk_libos_pair()
+        server = kv_server(server_libos)
+        w.sim.spawn(server.start(), name="kv-server")
+        ops = kv_workload(Rng(7), 50, n_keys=10, value_size=128,
+                          get_fraction=0.5)
+        cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))
+        w.sim.run_until_complete(cp, limit=10**12)
+        server.stop()
+        results, stats = cp.value
+        assert stats.count == 50 == server.requests_served
+        assert [r is None for r in results] \
+            == [op == OP_PUT for op, _k, _v in ops]
 
 
 class TestPosixKvServer:
@@ -158,8 +173,8 @@ class TestPosixKvServer:
 
         def demi_get_rtt(value_size):
             w, client, server_libos = make_dpdk_libos_pair()
-            server = DemiKvServer(server_libos)
-            w.sim.spawn(server.run())
+            server = kv_server(server_libos)
+            w.sim.spawn(server.start())
             ops = ([(OP_PUT, b"k", b"v" * value_size)]
                    + [(OP_GET, b"k", None)] * 5)
             cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))

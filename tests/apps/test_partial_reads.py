@@ -1,6 +1,6 @@
-"""Partial-read framing across the legacy servers (the fixed bug).
+"""Partial-read framing through ProtoServer, for every codec (the fixed bug).
 
-Before the codec port, ``CacheServer`` fed each popped element straight
+Before the codec port, the cache server fed each popped element straight
 into a one-shot parser: a request split across two pops decoded garbage
 or crashed, and a truncated PUT silently stored a truncated value.
 These tests pin the fix end to end: every split offset of a request
@@ -8,180 +8,158 @@ stream serves identically, malformed bytes close a TCP stream (and only
 that stream) or drop a UDP datagram (and only that datagram).
 """
 
-from repro.apps.cache import (ST_DELETED, ST_HIT, ST_MISS, ST_STORED,
-                              CacheServer, cache_client, encode_delete,
-                              encode_get, encode_set)
-from repro.apps.kvstore import (OP_GET, OP_PUT, DemiKvServer, UdpKvServer,
-                                demi_kv_client, udp_kv_client)
-from repro.apps.proto.legacy import LegacyCacheCodec
+import pytest
+
+from repro.apps.cache import LruTtlCache
+from repro.apps.kvstore import (OP_GET, OP_PUT, KvEngine, UdpKvServer,
+                                demi_kv_client)
+from repro.apps.proto import (KvEngineStore, LegacyCacheCodec, LegacyKvCodec,
+                              LruCacheStore, MemcachedCodec, ProtoServer,
+                              RespCodec)
+from repro.apps.proto.codec import Request
 from repro.telemetry import names
 
-from ..conftest import make_dpdk_libos_pair
+from ..conftest import chunk_client, make_dpdk_libos_pair
 
-CACHE_PORT = 11211
+PORT = 11211
 
-
-def chunked_cache_client(libos, server_addr, chunks, n_replies,
-                         port=CACHE_PORT):
-    """Push arbitrary byte chunks; decode replies incrementally."""
-    codec = LegacyCacheCodec()
-    qd = yield from libos.socket()
-    yield from libos.connect(qd, server_addr, port)
-    for chunk in chunks:
-        yield from libos.blocking_push(qd, libos.sga_alloc(chunk))
-    replies = []
-    while len(replies) < n_replies:
-        result = yield from libos.blocking_pop(qd)
-        if result.error is not None:
-            break
-        replies.extend(codec.feed_responses(result.sga.tobytes()))
-    yield from libos.close(qd)
-    return replies
+#: codec -> bytes that desynchronise its request stream
+GARBAGE = {
+    LegacyCacheCodec: b"\xff\x00\x01x",       # opcode 0xFF
+    LegacyKvCodec: b"\xff\x00\x03abc",        # not 'G' or 'P'
+    RespCodec: b"GARBAGE\r\n",
+    MemcachedCodec: b"\x42" + b"\x00" * 23,   # wrong magic byte
+}
+CACHE_CODECS = [LegacyCacheCodec, RespCodec, MemcachedCodec]
 
 
-def run_cache_chunks(chunks, n_replies):
+def by_name(codec_cls):
+    return codec_cls.name
+
+
+def start_server(codec_cls):
     w, client, server_libos = make_dpdk_libos_pair()
-    server = CacheServer(server_libos)
-    w.sim.spawn(server.start(), name="cache-server")
-    cp = w.sim.spawn(
-        chunked_cache_client(client, "10.0.0.2", chunks, n_replies))
+    if codec_cls is LegacyKvCodec:
+        store = KvEngineStore(KvEngine(server_libos.host))
+    else:
+        store = LruCacheStore(LruTtlCache(lambda: server_libos.sim.now))
+    server = ProtoServer(server_libos, codec_cls, store, port=PORT)
+    w.sim.spawn(server.start(), name="proto-server")
+    return w, client, server_libos, server
+
+
+def run_chunks(codec_cls, chunks, n_replies):
+    w, client, _server_libos, server = start_server(codec_cls)
+    cp = w.sim.spawn(chunk_client(client, codec_cls, chunks, n_replies,
+                                  port=PORT))
     w.sim.run_until_complete(cp, limit=10**13)
     server.stop()
     w.run(until=w.sim.now + 5_000_000)
     return server, cp.value
 
 
-#: SET(k)=v, GET(k) hit, DELETE(k), GET(k) miss - 4 replies
-CACHE_SCRIPT = (encode_set(b"k", b"v", ttl_ms=0) + encode_get(b"k")
-                + encode_delete(b"k") + encode_get(b"k"))
-CACHE_EXPECTED = [ST_STORED, ST_HIT, ST_DELETED, ST_MISS]
+def cache_script(codec_cls):
+    """SET(k)=v, GET(k) hit, DELETE(k), GET(k) miss - 4 replies."""
+    codec = codec_cls()
+    return b"".join(codec.encode_request(r) for r in [
+        Request(op="set", key=b"k", value=b"v"), Request(op="get", key=b"k"),
+        Request(op="delete", key=b"k"), Request(op="get", key=b"k")])
 
 
-class TestCacheServerSplitRequests:
-    def test_every_split_offset_serves_identically(self):
+def check_cache_script(server, replies, note=""):
+    assert [r.status for r in replies] == [
+        "stored", "value", "count", "miss"], note
+    assert replies[1].value == b"v"
+    assert server.decode_errors == 0
+    stats = server.service.store.cache.stats
+    assert (stats.sets, stats.hits, stats.deletes) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("codec_cls", CACHE_CODECS, ids=by_name)
+class TestSplitRequests:
+    def test_every_split_offset_serves_identically(self, codec_cls):
         # Two pushes cut at EVERY byte boundary of the stream: the
         # request mix, reply order, and cache effects never change.
-        for cut in range(1, len(CACHE_SCRIPT)):
-            server, replies = run_cache_chunks(
-                [CACHE_SCRIPT[:cut], CACHE_SCRIPT[cut:]],
-                len(CACHE_EXPECTED))
-            statuses = [s for s, _v in
-                        ((r.status, r.value) for r in replies)]
-            assert [r.status for r in replies] == [
-                "stored", "value", "count", "miss"], \
-                "split at %d diverged: %r" % (cut, statuses)
-            assert replies[1].value == b"v"
-            assert server.decode_errors == 0
-            assert server.stats.sets == 1
-            assert server.stats.hits == 1
+        script = cache_script(codec_cls)
+        for cut in range(1, len(script)):
+            server, replies = run_chunks(
+                codec_cls, [script[:cut], script[cut:]], 4)
+            check_cache_script(server, replies, "split at %d" % cut)
 
-    def test_one_byte_at_a_time(self):
-        server, replies = run_cache_chunks(
-            [bytes([b]) for b in CACHE_SCRIPT], len(CACHE_EXPECTED))
-        assert [r.status for r in replies] == [
-            "stored", "value", "count", "miss"]
-        assert server.decode_errors == 0
+    def test_one_byte_at_a_time(self, codec_cls):
+        script = cache_script(codec_cls)
+        server, replies = run_chunks(
+            codec_cls, [bytes([b]) for b in script], 4)
+        check_cache_script(server, replies)
 
-    def test_pipelined_whole_script_in_one_push(self):
-        server, replies = run_cache_chunks([CACHE_SCRIPT],
-                                           len(CACHE_EXPECTED))
-        assert len(replies) == 4
-        assert server.decode_errors == 0
+    def test_pipelined_whole_script_in_one_push(self, codec_cls):
+        server, replies = run_chunks(codec_cls, [cache_script(codec_cls)], 4)
+        check_cache_script(server, replies)
+        # Four requests, one wake-up's worth of element, one reply push.
+        assert server.loop.dispatches == 2  # the accept + the element
 
-    def test_old_client_still_speaks_the_same_wire(self):
-        # The unsplit path through the deprecated helpers is untouched.
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = CacheServer(server_libos)
-        w.sim.spawn(server.start(), name="cache-server")
-        cp = w.sim.spawn(cache_client(client, "10.0.0.2", [
-            encode_set(b"k", b"cached"), encode_get(b"k")]))
-        w.sim.run_until_complete(cp, limit=10**13)
-        server.stop()
-        assert cp.value == [(ST_STORED, None), (ST_HIT, b"cached")]
 
-    def test_garbage_closes_only_that_connection(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = CacheServer(server_libos)
-        w.sim.spawn(server.start(), name="cache-server")
+@pytest.mark.parametrize("codec_cls", list(GARBAGE), ids=by_name)
+class TestMalformedStream:
+    def test_garbage_closes_only_that_connection(self, codec_cls):
+        w, client, server_libos, server = start_server(codec_cls)
+        script = [Request(op="set", key=b"k", value=b"v"),
+                  Request(op="get", key=b"k")]
+        codec = codec_cls()
 
         def bad_then_good():
-            # Unknown opcode 0xFF: desync, server must hang up.
+            # Stream desync, not a slow sender: the server must hang up.
             qd = yield from client.socket()
-            yield from client.connect(qd, "10.0.0.2", CACHE_PORT)
+            yield from client.connect(qd, "10.0.0.2", PORT)
             yield from client.blocking_push(
-                qd, client.sga_alloc(b"\xff\x00\x01x"))
+                qd, client.sga_alloc(GARBAGE[codec_cls]))
             result = yield from client.blocking_pop(qd)
             assert result.error is not None
             yield from client.close(qd)
             # A fresh connection is served normally.
-            return (yield from cache_client(client, "10.0.0.2", [
-                encode_set(b"k", b"v"), encode_get(b"k")]))
+            return (yield from chunk_client(
+                client, codec_cls,
+                [codec.encode_request(r) for r in script], 2, port=PORT))
 
         cp = w.sim.spawn(bad_then_good())
         w.sim.run_until_complete(cp, limit=10**13)
         server.stop()
-        assert cp.value == [(ST_STORED, None), (ST_HIT, b"v")]
+        w.run(until=w.sim.now + 5_000_000)
+        assert cp.value[1].value == b"v"
+        assert server.requests_served == 2  # the garbage served nothing
         assert server.decode_errors == 1
         assert server_libos.counters.get(names.PROTO_DECODE_ERRORS) == 1
 
 
-class TestDemiKvServerMalformedStream:
-    def test_malformed_bytes_close_the_connection(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = DemiKvServer(server_libos, port=6379)
-        sp = w.sim.spawn(server.run(), name="kv-server")
-
-        def bad_then_good():
-            qd = yield from client.socket()
-            yield from client.connect(qd, "10.0.0.2", 6379)
-            # 0xFF is not 'G' or 'P': stream desync, not a slow sender.
-            yield from client.blocking_push(
-                qd, client.sga_alloc(b"\xff\x00\x03abc"))
-            result = yield from client.blocking_pop(qd)
-            assert result.error is not None
-            yield from client.close(qd)
-            results, _stats = yield from demi_kv_client(
-                client, "10.0.0.2",
-                [(OP_PUT, b"k", b"v"), (OP_GET, b"k", None)])
-            return results
-
-        cp = w.sim.spawn(bad_then_good())
-        w.sim.run_until_complete(cp, limit=10**13)
-        server.stop()
-        if sp.alive:
-            sp.interrupt("test done")
-        w.run(until=w.sim.now + 5_000_000)
-        assert cp.value == [None, (True, b"v")]
-        assert server.requests_served == 2  # the garbage served nothing
-        assert server_libos.counters.get(
-            names.KV_MALFORMED_REQUESTS) == 1
+def run_udp(body_for):
+    w, client, server_libos = make_dpdk_libos_pair()
+    server = UdpKvServer(server_libos, port=6379)
+    sp = w.sim.spawn(server.run(), name="udp-kv-server")
+    cp = w.sim.spawn(body_for(client))
+    w.sim.run_until_complete(cp, limit=10**13)
+    server.stop()
+    if sp.alive:
+        sp.interrupt("test done")
+    w.run(until=w.sim.now + 5_000_000)
+    return server_libos, server, cp.value
 
 
 class TestUdpKvServerMalformedDatagram:
     def test_bad_datagram_dropped_server_keeps_serving(self):
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = UdpKvServer(server_libos, port=6379)
-        sp = w.sim.spawn(server.run(), name="udp-kv-server")
-
-        def bad_then_good():
+        def bad_then_good(client):
             qd = yield from client.socket("udp")
             yield from client.connect(qd, "10.0.0.2", 6379)
             # A malformed datagram gets no reply - UDP just drops it.
             yield from client.blocking_push(
                 qd, client.sga_alloc(b"\xff\xffgarbage"))
             yield from client.close(qd)
-            results, _stats = yield from udp_kv_client(
+            results, _stats = yield from demi_kv_client(
                 client, "10.0.0.2",
-                [(OP_PUT, b"k", b"v"), (OP_GET, b"k", None)])
+                [(OP_PUT, b"k", b"v"), (OP_GET, b"k", None)], proto="udp")
             return results
 
-        cp = w.sim.spawn(bad_then_good())
-        w.sim.run_until_complete(cp, limit=10**13)
-        server.stop()
-        if sp.alive:
-            sp.interrupt("test done")
-        w.run(until=w.sim.now + 5_000_000)
-        assert cp.value == [None, (True, b"v")]
+        server_libos, server, results = run_udp(bad_then_good)
+        assert results == [None, (True, b"v")]
         assert server.requests_served == 2
         assert server_libos.counters.get(
             names.KV_MALFORMED_REQUESTS) == 1
@@ -189,29 +167,20 @@ class TestUdpKvServerMalformedDatagram:
     def test_truncated_put_is_rejected_not_stored(self):
         # The original bug: a PUT cut short stored the partial value.
         # Now the truncated datagram is malformed and nothing lands.
-        from repro.apps.kvstore import encode_put
+        truncated = LegacyKvCodec().encode_request(
+            Request(op="set", key=b"k", value=b"full-value"))[:-4]
 
-        w, client, server_libos = make_dpdk_libos_pair()
-        server = UdpKvServer(server_libos, port=6379)
-        sp = w.sim.spawn(server.run(), name="udp-kv-server")
-        truncated = encode_put(b"k", b"full-value")[:-4]
-
-        def body():
+        def body(client):
             qd = yield from client.socket("udp")
             yield from client.connect(qd, "10.0.0.2", 6379)
             yield from client.blocking_push(qd, client.sga_alloc(truncated))
             yield from client.close(qd)
-            results, _stats = yield from udp_kv_client(
-                client, "10.0.0.2", [(OP_GET, b"k", None)])
+            results, _stats = yield from demi_kv_client(
+                client, "10.0.0.2", [(OP_GET, b"k", None)], proto="udp")
             return results
 
-        cp = w.sim.spawn(body())
-        w.sim.run_until_complete(cp, limit=10**13)
-        server.stop()
-        if sp.alive:
-            sp.interrupt("test done")
-        w.run(until=w.sim.now + 5_000_000)
-        assert cp.value == [(False, None)]  # nothing stored, not garbage
+        server_libos, server, results = run_udp(body)
+        assert results == [(False, None)]  # nothing stored, not garbage
         assert server.engine.puts == 0
         assert server_libos.counters.get(
             names.KV_MALFORMED_REQUESTS) == 1

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import cache, kvstore
 from repro.apps.proto import (CODECS, LegacyCacheCodec, LegacyKvCodec,
                               MemcachedCodec, RespCodec)
 from repro.apps.proto.codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG,
@@ -176,63 +175,76 @@ class TestMemcachedGoldenBytes:
         assert MemcachedCodec().feed_responses(reply)[0].opaque == 41
 
 
-class TestLegacyEquivalence:
-    """The deprecated module helpers and the codecs speak identical bytes."""
+class TestLegacyGoldenBytes:
+    """The two original binary formats, pinned byte for byte."""
 
-    def test_kv_requests_byte_identical(self):
+    def test_kv_requests(self):
         codec = LegacyKvCodec()
         assert codec.encode_request(Request(op="get", key=b"mykey")) \
-            == kvstore.encode_get(b"mykey")
+            == struct.pack("!BH", ord("G"), 5) + b"mykey"
         assert codec.encode_request(
             Request(op="set", key=b"k", value=b"v" * 33)) \
-            == kvstore.encode_put(b"k", b"v" * 33)
+            == (struct.pack("!BH", ord("P"), 1) + b"k"
+                + struct.pack("!I", 33) + b"v" * 33)
 
-    def test_kv_decode_request_tuple_shape(self):
-        op, key, value = kvstore.decode_request(kvstore.encode_get(b"a"))
-        assert (op, key, value) == (kvstore.OP_GET, b"a", None)
-        op, key, value = kvstore.decode_request(
-            kvstore.encode_put(b"a", b"xyz"))
-        assert (op, key, value) == (kvstore.OP_PUT, b"a", b"xyz")
+    def test_kv_responses(self):
+        codec = LegacyKvCodec()
+        assert codec.encode(Response(status=ST_VALUE, value=b"abc")) \
+            == struct.pack("!BI", ord("K"), 3) + b"abc"
+        assert codec.encode(Response(status=ST_STORED)) \
+            == struct.pack("!BI", ord("K"), 0)
+        assert codec.encode(Response(status=ST_MISS)) == b"N"
+        assert codec.value_header(3) + b"abc" \
+            == codec.encode(Response(status=ST_VALUE, value=b"abc"))
 
-    def test_kv_decode_request_rejects_truncation(self):
+    def test_decode_message_is_one_whole_request(self):
+        req = LegacyKvCodec.decode_message(
+            LegacyKvCodec().encode_request(Request(op="get", key=b"a")))
+        assert (req.op, req.key) == ("get", b"a")
+        req = LegacyKvCodec.decode_message(LegacyKvCodec().encode_request(
+            Request(op="set", key=b"a", value=b"xyz")))
+        assert (req.op, req.key, req.value) == ("set", b"a", b"xyz")
+
+    def test_decode_message_rejects_truncation(self):
         # The old parser silently stored a truncated value here.
-        whole = kvstore.encode_put(b"key", b"0123456789")
-        for cut in range(1, len(whole)):
+        whole = LegacyKvCodec().encode_request(
+            Request(op="set", key=b"key", value=b"0123456789"))
+        for cut in range(len(whole)):
             with pytest.raises(CodecError):
-                kvstore.decode_request(whole[:cut])
+                LegacyKvCodec.decode_message(whole[:cut])
+        with pytest.raises(CodecError):
+            LegacyKvCodec.decode_message(whole + whole)  # not *one*
 
-    def test_kv_decode_response(self):
+    def test_decode_reply(self):
         ok_wire = LegacyKvCodec().encode(
             Response(status=ST_VALUE, value=b"v"))
-        assert kvstore.decode_response(ok_wire) == (True, b"v")
-        miss_wire = LegacyKvCodec().encode(Response(status=ST_MISS))
-        assert kvstore.decode_response(miss_wire) == (False, None)
+        reply = LegacyKvCodec.decode_reply(ok_wire)
+        assert (reply.status, reply.value) == (ST_VALUE, b"v")
+        assert LegacyKvCodec.decode_reply(b"N").status == ST_MISS
+        with pytest.raises(CodecError):
+            LegacyKvCodec.decode_reply(ok_wire[:-1])
+        with pytest.raises(CodecError):
+            LegacyKvCodec.decode_reply(b"M")  # the replica tier's MOVED
 
-    def test_cache_requests_byte_identical(self):
+    def test_cache_requests(self):
         codec = LegacyCacheCodec()
         assert codec.encode_request(
             Request(op="set", key=b"k", value=b"v", ttl_ms=250)) \
-            == cache.encode_set(b"k", b"v", ttl_ms=250)
+            == (struct.pack("!BH", ord("S"), 1) + b"k"
+                + struct.pack("!II", 250, 1) + b"v")
         assert codec.encode_request(Request(op="get", key=b"k")) \
-            == cache.encode_get(b"k")
+            == struct.pack("!BH", ord("G"), 1) + b"k"
         assert codec.encode_request(Request(op="delete", key=b"k")) \
-            == cache.encode_delete(b"k")
+            == struct.pack("!BH", ord("D"), 1) + b"k"
 
-    def test_cache_decode_reply_statuses(self):
+    def test_cache_reply_statuses(self):
         codec = LegacyCacheCodec()
-        assert cache.decode_reply(
-            codec.encode(Response(status=ST_VALUE, value=b"x"))) \
-            == (cache.ST_HIT, b"x")
-        assert cache.decode_reply(codec.encode(Response(status=ST_MISS))) \
-            == (cache.ST_MISS, None)
-        assert cache.decode_reply(codec.encode(Response(status=ST_STORED))) \
-            == (cache.ST_STORED, None)
-        assert cache.decode_reply(
-            codec.encode(Response(status=ST_COUNT, count=1))) \
-            == (cache.ST_DELETED, None)
-        assert cache.decode_reply(
-            codec.encode(Response(status=ST_COUNT, count=0))) \
-            == (cache.ST_MISS, None)
+        assert codec.encode(Response(status=ST_VALUE, value=b"x")) \
+            == struct.pack("!BI", ord("H"), 1) + b"x"
+        assert codec.encode(Response(status=ST_MISS)) == b"M"
+        assert codec.encode(Response(status=ST_STORED)) == b"S"
+        assert codec.encode(Response(status=ST_COUNT, count=1)) == b"D"
+        assert codec.encode(Response(status=ST_COUNT, count=0)) == b"M"
 
     def test_legacy_codecs_reject_inline_errors(self):
         # Neither legacy format has an error status on the wire.

@@ -12,8 +12,9 @@ import pytest
 
 from repro.apps.cache import LruTtlCache
 from repro.apps.kvstore import KvEngine
-from repro.apps.proto import (KvEngineStore, LegacyKvCodec, LruCacheStore,
-                              MemcachedCodec, ProtoServer, RespCodec)
+from repro.apps.proto import (KvEngineStore, LegacyCacheCodec, LegacyKvCodec,
+                              LruCacheStore, MemcachedCodec, ProtoServer,
+                              RespCodec)
 from repro.apps.proto.codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG,
                                     ST_STORED, ST_VALUE, Request)
 from repro.apps.steering import key_partition
@@ -21,7 +22,8 @@ from repro.cluster.client import src_port_for_queue
 from repro.cluster.shard import ShardProtoServer
 from repro.testbed import make_sharded_kv_world
 
-from ..conftest import make_dpdk_libos_pair, make_posix_libos_pair
+from ..conftest import (chunk_client, make_dpdk_libos_pair,
+                        make_posix_libos_pair)
 
 PORT = 6390
 SHARD_PORT = 6379
@@ -36,23 +38,6 @@ SCRIPT = [
 SCRIPT_STATUSES = [ST_STORED, ST_VALUE, ST_MISS, ST_PONG]
 
 
-def script_client(libos, codec_cls, chunks, n_replies, port=PORT):
-    """Spawn-me: push the pre-encoded chunks, collect n_replies."""
-    codec = codec_cls()
-    qd = yield from libos.socket()
-    yield from libos.connect(qd, "10.0.0.2", port)
-    for chunk in chunks:
-        yield from libos.blocking_push(qd, libos.sga_alloc(chunk))
-    replies = []
-    while len(replies) < n_replies:
-        result = yield from libos.blocking_pop(qd)
-        if result.error is not None:
-            break  # server hung up on us
-        replies.extend(codec.feed_responses(result.sga.tobytes()))
-    yield from libos.close(qd)
-    return replies
-
-
 def serve(make_pair, codec_cls, chunks, n_replies, store="kv"):
     """Full round trip: ProtoServer + scripted client on a libOS pair."""
     w, client, server_libos = make_pair()
@@ -63,7 +48,8 @@ def serve(make_pair, codec_cls, chunks, n_replies, store="kv"):
             LruTtlCache(lambda: server_libos.sim.now))
     server = ProtoServer(server_libos, codec_cls, backing, port=PORT)
     sp = w.sim.spawn(server.start(), name="proto-server")
-    cp = w.sim.spawn(script_client(client, codec_cls, chunks, n_replies))
+    cp = w.sim.spawn(chunk_client(client, codec_cls, chunks, n_replies,
+                                  port=PORT))
     w.sim.run_until_complete(cp, limit=10**13)
     server.stop()
     if sp.alive:
@@ -166,6 +152,60 @@ class TestErrorPolicy:
                                 [wire, b"GARBAGE\r\n"], 2)
         assert [r.status for r in replies] == [ST_PONG]
         assert server.decode_errors == 1
+
+
+class TestConnectionsArriveWhileParked:
+    """A connection accepted while the dispatcher is parked on another
+    connection's pop must be armed at once, not when that one next
+    speaks (the old acceptor registered events the loop never saw)."""
+
+    @pytest.mark.parametrize("codec_cls,store",
+                             [(RespCodec, "kv"), (LegacyCacheCodec, "cache")],
+                             ids=["resp", "legacy-cache"])
+    def test_idle_connection_does_not_delay_the_next_one(self, codec_cls,
+                                                          store):
+        w, client, server_libos = make_dpdk_libos_pair()
+        if store == "kv":
+            backing = KvEngineStore(KvEngine(server_libos.host))
+        else:
+            backing = LruCacheStore(LruTtlCache(lambda: server_libos.sim.now))
+        server = ProtoServer(server_libos, codec_cls, backing, port=PORT)
+        w.sim.spawn(server.start(), name="proto-server")
+        wire = codec_cls().encode_request(Request(op="get", key=b"k"))
+        a_served = w.sim.completion("a-served")
+
+        def timed_request(qd):
+            start = w.sim.now
+            yield from client.blocking_push(qd, client.sga_alloc(wire))
+            result = yield from client.blocking_pop(qd)
+            assert result.error is None
+            return w.sim.now - start
+
+        def conn_a():
+            qd = yield from client.socket()
+            yield from client.connect(qd, "10.0.0.2", PORT)
+            rtt = yield from timed_request(qd)
+            a_served.trigger()
+            yield w.sim.timeout(50_000_000)   # idle, connection open
+            yield from timed_request(qd)
+            yield from client.close(qd)
+            return rtt
+
+        def conn_b():
+            yield a_served
+            qd = yield from client.socket()
+            yield from client.connect(qd, "10.0.0.2", PORT)
+            rtt = yield from timed_request(qd)
+            yield from client.close(qd)
+            return rtt
+
+        pa, pb = w.sim.spawn(conn_a()), w.sim.spawn(conn_b())
+        w.sim.run_until_complete(pa, limit=10**13)
+        w.sim.run_until_complete(pb, limit=10**13)
+        server.stop()
+        assert pb.value <= 2 * pa.value
+        assert server.requests_served == 3
+        assert server.loop.wasted_wakeups == 0
 
 
 def ttl_client(libos, port=PORT):

@@ -7,8 +7,13 @@ import pytest
 
 from repro.bench.runners import PER_OP_BUDGET_NS, kv_scaling_document
 from repro.cli import main
-from tools.check_bench import check_document, check_payload
-from tools.check_bench import main as check_main
+from repro.experiments.schema import check_kv_scaling_document, check_payload
+
+check_document = check_kv_scaling_document
+
+
+def check_main(argv):
+    return main(["exp", "validate"] + argv)
 
 
 @pytest.fixture(scope="module")

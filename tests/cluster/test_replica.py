@@ -145,7 +145,7 @@ class TestHappyPath:
         """Reads must come from the tail: a GET aimed directly at the
         head (a stale client route) answers STATUS_MOVED instead of
         serving a possibly-uncommitted value."""
-        from repro.apps.kvstore import encode_get
+        from repro.apps.proto import LegacyKvCodec, Request
         from repro.cluster.replica import STATUS_MOVED
 
         world, directory, nodes, (client,) = build_cluster()
@@ -159,7 +159,8 @@ class TestHappyPath:
             qd = yield from libos.socket()
             yield from libos.connect(qd, nodes[0].nic.addr, nodes[0].port)
             yield from libos.blocking_push(
-                qd, libos.sga_alloc(encode_get(b"moved-key")))
+                qd, libos.sga_alloc(LegacyKvCodec().encode_request(
+                    Request(op="get", key=b"moved-key"))))
             result = yield from libos.blocking_pop(qd)
             out["status"] = result.sga.tobytes()[0]
             yield from libos.close(qd)

@@ -18,7 +18,7 @@ from repro.bench.runners import (
 
 N_OPS = 80
 # Marginal budget plus each shard's amortized connection-setup share
-# (the same formula tools.check_bench gates the committed sweep with).
+# (the same formula ``repro exp validate`` gates the committed sweep with).
 BUDGET_NS = PER_OP_BUDGET_NS + PER_OP_SETUP_ALLOWANCE_NS / N_OPS
 
 

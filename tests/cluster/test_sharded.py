@@ -12,21 +12,35 @@ The tentpole claims, asserted end to end on a 4-shard world:
 
 import pytest
 
+from repro.apps.kvstore import demi_kv_client
+from repro.apps.proto import LegacyKvCodec
 from repro.bench.runners import kv_rtt_sharded, kv_scaling_document
-from repro.cluster import shard_workload, sharded_kv_client
+from repro.cluster import shard_workload, src_port_for_queue
+from repro.experiments.schema import (check_kv_scaling_document,
+                                      check_payload)
 from repro.sim.rand import Rng
 from repro.sim.trace import LatencyStats
 from repro.testbed import make_sharded_kv_world
-from tools.check_bench import check_document
 
 N_SHARDS = 4
 OPS_PER_SHARD = 60
 
 
+def committed_sweeps():
+    """The repo-root BENCH_kv_scaling.json trajectory, oldest first."""
+    import json
+    import os
+    path = os.path.join(os.path.dirname(__file__), "..", "..",
+                        "BENCH_kv_scaling.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run_sharded(n_shards=N_SHARDS, n_ops=OPS_PER_SHARD, drop_rate=0.0,
                 seed=11):
-    w, server, clients = make_sharded_kv_world(n_shards, seed=seed,
-                                               drop_rate=drop_rate)
+    w, server, clients = make_sharded_kv_world(
+        n_shards, seed=seed, drop_rate=drop_rate,
+        server_kwargs={"codec_factory": LegacyKvCodec})
     server.start()
     rng = Rng(seed).fork_named("cluster-test")
     procs, results = [], []
@@ -35,8 +49,10 @@ def run_sharded(n_shards=N_SHARDS, n_ops=OPS_PER_SHARD, drop_rate=0.0,
         ops = shard_workload(rng.fork(i), n_ops, i, n_shards,
                              n_keys=8, value_size=64)
         procs.append(w.sim.spawn(
-            sharded_kv_client(client, server.ip, i, n_shards, ops,
-                              port=server.port, stats=stats),
+            demi_kv_client(client, server.ip, ops, port=server.port,
+                           stats=stats, src_port=src_port_for_queue(
+                               client.ip, server.ip, i, n_shards,
+                               server.port)),
             name="testclient%d" % i))
     for proc in procs:
         w.sim.run_until_complete(proc, limit=10**13)
@@ -108,7 +124,7 @@ class TestShardedUnderChaos:
 class TestScalingBench:
     def test_throughput_scales_and_document_validates(self):
         doc = kv_scaling_document(core_counts=(1, 2), n_ops=40, seed=7)
-        assert check_document(doc) == []
+        assert check_kv_scaling_document(doc) == []
         one, two = doc["rows"]
         assert two["throughput_ops_per_s"] > one["throughput_ops_per_s"]
 
@@ -125,17 +141,25 @@ class TestScalingBench:
         with pytest.raises(ValueError):
             ShardedKvServer(server.host, server.nic, "10.0.0.100", 4)
 
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_committed_rows_reproduce_exactly(self, cores):
+        # The refactoring oracle: a run is a pure function of its seed,
+        # so re-running a committed row must give it back key for key.
+        import json
+        doc = committed_sweeps()[-1]
+        committed = next(r for r in doc["rows"] if r["cores"] == cores)
+        row = kv_rtt_sharded(cores, n_ops=doc["params"]["n_ops_per_shard"],
+                             value_size=doc["params"]["value_size"],
+                             seed=doc["seed"])
+        assert json.loads(json.dumps(row)) == committed
+
     def test_committed_baseline_still_validates(self):
         # The repo-root BENCH_kv_scaling.json is a persisted baseline;
         # regenerate with `python -m repro bench kv-scaling` if the
         # serving path legitimately changes.
-        import json
-        import os
-        path = os.path.join(os.path.dirname(__file__), "..", "..",
-                            "BENCH_kv_scaling.json")
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert check_document(doc) == []
+        sweeps = committed_sweeps()
+        assert check_payload(sweeps) == []
+        doc = sweeps[-1]
         assert doc["schema_version"] == 2
         assert doc["params"]["core_counts"] == [1, 2, 4, 8, 16, 32]
         # The knee regression gate in test_scaling_knee.py asserts the

@@ -23,3 +23,42 @@ def world():
 @pytest.fixture
 def net_pair():
     return make_net_pair()
+
+
+def proto_client(libos, codec_cls, requests, addr="10.0.0.2", port=6379):
+    """Spawn-me closed loop against a ProtoServer speaking *codec_cls*:
+    one Request, then its Response; returns the Responses."""
+    codec = codec_cls()
+    qd = yield from libos.socket()
+    yield from libos.connect(qd, addr, port)
+    responses = []
+    for request in requests:
+        yield from libos.blocking_push(
+            qd, libos.sga_alloc(codec.encode_request(request)))
+        replies = []
+        while not replies:
+            result = yield from libos.blocking_pop(qd)
+            assert result.error is None, result.error
+            replies = codec.feed_responses(result.sga.tobytes())
+        responses.append(replies[0])
+    yield from libos.close(qd)
+    return responses
+
+
+def chunk_client(libos, codec_cls, chunks, n_replies, addr="10.0.0.2",
+                 port=6379):
+    """Spawn-me: push pre-encoded byte chunks, then collect *n_replies*
+    Responses (fewer if the server hangs up first)."""
+    codec = codec_cls()
+    qd = yield from libos.socket()
+    yield from libos.connect(qd, addr, port)
+    for chunk in chunks:
+        yield from libos.blocking_push(qd, libos.sga_alloc(chunk))
+    replies = []
+    while len(replies) < n_replies:
+        result = yield from libos.blocking_pop(qd)
+        if result.error is not None:
+            break  # server hung up on us
+        replies.extend(codec.feed_responses(result.sga.tobytes()))
+    yield from libos.close(qd)
+    return replies

@@ -130,12 +130,16 @@ class TestKvServerMultiConnection:
         from repro.apps.kvstore import (
             OP_GET,
             OP_PUT,
-            DemiKvServer,
+            KvEngine,
             demi_kv_client,
         )
+        from repro.apps.proto import (KvEngineStore, LegacyKvCodec,
+                                      ProtoServer)
         w, client_libos, server_libos = make_dpdk_libos_pair()
-        server = DemiKvServer(server_libos)
-        w.sim.spawn(server.run())
+        server = ProtoServer(server_libos, LegacyKvCodec,
+                             KvEngineStore(KvEngine(server_libos.host)),
+                             port=6379)
+        w.sim.spawn(server.start())
 
         ops_a = [(OP_PUT, b"a-key", b"a-value"), (OP_GET, b"a-key", None)]
         ops_b = [(OP_PUT, b"b-key", b"b-value"), (OP_GET, b"b-key", None)]

@@ -189,3 +189,76 @@ class TestOverNetwork:
         replies, _ = cp.value
         assert replies == [b"m1", b"m2", b"m3"]
         assert served == [b"m1", b"m2", b"m3"]
+
+
+class TestAcceptAndStop:
+    """add_accept_event + stop(): the wake-one server shape end to end."""
+
+    def serve(self, service_ns=0):
+        w, client, server = make_dpdk_libos_pair()
+        loop = DemiEventLoop(server)
+        served = []
+
+        def on_conn(qd):
+            def on_request(result):
+                if result.error is not None:
+                    return
+                yield server.core.busy(service_ns)
+                served.append(result.sga.tobytes())
+                yield from server.blocking_push(qd, result.sga)
+            loop.add_pop_event(qd, on_request)
+
+        def server_main():
+            lqd = yield from server.socket()
+            yield from server.bind(lqd, 7)
+            yield from server.listen(lqd)
+            loop.add_accept_event(lqd, on_conn)
+            return (yield from loop.run())
+
+        sp = w.sim.spawn(server_main(), name="srv")
+        return w, client, server, loop, sp, served
+
+    def test_connections_are_served_without_any_timeout(self):
+        from repro.apps.echo import demi_echo_client
+        w, client, server, loop, sp, served = self.serve()
+        procs = [w.sim.spawn(demi_echo_client(client, "10.0.0.2",
+                                              [b"a%d" % i, b"b%d" % i]))
+                 for i in range(3)]
+        for proc in procs:
+            w.sim.run_until_complete(proc, limit=10**12)
+        loop.stop()
+        w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000)
+        assert sorted(served) == sorted(
+            m for i in range(3) for m in (b"a%d" % i, b"b%d" % i))
+        assert loop.wasted_wakeups == 0 == loop.cross_wakeups
+        assert not server.counters.get("wait_timeouts")
+
+    def test_stop_wakes_a_parked_dispatcher_and_ends_the_acceptor(self):
+        w, _client, server, loop, sp, _served = self.serve()
+        w.run(until=1_000_000)             # idle: parked, nothing to do
+        assert sp.alive and loop.wakeups == 0
+        loop.stop()
+        # No timeout is armed anywhere, so only stop() can end it.
+        assert w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000) == 0
+        assert not any(p.alive for p in loop._acceptors)
+        assert not server.counters.get("wait_timeouts")
+        t = server.qtokens
+        assert t.created == t.completed + t.cancelled + t.in_flight
+
+    def test_stop_does_not_abandon_the_request_in_service(self):
+        from repro.apps.echo import demi_echo_client
+        w, client, _server, loop, sp, served = self.serve(service_ns=50_000)
+        cp = w.sim.spawn(demi_echo_client(client, "10.0.0.2", [b"last"]))
+        while not loop.dispatches >= 2:     # the accept, then the request
+            w.run(until=w.sim.now + 1_000)
+        assert served == []                 # mid-service right now
+        loop.stop()
+        replies, _stats = w.sim.run_until_complete(cp, limit=10**12)
+        assert replies == [b"last"] == served
+        assert w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000) == 2
+
+    def test_stop_before_run_is_a_clean_no_op(self):
+        w, libos, loop = make_loop()
+        loop.stop()
+        w.run(until=1_000)
+        assert libos.qtokens.in_flight == 0
