@@ -51,6 +51,8 @@ class LibOS:
         self.name = name
         self.core = core or host.cpu
         self.counters = self.tracer.scope(name)
+        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
+        self.count = self.counters.count
         self.qtokens = QTokenTable(self.sim, self.tracer, name,
                                    telemetry=self.telemetry)
         self._queues: Dict[int, DemiQueue] = {}
@@ -79,9 +81,6 @@ class LibOS:
         """Public inspection access to the queue object behind a qd."""
         return self._lookup(qd)
 
-    def count(self, counter: str, n: int = 1) -> None:
-        self.counters.count(counter, n)
-
     # ------------------------------------------------- data path (Figure 3)
     def push(self, qd: int, sga: Sga) -> QToken:
         """Non-blocking push of one atomic element; returns a qtoken."""
@@ -91,8 +90,10 @@ class LibOS:
         self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
         self.count(names.PUSHES)
         token, _done = self.qtokens.create()
-        self.qtokens.attach_span(token, self.telemetry.span(
-            "push", cat="libos", track=self.name, qd=qd, nbytes=sga.nbytes))
+        if self.telemetry.enabled:
+            self.qtokens.attach_span(token, self.telemetry.span(
+                "push", cat="libos", track=self.name, qd=qd,
+                nbytes=sga.nbytes))
         queue.push_sga(sga, token)
         return token
 
@@ -102,8 +103,9 @@ class LibOS:
         self.core.charge_async(self.costs.libos_pop_ns + self.costs.qtoken_ns)
         self.count(names.POPS)
         token, _done = self.qtokens.create(on_cancel=queue.cancel_pop)
-        self.qtokens.attach_span(token, self.telemetry.span(
-            "pop", cat="libos", track=self.name, qd=qd))
+        if self.telemetry.enabled:
+            self.qtokens.attach_span(token, self.telemetry.span(
+                "pop", cat="libos", track=self.name, qd=qd))
         queue.pop_sga(token)
         return token
 

@@ -69,7 +69,7 @@ class QTokenTable:
         """
         token = self._next_token
         self._next_token += 1
-        done = self.sim.completion("%s.%d" % (self.name, token))
+        done = Completion(self.sim, ("%s.%d", self.name, token))
         self._pending[token] = done
         if on_cancel is not None:
             self._on_cancel[token] = on_cancel

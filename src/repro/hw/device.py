@@ -23,11 +23,10 @@ class Device:
         self.telemetry = host.telemetry
         self.name = name
         self.counters = self.tracer.scope(name)
+        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
+        self.count = self.counters.count
         #: set by repro.sim.faults.FaultInjector; None = no faults
         self.faults = None
-
-    def count(self, counter: str, n: int = 1) -> None:
-        self.counters.count(counter, n)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<%s %s>" % (type(self).__name__, self.name)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..sim.engine import Completion
@@ -178,6 +179,7 @@ class _EthernetNic(Device):
             hook()
 
 
+@lru_cache(maxsize=4096)  # one entry per live flow; every frame asks
 def rss_hash(tuple_bytes: bytes) -> int:
     """The NIC's RSS hash over the 12 flow-tuple bytes.
 
@@ -247,6 +249,7 @@ class DpdkNic(_EthernetNic):
         self._ring_gauges = [
             self.telemetry.gauge("%s.rxq%d_occupancy" % (name, q))
             for q in range(n_rx_queues)]
+        self._rxq_frames = [names.rxq_frames(q) for q in range(n_rx_queues)]
 
     # -- receive-side scaling ----------------------------------------------
     def _is_ipv4(self, frame: bytes) -> bool:
@@ -324,8 +327,9 @@ class DpdkNic(_EthernetNic):
             return
         ring.append(frame)
         self.count(names.RX_FRAMES)
-        self.count(names.rxq_frames(queue))
-        self._ring_gauges[queue].set(len(ring))
+        self.count(self._rxq_frames[queue])
+        if self.telemetry.enabled:
+            self._ring_gauges[queue].set(len(ring))
         waiters, self._rx_waiters[queue] = self._rx_waiters[queue], []
         for w in waiters:
             w.trigger(None)
@@ -336,7 +340,8 @@ class DpdkNic(_EthernetNic):
         out: List[bytes] = []
         while ring and len(out) < max_frames:
             out.append(ring.popleft())
-        self._ring_gauges[queue].set(len(ring))
+        if self.telemetry.enabled:
+            self._ring_gauges[queue].set(len(ring))
         return out
 
     def rx_pending(self, queue: int = 0) -> int:
@@ -359,7 +364,7 @@ class DpdkNic(_EthernetNic):
         charges its poll cost (``costs.dpdk_poll_ns``) when it wakes - the
         same observable latency a ~100 ns spin loop gives.
         """
-        done = self.sim.completion("%s.rxq%d" % (self.name, queue))
+        done = Completion(self.sim, ("%s.rxq%d", self.name, queue))
         if self._rx_rings[queue]:
             done.trigger(None)
         else:

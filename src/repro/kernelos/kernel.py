@@ -111,6 +111,8 @@ class Kernel:
         self.tracer = host.tracer
         self.telemetry = host.telemetry
         self.counters = host.tracer.scope(host.name).scope("kernel")
+        #: ``count(leaf, n=1)`` bumps ``<host>.kernel.<leaf>``
+        self.count = self.counters.count
         self._h_copied = host.telemetry.histogram(
             "%s.kernel.copied_bytes_per_op" % host.name)
         self.nic = KernelNic(host, fabric, mac, name="%s.eth0" % host.name)
@@ -188,9 +190,6 @@ class Kernel:
             reclaimed += 1
             counters.count(names.RECLAIM_FDS_CLOSED)
         return reclaimed
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters.count(name, n)
 
     def copied(self, direction: str, n: int) -> None:
         """Account one user<->kernel copy: counter plus size histogram."""

@@ -42,6 +42,8 @@ class MtcpShim:
         self.telemetry = host.telemetry
         self.name = name
         self.counters = self.tracer.scope(name)
+        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
+        self.count = self.counters.count
         self.app_core = app_core or host.cpus[0]
         self.stack_core = stack_core or host.cpus[min(1, len(host.cpus) - 1)]
         self.nic = nic
@@ -65,9 +67,6 @@ class MtcpShim:
             yield self.stack_core.busy(self.costs.dpdk_poll_ns)
             for frame in self.nic.rx_burst(32):
                 self.stack.rx_frame(frame)
-
-    def count(self, counter: str, n: int = 1) -> None:
-        self.counters.count(counter, n)
 
     def _exchange(self) -> Generator:
         """One hop through the batched app<->stack queues.

@@ -123,7 +123,7 @@ class MemoryManager:
         padded = (nbytes + self.align - 1) // self.align * self.align
         region = None
         for r in self.regions:
-            if r.free >= padded:
+            if r.size - r.used >= padded:
                 region = r
                 break
         if region is None:

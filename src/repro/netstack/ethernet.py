@@ -13,6 +13,8 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 ETH_HEADER_LEN = 14
 
+_ETHERTYPE = struct.Struct("!H")
+
 
 @dataclass
 class EthernetFrame:
@@ -25,7 +27,7 @@ class EthernetFrame:
         return (
             mac_to_bytes(self.dst)
             + mac_to_bytes(self.src)
-            + struct.pack("!H", self.ethertype)
+            + _ETHERTYPE.pack(self.ethertype)
             + self.payload
         )
 
@@ -33,10 +35,9 @@ class EthernetFrame:
     def unpack(cls, raw: bytes) -> "EthernetFrame":
         if len(raw) < ETH_HEADER_LEN:
             raise PacketError("ethernet frame too short: %d bytes" % len(raw))
-        dst = bytes_to_mac(raw[0:6])
-        src = bytes_to_mac(raw[6:12])
-        (ethertype,) = struct.unpack("!H", raw[12:14])
-        return cls(dst=dst, src=src, ethertype=ethertype, payload=raw[14:])
+        (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
+        return cls(bytes_to_mac(raw[0:6]), bytes_to_mac(raw[6:12]), ethertype,
+                   raw[14:])
 
     def __len__(self) -> int:
         return ETH_HEADER_LEN + len(self.payload)

@@ -20,6 +20,10 @@ IPV4_HEADER_LEN = 20
 DEFAULT_MTU = 1500
 
 _FLAG_DF = 0x4000
+_VERSION_IHL = (4 << 4) | 5
+#: version+IHL, DSCP/ECN, total length, ident, flags+fragment, TTL,
+#: protocol, header checksum, source, destination
+_HEADER = struct.Struct("!BBHHHBBH4s4s")
 
 
 @dataclass
@@ -35,28 +39,20 @@ class Ipv4Packet:
         total_len = IPV4_HEADER_LEN + len(self.payload)
         if total_len > 65535:
             raise PacketError("IPv4 packet too large: %d" % total_len)
-        header_wo_csum = struct.pack(
-            "!BBHHHBBH",
-            (4 << 4) | 5,          # version + IHL
-            0,                      # DSCP/ECN
-            total_len,
-            self.ident,
-            _FLAG_DF,
-            self.ttl,
-            self.proto,
-            0,                      # checksum placeholder
-        ) + ip_to_bytes(self.src) + ip_to_bytes(self.dst)
-        csum = internet_checksum(header_wo_csum)
-        header = header_wo_csum[:10] + struct.pack("!H", csum) + header_wo_csum[12:]
-        return header + self.payload
+        header = _HEADER.pack(_VERSION_IHL, 0, total_len, self.ident,
+                              _FLAG_DF, self.ttl, self.proto,
+                              0,  # checksum placeholder
+                              ip_to_bytes(self.src), ip_to_bytes(self.dst))
+        csum = internet_checksum(header)
+        return b"".join((header[:10], csum.to_bytes(2, "big"), header[12:],
+                         self.payload))
 
     @classmethod
     def unpack(cls, raw: bytes, verify_checksum: bool = True) -> "Ipv4Packet":
         if len(raw) < IPV4_HEADER_LEN:
             raise PacketError("IPv4 packet too short: %d bytes" % len(raw))
-        ver_ihl, _tos, total_len, ident, _flags, ttl, proto, _csum = struct.unpack(
-            "!BBHHHBBH", raw[0:12]
-        )
+        (ver_ihl, _tos, total_len, ident, _flags, ttl, proto, _csum,
+         src, dst) = _HEADER.unpack_from(raw)
         version = ver_ihl >> 4
         ihl = (ver_ihl & 0xF) * 4
         if version != 4:
@@ -67,19 +63,5 @@ class Ipv4Packet:
             raise PacketError("truncated IPv4 packet")
         if verify_checksum and internet_checksum(raw[0:IPV4_HEADER_LEN]) != 0:
             raise PacketError("bad IPv4 header checksum")
-        return cls(
-            src=bytes_to_ip(raw[12:16]),
-            dst=bytes_to_ip(raw[16:20]),
-            proto=proto,
-            payload=raw[IPV4_HEADER_LEN:total_len],
-            ttl=ttl,
-            ident=ident,
-        )
-
-    def pseudo_header(self, payload_len: int) -> bytes:
-        """The TCP/UDP checksum pseudo-header for this packet's addresses."""
-        return (
-            ip_to_bytes(self.src)
-            + ip_to_bytes(self.dst)
-            + struct.pack("!BBH", 0, self.proto, payload_len)
-        )
+        return cls(bytes_to_ip(src), bytes_to_ip(dst), proto,
+                   raw[IPV4_HEADER_LEN:total_len], ttl, ident)

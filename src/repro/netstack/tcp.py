@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.sync import WaitQueue
 from ..telemetry import names
-from .packet import PacketError, internet_checksum, ip_to_bytes
+from .packet import PacketError, internet_checksum, pseudo_header
 
 __all__ = [
     "TcpSegment",
@@ -45,6 +45,10 @@ ACK = 0x10
 TCP_HEADER_LEN = 20
 DEFAULT_MSS = 1460
 
+#: ports, seq, ack, data offset, flags, window, checksum, urgent pointer
+_HEADER = struct.Struct("!HHIIBBHHH")
+_MSS_OPTION = struct.Struct("!BBH")  # kind 2, length 4, MSS
+
 # Simulation-friendly timer constants (ns).  Real stacks use 200ms+ minimum
 # RTOs; with microsecond RTTs in the simulated fabric that would only slow
 # convergence in simulated time, so we scale them to the RTT regime.
@@ -64,9 +68,8 @@ def tcp_checksum_ok(raw: bytes, src_ip: str, dst_ip: str) -> bool:
     """Verify a raw TCP segment's checksum over the IPv4 pseudo-header."""
     if len(raw) < TCP_HEADER_LEN:
         return False
-    pseudo = (ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
-              + struct.pack("!BBH", 0, 6, len(raw)))
-    return internet_checksum(pseudo + raw) == 0
+    return internet_checksum(pseudo_header(src_ip, dst_ip, 6, len(raw))
+                             + raw) == 0
 
 
 @dataclass
@@ -83,32 +86,26 @@ class TcpSegment:
     def pack(self, src_ip: str, dst_ip: str) -> bytes:
         options = b""
         if self.mss is not None:
-            options = struct.pack("!BBH", 2, 4, self.mss)
+            options = _MSS_OPTION.pack(2, 4, self.mss)
         data_offset = (TCP_HEADER_LEN + len(options)) // 4
-        header = struct.pack(
-            "!HHIIBBHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            data_offset << 4,
-            self.flags,
-            self.window,
-            0,  # checksum placeholder
-            0,  # urgent pointer
-        ) + options
-        length = len(header) + len(self.payload)
-        pseudo = ip_to_bytes(src_ip) + ip_to_bytes(dst_ip) + struct.pack("!BBH", 0, 6, length)
-        csum = internet_checksum(pseudo + header + self.payload)
-        header = header[:16] + struct.pack("!H", csum) + header[18:]
-        return header + self.payload
+        payload = self.payload
+        header = _HEADER.pack(self.src_port, self.dst_port,
+                              self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF,
+                              data_offset << 4, self.flags, self.window,
+                              0,  # checksum placeholder
+                              0)  # urgent pointer
+        pseudo = pseudo_header(src_ip, dst_ip, 6,
+                               len(header) + len(options) + len(payload))
+        csum = internet_checksum(b"".join((pseudo, header, options, payload)))
+        return b"".join((header[:16], csum.to_bytes(2, "big"), header[18:],
+                         options, payload))
 
     @classmethod
     def unpack(cls, raw: bytes) -> "TcpSegment":
         if len(raw) < TCP_HEADER_LEN:
             raise PacketError("TCP segment too short")
         (src_port, dst_port, seq, ack, off_field, flags, window,
-         _csum, _urg) = struct.unpack("!HHIIBBHHH", raw[0:20])
+         _csum, _urg) = _HEADER.unpack_from(raw)
         data_offset = (off_field >> 4) * 4
         if data_offset < TCP_HEADER_LEN or data_offset > len(raw):
             raise PacketError("bad TCP data offset")
@@ -126,12 +123,10 @@ class TcpSegment:
                 break
             length = options[i + 1]
             if kind == 2 and length == 4 and i + 4 <= len(options):
-                (mss,) = struct.unpack("!H", options[i + 2:i + 4])
+                mss = int.from_bytes(options[i + 2:i + 4], "big")
             i += max(2, length)
-        return cls(
-            src_port=src_port, dst_port=dst_port, seq=seq, ack=ack,
-            flags=flags, window=window, payload=raw[data_offset:], mss=mss,
-        )
+        return cls(src_port, dst_port, seq, ack, flags, window,
+                   raw[data_offset:], mss)
 
     def flag_names(self) -> str:
         names = []
@@ -226,7 +221,8 @@ class TcpConnection:
     @property
     def recv_window(self) -> int:
         # Clamped to the 16-bit header field (no window-scale option).
-        return min(65535, max(0, self.recv_capacity - len(self._recv_buffer)))
+        room = self.recv_capacity - len(self._recv_buffer)
+        return 65535 if room > 65535 else max(0, room)
 
     @property
     def readable_bytes(self) -> int:

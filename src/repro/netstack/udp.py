@@ -5,7 +5,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .packet import PacketError, internet_checksum, ip_to_bytes
+from .packet import PacketError, internet_checksum, pseudo_header
 
 __all__ = ["UdpDatagram", "UDP_HEADER_LEN", "udp_checksum_ok"]
 
@@ -22,8 +22,7 @@ def udp_checksum_ok(raw: bytes, src_ip: str, dst_ip: str) -> bool:
         return False
     if raw[6:8] == b"\x00\x00":
         return True
-    pseudo = (ip_to_bytes(src_ip) + ip_to_bytes(dst_ip)
-              + struct.pack("!BBH", 0, 17, len(raw)))
+    pseudo = pseudo_header(src_ip, dst_ip, 17, len(raw))
     return internet_checksum(pseudo + raw) == 0
 
 
@@ -37,11 +36,7 @@ class UdpDatagram:
         length = UDP_HEADER_LEN + len(self.payload)
         header = struct.pack("!HHHH", self.src_port, self.dst_port, length, 0)
         if with_checksum:
-            pseudo = (
-                ip_to_bytes(src_ip)
-                + ip_to_bytes(dst_ip)
-                + struct.pack("!BBH", 0, 17, length)
-            )
+            pseudo = pseudo_header(src_ip, dst_ip, 17, length)
             csum = internet_checksum(pseudo + header + self.payload)
             if csum == 0:
                 csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"

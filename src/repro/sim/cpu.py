@@ -15,9 +15,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .engine import Completion, Simulator
+from .engine import Completion, Simulator, Timeout
 
 __all__ = ["Core", "CpuSet"]
+
+
+def _whole_ns(ns) -> int:
+    """The one validation of a charge: whole nanoseconds, never negative
+    (a negative charge would rewind ``busy_ns`` and the free horizon).
+    The charging methods call it only for what is not already a
+    non-negative ``int``."""
+    ns = int(ns)
+    if ns < 0:
+        raise ValueError("negative CPU charge %d" % ns)
+    return ns
 
 
 class Core:
@@ -41,23 +52,28 @@ class Core:
         If the core is already busy the work queues behind the in-flight
         jobs (FIFO), modelling contention between co-located threads.
         """
-        ns = int(ns)
-        if ns < 0:
-            raise ValueError("negative CPU charge %d" % ns)
-        now = self.sim.now
-        start = max(now, self._free_at)
+        if ns.__class__ is not int or ns < 0:
+            ns = _whole_ns(ns)
+        now = self.sim._now
+        start = self._free_at
+        if start < now:
+            start = now
         done = start + ns
         self._free_at = done
         self.busy_ns += ns
         self.jobs += 1
-        return self.sim.timeout(done - now)
+        return Timeout(self.sim, done - now)
 
     def charge_async(self, ns: int) -> None:
         """Account CPU time that nobody waits on (e.g. softirq work)."""
-        now = self.sim.now
-        start = max(now, self._free_at)
-        self._free_at = start + int(ns)
-        self.busy_ns += int(ns)
+        if ns.__class__ is not int or ns < 0:
+            ns = _whole_ns(ns)
+        now = self.sim._now
+        start = self._free_at
+        if start < now:
+            start = now
+        self._free_at = start + ns
+        self.busy_ns += ns
         self.jobs += 1
 
     def charge_retro(self, ns: int) -> None:
@@ -70,9 +86,8 @@ class Core:
         do, or the spin would delay work that in reality ran on other
         cycles interleaved with it.
         """
-        ns = int(ns)
-        if ns < 0:
-            raise ValueError("negative CPU charge %d" % ns)
+        if ns.__class__ is not int or ns < 0:
+            ns = _whole_ns(ns)
         self.busy_ns += ns
         self.jobs += 1
 

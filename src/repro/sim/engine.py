@@ -32,6 +32,7 @@ Example::
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -68,13 +69,19 @@ class Completion:
 
     __slots__ = ("sim", "_value", "_exc", "_done", "_callbacks", "label")
 
-    def __init__(self, sim: "Simulator", label: str = ""):
+    def __init__(self, sim: "Simulator", label: Any = ""):
         self.sim = sim
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._done = False
         self._callbacks: List[Callable[["Completion"], None]] = []
+        #: text, or ``(format, *args)`` from a hot path: only error
+        #: messages and ``repr`` ever read it, so it is formatted there
         self.label = label
+
+    def _name(self) -> str:
+        label = self.label
+        return label if isinstance(label, str) else label[0] % label[1:]
 
     # -- inspection ----------------------------------------------------
     @property
@@ -84,7 +91,7 @@ class Completion:
     @property
     def value(self) -> Any:
         if not self._done:
-            raise SimulationError("completion %r not yet triggered" % self.label)
+            raise SimulationError("completion %r not yet triggered" % self._name())
         if self._exc is not None:
             raise self._exc
         return self._value
@@ -97,25 +104,24 @@ class Completion:
     def trigger(self, value: Any = None) -> "Completion":
         """Fire the completion now, delivering *value* to all waiters."""
         if self._done:
-            raise SimulationError("completion %r triggered twice" % self.label)
+            raise SimulationError("completion %r triggered twice" % self._name())
         self._done = True
         self._value = value
-        self._dispatch()
+        callbacks, self._callbacks = self._callbacks, []
+        for cb in callbacks:
+            cb(self)
         return self
 
     def fail(self, exc: BaseException) -> "Completion":
         """Fire the completion with an exception instead of a value."""
         if self._done:
-            raise SimulationError("completion %r triggered twice" % self.label)
+            raise SimulationError("completion %r triggered twice" % self._name())
         self._done = True
         self._exc = exc
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
+        return self
 
     # -- subscription ----------------------------------------------------
     def subscribe(self, callback: Callable[["Completion"], None]) -> None:
@@ -127,7 +133,7 @@ class Completion:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
-        return "<Completion %s %s>" % (self.label or hex(id(self)), state)
+        return "<Completion %s %s>" % (self._name() or hex(id(self)), state)
 
 
 class Timeout(Completion):
@@ -138,10 +144,19 @@ class Timeout(Completion):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError("negative timeout %r" % delay)
-        super().__init__(sim, label="timeout(%d)" % delay)
+        if delay.__class__ is not int:
+            delay = int(delay)
+        # Completion.__init__, inlined: most completions are timeouts
+        self.sim = sim
+        self._value = self._exc = None
+        self._done = False
+        self._callbacks = []
+        self.label = ""
         self.delay = delay
-        self._entry = sim._schedule_at(sim.now + int(delay), self.trigger,
-                                       value)
+        self._entry = sim._schedule_at(sim._now + delay, self.trigger, value)
+
+    def _name(self) -> str:
+        return "timeout(%d)" % self.delay
 
     def cancel(self) -> None:
         """Withdraw the pending trigger; no-op once fired.
@@ -175,17 +190,13 @@ class Process(Completion):
         self.alive = True
         # First step happens through the event loop so that spawn() inside
         # a running process doesn't reentrantly execute the child.
-        sim._schedule_at(sim.now, self._step, None, None)
+        sim._schedule_at(sim._now, self._step, None, None)
 
     # -- driving ---------------------------------------------------------
     def _resume(self, completion: Completion) -> None:
-        if not self.alive:
-            return
-        self._waiting_on = None
-        if completion._exc is not None:
-            self._step(None, completion._exc)
-        else:
-            self._step(completion._value, None)
+        if self.alive:
+            self._waiting_on = None
+            self._step(completion._value, completion._exc)
 
     #: consecutive already-triggered yields before declaring a livelock
     #: (a process spinning on instantly-ready completions never lets the
@@ -207,12 +218,14 @@ class Process(Completion):
                 else:
                     target = self.gen.send(value)
                 exc = None
-                if not isinstance(target, Completion):
+                try:
+                    done = target._done
+                except AttributeError:
                     raise SimulationError(
                         "process %s yielded %r; processes must yield "
                         "Completion objects" % (self.name, target)
-                    )
-                if target.triggered:
+                    ) from None
+                if done:
                     # Already done: continue synchronously with its value.
                     sync_spins += 1
                     if sync_spins > self.MAX_SYNC_CONTINUATIONS:
@@ -227,7 +240,7 @@ class Process(Completion):
                     value = target._value
                     continue
                 self._waiting_on = target
-                target.subscribe(self._resume)
+                target._callbacks.append(self._resume)
                 return
         except StopIteration as stop:
             self.alive = False
@@ -257,7 +270,7 @@ class Process(Completion):
                 waiting._callbacks.remove(self._resume)
             except ValueError:
                 pass
-            self.sim._schedule_at(self.sim.now, self._step, None, None)
+            self.sim._schedule_at(self.sim._now, self._step, None, None)
 
 
 class _MultiWait(Completion):
@@ -273,7 +286,7 @@ class _MultiWait(Completion):
     __slots__ = ("remaining", "mode", "results", "_events", "_cbs")
 
     def __init__(self, sim: "Simulator", events: List[Completion], mode: str):
-        super().__init__(sim, label="%s(%d)" % (mode, len(events)))
+        Completion.__init__(self, sim)
         self.mode = mode
         self.results: List[Any] = [None] * len(events)
         self.remaining = len(events)
@@ -283,8 +296,7 @@ class _MultiWait(Completion):
             self.trigger([])
             return
         for i, ev in enumerate(events):
-            cb = self._make_cb(i)
-            self._cbs[i] = cb
+            cb = self._cbs[i] = partial(self._on_event, i)
             ev.subscribe(cb)
             if self._done:
                 # An already-triggered event resolved the wait mid-
@@ -292,28 +304,28 @@ class _MultiWait(Completion):
                 # to the rest, they would leak.
                 break
 
-    def _make_cb(self, index: int) -> Callable[[Completion], None]:
-        def cb(ev: Completion) -> None:
-            if self.triggered:
-                return
-            # Detach before triggering: dispatch resumes the waiting
-            # process synchronously, and it must not observe our stale
-            # callbacks still planted on the losing events.
-            if ev._exc is not None:
-                self._detach()
-                self.fail(ev._exc)
-                return
-            self.results[index] = ev._value
-            self.remaining -= 1
-            if self.mode == "any":
-                self._detach()
-                self.trigger((index, ev._value))
-            elif self.remaining == 0:
-                self._events = []
-                self._cbs = []
-                self.trigger(list(self.results))
+    def _on_event(self, index: int, ev: Completion) -> None:
+        if self._done:
+            return
+        # Detach before triggering: dispatch resumes the waiting
+        # process synchronously, and it must not observe our stale
+        # callbacks still planted on the losing events.
+        if ev._exc is not None:
+            self._detach()
+            self.fail(ev._exc)
+            return
+        self.results[index] = ev._value
+        self.remaining -= 1
+        if self.mode == "any":
+            self._detach()
+            self.trigger((index, ev._value))
+        elif self.remaining == 0:
+            self._events = []
+            self._cbs = []
+            self.trigger(list(self.results))
 
-        return cb
+    def _name(self) -> str:
+        return "%s(%d)" % (self.mode, len(self.results))
 
     def _detach(self) -> None:
         """Remove our callbacks from the events that did not fire."""
@@ -387,7 +399,9 @@ class Simulator:
 
     def call_in(self, delay: int, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* ns of simulated time."""
-        self._schedule_at(self._now + int(delay), fn, *args)
+        if delay.__class__ is not int:
+            delay = int(delay)
+        self._schedule_at(self._now + delay, fn, *args)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """A completion that fires *delay* ns from now."""
@@ -428,9 +442,10 @@ class Simulator:
     def run_until_complete(self, proc: Process, limit: int = 10**15) -> Any:
         """Run until *proc* finishes (or the time limit trips) and return
         its value."""
-        while self._heap and not proc.triggered:
+        heappop = heapq.heappop
+        while self._heap and not proc._done:
             heap = self._heap  # compaction may replace the list
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             when, _seq, fn, args = entry
             if fn is None:  # tombstoned by a cancellation
                 self._tombstones -= 1
@@ -440,7 +455,7 @@ class Simulator:
                 break
             self._now = when
             fn(*args)
-        if not proc.triggered:
+        if not proc._done:
             raise SimulationError(
                 "process %s did not finish within %d ns" % (proc.name, limit)
             )

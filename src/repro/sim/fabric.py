@@ -92,7 +92,7 @@ class Fabric:
         if src is None:
             raise ValueError("unknown source port %r" % src_addr)
         serialize = int(nbytes * self.costs.link_ns_per_byte)
-        now = self.sim.now
+        now = self.sim._now
         start = max(now, src._egress_free_at)
         src._egress_free_at = start + serialize
         arrive = start + serialize + self.costs.link_latency_ns

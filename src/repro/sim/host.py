@@ -44,8 +44,12 @@ class Host:
         self.tracer = tracer or Tracer()
         self.telemetry = telemetry or DISABLED
         self.counters = self.tracer.scope(name)
+        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
+        self.count = self.counters.count
         self.rng = rng or Rng(hash(name) & 0xFFFFFF)
         self.cpus = CpuSet(sim, cores, costs.cpu_ghz)
+        #: core 0 (where single-threaded apps run)
+        self.cpu: Core = self.cpus[0]
         # Components attached by their builders:
         self.kernel: Any = None
         self.mm: Any = None
@@ -53,17 +57,9 @@ class Host:
         self.nvme: Any = None
         self.extras: Dict[str, Any] = {}
 
-    @property
-    def cpu(self) -> Core:
-        """The host's core 0 (where single-threaded apps run)."""
-        return self.cpus[0]
-
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start an application process on this host."""
         return self.sim.spawn(gen, name="%s/%s" % (self.name, name or "proc"))
-
-    def count(self, counter: str, n: int = 1) -> None:
-        self.counters.count(counter, n)
 
     def nic(self, index: int = 0) -> Any:
         return self.nics[index]

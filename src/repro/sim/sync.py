@@ -21,12 +21,13 @@ class WaitQueue:
     def __init__(self, sim: Simulator, name: str = "waitq"):
         self.sim = sim
         self.name = name
+        self._wait_label = "%s.wait" % name
         self._waiters: List[Completion] = []
         self._observers: List[Any] = []
         self.pulses = 0
 
     def wait(self) -> Completion:
-        done = self.sim.completion("%s.wait" % self.name)
+        done = Completion(self.sim, self._wait_label)
         self._waiters.append(done)
         return done
 

@@ -27,20 +27,29 @@ class CounterScope:
     pinned golden counter keeps its name.
     """
 
-    __slots__ = ("tracer", "prefix")
+    __slots__ = ("tracer", "prefix", "_counters", "_keys")
 
     def __init__(self, tracer: "Tracer", prefix: str):
         self.tracer = tracer
         self.prefix = prefix
+        #: the tracer's own dict (``Tracer.reset`` clears it in place), so
+        #: a bump is one memo lookup and one add, not a format per call
+        self._counters = tracer.counters
+        #: leaf name -> full counter name, filled on first use
+        self._keys: Dict[str, str] = {}
 
     def _full(self, name: str) -> str:
         return "%s.%s" % (self.prefix, name) if self.prefix else name
 
     def count(self, name: str, n: int = 1) -> None:
-        self.tracer.counters[self._full(name)] += n
+        try:
+            key = self._keys[name]
+        except KeyError:
+            key = self._keys[name] = self._full(name)
+        self._counters[key] += n
 
     def get(self, name: str) -> int:
-        return self.tracer.counters.get(self._full(name), 0)
+        return self._counters.get(self._full(name), 0)
 
     def scope(self, suffix: str) -> "CounterScope":
         """A nested scope: ``scope("a").scope("b")`` prefixes ``a.b``."""

@@ -1,10 +1,12 @@
 """Wire-format unit tests: ethernet, ARP, IPv4, UDP, TCP segments."""
 
+import random
+
 import pytest
 
 from repro.netstack.arp import ARP_REPLY, ARP_REQUEST, ArpPacket
 from repro.netstack.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.netstack.ipv4 import Ipv4Packet, PROTO_UDP
+from repro.netstack.ipv4 import Ipv4Packet, PROTO_TCP, PROTO_UDP
 from repro.netstack.packet import (
     PacketError,
     bytes_to_ip,
@@ -33,13 +35,69 @@ class TestAddressCodecs:
     def test_ip_roundtrip(self):
         assert bytes_to_ip(ip_to_bytes("10.0.0.1")) == "10.0.0.1"
 
+    def test_bad_address_raises_on_every_call(self):
+        # the codecs are memoised; a failure must not be
+        for _ in range(3):
+            with pytest.raises(PacketError):
+                ip_to_bytes("10.0.0.256")
+            with pytest.raises(PacketError):
+                mac_to_bytes("02:00:00:00:00:zz")
+            with pytest.raises(PacketError):
+                bytes_to_ip(b"\x0a\x00\x00")
+            with pytest.raises(PacketError):
+                bytes_to_mac(b"\x02" * 5)
+
+    def test_cache_is_bounded_and_roundtrip_survives_eviction(self):
+        for codec in (ip_to_bytes, bytes_to_ip, mac_to_bytes, bytes_to_mac):
+            assert codec.cache_info().maxsize is not None
+        bound = ip_to_bytes.cache_info().maxsize
+        addresses = ["10.%d.%d.%d" % (a, b, c) for a in range(3)
+                     for b in range(0, 256, 5) for c in range(0, 256, 7)]
+        assert len(addresses) > bound
+        for ip in addresses:
+            assert bytes_to_ip(ip_to_bytes(ip)) == ip
+        assert ip_to_bytes.cache_info().currsize <= bound
+        assert bytes_to_ip.cache_info().currsize <= bound
+        assert ip_to_bytes(addresses[0]) == b"\x0a\x00\x00\x00"  # evicted, re-parsed
+
     def test_bad_ip_rejected(self):
         for bad in ("10.0.0", "256.1.1.1", "a.b.c.d", "1.2.3.4.5"):
             with pytest.raises(PacketError):
                 ip_to_bytes(bad)
 
 
+def _word_loop_checksum(data: bytes) -> int:
+    """The RFC 1071 fold one 16-bit word at a time: the reference the
+    big-integer ``internet_checksum`` must match bit for bit."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 class TestChecksum:
+    def test_matches_the_word_loop_on_random_strings(self):
+        rng = random.Random(1071)
+        for _ in range(20_000):
+            data = rng.randbytes(rng.randint(0, 1600))
+            assert internet_checksum(data) == _word_loop_checksum(data)
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x01", b"\xab\xcd\xef", b"\xff\xff", b"\xff\xff\xff\xff",
+        b"\xff", b"\x00", b"\x00" * 7, b"\x00" * 1500,
+        b"\x00\x00\xff\xff\x00", b"\xff\xfe\x00\x01", b"\x80\x00" * 4,
+        b"\xff" * 65536,  # the sum is a non-zero multiple of 0xFFFF
+    ], ids=lambda data: "%dB-%s" % (len(data), data[:4].hex()))
+    def test_matches_the_word_loop_on_edge_cases(self, data):
+        assert internet_checksum(data) == _word_loop_checksum(data)
+
+    def test_zero_sum_is_reached_only_by_all_zero_data(self):
+        assert internet_checksum(b"\x00" * 64) == 0xFFFF
+        assert internet_checksum(b"\xff" * 65536) == 0x0000
+
     def test_known_vector(self):
         # RFC 1071 example data
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
@@ -166,3 +224,42 @@ class TestTcpSegment:
     def test_flag_names(self):
         seg = TcpSegment(1, 2, 0, 0, SYN | ACK, 0)
         assert seg.flag_names() == "SYN|ACK"
+
+
+class TestGoldenFrames:
+    """Ethernet + IPv4 + TCP as they leave the stack, pinned octet for
+    octet: a rewrite of the header packing may not move one of them."""
+
+    ETH_IP = ("020000000002" "020000000001" "0800"      # dst, src, IPv4
+              "4500%04x%04x4000" "4006%04x"            # len, ident, DF; ttl, TCP, csum
+              "0a000001" "0a000002")
+
+    @staticmethod
+    def _frame(seg: TcpSegment, ident: int) -> bytes:
+        l4 = seg.pack("10.0.0.1", "10.0.0.2")
+        l3 = Ipv4Packet("10.0.0.1", "10.0.0.2", PROTO_TCP, l4, ident=ident).pack()
+        return EthernetFrame("02:00:00:00:00:02", "02:00:00:00:00:01",
+                             ETHERTYPE_IPV4, l3).pack()
+
+    def test_syn_with_mss_option(self):
+        raw = self._frame(TcpSegment(49152, 6379, 65000, 0, SYN, 65535,
+                                     mss=1460), ident=1)
+        assert raw.hex() == (
+            self.ETH_IP % (44, 1, 0x26C9)
+            + "c000" "18eb" "0000fde8" "00000000"      # ports, seq, ack
+            + "6002" "ffff" "ad4f" "0000"              # offset 6 + SYN, window, csum, urg
+            + "020405b4")                              # MSS 1460
+
+    def test_256_byte_data_segment(self):
+        payload = bytes(range(256))
+        raw = self._frame(TcpSegment(49152, 6379, 65001, 129001, PSH | ACK,
+                                     65535, payload), ident=2)
+        assert raw.hex() == (
+            self.ETH_IP % (296, 2, 0x25CC)
+            + "c000" "18eb" "0000fde9" "0001f7e9"
+            + "5018" "ffff" "0bca" "0000"
+            + payload.hex())
+        parsed = TcpSegment.unpack(Ipv4Packet.unpack(
+            EthernetFrame.unpack(raw).payload).payload)
+        assert (parsed.seq, parsed.ack, parsed.payload) == (65001, 129001,
+                                                            payload)

@@ -68,6 +68,25 @@ class TestCore:
         with pytest.raises(ValueError):
             core.busy(-5)
 
+    @pytest.mark.parametrize("method", ["busy", "charge_async", "charge_retro"])
+    def test_every_charge_shares_one_validation(self, method):
+        # charge_async used to take a negative charge and silently rewind
+        # busy_ns and the free horizon; all three now refuse it, and all
+        # three truncate a float to whole nanoseconds.
+        sim = Simulator()
+        core = Core(sim)
+        charge = getattr(core, method)
+        charge(100)
+        with pytest.raises(ValueError, match="negative CPU charge -5"):
+            charge(-5)
+        with pytest.raises(ValueError):
+            charge(-1.5)
+        assert (core.busy_ns, core.jobs) == (100, 1)
+        assert core.free_at == (0 if method == "charge_retro" else 100)
+        charge(2.9)
+        assert core.busy_ns == 102 and isinstance(core.busy_ns, int)
+        assert isinstance(core.free_at, int)
+
     def test_charge_async_accumulates_without_waiter(self):
         sim = Simulator()
         core = Core(sim)

@@ -161,6 +161,46 @@ class TestCounterScope:
         b.count("x")
         assert t.get("h.x") == 2
 
+    def test_memoised_names_are_the_formatted_names(self):
+        # count() memoises leaf -> full key per scope; every name must be
+        # the one the '%'-format produced, on the first bump and after.
+        t = Tracer()
+        nested = t.scope("a").scope("b")
+        for _ in range(3):
+            nested.count("x")
+            nested.count("rxq3_frames", 2)
+            t.scope("").count("bare")
+        assert dict(t.counters) == {"a.b.x": 3, "a.b.rxq3_frames": 6,
+                                    "bare": 3}
+        assert nested.prefix == "a.b"
+
+    def test_get_agrees_with_count_in_either_order(self):
+        t = Tracer()
+        s = t.scope("h")
+        assert s.get("never") == 0 and "h.never" not in t.counters
+        s.count("x", 4)
+        assert s.get("x") == t.get("h.x") == 4
+        t.count("h.x")
+        assert s.get("x") == 5
+
+    def test_count_after_tracer_reset(self):
+        # the scope holds the tracer's dict; reset() must clear it in place
+        t = Tracer()
+        s = t.scope("h")
+        s.count("x", 7)
+        t.reset()
+        assert s.get("x") == 0 and t.snapshot() == {}
+        s.count("x")
+        assert t.snapshot() == {"h.x": 1}
+
+    def test_golden_chaos_signature_unchanged(self):
+        # every counter name and value of a whole fault-injected run, pinned
+        # at the commit before the memo landed
+        from repro.testing import run_scenario
+        result = run_scenario("partition-heal", "dpdk")
+        result.require_ok()
+        assert result.signature == "acb7b9c1b6438b4888ed195e9a665889ba3b7137"
+
 
 class TestLatencyStats:
     def test_empty_stats_are_nan(self):
