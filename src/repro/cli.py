@@ -22,8 +22,9 @@ Commands:
   trajectory, ``validate`` spec files and ``BENCH_*.json`` payloads,
   ``list`` the workload registry or a spec file's expansion.
 
-``bench`` and ``chaos`` are thin aliases over the same experiment
-layer ``exp`` drives (docs/experiments.md).
+``bench`` is a thin alias over the experiment layer ``exp`` drives
+(docs/experiments.md); ``chaos``, ``trace`` and ``report`` call the one
+scenario driver (:func:`repro.testing.run_scenario`) directly.
 """
 
 from __future__ import annotations
@@ -37,20 +38,13 @@ from .apps.echo import demi_echo_client, demi_echo_server
 from .bench.report import print_table, us
 from .bench.runners import echo_rtt_all_stacks, kv_value_size_sweep
 from .sim.costs import DEFAULT_COSTS
+from .sim.faults import FaultPlan
 from .testbed import make_dpdk_libos_pair
-from .testing.scenarios import GOLDEN_SCENARIOS
+from .testing.scenarios import WORKLOADS as SCENARIO_WORKLOADS
+from .testing.scenarios import (GOLDEN_SCENARIOS, named_plans, plan_by_name,
+                                run_scenario)
 
 __all__ = ["main"]
-
-#: workload -> the libOS kinds it can drive
-TRACE_WORKLOADS = {
-    "echo": ("dpdk", "posix", "rdma"),
-    "kv": ("dpdk", "posix", "rdma"),
-    "storage": ("spdk",),
-}
-
-_SERVER_ADDR = {"dpdk": "10.0.0.2", "posix": "10.0.0.2",
-                "rdma": "server-rdma"}
 
 
 def cmd_demo(_args) -> int:
@@ -94,65 +88,16 @@ def cmd_costs(_args) -> int:
     return 0
 
 
-def _run_traced(workload: str, kind: str, seed: int = 42):
-    """Run one workload with telemetry enabled; returns the World."""
-    from .sim.rand import Rng
-
-    kinds = TRACE_WORKLOADS[workload]
-    if kind not in kinds:
-        raise SystemExit("workload %r runs on %s, not %r"
-                         % (workload, "/".join(kinds), kind))
-    rng = Rng(seed).fork_named("trace")
-    if workload == "storage":
-        from .testbed import make_spdk_libos
-
-        world, libos = make_spdk_libos(seed=seed, telemetry=True)
-        records = [rng.bytes(2048) for _ in range(12)]
-
-        def storage_run():
-            qd = yield from libos.creat("/trace")
-            for record in records:
-                yield from libos.blocking_push(qd, libos.sga_alloc(record))
-            yield from libos.fsync(qd)
-            qd2 = yield from libos.open("/trace")
-            for _ in records:
-                yield from libos.blocking_pop(qd2)
-
-        world.sim.spawn(storage_run(), name="trace.storage")
-        world.run()
-        return world
-
-    from .testbed import (make_dpdk_libos_pair as _dpdk,
-                          make_posix_libos_pair as _posix,
-                          make_rdma_libos_pair as _rdma)
-
-    maker = {"dpdk": _dpdk, "posix": _posix, "rdma": _rdma}[kind]
-    world, client, server = maker(seed=seed, telemetry=True)
-    if workload == "echo":
-        n = 20
-        world.sim.spawn(demi_echo_server(server, port=7, max_requests=n),
-                        name="trace.echo.server")
-        messages = [rng.bytes(256) for _ in range(n)]
-        proc = world.sim.spawn(
-            demi_echo_client(client, _SERVER_ADDR[kind], messages, port=7),
-            name="trace.echo.client")
-        world.sim.run_until_complete(proc)
-    else:  # kv
-        from .apps.kvstore import KvEngine, demi_kv_client, kv_workload
-        from .apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
-
-        ops = kv_workload(rng, 40, n_keys=32, value_size=256,
-                          get_fraction=0.7)
-        kv = ProtoServer(server, LegacyKvCodec,
-                         KvEngineStore(KvEngine(server.host)), port=6379)
-        world.sim.spawn(kv.start(), name="trace.kv.server")
-        proc = world.sim.spawn(
-            demi_kv_client(client, _SERVER_ADDR[kind], ops, port=6379),
-            name="trace.kv.client")
-        world.sim.run_until_complete(proc)
-        kv.stop()
-    world.run(until=world.sim.now + 20_000_000)
-    return world
+def _traced_world(args):
+    """Run one workload fault-free with telemetry on; returns its World."""
+    try:
+        result = run_scenario(args.workload, args.libos,
+                              plan=FaultPlan(seed=args.seed), telemetry=True)
+    except ValueError as err:
+        raise SystemExit(str(err))
+    for failure in result.failures:
+        print("note: %s" % failure, file=sys.stderr)
+    return result.world
 
 
 def _print_breakdown(breakdown: dict, title: str) -> None:
@@ -171,7 +116,7 @@ def _print_breakdown(breakdown: dict, title: str) -> None:
 
 
 def cmd_trace(args) -> int:
-    world = _run_traced(args.workload, args.libos, seed=args.seed)
+    world = _traced_world(args)
     n = world.telemetry.write_chrome_trace(args.output)
     snap = world.telemetry.snapshot()
     print("wrote %d trace events (%d spans) to %s"
@@ -193,7 +138,7 @@ def cmd_report(args) -> int:
         breakdown = breakdown_from_events(doc)
         title = "per-stack time in %s" % args.trace_file
     else:
-        world = _run_traced(args.workload, args.libos, seed=args.seed)
+        world = _traced_world(args)
         breakdown = breakdown_from_events(world.telemetry.chrome_trace())
         title = "per-stack time in %s/%s (inline run)" % (args.workload,
                                                           args.libos)
@@ -202,11 +147,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Thin alias: one chaos scenario through the experiment layer."""
-    from .experiments import ExperimentSpec, execute_spec
-    from .sim.faults import FaultPlan
-    from .testing.scenarios import golden_plan
-
+    """One golden scenario, once; replays are the battery's job
+    (``repro exp run experiments/chaos_battery.json``)."""
     scenario = GOLDEN_SCENARIOS[args.scenario]
     kind = args.libos or scenario["kinds"][0]
     if kind not in scenario["kinds"]:
@@ -218,33 +160,21 @@ def cmd_chaos(args) -> int:
         if args.seed is not None:
             plan = FaultPlan(seed=args.seed, events=list(plan.events))
     else:
-        plan = golden_plan(args.scenario, kind)
-        if args.seed is not None:
-            plan = FaultPlan(seed=args.seed, events=list(plan.events))
-    spec = ExperimentSpec(
-        workload="chaos", libos=kind, cores=1,
-        fault_plan=plan.to_dict(), seed=plan.seed,
-        # The single-scenario CLI runs once; reproducibility across
-        # replays is the battery's job (repro exp run / chaos_battery).
-        params={"scenario": args.scenario, "check_reproducible": False})
-    result = execute_spec(spec)
+        plan = plan_by_name(args.scenario, kind, seed=args.seed)
+    result = run_scenario(args.scenario, kind, plan=plan)
     print("scenario : %s (%s)" % (args.scenario, scenario["blurb"]))
     print("libos    : %s   seed: %d" % (kind, plan.seed))
     print("plan     : %s" % plan.describe())
-    print("run      : %s" % spec.run_id)
-    metrics = dict(result.metrics)
-    signature = metrics.pop("signature", "?")
-    for key, value in sorted(metrics.items()):
+    for key, value in sorted(result.data.items()):
         print("%-9s: %s" % (key, value))
-    print("signature: %s" % signature)
-    if result.status == "ok" and result.ok:
+    print("signature: %s" % result.signature)
+    if result.ok:
         print("invariants: all held")
         return 0
-    print("invariants: %d VIOLATED" % max(1, len(result.failures)))
+    print("invariants: %d VIOLATED" % len(result.failures))
     for failure in result.failures:
         print("  - %s" % failure)
-    print("repro: scenario=%s kind=%s seed=%d plan=%s"
-          % (args.scenario, kind, plan.seed, plan.to_json()))
+    print(result.repro_line())
     return 1
 
 
@@ -355,7 +285,6 @@ def cmd_exp_run(args) -> int:
 
 def cmd_exp_list(args) -> int:
     from .experiments import WORKLOADS
-    from .sim.faults import named_plans
 
     if args.spec:
         batch, problems = _load_batch(args.spec)
@@ -445,7 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         fn=cmd_costs)
     p_trace = sub.add_parser(
         "trace", help="run a workload with telemetry; write a Chrome trace")
-    p_trace.add_argument("workload", choices=sorted(TRACE_WORKLOADS))
+    p_trace.add_argument("workload", choices=sorted(SCENARIO_WORKLOADS))
     p_trace.add_argument("--libos", default="dpdk",
                          choices=("dpdk", "posix", "rdma", "spdk"))
     p_trace.add_argument("-o", "--output", default="trace.json",
@@ -458,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="a trace JSON written by `repro trace`; "
                                "omit to run the workload inline")
     p_report.add_argument("--workload", default="echo",
-                          choices=sorted(TRACE_WORKLOADS))
+                          choices=sorted(SCENARIO_WORKLOADS))
     p_report.add_argument("--libos", default="dpdk",
                           choices=("dpdk", "posix", "rdma", "spdk"))
     p_report.add_argument("--seed", type=int, default=42)

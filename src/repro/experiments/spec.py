@@ -53,8 +53,8 @@ class ExperimentSpec:
     workload: str
     libos: str = "dpdk"
     cores: int = 1
-    #: a registered plan name (``repro.sim.faults.plan_by_name``) or an
-    #: inline ``FaultPlan.to_dict()`` payload
+    #: a plan name (``repro.testing.plan_by_name``) or an inline
+    #: ``FaultPlan.to_dict()`` payload
     fault_plan: Union[str, Dict[str, Any]] = "none"
     seed: int = 7
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -128,11 +128,12 @@ class ExperimentSpec:
     def resolve_plan(self):
         """The concrete :class:`~repro.sim.faults.FaultPlan` to install.
 
-        Named plans are resolved through the registry with this spec's
-        seed substituted, so the spec alone reproduces every stochastic
-        fault decision; inline dicts are deserialized as-is.
+        Named plans are resolved next to the golden-scenario table with
+        this spec's seed substituted, so the spec alone reproduces every
+        stochastic fault decision; inline dicts are deserialized as-is.
         """
-        from ..sim.faults import FaultPlan, plan_by_name
+        from ..sim.faults import FaultPlan
+        from ..testing.scenarios import plan_by_name
 
         if isinstance(self.fault_plan, dict):
             return FaultPlan.from_dict(self.fault_plan)

@@ -197,17 +197,14 @@ def _kv_validate(spec: ExperimentSpec) -> Optional[str]:
         "counters": {"type": "list"},
     })
 def _kv_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    from ..testing.scenarios import run_kv_concurrent_scenario
+    from ..testing.scenarios import run_scenario
 
-    params = spec.params
-    result = run_kv_concurrent_scenario(
-        spec.libos, spec.resolve_plan(),
-        n_clients=spec.cores,
-        n_ops=params.get("n_ops", 40),
-        n_keys=params.get("n_keys", 16),
-        value_size=params.get("value_size", 256),
-        get_fraction=params.get("get_fraction", 0.7))
+    params = {k: v for k, v in spec.params.items() if k != "counters"}
+    result = run_scenario("kv-concurrent", spec.libos,
+                          plan=spec.resolve_plan(), n_clients=spec.cores,
+                          **params)
     metrics = _numeric_data(result.data)
+    metrics["requests"] = metrics.pop("served")  # the trajectory's column
     metrics["signature"] = result.signature
     _merge_counters(metrics, result.counters, spec)
     return {"metrics": metrics, "ok": result.ok, "failures": result.failures}
@@ -253,14 +250,13 @@ def _chaos_validate(spec: ExperimentSpec) -> Optional[str]:
         "counters": {"type": "list"},
     })
 def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    from ..testing.scenarios import run_scenario
+    from ..testing.scenarios import plan_by_name, run_scenario
 
     scenario = _chaos_scenario(spec)
     # fault_plan "none" on a chaos run means "the scenario's golden
     # plan at this spec's seed" - a chaos scenario without its faults
     # would not exercise anything.
     if spec.fault_plan == "none":
-        from ..sim.faults import plan_by_name
         plan = plan_by_name(scenario, kind=spec.libos, seed=spec.seed)
     else:
         plan = spec.resolve_plan()

@@ -128,8 +128,12 @@ class RdmaLibOS(LibOS):
             return
         queue.credits -= 1
         sga.hold_all()
+        # Zero-copy transmit: the NIC reads the element's own buffer, so
+        # its extent is what the IOMMU validates - the wire message is a
+        # header longer and would overrun a region's last slot.
+        self.nic.iommu.translate(*sga.dma_ranges()[0])
         message = _HDR.pack(_MSG_DATA, len(payload)) + payload
-        wr = queue.qp.post_send(message, addr=sga.dma_ranges()[0][0])
+        wr = queue.qp.post_send(message)
         # Wait for the NIC's ack-driven send completion.
         cqe = yield from self._wait_send_cqe(queue, wr)
         sga.release_all()

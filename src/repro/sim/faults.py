@@ -37,9 +37,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "DeviceFaultView",
-    "register_plan",
-    "named_plans",
-    "plan_by_name",
     "NETWORK_KINDS",
     "DEVICE_KINDS",
     "CRASH_KINDS",
@@ -259,64 +256,6 @@ class FaultPlan:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FaultPlan)
                 and self.to_dict() == other.to_dict())
-
-
-# ---------------------------------------------------------------------------
-# Plan-by-name lookup (the experiment layer's handle on fault plans)
-# ---------------------------------------------------------------------------
-
-#: name -> factory(kind) building the plan for one libOS kind.  Golden
-#: chaos plans register themselves when :mod:`repro.testing` imports.
-_PLAN_FACTORIES: Dict[str, Any] = {}
-
-
-def register_plan(name: str, factory, replace: bool = False) -> None:
-    """Register a named :class:`FaultPlan` factory.
-
-    *factory* is called as ``factory(kind)`` with the libOS kind the
-    plan will run against (window sizes are transport-dependent - see
-    :func:`repro.testing.scenarios.golden_plan`).  Registering an
-    existing name is an error unless *replace* is set.
-    """
-    if not replace and name in _PLAN_FACTORIES:
-        raise ValueError("fault plan %r already registered" % name)
-    _PLAN_FACTORIES[name] = factory
-
-
-def named_plans() -> Tuple[str, ...]:
-    """Every registered plan name (plus the built-in ``"none"``)."""
-    _load_golden_plans()
-    return tuple(sorted(_PLAN_FACTORIES) + ["none"])
-
-
-def _load_golden_plans() -> None:
-    # The golden chaos plans live with the scenario runner; importing it
-    # populates the registry.  Lazy so plain simulator users never pull
-    # in the testing layer.
-    from .. import testing  # noqa: F401  (import for registration side effect)
-
-
-def plan_by_name(name: str, kind: str = "dpdk",
-                 seed: Optional[int] = None) -> FaultPlan:
-    """Resolve a registered plan name to a concrete :class:`FaultPlan`.
-
-    ``"none"`` is always available and resolves to an empty plan.  When
-    *seed* is given it replaces the plan's pinned seed (the chaos
-    battery's seed-override pattern), so an experiment spec's seed
-    drives every stochastic fault decision.
-    """
-    if name == "none":
-        return FaultPlan(seed=1 if seed is None else seed)
-    if name not in _PLAN_FACTORIES:
-        _load_golden_plans()
-    factory = _PLAN_FACTORIES.get(name)
-    if factory is None:
-        raise KeyError("unknown fault plan %r (registered: %s)"
-                       % (name, ", ".join(named_plans())))
-    plan = factory(kind)
-    if seed is not None:
-        plan = FaultPlan(seed=seed, events=list(plan.events))
-    return plan
 
 
 class DeviceFaultView:

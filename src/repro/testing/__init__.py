@@ -1,43 +1,36 @@
-"""Chaos-testing harness: scenario runner + end-to-end invariants.
+"""Chaos-testing harness: one scenario driver + end-to-end invariants.
 
-``repro.testing`` drives the existing echo / key-value / storage
-workloads across the library OSes while a :class:`repro.sim.faults`
-plan misbehaves underneath, then checks the invariants the paper says a
-libOS must uphold no matter what the device does.  See docs/faults.md.
+``repro.testing.run_scenario`` drives the echo / key-value / storage /
+replicated-KV workloads across the library OSes while a
+:class:`repro.sim.faults.FaultPlan` misbehaves underneath, then checks
+the invariants the paper says a libOS must uphold no matter what the
+device does.  Workloads and golden scenarios are table rows
+(``WORKLOADS``, ``GOLDEN_SCENARIOS``); fault plans resolve by name next
+to the table (``plan_by_name``).  See docs/faults.md.
 """
 
 from .scenarios import (
-    ALL_LIBOS_KINDS,
     GOLDEN_SCENARIOS,
     NET_LIBOS_KINDS,
+    WORKLOADS,
     ScenarioFailure,
     ScenarioResult,
     check_reproducible,
     golden_plan,
-    run_crash_echo_scenario,
-    run_crash_storage_scenario,
-    run_echo_scenario,
-    run_kv_concurrent_scenario,
-    run_kv_scenario,
-    run_nvme_outage_scenario,
+    named_plans,
+    plan_by_name,
     run_scenario,
-    run_storage_scenario,
 )
 
 __all__ = [
     "ScenarioResult",
     "ScenarioFailure",
-    "run_echo_scenario",
-    "run_kv_scenario",
-    "run_kv_concurrent_scenario",
-    "run_storage_scenario",
-    "run_crash_echo_scenario",
-    "run_crash_storage_scenario",
-    "run_nvme_outage_scenario",
     "run_scenario",
     "check_reproducible",
     "golden_plan",
+    "plan_by_name",
+    "named_plans",
+    "WORKLOADS",
     "GOLDEN_SCENARIOS",
     "NET_LIBOS_KINDS",
-    "ALL_LIBOS_KINDS",
 ]

@@ -1,15 +1,16 @@
-"""Chaos scenario runner: real workloads under fault plans + invariants.
+"""Chaos scenario driver: real workloads under fault plans + invariants.
 
-Each ``run_*_scenario`` builds a fresh two-host world for one libOS
-kind, installs a :class:`~repro.sim.faults.FaultPlan`, drives an
-existing application (echo / key-value / log storage) to completion,
-and then checks the invariants a Demikernel libOS must uphold no matter
-how the devices misbehave:
+:func:`run_scenario` is the one way a workload meets a plan: it builds a
+fresh world for one libOS kind, installs the
+:class:`~repro.sim.faults.FaultPlan`, spawns the workload's legs (an
+existing application: echo / key-value / log storage / replicated KV),
+joins them, stops its servers, quiesces, and then checks the invariants
+a Demikernel libOS must uphold no matter how the devices misbehave:
 
-1. **Exactly-once, in-order delivery** - the client's reply stream is
-   byte-identical to what a fault-free run would produce (echo replies
-   equal the sent messages; KV GETs match a sequential replay of the
-   operation log; storage reads back the appended records).
+1. **Exactly-once, in-order delivery** - the workload's own check: the
+   reply stream is byte-identical to what a fault-free run would produce
+   (echo replies equal the sent messages; KV GETs match a sequential
+   replay of the operation log; storage reads back the appended records).
 2. **QToken lifecycle** - ``created == completed + cancelled +
    in_flight`` on every libOS, and workloads that ran to completion
    leave nothing in flight.
@@ -18,20 +19,23 @@ how the devices misbehave:
 4. **No DMA use-after-free** - no IOMMU ``*.faults`` counter fired
    (a :class:`~repro.memory.buffer.BufferError` would abort the run
    outright).
+5. **Crash reclaim** - a host the plan killed owns nothing afterwards.
 
-Violations are collected on a :class:`ScenarioResult` whose
-:meth:`~ScenarioResult.repro_line` prints the exact ``(seed, plan)``
-needed to replay the failure - reproducibility is the whole contract
-(see :func:`check_reproducible`).
+Workloads and golden scenarios are table rows (:data:`WORKLOADS`,
+:data:`GOLDEN_SCENARIOS`).  Violations are collected on a
+:class:`ScenarioResult` whose :meth:`~ScenarioResult.repro_line` prints
+the exact ``(seed, plan)`` needed to replay the failure - reproducibility
+is the whole contract (see :func:`check_reproducible`).
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..apps.echo import demi_echo_client, demi_echo_server
-from ..apps.kvstore import (OP_GET, OP_PUT, KvEngine, demi_kv_client,
-                            kv_workload)
+from ..apps.kvstore import OP_PUT, KvEngine, demi_kv_client, kv_workload
 from ..apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from ..cluster.client import ReplicatedKvClient
 from ..cluster.replica import ClusterDirectory, ReplicaNode
@@ -41,7 +45,7 @@ from ..kernelos.reclaim import crash_teardown
 from ..libos.rdma_libos import RdmaLibOS
 from ..rdma.cm import RdmaCm
 from ..sim.engine import SimulationError
-from ..sim.faults import FaultPlan, register_plan
+from ..sim.faults import CRASH_KINDS, FaultPlan
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
@@ -50,27 +54,19 @@ from ..testbed import (World, make_dpdk_libos_pair, make_posix_libos_pair,
 
 __all__ = [
     "NET_LIBOS_KINDS",
-    "ALL_LIBOS_KINDS",
     "ScenarioFailure",
     "ScenarioResult",
-    "run_echo_scenario",
-    "run_kv_scenario",
-    "run_kv_concurrent_scenario",
-    "run_storage_scenario",
-    "run_crash_echo_scenario",
-    "run_crash_storage_scenario",
-    "run_nvme_outage_scenario",
-    "run_replica_crash_scenario",
     "run_scenario",
     "check_reproducible",
     "golden_plan",
+    "plan_by_name",
+    "named_plans",
+    "WORKLOADS",
     "GOLDEN_SCENARIOS",
 ]
 
 #: the network-facing libOS kinds every network scenario can run on
 NET_LIBOS_KINDS = ("dpdk", "posix", "rdma")
-#: every libOS kind the runner knows how to build
-ALL_LIBOS_KINDS = NET_LIBOS_KINDS + ("spdk",)
 
 _SERVER_ADDR = {"dpdk": "10.0.0.2", "posix": "10.0.0.2",
                 "rdma": "server-rdma"}
@@ -91,19 +87,19 @@ class ScenarioFailure(AssertionError):
 class ScenarioResult:
     """Everything one scenario run produced, plus how to reproduce it."""
 
-    def __init__(self, name: str, kind: str, plan: FaultPlan,
-                 signature: str, counters: Dict[str, int],
-                 events: List[Tuple[int, str, Any]],
-                 failures: List[str], data: Optional[Dict[str, Any]] = None):
+    def __init__(self, name: str, kind: str, plan: FaultPlan, world: World,
+                 failures: List[str], data: Dict[str, Any]):
         self.name = name
         self.kind = kind
         self.plan = plan
+        #: the finished world (tracer, telemetry hub, hosts) for inspection
+        self.world = world
         #: stable digest of counters + fault timeline (Tracer.signature)
-        self.signature = signature
-        self.counters = counters
-        self.events = events
+        self.signature = world.tracer.signature()
+        self.counters = world.tracer.snapshot()
+        self.events: List[Tuple[int, str, Any]] = list(world.tracer.events)
         self.failures = failures
-        self.data = data or {}
+        self.data = data
 
     @property
     def ok(self) -> bool:
@@ -195,221 +191,167 @@ def _check_dma(failures: List[str], world) -> None:
             failures.append("DMA protection fault: %s=%d" % (name, value))
 
 
-def _finish(world, name: str, kind: str, plan: FaultPlan,
-            failures: List[str], data: Dict[str, Any]) -> ScenarioResult:
-    return ScenarioResult(name=name, kind=kind, plan=plan,
-                          signature=world.tracer.signature(),
-                          counters=world.tracer.snapshot(),
-                          events=list(world.tracer.events),
-                          failures=failures, data=data)
-
-
 # ---------------------------------------------------------------------------
-# World construction
+# World construction: one table.  A builder returns (world, its libOSes,
+# the replica nodes if it built a cluster); the driver installs the plan.
 # ---------------------------------------------------------------------------
 
-def _build_net_pair(kind: str, plan: FaultPlan, telemetry=False):
-    """(world, client libOS, server libOS) with the plan installed.
+def _testbed(maker, **fixed):
+    def build(seed: int, telemetry):
+        world, *libos = maker(seed=seed, telemetry=telemetry, **fixed)
+        return world, libos, None
+    return build
 
-    TCP-based kinds verify L4 checksums so corruption faults surface as
-    drops + retransmits rather than silent data damage.
+
+def _replica_cluster(seed: int, telemetry, n_nodes: int = 3,
+                     replication: int = 3, n_chains: int = 1,
+                     n_clients: int = 2):
+    """A chain-replicated KV tier plus its client hosts, all over RDMA.
+
+    Three hosts form one chain (head -> middle -> tail) so a plan's
+    ``proc_crash("replicaN", at)`` targets an exact chain position.
     """
-    if kind == "dpdk":
-        w, client, server = make_dpdk_libos_pair(seed=plan.seed,
-                                                 verify_checksums=True,
-                                                 telemetry=telemetry)
-    elif kind == "posix":
-        w, client, server = make_posix_libos_pair(seed=plan.seed,
-                                                  verify_checksums=True,
-                                                  telemetry=telemetry)
-    elif kind == "rdma":
-        w, client, server = make_rdma_libos_pair(seed=plan.seed,
-                                                 telemetry=telemetry)
-    else:
-        raise ValueError("unknown network libOS kind %r" % (kind,))
-    w.tracer.keep_events = True
-    w.install_faults(plan)
-    return w, client, server
+    world = World(seed=seed, telemetry=telemetry)
+    cm = RdmaCm(world.sim)
+    node_names = ["replica%d" % i for i in range(n_nodes)]
+    directory = ClusterDirectory(world.tracer, node_names,
+                                 replication=replication, n_chains=n_chains)
+    rng = Rng(seed)
+    nodes = [ReplicaNode(world, node_name, directory, cm,
+                         rng=rng.fork_named(node_name))
+             for node_name in node_names]
+    clients = []
+    for i in range(n_clients):
+        host = world.add_host("cl%d" % i)
+        clients.append(RdmaLibOS(host, world.add_rdma(host), cm,
+                                 name="cl%d.catmint" % i))
+    return world, clients + [node.libos for node in nodes], nodes
+
+
+# TCP-based kinds verify L4 checksums so corruption faults surface as
+# drops + retransmits rather than silent data damage.
+_WORLDS = {
+    "dpdk": _testbed(make_dpdk_libos_pair, verify_checksums=True),
+    "posix": _testbed(make_posix_libos_pair, verify_checksums=True),
+    "rdma": _testbed(make_rdma_libos_pair),
+    "spdk": _testbed(make_spdk_libos),
+    "cluster": _replica_cluster,
+}
+
+
+class _Run:
+    """One run's working state: what the driver hands a workload."""
+
+    def __init__(self, world: World, libos, nodes, kind: str, seed: int):
+        self.world = world
+        self.sim = world.sim
+        #: host name (the name fault plans use) -> libOS, in build order
+        self.libos = {each.host.name: each for each in libos}
+        self.nodes = nodes
+        self.kind = kind
+        self.rng = Rng(seed)
+        self.failures: List[str] = []
+        self.data: Dict[str, Any] = {}
+        #: (server, its process): stopped by the driver once the legs join
+        self.servers: List[Tuple[Any, Any]] = []
+        #: libOSes that may keep a pop in flight after a clean run
+        self.undrained: List[Any] = []
+        #: a leg that never returns is an admissible outcome
+        self.may_hang = False
+        #: ReclaimReports of the crash teardowns that ran
+        self.reclaims: List[Any] = []
+        #: when the last leg joined (before servers stop and the quiesce)
+        self.joined_at = 0
+
+    def payloads(self, count: int, size: int) -> List[bytes]:
+        """*count* seeded random messages / records of *size* bytes."""
+        rng = self.rng.fork_named("workload")
+        return [rng.bytes(size) for _ in range(count)]
+
+    def on_crash(self, host: str, teardown, name: str) -> None:
+        """When the plan kills *host*, spawn ``teardown(report_to)``."""
+        self.world.injector.on_crash(host, lambda: self.sim.spawn(
+            teardown(self.reclaims), name=name))
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
+# Workloads.  Each is a generator the driver steps twice: it spawns its legs
+# and yields the processes to join, in order; once all of them finished it
+# is resumed with their return values and runs its own check.
 # ---------------------------------------------------------------------------
 
-def run_echo_scenario(kind: str, plan: FaultPlan, name: str = "echo",
-                      n_messages: int = 20, message_size: int = 512,
-                      limit_ns: int = DEFAULT_LIMIT_NS,
-                      telemetry=False) -> ScenarioResult:
+def _echo(run: _Run, n_messages: int = 20, message_size: int = 512):
     """Ping-pong echo under faults: every byte back, in order, once."""
-    world, client, server = _build_net_pair(kind, plan, telemetry=telemetry)
-    rng = Rng(plan.seed).fork_named("workload")
-    messages = [rng.bytes(message_size) for _ in range(n_messages)]
-    server_proc = world.sim.spawn(
-        demi_echo_server(server, port=7, max_requests=n_messages),
+    messages = run.payloads(n_messages, message_size)
+    server_proc = run.sim.spawn(
+        demi_echo_server(run.libos["server"], port=7,
+                         max_requests=n_messages),
         name="chaos.echo.server")
-    client_proc = world.sim.spawn(
-        demi_echo_client(client, _SERVER_ADDR[kind], messages, port=7),
+    client_proc = run.sim.spawn(
+        demi_echo_client(run.libos["client"], _SERVER_ADDR[run.kind],
+                         messages, port=7),
         name="chaos.echo.client")
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    try:
-        replies, stats = world.sim.run_until_complete(
-            client_proc, limit=world.sim.now + limit_ns)
-        served = world.sim.run_until_complete(
-            server_proc, limit=world.sim.now + limit_ns)
-    except Exception as err:
-        # Timeouts AND hard workload errors (a transport giving up, a
-        # buffer fault) must surface as reportable failures: the repro
-        # line matters most exactly when the run blows up.
-        failures.append("workload did not finish: %s: %s"
-                        % (type(err).__name__, err))
-        return _finish(world, name, kind, plan, failures, data)
-    world.run(until=world.sim.now + QUIESCE_NS)
+    (replies, stats), served = yield [client_proc, server_proc]
     if replies != messages:
-        intact = sum(1 for got, sent in zip(replies, messages)
-                     if got == sent)
-        failures.append(
+        intact = sum(1 for got, sent in zip(replies, messages) if got == sent)
+        run.failures.append(
             "echo stream violated exactly-once in-order delivery:"
             " %d/%d replies intact (%d received)"
             % (intact, n_messages, len(replies)))
     if served != n_messages:
-        failures.append("server served %d of %d requests"
-                        % (served, n_messages))
-    for libos in (client, server):
-        _check_libos(failures, world, libos, drained=True)
-    _check_dma(failures, world)
-    data.update(served=served, rtt_p50=stats.p50, rtt_max=stats.maximum,
-                finished_at=world.sim.now)
-    return _finish(world, name, kind, plan, failures, data)
+        run.failures.append("server served %d of %d requests"
+                            % (served, n_messages))
+    run.data.update(served=served, rtt_p50=stats.p50, rtt_max=stats.maximum)
 
 
-def run_kv_scenario(kind: str, plan: FaultPlan, name: str = "kv",
-                    n_ops: int = 40, n_keys: int = 32,
-                    value_size: int = 256,
-                    limit_ns: int = DEFAULT_LIMIT_NS,
-                    telemetry=False) -> ScenarioResult:
-    """The paper's KV store under faults, checked against a replay model."""
-    world, client, server = _build_net_pair(kind, plan, telemetry=telemetry)
-    rng = Rng(plan.seed).fork_named("workload")
-    ops = kv_workload(rng, n_ops, n_keys=n_keys, value_size=value_size,
-                      get_fraction=0.7)
+def _one_client(rng: Rng, n_ops: int = 40, n_keys: int = 32,
+                value_size: int = 256):
+    """The ``kv`` op stream: one synchronous client over the whole key
+    space."""
+    return [kv_workload(rng, n_ops, n_keys=n_keys, value_size=value_size,
+                        get_fraction=0.7)]
+
+
+def _disjoint_clients(rng: Rng, n_clients: int = 2, n_ops: int = 40,
+                      n_keys: int = 16, value_size: int = 256,
+                      get_fraction: float = 0.7):
+    """The ``kv-concurrent`` op streams: every client owns a disjoint key
+    space (keys are prefixed with the client index), so concurrency
+    cannot legitimately reorder observations within one connection."""
+    return [[(op, b"c%d-" % i + key, value)
+             for op, key, value in kv_workload(
+                 rng.fork(i), n_ops, n_keys=n_keys, value_size=value_size,
+                 get_fraction=get_fraction)]
+            for i in range(n_clients)]
+
+
+def _kv(run: _Run, streams, **shape):
+    """The paper's KV store under faults, checked against a replay model.
+
+    One :class:`ProtoServer` serves one connection per op stream (each a
+    closed loop) while the plan misbehaves underneath; *streams* derives
+    the per-client operation logs and is the only difference between
+    ``kv`` and ``kv-concurrent``.  The result's ``data`` carries the
+    metrics the experiment trajectory persists: aggregate
+    ``throughput_ops_per_s``, trimmed ``rtt_mean_ns`` / ``rtt_p99_ns``,
+    and requests ``served``.
+    """
+    logs = streams(run.rng.fork_named("workload"), **shape)
+    client, server = run.libos["client"], run.libos["server"]
     kv = ProtoServer(server, LegacyKvCodec,
                      KvEngineStore(KvEngine(server.host)), port=6379)
-    server_proc = world.sim.spawn(kv.start(), name="chaos.kv.server")
-    client_proc = world.sim.spawn(
-        demi_kv_client(client, _SERVER_ADDR[kind], ops, port=6379),
-        name="chaos.kv.client")
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    try:
-        results, stats = world.sim.run_until_complete(
-            client_proc, limit=world.sim.now + limit_ns)
-    except Exception as err:
-        failures.append("workload did not finish: %s: %s"
-                        % (type(err).__name__, err))
-        return _finish(world, name, kind, plan, failures, data)
-    kv.stop()
-    try:
-        world.sim.run_until_complete(server_proc,
-                                     limit=world.sim.now + 100 * _MS)
-    except Exception as err:
-        failures.append("kv server failed to stop: %s: %s"
-                        % (type(err).__name__, err))
-    world.run(until=world.sim.now + QUIESCE_NS)
-    # Replay the operation log sequentially: the client is synchronous,
-    # so every GET must observe exactly the preceding PUTs.
-    model: Dict[bytes, bytes] = {}
-    stale = 0
-    for (op, key, value), result in zip(ops, results):
-        if op == OP_PUT:
-            model[key] = value
-            continue
-        found, got = result
-        expect_found = key in model
-        if found != expect_found or (found and got != model[key]):
-            stale += 1
-    if stale:
-        failures.append("%d of %d GETs returned wrong/stale data"
-                        % (stale, sum(1 for op, _, _ in ops
-                                      if op == OP_GET)))
-    if len(results) != n_ops:
-        failures.append("client completed %d of %d operations"
-                        % (len(results), n_ops))
-    if kv.requests_served != n_ops:
-        failures.append("server served %d of %d requests"
-                        % (kv.requests_served, n_ops))
+    run.servers.append((kv, run.sim.spawn(kv.start(),
+                                          name="chaos.kv.server")))
     # The server may legitimately hold one in-flight pop on a connection
     # the client abandoned (RDMA has no FIN); the identity still holds.
-    _check_libos(failures, world, client, drained=True)
-    _check_libos(failures, world, server, drained=False)
-    _check_dma(failures, world)
-    data.update(served=kv.requests_served, rtt_p50=stats.p50,
-                finished_at=world.sim.now)
-    return _finish(world, name, kind, plan, failures, data)
-
-
-def run_kv_concurrent_scenario(kind: str, plan: FaultPlan,
-                               name: str = "kv-concurrent",
-                               n_clients: int = 2, n_ops: int = 40,
-                               n_keys: int = 16, value_size: int = 256,
-                               get_fraction: float = 0.7,
-                               limit_ns: int = DEFAULT_LIMIT_NS,
-                               telemetry=False) -> ScenarioResult:
-    """The KV store under faults with *n_clients* closed loops at once.
-
-    This is the experiment layer's generic matrix workload: one
-    :class:`ProtoServer` serves ``n_clients`` concurrent connections
-    (each a closed loop of ``n_ops`` operations) while the plan
-    misbehaves underneath.  Every client owns a disjoint key space
-    (keys are prefixed with the client index), so each reply stream is
-    checked against its own sequential replay - concurrency cannot
-    legitimately reorder observations within one connection.
-
-    The result's ``data`` carries the throughput/latency metrics the
-    experiment trajectory persists: aggregate ``throughput_ops_per_s``,
-    trimmed ``rtt_mean_ns`` / ``rtt_p99_ns``, and ``requests`` served.
-    """
-    world, client, server = _build_net_pair(kind, plan, telemetry=telemetry)
-    rng = Rng(plan.seed).fork_named("workload")
-    kv = ProtoServer(server, LegacyKvCodec,
-                     KvEngineStore(KvEngine(server.host)), port=6379)
-    server_proc = world.sim.spawn(kv.start(), name="chaos.kv.server")
-    per_client_ops = []
-    procs = []
-    for i in range(n_clients):
-        ops = [(op, b"c%d-" % i + key, value)
-               for op, key, value in kv_workload(
-                   rng.fork(i), n_ops, n_keys=n_keys,
-                   value_size=value_size, get_fraction=get_fraction)]
-        per_client_ops.append(ops)
-        procs.append(world.sim.spawn(
-            demi_kv_client(client, _SERVER_ADDR[kind], ops, port=6379),
-            name="chaos.kv.client%d" % i))
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    outputs = []
-    try:
-        for proc in procs:
-            outputs.append(world.sim.run_until_complete(
-                proc, limit=world.sim.now + limit_ns))
-    except Exception as err:
-        failures.append("workload did not finish: %s: %s"
-                        % (type(err).__name__, err))
-        return _finish(world, name, kind, plan, failures, data)
-    elapsed_ns = world.sim.now
-    kv.stop()
-    try:
-        world.sim.run_until_complete(server_proc,
-                                     limit=world.sim.now + 100 * _MS)
-    except Exception as err:
-        failures.append("kv server failed to stop: %s: %s"
-                        % (type(err).__name__, err))
-    world.run(until=world.sim.now + QUIESCE_NS)
-    # Per-client replay: disjoint key spaces make each model independent.
-    total_ops = n_clients * n_ops
-    stats = LatencyStats("kv-concurrent")
-    for i, (ops, (results, client_stats)) in enumerate(
-            zip(per_client_ops, outputs)):
+    run.undrained.append(server)
+    outputs = yield [run.sim.spawn(
+        demi_kv_client(client, _SERVER_ADDR[run.kind], ops, port=6379),
+        name="chaos.kv.client%d" % i) for i, ops in enumerate(logs)]
+    stats = LatencyStats("kv")
+    for i, (ops, (results, client_stats)) in enumerate(zip(logs, outputs)):
+        # Replay the log sequentially: each client is synchronous and owns
+        # its keys, so every GET must observe exactly the preceding PUTs.
         model: Dict[bytes, bytes] = {}
         stale = 0
         for (op, key, value), result in zip(ops, results):
@@ -417,37 +359,31 @@ def run_kv_concurrent_scenario(kind: str, plan: FaultPlan,
                 model[key] = value
                 continue
             found, got = result
-            expect_found = key in model
-            if found != expect_found or (found and got != model[key]):
+            if found != (key in model) or (found and got != model[key]):
                 stale += 1
         if stale:
-            failures.append("client %d: %d GETs returned wrong/stale data"
-                            % (i, stale))
-        if len(results) != n_ops:
-            failures.append("client %d completed %d of %d operations"
-                            % (i, len(results), n_ops))
+            run.failures.append("client %d: %d GETs returned wrong/stale data"
+                                % (i, stale))
+        if len(results) != len(ops):
+            run.failures.append("client %d completed %d of %d operations"
+                                % (i, len(results), len(ops)))
         # Trim each client's cold start (ARP + connect) individually.
         stats.extend(client_stats.samples[3:])
+    total_ops = sum(len(ops) for ops in logs)
     if kv.requests_served != total_ops:
-        failures.append("server served %d of %d requests"
-                        % (kv.requests_served, total_ops))
-    _check_libos(failures, world, client, drained=True)
-    _check_libos(failures, world, server, drained=False)
-    _check_dma(failures, world)
-    data.update(
-        requests=kv.requests_served,
-        clients=n_clients,
-        elapsed_ns=elapsed_ns,
-        throughput_ops_per_s=(kv.requests_served / (elapsed_ns / 1e9)
-                              if elapsed_ns else 0.0),
+        run.failures.append("server served %d of %d requests"
+                            % (kv.requests_served, total_ops))
+    run.data.update(
+        served=kv.requests_served,
+        clients=len(logs),
+        elapsed_ns=run.joined_at,
+        throughput_ops_per_s=(kv.requests_served / (run.joined_at / 1e9)
+                              if run.joined_at else 0.0),
         rtt_mean_ns=stats.mean,
-        rtt_p99_ns=stats.p99,
-        finished_at=world.sim.now,
-    )
-    return _finish(world, name, kind, plan, failures, data)
+        rtt_p99_ns=stats.p99)
 
 
-def _storage_workload(libos, records: Sequence[bytes]) -> Generator:
+def _storage_legs(libos, records: Sequence[bytes]) -> Generator:
     qd = yield from libos.creat("/chaos")
     for record in records:
         result = yield from libos.blocking_push(qd, libos.sga_alloc(record))
@@ -464,36 +400,17 @@ def _storage_workload(libos, records: Sequence[bytes]) -> Generator:
     return out, flushed
 
 
-def run_storage_scenario(plan: FaultPlan, name: str = "storage",
-                         n_records: int = 12, record_size: int = 2048,
-                         limit_ns: int = DEFAULT_LIMIT_NS,
-                         telemetry=False) -> ScenarioResult:
+def _storage(run: _Run, n_records: int = 12, record_size: int = 2048):
     """Append + fsync + read-back on the SPDK libOS under device faults."""
-    world, libos = make_spdk_libos(seed=plan.seed, telemetry=telemetry)
-    world.tracer.keep_events = True
-    world.install_faults(plan)
-    rng = Rng(plan.seed).fork_named("workload")
-    records = [rng.bytes(record_size) for _ in range(n_records)]
-    proc = world.sim.spawn(_storage_workload(libos, records),
-                           name="chaos.storage")
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    try:
-        out, flushed = world.sim.run_until_complete(
-            proc, limit=world.sim.now + limit_ns)
-    except Exception as err:
-        failures.append("workload did not finish: %s: %s"
-                        % (type(err).__name__, err))
-        return _finish(world, name, "spdk", plan, failures, data)
-    world.run(until=world.sim.now + QUIESCE_NS)
-    if out != list(records):
+    records = run.payloads(n_records, record_size)
+    proc = run.sim.spawn(_storage_legs(run.libos["h"], records),
+                         name="chaos.storage")
+    (out, flushed), = yield [proc]
+    if out != records:
         intact = sum(1 for got, put in zip(out, records) if got == put)
-        failures.append("storage read-back mismatch: %d/%d records intact"
-                        % (intact, n_records))
-    _check_libos(failures, world, libos, drained=True)
-    _check_dma(failures, world)
-    data.update(flushed=flushed, finished_at=world.sim.now)
-    return _finish(world, name, "spdk", plan, failures, data)
+        run.failures.append("storage read-back mismatch: %d/%d records intact"
+                            % (intact, n_records))
+    run.data.update(flushed=flushed)
 
 
 def _crash_echo_server(libos, port: int, n_limit: int,
@@ -536,13 +453,8 @@ def _crash_echo_server(libos, port: int, n_limit: int,
     return served, outcome
 
 
-def run_crash_echo_scenario(kind: str, plan: FaultPlan,
-                            name: str = "crash-mid-stream",
-                            n_messages: int = 600, message_size: int = 128,
-                            idle_timeout_ns: int = 5 * _MS,
-                            limit_ns: int = DEFAULT_LIMIT_NS,
-                            strict: bool = True,
-                            telemetry=False) -> ScenarioResult:
+def _crash_echo(run: _Run, n_messages: int = 600, message_size: int = 128,
+                idle_timeout_ns: int = 5 * _MS, strict: bool = True):
     """Kill the client mid-stream; the kernel reclaims, the peer unblocks.
 
     The plan's ``proc_crash("client", at)`` event interrupts the client
@@ -556,50 +468,32 @@ def run_crash_echo_scenario(kind: str, plan: FaultPlan,
     including before connect and after the stream ends) while keeping
     the reclamation invariant itself.
     """
-    world, client, server = _build_net_pair(kind, plan, telemetry=telemetry)
-    rng = Rng(plan.seed).fork_named("workload")
-    messages = [rng.bytes(message_size) for _ in range(n_messages)]
-    server_proc = world.sim.spawn(
-        _crash_echo_server(server, 7, n_messages, idle_timeout_ns),
+    client = run.libos["client"]
+    messages = run.payloads(n_messages, message_size)
+    server_proc = run.sim.spawn(
+        _crash_echo_server(run.libos["server"], 7, n_messages,
+                           idle_timeout_ns),
         name="chaos.crash.server")
-    client_proc = world.sim.spawn(
-        demi_echo_client(client, _SERVER_ADDR[kind], messages, port=7),
+    client_proc = run.sim.spawn(
+        demi_echo_client(client, _SERVER_ADDR[run.kind], messages, port=7),
         name="chaos.crash.client")
-    reports: List[Any] = []
-    world.injector.on_crash(client.host.name, lambda: world.sim.spawn(
-        crash_teardown(client, client_proc, report_to=reports),
-        name="chaos.crash.reclaim"))
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    served, outcome = -1, "hung"
-    try:
-        served, outcome = world.sim.run_until_complete(
-            server_proc, limit=world.sim.now + limit_ns)
-    except Exception as err:
-        if strict:
-            failures.append("surviving peer hung after crash: %s: %s"
-                            % (type(err).__name__, err))
-    world.run(until=world.sim.now + QUIESCE_NS)
-    if not reports:
-        failures.append("crash teardown never ran (no proc_crash fired?)")
-    else:
-        data["reclaim"] = reports[0].as_dict()
-    if strict:
-        if served >= n_messages:
-            failures.append("crash landed after the whole stream finished"
+    run.on_crash("client", lambda reports: crash_teardown(
+        client, client_proc, report_to=reports), "chaos.crash.reclaim")
+    # A client killed before it connects leaves the server in accept().
+    run.may_hang = not strict
+    # Only the survivor is joined: the client's exit is the crash.
+    (served, outcome), = yield [server_proc]
+    if strict and served >= n_messages:
+        run.failures.append("crash landed after the whole stream finished"
                             " (served=%d) - move proc_crash earlier" % served)
-        if kind in ("dpdk", "posix") and "reset" not in outcome:
-            failures.append(
-                "peer did not observe the RST: outcome=%r (expected a"
-                " connection-reset error)" % (outcome,))
-        _check_libos(failures, world, server, drained=True)
-    _check_reclaimed(failures, client)
-    _check_dma(failures, world)
-    data.update(served=served, outcome=outcome, finished_at=world.sim.now)
-    return _finish(world, name, kind, plan, failures, data)
+    if strict and run.kind in ("dpdk", "posix") and "reset" not in outcome:
+        run.failures.append("peer did not observe the RST: outcome=%r"
+                            " (expected a connection-reset error)"
+                            % (outcome,))
+    run.data.update(served=served, outcome=outcome)
 
 
-def _crash_storage_workload(libos, records: Sequence[bytes]) -> Generator:
+def _crash_storage_legs(libos, records: Sequence[bytes]) -> Generator:
     """Append forever, fsyncing every few records - the crash is the only
     exit, so NVMe commands are periodically in flight when it lands."""
     qd = yield from libos.creat("/chaos")
@@ -614,40 +508,24 @@ def _crash_storage_workload(libos, records: Sequence[bytes]) -> Generator:
             yield from libos.fsync(qd)
 
 
-def run_crash_storage_scenario(plan: FaultPlan, name: str = "crash-storage",
-                               n_records: int = 8, record_size: int = 2048,
-                               limit_ns: int = DEFAULT_LIMIT_NS,
-                               telemetry=False) -> ScenarioResult:
+def _crash_storage(run: _Run, n_records: int = 8, record_size: int = 2048):
     """Kill the SPDK storage process mid-append; reclaim aborts the NVMe
     commands it left in flight and frees its registered heap."""
-    world, libos = make_spdk_libos(seed=plan.seed, telemetry=telemetry)
-    world.tracer.keep_events = True
-    world.install_faults(plan)
-    rng = Rng(plan.seed).fork_named("workload")
-    records = [rng.bytes(record_size) for _ in range(n_records)]
-    proc = world.sim.spawn(_crash_storage_workload(libos, records),
-                           name="chaos.crash.storage")
-    reports: List[Any] = []
-    world.injector.on_crash(libos.host.name, lambda: world.sim.spawn(
-        crash_teardown(libos, proc, report_to=reports),
-        name="chaos.crash.reclaim"))
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    world.run(until=world.sim.now + plan.horizon + QUIESCE_NS)
+    libos = run.libos["h"]
+    records = run.payloads(n_records, record_size)
+    proc = run.sim.spawn(_crash_storage_legs(libos, records),
+                         name="chaos.crash.storage")
+    run.on_crash("h", lambda reports: crash_teardown(
+        libos, proc, report_to=reports), "chaos.crash.reclaim")
+    # Nothing to join: the driver runs the world past the plan's crash.
+    yield []
     if proc.alive:
-        failures.append("workload still running after the crash fired")
-    if not reports:
-        failures.append("crash teardown never ran (no proc_crash fired?)")
-    else:
-        data["reclaim"] = reports[0].as_dict()
-    _check_reclaimed(failures, libos)
-    _check_dma(failures, world)
-    data.update(appended=world.tracer.get("%s.file_appends" % libos.name),
-                finished_at=world.sim.now)
-    return _finish(world, name, "spdk", plan, failures, data)
+        run.failures.append("workload still running after the crash fired")
+    run.data.update(
+        appended=run.world.tracer.get("%s.file_appends" % libos.name))
 
 
-def _nvme_outage_workload(libos, records: Sequence[bytes]) -> Generator:
+def _nvme_outage_legs(libos, records: Sequence[bytes]) -> Generator:
     """Append then fsync into a dead controller; returns the typed
     :class:`DeviceFailed` the recovery ladder surfaces (or None)."""
     qd = yield from libos.creat("/outage")
@@ -664,50 +542,28 @@ def _nvme_outage_workload(libos, records: Sequence[bytes]) -> Generator:
     return appended, None
 
 
-def run_nvme_outage_scenario(plan: FaultPlan, name: str = "nvme-outage",
-                             n_records: int = 6, record_size: int = 1024,
-                             limit_ns: int = DEFAULT_LIMIT_NS,
-                             telemetry=False) -> ScenarioResult:
+def _nvme_outage(run: _Run, n_records: int = 6, record_size: int = 1024):
     """A controller failure the retry ladder cannot outlast: the flush
     climbs timeout -> abort -> retry -> controller reset, exhausts its
     attempts, and surfaces a *typed* :class:`DeviceFailed` from the
     fsync instead of hanging or returning a stringly error."""
-    world, libos = make_spdk_libos(seed=plan.seed, telemetry=telemetry)
-    world.tracer.keep_events = True
-    world.install_faults(plan)
-    rng = Rng(plan.seed).fork_named("workload")
-    records = [rng.bytes(record_size) for _ in range(n_records)]
-    proc = world.sim.spawn(_nvme_outage_workload(libos, records),
-                           name="chaos.nvme.outage")
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    try:
-        appended, err = world.sim.run_until_complete(
-            proc, limit=world.sim.now + limit_ns)
-    except Exception as err2:
-        failures.append("workload did not finish: %s: %s"
-                        % (type(err2).__name__, err2))
-        return _finish(world, name, "spdk", plan, failures, data)
-    world.run(until=world.sim.now + QUIESCE_NS)
+    libos = run.libos["h"]
+    records = run.payloads(n_records, record_size)
+    proc = run.sim.spawn(_nvme_outage_legs(libos, records),
+                         name="chaos.nvme.outage")
+    (appended, err), = yield [proc]
     if err is None:
-        failures.append("device outage never surfaced: fsync completed"
-                        " without DeviceFailed")
+        run.failures.append("device outage never surfaced: fsync completed"
+                            " without DeviceFailed")
     else:
         if err.device != libos.nvme.name:
-            failures.append("DeviceFailed names device %r, expected %r"
-                            % (err.device, libos.nvme.name))
-        data.update(failed_op=err.op, attempts=err.attempts)
-    if world.tracer.get("%s.device_failures" % libos.nvme.name) < 1:
-        failures.append("recovery ladder never recorded a device failure")
-    _check_libos(failures, world, libos, drained=True)
-    _check_dma(failures, world)
-    data.update(appended=appended, finished_at=world.sim.now)
-    return _finish(world, name, "spdk", plan, failures, data)
+            run.failures.append("DeviceFailed names device %r, expected %r"
+                                % (err.device, libos.nvme.name))
+        run.data.update(failed_op=err.op, attempts=err.attempts)
+    if run.world.tracer.get("%s.device_failures" % libos.nvme.name) < 1:
+        run.failures.append("recovery ladder never recorded a device failure")
+    run.data.update(appended=appended)
 
-
-# ---------------------------------------------------------------------------
-# Golden scenarios (the chaos battery)
-# ---------------------------------------------------------------------------
 
 class _KeyTracker:
     """Per-key linearizability bookkeeping for one client's (disjoint) keys.
@@ -763,10 +619,10 @@ class _KeyTracker:
         return sorted(set(self.floor) | set(self.pending))
 
 
-def _replica_client_driver(client: ReplicatedKvClient, index: int,
-                           rng: Rng, tracker: _KeyTracker,
-                           violations: List[str], n_ops: int, n_keys: int,
-                           value_size: int, settle_ns: int) -> Generator:
+def _replica_client_legs(client: ReplicatedKvClient, index: int,
+                         rng: Rng, tracker: _KeyTracker,
+                         violations: List[str], n_ops: int, n_keys: int,
+                         value_size: int, settle_ns: int) -> Generator:
     """One client's workload leg against the replicated tier.
 
     Writes only its own key prefix (so per-key operation order is total
@@ -810,301 +666,341 @@ def _replica_client_driver(client: ReplicatedKvClient, index: int,
     yield from client.close()
 
 
-def run_replica_crash_scenario(kind: str, plan: FaultPlan,
-                               name: str = "replica-crash-head",
-                               n_nodes: int = 3, replication: int = 3,
-                               n_chains: int = 1, n_clients: int = 2,
-                               n_ops: int = 40, n_keys: int = 8,
-                               value_size: int = 64,
-                               settle_ns: int = 2 * _MS,
-                               limit_ns: int = DEFAULT_LIMIT_NS,
-                               telemetry=False) -> ScenarioResult:
+def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
+                   value_size: int = 64, settle_ns: int = 2 * _MS):
     """Kill one replica of a chain mid-stream; the tier must not blink.
 
-    Three hosts form one chain (head -> middle -> tail) so the plan's
-    ``proc_crash("replicaN", at)`` targets an exact chain position.
     Clients keep writing through the crash via the retrying router.
     Checked, beyond the usual libOS/DMA/reclaim invariants: **no
     acknowledged write is lost** and every read is linearizable per key
     (the :class:`_KeyTracker` model), the survivors converge (equal
-    ``applied``, ``committed == applied``), the failover actually
-    happened (directory epoch bumped, chain spliced), and the dead host
-    reclaims to zero buffers / zero IOMMU mappings.
+    ``applied``, ``committed == applied``) and the failover actually
+    happened (directory epoch bumped, chain spliced).
     """
-    if kind != "rdma":
-        raise ValueError("replicated-KV scenarios run on 'rdma' only")
-    world = World(seed=plan.seed, telemetry=telemetry)
-    world.tracer.keep_events = True
-    sim = world.sim
-    cm = RdmaCm(sim)
-    node_names = ["replica%d" % i for i in range(n_nodes)]
-    directory = ClusterDirectory(world.tracer, node_names,
-                                 replication=replication, n_chains=n_chains)
-    base_rng = Rng(plan.seed)
-    nodes = [ReplicaNode(world, node_name, directory, cm,
-                         rng=base_rng.fork_named(node_name))
-             for node_name in node_names]
-    clients: List[ReplicatedKvClient] = []
-    for i in range(n_clients):
-        host = world.add_host("cl%d" % i)
-        nic = world.add_rdma(host)
-        libos = RdmaLibOS(host, nic, cm, name="cl%d.catmint" % i)
-        clients.append(ReplicatedKvClient(
-            libos, directory, base_rng.fork_named("cl%d.retry" % i)))
-    world.install_faults(plan)
+    nodes, tracer = run.nodes, run.world.tracer
+    directory = nodes[0].directory
+    clients = [ReplicatedKvClient(libos, directory,
+                                  run.rng.fork_named("%s.retry" % host))
+               for host, libos in run.libos.items()
+               if host not in directory.node_names]
     for node in nodes:
         node.start()
-    reports: List[Any] = []
-    for node in nodes:
-        world.injector.on_crash(
-            node.host.name,
-            (lambda n: lambda: sim.spawn(n.crash(report_to=reports),
-                                         name="%s.crash" % n.name))(node))
-    trackers = [_KeyTracker() for _ in range(n_clients)]
+        run.on_crash(node.host.name,
+                     lambda reports, n=node: n.crash(report_to=reports),
+                     "%s.crash" % node.name)
+        run.undrained.append(node.libos)
+    trackers = [_KeyTracker() for _ in clients]
     violations: List[str] = []
-    client_procs = [
-        sim.spawn(_replica_client_driver(
-            clients[i], i, base_rng.fork_named("cl%d.ops" % i), trackers[i],
-            violations, n_ops, n_keys, value_size, settle_ns),
-            name="chaos.replica.cl%d" % i)
-        for i in range(n_clients)]
-
-    def _join() -> Generator:
-        for proc in client_procs:
-            yield proc
-        return "done"
-
-    failures: List[str] = []
-    data: Dict[str, Any] = {}
-    try:
-        sim.run_until_complete(sim.spawn(_join(), name="chaos.replica.join"),
-                               limit=sim.now + limit_ns)
-    except Exception as err:
-        failures.append("replicated clients hung or died: %s: %s"
-                        % (type(err).__name__, err))
-    world.run(until=sim.now + QUIESCE_NS)
-    # -- who died, and did the kernel really reclaim it ---------------------
-    dead = [n for n in nodes if n.crashed]
-    if not reports or not dead:
-        failures.append("crash teardown never ran (no proc_crash fired?)")
-    else:
-        data["reclaim"] = reports[0].as_dict()
-        for node in dead:
-            _check_reclaimed(failures, node.libos)
-    failures.extend(violations)
+    yield [run.sim.spawn(_replica_client_legs(
+        client, i, run.rng.fork_named("cl%d.ops" % i), trackers[i],
+        violations, n_ops, n_keys, value_size, settle_ns),
+        name="chaos.replica.cl%d" % i) for i, client in enumerate(clients)]
+    run.failures.extend(violations)
     # -- replica convergence: the chain agrees after the splice -------------
+    dead = [n for n in nodes if n.crashed]
     survivors = [n for n in nodes if not n.crashed]
-    for chain_id in range(n_chains):
+    for chain_id in range(directory.n_chains):
         states = [(n.name, n.chains[chain_id].applied,
                    n.chains[chain_id].committed) for n in survivors
                   if chain_id in n.chains
                   and n.name in directory.chain_members(chain_id)]
         if len({applied for _, applied, _ in states}) > 1:
-            failures.append("chain %d diverged after failover: %s"
-                            % (chain_id, states))
+            run.failures.append("chain %d diverged after failover: %s"
+                                % (chain_id, states))
         for node_name, applied, committed in states:
             if committed != applied:
-                failures.append(
+                run.failures.append(
                     "chain %d on %s left %d applied entries uncommitted"
                     % (chain_id, node_name, applied - committed))
     # -- the failover must actually have been exercised ---------------------
     acked = sum(t.acked for t in trackers)
-    splices = sum(world.tracer.get("%s.%s" % (n.name,
-                                              names.REPL_CHAIN_SPLICES))
+    splices = sum(tracer.get("%s.%s" % (n.name, names.REPL_CHAIN_SPLICES))
                   for n in nodes)
-    failovers = world.tracer.get("cluster.%s" % names.REPL_FAILOVERS)
+    failovers = tracer.get("cluster.%s" % names.REPL_FAILOVERS)
     if dead and not failovers:
-        failures.append("a replica died but the directory never failed over")
+        run.failures.append(
+            "a replica died but the directory never failed over")
     if dead and not splices:
-        failures.append("a replica died but no survivor spliced the chain")
+        run.failures.append(
+            "a replica died but no survivor spliced the chain")
     if not acked:
-        failures.append("no write was ever acknowledged - nothing was tested")
-    for client in clients:
-        _check_libos(failures, world, client.libos, drained=True)
-    for node in survivors:
-        _check_libos(failures, world, node.libos, drained=False)
-    _check_dma(failures, world)
+        run.failures.append(
+            "no write was ever acknowledged - nothing was tested")
     rtt = LatencyStats("repl-rtt")
     for client in clients:
         rtt.extend(client.stats.samples)
-    data.update(
+    run.data.update(
         acked=acked, lost_acked=len(violations),
         rtt_p99_ns=int(rtt.p99) if rtt.samples else 0,
         failovers=failovers, splices=splices,
         log_replayed=sum(
-            world.tracer.get("%s.%s" % (n.name, names.REPL_ENTRIES_REPLAYED))
+            tracer.get("%s.%s" % (n.name, names.REPL_ENTRIES_REPLAYED))
             for n in nodes),
         client_retries=sum(
-            world.tracer.get("cl%d.catmint.%s"
-                             % (i, names.REPL_CLIENT_RETRIES))
-            for i in range(n_clients)),
-        finished_at=sim.now)
-    return _finish(world, name, kind, plan, failures, data)
+            tracer.get("%s.%s" % (c.libos.name, names.REPL_CLIENT_RETRIES))
+            for c in clients))
 
 
-#: name -> which workload drives it and which libOS kinds it runs on
+#: name -> the libOS kinds it runs on and its ``legs``; ``world`` picks a
+#: world-table row other than the kind's, ``shape`` names the keywords
+#: that row's builder takes.  A new workload is one row here.
+WORKLOADS: Dict[str, Dict[str, Any]] = {
+    "echo": {"kinds": NET_LIBOS_KINDS, "legs": _echo},
+    "kv": {"kinds": NET_LIBOS_KINDS,
+           "legs": partial(_kv, streams=_one_client)},
+    "kv-concurrent": {"kinds": NET_LIBOS_KINDS,
+                      "legs": partial(_kv, streams=_disjoint_clients)},
+    "storage": {"kinds": ("spdk",), "legs": _storage},
+    "crash-echo": {"kinds": NET_LIBOS_KINDS, "legs": _crash_echo},
+    "crash-storage": {"kinds": ("spdk",), "legs": _crash_storage},
+    "nvme-outage": {"kinds": ("spdk",), "legs": _nvme_outage},
+    "kv-replicated": {
+        "kinds": ("rdma",), "legs": _kv_replicated, "world": "cluster",
+        "shape": ("n_nodes", "replication", "n_chains", "n_clients"),
+    },
+}
+
+
+# ---------------------------------------------------------------------------
+# Golden scenarios (the chaos battery)
+# ---------------------------------------------------------------------------
+
+def _kill_replica(index: int):
+    # Chain 0 over three nodes is exactly [replica0, replica1,
+    # replica2], so the index picks the chain position by name.
+    return lambda kind: (FaultPlan(seed=1201 + index)
+                         .proc_crash("replica%d" % index, 200 * _US))
+
+
+#: name -> which workload drives it, which libOS kinds it runs on, and
+#: ``plan(kind)``, its pinned fault plan.  A new scenario is one row here.
+#:
+#: Windows are sized to each transport's retry budget: the RDMA
+#: transport aborts the QP after ~8 retries at a ~10us RTO, so its
+#: blackouts stay under ~50us where TCP (RTO 100us..5ms, 6 SYN / 12
+#: data retries) tolerates milliseconds.
 GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
     "handshake-loss": {
         "workload": "echo", "kinds": ("dpdk", "posix", "rdma"),
         "blurb": "total loss burst while the connection is being set up",
+        # The rdmacm rendezvous is off-fabric, so on rdma the burst
+        # targets the first data exchange (~61us in) instead of the SYNs.
+        "plan": lambda kind: (
+            FaultPlan(seed=101).loss(55 * _US, 95 * _US, rate=1.0)
+            if kind == "rdma"
+            else FaultPlan(seed=101).loss(0, 280 * _US, rate=1.0)),
     },
     "reorder-dup-storm": {
         "workload": "kv", "kinds": ("dpdk", "posix", "rdma"),
         "blurb": "heavy reordering + duplication across the whole run",
+        "plan": lambda kind: (
+            FaultPlan(seed=202)
+            .reorder(0, 3 * _MS, rate=0.4,
+                     jitter_ns=5 * _US if kind == "rdma" else 30 * _US)
+            .duplicate(0, 3 * _MS, rate=0.3)),
     },
     "partition-heal": {
         "workload": "kv", "kinds": ("dpdk", "posix", "rdma"),
         "blurb": "a full partition mid-workload that heals",
+        "plan": lambda kind: FaultPlan(seed=303).partition(
+            None, None, 300 * _US,
+            300 * _US + (50 * _US if kind == "rdma" else 1 * _MS)),
     },
     "rx-ring-overflow": {
         "workload": "echo", "kinds": ("dpdk",),
         "blurb": "the server NIC's RX ring collapses to zero for a window",
+        "plan": lambda kind: FaultPlan(seed=404).nic_ring_clamp(
+            "server.dpdk0", 200 * _US, 500 * _US, limit=0),
     },
     "slow-nvme": {
         "workload": "storage", "kinds": ("spdk",),
         "blurb": "a 40x slow-flash window during appends",
+        "plan": lambda kind: FaultPlan(seed=505).nvme_slow(
+            "nvme0", 0, 3 * _MS, factor=40.0),
     },
     "corruption-storm": {
         "workload": "echo", "kinds": ("dpdk", "posix"),
         "blurb": "random bit flips that only L4 checksums can catch",
+        "plan": lambda kind: FaultPlan(seed=606).corrupt(0, 2 * _MS,
+                                                         rate=0.25),
     },
     "crash-mid-stream": {
         "workload": "crash-echo", "kinds": ("dpdk", "posix", "rdma"),
         "blurb": "the client process is killed mid-stream; the kernel"
                  " reclaims its resources and the peer sees a reset",
+        # Pinned mid-stream: each kind's echo cadence differs, so the
+        # kill lands while roughly half the messages are outstanding.
+        "plan": lambda kind: FaultPlan(seed=707).proc_crash(
+            "client",
+            {"dpdk": 400 * _US, "posix": 2 * _MS, "rdma": 300 * _US}[kind]),
     },
     "crash-storage": {
         "workload": "crash-storage", "kinds": ("spdk",),
         "blurb": "the storage process dies with NVMe commands in flight",
+        "plan": lambda kind: FaultPlan(seed=808).proc_crash("h", 200 * _US),
     },
     "nvme-transient-outage": {
         "workload": "storage", "kinds": ("spdk",),
         "blurb": "a controller-failure window the retry ladder outlasts",
+        # Ends before the ladder exhausts: a retry (or the post-reset
+        # attempt) lands after the window and the workload completes.
+        "plan": lambda kind: FaultPlan(seed=909).nvme_ctrl_fail(
+            "nvme0", 0, 350 * _US),
     },
     "nvme-fatal-outage": {
         "workload": "nvme-outage", "kinds": ("spdk",),
         "blurb": "a controller failure outlasting the ladder: typed"
                  " DeviceFailed surfaces from wait",
+        # Outlasts the whole ladder: typed DeviceFailed must surface.
+        "plan": lambda kind: FaultPlan(seed=1010).nvme_ctrl_fail(
+            "nvme0", 0, DEFAULT_LIMIT_NS),
     },
     "link-flap": {
         "workload": "echo", "kinds": ("dpdk", "posix"),
         "blurb": "the client NIC loses carrier mid-stream; rings"
                  " re-initialize and ARP relearns on recovery",
+        "plan": lambda kind: FaultPlan(seed=1111).nic_link_flap(
+            "client.dpdk0" if kind == "dpdk" else "client.eth0",
+            200 * _US if kind == "dpdk" else 1 * _MS, down_ns=250 * _US),
     },
     "replica-crash-head": {
         "workload": "kv-replicated", "kinds": ("rdma",),
         "blurb": "the chain head dies mid-stream; clients fail over to"
                  " the new head and no acknowledged write is lost",
+        "plan": _kill_replica(0),
     },
     "replica-crash-middle": {
         "workload": "kv-replicated", "kinds": ("rdma",),
         "blurb": "a middle replica dies; the chain splices around it and"
                  " replays the log suffix to the tail",
+        "plan": _kill_replica(1),
     },
     "replica-crash-tail": {
         "workload": "kv-replicated", "kinds": ("rdma",),
         "blurb": "the tail (the commit point) dies; its predecessor"
                  " becomes the tail and reads stay linearizable",
+        "plan": _kill_replica(2),
     },
 }
 
 
 def golden_plan(name: str, kind: str = "dpdk") -> FaultPlan:
-    """The pinned fault plan for one golden scenario on one libOS kind.
+    """The pinned fault plan for one golden scenario on one libOS kind."""
+    row = GOLDEN_SCENARIOS.get(name)
+    if row is None:
+        raise KeyError("unknown golden scenario %r (have: %s)"
+                       % (name, ", ".join(sorted(GOLDEN_SCENARIOS))))
+    return row["plan"](kind)
 
-    Windows are sized to each transport's retry budget: the RDMA
-    transport aborts the QP after ~8 retries at a ~10us RTO, so its
-    blackouts stay under ~50us where TCP (RTO 100us..5ms, 6 SYN / 12
-    data retries) tolerates milliseconds.
+
+def named_plans() -> Tuple[str, ...]:
+    """Every plan name :func:`plan_by_name` resolves."""
+    return tuple(sorted(GOLDEN_SCENARIOS) + ["none"])
+
+
+def plan_by_name(name: str, kind: str = "dpdk",
+                 seed: Optional[int] = None) -> FaultPlan:
+    """Resolve a plan name to a concrete :class:`FaultPlan`.
+
+    This is the experiment layer's handle on fault plans: an
+    ``ExperimentSpec`` can say ``fault_plan="partition-heal"`` and get
+    the same pinned windows the chaos battery runs, sized for its libOS
+    kind.  ``"none"`` resolves to an empty plan.  When *seed* is given
+    it replaces the plan's pinned seed (the chaos battery's
+    seed-override pattern), so an experiment spec's seed drives every
+    stochastic fault decision.
     """
-    if name == "handshake-loss":
-        if kind == "rdma":
-            # The rdmacm rendezvous is off-fabric, so the burst targets
-            # the first data exchange (~61us in) instead of the SYNs.
-            return FaultPlan(seed=101).loss(55 * _US, 95 * _US, rate=1.0)
-        return FaultPlan(seed=101).loss(0, 280 * _US, rate=1.0)
-    if name == "reorder-dup-storm":
-        jitter = 5 * _US if kind == "rdma" else 30 * _US
-        return (FaultPlan(seed=202)
-                .reorder(0, 3 * _MS, rate=0.4, jitter_ns=jitter)
-                .duplicate(0, 3 * _MS, rate=0.3))
-    if name == "partition-heal":
-        start = 300 * _US
-        end = start + (50 * _US if kind == "rdma" else 1 * _MS)
-        return FaultPlan(seed=303).partition(None, None, start, end)
-    if name == "rx-ring-overflow":
-        return FaultPlan(seed=404).nic_ring_clamp("server.dpdk0",
-                                                  200 * _US, 500 * _US,
-                                                  limit=0)
-    if name == "slow-nvme":
-        return FaultPlan(seed=505).nvme_slow("nvme0", 0, 3 * _MS,
-                                             factor=40.0)
-    if name == "corruption-storm":
-        return FaultPlan(seed=606).corrupt(0, 2 * _MS, rate=0.25)
-    if name == "crash-mid-stream":
-        # Pinned mid-stream: each kind's echo cadence differs, so the
-        # kill lands while roughly half the messages are outstanding.
-        at = {"dpdk": 400 * _US, "posix": 2 * _MS, "rdma": 300 * _US}[kind]
-        return FaultPlan(seed=707).proc_crash("client", at)
-    if name == "crash-storage":
-        return FaultPlan(seed=808).proc_crash("h", 200 * _US)
-    if name == "nvme-transient-outage":
-        # Ends before the ladder exhausts: a retry (or the post-reset
-        # attempt) lands after the window and the workload completes.
-        return FaultPlan(seed=909).nvme_ctrl_fail("nvme0", 0, 350 * _US)
-    if name == "nvme-fatal-outage":
-        # Outlasts the whole ladder: typed DeviceFailed must surface.
-        return FaultPlan(seed=1010).nvme_ctrl_fail("nvme0", 0,
-                                                   DEFAULT_LIMIT_NS)
-    if name == "link-flap":
-        device = "client.dpdk0" if kind == "dpdk" else "client.eth0"
-        at = 200 * _US if kind == "dpdk" else 1 * _MS
-        return FaultPlan(seed=1111).nic_link_flap(device, at,
-                                                  down_ns=250 * _US)
-    if name.startswith("replica-crash-"):
-        # Chain 0 over three nodes is exactly [replica0, replica1,
-        # replica2], so the index picks the chain position by name.
-        index = {"head": 0, "middle": 1, "tail": 2}[name.rsplit("-", 1)[1]]
-        return (FaultPlan(seed=1201 + index)
-                .proc_crash("replica%d" % index, 200 * _US))
-    raise KeyError("unknown golden scenario %r" % (name,))
+    plan = FaultPlan(seed=1) if name == "none" else golden_plan(name, kind)
+    if seed is not None:
+        plan = FaultPlan(seed=seed, events=list(plan.events))
+    return plan
 
 
-# Expose every golden plan to the experiment layer's plan-by-name
-# lookup (repro.sim.faults.plan_by_name): an ExperimentSpec can say
-# fault_plan="partition-heal" and get the same pinned windows the chaos
-# battery runs, sized for its libOS kind.
-for _name in GOLDEN_SCENARIOS:
-    register_plan(_name, lambda kind, _n=_name: golden_plan(_n, kind),
-                  replace=True)
-del _name
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
 
+def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
+                 telemetry=False, limit_ns: int = DEFAULT_LIMIT_NS,
+                 **params) -> ScenarioResult:
+    """Run one golden scenario, or a bare workload under a given plan.
 
-def run_scenario(name: str, kind: str,
-                 plan: Optional[FaultPlan] = None, **kw) -> ScenarioResult:
-    """Run one golden scenario (or the same workload under a custom plan)."""
-    if name not in GOLDEN_SCENARIOS:
-        raise ValueError("unknown scenario %r (have: %s)"
-                         % (name, ", ".join(sorted(GOLDEN_SCENARIOS))))
-    spec = GOLDEN_SCENARIOS[name]
-    if kind not in spec["kinds"]:
+    *name* is a :data:`GOLDEN_SCENARIOS` row (*plan* defaults to its
+    pinned plan) or a :data:`WORKLOADS` row (*plan* is required).
+    *params* are the workload's own keywords (``n_messages``, ``n_ops``,
+    ``strict``, ...); *limit_ns* bounds each joined leg.  The loop is
+    always the same: build -> install the plan -> spawn -> join -> stop
+    servers -> quiesce -> check; a run that does not finish is recorded
+    and still gets every check that holds for an undrained world.
+    """
+    golden = GOLDEN_SCENARIOS.get(name)
+    workload = WORKLOADS.get(golden["workload"] if golden else name)
+    if workload is None:
+        raise ValueError("unknown scenario %r (have: %s)" % (
+            name, ", ".join(sorted(set(GOLDEN_SCENARIOS) | set(WORKLOADS)))))
+    kinds = (golden or workload)["kinds"]
+    if kind not in kinds:
         raise ValueError("scenario %r does not run on %r (only %s)"
-                         % (name, kind, ", ".join(spec["kinds"])))
-    plan = plan if plan is not None else golden_plan(name, kind)
-    workload = spec["workload"]
-    if workload == "echo":
-        return run_echo_scenario(kind, plan, name=name, **kw)
-    if workload == "kv":
-        return run_kv_scenario(kind, plan, name=name, **kw)
-    if workload == "crash-echo":
-        return run_crash_echo_scenario(kind, plan, name=name, **kw)
-    if workload == "kv-replicated":
-        return run_replica_crash_scenario(kind, plan, name=name, **kw)
-    if workload == "crash-storage":
-        return run_crash_storage_scenario(plan, name=name, **kw)
-    if workload == "nvme-outage":
-        return run_nvme_outage_scenario(plan, name=name, **kw)
-    return run_storage_scenario(plan, name=name, **kw)
+                         % (name, kind, ", ".join(kinds)))
+    if plan is None:
+        plan = golden_plan(name, kind)
+    shape = {key: params.pop(key) for key in workload.get("shape", ())
+             if key in params}
+    world, libos, nodes = _WORLDS[workload.get("world", kind)](
+        plan.seed, telemetry, **shape)
+    world.tracer.keep_events = True
+    world.install_faults(plan)
+    run = _Run(world, libos, nodes, kind, plan.seed)
+    sim, failures = world.sim, run.failures
+    check = workload["legs"](run, **params)  # resumed below, as the check
+    legs = next(check)
+    outputs: List[Any] = []
+    finished = False
+    try:
+        for proc in legs:
+            outputs.append(sim.run_until_complete(
+                proc, limit=sim.now + limit_ns))
+        finished = True
+    except Exception as err:
+        # Timeouts AND hard workload errors (a transport giving up, a
+        # buffer fault) must surface as reportable failures: the repro
+        # line matters most exactly when the run blows up.
+        if not run.may_hang:
+            failures.append("workload did not finish: %s: %s"
+                            % (type(err).__name__, err))
+        # The abandoned legs run no more user code, so one dying later
+        # cannot take the quiesce down with it.
+        for proc in legs:
+            proc.interrupt("abandoned")
+    run.joined_at = sim.now
+    for server, proc in run.servers:
+        server.stop()
+        try:
+            sim.run_until_complete(proc, limit=sim.now + 100 * _MS)
+        except Exception as err:
+            failures.append("server failed to stop: %s: %s"
+                            % (type(err).__name__, err))
+    # A crash the plan schedules lands before the checks run even when it
+    # is the workload's only exit (crash-storage joins nothing).
+    crashes = [e for e in plan.events if e.kind in CRASH_KINDS]
+    world.run(until=max([sim.now] + [e.end for e in crashes]) + QUIESCE_NS)
+    crashed = {e.host for e in crashes}
+    if run.reclaims:
+        run.data["reclaim"] = run.reclaims[0].as_dict()
+    elif crashed:
+        failures.append("crash teardown never ran (no proc_crash fired?)")
+    for host, each in run.libos.items():
+        if host in crashed:
+            _check_reclaimed(failures, each)
+        else:
+            _check_libos(failures, world, each,
+                         drained=finished and each not in run.undrained)
+    _check_dma(failures, world)
+    if finished:
+        with suppress(StopIteration):  # the workload's own check returns
+            check.send(outputs)
+    run.data["finished_at"] = sim.now
+    return ScenarioResult(name, kind, plan, world, failures, run.data)
 
 
 def check_reproducible(runner, *args, **kw) -> Tuple[ScenarioResult,

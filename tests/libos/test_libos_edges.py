@@ -18,6 +18,10 @@ def run(w, gen, limit=10**12):
     return p.value
 
 
+def _join(proc):
+    return (yield proc)
+
+
 class TestDpdkEdges:
     def test_unknown_protocol_rejected(self):
         w, client, _server = make_dpdk_libos_pair()
@@ -165,6 +169,40 @@ class TestRdmaEdges:
 
         w.sim.spawn(server_proc())
         assert run(w, client_proc()) == "checked"
+
+    def test_push_from_last_slot_of_registered_region(self):
+        # The wire message is header + payload, but the NIC DMA-reads the
+        # element's own buffer: translating header-many bytes past it
+        # faulted on an element that ends exactly at its region's end.
+        w, client, server = make_rdma_libos_pair()
+
+        def server_proc():
+            lqd = yield from server.socket()
+            yield from server.bind(lqd, 1)
+            yield from server.listen(lqd)
+            qd = yield from server.accept(lqd)
+            result = yield from server.blocking_pop(qd)
+            return result.sga.tobytes()
+
+        def client_proc():
+            qd = yield from client.socket()
+            yield from client.connect(qd, "server-rdma", 1)
+            mm = client.host.mm
+            region = mm.regions[-1]
+            mm.alloc(region.size - region.used - 1024)
+            sga = client.sga_alloc(b"x" * 1024)
+            addr, size = sga.dma_ranges()[0]
+            assert addr + size == region.base + region.size
+            before = w.tracer.get("client.rdma0.mr.translations")
+            result = yield from client.blocking_push(qd, sga)
+            # Still exactly one translation per push.
+            assert w.tracer.get("client.rdma0.mr.translations") == before + 1
+            return result.error
+
+        served = w.sim.spawn(server_proc())
+        assert run(w, client_proc()) is None
+        assert run(w, _join(served)) == b"x" * 1024
+        assert w.tracer.get("client.rdma0.mr.faults") == 0
 
 
 class TestPosixLibosEdges:

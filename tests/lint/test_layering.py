@@ -1,0 +1,75 @@
+"""Lint: the simulated system never imports the harnesses built on it.
+
+``repro.testing`` (the scenario driver), ``repro.experiments``,
+``repro.bench`` and ``repro.cli`` sit *above* the simulator, the
+devices, the library OSes, the applications and telemetry.  An import in
+the other direction - at module level or tucked inside a function - lets
+a harness table leak into the system under test (``sim.faults`` once
+reached up into ``repro.testing`` to find the golden plans).  This test
+parses every lower-layer module and resolves its imports.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+LOWER = ("sim", "hw", "memory", "netstack", "kernelos", "rdma", "rmem",
+         "storage", "core", "libos", "apps", "cluster", "telemetry")
+UPPER = ("repro.testing", "repro.experiments", "repro.bench", "repro.cli")
+
+
+def imported_modules(source, package):
+    """``(line, absolute module name)`` for every import in *source*, a
+    module of *package*, wherever the statement sits; ``from x import y``
+    yields both ``x`` and ``x.y``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level \
+                else []
+            if node.module:
+                base = base + node.module.split(".")
+            yield node.lineno, ".".join(base)
+            for alias in node.names:
+                yield node.lineno, ".".join(base + [alias.name])
+
+
+def reaches_up(module):
+    return any(module == up or module.startswith(up + ".") for up in UPPER)
+
+
+def upward_imports():
+    hits = []
+    for layer in LOWER:
+        for path in sorted((SRC / "repro" / layer).rglob("*.py")):
+            package = list(path.relative_to(SRC).parts[:-1])
+            for lineno, module in imported_modules(path.read_text(), package):
+                if reaches_up(module):
+                    hits.append("%s:%d imports %s"
+                                % (path.relative_to(SRC.parent), lineno,
+                                   module))
+    return hits
+
+
+def test_lower_layers_do_not_import_the_harnesses():
+    hits = upward_imports()
+    assert not hits, ("upward imports found (the system under test must "
+                      "not know its harnesses):\n" + "\n".join(hits))
+
+
+def test_the_lint_resolves_relative_and_nested_imports():
+    # Guard the guard: a function-level ``from .. import testing`` in
+    # repro/sim/ is exactly the shape that used to slip through.
+    source = ("import json\n"
+              "def f():\n"
+              "    from .. import testing\n"
+              "    from ..experiments.spec import Matrix\n"
+              "    from .engine import Simulator\n")
+    found = {module for _line, module
+             in imported_modules(source, ["repro", "sim"])
+             if reaches_up(module)}
+    assert found == {"repro.testing", "repro.experiments.spec",
+                     "repro.experiments.spec.Matrix"}

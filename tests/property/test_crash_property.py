@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.faults import FaultPlan
-from repro.testing import run_crash_echo_scenario
+from repro.testing import run_scenario
 
 EXAMPLES = int(os.environ.get("CRASH_PROPERTY_EXAMPLES", "30"))
 
@@ -37,8 +37,9 @@ class TestCrashAnywhere:
     @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
     def test_reclaim_invariant_holds_at_any_crash_time(self, kind, seed, at):
         plan = FaultPlan(seed=seed).proc_crash("client", at)
-        result = run_crash_echo_scenario(
-            kind, plan, n_messages=80, idle_timeout_ns=2 * MS, strict=False)
+        result = run_scenario(
+            "crash-echo", kind, plan=plan, n_messages=80,
+            idle_timeout_ns=2 * MS, strict=False)
         assert result.ok, result.repro_line() + "\n" + "\n".join(
             result.failures)
 
@@ -47,9 +48,9 @@ class TestCrashAnywhere:
               derandomize=True)
     def test_replays_identically_from_seed_and_plan(self, at):
         plan = FaultPlan(seed=at + 1).proc_crash("client", at)
-        first = run_crash_echo_scenario("dpdk", plan, n_messages=80,
-                                        strict=False)
-        second = run_crash_echo_scenario("dpdk", plan, n_messages=80,
-                                         strict=False)
+        first = run_scenario("crash-echo", "dpdk", plan=plan, n_messages=80,
+                             strict=False)
+        second = run_scenario("crash-echo", "dpdk", plan=plan, n_messages=80,
+                              strict=False)
         assert first.signature == second.signature
         assert first.counters == second.counters

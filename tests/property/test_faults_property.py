@@ -20,7 +20,7 @@ from repro.sim.engine import Simulator
 from repro.sim.fabric import Fabric
 from repro.sim.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.sim.rand import Rng
-from repro.testing import run_echo_scenario, run_storage_scenario
+from repro.testing import run_scenario
 
 EXAMPLES = int(os.environ.get("FAULT_PROPERTY_EXAMPLES", "50"))
 
@@ -94,8 +94,8 @@ class TestDeliveryUnderChaos:
     @given(plan=tcp_safe_plans())
     @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
     def test_dpdk_tcp_delivers_exact_byte_stream(self, plan):
-        result = run_echo_scenario("dpdk", plan, name="property-echo",
-                                   n_messages=6, message_size=128)
+        result = run_scenario("echo", "dpdk", plan=plan,
+                              n_messages=6, message_size=128)
         result.require_ok()  # message carries the (seed, plan) repro
 
     @given(seed=seeds, start=st.integers(0, 500 * US),
@@ -104,8 +104,8 @@ class TestDeliveryUnderChaos:
     def test_healing_partition_never_loses_data(self, seed, start, duration):
         plan = FaultPlan(seed=seed).partition(None, None, start,
                                               start + duration)
-        result = run_echo_scenario("dpdk", plan, name="property-partition",
-                                   n_messages=6, message_size=128)
+        result = run_scenario("echo", "dpdk", plan=plan,
+                              n_messages=6, message_size=128)
         result.require_ok()
 
     @given(seed=seeds, start=st.integers(0, 2 * MS),
@@ -118,8 +118,8 @@ class TestDeliveryUnderChaos:
         plan = FaultPlan(seed=seed).nvme_slow("nvme0", start,
                                               start + duration,
                                               factor=factor)
-        result = run_storage_scenario(plan, name="property-storage",
-                                      n_records=4, record_size=512)
+        result = run_scenario("storage", "spdk", plan=plan,
+                              n_records=4, record_size=512)
         result.require_ok()
 
 
