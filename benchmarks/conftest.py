@@ -13,6 +13,8 @@ Run with::
 
 import pytest
 
+from repro.experiments import ExperimentSpec, run_spec
+
 
 def run_once(benchmark, fn):
     """Execute *fn* exactly once under the benchmark fixture."""
@@ -22,3 +24,13 @@ def run_once(benchmark, fn):
 @pytest.fixture
 def once():
     return run_once
+
+
+@pytest.fixture
+def metrics():
+    """``metrics(workload, flavor, **params)``: one registered workload's
+    metrics row, exactly what ``repro exp run`` would record for it."""
+    def run(workload, flavor, **params):
+        return run_spec(ExperimentSpec(workload, libos=flavor,
+                                       params=params))["metrics"]
+    return run

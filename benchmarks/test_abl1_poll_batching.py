@@ -12,7 +12,6 @@ Two knobs DESIGN.md calls out:
 
 from repro.apps.echo import demi_echo_client, demi_echo_server
 from repro.bench.report import print_table, us
-from repro.bench.runners import echo_rtt
 from repro.libos.dpdk_libos import DpdkLibOS
 from repro.testbed import World
 
@@ -82,9 +81,9 @@ def test_abl1_rx_burst_size(benchmark, once):
     assert by_burst[32]["elapsed_ns"] <= by_burst[1]["elapsed_ns"]
 
 
-def test_abl1_poll_vs_interrupt(benchmark, once):
+def test_abl1_poll_vs_interrupt(benchmark, once, metrics):
     def run():
-        return echo_rtt("dpdk"), echo_rtt("posix")
+        return metrics("echo-rtt", "dpdk"), metrics("echo-rtt", "posix")
 
     poll, interrupt = once(benchmark, run)
     print_table(

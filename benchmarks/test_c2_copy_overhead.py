@@ -10,7 +10,6 @@ Two measurements:
 """
 
 from repro.bench.report import print_table, us
-from repro.bench.runners import kv_value_size_sweep
 from repro.sim.costs import DEFAULT_COSTS
 
 SIZES = (64, 1024, 4096, 16384)
@@ -39,9 +38,17 @@ def test_c2_copy_cost_model(benchmark, once):
     assert 40.0 <= at_4k[2] <= 60.0
 
 
-def test_c2_copy_overhead_end_to_end(benchmark, once):
+def test_c2_copy_overhead_end_to_end(benchmark, once, metrics):
     def run():
-        return kv_value_size_sweep(SIZES, n_gets=15)
+        rows = []
+        for size in SIZES:
+            posix, demi = (metrics("kv-rtt", flavor, value_size=size,
+                                   n_gets=15)["get_rtt_mean_ns"]
+                           for flavor in ("posix", "dpdk"))
+            rows.append({"value_size": size, "posix_rtt_ns": posix,
+                         "demi_rtt_ns": demi,
+                         "posix_over_demi": posix / demi})
+        return rows
 
     rows = once(benchmark, run)
     print_table(

@@ -13,18 +13,17 @@ the abstraction wins.
 """
 
 from repro.bench.report import print_table, us
-from repro.bench.runners import echo_rtt
 
 SIZES = (64, 1024, 4096)
 
 
-def test_c5_mtcp_latency(benchmark, once):
+def test_c5_mtcp_latency(benchmark, once, metrics):
     def run():
         rows = []
         for size in SIZES:
-            kernel = echo_rtt("posix", message_size=size)
-            mtcp = echo_rtt("mtcp", message_size=size)
-            demi = echo_rtt("dpdk", message_size=size)
+            kernel = metrics("echo-rtt", "posix", message_size=size)
+            mtcp = metrics("echo-rtt", "mtcp", message_size=size)
+            demi = metrics("echo-rtt", "dpdk", message_size=size)
             rows.append((size,
                          us(kernel["rtt_mean_ns"]),
                          us(mtcp["rtt_mean_ns"]),

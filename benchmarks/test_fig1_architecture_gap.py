@@ -7,17 +7,16 @@ sweep.  The kernel path pays every tax; the bypass path pays none.
 """
 
 from repro.bench.report import print_table, us
-from repro.bench.runners import echo_rtt
 
 SIZES = (64, 512, 1500, 4096, 8192)
 
 
-def test_fig1_architecture_gap(benchmark, once):
+def test_fig1_architecture_gap(benchmark, once, metrics):
     def run():
         rows = []
         for size in SIZES:
-            kernel = echo_rtt("posix", message_size=size)
-            bypass = echo_rtt("dpdk", message_size=size)
+            kernel = metrics("echo-rtt", "posix", message_size=size)
+            bypass = metrics("echo-rtt", "dpdk", message_size=size)
             rows.append((size,
                          us(kernel["rtt_mean_ns"]),
                          us(bypass["rtt_mean_ns"]),

@@ -29,7 +29,7 @@ from ..core.api import LibOS
 from ..core.types import DemiError, DemiTimeout, Sga, SgaSegment
 from ..kernelos.kernel import Kernel
 from ..memory.buffer import Buffer
-from ..netstack.framing import Deframer, frame_message
+from ..netstack.framing import Deframer, FramingError, frame_message
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
@@ -388,9 +388,17 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
         data = yield from sys.recv(conn_fd)
         if not data:
             break
-        for message in deframer.feed(data):
+        try:
+            requests = [codec.decode_message(message)
+                        for message in deframer.feed(data)]
+        except (CodecError, FramingError):
+            # A stream cannot be resynchronised past a record that does
+            # not parse: this connection is over, the simulation is not.
+            kernel.count(names.KV_MALFORMED_REQUESTS)
+            yield from sys.close(conn_fd)
+            break
+        for request in requests:
             yield core.busy(engine.parse_cost())
-            request = codec.decode_message(message)
             yield core.busy(engine.service_cost(request.op))
             if request.op == "set":
                 engine.put(request.key, request.value)

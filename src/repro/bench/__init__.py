@@ -1,14 +1,9 @@
-"""Benchmark harness: experiment runners and report formatting."""
+"""Benchmark harness: the open-loop load generator and report formatting."""
 
 from .report import fmt, print_table, us
-from .runners import echo_rtt, echo_rtt_all_stacks, kv_rtt, kv_value_size_sweep
 
 __all__ = [
     "print_table",
     "us",
     "fmt",
-    "echo_rtt",
-    "echo_rtt_all_stacks",
-    "kv_rtt",
-    "kv_value_size_sweep",
 ]

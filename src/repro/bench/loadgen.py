@@ -38,12 +38,18 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, Generator, List, Optional, Sequence
 
-from ..apps.proto import CODECS, Request
+from ..apps.kvstore import KvEngine
+from ..apps.proto import CODECS, KvEngineStore, ProtoServer, Request
 from ..apps.proto.codec import ST_ERROR, CodecError
+from ..apps.steering import key_partition
+from ..cluster.client import src_port_for_queue
+from ..cluster.shard import ShardProtoServer
 from ..core.types import DemiTimeout
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
+from ..testbed import (make_dpdk_libos_pair, make_posix_libos_pair,
+                       make_sharded_kv_world)
 
 __all__ = ["LoadConfig", "run_open_loop", "slo_sweep", "arrival_times"]
 
@@ -251,8 +257,6 @@ def _preload(libos, cfg: LoadConfig, codec_cls, rng: Rng, server_ip: str,
 
 def _shard_keys(n_keys: int, n_shards: int) -> List[List[bytes]]:
     """Per-shard key lists: *n_keys* total, every shard non-empty."""
-    from ..apps.steering import key_partition
-
     owned: List[List[bytes]] = [[] for _ in range(n_shards)]
     total = 0
     j = 0
@@ -275,11 +279,11 @@ def run_open_loop(cfg: LoadConfig, seed: int = 7, libos_kind: str = "dpdk",
     ``cores == 1`` serves through :class:`ProtoServer` on a dpdk or
     posix libOS pair; ``cores > 1`` (dpdk only) builds the sharded
     world with :class:`ShardProtoServer` and steers each connection to
-    its shard's RX queue with shard-owned keys only.
+    its shard's RX queue with shard-owned keys only.  The two differ
+    only in how the world is built and who owns which keys: each yields
+    *lanes* - ``(client libOS, keys, source-port allocator or None)`` -
+    and connection *i* runs on lane ``i % len(lanes)``.
     """
-    from ..apps.proto import KvEngineStore, ProtoServer
-    from ..apps.kvstore import KvEngine
-
     codec_cls = CODECS[cfg.protocol]
     rng = Rng(seed).fork_named("loadgen.%s" % cfg.protocol)
     stats = LatencyStats("loadgen-rtt")
@@ -288,17 +292,13 @@ def run_open_loop(cfg: LoadConfig, seed: int = 7, libos_kind: str = "dpdk",
     if cores > 1:
         if libos_kind != "dpdk":
             raise ValueError("sharded runs need the dpdk libOS")
-        from ..cluster.client import src_port_for_queue
-        from ..cluster.shard import ShardProtoServer
-        from ..testbed import make_sharded_kv_world
-
-        w, server, clients = make_sharded_kv_world(
+        w, sharded, clients = make_sharded_kv_world(
             cores, seed=seed, port=cfg.port,
             server_cls=ShardProtoServer,
             server_kwargs={"codec_factory": codec_cls})
-        server.start()
-        server_ip = "10.0.0.100"
-        owned = _shard_keys(cfg.n_keys, cores)
+        sharded.start()
+        servers = [shard.server for shard in sharded.shards]
+        server_ip = sharded.ip
         # Distinct steered source ports per (client ip, shard) pair.
         next_start: Dict[tuple, int] = {}
 
@@ -312,80 +312,46 @@ def run_open_loop(cfg: LoadConfig, seed: int = 7, libos_kind: str = "dpdk",
                 return port
             return alloc
 
-        # Preload each shard through a steered connection.
-        for shard in range(cores):
-            libos = clients[shard % len(clients)]
-            proc = w.sim.spawn(
-                _preload(libos, cfg, codec_cls, rng.fork_named("preload"),
-                         server_ip, owned[shard],
-                         src_port=steered_alloc(libos, shard)()),
-                name="loadgen.preload%d" % shard)
-            w.sim.run_until_complete(proc, limit=10**13)
-        measure_start = w.sim.now
-        procs = []
-        for conn_id in range(cfg.n_connections):
-            shard = conn_id % cores
-            libos = clients[shard % len(clients)]
-            procs.append(w.sim.spawn(
-                _connection(libos, cfg, codec_cls, rng.fork(100 + conn_id),
-                            conn_id, server_ip, owned[shard], stats, metrics,
-                            src_port_alloc=steered_alloc(libos, shard)),
-                name="loadgen.conn%d" % conn_id))
-        for proc in procs:
-            w.sim.run_until_complete(proc, limit=10**13)
-        elapsed_ns = w.sim.now - measure_start
-        server.stop()
-        w.run(until=w.sim.now + 5_000_000)
-        server_requests = server.requests_served
-        server_decode_errors = server.decode_errors
-        error_replies = sum(s.server.service.error_replies
-                            for s in server.shards)
-        identity_ok = server.qtoken_identity_ok()
-        client_liboses = clients
+        lanes = [(clients[shard], keys, steered_alloc(clients[shard], shard))
+                 for shard, keys in enumerate(_shard_keys(cfg.n_keys, cores))]
     else:
-        if libos_kind == "dpdk":
-            from ..testbed import make_dpdk_libos_pair
-
-            w, client, server_libos = make_dpdk_libos_pair(seed=seed)
-        elif libos_kind == "posix":
-            from ..testbed import make_posix_libos_pair
-
-            w, client, server_libos = make_posix_libos_pair(seed=seed)
-        else:
+        makers = {"dpdk": make_dpdk_libos_pair,
+                  "posix": make_posix_libos_pair}
+        if libos_kind not in makers:
             raise ValueError("unknown libos kind %r" % libos_kind)
+        w, client, server_libos = makers[libos_kind](seed=seed)
         server_ip = "10.0.0.2"
         engine = KvEngine(server_libos.host, name="loadgen.kv")
         server = ProtoServer(server_libos, codec_cls, KvEngineStore(engine),
                              port=cfg.port)
-        server_proc = w.sim.spawn(server.start(), name="loadgen.server")
-        keys = [b"key-%06d" % j for j in range(cfg.n_keys)]
+        w.sim.spawn(server.start(), name="loadgen.server")
+        servers = [server]
+        lanes = [(client, [b"key-%06d" % j for j in range(cfg.n_keys)], None)]
+
+    # Preload every lane's keys through a connection of its own.
+    for libos, keys, alloc in lanes:
         proc = w.sim.spawn(
-            _preload(client, cfg, codec_cls, rng.fork_named("preload"),
-                     server_ip, keys),
+            _preload(libos, cfg, codec_cls, rng.fork_named("preload"),
+                     server_ip, keys, src_port=alloc() if alloc else None),
             name="loadgen.preload")
         w.sim.run_until_complete(proc, limit=10**13)
-        measure_start = w.sim.now
-        procs = []
-        for conn_id in range(cfg.n_connections):
-            procs.append(w.sim.spawn(
-                _connection(client, cfg, codec_cls, rng.fork(100 + conn_id),
-                            conn_id, server_ip, keys, stats, metrics),
-                name="loadgen.conn%d" % conn_id))
-        for proc in procs:
-            w.sim.run_until_complete(proc, limit=10**13)
-        elapsed_ns = w.sim.now - measure_start
+    measure_start = w.sim.now
+    procs = []
+    for conn_id in range(cfg.n_connections):
+        libos, keys, alloc = lanes[conn_id % len(lanes)]
+        procs.append(w.sim.spawn(
+            _connection(libos, cfg, codec_cls, rng.fork(100 + conn_id),
+                        conn_id, server_ip, keys, stats, metrics,
+                        src_port_alloc=alloc),
+            name="loadgen.conn%d" % conn_id))
+    for proc in procs:
+        w.sim.run_until_complete(proc, limit=10**13)
+    elapsed_ns = w.sim.now - measure_start
+    for server in servers:
         server.stop()
-        if server_proc.alive:
-            server_proc.interrupt("loadgen done")
-        w.run(until=w.sim.now + 5_000_000)
-        server_requests = server.requests_served
-        server_decode_errors = server.decode_errors
-        error_replies = server.error_replies
-        t = server_libos.qtokens
-        identity_ok = t.created == t.completed + t.cancelled + t.in_flight
-        client_liboses = [client]
-
-    for libos in client_liboses:
+    w.run(until=w.sim.now + 5_000_000)
+    identity_ok = True
+    for libos in [s.libos for s in servers] + [lane[0] for lane in lanes]:
         t = libos.qtokens
         if t.created != t.completed + t.cancelled + t.in_flight:
             identity_ok = False
@@ -404,11 +370,11 @@ def run_open_loop(cfg: LoadConfig, seed: int = 7, libos_kind: str = "dpdk",
         "p99_ns": stats.percentile(99),
         "p999_ns": stats.percentile(99.9),
         "client_decode_errors": metrics.client_decode_errors,
-        "server_decode_errors": server_decode_errors,
-        "error_replies": error_replies,
+        "server_decode_errors": sum(s.decode_errors for s in servers),
+        "error_replies": sum(s.error_replies for s in servers),
         "reconnects": metrics.reconnects,
         "stalls": metrics.stalls,
-        "server_requests": server_requests,
+        "server_requests": sum(s.requests_served for s in servers),
         "qtoken_identity_ok": identity_ok,
     }
 

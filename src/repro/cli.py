@@ -13,16 +13,13 @@ Commands:
 * ``chaos``       - run one golden chaos scenario (crash injection,
   device outages...), print its invariant results and trace signature,
   and exit nonzero if any invariant was violated;
-* ``bench``       - run a persisted benchmark (``kv-scaling``: the
-  sharded throughput sweep) and write its JSON document
-  (``repro exp validate`` checks it in CI);
 * ``exp``         - declarative experiment orchestration
   (:mod:`repro.experiments`): ``run`` a spec file (specs and/or
   matrices) across worker processes and append the schema-validated
   trajectory, ``validate`` spec files and ``BENCH_*.json`` payloads,
   ``list`` the workload registry or a spec file's expansion.
 
-``bench`` is a thin alias over the experiment layer ``exp`` drives
+``exp run`` is the only way a ``BENCH_*.json`` trajectory is produced
 (docs/experiments.md); ``chaos``, ``trace`` and ``report`` call the one
 scenario driver (:func:`repro.testing.run_scenario`) directly.
 """
@@ -36,7 +33,6 @@ from typing import List, Optional
 
 from .apps.echo import demi_echo_client, demi_echo_server
 from .bench.report import print_table, us
-from .bench.runners import echo_rtt_all_stacks, kv_value_size_sweep
 from .sim.costs import DEFAULT_COSTS
 from .sim.faults import FaultPlan
 from .testbed import make_dpdk_libos_pair
@@ -60,21 +56,30 @@ def cmd_demo(_args) -> int:
 
 
 def cmd_experiments(_args) -> int:
-    rows = echo_rtt_all_stacks(message_size=64, count=15)
+    from .experiments import ExperimentSpec, run_spec
+
+    def metrics(workload, flavor, **params):
+        return run_spec(ExperimentSpec(workload, libos=flavor,
+                                       params=params))["metrics"]
+
+    rows = [(flavor, metrics("echo-rtt", flavor, count=15))
+            for flavor in ("posix", "mtcp", "posix-libos", "dpdk", "rdma")]
     print_table(
         "echo RTT across every stack (64 B messages)",
         ["stack", "RTT mean", "RTT p99", "syscalls/req", "copied B/req"],
-        [(r["flavor"], us(r["rtt_mean_ns"]), us(r["rtt_p99_ns"]),
+        [(flavor, us(r["rtt_mean_ns"]), us(r["rtt_p99_ns"]),
           "%.1f" % r["syscalls_per_req"],
-          "%.0f" % r["copies_bytes_per_req"]) for r in rows],
+          "%.0f" % r["copies_bytes_per_req"]) for flavor, r in rows],
     )
-    sweep = kv_value_size_sweep((64, 4096), n_gets=10)
+    sweep = []
+    for size in (64, 4096):
+        posix, demi = (metrics("kv-rtt", flavor, value_size=size,
+                               n_gets=10)["get_rtt_mean_ns"]
+                       for flavor in ("posix", "dpdk"))
+        sweep.append((size, us(posix), us(demi), "%.2f" % (posix / demi)))
     print_table(
         "KV GET: POSIX copies vs Demikernel zero-copy",
-        ["value B", "POSIX RTT", "Demikernel RTT", "ratio"],
-        [(r["value_size"], us(r["posix_rtt_ns"]), us(r["demi_rtt_ns"]),
-          "%.2f" % r["posix_over_demi"]) for r in sweep],
-    )
+        ["value B", "POSIX RTT", "Demikernel RTT", "ratio"], sweep)
     print("\nfull suite: pytest benchmarks/ --benchmark-only -s")
     return 0
 
@@ -176,55 +181,6 @@ def cmd_chaos(args) -> int:
         print("  - %s" % failure)
     print(result.repro_line())
     return 1
-
-
-def _print_scaling_table(doc: dict, seed: int, ops: int) -> None:
-    print_table(
-        "KV throughput scaling (seed %d, %d ops/shard)" % (seed, ops),
-        ["cores", "throughput", "RTT mean", "CPU/op", "wasted wakes",
-         "cross wakes", "misrouted"],
-        [(r["cores"], "%.0f ops/s" % r["throughput_ops_per_s"],
-          us(r["rtt_mean_ns"]), "%.0f ns" % r["per_op_server_cpu_ns"],
-          r["wasted_wakeups"], r["cross_shard_wakeups"],
-          r["misrouted_requests"])
-         for r in doc["rows"]],
-    )
-
-
-def cmd_bench(args) -> int:
-    """Thin alias: the kv-scaling sweep through the experiment Runner."""
-    from .bench.runners import kv_scaling_document_from_rows
-    from .experiments import (ExperimentSpec, Runner, append_document,
-                              atomic_write_json)
-
-    if args.bench != "kv-scaling":
-        raise SystemExit("unknown bench %r" % args.bench)
-    cores = tuple(int(c) for c in args.cores.split(","))
-    specs = [ExperimentSpec(workload="kv-scaling", libos="dpdk", cores=c,
-                            fault_plan="none", seed=args.seed,
-                            params={"n_ops": args.ops})
-             for c in cores]
-    rows = Runner(workers=args.workers).run(specs)
-    failed = [r for r in rows if r["status"] != "ok"]
-    if failed:
-        for row in failed:
-            print("bench run %s (cores=%d) failed: %s"
-                  % (row["run_id"], row["cores"],
-                     "; ".join(row["failures"])), file=sys.stderr)
-        return 1
-    doc = kv_scaling_document_from_rows([r["metrics"] for r in rows],
-                                        cores, n_ops=args.ops,
-                                        seed=args.seed)
-    if args.append:
-        # Trajectory mode: keep prior sweeps alongside the new one so a
-        # run's history accumulates instead of being overwritten
-        # (``exp validate`` checks every document in the list).
-        append_document(args.output, doc)
-    else:
-        atomic_write_json(args.output, doc)
-    _print_scaling_table(doc, args.seed, args.ops)
-    print("wrote %s" % args.output)
-    return 0
 
 
 def _load_batch(path: str):
@@ -392,25 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           choices=("dpdk", "posix", "rdma", "spdk"))
     p_report.add_argument("--seed", type=int, default=42)
     p_report.set_defaults(fn=cmd_report)
-    p_bench = sub.add_parser(
-        "bench", help="run a persisted benchmark and write its JSON")
-    p_bench.add_argument("bench", choices=("kv-scaling",))
-    p_bench.add_argument("--cores", default="1,2,4,8,16,32",
-                         help="comma-separated shard counts "
-                              "(default: 1,2,4,8,16,32)")
-    p_bench.add_argument("--ops", type=int, default=200,
-                         help="operations per shard (default: 200)")
-    p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("-o", "--output", default="BENCH_kv_scaling.json",
-                         help="output path (default: BENCH_kv_scaling.json)")
-    p_bench.add_argument("--append", action="store_true",
-                         help="append this sweep to an existing output "
-                              "file as a trajectory instead of "
-                              "overwriting it")
-    p_bench.add_argument("--workers", type=int, default=1,
-                         help="host processes to fan the sweep out "
-                              "across (default: 1, inline)")
-    p_bench.set_defaults(fn=cmd_bench)
     p_exp = sub.add_parser(
         "exp", help="declarative experiment orchestration "
                     "(specs, matrices, trajectories)")

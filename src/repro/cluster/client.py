@@ -24,11 +24,21 @@ from ..hw.nic import rss_queue_for_flow
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
+from .replica import DEFAULT_KV_PORT
 
 __all__ = ["src_port_for_queue", "shard_workload", "ReplicatedKvClient"]
 
 #: first ephemeral port (matches the netstack's allocator)
 EPHEMERAL_START = 49152
+
+#: one replicated request waits this long for its reply before the
+#: router drops the connection and re-resolves the chain
+REQUEST_TIMEOUT_NS = 400_000
+#: the router's one retry budget per operation (seeded backoff)
+RETRY_BASE_DELAY_NS = 20_000
+RETRY_MAX_DELAY_NS = 250_000
+RETRY_MAX_ATTEMPTS = 10
+RETRY_BUDGET_NS = 5_000_000
 
 
 def src_port_for_queue(client_ip: str, server_ip: str, queue: int,
@@ -90,19 +100,10 @@ class ReplicatedKvClient:
     never acknowledged", the only loss chain replication permits.
     """
 
-    def __init__(self, libos, directory, rng: Rng, port: int = 6380,
-                 request_timeout_ns: int = 400_000,
-                 base_delay_ns: int = 20_000, max_delay_ns: int = 250_000,
-                 max_attempts: int = 10, budget_ns: int = 5_000_000):
+    def __init__(self, libos, directory, rng: Rng):
         self.libos = libos
         self.directory = directory
         self.rng = rng
-        self.port = port
-        self.request_timeout_ns = request_timeout_ns
-        self.base_delay_ns = base_delay_ns
-        self.max_delay_ns = max_delay_ns
-        self.max_attempts = max_attempts
-        self.budget_ns = budget_ns
         self.stats = LatencyStats("repl-kv-rtt")
         self.codec = LegacyKvCodec()
         self._conns: Dict[str, int] = {}
@@ -129,9 +130,9 @@ class ReplicatedKvClient:
         result = yield from retry_with_backoff(
             self.libos.sim, lambda: self._attempt(op, key, value),
             rng=self.rng, retry_on=(DemiError,),
-            base_delay_ns=self.base_delay_ns,
-            max_delay_ns=self.max_delay_ns,
-            max_attempts=self.max_attempts, budget_ns=self.budget_ns,
+            base_delay_ns=RETRY_BASE_DELAY_NS,
+            max_delay_ns=RETRY_MAX_DELAY_NS,
+            max_attempts=RETRY_MAX_ATTEMPTS, budget_ns=RETRY_BUDGET_NS,
             op="%s %r" % ("PUT" if op == OP_PUT else "GET", key))
         # RTT includes retries and failovers: this is what the client felt.
         self.stats.add(self.libos.sim.now - start)
@@ -175,7 +176,7 @@ class ReplicatedKvClient:
         qd = yield from libos.socket()
         try:
             yield from libos.connect(qd, self.directory.addr_of(target),
-                                     self.port)
+                                     DEFAULT_KV_PORT)
         except Exception as exc:
             # VerbsError from a closed/crashed listener is transient from
             # the router's point of view: surface it typed so the retry
@@ -195,7 +196,7 @@ class ReplicatedKvClient:
         token = libos.pop(qd)
         try:
             _index, result = yield from libos.wait_any(
-                [token], timeout_ns=self.request_timeout_ns)
+                [token], timeout_ns=REQUEST_TIMEOUT_NS)
         except DemiTimeout:
             libos.cancel(token)
             raise DemiError("request timed out")

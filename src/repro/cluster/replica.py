@@ -39,7 +39,8 @@ import struct
 from typing import Dict, Generator, List, Optional, Sequence
 
 from ..apps.kvstore import KvEngine
-from ..apps.proto.codec import ST_MISS, ST_STORED, ST_VALUE, Response
+from ..apps.proto.codec import (ST_MISS, ST_STORED, ST_VALUE, CodecError,
+                                Response)
 from ..apps.proto.legacy import LegacyKvCodec
 from ..apps.steering import key_partition
 from ..core.retry import RetryBudgetExceeded, retry_with_backoff
@@ -62,9 +63,25 @@ __all__ = ["ClusterDirectory", "ReplicaNode", "STATUS_MOVED",
 #: a replica that is not the right chain member for the request
 STATUS_MOVED = ord("M")
 
+#: the client plane's port, on every replica and in every client
 DEFAULT_KV_PORT = 6380
 #: the replication plane listens one port above the client plane
-REPL_PORT_OFFSET = 1
+REPL_PORT = DEFAULT_KV_PORT + 1
+
+#: replication log geometry: one ring per upstream link
+SLOT_SIZE = 512
+N_SLOTS = 32
+#: how often a consumer polls its own ring for a landed record
+RING_POLL_NS = 2_000
+#: heartbeat period, and how long a silent peer keeps its lease
+HB_INTERVAL_NS = 20_000
+LEASE_NS = 150_000
+#: how often the head re-reads its commit cell, and how long a client
+#: write may wait on the tail before the head gives up on it
+COMMIT_POLL_NS = 3_000
+COMMIT_TIMEOUT_NS = 1_000_000
+#: an idle client connection is closed after this long
+IDLE_TIMEOUT_NS = 2_000_000
 
 _U64 = struct.Struct("!Q")
 #: replication log entry: chain-local seq, key, value
@@ -210,15 +227,7 @@ class ReplicaNode:
     """One host of the replicated tier: engine, client plane, repl plane."""
 
     def __init__(self, world, name: str, directory: ClusterDirectory,
-                 cm: RdmaCm, rng: Optional[Rng] = None,
-                 port: int = DEFAULT_KV_PORT,
-                 slot_size: int = 512, n_slots: int = 32,
-                 ring_poll_ns: int = 2_000,
-                 hb_interval_ns: int = 20_000,
-                 lease_ns: int = 150_000,
-                 commit_poll_ns: int = 3_000,
-                 commit_timeout_ns: int = 1_000_000,
-                 idle_timeout_ns: int = 2_000_000):
+                 cm: RdmaCm, rng: Optional[Rng] = None):
         self.world = world
         self.sim = world.sim
         self.name = name
@@ -232,16 +241,6 @@ class ReplicaNode:
         self.mm = self.host.mm
         self.engine = KvEngine(self.host, name="%s.kv" % name)
         self.codec = LegacyKvCodec()
-        self.port = port
-        self.repl_port = port + REPL_PORT_OFFSET
-        self.slot_size = slot_size
-        self.n_slots = n_slots
-        self.ring_poll_ns = ring_poll_ns
-        self.hb_interval_ns = hb_interval_ns
-        self.lease_ns = lease_ns
-        self.commit_poll_ns = commit_poll_ns
-        self.commit_timeout_ns = commit_timeout_ns
-        self.idle_timeout_ns = idle_timeout_ns
         self.counters = self.host.tracer.scope(name)
         self.chains: Dict[int, _Chain] = {}
         self.crashed = False
@@ -390,8 +389,7 @@ class ReplicaNode:
     def _connect_down(self, chain: _Chain, peer: str) -> Generator:
         """One sync attempt: connect, exchange SYNC, build the producer."""
         qp = yield from self.cm.connect(
-            self.nic, self.directory.addr_of(peer),
-            self.port + REPL_PORT_OFFSET)
+            self.nic, self.directory.addr_of(peer), REPL_PORT)
         commit_cell = self.mm.alloc(8)
         commit_cell.write(0, _U64.pack(0))
         hb_cell = self.mm.alloc(8)
@@ -462,11 +460,11 @@ class ReplicaNode:
             (committed,) = _U64.unpack(link.commit_cell.read(0, 8))
             if committed > chain.committed:
                 self._advance_commit(chain, committed)
-            yield self.sim.timeout(self.commit_poll_ns)
+            yield self.sim.timeout(COMMIT_POLL_NS)
 
     # -- upstream link (predecessor produces into our arena) ----------------
     def _repl_acceptor(self) -> Generator:
-        self._repl_listener = self.cm.listen(self.nic, self.repl_port)
+        self._repl_listener = self.cm.listen(self.nic, REPL_PORT)
         while True:
             try:
                 qp = yield from self._repl_listener.accept()
@@ -492,15 +490,14 @@ class ReplicaNode:
             return
         if chain.up is not None:
             self._teardown_up(chain)
-        probe = RemoteRing(0, self.slot_size, self.n_slots)
+        probe = RemoteRing(0, SLOT_SIZE, N_SLOTS)
         arena = self.mm.alloc(probe.total_bytes)
         arena.write(0, bytes(probe.total_bytes))
-        ring = RemoteRing(arena.addr, self.slot_size, self.n_slots)
+        ring = RemoteRing(arena.addr, SLOT_SIZE, N_SLOTS)
         hb_cell = self.mm.alloc(8)
         hb_cell.write(0, _U64.pack(0))
-        qp.post_send(_SYNC_RESP.pack(ring.base_addr, self.slot_size,
-                                     self.n_slots, chain.applied,
-                                     hb_cell.addr))
+        qp.post_send(_SYNC_RESP.pack(ring.base_addr, SLOT_SIZE, N_SLOTS,
+                                     chain.applied, hb_cell.addr))
         cqe = yield from qp.wait_send_completion()
         if cqe["status"] != "ok":
             qp.destroy()
@@ -508,7 +505,7 @@ class ReplicaNode:
             self.mm.free(hb_cell)
             return
         consumer = LocalRingConsumer(self.host, ring,
-                                     poll_interval_ns=self.ring_poll_ns)
+                                     poll_interval_ns=RING_POLL_NS)
         link = _UpLink(peer, qp, ring, arena, consumer, commit_addr,
                        hb_addr, hb_cell)
         chain.up = link
@@ -577,7 +574,7 @@ class ReplicaNode:
                 beat += 1
                 yield from ops.write(peer_hb_addr, _U64.pack(beat))
                 self.counters.count(names.REPL_HEARTBEATS)
-                yield self.sim.timeout(self.hb_interval_ns)
+                yield self.sim.timeout(HB_INTERVAL_NS)
         except (DemiError, QpError):
             self.counters.count(names.REPL_LINK_FAULTS)
             self._suspect(link.peer)
@@ -586,7 +583,7 @@ class ReplicaNode:
         """Declares the peer dead if its heartbeats stop advancing."""
         last = None
         while True:
-            yield self.sim.timeout(self.lease_ns)
+            yield self.sim.timeout(LEASE_NS)
             beat = hb_cell.read(0, 8)
             if beat == last:
                 self.counters.count(names.REPL_LEASE_EXPIRIES)
@@ -613,21 +610,21 @@ class ReplicaNode:
             chain.commit_wq.pulse()
 
     def _wait_committed(self, chain: _Chain, seq: int) -> Generator:
-        deadline = self.sim.now + self.commit_timeout_ns
+        deadline = self.sim.now + COMMIT_TIMEOUT_NS
         while chain.committed < seq:
             if self.crashed or self.sim.now >= deadline:
                 return False
             remaining = deadline - self.sim.now
             yield any_of(self.sim, [
                 chain.commit_wq.wait(),
-                self.sim.timeout(min(self.commit_poll_ns * 4, remaining))])
+                self.sim.timeout(min(COMMIT_POLL_NS * 4, remaining))])
         return True
 
     # -- the client plane ----------------------------------------------------
     def _client_plane(self) -> Generator:
         libos = self.libos
         listen_qd = yield from libos.socket()
-        yield from libos.bind(listen_qd, self.port)
+        yield from libos.bind(listen_qd, DEFAULT_KV_PORT)
         yield from libos.listen(listen_qd)
         while True:
             qd = yield from libos.accept(listen_qd)
@@ -639,20 +636,27 @@ class ReplicaNode:
             token = libos.pop(qd)
             try:
                 _index, result = yield from libos.wait_any(
-                    [token], timeout_ns=self.idle_timeout_ns)
+                    [token], timeout_ns=IDLE_TIMEOUT_NS)
             except DemiTimeout:
                 libos.cancel(token)
                 break
             if result.error is not None:
                 break
-            yield from self._serve_request(qd, result.sga.tobytes())
+            parsed = yield from self._serve_request(qd, result.sga.tobytes())
+            if not parsed:
+                break
         yield from libos.close(qd)
 
     def _serve_request(self, qd: int, request: bytes) -> Generator:
+        """Serve one request; False if it did not parse (close the conn)."""
         libos = self.libos
         codec = self.codec
         yield libos.core.busy(self.engine.parse_cost())
-        req = codec.decode_message(request)
+        try:
+            req = codec.decode_message(request)
+        except CodecError:
+            libos.count(names.KV_MALFORMED_REQUESTS)
+            return False
         chain_id = self.directory.chain_for_key(req.key)
         chain = self.chains.get(chain_id)
         reply: Optional[bytes] = None
@@ -677,3 +681,4 @@ class ReplicaNode:
             self.counters.count(names.REPL_REDIRECTS)
             reply = bytes([STATUS_MOVED])
         yield from libos.blocking_push(qd, libos.sga_alloc(reply))
+        return True

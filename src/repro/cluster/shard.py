@@ -167,11 +167,11 @@ class ShardedKvServer:
     def metrics_row(self, elapsed_ns: int, tracer) -> dict:
         """One scaling-bench row's worth of server-side accounting.
 
-        Everything the ``kv_scaling`` document schema requires from the
-        server (docs/api.md): request totals, the wake-one counters that
-        must stay zero, the qtoken identity, and the batched-fast-path
-        cost columns.  The bench runner adds the client-side latency
-        numbers on top.
+        Everything the ``kv-scaling`` workload records from the server
+        (docs/api.md): request totals, the wake-one counters that must
+        stay zero, the qtoken identity, and the batched-fast-path cost
+        columns.  The workload adds the client-side latency numbers on
+        top.
         """
         requests = self.requests_served
         wait_timeouts = doorbells = doorbells_saved = 0
@@ -197,7 +197,7 @@ class ShardedKvServer:
             "misrouted_requests": self.misrouted,
             "wait_timeouts": wait_timeouts,
             "qtoken_identity_ok": self.qtoken_identity_ok(),
-            # -- batched fast-path accounting (schema v2) ----------------
+            # -- batched fast-path accounting ----------------------------
             "per_op_server_cpu_ns": round(server_busy_ns / max(1, requests),
                                           1),
             "doorbells": doorbells,

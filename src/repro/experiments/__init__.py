@@ -2,7 +2,8 @@
 
 The kv-scaling sweep, the golden chaos battery, and the claim-suite
 RTT benches used to be three hand-rolled drivers with three output
-shapes.  This package replaces them with one pipeline::
+shapes.  This package is the one pipeline that replaced them, and the
+only producer of a ``BENCH_*.json``::
 
     spec (JSON) -> Matrix.expand() -> Runner -> trajectory document
                                                   |
@@ -12,13 +13,15 @@ shapes.  This package replaces them with one pipeline::
   libos, cores, fault_plan, seed, params; JSON round-trippable, with a
   content-addressed ``run_id``), :class:`Matrix` axis expansion, and
   the ``experiments/*.json`` batch loader;
-* :mod:`~repro.experiments.workloads` - the registry adapting existing
-  runners (chaos scenarios, sharded scaling bench, RTT benches) to the
-  uniform validate/run contract;
+* :mod:`~repro.experiments.workloads` - the registry: each workload
+  (chaos scenarios, sharded scaling bench, RTT benches, offload and SLO
+  sweeps) is one schema-declared ``run`` behind the uniform
+  validate/run contract;
 * :mod:`~repro.experiments.runner` - :class:`Runner` fan-out over host
   processes, typed :class:`RunResult` rows, resumable batches;
-* :mod:`~repro.experiments.schema` - per-bench document validation
-  (structural keys + budgets + monotonicity);
+* :mod:`~repro.experiments.schema` - validation of the one document
+  kind, ``experiment`` (structural keys + budgets + monotonicity +
+  reductions);
 * :mod:`~repro.experiments.store` - fsync-and-rename persistence so an
   interrupted run can never truncate a committed baseline.
 

@@ -1,59 +1,34 @@
 """Schema + budget + monotonicity gates for persisted bench documents.
 
 ``BENCH_*.json`` files hold either one *document* or a *trajectory* - a
-JSON list of documents accumulated with ``--append``.  Every document
-names its schema via ``"bench"`` and is validated by the registered
-checker for that name:
+JSON list of documents, one appended per ``repro exp run``.  There is
+one document kind, ``"bench": "experiment"``, produced by
+:mod:`repro.experiments.runner`.  Its checker requires the structural
+keys plus: every run finished ``ok`` with no invariant failures, no
+duplicate ``run_id``, the document's declared ``params.budgets`` hold
+for every row's metrics, each ``params.monotonic`` group is strictly
+increasing, and every ``params.reductions`` rule holds (a *baseline*
+metric must exceed a *metric* by at least ``min_factor`` - how offload
+wins are gated).  What a sweep must satisfy is therefore data in its
+spec file, not code here.
 
-* ``kv_scaling`` - the sharded scaling sweep.  Structural keys plus
-  the pinned claims:
-  strictly increasing throughput, zero wasted/cross wake-ups, qtoken
-  identity, and the per-op CPU budget with amortized setup allowance.
-* ``experiment`` - a trajectory produced by :mod:`repro.experiments.
-  runner`.  Structural keys plus: every run finished ``ok`` with no
-  invariant failures, no duplicate ``run_id``, the document's declared
-  ``params.budgets`` hold for every row's metrics, each
-  ``params.monotonic`` group is strictly increasing, and every
-  ``params.reductions`` rule holds (a *baseline* metric must exceed a
-  *metric* by at least ``min_factor`` - how offload wins are gated).
-
-Checkers return a list of human-readable violations (empty = valid);
-:func:`check_payload` applies the right checker per document and
-prefixes trajectory entries with ``doc[i]:``.
+The checker returns a list of human-readable violations (empty =
+valid); :func:`check_payload` applies it per document and prefixes
+trajectory entries with ``doc[i]:``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "KV_SCALING_ROW_KEYS",
-    "KV_SCALING_V2_ROW_KEYS",
     "EXPERIMENT_ROW_KEYS",
-    "check_kv_scaling_document",
-    "check_experiment_document",
     "check_document",
     "check_payload",
     "summarize",
     "validate_file",
-    "register_schema",
 ]
-
-#: every kv_scaling row must carry these keys (docs/api.md, schema v1)
-KV_SCALING_ROW_KEYS = (
-    "cores", "requests", "elapsed_ns", "throughput_ops_per_s",
-    "rtt_mean_ns", "rtt_p99_ns", "per_shard_requests",
-    "per_core_utilization", "wakeups", "wasted_wakeups",
-    "cross_shard_wakeups", "misrouted_requests", "wait_timeouts",
-    "qtoken_identity_ok",
-)
-
-#: kv_scaling schema_version 2 adds the batched fast path's cost columns
-KV_SCALING_V2_ROW_KEYS = (
-    "per_op_server_cpu_ns", "doorbells", "doorbells_saved",
-    "requests_per_wakeup",
-)
 
 #: every experiment-trajectory row must carry these keys
 EXPERIMENT_ROW_KEYS = (
@@ -62,91 +37,7 @@ EXPERIMENT_ROW_KEYS = (
 )
 
 
-# -- kv_scaling ------------------------------------------------------------
-def check_kv_scaling_document(doc: object) -> List[str]:
-    """All violations in a ``kv_scaling`` document (empty list = valid)."""
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("bench") != "kv_scaling":
-        errors.append("bench is %r, expected 'kv_scaling'" % doc.get("bench"))
-    version = doc.get("schema_version")
-    if version not in (1, 2):
-        errors.append("schema_version is %r, expected 1 or 2" % version)
-        return errors
-    required = (KV_SCALING_ROW_KEYS + KV_SCALING_V2_ROW_KEYS
-                if version == 2 else KV_SCALING_ROW_KEYS)
-    budget = None
-    setup_allowance = 0
-    if version == 2:
-        params = doc.get("params")
-        if not isinstance(params, dict) or "per_op_budget_ns" not in params:
-            errors.append("schema v2 params missing per_op_budget_ns")
-        else:
-            budget = params["per_op_budget_ns"]
-            if not isinstance(budget, (int, float)) or budget <= 0:
-                errors.append("per_op_budget_ns is %r, expected a positive "
-                              "number" % (budget,))
-                budget = None
-            allowance = params.get("per_op_setup_allowance_ns", 0)
-            if not isinstance(allowance, (int, float)) or allowance < 0:
-                errors.append("per_op_setup_allowance_ns is %r, expected a "
-                              "non-negative number" % (allowance,))
-            else:
-                setup_allowance = allowance
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        errors.append("rows missing or empty")
-        return errors
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            errors.append("rows[%d] is not an object" % i)
-            continue
-        missing = [k for k in required if k not in row]
-        if missing:
-            errors.append("rows[%d] missing keys: %s"
-                          % (i, ", ".join(missing)))
-            continue
-        if row["wasted_wakeups"] != 0:
-            errors.append("rows[%d] (cores=%s): %d wasted wake-ups"
-                          % (i, row["cores"], row["wasted_wakeups"]))
-        if row["cross_shard_wakeups"] != 0:
-            errors.append("rows[%d] (cores=%s): %d cross-shard wake-ups"
-                          % (i, row["cores"], row["cross_shard_wakeups"]))
-        if row["misrouted_requests"] != 0:
-            errors.append("rows[%d] (cores=%s): %d misrouted requests"
-                          % (i, row["cores"], row["misrouted_requests"]))
-        if row["qtoken_identity_ok"] is not True:
-            errors.append("rows[%d] (cores=%s): qtoken identity violated"
-                          % (i, row["cores"]))
-        if budget is not None:
-            # Each shard pays a fixed connection-setup cost; short runs
-            # cannot amortize it, so the gate is on marginal per-op work.
-            limit = budget + (setup_allowance * row["cores"]
-                              / max(1, row["requests"]))
-            if row["per_op_server_cpu_ns"] > limit:
-                errors.append(
-                    "rows[%d] (cores=%s): per-op server CPU %.0f ns "
-                    "exceeds the %.0f ns budget (%.0f ns + amortized "
-                    "setup allowance)"
-                    % (i, row["cores"], row["per_op_server_cpu_ns"],
-                       limit, budget))
-    good = [r for r in rows if isinstance(r, dict)
-            and all(k in r for k in required)]
-    for prev, cur in zip(good, good[1:]):
-        if cur["cores"] <= prev["cores"]:
-            errors.append("rows not ordered by cores (%s after %s)"
-                          % (cur["cores"], prev["cores"]))
-        if cur["throughput_ops_per_s"] <= prev["throughput_ops_per_s"]:
-            errors.append(
-                "throughput not strictly increasing: %.0f ops/s at "
-                "%s cores vs %.0f ops/s at %s cores"
-                % (cur["throughput_ops_per_s"], cur["cores"],
-                   prev["throughput_ops_per_s"], prev["cores"]))
-    return errors
-
-
-# -- experiment trajectories -----------------------------------------------
+# -- one document ---------------------------------------------------------
 def _budget_limits(spec: object) -> Optional[Tuple[Optional[float],
                                                    Optional[float]]]:
     """Normalize a budget entry to ``(min, max)``; None = malformed."""
@@ -170,13 +61,13 @@ def _metric_value(row: Mapping[str, Any], name: str):
     return row.get(name)
 
 
-def check_experiment_document(doc: object) -> List[str]:
+def check_document(doc: object) -> List[str]:
     """All violations in an ``experiment`` document (empty list = valid)."""
     errors: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
     if doc.get("bench") != "experiment":
-        errors.append("bench is %r, expected 'experiment'" % doc.get("bench"))
+        return ["unknown bench %r (have: experiment)" % doc.get("bench")]
     if doc.get("schema_version") != 1:
         errors.append("schema_version is %r, expected 1"
                       % doc.get("schema_version"))
@@ -360,43 +251,17 @@ def _check_monotonic(rows: List[dict], rule: object, index: int) -> List[str]:
     return errors
 
 
-# -- dispatch --------------------------------------------------------------
-_SCHEMAS: Dict[str, Callable[[object], List[str]]] = {
-    "kv_scaling": check_kv_scaling_document,
-    "experiment": check_experiment_document,
-}
-
-
-def register_schema(bench: str,
-                    checker: Callable[[object], List[str]]) -> None:
-    """Register a checker for a new ``"bench"`` document kind."""
-    _SCHEMAS[bench] = checker
-
-
-def check_document(doc: object) -> List[str]:
-    """Validate one document with the checker its ``bench`` field names."""
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    bench = doc.get("bench")
-    checker = _SCHEMAS.get(bench)
-    if checker is None:
-        return ["unknown bench %r (have: %s)"
-                % (bench, ", ".join(sorted(_SCHEMAS)))]
-    return checker(doc)
-
-
-def check_payload(payload: object,
-                  check: Callable[[object], List[str]] = check_document
-                  ) -> List[str]:
+# -- trajectories ----------------------------------------------------------
+def check_payload(payload: object) -> List[str]:
     """Validate one document or a trajectory (list of documents)."""
     if isinstance(payload, list):
         if not payload:
             return ["trajectory is empty"]
         errors: List[str] = []
         for i, doc in enumerate(payload):
-            errors.extend("doc[%d]: %s" % (i, e) for e in check(doc))
+            errors.extend("doc[%d]: %s" % (i, e) for e in check_document(doc))
         return errors
-    return check(payload)
+    return check_document(payload)
 
 
 def summarize(payload: object, path: str) -> str:
@@ -406,11 +271,6 @@ def summarize(payload: object, path: str) -> str:
     rows = last.get("rows", [])
     label = ("%d documents, latest " % len(docs)
              if isinstance(payload, list) else "")
-    if last.get("bench") == "kv_scaling":
-        return ("%s ok (%s%d rows, cores %s, peak %.0f ops/s)"
-                % (path, label, len(rows),
-                   "/".join(str(r["cores"]) for r in rows),
-                   rows[-1]["throughput_ops_per_s"]))
     ok = sum(1 for r in rows if isinstance(r, dict) and r.get("ok") is True)
     return ("%s ok (%s%d rows, %d/%d runs ok, bench=%s)"
             % (path, label, len(rows), ok, len(rows), last.get("bench")))

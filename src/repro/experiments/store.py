@@ -7,8 +7,8 @@ broken build for everyone downstream.  All writes therefore go through
 directory*, ``flush`` + ``fsync`` it, then ``os.replace`` over the
 target and fsync the directory entry.  An interruption at any point
 leaves either the old complete file or the new complete file - never a
-truncated hybrid - which is exactly the guarantee ``repro bench
---append`` used to lack (it rewrote the file in place).
+truncated hybrid.  ``repro exp run`` appends through
+:func:`append_document`; nothing else writes a ``BENCH_*.json``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The workload registry: every experiment names one of these.
 
-A workload adapts an existing runner (the chaos scenarios, the sharded
-scaling bench, the claim-suite RTT benches) to the uniform experiment
-contract:
+A workload is one measurement (a chaos scenario through the scenario
+driver, the sharded scaling bench, the claim-suite RTT benches) behind
+the uniform experiment contract:
 
 * ``validate(spec)`` - ``None`` if the spec is runnable, else a reason
   string (used by :meth:`Matrix.expand` to reject or skip invalid
@@ -18,20 +18,42 @@ concurrent closed-loop *client sessions* for ``kv`` (any network
 libOS).  ``params.counters`` (a list of leaf names) merges a
 :func:`repro.telemetry.counter_rollup` slice of the run's counters
 into the metrics for workloads that expose them.
+
+Every ``run`` reads its parameters through :func:`spec_params`, which
+lays ``spec.params`` over the schema's defaults at read time.  The
+defaults are written once, in the schema, and never into the spec - a
+spec that omits a param and one that spells its default out are
+different specs with different ``run_id`` s, as they always were.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from ..apps.echo import (demi_echo_client, demi_echo_server,
+                         mtcp_echo_client, mtcp_echo_server,
+                         posix_echo_client, posix_echo_server)
+from ..apps.kvstore import (OP_GET, OP_PUT, KvEngine, KvNicOffload,
+                            UdpKvServer, demi_kv_client, posix_kv_client,
+                            posix_kv_server)
+from ..apps.proto import CODECS, KvEngineStore, LegacyKvCodec, ProtoServer
+from ..bench.loadgen import LoadConfig, slo_sweep
+from ..cluster import shard_workload, src_port_for_queue
+from ..sim.rand import Rng
+from ..sim.trace import LatencyStats
 from ..telemetry import counter_rollup
+from ..testbed import (make_dpdk_libos_pair, make_kernel_pair,
+                       make_mtcp_pair, make_posix_libos_pair,
+                       make_rdma_libos_pair, make_sharded_kv_world,
+                       make_spdk_libos)
 from .spec import ExperimentSpec
 
 __all__ = ["WORKLOADS", "register_workload", "workload_names",
-           "validate_spec", "run_spec", "check_params", "schema_summary"]
+           "validate_spec", "run_spec", "spec_params", "check_params",
+           "schema_summary"]
 
 #: name -> {"validate": spec -> Optional[str], "run": spec -> dict,
-#:          "blurb": str, "schema": Optional[dict]}
+#:          "blurb": str, "schema": dict}
 WORKLOADS: Dict[str, Dict[str, Any]] = {}
 
 #: schema "type" -> accepted Python types (bool is NOT an int here)
@@ -45,13 +67,9 @@ _SCHEMA_TYPES: Dict[str, tuple] = {
 }
 
 
-def register_workload(name: str, validate: Optional[Callable] = None,
-                      run: Optional[Callable] = None, blurb: str = "",
-                      schema: Optional[Dict[str, Dict[str, Any]]] = None,
-                      replace: bool = False):
-    """Register a workload; decorator or direct call.
-
-    Decorator form (the idiom - the decorated function is ``run``)::
+def register_workload(name: str, *, schema: Dict[str, Dict[str, Any]],
+                      validate: Optional[Callable] = None, blurb: str = ""):
+    """Register the decorated function as workload *name*'s ``run``::
 
         @register_workload("my-bench", validate=_my_validate,
                            blurb="...", schema={
@@ -60,26 +78,21 @@ def register_workload(name: str, validate: Optional[Callable] = None,
         def _my_run(spec): ...
 
     *schema* declares the accepted ``spec.params`` keys: ``{name:
-    {"type": ..., "default": ...}}`` with type one of %s.  When present,
+    {"type": ..., "default": ...}}`` with type one of %s.
     :func:`validate_spec` rejects unknown params and type mismatches
-    before the workload's own ``validate`` runs, and ``repro exp list``
-    prints the schema - no more silently-ignored typos in spec files.
-    A workload registered without a schema accepts anything (legacy).
-
-    The three-positional-argument call ``register_workload(name,
-    validate, run)`` still works for callers that predate the
-    decorator.
+    before the workload's own ``validate`` runs, :func:`spec_params`
+    fills the defaults in for ``run``, and ``repro exp list`` prints the
+    schema - no silently-ignored typos in spec files.
     """ % ", ".join(sorted(_SCHEMA_TYPES))
-    if schema is not None:
-        for key, entry in schema.items():
-            if entry.get("type") not in _SCHEMA_TYPES:
-                raise ValueError(
-                    "schema for %r param %r: unknown type %r (have: %s)"
-                    % (name, key, entry.get("type"),
-                       ", ".join(sorted(_SCHEMA_TYPES))))
+    for key, entry in schema.items():
+        if entry.get("type") not in _SCHEMA_TYPES:
+            raise ValueError(
+                "schema for %r param %r: unknown type %r (have: %s)"
+                % (name, key, entry.get("type"),
+                   ", ".join(sorted(_SCHEMA_TYPES))))
 
     def _install(run_fn: Callable) -> Callable:
-        if name in WORKLOADS and not replace:
+        if name in WORKLOADS:
             raise ValueError("workload %r already registered" % name)
         WORKLOADS[name] = {
             "validate": validate or (lambda spec: None),
@@ -89,9 +102,6 @@ def register_workload(name: str, validate: Optional[Callable] = None,
         }
         return run_fn
 
-    if run is not None:
-        _install(run)
-        return None
     return _install
 
 
@@ -117,10 +127,8 @@ def check_params(params: Dict[str, Any],
     return None
 
 
-def schema_summary(schema: Optional[Dict[str, Dict[str, Any]]]) -> str:
+def schema_summary(schema: Dict[str, Dict[str, Any]]) -> str:
     """One-line ``name:type=default`` rendering for ``repro exp list``."""
-    if schema is None:
-        return "(any params)"
     if not schema:
         return "(no params)"
     parts = []
@@ -139,11 +147,8 @@ def validate_spec(spec: ExperimentSpec) -> Optional[str]:
     if entry is None:
         return ("unknown workload %r (have: %s)"
                 % (spec.workload, ", ".join(workload_names())))
-    if entry.get("schema") is not None:
-        reason = check_params(spec.params, entry["schema"])
-        if reason is not None:
-            return reason
-    reason = entry["validate"](spec)
+    reason = (check_params(spec.params, entry["schema"])
+              or entry["validate"](spec))
     if reason is not None:
         return reason
     # Plan resolution failures (unknown name, malformed inline dict)
@@ -163,14 +168,23 @@ def run_spec(spec: ExperimentSpec) -> Dict[str, Any]:
     return WORKLOADS[spec.workload]["run"](spec)
 
 
+def spec_params(spec: ExperimentSpec) -> Dict[str, Any]:
+    """``spec.params`` laid over the workload schema's defaults."""
+    params = {key: entry["default"]
+              for key, entry in WORKLOADS[spec.workload]["schema"].items()
+              if "default" in entry}
+    params.update(spec.params)
+    return params
+
+
 def _numeric_data(data: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in data.items()
             if isinstance(v, (int, float)) and not isinstance(v, bool)}
 
 
 def _merge_counters(metrics: Dict[str, Any], counters,
-                    spec: ExperimentSpec) -> None:
-    leaves = spec.params.get("counters", ())
+                    params: Dict[str, Any]) -> None:
+    leaves = params.get("counters", ())
     if leaves:
         metrics.update(counter_rollup(counters, leaves=tuple(leaves)))
 
@@ -199,14 +213,15 @@ def _kv_validate(spec: ExperimentSpec) -> Optional[str]:
 def _kv_run(spec: ExperimentSpec) -> Dict[str, Any]:
     from ..testing.scenarios import run_scenario
 
-    params = {k: v for k, v in spec.params.items() if k != "counters"}
+    params = spec_params(spec)
     result = run_scenario("kv-concurrent", spec.libos,
                           plan=spec.resolve_plan(), n_clients=spec.cores,
-                          **params)
+                          **{k: v for k, v in params.items()
+                             if k != "counters"})
     metrics = _numeric_data(result.data)
     metrics["requests"] = metrics.pop("served")  # the trajectory's column
     metrics["signature"] = result.signature
-    _merge_counters(metrics, result.counters, spec)
+    _merge_counters(metrics, result.counters, params)
     return {"metrics": metrics, "ok": result.ok, "failures": result.failures}
 
 
@@ -222,22 +237,16 @@ def _chaos_scenario(spec: ExperimentSpec) -> Optional[str]:
 
 
 def _chaos_validate(spec: ExperimentSpec) -> Optional[str]:
-    from ..testing.scenarios import GOLDEN_SCENARIOS
+    from ..testing.scenarios import scenario_problem
 
     scenario = _chaos_scenario(spec)
     if scenario is None:
         return ("'chaos' needs params.scenario or a golden-scenario "
                 "fault_plan name")
-    if scenario not in GOLDEN_SCENARIOS:
-        return ("unknown scenario %r (have: %s)"
-                % (scenario, ", ".join(sorted(GOLDEN_SCENARIOS))))
-    kinds = GOLDEN_SCENARIOS[scenario]["kinds"]
-    if spec.libos not in kinds:
-        return ("scenario %r does not run on %r (only %s)"
-                % (scenario, spec.libos, ", ".join(kinds)))
-    if spec.cores != 1:
-        return "'chaos' scenarios are single-core (cores must be 1)"
-    return None
+    reason = scenario_problem(scenario, spec.libos)
+    if reason is None and spec.cores != 1:
+        reason = "'chaos' scenarios are single-core (cores must be 1)"
+    return reason
 
 
 @register_workload(
@@ -250,13 +259,15 @@ def _chaos_validate(spec: ExperimentSpec) -> Optional[str]:
         "counters": {"type": "list"},
     })
 def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    from ..testing.scenarios import plan_by_name, run_scenario
+    from ..testing.scenarios import (GOLDEN_SCENARIOS, plan_by_name,
+                                     run_scenario)
 
+    params = spec_params(spec)
     scenario = _chaos_scenario(spec)
-    # fault_plan "none" on a chaos run means "the scenario's golden
-    # plan at this spec's seed" - a chaos scenario without its faults
-    # would not exercise anything.
-    if spec.fault_plan == "none":
+    # fault_plan "none" on a golden scenario means "its golden plan at
+    # this spec's seed" - a chaos scenario without its faults would not
+    # exercise anything.
+    if spec.fault_plan == "none" and scenario in GOLDEN_SCENARIOS:
         plan = plan_by_name(scenario, kind=spec.libos, seed=spec.seed)
     else:
         plan = spec.resolve_plan()
@@ -264,17 +275,22 @@ def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
     failures = list(result.failures)
     metrics = _numeric_data(result.data)
     metrics["signature"] = result.signature
-    if spec.params.get("check_reproducible", True):
+    if params["check_reproducible"]:
         second = run_scenario(scenario, spec.libos, plan=plan)
         metrics["replayed"] = 1
         if second.signature != result.signature:
             failures.append("non-deterministic: replay signature %s != %s"
                             % (second.signature, result.signature))
-    _merge_counters(metrics, result.counters, spec)
+    _merge_counters(metrics, result.counters, params)
     return {"metrics": metrics, "ok": not failures, "failures": failures}
 
 
 # -- kv-scaling: the sharded throughput sweep (one row per run) ------------
+#: closed-loop samples dropped per client before latency statistics:
+#: every client's first ops pay ARP resolution and the TCP connect
+WARMUP = 3
+
+
 def _kv_scaling_validate(spec: ExperimentSpec) -> Optional[str]:
     if spec.libos != "dpdk":
         return "'kv-scaling' shards ride RSS: dpdk only"
@@ -294,15 +310,51 @@ def _kv_scaling_validate(spec: ExperimentSpec) -> Optional[str]:
         "get_fraction": {"type": "number", "default": 0.9},
     })
 def _kv_scaling_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    from ..bench.runners import kv_rtt_sharded
+    """Closed-loop sharded KV run: one steered client per shard.
 
-    params = spec.params
-    row = kv_rtt_sharded(spec.cores,
-                         n_ops=params.get("n_ops", 200),
-                         n_keys=params.get("n_keys", 32),
-                         value_size=params.get("value_size", 256),
-                         get_fraction=params.get("get_fraction", 0.9),
-                         seed=spec.seed)
+    Every client pins its flow to its shard's RX queue and draws only
+    that shard's keys, so the run also *measures* the wake-one claim:
+    the row carries the wasted/cross wake-up totals (both must be zero)
+    alongside throughput and per-core utilization.  Offered load scales
+    with the shard count, so shared-nothing scaling shows as strictly
+    increasing throughput across a ``cores`` axis - any flattening would
+    mean cross-core serialization the architecture claims not to have.
+    """
+    params = spec_params(spec)
+    n_shards = spec.cores
+    w, server, clients = make_sharded_kv_world(
+        n_shards, seed=spec.seed,
+        server_kwargs={"codec_factory": LegacyKvCodec})
+    server.start()
+    rng = Rng(spec.seed).fork_named("kv-scaling")
+    # Warmup is per *client*, so each one records into its own stats and
+    # is trimmed individually - a global trim would leave n_shards-3
+    # cold-start samples in the mean.
+    per_client = [LatencyStats("kv-rtt-shard%d" % i)
+                  for i in range(n_shards)]
+    procs = []
+    for i, client in enumerate(clients):
+        ops = shard_workload(rng.fork(i), params["n_ops"], i, n_shards,
+                             n_keys=params["n_keys"],
+                             value_size=params["value_size"],
+                             get_fraction=params["get_fraction"])
+        procs.append(w.sim.spawn(
+            demi_kv_client(client, server.ip, ops, port=server.port,
+                           stats=per_client[i],
+                           src_port=src_port_for_queue(
+                               client.ip, server.ip, i, n_shards,
+                               server.port)),
+            name="bench.client%d" % i))
+    for proc in procs:
+        w.sim.run_until_complete(proc, limit=10**13)
+    # The row is the run: read it before stop() wakes every dispatcher.
+    row = server.metrics_row(w.sim.now, w.tracer)
+    server.stop()
+    stats = LatencyStats("kv-rtt-sharded")
+    for client_stats in per_client:
+        stats.extend(client_stats.samples[WARMUP:])
+    row["rtt_mean_ns"] = stats.mean
+    row["rtt_p99_ns"] = stats.p99
     failures: List[str] = []
     if row["wasted_wakeups"] != 0:
         failures.append("%d wasted wake-ups" % row["wasted_wakeups"])
@@ -313,12 +365,32 @@ def _kv_scaling_run(spec: ExperimentSpec) -> Dict[str, Any]:
         failures.append("%d misrouted requests" % row["misrouted_requests"])
     if row["qtoken_identity_ok"] is not True:
         failures.append("qtoken identity violated")
-    return {"metrics": dict(row), "ok": not failures, "failures": failures}
+    return {"metrics": row, "ok": not failures, "failures": failures}
 
 
 # -- echo-rtt / kv-rtt: the claim-suite latency benches --------------------
-_ECHO_FLAVORS = ("posix", "mtcp", "posix-libos", "dpdk", "rdma")
+#: flavor -> (world maker, server, client, server address): ``posix`` is
+#: kernel sockets, ``mtcp`` a user stack behind POSIX semantics, the rest
+#: the Demikernel libOSes
+_ECHO_STACKS = {
+    "posix": (make_kernel_pair, posix_echo_server, posix_echo_client,
+              "10.0.0.2"),
+    "mtcp": (make_mtcp_pair, mtcp_echo_server, mtcp_echo_client,
+             "10.0.0.2"),
+    "posix-libos": (make_posix_libos_pair, demi_echo_server,
+                    demi_echo_client, "10.0.0.2"),
+    "dpdk": (make_dpdk_libos_pair, demi_echo_server, demi_echo_client,
+             "10.0.0.2"),
+    "rdma": (make_rdma_libos_pair, demi_echo_server, demi_echo_client,
+             "server-rdma"),
+}
 _KV_RTT_FLAVORS = ("posix", "dpdk")
+
+#: the kernel and mTCP counters that are bytes copied across a boundary
+_COPY_COUNTERS = tuple("%s.%s.bytes_copied_%s" % (side, layer, direction)
+                       for layer in ("kernel", "mtcp")
+                       for side in ("client", "server")
+                       for direction in ("tx", "rx"))
 
 
 def _rtt_validate(flavors, bench):
@@ -336,22 +408,39 @@ def _rtt_validate(flavors, bench):
 
 
 @register_workload(
-    "echo-rtt", validate=_rtt_validate(_ECHO_FLAVORS, "echo-rtt"),
+    "echo-rtt", validate=_rtt_validate(tuple(_ECHO_STACKS), "echo-rtt"),
     blurb="echo round-trip + per-request syscall/copy/interrupt costs",
     schema={
         "message_size": {"type": "int", "default": 64},
         "count": {"type": "int", "default": 20},
     })
 def _echo_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    from ..bench.runners import echo_rtt
-
-    params = spec.params
-    row = echo_rtt(spec.libos,
-                   message_size=params.get("message_size", 64),
-                   count=params.get("count", 20),
-                   seed=spec.seed)
-    metrics = _numeric_data(row)
-    ok = row["rtt_mean_ns"] > 0
+    params = spec_params(spec)
+    count = params["count"]
+    make_pair, echo_server, echo_client, addr = _ECHO_STACKS[spec.libos]
+    w, client, server = make_pair(seed=spec.seed)
+    w.sim.spawn(echo_server(server))
+    messages = [b"e" * params["message_size"]] * (count + WARMUP)
+    cp = w.sim.spawn(echo_client(client, addr, messages))
+    w.sim.run_until_complete(cp, limit=10**13)
+    stats = LatencyStats("echo-rtt")
+    stats.extend(cp.value[1].samples[WARMUP:])
+    counters = w.tracer
+    per_req = max(1, count)
+    metrics = {
+        "message_size": params["message_size"],
+        "rtt_mean_ns": stats.mean,
+        "rtt_p50_ns": stats.p50,
+        "rtt_p99_ns": stats.p99,
+        "syscalls_per_req": (counters.get("client.kernel.syscalls")
+                             + counters.get("server.kernel.syscalls")) / per_req,
+        "copies_bytes_per_req": sum(counters.get(name)
+                                    for name in _COPY_COUNTERS) / per_req,
+        "interrupts_per_req": (
+            counters.get("client.eth0.rx_interrupts")
+            + counters.get("server.eth0.rx_interrupts")) / per_req,
+    }
+    ok = metrics["rtt_mean_ns"] > 0
     return {"metrics": metrics, "ok": ok,
             "failures": [] if ok else ["no RTT samples recorded"]}
 
@@ -364,15 +453,35 @@ def _echo_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
         "n_gets": {"type": "int", "default": 20},
     })
 def _kv_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    from ..bench.runners import kv_rtt
-
-    params = spec.params
-    row = kv_rtt(spec.libos,
-                 value_size=params.get("value_size", 1024),
-                 n_gets=params.get("n_gets", 20),
-                 seed=spec.seed)
-    metrics = _numeric_data(row)
-    ok = row["get_rtt_mean_ns"] > 0
+    params = spec_params(spec)
+    ops = ([(OP_PUT, b"bench-key", b"v" * params["value_size"])]
+           + [(OP_GET, b"bench-key", None)] * (params["n_gets"] + WARMUP))
+    if spec.libos == "posix":
+        w, ka, kb = make_kernel_pair(seed=spec.seed)
+        w.sim.spawn(posix_kv_server(kb, KvEngine(kb.host),
+                                    max_requests=len(ops)))
+        cp = w.sim.spawn(posix_kv_client(ka, "10.0.0.2", ops))
+        w.sim.run_until_complete(cp, limit=10**13)
+        server_cpu = kb.host.cpus[0].busy_ns
+    else:
+        w, client, server_libos = make_dpdk_libos_pair(seed=spec.seed)
+        server = ProtoServer(server_libos, LegacyKvCodec,
+                             KvEngineStore(KvEngine(server_libos.host)),
+                             port=6379)
+        w.sim.spawn(server.start())
+        cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))
+        w.sim.run_until_complete(cp, limit=10**13)
+        server.stop()
+        server_cpu = server_libos.core.busy_ns
+    get_stats = LatencyStats("get")
+    get_stats.extend(cp.value[1].samples[1 + WARMUP:])  # skip the PUT + warmup
+    metrics = {
+        "value_size": params["value_size"],
+        "get_rtt_mean_ns": get_stats.mean,
+        "get_rtt_p99_ns": get_stats.p99,
+        "server_cpu_per_req_ns": server_cpu / len(ops),
+    }
+    ok = metrics["get_rtt_mean_ns"] > 0
     return {"metrics": metrics, "ok": ok,
             "failures": [] if ok else ["no GET samples recorded"]}
 
@@ -398,14 +507,9 @@ def _kv_offload_variant(spec: ExperimentSpec, with_program: bool):
     the only difference is whether :class:`KvNicOffload` is installed on
     the server NIC, so the host-CPU delta is exactly the offloaded work.
     """
-    from ..apps.kvstore import (OP_GET, OP_PUT, KvNicOffload, UdpKvServer,
-                                demi_kv_client)
-    from ..testbed import make_dpdk_libos_pair
-
-    params = spec.params
-    n_keys = params.get("n_keys", 20)
-    n_gets = params.get("n_gets", 200)
-    value_size = params.get("value_size", 64)
+    params = spec_params(spec)
+    n_keys = params["n_keys"]
+    n_gets = params["n_gets"]
     w, client, server = make_dpdk_libos_pair(with_offload=True,
                                              seed=spec.seed)
     srv = UdpKvServer(server, port=6379)
@@ -414,7 +518,7 @@ def _kv_offload_variant(spec: ExperimentSpec, with_program: bool):
         prog = KvNicOffload(server.nic, srv.engine, server.ip, port=6379)
         prog.install()
     w.sim.spawn(srv.run(), name="kv-offload.server")
-    value = b"v" * value_size
+    value = b"v" * params["value_size"]
     ops = ([(OP_PUT, b"key-%04d" % i, value) for i in range(n_keys)]
            + [(OP_GET, b"key-%04d" % (i % n_keys), None)
               for i in range(n_gets)]
@@ -498,10 +602,7 @@ def _kv_offload_run(spec: ExperimentSpec) -> Dict[str, Any]:
 # -- storelog-scan: on-device predicate scan vs the host read loop ---------
 def _storelog_scan_variant(spec: ExperimentSpec, on_device: bool):
     """Append+sync a log, then predicate-scan it; returns (row, matches)."""
-    from ..testbed import make_spdk_libos
-
-    params = spec.params
-    n_records = params.get("n_records", 400)
+    n_records = spec_params(spec)["n_records"]
     w, libos = make_spdk_libos(seed=spec.seed)
     records = [b"rec-%04d:%s" % (i, b"x" * (50 + i % 37))
                for i in range(n_records)]
@@ -578,15 +679,13 @@ def _storelog_scan_run(spec: ExperimentSpec) -> Dict[str, Any]:
 
 # -- proto-slo: open-loop SLO sweep against the protocol servers -----------
 def _proto_slo_validate(spec: ExperimentSpec) -> Optional[str]:
-    from ..apps.proto import CODECS
-
     if spec.libos not in ("dpdk", "posix"):
         return "'proto-slo' serves over dpdk or posix libOSes"
     if spec.cores > 1 and spec.libos != "dpdk":
         return "'proto-slo' sharded runs (cores > 1) are dpdk only"
     if spec.fault_plan != "none":
         return "'proto-slo' is a performance bench: fault_plan must be 'none'"
-    protocol = spec.params.get("protocol", "resp")
+    protocol = spec_params(spec)["protocol"]
     if protocol not in CODECS:
         return ("unknown protocol %r (have: %s)"
                 % (protocol, ", ".join(sorted(CODECS))))
@@ -621,25 +720,10 @@ def _proto_slo_run(spec: ExperimentSpec) -> Dict[str, Any]:
     in this one row rather than one spec per point - params cannot be
     matrix axes.
     """
-    from ..bench.loadgen import LoadConfig, slo_sweep
-
-    params = spec.params
-    cfg = LoadConfig(
-        protocol=params.get("protocol", "resp"),
-        duration_ms=params.get("duration_ms", 20),
-        n_connections=params.get("n_connections", 4),
-        pipeline_max=params.get("pipeline_max", 16),
-        n_keys=params.get("n_keys", 64),
-        value_size=params.get("value_size", 128),
-        get_fraction=params.get("get_fraction", 0.9),
-        zipf_skew=params.get("zipf_skew", 0.99),
-        churn_every=params.get("churn_every", 0),
-        stall_conns=params.get("stall_conns", 0),
-        stall_ns=params.get("stall_ns", 2_000_000),
-        chunk_bytes=params.get("chunk_bytes", 0),
-    )
-    fractions = params.get("load_fractions", [0.3, 0.7, 1.0, 1.3])
-    base_rate = params.get("base_rate_ops_per_s", 240_000)
+    params = spec_params(spec)
+    fractions = params.pop("load_fractions")
+    base_rate = params.pop("base_rate_ops_per_s")
+    cfg = LoadConfig(**params)   # the rest of the schema is LoadConfig's
     rows = slo_sweep(cfg, fractions, base_rate, seed=spec.seed,
                      libos_kind=spec.libos, cores=spec.cores)
     failures: List[str] = []

@@ -297,7 +297,8 @@ PROTO_ERROR_REPLIES = "proto_error_replies"
 PROTO_PIPELINE_BATCHES = "proto_pipeline_batches"
 PROTO_PARTIAL_FEEDS = "proto_partial_feeds"
 PROTO_CONNS = "proto_connections"
-#: malformed datagrams UdpKvServer dropped
+#: requests that did not parse: datagrams UdpKvServer dropped, connections
+#: posix_kv_server and ReplicaNode closed
 KV_MALFORMED_REQUESTS = "kv_malformed_requests"
 
 # ------------------------------------------------------------------ loadgen

@@ -20,12 +20,14 @@ from .scenarios import (
     named_plans,
     plan_by_name,
     run_scenario,
+    scenario_problem,
 )
 
 __all__ = [
     "ScenarioResult",
     "ScenarioFailure",
     "run_scenario",
+    "scenario_problem",
     "check_reproducible",
     "golden_plan",
     "plan_by_name",

@@ -57,6 +57,7 @@ __all__ = [
     "ScenarioFailure",
     "ScenarioResult",
     "run_scenario",
+    "scenario_problem",
     "check_reproducible",
     "golden_plan",
     "plan_by_name",
@@ -920,6 +921,20 @@ def plan_by_name(name: str, kind: str = "dpdk",
 # The driver
 # ---------------------------------------------------------------------------
 
+def scenario_problem(name: str, kind: str) -> Optional[str]:
+    """Why :func:`run_scenario` would refuse *name* on *kind*, or ``None``."""
+    golden = GOLDEN_SCENARIOS.get(name)
+    workload = WORKLOADS.get(golden["workload"] if golden else name)
+    if workload is None:
+        return "unknown scenario %r (have: %s)" % (
+            name, ", ".join(sorted(set(GOLDEN_SCENARIOS) | set(WORKLOADS))))
+    kinds = (golden or workload)["kinds"]
+    if kind not in kinds:
+        return ("scenario %r does not run on %r (only %s)"
+                % (name, kind, ", ".join(kinds)))
+    return None
+
+
 def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
                  telemetry=False, limit_ns: int = DEFAULT_LIMIT_NS,
                  **params) -> ScenarioResult:
@@ -933,15 +948,11 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     servers -> quiesce -> check; a run that does not finish is recorded
     and still gets every check that holds for an undrained world.
     """
+    problem = scenario_problem(name, kind)
+    if problem is not None:
+        raise ValueError(problem)
     golden = GOLDEN_SCENARIOS.get(name)
-    workload = WORKLOADS.get(golden["workload"] if golden else name)
-    if workload is None:
-        raise ValueError("unknown scenario %r (have: %s)" % (
-            name, ", ".join(sorted(set(GOLDEN_SCENARIOS) | set(WORKLOADS)))))
-    kinds = (golden or workload)["kinds"]
-    if kind not in kinds:
-        raise ValueError("scenario %r does not run on %r (only %s)"
-                         % (name, kind, ", ".join(kinds)))
+    workload = WORKLOADS[golden["workload"] if golden else name]
     if plan is None:
         plan = golden_plan(name, kind)
     shape = {key: params.pop(key) for key in workload.get("shape", ())

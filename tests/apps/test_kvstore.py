@@ -158,6 +158,42 @@ class TestPosixKvServer:
         w.run()
         assert w.tracer.get("server.kernel.kv_value_copies") == 1
 
+    def test_malformed_request_closes_the_connection_not_the_sim(self):
+        """A framed record that does not parse is counted and costs its
+        sender the connection; it used to raise CodecError out of
+        ``sim.run``.  The server takes one connection, so "the rest"
+        here is a second server on the same kernel, served afterwards."""
+        from repro.netstack.framing import frame_message
+
+        w, ka, kb = make_kernel_pair()
+        first = w.sim.spawn(posix_kv_server(kb, KvEngine(kb.host)))
+        w.sim.spawn(posix_kv_server(kb, KvEngine(kb.host, name="kv2"),
+                                    port=6380, max_requests=2))
+
+        def hostile():
+            sys = ka.thread()
+            fd = yield from sys.socket()
+            yield from sys.connect(fd, "10.0.0.2", 6379)
+            put = LegacyKvCodec().encode_request(
+                op_request(OP_PUT, b"k", b"v"))
+            yield from sys.send(fd, frame_message(put))
+            stored = yield from sys.recv(fd)
+            yield from sys.send(fd, frame_message(b"\xff\x00\x00"))
+            eof = yield from sys.recv(fd)
+            yield from sys.close(fd)
+            return stored, eof
+
+        bad = w.sim.spawn(hostile())
+        w.sim.run_until_complete(bad, limit=10**12)
+        stored, eof = bad.value
+        assert stored and eof == b""
+        assert first.value == 1          # the PUT; then the server hung up
+        assert w.tracer.get("server.kernel.kv_malformed_requests") == 1
+        ops = [(OP_PUT, b"hello", b"world"), (OP_GET, b"hello", None)]
+        cp = w.sim.spawn(posix_kv_client(ka, "10.0.0.2", ops, port=6380))
+        w.run()
+        assert cp.value[0][1] == (True, b"world")
+
     def test_copy_overhead_shows_in_latency(self):
         """Claim C2's mechanism: POSIX GET latency grows with value size
         faster than the zero-copy Demikernel GET."""

@@ -1,10 +1,15 @@
-"""Tests for report formatting, bench runners, and the CLI."""
+"""Tests for report formatting, the RTT workloads, and the CLI."""
 
 import pytest
 
 from repro.bench.report import fmt, print_table, us
-from repro.bench.runners import echo_rtt, kv_rtt
 from repro.cli import main
+from repro.experiments import ExperimentSpec, run_spec
+
+
+def echo_rtt(flavor, **params):
+    return run_spec(ExperimentSpec("echo-rtt", libos=flavor,
+                                   params=params))["metrics"]
 
 
 class TestReport:
@@ -36,14 +41,14 @@ class TestReport:
         assert "much-longer-cell" in out
 
 
-class TestRunners:
+class TestRttWorkloads:
     def test_echo_rtt_unknown_flavor_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="runs on flavors"):
             echo_rtt("carrier-pigeon")
 
     def test_kv_rtt_unknown_flavor_rejected(self):
-        with pytest.raises(ValueError):
-            kv_rtt("smoke-signals")
+        with pytest.raises(ValueError, match="runs on flavors"):
+            run_spec(ExperimentSpec("kv-rtt", libos="smoke-signals"))
 
     def test_echo_rtt_returns_expected_keys(self):
         result = echo_rtt("dpdk", message_size=64, count=3)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cluster.client import ReplicatedKvClient
-from repro.cluster.replica import (ClusterDirectory, ReplicaNode,
-                                   decode_entry, encode_entry)
+from repro.cluster.replica import (DEFAULT_KV_PORT, ClusterDirectory,
+                                   ReplicaNode, decode_entry, encode_entry)
 from repro.core.retry import RetryBudgetExceeded
-from repro.core.types import DemiError
+from repro.core.types import DemiError, DemiTimeout
 from repro.libos.rdma_libos import RdmaLibOS
 from repro.rdma.cm import RdmaCm
 from repro.sim.rand import Rng
@@ -20,7 +20,7 @@ LIMIT = 3_000_000_000
 
 
 def build_cluster(n_nodes=3, replication=3, n_chains=1, n_clients=1,
-                  seed=42, **node_kw):
+                  seed=42):
     world = World(seed=seed)
     cm = RdmaCm(world.sim)
     node_names = ["replica%d" % i for i in range(n_nodes)]
@@ -28,7 +28,7 @@ def build_cluster(n_nodes=3, replication=3, n_chains=1, n_clients=1,
                                  replication=replication, n_chains=n_chains)
     rng = Rng(seed)
     nodes = [ReplicaNode(world, name, directory, cm,
-                         rng=rng.fork_named(name), **node_kw)
+                         rng=rng.fork_named(name))
              for name in node_names]
     clients = []
     for i in range(n_clients):
@@ -157,7 +157,7 @@ class TestHappyPath:
             yield from client.put(b"moved-key", b"moved-val")
             # Bypass the router: talk straight to the head.
             qd = yield from libos.socket()
-            yield from libos.connect(qd, nodes[0].nic.addr, nodes[0].port)
+            yield from libos.connect(qd, nodes[0].nic.addr, DEFAULT_KV_PORT)
             yield from libos.blocking_push(
                 qd, libos.sga_alloc(LegacyKvCodec().encode_request(
                     Request(op="get", key=b"moved-key"))))
@@ -169,6 +169,51 @@ class TestHappyPath:
         run_driver(world, driver())
         assert out["status"] == STATUS_MOVED
         assert world.tracer.get("replica0.%s" % names.REPL_REDIRECTS) >= 1
+
+
+    def test_malformed_request_closes_only_its_own_connection(self):
+        """Bytes that do not parse end that connection - counted, closed -
+        while the node keeps serving everyone else; they used to raise
+        CodecError out of ``sim.run`` and take every replica down."""
+        world, directory, nodes, (client, hostile) = build_cluster(
+            n_clients=2)
+        libos = hostile.libos
+        out = {}
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            # The well-behaved client's connection to the head is open ...
+            yield from client.put(b"k", b"before")
+            # ... when a second connection to the same port sends garbage.
+            qd = yield from libos.socket()
+            yield from libos.connect(qd, nodes[0].nic.addr, DEFAULT_KV_PORT)
+            yield from libos.blocking_push(qd,
+                                           libos.sga_alloc(b"\xff\x00\x00"))
+            # No reply ever comes, and the next send finds the far end of
+            # the connection gone.
+            token = libos.pop(qd)
+            with pytest.raises(DemiTimeout):
+                yield from libos.wait_any([token], timeout_ns=400 * _US)
+            pushed = yield from libos.blocking_push(
+                qd, libos.sga_alloc(b"G\x00\x01k"))
+            out["hostile_error"] = pushed.error
+            libos.cancel(token)
+            yield from libos.close(qd)
+            # The same head, over the connection it already had and over
+            # a new one, still serves.
+            yield from client.put(b"k", b"after")
+            yield from hostile.put(b"k2", b"second client")
+            out["k"] = yield from client.get(b"k")
+            yield from client.close()
+            yield from hostile.close()
+
+        run_driver(world, driver())
+        assert out["hostile_error"] is not None
+        assert out["k"] == (True, b"after")
+        assert world.tracer.get("replica0.catmint.%s"
+                                % names.KV_MALFORMED_REQUESTS) == 1
+        assert directory.alive == {"replica0", "replica1", "replica2"}
+        assert all(node.chains[0].committed == 3 for node in nodes)
 
 
 class TestFailover:

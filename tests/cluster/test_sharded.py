@@ -14,16 +14,20 @@ import pytest
 
 from repro.apps.kvstore import demi_kv_client
 from repro.apps.proto import LegacyKvCodec
-from repro.bench.runners import kv_rtt_sharded, kv_scaling_document
 from repro.cluster import shard_workload, src_port_for_queue
-from repro.experiments.schema import (check_kv_scaling_document,
-                                      check_payload)
+from repro.experiments import ExperimentSpec, check_payload, run_spec
 from repro.sim.rand import Rng
 from repro.sim.trace import LatencyStats
 from repro.testbed import make_sharded_kv_world
 
 N_SHARDS = 4
 OPS_PER_SHARD = 60
+
+
+def scaling_row(cores, seed=7, **params):
+    """One ``kv-scaling`` run's metrics (the row a sweep document holds)."""
+    return run_spec(ExperimentSpec("kv-scaling", cores=cores, seed=seed,
+                                   params=params))["metrics"]
 
 
 def committed_sweeps():
@@ -122,14 +126,16 @@ class TestShardedUnderChaos:
 
 
 class TestScalingBench:
-    def test_throughput_scales_and_document_validates(self):
-        doc = kv_scaling_document(core_counts=(1, 2), n_ops=40, seed=7)
-        assert check_kv_scaling_document(doc) == []
-        one, two = doc["rows"]
+    def test_throughput_scales_with_clean_wake_hygiene(self):
+        runs = [run_spec(ExperimentSpec("kv-scaling", cores=cores,
+                                        params={"n_ops": 40}))
+                for cores in (1, 2)]
+        assert [r["failures"] for r in runs] == [[], []]
+        one, two = (r["metrics"] for r in runs)
         assert two["throughput_ops_per_s"] > one["throughput_ops_per_s"]
 
     def test_single_shard_degenerate_case(self):
-        row = kv_rtt_sharded(1, n_ops=30, n_keys=8)
+        row = scaling_row(1, n_ops=30, n_keys=8)
         assert row["cores"] == 1
         assert row["requests"] == 30
         assert row["wasted_wakeups"] == 0
@@ -143,28 +149,28 @@ class TestScalingBench:
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_committed_rows_reproduce_exactly(self, cores):
-        # The refactoring oracle: a run is a pure function of its seed,
+        # The refactoring oracle: a run is a pure function of its spec,
         # so re-running a committed row must give it back key for key.
         import json
         doc = committed_sweeps()[-1]
         committed = next(r for r in doc["rows"] if r["cores"] == cores)
-        row = kv_rtt_sharded(cores, n_ops=doc["params"]["n_ops_per_shard"],
-                             value_size=doc["params"]["value_size"],
-                             seed=doc["seed"])
-        assert json.loads(json.dumps(row)) == committed
+        row = scaling_row(cores, seed=committed["seed"], n_ops=200)
+        assert json.loads(json.dumps(row)) == committed["metrics"]
 
     def test_committed_baseline_still_validates(self):
         # The repo-root BENCH_kv_scaling.json is a persisted baseline;
-        # regenerate with `python -m repro bench kv-scaling` if the
+        # regenerate with `python -m repro exp run
+        # experiments/kv_scaling.json -o BENCH_kv_scaling.json` if the
         # serving path legitimately changes.
         sweeps = committed_sweeps()
         assert check_payload(sweeps) == []
         doc = sweeps[-1]
-        assert doc["schema_version"] == 2
-        assert doc["params"]["core_counts"] == [1, 2, 4, 8, 16, 32]
+        assert doc["name"] == "kv-scaling"
+        assert [r["cores"] for r in doc["rows"]] == [1, 2, 4, 8, 16, 32]
         # The knee regression gate in test_scaling_knee.py asserts the
         # shape; here just pin that the batched sweep stayed flat.
-        four = next(r for r in doc["rows"] if r["cores"] == 4)
-        for row in doc["rows"]:
+        rows = [r["metrics"] for r in doc["rows"]]
+        four = next(r for r in rows if r["cores"] == 4)
+        for row in rows:
             if row["cores"] >= 8:
                 assert row["rtt_mean_ns"] <= four["rtt_mean_ns"] * 1.05

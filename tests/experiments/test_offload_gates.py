@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.schema import check_experiment_document
+from repro.experiments.schema import check_document
 from repro.experiments.spec import ExperimentSpec, SpecBatch, load_spec_file
 from repro.experiments.workloads import validate_spec, workload_names
 
@@ -37,7 +37,7 @@ class TestReductionsGate:
             reductions=[{"metric": "host_cpu_per_op_offload_ns",
                          "baseline": "host_cpu_per_op_host_ns",
                          "min_factor": 2.0}])
-        assert check_experiment_document(doc) == []
+        assert check_document(doc) == []
 
     def test_eroded_win_fails(self):
         doc = make_doc(
@@ -46,7 +46,7 @@ class TestReductionsGate:
             reductions=[{"metric": "host_cpu_per_op_offload_ns",
                          "baseline": "host_cpu_per_op_host_ns",
                          "min_factor": 2.0}])
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert len(errors) == 1
         assert "not 2x below" in errors[0]
 
@@ -54,7 +54,7 @@ class TestReductionsGate:
         doc = make_doc(
             [make_row("r1", a_ns=500, b_ns=499)],
             reductions=[{"metric": "a_ns", "baseline": "b_ns"}])
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert len(errors) == 1  # 499 < 500 * 1.0
 
     def test_missing_metric_is_an_error_not_a_skip(self):
@@ -62,7 +62,7 @@ class TestReductionsGate:
             [make_row("r1", host_cpu_per_op_host_ns=3000)],
             reductions=[{"metric": "host_cpu_per_op_offload_ns",
                          "baseline": "host_cpu_per_op_host_ns"}])
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert any("missing or non-numeric" in e for e in errors)
 
     def test_workload_scoping_applies_rule_selectively(self):
@@ -85,32 +85,32 @@ class TestReductionsGate:
                  "baseline": "scan_cpu_per_record_host_ns",
                  "min_factor": 5.0},
             ])
-        assert check_experiment_document(doc) == []
+        assert check_document(doc) == []
 
     def test_rule_matching_no_rows_is_an_error(self):
         doc = make_doc(
             [make_row("r1", a=1, b=2)],
             reductions=[{"workload": "no-such-workload",
                          "metric": "a", "baseline": "b"}])
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert any("no rows matched" in e for e in errors)
 
     def test_malformed_rule_reported(self):
         doc = make_doc([make_row("r1", a=1)],
                        reductions=[{"metric": "a"}])
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert any("expected {'metric', 'baseline'" in e for e in errors)
 
     def test_non_positive_factor_reported(self):
         doc = make_doc(
             [make_row("r1", a=1, b=2)],
             reductions=[{"metric": "a", "baseline": "b", "min_factor": 0}])
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert any("min_factor" in e for e in errors)
 
     def test_reductions_must_be_a_list(self):
         doc = make_doc([make_row("r1", a=1)], reductions={"metric": "a"})
-        errors = check_experiment_document(doc)
+        errors = check_document(doc)
         assert any("params.reductions is not a list" in e for e in errors)
 
 

@@ -1,4 +1,4 @@
-"""Atomic persistence and the ``repro exp`` / ``repro bench`` CLI."""
+"""Atomic persistence and the ``repro exp`` CLI."""
 
 import json
 import os
@@ -141,15 +141,16 @@ class TestExpCli:
             assert workload in stdout
 
 
-class TestBenchAliasAtomicity:
+class TestAppendAtomicity:
     def test_append_interrupted_write_cannot_truncate(self, tmp_path,
                                                       monkeypatch, capsys):
         """A crash mid-append leaves the committed trajectory intact."""
         import repro.experiments.store as store
 
+        spec = _write_spec(tmp_path, {"workload": "kv-scaling",
+                                      "params": {"n_ops": 10}})
         out = tmp_path / "bench.json"
-        args = ["bench", "kv-scaling", "--cores", "1", "--ops", "10",
-                "-o", str(out)]
+        args = ["exp", "run", spec, "-o", str(out)]
         assert main(args) == 0
         committed = out.read_text()
 
@@ -161,8 +162,8 @@ class TestBenchAliasAtomicity:
 
         monkeypatch.setattr(store.os, "fsync", exploding_fsync)
         with pytest.raises(OSError, match="simulated crash"):
-            main(args + ["--append"])
+            main(args)
         # the old committed document is byte-identical, no temp litter
         assert out.read_text() == committed
-        assert os.listdir(tmp_path) == ["bench.json"]
+        assert sorted(os.listdir(tmp_path)) == ["bench.json", "spec.json"]
         capsys.readouterr()

@@ -10,10 +10,10 @@ These tests pin the registration contract, the schema checking rules
 import pytest
 
 from repro.cli import main
-from repro.experiments import ExperimentSpec, validate_spec
+from repro.experiments import ExperimentSpec, run_spec, validate_spec
 from repro.experiments.workloads import (WORKLOADS, check_params,
                                          register_workload, schema_summary,
-                                         workload_names)
+                                         spec_params, workload_names)
 
 
 class TestRegistration:
@@ -31,31 +31,29 @@ class TestRegistration:
         finally:
             del WORKLOADS["t-reg-decorated"]
 
-    def test_positional_legacy_form_still_works(self):
-        register_workload("t-reg-legacy", lambda spec: None,
-                          lambda spec: {"metrics": {}, "ok": True,
-                                        "failures": []},
-                          "legacy caller")
-        try:
-            assert WORKLOADS["t-reg-legacy"]["schema"] is None
-        finally:
-            del WORKLOADS["t-reg-legacy"]
+    def test_decorator_with_a_schema_is_the_only_form(self):
+        # No run= / three-positional direct call, no replace=, and no
+        # schema-less "accepts anything" registration.
+        run = lambda spec: {"metrics": {}, "ok": True, "failures": []}
+        with pytest.raises(TypeError):
+            register_workload("t-reg-legacy", lambda spec: None, run)
+        with pytest.raises(TypeError):
+            register_workload("t-reg-legacy", run=run, schema={})
+        with pytest.raises(TypeError):
+            register_workload("t-reg-legacy")
+        assert "t-reg-legacy" not in WORKLOADS
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            @register_workload("kv")
+            @register_workload("kv", schema={})
             def run(spec):
                 pass
 
-    def test_replace_flag_allows_override(self):
+    def test_a_name_cannot_be_shadowed(self):
         original = WORKLOADS["kv"]
-        try:
-            @register_workload("kv", replace=True, blurb="shadowed")
-            def run(spec):
-                pass
-            assert WORKLOADS["kv"]["blurb"] == "shadowed"
-        finally:
-            WORKLOADS["kv"] = original
+        with pytest.raises(TypeError):
+            register_workload("kv", replace=True, schema={})
+        assert WORKLOADS["kv"] is original
 
     def test_bad_schema_type_rejected_at_registration(self):
         with pytest.raises(ValueError, match="unknown type"):
@@ -68,7 +66,18 @@ class TestRegistration:
     def test_every_builtin_workload_declares_a_schema(self):
         # The redesign's point: no more silently-ignored params anywhere.
         for name in workload_names():
-            assert WORKLOADS[name]["schema"] is not None, name
+            assert isinstance(WORKLOADS[name]["schema"], dict), name
+
+    def test_run_sees_schema_defaults_the_spec_omits(self):
+        # Defaults are filled at read time, from the schema alone ...
+        spec = ExperimentSpec("echo-rtt", params={"count": 3})
+        metrics = run_spec(spec)["metrics"]
+        assert metrics["message_size"] == 64
+        assert spec_params(spec) == {"message_size": 64, "count": 3}
+        # ... and never written into the spec, so its identity holds.
+        assert spec.params == {"count": 3}
+        assert spec.run_id != ExperimentSpec(
+            "echo-rtt", params={"count": 3, "message_size": 64}).run_id
 
 
 class TestCheckParams:
@@ -108,7 +117,6 @@ class TestCheckParams:
         assert "rate:number=1.5" in line
         assert "label:str" in line
         assert "counters:list" in line
-        assert schema_summary(None) == "(any params)"
         assert schema_summary({}) == "(no params)"
 
 

@@ -3,8 +3,9 @@
 Host seconds are noisy; the number of calls the interpreter makes for a
 fixed simulated run is not - it repeats exactly under ``PYTHONHASHSEED=0``
 and moves only when the code on the hot path does.  The run is the
-ROADMAP's baseline scenario in miniature: ``kv_rtt_sharded(4, n_ops=50)``,
-200 requests against four shards, set-up (ARP, connects) included.
+ROADMAP's baseline scenario in miniature: the ``kv-scaling`` workload at
+4 cores and 50 ops per shard, 200 requests against four shards, set-up
+(ARP, connects) included.
 """
 
 import os
@@ -23,10 +24,11 @@ CALL_BUDGET = 280_000
 
 _SCRIPT = """
 import cProfile, pstats
-from repro.bench.runners import kv_rtt_sharded
+from repro.experiments import ExperimentSpec, run_spec
+spec = ExperimentSpec("kv-scaling", cores=4, params={"n_ops": 50})
 profiler = cProfile.Profile()
 profiler.enable()
-kv_rtt_sharded(4, n_ops=50)
+run_spec(spec)
 profiler.disable()
 print(pstats.Stats(profiler).total_calls)
 """

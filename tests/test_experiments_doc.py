@@ -6,8 +6,14 @@ document must be re-recorded - no silent doc rot.
 
 import pytest
 
-from repro.bench.runners import echo_rtt
+from repro.experiments import ExperimentSpec, run_spec
 from repro.sim.costs import DEFAULT_COSTS
+
+
+def echo_rtt(flavor, message_size):
+    return run_spec(ExperimentSpec(
+        "echo-rtt", libos=flavor,
+        params={"message_size": message_size}))["metrics"]
 
 
 class TestRecordedAnchors:
