@@ -1,10 +1,10 @@
 """Open-loop SLO load generation for the protocol servers.
 
-The closed-loop clients elsewhere in ``repro.bench`` measure RTT at
-whatever rate the server sustains - they can never show overload,
-because a slow reply slows the next request.  This module is the other
-half of the methodology: a seeded **open-loop** generator that offers
-load at a fixed rate regardless of completions (Poisson arrivals,
+The closed-loop clients elsewhere measure RTT at whatever rate the
+server sustains - they can never show overload, because a slow reply
+slows the next request.  This module is the other half of the
+methodology: a seeded **open-loop** generator that offers load at a
+fixed rate regardless of completions (Poisson arrivals,
 per-connection), so queueing delay and goodput collapse become visible
 the moment offered load crosses capacity.
 
@@ -23,42 +23,44 @@ Production-shaped traffic, all knobs seeded and deterministic:
   arbitrary chunks, exercising the codecs' incremental reassembly on
   the server.
 
-:func:`run_open_loop` runs one offered-load point against a
-:class:`~repro.apps.proto.server.ProtoServer` on a dpdk or posix pair,
-or (``cores > 1``) against the sharded cluster via
-:class:`~repro.cluster.shard.ShardProtoServer` with RSS-steered
-connections.  :func:`slo_sweep` maps a list of load fractions over it -
-the goodput-vs-offered-load curve and the tail percentiles that
+This module is traffic only: :func:`preload` and :func:`connection` are
+the client legs of the ``open-loop`` / ``open-loop-sharded`` rows of
+:data:`repro.testing.WORKLOADS`.  The scenario driver builds the world,
+joins the legs, stops the servers and checks the run; the ``proto-slo``
+experiment maps a list of load fractions over those rows - the
+goodput-vs-offered-load curve and the tail percentiles that
 ``BENCH_protocols.json`` persists.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Dict, Generator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Generator, List, Optional, Sequence
 
-from ..apps.kvstore import KvEngine
-from ..apps.proto import CODECS, KvEngineStore, ProtoServer, Request
+from ..apps.proto import Request
 from ..apps.proto.codec import ST_ERROR, CodecError
 from ..apps.steering import key_partition
 from ..cluster.client import src_port_for_queue
-from ..cluster.shard import ShardProtoServer
 from ..core.types import DemiTimeout
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
-from ..testbed import (make_dpdk_libos_pair, make_posix_libos_pair,
-                       make_sharded_kv_world)
 
-__all__ = ["LoadConfig", "run_open_loop", "slo_sweep", "arrival_times"]
+__all__ = ["LoadConfig", "ConnMetrics", "PORT", "arrival_times",
+           "connection", "preload", "shard_keys", "steered_ports"]
+
+#: the port every open-loop server listens on
+PORT = 6390
+#: bound on a connection's end-of-run (and pre-churn) reply drain
+DRAIN_TIMEOUT_NS = 100_000_000
 
 
 @dataclass
 class LoadConfig:
-    """One offered-load point's worth of generator knobs."""
+    """One offered-load point's worth of traffic knobs (the wire
+    protocol is the server's: the legs read it off the server they load)."""
 
-    protocol: str = "resp"
     rate_ops_per_s: float = 50_000.0   # total offered load, all connections
     duration_ms: int = 40              # measurement window (sim time)
     n_connections: int = 4
@@ -71,8 +73,6 @@ class LoadConfig:
     stall_conns: int = 0               # first N connections stall mid-run
     stall_ns: int = 2_000_000          # how long a stalled reader stops
     chunk_bytes: int = 0               # split pushed bytes (0 = whole batch)
-    port: int = 6390
-    drain_timeout_ns: int = 100_000_000  # bound on end-of-run reply drain
 
 
 def arrival_times(rng: Rng, rate_ops_per_s: float,
@@ -90,7 +90,7 @@ def arrival_times(rng: Rng, rate_ops_per_s: float,
         times.append(int(t))
 
 
-class _ConnMetrics:
+class ConnMetrics:
     """Mutable per-run aggregates shared by every connection proc."""
 
     def __init__(self):
@@ -102,11 +102,18 @@ class _ConnMetrics:
         self.stalls = 0
 
 
-def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
-                server_ip: str, keys: Sequence[bytes],
-                stats: LatencyStats, metrics: _ConnMetrics,
-                src_port_alloc=None) -> Generator:
-    """One open-loop connection: send on schedule, drain opportunistically."""
+def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
+               server_ip: str, keys: Sequence[bytes],
+               stats: LatencyStats, metrics: ConnMetrics,
+               src_port_alloc: Optional[Callable[[], int]] = None
+               ) -> Generator:
+    """One open-loop connection: send on schedule, drain opportunistically.
+
+    A pop that completes with an error means the server closed the
+    connection (its decode-error policy, an RST, RTO exhaustion): the
+    connection is over, what it still owed stays uncompleted and the
+    row shows ``completed < sent``.
+    """
     window_ns = cfg.duration_ms * 1_000_000
     arrivals = arrival_times(rng.fork(1),
                              cfg.rate_ops_per_s / cfg.n_connections,
@@ -125,10 +132,10 @@ def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
         if src_port_alloc is not None:
             # Steered run: every connect (including churn reconnects)
             # draws a fresh source port that hashes to our shard's queue.
-            yield from libos.connect(qd, server_ip, cfg.port,
+            yield from libos.connect(qd, server_ip, PORT,
                                      src_port=src_port_alloc())
         else:
-            yield from libos.connect(qd, server_ip, cfg.port)
+            yield from libos.connect(qd, server_ip, PORT)
         libos.count(names.LOADGEN_CONNECTS)
         return qd
 
@@ -149,8 +156,14 @@ def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             if reply.status == ST_ERROR:
                 metrics.error_replies += 1
 
-    def drain(deadline_ns: int, token: int) -> Generator:
-        """Pop replies until pending empties or the deadline passes."""
+    def drain(token: int) -> Generator:
+        """Pop replies until nothing is owed or the drain budget runs out.
+
+        Returns the pop token still armed, or ``None`` once a pop came
+        back with an error: ``wait_any`` retired that token, so there is
+        nothing left to wait on or cancel.
+        """
+        deadline_ns = libos.sim.now + DRAIN_TIMEOUT_NS
         while pending and libos.sim.now < deadline_ns:
             try:
                 _i, result = yield from libos.wait_any(
@@ -158,10 +171,10 @@ def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             except DemiTimeout:
                 break
             if result.error is not None:
-                return token, False
+                return None
             absorb(result.sga.tobytes())
             token = libos.pop(qd)
-        return token, True
+        return token
 
     qd = yield from connect()
     pop_token = libos.pop(qd)
@@ -184,7 +197,8 @@ def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
                     _i, result = yield from libos.wait_any(
                         [pop_token], timeout_ns=target - now)
                     if result.error is not None:
-                        break  # server closed us (decode error policy)
+                        pop_token = None
+                        break
                     absorb(result.sga.tobytes())
                     pop_token = libos.pop(qd)
                     continue
@@ -219,8 +233,9 @@ def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
         since_churn += len(batch)
         if cfg.churn_every and since_churn >= cfg.churn_every:
             # Churn: drain what's owed, tear down, come back.
-            pop_token, _ok = yield from drain(
-                libos.sim.now + cfg.drain_timeout_ns, pop_token)
+            pop_token = yield from drain(pop_token)
+            if pop_token is None:
+                break
             libos.cancel(pop_token)
             yield from libos.close(qd)
             pending.clear()
@@ -230,22 +245,23 @@ def _connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             metrics.reconnects += 1
             libos.count(names.LOADGEN_RECONNECTS)
             since_churn = 0
-    pop_token, _ok = yield from drain(
-        libos.sim.now + cfg.drain_timeout_ns, pop_token)
-    libos.cancel(pop_token)
+    if pop_token is not None:
+        pop_token = yield from drain(pop_token)
+    if pop_token is not None:
+        libos.cancel(pop_token)
     yield from libos.close(qd)
 
 
-def _preload(libos, cfg: LoadConfig, codec_cls, rng: Rng, server_ip: str,
-             keys: Sequence[bytes],
-             src_port: Optional[int] = None) -> Generator:
+def preload(libos, cfg: LoadConfig, codec_cls, rng: Rng, server_ip: str,
+            keys: Sequence[bytes],
+            src_port: Optional[int] = None) -> Generator:
     """Closed-loop SET of every key so GETs hit during measurement."""
     codec = codec_cls()
     qd = yield from libos.socket()
     if src_port is not None:
-        yield from libos.connect(qd, server_ip, cfg.port, src_port=src_port)
+        yield from libos.connect(qd, server_ip, PORT, src_port=src_port)
     else:
-        yield from libos.connect(qd, server_ip, cfg.port)
+        yield from libos.connect(qd, server_ip, PORT)
     for key in keys:
         wire = codec.encode_request(
             Request(op="set", key=key, value=rng.bytes(cfg.value_size)))
@@ -255,7 +271,7 @@ def _preload(libos, cfg: LoadConfig, codec_cls, rng: Rng, server_ip: str,
     yield from libos.close(qd)
 
 
-def _shard_keys(n_keys: int, n_shards: int) -> List[List[bytes]]:
+def shard_keys(n_keys: int, n_shards: int) -> List[List[bytes]]:
     """Per-shard key lists: *n_keys* total, every shard non-empty."""
     owned: List[List[bytes]] = [[] for _ in range(n_shards)]
     total = 0
@@ -272,128 +288,16 @@ def _shard_keys(n_keys: int, n_shards: int) -> List[List[bytes]]:
     return owned
 
 
-def run_open_loop(cfg: LoadConfig, seed: int = 7, libos_kind: str = "dpdk",
-                  cores: int = 1) -> Dict[str, object]:
-    """One offered-load point; returns the metrics row.
+def steered_ports(client_ip: str, server_ip: str, shard: int,
+                  n_shards: int) -> Callable[[], int]:
+    """An allocator of distinct source ports that all RSS-steer a flow
+    from *client_ip* onto *shard*'s RX queue."""
+    next_start = 49152
 
-    ``cores == 1`` serves through :class:`ProtoServer` on a dpdk or
-    posix libOS pair; ``cores > 1`` (dpdk only) builds the sharded
-    world with :class:`ShardProtoServer` and steers each connection to
-    its shard's RX queue with shard-owned keys only.  The two differ
-    only in how the world is built and who owns which keys: each yields
-    *lanes* - ``(client libOS, keys, source-port allocator or None)`` -
-    and connection *i* runs on lane ``i % len(lanes)``.
-    """
-    codec_cls = CODECS[cfg.protocol]
-    rng = Rng(seed).fork_named("loadgen.%s" % cfg.protocol)
-    stats = LatencyStats("loadgen-rtt")
-    metrics = _ConnMetrics()
-
-    if cores > 1:
-        if libos_kind != "dpdk":
-            raise ValueError("sharded runs need the dpdk libOS")
-        w, sharded, clients = make_sharded_kv_world(
-            cores, seed=seed, port=cfg.port,
-            server_cls=ShardProtoServer,
-            server_kwargs={"codec_factory": codec_cls})
-        sharded.start()
-        servers = [shard.server for shard in sharded.shards]
-        server_ip = sharded.ip
-        # Distinct steered source ports per (client ip, shard) pair.
-        next_start: Dict[tuple, int] = {}
-
-        def steered_alloc(libos, shard):
-            def alloc() -> int:
-                key = (libos.ip, shard)
-                port = src_port_for_queue(
-                    libos.ip, server_ip, shard, cores, cfg.port,
-                    start=next_start.get(key, 49152))
-                next_start[key] = port + 1
-                return port
-            return alloc
-
-        lanes = [(clients[shard], keys, steered_alloc(clients[shard], shard))
-                 for shard, keys in enumerate(_shard_keys(cfg.n_keys, cores))]
-    else:
-        makers = {"dpdk": make_dpdk_libos_pair,
-                  "posix": make_posix_libos_pair}
-        if libos_kind not in makers:
-            raise ValueError("unknown libos kind %r" % libos_kind)
-        w, client, server_libos = makers[libos_kind](seed=seed)
-        server_ip = "10.0.0.2"
-        engine = KvEngine(server_libos.host, name="loadgen.kv")
-        server = ProtoServer(server_libos, codec_cls, KvEngineStore(engine),
-                             port=cfg.port)
-        w.sim.spawn(server.start(), name="loadgen.server")
-        servers = [server]
-        lanes = [(client, [b"key-%06d" % j for j in range(cfg.n_keys)], None)]
-
-    # Preload every lane's keys through a connection of its own.
-    for libos, keys, alloc in lanes:
-        proc = w.sim.spawn(
-            _preload(libos, cfg, codec_cls, rng.fork_named("preload"),
-                     server_ip, keys, src_port=alloc() if alloc else None),
-            name="loadgen.preload")
-        w.sim.run_until_complete(proc, limit=10**13)
-    measure_start = w.sim.now
-    procs = []
-    for conn_id in range(cfg.n_connections):
-        libos, keys, alloc = lanes[conn_id % len(lanes)]
-        procs.append(w.sim.spawn(
-            _connection(libos, cfg, codec_cls, rng.fork(100 + conn_id),
-                        conn_id, server_ip, keys, stats, metrics,
-                        src_port_alloc=alloc),
-            name="loadgen.conn%d" % conn_id))
-    for proc in procs:
-        w.sim.run_until_complete(proc, limit=10**13)
-    elapsed_ns = w.sim.now - measure_start
-    for server in servers:
-        server.stop()
-    w.run(until=w.sim.now + 5_000_000)
-    identity_ok = True
-    for libos in [s.libos for s in servers] + [lane[0] for lane in lanes]:
-        t = libos.qtokens
-        if t.created != t.completed + t.cancelled + t.in_flight:
-            identity_ok = False
-    elapsed_s = elapsed_ns / 1e9 if elapsed_ns else 1.0
-    return {
-        "protocol": cfg.protocol,
-        "libos": libos_kind,
-        "cores": cores,
-        "offered_ops_per_s": cfg.rate_ops_per_s,
-        "duration_ms": cfg.duration_ms,
-        "n_connections": cfg.n_connections,
-        "sent": metrics.sent,
-        "completed": metrics.completed,
-        "goodput_ops_per_s": round(metrics.completed / elapsed_s, 1),
-        "p50_ns": stats.percentile(50),
-        "p99_ns": stats.percentile(99),
-        "p999_ns": stats.percentile(99.9),
-        "client_decode_errors": metrics.client_decode_errors,
-        "server_decode_errors": sum(s.decode_errors for s in servers),
-        "error_replies": sum(s.error_replies for s in servers),
-        "reconnects": metrics.reconnects,
-        "stalls": metrics.stalls,
-        "server_requests": sum(s.requests_served for s in servers),
-        "qtoken_identity_ok": identity_ok,
-    }
-
-
-def slo_sweep(cfg: LoadConfig, load_fractions: Sequence[float],
-              base_rate_ops_per_s: float, seed: int = 7,
-              libos_kind: str = "dpdk",
-              cores: int = 1) -> List[Dict[str, object]]:
-    """Offered-load sweep: one :func:`run_open_loop` row per fraction.
-
-    ``base_rate_ops_per_s`` is nominal single-run capacity; fractions
-    above 1.0 are the overload points where goodput must plateau while
-    p99.9 keeps climbing.
-    """
-    rows = []
-    for fraction in load_fractions:
-        point = replace(cfg, rate_ops_per_s=base_rate_ops_per_s * fraction)
-        row = run_open_loop(point, seed=seed, libos_kind=libos_kind,
-                            cores=cores)
-        row["load_fraction"] = fraction
-        rows.append(row)
-    return rows
+    def alloc() -> int:
+        nonlocal next_start
+        port = src_port_for_queue(client_ip, server_ip, shard, n_shards,
+                                  PORT, start=next_start)
+        next_start = port + 1
+        return port
+    return alloc

@@ -87,11 +87,6 @@ class Shard:
     def stop(self) -> None:
         self.server.stop()
 
-    def qtoken_identity_ok(self) -> bool:
-        """The lifecycle identity, per shard (chaos tests assert it)."""
-        t = self.libos.qtokens
-        return t.created == t.completed + t.cancelled + t.in_flight
-
 
 class ShardedKvServer:
     """N shared-nothing shards behind one NIC, one IP, one port.
@@ -162,7 +157,7 @@ class ShardedKvServer:
         return [s.core.utilization(elapsed_ns) for s in self.shards]
 
     def qtoken_identity_ok(self) -> bool:
-        return all(s.qtoken_identity_ok() for s in self.shards)
+        return all(s.libos.qtokens.identity_ok for s in self.shards)
 
     def metrics_row(self, elapsed_ns: int, tracer) -> dict:
         """One scaling-bench row's worth of server-side accounting.

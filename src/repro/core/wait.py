@@ -139,6 +139,12 @@ class QTokenTable:
         """Tokens whose operation has neither completed nor cancelled."""
         return sum(1 for d in self._pending.values() if not d.triggered)
 
+    @property
+    def identity_ok(self) -> bool:
+        """The lifecycle identity: every minted token is exactly one of
+        completed, cancelled or still in flight."""
+        return self.created == self.completed + self.cancelled + self.in_flight
+
     def _retire(self, token: QToken) -> None:
         self._pending.pop(token, None)
         self._on_cancel.pop(token, None)

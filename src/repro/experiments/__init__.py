@@ -16,7 +16,10 @@ only producer of a ``BENCH_*.json``::
 * :mod:`~repro.experiments.workloads` - the registry: each workload
   (chaos scenarios, sharded scaling bench, RTT benches, offload and SLO
   sweeps) is one schema-declared ``run`` behind the uniform
-  validate/run contract;
+  validate/run contract - one or more :func:`repro.testing.run_scenario`
+  legs plus a metrics function over their results, so every workload
+  takes a fault plan and is checked by the driver's one invariant
+  checker; nothing in this package builds a world;
 * :mod:`~repro.experiments.runner` - :class:`Runner` fan-out over host
   processes, typed :class:`RunResult` rows, resumable batches;
 * :mod:`~repro.experiments.schema` - validation of the one document

@@ -1,18 +1,24 @@
-"""Chaos scenario driver: real workloads under fault plans + invariants.
+"""The scenario driver: real workloads under fault plans + invariants.
 
-:func:`run_scenario` is the one way a workload meets a plan: it builds a
-fresh world for one libOS kind, installs the
+:func:`run_scenario` is the one place a world is built for a run and the
+one way a workload meets a plan - chaos scenarios, traces and every
+experiment row alike.  It builds a fresh world for one stack kind (one
+table: the libOS pairs, the SPDK host, the kernel-socket and mTCP pairs
+the claim suite compares against, the dpdk pair with the offload engine,
+the RSS-sharded server, the replica cluster), installs the
 :class:`~repro.sim.faults.FaultPlan`, spawns the workload's legs (an
-existing application: echo / key-value / log storage / replicated KV),
-joins them, stops its servers, quiesces, and then checks the invariants
-a Demikernel libOS must uphold no matter how the devices misbehave:
+existing application: echo / key-value / log storage / replicated KV /
+the open-loop load generator), joins them phase by phase, stops its
+servers, quiesces, and then checks the invariants a Demikernel libOS
+must uphold no matter how the devices misbehave:
 
 1. **Exactly-once, in-order delivery** - the workload's own check: the
    reply stream is byte-identical to what a fault-free run would produce
    (echo replies equal the sent messages; KV GETs match a sequential
    replay of the operation log; storage reads back the appended records).
-2. **QToken lifecycle** - ``created == completed + cancelled +
-   in_flight`` on every libOS, and workloads that ran to completion
+2. **QToken lifecycle** - :attr:`QTokenTable.identity_ok
+   <repro.core.wait.QTokenTable.identity_ok>` on every libOS (N shards
+   on one host are N libOSes), and workloads that ran to completion
    leave nothing in flight.
 3. **No wake-ups without work** - ``waits`` never exceeds
    ``qtokens_completed`` (each wait return is backed by a completion).
@@ -34,11 +40,19 @@ from contextlib import suppress
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..apps.echo import demi_echo_client, demi_echo_server
-from ..apps.kvstore import OP_PUT, KvEngine, demi_kv_client, kv_workload
-from ..apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
-from ..cluster.client import ReplicatedKvClient
+from ..apps.echo import (demi_echo_client, demi_echo_server,
+                         mtcp_echo_client, mtcp_echo_server,
+                         posix_echo_client, posix_echo_server)
+from ..apps.kvstore import (OP_GET, OP_PUT, KvEngine, KvNicOffload,
+                            UdpKvServer, demi_kv_client, kv_workload,
+                            posix_kv_client, posix_kv_server)
+from ..apps.proto import CODECS, KvEngineStore, LegacyKvCodec, ProtoServer
+from ..bench.loadgen import (PORT, ConnMetrics, LoadConfig, connection,
+                             preload, shard_keys, steered_ports)
+from ..cluster.client import (ReplicatedKvClient, shard_workload,
+                              src_port_for_queue)
 from ..cluster.replica import ClusterDirectory, ReplicaNode
+from ..core.api import LibOS
 from ..core.retry import RetryBudgetExceeded
 from ..core.types import DemiTimeout, DeviceFailed
 from ..kernelos.reclaim import crash_teardown
@@ -48,9 +62,11 @@ from ..sim.engine import SimulationError
 from ..sim.faults import CRASH_KINDS, FaultPlan
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
-from ..telemetry import names
-from ..testbed import (World, make_dpdk_libos_pair, make_posix_libos_pair,
-                       make_rdma_libos_pair, make_spdk_libos)
+from ..telemetry import counter_rollup, names
+from ..testbed import (World, make_dpdk_libos_pair, make_kernel_pair,
+                       make_mtcp_pair, make_posix_libos_pair,
+                       make_rdma_libos_pair, make_sharded_kv_world,
+                       make_spdk_libos)
 
 __all__ = [
     "NET_LIBOS_KINDS",
@@ -70,7 +86,8 @@ __all__ = [
 NET_LIBOS_KINDS = ("dpdk", "posix", "rdma")
 
 _SERVER_ADDR = {"dpdk": "10.0.0.2", "posix": "10.0.0.2",
-                "rdma": "server-rdma"}
+                "rdma": "server-rdma", "kernel": "10.0.0.2",
+                "mtcp": "10.0.0.2"}
 
 _US = 1_000
 _MS = 1_000_000
@@ -79,6 +96,9 @@ _MS = 1_000_000
 DEFAULT_LIMIT_NS = 3_000_000_000
 #: post-workload drain so retransmit timers / TIME_WAIT retire
 QUIESCE_NS = 20_000_000
+#: closed-loop samples dropped per client before latency statistics:
+#: every client's first ops pay ARP resolution and the TCP connect
+WARMUP = 3
 
 
 class ScenarioFailure(AssertionError):
@@ -135,7 +155,7 @@ class ScenarioResult:
 
 def _check_libos(failures: List[str], world, libos, drained: bool) -> None:
     qt = libos.qtokens
-    if qt.created != qt.completed + qt.cancelled + qt.in_flight:
+    if not qt.identity_ok:
         failures.append(
             "%s qtoken leak: created=%d != completed=%d + cancelled=%d"
             " + in_flight=%d" % (libos.name, qt.created, qt.completed,
@@ -193,15 +213,27 @@ def _check_dma(failures: List[str], world) -> None:
 
 
 # ---------------------------------------------------------------------------
-# World construction: one table.  A builder returns (world, its libOSes,
-# the replica nodes if it built a cluster); the driver installs the plan.
+# World construction: one table.  A builder returns (world, the endpoints
+# the legs call into, the server tier if it built one: the replica nodes or
+# the sharded server); the driver installs the plan.
 # ---------------------------------------------------------------------------
 
 def _testbed(maker, **fixed):
     def build(seed: int, telemetry):
-        world, *libos = maker(seed=seed, telemetry=telemetry, **fixed)
-        return world, libos, None
+        world, *endpoints = maker(seed=seed, telemetry=telemetry, **fixed)
+        return world, endpoints, None
     return build
+
+
+def _sharded_server(seed: int, telemetry, cores: int = 1,
+                    protocol: str = LegacyKvCodec.name):
+    """*cores* shared-nothing shards behind one NIC (every shard its own
+    libOS on the ``server`` host) and one client host per shard; the
+    shards speak *protocol* and are built but not started."""
+    world, server, clients = make_sharded_kv_world(
+        cores, seed=seed, telemetry=telemetry, port=PORT,
+        server_kwargs={"codec_factory": CODECS[protocol]})
+    return world, clients + [shard.libos for shard in server.shards], server
 
 
 def _replica_cluster(seed: int, telemetry, n_nodes: int = 3,
@@ -236,6 +268,13 @@ _WORLDS = {
     "posix": _testbed(make_posix_libos_pair, verify_checksums=True),
     "rdma": _testbed(make_rdma_libos_pair),
     "spdk": _testbed(make_spdk_libos),
+    # The legacy stacks the claim suite measures the libOSes against:
+    # their endpoints are kernels / mTCP shims, which mint no qtokens.
+    "kernel": _testbed(make_kernel_pair, verify_checksums=True),
+    "mtcp": _testbed(make_mtcp_pair),
+    "dpdk-offload": _testbed(make_dpdk_libos_pair, verify_checksums=True,
+                             with_offload=True),
+    "sharded": _sharded_server,
     "cluster": _replica_cluster,
 }
 
@@ -243,12 +282,20 @@ _WORLDS = {
 class _Run:
     """One run's working state: what the driver hands a workload."""
 
-    def __init__(self, world: World, libos, nodes, kind: str, seed: int):
+    def __init__(self, world: World, endpoints, tier, kind: str, seed: int):
         self.world = world
         self.sim = world.sim
-        #: host name (the name fault plans use) -> libOS, in build order
-        self.libos = {each.host.name: each for each in libos}
-        self.nodes = nodes
+        #: host name (the name fault plans use) -> what a leg on that host
+        #: calls into (of N shards on one host, the first)
+        self.libos: Dict[str, Any] = {}
+        for each in endpoints:
+            self.libos.setdefault(each.host.name, each)
+        #: every libOS of the world: what the invariant checker walks
+        self.checked = [each for each in endpoints
+                        if isinstance(each, LibOS)]
+        #: the server tier the world row built, if any: the replica
+        #: nodes or the sharded server
+        self.tier = tier
         self.kind = kind
         self.rng = Rng(seed)
         self.failures: List[str] = []
@@ -261,13 +308,21 @@ class _Run:
         self.may_hang = False
         #: ReclaimReports of the crash teardowns that ran
         self.reclaims: List[Any] = []
-        #: when the last leg joined (before servers stop and the quiesce)
-        self.joined_at = 0
 
     def payloads(self, count: int, size: int) -> List[bytes]:
         """*count* seeded random messages / records of *size* bytes."""
         rng = self.rng.fork_named("workload")
         return [rng.bytes(size) for _ in range(count)]
+
+    def serve(self, server, name: str) -> None:
+        """Spawn *server*; the driver stops it once the legs have joined.
+
+        It may legitimately hold one in-flight pop on a connection the
+        client abandoned (RDMA has no FIN); the identity still holds.
+        """
+        self.servers.append((server, self.sim.spawn(server.start(),
+                                                    name=name)))
+        self.undrained.append(server.libos)
 
     def on_crash(self, host: str, teardown, name: str) -> None:
         """When the plan kills *host*, spawn ``teardown(report_to)``."""
@@ -276,10 +331,22 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# Workloads.  Each is a generator the driver steps twice: it spawns its legs
-# and yields the processes to join, in order; once all of them finished it
-# is resumed with their return values and runs its own check.
+# Workloads.  Each is a generator the driver steps: it spawns a phase of legs
+# and yields the processes to join, in order; the moment the last one joins
+# it is resumed with their return values - to read what must be read before
+# the servers stop, or to yield the next phase.  Its bare ``yield`` hands
+# over to the driver (stop servers, quiesce, shared invariants); what follows
+# is the workload's own check, which fills ``run.data``.
 # ---------------------------------------------------------------------------
+
+def _check_echo_stream(run: _Run, replies, messages) -> None:
+    if replies != messages:
+        intact = sum(1 for got, sent in zip(replies, messages) if got == sent)
+        run.failures.append(
+            "echo stream violated exactly-once in-order delivery:"
+            " %d/%d replies intact (%d received)"
+            % (intact, len(messages), len(replies)))
+
 
 def _echo(run: _Run, n_messages: int = 20, message_size: int = 512):
     """Ping-pong echo under faults: every byte back, in order, once."""
@@ -293,16 +360,51 @@ def _echo(run: _Run, n_messages: int = 20, message_size: int = 512):
                          messages, port=7),
         name="chaos.echo.client")
     (replies, stats), served = yield [client_proc, server_proc]
-    if replies != messages:
-        intact = sum(1 for got, sent in zip(replies, messages) if got == sent)
-        run.failures.append(
-            "echo stream violated exactly-once in-order delivery:"
-            " %d/%d replies intact (%d received)"
-            % (intact, n_messages, len(replies)))
+    yield
+    _check_echo_stream(run, replies, messages)
     if served != n_messages:
         run.failures.append("server served %d of %d requests"
                             % (served, n_messages))
     run.data.update(served=served, rtt_p50=stats.p50, rtt_max=stats.maximum)
+
+
+#: kind -> (server, client) on the two legacy stacks; every libOS kind runs
+#: the one portable Demikernel pair
+_ECHO_APPS = {
+    "kernel": (posix_echo_server, posix_echo_client),
+    "mtcp": (mtcp_echo_server, mtcp_echo_client),
+}
+
+
+def _echo_rtt(run: _Run, count: int = 20, message_size: int = 64):
+    """The claim suite's echo round trip on every stack, the legacy ones
+    included: warm-up trimmed RTT plus the syscalls, copied bytes and
+    interrupts the *count* measured requests (and their warm-up) cost."""
+    serve, call = _ECHO_APPS.get(run.kind,
+                                 (demi_echo_server, demi_echo_client))
+    client, server = run.libos["client"], run.libos["server"]
+    messages = [b"e" * message_size] * (count + WARMUP)
+    # The server serves until its peer goes away, as a real one does; on
+    # RDMA, which has no FIN, its last pop outlives the run.
+    run.sim.spawn(serve(server), name="bench.echo.server")
+    run.undrained.append(server)
+    (replies, stats), = yield [run.sim.spawn(
+        call(client, _SERVER_ADDR[run.kind], messages),
+        name="bench.echo.client")]
+    # Costs are read at the join: the teardown after it (FIN, TIME_WAIT)
+    # belongs to no request.
+    costs = counter_rollup(run.world.tracer, leaves=(
+        "syscalls", "bytes_copied_tx", "bytes_copied_rx", "rx_interrupts"))
+    yield
+    _check_echo_stream(run, replies, messages)
+    rtt = LatencyStats("echo-rtt")
+    rtt.extend(stats.samples[WARMUP:])
+    run.data.update(
+        rtt_mean_ns=rtt.mean, rtt_p50_ns=rtt.p50, rtt_p99_ns=rtt.p99,
+        syscalls=costs.get("syscalls", 0),
+        bytes_copied=(costs.get("bytes_copied_tx", 0)
+                      + costs.get("bytes_copied_rx", 0)),
+        rx_interrupts=costs.get("rx_interrupts", 0))
 
 
 def _one_client(rng: Rng, n_ops: int = 40, n_keys: int = 32,
@@ -341,14 +443,12 @@ def _kv(run: _Run, streams, **shape):
     client, server = run.libos["client"], run.libos["server"]
     kv = ProtoServer(server, LegacyKvCodec,
                      KvEngineStore(KvEngine(server.host)), port=6379)
-    run.servers.append((kv, run.sim.spawn(kv.start(),
-                                          name="chaos.kv.server")))
-    # The server may legitimately hold one in-flight pop on a connection
-    # the client abandoned (RDMA has no FIN); the identity still holds.
-    run.undrained.append(server)
+    run.serve(kv, "chaos.kv.server")
     outputs = yield [run.sim.spawn(
         demi_kv_client(client, _SERVER_ADDR[run.kind], ops, port=6379),
         name="chaos.kv.client%d" % i) for i, ops in enumerate(logs)]
+    joined_at = run.sim.now
+    yield
     stats = LatencyStats("kv")
     for i, (ops, (results, client_stats)) in enumerate(zip(logs, outputs)):
         # Replay the log sequentially: each client is synchronous and owns
@@ -369,7 +469,7 @@ def _kv(run: _Run, streams, **shape):
             run.failures.append("client %d completed %d of %d operations"
                                 % (i, len(results), len(ops)))
         # Trim each client's cold start (ARP + connect) individually.
-        stats.extend(client_stats.samples[3:])
+        stats.extend(client_stats.samples[WARMUP:])
     total_ops = sum(len(ops) for ops in logs)
     if kv.requests_served != total_ops:
         run.failures.append("server served %d of %d requests"
@@ -377,11 +477,163 @@ def _kv(run: _Run, streams, **shape):
     run.data.update(
         served=kv.requests_served,
         clients=len(logs),
-        elapsed_ns=run.joined_at,
-        throughput_ops_per_s=(kv.requests_served / (run.joined_at / 1e9)
-                              if run.joined_at else 0.0),
+        elapsed_ns=joined_at,
+        throughput_ops_per_s=(kv.requests_served / (joined_at / 1e9)
+                              if joined_at else 0.0),
         rtt_mean_ns=stats.mean,
         rtt_p99_ns=stats.p99)
+
+
+def _kv_rtt(run: _Run, n_gets: int = 20, value_size: int = 1024):
+    """One PUT, then GETs of that key: GET round trip and server CPU per
+    request, the engine behind kernel sockets (a copy on every hop)
+    against the libOS server that replies with the stored buffer."""
+    ops = ([(OP_PUT, b"bench-key", b"v" * value_size)]
+           + [(OP_GET, b"bench-key", None)] * (n_gets + WARMUP))
+    client, server = run.libos["client"], run.libos["server"]
+    if run.kind == "kernel":
+        run.sim.spawn(posix_kv_server(server, KvEngine(server.host),
+                                      max_requests=len(ops)),
+                      name="bench.kv.server")
+        (results, stats), = yield [run.sim.spawn(
+            posix_kv_client(client, _SERVER_ADDR[run.kind], ops),
+            name="bench.kv.client")]
+        server_cpu_ns = server.host.cpus[0].busy_ns
+    else:
+        kv = ProtoServer(server, LegacyKvCodec,
+                         KvEngineStore(KvEngine(server.host)), port=6379)
+        run.serve(kv, "bench.kv.server")
+        (results, stats), = yield [run.sim.spawn(
+            demi_kv_client(client, _SERVER_ADDR[run.kind], ops),
+            name="bench.kv.client")]
+        # This figure has always included the dispatcher's last wake-up:
+        # stop() completes its stop token and that wait dispatch is
+        # charged at once (the driver's own stop() is then a no-op).
+        kv.stop()
+        server_cpu_ns = server.core.busy_ns
+    yield
+    intact = sum(1 for result in results[1:]
+                 if result == (True, b"v" * value_size))
+    if intact != len(ops) - 1:
+        run.failures.append("%d/%d GETs returned the stored value"
+                            % (intact, len(ops) - 1))
+    gets = LatencyStats("get")
+    gets.extend(stats.samples[1 + WARMUP:])  # skip the PUT + warm-up
+    run.data.update(get_rtt_mean_ns=gets.mean, get_rtt_p99_ns=gets.p99,
+                    server_cpu_per_req_ns=server_cpu_ns / len(ops))
+
+
+def _start_shards(run: _Run):
+    """Start the sharded tier; returns its per-shard servers."""
+    servers = [shard.server for shard in run.tier.shards]
+    for index, server in enumerate(servers):
+        run.serve(server, "shard%d.server" % index)
+    return servers
+
+
+def _kv_sharded(run: _Run, n_ops: int = 200, n_keys: int = 32,
+                value_size: int = 256, get_fraction: float = 0.9):
+    """Closed-loop sharded KV run: one steered client per shard.
+
+    Every client pins its flow to its shard's RX queue and draws only
+    that shard's keys, so the run also *measures* the wake-one claim:
+    the row carries the wasted/cross wake-up totals (both must be zero)
+    alongside throughput and per-core utilization.  Offered load scales
+    with the shard count, so shared-nothing scaling shows as strictly
+    increasing throughput across a ``cores`` axis - any flattening would
+    mean cross-core serialization the architecture claims not to have.
+    """
+    server = run.tier
+    n_shards = server.n_shards
+    _start_shards(run)
+    rng = run.rng.fork_named("kv-scaling")
+    # Warmup is per *client*, so each one records into its own stats and
+    # is trimmed individually - a global trim would leave n_shards-3
+    # cold-start samples in the mean.
+    per_client = [LatencyStats("kv-rtt-shard%d" % i)
+                  for i in range(n_shards)]
+    procs = []
+    for i in range(n_shards):
+        client = run.libos["client%d" % i]
+        ops = shard_workload(rng.fork(i), n_ops, i, n_shards, n_keys=n_keys,
+                             value_size=value_size,
+                             get_fraction=get_fraction)
+        procs.append(run.sim.spawn(
+            demi_kv_client(client, server.ip, ops, port=server.port,
+                           stats=per_client[i],
+                           src_port=src_port_for_queue(
+                               client.ip, server.ip, i, n_shards,
+                               server.port)),
+            name="bench.client%d" % i))
+    yield procs
+    # The row is the run: read it before stop() wakes every dispatcher.
+    row = server.metrics_row(run.sim.now, run.world.tracer)
+    yield
+    stats = LatencyStats("kv-rtt-sharded")
+    for client_stats in per_client:
+        stats.extend(client_stats.samples[WARMUP:])
+    row["rtt_mean_ns"] = stats.mean
+    row["rtt_p99_ns"] = stats.p99
+    if row["wasted_wakeups"] != 0:
+        run.failures.append("%d wasted wake-ups" % row["wasted_wakeups"])
+    if row["cross_shard_wakeups"] != 0:
+        run.failures.append("%d cross-shard wake-ups"
+                            % row["cross_shard_wakeups"])
+    if row["misrouted_requests"] != 0:
+        run.failures.append("%d misrouted requests"
+                            % row["misrouted_requests"])
+    run.data.update(row)
+
+
+def _kv_udp(run: _Run, n_keys: int = 20, n_gets: int = 200,
+            value_size: int = 64, nic_program: bool = False):
+    """Closed-loop UDP KV: PUT the keyspace, hammer GETs, one miss.
+
+    The trace is the same with and without *nic_program*; the only
+    difference is whether :class:`KvNicOffload` is installed on the
+    server NIC, so the host-CPU delta between the two runs is exactly
+    the offloaded work.
+    """
+    client, server = run.libos["client"], run.libos["server"]
+    srv = UdpKvServer(server, port=6379)
+    prog = None
+    if nic_program:
+        prog = KvNicOffload(server.nic, srv.engine, server.ip, port=6379)
+        prog.install()
+    run.servers.append((srv, run.sim.spawn(srv.run(),
+                                           name="kv-offload.server")))
+    value = b"v" * value_size
+    ops = ([(OP_PUT, b"key-%04d" % i, value) for i in range(n_keys)]
+           + [(OP_GET, b"key-%04d" % (i % n_keys), None)
+              for i in range(n_gets)]
+           + [(OP_GET, b"missing", None)])
+    (results, stats), = yield [run.sim.spawn(
+        demi_kv_client(client, server.ip, ops, proto="udp"),
+        name="kv-offload.client")]
+    yield
+    gets = [r for r in results if r is not None]
+    got_ok = sum(1 for found, v in gets if found and v == value)
+    got_missing = sum(1 for found, v in gets if not found)
+    if got_ok != n_gets:
+        run.failures.append("%d/%d GETs returned the value"
+                            % (got_ok, n_gets))
+    if got_missing != 1:
+        run.failures.append("%d misses (expected 1)" % got_missing)
+    if prog is not None:
+        if prog.hits != n_gets:
+            run.failures.append("%d/%d GETs answered on the NIC"
+                                % (prog.hits, n_gets))
+        if srv.requests_served != n_keys:
+            run.failures.append("host served %d requests, expected only"
+                                " the %d PUTs"
+                                % (srv.requests_served, n_keys))
+    run.data.update(
+        host_cpu_ns=server.core.busy_ns,
+        host_cpu_per_op_ns=server.core.busy_ns // max(1, len(ops)),
+        served_on_host=srv.requests_served,
+        rtt_p50_ns=stats.percentile(50),
+        **{leaf: getattr(prog, leaf, 0)
+           for leaf in ("hits", "misses", "steered", "punts")})
 
 
 def _storage_legs(libos, records: Sequence[bytes]) -> Generator:
@@ -407,11 +659,53 @@ def _storage(run: _Run, n_records: int = 12, record_size: int = 2048):
     proc = run.sim.spawn(_storage_legs(run.libos["h"], records),
                          name="chaos.storage")
     (out, flushed), = yield [proc]
+    yield
     if out != records:
         intact = sum(1 for got, put in zip(out, records) if got == put)
         run.failures.append("storage read-back mismatch: %d/%d records intact"
                             % (intact, n_records))
     run.data.update(flushed=flushed)
+
+
+def _log_scan_legs(libos, records: Sequence[bytes], predicate,
+                   on_device: bool) -> Generator:
+    """Returns (matches, host CPU ns of the scan, its wall-clock ns)."""
+    qd = yield from libos.creat("/log")
+    for record in records:
+        yield from libos.blocking_push(qd, libos.sga_alloc(record))
+    yield from libos.fsync(qd)
+    cpu_start, start = libos.core.busy_ns, libos.sim.now
+    scan = libos.store.scan if on_device else libos.store.scan_host
+    matches = yield from scan(predicate)
+    return matches, libos.core.busy_ns - cpu_start, libos.sim.now - start
+
+
+def _log_scan(run: _Run, n_records: int = 400, on_device: bool = False):
+    """Append + fsync a log, then predicate-scan it: the in-controller
+    predicate loop (only matches cross PCIe) or the host read loop."""
+    libos = run.libos["h"]
+    records = [b"rec-%04d:%s" % (i, b"x" * (50 + i % 37))
+               for i in range(n_records)]
+
+    def predicate(payload):
+        return payload[4:8].isdigit() and int(payload[4:8]) % 7 == 0
+
+    (matches, scan_cpu_ns, scan_wall_ns), = yield [run.sim.spawn(
+        _log_scan_legs(libos, records, predicate, on_device),
+        name="storelog-scan")]
+    yield
+    expected = [record for record in records if predicate(record)]
+    if [payload for _id, payload in matches] != expected:
+        run.failures.append("scan returned %d records, the log holds %d"
+                            " that match" % (len(matches), len(expected)))
+    counters = counter_rollup(libos.host.tracer, leaves=("scans", "reads"))
+    run.data.update(
+        scan_cpu_ns=scan_cpu_ns,
+        scan_cpu_per_record_ns=scan_cpu_ns // max(1, n_records),
+        scan_wall_ns=scan_wall_ns,
+        nvme_scans=counters.get("scans", 0),
+        nvme_reads=counters.get("reads", 0),
+        scan_matches=len(matches))
 
 
 def _crash_echo_server(libos, port: int, n_limit: int,
@@ -484,6 +778,7 @@ def _crash_echo(run: _Run, n_messages: int = 600, message_size: int = 128,
     run.may_hang = not strict
     # Only the survivor is joined: the client's exit is the crash.
     (served, outcome), = yield [server_proc]
+    yield
     if strict and served >= n_messages:
         run.failures.append("crash landed after the whole stream finished"
                             " (served=%d) - move proc_crash earlier" % served)
@@ -519,7 +814,7 @@ def _crash_storage(run: _Run, n_records: int = 8, record_size: int = 2048):
     run.on_crash("h", lambda reports: crash_teardown(
         libos, proc, report_to=reports), "chaos.crash.reclaim")
     # Nothing to join: the driver runs the world past the plan's crash.
-    yield []
+    yield
     if proc.alive:
         run.failures.append("workload still running after the crash fired")
     run.data.update(
@@ -553,6 +848,7 @@ def _nvme_outage(run: _Run, n_records: int = 6, record_size: int = 1024):
     proc = run.sim.spawn(_nvme_outage_legs(libos, records),
                          name="chaos.nvme.outage")
     (appended, err), = yield [proc]
+    yield
     if err is None:
         run.failures.append("device outage never surfaced: fsync completed"
                             " without DeviceFailed")
@@ -678,7 +974,7 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
     ``applied``, ``committed == applied``) and the failover actually
     happened (directory epoch bumped, chain spliced).
     """
-    nodes, tracer = run.nodes, run.world.tracer
+    nodes, tracer = run.tier, run.world.tracer
     directory = nodes[0].directory
     clients = [ReplicatedKvClient(libos, directory,
                                   run.rng.fork_named("%s.retry" % host))
@@ -696,6 +992,7 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
         client, i, run.rng.fork_named("cl%d.ops" % i), trackers[i],
         violations, n_ops, n_keys, value_size, settle_ns),
         name="chaos.replica.cl%d" % i) for i, client in enumerate(clients)]
+    yield
     run.failures.extend(violations)
     # -- replica convergence: the chain agrees after the splice -------------
     dead = [n for n in nodes if n.crashed]
@@ -742,16 +1039,105 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
             for c in clients))
 
 
-#: name -> the libOS kinds it runs on and its ``legs``; ``world`` picks a
+def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
+                lanes) -> Generator:
+    """Open-loop load against *servers*: preload, then the measured window.
+
+    A lane is ``(client libOS, the keys it may touch, source-port
+    allocator or None)``; connection *i* runs on lane ``i % len(lanes)``.
+    Every lane preloads its keys through a connection of its own, one
+    lane after the other, before the measured connections spawn.
+    """
+    codec_cls = servers[0].codec_factory
+    rng = run.rng.fork_named("loadgen.%s" % codec_cls.name)
+    stats = LatencyStats("loadgen-rtt")
+    metrics = ConnMetrics()
+    for libos, keys, alloc in lanes:
+        yield [run.sim.spawn(
+            preload(libos, cfg, codec_cls, rng.fork_named("preload"),
+                    server_ip, keys, src_port=alloc() if alloc else None),
+            name="loadgen.preload")]
+    measure_start = run.sim.now
+    procs = []
+    for conn_id in range(cfg.n_connections):
+        libos, keys, alloc = lanes[conn_id % len(lanes)]
+        procs.append(run.sim.spawn(
+            connection(libos, cfg, codec_cls, rng.fork(100 + conn_id),
+                       conn_id, server_ip, keys, stats, metrics,
+                       src_port_alloc=alloc),
+            name="loadgen.conn%d" % conn_id))
+    yield procs
+    # Goodput is over the window the connections ran, not the quiesce.
+    elapsed_ns = run.sim.now - measure_start
+    yield
+    run.data.update(
+        offered_ops_per_s=cfg.rate_ops_per_s,
+        elapsed_ns=elapsed_ns,
+        sent=metrics.sent,
+        completed=metrics.completed,
+        goodput_ops_per_s=round(
+            metrics.completed / (elapsed_ns / 1e9 if elapsed_ns else 1.0), 1),
+        p50_ns=stats.percentile(50),
+        p99_ns=stats.percentile(99),
+        p999_ns=stats.percentile(99.9),
+        client_decode_errors=metrics.client_decode_errors,
+        server_decode_errors=sum(s.decode_errors for s in servers),
+        error_replies=sum(s.error_replies for s in servers),
+        reconnects=metrics.reconnects,
+        stalls=metrics.stalls,
+        server_requests=sum(s.requests_served for s in servers))
+
+
+def _open_loop(run: _Run, protocol: str = "resp", **knobs):
+    """One offered-load point against one :class:`ProtoServer` speaking
+    *protocol*; *knobs* are :class:`~repro.bench.loadgen.LoadConfig`'s."""
+    cfg = LoadConfig(**knobs)
+    client, server = run.libos["client"], run.libos["server"]
+    kv = ProtoServer(server, CODECS[protocol],
+                     KvEngineStore(KvEngine(server.host, name="loadgen.kv")),
+                     port=PORT)
+    run.serve(kv, "loadgen.server")
+    keys = [b"key-%06d" % j for j in range(cfg.n_keys)]
+    yield from _offer_load(run, cfg, [kv], _SERVER_ADDR[run.kind],
+                           [(client, keys, None)])
+
+
+def _open_loop_sharded(run: _Run, **knobs):
+    """The same point against the sharded server: one lane per shard,
+    its connections RSS-steered to the shard's RX queue and drawing only
+    the keys that shard owns."""
+    cfg = LoadConfig(**knobs)
+    tier = run.tier
+    lanes = []
+    for shard, keys in enumerate(shard_keys(cfg.n_keys, tier.n_shards)):
+        client = run.libos["client%d" % shard]
+        lanes.append((client, keys, steered_ports(client.ip, tier.ip, shard,
+                                                  tier.n_shards)))
+    yield from _offer_load(run, cfg, _start_shards(run), tier.ip, lanes)
+
+
+#: name -> the stack kinds it runs on and its ``legs``; ``world`` picks a
 #: world-table row other than the kind's, ``shape`` names the keywords
 #: that row's builder takes.  A new workload is one row here.
 WORKLOADS: Dict[str, Dict[str, Any]] = {
     "echo": {"kinds": NET_LIBOS_KINDS, "legs": _echo},
+    "echo-rtt": {"kinds": ("kernel", "mtcp") + NET_LIBOS_KINDS,
+                 "legs": _echo_rtt},
     "kv": {"kinds": NET_LIBOS_KINDS,
            "legs": partial(_kv, streams=_one_client)},
     "kv-concurrent": {"kinds": NET_LIBOS_KINDS,
                       "legs": partial(_kv, streams=_disjoint_clients)},
+    "kv-rtt": {"kinds": ("kernel", "dpdk"), "legs": _kv_rtt},
+    "kv-sharded": {"kinds": ("dpdk",), "legs": _kv_sharded,
+                   "world": "sharded", "shape": ("cores",)},
+    "kv-udp": {"kinds": ("dpdk",), "legs": _kv_udp,
+               "world": "dpdk-offload"},
+    "open-loop": {"kinds": ("dpdk", "posix"), "legs": _open_loop},
+    "open-loop-sharded": {"kinds": ("dpdk",), "legs": _open_loop_sharded,
+                          "world": "sharded",
+                          "shape": ("cores", "protocol")},
     "storage": {"kinds": ("spdk",), "legs": _storage},
+    "log-scan": {"kinds": ("spdk",), "legs": _log_scan},
     "crash-echo": {"kinds": NET_LIBOS_KINDS, "legs": _crash_echo},
     "crash-storage": {"kinds": ("spdk",), "legs": _crash_storage},
     "nvme-outage": {"kinds": ("spdk",), "legs": _nvme_outage},
@@ -944,9 +1330,10 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     pinned plan) or a :data:`WORKLOADS` row (*plan* is required).
     *params* are the workload's own keywords (``n_messages``, ``n_ops``,
     ``strict``, ...); *limit_ns* bounds each joined leg.  The loop is
-    always the same: build -> install the plan -> spawn -> join -> stop
-    servers -> quiesce -> check; a run that does not finish is recorded
-    and still gets every check that holds for an undrained world.
+    always the same: build -> install the plan -> spawn and join, phase
+    by phase -> stop servers -> quiesce -> check; a run that does not
+    finish is recorded and still gets every check that holds for an
+    undrained world.
     """
     problem = scenario_problem(name, kind)
     if problem is not None:
@@ -957,35 +1344,35 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
         plan = golden_plan(name, kind)
     shape = {key: params.pop(key) for key in workload.get("shape", ())
              if key in params}
-    world, libos, nodes = _WORLDS[workload.get("world", kind)](
+    world, endpoints, tier = _WORLDS[workload.get("world", kind)](
         plan.seed, telemetry, **shape)
     world.tracer.keep_events = True
     world.install_faults(plan)
-    run = _Run(world, libos, nodes, kind, plan.seed)
+    run = _Run(world, endpoints, tier, kind, plan.seed)
     sim, failures = world.sim, run.failures
-    check = workload["legs"](run, **params)  # resumed below, as the check
+    check = workload["legs"](run, **params)
     legs = next(check)
-    outputs: List[Any] = []
-    finished = False
-    try:
-        for proc in legs:
-            outputs.append(sim.run_until_complete(
-                proc, limit=sim.now + limit_ns))
-        finished = True
-    except Exception as err:
-        # Timeouts AND hard workload errors (a transport giving up, a
-        # buffer fault) must surface as reportable failures: the repro
-        # line matters most exactly when the run blows up.
-        if not run.may_hang:
-            failures.append("workload did not finish: %s: %s"
-                            % (type(err).__name__, err))
-        # The abandoned legs run no more user code, so one dying later
-        # cannot take the quiesce down with it.
-        for proc in legs:
-            proc.interrupt("abandoned")
-    run.joined_at = sim.now
-    for server, proc in run.servers:
+    while legs is not None:  # one phase of legs; None is the bare yield
+        try:
+            outputs = [sim.run_until_complete(proc, limit=sim.now + limit_ns)
+                       for proc in legs]
+        except Exception as err:
+            # Timeouts AND hard workload errors (a transport giving up, a
+            # buffer fault) must surface as reportable failures: the
+            # repro line matters most exactly when the run blows up.
+            if not run.may_hang:
+                failures.append("workload did not finish: %s: %s"
+                                % (type(err).__name__, err))
+            # The abandoned legs run no more user code, so one dying
+            # later cannot take the quiesce down with it.
+            for proc in legs:
+                proc.interrupt("abandoned")
+            break
+        legs = check.send(outputs)
+    finished = legs is None
+    for server, _proc in run.servers:
         server.stop()
+    for _server, proc in run.servers:
         try:
             sim.run_until_complete(proc, limit=sim.now + 100 * _MS)
         except Exception as err:
@@ -1000,8 +1387,8 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
         run.data["reclaim"] = run.reclaims[0].as_dict()
     elif crashed:
         failures.append("crash teardown never ran (no proc_crash fired?)")
-    for host, each in run.libos.items():
-        if host in crashed:
+    for each in run.checked:
+        if each.host.name in crashed:
             _check_reclaimed(failures, each)
         else:
             _check_libos(failures, world, each,
@@ -1009,7 +1396,7 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     _check_dma(failures, world)
     if finished:
         with suppress(StopIteration):  # the workload's own check returns
-            check.send(outputs)
+            next(check)
     run.data["finished_at"] = sim.now
     return ScenarioResult(name, kind, plan, world, failures, run.data)
 

@@ -5,19 +5,33 @@ same traffic, (b) it actually exposes overload - goodput plateaus at
 capacity while tail latency explodes - and (c) the adversarial knobs
 (churn, stalls, split writes) run without corrupting a single stream.
 Each test here pins one of those properties with short windows so the
-suite stays fast.
+suite stays fast.  The generator's legs run as the ``open-loop`` /
+``open-loop-sharded`` rows of the scenario table, so every run here is
+also checked by the driver's invariants (``require_ok``).
 """
 
-from repro.bench.loadgen import (LoadConfig, arrival_times, run_open_loop,
-                                 slo_sweep)
+from repro.apps.proto import CODECS
+from repro.apps.proto.resp import RespCodec
+from repro.bench.loadgen import arrival_times
+from repro.sim.faults import FaultPlan
 from repro.sim.rand import Rng
+from repro.testing import run_scenario
 
 
-def small_cfg(**overrides) -> LoadConfig:
-    base = dict(rate_ops_per_s=40_000.0, duration_ms=5, n_connections=2,
-                n_keys=16, value_size=32)
-    base.update(overrides)
-    return LoadConfig(**base)
+def open_loop(seed=7, kind="dpdk", cores=1, **overrides):
+    """One offered-load point's row (``ScenarioResult.data``)."""
+    knobs = dict(rate_ops_per_s=40_000.0, duration_ms=5, n_connections=2,
+                 n_keys=16, value_size=32)
+    knobs.update(overrides)
+    if cores > 1:
+        result = run_scenario("open-loop-sharded", kind,
+                              plan=FaultPlan(seed=seed), cores=cores, **knobs)
+    else:
+        result = run_scenario("open-loop", kind, plan=FaultPlan(seed=seed),
+                              **knobs)
+    row = dict(result.require_ok().data)
+    del row["finished_at"]
+    return row
 
 
 class TestArrivalTimes:
@@ -39,56 +53,76 @@ class TestArrivalTimes:
 
 class TestSeedDeterminism:
     def test_same_seed_same_row(self):
-        r1 = run_open_loop(small_cfg(), seed=11)
-        r2 = run_open_loop(small_cfg(), seed=11)
-        assert r1 == r2
+        assert open_loop(seed=11) == open_loop(seed=11)
 
     def test_different_seed_different_traffic(self):
-        r1 = run_open_loop(small_cfg(), seed=11)
-        r2 = run_open_loop(small_cfg(), seed=12)
-        assert r1 != r2
+        assert open_loop(seed=11) != open_loop(seed=12)
 
 
 class TestOpenLoopRuns:
     def test_resp_run_is_clean(self):
-        row = run_open_loop(small_cfg(), seed=7)
+        row = open_loop()
         assert row["completed"] > 0
         assert row["server_decode_errors"] == 0
         assert row["client_decode_errors"] == 0
         assert row["error_replies"] == 0
-        assert row["qtoken_identity_ok"] is True
         assert row["p50_ns"] <= row["p99_ns"] <= row["p999_ns"]
 
     def test_memcached_posix_run_is_clean(self):
-        row = run_open_loop(small_cfg(protocol="memcached"), seed=7,
-                            libos_kind="posix")
+        row = open_loop(kind="posix", protocol="memcached")
         assert row["completed"] > 0
         assert row["server_decode_errors"] == 0
         assert row["client_decode_errors"] == 0
-        assert row["qtoken_identity_ok"] is True
 
     def test_churn_stall_and_chunking_survive(self):
         # All three adversarial knobs at once: reconnect every 40
         # requests, one reader stalls mid-run, every push split into
         # 7-byte chunks.  Zero tolerance for stream corruption.
-        row = run_open_loop(
-            small_cfg(duration_ms=8, churn_every=40, stall_conns=1,
-                      chunk_bytes=7),
-            seed=9)
+        row = open_loop(seed=9, duration_ms=8, churn_every=40, stall_conns=1,
+                        chunk_bytes=7)
         assert row["reconnects"] > 0
         assert row["stalls"] == 1
         assert row["server_decode_errors"] == 0
         assert row["client_decode_errors"] == 0
         assert row["error_replies"] == 0
-        assert row["qtoken_identity_ok"] is True
 
     def test_sharded_run_is_clean(self):
-        row = run_open_loop(small_cfg(rate_ops_per_s=60_000.0), seed=7,
-                            cores=2)
-        assert row["cores"] == 2
+        row = open_loop(cores=2, rate_ops_per_s=60_000.0)
         assert row["completed"] > 0
         assert row["server_decode_errors"] == 0
-        assert row["qtoken_identity_ok"] is True
+
+
+class OneBadRequest(RespCodec):
+    """RESP whose 10th request after the preload is framing damage."""
+
+    name = "resp-one-bad"
+    encoded = 0
+
+    def encode_request(self, request):
+        OneBadRequest.encoded += 1
+        if OneBadRequest.encoded == 16 + 10:
+            return b"!not-resp\r\n"
+        return super().encode_request(request)
+
+
+def test_a_connection_the_server_closes_ends_that_connection_only(
+        monkeypatch):
+    # The server's decode-error policy closes the connection that sent
+    # the damage.  Its pop completes with an error and wait_any retires
+    # the token: waiting on it again (or cancelling it) used to raise
+    # "unknown or already-waited qtoken" out of the connection process
+    # and abort the whole run.
+    monkeypatch.setitem(CODECS, OneBadRequest.name, OneBadRequest)
+    monkeypatch.setattr(OneBadRequest, "encoded", 0)
+    row = open_loop(protocol=OneBadRequest.name)
+    assert row["server_decode_errors"] == 1
+    # The closed connection stops sending; the one request it is owed a
+    # reply for stays uncompleted and the row shows it.
+    assert row["completed"] == row["sent"] - 1
+    # Every request the server answered after the 16-key preload was
+    # received: the connection that stayed up lost nothing.
+    assert row["completed"] == row["server_requests"] - 16
+    assert row["client_decode_errors"] == 0
 
 
 class TestOverloadShape:
@@ -96,11 +130,11 @@ class TestOverloadShape:
         # dpdk single core saturates around 240k ops/s.  Sweeping to
         # 130% must show the open-loop signature: goodput stops
         # tracking offered load while p99.9 keeps climbing.
-        rows = slo_sweep(
-            LoadConfig(duration_ms=15, n_connections=4, n_keys=32),
-            load_fractions=[0.3, 0.7, 1.0, 1.3],
-            base_rate_ops_per_s=240_000.0, seed=7)
-        by_load = {row["load_fraction"]: row for row in rows}
+        by_load = {
+            fraction: open_loop(rate_ops_per_s=240_000.0 * fraction,
+                                duration_ms=15, n_connections=4, n_keys=32,
+                                value_size=128)
+            for fraction in (0.3, 0.7, 1.0, 1.3)}
 
         # Below the knee goodput tracks offered load closely...
         assert by_load[0.3]["goodput_ops_per_s"] > 0.8 * 0.3 * 240_000
@@ -113,9 +147,10 @@ class TestOverloadShape:
             < 0.95 * 1.3 * 240_000
         # The tail is monotone across the sweep and explodes under
         # overload (queueing delay, not service time).
-        p999 = [row["p999_ns"] for row in rows]
+        p999 = [row["p999_ns"] for row in by_load.values()]
         assert p999 == sorted(p999)
         assert by_load[1.3]["p999_ns"] > 10 * by_load[0.3]["p999_ns"]
         # Overload must not manufacture protocol errors.
-        assert all(row["server_decode_errors"] == 0 for row in rows)
-        assert all(row["error_replies"] == 0 for row in rows)
+        assert all(row["server_decode_errors"] == 0
+                   for row in by_load.values())
+        assert all(row["error_replies"] == 0 for row in by_load.values())

@@ -97,3 +97,58 @@ def test_plans_resolve_by_name_next_to_the_table():
     assert reseeded.events == pinned.events
     with pytest.raises(KeyError):
         plan_by_name("no-such-plan")
+
+
+# ---------------------------------------------------------------------------
+# Phases, and worlds with more than one libOS on a host
+# ---------------------------------------------------------------------------
+
+def test_a_phase_joins_before_the_next_one_spawns(monkeypatch):
+    # The open-loop rows preload their keys in a phase of its own: the
+    # workload is resumed with a phase's return values the moment its
+    # last leg joins, spawns the next phase then, and its own check runs
+    # only after the bare yield's stop / quiesce.
+    seen = []
+
+    def two_phases(run):
+        def leg(label, ns):
+            yield run.sim.timeout(ns)
+            seen.append((label, run.sim.now))
+            return label
+
+        first = yield [run.sim.spawn(leg("preload", 5_000))]
+        seen.append(("resumed", run.sim.now, first))
+        second = yield [run.sim.spawn(leg("measured-a", 3_000)),
+                        run.sim.spawn(leg("measured-b", 1_000))]
+        seen.append(("resumed", run.sim.now, second))
+        yield
+        run.data["checked_at"] = run.sim.now
+
+    monkeypatch.setitem(WORKLOADS, "two-phases",
+                        {"kinds": ("dpdk",), "legs": two_phases})
+    result = run_scenario("two-phases", "dpdk",
+                          plan=FaultPlan(seed=1)).require_ok()
+    assert seen == [("preload", 5_000),
+                    ("resumed", 5_000, ["preload"]),
+                    ("measured-b", 6_000),
+                    ("measured-a", 8_000),
+                    ("resumed", 8_000, ["measured-a", "measured-b"])]
+    assert result.data["checked_at"] == result.data["finished_at"] > 8_000
+
+
+def test_every_shard_on_the_one_server_host_is_checked(monkeypatch):
+    # N shards are N libOSes on the host named "server": the checker
+    # walks libOSes, not host names.
+    def stray_tokens(run):
+        for shard in run.tier.shards:
+            shard.libos.qtokens.create()  # never completes, never waited
+        yield
+
+    monkeypatch.setitem(WORKLOADS, "stray-tokens",
+                        {"kinds": ("dpdk",), "legs": stray_tokens,
+                         "world": "sharded", "shape": ("cores",)})
+    result = run_scenario("stray-tokens", "dpdk", plan=FaultPlan(seed=1),
+                          cores=3)
+    assert [f.split()[0] for f in result.failures] == [
+        "server.shard0", "server.shard1", "server.shard2"]
+    assert all("1 qtokens still in flight" in f for f in result.failures)

@@ -94,7 +94,7 @@ class TestShardedServing:
 
     def test_qtoken_identity_per_shard(self):
         for shard in self.server.shards:
-            assert shard.qtoken_identity_ok(), (
+            assert shard.libos.qtokens.identity_ok, (
                 "shard %d leaked qtokens" % shard.index)
 
     def test_every_core_did_work(self):
