@@ -29,13 +29,18 @@ from ..core.api import LibOS
 from ..core.types import DemiError, DemiTimeout, Sga, SgaSegment
 from ..kernelos.kernel import Kernel
 from ..memory.buffer import Buffer
+from ..netstack.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from ..netstack.framing import Deframer, FramingError, frame_message
+from ..netstack.ipv4 import PROTO_UDP, Ipv4Packet
+from ..netstack.packet import bytes_to_ip, bytes_to_mac, ip_to_bytes
+from ..netstack.udp import UdpDatagram
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
 from .proto.codec import (ST_MISS, ST_STORED, ST_VALUE, CodecError, Request,
                           Response)
 from .proto.legacy import LegacyKvCodec
+from .steering import key_partition
 
 __all__ = [
     "KvEngine",
@@ -304,9 +309,6 @@ class KvNicOffload:
         self.nic.install_rx_program(None)
 
     def __call__(self, frame: bytes):
-        from ..netstack.ipv4 import PROTO_UDP
-        from ..netstack.packet import ip_to_bytes
-
         offload = self.nic.offload
         # -- filter stage: a KV request is UDP to our (ip, port) -----------
         if (len(frame) < 42 or frame[12:14] != b"\x08\x00"
@@ -343,19 +345,12 @@ class KvNicOffload:
                 return self._reply(frame, codec.encode(
                     Response(ST_VALUE, value=buf.read())))
         # -- steer stage: the owning shard's RX queue ----------------------
-        from .steering import key_partition
-
         self.steered += 1
         offload.count(names.OFFLOAD_KV_STEERED)
         return ("steer", key_partition(key, self.n_shards))
 
     def _reply(self, request_frame: bytes, payload: bytes):
         """Build the on-NIC response frame by mirroring the request."""
-        from ..netstack.ethernet import ETHERTYPE_IPV4, EthernetFrame
-        from ..netstack.ipv4 import PROTO_UDP, Ipv4Packet
-        from ..netstack.packet import bytes_to_ip, bytes_to_mac
-        from ..netstack.udp import UdpDatagram
-
         src_mac = bytes_to_mac(request_frame[6:12])
         src_ip = bytes_to_ip(request_frame[26:30])
         (src_port,) = struct.unpack_from("!H", request_frame, 34)

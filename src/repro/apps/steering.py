@@ -21,6 +21,7 @@ from typing import Generator, List
 from ..core.api import LibOS
 from ..core.pipeline import ElementRunner
 from ..core.types import Sga
+from ..hw.nic import rss_hash
 
 __all__ = ["SteeringPipeline", "partition_of", "key_partition"]
 
@@ -39,8 +40,6 @@ def key_partition(key: bytes, n_partitions: int) -> int:
     that wants shard *q* steers its *flow* there (source-port choice),
     and sends only keys with ``key_partition(key, n) == q`` on it.
     """
-    from ..hw.nic import rss_hash
-
     return rss_hash(key) % n_partitions if n_partitions > 1 else 0
 
 

@@ -7,8 +7,8 @@ return ``qtoken`` handles that ``wait_*`` resolves to results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # typing-only: keeps core.types import-cycle-free so
     # hw/* modules can import the exception types at module load.
@@ -71,6 +71,9 @@ class SgaSegment:
     buf: Buffer
     offset: int = 0
     length: Optional[int] = None  # None = rest of the buffer
+    #: what *length* comes to; a segment is immutable and a buffer never
+    #: resizes, so it is worked out once
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         length = self.length if self.length is not None else self.buf.capacity - self.offset
@@ -79,12 +82,7 @@ class SgaSegment:
                 "segment [%d, %d) outside buffer of %d bytes"
                 % (self.offset, self.offset + length, self.buf.capacity)
             )
-
-    @property
-    def nbytes(self) -> int:
-        if self.length is not None:
-            return self.length
-        return self.buf.capacity - self.offset
+        object.__setattr__(self, "nbytes", length)
 
     def tobytes(self) -> bytes:
         return self.buf.read(self.offset, self.nbytes)
@@ -97,14 +95,15 @@ class Sga:
     of the other end as a single element (section 4.3).
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "nbytes")
 
-    def __init__(self, segments: List[SgaSegment]):
-        self.segments = list(segments)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(seg.nbytes for seg in self.segments)
+    def __init__(self, segments: Iterable[SgaSegment]):
+        #: fixed at construction, and with it the element's size
+        self.segments: Tuple[SgaSegment, ...] = tuple(segments)
+        nbytes = 0
+        for seg in self.segments:
+            nbytes += seg.nbytes
+        self.nbytes = nbytes
 
     @property
     def nsegments(self) -> int:
@@ -112,7 +111,10 @@ class Sga:
 
     def tobytes(self) -> bytes:
         """Gather the segments (timing-free; devices do this via DMA)."""
-        return b"".join(seg.tobytes() for seg in self.segments)
+        segments = self.segments
+        if len(segments) == 1:
+            return segments[0].tobytes()
+        return b"".join([seg.tobytes() for seg in segments])
 
     def buffers(self) -> List[Buffer]:
         return [seg.buf for seg in self.segments]

@@ -196,18 +196,16 @@ class QTokenTable:
         if not tokens:
             raise DemiError("wait_any on no tokens")
         entered = self.sim.now
-        completions = [self.completion_of(t) for t in tokens]
-        events = list(completions)
+        events = [self.completion_of(t) for t in tokens]
         timer = None
         if timeout_ns is not None:
             timer = self.sim.timeout(timeout_ns, WAIT_TIMEOUT)
             events.append(timer)
-        which = yield any_of(self.sim, events)
-        index, value = which
-        if timer is not None and index == len(tokens):
-            self.counters.count(names.WAIT_TIMEOUTS)
-            raise DemiTimeout(timeout_ns, tokens)
+        index, value = yield any_of(self.sim, events)
         if timer is not None:
+            if index == len(tokens):
+                self.counters.count(names.WAIT_TIMEOUTS)
+                raise DemiTimeout(timeout_ns, tokens)
             # A token won before the deadline: withdraw the timer so it
             # doesn't linger on the sim heap until the deadline passes.
             timer.cancel()
@@ -239,22 +237,21 @@ class QTokenTable:
         if not tokens:
             raise DemiError("wait_any_n on no tokens")
         entered = self.sim.now
-        completions = [self.completion_of(t) for t in tokens]
-        events = list(completions)
+        events = [self.completion_of(t) for t in tokens]
         timer = None
         if timeout_ns is not None:
             timer = self.sim.timeout(timeout_ns, WAIT_TIMEOUT)
             events.append(timer)
-        which = yield any_of(self.sim, events)
-        index, value = which
-        if timer is not None and index == len(tokens):
-            self.counters.count(names.WAIT_TIMEOUTS)
-            raise DemiTimeout(timeout_ns, tokens)
+        index, value = yield any_of(self.sim, events)
         if timer is not None:
+            if index == len(tokens):
+                self.counters.count(names.WAIT_TIMEOUTS)
+                raise DemiTimeout(timeout_ns, tokens)
             timer.cancel()
+            events.pop()  # what is left is the tokens' completions
         limit = len(tokens) if max_n is None else max(1, max_n)
         ready: List[Tuple[int, QResult]] = [(index, value)]
-        for i, done in enumerate(completions):
+        for i, done in enumerate(events):
             if i == index:
                 continue
             if len(ready) >= limit:

@@ -89,7 +89,7 @@ class _EthernetNic(Device):
             return
         nbytes = len(frame)
         work = self.costs.dma_ns(nbytes) + self.costs.nic_process_ns
-        now = self.sim.now
+        now = self.sim._now
         if self.faults is not None:
             work += self.faults.stall_ns(now)
         # The TX pipeline is serial per queue: back-to-back descriptors
@@ -407,7 +407,7 @@ class KernelNic(_EthernetNic):
         if self.irq_handler is None:
             self.count(names.RX_NO_HANDLER_DROPS)
             return
-        now = self.sim.now
+        now = self.sim._now
         if self.coalesce_ns and now < self._window_ends_at:
             # Inside a coalescing window: park the frame for the flush.
             self.count(names.RX_COALESCED)

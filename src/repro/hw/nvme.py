@@ -98,7 +98,7 @@ class NvmeDevice(Device):
     def _occupy_channel(self, ns: int) -> int:
         """FIFO-queue *ns* of work on the least-busy channel; returns the
         completion delay from now."""
-        now = self.sim.now
+        now = self.sim._now
         if self.faults is not None:
             ns = int(ns * self.faults.io_factor(now))
         idx = min(range(len(self._channel_free)), key=lambda i: self._channel_free[i])

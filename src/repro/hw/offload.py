@@ -57,7 +57,7 @@ class OffloadEngine(Device):
 
     def _occupy(self, ns: int) -> int:
         """FIFO device pipeline occupancy; returns delay from now."""
-        now = self.sim.now
+        now = self.sim._now
         start = max(now, self._busy_free_at)
         self._busy_free_at = start + ns
         self.device_busy_ns += ns

@@ -248,7 +248,7 @@ class DpdkLibOS(LibOS):
         sga.hold_all()
         self.stack.udp_send(queue.port, remote[0], remote[1], payload)
         # The NIC is done with the buffers once the frame is DMA'd out.
-        self.sim.call_in(self.costs.dma_ns(len(payload)), sga.release_all)
+        self.sim.call_in(self.costs.dma_ns(sga.nbytes), sga.release_all)
         self.count(names.UDP_TX_ELEMENTS)
         self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
                                              nbytes=sga.nbytes))
@@ -284,7 +284,7 @@ class DpdkLibOS(LibOS):
             self.qtokens.complete(token, QResult(
                 OP_PUSH, queue.qd, error=str(err)))
             return
-        self.sim.call_in(self.costs.dma_ns(len(payload)), sga.release_all)
+        self.sim.call_in(self.costs.dma_ns(sga.nbytes), sga.release_all)
         self.count(names.TCP_TX_ELEMENTS)
         self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
                                              nbytes=sga.nbytes))

@@ -7,13 +7,19 @@ from dataclasses import dataclass
 
 from .packet import PacketError, bytes_to_mac, mac_to_bytes
 
-__all__ = ["EthernetFrame", "ETHERTYPE_IPV4", "ETHERTYPE_ARP", "ETH_HEADER_LEN"]
+__all__ = ["EthernetFrame", "ethernet_header", "ETHERTYPE_IPV4",
+           "ETHERTYPE_ARP", "ETH_HEADER_LEN"]
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 ETH_HEADER_LEN = 14
 
 _ETHERTYPE = struct.Struct("!H")
+
+
+def ethernet_header(dst: str, src: str, ethertype: int) -> bytes:
+    """The 14 bytes in front of every payload from *src* to *dst*."""
+    return mac_to_bytes(dst) + mac_to_bytes(src) + _ETHERTYPE.pack(ethertype)
 
 
 @dataclass
@@ -24,12 +30,8 @@ class EthernetFrame:
     payload: bytes
 
     def pack(self) -> bytes:
-        return (
-            mac_to_bytes(self.dst)
-            + mac_to_bytes(self.src)
-            + _ETHERTYPE.pack(self.ethertype)
-            + self.payload
-        )
+        return (ethernet_header(self.dst, self.src, self.ethertype)
+                + self.payload)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "EthernetFrame":

@@ -77,7 +77,7 @@ class Deframer:
 
     @property
     def buffered_bytes(self) -> int:
-        return len(self._buffer) + (0 if self._need is None else 0)
+        return len(self._buffer)
 
     def pending(self) -> bool:
         """True if a partially-received message is buffered."""

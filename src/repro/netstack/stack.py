@@ -12,6 +12,15 @@ the *same* protocol code serves as
 That sharing is what makes the paper's comparisons apples-to-apples: both
 worlds speak identical TCP; only where the code runs and what it charges
 differs.
+
+A frame is parsed where it lies and packed once.  Receive reads the
+Ethernet, IPv4 and TCP headers out of the driver's one ``bytes`` at their
+offsets (:meth:`NetStack._rx_ipv4`) and slices it only for the payload;
+transmit writes Ethernet header, IPv4 header and L4 bytes with one join
+(:meth:`NetStack._tx_ipv4`).  ``EthernetFrame`` and ``Ipv4Packet`` are
+the codec for what is held as an object - ARP, packets queued behind an
+ARP resolution - and the reference ``tests/netstack/test_packets.py``
+compares both paths against.
 """
 
 from __future__ import annotations
@@ -21,15 +30,24 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..sim.engine import Simulator
 from ..telemetry import DISABLED, names
 from .arp import ARP_REPLY, ARP_REQUEST, ArpPacket
-from .ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
-from .ipv4 import DEFAULT_MTU, IPV4_HEADER_LEN, PROTO_TCP, PROTO_UDP, Ipv4Packet
-from .packet import PacketError
-from .tcp import TcpConnection, TcpListener, TcpSegment, tcp_checksum_ok
+from .ethernet import (ETH_HEADER_LEN, ETHERTYPE_ARP, ETHERTYPE_IPV4,
+                       EthernetFrame, ethernet_header)
+from .ipv4 import (DEFAULT_MTU, DEFAULT_TTL, FLAG_DF, IPV4_HEADER,
+                   IPV4_HEADER_LEN, PROTO_TCP, PROTO_UDP, VERSION_IHL,
+                   Ipv4Packet)
+from .packet import (PacketError, bytes_to_ip, internet_checksum, ip_to_bytes,
+                     mac_to_bytes)
+from .tcp import (ACK, RST, SYN, TcpConnection, TcpListener, TcpSegment,
+                  tcp_checksum_ok)
 from .udp import UdpDatagram, udp_checksum_ok
 
 __all__ = ["NetStack", "BROADCAST_MAC"]
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
+_BROADCAST = mac_to_bytes(BROADCAST_MAC)
+
+#: where the IPv4 header ends in a frame: L4 starts here (no IP options)
+_L4_OFFSET = ETH_HEADER_LEN + IPV4_HEADER_LEN
 
 ARP_RETRY_NS = 100_000
 ARP_MAX_RETRIES = 5
@@ -79,6 +97,12 @@ class NetStack:
         #: replies; the others still learn opportunistically.
         self.arp_responder = arp_responder
 
+        # our own addresses on the wire (neither changes after construction)
+        self._mac_bytes = mac_to_bytes(mac)
+        self._ip_bytes = ip_to_bytes(ip)
+        #: destination MAC -> the Ethernet header of an IPv4 frame to it
+        self._eth_headers: Dict[str, bytes] = {}
+
         self.arp_table: Dict[str, str] = {}
         self._arp_pending: Dict[str, List[Ipv4Packet]] = {}
         self._udp_handlers: Dict[int, UdpHandler] = {}
@@ -117,18 +141,18 @@ class NetStack:
             self._dispatch_frame(raw)
 
     def _dispatch_frame(self, raw: bytes) -> None:
-        try:
-            frame = EthernetFrame.unpack(raw)
-        except PacketError:
+        if len(raw) < ETH_HEADER_LEN:
             self.counters.count(names.RX_MALFORMED)
             return
-        if frame.dst not in (self.mac, BROADCAST_MAC):
+        dst = raw[:6]
+        if dst != self._mac_bytes and dst != _BROADCAST:
             self.counters.count(names.RX_WRONG_MAC)
             return
-        if frame.ethertype == ETHERTYPE_ARP:
-            self._rx_arp(frame)
-        elif frame.ethertype == ETHERTYPE_IPV4:
-            self._rx_ipv4(frame)
+        ethertype = raw[12] << 8 | raw[13]
+        if ethertype == ETHERTYPE_IPV4:
+            self._rx_ipv4(raw)
+        elif ethertype == ETHERTYPE_ARP:
+            self._rx_arp(raw[ETH_HEADER_LEN:])
         else:
             self.counters.count(names.RX_UNKNOWN_ETHERTYPE)
 
@@ -140,9 +164,9 @@ class NetStack:
         self.send_frame(dst_mac, frame.pack())
 
     # ---------------------------------------------------------------- ARP
-    def _rx_arp(self, frame: EthernetFrame) -> None:
+    def _rx_arp(self, payload: bytes) -> None:
         try:
-            arp = ArpPacket.unpack(frame.payload)
+            arp = ArpPacket.unpack(payload)
         except PacketError:
             self.counters.count(names.RX_MALFORMED)
             return
@@ -177,41 +201,77 @@ class NetStack:
 
     def _flush_arp_pending(self, ip: str) -> None:
         for packet in self._arp_pending.pop(ip, []):
-            self._tx_ipv4(packet)
+            self._tx_ipv4(packet.src, packet.dst, packet.proto,
+                          packet.payload, packet.ident)
 
     # --------------------------------------------------------------- IPv4
-    def _rx_ipv4(self, frame: EthernetFrame) -> None:
-        try:
-            packet = Ipv4Packet.unpack(frame.payload,
-                                       verify_checksum=self.verify_checksums)
-        except PacketError:
+    def _rx_ipv4(self, raw: bytes) -> None:
+        """Parse the IPv4 header of frame *raw* in place and demultiplex.
+
+        The checks, their order and the counter each bumps are
+        ``Ipv4Packet.unpack``'s; L4 is handed on as ``raw`` plus the
+        offset ``total_len`` ends it at (a frame may be padded beyond).
+        """
+        size = len(raw) - ETH_HEADER_LEN
+        if size < IPV4_HEADER_LEN:
             self.counters.count(names.RX_MALFORMED)
             return
-        if packet.dst != self.ip:
+        (ver_ihl, _tos, total_len, _ident, _flags, _ttl, proto, _csum,
+         src, dst) = IPV4_HEADER.unpack_from(raw, ETH_HEADER_LEN)
+        if (ver_ihl != VERSION_IHL  # not IPv4, or IP options
+                or total_len > size  # truncated
+                or (self.verify_checksums and internet_checksum(
+                    raw[ETH_HEADER_LEN:_L4_OFFSET]) != 0)):
+            self.counters.count(names.RX_MALFORMED)
+            return
+        if dst != self._ip_bytes:
             self.counters.count(names.RX_WRONG_IP)
             return
-        if packet.proto == PROTO_UDP:
-            self._rx_udp(packet)
-        elif packet.proto == PROTO_TCP:
-            self._rx_tcp(packet)
+        # a total_len below the header's own length leaves no L4 bytes
+        end = (ETH_HEADER_LEN + total_len if total_len > IPV4_HEADER_LEN
+               else _L4_OFFSET)
+        if proto == PROTO_TCP:
+            self._rx_tcp(raw, bytes_to_ip(src), end)
+        elif proto == PROTO_UDP:
+            self._rx_udp(raw[_L4_OFFSET:end], bytes_to_ip(src))
         else:
             self.counters.count(names.RX_UNKNOWN_PROTO)
 
-    def _tx_ipv4(self, packet: Ipv4Packet) -> None:
-        if IPV4_HEADER_LEN + len(packet.payload) > self.mtu:
+    def _tx_ipv4(self, src_ip: str, dst_ip: str, proto: int, l4: bytes,
+                 ident: Optional[int] = None) -> None:
+        """Send *l4* in one IPv4 packet: every frame with an IPv4 header
+        is built here, from fields, with one join.
+
+        *ident* is given only for a packet that already drew one and
+        then waited for ARP.
+        """
+        if ident is None:
+            ident = self._ip_ident = (self._ip_ident + 1) & 0xFFFF
+        total_len = IPV4_HEADER_LEN + len(l4)
+        if total_len > self.mtu:
             raise PacketError(
                 "IPv4 payload %d exceeds MTU %d (no fragmentation)"
-                % (len(packet.payload), self.mtu)
+                % (len(l4), self.mtu)
             )
-        dst_mac = self.arp_table.get(packet.dst)
+        dst_mac = self.arp_table.get(dst_ip)
         if dst_mac is None:
-            self._arp_resolve(packet.dst, packet)
+            self._arp_resolve(dst_ip, Ipv4Packet(src_ip, dst_ip, proto, l4,
+                                                 ident=ident))
             return
-        self._tx_frame(dst_mac, ETHERTYPE_IPV4, packet.pack())
-
-    def _next_ident(self) -> int:
-        self._ip_ident = (self._ip_ident + 1) & 0xFFFF
-        return self._ip_ident
+        self.charge(self.tx_cost_ns)
+        self.counters.count(names.TX_FRAMES)
+        try:
+            ethernet = self._eth_headers[dst_mac]
+        except KeyError:
+            ethernet = self._eth_headers[dst_mac] = ethernet_header(
+                dst_mac, self.mac, ETHERTYPE_IPV4)
+        header = IPV4_HEADER.pack(VERSION_IHL, 0, total_len, ident, FLAG_DF,
+                                  DEFAULT_TTL, proto,
+                                  0,  # checksum placeholder
+                                  ip_to_bytes(src_ip), ip_to_bytes(dst_ip))
+        csum = internet_checksum(header)
+        self.send_frame(dst_mac, b"".join((
+            ethernet, header[:10], csum.to_bytes(2, "big"), header[12:], l4)))
 
     # ---------------------------------------------------------------- UDP
     def udp_bind(self, port: int, handler: UdpHandler) -> None:
@@ -225,17 +285,15 @@ class NetStack:
     def udp_send(self, src_port: int, dst_ip: str, dst_port: int,
                  payload: bytes) -> None:
         datagram = UdpDatagram(src_port, dst_port, payload)
-        self._tx_ipv4(Ipv4Packet(self.ip, dst_ip, PROTO_UDP,
-                                 datagram.pack(self.ip, dst_ip),
-                                 ident=self._next_ident()))
+        self._tx_ipv4(self.ip, dst_ip, PROTO_UDP,
+                      datagram.pack(self.ip, dst_ip))
 
-    def _rx_udp(self, packet: Ipv4Packet) -> None:
-        if self.verify_checksums and not udp_checksum_ok(
-                packet.payload, packet.src, packet.dst):
+    def _rx_udp(self, l4: bytes, src_ip: str) -> None:
+        if self.verify_checksums and not udp_checksum_ok(l4, src_ip, self.ip):
             self.counters.count(names.UDP_BAD_CHECKSUM_DROPS)
             return
         try:
-            datagram = UdpDatagram.unpack(packet.payload)
+            datagram = UdpDatagram.unpack(l4)
         except PacketError:
             self.counters.count(names.RX_MALFORMED)
             return
@@ -243,7 +301,7 @@ class NetStack:
         if handler is None:
             self.counters.count(names.UDP_NO_LISTENER)
             return
-        handler(datagram.payload, packet.src, datagram.src_port)
+        handler(datagram.payload, src_ip, datagram.src_port)
 
     # ---------------------------------------------------------------- TCP
     def tcp_listen(self, port: int, backlog: int = 128,
@@ -283,30 +341,30 @@ class NetStack:
         self._next_isn += 64000
         return self._next_isn
 
-    def _rx_tcp(self, packet: Ipv4Packet) -> None:
+    def _rx_tcp(self, raw: bytes, src_ip: str, end: int) -> None:
+        """The TCP segment at ``raw[_L4_OFFSET:end]``, from *src_ip* to us."""
         if self.verify_checksums and not tcp_checksum_ok(
-                packet.payload, packet.src, packet.dst):
+                raw[_L4_OFFSET:end], src_ip, self.ip):
             # Corrupted segment: discard silently; the sender's RTO or
             # fast retransmit recovers, exactly as on a real stack.
             self.counters.count(names.TCP_BAD_CHECKSUM_DROPS)
             return
         try:
-            seg = TcpSegment.unpack(packet.payload)
+            seg = TcpSegment.unpack_from(raw, _L4_OFFSET, end)
         except PacketError:
             self.counters.count(names.RX_MALFORMED)
             return
-        key = (self.ip, seg.dst_port, packet.src, seg.src_port)
+        key = (self.ip, seg.dst_port, src_ip, seg.src_port)
         conn = self._tcp_conns.get(key)
         if conn is not None:
             conn.on_segment(seg)
             return
         # New connection?
-        from .tcp import SYN, ACK as ACK_FLAG, RST as RST_FLAG
         listener = self._tcp_listeners.get(seg.dst_port)
         if listener is not None and not listener.closed and seg.flags & SYN \
-                and not seg.flags & ACK_FLAG:
+                and not seg.flags & ACK:
             conn = TcpConnection(self, (self.ip, seg.dst_port),
-                                 (packet.src, seg.src_port),
+                                 (src_ip, seg.src_port),
                                  iss=self._alloc_isn(),
                                  recv_capacity=getattr(listener, "recv_capacity",
                                                        262144))
@@ -315,20 +373,18 @@ class NetStack:
             conn.start_passive(seg)
             return
         # No home for this segment: RST (unless it was itself a RST).
-        if not seg.flags & RST_FLAG:
+        if not seg.flags & RST:
             self.counters.count(names.TCP_RST_SENT)
             rst = TcpSegment(seg.dst_port, seg.src_port,
                              seg.ack, seg.seq + len(seg.payload) + 1,
-                             RST_FLAG | ACK_FLAG, 0)
-            self._tx_ipv4(Ipv4Packet(self.ip, packet.src, PROTO_TCP,
-                                     rst.pack(self.ip, packet.src),
-                                     ident=self._next_ident()))
+                             RST | ACK, 0)
+            self._tx_ipv4(self.ip, src_ip, PROTO_TCP,
+                          rst.pack(self.ip, src_ip))
 
     def _tcp_transmit(self, conn: TcpConnection, seg: TcpSegment) -> None:
         self.counters.count(names.TCP_SEGMENTS_TX)
-        self._tx_ipv4(Ipv4Packet(conn.local[0], conn.remote[0], PROTO_TCP,
-                                 seg.pack(conn.local[0], conn.remote[0]),
-                                 ident=self._next_ident()))
+        src_ip, dst_ip = conn.local[0], conn.remote[0]
+        self._tx_ipv4(src_ip, dst_ip, PROTO_TCP, seg.pack(src_ip, dst_ip))
 
     def _forget_connection(self, conn: TcpConnection) -> None:
         key = (conn.local[0], conn.local[1], conn.remote[0], conn.remote[1])

@@ -1,4 +1,4 @@
-"""TCP (RFC 793): segments, connection state machine, reliability.
+"""TCP (RFC 9293): segments, connection state machine, reliability.
 
 This is a real - if compact - TCP: three-way handshake, sequence-number
 based in-order delivery with out-of-order segment buffering, cumulative
@@ -84,49 +84,57 @@ class TcpSegment:
     mss: Optional[int] = None  # MSS option, SYN segments only
 
     def pack(self, src_ip: str, dst_ip: str) -> bytes:
-        options = b""
-        if self.mss is not None:
-            options = _MSS_OPTION.pack(2, 4, self.mss)
-        data_offset = (TCP_HEADER_LEN + len(options)) // 4
         payload = self.payload
+        if self.mss is None:
+            options, header_len = b"", TCP_HEADER_LEN
+        else:
+            options = _MSS_OPTION.pack(2, 4, self.mss)
+            header_len = TCP_HEADER_LEN + _MSS_OPTION.size
         header = _HEADER.pack(self.src_port, self.dst_port,
                               self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF,
-                              data_offset << 4, self.flags, self.window,
+                              (header_len // 4) << 4, self.flags, self.window,
                               0,  # checksum placeholder
                               0)  # urgent pointer
-        pseudo = pseudo_header(src_ip, dst_ip, 6,
-                               len(header) + len(options) + len(payload))
+        pseudo = pseudo_header(src_ip, dst_ip, 6, header_len + len(payload))
         csum = internet_checksum(b"".join((pseudo, header, options, payload)))
         return b"".join((header[:16], csum.to_bytes(2, "big"), header[18:],
                          options, payload))
 
     @classmethod
     def unpack(cls, raw: bytes) -> "TcpSegment":
-        if len(raw) < TCP_HEADER_LEN:
+        return cls.unpack_from(raw, 0, len(raw))
+
+    @classmethod
+    def unpack_from(cls, raw: bytes, start: int, end: int) -> "TcpSegment":
+        """Parse the segment occupying ``raw[start:end]`` where it lies:
+        the payload is the only slice taken (options, if any, the other)."""
+        size = end - start
+        if size < TCP_HEADER_LEN:
             raise PacketError("TCP segment too short")
         (src_port, dst_port, seq, ack, off_field, flags, window,
-         _csum, _urg) = _HEADER.unpack_from(raw)
+         _csum, _urg) = _HEADER.unpack_from(raw, start)
         data_offset = (off_field >> 4) * 4
-        if data_offset < TCP_HEADER_LEN or data_offset > len(raw):
+        if data_offset < TCP_HEADER_LEN or data_offset > size:
             raise PacketError("bad TCP data offset")
         mss = None
-        options = raw[TCP_HEADER_LEN:data_offset]
-        i = 0
-        while i < len(options):
-            kind = options[i]
-            if kind == 0:
-                break
-            if kind == 1:
-                i += 1
-                continue
-            if i + 1 >= len(options):
-                break
-            length = options[i + 1]
-            if kind == 2 and length == 4 and i + 4 <= len(options):
-                mss = int.from_bytes(options[i + 2:i + 4], "big")
-            i += max(2, length)
+        if data_offset > TCP_HEADER_LEN:
+            options = raw[start + TCP_HEADER_LEN:start + data_offset]
+            i = 0
+            while i < len(options):
+                kind = options[i]
+                if kind == 0:
+                    break
+                if kind == 1:
+                    i += 1
+                    continue
+                if i + 1 >= len(options):
+                    break
+                length = options[i + 1]
+                if kind == 2 and length == 4 and i + 4 <= len(options):
+                    mss = int.from_bytes(options[i + 2:i + 4], "big")
+                i += max(2, length)
         return cls(src_port, dst_port, seq, ack, flags, window,
-                   raw[data_offset:], mss)
+                   raw[start + data_offset:end], mss)
 
     def flag_names(self) -> str:
         names = []
@@ -331,6 +339,12 @@ class TcpConnection:
                 listener._deliver(self)
 
         if seg.flags & ACK:
+            if seg.ack > self.snd_nxt:
+                # Acknowledges data never sent (RFC 9293 3.10.7.4): send
+                # an ACK, drop the segment.
+                self.stack.counters.count(names.TCP_UNSENT_ACK_DROPS)
+                self._send_ack()
+                return
             self._on_ack(seg)
         if seg.payload:
             self._on_data(seg)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Simulator",
@@ -107,9 +107,11 @@ class Completion:
             raise SimulationError("completion %r triggered twice" % self._name())
         self._done = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
         return self
 
     def fail(self, exc: BaseException) -> "Completion":
@@ -118,9 +120,11 @@ class Completion:
             raise SimulationError("completion %r triggered twice" % self._name())
         self._done = True
         self._exc = exc
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for cb in callbacks:
+                cb(self)
         return self
 
     # -- subscription ----------------------------------------------------
@@ -134,6 +138,12 @@ class Completion:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
         return "<Completion %s %s>" % (self._name() or hex(id(self)), state)
+
+
+#: the arguments of a :meth:`Process._resume` that has no outcome to
+#: deliver - a first step, or an interrupt's delivery: one completion
+#: that fired with neither a value nor an exception
+_NOTHING_HAPPENED = (Completion(None, "nothing").trigger(),)
 
 
 class Timeout(Completion):
@@ -153,7 +163,8 @@ class Timeout(Completion):
         self._callbacks = []
         self.label = ""
         self.delay = delay
-        self._entry = sim._schedule_at(sim._now + delay, self.trigger, value)
+        self._entry = sim._schedule_at(sim._now + delay, self.trigger,
+                                       (value,))
 
     def _name(self) -> str:
         return "timeout(%d)" % self.delay
@@ -179,7 +190,7 @@ class Process(Completion):
     processes can ``yield proc`` to join it.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_interrupts", "alive")
+    __slots__ = ("gen", "name", "_waiting_on", "_interrupts", "alive", "_wake")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim, label="process(%s)" % (name or "anon"))
@@ -188,24 +199,26 @@ class Process(Completion):
         self._waiting_on: Optional[Completion] = None
         self._interrupts: List[Interrupt] = []
         self.alive = True
+        #: ``_resume``, bound once: what every completion this process
+        #: parks on calls back (dropped at the end, it is a cycle)
+        self._wake: Optional[Callable[[Completion], None]] = self._resume
         # First step happens through the event loop so that spawn() inside
         # a running process doesn't reentrantly execute the child.
-        sim._schedule_at(sim._now, self._step, None, None)
-
-    # -- driving ---------------------------------------------------------
-    def _resume(self, completion: Completion) -> None:
-        if self.alive:
-            self._waiting_on = None
-            self._step(completion._value, completion._exc)
+        sim._schedule_at(sim._now, self._wake, _NOTHING_HAPPENED)
 
     #: consecutive already-triggered yields before declaring a livelock
     #: (a process spinning on instantly-ready completions never lets the
     #: clock advance; fail loudly instead of hanging the simulation)
     MAX_SYNC_CONTINUATIONS = 100_000
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    # -- driving ---------------------------------------------------------
+    def _resume(self, completion: Completion) -> None:
+        """Run the generator on from *completion*'s outcome until it parks
+        on a pending completion or ends: the only way into it."""
         if not self.alive:
             return
+        self._waiting_on = None
+        value, exc = completion._value, completion._exc
         sim = self.sim
         sim._active = self
         sync_spins = 0
@@ -240,13 +253,15 @@ class Process(Completion):
                     value = target._value
                     continue
                 self._waiting_on = target
-                target._callbacks.append(self._resume)
+                target._callbacks.append(self._wake)
                 return
         except StopIteration as stop:
             self.alive = False
+            self._wake = None
             self.trigger(stop.value)
         except BaseException as err:  # propagate failures to joiners
             self.alive = False
+            self._wake = None
             if not self._callbacks and not isinstance(err, Interrupt):
                 # Nobody is joining this process: surface the crash.
                 self.fail(err)
@@ -267,10 +282,11 @@ class Process(Completion):
             # Detach from whatever it was waiting on and resume with the
             # interrupt at the next event-loop turn.
             try:
-                waiting._callbacks.remove(self._resume)
+                waiting._callbacks.remove(self._wake)
             except ValueError:
                 pass
-            self.sim._schedule_at(self.sim._now, self._step, None, None)
+            self.sim._schedule_at(self.sim._now, self._wake,
+                                  _NOTHING_HAPPENED)
 
 
 class _MultiWait(Completion):
@@ -371,7 +387,9 @@ class Simulator:
         return self._active
 
     # -- scheduling -------------------------------------------------------
-    def _schedule_at(self, when: int, fn: Callable, *args: Any) -> List[Any]:
+    def _schedule_at(self, when: int, fn: Callable,
+                     args: Tuple[Any, ...] = ()) -> List[Any]:
+        """Schedule ``fn(*args)`` at *when*; returns the heap entry."""
         if when < self._now:
             raise SimulationError("cannot schedule into the past")
         self._seq += 1
@@ -401,7 +419,7 @@ class Simulator:
         """Run ``fn(*args)`` after *delay* ns of simulated time."""
         if delay.__class__ is not int:
             delay = int(delay)
-        self._schedule_at(self._now + delay, fn, *args)
+        self._schedule_at(self._now + delay, fn, args)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """A completion that fires *delay* ns from now."""

@@ -420,7 +420,7 @@ class FaultInjector:
         or a list of ``(extra_delay_ns, frame)`` deliveries - empty for a
         drop, >1 entries for duplication.
         """
-        now = self.sim.now
+        now = self.sim._now
         active = [e for e in self._net_events
                   if e.active(now) and e.matches_link(src, dst)]
         if not active:

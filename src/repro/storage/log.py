@@ -27,6 +27,7 @@ from typing import Generator, List, Optional
 
 from ..hw.nvme import NvmeDevice
 from ..sim.cpu import Core
+from ..telemetry import names
 
 __all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
 
@@ -212,8 +213,6 @@ class LogStore:
 
         matches = yield self.nvme.submit_scan(
             self._lba_of(0), nblocks, program)
-        from ..telemetry import names
-
         self.nvme.count(names.NVME_SCAN_MATCHES, len(matches))
         return matches
 

@@ -121,6 +121,7 @@ ARP_RELEARNS = "arp_relearns"
 UDP_BAD_CHECKSUM_DROPS = "udp_bad_checksum_drops"
 UDP_NO_LISTENER = "udp_no_listener"
 TCP_BAD_CHECKSUM_DROPS = "tcp_bad_checksum_drops"
+TCP_UNSENT_ACK_DROPS = "tcp_unsent_ack_drops"
 TCP_RST_SENT = "tcp_rst_sent"
 TCP_SEGMENTS_TX = "tcp_segments_tx"
 TCP_OOO_BUFFERED = "tcp_ooo_buffered"

@@ -15,8 +15,11 @@ from repro.netstack.packet import (
     ip_to_bytes,
     mac_to_bytes,
 )
+from repro.netstack.stack import NetStack
 from repro.netstack.tcp import ACK, PSH, SYN, TcpSegment
 from repro.netstack.udp import UdpDatagram
+from repro.sim.engine import Simulator
+from repro.sim.trace import Tracer
 
 
 class TestAddressCodecs:
@@ -263,3 +266,210 @@ class TestGoldenFrames:
             EthernetFrame.unpack(raw).payload).payload)
         assert (parsed.seq, parsed.ack, parsed.payload) == (65001, 129001,
                                                             payload)
+
+
+# -- the stack's in-place codec against the dataclass chain --------------------
+
+MAC_A, MAC_B = "02:00:00:00:00:01", "02:00:00:00:00:02"
+IP_A, IP_B = "10.0.0.1", "10.0.0.2"
+
+
+def _stack(verify_checksums=False):
+    """A bare NetStack at (MAC_B, IP_B) that knows A: (stack, tracer,
+    the ``(dst_mac, raw)`` frames it sent)."""
+    tracer, sent = Tracer(), []
+    stack = NetStack(Simulator(), "s", MAC_B, IP_B,
+                     lambda dst_mac, raw: sent.append((dst_mac, raw)),
+                     tracer, verify_checksums=verify_checksums)
+    stack.seed_arp(IP_A, MAC_A)
+    return stack, tracer, sent
+
+
+def _chain(l4: bytes, proto: int, ident: int = 0, src_mac=MAC_A,
+           dst_mac=MAC_B, src_ip=IP_A, dst_ip=IP_B) -> bytes:
+    """The reference: one dataclass and one ``pack`` per layer."""
+    return EthernetFrame(dst_mac, src_mac, ETHERTYPE_IPV4, Ipv4Packet(
+        src_ip, dst_ip, proto, l4, ident=ident).pack()).pack()
+
+
+def _generated_segments():
+    mss_payload = bytes(i % 251 for i in range(1460))
+    yield TcpSegment(49152, 80, 65000, 0, SYN, 65535, mss=1460)
+    yield TcpSegment(80, 49152, 1000, 65001, SYN | ACK, 65535, mss=536)
+    for payload in (b"", b"x", b"odd", mss_payload[:255], mss_payload):
+        yield TcpSegment(49152, 80, 65001, 1001, PSH | ACK, 65535, payload)
+    for flags in range(0x40):
+        yield TcpSegment(1, 65535, 7, 9, flags, 0, b"f" * (flags % 3))
+    for seq, ack in ((2**32 - 1, 0), (0, 2**32 - 1),
+                     (2**32 - 1, 2**32 - 1)):
+        yield TcpSegment(49152, 80, seq, ack, ACK, 1, b"wrap")
+
+
+class _Peer:
+    """What ``_tcp_transmit`` reads of a connection."""
+    local, remote = (IP_B, 80), (IP_A, 49152)
+
+
+class TestStackCodecAgainstTheDataclassChain:
+    def test_tcp_emit_equals_the_chain(self):
+        stack, _tracer, sent = _stack()
+        stack._ip_ident = 0xFFFC  # the idents wrap inside this run
+        idents = []
+        for seg in _generated_segments():
+            stack._tcp_transmit(_Peer, seg)
+            ident = (0xFFFC + len(sent)) & 0xFFFF
+            idents.append(ident)
+            assert sent[-1] == (MAC_A, _chain(
+                seg.pack(IP_B, IP_A), PROTO_TCP, ident, MAC_B, MAC_A,
+                IP_B, IP_A))
+        assert idents[:4] == [0xFFFD, 0xFFFE, 0xFFFF, 0]
+
+    @pytest.mark.parametrize("payload", [b"", b"u", b"odd", bytes(1472)])
+    def test_udp_emit_equals_the_chain(self, payload):
+        stack, _tracer, sent = _stack()
+        stack._ip_ident = 0xFFFF
+        stack.udp_send(5000, IP_A, 53, payload)
+        assert sent == [(MAC_A, _chain(
+            UdpDatagram(5000, 53, payload).pack(IP_B, IP_A), PROTO_UDP, 0,
+            MAC_B, MAC_A, IP_B, IP_A))]
+
+    def test_a_queued_packet_keeps_its_ident_across_arp(self):
+        stack, _tracer, sent = _stack()
+        stack.arp_table.clear()
+        seg = TcpSegment(80, 49152, 1, 2, ACK, 3, b"queued")
+        stack._tcp_transmit(_Peer, seg)          # ident 1, parked behind ARP
+        stack.seed_arp(IP_A, MAC_A)
+        stack._tcp_transmit(_Peer, seg)          # ident 2, leaves first
+        stack._flush_arp_pending(IP_A)
+        l4 = seg.pack(IP_B, IP_A)
+        assert [raw for _mac, raw in sent[1:]] == [
+            _chain(l4, PROTO_TCP, ident, MAC_B, MAC_A, IP_B, IP_A)
+            for ident in (2, 1)]
+
+    @pytest.mark.parametrize("padding", [b"", b"\x00" * 6, b"\xff" * 7])
+    def test_tcp_parse_equals_the_chain(self, padding):
+        stack, tracer, _sent = _stack(verify_checksums=True)
+        seen = []
+
+        class Conn:
+            on_segment = staticmethod(seen.append)
+
+        segments = list(_generated_segments())
+        for seg in segments:
+            stack._tcp_conns[IP_B, seg.dst_port, IP_A, seg.src_port] = Conn
+            # Ethernet pads short frames; total_len is what bounds the data
+            raw = _chain(seg.pack(IP_A, IP_B), PROTO_TCP, 77) + padding
+            stack.rx_frame(raw)
+            assert seen.pop() == TcpSegment.unpack(Ipv4Packet.unpack(
+                EthernetFrame.unpack(raw).payload).payload) == seg
+        assert tracer.snapshot() == {"s.rx_frames": len(segments)}
+
+    @pytest.mark.parametrize("padding", [b"", b"\x00" * 18])
+    def test_udp_parse_equals_the_chain(self, padding):
+        stack, _tracer, _sent = _stack(verify_checksums=True)
+        seen = []
+        stack.udp_bind(53, lambda *args: seen.append(args))
+        for payload in (b"", b"u", b"odd", bytes(range(256)) * 5):
+            raw = _chain(UdpDatagram(5000, 53, payload).pack(IP_A, IP_B),
+                         PROTO_UDP) + padding
+            stack.rx_frame(raw)
+            datagram = UdpDatagram.unpack(Ipv4Packet.unpack(
+                EthernetFrame.unpack(raw).payload).payload)
+            assert seen.pop() == (datagram.payload, IP_A, 5000)
+            assert datagram.payload == payload
+
+
+def _patched(raw: bytes, offset: int, value: bytes,
+             fix_ip_checksum: bool = False) -> bytes:
+    """*raw* with *value* written at *offset* (and, on request, the IPv4
+    header checksum recomputed over the result)."""
+    out = bytearray(raw)
+    out[offset:offset + len(value)] = value
+    if fix_ip_checksum:
+        out[24:26] = b"\x00\x00"
+        out[24:26] = internet_checksum(bytes(out[14:34])).to_bytes(2, "big")
+    return bytes(out)
+
+
+_DATA = _chain(TcpSegment(49152, 80, 1, 2, PSH | ACK, 3, b"payload").pack(
+    IP_A, IP_B), PROTO_TCP, ident=5)
+
+#: name -> (frame, verify_checksums, every counter the frame may bump),
+#: as the stack behaved before its parser read headers in place
+_FOREIGN_AND_MALFORMED = {
+    "13-byte frame": (_DATA[:13], False, {"rx_malformed": 1}),
+    "wrong unicast MAC": (
+        _patched(_DATA, 0, b"\x02\x00\x00\x00\x00\x09"), False,
+        {"rx_wrong_mac": 1}),
+    "broadcast is ours": (
+        _patched(_chain(UdpDatagram(1, 9, b"hi").pack(IP_A, IP_B),
+                        PROTO_UDP), 0, b"\xff" * 6), False,
+        {"udp_no_listener": 1}),
+    "unknown ethertype": (
+        _patched(_DATA, 12, b"\x86\xdd"), False,
+        {"rx_unknown_ethertype": 1}),
+    "ethernet header only": (_DATA[:14], False, {"rx_malformed": 1}),
+    "IPv4 header cut short": (_DATA[:33], False, {"rx_malformed": 1}),
+    "IP version 6": (
+        _patched(_DATA, 14, b"\x65"), False, {"rx_malformed": 1}),
+    "IHL 6": (_patched(_DATA, 14, b"\x46"), False, {"rx_malformed": 1}),
+    "total_len beyond the frame": (
+        _patched(_DATA, 16, (len(_DATA) - 13).to_bytes(2, "big")), False,
+        {"rx_malformed": 1}),
+    "total_len < 20": (
+        _patched(_DATA, 16, b"\x00\x13"), False, {"rx_malformed": 1}),
+    "total_len < 20, checksums verified": (
+        _patched(_DATA, 16, b"\x00\x13", fix_ip_checksum=True), True,
+        {"tcp_bad_checksum_drops": 1}),
+    "bad header checksum, verified": (
+        _patched(_DATA, 22, b"\x3f"), True, {"rx_malformed": 1}),
+    "bad header checksum, not verified": (
+        _patched(_DATA, 24, b"\x00\x00"), False,
+        {"tcp_rst_sent": 1, "tx_frames": 1}),
+    "wrong destination IP": (
+        _patched(_DATA, 30, b"\x0a\x00\x00\x63"), False, {"rx_wrong_ip": 1}),
+    "protocol 1": (
+        _patched(_DATA, 23, b"\x01"), False, {"rx_unknown_proto": 1}),
+    "TCP shorter than 20 bytes": (
+        _patched(_DATA[:53], 16, b"\x00\x27"), False, {"rx_malformed": 1}),
+    "TCP shorter than 20 bytes, checksums verified": (
+        _patched(_DATA[:53], 16, b"\x00\x27", fix_ip_checksum=True), True,
+        {"tcp_bad_checksum_drops": 1}),
+    "data offset 4": (
+        _patched(_DATA, 46, b"\x40"), False, {"rx_malformed": 1}),
+    "data offset past the end": (
+        _patched(_DATA, 46, b"\x70"), False, {"rx_malformed": 1}),
+    "data offset past total_len, inside the padding": (
+        _patched(_DATA + bytes(8), 46, b"\x70"), False,
+        {"rx_malformed": 1}),
+    "bad TCP checksum, verified": (
+        _patched(_DATA, 60, b"P"), True, {"tcp_bad_checksum_drops": 1}),
+    "bad TCP checksum, not verified": (
+        _patched(_DATA, 60, b"P"), False,
+        {"tcp_rst_sent": 1, "tx_frames": 1}),
+    "UDP shorter than 8 bytes": (
+        _chain(b"\x00\x01\x00\x09\x00", PROTO_UDP), False,
+        {"rx_malformed": 1}),
+    "UDP length beyond the datagram": (
+        _chain(b"\x00\x01\x00\x09\x00\x10\x00\x00hi", PROTO_UDP), False,
+        {"rx_malformed": 1}),
+    "bad UDP checksum, verified": (
+        _patched(_chain(UdpDatagram(1, 9, b"hi").pack(IP_A, IP_B),
+                        PROTO_UDP), 42, b"HI"), True,
+        {"udp_bad_checksum_drops": 1}),
+    "truncated ARP": (
+        EthernetFrame(MAC_B, MAC_A, 0x0806, b"\x00\x01\x08").pack(), False,
+        {"rx_malformed": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_AND_MALFORMED))
+def test_foreign_or_malformed_frame_bumps_exactly_its_counters(case):
+    raw, verify_checksums, bumped = _FOREIGN_AND_MALFORMED[case]
+    stack, tracer, sent = _stack(verify_checksums)
+    stack.rx_frame(raw)
+    expected = {"s.%s" % leaf: n for leaf, n in bumped.items()}
+    expected["s.rx_frames"] = 1
+    assert tracer.snapshot() == expected
+    assert len(sent) == bumped.get("tx_frames", 0)
+    assert not stack._tcp_conns

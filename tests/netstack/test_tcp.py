@@ -3,12 +3,14 @@
 import pytest
 
 from repro.netstack.tcp import (
+    ACK,
     CLOSE_WAIT,
     CLOSED,
     ESTABLISHED,
     FIN_WAIT_2,
     TIME_WAIT,
     TcpError,
+    TcpSegment,
 )
 
 from ..conftest import make_net_pair
@@ -254,3 +256,28 @@ class TestRtt:
         assert client._srtt is not None
         assert client._srtt < 100_000
         assert client._rto >= client._srtt
+
+
+class TestAckOfUnsentData:
+    def test_ack_beyond_snd_nxt_is_answered_and_dropped(self):
+        # RFC 9293 3.10.7.4: SEG.ACK > SND.NXT acknowledges data never
+        # sent - send an ACK, drop the segment, change nothing.  Taking
+        # it used to move snd_una past snd_nxt and empty the retransmit
+        # queue, so a lost segment under it was never sent again.
+        w, a, b = make_net_pair()
+        client, server = connect(w, a, b)
+        client.send(b"x" * 100)          # in flight: not yet at the server
+        before = (client.snd_una, client.snd_nxt, list(client._inflight),
+                  client.peer_window, client.rcv_nxt)
+        acks_sent = w.tracer.get("client.stack.tcp_segments_tx")
+        client.on_segment(TcpSegment(80, client.local[1], client.rcv_nxt,
+                                     client.snd_nxt + 5000, ACK, 1,
+                                     payload=b"dropped with its ack"))
+        assert (client.snd_una, client.snd_nxt, list(client._inflight),
+                client.peer_window, client.rcv_nxt) == before
+        assert w.tracer.get("client.stack.tcp_segments_tx") == acks_sent + 1
+        assert w.tracer.get("client.stack.tcp_unsent_ack_drops") == 1
+        w.run()
+        assert server.recv() == b"x" * 100
+        assert client.recv() == b""
+        assert client.snd_una == client.snd_nxt and not client._inflight

@@ -35,6 +35,25 @@ class TestNestedSpawning:
         sim.run()
         assert p.value == 16  # (5 + 3) * 2
 
+    def test_spawn_inside_a_process_does_not_run_the_child_reentrantly(self):
+        sim = Simulator()
+        order = []
+
+        def child():
+            order.append(("child starts", sim.active_process.name))
+            yield sim.timeout(0)
+
+        def parent():
+            proc = sim.spawn(child(), name="child")
+            order.append(("parent goes on", sim.active_process.name,
+                          proc.alive))
+            yield sim.timeout(0)
+
+        sim.spawn(parent(), name="parent")
+        sim.run()
+        assert order == [("parent goes on", "parent", True),
+                         ("child starts", "child")]
+
     def test_fan_out_fan_in(self):
         sim = Simulator()
 
@@ -104,6 +123,65 @@ class TestInterruptCascades:
         assert p.value == ["first", "second"]
 
 
+    def test_interrupt_while_parked_on_any_of_resumes_exactly_once(self):
+        sim = Simulator()
+        a, b = sim.completion("a"), sim.completion("b")
+        waits, resumed = [], []
+
+        def waiter():
+            waits.append(any_of(sim, [a, b]))
+            try:
+                yield waits[0]
+            except Interrupt as intr:
+                resumed.append(("interrupt", intr.cause, sim.now))
+            yield sim.timeout(50)
+            resumed.append(("timeout", sim.now))
+
+        p = sim.spawn(waiter())
+        sim.run(until=10)
+        assert waits[0]._callbacks and not resumed
+        p.interrupt("stop")
+        # detached at once: nothing of the process stays on the wait it
+        # abandoned, so the wait resolving later cannot resume it again
+        assert waits[0]._callbacks == []
+        sim.run()
+        a.trigger("late")
+        sim.run()
+        assert waits[0].value == (0, "late")
+        assert resumed == [("interrupt", "stop", 10), ("timeout", 60)]
+        assert not p.alive and p.value is None
+
+    def test_interrupt_before_the_first_step_fails_the_process_with_it(self):
+        # The throw lands on the unstarted generator: its body never
+        # runs, joiners see the Interrupt, and an unjoined one is not a
+        # crash that surfaces from run().
+        sim = Simulator()
+        started = []
+
+        def never_starts():
+            started.append(True)
+            yield sim.timeout(1)
+
+        def joiner(proc):
+            try:
+                yield proc
+            except Interrupt as intr:
+                return ("joined an interrupted process", intr.cause)
+
+        joined, unjoined = sim.spawn(never_starts()), sim.spawn(never_starts())
+        joined.interrupt("early")
+        unjoined.interrupt("early too")
+        join = sim.spawn(joiner(joined))
+        assert sim.run() == 0
+        assert not started
+        assert join.value == ("joined an interrupted process", "early")
+        for proc, cause in ((joined, "early"), (unjoined, "early too")):
+            assert not proc.alive and proc.failed
+            with pytest.raises(Interrupt) as caught:
+                _ = proc.value
+            assert caught.value.cause == cause
+
+
 class TestCompletionOrdering:
     def test_any_of_with_pretriggered_event(self):
         sim = Simulator()
@@ -149,6 +227,14 @@ class TestCompletionOrdering:
         seen = []
         done.subscribe(lambda c: seen.append(c.value))
         assert seen == [7]
+
+    def test_subscribe_after_an_unheard_failure_runs_immediately(self):
+        sim = Simulator()
+        done = sim.completion()
+        done.fail(ValueError("nobody listened"))
+        seen = []
+        done.subscribe(lambda c: seen.append((c.failed, c._callbacks)))
+        assert seen == [(True, [])]
 
 
 class TestSchedulingEdges:
