@@ -161,8 +161,9 @@ class DpdkLibOS(LibOS):
         if self.batching:
             # Park the descriptor; one doorbell covers everything posted
             # at this instant.  call_in(0) runs after the current event
-            # finishes, so frames emitted together (reply + ACK, several
-            # replies from one batch drain) share a single ring.
+            # finishes, so frames emitted together (the replies of one
+            # batch drain, a window's worth of segments) share a single
+            # ring.
             self._tx_pending.append((dst_mac, raw))
             if len(self._tx_pending) == 1:
                 self.sim.call_in(0, self._flush_tx)

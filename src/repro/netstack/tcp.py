@@ -2,9 +2,12 @@
 
 This is a real - if compact - TCP: three-way handshake, sequence-number
 based in-order delivery with out-of-order segment buffering, cumulative
-acks with duplicate-ack fast retransmit, adaptive RTO (RFC 6298 style),
-receiver flow control with window probes, and the full close handshake
-(FIN/ACK both directions, TIME_WAIT).
+acks with duplicate-ack fast retransmit, delayed acks that ride on the
+reply (RFC 9293 3.8.6.3, RFC 5681 4.2), adaptive RTO with RFC 6298's
+timer management (started by the first unacknowledged segment, restarted
+by an ack of new data, never by a send), sequence-checked resets with
+challenge acks (RFC 5961 3), receiver flow control with window probes,
+and the full close handshake (FIN/ACK both directions, TIME_WAIT).
 
 Congestion control is NewReno-flavoured: slow start from IW10, AIMD in
 congestion avoidance, multiplicative decrease on fast retransmit, and a
@@ -54,6 +57,13 @@ _MSS_OPTION = struct.Struct("!BBH")  # kind 2, length 4, MSS
 # convergence in simulated time, so we scale them to the RTT regime.
 MIN_RTO_NS = 100_000
 MAX_RTO_NS = 5_000_000
+#: How long an in-order segment may wait for a reply (or the next request)
+#: to carry its ACK.  Above the slowest stack's request-to-reply turnaround
+#: at default costs (posix: ~21 us on the server, 17-28 us on the client;
+#: at 20 us the timer fires just before every posix reply and puts the pure
+#: ACK back on the critical path), and below ``MIN_RTO_NS / 2`` so a fully
+#: delayed RTT sample keeps ``srtt + 4 rttvar`` near the RTO floor.
+DELAYED_ACK_NS = 40_000
 TIME_WAIT_NS = 1_000_000
 WINDOW_PROBE_NS = 200_000
 MAX_SYN_RETRIES = 6
@@ -201,6 +211,7 @@ class TcpConnection:
         self.nodelay = True
         self._retries = 0
         self._rto_epoch = 0
+        self._rto_running = False
         self._fin_queued = False
         self._fin_sent_seq: Optional[int] = None
 
@@ -211,6 +222,12 @@ class TcpConnection:
         self._recv_buffer = bytearray()
         self._ooo: Dict[int, bytes] = {}
         self._peer_fin = False
+        #: delayed ACK (RFC 9293 3.8.6.3): in-order bytes not yet
+        #: acknowledged, when the oldest of them must be (None: no debt),
+        #: and whether the one timer event is pending
+        self._ack_debt = 0
+        self._ack_deadline: Optional[int] = None
+        self._ack_timer_pending = False
 
         # RTT estimation (RFC 6298)
         self._srtt: Optional[float] = None
@@ -323,7 +340,7 @@ class TcpConnection:
     def on_segment(self, seg: TcpSegment) -> None:
         if seg.flags & RST:
             if self.state != CLOSED:
-                self._fail(TcpError("connection reset by peer"))
+                self._on_rst(seg)
             return
 
         if self.state == SYN_SENT:
@@ -351,6 +368,28 @@ class TcpConnection:
         if seg.flags & FIN:
             self._on_fin(seg)
 
+    def _on_rst(self, seg: TcpSegment) -> None:
+        """RFC 9293 3.10.7.4 as tightened by RFC 5961 3: only a RST at
+        exactly RCV.NXT resets.  One elsewhere in the window draws a
+        challenge ACK - a peer that meant it answers that with an exact
+        RST - and anything else, an old duplicate or a guess, is dropped.
+        Before the handshake there is no window: a RST counts if it
+        acknowledges our SYN (3.10.7.3)."""
+        counters = self.stack.counters
+        if self.state == SYN_SENT:
+            acks_syn = seg.flags & ACK and seg.ack == self.snd_nxt
+            offset = 0 if acks_syn else -1
+        else:
+            offset = seg.seq - self.rcv_nxt
+        if offset == 0:
+            counters.count(names.TCP_RSTS_ACCEPTED)
+            self._fail(TcpError("connection reset by peer"))
+        elif 0 < offset < self.recv_window:
+            counters.count(names.TCP_CHALLENGE_ACKS)
+            self._send_ack()
+        else:
+            counters.count(names.TCP_RST_DROPS)
+
     def _on_segment_syn_sent(self, seg: TcpSegment) -> None:
         if seg.flags & SYN and seg.flags & ACK and seg.ack == self.snd_nxt:
             self.irs = seg.seq
@@ -361,6 +400,7 @@ class TcpConnection:
                 self.mss = min(self.mss, seg.mss)
             self.state = ESTABLISHED
             self._retries = 0
+            self._stop_rto()  # the SYN is acknowledged
             self._send_ack()
             if not self.established.triggered:
                 self.established.trigger(self)
@@ -391,8 +431,12 @@ class TcpConnection:
             if self._tx_spans:
                 for end_seq in [e for e in self._tx_spans if e <= seg.ack]:
                     self._tx_spans.pop(end_seq).end()
+            # RFC 6298 5.2/5.3: an ACK of new data restarts the timer
+            # while anything is outstanding and stops it otherwise.
             if self._inflight or self.snd_nxt > self.snd_una:
                 self._arm_rto()
+            else:
+                self._stop_rto()
             # FIN acked?
             if self._fin_sent_seq is not None and seg.ack > self._fin_sent_seq:
                 self._on_fin_acked()
@@ -420,12 +464,13 @@ class TcpConnection:
         if seq < self.rcv_nxt:
             payload = payload[self.rcv_nxt - seq:]
             seq = self.rcv_nxt
+        fills_gap = bool(self._ooo)
         self._accept_data(payload)
         # Coalesce out-of-order segments that are now in order.
         while self.rcv_nxt in self._ooo:
             chunk = self._ooo.pop(self.rcv_nxt)
             self._accept_data(chunk)
-        self._send_ack()
+        self._owe_ack(self.rcv_nxt - seq, at_once=fills_gap)
         self.recv_wq.pulse()
 
     def _accept_data(self, payload: bytes) -> None:
@@ -522,7 +567,11 @@ class TcpConnection:
             self._emit(TcpSegment(self.local[1], self.remote[1], seq,
                                   self.rcv_nxt, PSH | ACK, self.recv_window,
                                   payload))
-            self._arm_rto()
+            # RFC 6298 5.1: sending starts the timer only if it is not
+            # running; restarting it would let a sender that keeps
+            # sending postpone its oldest segment's timeout for ever.
+            if not self._rto_running:
+                self._arm_rto()
         if self._fin_queued and not self._send_queue and self._fin_sent_seq is None:
             seq = self.snd_nxt
             self._fin_sent_seq = seq
@@ -530,13 +579,46 @@ class TcpConnection:
             self._inflight.append((seq, b"", FIN | ACK))
             self._emit(TcpSegment(self.local[1], self.remote[1], seq,
                                   self.rcv_nxt, FIN | ACK, self.recv_window))
-            self._arm_rto()
+            if not self._rto_running:
+                self._arm_rto()
 
     def _send_ack(self) -> None:
         self._emit(TcpSegment(self.local[1], self.remote[1], self.snd_nxt,
                               self.rcv_nxt, ACK, self.recv_window))
 
+    def _owe_ack(self, nbytes: int, at_once: bool) -> None:
+        """*nbytes* arrived in order.  Their ACK rides on whatever this
+        connection emits next; a pure ACK goes out now if the segment
+        filled a gap or two full-sized segments are owed (RFC 5681 4.2),
+        else ``DELAYED_ACK_NS`` after the oldest unacknowledged byte."""
+        self._ack_debt += nbytes
+        if at_once or self._ack_debt >= 2 * self.mss:
+            self._send_ack()
+        elif self._ack_deadline is None:
+            self._ack_deadline = self.sim.now + DELAYED_ACK_NS
+            if not self._ack_timer_pending:
+                self._ack_timer_pending = True
+                self.sim.call_in(DELAYED_ACK_NS, self._delayed_ack_fired)
+
+    def _delayed_ack_fired(self) -> None:
+        """The connection's one delayed-ACK event.  The debt it was armed
+        for has usually been paid by a reply: sleep until the current
+        one's deadline, or stop if nothing is owed."""
+        self._ack_timer_pending = False
+        if self._ack_deadline is None or self.state == CLOSED:
+            return
+        if self._ack_deadline > self.sim.now:
+            self._ack_timer_pending = True
+            self.sim.call_in(self._ack_deadline - self.sim.now,
+                             self._delayed_ack_fired)
+            return
+        self.stack.counters.count(names.TCP_DELAYED_ACKS)
+        self._send_ack()
+
     def _emit(self, seg: TcpSegment) -> None:
+        # Every segment carries ACK = rcv_nxt, so it pays the ACK debt.
+        self._ack_debt = 0
+        self._ack_deadline = None
         self.stack._tcp_transmit(self, seg)
 
     # ------------------------------------------------------------- timers
@@ -550,13 +632,19 @@ class TcpConnection:
         self._rto = int(min(MAX_RTO_NS, max(MIN_RTO_NS, self._srtt + 4 * self._rttvar)))
 
     def _arm_rto(self) -> None:
+        """(Re)start the retransmission timer: one RTO from now."""
         self._rto_epoch += 1
-        epoch = self._rto_epoch
-        self.sim.call_in(self._rto, self._rto_fired, epoch)
+        self._rto_running = True
+        self.sim.call_in(self._rto, self._rto_fired, self._rto_epoch)
+
+    def _stop_rto(self) -> None:
+        self._rto_epoch += 1  # the pending event finds a newer epoch
+        self._rto_running = False
 
     def _rto_fired(self, epoch: int) -> None:
         if epoch != self._rto_epoch:
             return
+        self._rto_running = False
         if self.state == CLOSED or self.error is not None:
             return
         if self.state == SYN_SENT:

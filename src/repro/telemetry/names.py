@@ -123,10 +123,14 @@ UDP_NO_LISTENER = "udp_no_listener"
 TCP_BAD_CHECKSUM_DROPS = "tcp_bad_checksum_drops"
 TCP_UNSENT_ACK_DROPS = "tcp_unsent_ack_drops"
 TCP_RST_SENT = "tcp_rst_sent"
+TCP_RSTS_ACCEPTED = "tcp_rsts_accepted"
+TCP_CHALLENGE_ACKS = "tcp_challenge_acks"
+TCP_RST_DROPS = "tcp_rst_drops"
 TCP_SEGMENTS_TX = "tcp_segments_tx"
 TCP_OOO_BUFFERED = "tcp_ooo_buffered"
 TCP_WINDOW_OVERRUN_TRIMMED = "tcp_window_overrun_trimmed"
 TCP_NAGLE_DELAYS = "tcp_nagle_delays"
+TCP_DELAYED_ACKS = "tcp_delayed_acks"
 TCP_RETRANSMITS = "tcp_retransmits"
 TCP_FAST_RETRANSMITS = "tcp_fast_retransmits"
 TCP_CWND_REDUCTIONS = "tcp_cwnd_reductions"

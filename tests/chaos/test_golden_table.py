@@ -20,28 +20,28 @@ import pytest
 from repro.testing import GOLDEN_SCENARIOS, run_scenario
 
 SIGNATURES = {
-    ("handshake-loss", "dpdk"): "31fd54695ffa577a9547b91351a550a69239777f",
-    ("handshake-loss", "posix"): "08bf675d831131b020d90429dc8ba528dc0f26f3",
+    ("handshake-loss", "dpdk"): "cb20d3a729191f534e1462d312378e9d7ff8abdd",
+    ("handshake-loss", "posix"): "6860dd4c360eea821acea908499294ba63f9aba3",
     ("handshake-loss", "rdma"): "955ce80f0f49a2316965d4842db5738579470fb5",
-    ("reorder-dup-storm", "dpdk"): "7ed7a555ebb8f0343dd3c5867b0c4c1d43da5051",
-    ("reorder-dup-storm", "posix"): "953d695cec758585e574eb6468f9941140dadfda",
+    ("reorder-dup-storm", "dpdk"): "79c06c4de03074edf7b63b8623b741e117236dfc",
+    ("reorder-dup-storm", "posix"): "4f800e0a2ef68e4f72d99deabdd2d58b5f53bfea",
     ("reorder-dup-storm", "rdma"): "a381702cf3377d63bd2a611a9dbe7aa0bc151651",
-    ("partition-heal", "dpdk"): "acb7b9c1b6438b4888ed195e9a665889ba3b7137",
-    ("partition-heal", "posix"): "885953b872498b333b39633e5e5fbf2ff952ab9c",
+    ("partition-heal", "dpdk"): "e8d8441452d816d5b8bebee8af151eb4bcacf75e",
+    ("partition-heal", "posix"): "628e703b0bd4301ac4c6e8dff23b4c196491c602",
     ("partition-heal", "rdma"): "c06d4bb4b3a2c0f285bc73e03873029ee7ab49cf",
-    ("rx-ring-overflow", "dpdk"): "af9b276d4a1436fc3803fa30bc09ba31d0d12a2c",
+    ("rx-ring-overflow", "dpdk"): "0044c9278ac5ced8be812a0cebbdb84c7e395f31",
     ("slow-nvme", "spdk"): "1797ebfd6f8f33d11977a684f670518c14a2d177",
-    ("corruption-storm", "dpdk"): "2892eeb602cf07915dd83e3f4b0a92bb6571a98f",
-    ("corruption-storm", "posix"): "00a8ec571de644afb372154a623b076b8c8bfb14",
-    ("crash-mid-stream", "dpdk"): "de16ad809b73c241a793dccb7c943751fa65931f",
-    ("crash-mid-stream", "posix"): "a064fdbce92588466744e8559185822d4b585c38",
+    ("corruption-storm", "dpdk"): "6d5455bdcd10abab42d9f333b867fb6d72055927",
+    ("corruption-storm", "posix"): "f675410d977b1a80dc8dc6fa0a402bc1d3c659ed",
+    ("crash-mid-stream", "dpdk"): "216ba584a1b1c0f6787fd7ae5f5e9b9222f11fc7",
+    ("crash-mid-stream", "posix"): "5243063a0e6ad7b964fc8e0693826da665c7313c",
     ("crash-mid-stream", "rdma"): "bdcfea1d23e01a6d7d654cb5d8de5df6cf9b97eb",
     ("crash-storage", "spdk"): "9744062b7db70ed64e370a5d5cf3b1a5b12442e2",
     ("nvme-transient-outage", "spdk"):
         "090b949f1db33528df09ae55016f530d496f2ac3",
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
-    ("link-flap", "dpdk"): "ae042fed2e5e43cbf43631da6712a93a72cd719a",
-    ("link-flap", "posix"): "dc621719e86781ac26c88c249078ab58349f8313",
+    ("link-flap", "dpdk"): "ef07eae4d84cfdc0e52b7377bfa1b312943d590c",
+    ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",
     ("replica-crash-head", "rdma"): "3ab42ead22e3eca7a1e0b8713aaf0b828e039f8d",
     ("replica-crash-middle", "rdma"):
         "6c85f33b48a018c2a73dfdd09d6a2f5ff29e6c72",

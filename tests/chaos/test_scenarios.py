@@ -48,8 +48,8 @@ def test_golden_reorder_dup_storm():
     # Heavy jitter + duplication across the whole KV run: TCP absorbs
     # both with at most a couple of retransmits.
     r = run_golden("reorder-dup-storm", "dpdk")
-    assert r.counter("fault.reordered_frames") == 84
-    assert r.counter("fault.duplicated_frames") == 61
+    assert r.counter("fault.reordered_frames") == 56
+    assert r.counter("fault.duplicated_frames") == 32
     assert r.counter("client.catnip.stack.tcp_fast_retransmits") == 0
     assert r.counter("client.catnip.stack.tcp_retransmits") == 1
     assert r.data["served"] == 40
@@ -59,7 +59,7 @@ def test_golden_partition_heal():
     # A 1ms full partition mid-workload: both sides back off and
     # retransmit their way out once it heals.
     r = run_golden("partition-heal", "dpdk")
-    assert r.counter("fault.partitioned_frames") == 8
+    assert r.counter("fault.partitioned_frames") == 7
     assert r.counter("client.catnip.stack.tcp_retransmits") == 5
     assert r.counter("server.catnip.stack.tcp_retransmits") == 4
     assert r.data["served"] == 40
@@ -69,8 +69,8 @@ def test_golden_rx_ring_overflow():
     # The server NIC's RX ring collapses to zero for 300us: inbound
     # frames die at the ring (not the fabric) and TCP recovers.
     r = run_golden("rx-ring-overflow", "dpdk")
-    assert r.counter("server.dpdk0.rx_ring_drops") == 2
-    assert r.counter("fault.ring_clamped_checks") == 2
+    assert r.counter("server.dpdk0.rx_ring_drops") == 4
+    assert r.counter("fault.ring_clamped_checks") == 4
     assert r.counter("client.catnip.stack.tcp_retransmits") == 3
     assert r.counter("fault.lost_frames") == 0  # fabric never dropped
 

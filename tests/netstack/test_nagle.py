@@ -1,5 +1,7 @@
 """Tests for Nagle's algorithm / TCP_NODELAY."""
 
+from repro.netstack.tcp import DELAYED_ACK_NS
+
 from ..conftest import make_net_pair
 
 
@@ -87,3 +89,48 @@ class TestNagle:
             return done["at"] - start
 
         assert two_write_latency(False) > two_write_latency(True)
+
+
+class TestNagleMeetsDelayedAck:
+    """The write-write-read stall: Nagle holds the second small write for
+    an ACK that the receiver, with nothing to reply to yet, delays."""
+
+    @staticmethod
+    def write_write_read(nodelay):
+        w, a, b = make_net_pair()
+        client, server = connect(w, a, b)
+        client.nodelay = nodelay
+        request = (b"header", b"body")
+        done = {}
+
+        def serve():
+            got = b""
+            while len(got) < len(b"".join(request)):
+                yield server.recv_signal()
+                got += server.recv()
+            server.send(b"reply")
+
+        def drive():
+            start = w.sim.now
+            for part in request:
+                client.send(part)
+            yield client.recv_signal()
+            assert client.recv() == b"reply"
+            done["ns"] = w.sim.now - start
+
+        w.sim.spawn(serve())
+        w.sim.spawn(drive())
+        w.run()
+        return (done["ns"], w.tracer.get("client.stack.tcp_nagle_delays"),
+                w.tracer.get("server.stack.tcp_delayed_acks"))
+
+    def test_nagle_stalls_by_the_ack_delay_and_nodelay_does_not(self):
+        direct, nagled, delayed = self.write_write_read(nodelay=True)
+        assert (nagled, delayed) == (0, 0)
+        assert direct < DELAYED_ACK_NS // 4  # one round trip, no timer in it
+
+        stalled, nagled, delayed = self.write_write_read(nodelay=False)
+        assert nagled >= 1 and delayed == 1
+        # The body waits out the server's ACK delay, then the ACK's own
+        # flight and its own: never more than that.
+        assert DELAYED_ACK_NS <= stalled - direct <= DELAYED_ACK_NS + direct

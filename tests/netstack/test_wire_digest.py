@@ -27,20 +27,20 @@ from repro.testing import run_scenario
 RUNS = {
     "kv-sharded-dpdk": (
         ("kv-sharded", "dpdk", FaultPlan(seed=7), {"cores": 4, "n_ops": 50}),
-        (842,
-         "bddec3fafcf44e629e3ef0c89144734806750c4163fcd2f8f3a4d1836c162baf")),
+        (442,
+         "3e97a20dc21c28d15f376a57e9e2a320a92347998afdd12ecb886a633f1535f8")),
     "open-loop-posix": (
         ("open-loop", "posix", FaultPlan(seed=7), {"duration_ms": 2}),
-        (663,
-         "37c3a648df103d6e91070b1b98f6124db862b9e6dcc35f4a1b92bc888ef6732c")),
+        (417,
+         "331999319e15da7ae57a90bfa9ff78fd521bc816bdb160e624c2e5389c917872")),
     "reorder-dup-storm-posix": (
         ("reorder-dup-storm", "posix", None, {}),
-        (189,
-         "f42166462134376929bb95253082eeb3169e09216aa4a8e3ddfb2d2836725766")),
+        (111,
+         "48f5811329b3aead2c54130a5926ca5803b5869f607363e9ec532655b4eb1ceb")),
     "corruption-storm-dpdk": (
         ("corruption-storm", "dpdk", None, {}),
-        (97,
-         "01262910eb4b02e6e6427656d4cbec4cb7d2c52027deded5066e26890140c517")),
+        (70,
+         "176f2cae8ce784bb4a9d973c0efe8e9e5ecfd277b9117b75f2d8f8aa3a61430c")),
 }
 
 

@@ -3,7 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netstack.tcp import CLOSED, DELAYED_ACK_NS
+
 from ..conftest import make_net_pair
+from .test_faults_property import EXAMPLES, tcp_safe_plans
 
 payload_lists = st.lists(st.binary(min_size=1, max_size=4000),
                          min_size=1, max_size=12)
@@ -73,3 +76,105 @@ class TestStreamIntegrity:
         w.run()
         assert server.recv() == b"".join(payloads)
         assert server.peer_closed
+
+
+class Watch:
+    """Checks one connection's ACK and timer discipline from outside, at
+    every segment it takes in or puts out.
+
+    * No in-order byte waits longer than ``DELAYED_ACK_NS`` for a segment
+      that acknowledges it (every segment carries ``ACK = rcv_nxt``).
+    * While anything is in flight an RTO event of the current epoch sits
+      in the simulator's heap: the timer is running, not merely flagged.
+    """
+
+    def __init__(self, w, host, conn):
+        self.w, self.conn = w, conn
+        self.acked = conn.rcv_nxt
+        self.owed_since = None  # arrival of the oldest unacknowledged byte
+        self.longest_wait = 0
+        on_segment, transmit = conn.on_segment, host.stack._tcp_transmit
+
+        def segment_in(seg):
+            on_segment(seg)
+            if conn.rcv_nxt > self.acked and self.owed_since is None:
+                self.owed_since = w.sim.now
+            self.check_timer()
+
+        def segment_out(sender, seg):
+            if sender is conn:
+                self.acked = seg.ack
+                if self.owed_since is not None:
+                    self.longest_wait = max(self.longest_wait,
+                                            w.sim.now - self.owed_since)
+                    self.owed_since = None
+            transmit(sender, seg)
+
+        conn.on_segment = segment_in
+        host.stack._tcp_transmit = segment_out
+
+    def check_timer(self):
+        conn = self.conn
+        if conn._inflight and conn.state != CLOSED:
+            assert any(event[2] == conn._rto_fired
+                       and event[3] == (conn._rto_epoch,)
+                       for event in self.w.sim._heap), \
+                "data in flight and no retransmission timer running"
+
+    def check_at_rest(self):
+        """Call once the simulator has nothing left to do."""
+        self.check_timer()
+        assert self.longest_wait <= DELAYED_ACK_NS
+        if self.conn.state != CLOSED:
+            assert self.owed_since is None, "received bytes never acknowledged"
+
+
+class TestAckAndTimerDiscipline:
+    @given(payloads=payload_lists,
+           gaps_ns=st.lists(st.integers(0, 200_000), min_size=12, max_size=12),
+           plan=tcp_safe_plans())
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+    def test_echo_under_any_fault_schedule(self, payloads, gaps_ns, plan):
+        # The server echoes, so ACKs ride on data in both directions while
+        # the plan drops, duplicates, reorders, corrupts and partitions.
+        w, a, b = make_net_pair()
+        a.stack.verify_checksums = b.stack.verify_checksums = True
+        w.install_faults(plan)
+        listener = b.stack.tcp_listen(80)
+        client = a.stack.tcp_connect("10.0.0.2", 80)
+        watches = [Watch(w, a, client)]
+        sent = b"".join(payloads)
+        seen = {"server": bytearray(), "client": bytearray()}
+
+        def serve():
+            yield listener.accept_signal()
+            server = listener.accept_nb()
+            watches.append(Watch(w, b, server))
+            while len(seen["server"]) < len(sent):
+                yield server.recv_signal()
+                chunk = server.recv()
+                seen["server"] += chunk
+                server.send(chunk)
+                watches[-1].check_timer()
+
+        def write():
+            yield client.established
+            for payload, gap in zip(payloads, gaps_ns):
+                client.send(payload)
+                watches[0].check_timer()
+                yield w.sim.timeout(gap)
+
+        def read():
+            yield client.established
+            while len(seen["client"]) < len(sent):
+                yield client.recv_signal()
+                seen["client"] += client.recv()
+
+        for proc in (serve(), write(), read()):
+            w.sim.spawn(proc)
+        w.run()
+        assert bytes(seen["server"]) == sent, plan.to_json()
+        assert bytes(seen["client"]) == sent, plan.to_json()
+        assert len(watches) == 2
+        for watch in watches:
+            watch.check_at_rest()

@@ -17,12 +17,12 @@ import repro
 REQUESTS = 4 * 50
 
 #: measured on CPython 3.11: 416_283 before PR 13 and 260_208 after it,
-#: 262_159 after PR 16, 234_655 now (PR 17: frames parsed in place and
-#: packed once, ``_resume`` the only way into a generator, sga sizes fixed
-#: at construction); 3.12 inlines comprehensions and counts fewer.  The
-#: budget sits 4 % above the measurement, 47 calls per request: two more
-#: calls on each of a request's 28 events trip it, one more does not.
-CALL_BUDGET = 244_000
+#: 262_159 after PR 16, 234_655 after PR 17, 189_458 now (PR 18: ACKs ride
+#: on the reply, so a request is 2 frames and ~19 events where it was 4
+#: and 28); 3.12 inlines comprehensions and counts fewer.  The budget sits
+#: 4 % above the measurement, 37 calls per request: two more calls on each
+#: of a request's 19 events trip it, one more does not.
+CALL_BUDGET = 197_000
 
 _SCRIPT = """
 import cProfile, pstats

@@ -199,7 +199,7 @@ class TestCounterScope:
         from repro.testing import run_scenario
         result = run_scenario("partition-heal", "dpdk")
         result.require_ok()
-        assert result.signature == "acb7b9c1b6438b4888ed195e9a665889ba3b7137"
+        assert result.signature == "e8d8441452d816d5b8bebee8af151eb4bcacf75e"
 
 
 class TestLatencyStats:

@@ -18,14 +18,14 @@ def echo_rtt(flavor, message_size):
 
 class TestRecordedAnchors:
     def test_kernel_echo_rtt_as_documented(self):
-        # EXPERIMENTS.md FIG1: kernel RTT at 64 B = 24.25 us.
+        # EXPERIMENTS.md FIG1: kernel RTT at 64 B = 19.05 us.
         result = echo_rtt("posix", message_size=64)
-        assert result["rtt_mean_ns"] == pytest.approx(24_250, rel=0.02)
+        assert result["rtt_mean_ns"] == pytest.approx(19_050, rel=0.02)
 
     def test_dpdk_echo_rtt_as_documented(self):
-        # EXPERIMENTS.md FIG1: bypass RTT at 64 B = 5.97 us.
+        # EXPERIMENTS.md FIG1: bypass RTT at 64 B = 4.87 us.
         result = echo_rtt("dpdk", message_size=64)
-        assert result["rtt_mean_ns"] == pytest.approx(5_970, rel=0.02)
+        assert result["rtt_mean_ns"] == pytest.approx(4_870, rel=0.02)
 
     def test_rdma_echo_rtt_as_documented(self):
         # EXPERIMENTS.md FIG2: catmint data path = 3.98 us.
@@ -42,7 +42,7 @@ class TestRecordedAnchors:
         assert DEFAULT_COSTS.copy_ns(4096) == 1040
 
     def test_speedup_band_as_documented(self):
-        # EXPERIMENTS.md FIG1: 4-6x across the size sweep.
+        # EXPERIMENTS.md FIG1: 4-7x across the size sweep.
         small = echo_rtt("posix", 64)["rtt_mean_ns"] / \
             echo_rtt("dpdk", 64)["rtt_mean_ns"]
         large = echo_rtt("posix", 8192)["rtt_mean_ns"] / \
