@@ -9,7 +9,10 @@ compose.  Each key range is a *chain*: a rotation of the node list,
 dense per-chain sequence number, applies locally, and forwards the entry
 downstream by RDMA-WRITING a torn-write-proof record
 (:mod:`repro.rmem.ring`) into the successor's replication log - the
-successor's CPU polls its own memory, applies, and forwards again.  The
+successor's CPU, spinning on its own memory, sees the record as the
+write lands (it parks on the arena's
+:meth:`~repro.memory.manager.MemoryManager.watch` queue: no poll
+interval), applies, and forwards again.  The
 tail's apply is the *commit point*: committed sequence numbers flow back
 upstream through one-sided writes into each predecessor's commit cell,
 and only then does the head acknowledge the client.  An acknowledged
@@ -71,14 +74,11 @@ REPL_PORT = DEFAULT_KV_PORT + 1
 #: replication log geometry: one ring per upstream link
 SLOT_SIZE = 512
 N_SLOTS = 32
-#: how often a consumer polls its own ring for a landed record
-RING_POLL_NS = 2_000
 #: heartbeat period, and how long a silent peer keeps its lease
 HB_INTERVAL_NS = 20_000
 LEASE_NS = 150_000
-#: how often the head re-reads its commit cell, and how long a client
-#: write may wait on the tail before the head gives up on it
-COMMIT_POLL_NS = 3_000
+#: how long a client write may wait on the tail before the head gives
+#: up on it
 COMMIT_TIMEOUT_NS = 1_000_000
 #: an idle client connection is closed after this long
 IDLE_TIMEOUT_NS = 2_000_000
@@ -455,12 +455,14 @@ class ReplicaNode:
             self._suspect(link.peer)
 
     def _commit_monitor(self, chain: _Chain, link: _DownLink) -> Generator:
-        """Polls the local commit cell the successor one-sided-writes."""
+        """Spins on the local commit cell the successor one-sided-writes:
+        woken by each write into it, like a ring consumer."""
+        written = self.mm.watch(link.commit_cell)
         while True:
             (committed,) = _U64.unpack(link.commit_cell.read(0, 8))
             if committed > chain.committed:
                 self._advance_commit(chain, committed)
-            yield self.sim.timeout(COMMIT_POLL_NS)
+            yield written.wait()
 
     # -- upstream link (predecessor produces into our arena) ----------------
     def _repl_acceptor(self) -> Generator:
@@ -504,8 +506,7 @@ class ReplicaNode:
             self.mm.free(arena)
             self.mm.free(hb_cell)
             return
-        consumer = LocalRingConsumer(self.host, ring,
-                                     poll_interval_ns=RING_POLL_NS)
+        consumer = LocalRingConsumer(self.host, ring)
         link = _UpLink(peer, qp, ring, arena, consumer, commit_addr,
                        hb_addr, hb_cell)
         chain.up = link
@@ -610,15 +611,19 @@ class ReplicaNode:
             chain.commit_wq.pulse()
 
     def _wait_committed(self, chain: _Chain, seq: int) -> Generator:
-        deadline = self.sim.now + COMMIT_TIMEOUT_NS
-        while chain.committed < seq:
-            if self.crashed or self.sim.now >= deadline:
-                return False
-            remaining = deadline - self.sim.now
-            yield any_of(self.sim, [
-                chain.commit_wq.wait(),
-                self.sim.timeout(min(COMMIT_POLL_NS * 4, remaining))])
-        return True
+        """True once *seq* is committed; False at the deadline.
+
+        ``committed`` only moves through :meth:`_advance_commit`, which
+        pulses ``commit_wq``, and a crash interrupts the serving process,
+        so there is nothing a periodic re-check would observe.
+        """
+        deadline = self.sim.timeout(COMMIT_TIMEOUT_NS)
+        try:
+            while chain.committed < seq and not deadline.triggered:
+                yield any_of(self.sim, [chain.commit_wq.wait(), deadline])
+        finally:
+            deadline.cancel()
+        return chain.committed >= seq
 
     # -- the client plane ----------------------------------------------------
     def _client_plane(self) -> Generator:

@@ -488,7 +488,7 @@ class HwCq:
         return len(self._cqes)
 
     def signal(self) -> Completion:
-        done = self.sim.completion("%s.signal" % self.name)
+        done = Completion(self.sim, ("%s.signal", self.name))
         if self._cqes:
             done.trigger(None)
         else:

@@ -26,7 +26,7 @@ class Buffer:
     """A registered-memory I/O buffer."""
 
     __slots__ = ("addr", "capacity", "data", "region", "_device_refs",
-                 "freed", "deallocated", "_on_last_release")
+                 "freed", "deallocated", "_on_last_release", "written")
 
     def __init__(self, addr: int, capacity: int, region: Optional[object] = None):
         if capacity <= 0:
@@ -39,6 +39,11 @@ class Buffer:
         self.freed = False        # application called free()
         self.deallocated = False  # memory actually returned
         self._on_last_release = None
+        #: the wait queue a *device* write into this buffer pulses, made
+        #: by :meth:`MemoryManager.watch` for a poll-mode reader; a CPU
+        #: store through :meth:`write` is the reader's own and pulses
+        #: nothing
+        self.written = None
 
     # -- data access ----------------------------------------------------
     def _check_live(self) -> None:

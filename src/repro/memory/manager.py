@@ -25,6 +25,7 @@ import bisect
 from typing import Any, Dict, List, Tuple
 
 from ..hw.iommu import IommuFault
+from ..sim.sync import WaitQueue
 from .buffer import Buffer, BufferError
 from ..telemetry import names
 
@@ -203,8 +204,28 @@ class MemoryManager:
         return buf.read(offset, nbytes)
 
     def write_mem(self, addr: int, data: bytes) -> None:
+        """A device writes host memory (a one-sided RDMA WRITE landing).
+
+        It raises no completion anywhere, so a poll-mode reader of that
+        memory parks on :meth:`watch` and is woken here, once the bytes
+        are in place - never before, or it would read the old ones.
+        """
         buf, offset = self.resolve(addr, len(data))
         buf.write(offset, data)
+        if buf.written is not None:
+            buf.written.pulse()
+
+    def watch(self, buf: Buffer) -> WaitQueue:
+        """The queue every device write into *buf* pulses.
+
+        How the simulator models a core spinning on its own cache line:
+        like ``nic.rx_signal`` and ``HwCq.signal`` the reader sees the
+        data when the device lands it, not at a poll tick.  The queue
+        lives on the buffer and goes when the buffer does.
+        """
+        if buf.written is None:
+            buf.written = WaitQueue(self.host.sim, "mm.watch@%#x" % buf.addr)
+        return buf.written
 
     # -- teardown / reclamation ----------------------------------------------
     def free_all(self) -> int:

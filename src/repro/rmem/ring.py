@@ -24,12 +24,16 @@ the trailing stamp - ``seq ^ RECORD_MAGIC`` written *after* the payload
 observes a half-written entry: any truncation of the slot write leaves
 either a stale/torn header or a stale stamp, and :func:`decode_record`
 rejects it (``tests/property`` truncates at every byte offset to prove
-it).  The consumer RDMA-READs the expected slot (or, for
-:class:`LocalRingConsumer`, polls its own arena directly); on a decode
-it consumes and periodically writes its cursor back for producer flow
-control.  An empty poll costs a round trip - the honest price of
-disaggregation - so the consumer backs off ``poll_interval_ns`` between
-misses.
+it).  The *remote* :class:`RingConsumer` RDMA-READs the expected slot;
+on a decode it consumes and periodically writes its cursor back for
+producer flow control.  An empty poll there costs a round trip - the
+honest price of disaggregation - so it backs off ``poll_interval_ns``
+between misses.  :class:`LocalRingConsumer` reads a ring in its own
+host's arena: its core spins on its own memory, which the simulator
+models the way it models every poll-mode reader (a NIC's RX ring, a
+completion queue) - parked on the writer's signal, here the arena's
+:meth:`~repro.memory.manager.MemoryManager.watch` queue, so a record is
+seen at the instant the NIC lands it and an idle ring costs no event.
 """
 
 from __future__ import annotations
@@ -230,36 +234,44 @@ class LocalRingConsumer:
     """The pop side for a ring living in *this* host's own arena.
 
     A replica's replication log is RDMA-WRITTEN into its memory by the
-    upstream node; the local CPU polls the write window directly, so an
-    empty poll costs a cache probe instead of a fabric round trip and
-    the cursor write-back is a plain store.  The torn-record framing is
-    what makes the direct poll safe: the NIC may be landing a slot's
-    bytes at the very moment we read them, and :func:`decode_record`
-    only accepts a record whose trailing stamp proves the write
-    finished.
+    upstream node; the local CPU spins on the write window directly, so
+    a look costs a cache probe instead of a fabric round trip and the
+    cursor write-back is a plain store.  A one-sided WRITE raises no
+    completion, so :meth:`pop` parks on the arena's
+    :meth:`~repro.memory.manager.MemoryManager.watch` queue and is
+    woken by the write itself - no interval, no event while idle.  The
+    torn-record framing is what makes the direct read safe: the NIC may
+    have landed only part of a slot when we are woken, and
+    :func:`decode_record` only accepts a record whose trailing stamp
+    proves the write finished; the write that completes it wakes us
+    again.
     """
 
     CURSOR_EVERY = 4
 
-    def __init__(self, host, ring: RemoteRing,
-                 poll_interval_ns: int = DEFAULT_POLL_INTERVAL_NS):
+    def __init__(self, host, ring: RemoteRing):
         self.host = host
         self.mm = host.mm
-        self.sim = host.sim
         self.ring = ring
-        self.poll_interval_ns = poll_interval_ns
+        #: the buffer the ring lives in, and the cursor's (the ring's
+        #: first word's) offset in it
+        self.arena, self._cursor_off = self.mm.resolve(ring.base_addr,
+                                                       ring.total_bytes)
+        self._written = self.mm.watch(self.arena)
         self.next_seq = 1
         self._since_cursor_update = 0
+        #: wake-ups that found no complete record - the ring's
+        #: ``wasted_wakeups``: only a write that lands part of a record
+        #: causes one, so it reads 0 after every fault-free run
         self.empty_polls = 0
 
     def pop_nb(self) -> Optional[bytes]:
-        """One poll attempt; ``None`` when no complete record is present."""
+        """One look at the slot; ``None`` when no complete record is there."""
         ring = self.ring
         slot = self.mm.read_mem(ring.slot_addr(self.next_seq),
                                 ring.slot_size)
         payload = decode_record(slot, self.next_seq, ring.max_payload)
         if payload is None:
-            self.empty_polls += 1
             return None
         self.next_seq += 1
         self._since_cursor_update += 1
@@ -268,19 +280,21 @@ class LocalRingConsumer:
         return payload
 
     def pop(self) -> Generator:
-        """Sim-coroutine: poll until the next element arrives."""
-        while True:
+        """Sim-coroutine: the next element, as soon as its write lands."""
+        payload = self.pop_nb()
+        while payload is None:
+            yield self._written.wait()
             payload = self.pop_nb()
-            if payload is not None:
-                return payload
-            yield self.sim.timeout(self.poll_interval_ns)
+            if payload is None:
+                self.empty_polls += 1
+        return payload
 
     def flush_cursor(self) -> None:
         """Publish consumption progress (a local store; producer reads it
         over the fabric when the ring looks full)."""
         self._since_cursor_update = 0
-        self.mm.write_mem(self.ring.cursor_addr,
-                          struct.pack("!Q", self.next_seq - 1))
+        self.arena.write(self._cursor_off,
+                         struct.pack("!Q", self.next_seq - 1))
 
 
 class RmemQueue(DemiQueue):

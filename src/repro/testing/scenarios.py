@@ -971,8 +971,9 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
     Checked, beyond the usual libOS/DMA/reclaim invariants: **no
     acknowledged write is lost** and every read is linearizable per key
     (the :class:`_KeyTracker` model), the survivors converge (equal
-    ``applied``, ``committed == applied``) and the failover actually
-    happened (directory epoch bumped, chain spliced).
+    ``applied``, ``committed == applied``), no pump was woken for nothing
+    (``empty_polls``, the ring's ``wasted_wakeups``) and the failover
+    actually happened (directory epoch bumped, chain spliced).
     """
     nodes, tracer = run.tier, run.world.tracer
     directory = nodes[0].directory
@@ -1010,6 +1011,13 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
                 run.failures.append(
                     "chain %d on %s left %d applied entries uncommitted"
                     % (chain_id, node_name, applied - committed))
+    # -- a pump is woken by the write that lands its record, only -----------
+    for node in survivors:
+        for chain_id, chain in sorted(node.chains.items()):
+            if chain.up is not None and chain.up.consumer.empty_polls:
+                run.failures.append(
+                    "chain %d on %s: %d ring wake-ups found no record"
+                    % (chain_id, node.name, chain.up.consumer.empty_polls))
     # -- the failover must actually have been exercised ---------------------
     acked = sum(t.acked for t in trackers)
     splices = sum(tracer.get("%s.%s" % (n.name, names.REPL_CHAIN_SPLICES))

@@ -42,10 +42,10 @@ SIGNATURES = {
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
     ("link-flap", "dpdk"): "ef07eae4d84cfdc0e52b7377bfa1b312943d590c",
     ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",
-    ("replica-crash-head", "rdma"): "3ab42ead22e3eca7a1e0b8713aaf0b828e039f8d",
+    ("replica-crash-head", "rdma"): "dc2bc76869b009a1d5e98ecef87a3b12a0ac49dc",
     ("replica-crash-middle", "rdma"):
-        "6c85f33b48a018c2a73dfdd09d6a2f5ff29e6c72",
-    ("replica-crash-tail", "rdma"): "433612c05563827cad8052a846b8267f83c8fa24",
+        "a8df4aa024c505e56bdc23777d6c4be77c074e31",
+    ("replica-crash-tail", "rdma"): "76fc79da1734f70166824a06019f33a13a943288",
 }
 
 

@@ -9,6 +9,7 @@ from repro.core.retry import RetryBudgetExceeded
 from repro.core.types import DemiError, DemiTimeout
 from repro.libos.rdma_libos import RdmaLibOS
 from repro.rdma.cm import RdmaCm
+from repro.rmem.ring import decode_record
 from repro.sim.rand import Rng
 from repro.telemetry import names
 
@@ -46,6 +47,32 @@ def run_driver(world, gen):
     proc = world.sim.spawn(gen, name="test.driver")
     world.sim.run_until_complete(proc, limit=world.sim.now + LIMIT)
     return proc.value
+
+
+def assert_no_lost_wakeup(nodes):
+    """At quiescence nothing a one-sided write landed is still unseen.
+
+    A pump or commit monitor parks on the writer's signal instead of
+    polling, so a wake-up lost anywhere would strand data for good: a
+    commit cell above what its node believes committed, or a decodable
+    record in the slot a consumer is waiting on.  And no wake-up was for
+    nothing - ``empty_polls`` is the ring's ``wasted_wakeups``.
+    """
+    for node in nodes:
+        if node.crashed:
+            continue
+        for chain in node.chains.values():
+            if chain.down is not None:
+                cell = int.from_bytes(chain.down.commit_cell.read(0, 8),
+                                      "big")
+                assert cell <= chain.committed, (node.name, cell)
+            if chain.up is not None:
+                consumer, ring = chain.up.consumer, chain.up.ring
+                slot = node.mm.read_mem(ring.slot_addr(consumer.next_seq),
+                                        ring.slot_size)
+                assert decode_record(slot, consumer.next_seq,
+                                     ring.max_payload) is None, node.name
+                assert consumer.empty_polls == 0, node.name
 
 
 class TestDirectory:
@@ -110,6 +137,38 @@ class TestHappyPath:
             chain = node.chains[0]
             assert chain.applied == 8 and chain.committed == 8
             assert node.engine.get(b"key-0") is not None
+        assert_no_lost_wakeup(nodes)
+
+    def test_put_latency_does_not_depend_on_when_it_was_issued(self):
+        """The same PUT on an idle chain, issued at eight start offsets
+        750 ns apart, takes exactly the same time.  The pumps and commit
+        monitors used to sleep 2 and 3 us between looks at their own
+        memory, so a PUT (two rings, two commit cells) took 18 099 to
+        21 099 ns depending on the phase of four poll clocks; eight
+        offsets of 750 ns are one full period of both.  A GET, which
+        crosses no ring, never depended on it."""
+        puts, gets = set(), set()
+        for k in range(8):
+            world, directory, nodes, (client,) = build_cluster()
+
+            def driver():
+                yield world.sim.timeout(50 * _US)
+                yield from client.put(b"warm", b"up")   # opens head conn
+                yield from client.get(b"warm")           # opens tail conn
+                yield world.sim.timeout(400 * _US + 750 * k - world.sim.now)
+                issued = world.sim.now
+                yield from client.put(b"key", b"value")
+                acked = world.sim.now
+                found, _value = yield from client.get(b"key")
+                assert found
+                puts.add(acked - issued)
+                gets.add(world.sim.now - acked)
+                yield from client.close()
+
+            run_driver(world, driver())
+            assert_no_lost_wakeup(nodes)
+        assert len(puts) == 1, sorted(puts)
+        assert gets == {4_971}     # before and after the pumps stopped polling
 
     def test_multi_chain_places_keys_on_distinct_heads(self):
         world, directory, nodes, (client,) = build_cluster(
@@ -252,6 +311,45 @@ class TestFailover:
         assert world.tracer.get("replica0.%s" % names.REPL_ENTRIES_REPLAYED) \
             >= 6  # the pre-crash log reached the recruit
         assert reports and reports[0].as_dict()
+        assert_no_lost_wakeup(nodes)
+
+    def test_middle_death_splices_the_chain_around_it(self):
+        """Three replicas, the middle one dies: its predecessor syncs
+        straight into its successor, every acked write is on both, and
+        the pump and commit monitor the splice tore down (parked on
+        buffers it freed) left nothing behind."""
+        world, directory, nodes, (client,) = build_cluster()
+        reports = []
+        out = {}
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            for i in range(6):
+                yield from client.put(b"mk-%d" % i, b"mv-%d" % i)
+            out["old_links"] = (nodes[0].chains[0].down,
+                                nodes[2].chains[0].up)
+            self.crash(world, nodes[1], reports)
+            yield world.sim.timeout(2 * _MS)  # detect + splice
+            for i in range(6, 10):
+                yield from client.put(b"mk-%d" % i, b"mv-%d" % i)
+            reads = []
+            for i in range(10):
+                found, value = yield from client.get(b"mk-%d" % i)
+                reads.append((found, bytes(value)))
+            yield from client.close()
+            out["reads"] = reads
+
+        run_driver(world, driver())
+        assert out["reads"] == [(True, b"mv-%d" % i) for i in range(10)]
+        assert directory.chain_members(0) == ["replica0", "replica2"]
+        for node in (nodes[0], nodes[2]):
+            chain = node.chains[0]
+            assert chain.applied == 10 and chain.committed == 10
+        assert nodes[2].chains[0].up.peer == "replica0"
+        old_down, old_up = out["old_links"]
+        assert old_down.commit_cell.deallocated and old_up.arena.deallocated
+        assert not any(proc.alive for proc in old_down.procs + old_up.procs)
+        assert_no_lost_wakeup(nodes)
 
     def test_head_death_loses_no_acked_write(self):
         world, directory, nodes, (client,) = build_cluster()
@@ -288,3 +386,4 @@ class TestFailover:
         assert len(states) == 1
         applied, committed = states.pop()
         assert applied == committed
+        assert_no_lost_wakeup(nodes)

@@ -196,3 +196,78 @@ class TestResolution:
         host.mm.free(buf)
         with pytest.raises(IommuFault):
             host.mm.resolve(addr, 4)
+
+
+class TestWatch:
+    """``mm.watch(buf)``: the queue a device write into *buf* pulses -
+    how a poll-mode reader of its own memory sees a one-sided WRITE."""
+
+    def parked(self, world, queue):
+        """A process parked on *queue*; ``woken`` lists its wake times."""
+        woken = []
+
+        def reader():
+            while True:
+                yield queue.wait()
+                woken.append(world.sim.now)
+
+        world.sim.spawn(reader())
+        world.run()
+        return woken
+
+    def test_write_mem_pulses_the_watched_buffer_only(self, world):
+        host = world.add_host("h")
+        watched, other = host.mm.alloc(64), host.mm.alloc(64)
+        woken = self.parked(world, host.mm.watch(watched))
+        host.mm.write_mem(other.addr, b"elsewhere")
+        assert woken == []
+        world.sim.call_in(500, host.mm.write_mem, watched.addr + 8, b"here")
+        world.run()
+        assert woken == [500]
+        assert other.written is None
+
+    def test_the_reader_is_woken_after_the_bytes_are_in_place(self, world):
+        host = world.add_host("h")
+        buf = host.mm.alloc(16)
+        seen = []
+        host.mm.watch(buf).subscribe(lambda: seen.append(buf.read(0, 4)))
+        host.mm.write_mem(buf.addr, b"data")
+        assert seen == [b"data"]
+
+    def test_a_cpu_store_pulses_nothing(self, world):
+        host = world.add_host("h")
+        buf = host.mm.alloc(64)
+        queue = host.mm.watch(buf)
+        woken = self.parked(world, queue)
+        buf.write(0, b"my own store")
+        buf.fill(b"another")
+        world.run()
+        assert woken == [] and queue.pulses == 0
+
+    def test_an_unwatched_buffer_allocates_no_queue(self, world):
+        host = world.add_host("h")
+        buf = host.mm.alloc(64)
+        host.mm.write_mem(buf.addr, b"nobody is looking")
+        assert buf.written is None
+        queue = host.mm.watch(buf)
+        assert host.mm.watch(buf) is queue is buf.written  # one per buffer
+
+    def test_a_freed_buffers_queue_is_gone_with_it(self, world):
+        import gc
+        import weakref
+        host = world.add_host("h")
+        buf = host.mm.alloc(64)
+        addr = buf.addr
+        gone = weakref.ref(host.mm.watch(buf))
+        host.mm.free(buf)
+        del buf
+        gc.collect()
+        # It lived on the buffer alone: no table in the manager held it.
+        assert gone() is None
+        # The memory's next owner starts unwatched, and a write to the
+        # freed range faults before anything could be pulsed.
+        again = host.mm.alloc(64)
+        assert again.addr == addr and again.written is None
+        host.mm.free(again)
+        with pytest.raises(IommuFault):
+            host.mm.write_mem(addr, b"late")

@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import DemiError
-from repro.rmem.ring import RemoteRing, RmemQueue
-from repro.testbed import make_rmem_world
+from repro.hw.iommu import IommuFault
+from repro.rdma.verbs import ProtectionDomain, QueuePair
+from repro.rmem.ring import (LocalRingConsumer, RemoteRing, RingProducer,
+                             RmemQueue, encode_record)
+from repro.sim.engine import Interrupt
+from repro.testbed import World, make_rmem_world
 
 
 class TestRingGeometry:
@@ -155,6 +159,157 @@ class TestProduceConsume:
         cp = w.sim.spawn(consume())
         w.sim.run_until_complete(cp, limit=10**13)
         assert cp.value == payloads
+
+
+class TestLocalRingConsumer:
+    """The pop side of a ring in the consumer's *own* arena: what a
+    replica runs.  It parks on the arena's ``mm.watch`` queue, so a record
+    is seen when the NIC lands it, not at the next poll tick."""
+
+    def make_world(self, slot_size=128, n_slots=16):
+        """An upstream host producing over a real QP into a ring in the
+        downstream host's memory, read there by a ``LocalRingConsumer``.
+        ``landed`` lists the instants the downstream NIC applied a write.
+        """
+        w = World()
+        up, down = w.add_host("up"), w.add_host("down")
+        qp_up = QueuePair(ProtectionDomain(w.add_rdma(up)))
+        qp_down = QueuePair(ProtectionDomain(w.add_rdma(down)))
+        qp_up.connect(qp_down.nic.addr, qp_down.hw.qpn)
+        qp_down.connect(qp_up.nic.addr, qp_up.hw.qpn)
+        ring = RemoteRing.allocate(down.mm, slot_size, n_slots)
+        landed = []
+        write_mem = down.mm.write_mem
+
+        def spy(addr, data):
+            landed.append(w.sim.now)
+            write_mem(addr, data)
+
+        down.mm.write_mem = spy
+        return (w, RingProducer(qp_up, ring), LocalRingConsumer(down, ring),
+                qp_down, landed)
+
+    def popper(self, w, consumer, out, busy_ns=0):
+        """Spawn-me: pop records into *out* as ``(when, payload)`` for
+        ever, staying busy for *busy_ns* after each."""
+        while True:
+            payload = yield from consumer.pop()
+            out.append((w.sim.now, payload))
+            if busy_ns:
+                yield w.sim.timeout(busy_ns)
+
+    def test_a_record_is_popped_at_the_instant_its_write_lands(self):
+        w, producer, consumer, _qp, landed = self.make_world()
+        out = []
+        w.sim.spawn(self.popper(w, consumer, out))
+
+        def produce():
+            for i, gap in enumerate((10_000, 700, 13_300)):  # any phase
+                yield w.sim.timeout(gap)
+                yield from producer.push(b"record-%d" % i)
+
+        w.sim.spawn(produce())
+        w.run()
+        assert [payload for _when, payload in out] == [
+            b"record-0", b"record-1", b"record-2"]
+        assert len(landed) == 3
+        assert [when for when, _payload in out] == landed
+        assert consumer.empty_polls == 0
+
+    def test_an_idle_ring_schedules_nothing(self):
+        w, _producer, consumer, _qp, _landed = self.make_world()
+        proc = w.sim.spawn(self.popper(w, consumer, []))
+        w.run(until=1_000)
+        assert proc.alive and w.sim.peek() is None  # parked, no poll timer
+
+    def test_a_record_landing_while_the_consumer_is_busy_is_not_lost(self):
+        w, producer, consumer, _qp, landed = self.make_world()
+        out = []
+        w.sim.spawn(self.popper(w, consumer, out, busy_ns=50_000))
+
+        def produce():
+            yield from producer.push(b"first")
+            yield from producer.push(b"second")   # lands mid-busy: no waiter
+
+        w.sim.spawn(produce())
+        w.run()
+        assert [payload for _when, payload in out] == [b"first", b"second"]
+        first_at, second_at = (when for when, _payload in out)
+        assert first_at == landed[0]
+        assert landed[1] < first_at + 50_000 == second_at
+        assert consumer.empty_polls == 0
+
+    def test_twelve_records_through_four_slots_publish_the_cursor(self):
+        w, producer, consumer, _qp, landed = self.make_world(n_slots=4)
+        cursors = []
+
+        def consume():
+            for _ in range(12):
+                payload = yield from consumer.pop()
+                cursors.append((payload, consumer.arena.read(0, 8)))
+
+        def produce():
+            for i in range(12):
+                yield from producer.push(b"wrap-%02d" % i)
+
+        w.sim.spawn(produce())
+        cp = w.sim.spawn(consume())
+        w.sim.run_until_complete(cp, limit=10**12)
+        assert [payload for payload, _cursor in cursors] == [
+            b"wrap-%02d" % i for i in range(12)]
+        every = LocalRingConsumer.CURSOR_EVERY
+        assert [int.from_bytes(cursor, "big") for _p, cursor in cursors] == [
+            (i + 1) // every * every for i in range(12)]
+        # The cursor is the consumer's own store: only the twelve records
+        # were device writes, and each woke it for something.
+        assert len(landed) == 12 and consumer.empty_polls == 0
+
+    def test_a_torn_prefix_wakes_it_for_nothing_and_delivers_once(self):
+        w, _producer, consumer, _qp, _landed = self.make_world()
+        out = []
+        proc = w.sim.spawn(self.popper(w, consumer, out))
+        image = encode_record(1, b"torn-then-whole")
+        slot = consumer.ring.slot_addr(1)
+        mm = consumer.mm
+        for cut in (5, len(image) - 1):       # header torn, then stamp torn
+            w.sim.call_in(1_000 * cut, mm.write_mem, slot, image[:cut])
+        w.run()
+        assert out == [] and consumer.empty_polls == 2
+        w.sim.call_in(1_000, mm.write_mem, slot + 5, image[5:])
+        w.run()
+        assert [payload for _when, payload in out] == [b"torn-then-whole"]
+        # Delivered once: it is parked on seq 2 now, and re-landing seq 1
+        # wakes it, decodes nothing and delivers nothing.
+        mm.write_mem(slot, image)
+        w.run()
+        assert len(out) == 1 and consumer.empty_polls == 3 and proc.alive
+
+    def test_freeing_the_arena_under_a_parked_consumer_is_clean(self):
+        """What ``ReplicaNode._teardown_up`` and ``crash`` do: interrupt,
+        sever the QP, free.  Nothing may fire on the dead buffer."""
+        w, producer, consumer, qp_down, landed = self.make_world()
+        proc = w.sim.spawn(self.popper(w, consumer, []))
+        w.run()
+        written = consumer.arena.written
+        assert written.waiting == 1
+        proc.interrupt("chain reconfig")
+        qp_down.destroy()
+        consumer.mm.free(consumer.arena)
+        w.run()
+        assert not proc.alive and isinstance(proc._exc, Interrupt)
+        assert consumer.mm.live_buffer_count == 0
+
+        def produce():
+            with pytest.raises(DemiError):
+                yield from producer.push(b"too late")
+            return "failed fast"
+
+        pp = w.sim.spawn(produce())
+        w.sim.run_until_complete(pp, limit=10**12)
+        assert pp.value == "failed fast"
+        assert landed == [] and written.pulses == 0
+        with pytest.raises(IommuFault):
+            consumer.mm.write_mem(consumer.ring.base_addr, b"stray")
 
 
 class TestRmemQueueApi:

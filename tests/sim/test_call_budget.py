@@ -5,7 +5,9 @@ fixed simulated run is not - it repeats exactly under ``PYTHONHASHSEED=0``
 and moves only when the code on the hot path does.  The run is the
 ROADMAP's baseline scenario in miniature: the ``kv-scaling`` workload at
 4 cores and 50 ops per shard, 200 requests against four shards, set-up
-(ARP, connects) included.
+(ARP, connects) included.  A second probe guards the replicated RDMA path
+the first never enters: a chaos run whose simulated time is mostly idle,
+so what it counts is what the chain costs when nothing is happening.
 """
 
 import os
@@ -24,26 +26,52 @@ REQUESTS = 4 * 50
 #: of a request's 19 events trip it, one more does not.
 CALL_BUDGET = 197_000
 
+#: the replicated path's guard: the ``replica-crash-middle`` chaos run on
+#: rdma at seed 7, 64 acked writes in 23 simulated ms, most of them idle.
+#: 1_534_259 calls before PR 19 and 821_529 after it; the difference is
+#: idle polling - every pump and commit monitor woke every 2-3 us to look
+#: at memory nothing had written, where it now parks on the writer's
+#: signal.  The budget sits 4 % above the measurement: a timer that ticks
+#: through the idle time again (a heartbeat is one per 20 us per link)
+#: trips it.
+REPLICA_CALL_BUDGET = 854_000
+
 _SCRIPT = """
 import cProfile, pstats
 from repro.experiments import ExperimentSpec, run_spec
-spec = ExperimentSpec("kv-scaling", cores=4, params={"n_ops": 50})
+spec = ExperimentSpec(%s)
 profiler = cProfile.Profile()
 profiler.enable()
-run_spec(spec)
+assert run_spec(spec)["ok"]
 profiler.disable()
 print(pstats.Stats(profiler).total_calls)
 """
 
+_KV_SCALING = '"kv-scaling", cores=4, params={"n_ops": 50}'
+_REPLICA_CHAOS = ('"chaos", libos="rdma", fault_plan="replica-crash-middle",'
+                  ' seed=7')
 
-def _profiled_calls() -> int:
+
+def _profiled_calls(spec: str = _KV_SCALING) -> int:
     """Calls (Python and builtin) of one run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", _SCRIPT % spec], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=120)
     return int(done.stdout.split()[-1])
+
+
+def test_replicated_path_calls_repeat_exactly_and_stay_in_budget():
+    first, second = (_profiled_calls(_REPLICA_CHAOS),
+                     _profiled_calls(_REPLICA_CHAOS))
+    assert first == second, "the call count is not a pure function of the code"
+    assert first <= REPLICA_CALL_BUDGET, (
+        "%d calls for the replica-crash-middle run is over the budget of "
+        "%d: something on the replication path runs when nothing is "
+        "happening; profile with `python perfbench/run.py --workload "
+        "kv-replicated-rdma-failover --trace 1` and look for timer events"
+        % (first, REPLICA_CALL_BUDGET))
 
 
 def test_calls_per_request_repeat_exactly_and_stay_in_budget():
