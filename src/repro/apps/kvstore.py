@@ -226,7 +226,12 @@ class UdpKvServer:
                 return self.requests_served
             yield from self._serve(qd, result)
             token = libos.pop(qd)
-        libos.cancel(token)
+        if libos.qtokens.completion_of(token).triggered:
+            # A datagram was already queued (a duplicate, a late retry):
+            # the pop is complete, so it is waited for and dropped.
+            yield from libos.wait(token)
+        else:
+            libos.cancel(token)
         return self.requests_served
 
     def _serve(self, qd: int, result) -> Generator:

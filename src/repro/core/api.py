@@ -29,11 +29,6 @@ from .wait import QTokenTable
 
 __all__ = ["LibOS"]
 
-_LEGACY_TIMEOUT_ERROR = (
-    "the legacy_timeout sentinel shim ((-1, None) / None) has been removed; "
-    "drop legacy_timeout=True and catch repro.core.types.DemiTimeout instead."
-)
-
 
 class LibOS:
     """Base library OS: Figure 3's interface over an accelerator."""
@@ -192,16 +187,13 @@ class LibOS:
         return result
 
     def wait_any(self, tokens: Sequence[QToken],
-                 timeout_ns: Optional[int] = None,
-                 legacy_timeout: bool = False) -> Generator:
+                 timeout_ns: Optional[int] = None) -> Generator:
         """Block until any token completes: (index, QResult).
 
         The improved-epoll of section 4.4: returns the data directly and
         wakes exactly one waiter per completion.  A timeout raises
         :class:`DemiTimeout` (losing tokens stay waitable).
         """
-        if legacy_timeout:
-            raise TypeError(_LEGACY_TIMEOUT_ERROR)
         index, result = yield from self.qtokens.wait_any(
             tokens, timeout_ns, charge=self._wait_charge)
         self._raise_device_failed(result)
@@ -225,14 +217,11 @@ class LibOS:
         return ready
 
     def wait_all(self, tokens: Sequence[QToken],
-                 timeout_ns: Optional[int] = None,
-                 legacy_timeout: bool = False) -> Generator:
+                 timeout_ns: Optional[int] = None) -> Generator:
         """Block until every token completes: list of QResults.
 
         A timeout raises :class:`DemiTimeout`.
         """
-        if legacy_timeout:
-            raise TypeError(_LEGACY_TIMEOUT_ERROR)
         results = yield from self.qtokens.wait_all(
             tokens, timeout_ns, charge=self._wait_charge)
         for result in results:

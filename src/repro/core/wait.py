@@ -10,10 +10,7 @@ claims over epoll:
 2. each completion wakes exactly one waiter - no thundering herd, no
    wasted wake-ups.
 
-Timeouts raise :class:`repro.core.types.DemiTimeout`.  The old in-band
-sentinels (``(-1, None)`` from ``wait_any``, ``None`` from ``wait_all``)
-are gone: passing ``legacy_timeout=True`` now raises ``TypeError`` with
-a migration hint.
+Timeouts raise :class:`repro.core.types.DemiTimeout`.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ from .types import DemiError, DemiTimeout, QResult, QToken
 
 __all__ = ["QTokenTable", "WAIT_TIMEOUT"]
 
-#: sentinel used internally to tag the timeout event in ``any_of``; also
-#: the legacy-shim marker some older callers still import
+#: sentinel used internally to tag the timeout event in ``any_of``
 WAIT_TIMEOUT = "timeout"
 
 

@@ -24,6 +24,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..sim.engine import Timer
 from ..sim.sync import WaitQueue
 from ..telemetry import names
 from .packet import PacketError, internet_checksum, pseudo_header
@@ -210,8 +211,6 @@ class TcpConnection:
         #: always sets NODELAY, hence the default.
         self.nodelay = True
         self._retries = 0
-        self._rto_epoch = 0
-        self._rto_running = False
         self._fin_queued = False
         self._fin_sent_seq: Optional[int] = None
 
@@ -223,17 +222,19 @@ class TcpConnection:
         self._ooo: Dict[int, bytes] = {}
         self._peer_fin = False
         #: delayed ACK (RFC 9293 3.8.6.3): in-order bytes not yet
-        #: acknowledged, when the oldest of them must be (None: no debt),
-        #: and whether the one timer event is pending
+        #: acknowledged; ``_ack_timer`` is armed for the oldest of them
         self._ack_debt = 0
-        self._ack_deadline: Optional[int] = None
-        self._ack_timer_pending = False
 
         # RTT estimation (RFC 6298)
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
         self._rto = MIN_RTO_NS
         self._rtt_probe: Optional[Tuple[int, int]] = None  # (seq, sent_at)
+
+        # timers: every one is stopped when the connection closes
+        self._rto_timer = Timer(self.sim, self._rto_fired)
+        self._ack_timer = Timer(self.sim, self._delayed_ack_fired)
+        self._probe_timer = Timer(self.sim, self._window_probe)
 
         # wakeups
         self.established = self.sim.completion("tcp.established")
@@ -320,7 +321,7 @@ class TcpConnection:
         self._emit(TcpSegment(self.local[1], self.remote[1], self.iss, 0,
                               SYN, self.recv_window, mss=self.mss))
         self.snd_nxt = self.iss + 1
-        self._arm_rto()
+        self._rto_timer.arm(self._rto)
 
     def start_passive(self, syn: TcpSegment) -> None:
         """Server side: we've received a SYN; reply SYN-ACK."""
@@ -334,7 +335,7 @@ class TcpConnection:
                               self.rcv_nxt, SYN | ACK, self.recv_window,
                               mss=self.mss))
         self.snd_nxt = self.iss + 1
-        self._arm_rto()
+        self._rto_timer.arm(self._rto)
 
     # ------------------------------------------------------ segment input
     def on_segment(self, seg: TcpSegment) -> None:
@@ -400,7 +401,7 @@ class TcpConnection:
                 self.mss = min(self.mss, seg.mss)
             self.state = ESTABLISHED
             self._retries = 0
-            self._stop_rto()  # the SYN is acknowledged
+            self._rto_timer.stop()  # the SYN is acknowledged
             self._send_ack()
             if not self.established.triggered:
                 self.established.trigger(self)
@@ -434,9 +435,9 @@ class TcpConnection:
             # RFC 6298 5.2/5.3: an ACK of new data restarts the timer
             # while anything is outstanding and stops it otherwise.
             if self._inflight or self.snd_nxt > self.snd_una:
-                self._arm_rto()
+                self._rto_timer.arm(self._rto)
             else:
-                self._stop_rto()
+                self._rto_timer.stop()
             # FIN acked?
             if self._fin_sent_seq is not None and seg.ack > self._fin_sent_seq:
                 self._on_fin_acked()
@@ -515,6 +516,7 @@ class TcpConnection:
 
     def _enter_closed(self) -> None:
         self.state = CLOSED
+        self._stop_timers()
         self.stack._forget_connection(self)
         if not self.closed.triggered:
             self.closed.trigger(None)
@@ -522,6 +524,7 @@ class TcpConnection:
     def _fail(self, err: TcpError) -> None:
         self.error = err
         self.state = CLOSED
+        self._stop_timers()
         self.stack._forget_connection(self)
         if not self.established.triggered:
             self.established.fail(err)
@@ -539,8 +542,9 @@ class TcpConnection:
             outstanding = self.snd_nxt - self.snd_una
             window_room = min(self.peer_window, self.cwnd) - outstanding
             if window_room <= 0:
-                if self.peer_window - outstanding <= 0:
-                    self._arm_window_probe()
+                if (self.peer_window - outstanding <= 0
+                        and not self._probe_timer.armed):
+                    self._probe_timer.arm(WINDOW_PROBE_NS)
                 # else: cwnd-limited; acks will reopen it.
                 break
             take = min(len(self._send_queue), self.mss, window_room)
@@ -570,8 +574,8 @@ class TcpConnection:
             # RFC 6298 5.1: sending starts the timer only if it is not
             # running; restarting it would let a sender that keeps
             # sending postpone its oldest segment's timeout for ever.
-            if not self._rto_running:
-                self._arm_rto()
+            if not self._rto_timer.armed:
+                self._rto_timer.arm(self._rto)
         if self._fin_queued and not self._send_queue and self._fin_sent_seq is None:
             seq = self.snd_nxt
             self._fin_sent_seq = seq
@@ -579,8 +583,8 @@ class TcpConnection:
             self._inflight.append((seq, b"", FIN | ACK))
             self._emit(TcpSegment(self.local[1], self.remote[1], seq,
                                   self.rcv_nxt, FIN | ACK, self.recv_window))
-            if not self._rto_running:
-                self._arm_rto()
+            if not self._rto_timer.armed:
+                self._rto_timer.arm(self._rto)
 
     def _send_ack(self) -> None:
         self._emit(TcpSegment(self.local[1], self.remote[1], self.snd_nxt,
@@ -594,31 +598,17 @@ class TcpConnection:
         self._ack_debt += nbytes
         if at_once or self._ack_debt >= 2 * self.mss:
             self._send_ack()
-        elif self._ack_deadline is None:
-            self._ack_deadline = self.sim.now + DELAYED_ACK_NS
-            if not self._ack_timer_pending:
-                self._ack_timer_pending = True
-                self.sim.call_in(DELAYED_ACK_NS, self._delayed_ack_fired)
+        elif not self._ack_timer.armed:
+            self._ack_timer.arm(DELAYED_ACK_NS)
 
     def _delayed_ack_fired(self) -> None:
-        """The connection's one delayed-ACK event.  The debt it was armed
-        for has usually been paid by a reply: sleep until the current
-        one's deadline, or stop if nothing is owed."""
-        self._ack_timer_pending = False
-        if self._ack_deadline is None or self.state == CLOSED:
-            return
-        if self._ack_deadline > self.sim.now:
-            self._ack_timer_pending = True
-            self.sim.call_in(self._ack_deadline - self.sim.now,
-                             self._delayed_ack_fired)
-            return
         self.stack.counters.count(names.TCP_DELAYED_ACKS)
         self._send_ack()
 
     def _emit(self, seg: TcpSegment) -> None:
         # Every segment carries ACK = rcv_nxt, so it pays the ACK debt.
         self._ack_debt = 0
-        self._ack_deadline = None
+        self._ack_timer.stop()
         self.stack._tcp_transmit(self, seg)
 
     # ------------------------------------------------------------- timers
@@ -631,22 +621,12 @@ class TcpConnection:
             self._srtt = 0.875 * self._srtt + 0.125 * rtt
         self._rto = int(min(MAX_RTO_NS, max(MIN_RTO_NS, self._srtt + 4 * self._rttvar)))
 
-    def _arm_rto(self) -> None:
-        """(Re)start the retransmission timer: one RTO from now."""
-        self._rto_epoch += 1
-        self._rto_running = True
-        self.sim.call_in(self._rto, self._rto_fired, self._rto_epoch)
+    def _stop_timers(self) -> None:
+        self._rto_timer.stop()
+        self._ack_timer.stop()
+        self._probe_timer.stop()
 
-    def _stop_rto(self) -> None:
-        self._rto_epoch += 1  # the pending event finds a newer epoch
-        self._rto_running = False
-
-    def _rto_fired(self, epoch: int) -> None:
-        if epoch != self._rto_epoch:
-            return
-        self._rto_running = False
-        if self.state == CLOSED or self.error is not None:
-            return
+    def _rto_fired(self) -> None:
         if self.state == SYN_SENT:
             self._retries += 1
             if self._retries > MAX_SYN_RETRIES:
@@ -656,7 +636,7 @@ class TcpConnection:
             self._emit(TcpSegment(self.local[1], self.remote[1], self.iss, 0,
                                   SYN, self.recv_window, mss=self.mss))
             self._rto = min(MAX_RTO_NS, self._rto * 2)
-            self._arm_rto()
+            self._rto_timer.arm(self._rto)
             return
         if self.state == SYN_RCVD:
             self._retries += 1
@@ -668,7 +648,7 @@ class TcpConnection:
                                   self.rcv_nxt, SYN | ACK, self.recv_window,
                                   mss=self.mss))
             self._rto = min(MAX_RTO_NS, self._rto * 2)
-            self._arm_rto()
+            self._rto_timer.arm(self._rto)
             return
         if not self._inflight:
             return
@@ -680,7 +660,7 @@ class TcpConnection:
         self._retransmit_head()
         self._rto = min(MAX_RTO_NS, self._rto * 2)
         self._rtt_probe = None  # Karn's algorithm
-        self._arm_rto()
+        self._rto_timer.arm(self._rto)
 
     def _congestion_event(self, to_one_mss: bool) -> None:
         """Multiplicative decrease: RTO collapses, fast-retransmit halves."""
@@ -703,16 +683,15 @@ class TcpConnection:
         self._emit(TcpSegment(self.local[1], self.remote[1], seq,
                               self.rcv_nxt, flags, self.recv_window, payload))
 
-    def _arm_window_probe(self) -> None:
-        self.sim.call_in(WINDOW_PROBE_NS, self._window_probe)
-
     def _window_probe(self) -> None:
+        """The one persist timer (RFC 9293 3.8.6.1): a probe every
+        ``WINDOW_PROBE_NS`` while the peer's window stays closed."""
         if (self.state in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1) and
                 self._send_queue and
                 self.peer_window - (self.snd_nxt - self.snd_una) <= 0):
             self.stack.counters.count(names.TCP_WINDOW_PROBES)
             self._send_ack()  # zero-window probe (degenerate)
-            self._arm_window_probe()
+            self._probe_timer.arm(WINDOW_PROBE_NS)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<TcpConnection %s:%d->%s:%d %s>" % (

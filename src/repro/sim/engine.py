@@ -16,6 +16,10 @@ generators:
 * Sub-routines compose with ``yield from`` and return values with
   ``return``, so simulated call stacks read like ordinary Python.
 
+Three ways to run something later, one per need: :meth:`Simulator.call_in`
+for a one-shot nobody withdraws, :meth:`Timeout.cancel` for a deadline a
+*process* waits on, :class:`Timer` for anything re-armed or stopped.
+
 Example::
 
     sim = Simulator()
@@ -39,6 +43,7 @@ __all__ = [
     "Simulator",
     "Completion",
     "Timeout",
+    "Timer",
     "Process",
     "SimulationError",
     "Interrupt",
@@ -181,6 +186,59 @@ class Timeout(Completion):
         self._done = True  # never fires; waiters were never going to win
         self._callbacks = []
         self.sim._cancel_scheduled(self._entry)
+
+
+class Timer:
+    """A re-armable one-shot: ``fn()`` runs once, at the deadline of the
+    latest :meth:`arm`, unless :meth:`stop` came first.
+
+    It is for a deadline that moves far more often than it expires - a
+    retransmission timer every ACK restarts, a delayed ACK every reply
+    pays.  Moving the deadline later, or stopping, touches no heap entry:
+    the one pending event fires, finds the deadline moved or gone, and
+    sleeps on to the current one or ends.  Only a deadline *earlier* than
+    the pending event replaces it.  So a timer owns at most one live heap
+    entry, at or before its deadline while armed, and none once it is
+    stopped and that entry has fired.
+    """
+
+    __slots__ = ("sim", "fn", "deadline", "_entry")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[], None]):
+        self.sim = sim
+        self.fn = fn
+        #: absolute time ``fn`` runs at; None while not armed
+        self.deadline: Optional[int] = None
+        self._entry: Optional[List[Any]] = None  # the pending heap entry
+
+    @property
+    def armed(self) -> bool:
+        return self.deadline is not None
+
+    def arm(self, delay_ns: int) -> None:
+        """(Re)start: ``fn`` runs *delay_ns* from now and at no other time."""
+        sim = self.sim
+        self.deadline = deadline = sim._now + delay_ns
+        entry = self._entry
+        if entry is not None:
+            if entry[0] <= deadline:
+                return  # the pending event will sleep on to it
+            sim._cancel_scheduled(entry)
+        self._entry = sim._schedule_at(deadline, self._fire)
+
+    def stop(self) -> None:
+        """Disarm: the pending event, if any, ends when it fires."""
+        self.deadline = None
+
+    def _fire(self) -> None:
+        deadline = self.deadline
+        if deadline is None:
+            self._entry = None
+        elif deadline > self.sim._now:
+            self._entry = self.sim._schedule_at(deadline, self._fire)
+        else:
+            self._entry = self.deadline = None
+            self.fn()
 
 
 class Process(Completion):

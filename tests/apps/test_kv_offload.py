@@ -10,7 +10,10 @@ normal RSS path untouched.
 import pytest
 
 from repro.apps.kvstore import (OP_GET, OP_PUT, KvNicOffload, UdpKvServer,
-                                demi_kv_client)
+                                demi_kv_client, op_request)
+from repro.apps.proto.legacy import LegacyKvCodec
+from repro.experiments import ExperimentSpec
+from repro.experiments.workloads import run_spec
 
 from ..conftest import make_dpdk_libos_pair
 
@@ -104,6 +107,46 @@ class TestNicGetPath:
         assert p.value == b"ping"
         assert prog.punts > 0  # the foreign-port frames went to RSS
         assert prog.hits == prog.misses == prog.steered == 0
+
+
+class TestStop:
+    def test_stop_with_a_datagram_already_queued(self):
+        # stop() lands while the first of two queued datagrams is in
+        # service: the pop the server re-arms afterwards is complete at
+        # once, and a completed token is retired, never cancelled.
+        w, client, server = make_dpdk_libos_pair(with_offload=True)
+        srv = UdpKvServer(server, port=6379)
+        serve = srv._serve
+
+        def serve_then_stop(qd, result):
+            srv.stop()
+            yield from serve(qd, result)
+
+        srv._serve = serve_then_stop
+        proc = w.sim.spawn(srv.run(), name="server")
+
+        def two_puts():
+            codec = LegacyKvCodec()
+            qd = yield from client.socket("udp")
+            yield from client.connect(qd, server.ip, 6379)
+            tokens = [client.push(qd, client.sga_alloc(codec.encode_request(
+                op_request(OP_PUT, key, b"v")))) for key in (b"a", b"b")]
+            yield from client.wait_all(tokens)
+
+        w.sim.run_until_complete(w.sim.spawn(two_puts()), limit=10**12)
+        assert w.sim.run_until_complete(proc, limit=w.sim.now + 10**7) == 1
+        qt = server.qtokens
+        assert qt.cancelled == 0, "the second datagram was not queued yet"
+        assert qt.in_flight == 0 and qt.outstanding == 0 and qt.identity_ok
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_server_stops_under_a_duplicating_plan(self, seed):
+        # Still ``ok: false`` for the GET counts (UDP has no dedup and the
+        # closed-loop client mis-pairs replies); stopping must not add to it.
+        row = run_spec(ExperimentSpec("kv-offload", libos="dpdk",
+                                      fault_plan="reorder-dup-storm",
+                                      seed=seed))
+        assert not [f for f in row["failures"] if "failed to stop" in f]
 
 
 class TestInstallationGuards:

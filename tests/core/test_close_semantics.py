@@ -99,33 +99,9 @@ class TestCloseWithPendingPop:
 
 
 class TestLegacyTimeoutShim:
-    """The sentinel shim is gone: legacy_timeout=True is a TypeError."""
-
-    def test_wait_any_legacy_flag_raises_type_error(self):
-        w, libos = make_libos()
-        qd = libos.queue()
-        token = libos.pop(qd)
-
-        def proc():
-            with pytest.raises(TypeError, match="DemiTimeout"):
-                yield from libos.wait_any(
-                    [token], timeout_ns=1000, legacy_timeout=True)
-
-        w.sim.spawn(proc())
-        w.run()
-
-    def test_wait_all_legacy_flag_raises_type_error(self):
-        w, libos = make_libos()
-        qd = libos.queue()
-        token = libos.pop(qd)
-
-        def proc():
-            with pytest.raises(TypeError, match="legacy_timeout"):
-                yield from libos.wait_all(
-                    [token], timeout_ns=1000, legacy_timeout=True)
-
-        w.sim.spawn(proc())
-        w.run()
+    """A timeout is an exception, never an in-band sentinel; the shim
+    that once offered the sentinels back (``legacy_timeout=True``) is
+    gone, keyword and all."""
 
     def test_default_still_raises(self):
         w, libos = make_libos()

@@ -14,6 +14,7 @@ from repro.netstack.tcp import (
     PSH,
     RST,
     TIME_WAIT,
+    WINDOW_PROBE_NS,
     TcpError,
     TcpSegment,
 )
@@ -215,6 +216,21 @@ class TestFlowControl:
         w.run()
         assert b"".join(collected) == b"Z" * 5000
 
+    def test_a_closed_window_is_probed_by_one_timer(self):
+        # RFC 9293 3.8.6.1 has one persist timer.  Every write against the
+        # closed window, and every ACK that left it closed, used to start
+        # another self-re-arming probe chain: four of them here.
+        w, a, b = make_net_pair()
+        client, _server = connect(w, a, b, recv_capacity=2000)
+        start = w.sim.now
+        for i in range(5):
+            w.sim.call_in(10_000 * i, client.send, b"x" * 1000)
+        w.run(until=start + 10 * WINDOW_PROBE_NS + 50_000)
+        assert len(client._send_queue) == 3000
+        assert w.tracer.get("client.stack.tcp_window_probes") == 10
+        assert sum(1 for event in w.sim._heap
+                   if event[2] == client._probe_timer._fire) == 1
+
 
 class TestClose:
     def test_graceful_close_both_directions(self):
@@ -264,6 +280,27 @@ class TestClose:
         # TIME_WAIT expiry happens in sim time; run covers it.
         assert a.stack.tcp_connection_count == 0
         assert b.stack.tcp_connection_count == 0
+
+    def test_a_closed_connection_owns_no_armed_timer(self):
+        w, a, b = make_net_pair()
+        client, server = connect(w, a, b, recv_capacity=1000)
+        client.send(b"x" * 3000)  # the window closes: RTO, then probes
+        w.run(until=w.sim.now + 10_000)
+        server.send(b"y")  # and the client owes an ACK
+        w.run(until=w.sim.now + 10_000)
+        timers = (client._rto_timer, client._ack_timer, client._probe_timer)
+        assert [timer.armed for timer in timers] == [False, True, True]
+        client.abort()
+        assert not any(timer.armed for timer in timers)
+        sent = tap(w, a)
+        w.run()
+        assert sent == []
+
+        # The graceful way in: a connect abandoned before the SYN-ACK.
+        pending = a.stack.tcp_connect("10.0.0.9", 80)
+        assert pending._rto_timer.armed
+        pending.close()
+        assert pending.state == CLOSED and not pending._rto_timer.armed
 
 
 class TestRtt:
@@ -342,17 +379,17 @@ class TestRtoUnderContinuousSending:
         # Everything is acknowledged: the timer is stopped, and a later
         # send starts it afresh - a full RTO from that send.
         assert client.snd_una == client.snd_nxt and not client._inflight
-        assert not client._rto_running
+        assert not client._rto_timer.armed
         w.run(until=w.sim.now + 500_000)
         head, rto = client.snd_nxt, client._rto
         del lost[:1]  # lose one more transmission of the (new) head
         client.send(b"again")
-        assert client._rto_running
+        assert client._rto_timer.armed
         w.run()
         again = [at for at, seg in sent if seg.seq == head and seg.payload]
         assert again == [lost[-1], lost[-1] + rto]
         assert server.recv() == b"again"
-        assert not client._rto_running
+        assert not client._rto_timer.armed
 
 
 def receiver(**listen_kwargs):
@@ -406,7 +443,7 @@ class TestDelayedAck:
         inject(server, 0, b"two")
         inject(server, 0, b"three")  # younger: does not move the deadline
         assert sum(1 for event in w.sim._heap
-                   if event[2] == server._delayed_ack_fired) == 1
+                   if event[2] == server._ack_timer._fire) == 1
         w.run(until=second + DELAYED_ACK_NS)
         assert summary(sent, base) == [
             (first, PSH | ACK, 3, 5), (second + DELAYED_ACK_NS, ACK, 11, 0)]

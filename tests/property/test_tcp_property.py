@@ -84,8 +84,10 @@ class Watch:
 
     * No in-order byte waits longer than ``DELAYED_ACK_NS`` for a segment
       that acknowledges it (every segment carries ``ACK = rcv_nxt``).
-    * While anything is in flight an RTO event of the current epoch sits
-      in the simulator's heap: the timer is running, not merely flagged.
+    * While anything is in flight the RTO timer is armed and its event
+      sits in the simulator's heap at or before the deadline: the timer
+      is running, not merely flagged.
+    * A closed connection has none of its three timers armed.
     """
 
     def __init__(self, w, host, conn):
@@ -116,17 +118,23 @@ class Watch:
     def check_timer(self):
         conn = self.conn
         if conn._inflight and conn.state != CLOSED:
-            assert any(event[2] == conn._rto_fired
-                       and event[3] == (conn._rto_epoch,)
-                       for event in self.w.sim._heap), \
+            timer = conn._rto_timer
+            assert timer.armed and any(
+                event[2] == timer._fire and event[0] <= timer.deadline
+                for event in self.w.sim._heap), \
                 "data in flight and no retransmission timer running"
 
     def check_at_rest(self):
         """Call once the simulator has nothing left to do."""
+        conn = self.conn
         self.check_timer()
         assert self.longest_wait <= DELAYED_ACK_NS
-        if self.conn.state != CLOSED:
+        if conn.state != CLOSED:
             assert self.owed_since is None, "received bytes never acknowledged"
+        else:
+            assert not (conn._rto_timer.armed or conn._ack_timer.armed
+                        or conn._probe_timer.armed), \
+                "a closed connection still owns an armed timer"
 
 
 class TestAckAndTimerDiscipline:

@@ -5,9 +5,12 @@ fixed simulated run is not - it repeats exactly under ``PYTHONHASHSEED=0``
 and moves only when the code on the hot path does.  The run is the
 ROADMAP's baseline scenario in miniature: the ``kv-scaling`` workload at
 4 cores and 50 ops per shard, 200 requests against four shards, set-up
-(ARP, connects) included.  A second probe guards the replicated RDMA path
-the first never enters: a chaos run whose simulated time is mostly idle,
-so what it counts is what the chain costs when nothing is happening.
+(ARP, connects) included.  The same run is also counted in *events*: what
+it schedules on the simulator's heap and how many entries the heap holds
+at its fullest - "no event without work", as deterministic as the calls.
+A second probe guards the replicated RDMA path the first never enters: a
+chaos run whose simulated time is mostly idle, so what it counts is what
+the chain costs when nothing is happening.
 """
 
 import os
@@ -25,6 +28,16 @@ REQUESTS = 4 * 50
 #: 4 % above the measurement, 37 calls per request: two more calls on each
 #: of a request's 19 events trip it, one more does not.
 CALL_BUDGET = 197_000
+
+#: events scheduled and the heap's peak length for the same 200 requests:
+#: 4175 and 166 before PR 20, 3803 and 32 now (TCP's timers are one
+#: re-armable ``Timer`` each: a request no longer leaves a superseded RTO
+#: event on the heap to fire 100 us later as a no-op).  The budgets sit
+#: 4 % and 25 % above the measurements: one stale timer event per request
+#: is +200 events and trips the first, and events that outlive their work
+#: by a timeout pile up and trip the second.
+EVENT_BUDGET = 3_955
+HEAP_PEAK_BUDGET = 40
 
 #: the replicated path's guard: the ``replica-crash-middle`` chaos run on
 #: rdma at seed 7, 64 acked writes in 23 simulated ms, most of them idle.
@@ -47,19 +60,38 @@ profiler.disable()
 print(pstats.Stats(profiler).total_calls)
 """
 
+#: a second script, so that counting does not disturb the profiled calls
+_EVENT_SCRIPT = """
+from repro.experiments import ExperimentSpec, run_spec
+from repro.sim.engine import Simulator
+schedule_at, counts = Simulator._schedule_at, [0, 0]
+def counting(sim, when, fn, args=()):
+    entry = schedule_at(sim, when, fn, args)
+    counts[:] = counts[0] + 1, max(counts[1], len(sim._heap))
+    return entry
+Simulator._schedule_at = counting
+assert run_spec(ExperimentSpec(%s))["ok"]
+print(*counts)
+"""
+
 _KV_SCALING = '"kv-scaling", cores=4, params={"n_ops": 50}'
 _REPLICA_CHAOS = ('"chaos", libos="rdma", fault_plan="replica-crash-middle",'
                   ' seed=7')
 
 
-def _profiled_calls(spec: str = _KV_SCALING) -> int:
-    """Calls (Python and builtin) of one run in a fresh interpreter."""
+def _run_fresh(script: str, spec: str) -> list:
+    """The numbers *script* prints last for one run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _SCRIPT % spec], env=env,
+    done = subprocess.run([sys.executable, "-c", script % spec], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=120)
-    return int(done.stdout.split()[-1])
+    return [int(word) for word in done.stdout.splitlines()[-1].split()]
+
+
+def _profiled_calls(spec: str = _KV_SCALING) -> int:
+    """Calls (Python and builtin) of one run."""
+    return _run_fresh(_SCRIPT, spec)[0]
 
 
 def test_replicated_path_calls_repeat_exactly_and_stay_in_budget():
@@ -83,3 +115,20 @@ def test_calls_per_request_repeat_exactly_and_stay_in_budget():
         "with `python perfbench/run.py --workload kv-closed-dpdk-4shard "
         "--trace 1` and see the ROADMAP's simulator-speed item"
         % (first, REQUESTS, first / REQUESTS, CALL_BUDGET))
+
+
+def test_events_per_request_repeat_exactly_and_stay_in_budget():
+    first, second = (_run_fresh(_EVENT_SCRIPT, _KV_SCALING),
+                     _run_fresh(_EVENT_SCRIPT, _KV_SCALING))
+    assert first == second, "the event count is not a pure function of the code"
+    events, heap_peak = first
+    assert events <= EVENT_BUDGET, (
+        "%d events scheduled for %d requests (%.1f per request) is over the "
+        "budget of %d: something schedules an event that finds no work when "
+        "it fires - a timer re-armed with `call_in` instead of a "
+        "`repro.sim.engine.Timer`?" % (events, REQUESTS, events / REQUESTS,
+                                       EVENT_BUDGET))
+    assert heap_peak <= HEAP_PEAK_BUDGET, (
+        "the event heap reached %d entries, over the budget of %d: events "
+        "outlive the work they were scheduled for" % (heap_peak,
+                                                      HEAP_PEAK_BUDGET))
