@@ -35,6 +35,8 @@ from .apps.echo import demi_echo_client, demi_echo_server
 from .bench.report import print_table, us
 from .sim.costs import DEFAULT_COSTS
 from .sim.faults import FaultPlan
+from .telemetry import (breakdown_from_events, chrome_trace_events, names,
+                        write_chrome_trace)
 from .testbed import make_dpdk_libos_pair
 from .testing.scenarios import WORKLOADS as SCENARIO_WORKLOADS
 from .testing.scenarios import (GOLDEN_SCENARIOS, named_plans, plan_by_name,
@@ -107,7 +109,7 @@ def _traced_world(args):
 
 def _print_breakdown(breakdown: dict, title: str) -> None:
     rows = []
-    for cat in ("app", "libos", "netstack", "device"):
+    for cat in names.SPAN_CATEGORIES:
         entry = breakdown.get(cat)
         if entry is None:
             continue
@@ -122,21 +124,16 @@ def _print_breakdown(breakdown: dict, title: str) -> None:
 
 def cmd_trace(args) -> int:
     world = _traced_world(args)
-    n = world.telemetry.write_chrome_trace(args.output)
-    snap = world.telemetry.snapshot()
+    n = write_chrome_trace(world.tracer, args.output)
     print("wrote %d trace events (%d spans) to %s"
-          % (n, snap["span_count"], args.output))
+          % (n, len(world.tracer.spans), args.output))
     print("load it at https://ui.perfetto.dev or chrome://tracing")
-    from .telemetry import breakdown_from_events
-
-    _print_breakdown(breakdown_from_events(world.telemetry.chrome_trace()),
+    _print_breakdown(breakdown_from_events(chrome_trace_events(world.tracer)),
                      "per-stack time in %s/%s" % (args.workload, args.libos))
     return 0
 
 
 def cmd_report(args) -> int:
-    from .telemetry import breakdown_from_events
-
     if args.trace_file:
         with open(args.trace_file) as fh:
             doc = json.load(fh)
@@ -144,7 +141,7 @@ def cmd_report(args) -> int:
         title = "per-stack time in %s" % args.trace_file
     else:
         world = _traced_world(args)
-        breakdown = breakdown_from_events(world.telemetry.chrome_trace())
+        breakdown = breakdown_from_events(chrome_trace_events(world.tracer))
         title = "per-stack time in %s/%s (inline run)" % (args.workload,
                                                           args.libos)
     _print_breakdown(breakdown, title)

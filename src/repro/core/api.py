@@ -41,15 +41,13 @@ class LibOS:
         self.sim = host.sim
         self.costs = host.costs
         self.tracer = host.tracer
-        self.telemetry = host.telemetry
         self.mm = host.mm
         self.name = name
         self.core = core or host.cpu
         self.counters = self.tracer.scope(name)
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
         self.count = self.counters.count
-        self.qtokens = QTokenTable(self.sim, self.tracer, name,
-                                   telemetry=self.telemetry)
+        self.qtokens = QTokenTable(self.sim, self.tracer, name)
         self._queues: Dict[int, DemiQueue] = {}
         #: qds that existed once and were closed - close() is idempotent
         self._closed_qds: Set[int] = set()
@@ -85,10 +83,9 @@ class LibOS:
         self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
         self.count(names.PUSHES)
         token, _done = self.qtokens.create()
-        if self.telemetry.enabled:
-            self.qtokens.attach_span(token, self.telemetry.span(
-                "push", cat="libos", track=self.name, qd=qd,
-                nbytes=sga.nbytes))
+        if self.tracer.tracing:
+            self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
+                               nbytes=sga.nbytes)
         queue.push_sga(sga, token)
         return token
 
@@ -98,9 +95,8 @@ class LibOS:
         self.core.charge_async(self.costs.libos_pop_ns + self.costs.qtoken_ns)
         self.count(names.POPS)
         token, _done = self.qtokens.create(on_cancel=queue.cancel_pop)
-        if self.telemetry.enabled:
-            self.qtokens.attach_span(token, self.telemetry.span(
-                "pop", cat="libos", track=self.name, qd=qd))
+        if self.tracer.tracing:
+            self.qtokens.trace(token, names.SPAN_POP, qd=qd)
         queue.pop_sga(token)
         return token
 
@@ -124,9 +120,9 @@ class LibOS:
                 raise DemiError("push of an empty sga")
             self.count(names.PUSHES)
             token, _done = self.qtokens.create()
-            self.qtokens.attach_span(token, self.telemetry.span(
-                "push", cat="libos", track=self.name, qd=qd,
-                nbytes=sga.nbytes))
+            if self.tracer.tracing:
+                self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
+                                   nbytes=sga.nbytes)
             queue.push_sga(sga, token)
             tokens.append(token)
         return tokens
@@ -147,8 +143,8 @@ class LibOS:
             queue = self._lookup(qd)
             self.count(names.POPS)
             token, _done = self.qtokens.create(on_cancel=queue.cancel_pop)
-            self.qtokens.attach_span(token, self.telemetry.span(
-                "pop", cat="libos", track=self.name, qd=qd))
+            if self.tracer.tracing:
+                self.qtokens.trace(token, names.SPAN_POP, qd=qd)
             queue.pop_sga(token)
             tokens.append(token)
         return tokens

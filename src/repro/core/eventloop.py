@@ -40,18 +40,14 @@ _QD = struct.Struct("!I")   # an accepted qd travelling the accept channel
 class EventHandle:
     """Returned by ``add_*``; pass to :meth:`DemiEventLoop.remove`."""
 
-    _next_id = 1
-
     def __init__(self, kind: str, target):
-        self.id = EventHandle._next_id
-        EventHandle._next_id += 1
         self.kind = kind          # "pop" | "timer"
         self.target = target      # qd or delay_ns
         self.active = True
 
     def __repr__(self) -> str:  # pragma: no cover
-        return "<EventHandle %d %s(%r)%s>" % (
-            self.id, self.kind, self.target,
+        return "<EventHandle %s(%r)%s>" % (
+            self.kind, self.target,
             "" if self.active else " removed")
 
 

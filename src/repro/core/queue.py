@@ -17,6 +17,7 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..sim.sync import WaitQueue
+from ..telemetry import names
 from .types import OP_POP, OP_PUSH, QResult, QToken, Sga
 
 __all__ = ["DemiQueue", "MemoryQueue"]
@@ -44,9 +45,6 @@ class DemiQueue:
         self.capacity: Optional[int] = None  # None = unbounded
         self.pushed_elements = 0
         self.popped_elements = 0
-        #: telemetry gauge of buffered-element depth (null when disabled)
-        self._depth_gauge = libos.telemetry.gauge(
-            "%s.queue_depth" % libos.name)
 
     # -- the two operations, called by the LibOS ------------------------------
     def push_sga(self, sga: Sga, token: QToken) -> None:
@@ -61,7 +59,8 @@ class DemiQueue:
         if self._ready:
             sga, value = self._ready.popleft()
             self.popped_elements += 1
-            self._depth_gauge.set(len(self._ready))
+            if self.libos.tracer.tracing:
+                self._trace_depth()
             self.space_wq.pulse()
             self._complete(token, QResult(OP_POP, self.qd, sga=sga,
                                           nbytes=sga.nbytes, value=value))
@@ -89,7 +88,12 @@ class DemiQueue:
                                           nbytes=sga.nbytes, value=value))
             return
         self._ready.append((sga, value))
-        self._depth_gauge.set(len(self._ready))
+        if self.libos.tracer.tracing:
+            self._trace_depth()
+
+    def _trace_depth(self) -> None:
+        """Gauge of elements buffered ahead of their pop, per libOS."""
+        self.libos.counters.gauge(names.QUEUE_DEPTH).set(len(self._ready))
 
     def cancel_pop(self, token: QToken) -> None:
         """Unregister a pending pop (the qtoken-cancellation path).

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..sim.engine import Completion, Simulator, any_of
-from ..telemetry import DISABLED, names
+from ..telemetry import names
 from .types import DemiError, DemiTimeout, QResult, QToken
 
 __all__ = ["QTokenTable", "WAIT_TIMEOUT"]
@@ -30,17 +30,15 @@ WAIT_TIMEOUT = "timeout"
 class QTokenTable:
     """Maps live qtokens to their one-shot completions."""
 
-    def __init__(self, sim: Simulator, tracer, name: str = "qt",
-                 telemetry=None):
+    def __init__(self, sim: Simulator, tracer, name: str = "qt"):
         self.sim = sim
         self.tracer = tracer
         self.name = name
         self.counters = tracer.scope(name)
-        self.telemetry = telemetry or DISABLED
         self._pending: Dict[QToken, Completion] = {}
         self._on_cancel: Dict[QToken, Callable[[QToken], None]] = {}
         self._cancelled: Set[QToken] = set()
-        #: token -> telemetry span covering the operation's lifetime
+        #: token -> span covering the operation's lifetime (tracing only)
         self._spans: Dict[QToken, object] = {}
         self._next_token: QToken = 1
         # Lifecycle accounting: every minted token must end up exactly one
@@ -49,11 +47,6 @@ class QTokenTable:
         self.created = 0
         self.completed = 0
         self.cancelled = 0
-        # Telemetry histograms (null objects when disabled).
-        self._h_lifetime = self.telemetry.histogram(
-            "%s.qtoken_lifetime_ns" % name)
-        self._h_dispatch = self.telemetry.histogram(
-            "%s.wait_dispatch_ns" % name)
 
     # -- creation / completion (queue side) -----------------------------------
     def create(self, on_cancel: Optional[Callable[[QToken], None]] = None
@@ -73,10 +66,11 @@ class QTokenTable:
         self.counters.count(names.QTOKENS_CREATED)
         return token, done
 
-    def attach_span(self, token: QToken, span) -> None:
-        """Tie a telemetry span to *token*; it ends when the token does."""
-        if span is not None and span.id:
-            self._spans[token] = span
+    def trace(self, token: QToken, name: str, **args) -> None:
+        """Start the span of *token*'s operation; it ends, and its length
+        is sampled, when the token completes or is cancelled."""
+        self._spans[token] = self.counters.span(name, names.CAT_LIBOS,
+                                                self.sim.now, **args)
 
     def complete(self, token: QToken, result: QResult) -> None:
         done = self._pending.get(token)
@@ -90,10 +84,13 @@ class QTokenTable:
             raise DemiError("completion of unknown qtoken %r" % token)
         self.completed += 1
         self.counters.count(names.QTOKENS_COMPLETED)
-        span = self._spans.pop(token, None)
-        if span is not None:
-            span.end(nbytes=result.nbytes, error=result.error)
-            self._h_lifetime.observe(span.duration_ns)
+        if self.tracer.tracing:
+            span = self._spans.pop(token, None)
+            if span is not None:
+                span.end(self.sim.now, nbytes=result.nbytes,
+                         error=result.error)
+                self.counters.distribution(names.QTOKEN_LIFETIME_NS).add(
+                    span.duration_ns)
         done.trigger(result)
 
     def cancel(self, token: QToken) -> None:
@@ -115,9 +112,10 @@ class QTokenTable:
         on_cancel = self._on_cancel.pop(token, None)
         if on_cancel is not None:
             on_cancel(token)
-        span = self._spans.pop(token, None)
-        if span is not None:
-            span.end(cancelled=True)
+        if self.tracer.tracing:
+            span = self._spans.pop(token, None)
+            if span is not None:
+                span.end(self.sim.now, cancelled=True)
         self.counters.count(names.QTOKENS_CANCELLED)
 
     def completion_of(self, token: QToken) -> Completion:
@@ -144,7 +142,6 @@ class QTokenTable:
     def _retire(self, token: QToken) -> None:
         self._pending.pop(token, None)
         self._on_cancel.pop(token, None)
-        self._spans.pop(token, None)
 
     def reap_all(self) -> Tuple[int, int]:
         """Crash teardown: retire every live token at once.
@@ -167,16 +164,23 @@ class QTokenTable:
         return cancelled, retired
 
     # -- waiting (application side) ---------------------------------------------
+    def _trace_dispatch(self, entered: int) -> None:
+        """One sample of how long a ``wait_*`` call took, entry to
+        return; a caller reads *entered* off the clock only if tracing."""
+        self.counters.distribution(names.WAIT_DISPATCH_NS).add(
+            self.sim.now - entered)
+
     def wait(self, token: QToken, charge=None) -> Generator:
         """Sim-coroutine: block until *token* completes; returns QResult."""
-        entered = self.sim.now
+        entered = self.sim.now if self.tracer.tracing else None
         done = self.completion_of(token)
         result = yield done
         self._retire(token)
         if charge is not None:
             yield charge()
         self.counters.count(names.WAITS)
-        self._h_dispatch.observe(self.sim.now - entered)
+        if entered is not None:
+            self._trace_dispatch(entered)
         return result
 
     def wait_any(self, tokens: Sequence[QToken], timeout_ns: Optional[int] = None,
@@ -191,7 +195,7 @@ class QTokenTable:
         """
         if not tokens:
             raise DemiError("wait_any on no tokens")
-        entered = self.sim.now
+        entered = self.sim.now if self.tracer.tracing else None
         events = [self.completion_of(t) for t in tokens]
         timer = None
         if timeout_ns is not None:
@@ -209,7 +213,8 @@ class QTokenTable:
         if charge is not None:
             yield charge()
         self.counters.count(names.WAITS)
-        self._h_dispatch.observe(self.sim.now - entered)
+        if entered is not None:
+            self._trace_dispatch(entered)
         return index, value
 
     def wait_any_n(self, tokens: Sequence[QToken],
@@ -232,7 +237,7 @@ class QTokenTable:
         """
         if not tokens:
             raise DemiError("wait_any_n on no tokens")
-        entered = self.sim.now
+        entered = self.sim.now if self.tracer.tracing else None
         events = [self.completion_of(t) for t in tokens]
         timer = None
         if timeout_ns is not None:
@@ -262,7 +267,8 @@ class QTokenTable:
         self.counters.count(names.WAITS)
         self.counters.count(names.BATCH_WAITS)
         self.counters.count(names.BATCH_WAIT_COMPLETIONS, len(ready))
-        self._h_dispatch.observe(self.sim.now - entered)
+        if entered is not None:
+            self._trace_dispatch(entered)
         return ready
 
     def wait_all(self, tokens: Sequence[QToken], timeout_ns: Optional[int] = None,

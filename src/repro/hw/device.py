@@ -20,7 +20,6 @@ class Device:
         self.sim = host.sim
         self.costs = host.costs
         self.tracer = host.tracer
-        self.telemetry = host.telemetry
         self.name = name
         self.counters = self.tracer.scope(name)
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``

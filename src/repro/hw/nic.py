@@ -99,11 +99,11 @@ class _EthernetNic(Device):
         self._tx_free_at[tx_queue] = done
         self.count(names.TX_FRAMES)
         self.count(names.TX_BYTES, nbytes)
-        if self.telemetry.enabled:
+        if self.tracer.tracing:
             # The emission instant is computed analytically, so the span
             # can close now without scheduling anything.
-            self.telemetry.span("nic_tx", cat="device", track=self.name,
-                                nbytes=nbytes).end(end_ns=done)
+            self.counters.span(names.SPAN_NIC_TX, names.CAT_DEVICE, now, done,
+                               nbytes=nbytes)
         self.sim.call_in(done - now, self.fabric.transmit, self.mac, dst_mac,
                          frame, nbytes)
 
@@ -246,9 +246,6 @@ class DpdkNic(_EthernetNic):
                                               for _ in range(n_rx_queues)]
         self._rx_waiters: List[List[Completion]] = [[]
                                                     for _ in range(n_rx_queues)]
-        self._ring_gauges = [
-            self.telemetry.gauge("%s.rxq%d_occupancy" % (name, q))
-            for q in range(n_rx_queues)]
         self._rxq_frames = [names.rxq_frames(q) for q in range(n_rx_queues)]
 
     # -- receive-side scaling ----------------------------------------------
@@ -328,8 +325,8 @@ class DpdkNic(_EthernetNic):
         ring.append(frame)
         self.count(names.RX_FRAMES)
         self.count(self._rxq_frames[queue])
-        if self.telemetry.enabled:
-            self._ring_gauges[queue].set(len(ring))
+        if self.tracer.tracing:
+            self._trace_occupancy(queue)
         waiters, self._rx_waiters[queue] = self._rx_waiters[queue], []
         for w in waiters:
             w.trigger(None)
@@ -340,9 +337,13 @@ class DpdkNic(_EthernetNic):
         out: List[bytes] = []
         while ring and len(out) < max_frames:
             out.append(ring.popleft())
-        if self.telemetry.enabled:
-            self._ring_gauges[queue].set(len(ring))
+        if self.tracer.tracing:
+            self._trace_occupancy(queue)
         return out
+
+    def _trace_occupancy(self, queue: int) -> None:
+        self.counters.gauge(names.rxq_occupancy(queue)).set(
+            len(self._rx_rings[queue]))
 
     def rx_pending(self, queue: int = 0) -> int:
         return len(self._rx_rings[queue])
@@ -353,7 +354,8 @@ class DpdkNic(_EthernetNic):
         for queue, ring in enumerate(self._rx_rings):
             dropped += len(ring)
             ring.clear()
-            self._ring_gauges[queue].set(0)
+            if self.tracer.tracing:
+                self._trace_occupancy(queue)
         return dropped
 
     def rx_signal(self, queue: int = 0) -> Completion:

@@ -107,6 +107,12 @@ class NvmeDevice(Device):
         self._channel_free[idx] = done
         return done - now
 
+    def _trace_command(self, name: str, delay: int, **args) -> None:
+        """A device span from now to the completion instant, which is
+        known analytically - nothing is scheduled to observe it."""
+        now = self.sim.now
+        self.counters.span(name, names.CAT_DEVICE, now, now + delay, **args)
+
     # -- commands -----------------------------------------------------------
     def submit_read(self, lba: int, nblocks: int) -> Completion:
         """Read blocks; completion fires with the data (bytes)."""
@@ -115,10 +121,9 @@ class NvmeDevice(Device):
         delay = self._occupy_channel(self.costs.nvme_io_ns(nbytes, write=False))
         self.count(names.NVME_READS)
         self.count(names.NVME_READ_BYTES, nbytes)
-        if self.telemetry.enabled:
-            self.telemetry.span("nvme_read", cat="device", track=self.name,
-                                lba=lba, nbytes=nbytes).end(
-                                    end_ns=self.sim.now + delay)
+        if self.tracer.tracing:
+            self._trace_command(names.SPAN_NVME_READ, delay,
+                                lba=lba, nbytes=nbytes)
         done = self.sim.completion("%s.read" % self.name)
         data = b"".join(
             self._blocks.get(lba + i, b"\x00" * self.block_size)
@@ -138,10 +143,9 @@ class NvmeDevice(Device):
         delay = self._occupy_channel(self.costs.nvme_io_ns(len(data), write=True))
         self.count(names.NVME_WRITES)
         self.count(names.NVME_WRITE_BYTES, len(data))
-        if self.telemetry.enabled:
-            self.telemetry.span("nvme_write", cat="device", track=self.name,
-                                lba=lba, nbytes=len(data)).end(
-                                    end_ns=self.sim.now + delay)
+        if self.tracer.tracing:
+            self._trace_command(names.SPAN_NVME_WRITE, delay,
+                                lba=lba, nbytes=len(data))
         view = memoryview(data)
         for i in range(nblocks):
             self._blocks[lba + i] = bytes(view[i * self.block_size:(i + 1) * self.block_size])
@@ -164,10 +168,9 @@ class NvmeDevice(Device):
         delay = self._occupy_channel(self._work_ns("scan", nbytes, False))
         self.count(names.NVME_SCANS)
         self.count(names.NVME_SCAN_BYTES, nbytes)
-        if self.telemetry.enabled:
-            self.telemetry.span("nvme_scan", cat="device", track=self.name,
-                                lba=lba, nbytes=nbytes).end(
-                                    end_ns=self.sim.now + delay)
+        if self.tracer.tracing:
+            self._trace_command(names.SPAN_NVME_SCAN, delay,
+                                lba=lba, nbytes=nbytes)
         done = self.sim.completion("%s.scan" % self.name)
 
         def compute():
@@ -185,10 +188,8 @@ class NvmeDevice(Device):
         self.flushes += 1
         self.count(names.NVME_FLUSHES)
         delay = self._occupy_channel(self.costs.nvme_flush_ns)
-        if self.telemetry.enabled:
-            self.telemetry.span("nvme_flush", cat="device",
-                                track=self.name).end(
-                                    end_ns=self.sim.now + delay)
+        if self.tracer.tracing:
+            self._trace_command(names.SPAN_NVME_FLUSH, delay)
         done = self.sim.completion("%s.flush" % self.name)
         return self._dispatch(done, "flush", 0, delay, None, write=False)
 
@@ -254,10 +255,9 @@ class NvmeDevice(Device):
             elif not reset_done:
                 reset_done = True
                 self.count(names.NVME_CTRL_RESETS)
-                if self.telemetry.enabled:
-                    self.telemetry.span("nvme_ctrl_reset", cat="device",
-                                        track=self.name).end(
-                        end_ns=self.sim.now + self.CTRL_RESET_NS)
+                if self.tracer.tracing:
+                    self._trace_command(names.SPAN_NVME_CTRL_RESET,
+                                        self.CTRL_RESET_NS)
                 yield self.sim.timeout(self.CTRL_RESET_NS)
             else:
                 self.count(names.NVME_DEVICE_FAILURES)

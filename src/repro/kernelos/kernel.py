@@ -109,12 +109,9 @@ class Kernel:
         self.sim = host.sim
         self.costs = host.costs
         self.tracer = host.tracer
-        self.telemetry = host.telemetry
         self.counters = host.tracer.scope(host.name).scope("kernel")
         #: ``count(leaf, n=1)`` bumps ``<host>.kernel.<leaf>``
         self.count = self.counters.count
-        self._h_copied = host.telemetry.histogram(
-            "%s.kernel.copied_bytes_per_op" % host.name)
         self.nic = KernelNic(host, fabric, mac, name="%s.eth0" % host.name)
         host.nics.append(self.nic)
         self.stack = NetStack(
@@ -124,7 +121,6 @@ class Kernel:
             ip=ip,
             send_frame=lambda dst, raw: self.nic.post_tx(dst, raw),
             tracer=self.tracer,
-            telemetry=self.telemetry,
             charge=host.cpus[0].charge_async,  # softirq core
             tx_cost_ns=self.costs.kernel_net_tx_ns,
             rx_cost_ns=self.costs.kernel_net_rx_ns,
@@ -192,9 +188,11 @@ class Kernel:
         return reclaimed
 
     def copied(self, direction: str, n: int) -> None:
-        """Account one user<->kernel copy: counter plus size histogram."""
+        """Account one user<->kernel copy: the byte counter, and while
+        tracing one sample of the copy's size."""
         self.counters.count(direction, n)
-        self._h_copied.observe(n)
+        if self.tracer.tracing:
+            self.counters.distribution(names.COPIED_BYTES_PER_OP).add(n)
 
 
 class Syscalls:

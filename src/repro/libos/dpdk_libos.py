@@ -145,7 +145,6 @@ class DpdkLibOS(LibOS):
             tx_cost_ns=self.costs.user_net_tx_ns,
             rx_cost_ns=self.costs.user_net_rx_ns,
             verify_checksums=verify_checksums,
-            telemetry=self.telemetry,
             arp_responder=arp_responder,
             rx_batch_cost_ns=(self.costs.user_net_rx_batch_ns
                               if batching else None),
@@ -387,8 +386,9 @@ class DpdkLibOS(LibOS):
         self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
         self.count(names.PUSHES)
         token, _done = self.qtokens.create()
-        self.qtokens.attach_span(token, self.telemetry.span(
-            "push", cat="libos", track=self.name, qd=qd, nbytes=sga.nbytes))
+        if self.tracer.tracing:
+            self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
+                               nbytes=sga.nbytes)
         queue.push_sga_to(sga, token, remote)
         return token
 

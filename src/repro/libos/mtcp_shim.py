@@ -39,7 +39,6 @@ class MtcpShim:
         self.sim = host.sim
         self.costs = host.costs
         self.tracer = host.tracer
-        self.telemetry = host.telemetry
         self.name = name
         self.counters = self.tracer.scope(name)
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
@@ -54,7 +53,6 @@ class MtcpShim:
             ip=ip,
             send_frame=lambda dst, raw: nic.post_tx(dst, raw),
             tracer=self.tracer,
-            telemetry=self.telemetry,
             charge=self.stack_core.charge_async,
             tx_cost_ns=self.costs.user_net_tx_ns,
             rx_cost_ns=self.costs.user_net_rx_ns,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Simulator
-from ..telemetry import DISABLED, names
+from ..telemetry import names
 from .arp import ARP_REPLY, ARP_REQUEST, ArpPacket
 from .ethernet import (ETH_HEADER_LEN, ETHERTYPE_ARP, ETHERTYPE_IPV4,
                        EthernetFrame, ethernet_header)
@@ -71,7 +71,6 @@ class NetStack:
         rx_cost_ns: int = 0,
         mtu: int = DEFAULT_MTU,
         verify_checksums: bool = False,
-        telemetry=None,
         arp_responder: bool = True,
         rx_batch_cost_ns: Optional[int] = None,
     ):
@@ -82,7 +81,6 @@ class NetStack:
         self.send_frame = send_frame
         self.tracer = tracer
         self.counters = tracer.scope(name)
-        self.telemetry = telemetry or DISABLED
         self.charge = charge or (lambda ns: None)
         self.tx_cost_ns = tx_cost_ns
         self.rx_cost_ns = rx_cost_ns

@@ -195,7 +195,7 @@ class TcpConnection:
         self.snd_nxt = iss
         self._send_queue = bytearray()      # not yet segmented
         self._inflight: List[Tuple[int, bytes, int]] = []  # (seq, data, flags)
-        #: telemetry tx->ack spans keyed by each segment's end seq
+        #: tx->ack spans keyed by each segment's end seq (tracing only)
         self._tx_spans: Dict[int, object] = {}
         self.peer_window = 1
         self._dupacks = 0
@@ -431,7 +431,7 @@ class TcpConnection:
             ]
             if self._tx_spans:
                 for end_seq in [e for e in self._tx_spans if e <= seg.ack]:
-                    self._tx_spans.pop(end_seq).end()
+                    self._tx_spans.pop(end_seq).end(self.sim.now)
             # RFC 6298 5.2/5.3: an ACK of new data restarts the timer
             # while anything is outstanding and stops it otherwise.
             if self._inflight or self.snd_nxt > self.snd_una:
@@ -559,12 +559,11 @@ class TcpConnection:
             seq = self.snd_nxt
             self.snd_nxt += take
             self._inflight.append((seq, payload, PSH | ACK))
-            telemetry = self.stack.telemetry
-            if telemetry.enabled:
+            if self.stack.tracer.tracing:
                 # tx->ack span: ends when the cumulative ack covers the
                 # segment (retransmits extend it, as they should).
-                self._tx_spans[seq + take] = telemetry.span(
-                    "tcp_tx_ack", cat="netstack", track=self.stack.name,
+                self._tx_spans[seq + take] = self.stack.counters.span(
+                    names.SPAN_TCP_TX_ACK, names.CAT_NETSTACK, self.sim.now,
                     seq=seq, nbytes=take)
             if self._rtt_probe is None:
                 self._rtt_probe = (seq, self.sim.now)

@@ -17,7 +17,6 @@ from typing import Any, Dict, Generator, List, Optional
 from .costs import CostModel, DEFAULT_COSTS
 from .cpu import Core, CpuSet
 from .engine import Process, Simulator
-from .rand import Rng
 from .trace import Tracer
 
 __all__ = ["Host"]
@@ -33,20 +32,14 @@ class Host:
         costs: CostModel = DEFAULT_COSTS,
         cores: int = 4,
         tracer: Optional[Tracer] = None,
-        rng: Optional[Rng] = None,
-        telemetry=None,
     ):
-        from ..telemetry import DISABLED
-
         self.sim = sim
         self.name = name
         self.costs = costs
         self.tracer = tracer or Tracer()
-        self.telemetry = telemetry or DISABLED
         self.counters = self.tracer.scope(name)
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
         self.count = self.counters.count
-        self.rng = rng or Rng(hash(name) & 0xFFFFFF)
         self.cpus = CpuSet(sim, cores, costs.cpu_ghz)
         #: core 0 (where single-threaded apps run)
         self.cpu: Core = self.cpus[0]

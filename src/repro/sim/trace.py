@@ -1,9 +1,23 @@
-"""Counters, traces, and latency statistics.
+"""The run's one registry: counters, fault timeline, and - while tracing -
+spans, gauges and distributions.
 
 Experiments reason about *why* a path is slow, not just how slow it is, so
 every subsystem increments named counters on a shared :class:`Tracer`
 (syscalls made, bytes copied, wake-ups wasted, frames dropped...).  Tests
 assert on the counters; benchmark reports print them next to latencies.
+
+The same tracer also holds what is recorded only when ``tracing`` is on
+(``World(telemetry=True)``): a :class:`~repro.telemetry.Span` per
+operation, :class:`~repro.telemetry.Gauge` levels and
+:class:`LatencyStats` distributions.  A site that records one guards on
+the switch itself::
+
+    if self.tracer.tracing:
+        self.counters.span(names.SPAN_PUSH, names.CAT_LIBOS, self.sim.now)
+
+so an untraced run constructs nothing, calls nothing and reads no clock.
+Nothing traced enters :meth:`Tracer.signature`, and recording takes its
+timestamps from the caller, so tracing cannot move an event.
 """
 
 from __future__ import annotations
@@ -11,20 +25,24 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import defaultdict
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+from ..telemetry.metrics import Gauge
+from ..telemetry.spans import Span
 
 __all__ = ["Tracer", "CounterScope", "LatencyStats"]
 
 
 class CounterScope:
-    """A counter handle bound to one name prefix.
+    """A tracer handle bound to one name prefix.
 
     Subsystems hold a scope for their own prefix (``host.tracer.scope(
     self.name)``) and bump leaf names from the registry
     (:mod:`repro.telemetry.names`) - the full counter name is
     ``"<prefix>.<leaf>"``, exactly the string the old inline
     ``"%s.%s" % (self.name, counter)`` formatting produced, so every
-    pinned golden counter keeps its name.
+    pinned golden counter keeps its name.  The prefix is also the track
+    of the scope's spans and the prefix of its gauges and distributions.
     """
 
     __slots__ = ("tracer", "prefix", "_counters", "_keys")
@@ -55,18 +73,41 @@ class CounterScope:
         """A nested scope: ``scope("a").scope("b")`` prefixes ``a.b``."""
         return CounterScope(self.tracer, self._full(suffix))
 
+    # Tracing: call these only under ``if tracer.tracing:``.
+    def span(self, name: str, cat: str, start_ns: int,
+             end_ns: Optional[int] = None, parent: Optional[Span] = None,
+             **args) -> Span:
+        """:meth:`Tracer.span` on this scope's track."""
+        return self.tracer.span(name, cat, self.prefix, start_ns, end_ns,
+                                parent, **args)
+
+    def gauge(self, name: str) -> Gauge:
+        return self.tracer.gauge(self._full(name))
+
+    def distribution(self, name: str) -> "LatencyStats":
+        return self.tracer.distribution(self._full(name))
+
     def __repr__(self) -> str:  # pragma: no cover
         return "<CounterScope %r>" % self.prefix
 
 
 class Tracer:
-    """Named counters plus an optional bounded event log."""
+    """Named counters plus an optional bounded event log; with
+    :attr:`tracing` on, also the run's spans, gauges and distributions."""
 
     def __init__(self, keep_events: bool = False, max_events: int = 100000):
         self.counters: Dict[str, int] = defaultdict(int)
         self.keep_events = keep_events
         self.max_events = max_events
         self.events: List[Tuple[int, str, Any]] = []
+        #: the one switch (``World(telemetry=True)`` sets it); every
+        #: recording site checks it before it touches what follows
+        self.tracing = False
+        #: finished spans, in the order they ended
+        self.spans: List[Span] = []
+        #: gauges and distributions by full name
+        self.metrics: Dict[str, Union[Gauge, LatencyStats]] = {}
+        self._next_span_id = 1
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] += n
@@ -82,9 +123,41 @@ class Tracer:
         if self.keep_events and len(self.events) < self.max_events:
             self.events.append((now, event, detail))
 
+    def span(self, name: str, cat: str, track: str, start_ns: int,
+             end_ns: Optional[int] = None, parent: Optional[Span] = None,
+             **args) -> Span:
+        """A span from *start_ns*.  It joins :attr:`spans` when it ends:
+        at once if *end_ns* is given, else at its ``end(end_ns)``."""
+        span = Span(self, self._next_span_id, name, cat, track, start_ns,
+                    parent, args)
+        self._next_span_id += 1
+        if end_ns is not None:
+            span.end(end_ns)
+        return span
+
+    def _metric(self, cls, name: str):
+        metric = self.metrics.get(name)
+        if metric is None:
+            metric = self.metrics[name] = cls(name)
+        elif not isinstance(metric, cls):
+            raise TypeError("metric %r already registered as %s"
+                            % (name, type(metric).__name__))
+        return metric
+
+    def gauge(self, name: str) -> Gauge:
+        """The gauge called *name*, made on first use."""
+        return self._metric(Gauge, name)
+
+    def distribution(self, name: str) -> "LatencyStats":
+        """The distribution called *name*, made on first use."""
+        return self._metric(LatencyStats, name)
+
     def reset(self) -> None:
         self.counters.clear()
         self.events.clear()
+        self.spans.clear()
+        self.metrics.clear()
+        self._next_span_id = 1
 
     def snapshot(self) -> Dict[str, int]:
         return dict(self.counters)
@@ -103,6 +176,8 @@ class Tracer:
 
         Two runs of the same (seed, plan) must produce the same
         signature; chaos tests compare these to prove reproducibility.
+        Spans, gauges and distributions stay out of it, so a run signs
+        the same with tracing on or off.
         """
         digest = hashlib.sha1()
         for name in sorted(self.counters):

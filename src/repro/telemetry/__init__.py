@@ -1,39 +1,33 @@
-"""Span-based tracing and typed metrics for the simulated stack.
+"""Names, value types and exporters for what a run records.
 
-The package has four pieces:
+There is one registry, :class:`repro.sim.trace.Tracer`: counters and the
+fault timeline always, spans, gauges and distributions while its
+``tracing`` switch is on (``World(telemetry=True)``).  This package holds
+what the tracer is made of and what reads it:
 
-* :mod:`repro.telemetry.spans`   - :class:`Span` + the :class:`Telemetry`
-  hub (and the :data:`DISABLED` null hub);
-* :mod:`repro.telemetry.metrics` - :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram`;
+* :mod:`repro.telemetry.names`   - every counter, span, category, gauge
+  and distribution name;
+* :mod:`repro.telemetry.spans` / :mod:`repro.telemetry.metrics` - the
+  :class:`Span` and :class:`Gauge` value types;
 * :mod:`repro.telemetry.export`  - Chrome ``trace_event`` JSON and
-  plain-dict snapshots;
-* :mod:`repro.telemetry.names`   - the registry every Tracer counter
-  name comes from.
+  plain-dict snapshots, as functions of a tracer.
 
-Telemetry rides alongside the deterministic :class:`repro.sim.trace.
-Tracer`: it reads the sim clock but never advances it, never schedules
-events, and never touches the tracer's counters - so a run's
-``Tracer.signature()`` is byte-identical whether telemetry is on or off
-(the chaos golden seeds rely on this; ``tests/telemetry`` asserts it).
+Nothing traced enters ``Tracer.signature()``, reads a clock of its own,
+advances sim time or schedules an event, so a run's signature is
+byte-identical with tracing on or off (the chaos golden seeds rely on
+this; ``tests/chaos/test_golden_table.py`` asserts it per cell).
 """
 
 from . import names
 from .export import (breakdown_from_events, chrome_trace_events,
                      counter_rollup, snapshot, write_chrome_trace)
-from .metrics import Counter, Gauge, Histogram, NULL_METRIC
-from .spans import DISABLED, NULL_SPAN, Span, Telemetry
+from .metrics import Gauge
+from .spans import Span
 
 __all__ = [
     "names",
-    "Counter",
     "Gauge",
-    "Histogram",
-    "NULL_METRIC",
     "Span",
-    "Telemetry",
-    "NULL_SPAN",
-    "DISABLED",
     "chrome_trace_events",
     "write_chrome_trace",
     "snapshot",

@@ -1,11 +1,14 @@
-"""Telemetry exporters: Chrome ``trace_event`` JSON and plain dicts.
+"""Exporters, all functions of a :class:`repro.sim.trace.Tracer`: Chrome
+``trace_event`` JSON and plain dicts.
 
 The Chrome format is the lingua franca of trace viewers - write the file
 with ``python -m repro trace ...`` and load it in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``.  Each span track maps
 to a *process* row (host / stack / device name) and each category
 ("app", "libos", "netstack", "device") to a named *thread* lane within
-it, so the per-stack attribution reads straight off the timeline.
+it, so the per-stack attribution reads straight off the timeline.  The
+fault timeline (``tracer.events``) rides along as instant events on a
+``faults`` track, so a trace shows which fault a stalled span sat under.
 
 Timestamps: sim time is integer nanoseconds; ``trace_event`` wants
 microseconds, so ``ts``/``dur`` are floats with ns precision preserved
@@ -17,35 +20,41 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
+from .names import SPAN_CATEGORIES
+
 __all__ = ["chrome_trace_events", "write_chrome_trace", "snapshot",
            "breakdown_from_events", "counter_rollup"]
 
-#: stable lane ordering inside a track
-_CATEGORY_ORDER = ("app", "libos", "netstack", "device")
+#: the track the fault timeline is drawn on
+FAULTS_TRACK = "faults"
 
 
 def _tid_for(cat: str) -> int:
+    """Lane inside a track: ``SPAN_CATEGORIES`` order, strangers last."""
     try:
-        return _CATEGORY_ORDER.index(cat) + 1
+        return SPAN_CATEGORIES.index(cat) + 1
     except ValueError:
-        return len(_CATEGORY_ORDER) + 1
+        return len(SPAN_CATEGORIES) + 1
 
 
-def chrome_trace_events(telemetry) -> List[dict]:
-    """Render finished spans as a Chrome ``trace_event`` list."""
+def chrome_trace_events(tracer) -> List[dict]:
+    """Render a tracer's spans and fault timeline as a Chrome
+    ``trace_event`` list: complete (``X``) events in the order the spans
+    ended, then one instant (``i``) event per timeline entry."""
     events: List[dict] = []
     pids: Dict[str, int] = {}
     named_threads = set()
-    for span in telemetry.spans:
-        if span.end_ns is None:
-            continue
-        track = span.track or "sim"
+
+    def pid_for(track: str) -> int:
         pid = pids.get(track)
         if pid is None:
-            pid = len(pids) + 1
-            pids[track] = pid
+            pid = pids[track] = len(pids) + 1
             events.append({"ph": "M", "name": "process_name", "pid": pid,
                            "tid": 0, "args": {"name": track}})
+        return pid
+
+    for span in tracer.spans:
+        pid = pid_for(span.track or "sim")
         tid = _tid_for(span.cat)
         if (pid, tid) not in named_threads:
             named_threads.add((pid, tid))
@@ -65,24 +74,36 @@ def chrome_trace_events(telemetry) -> List[dict]:
             "tid": tid,
             "args": args,
         })
+    for now, event, detail in tracer.events:
+        events.append({
+            "name": event,
+            "cat": "fault",
+            "ph": "i",
+            "s": "p",
+            "ts": now / 1000.0,
+            "pid": pid_for(FAULTS_TRACK),
+            "tid": 0,
+            "args": {"detail": detail},
+        })
     return events
 
 
-def write_chrome_trace(telemetry, path: str) -> int:
-    events = chrome_trace_events(telemetry)
+def write_chrome_trace(tracer, path: str) -> int:
+    """Write the Chrome trace JSON file; returns the event count."""
+    events = chrome_trace_events(tracer)
     doc = {"traceEvents": events, "displayTimeUnit": "ns"}
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return len(events)
 
 
-def snapshot(telemetry) -> dict:
-    """Plain-dict export: metric summaries + per-category span rollups."""
+def snapshot(tracer) -> dict:
+    """Plain-dict export of what tracing recorded: gauge and distribution
+    summaries + per-category and per-name span rollups (the counters have
+    their own, :meth:`Tracer.snapshot`)."""
     by_category: Dict[str, dict] = {}
     by_name: Dict[str, dict] = {}
-    for span in telemetry.spans:
-        if span.end_ns is None:
-            continue
+    for span in tracer.spans:
         for key, table in ((span.cat, by_category), (span.name, by_name)):
             row = table.setdefault(key, {"count": 0, "total_ns": 0,
                                          "max_ns": 0})
@@ -91,12 +112,11 @@ def snapshot(telemetry) -> dict:
             if span.duration_ns > row["max_ns"]:
                 row["max_ns"] = span.duration_ns
     return {
-        "sim_now_ns": telemetry.now(),
-        "span_count": len(telemetry.spans),
+        "span_count": len(tracer.spans),
         "spans_by_category": by_category,
         "spans_by_name": by_name,
         "metrics": {name: metric.summary()
-                    for name, metric in sorted(telemetry.metrics.items())},
+                    for name, metric in sorted(tracer.metrics.items())},
     }
 
 

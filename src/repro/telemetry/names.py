@@ -1,14 +1,18 @@
-"""The counter-name registry: every Tracer counter name lives here.
+"""The name registry: every counter, span and traced metric name lives here.
 
 Counters used to be minted inline as ``"%s.%s" % (self.name, "pushes")``
 format strings scattered across the tree, which meant a rename silently
 forked a counter and nothing could enumerate what the repo measures.
 Now every leaf name is a constant (or, for parameterised families, a
 function) in this module, and subsystems bump them through a
-:class:`repro.sim.trace.CounterScope` bound to their own prefix.
+:class:`repro.sim.trace.CounterScope` bound to their own prefix.  The
+same goes for what the tracer records only while tracing is on: span
+names, the four span categories, and gauge / distribution leaf names
+(the last section of this file).
 
 ``tests/lint/test_counter_names.py`` greps ``src/`` for raw
-``tracer.count("`` literals so the stringly-typed API cannot creep back.
+``.count("`` and ``.span("`` literals so the stringly-typed API cannot
+creep back.
 
 The *strings* are part of the repo's stable surface: chaos golden tests
 pin exact counter values by full name, so renaming a constant's value is
@@ -312,3 +316,39 @@ KV_MALFORMED_REQUESTS = "kv_malformed_requests"
 LOADGEN_CONNECTS = "loadgen_connects"
 LOADGEN_RECONNECTS = "loadgen_reconnects"
 LOADGEN_STALLS = "loadgen_stalls"
+
+# ------------------------------------------------------ spans (tracing on)
+# Recorded only while ``Tracer.tracing`` is set; none of these names ever
+# enters ``Tracer.signature()``.  A span's category is its stack layer and
+# its lane inside a track of the Chrome trace, in this order.
+CAT_APP = "app"
+CAT_LIBOS = "libos"
+CAT_NETSTACK = "netstack"
+CAT_DEVICE = "device"
+SPAN_CATEGORIES = (CAT_APP, CAT_LIBOS, CAT_NETSTACK, CAT_DEVICE)
+
+#: qtoken lifetime, mint to completion (or cancel)
+SPAN_PUSH = "push"
+SPAN_POP = "pop"
+#: a TCP segment from first transmit to the cumulative ACK covering it
+SPAN_TCP_TX_ACK = "tcp_tx_ack"
+#: doorbell to wire, queueing behind the TX pipeline included
+SPAN_NIC_TX = "nic_tx"
+SPAN_NVME_READ = "nvme_read"
+SPAN_NVME_WRITE = "nvme_write"
+SPAN_NVME_SCAN = "nvme_scan"
+SPAN_NVME_FLUSH = "nvme_flush"
+SPAN_NVME_CTRL_RESET = "nvme_ctrl_reset"
+
+# --------------------------------- gauges and distributions (tracing on)
+#: gauge: elements buffered in a libOS's queues ahead of their pop
+QUEUE_DEPTH = "queue_depth"
+#: distributions, one sample per token / wait / kernel copy
+QTOKEN_LIFETIME_NS = "qtoken_lifetime_ns"
+WAIT_DISPATCH_NS = "wait_dispatch_ns"
+COPIED_BYTES_PER_OP = "copied_bytes_per_op"
+
+
+def rxq_occupancy(queue: int) -> str:
+    """Gauge: frames waiting in one NIC RX ring."""
+    return "rxq%d_occupancy" % queue

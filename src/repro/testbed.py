@@ -19,7 +19,6 @@ from .sim.fabric import Fabric
 from .sim.host import Host
 from .sim.rand import Rng
 from .sim.trace import Tracer
-from .telemetry import DISABLED, Telemetry
 
 __all__ = [
     "World",
@@ -39,18 +38,13 @@ class World:
     """A simulator + fabric + a set of hosts."""
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS, drop_rate: float = 0.0,
-                 seed: int = 42, telemetry=False):
+                 seed: int = 42, telemetry: bool = False):
         self.sim = Simulator()
         self.costs = costs
         self.tracer = Tracer()
-        # telemetry: False (off), True (build a hub on this sim), or a
-        # pre-built Telemetry to share across worlds.
-        if telemetry is True:
-            telemetry = Telemetry(self.sim)
-        elif isinstance(telemetry, Telemetry) and telemetry.sim is None:
-            telemetry.sim = self.sim
-            telemetry.enabled = True
-        self.telemetry = telemetry or DISABLED
+        # The one switch: with it the tracer also records spans, gauges
+        # and distributions (none of which enters its signature).
+        self.tracer.tracing = bool(telemetry)
         self.fabric = Fabric(self.sim, costs, tracer=self.tracer,
                              rng=Rng(seed), drop_rate=drop_rate)
         self.hosts = {}
@@ -69,7 +63,7 @@ class World:
 
     def add_host(self, name: str, cores: int = 4) -> Host:
         host = Host(self.sim, name, self.costs, cores=cores,
-                    tracer=self.tracer, telemetry=self.telemetry)
+                    tracer=self.tracer)
         MemoryManager(host)
         self.hosts[name] = host
         return host
@@ -109,15 +103,14 @@ class World:
 class NetHost:
     """A host with a DPDK NIC, a user-level NetStack, and an RX poll loop."""
 
-    _next_mac = 1
-
     def __init__(self, world: World, name: str, ip: str, user_costs: bool = True):
         from .netstack.stack import NetStack
 
         self.world = world
         self.host = world.add_host(name)
-        mac = "02:00:00:00:00:%02x" % NetHost._next_mac
-        NetHost._next_mac = (NetHost._next_mac % 250) + 1
+        # Numbered by the world, not the process: a run is a pure
+        # function of its seed however many worlds came before it.
+        mac = "02:00:00:00:00:%02x" % len(world.hosts)
         self.nic = world.add_dpdk(self.host, mac=mac)
         costs = world.costs
         self.stack = NetStack(
@@ -127,7 +120,6 @@ class NetHost:
             ip=ip,
             send_frame=lambda dst, raw: self.nic.post_tx(dst, raw),
             tracer=world.tracer,
-            telemetry=world.telemetry,
             charge=self.host.cpu.charge_async,
             tx_cost_ns=costs.user_net_tx_ns if user_costs else costs.kernel_net_tx_ns,
             rx_cost_ns=costs.user_net_rx_ns if user_costs else costs.kernel_net_rx_ns,

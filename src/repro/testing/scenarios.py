@@ -113,7 +113,7 @@ class ScenarioResult:
         self.name = name
         self.kind = kind
         self.plan = plan
-        #: the finished world (tracer, telemetry hub, hosts) for inspection
+        #: the finished world (tracer, hosts) for inspection
         self.world = world
         #: stable digest of counters + fault timeline (Tracer.signature)
         self.signature = world.tracer.signature()

@@ -63,5 +63,5 @@ def test_golden_signature(name, kind, telemetry):
     result = run_scenario(name, kind, telemetry=telemetry).require_ok()
     assert result.signature == SIGNATURES[name, kind]
     # Guard against the on-run silently running with telemetry off.
-    assert result.world.telemetry.enabled == telemetry
-    assert bool(result.world.telemetry.spans) == telemetry
+    assert result.world.tracer.tracing == telemetry
+    assert bool(result.world.tracer.spans) == telemetry

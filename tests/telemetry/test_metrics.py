@@ -1,22 +1,29 @@
-"""Unit tests for the typed metrics: Counter, Gauge, Histogram, null."""
+"""Unit tests for what the tracer keeps beside spans: its counters, and
+the gauges and distributions it makes on first use."""
 
 import pytest
 
-from repro.telemetry import NULL_METRIC, Telemetry
-from repro.telemetry.metrics import Counter, Gauge, Histogram
+from repro.sim.trace import LatencyStats, Tracer
+from repro.telemetry import Gauge
 
 
 class TestCounter:
+    """The one counter path is the tracer's own ``count``."""
+
     def test_incs_accumulate(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(41)
-        assert c.value == 42
+        t = Tracer()
+        c = t.scope("c")
+        c.count("n")
+        c.count("n", 41)
+        assert c.get("n") == t.get("c.n") == 42
 
     def test_summary(self):
-        c = Counter("c")
-        c.inc(7)
-        assert c.summary()["value"] == 7
+        t = Tracer()
+        t.count("c", 7)
+        before = t.snapshot()
+        assert before == {"c": 7}
+        t.count("c", 2)
+        assert t.diff(before) == {"c": 2}
 
 
 class TestGauge:
@@ -37,59 +44,43 @@ class TestGauge:
         assert g.value == 7
 
 
-class TestHistogram:
-    def test_count_total_min_max(self):
-        h = Histogram("h")
+class TestDistribution:
+    """A traced distribution is a ``LatencyStats``: every sample kept."""
+
+    def test_count_mean_min_max(self):
+        d = Tracer().distribution("d")
+        assert isinstance(d, LatencyStats) and d.name == "d"
         for v in (1, 2, 4, 1024):
-            h.observe(v)
-        assert h.count == 4
-        assert h.total == 1031
-        assert h.vmin == 1
-        assert h.vmax == 1024
-        assert h.mean == pytest.approx(1031 / 4)
+            d.add(v)
+        assert d.count == 4
+        assert d.minimum == 1
+        assert d.maximum == 1024
+        assert d.mean == pytest.approx(1031 / 4)
 
-    def test_log2_buckets(self):
-        h = Histogram("h")
-        h.observe(1)     # bucket 1
-        h.observe(1023)  # bucket 10
-        h.observe(1024)  # bucket 11
-        assert h.buckets[1] == 1
-        assert h.buckets[10] == 1
-        assert h.buckets[11] == 1
-
-    def test_percentile_upper_bound(self):
-        h = Histogram("h")
+    def test_percentiles_are_exact(self):
+        d = Tracer().distribution("d")
         for _ in range(99):
-            h.observe(10)
-        h.observe(100_000)
-        # p50 lands in 10's bucket: upper bound 2^4 = 16.
-        assert h.percentile(50) <= 16
-        assert h.percentile(100) >= 100_000 / 2
+            d.add(10)
+        d.add(100_000)
+        # The log2 histogram this replaced could only say "below 16" and
+        # "at least 65 536"; nearest rank over the samples says which.
+        assert d.percentile(50) == 10
+        assert d.percentile(99) == 10
+        assert d.percentile(100) == 100_000
 
 
 class TestHub:
+    """The tracer is the registry: metrics are made lazily, by name."""
+
     def test_lazy_registration_returns_same_metric(self):
-        t = Telemetry(sim=object())
-        # object() has no .now but metrics never read the clock
-        assert t.counter("x") is t.counter("x")
+        t = Tracer()
+        assert t.metrics == {}
+        assert t.gauge("x") is t.gauge("x")
+        assert t.distribution("y") is t.distribution("y")
+        assert sorted(t.metrics) == ["x", "y"]
 
     def test_type_mismatch_raises(self):
-        t = Telemetry(sim=object())
-        t.counter("x")
+        t = Tracer()
+        t.gauge("x")
         with pytest.raises(TypeError):
-            t.gauge("x")
-
-    def test_disabled_returns_null(self):
-        t = Telemetry(sim=None)
-        assert not t.enabled
-        assert t.counter("x") is NULL_METRIC
-        assert t.gauge("y") is NULL_METRIC
-        assert t.histogram("z") is NULL_METRIC
-        assert t.metrics == {}
-
-    def test_null_metric_absorbs_everything(self):
-        NULL_METRIC.inc()
-        NULL_METRIC.set(5)
-        NULL_METRIC.adjust(-1)
-        NULL_METRIC.observe(123)
-        assert NULL_METRIC.value == 0
+            t.distribution("x")

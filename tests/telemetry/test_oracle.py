@@ -1,0 +1,80 @@
+"""The tracing-on oracle: what three traced runs record, pinned.
+
+Recorded at the commit before spans, gauges and distributions moved from
+the ``Telemetry`` hub into the :class:`~repro.sim.trace.Tracer`, with
+``run_scenario(workload, kind, plan=FaultPlan(seed=42), telemetry=True)``:
+the span count, the per-category ``(count, total_ns)`` of
+``repro.telemetry.snapshot``, each gauge's maximum and each
+distribution's sample count.  A change to where a span starts or ends,
+to which tokens get one, or to what a site samples moves a number here;
+a refactoring of the registry moves none.
+
+Two things are exempt, on purpose.  The percentiles of the three
+distributions that used to be log2 histograms (qtoken lifetime, wait
+dispatch, kernel bytes copied) are exact now and so differ from the
+bucket upper bounds the hub reported; only their counts are pinned.  And
+a gauge nobody ever set (every ``queue_depth`` below: each pop was
+posted before its element arrived) used to be registered at construction
+with a maximum of None; it is now made on first use, so it is absent.
+"""
+
+import pytest
+
+from repro.sim.faults import FaultPlan
+from repro.sim.trace import LatencyStats
+from repro.telemetry import Gauge, snapshot
+from repro.testing import run_scenario
+
+ORACLE = {
+    ("echo", "dpdk"): {
+        "span_count": 170,
+        "by_category": {"device": (50, 31_059), "libos": (80, 133_489),
+                        "netstack": (40, 276_335)},
+        "gauge_max": {"client.dpdk0.rxq0_occupancy": 1,
+                      "server.dpdk0.rxq0_occupancy": 1},
+        "distribution_count": {
+            "client.catnip.qtoken_lifetime_ns": 40,
+            "client.catnip.wait_dispatch_ns": 40,
+            "server.catnip.qtoken_lifetime_ns": 40,
+            "server.catnip.wait_dispatch_ns": 40},
+    },
+    ("kv", "posix"): {
+        "span_count": 330,
+        "by_category": {"device": (87, 52_395), "libos": (163, 1_548_482),
+                        "netstack": (80, 1_112_940)},
+        "gauge_max": {},
+        "distribution_count": {
+            "client.catnap.qtoken_lifetime_ns": 80,
+            "client.catnap.wait_dispatch_ns": 80,
+            "client.kernel.copied_bytes_per_op": 80,
+            "server.catnap.qtoken_lifetime_ns": 83,
+            "server.catnap.wait_dispatch_ns": 83,
+            "server.kernel.copied_bytes_per_op": 80},
+    },
+    ("storage", "spdk"): {
+        "span_count": 44,
+        "by_category": {"device": (20, 1_410_600), "libos": (24, 1_288_752)},
+        "gauge_max": {},
+        "distribution_count": {"h.catfish.qtoken_lifetime_ns": 24,
+                               "h.catfish.wait_dispatch_ns": 24},
+    },
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(ORACLE),
+                         ids=["%s-%s" % cell for cell in sorted(ORACLE)])
+def test_traced_run_records_what_it_always_did(name, kind):
+    result = run_scenario(name, kind, plan=FaultPlan(seed=42),
+                          telemetry=True).require_ok()
+    tracer = result.world.tracer
+    snap = snapshot(tracer)
+    metrics = tracer.metrics.items()
+    assert {
+        "span_count": snap["span_count"],
+        "by_category": {cat: (row["count"], row["total_ns"])
+                        for cat, row in snap["spans_by_category"].items()},
+        "gauge_max": {n: m.maximum for n, m in metrics
+                      if isinstance(m, Gauge)},
+        "distribution_count": {n: m.count for n, m in metrics
+                               if isinstance(m, LatencyStats)},
+    } == ORACLE[name, kind]

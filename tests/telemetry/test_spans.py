@@ -1,19 +1,14 @@
-"""Unit tests for spans and the Telemetry hub."""
+"""Unit tests for spans and the tracer that hands them out."""
 
 from repro.sim.engine import Simulator
-from repro.telemetry import DISABLED, NULL_SPAN, Telemetry
-
-
-def make():
-    sim = Simulator()
-    return sim, Telemetry(sim)
+from repro.sim.trace import Tracer
 
 
 class TestSpan:
     def test_covers_sim_time(self):
-        sim, t = make()
-        span = t.span("op", cat="libos", track="x")
-        sim.call_in(100, span.end)
+        sim, t = Simulator(), Tracer()
+        span = t.span("op", "libos", "x", sim.now)
+        sim.call_in(100, lambda: span.end(sim.now))
         sim.run()
         assert span.start_ns == 0
         assert span.end_ns == 100
@@ -21,56 +16,76 @@ class TestSpan:
         assert t.spans == [span]
 
     def test_explicit_end_ns(self):
-        sim, t = make()
-        span = t.span("op", cat="device")
-        span.end(end_ns=12345)
-        assert span.end_ns == 12345
-        assert sim.now == 0  # the analytic end never advanced the clock
+        sim, t = Simulator(), Tracer()
+        # An end known analytically closes the span where it is made...
+        made_closed = t.span("op", "device", "x", sim.now, 12345)
+        assert made_closed.end_ns == 12345
+        assert t.spans == [made_closed]
+        # ...and never advances the clock to be observed.
+        assert sim.now == 0
 
     def test_end_is_idempotent(self):
-        _, t = make()
-        span = t.span("op")
-        span.end(end_ns=10)
-        span.end(end_ns=99)
+        t = Tracer()
+        span = t.span("op", "app", "x", 0)
+        span.end(10)
+        span.end(99)
         assert span.end_ns == 10
         assert len(t.spans) == 1
 
+    def test_listed_in_the_order_they_end(self):
+        t = Tracer()
+        first, second = t.span("a", "app", "x", 0), t.span("b", "app", "x", 1)
+        never = t.span("c", "app", "x", 2)
+        second.end(5)
+        first.end(9)
+        assert t.spans == [second, first]
+        assert never.end_ns is None and never.duration_ns == 0
+
     def test_parent_link(self):
-        _, t = make()
-        parent = t.span("outer")
-        child = t.span("inner", parent=parent)
+        t = Tracer()
+        parent = t.span("outer", "app", "x", 0)
+        child = t.span("inner", "app", "x", 0, parent=parent)
         assert child.parent_id == parent.id
         assert parent.parent_id == 0
 
     def test_args_and_annotate(self):
-        _, t = make()
-        span = t.span("op", qd=3)
+        t = Tracer()
+        span = t.span("op", "app", "x", 0, qd=3)
         span.annotate(nbytes=64)
-        span.end(error=None)
+        span.end(1, error=None)
         assert span.args == {"qd": 3, "nbytes": 64, "error": None}
 
     def test_ids_are_unique(self):
-        _, t = make()
-        ids = {t.span("op").id for _ in range(10)}
+        t = Tracer()
+        ids = {t.span("op", "app", "x", 0).id for _ in range(10)}
         assert len(ids) == 10
 
 
-class TestDisabled:
-    def test_disabled_span_is_null(self):
-        t = Telemetry(sim=None)
-        assert t.span("anything") is NULL_SPAN
-        assert DISABLED.span("x") is NULL_SPAN
+class TestScope:
+    def test_scope_supplies_track_and_metric_prefix(self):
+        t = Tracer()
+        scope = t.scope("server").scope("catnip")
+        span = scope.span("push", "libos", 7, qd=1)
+        assert span.track == "server.catnip"
+        assert (span.start_ns, span.args) == (7, {"qd": 1})
+        assert scope.gauge("queue_depth") is t.gauge(
+            "server.catnip.queue_depth")
+        assert scope.distribution("wait_dispatch_ns") is t.distribution(
+            "server.catnip.wait_dispatch_ns")
 
-    def test_null_span_absorbs(self):
-        NULL_SPAN.annotate(a=1)
-        NULL_SPAN.end(end_ns=5)
-        assert NULL_SPAN.id == 0
-        assert DISABLED.spans == []
+
+class TestDisabled:
+    def test_off_by_default(self):
+        assert Tracer().tracing is False
 
     def test_reset(self):
-        sim, t = make()
-        t.span("op").end(end_ns=1)
-        t.counter("c").inc()
+        t = Tracer()
+        t.span("op", "app", "x", 0, 1)
+        t.gauge("g").set(1)
+        t.distribution("d").add(1)
+        t.count("c")
         t.reset()
         assert t.spans == []
         assert t.metrics == {}
+        assert t.counters == {}
+        assert t.span("op", "app", "x", 0).id == 1

@@ -50,6 +50,30 @@ class TestBuilders:
         assert isinstance(a, NetHost) and isinstance(b, NetHost)
         assert a.stack.ip == "10.0.0.1"
 
+    def test_second_net_pair_puts_the_same_frames_on_the_wire(self):
+        """A run is a pure function of its seed, not of how many worlds
+        the process built before it: MACs are numbered per world."""
+        def frames_of_one_exchange(seed):
+            w, a, b = make_net_pair(seed=seed)
+            frames = []
+            transmit = w.fabric.transmit
+
+            def recording(src, dst, frame, nbytes):
+                frames.append((w.sim.now, src, dst, bytes(frame)))
+                return transmit(src, dst, frame, nbytes)
+
+            w.fabric.transmit = recording
+            b.stack.udp_bind(53, lambda data, ip, port:
+                             b.stack.udp_send(53, ip, port, data))
+            a.stack.udp_send(9999, "10.0.0.2", 53, b"query")
+            w.run()
+            return (a.stack.mac, b.stack.mac), frames
+
+        first, second = frames_of_one_exchange(7), frames_of_one_exchange(7)
+        assert first[0] == ("02:00:00:00:00:01", "02:00:00:00:00:02")
+        assert len(first[1]) >= 4  # ARP who-has / is-at, query, reply
+        assert first == second
+
     def test_dpdk_pair_offload_flag(self):
         _w, client, server = make_dpdk_libos_pair(with_offload=True)
         assert client.offload_engine is not None
