@@ -195,14 +195,10 @@ class UdpKvServer:
     un-offloaded baseline.
     """
 
-    def __init__(self, libos: LibOS, port: int = 6379,
-                 engine: Optional[KvEngine] = None,
-                 shard_index: int = 0, n_shards: int = 1):
+    def __init__(self, libos: LibOS, port: int = 6379):
         self.libos = libos
-        self.engine = engine or KvEngine(libos.host, name=libos.name + ".kv")
+        self.engine = KvEngine(libos.host, name=libos.name + ".kv")
         self.port = port
-        self.shard_index = shard_index
-        self.n_shards = n_shards
         self.codec = LegacyKvCodec()
         self.requests_served = 0
         self.service_stats = LatencyStats("kv-service")
@@ -267,6 +263,10 @@ class UdpKvServer:
         self.requests_served += 1
 
 
+#: the largest value the NIC program answers on the device
+INLINE_VALUE_LIMIT = 1024
+
+
 class KvNicOffload:
     """A NIC-resident filter/map/steer program for the KV GET hot path.
 
@@ -277,7 +277,7 @@ class KvNicOffload:
     * **filter** - is this frame a KV request for our UDP port?  If not,
       punt to the normal RSS path (``offload_kv_punts``).
     * **map** - parse the request and hash the key.  A short GET whose
-      value fits ``inline_value_limit`` is answered entirely on the
+      value fits ``INLINE_VALUE_LIMIT`` is answered entirely on the
       device: the engine fetches the value buffer over DMA (charged to
       the *device* pipeline, zero host CPU) and transmits the reply
       frame directly (``offload_kv_hits`` / ``offload_kv_misses``).
@@ -291,7 +291,7 @@ class KvNicOffload:
     """
 
     def __init__(self, nic, engine: KvEngine, ip: str, port: int = 6379,
-                 n_shards: int = 1, inline_value_limit: int = 1024):
+                 n_shards: int = 1):
         if nic.offload is None:
             raise ValueError("KvNicOffload needs a NIC with an offload "
                              "engine attached")
@@ -300,7 +300,6 @@ class KvNicOffload:
         self.ip = ip
         self.port = port
         self.n_shards = n_shards
-        self.inline_value_limit = inline_value_limit
         self.codec = LegacyKvCodec()
         self.hits = 0
         self.misses = 0
@@ -342,7 +341,7 @@ class KvNicOffload:
                 self.misses += 1
                 offload.count(names.OFFLOAD_KV_MISSES)
                 return self._reply(frame, codec.encode(Response(ST_MISS)))
-            if buf.capacity <= self.inline_value_limit:
+            if buf.capacity <= INLINE_VALUE_LIMIT:
                 # DMA the value out of host memory: device time, not CPU.
                 offload.charge_device(self.nic.costs.dma_ns(buf.capacity))
                 self.hits += 1

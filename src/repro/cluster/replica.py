@@ -53,8 +53,8 @@ from ..kernelos.reclaim import crash_teardown
 from ..libos.rdma_libos import RdmaLibOS
 from ..rdma.cm import RdmaCm
 from ..rdma.verbs import QueuePair, VerbsError
-from ..rmem.ring import (LocalRingConsumer, RemoteRing, RingProducer,
-                         _OneSided as OneSided)
+from ..rmem.ring import (LocalRingConsumer, OneSided, RemoteRing,
+                         RingProducer)
 from ..sim.engine import any_of
 from ..sim.rand import Rng
 from ..sim.sync import WaitQueue
@@ -197,7 +197,7 @@ class _DownLink:
         self.peer = peer
         self.qp = qp
         self.producer = producer
-        self.ops = producer.ops          # ONE completion reaper per QP side
+        self.ops = producer.ops          # the hb writer issues through it too
         self.commit_cell = commit_cell   # successor writes committed here
         self.hb_cell = hb_cell           # successor heartbeats here
         self.peer_hb_addr = peer_hb_addr

@@ -67,9 +67,6 @@ class Shard:
             name="%s.shard%d" % (host.name, index),
             core=self.core,
             rx_queue=index,
-            # Mirror queue: this shard's replies never serialize behind
-            # another shard's TX DMA (the 8-core knee's root cause).
-            tx_queue=index if index < nic.n_tx_queues else 0,
             arp_responder=(index == 0),
             batching=True,
         )

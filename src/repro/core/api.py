@@ -4,9 +4,11 @@
 the queue-descriptor table, the qtoken table, and the data-path calls
 (``push``/``pop``/``wait_*``/``blocking_*``) plus the queue-pipeline
 control calls (``queue``/``merge``/``filter``/``sort``/``map``/
-``qconnect``).  Device-facing control-path calls (``socket``, ``accept``,
-``open``...) are defined here with the paper's signatures and overridden
-by each libOS for its accelerator.
+``qconnect``).  The device-facing control path is split in two: *which*
+queue class a descriptor gets is each libOS's ``socket`` / ``open`` /
+``creat``; what ``bind`` / ``listen`` / ``accept`` / ``connect`` /
+``push_to`` / ``close`` then do is the queue's own (:class:`DemiQueue`'s
+device half), reached from here by descriptor.
 
 Conventions (see DESIGN.md):
 
@@ -58,8 +60,13 @@ class LibOS:
     def _install(self, queue_cls: Type[DemiQueue], *args, **kw) -> DemiQueue:
         qd = self._next_qd
         self._next_qd += 1
-        queue = queue_cls(self, qd, *args, **kw)
-        self._queues[qd] = queue
+        return self._seat(qd, queue_cls, *args, **kw)
+
+    def _seat(self, qd: int, queue_cls: Type[DemiQueue], *args,
+              **kw) -> DemiQueue:
+        """Put a new *queue_cls* behind *qd* - a fresh descriptor, or the
+        one ``bind`` turns from an unconnected socket into a passive one."""
+        queue = self._queues[qd] = queue_cls(self, qd, *args, **kw)
         return queue
 
     def _lookup(self, qd: int) -> DemiQueue:
@@ -273,12 +280,13 @@ class LibOS:
     def close(self, qd: int) -> Generator:
         """Close a queue: outstanding pops complete with error='closed'.
 
-        Ordering matters: the queue retires its outstanding qtokens (each
-        pending pop completes with the ``'closed'`` error) *before* the
-        descriptor leaves the qd table, and a second close of the same qd
-        is a charged no-op - so a waiter that wakes to the 'closed'
-        result can run its own ``close(qd)`` cleanup without tripping
-        over a descriptor that vanished under it.
+        Ordering matters: the queue lets go of its device, then retires
+        its outstanding qtokens (each pending pop completes with the
+        ``'closed'`` error) *before* the descriptor leaves the qd table,
+        and a second close of the same qd is a charged no-op - so a
+        waiter that wakes to the 'closed' result can run its own
+        ``close(qd)`` cleanup without tripping over a descriptor that
+        vanished under it.
         """
         queue = self._queues.get(qd)
         if queue is None:
@@ -289,31 +297,49 @@ class LibOS:
             yield self.core.busy(self.costs.syscall_ns)
             self.count(names.CTRL_CLOSE_NOOP)
             return
+        yield from queue.shutdown()
         yield self.core.busy(self.costs.syscall_ns)  # control path may cross
         queue.close()
         self._queues.pop(qd, None)
         self._closed_qds.add(qd)
         self.count(names.CTRL_CLOSE)
+        queue.reap()
 
-    # -------------------------------- device control path (per-libOS overrides)
-    def socket(self, *args, **kw) -> Generator:
-        raise DemiError("%s does not implement socket()" % self.name)
-        yield  # pragma: no cover
-
+    # ------------------- device control path: the queue kind knows what to do
     def bind(self, qd: int, *args, **kw) -> Generator:
-        raise DemiError("%s does not implement bind()" % self.name)
-        yield  # pragma: no cover
+        return (yield from self._lookup(qd).bind(*args, **kw))
 
     def listen(self, qd: int, *args, **kw) -> Generator:
-        raise DemiError("%s does not implement listen()" % self.name)
-        yield  # pragma: no cover
+        return (yield from self._lookup(qd).listen(*args, **kw))
 
     def accept(self, qd: int) -> Generator:
-        raise DemiError("%s does not implement accept()" % self.name)
-        yield  # pragma: no cover
+        """Wait for a connection; returns the new connected queue's qd."""
+        return (yield from self._lookup(qd).accept())
 
-    def connect(self, *args, **kw) -> Generator:
-        raise DemiError("%s does not implement connect()" % self.name)
+    def connect(self, qd: int, *args, **kw) -> Generator:
+        return (yield from self._lookup(qd).connect(*args, **kw))
+
+    def push_to(self, qd: int, sga: Sga, remote) -> QToken:
+        """Datagram extension: push one element to an explicit address."""
+        queue = self._lookup(qd)
+        if sga.nsegments == 0:
+            raise DemiError("push of an empty sga")
+        self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
+        self.count(names.PUSHES)
+        token, _done = self.qtokens.create()
+        if self.tracer.tracing:
+            self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
+                               nbytes=sga.nbytes)
+        try:
+            queue.push_sga_to(sga, token, remote)
+        except DemiError:
+            self.qtokens.cancel(token)  # the kind refused: strand no token
+            raise
+        return token
+
+    # -------------- which queue class to install: each libOS's own device calls
+    def socket(self, *args, **kw) -> Generator:
+        raise DemiError("%s does not implement socket()" % self.name)
         yield  # pragma: no cover
 
     def open(self, path: str) -> Generator:
@@ -325,23 +351,12 @@ class LibOS:
         yield  # pragma: no cover
 
     # ---------------------------------------------- crash teardown (reclaim)
-    def crash_abort_queue(self, queue: DemiQueue, counters) -> None:
-        """Kernel-reclaim hook: sever *queue*'s device/protocol state.
-
-        :mod:`repro.kernelos.reclaim` calls this for every descriptor a
-        crashed process left open, right after the generic
-        ``queue.close()``.  The base libOS has no device state;
-        accelerator libOSes override it to RST live TCP connections,
-        destroy queue pairs, unbind ports, and reap per-queue pump
-        processes, counting what they did on *counters* (the host's
-        ``reclaim`` scope).
-        """
-
     def crash_background_procs(self) -> list:
         """Kernel-reclaim hook: background sim processes serving this
         libOS as a whole (poll-mode drivers...) that must stop when the
         owning process dies.  Per-queue pumps belong to
-        :meth:`crash_abort_queue` instead."""
+        :meth:`DemiQueue.crash_abort <repro.core.queue.DemiQueue.crash_abort>`
+        instead."""
         return []
 
     # ------------------------------------------------------- memory convenience

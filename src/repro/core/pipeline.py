@@ -78,17 +78,14 @@ class _DerivedQueue(DemiQueue):
         self.sources = sources
         self.capacity = DERIVED_QUEUE_CAPACITY
         self.runner = ElementRunner(libos, self.operator)
-        #: source -> the pump's currently-outstanding pop token, so close()
+        #: source -> the pump's currently-outstanding pop token, so reap()
         #: can cancel it (otherwise it would swallow a later element)
         self._pump_tokens = {}
         #: sources still producing; when the last one ends cleanly the
         #: derived queue reaches EOF (a merge keeps serving the survivor)
         self._live_sources = len(sources)
-        self._pumps = [
-            libos.sim.spawn(self._pump(source),
-                            name="%s.q%d.pump" % (libos.name, qd))
-            for source in sources
-        ]
+        for source in sources:
+            self._spawn_pump(self._pump(source), "pump")
 
     # -- pop side --------------------------------------------------------------
     def _pump(self, source: DemiQueue) -> Generator:
@@ -109,7 +106,7 @@ class _DerivedQueue(DemiQueue):
                 element = yield from self._process(result.sga)
             except Exception as exc:
                 if isinstance(exc, Interrupt):
-                    raise  # close() interrupting us mid-_process
+                    raise  # reap() interrupting us mid-_process
                 # The element function blew up: the pipeline is broken,
                 # and pretending otherwise would hang every pending pop.
                 self.fail_pops("element function failed: %s" % (exc,))
@@ -181,11 +178,8 @@ class _DerivedQueue(DemiQueue):
         result = yield from self.libos.qtokens.wait(sub_token)
         return result
 
-    def close(self) -> None:
-        super().close()
-        for pump in self._pumps:
-            if pump.alive:
-                pump.interrupt("queue closed")
+    def reap(self) -> None:
+        super().reap()
         # Cancel the pumps' in-flight pops so they don't consume a later
         # element on behalf of a dead queue.  Cancelling through the
         # qtoken table (not by plucking the token out of the source's

@@ -14,11 +14,11 @@ buffer into.  Device-backed queues (network, RDMA, storage) subclass
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Generator, List, Optional, Tuple
 
 from ..sim.sync import WaitQueue
 from ..telemetry import names
-from .types import OP_POP, OP_PUSH, QResult, QToken, Sga
+from .types import OP_POP, OP_PUSH, DemiError, QResult, QToken, Sga
 
 __all__ = ["DemiQueue", "MemoryQueue"]
 
@@ -45,6 +45,8 @@ class DemiQueue:
         self.capacity: Optional[int] = None  # None = unbounded
         self.pushed_elements = 0
         self.popped_elements = 0
+        #: processes that live as long as the queue; reap() ends them
+        self._pumps: List = []
 
     # -- the two operations, called by the LibOS ------------------------------
     def push_sga(self, sga: Sga, token: QToken) -> None:
@@ -90,6 +92,18 @@ class DemiQueue:
         self._ready.append((sga, value))
         if self.libos.tracer.tracing:
             self._trace_depth()
+
+    def deliver_payload(self, payload: bytes, counter: str,
+                        value: object = None) -> None:
+        """An element arrived off the device as bytes: land it in a
+        registered buffer (where DMA would have put it), count it under
+        the libOS's *counter* and deliver it - the one place a received
+        element is born."""
+        nbytes = len(payload)
+        buf = self.libos.mm.alloc(max(1, nbytes))
+        buf.write(0, payload)
+        self.libos.count(counter)
+        self.deliver(Sga.from_buffer(buf, nbytes), value)
 
     def _trace_depth(self) -> None:
         """Gauge of elements buffered ahead of their pop, per libOS."""
@@ -153,6 +167,58 @@ class DemiQueue:
             self._complete(token, QResult(OP_POP, self.qd, error="closed"))
         self._ready.clear()
         self.space_wq.pulse()
+
+    # -- the device half: control path and teardown ---------------------------
+    # ``LibOS.bind`` / ``listen`` / ``accept`` / ``connect`` / ``push_to`` /
+    # ``close`` and kernel reclaim delegate here.  A queue kind overrides
+    # the calls that mean something on its device; the rest refuse (control
+    # path) or do nothing (teardown).
+    def _refused(self, call: str) -> DemiError:
+        return DemiError("%s qd %d (%s)" % (call, self.qd, self.kind))
+
+    def bind(self, *args, **kw) -> Generator:
+        raise self._refused("bind on")
+        yield  # pragma: no cover
+
+    def listen(self, *args, **kw) -> Generator:
+        raise self._refused("listen before bind on")
+        yield  # pragma: no cover
+
+    def accept(self) -> Generator:
+        raise self._refused("accept on non-listening")
+        yield  # pragma: no cover
+
+    def connect(self, *args, **kw) -> Generator:
+        raise self._refused("connect on")
+        yield  # pragma: no cover
+
+    def push_sga_to(self, sga: Sga, token: QToken, remote) -> None:
+        """Start a push to an explicit address (datagram kinds only)."""
+        raise self._refused("push_to on")
+
+    def shutdown(self) -> Generator:
+        """Sim-coroutine: let go of the device (FIN, QP destroy, fd close)
+        before ``LibOS.close`` retires the descriptor."""
+        return
+        yield  # pragma: no cover
+
+    def _spawn_pump(self, gen: Generator, role: str) -> None:
+        self._pumps.append(self.sim.spawn(
+            gen, name="%s.q%d.%s" % (self.libos.name, self.qd, role)))
+
+    def reap(self) -> None:
+        """End the processes this queue spawned for its own lifetime - a
+        pump may be parked forever on a peer that is unreachable."""
+        for pump in self._pumps:
+            if pump.alive:
+                pump.interrupt("queue closed")
+
+    def crash_abort(self, counters) -> None:
+        """The owning process died (:mod:`repro.kernelos.reclaim`, right
+        after ``close()``): sever the protocol and device state underneath
+        - RST, QP destroy, port unbind - counting it on *counters* (the
+        host's ``reclaim`` scope), and reap the pumps."""
+        self.reap()
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<%s qd=%d ready=%d pending=%d%s>" % (

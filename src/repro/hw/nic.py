@@ -539,13 +539,13 @@ class RdmaNic(Device):
         self.offload = None
 
     # -- QP lifecycle -------------------------------------------------------
-    def create_qp(self, send_cq: Optional[HwCq] = None, recv_cq: Optional[HwCq] = None) -> HwQp:
+    def create_qp(self) -> HwQp:
         qpn = self._next_qpn
         self._next_qpn += 1
         qp = HwQp(
             qpn=qpn,
-            send_cq=send_cq or HwCq(self.sim, "%s.qp%d.scq" % (self.name, qpn)),
-            recv_cq=recv_cq or HwCq(self.sim, "%s.qp%d.rcq" % (self.name, qpn)),
+            send_cq=HwCq(self.sim, "%s.qp%d.scq" % (self.name, qpn)),
+            recv_cq=HwCq(self.sim, "%s.qp%d.rcq" % (self.name, qpn)),
         )
         self.qps[qpn] = qp
         self.count(names.QPS_CREATED)

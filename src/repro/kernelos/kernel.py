@@ -35,7 +35,22 @@ class KernelError(Exception):
     """Bad file descriptor, illegal socket state, and friends."""
 
 
-class _KTcpSocket:
+class KObject:
+    """What sits behind a file descriptor; each kind knows how it ends."""
+
+    kind = "none"
+
+    def release(self, kernel: "Kernel") -> None:
+        """``close(2)``: let go of what the descriptor holds."""
+
+    def abort(self, kernel: "Kernel", counters) -> None:
+        """The owning process died (:meth:`Kernel.reclaim_fds`): as
+        :meth:`release`, but a peer must not be left waiting - counting
+        what was severed on *counters* (the host's ``reclaim`` scope)."""
+        self.release(kernel)
+
+
+class _KTcpSocket(KObject):
     kind = "tcp"
 
     def __init__(self):
@@ -43,6 +58,22 @@ class _KTcpSocket:
         self.listener = None      # netstack TcpListener once listening
         self.conn = None          # netstack TcpConnection once connected
         self.nonblocking = False
+
+    def release(self, kernel: "Kernel") -> None:
+        if self.conn is not None:
+            self.conn.close()
+        if self.listener is not None:
+            self.listener.close()
+
+    def abort(self, kernel: "Kernel", counters) -> None:
+        # An RST, so the peer observes ECONNRESET instead of hanging
+        # until RTO exhaustion.
+        if self.conn is not None and self.conn.state != "CLOSED":
+            self.conn.abort()
+            counters.count(names.RECLAIM_TCP_RSTS)
+        if self.listener is not None:
+            self.listener.close()
+            counters.count(names.RECLAIM_LISTENERS_CLOSED)
 
     def readiness_queues(self) -> List[WaitQueue]:
         queues = []
@@ -62,13 +93,22 @@ class _KTcpSocket:
         return False
 
 
-class _KUdpSocket:
+class _KUdpSocket(KObject):
     kind = "udp"
 
     def __init__(self, sim):
         self.port: Optional[int] = None
         self.rx: deque = deque()
         self.wq = WaitQueue(sim, "udp.sock")
+
+    def release(self, kernel: "Kernel") -> None:
+        if self.port is not None:
+            kernel.stack.udp_unbind(self.port)
+
+    def abort(self, kernel: "Kernel", counters) -> None:
+        if self.port is not None:
+            kernel.stack.udp_unbind(self.port)
+            counters.count(names.RECLAIM_UDP_UNBOUND)
 
     def readiness_queues(self) -> List[WaitQueue]:
         return [self.wq]
@@ -77,7 +117,7 @@ class _KUdpSocket:
         return bool(self.rx)
 
 
-class _Epoll:
+class _Epoll(KObject):
     kind = "epoll"
 
     def __init__(self, sim):
@@ -157,31 +197,15 @@ class Kernel:
     def reclaim_fds(self, counters) -> int:
         """Crash teardown: close every fd the dead process left open.
 
-        What ``exit(2)`` guarantees and a bypassed kernel cannot: live
-        connections are *aborted* so the peer observes an RST-driven
-        ECONNRESET instead of hanging until RTO exhaustion; listeners
-        close, UDP ports unbind, pipe ends drop.  Counts what it did on
-        *counters* (the host's ``reclaim`` scope); returns the number of
-        fds reclaimed.
+        What ``exit(2)`` guarantees and a bypassed kernel cannot: each
+        descriptor's :meth:`KObject.abort` - live connections are reset,
+        listeners close, UDP ports unbind, pipe ends drop.  Counts what it
+        did on *counters* (the host's ``reclaim`` scope); returns the
+        number of fds reclaimed.
         """
         reclaimed = 0
         for fd, obj in list(self._fds.items()):
-            conn = getattr(obj, "conn", None)
-            if conn is not None and conn.state != "CLOSED":
-                conn.abort()
-                counters.count(names.RECLAIM_TCP_RSTS)
-            listener = getattr(obj, "listener", None)
-            if listener is not None:
-                listener.close()
-                counters.count(names.RECLAIM_LISTENERS_CLOSED)
-            kind = getattr(obj, "kind", None)
-            if kind == "udp" and obj.port is not None:
-                self.stack.udp_unbind(obj.port)
-                counters.count(names.RECLAIM_UDP_UNBOUND)
-            elif kind == "pipe_r":
-                obj.pipe.close_read()
-            elif kind == "pipe_w":
-                obj.pipe.close_write()
+            obj.abort(self, counters)
             del self._fds[fd]
             reclaimed += 1
             counters.count(names.RECLAIM_FDS_CLOSED)
@@ -360,12 +384,7 @@ class Syscalls:
         obj = self.kernel._fds.pop(fd, None)
         if obj is None:
             raise KernelError("bad file descriptor %d" % fd)
-        if getattr(obj, "conn", None) is not None:
-            obj.conn.close()
-        if getattr(obj, "listener", None) is not None:
-            obj.listener.close()
-        if getattr(obj, "port", None) is not None and obj.kind == "udp":
-            self.kernel.stack.udp_unbind(obj.port)
+        obj.release(self.kernel)
 
     # -- UDP sockets -----------------------------------------------------------
     def socket_udp(self) -> Generator:
@@ -479,12 +498,9 @@ class Syscalls:
         obj = self.kernel._fds.pop(fd, None)
         if obj is None:
             raise KernelError("bad file descriptor %d" % fd)
-        if obj.kind == "pipe_r":
-            obj.pipe.close_read()
-        elif obj.kind == "pipe_w":
-            obj.pipe.close_write()
-        else:
+        if obj.kind not in ("pipe_r", "pipe_w"):
             raise KernelError("fd %d is not a pipe end" % fd)
+        obj.release(self.kernel)
 
     def epoll_wait(self, epfd: int, max_events: int = 16) -> Generator:
         """Blocking level-triggered wait; returns ready fds.

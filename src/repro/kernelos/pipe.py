@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..sim.sync import WaitQueue
-from .kernel import Kernel, KernelError
+from .kernel import Kernel, KernelError, KObject
 from ..telemetry import names
 
 __all__ = ["KernelPipe", "PIPE_CAPACITY"]
@@ -20,18 +20,24 @@ __all__ = ["KernelPipe", "PIPE_CAPACITY"]
 PIPE_CAPACITY = 65536
 
 
-class _PipeReadEnd:
+class _PipeReadEnd(KObject):
     kind = "pipe_r"
 
     def __init__(self, pipe: "KernelPipe"):
         self.pipe = pipe
 
+    def release(self, kernel: Kernel) -> None:
+        self.pipe.close_read()
 
-class _PipeWriteEnd:
+
+class _PipeWriteEnd(KObject):
     kind = "pipe_w"
 
     def __init__(self, pipe: "KernelPipe"):
         self.pipe = pipe
+
+    def release(self, kernel: Kernel) -> None:
+        self.pipe.close_write()
 
 
 class KernelPipe:

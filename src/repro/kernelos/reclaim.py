@@ -12,9 +12,10 @@ Ordering is load-bearing:
 1. the application process is interrupted - no user code may resume;
 2. the qtoken table is reaped - no completion can ever wake a dead
    waiter, and late device completions drop harmlessly;
-3. each queue descriptor closes and its libOS severs the protocol and
-   device state underneath (RST/QP destroy/port unbind) and reaps the
-   per-queue pump processes;
+3. each queue descriptor closes and the queue severs its own protocol
+   and device state underneath (RST/QP destroy/port unbind) and reaps
+   its pump processes (:meth:`DemiQueue.crash_abort
+   <repro.core.queue.DemiQueue.crash_abort>` - every queue kind has one);
 4. libOS-wide background machinery (poll-mode drivers) stops;
 5. the kernel's own fd table is walked (the POSIX fallback path);
 6. devices abort in-flight commands and drain their rings;
@@ -89,7 +90,7 @@ def reclaim_process(libos, app_proc=None) -> ReclaimReport:
     for qd in sorted(libos._queues):
         queue = libos._queues[qd]
         queue.close()
-        libos.crash_abort_queue(queue, counters)
+        queue.crash_abort(counters)
         libos._queues.pop(qd, None)
         libos._closed_qds.add(qd)
         counters.count(names.RECLAIM_QDS_CLOSED)

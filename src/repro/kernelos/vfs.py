@@ -13,7 +13,7 @@ from typing import Dict, Generator, Optional, Set, Tuple
 
 from ..hw.nvme import NvmeDevice
 from ..sim.engine import all_of
-from .kernel import Kernel, KernelError
+from .kernel import Kernel, KernelError, KObject
 from ..telemetry import names
 
 __all__ = ["Vfs", "Inode"]
@@ -22,17 +22,14 @@ __all__ = ["Vfs", "Inode"]
 class Inode:
     """One file's metadata: size and block map (file block -> device LBA)."""
 
-    _next_ino = 1
-
-    def __init__(self, path: str):
-        self.ino = Inode._next_ino
-        Inode._next_ino += 1
+    def __init__(self, ino: int, path: str):
+        self.ino = ino
         self.path = path
         self.size = 0
         self.blocks: Dict[int, int] = {}
 
 
-class _KFile:
+class _KFile(KObject):
     kind = "file"
 
     def __init__(self, inode: Inode):
@@ -55,6 +52,9 @@ class Vfs:
                                       else nvme.capacity_blocks - lba_start)
         self._next_lba = lba_start
         self._files: Dict[str, Inode] = {}
+        #: numbered by the filesystem, not the process: a second world's
+        #: inodes start at 1 again
+        self._next_ino = 1
         # page cache: (ino, file-block-index) -> bytearray(block_size)
         self._cache: Dict[Tuple[int, int], bytearray] = {}
         self._dirty: Set[Tuple[int, int]] = set()
@@ -67,7 +67,8 @@ class Vfs:
     def create(self, path: str) -> Inode:
         if path in self._files:
             raise KernelError("file exists: %s" % path)
-        inode = Inode(path)
+        inode = Inode(self._next_ino, path)
+        self._next_ino += 1
         self._files[path] = inode
         return inode
 

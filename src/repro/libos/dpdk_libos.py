@@ -49,12 +49,67 @@ class UdpQueue(DemiQueue):
         self.port: Optional[int] = None
         self.remote: Optional[Tuple[str, int]] = None
 
+    def _bind_port(self, port: Optional[int]) -> None:
+        """Receive on *port* (None: an ephemeral one)."""
+        stack = self.libos.stack
+        self.port = stack._alloc_ephemeral() if port is None else port
+        stack.udp_bind(self.port, self._on_datagram)
+
+    def _on_datagram(self, payload: bytes, src_ip: str, src_port: int) -> None:
+        if not self.closed:
+            self.deliver_payload(payload, names.UDP_RX_ELEMENTS,
+                                 (src_ip, src_port))
+
     def push_sga(self, sga: Sga, token: QToken) -> None:
-        self.libos._udp_push(self, sga, token, self.remote)
+        self.push_sga_to(sga, token, self.remote)
 
     def push_sga_to(self, sga: Sga, token: QToken,
-                    remote: Tuple[str, int]) -> None:
-        self.libos._udp_push(self, sga, token, remote)
+                    remote: Optional[Tuple[str, int]]) -> None:
+        libos = self.libos
+        if remote is None:
+            libos.qtokens.complete(token, QResult(
+                OP_PUSH, self.qd, error="no remote address"))
+            return
+        payload = sga.tobytes()
+        if len(payload) > MAX_UDP_ELEMENT:
+            libos.qtokens.complete(token, QResult(
+                OP_PUSH, self.qd, error="element exceeds MTU"))
+            return
+        if self.port is None:
+            self._bind_port(None)
+        # Zero-copy transmit: the device reads the app buffers directly.
+        for addr, size in sga.dma_ranges():
+            libos.nic.iommu.translate(addr, size)
+        sga.hold_all()
+        libos.stack.udp_send(self.port, remote[0], remote[1], payload)
+        # The NIC is done with the buffers once the frame is DMA'd out.
+        self.sim.call_in(libos.costs.dma_ns(sga.nbytes), sga.release_all)
+        libos.count(names.UDP_TX_ELEMENTS)
+        libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                              nbytes=sga.nbytes))
+
+    def bind(self, port: int) -> Generator:
+        yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
+        self._bind_port(port)
+
+    def connect(self, ip: str, port: int,
+                src_port: Optional[int] = None) -> Generator:
+        yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
+        self.remote = (ip, port)
+        if self.port is None:
+            self._bind_port(None)
+        return 0
+
+    def shutdown(self) -> Generator:
+        if self.port is not None:
+            self.libos.stack.udp_unbind(self.port)
+        return
+        yield  # pragma: no cover
+
+    def crash_abort(self, counters) -> None:
+        if self.port is not None:
+            self.libos.stack.udp_unbind(self.port)
+            counters.count(names.RECLAIM_UDP_UNBOUND)
 
 
 class TcpQueue(DemiQueue):
@@ -66,16 +121,85 @@ class TcpQueue(DemiQueue):
         super().__init__(libos, qd)
         self.conn = None           # netstack TcpConnection
         self.deframer = Deframer()
-        self._rx_pump_proc = None
 
     def attach_connection(self, conn) -> None:
         self.conn = conn
-        self._rx_pump_proc = self.libos.sim.spawn(
-            self.libos._tcp_rx_pump(self),
-            name="%s.q%d.rx" % (self.libos.name, self.qd))
+        self._spawn_pump(self._rx_pump(), "rx")
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
-        self.libos._tcp_push(self, sga, token)
+        libos = self.libos
+        if self.conn is None:
+            libos.qtokens.complete(token, QResult(
+                OP_PUSH, self.qd, error="not connected"))
+            return
+        payload = sga.tobytes()
+        # Framing keeps the element atomic across the byte stream.
+        libos.core.charge_async(libos.costs.framing_ns)
+        for addr, size in sga.dma_ranges():
+            libos.nic.iommu.translate(addr, size)
+        sga.hold_all()
+        try:
+            self.conn.send(frame_message(payload))
+        except Exception as err:
+            sga.release_all()
+            libos.qtokens.complete(token, QResult(
+                OP_PUSH, self.qd, error=str(err)))
+            return
+        self.sim.call_in(libos.costs.dma_ns(sga.nbytes), sga.release_all)
+        libos.count(names.TCP_TX_ELEMENTS)
+        libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                              nbytes=sga.nbytes))
+
+    def _rx_pump(self) -> Generator:
+        conn, libos = self.conn, self.libos
+        while not self.closed:
+            if conn.error is not None:
+                # A hard reset (peer crash/abort), not a graceful FIN:
+                # surface ECONNRESET-style errors to waiting pops.  RST
+                # discards buffered data, as real TCP does.
+                self.fail_pops(str(conn.error))
+                return
+            data = conn.recv()
+            if data:
+                libos.core.charge_async(libos.costs.framing_ns)
+                for message in self.deframer.feed(data):
+                    self.deliver_payload(message, names.TCP_RX_ELEMENTS)
+                continue
+            if conn.peer_closed:
+                self.mark_eof()
+                return
+            yield conn.recv_signal()
+
+    def bind(self, port: int) -> Generator:
+        yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
+        # The descriptor becomes a passive socket.
+        self.libos._seat(self.qd, ListenQueue, port)
+
+    def connect(self, ip: str, port: int,
+                src_port: Optional[int] = None) -> Generator:
+        """*src_port* pins the local port - a client can pick one whose
+        flow tuple RSS-hashes onto a chosen server shard."""
+        libos = self.libos
+        yield libos.core.busy(libos.costs.kernel_sock_op_ns)
+        conn = libos.stack.tcp_connect(ip, port, src_port=src_port)
+        yield conn.established
+        self.attach_connection(conn)
+        libos.count(names.CONNECTS)
+        return 0
+
+    def shutdown(self) -> Generator:
+        if self.conn is not None:
+            self.conn.close()
+        return
+        yield  # pragma: no cover
+
+    def crash_abort(self, counters) -> None:
+        """RST a live connection so the peer sees ECONNRESET, not an RTO
+        hang."""
+        if self.conn is not None and self.conn.state != "CLOSED":
+            self.conn.abort()
+            counters.count(names.RECLAIM_TCP_RSTS)
+        self.reap()
 
 
 class ListenQueue(DemiQueue):
@@ -83,14 +207,44 @@ class ListenQueue(DemiQueue):
 
     kind = "tcp-listen"
 
-    def __init__(self, libos, qd: int):
+    def __init__(self, libos, qd: int, port: int):
         super().__init__(libos, qd)
-        self.port: Optional[int] = None
+        self.port = port
         self.listener = None       # netstack TcpListener
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         self._complete(token, QResult(OP_PUSH, self.qd,
                                       error="push on listening queue"))
+
+    def listen(self, backlog: int = 128) -> Generator:
+        yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
+        self.listener = self.libos.stack.tcp_listen(self.port, backlog)
+
+    def accept(self) -> Generator:
+        if self.listener is None:
+            raise self._refused("accept on non-listening")
+        libos = self.libos
+        yield libos.core.busy(libos.costs.kernel_sock_op_ns)
+        while True:
+            conn = self.listener.accept_nb()
+            if conn is not None:
+                break
+            yield self.listener.accept_signal()
+        new_queue = libos._install(TcpQueue)
+        new_queue.attach_connection(conn)
+        libos.count(names.ACCEPTS)
+        return new_queue.qd
+
+    def shutdown(self) -> Generator:
+        if self.listener is not None:
+            self.listener.close()
+        return
+        yield  # pragma: no cover
+
+    def crash_abort(self, counters) -> None:
+        if self.listener is not None:
+            self.listener.close()
+            counters.count(names.RECLAIM_LISTENERS_CLOSED)
 
 
 class DpdkLibOS(LibOS):
@@ -102,7 +256,6 @@ class DpdkLibOS(LibOS):
                  core=None, rx_burst_size: int = 32,
                  verify_checksums: bool = False, rx_queue: int = 0,
                  arp_responder: bool = True, batching: bool = False,
-                 tx_queue: Optional[int] = None,
                  spin_budget_ns: Optional[int] = None):
         super().__init__(host, name, core)
         self.nic = nic
@@ -119,15 +272,10 @@ class DpdkLibOS(LibOS):
         #: amortize per-frame RX stack costs.  Off by default - timing of
         #: the singleton path is part of the repo's golden surface.
         self.batching = batching
-        #: the NIC TX queue this instance posts to.  Defaults to the
-        #: mirror of ``rx_queue`` so a sharded server's shards never
-        #: serialize behind one TX pipeline (the 8-core knee).
-        if tx_queue is None:
-            tx_queue = rx_queue if rx_queue < nic.n_tx_queues else 0
-        if tx_queue >= nic.n_tx_queues:
-            raise DemiError("tx queue %d on a %d-tx-queue NIC"
-                            % (tx_queue, nic.n_tx_queues))
-        self.tx_queue = tx_queue
+        #: the NIC TX queue this instance posts to: the mirror of
+        #: ``rx_queue``, so a sharded server's shards never serialize
+        #: behind one TX pipeline (the 8-core knee's root cause).
+        self.tx_queue = rx_queue if rx_queue < nic.n_tx_queues else 0
         #: adaptive poll/interrupt policy: spin (poll) for this budget
         #: after going idle, then arm a coalesced interrupt and sleep.
         #: None = pure poll mode (the classic DPDK driver).
@@ -227,91 +375,6 @@ class DpdkLibOS(LibOS):
         self.core.charge_async(self.costs.interrupt_ns)
         self.count(names.POLL_IRQ_WAKEUPS)
 
-    # -- UDP ---------------------------------------------------------------------
-    def _udp_push(self, queue: UdpQueue, sga: Sga, token: QToken,
-                  remote: Optional[Tuple[str, int]]) -> None:
-        if remote is None:
-            self.qtokens.complete(token, QResult(
-                OP_PUSH, queue.qd, error="no remote address"))
-            return
-        payload = sga.tobytes()
-        if len(payload) > MAX_UDP_ELEMENT:
-            self.qtokens.complete(token, QResult(
-                OP_PUSH, queue.qd, error="element exceeds MTU"))
-            return
-        if queue.port is None:
-            queue.port = self.stack._alloc_ephemeral()
-            self.stack.udp_bind(queue.port, self._udp_handler(queue))
-        # Zero-copy transmit: the device reads the app buffers directly.
-        for addr, size in sga.dma_ranges():
-            self.nic.iommu.translate(addr, size)
-        sga.hold_all()
-        self.stack.udp_send(queue.port, remote[0], remote[1], payload)
-        # The NIC is done with the buffers once the frame is DMA'd out.
-        self.sim.call_in(self.costs.dma_ns(sga.nbytes), sga.release_all)
-        self.count(names.UDP_TX_ELEMENTS)
-        self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                             nbytes=sga.nbytes))
-
-    def _udp_handler(self, queue: UdpQueue):
-        def on_datagram(payload: bytes, src_ip: str, src_port: int) -> None:
-            if queue.closed:
-                return
-            # DMA delivered the datagram into registered memory; wrap it.
-            buf = self.mm.alloc(max(1, len(payload)))
-            buf.write(0, payload)
-            sga = Sga.from_buffer(buf, len(payload))
-            self.count(names.UDP_RX_ELEMENTS)
-            queue.deliver(sga, value=(src_ip, src_port))
-        return on_datagram
-
-    # -- TCP ----------------------------------------------------------------------
-    def _tcp_push(self, queue: TcpQueue, sga: Sga, token: QToken) -> None:
-        if queue.conn is None:
-            self.qtokens.complete(token, QResult(
-                OP_PUSH, queue.qd, error="not connected"))
-            return
-        payload = sga.tobytes()
-        # Framing keeps the element atomic across the byte stream.
-        self.core.charge_async(self.costs.framing_ns)
-        for addr, size in sga.dma_ranges():
-            self.nic.iommu.translate(addr, size)
-        sga.hold_all()
-        try:
-            queue.conn.send(frame_message(payload))
-        except Exception as err:
-            sga.release_all()
-            self.qtokens.complete(token, QResult(
-                OP_PUSH, queue.qd, error=str(err)))
-            return
-        self.sim.call_in(self.costs.dma_ns(sga.nbytes), sga.release_all)
-        self.count(names.TCP_TX_ELEMENTS)
-        self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                             nbytes=sga.nbytes))
-
-    def _tcp_rx_pump(self, queue: TcpQueue) -> Generator:
-        conn = queue.conn
-        while not queue.closed:
-            if conn.error is not None:
-                # A hard reset (peer crash/abort), not a graceful FIN:
-                # surface ECONNRESET-style errors to waiting pops.  RST
-                # discards buffered data, as real TCP does.
-                queue.fail_pops(str(conn.error))
-                return
-            data = conn.recv()
-            if data:
-                self.core.charge_async(self.costs.framing_ns)
-                for message in queue.deframer.feed(data):
-                    buf = self.mm.alloc(max(1, len(message)))
-                    buf.write(0, message)
-                    self.count(names.TCP_RX_ELEMENTS)
-                    queue.deliver(Sga.from_buffer(buf, len(message)))
-                continue
-            if conn.peer_closed:
-                queue.mark_eof()
-                return
-            yield conn.recv_signal()
-
     # -- control path (Figure 3 network calls) ---------------------------------
     def socket(self, proto: str = "tcp") -> Generator:
         yield self.core.busy(self.costs.kernel_sock_op_ns)
@@ -320,109 +383,6 @@ class DpdkLibOS(LibOS):
         if proto == "udp":
             return self._install(UdpQueue).qd
         raise DemiError("unknown protocol %r" % proto)
-
-    def bind(self, qd: int, port: int) -> Generator:
-        yield self.core.busy(self.costs.kernel_sock_op_ns)
-        queue = self._lookup(qd)
-        if isinstance(queue, UdpQueue):
-            queue.port = port
-            self.stack.udp_bind(port, self._udp_handler(queue))
-        elif isinstance(queue, TcpQueue):
-            # Rebind the descriptor as a passive socket placeholder.
-            listen_queue = ListenQueue(self, qd)
-            listen_queue.port = port
-            self._queues[qd] = listen_queue
-        else:
-            raise DemiError("bind on qd %d (%s)" % (qd, queue.kind))
-
-    def listen(self, qd: int, backlog: int = 128) -> Generator:
-        yield self.core.busy(self.costs.kernel_sock_op_ns)
-        queue = self._lookup(qd)
-        if not isinstance(queue, ListenQueue) or queue.port is None:
-            raise DemiError("listen before bind on qd %d" % qd)
-        queue.listener = self.stack.tcp_listen(queue.port, backlog)
-
-    def accept(self, qd: int) -> Generator:
-        """Control path: wait for a connection; returns the new queue's qd."""
-        queue = self._lookup(qd)
-        if not isinstance(queue, ListenQueue) or queue.listener is None:
-            raise DemiError("accept on non-listening qd %d" % qd)
-        yield self.core.busy(self.costs.kernel_sock_op_ns)
-        while True:
-            conn = queue.listener.accept_nb()
-            if conn is not None:
-                break
-            yield queue.listener.accept_signal()
-        new_queue = self._install(TcpQueue)
-        new_queue.attach_connection(conn)
-        self.count(names.ACCEPTS)
-        return new_queue.qd
-
-    def connect(self, qd: int, ip: str, port: int,
-                src_port: Optional[int] = None) -> Generator:
-        """*src_port* pins the local port - a client can pick one whose
-        flow tuple RSS-hashes onto a chosen server shard."""
-        queue = self._lookup(qd)
-        yield self.core.busy(self.costs.kernel_sock_op_ns)
-        if isinstance(queue, UdpQueue):
-            queue.remote = (ip, port)
-            if queue.port is None:
-                queue.port = self.stack._alloc_ephemeral()
-                self.stack.udp_bind(queue.port, self._udp_handler(queue))
-            return 0
-        if isinstance(queue, TcpQueue):
-            conn = self.stack.tcp_connect(ip, port, src_port=src_port)
-            yield conn.established
-            queue.attach_connection(conn)
-            self.count(names.CONNECTS)
-            return 0
-        raise DemiError("connect on qd %d (%s)" % (qd, queue.kind))
-
-    def push_to(self, qd: int, sga: Sga, remote: Tuple[str, int]) -> QToken:
-        """UDP extension: push one element to an explicit remote address."""
-        queue = self._lookup(qd)
-        if not isinstance(queue, UdpQueue):
-            raise DemiError("push_to on non-UDP qd %d" % qd)
-        self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
-        self.count(names.PUSHES)
-        token, _done = self.qtokens.create()
-        if self.tracer.tracing:
-            self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
-                               nbytes=sga.nbytes)
-        queue.push_sga_to(sga, token, remote)
-        return token
-
-    def close(self, qd: int) -> Generator:
-        queue = self._queues.get(qd)
-        if isinstance(queue, TcpQueue) and queue.conn is not None:
-            queue.conn.close()
-        if isinstance(queue, ListenQueue) and queue.listener is not None:
-            queue.listener.close()
-        if isinstance(queue, UdpQueue) and queue.port is not None:
-            self.stack.udp_unbind(queue.port)
-        yield from LibOS.close(self, qd)
-        # The pump may be parked on recv_signal forever if the peer is
-        # unreachable (e.g. a partition that never heals); reap it.
-        if isinstance(queue, TcpQueue) and queue._rx_pump_proc is not None:
-            queue._rx_pump_proc.interrupt("close")
-
-    # -- crash teardown (kernel-side reclamation) -------------------------------
-    def crash_abort_queue(self, queue, counters) -> None:
-        """RST live connections so peers see ECONNRESET, not an RTO hang."""
-        if isinstance(queue, TcpQueue):
-            if queue.conn is not None and queue.conn.state != "CLOSED":
-                queue.conn.abort()
-                counters.count(names.RECLAIM_TCP_RSTS)
-            if queue._rx_pump_proc is not None:
-                queue._rx_pump_proc.interrupt("proc_crash")
-        elif isinstance(queue, ListenQueue):
-            if queue.listener is not None:
-                queue.listener.close()
-                counters.count(names.RECLAIM_LISTENERS_CLOSED)
-        elif isinstance(queue, UdpQueue):
-            if queue.port is not None:
-                self.stack.udp_unbind(queue.port)
-                counters.count(names.RECLAIM_UDP_UNBOUND)
 
     def crash_background_procs(self):
         return [self._poll_proc]

@@ -33,8 +33,7 @@ __all__ = ["MtcpShim"]
 class MtcpShim:
     """POSIX-ish sockets over a user-level stack with a stack thread."""
 
-    def __init__(self, host, nic: DpdkNic, ip: str, name: str = "mtcp",
-                 app_core=None, stack_core=None):
+    def __init__(self, host, nic: DpdkNic, ip: str, name: str = "mtcp"):
         self.host = host
         self.sim = host.sim
         self.costs = host.costs
@@ -43,8 +42,8 @@ class MtcpShim:
         self.counters = self.tracer.scope(name)
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
         self.count = self.counters.count
-        self.app_core = app_core or host.cpus[0]
-        self.stack_core = stack_core or host.cpus[min(1, len(host.cpus) - 1)]
+        self.app_core = host.cpus[0]
+        self.stack_core = host.cpus[min(1, len(host.cpus) - 1)]
         self.nic = nic
         self.stack = NetStack(
             sim=self.sim,

@@ -30,21 +30,74 @@ class PosixTcpQueue(DemiQueue):
         super().__init__(libos, qd)
         self.fd: Optional[int] = None
         self.deframer = Deframer()
-        self._rx_pump_proc = None
 
     def attach_fd(self, fd: int) -> None:
         self.fd = fd
-        self._rx_pump_proc = self.libos.sim.spawn(
-            self.libos._rx_pump(self),
-            name="%s.q%d.rx" % (self.libos.name, self.qd))
+        self._spawn_pump(self._rx_pump(), "rx")
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         if self.fd is None:
             self._complete(token, QResult(OP_PUSH, self.qd,
                                           error="not connected"))
             return
-        self.libos.sim.spawn(self.libos._push_driver(self, sga, token),
-                             name="%s.q%d.tx" % (self.libos.name, self.qd))
+        self.sim.spawn(self._push_driver(sga, token),
+                       name="%s.q%d.tx" % (self.libos.name, self.qd))
+
+    def _push_driver(self, sga: Sga, token: QToken) -> Generator:
+        libos = self.libos
+        # The POSIX path cannot avoid the copy: send() copies the gathered
+        # element into the kernel socket buffer.
+        payload = sga.tobytes()
+        libos.core.charge_async(libos.costs.framing_ns)
+        try:
+            yield from libos.sys.send(self.fd, frame_message(payload))
+        except Exception as err:
+            libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                                  error=str(err)))
+            return
+        libos.count(names.TCP_TX_ELEMENTS)
+        libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                              nbytes=sga.nbytes))
+
+    def _rx_pump(self) -> Generator:
+        libos = self.libos
+        sys = libos.kernel.thread(libos.core)
+        while not self.closed:
+            try:
+                data = yield from sys.recv(self.fd)
+            except KernelError as err:
+                # ECONNRESET (or the fd vanished in crash reclamation):
+                # waiting pops observe the reset, not a clean eof.
+                self.fail_pops(str(err))
+                return
+            if not data:
+                self.mark_eof()
+                return
+            libos.core.charge_async(libos.costs.framing_ns)
+            for message in self.deframer.feed(data):
+                self.deliver_payload(message, names.TCP_RX_ELEMENTS)
+
+    def bind(self, port: int) -> Generator:
+        # The descriptor becomes a passive socket; the kernel hears of it
+        # at listen().
+        self.libos._seat(self.qd, PosixListenQueue, port)
+        yield self.libos.core.busy(0)
+
+    def connect(self, ip: str, port: int) -> Generator:
+        sys = self.libos.sys
+        fd = yield from sys.socket()
+        yield from sys.connect(fd, ip, port)
+        self.attach_fd(fd)
+        self.libos.count(names.CONNECTS)
+        return 0
+
+    def shutdown(self) -> Generator:
+        if self.fd is not None:
+            yield from self.libos.sys.close(self.fd)
+
+    # crash_abort: the inherited reap() is all there is to do - the
+    # kernel's own fd-table walk (``Kernel.reclaim_fds``) aborts the socket
+    # underneath, exactly as exit(2) would.
 
 
 class PosixListenQueue(DemiQueue):
@@ -52,14 +105,34 @@ class PosixListenQueue(DemiQueue):
 
     kind = "posix-listen"
 
-    def __init__(self, libos, qd: int):
+    def __init__(self, libos, qd: int, port: int):
         super().__init__(libos, qd)
         self.fd: Optional[int] = None
-        self.port: Optional[int] = None
+        self.port = port
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         self._complete(token, QResult(OP_PUSH, self.qd,
                                       error="push on listening queue"))
+
+    def listen(self, backlog: int = 128) -> Generator:
+        sys = self.libos.sys
+        fd = yield from sys.socket()
+        yield from sys.bind(fd, self.port)
+        yield from sys.listen(fd, backlog)
+        self.fd = fd
+
+    def accept(self) -> Generator:
+        if self.fd is None:
+            raise self._refused("accept on non-listening")
+        conn_fd = yield from self.libos.sys.accept(self.fd)
+        new_queue = self.libos._install(PosixTcpQueue)
+        new_queue.attach_fd(conn_fd)
+        self.libos.count(names.ACCEPTS)
+        return new_queue.qd
+
+    def shutdown(self) -> Generator:
+        if self.fd is not None:
+            yield from self.libos.sys.close(self.fd)
 
 
 class PosixLibOS(LibOS):
@@ -72,101 +145,9 @@ class PosixLibOS(LibOS):
         self.kernel = kernel
         self.sys = kernel.thread(self.core)
 
-    # -- datapath drivers ---------------------------------------------------
-    def _push_driver(self, queue: PosixTcpQueue, sga: Sga,
-                     token: QToken) -> Generator:
-        # The POSIX path cannot avoid the copy: send() copies the gathered
-        # element into the kernel socket buffer.
-        payload = sga.tobytes()
-        self.core.charge_async(self.costs.framing_ns)
-        try:
-            yield from self.sys.send(queue.fd, frame_message(payload))
-        except Exception as err:
-            self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                                 error=str(err)))
-            return
-        self.count(names.TCP_TX_ELEMENTS)
-        self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                             nbytes=sga.nbytes))
-
-    def _rx_pump(self, queue: PosixTcpQueue) -> Generator:
-        sys = self.kernel.thread(self.core)
-        while not queue.closed:
-            try:
-                data = yield from sys.recv(queue.fd)
-            except KernelError as err:
-                # ECONNRESET (or the fd vanished in crash reclamation):
-                # waiting pops observe the reset, not a clean eof.
-                queue.fail_pops(str(err))
-                return
-            if not data:
-                queue.mark_eof()
-                return
-            self.core.charge_async(self.costs.framing_ns)
-            for message in queue.deframer.feed(data):
-                buf = self.mm.alloc(max(1, len(message)))
-                buf.write(0, message)
-                self.count(names.TCP_RX_ELEMENTS)
-                queue.deliver(Sga.from_buffer(buf, len(message)))
-
-    # -- control path ------------------------------------------------------------
     def socket(self, proto: str = "tcp") -> Generator:
         if proto != "tcp":
             raise DemiError("%s supports only TCP sockets" % self.name)
         queue = self._install(PosixTcpQueue)
-        queue.fd = None
         yield self.core.busy(0)
         return queue.qd
-
-    def bind(self, qd: int, port: int) -> Generator:
-        queue = self._lookup(qd)
-        listen_queue = PosixListenQueue(self, qd)
-        listen_queue.port = port
-        self._queues[qd] = listen_queue
-        yield self.core.busy(0)
-
-    def listen(self, qd: int, backlog: int = 128) -> Generator:
-        queue = self._lookup(qd)
-        if not isinstance(queue, PosixListenQueue) or queue.port is None:
-            raise DemiError("listen before bind on qd %d" % qd)
-        fd = yield from self.sys.socket()
-        yield from self.sys.bind(fd, queue.port)
-        yield from self.sys.listen(fd, backlog)
-        queue.fd = fd
-
-    def accept(self, qd: int) -> Generator:
-        queue = self._lookup(qd)
-        if not isinstance(queue, PosixListenQueue) or queue.fd is None:
-            raise DemiError("accept on non-listening qd %d" % qd)
-        conn_fd = yield from self.sys.accept(queue.fd)
-        new_queue = self._install(PosixTcpQueue)
-        new_queue.attach_fd(conn_fd)
-        self.count(names.ACCEPTS)
-        return new_queue.qd
-
-    def connect(self, qd: int, ip: str, port: int) -> Generator:
-        queue = self._lookup(qd)
-        if not isinstance(queue, PosixTcpQueue):
-            raise DemiError("connect on qd %d (%s)" % (qd, queue.kind))
-        fd = yield from self.sys.socket()
-        yield from self.sys.connect(fd, ip, port)
-        queue.attach_fd(fd)
-        self.count(names.CONNECTS)
-        return 0
-
-    def close(self, qd: int) -> Generator:
-        queue = self._queues.get(qd)
-        if queue is not None and getattr(queue, "fd", None) is not None:
-            yield from self.sys.close(queue.fd)
-        yield from LibOS.close(self, qd)
-        # Reap a pump parked in recv() against an unreachable peer.
-        if isinstance(queue, PosixTcpQueue) and queue._rx_pump_proc is not None:
-            queue._rx_pump_proc.interrupt("close")
-
-    # -- crash teardown (kernel-side reclamation) ---------------------------
-    def crash_abort_queue(self, queue, counters) -> None:
-        """Reap the rx pumps; the kernel's own fd-table walk
-        (:meth:`repro.kernelos.kernel.Kernel.reclaim_fds`) aborts the
-        sockets underneath, exactly as exit(2) would."""
-        if isinstance(queue, PosixTcpQueue) and queue._rx_pump_proc is not None:
-            queue._rx_pump_proc.interrupt("proc_crash")

@@ -26,7 +26,7 @@ from typing import Generator, Optional
 
 from ..core.api import LibOS
 from ..core.queue import DemiQueue
-from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
+from ..core.types import OP_PUSH, QResult, QToken, Sga
 from ..hw.nic import RdmaNic
 from ..rdma.cm import RdmaCm
 from ..rdma.verbs import QueuePair
@@ -44,6 +44,10 @@ _MSG_CREDIT = 1
 _HDR = struct.Struct("!BI")  # kind, value (credit count or payload length)
 
 
+#: largest element one pool buffer carries behind the header
+MAX_ELEMENT = POOL_BUFFER_SIZE - _HDR.size
+
+
 class RdmaQueue(DemiQueue):
     """A connected RDMA QP behind the queue abstraction."""
 
@@ -55,9 +59,6 @@ class RdmaQueue(DemiQueue):
         self.credits = 0
         self.credit_wq = WaitQueue(self.sim, "q%d.credits" % qd)
         self.consumed_since_return = 0
-        self._rx_pump_proc = None
-        #: wr_id -> CQE, parked for pushes awaiting their completion
-        self._send_cqes = {}
 
     def attach_qp(self, qp: QueuePair) -> None:
         self.qp = qp
@@ -67,17 +68,113 @@ class RdmaQueue(DemiQueue):
         for _ in range(POOL_BUFFERS):
             buf = self.libos.mm.alloc(POOL_BUFFER_SIZE)
             qp.post_recv(buf)
-        self._rx_pump_proc = self.libos.sim.spawn(
-            self.libos._rx_pump(self),
-            name="%s.q%d.rx" % (self.libos.name, self.qd))
+        self._spawn_pump(self._rx_pump(), "rx")
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         if self.qp is None:
             self._complete(token, QResult(OP_PUSH, self.qd,
                                           error="not connected"))
             return
-        self.libos.sim.spawn(self.libos._push_driver(self, sga, token),
-                             name="%s.q%d.tx" % (self.libos.name, self.qd))
+        self.sim.spawn(self._push_driver(sga, token),
+                       name="%s.q%d.tx" % (self.libos.name, self.qd))
+
+    def _push_driver(self, sga: Sga, token: QToken) -> Generator:
+        libos = self.libos
+        payload = sga.tobytes()
+        if len(payload) > MAX_ELEMENT:
+            libos.qtokens.complete(token, QResult(
+                OP_PUSH, self.qd,
+                error="element exceeds pool buffer size"))
+            return
+        # Flow control: block until the receiver has a buffer for us.
+        while self.credits == 0 and not self.closed:
+            libos.count(names.FLOW_CONTROL_STALLS)
+            yield self.credit_wq.wait()
+        if self.closed:
+            libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                                  error="closed"))
+            return
+        self.credits -= 1
+        sga.hold_all()
+        # Zero-copy transmit: the NIC reads the element's own buffer, so
+        # its extent is what the IOMMU validates - the wire message is a
+        # header longer and would overrun a region's last slot.
+        libos.nic.iommu.translate(*sga.dma_ranges()[0])
+        message = _HDR.pack(_MSG_DATA, len(payload)) + payload
+        wr = self.qp.post_send(message)
+        # Wait for the NIC's ack-driven send completion.
+        cqe = yield from self.qp.wait_send_cqe(wr)
+        sga.release_all()
+        if cqe["status"] != "ok":
+            libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                                  error=cqe["status"]))
+            return
+        libos.count(names.RDMA_TX_ELEMENTS)
+        libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                              nbytes=sga.nbytes))
+
+    def _rx_pump(self) -> Generator:
+        qp, libos = self.qp, self.libos
+        while not self.closed:
+            cqes = qp.recv_cq.poll(16)
+            if not cqes:
+                yield qp.recv_cq.signal()
+                continue
+            for cqe in cqes:
+                if cqe["status"] != "ok":
+                    libos.count(names.RDMA_RX_ERRORS)
+                    continue
+                buf = cqe["buffer"]
+                kind, value = _HDR.unpack(buf.read(0, _HDR.size))
+                if kind == _MSG_CREDIT:
+                    self.credits += value
+                    self.credit_wq.pulse()
+                    libos.count(names.CREDIT_RETURNS_RECEIVED)
+                    qp.post_recv(buf)  # control buffers recycle immediately
+                    continue
+                self.deliver_payload(buf.read(_HDR.size, value),
+                                     names.RDMA_RX_ELEMENTS)
+                # Buffer management: re-post and batch credit returns.
+                qp.post_recv(buf)
+                self.consumed_since_return += 1
+                if self.consumed_since_return >= POOL_BUFFERS // 2:
+                    self._return_credits()
+
+    def _return_credits(self) -> None:
+        count = self.consumed_since_return
+        self.consumed_since_return = 0
+        self.qp.post_send(_HDR.pack(_MSG_CREDIT, count))
+        self.libos.count(names.CREDIT_RETURNS_SENT)
+
+    def bind(self, port: int) -> Generator:
+        yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
+        # The descriptor becomes a passive rdmacm endpoint.
+        self.libos._seat(self.qd, RdmaListenQueue, port)
+
+    def connect(self, remote_addr: str, port: int) -> Generator:
+        libos = self.libos
+        qp = yield from libos.cm.connect(libos.nic, remote_addr, port)
+        self.attach_qp(qp)
+        libos.count(names.CONNECTS)
+        return 0
+
+    def shutdown(self) -> Generator:
+        if self.qp is not None:
+            self.qp.destroy()
+        return
+        yield  # pragma: no cover
+
+    def crash_abort(self, counters) -> None:
+        """Destroy the QP so the NIC stops retransmitting into dead
+        memory; the pre-posted receive pool returns to the heap with the
+        rest of the process's buffers in ``MemoryManager.free_all``."""
+        if self.qp is not None:
+            self.qp.destroy()
+            counters.count(names.RECLAIM_QPS_DESTROYED)
+        # Wake any push driver parked on flow-control credits so it
+        # observes the closed queue and exits.
+        self.credit_wq.pulse()
+        self.reap()
 
 
 class RdmaListenQueue(DemiQueue):
@@ -85,22 +182,44 @@ class RdmaListenQueue(DemiQueue):
 
     kind = "rdma-listen"
 
-    def __init__(self, libos, qd: int):
+    def __init__(self, libos, qd: int, port: int):
         super().__init__(libos, qd)
-        self.port: Optional[int] = None
+        self.port = port
         self.listener = None
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         self._complete(token, QResult(OP_PUSH, self.qd,
                                       error="push on listening queue"))
 
+    def listen(self, backlog: int = 128) -> Generator:
+        yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
+        self.listener = self.libos.cm.listen(self.libos.nic, self.port)
+
+    def accept(self) -> Generator:
+        if self.listener is None:
+            raise self._refused("accept on non-listening")
+        qp = yield from self.listener.accept()
+        new_queue = self.libos._install(RdmaQueue)
+        new_queue.attach_qp(qp)
+        self.libos.count(names.ACCEPTS)
+        return new_queue.qd
+
+    def shutdown(self) -> Generator:
+        if self.listener is not None:
+            self.listener.close()
+        return
+        yield  # pragma: no cover
+
+    def crash_abort(self, counters) -> None:
+        if self.listener is not None:
+            self.listener.close()
+            counters.count(names.RECLAIM_LISTENERS_CLOSED)
+
 
 class RdmaLibOS(LibOS):
     """Demikernel over an RDMA NIC: transport atop verbs."""
 
     device_kind = "rdma"
-
-    MAX_ELEMENT = POOL_BUFFER_SIZE - _HDR.size
 
     def __init__(self, host, nic: RdmaNic, cm: RdmaCm, name: str = "catmint",
                  core=None):
@@ -109,154 +228,6 @@ class RdmaLibOS(LibOS):
         self.cm = cm
         self.offload_engine = nic.offload
 
-    # -- datapath ---------------------------------------------------------------
-    def _push_driver(self, queue: RdmaQueue, sga: Sga,
-                     token: QToken) -> Generator:
-        payload = sga.tobytes()
-        if len(payload) > self.MAX_ELEMENT:
-            self.qtokens.complete(token, QResult(
-                OP_PUSH, queue.qd,
-                error="element exceeds pool buffer size"))
-            return
-        # Flow control: block until the receiver has a buffer for us.
-        while queue.credits == 0 and not queue.closed:
-            self.count(names.FLOW_CONTROL_STALLS)
-            yield queue.credit_wq.wait()
-        if queue.closed:
-            self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                                 error="closed"))
-            return
-        queue.credits -= 1
-        sga.hold_all()
-        # Zero-copy transmit: the NIC reads the element's own buffer, so
-        # its extent is what the IOMMU validates - the wire message is a
-        # header longer and would overrun a region's last slot.
-        self.nic.iommu.translate(*sga.dma_ranges()[0])
-        message = _HDR.pack(_MSG_DATA, len(payload)) + payload
-        wr = queue.qp.post_send(message)
-        # Wait for the NIC's ack-driven send completion.
-        cqe = yield from self._wait_send_cqe(queue, wr)
-        sga.release_all()
-        if cqe["status"] != "ok":
-            self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                                 error=cqe["status"]))
-            return
-        self.count(names.RDMA_TX_ELEMENTS)
-        self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                             nbytes=sga.nbytes))
-
-    def _wait_send_cqe(self, queue: RdmaQueue, wr: int) -> Generator:
-        """Wait for a specific send CQE, leaving others for their owners."""
-        qp = queue.qp
-        pending = queue._send_cqes
-        while wr not in pending:
-            cqes = qp.send_cq.poll(16)
-            if not cqes:
-                yield qp.send_cq.signal()
-                continue
-            for cqe in cqes:
-                pending[cqe["wr_id"]] = cqe
-        return pending.pop(wr)
-
-    def _rx_pump(self, queue: RdmaQueue) -> Generator:
-        qp = queue.qp
-        while not queue.closed:
-            cqes = qp.recv_cq.poll(16)
-            if not cqes:
-                yield qp.recv_cq.signal()
-                continue
-            for cqe in cqes:
-                if cqe["status"] != "ok":
-                    self.count(names.RDMA_RX_ERRORS)
-                    continue
-                buf = cqe["buffer"]
-                kind, value = _HDR.unpack(buf.read(0, _HDR.size))
-                if kind == _MSG_CREDIT:
-                    queue.credits += value
-                    queue.credit_wq.pulse()
-                    self.count(names.CREDIT_RETURNS_RECEIVED)
-                    qp.post_recv(buf)  # control buffers recycle immediately
-                    continue
-                payload_buf = self.mm.alloc(max(1, value))
-                payload_buf.write(0, buf.read(_HDR.size, value))
-                self.count(names.RDMA_RX_ELEMENTS)
-                queue.deliver(Sga.from_buffer(payload_buf, value))
-                # Buffer management: re-post and batch credit returns.
-                qp.post_recv(buf)
-                queue.consumed_since_return += 1
-                if queue.consumed_since_return >= POOL_BUFFERS // 2:
-                    self._return_credits(queue)
-
-    def _return_credits(self, queue: RdmaQueue) -> None:
-        count = queue.consumed_since_return
-        queue.consumed_since_return = 0
-        queue.qp.post_send(_HDR.pack(_MSG_CREDIT, count))
-        self.count(names.CREDIT_RETURNS_SENT)
-
-    # -- control path -----------------------------------------------------------
     def socket(self, proto: str = "rdma") -> Generator:
         yield self.core.busy(self.costs.kernel_sock_op_ns)
         return self._install(RdmaQueue).qd
-
-    def bind(self, qd: int, port: int) -> Generator:
-        yield self.core.busy(self.costs.kernel_sock_op_ns)
-        listen_queue = RdmaListenQueue(self, qd)
-        listen_queue.port = port
-        self._queues[qd] = listen_queue
-
-    def listen(self, qd: int, backlog: int = 128) -> Generator:
-        yield self.core.busy(self.costs.kernel_sock_op_ns)
-        queue = self._lookup(qd)
-        if not isinstance(queue, RdmaListenQueue) or queue.port is None:
-            raise DemiError("listen before bind on qd %d" % qd)
-        queue.listener = self.cm.listen(self.nic, queue.port)
-
-    def accept(self, qd: int) -> Generator:
-        queue = self._lookup(qd)
-        if not isinstance(queue, RdmaListenQueue) or queue.listener is None:
-            raise DemiError("accept on non-listening qd %d" % qd)
-        qp = yield from queue.listener.accept()
-        new_queue = self._install(RdmaQueue)
-        new_queue.attach_qp(qp)
-        self.count(names.ACCEPTS)
-        return new_queue.qd
-
-    def connect(self, qd: int, remote_addr: str, port: int) -> Generator:
-        queue = self._lookup(qd)
-        if not isinstance(queue, RdmaQueue):
-            raise DemiError("connect on qd %d (%s)" % (qd, queue.kind))
-        qp = yield from self.cm.connect(self.nic, remote_addr, port)
-        queue.attach_qp(qp)
-        self.count(names.CONNECTS)
-        return 0
-
-    def close(self, qd: int) -> Generator:
-        queue = self._queues.get(qd)
-        if isinstance(queue, RdmaQueue) and queue.qp is not None:
-            queue.qp.destroy()
-        if isinstance(queue, RdmaListenQueue) and queue.listener is not None:
-            queue.listener.close()
-        yield from LibOS.close(self, qd)
-        # Reap a pump parked on an empty CQ of a dead connection.
-        if isinstance(queue, RdmaQueue) and queue._rx_pump_proc is not None:
-            queue._rx_pump_proc.interrupt("close")
-
-    # -- crash teardown (kernel-side reclamation) -------------------------------
-    def crash_abort_queue(self, queue, counters) -> None:
-        """Destroy the QP so the NIC stops retransmitting into dead
-        memory; the pre-posted receive pool returns to the heap with the
-        rest of the process's buffers in ``MemoryManager.free_all``."""
-        if isinstance(queue, RdmaQueue):
-            if queue.qp is not None:
-                queue.qp.destroy()
-                counters.count(names.RECLAIM_QPS_DESTROYED)
-            queue._send_cqes.clear()
-            # Wake any push driver parked on flow-control credits so it
-            # observes the closed queue and exits.
-            queue.credit_wq.pulse()
-            if queue._rx_pump_proc is not None:
-                queue._rx_pump_proc.interrupt("proc_crash")
-        elif isinstance(queue, RdmaListenQueue):
-            if queue.listener is not None:
-                queue.listener.close()
-                counters.count(names.RECLAIM_LISTENERS_CLOSED)

@@ -42,8 +42,8 @@ class FileQueue(DemiQueue):
         self.cursor = 0
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
-        self.libos.sim.spawn(self.libos._append_driver(self, sga, token),
-                             name="%s.q%d.append" % (self.libos.name, self.qd))
+        self.sim.spawn(self._append_driver(sga, token),
+                       name="%s.q%d.append" % (self.libos.name, self.qd))
 
     def pop_sga(self, token: QToken) -> None:
         if self.closed:
@@ -52,12 +52,54 @@ class FileQueue(DemiQueue):
         if self.cursor < len(self.record_ids):
             record_id = self.record_ids[self.cursor]
             self.cursor += 1
-            self.libos.sim.spawn(
-                self.libos._read_driver(self, record_id, token),
-                name="%s.q%d.read" % (self.libos.name, self.qd))
+            self.sim.spawn(self._read_driver(record_id, token),
+                           name="%s.q%d.read" % (self.libos.name, self.qd))
             return
         # At the tail: wait for the next append (tail-follow semantics).
         self._pending_pops.append(token)
+
+    # -- datapath drivers -----------------------------------------------------
+    def _append_driver(self, sga: Sga, token: QToken) -> Generator:
+        libos = self.libos
+        payload = sga.tobytes()
+        sga.hold_all()
+        try:
+            record_id = yield from self.store.append(payload)
+        except Exception as err:
+            sga.release_all()
+            libos.qtokens.complete(token, QResult(
+                OP_PUSH, self.qd, error=str(err),
+                value=err if isinstance(err, DeviceFailed) else None))
+            return
+        sga.release_all()
+        self.record_ids.append(record_id)
+        libos._directory[self.name] = self.record_ids
+        libos.count(names.FILE_APPENDS)
+        # Tail-follow: satisfy a waiting pop with the new record.
+        if self._pending_pops:
+            waiting = self._pending_pops.popleft()
+            self.cursor += 1
+            self.sim.spawn(self._read_driver(record_id, waiting),
+                           name="%s.q%d.read" % (libos.name, self.qd))
+        libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
+                                              nbytes=sga.nbytes,
+                                              value=record_id))
+
+    def _read_driver(self, record_id: int, token: QToken) -> Generator:
+        libos = self.libos
+        try:
+            payload = yield from self.store.read(record_id)
+        except Exception as err:
+            libos.qtokens.complete(token, QResult(
+                OP_POP, self.qd, error=str(err),
+                value=err if isinstance(err, DeviceFailed) else None))
+            return
+        buf = libos.mm.alloc(max(1, len(payload)))
+        buf.write(0, payload)
+        libos.count(names.FILE_READS)
+        libos.qtokens.complete(token, QResult(
+            OP_POP, self.qd, sga=Sga.from_buffer(buf, len(payload)),
+            nbytes=len(payload), value=record_id))
 
 
 class SpdkLibOS(LibOS):
@@ -73,49 +115,6 @@ class SpdkLibOS(LibOS):
         self.store = LogStore(nvme, self.core, lba_start, lba_count)
         #: name -> list of record ids (the "directory")
         self._directory: Dict[str, List[int]] = {}
-
-    # -- datapath drivers -----------------------------------------------------
-    def _append_driver(self, queue: FileQueue, sga: Sga,
-                       token: QToken) -> Generator:
-        payload = sga.tobytes()
-        sga.hold_all()
-        try:
-            record_id = yield from self.store.append(payload)
-        except Exception as err:
-            sga.release_all()
-            self.qtokens.complete(token, QResult(
-                OP_PUSH, queue.qd, error=str(err),
-                value=err if isinstance(err, DeviceFailed) else None))
-            return
-        sga.release_all()
-        queue.record_ids.append(record_id)
-        self._directory[queue.name] = queue.record_ids
-        self.count(names.FILE_APPENDS)
-        # Tail-follow: satisfy a waiting pop with the new record.
-        if queue._pending_pops:
-            waiting = queue._pending_pops.popleft()
-            queue.cursor += 1
-            self.sim.spawn(self._read_driver(queue, record_id, waiting),
-                           name="%s.q%d.read" % (self.name, queue.qd))
-        self.qtokens.complete(token, QResult(OP_PUSH, queue.qd,
-                                             nbytes=sga.nbytes,
-                                             value=record_id))
-
-    def _read_driver(self, queue: FileQueue, record_id: int,
-                     token: QToken) -> Generator:
-        try:
-            payload = yield from self.store.read(record_id)
-        except Exception as err:
-            self.qtokens.complete(token, QResult(
-                OP_POP, queue.qd, error=str(err),
-                value=err if isinstance(err, DeviceFailed) else None))
-            return
-        buf = self.mm.alloc(max(1, len(payload)))
-        buf.write(0, payload)
-        self.count(names.FILE_READS)
-        self.qtokens.complete(token, QResult(
-            OP_POP, queue.qd, sga=Sga.from_buffer(buf, len(payload)),
-            nbytes=len(payload), value=record_id))
 
     # -- control path --------------------------------------------------------------
     def creat(self, path: str) -> Generator:

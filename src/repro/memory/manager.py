@@ -34,6 +34,10 @@ __all__ = ["MemoryManager", "Region"]
 #: Regions start at a high fake virtual address so 0/low addresses are
 #: obviously invalid in tests.
 _HEAP_BASE = 0x7F00_0000_0000
+#: a region is one huge page; larger only for one larger allocation
+REGION_SIZE = 2 * 1024 * 1024
+#: allocations are cache-line aligned
+ALIGN = 64
 
 
 class Region:
@@ -60,20 +64,12 @@ class Region:
 class MemoryManager:
     """Region-based allocator with transparent device registration."""
 
-    def __init__(
-        self,
-        host,
-        region_size: int = 2 * 1024 * 1024,
-        transparent: bool = True,
-        align: int = 64,
-    ):
+    def __init__(self, host, transparent: bool = True):
         self.host = host
         self.costs = host.costs
         self.tracer = host.tracer
         self.counters = host.tracer.scope(names.MM)
-        self.region_size = region_size
         self.transparent = transparent
-        self.align = align
         self.regions: List[Region] = []
         self.devices: List[Any] = []
         self._next_base = _HEAP_BASE
@@ -107,7 +103,7 @@ class MemoryManager:
 
     # -- allocation ---------------------------------------------------------
     def _new_region(self, at_least: int) -> Region:
-        size = max(self.region_size, at_least)
+        size = max(REGION_SIZE, at_least)
         region = Region(self._next_base, size)
         self._next_base += size + 4096  # guard gap
         self.regions.append(region)
@@ -121,7 +117,7 @@ class MemoryManager:
         """Allocate an I/O buffer (registered already in transparent mode)."""
         if nbytes <= 0:
             raise BufferError("allocation size must be positive")
-        padded = (nbytes + self.align - 1) // self.align * self.align
+        padded = (nbytes + ALIGN - 1) // ALIGN * ALIGN
         region = None
         for r in self.regions:
             if r.size - r.used >= padded:

@@ -69,7 +69,6 @@ class NetStack:
         charge: Optional[Callable[[int], None]] = None,
         tx_cost_ns: int = 0,
         rx_cost_ns: int = 0,
-        mtu: int = DEFAULT_MTU,
         verify_checksums: bool = False,
         arp_responder: bool = True,
         rx_batch_cost_ns: Optional[int] = None,
@@ -87,7 +86,6 @@ class NetStack:
         #: cost of the 2nd..Nth frame of one :meth:`rx_burst` call; None
         #: disables amortization (every frame pays ``rx_cost_ns``).
         self.rx_batch_cost_ns = rx_batch_cost_ns
-        self.mtu = mtu
         self.verify_checksums = verify_checksums
         #: answer ARP who-has requests for our IP.  When several stacks
         #: share one NIC and IP (per-core shards behind RSS), exactly one
@@ -246,10 +244,10 @@ class NetStack:
         if ident is None:
             ident = self._ip_ident = (self._ip_ident + 1) & 0xFFFF
         total_len = IPV4_HEADER_LEN + len(l4)
-        if total_len > self.mtu:
+        if total_len > DEFAULT_MTU:
             raise PacketError(
                 "IPv4 payload %d exceeds MTU %d (no fragmentation)"
-                % (len(l4), self.mtu)
+                % (len(l4), DEFAULT_MTU)
             )
         dst_mac = self.arp_table.get(dst_ip)
         if dst_mac is None:

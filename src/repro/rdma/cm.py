@@ -89,9 +89,9 @@ class CmListener:
 class RdmaCm:
     """The fabric-wide rendezvous service."""
 
-    def __init__(self, sim: Simulator, connect_delay_ns: int = CONNECT_DELAY_NS):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.connect_delay_ns = connect_delay_ns
+        self.connect_delay_ns = CONNECT_DELAY_NS
         self._listeners: Dict[Tuple[str, int], CmListener] = {}
 
     def listen(self, nic: RdmaNic, port: int) -> CmListener:

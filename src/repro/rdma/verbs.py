@@ -25,16 +25,12 @@ class VerbsError(Exception):
 class ProtectionDomain:
     """Groups QPs and MRs that may be used together."""
 
-    _next_handle = 1
-
     def __init__(self, nic: RdmaNic):
         self.nic = nic
-        self.handle = ProtectionDomain._next_handle
-        ProtectionDomain._next_handle += 1
         self.mrs: List["MemoryRegion"] = []
 
     def reg_mr(self, buffer: Any) -> "MemoryRegion":
-        """Explicitly register one buffer; returns keys for I/O.
+        """Explicitly register one buffer.
 
         With a Demikernel memory manager in transparent mode this is
         unnecessary (regions are pre-registered); it exists to model the
@@ -46,18 +42,13 @@ class ProtectionDomain:
 
 
 class MemoryRegion:
-    """An explicitly registered memory range with local/remote keys."""
-
-    _next_key = 0x1000
+    """An explicitly registered memory range."""
 
     def __init__(self, pd: ProtectionDomain, buffer: Any):
         self.pd = pd
         self.buffer = buffer
         self.addr = buffer.addr
         self.length = buffer.capacity
-        self.lkey = MemoryRegion._next_key
-        self.rkey = MemoryRegion._next_key + 1
-        MemoryRegion._next_key += 2
         nic = pd.nic
         if not nic.iommu.covers(self.addr, self.length):
             self._handle = nic.iommu.map(self.addr, self.length)
@@ -77,13 +68,16 @@ class MemoryRegion:
 class QueuePair:
     """A reliable-connected QP bound to a protection domain."""
 
-    def __init__(self, pd: ProtectionDomain,
-                 send_cq: Optional[HwCq] = None,
-                 recv_cq: Optional[HwCq] = None):
+    def __init__(self, pd: ProtectionDomain):
         self.pd = pd
         self.nic = pd.nic
-        self.hw: HwQp = self.nic.create_qp(send_cq, recv_cq)
+        self.hw: HwQp = self.nic.create_qp()
         self._next_wr = 1
+        #: wr_id -> send CQE polled on another waiter's turn, kept for
+        #: its own: the QP is the one reaper of its send CQ, however many
+        #: processes (push drivers, a heartbeat and a commit publisher)
+        #: await completions on it
+        self._parked_cqes = {}
 
     # -- state -------------------------------------------------------------
     @property
@@ -144,6 +138,20 @@ class QueuePair:
         return wr
 
     # -- completion helpers ---------------------------------------------------
+    def wait_send_cqe(self, wr: int) -> Generator:
+        """Sim-coroutine: the send CQE of work request *wr*, leaving the
+        others polled on the way parked for their own waiters."""
+        parked = self._parked_cqes
+        send_cq = self.hw.send_cq
+        while wr not in parked:
+            cqes = send_cq.poll(16)
+            if not cqes:
+                yield send_cq.signal()
+                continue
+            for cqe in cqes:
+                parked[cqe["wr_id"]] = cqe
+        return parked.pop(wr)
+
     def wait_send_completion(self) -> Generator:
         """Sim-coroutine: poll the send CQ until one CQE arrives."""
         while True:

@@ -27,7 +27,7 @@ rejects it (``tests/property`` truncates at every byte offset to prove
 it).  The *remote* :class:`RingConsumer` RDMA-READs the expected slot;
 on a decode it consumes and periodically writes its cursor back for
 producer flow control.  An empty poll there costs a round trip - the
-honest price of disaggregation - so it backs off ``poll_interval_ns``
+honest price of disaggregation - so it backs off ``POLL_INTERVAL_NS``
 between misses.  :class:`LocalRingConsumer` reads a ring in its own
 host's arena: its core spins on its own memory, which the simulator
 models the way it models every poll-mode reader (a NIC's RX ring, a
@@ -46,7 +46,7 @@ from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
 from ..rdma.verbs import QueuePair
 from ..telemetry import names
 
-__all__ = ["RemoteRing", "RingProducer", "RingConsumer",
+__all__ = ["RemoteRing", "OneSided", "RingProducer", "RingConsumer",
            "LocalRingConsumer", "RmemQueue", "RING_HEADER_BYTES",
            "SLOT_HEADER", "RECORD_STAMP", "RECORD_MAGIC",
            "encode_record", "decode_record"]
@@ -57,7 +57,7 @@ RECORD_STAMP = struct.Struct("!Q")  # trailing commit marker: seq ^ MAGIC
 #: contain the raw sequence number cannot fake a commit marker
 RECORD_MAGIC = 0x5EA1ED5EA1ED5EA1
 RING_HEADER_BYTES = 16
-DEFAULT_POLL_INTERVAL_NS = 3000
+POLL_INTERVAL_NS = 3000
 
 
 def encode_record(seq: int, payload: bytes) -> bytes:
@@ -126,36 +126,27 @@ class RemoteRing:
         return RemoteRing(arena.addr, slot_size, n_slots)
 
 
-class _OneSided:
-    """Shared helper: issue one verbs op and wait for its completion."""
+class OneSided:
+    """Issue one one-sided verbs op and wait for its completion.  Any
+    number of these may share a QP: the parked CQEs are the QP's."""
 
     def __init__(self, qp: QueuePair):
         self.qp = qp
         self.mm = qp.nic.host.mm
         self.sim = qp.nic.sim
-        self._pending = {}
-
-    def _await_wr(self, wr: int) -> Generator:
-        while wr not in self._pending:
-            cqes = self.qp.send_cq.poll(16)
-            if not cqes:
-                yield self.qp.send_cq.signal()
-                continue
-            for cqe in cqes:
-                self._pending[cqe["wr_id"]] = cqe
-        cqe = self._pending.pop(wr)
-        if cqe["status"] != "ok":
-            raise DemiError("one-sided op failed: %s" % cqe["status"])
-        return cqe
 
     def write(self, raddr: int, payload: bytes) -> Generator:
         wr = self.qp.post_write(payload, raddr)
-        yield from self._await_wr(wr)
+        cqe = yield from self.qp.wait_send_cqe(wr)
+        if cqe["status"] != "ok":
+            raise DemiError("one-sided op failed: %s" % cqe["status"])
 
     def read(self, raddr: int, length: int) -> Generator:
         landing = self.mm.alloc(length)
         wr = self.qp.post_read(raddr, length, landing)
-        yield from self._await_wr(wr)
+        cqe = yield from self.qp.wait_send_cqe(wr)
+        if cqe["status"] != "ok":
+            raise DemiError("one-sided op failed: %s" % cqe["status"])
         data = landing.read(0, length)
         self.mm.free(landing)
         return data
@@ -166,13 +157,12 @@ class RingProducer:
 
     def __init__(self, qp: QueuePair, ring: RemoteRing):
         self.ring = ring
-        self.ops = _OneSided(qp)
+        self.ops = OneSided(qp)
         self.next_seq = 1
         self._cached_consumed = 0
         self.full_stalls = 0
 
-    def push(self, payload: bytes,
-             poll_interval_ns: int = DEFAULT_POLL_INTERVAL_NS) -> Generator:
+    def push(self, payload: bytes) -> Generator:
         """Sim-coroutine: write one element; blocks while the ring is full."""
         ring = self.ring
         if len(payload) > ring.max_payload:
@@ -184,7 +174,7 @@ class RingProducer:
             (self._cached_consumed,) = struct.unpack("!Q", cursor_raw)
             if self.next_seq - self._cached_consumed > ring.n_slots:
                 self.full_stalls += 1
-                yield self.ops.sim.timeout(poll_interval_ns)
+                yield self.ops.sim.timeout(POLL_INTERVAL_NS)
         slot = encode_record(self.next_seq, payload)
         yield from self.ops.write(ring.slot_addr(self.next_seq), slot)
         self.next_seq += 1
@@ -195,11 +185,9 @@ class RingConsumer:
 
     CURSOR_EVERY = 4
 
-    def __init__(self, qp: QueuePair, ring: RemoteRing,
-                 poll_interval_ns: int = DEFAULT_POLL_INTERVAL_NS):
+    def __init__(self, qp: QueuePair, ring: RemoteRing):
         self.ring = ring
-        self.ops = _OneSided(qp)
-        self.poll_interval_ns = poll_interval_ns
+        self.ops = OneSided(qp)
         self.next_seq = 1
         self._since_cursor_update = 0
         self.empty_polls = 0
@@ -214,7 +202,7 @@ class RingConsumer:
             if payload is not None:
                 break
             self.empty_polls += 1
-            yield self.ops.sim.timeout(self.poll_interval_ns)
+            yield self.ops.sim.timeout(POLL_INTERVAL_NS)
         self.next_seq += 1
         self._since_cursor_update += 1
         if self._since_cursor_update >= self.CURSOR_EVERY:
@@ -312,15 +300,15 @@ class RmemQueue(DemiQueue):
         super().__init__(libos, qd)
         self.producer: Optional[RingProducer] = None
         self.consumer: Optional[RingConsumer] = None
-        self._pump_proc = None
 
     def attach_producer(self, producer: RingProducer) -> None:
         self.producer = producer
 
     def attach_consumer(self, consumer: RingConsumer) -> None:
         self.consumer = consumer
-        self._pump_proc = self.libos.sim.spawn(
-            self._consume_pump(), name="%s.q%d.rmem" % (self.libos.name, self.qd))
+        # Parked in consumer.pop()'s poll loop, which never looks at
+        # ``closed``: only reap() (close, or the owner's crash) ends it.
+        self._spawn_pump(self._consume_pump(), "rmem")
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         if self.producer is None:
@@ -339,14 +327,21 @@ class RmemQueue(DemiQueue):
         self.libos.count(names.RMEM_TX_ELEMENTS)
         self._complete(token, QResult(OP_PUSH, self.qd, nbytes=sga.nbytes))
 
+    def crash_abort(self, counters) -> None:
+        """The owner died: destroy the QPs under both ends, so a READ in
+        flight cannot land in a buffer ``free_all`` took back - the pump
+        first, or it would wake to the flush CQE as to a failed read."""
+        self.reap()
+        for end in (self.producer, self.consumer):
+            if end is not None:
+                end.ops.qp.destroy()
+                counters.count(names.RECLAIM_QPS_DESTROYED)
+
     def _consume_pump(self) -> Generator:
         while not self.closed:
             payload = yield from self.consumer.pop()
-            buf = self.libos.mm.alloc(max(1, len(payload)))
-            buf.write(0, payload)
-            self.libos.count(names.RMEM_RX_ELEMENTS)
             while not self.has_room() and not self.closed:
                 yield self.space_wq.wait()
             if self.closed:
                 return
-            self.deliver(Sga.from_buffer(buf, len(payload)))
+            self.deliver_payload(payload, names.RMEM_RX_ELEMENTS)

@@ -103,7 +103,7 @@ class World:
 class NetHost:
     """A host with a DPDK NIC, a user-level NetStack, and an RX poll loop."""
 
-    def __init__(self, world: World, name: str, ip: str, user_costs: bool = True):
+    def __init__(self, world: World, name: str, ip: str):
         from .netstack.stack import NetStack
 
         self.world = world
@@ -121,8 +121,8 @@ class NetHost:
             send_frame=lambda dst, raw: self.nic.post_tx(dst, raw),
             tracer=world.tracer,
             charge=self.host.cpu.charge_async,
-            tx_cost_ns=costs.user_net_tx_ns if user_costs else costs.kernel_net_tx_ns,
-            rx_cost_ns=costs.user_net_rx_ns if user_costs else costs.kernel_net_rx_ns,
+            tx_cost_ns=costs.user_net_tx_ns,
+            rx_cost_ns=costs.user_net_rx_ns,
         )
         world.sim.spawn(self._poll_loop(), name="%s.rxpoll" % name)
 

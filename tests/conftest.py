@@ -15,6 +15,19 @@ from repro.testbed import (  # noqa: F401 - re-exported for test modules
 )
 
 
+def record_spawns(sim):
+    """Every process *sim* spawns from now on, appended to the list this
+    returns (teardown tests ask of each: are you still alive?)."""
+    spawned, spawn = [], sim.spawn
+
+    def recording_spawn(gen, name=""):
+        spawned.append(spawn(gen, name))
+        return spawned[-1]
+
+    sim.spawn = recording_spawn
+    return spawned
+
+
 @pytest.fixture
 def world():
     return World()

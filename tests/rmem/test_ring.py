@@ -364,3 +364,31 @@ class TestRmemQueueApi:
         p = w.sim.spawn(proc())
         w.sim.run_until_complete(p, limit=10**12)
         assert p.value == "no producer attached"
+
+    @pytest.mark.parametrize("how", ["close", "owner-crash"])
+    def test_consumer_pump_stops_with_the_queue(self, how):
+        # The pump sits inside RingConsumer.pop()'s poll loop, which never
+        # looks at ``closed``: unless the queue reaps it, a closed queue
+        # - or a dead process's - goes on RDMA-READing the ring forever.
+        from repro.core.api import LibOS
+        from repro.kernelos.reclaim import reclaim_process
+        from ..conftest import record_spawns
+        w, _producer, consumer, _memnode = make_rmem_world()
+        libos = LibOS(w.hosts["consumer"], "cons")
+        queue = libos._queues[200] = RmemQueue(libos, 200)
+        spawned = record_spawns(w.sim)
+        queue.attach_consumer(consumer)
+        (pump,) = spawned
+        w.run(until=100_000)
+        assert pump.alive and consumer.empty_polls > 0
+
+        if how == "close":
+            closer = w.sim.spawn(libos.close(200))
+            w.sim.run_until_complete(closer, limit=10**9)
+        else:
+            reclaim_process(libos)
+        w.run(until=w.sim.now + 10_000)  # let a read in flight land
+        polls = consumer.empty_polls
+        w.run(until=w.sim.now + 1_000_000)
+        assert not pump.alive
+        assert consumer.empty_polls == polls
