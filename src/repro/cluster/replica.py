@@ -6,16 +6,20 @@ function the single-host shards use (:func:`~repro.apps.steering.
 key_partition`), so per-host RSS sharding and cross-host placement
 compose.  Each key range is a *chain*: a rotation of the node list,
 ``replication`` members long.  Writes enter at the head, which assigns a
-dense per-chain sequence number, applies locally, and forwards the entry
+dense per-chain sequence number, *logs* the entry and forwards it
 downstream by RDMA-WRITING a torn-write-proof record
 (:mod:`repro.rmem.ring`) into the successor's replication log - the
 successor's CPU, spinning on its own memory, sees the record as the
 write lands (it parks on the arena's
 :meth:`~repro.memory.manager.MemoryManager.watch` queue: no poll
-interval), applies, and forwards again.  The
+interval), logs it, and forwards again.  Log, forward, apply - in that
+order: a member's log is what it has *received*, and one applier per
+chain per node works through it behind the forwarder, so the applies of
+a chain overlap instead of queueing up on every PUT's path.  The
 tail's apply is the *commit point*: committed sequence numbers flow back
 upstream through one-sided writes into each predecessor's commit cell,
-and only then does the head acknowledge the client.  An acknowledged
+a member counts an entry committed once it has heard that *and* applied
+it, and only then does the head acknowledge the client.  An acknowledged
 write therefore exists on every live replica, and reads served at the
 tail are linearizable per key.
 
@@ -28,8 +32,9 @@ expiring.  Either way the survivor reports the death to the
 :class:`ClusterDirectory`, which bumps the membership epoch and tells
 every live node to *reconfigure*: stale links are torn down, the chain
 is spliced around the dead node (the new upstream replays its log
-suffix into the new downstream - replicas are never left behind), and a
-new tail declares everything it has applied committed.  Clients route
+suffix into the new downstream, from what that has logged - replicas are
+never left behind), and a new tail declares everything it has applied
+committed.  Clients route
 via the directory and retry with seeded backoff
 (:class:`~repro.cluster.client.ReplicatedKvClient`); a replica that is
 not the right head/tail for a key answers :data:`STATUS_MOVED` so a
@@ -88,7 +93,7 @@ _U64 = struct.Struct("!Q")
 _ENTRY = struct.Struct("!QH")   # seq, klen (value length-prefixed after key)
 #: chain_id, epoch, commit-cell addr, hb-cell addr, sender-name length
 _SYNC_REQ = struct.Struct("!IIQQH")
-#: ring base, slot_size, n_slots, receiver's applied seq, hb-cell addr
+#: ring base, slot_size, n_slots, receiver's logged seq, hb-cell addr
 _SYNC_RESP = struct.Struct("!QIIQQ")
 _HANDSHAKE_BYTES = 256
 
@@ -177,14 +182,25 @@ class _Chain:
 
     def __init__(self, chain_id: int, sim, owner: str):
         self.chain_id = chain_id
-        #: highest seq applied to the local engine (log is dense: entry
-        #: for seq s lives at ``log[s - 1]``)
+        #: every entry this member has received, (key, value) by seq - 1:
+        #: dense, never trimmed, and ``len(log)`` is the highest seq logged
+        self.log: List[tuple] = []
+        #: highest seq applied to the local engine; the chain's applier
+        #: is its only writer
         self.applied = 0
-        #: highest seq known committed (applied at the tail)
+        #: highest commit watermark heard (the successor's cell; at the
+        #: tail, its own ``applied``) - it can run ahead of ``applied``
+        self.heard = 0
+        #: highest seq known committed: ``min(heard, applied)``, so
+        #: ``committed <= applied <= len(log)`` at every instant
         self.committed = 0
-        self.log: List[tuple] = []   # (key, value) by seq - 1
+        #: a tail serves no read before it has applied this much: what it
+        #: had logged when the membership last changed (see
+        #: :meth:`ReplicaNode.schedule_reconfigure`)
+        self.read_floor = 0
         self.commit_wq = WaitQueue(sim, "%s.c%d.commit" % (owner, chain_id))
         self.fwd_wq = WaitQueue(sim, "%s.c%d.fwd" % (owner, chain_id))
+        self.apply_wq = WaitQueue(sim, "%s.c%d.apply" % (owner, chain_id))
         self.down: Optional[_DownLink] = None
         self.up: Optional[_UpLink] = None
 
@@ -245,6 +261,9 @@ class ReplicaNode:
         self.chains: Dict[int, _Chain] = {}
         self.crashed = False
         self._procs: List = []
+        #: every raw replication QP this node connected or accepted, from
+        #: the instant it had it - a handshake's is in no link yet
+        self._qps: List[QueuePair] = []
         self._repl_listener = None
         self._reconfig_dirty = False
         self._reconfig_proc = None
@@ -256,7 +275,12 @@ class ReplicaNode:
         # recruits it as a new tail (replication < cluster size), the
         # upstream's sync must find a chain to replay into.
         for chain_id in range(self.directory.n_chains):
-            self.chains[chain_id] = _Chain(chain_id, self.sim, self.name)
+            chain = self.chains[chain_id] = _Chain(chain_id, self.sim,
+                                                   self.name)
+            # As old as the node and in no link's procs: a re-link ends
+            # the pump that logged an entry, never the applier that owes
+            # it to the engine.
+            self._spawn(self._applier(chain), "c%d.apply" % chain_id)
         self._spawn(self._repl_acceptor(), "repl.accept")
         self._spawn(self._client_plane(), "kv.serve")
         self.schedule_reconfigure()
@@ -269,7 +293,8 @@ class ReplicaNode:
     def crash(self, report_to: Optional[list] = None) -> Generator:
         """Sim-coroutine: die abruptly and let the kernel reclaim.
 
-        Raw replication QPs and the rendezvous listener are not in the
+        Raw replication QPs - a link's, or a SYNC handshake's that is
+        in no link yet - and the rendezvous listener are not in the
         libOS qd table, so they are severed here first (stopping the NIC
         from landing one-sided writes into soon-to-be-freed memory and
         making peers' writes fail fast); then the ordinary
@@ -284,11 +309,9 @@ class ReplicaNode:
         if self._repl_listener is not None:
             self._repl_listener.close()
             self._repl_listener = None
-        for chain_id in sorted(self.chains):
-            chain = self.chains[chain_id]
-            for link in (chain.down, chain.up):
-                if link is not None:
-                    link.qp.destroy()
+        for qp in self._qps:
+            qp.destroy()
+        for chain in self.chains.values():
             chain.down = None
             chain.up = None
         report = yield from crash_teardown(self.libos, None,
@@ -313,6 +336,14 @@ class ReplicaNode:
 
     # -- reconfiguration (initial wiring + failover splices) ---------------
     def schedule_reconfigure(self) -> None:
+        """The membership changed (the directory calls this in the same
+        instant), or the node starts."""
+        # A member promoted to tail has logged everything the old tail
+        # can have applied and served, but its own applier may still owe
+        # the engine some of it: no read until it has caught up to here.
+        for chain_id, chain in self.chains.items():
+            if self._is_tail(chain_id):
+                chain.read_floor = len(chain.log)
         self._reconfig_dirty = True
         if self._reconfig_proc is None or not self._reconfig_proc.alive:
             self._reconfig_proc = self._spawn(self._reconfigure_loop(),
@@ -372,7 +403,7 @@ class ReplicaNode:
             budget_ns=3_000_000, op="%s sync chain %d -> %s"
             % (self.name, chain.chain_id, peer))
         chain.down = link
-        replay = chain.applied - link.sent_seq
+        replay = len(chain.log) - link.sent_seq
         if replay > 0:
             self.counters.count(names.REPL_ENTRIES_REPLAYED, replay)
         link.procs = [
@@ -390,6 +421,7 @@ class ReplicaNode:
         """One sync attempt: connect, exchange SYNC, build the producer."""
         qp = yield from self.cm.connect(
             self.nic, self.directory.addr_of(peer), REPL_PORT)
+        self._qps.append(qp)
         commit_cell = self.mm.alloc(8)
         commit_cell.write(0, _U64.pack(0))
         hb_cell = self.mm.alloc(8)
@@ -409,21 +441,26 @@ class ReplicaNode:
                 raise DemiError("sync recv failed: %s" % cqe["status"])
             buf = cqe["buffer"]
             (ring_base, slot_size, n_slots,
-             peer_applied, peer_hb_addr) = _SYNC_RESP.unpack(
+             peer_logged, peer_hb_addr) = _SYNC_RESP.unpack(
                 buf.read(0, _SYNC_RESP.size))
             self.mm.free(buf)
         except BaseException:
             qp.destroy()
-            self.mm.free(commit_cell)
-            self.mm.free(hb_cell)
-            if not recv_buf.freed:
-                self.mm.free(recv_buf)
+            # An interrupt is delivered a turn after crash() ran: by then
+            # the kernel has reclaimed every buffer of this process.
+            if not self.crashed:
+                self.mm.free(commit_cell)
+                self.mm.free(hb_cell)
+                if not recv_buf.freed:
+                    self.mm.free(recv_buf)
             raise
         ring = RemoteRing(ring_base, slot_size, n_slots)
         producer = RingProducer(qp, ring)
+        # Resume from what the successor has *logged*: its applier owes
+        # its engine the rest whatever happens to this link.
         return _DownLink(peer, qp, producer, commit_cell, hb_cell,
-                         peer_hb_addr, sent_seq=min(peer_applied,
-                                                    chain.applied))
+                         peer_hb_addr, sent_seq=min(peer_logged,
+                                                    len(chain.log)))
 
     def _teardown_down(self, chain: _Chain) -> None:
         link = chain.down
@@ -439,10 +476,10 @@ class ReplicaNode:
 
     def _forwarder(self, chain: _Chain, link: _DownLink) -> Generator:
         """The single writer of this link's ring: ships the log suffix
-        (replay after a splice) then follows new applies."""
+        (replay after a splice) then follows the log as it grows."""
         try:
             while True:
-                while link.sent_seq < chain.applied:
+                while link.sent_seq < len(chain.log):
                     seq = link.sent_seq + 1
                     key, value = chain.log[seq - 1]
                     yield from link.producer.push(encode_entry(seq, key,
@@ -459,9 +496,8 @@ class ReplicaNode:
         woken by each write into it, like a ring consumer."""
         written = self.mm.watch(link.commit_cell)
         while True:
-            (committed,) = _U64.unpack(link.commit_cell.read(0, 8))
-            if committed > chain.committed:
-                self._advance_commit(chain, committed)
+            (heard,) = _U64.unpack(link.commit_cell.read(0, 8))
+            self._advance_commit(chain, heard)
             yield written.wait()
 
     # -- upstream link (predecessor produces into our arena) ----------------
@@ -472,6 +508,9 @@ class ReplicaNode:
                 qp = yield from self._repl_listener.accept()
             except VerbsError:
                 return
+            # From here, not from the handler's first step a turn later:
+            # a crash in between must find the QP.
+            self._qps.append(qp)
             self._spawn(self._handle_sync(qp), "repl.sync")
 
     def _handle_sync(self, qp: QueuePair) -> Generator:
@@ -499,7 +538,7 @@ class ReplicaNode:
         hb_cell = self.mm.alloc(8)
         hb_cell.write(0, _U64.pack(0))
         qp.post_send(_SYNC_RESP.pack(ring.base_addr, SLOT_SIZE, N_SLOTS,
-                                     chain.applied, hb_cell.addr))
+                                     len(chain.log), hb_cell.addr))
         cqe = yield from qp.wait_send_completion()
         if cqe["status"] != "ok":
             qp.destroy()
@@ -535,20 +574,37 @@ class ReplicaNode:
         self.mm.free(link.hb_cell)
 
     def _pump(self, chain: _Chain, link: _UpLink) -> Generator:
-        """Applies entries the predecessor lands in our replication log."""
+        """Logs the entries the predecessor lands in our ring."""
         while True:
             payload = yield from link.consumer.pop()
             seq, key, value = decode_entry(payload)
-            if seq != chain.applied + 1:
-                continue   # a replayed duplicate from a fresh link
-            yield self.libos.core.busy(self.engine.service_cost("set"))
-            self.engine.put(key, value)
-            chain.applied = seq
-            chain.log.append((key, value))
-            self.counters.count(names.REPL_ENTRIES_APPLIED)
-            chain.fwd_wq.pulse()
-            if self._is_tail(chain.chain_id):
-                self._advance_commit(chain, seq)
+            if seq == len(chain.log) + 1:   # else a replayed duplicate
+                self._log(chain, key, value)
+
+    def _log(self, chain: _Chain, key: bytes, value: bytes) -> int:
+        """Append one received entry; forwarding and applying follow, in
+        processes of their own.  Returns its seq."""
+        chain.log.append((key, value))
+        chain.fwd_wq.pulse()
+        chain.apply_wq.pulse()
+        return len(chain.log)
+
+    def _applier(self, chain: _Chain) -> Generator:
+        """The one writer of ``chain.applied`` and of this chain's keys in
+        the engine: works through the log, re-evaluating the commit after
+        every entry (a watermark may have been heard before it)."""
+        while True:
+            while chain.applied < len(chain.log):
+                key, value = chain.log[chain.applied]
+                yield self.libos.core.busy(self.engine.service_cost("set"))
+                self.engine.put(key, value)
+                chain.applied += 1
+                self.counters.count(names.REPL_ENTRIES_APPLIED)
+                # The tail's apply is the commit point: it hears itself.
+                self._advance_commit(
+                    chain, chain.applied if self._is_tail(chain.chain_id)
+                    else 0)
+            yield chain.apply_wq.wait()
 
     def _commit_publisher(self, chain: _Chain, link: _UpLink) -> Generator:
         """Pushes our committed watermark into the predecessor's cell."""
@@ -593,21 +649,15 @@ class ReplicaNode:
             last = beat
 
     # -- the write path ------------------------------------------------------
-    def _apply_local(self, chain: _Chain, key: bytes, value: bytes) -> int:
-        seq = chain.applied + 1
-        self.engine.put(key, value)
-        chain.applied = seq
-        chain.log.append((key, value))
-        self.counters.count(names.REPL_ENTRIES_APPLIED)
-        chain.fwd_wq.pulse()
-        if self._is_tail(chain.chain_id):
-            self._advance_commit(chain, seq)
-        return seq
-
-    def _advance_commit(self, chain: _Chain, seq: int) -> None:
-        seq = min(seq, chain.applied)
-        if seq > chain.committed:
-            chain.committed = seq
+    def _advance_commit(self, chain: _Chain, heard: int) -> None:
+        """Remember the watermark *heard* and commit what is both heard
+        and applied.  Clamping and forgetting it would leave a PUT whose
+        commit beat this member's own apply waiting for the next one."""
+        if heard > chain.heard:
+            chain.heard = heard
+        committed = min(chain.heard, chain.applied)
+        if committed > chain.committed:
+            chain.committed = committed
             chain.commit_wq.pulse()
 
     def _wait_committed(self, chain: _Chain, seq: int) -> Generator:
@@ -667,14 +717,14 @@ class ReplicaNode:
         reply: Optional[bytes] = None
         if req.op == "set":
             if chain is not None and self._is_head(chain_id):
-                yield libos.core.busy(self.engine.service_cost(req.op))
-                seq = self._apply_local(chain, req.key, req.value)
+                seq = self._log(chain, req.key, req.value)
                 committed = yield from self._wait_committed(chain, seq)
                 if committed:
                     self.counters.count(names.REPL_WRITES_ACKED)
                     reply = codec.encode(Response(ST_STORED))
         else:
-            if chain is not None and self._is_tail(chain_id):
+            if (chain is not None and self._is_tail(chain_id)
+                    and chain.applied >= chain.read_floor):
                 yield libos.core.busy(self.engine.service_cost(req.op))
                 buf = self.engine.get(req.key)
                 if buf is None:

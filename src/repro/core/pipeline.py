@@ -155,6 +155,9 @@ class _DerivedQueue(DemiQueue):
 
     def _push_guard(self, sga: Sga, token: QToken) -> Generator:
         """A raising element function must still complete the push token."""
+        if self.closed:  # died in the instant it pushed: no user code after
+            self._complete(token, QResult(OP_PUSH, self.qd, error="closed"))
+            return
         try:
             yield from self._push_driver(sga, token)
         except Exception as exc:

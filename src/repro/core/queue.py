@@ -50,7 +50,16 @@ class DemiQueue:
 
     # -- the two operations, called by the LibOS ------------------------------
     def push_sga(self, sga: Sga, token: QToken) -> None:
-        """Start an asynchronous push; complete *token* when done."""
+        """Start an asynchronous push; complete *token* when done.
+
+        A kind that spawns a driver process per operation: the driver
+        takes its first step a turn later and is in no pump list, so if
+        the owner dies in the instant it issued the operation nothing
+        interrupts it.  Kernel reclaim closes every queue before it frees
+        any buffer, so a driver looks at ``closed`` before it touches the
+        element, retires its token and stops
+        (``tests/core/test_queue_kinds.py`` kills every kind that way).
+        """
         raise NotImplementedError
 
     def pop_sga(self, token: QToken) -> None:

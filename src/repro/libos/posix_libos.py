@@ -45,6 +45,9 @@ class PosixTcpQueue(DemiQueue):
 
     def _push_driver(self, sga: Sga, token: QToken) -> Generator:
         libos = self.libos
+        if self.closed:  # died in the instant it pushed: the element is gone
+            self._complete(token, QResult(OP_PUSH, self.qd, error="closed"))
+            return
         # The POSIX path cannot avoid the copy: send() copies the gathered
         # element into the kernel socket buffer.
         payload = sga.tobytes()

@@ -80,6 +80,9 @@ class RdmaQueue(DemiQueue):
 
     def _push_driver(self, sga: Sga, token: QToken) -> Generator:
         libos = self.libos
+        if self.closed:  # died in the instant it pushed: the element is gone
+            self._complete(token, QResult(OP_PUSH, self.qd, error="closed"))
+            return
         payload = sga.tobytes()
         if len(payload) > MAX_ELEMENT:
             libos.qtokens.complete(token, QResult(

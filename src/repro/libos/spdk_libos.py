@@ -61,6 +61,9 @@ class FileQueue(DemiQueue):
     # -- datapath drivers -----------------------------------------------------
     def _append_driver(self, sga: Sga, token: QToken) -> Generator:
         libos = self.libos
+        if self.closed:  # died in the instant it pushed: the element is gone
+            self._complete(token, QResult(OP_PUSH, self.qd, error="closed"))
+            return
         payload = sga.tobytes()
         sga.hold_all()
         try:
@@ -87,6 +90,9 @@ class FileQueue(DemiQueue):
 
     def _read_driver(self, record_id: int, token: QToken) -> Generator:
         libos = self.libos
+        if self.closed:  # a buffer allocated now would outlive the reclaim
+            self._complete(token, QResult(OP_POP, self.qd, error="closed"))
+            return
         try:
             payload = yield from self.store.read(record_id)
         except Exception as err:

@@ -319,6 +319,9 @@ class RmemQueue(DemiQueue):
                              name="%s.q%d.rpush" % (self.libos.name, self.qd))
 
     def _push_driver(self, sga: Sga, token: QToken) -> Generator:
+        if self.closed:  # died in the instant it pushed: the element is gone
+            self._complete(token, QResult(OP_PUSH, self.qd, error="closed"))
+            return
         try:
             yield from self.producer.push(sga.tobytes())
         except DemiError as err:

@@ -971,9 +971,11 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
     Checked, beyond the usual libOS/DMA/reclaim invariants: **no
     acknowledged write is lost** and every read is linearizable per key
     (the :class:`_KeyTracker` model), the survivors converge (equal
-    ``applied``, ``committed == applied``), no pump was woken for nothing
-    (``empty_polls``, the ring's ``wasted_wakeups``) and the failover
-    actually happened (directory epoch bumped, chain spliced).
+    ``applied``, ``committed == applied == len(log)`` - no entry logged
+    and stranded), no pump was woken for nothing (``empty_polls``, the
+    ring's ``wasted_wakeups``) and the failover actually happened
+    (directory epoch bumped; chain spliced, if the victim ever held a
+    link to splice around).
     """
     nodes, tracer = run.tier, run.world.tracer
     directory = nodes[0].directory
@@ -1000,17 +1002,21 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
     survivors = [n for n in nodes if not n.crashed]
     for chain_id in range(directory.n_chains):
         states = [(n.name, n.chains[chain_id].applied,
-                   n.chains[chain_id].committed) for n in survivors
-                  if chain_id in n.chains
+                   n.chains[chain_id].committed, len(n.chains[chain_id].log))
+                  for n in survivors if chain_id in n.chains
                   and n.name in directory.chain_members(chain_id)]
-        if len({applied for _, applied, _ in states}) > 1:
+        if len({applied for _, applied, _, _ in states}) > 1:
             run.failures.append("chain %d diverged after failover: %s"
                                 % (chain_id, states))
-        for node_name, applied, committed in states:
+        for node_name, applied, committed, logged in states:
             if committed != applied:
                 run.failures.append(
                     "chain %d on %s left %d applied entries uncommitted"
                     % (chain_id, node_name, applied - committed))
+            if applied != logged:
+                run.failures.append(
+                    "chain %d on %s left %d logged entries unapplied"
+                    % (chain_id, node_name, logged - applied))
     # -- a pump is woken by the write that lands its record, only -----------
     for node in survivors:
         for chain_id, chain in sorted(node.chains.items()):
@@ -1026,7 +1032,11 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
     if dead and not failovers:
         run.failures.append(
             "a replica died but the directory never failed over")
-    if dead and not splices:
+    # A splice is owed only around a victim that held a link: one that
+    # completed a heartbeat had a peer on the other end of it.
+    linked = any(tracer.get("%s.%s" % (n.name, names.REPL_HEARTBEATS))
+                 for n in dead)
+    if linked and not splices:
         run.failures.append(
             "a replica died but no survivor spliced the chain")
     if not acked:

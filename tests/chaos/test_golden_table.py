@@ -42,10 +42,10 @@ SIGNATURES = {
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
     ("link-flap", "dpdk"): "ef07eae4d84cfdc0e52b7377bfa1b312943d590c",
     ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",
-    ("replica-crash-head", "rdma"): "dc2bc76869b009a1d5e98ecef87a3b12a0ac49dc",
+    ("replica-crash-head", "rdma"): "5568aa81cd558b96b5a217adf98dce7a07dcf311",
     ("replica-crash-middle", "rdma"):
-        "a8df4aa024c505e56bdc23777d6c4be77c074e31",
-    ("replica-crash-tail", "rdma"): "76fc79da1734f70166824a06019f33a13a943288",
+        "be6aa215c90dc54cc928b1dfaa7bf58801eed396",
+    ("replica-crash-tail", "rdma"): "5866e717bea42dadf995c165336500917e4a571c",
 }
 
 

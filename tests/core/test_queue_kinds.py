@@ -2,8 +2,12 @@
 
 Two tables.  *Teardown*: every concrete ``DemiQueue`` subclass in
 ``src/`` is built live (connected, listening, pumping), its owner is
-crashed, and nothing the queue spawned may outlive it - a new kind that
-forgets ``crash_abort`` / ``reap`` fails here by construction.  *Misuse*:
+crashed - with a pop outstanding, and again with a push issued in the
+very instant it dies - and nothing the queue spawned may outlive it or
+run on its behalf after the reclaim: a new kind that forgets
+``crash_abort`` / ``reap``, or whose per-operation driver touches the
+element before it looks at ``closed``, fails here by construction.
+*Misuse*:
 every control call on every queue kind of every libOS works or refuses
 with a ``DemiError``, and a refusal leaves the qd table as it found it.
 """
@@ -19,8 +23,9 @@ from repro.core.api import LibOS
 from repro.core.queue import DemiQueue
 from repro.core.types import DemiError
 from repro.kernelos.reclaim import reclaim_process
-from repro.rmem.ring import RmemQueue
-from repro.testbed import World, make_rmem_world
+from repro.rdma.verbs import ProtectionDomain, QueuePair
+from repro.rmem.ring import RemoteRing, RingConsumer, RingProducer, RmemQueue
+from repro.testbed import World
 
 from ..conftest import (make_dpdk_libos_pair, make_posix_libos_pair,
                         make_rdma_libos_pair, make_spdk_libos, record_spawns)
@@ -73,12 +78,22 @@ def spdk_world():
 
 # -- teardown ---------------------------------------------------------------
 
+#: one entry per call of an element function: user code, which may not
+#: run once its process is dead
+USER_CODE_RAN = []
+
+
+def element_fn(sga):
+    USER_CODE_RAN.append(sga)
+    return sga
+
+
 def build_derived(operator):
     def build(libos, _addr):
         source = libos.queue()
         if operator == "merge":
             return libos.merge(source, libos.queue())
-        return getattr(libos, operator)(source, lambda sga: sga)
+        return getattr(libos, operator)(source, element_fn)
         yield  # pragma: no cover
     return plain_world, build
 
@@ -90,15 +105,36 @@ def build_udp(libos, _addr):
 
 
 def build_rmem():
-    w, _producer, consumer, _memnode = make_rmem_world()
-    return w, LibOS(w.hosts["consumer"], "cons"), consumer
+    """Both ends of one ring in a passive memory node, on one host."""
+    w = World()
+    owner, memnode = w.add_host("owner"), w.add_host("memnode")
+    nic, mem_nic = w.add_rdma(owner), w.add_rdma(memnode)
+
+    def connected_qp():
+        qp, far = (QueuePair(ProtectionDomain(nic)),
+                   QueuePair(ProtectionDomain(mem_nic)))
+        qp.connect(mem_nic.addr, far.hw.qpn)
+        far.connect(nic.addr, qp.hw.qpn)
+        return qp
+
+    ring = RemoteRing.allocate(memnode.mm, 4096, 16)
+    return w, LibOS(owner, "rmem"), (RingProducer(connected_qp(), ring),
+                                     RingConsumer(connected_qp(), ring))
 
 
-def attach_rmem(libos, consumer):
+def attach_rmem(libos, ends):
     queue = libos._install(RmemQueue)
-    queue.attach_consumer(consumer)
+    queue.attach_producer(ends[0])
+    queue.attach_consumer(ends[1])
     return queue.qd
     yield  # pragma: no cover
+
+
+def build_file(libos, _addr):
+    """A file that holds a record, so that a pop has something to read."""
+    qd = yield from libos.creat("/f")
+    yield from libos.blocking_push(qd, libos.sga_alloc(b"a record"))
+    return qd
 
 
 def build_memory(libos, _addr):
@@ -124,7 +160,7 @@ KINDS = {
     "rdma": (lambda: pair_world("rdma"), connected, 1),
     "rdma-listen": (lambda: pair_world("rdma"),
                     lambda libos, _addr: listening(libos, 81), 0),
-    "file": (spdk_world, lambda libos, _addr: libos.creat("/f"), 0),
+    "file": (spdk_world, build_file, 0),
     "rmem": (build_rmem, attach_rmem, 1),
 }
 
@@ -156,22 +192,39 @@ def queue_procs(spawned, libos):
             and owner(proc).libos is libos]
 
 
+def refused(libos, token) -> bool:
+    """The operation behind *token* completed at once, with an error."""
+    done = libos.qtokens.completion_of(token)
+    return done.triggered and done.value.error is not None
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_nothing_a_queue_spawned_outlives_its_owner(kind):
     make_world, build, n_procs = KINDS[kind]
-    w, libos, extra = make_world()
-    spawned = record_spawns(w.sim)
-    qd = run(w, build(libos, extra))
-    assert libos.queue_of(qd).kind == kind
-    w.run(until=w.sim.now + 50_000)
-    assert len(queue_procs(spawned, libos)) == n_procs
-    libos.pop(qd)  # the owner dies with an operation outstanding
+    # The owner dies with an operation outstanding: a pop, then (in a
+    # fresh world) a push it issued in the very instant it dies - whose
+    # driver, if the kind spawns one, has not taken its first step and is
+    # in no pump list.
+    for last_words in ("pop", "push"):
+        w, libos, extra = make_world()
+        spawned = record_spawns(w.sim)
+        qd = run(w, build(libos, extra))
+        assert libos.queue_of(qd).kind == kind
+        w.run(until=w.sim.now + 50_000)
+        assert len(queue_procs(spawned, libos)) == n_procs
+        if last_words == "pop":
+            libos.pop(qd)
+        elif refused(libos, libos.push(qd, libos.sga_alloc(b"last words"))):
+            continue  # nothing was spawned: a listener, an unaddressed udp
+        user_code_ran = len(USER_CODE_RAN)
 
-    reclaim_process(libos)
-    w.run(until=w.sim.now + 1_000_000)
-    assert queue_procs(spawned, libos) == []
-    assert libos.qtokens.in_flight == 0
-    assert not libos._queues
+        reclaim_process(libos)
+        w.run(until=w.sim.now + 1_000_000)  # a late driver raises out of here
+        assert queue_procs(spawned, libos) == []
+        assert libos.qtokens.in_flight == 0
+        assert not libos._queues
+        assert len(USER_CODE_RAN) == user_code_ran, last_words
+        assert libos.host.mm.live_buffer_count == 0, last_words
 
 
 # -- control-path misuse ------------------------------------------------------

@@ -1,0 +1,142 @@
+"""Crash-point enumeration: a replica may die at *any* instant.
+
+The ``replica-crash-*`` golden scenarios kill at one instant under three
+seeds.  A simulated run is a pure function of its seed and costs a
+fraction of a second, so here the kill is swept over **every distinct
+time the engine scheduled anything** inside a window of the
+``kv-replicated`` scenario, at each chain position: a fault-free dry run
+records the times (``Simulator._schedule_at`` wrapped in the test, as
+``tests/sim/test_call_budget.py`` counts events), then the same scenario
+runs under ``proc_crash("replica<i>", t)`` and ``proc_crash(..., t + 1)``
+for each - the plan's event is inserted before the workload's, so ``t``
+is "before everything at that instant" and ``t + 1`` "after it".  Every
+run must come back ``ok``: no acknowledged write lost, reads
+linearizable, survivors converged with ``committed == applied ==
+len(log)`` (no entry logged and stranded), the dead host reclaimed to
+zero buffers and zero IOMMU mappings, and no exception out of the
+simulator.  A failure prints the one-line repro, like the chaos
+battery's.
+
+Tier-1 sweeps two dense windows: the initial wiring (the rdmacm
+rendezvous and both SYNC handshakes) and one replicated PUT on warm
+connections, from issue to ack.  ``CRASH_POINTS_WINDOW_NS=60000:400000``
+(CI) sweeps that whole window instead, at the scenario's own size.
+
+Found by this sweep at its first run, on the commit before it existed
+(44 of 3 426 instants): a replica killed inside its SYNC handshake
+double-freed its cells and aborted the simulation; a QP in mid-handshake
+outlived its owner and the peer's next message DMA-faulted the dead
+host; a push issued in the instant its owner died read freed memory
+(docs/replication.md, docs/recovery.md).  One finding is recorded, not
+fixed: :data:`UNWATCHED_HEAD` below.
+"""
+
+import os
+
+import pytest
+
+from repro.cluster.client import ReplicatedKvClient
+from repro.sim.engine import Simulator
+from repro.sim.faults import FaultPlan
+from repro.testing import run_scenario, scenarios
+
+US = 1_000
+MS = 1_000_000
+
+SEED = 1201
+#: chain 0 over three nodes is [replica0, replica1, replica2]
+POSITIONS = ("replica0", "replica1", "replica2")
+
+#: ``lo:hi`` in ns widens the sweep to every instant of that window at
+#: the scenario's default size; unset, tier-1's two dense windows at a
+#: size that still holds one PUT on warm connections
+WINDOW = os.environ.get("CRASH_POINTS_WINDOW_NS")
+PARAMS = {} if WINDOW else {"n_clients": 1, "n_ops": 4,
+                            "settle_ns": 200 * US}
+#: the initial wiring ends when the last link is up, 64 769 ns in
+WIRING_NS = (0, 64_800)
+
+#: A head that dies before its successor's uplink is established (at
+#: 63 614 ns in this scenario) is never declared dead: no peer holds a
+#: lease on it yet and the client router's ``RetryBudgetExceeded`` reports
+#: nothing to the directory, so these two are what such a run says.
+#: Recorded under ROADMAP item 6 (ii); everything else - the reclaim, no
+#: exception - is required of those instants too.
+HEAD_WATCHED_FROM_NS = 63_614
+UNWATCHED_HEAD = {"a replica died but the directory never failed over",
+                  "no write was ever acknowledged - nothing was tested"}
+
+
+@pytest.fixture(autouse=True)
+def short_quiesce(monkeypatch):
+    """The driver drains 20 ms of heartbeats after the legs join - nine
+    tenths of a run's host time.  Every leg here ends with a settle and a
+    read-back well after the kill, so 2 ms (100 heartbeats, 13 leases, 20
+    teardown polls) drains as much as 20 would."""
+    monkeypatch.setattr(scenarios, "QUIESCE_NS", 2 * MS)
+
+
+def dry_run():
+    """``(every distinct time the engine scheduled, (issue, ack) of every
+    PUT)`` of the fault-free run."""
+    schedule_at, put = Simulator._schedule_at, ReplicatedKvClient.put
+    times, puts = set(), []
+
+    def recording_schedule_at(sim, when, fn, args=()):
+        times.add(when)
+        return schedule_at(sim, when, fn, args)
+
+    def recording_put(client, key, value):
+        issued = client.libos.sim.now
+        yield from put(client, key, value)
+        puts.append((issued, client.libos.sim.now))
+
+    Simulator._schedule_at = recording_schedule_at
+    ReplicatedKvClient.put = recording_put
+    try:
+        run_scenario("kv-replicated", "rdma", plan=FaultPlan(seed=SEED),
+                     **PARAMS).require_ok()
+    finally:
+        Simulator._schedule_at, ReplicatedKvClient.put = schedule_at, put
+    return sorted(times), sorted(puts)
+
+
+def instants():
+    times, puts = dry_run()
+    if WINDOW:
+        windows = [tuple(int(bound) for bound in WINDOW.split(":"))]
+    else:
+        # Each client's first PUT opens its connections (~170 us): the
+        # first quick one is the first on a warm path.
+        issued, acked = next(put for put in puts if put[1] - put[0] < 20 * US)
+        windows = [WIRING_NS, (issued, acked + 1)]
+    return [t for t in times if any(lo <= t < hi for lo, hi in windows)]
+
+
+def crash_at(host: str, at: int):
+    """The failures of the run that kills *host* at *at*, and its repro."""
+    plan = FaultPlan(seed=SEED).proc_crash(host, at)
+    try:
+        result = run_scenario("kv-replicated", "rdma", plan=plan, **PARAMS)
+    except Exception as err:  # out of the quiesce: the driver joins no leg
+        return (["%s out of the simulator: %s" % (type(err).__name__, err)],
+                "repro: scenario=kv-replicated kind=rdma seed=%d plan=%s"
+                % (SEED, plan.to_json()))
+    failures = set(result.failures)
+    if host == POSITIONS[0] and at < HEAD_WATCHED_FROM_NS:
+        failures -= UNWATCHED_HEAD
+    return sorted(failures), result.repro_line()
+
+
+def test_a_replica_may_die_at_any_instant():
+    times = instants()
+    assert len(times) >= 50, "the windows hold no PUT: %d" % len(times)
+    broken = []
+    for host in POSITIONS:
+        for at in (t + after for t in times for after in (0, 1)):
+            failures, repro = crash_at(host, at)
+            if failures:
+                broken.append("(%r, %d): %s\n    %s"
+                              % (host, at, "; ".join(failures), repro))
+    assert not broken, "%d of %d crash instants fail:\n%s" % (
+        len(broken), 2 * len(times) * len(POSITIONS), "\n".join(broken))
