@@ -17,13 +17,21 @@ only at flush time::
 Record ids are byte offsets into the log, so reads are O(1) block
 lookups.  ``mount()`` rebuilds the tail pointer by scanning until the
 first invalid header - the crash-recovery story of every log store.
+
+Reads keep the blocks their last device read brought in (the *read
+span*): a record whose blocks are all there costs no command, one that
+straddles out of it costs only the missing blocks.  It is one buffer,
+not a page cache - no second copy, no eviction policy - and it is
+dropped whenever it could lie: at every ``sync()`` (the partial head
+block is rewritten), at ``mount()``, and at any record that fails its
+checks, so a retry goes back to flash.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 from ..hw.nvme import NvmeDevice
 from ..sim.cpu import Core
@@ -34,6 +42,10 @@ __all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
 _MAGIC = 0x4C4F4752  # "LOGR"
 _HEADER = struct.Struct("!III")
 RECORD_HEADER_LEN = _HEADER.size
+
+_BAD_MAGIC = "bad magic at record %d"
+_TRUNCATED = "truncated record %d"
+_BAD_CHECKSUM = "checksum mismatch at record %d"
 
 
 class LogError(Exception):
@@ -60,6 +72,13 @@ class LogStore:
         #: in-memory copy of the last flushed partial block, so the next
         #: sync's read-modify-write needs no device read
         self._tail_block = b""
+        #: the read-side twin: the blocks the last device read brought
+        #: in, as (first_lba, bytes), so the records that share them need
+        #: no further command
+        self._read_span: Tuple[int, bytes] = (0, b"")
+        #: bumped at every drop, so a read that was in flight across one
+        #: does not install what it fetched before it
+        self._span_drops = 0
         self.records_appended = 0
         self.records_read = 0
 
@@ -117,6 +136,9 @@ class LogStore:
             self._tail_block = b""
         data.extend(b"\x00" * tail_pad)
         yield self.core.busy(self.costs.spdk_submit_ns)
+        # The write fills what a span over the old tail block holds as
+        # zero padding.
+        self._drop_read_span()
         yield self.nvme.submit_write(self._lba_of(start_offset), bytes(data))
         yield self.core.busy(self.costs.spdk_submit_ns)
         yield self.nvme.submit_flush()
@@ -134,45 +156,81 @@ class LogStore:
         if record_id >= self._buffer_base:
             local = record_id - self._buffer_base
             header = bytes(self._buffer[local:local + RECORD_HEADER_LEN])
-            magic, length, crc = _HEADER.unpack(header)
+            length = _HEADER.unpack(header)[1]
             payload = bytes(self._buffer[local + RECORD_HEADER_LEN:
                                          local + RECORD_HEADER_LEN + length])
             yield self.core.busy(self.costs.spdk_submit_ns // 4)
         else:
-            header_bytes, payload = yield from self._read_from_device(record_id)
-            magic, length, crc = _HEADER.unpack(header_bytes)
-        if magic != _MAGIC:
-            raise LogError("bad magic at record %d" % record_id)
-        if len(payload) != length:
-            raise LogError("truncated record %d" % record_id)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise LogError("checksum mismatch at record %d" % record_id)
+            header, payload = yield from self._read_from_device(record_id)
+        why = self._mismatch(header, payload)
+        if why:
+            raise LogError(why % record_id)
         self.records_read += 1
         return payload
 
     def _read_from_device(self, offset: int) -> Generator:
-        """Read header+payload blocks covering the record at *offset*."""
-        yield self.core.busy(self.costs.spdk_submit_ns)
+        """Header and payload of the flushed record at *offset*.
+
+        Served from the read span when it holds every block the record
+        covers: a quarter submission of CPU and no command, what
+        :meth:`read` charges for a record still in the write buffer.
+        Otherwise one submission reads the blocks the span is missing -
+        all of them, or those past the prefix it holds - and the record's
+        blocks become the span.  A read that raises installs nothing.
+        """
         first_lba = self._lba_of(offset)
-        within = offset % self.block_size
-        block = yield self.nvme.submit_read(first_lba, 1)
-        header = bytes(block[within:within + RECORD_HEADER_LEN])
-        if len(header) < RECORD_HEADER_LEN:
-            # Header straddles a block boundary.
-            nxt = yield self.nvme.submit_read(first_lba + 1, 1)
-            header += bytes(nxt[:RECORD_HEADER_LEN - len(header)])
-            block = block + nxt
-        _magic, length, _crc = _HEADER.unpack(header)
-        need = within + RECORD_HEADER_LEN + length
-        have = len(block)
-        if need > have:
-            more_blocks = (need - have + self.block_size - 1) // self.block_size
-            rest = yield self.nvme.submit_read(
-                first_lba + have // self.block_size, more_blocks)
-            block = block + rest
-        payload = bytes(block[within + RECORD_HEADER_LEN:
-                              within + RECORD_HEADER_LEN + length])
-        return header, payload
+        start = offset % self.block_size
+        body = start + RECORD_HEADER_LEN
+        span_lba, span = self._read_span
+        drops = self._span_drops
+        skip = (first_lba - span_lba) * self.block_size
+        held = span[skip:] if 0 <= skip < len(span) else b""
+        # Where the record ends, in bytes from the start of first_lba:
+        # known only once the whole header is in hand.
+        end = (body + _HEADER.unpack_from(held, start)[1]
+               if len(held) >= body else None)
+        if end is not None and len(held) >= end:
+            self.nvme.count(names.LOG_READ_SPAN_HITS)
+            yield self.core.busy(self.costs.spdk_submit_ns // 4)
+        else:
+            self.nvme.count(names.LOG_READ_SPAN_MISSES)
+            yield self.core.busy(self.costs.spdk_submit_ns)
+            held = yield from self._cover(first_lba, held, body)
+            end = body + _HEADER.unpack_from(held, start)[1]
+            held = yield from self._cover(first_lba, held, end)
+            if drops == self._span_drops:
+                self._read_span = (first_lba, held)
+        return held[start:body], held[body:end]
+
+    def _cover(self, first_lba: int, held: bytes, need: int) -> Generator:
+        """*held*, the blocks from *first_lba* on, read forward until it
+        is at least *need* bytes."""
+        if len(held) < need:
+            missing = ((need - len(held) + self.block_size - 1)
+                       // self.block_size)
+            held += yield self.nvme.submit_read(
+                first_lba + len(held) // self.block_size, missing)
+        return held
+
+    def _drop_read_span(self) -> None:
+        self._read_span = (0, b"")
+        self._span_drops += 1
+
+    def _mismatch(self, header: bytes, payload: bytes) -> Optional[str]:
+        """Why these bytes are not a record (a message that wants the
+        record id), or None.  Bytes that are not drop the read span, so
+        the caller's retry goes back to flash."""
+        magic, length, crc = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            why = _BAD_MAGIC
+        elif len(payload) != length:
+            why = _TRUNCATED
+        elif zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            why = _BAD_CHECKSUM
+        else:
+            return None
+        self._drop_read_span()
+        return why
 
     # -- scans ("BPF for storage") ------------------------------------------------------
     def scan(self, predicate) -> Generator:
@@ -203,9 +261,9 @@ class LogStore:
                 payload = bytes(data[offset + RECORD_HEADER_LEN:
                                      offset + RECORD_HEADER_LEN + length])
                 if len(payload) != length:
-                    raise LogError("truncated record %d" % offset)
+                    raise LogError(_TRUNCATED % offset)
                 if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    raise LogError("checksum mismatch at record %d" % offset)
+                    raise LogError(_BAD_CHECKSUM % offset)
                 if predicate(payload):
                     matches.append((offset, payload))
                 offset += RECORD_HEADER_LEN + length
@@ -219,25 +277,24 @@ class LogStore:
     def scan_host(self, predicate) -> Generator:
         """Sim-coroutine: the same predicate scan with the loop on the host.
 
-        The baseline the on-device :meth:`scan` is measured against: a
-        per-record read loop (one or more NVMe reads each, all the data
-        crossing PCIe) with the predicate charged to the host CPU.
+        The baseline the on-device :meth:`scan` is measured against: every
+        flushed block crosses PCIe once (one read each, through the read
+        span) and the record walk and the predicate are charged to the
+        host CPU, record by record.
         """
         matches = []
         offset = 0
         while offset + RECORD_HEADER_LEN <= self._buffer_base:
             header, payload = yield from self._read_from_device(offset)
-            magic, length, crc = _HEADER.unpack(header)
-            if magic != _MAGIC:
+            why = self._mismatch(header, payload)
+            if why == _BAD_MAGIC:
                 break
-            if len(payload) != length:
-                raise LogError("truncated record %d" % offset)
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                raise LogError("checksum mismatch at record %d" % offset)
+            if why:
+                raise LogError(why % offset)
             yield self.core.busy(self.costs.pipeline_element_cpu_ns)
             if predicate(payload):
                 matches.append((offset, payload))
-            offset += RECORD_HEADER_LEN + length
+            offset += RECORD_HEADER_LEN + len(payload)
         return matches
 
     # -- recovery ----------------------------------------------------------------------
@@ -247,23 +304,26 @@ class LogStore:
         Returns the list of valid record ids found.  Stops at the first
         hole or corrupt header, exactly like log replay after a crash.
         """
+        self._drop_read_span()
         offset = 0
         found: List[int] = []
+        # The valid bytes of the block *offset* is in, for the next sync.
+        tail_block = b""
         while offset + RECORD_HEADER_LEN <= self.capacity_bytes:
             try:
                 header, payload = yield from self._read_from_device(offset)
             except Exception:
                 break
-            magic, length, crc = _HEADER.unpack(header)
-            if magic != _MAGIC or len(payload) != length:
-                break
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            if self._mismatch(header, payload):
                 break
             found.append(offset)
-            offset += RECORD_HEADER_LEN + length
+            offset += RECORD_HEADER_LEN + len(payload)
+            fill = offset % self.block_size
+            tail_block = (tail_block + header + payload)[-fill:] if fill else b""
         self.tail = offset
         self._buffer.clear()
         self._buffer_base = offset
+        self._tail_block = tail_block
         return found
 
     @property

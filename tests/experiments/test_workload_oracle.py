@@ -4,7 +4,10 @@ Every simulated run is a pure function of its seed, so a digest of
 ``run_spec(...)["metrics"]`` is a free refactoring oracle.  The hashes
 below were recorded at commit cad7602, before the workloads moved onto
 ``run_scenario`` (the ten cells whose numbers run TCP were re-recorded
-when ACKs began to ride on the reply: every RTT and rate in them moved):
+when ACKs began to ride on the reply: every RTT and rate in them moved;
+``storelog-scan/spdk`` when the host scan began to read each flushed block
+once instead of once per record: its ``*_host`` metrics moved, the device
+side did not):
 the sha256 of the canonical JSON of the metrics of every registered
 workload on every flavor it validates for, at schema defaults and seed 7.  This is the only pin on ``echo-rtt`` (5 flavors)
 and ``kv-rtt`` (2), which no committed trajectory covers.  ``chaos`` has
@@ -55,7 +58,7 @@ ORACLE = {
     "proto-slo/posix":
         "b42fb6b70523714e53caaf4db9e8fd140b25bc3b300bc918a9f28831e8688189",
     "storelog-scan/spdk":
-        "92e569e2792f71687dd51d2e59538c7c6715f6010a46bcf9d876302bbef37271",
+        "b5093fb3fd21bd055b6e3d935e698d92a5da2ed1157fbec216e8116d538208b0",
 }
 
 

@@ -2,16 +2,20 @@
 
 import pytest
 
+from repro.core.types import DeviceFailed
 from repro.hw.nvme import NvmeDevice
-from repro.storage.log import LogError, LogStore
+from repro.sim.faults import FaultPlan
+from repro.storage.log import RECORD_HEADER_LEN, LogError, LogStore
 
 from ..conftest import World
 
 
-def make_store(**kw):
+def make_store(plan=None, **kw):
     w = World()
     host = w.add_host("h")
-    nvme = NvmeDevice(host, name="h.nvme0")
+    nvme = host.nvme = NvmeDevice(host, name="h.nvme0")
+    if plan is not None:
+        w.install_faults(plan)
     store = LogStore(nvme, host.cpu, **kw)
     return w, store, nvme
 
@@ -119,6 +123,177 @@ class TestAppendRead:
         assert run(w, proc()) == (b"first", b"second")
 
 
+def device_reads(nvme):
+    """(commands, blocks) the device has read so far."""
+    return (nvme.tracer.get("h.nvme0.reads"),
+            nvme.tracer.get("h.nvme0.read_bytes") // nvme.block_size)
+
+
+def sized(fill, record_bytes):
+    """A payload whose record (header included) is *record_bytes* long."""
+    return bytes([fill]) * (record_bytes - RECORD_HEADER_LEN)
+
+
+class TestReadSpan:
+    """A read keeps the blocks it brought in; the records that share them
+    cost no command, and the span is gone whenever it could lie."""
+
+    def test_records_sharing_a_block_cost_one_read(self):
+        w, store, nvme = make_store()
+        payloads = [b"record-%02d" % i for i in range(40)]
+        cpu = {}
+
+        def proc():
+            ids = []
+            for payload in payloads:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            cpu["before"] = store.core.busy_ns
+            out = []
+            for rid in ids:
+                out.append((yield from store.read(rid)))
+            cpu["reads"] = store.core.busy_ns - cpu["before"]
+            return out
+
+        assert run(w, proc()) == payloads
+        assert device_reads(nvme) == (1, 1)
+        assert nvme.tracer.get("h.nvme0.read_span_misses") == 1
+        assert nvme.tracer.get("h.nvme0.read_span_hits") == 39
+        # One submission, then the write buffer's charge per record.
+        submit = store.costs.spdk_submit_ns
+        assert cpu["reads"] == submit + 39 * (submit // 4)
+
+    def test_straddling_records_cost_exactly_the_missing_blocks(self):
+        w, store, nvme = make_store()
+        bs = nvme.block_size
+        # a: block 0.  b: blocks 0-1.  c: block 1.  d: blocks 1-3.
+        payloads = [sized(1, 3000), sized(2, 2000), sized(3, 1000),
+                    sized(4, 2 * bs + 1000)]
+        costs = []
+
+        def proc():
+            ids = []
+            for payload in payloads:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            out = []
+            for rid in ids:
+                before = device_reads(nvme)
+                out.append((yield from store.read(rid)))
+                after = device_reads(nvme)
+                costs.append((after[0] - before[0], after[1] - before[1]))
+            return out
+
+        assert run(w, proc()) == payloads
+        assert costs == [(1, 1),   # block 0
+                         (1, 1),   # block 1 only: block 0 is the prefix
+                         (0, 0),   # all in block 1
+                         (1, 2)]   # blocks 2-3 in one command
+
+    def test_header_straddling_a_block_boundary(self):
+        w, store, nvme = make_store()
+        payloads = [sized(1, nvme.block_size - 5), sized(2, 500)]
+
+        def proc():
+            ids = []
+            for payload in payloads:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            cold = yield from store.read(ids[1])   # header in blocks 0-1
+            warm = yield from store.read(ids[0])
+            return cold, warm
+
+        assert run(w, proc()) == (payloads[1], payloads[0])
+        assert device_reads(nvme) == (1, 2)
+
+    def test_reads_after_a_sync_see_the_records_it_flushed(self):
+        """The stale-span case: a span kept across sync() would serve
+        the new records of the tail block as the zero padding it read."""
+        w, store, nvme = make_store()
+
+        def proc():
+            first = yield from store.append(b"first")
+            yield from store.sync()
+            out = [(yield from store.read(first))]   # span: the tail block
+            second = yield from store.append(b"second")
+            third = yield from store.append(b"third")
+            yield from store.sync()
+            for rid in (second, third, first):
+                out.append((yield from store.read(rid)))
+            return out
+
+        assert run(w, proc()) == [b"first", b"second", b"third", b"first"]
+        assert device_reads(nvme) == (2, 2)
+
+    def test_read_in_flight_across_a_sync_installs_nothing(self):
+        """A read submitted before sync()'s write and completed after it
+        holds the tail block as it was."""
+        w, store, nvme = make_store()
+        ids = {}
+
+        def writer():
+            ids["second"] = yield from store.append(b"second")
+            yield from store.sync()
+
+        def proc():
+            ids["first"] = yield from store.append(b"first")
+            yield from store.sync()
+            reader = w.sim.spawn(store.read(ids["first"]))
+            flusher = w.sim.spawn(writer())
+            yield reader
+            yield flusher
+            return reader.value, (yield from store.read(ids["second"]))
+
+        assert run(w, proc()) == (b"first", b"second")
+
+    def test_corrupt_record_drops_the_span_so_a_retry_rereads_flash(self):
+        w, store, nvme = make_store()
+
+        def proc():
+            rid = yield from store.append(b"precious")
+            yield from store.sync()
+            good = nvme.peek_block(0)
+            block = bytearray(good)
+            block[RECORD_HEADER_LEN] ^= 0xFF
+            nvme._blocks[0] = bytes(block)
+            with pytest.raises(LogError, match="checksum"):
+                yield from store.read(rid)
+            nvme._blocks[0] = good   # the device repaired it (a scrub)
+            return (yield from store.read(rid))
+
+        assert run(w, proc()) == b"precious"
+        assert device_reads(nvme) == (2, 2)
+
+    def test_failed_read_leaves_the_span_and_the_next_read_correct(self):
+        # 3 timed-out attempts, a controller reset and a last attempt fit
+        # inside the window; the reads after it see a healthy device.
+        plan = FaultPlan(seed=5).nvme_ctrl_fail("h.nvme0", 1_000_000,
+                                                6_000_000)
+        w, store, nvme = make_store(plan)
+        payloads = [sized(1, 3000), sized(2, 2000), sized(3, 1000)]
+
+        def proc():
+            ids = []
+            for payload in payloads:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            out = [(yield from store.read(ids[0]))]   # span: block 0
+            yield w.sim.timeout(1_000_000 - w.sim.now)
+            with pytest.raises(DeviceFailed):
+                yield from store.read(ids[1])         # block 1 never comes
+            before = device_reads(nvme)
+            out.append((yield from store.read(ids[0])))   # still block 0
+            assert device_reads(nvme) == before
+            yield w.sim.timeout(6_000_000 - w.sim.now)
+            for rid in ids[1:]:
+                out.append((yield from store.read(rid)))
+            return out
+
+        assert run(w, proc()) == [payloads[0], payloads[0], payloads[1],
+                                  payloads[2]]
+        assert nvme.tracer.get("h.nvme0.device_failures") == 1
+
+
 class TestRecovery:
     def test_mount_rebuilds_tail(self):
         w, store, nvme = make_store()
@@ -181,6 +356,103 @@ class TestRecovery:
 
         found = run(w, recover_phase())
         assert len(found) < 3
+
+    def test_mount_reads_each_block_once(self):
+        w, store, nvme = make_store()
+        payloads = [sized(i + 1, 300) for i in range(50)]   # 15 000 bytes
+
+        def write_phase():
+            for payload in payloads:
+                yield from store.append(payload)
+            yield from store.sync()
+
+        run(w, write_phase())
+        before = device_reads(nvme)
+        recovered = LogStore(nvme, store.core)
+        found = run(w, recovered.mount())
+        assert len(found) == len(payloads)
+        bs = nvme.block_size
+        blocks = -(-store.tail // bs)
+        straddles = sum(1 for rid in found
+                        if rid // bs != (rid + 300 - 1) // bs)
+        commands, moved = device_reads(nvme)
+        assert commands - before[0] <= blocks + straddles
+        assert moved - before[1] == blocks
+
+    def test_nothing_of_a_dead_store_outlives_it(self):
+        """The old store dies with a warm span over the tail block and
+        unsynced appends behind it; the fresh store sees only flash."""
+        w, store, nvme = make_store()
+
+        def write_phase():
+            durable = []
+            for i in range(3):
+                durable.append((yield from store.append(b"durable-%d" % i)))
+            yield from store.sync()
+            yield from store.read(durable[-1])    # span: the tail block
+            yield from store.append(b"volatile")  # never synced
+            return durable
+
+        durable = run(w, write_phase())
+        assert store._read_span[1]
+        recovered = LogStore(nvme, store.core)
+
+        def recover_phase():
+            found = yield from recovered.mount()
+            out = []
+            for rid in found:
+                out.append((yield from recovered.read(rid)))
+            return found, out
+
+        found, out = run(w, recover_phase())
+        assert found == durable
+        assert out == [b"durable-%d" % i for i in range(3)]
+        assert recovered.tail == (store.tail - RECORD_HEADER_LEN
+                                  - len(b"volatile"))
+
+    def test_remount_sees_what_another_writer_flushed(self):
+        """mount() drops the span: flash may have moved on under it."""
+        w, store, nvme = make_store()
+
+        def write_phase():
+            rid = yield from store.append(b"mine")
+            yield from store.sync()
+            yield from store.read(rid)    # span: the tail block
+            other = LogStore(nvme, store.core)
+            yield from other.mount()
+            yield from other.append(b"theirs")
+            yield from other.sync()
+            out = []
+            for rid in (yield from store.mount()):
+                out.append((yield from store.read(rid)))
+            return out
+
+        assert run(w, write_phase()) == [b"mine", b"theirs"]
+
+    def test_appends_after_mount_keep_the_tail_block(self):
+        """mount() rebuilds the partial tail block the next sync rewrites;
+        without it that sync would zero the durable records before it."""
+        w, store, nvme = make_store()
+
+        def write_phase():
+            yield from store.append(b"durable")
+            yield from store.sync()
+
+        run(w, write_phase())
+        recovered = LogStore(nvme, store.core)
+
+        def recover_phase():
+            found = yield from recovered.mount()
+            found.append((yield from recovered.append(b"appended")))
+            yield from recovered.sync()
+            out = []
+            for rid in found:
+                out.append((yield from recovered.read(rid)))
+            return out
+
+        assert run(w, recover_phase()) == [b"durable", b"appended"]
+        assert run(w, LogStore(nvme, store.core).mount()) == [
+            0, RECORD_HEADER_LEN + len(b"durable")]
 
 
 class TestSpdkLibOS:

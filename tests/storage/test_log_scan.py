@@ -94,24 +94,33 @@ class TestScanResults:
 class TestScanCosts:
     def test_device_scan_charges_almost_no_host_cpu(self):
         w, store, nvme = make_store()
-        payloads = [b"record-%03d" % i for i in range(100)]
-        cpu = {}
+        payloads = [b"record-%03d" % i for i in range(500)]  # 3 blocks
+        cpu, reads, flushed = {}, {}, {}
+
+        def read_bytes():
+            return nvme.tracer.get("h.nvme0.read_bytes")
 
         def proc():
             yield from fill(store, payloads)
+            flushed["bytes"] = store.tail
             cpu["before"] = store.core.busy_ns
             yield from store.scan(lambda p: False)
             cpu["device"] = store.core.busy_ns - cpu["before"]
+            reads["device"] = read_bytes()
             yield from store.scan_host(lambda p: False)
             cpu["host"] = store.core.busy_ns - cpu["before"] - cpu["device"]
+            reads["host"] = read_bytes() - reads["device"]
 
         run(w, proc())
         # One submission's worth of CPU vs a per-record charged loop.
         assert cpu["device"] == store.costs.spdk_submit_ns
         assert cpu["host"] > len(payloads) * store.costs.pipeline_element_cpu_ns
-        # All the data crossed PCIe on the host path, none on the device
-        # path (only the empty match list comes back).
-        assert nvme.tracer.get("h.nvme0.reads") >= len(payloads)
+        # Every flushed block crossed PCIe once on the host path, whole;
+        # none did on the device path (only the empty match list comes
+        # back from its one command).
+        blocks = -(-flushed["bytes"] // nvme.block_size)
+        assert reads["host"] == blocks * nvme.block_size
+        assert reads["device"] == 0
         assert nvme.tracer.get("h.nvme0.scans") == 1
 
     def test_raising_predicate_fails_the_scan(self):
