@@ -460,6 +460,12 @@ class RdmaPacket:
         # Headers are ~60B on the wire (eth+ip+udp+BTH for RoCE).
         return 60 + len(self.payload)
 
+    def release_landing(self) -> None:
+        """The WR left the in-flight table: a READ lets go of the buffer
+        its response lands in (``imm``, held since it was posted)."""
+        if self.kind == "read_req":
+            self.imm.release()
+
 
 class QpError(Exception):
     """The QP transitioned to the error state (retries exhausted...)."""
@@ -575,6 +581,7 @@ class RdmaNic(Device):
         """Complete every outstanding send WR with a ``flush`` CQE."""
         for seq in sorted(qp.inflight):
             pkt, _retries, _epoch = qp.inflight[seq]
+            pkt.release_landing()
             qp.send_cq.push({"wr_id": pkt.wr_id, "status": "flush",
                              "opcode": pkt.kind, "qpn": qp.qpn})
             self.count(names.WR_FLUSHES)
@@ -618,7 +625,12 @@ class RdmaNic(Device):
 
     def post_read(self, qp: HwQp, wr_id: int, raddr: int, rlen: int,
                   local_buffer: Any) -> None:
-        """One-sided RDMA read from remote registered memory."""
+        """One-sided RDMA read from remote registered memory.
+
+        The NIC holds the landing buffer until the READ completes or is
+        flushed, so a ``free()`` while the response is in flight is
+        deferred (free-protection) rather than a DMA into freed memory.
+        """
         self._check_qp(qp)
         self.iommu.translate(local_buffer.addr, max(1, rlen))
         seq = qp.send_seq
@@ -628,7 +640,7 @@ class RdmaNic(Device):
             dst_qp=qp.remote_qpn, seq=seq, raddr=raddr, rlen=rlen, wr_id=wr_id,
         )
         # Stash the landing buffer for the response.
-        pkt.imm = local_buffer
+        pkt.imm = local_buffer.hold()
         self._emit(qp, pkt)
 
     def _check_qp(self, qp: HwQp) -> None:
@@ -685,6 +697,7 @@ class RdmaNic(Device):
         if retries + 1 > self.MAX_RETRIES:
             qp.error = True
             del qp.inflight[seq]
+            pkt.release_landing()
             qp.send_cq.push({"wr_id": pkt.wr_id, "status": "retry-exceeded",
                              "opcode": pkt.kind, "qpn": qp.qpn})
             self.count(names.QP_ERRORS)
@@ -730,6 +743,7 @@ class RdmaNic(Device):
             landing = pkt.imm
             landing.write(0, data)
             cqe["nbytes"] = len(data)
+        pkt.release_landing()
         qp.send_cq.push(cqe)
 
     def _rx_ack(self, qp: HwQp, pkt: RdmaPacket) -> None:

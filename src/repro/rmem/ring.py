@@ -43,6 +43,7 @@ from typing import Generator, Optional
 
 from ..core.queue import DemiQueue
 from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
+from ..hw.nic import QpError
 from ..rdma.verbs import QueuePair
 from ..telemetry import names
 
@@ -142,14 +143,21 @@ class OneSided:
             raise DemiError("one-sided op failed: %s" % cqe["status"])
 
     def read(self, raddr: int, length: int) -> Generator:
+        """The *length* bytes at *raddr*.  The landing buffer is freed
+        however the read ends - a failed CQE, an interrupt - and the NIC
+        holds it while the READ is in flight, so the free waits for the
+        response or the flush instead of letting it land in freed memory.
+        """
         landing = self.mm.alloc(length)
-        wr = self.qp.post_read(raddr, length, landing)
-        cqe = yield from self.qp.wait_send_cqe(wr)
-        if cqe["status"] != "ok":
-            raise DemiError("one-sided op failed: %s" % cqe["status"])
-        data = landing.read(0, length)
-        self.mm.free(landing)
-        return data
+        try:
+            wr = self.qp.post_read(raddr, length, landing)
+            cqe = yield from self.qp.wait_send_cqe(wr)
+            if cqe["status"] != "ok":
+                raise DemiError("one-sided op failed: %s" % cqe["status"])
+            return landing.read(0, length)
+        finally:
+            if not landing.freed:   # a crash's reclaim may have got here first
+                self.mm.free(landing)
 
 
 class RingProducer:
@@ -342,7 +350,14 @@ class RmemQueue(DemiQueue):
 
     def _consume_pump(self) -> Generator:
         while not self.closed:
-            payload = yield from self.consumer.pop()
+            try:
+                payload = yield from self.consumer.pop()
+            except (DemiError, QpError) as err:
+                # The QP under the consumer died (a failed or flushed
+                # READ, or a post on a QP already in error): the ring is
+                # unreachable, so this pop and every later one fail.
+                self.fail_pops(str(err))
+                return
             while not self.has_room() and not self.closed:
                 yield self.space_wq.wait()
             if self.closed:

@@ -19,12 +19,18 @@ lookups.  ``mount()`` rebuilds the tail pointer by scanning until the
 first invalid header - the crash-recovery story of every log store.
 
 Reads keep the blocks their last device read brought in (the *read
-span*): a record whose blocks are all there costs no command, one that
-straddles out of it costs only the missing blocks.  It is one buffer,
-not a page cache - no second copy, no eviction policy - and it is
-dropped whenever it could lie: at every ``sync()`` (the partial head
-block is rewritten), at ``mount()``, and at any record that fails its
-checks, so a retry goes back to flash.
+span*): a record whose blocks are all there costs no command.  A miss
+reads ahead in the same command, up to the device's bandwidth-delay
+product (the blocks whose transfer takes as long as one command's fixed
+latency) and never past the flushed tail - so ``mount()`` on a store
+that has lost its tail reads exactly the blocks each record needs.
+Read-ahead pays off for a reader that walks the log forward, one miss
+at a time, which is every reader the store has: a reader jumping about,
+or several misses in flight at once, would each fetch a whole depth.
+It is one buffer, not a page cache - no second copy, no eviction
+policy - and it is dropped whenever it could lie: at every ``sync()``
+(the partial head block is rewritten), at ``mount()``, and at any record
+that fails its checks, so a retry goes back to flash.
 """
 
 from __future__ import annotations
@@ -79,6 +85,13 @@ class LogStore:
         #: bumped at every drop, so a read that was in flight across one
         #: does not install what it fetched before it
         self._span_drops = 0
+        #: blocks a miss reads, from the record's first block:
+        #: the device's bandwidth-delay product, so reading ahead at most
+        #: doubles the miss's device time (the whole range if transfer is
+        #: free)
+        block_ns = self.block_size * self.costs.nvme_ns_per_byte
+        self._ahead_blocks = (max(1, int(self.costs.nvme_read_ns // block_ns))
+                              if block_ns else self.lba_count)
         self.records_appended = 0
         self.records_read = 0
 
@@ -173,33 +186,41 @@ class LogStore:
 
         Served from the read span when it holds every block the record
         covers: a quarter submission of CPU and no command, what
-        :meth:`read` charges for a record still in the write buffer.
-        Otherwise one submission reads the blocks the span is missing -
-        all of them, or those past the prefix it holds - and the record's
-        blocks become the span.  A read that raises installs nothing.
+        :meth:`read` charges for a record still in the write buffer, and
+        only the record's bytes are copied out.  Otherwise one submission
+        reads the blocks the span is missing - those past the prefix it
+        holds, or all of them - reading ahead in that same command, and
+        those blocks become the span.  A read that raises installs
+        nothing.
         """
+        bs = self.block_size
         first_lba = self._lba_of(offset)
-        start = offset % self.block_size
+        start = offset % bs
         body = start + RECORD_HEADER_LEN
         span_lba, span = self._read_span
         drops = self._span_drops
-        skip = (first_lba - span_lba) * self.block_size
-        held = span[skip:] if 0 <= skip < len(span) else b""
-        # Where the record ends, in bytes from the start of first_lba:
-        # known only once the whole header is in hand.
-        end = (body + _HEADER.unpack_from(held, start)[1]
-               if len(held) >= body else None)
-        if end is not None and len(held) >= end:
-            self.nvme.count(names.LOG_READ_SPAN_HITS)
-            yield self.core.busy(self.costs.spdk_submit_ns // 4)
-        else:
-            self.nvme.count(names.LOG_READ_SPAN_MISSES)
-            yield self.core.busy(self.costs.spdk_submit_ns)
-            held = yield from self._cover(first_lba, held, body)
-            end = body + _HEADER.unpack_from(held, start)[1]
-            held = yield from self._cover(first_lba, held, end)
-            if drops == self._span_drops:
-                self._read_span = (first_lba, held)
+        skip = (first_lba - span_lba) * bs
+        # The record's header and payload, indexed in the span in place.
+        at = skip + start
+        head = at + RECORD_HEADER_LEN
+        if skip >= 0 and head <= len(span):
+            end = head + _HEADER.unpack_from(span, at)[1]
+            if end <= len(span):
+                self.nvme.count(names.LOG_READ_SPAN_HITS)
+                yield self.core.busy(self.costs.spdk_submit_ns // 4)
+                return span[at:head], span[head:end]
+        self.nvme.count(names.LOG_READ_SPAN_MISSES)
+        yield self.core.busy(self.costs.spdk_submit_ns)
+        held = span[skip:] if skip >= 0 else b""
+        # Read ahead, but not into blocks no sync has filled yet - the
+        # flushed tail lies inside the LBA range, so the read does too.
+        flushed = -(-self._buffer_base // bs) - (first_lba - self.lba_start)
+        need = max(body, min(self._ahead_blocks, flushed) * bs)
+        held = yield from self._cover(first_lba, held, need)
+        end = body + _HEADER.unpack_from(held, start)[1]
+        held = yield from self._cover(first_lba, held, end)
+        if drops == self._span_drops:
+            self._read_span = (first_lba, held)
         return held[start:body], held[body:end]
 
     def _cover(self, first_lba: int, held: bytes, need: int) -> Generator:

@@ -30,7 +30,7 @@ SIGNATURES = {
     ("partition-heal", "posix"): "628e703b0bd4301ac4c6e8dff23b4c196491c602",
     ("partition-heal", "rdma"): "c06d4bb4b3a2c0f285bc73e03873029ee7ab49cf",
     ("rx-ring-overflow", "dpdk"): "0044c9278ac5ced8be812a0cebbdb84c7e395f31",
-    ("slow-nvme", "spdk"): "99b2048ebf1bff0638e02150a3db461eae957eec",
+    ("slow-nvme", "spdk"): "14e54e9cdb2fe6c3f6eabe8ac1a1736993dccd89",
     ("corruption-storm", "dpdk"): "6d5455bdcd10abab42d9f333b867fb6d72055927",
     ("corruption-storm", "posix"): "f675410d977b1a80dc8dc6fa0a402bc1d3c659ed",
     ("crash-mid-stream", "dpdk"): "216ba584a1b1c0f6787fd7ae5f5e9b9222f11fc7",
@@ -38,7 +38,7 @@ SIGNATURES = {
     ("crash-mid-stream", "rdma"): "bdcfea1d23e01a6d7d654cb5d8de5df6cf9b97eb",
     ("crash-storage", "spdk"): "9744062b7db70ed64e370a5d5cf3b1a5b12442e2",
     ("nvme-transient-outage", "spdk"):
-        "2631073a924ecb61122c80d47e6259eb00ca118e",
+        "df93479e06bf14198ca209de2e34e9399a26b444",
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
     ("link-flap", "dpdk"): "ef07eae4d84cfdc0e52b7377bfa1b312943d590c",
     ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",

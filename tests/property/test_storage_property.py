@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.hw.nvme import NvmeDevice
 from repro.storage.log import LogStore
@@ -116,7 +117,8 @@ class LogStoreMachine(RuleBasedStateMachine):
     What it is after is staleness: the store serves reads from the blocks
     its last device read brought in, and that copy must never be served
     once flash has moved on under it (a sync rewriting the tail block, a
-    fresh store after a crash).
+    fresh store after a crash) - and a miss reads ahead, so no span may
+    reach a block no sync has written yet.
     """
 
     def __init__(self):
@@ -126,6 +128,8 @@ class LogStoreMachine(RuleBasedStateMachine):
         #: them have been synced
         self.records = []
         self.durable = 0
+        #: read_next's position in self.records
+        self.cursor = 0
 
     def run(self, gen):
         return run(self.w, gen)
@@ -145,6 +149,21 @@ class LogStoreMachine(RuleBasedStateMachine):
     def read(self, data):
         rid, payload = data.draw(st.sampled_from(self.records))
         assert self.run(self.store.read(rid)) == payload
+
+    @precondition(lambda self: self.records)
+    @rule()
+    def read_next(self):
+        """A reader walking forward, wrapping at the end: the reader
+        read-ahead is for, served mostly from the spans it installs."""
+        rid, payload = self.records[self.cursor % len(self.records)]
+        self.cursor += 1
+        assert self.run(self.store.read(rid)) == payload
+
+    @invariant()
+    def no_span_past_the_flushed_tail(self):
+        span_lba, span = self.store._read_span
+        bs = self.store.block_size
+        assert span_lba + len(span) // bs <= -(-self.store._buffer_base // bs)
 
     @rule()
     def scan_host(self):

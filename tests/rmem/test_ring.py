@@ -161,6 +161,46 @@ class TestProduceConsume:
         assert cp.value == payloads
 
 
+class TestOneSidedRead:
+    """A one-sided READ's landing buffer is freed however the read ends,
+    and never while the response can still land in it."""
+
+    def start_read(self):
+        """A READ of one slot, posted and in flight."""
+        w, _producer, consumer, _memnode = make_rmem_world()
+        w.run()
+        ops, ring = consumer.ops, consumer.ring
+        before = ops.mm.live_buffer_count
+
+        def reader():
+            try:
+                yield from ops.read(ring.slot_addr(1), ring.slot_size)
+            except DemiError as err:
+                return str(err)
+
+        proc = w.sim.spawn(reader())
+        w.run(until=w.sim.now + 1_000)   # the response is microseconds away
+        assert len(ops.qp.hw.inflight) == 1
+        return w, ops, proc, before
+
+    def test_a_failed_read_frees_its_landing_buffer(self):
+        w, ops, proc, before = self.start_read()
+        ops.qp.destroy()                 # the READ completes with a flush
+        w.run()
+        assert proc.value == "one-sided op failed: flush"
+        assert ops.mm.live_buffer_count == before
+
+    def test_an_interrupted_read_frees_it_once_the_response_lands(self):
+        w, ops, proc, before = self.start_read()
+        proc.interrupt("gave up")
+        w.run(until=w.sim.now + 1)
+        assert not proc.alive and isinstance(proc._exc, Interrupt)
+        # Freed, but the NIC still holds it for the response in flight.
+        assert ops.mm.live_buffer_count == before + 1
+        w.run()
+        assert ops.mm.live_buffer_count == before
+
+
 class TestLocalRingConsumer:
     """The pop side of a ring in the consumer's *own* arena: what a
     replica runs.  It parks on the arena's ``mm.watch`` queue, so a record
@@ -364,6 +404,31 @@ class TestRmemQueueApi:
         p = w.sim.spawn(proc())
         w.sim.run_until_complete(p, limit=10**12)
         assert p.value == "no producer attached"
+
+    def test_a_dead_consumer_qp_fails_the_pops_not_the_caller(self):
+        """The QP under an attached consumer is destroyed with a pop
+        outstanding - while the pump's READ is in flight, and while it
+        sleeps between polls: ``destroy()`` returns, that pop fails with
+        the transport's error, and so does every later pop, at once."""
+        from repro.core.api import LibOS
+        errors = set()
+        for at in range(0, 9_000, 500):
+            w, _producer, consumer, _memnode = make_rmem_world()
+            libos = LibOS(w.hosts["consumer"], "cons")
+            queue = libos._queues[200] = RmemQueue(libos, 200)
+            queue.attach_consumer(consumer)
+            token = libos.pop(200)
+            w.run(until=at)
+            consumer.ops.qp.destroy()
+            w.run(until=at + 20_000)
+            error = libos.qtokens.completion_of(token).value.error
+            later = libos.pop(200)
+            assert libos.qtokens.completion_of(later).value.error == error
+            assert libos.qtokens.in_flight == 0
+            assert libos.mm.live_buffer_count == 0
+            errors.add(error)
+        assert errors == {"one-sided op failed: flush",
+                          "QP 1 is in the error state"}
 
     @pytest.mark.parametrize("how", ["close", "owner-crash"])
     def test_consumer_pump_stops_with_the_queue(self, how):

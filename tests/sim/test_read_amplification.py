@@ -5,10 +5,12 @@
 every record popped back in order.  A sequential reader needs each
 flushed block across PCIe once; before PR 24 the log store fetched a
 whole block per record and threw it away, 15 times per block at this
-record size (``hw.nvme.bytes_per_op`` 1 654 where 289 do the work).  The
-counts below are deterministic, so a change that re-introduces
-per-record reads fails here under its own name, not as a slower
-benchmark.
+record size (``hw.nvme.bytes_per_op`` 1 654 where 289 do the work).  And
+it needs about one command per bandwidth-delay product of the device,
+not one per block: each command pays the flash's fixed latency once.
+The counts below are deterministic, so a change that re-introduces
+per-record or per-block reads fails here under its own name, not as a
+slower benchmark.
 """
 
 from itertools import cycle
@@ -16,7 +18,8 @@ from itertools import cycle
 from repro.storage.log import RECORD_HEADER_LEN
 from repro.testbed import make_spdk_libos
 
-N_RECORDS = 600
+#: enough for more flushed blocks than one read-ahead brings in
+N_RECORDS = 1200
 RECORD_SIZE = 256
 #: appends between two fsyncs: "about every 64", and never a whole number
 #: of blocks, so every flush but the first rewrites a partial head block
@@ -63,6 +66,12 @@ def test_sequential_pop_back_moves_each_flushed_block_once():
     get = world.tracer.get
     assert get("%s.read_bytes" % nvme.name) <= 1.05 * blocks * block
     assert get("%s.reads" % nvme.name) <= blocks + straddlers
+    # Each command brings in the blocks whose transfer takes one command's
+    # fixed latency, less the block it may share with the span before it.
+    costs = libos.costs
+    depth = int(costs.nvme_read_ns // (block * costs.nvme_ns_per_byte))
+    assert blocks > depth
+    assert get("%s.reads" % nvme.name) <= -(-blocks // (depth - 1))
     # The layer table's explanation of the same row.
     assert (get("%s.read_span_hits" % nvme.name)
             + get("%s.read_span_misses" % nvme.name)) == N_RECORDS

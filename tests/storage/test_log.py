@@ -4,14 +4,15 @@ import pytest
 
 from repro.core.types import DeviceFailed
 from repro.hw.nvme import NvmeDevice
+from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.faults import FaultPlan
 from repro.storage.log import RECORD_HEADER_LEN, LogError, LogStore
 
 from ..conftest import World
 
 
-def make_store(plan=None, **kw):
-    w = World()
+def make_store(plan=None, costs=DEFAULT_COSTS, **kw):
+    w = World(costs)
     host = w.add_host("h")
     nvme = host.nvme = NvmeDevice(host, name="h.nvme0")
     if plan is not None:
@@ -134,6 +135,33 @@ def sized(fill, record_bytes):
     return bytes([fill]) * (record_bytes - RECORD_HEADER_LEN)
 
 
+def straddling_payloads(bs):
+    """a: block 0.  b: blocks 0-1.  c: block 1.  d: blocks 1-3."""
+    return [sized(1, 3000), sized(2, 2000), sized(3, 1000),
+            sized(4, 2 * bs + 1000)]
+
+
+def read_costs(w, store, nvme, payloads, order):
+    """Append and sync *payloads*, then read them back in *order*: the
+    payloads read and the (commands, blocks) each read cost."""
+    costs = []
+
+    def proc():
+        ids = []
+        for payload in payloads:
+            ids.append((yield from store.append(payload)))
+        yield from store.sync()
+        out = []
+        for i in order:
+            before = device_reads(nvme)
+            out.append((yield from store.read(ids[i])))
+            after = device_reads(nvme)
+            costs.append((after[0] - before[0], after[1] - before[1]))
+        return out
+
+    return run(w, proc()), costs
+
+
 class TestReadSpan:
     """A read keeps the blocks it brought in; the records that share them
     cost no command, and the span is gone whenever it could lie."""
@@ -163,32 +191,26 @@ class TestReadSpan:
         submit = store.costs.spdk_submit_ns
         assert cpu["reads"] == submit + 39 * (submit // 4)
 
-    def test_straddling_records_cost_exactly_the_missing_blocks(self):
+    def test_straddling_records_cost_one_read_ahead(self):
         w, store, nvme = make_store()
-        bs = nvme.block_size
-        # a: block 0.  b: blocks 0-1.  c: block 1.  d: blocks 1-3.
-        payloads = [sized(1, 3000), sized(2, 2000), sized(3, 1000),
-                    sized(4, 2 * bs + 1000)]
-        costs = []
-
-        def proc():
-            ids = []
-            for payload in payloads:
-                ids.append((yield from store.append(payload)))
-            yield from store.sync()
-            out = []
-            for rid in ids:
-                before = device_reads(nvme)
-                out.append((yield from store.read(rid)))
-                after = device_reads(nvme)
-                costs.append((after[0] - before[0], after[1] - before[1]))
-            return out
-
-        assert run(w, proc()) == payloads
-        assert costs == [(1, 1),   # block 0
-                         (1, 1),   # block 1 only: block 0 is the prefix
+        payloads = straddling_payloads(nvme.block_size)
+        out, costs = read_costs(w, store, nvme, payloads, order=range(4))
+        assert out == payloads
+        assert costs == [(1, 4),   # blocks 0-3, all that is flushed
+                         (0, 0),   # all in blocks 0-1
                          (0, 0),   # all in block 1
-                         (1, 2)]   # blocks 2-3 in one command
+                         (0, 0)]   # all in blocks 1-3
+
+    def test_a_read_behind_the_span_reads_from_its_own_block(self):
+        w, store, nvme = make_store()
+        payloads = straddling_payloads(nvme.block_size)
+        out, costs = read_costs(w, store, nvme, payloads,
+                                order=[3, 2, 1, 0])
+        assert out == payloads[::-1]
+        assert costs == [(1, 3),   # blocks 1-3, from d's first block
+                         (0, 0),   # all in block 1
+                         (1, 4),   # block 0 is behind the span: 0-3
+                         (0, 0)]   # all in block 0
 
     def test_header_straddling_a_block_boundary(self):
         w, store, nvme = make_store()
@@ -270,19 +292,24 @@ class TestReadSpan:
         plan = FaultPlan(seed=5).nvme_ctrl_fail("h.nvme0", 1_000_000,
                                                 6_000_000)
         w, store, nvme = make_store(plan)
-        payloads = [sized(1, 3000), sized(2, 2000), sized(3, 1000)]
+        depth = store._ahead_blocks
+        # b ends one block past what a read-ahead from block 0 brings in.
+        payloads = [sized(1, 3000), sized(2, depth * nvme.block_size),
+                    sized(3, 1000)]
 
         def proc():
             ids = []
             for payload in payloads:
                 ids.append((yield from store.append(payload)))
             yield from store.sync()
-            out = [(yield from store.read(ids[0]))]   # span: block 0
+            out = [(yield from store.read(ids[0]))]   # span: blocks 0-67
+            assert store._read_span[0] == 0
+            assert len(store._read_span[1]) == depth * nvme.block_size
             yield w.sim.timeout(1_000_000 - w.sim.now)
             with pytest.raises(DeviceFailed):
-                yield from store.read(ids[1])         # block 1 never comes
+                yield from store.read(ids[1])         # block 68 never comes
             before = device_reads(nvme)
-            out.append((yield from store.read(ids[0])))   # still block 0
+            out.append((yield from store.read(ids[0])))   # still 0-67
             assert device_reads(nvme) == before
             yield w.sim.timeout(6_000_000 - w.sim.now)
             for rid in ids[1:]:
@@ -292,6 +319,142 @@ class TestReadSpan:
         assert run(w, proc()) == [payloads[0], payloads[0], payloads[1],
                                   payloads[2]]
         assert nvme.tracer.get("h.nvme0.device_failures") == 1
+
+
+def block_records(n, bs, fill=0):
+    """*n* payloads whose records are one block each: record i is block i
+    of what they are appended after."""
+    return [sized((fill + i) % 256, bs) for i in range(n)]
+
+
+class TestReadAhead:
+    """A miss reads ahead one bandwidth-delay product, from the record's
+    first block and never past the flushed tail."""
+
+    def test_depth_is_the_device_bandwidth_delay_product(self):
+        for per_byte, depth in ((0.25, 68), (0.5, 34), (0.0, 16)):
+            costs = DEFAULT_COSTS.with_overrides(nvme_ns_per_byte=per_byte)
+            w, store, nvme = make_store(costs=costs, lba_count=16)
+            assert store._ahead_blocks == depth
+            # The depth is a read that at most doubles a command's time
+            # (and the whole range when transfer costs nothing).
+            if per_byte:
+                assert (costs.nvme_io_ns(depth * nvme.block_size, False)
+                        <= 2 * costs.nvme_read_ns
+                        < costs.nvme_io_ns((depth + 1) * nvme.block_size,
+                                           False))
+
+    def test_a_sequential_reader_pays_one_command_per_depth(self):
+        w, store, nvme = make_store()
+        payloads = block_records(150, nvme.block_size)
+        out, costs = read_costs(w, store, nvme, payloads, order=range(150))
+        assert out == payloads
+        depth = store._ahead_blocks
+        misses = [(i, cost) for i, cost in enumerate(costs) if cost != (0, 0)]
+        # Blocks 0-67, 68-135, 136-149.
+        assert misses == [(0, (1, depth)), (depth, (1, depth)),
+                          (2 * depth, (1, 150 - 2 * depth))]
+
+    def test_reads_in_any_order_see_their_own_records(self):
+        """Backward, just behind the span, far behind it, past it: each
+        record comes back right, and a one-block record's miss is one
+        command from its own block."""
+        w, store, nvme = make_store()
+        payloads = block_records(40, nvme.block_size)
+        order = [20, 19, 5, 6, 22, 39, 0, 30, 31, 19]
+        out, costs = read_costs(w, store, nvme, payloads, order=order)
+        assert out == [payloads[i] for i in order]
+        assert costs == [(1, 20), (1, 21), (1, 35), (0, 0), (0, 0),
+                         (0, 0), (1, 40), (0, 0), (0, 0), (0, 0)]
+
+    def test_the_first_read_after_a_sync_brings_in_what_it_flushed(self):
+        """A span from before the sync is gone; the read after it reads
+        ahead over the records the sync wrote, and serves them right."""
+        w, store, nvme = make_store()
+        bs = nvme.block_size
+        first = block_records(8, bs)
+        more = block_records(8, bs, fill=100)
+        costs = []
+
+        def proc():
+            ids = []
+            for payload in first:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            for rid in ids[:2]:
+                yield from store.read(rid)          # the span: blocks 0-7
+            for payload in more:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()                 # drops it
+            out = []
+            for rid in [ids[1]] + ids[8:]:
+                before = device_reads(nvme)
+                out.append((yield from store.read(rid)))
+                after = device_reads(nvme)
+                costs.append((after[0] - before[0], after[1] - before[1]))
+            return out
+
+        assert run(w, proc()) == first[1:2] + more
+        assert costs == [(1, 15)] + [(0, 0)] * 8
+
+    def test_never_past_the_flushed_tail(self):
+        """Appends, syncs and reads interleaved: no span reaches a block
+        no sync has written yet, and the records appended after a
+        read-ahead are read right after their own sync."""
+        w, store, nvme = make_store()
+        bs = nvme.block_size
+        spans = []
+
+        def proc():
+            ids, payloads, out = [], [], []
+            for batch in range(6):
+                for i in range(20):
+                    payloads.append(sized(batch * 20 + i, 700))
+                    ids.append((yield from store.append(payloads[-1])))
+                yield from store.sync()
+                for rid in ids:
+                    out.append((yield from store.read(rid)))
+                    span_lba, span = store._read_span
+                    spans.append((span_lba + len(span) // bs,
+                                  -(-store._buffer_base // bs)))
+            expected = [p for batch in range(6)
+                        for p in payloads[:20 * (batch + 1)]]
+            return out == expected
+
+        assert run(w, proc())
+        assert all(end <= flushed for end, flushed in spans)
+        assert any(end == flushed for end, flushed in spans)
+
+    def test_never_past_the_lba_range(self):
+        """Three stores side by side on one device, each full: reading
+        the middle one sequentially reads its own blocks only."""
+        w, store, nvme = make_store()
+        bs = nvme.block_size
+        stores = [LogStore(nvme, store.core, lba_start=8 * i, lba_count=8)
+                  for i in range(3)]
+        reads = []
+        submit_read = nvme.submit_read
+
+        def spy(lba, nblocks):
+            reads.append((lba, nblocks))
+            return submit_read(lba, nblocks)
+
+        def proc():
+            ids = []
+            for s, each in enumerate(stores):
+                for payload in block_records(8, bs, fill=s * 8):
+                    rid = yield from each.append(payload)
+                    if each is stores[1]:
+                        ids.append(rid)
+                yield from each.sync()
+            nvme.submit_read = spy
+            out = []
+            for rid in ids:
+                out.append((yield from stores[1].read(rid)))
+            return out
+
+        assert run(w, proc()) == block_records(8, bs, fill=8)
+        assert reads == [(8, 8)]
 
 
 class TestRecovery:
