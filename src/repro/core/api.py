@@ -107,55 +107,6 @@ class LibOS:
         queue.pop_sga(token)
         return token
 
-    def push_batch(self, items: Sequence) -> list:
-        """Non-blocking scatter-gather push of several elements at once.
-
-        *items* is a sequence of ``(qd, sga)`` pairs; returns one qtoken
-        per element, in order.  The per-call libOS bookkeeping
-        (``libos_push_ns``) is paid once for the whole batch - only the
-        per-token cost stays per element.
-        """
-        if not items:
-            raise DemiError("push_batch of no elements")
-        self.core.charge_async(self.costs.libos_push_ns
-                               + self.costs.qtoken_ns * len(items))
-        self.count(names.BATCH_PUSHES)
-        tokens = []
-        for qd, sga in items:
-            queue = self._lookup(qd)
-            if sga.nsegments == 0:
-                raise DemiError("push of an empty sga")
-            self.count(names.PUSHES)
-            token, _done = self.qtokens.create()
-            if self.tracer.tracing:
-                self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
-                                   nbytes=sga.nbytes)
-            queue.push_sga(sga, token)
-            tokens.append(token)
-        return tokens
-
-    def pop_batch(self, qds: Sequence[int]) -> list:
-        """Non-blocking pop request on several queues at once.
-
-        Returns one qtoken per descriptor, in order, with the per-call
-        bookkeeping (``libos_pop_ns``) amortized over the batch.
-        """
-        if not qds:
-            raise DemiError("pop_batch of no queues")
-        self.core.charge_async(self.costs.libos_pop_ns
-                               + self.costs.qtoken_ns * len(qds))
-        self.count(names.BATCH_POPS)
-        tokens = []
-        for qd in qds:
-            queue = self._lookup(qd)
-            self.count(names.POPS)
-            token, _done = self.qtokens.create(on_cancel=queue.cancel_pop)
-            if self.tracer.tracing:
-                self.qtokens.trace(token, names.SPAN_POP, qd=qd)
-            queue.pop_sga(token)
-            tokens.append(token)
-        return tokens
-
     def cancel(self, token: QToken) -> None:
         """Abandon a not-yet-completed qtoken (e.g. a pop on a stalled
         device).  The token retires immediately, its queue forgets the
@@ -203,8 +154,7 @@ class LibOS:
         return index, result
 
     def wait_any_n(self, tokens: Sequence[QToken],
-                   timeout_ns: Optional[int] = None,
-                   max_n: Optional[int] = None) -> Generator:
+                   timeout_ns: Optional[int] = None) -> Generator:
         """Block until any token completes, then drain every ready one.
 
         Returns a non-empty list of ``(index, QResult)`` pairs sorted by
@@ -214,7 +164,7 @@ class LibOS:
         raises :class:`DemiTimeout`.
         """
         ready = yield from self.qtokens.wait_any_n(
-            tokens, timeout_ns, max_n=max_n, charge=self._wait_charge)
+            tokens, timeout_ns, charge=self._wait_charge)
         for _index, result in ready:
             self._raise_device_failed(result)
         return ready

@@ -219,13 +219,12 @@ class QTokenTable:
 
     def wait_any_n(self, tokens: Sequence[QToken],
                    timeout_ns: Optional[int] = None,
-                   max_n: Optional[int] = None,
                    charge=None) -> Generator:
         """Sim-coroutine: batch drain - every ready token in one crossing.
 
         Blocks like :meth:`wait_any` until at least one token completes,
         then sweeps the rest of *tokens* and also returns any that are
-        already triggered at that same instant, up to *max_n* entries.
+        already triggered at that same instant.
         Returns a list of ``(index, QResult)`` pairs sorted by index;
         the list is never empty.  Tokens not returned stay valid.
 
@@ -250,14 +249,9 @@ class QTokenTable:
                 raise DemiTimeout(timeout_ns, tokens)
             timer.cancel()
             events.pop()  # what is left is the tokens' completions
-        limit = len(tokens) if max_n is None else max(1, max_n)
         ready: List[Tuple[int, QResult]] = [(index, value)]
         for i, done in enumerate(events):
-            if i == index:
-                continue
-            if len(ready) >= limit:
-                break
-            if done.triggered:
+            if i != index and done.triggered:
                 ready.append((i, done.value))
         ready.sort(key=lambda pair: pair[0])
         for i, _ in ready:

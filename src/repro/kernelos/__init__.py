@@ -1,7 +1,6 @@
-"""The legacy in-kernel OS baseline (sockets+copies, epoll, VFS, pipes)."""
+"""The legacy in-kernel OS baseline (sockets+copies, epoll, VFS)."""
 
 from .kernel import EWOULDBLOCK, Kernel, KernelError, Syscalls
-from .pipe import KernelPipe
 from .reclaim import ReclaimReport, crash_teardown, reclaim_process
 from .vfs import Inode, Vfs
 
@@ -12,7 +11,6 @@ __all__ = [
     "EWOULDBLOCK",
     "Vfs",
     "Inode",
-    "KernelPipe",
     "ReclaimReport",
     "reclaim_process",
     "crash_teardown",

@@ -16,7 +16,6 @@ runs ``repro.netstack``); only placement costs differ.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, Generator, List, Optional
 
 from ..hw.nic import KernelNic
@@ -91,30 +90,6 @@ class _KTcpSocket(KObject):
                                       or self.conn.error):
             return True
         return False
-
-
-class _KUdpSocket(KObject):
-    kind = "udp"
-
-    def __init__(self, sim):
-        self.port: Optional[int] = None
-        self.rx: deque = deque()
-        self.wq = WaitQueue(sim, "udp.sock")
-
-    def release(self, kernel: "Kernel") -> None:
-        if self.port is not None:
-            kernel.stack.udp_unbind(self.port)
-
-    def abort(self, kernel: "Kernel", counters) -> None:
-        if self.port is not None:
-            kernel.stack.udp_unbind(self.port)
-            counters.count(names.RECLAIM_UDP_UNBOUND)
-
-    def readiness_queues(self) -> List[WaitQueue]:
-        return [self.wq]
-
-    def readable(self) -> bool:
-        return bool(self.rx)
 
 
 class _Epoll(KObject):
@@ -198,8 +173,8 @@ class Kernel:
         """Crash teardown: close every fd the dead process left open.
 
         What ``exit(2)`` guarantees and a bypassed kernel cannot: each
-        descriptor's :meth:`KObject.abort` - live connections are reset,
-        listeners close, UDP ports unbind, pipe ends drop.  Counts what it
+        descriptor's :meth:`KObject.abort` - live connections are reset
+        and listeners close.  Counts what it
         did on *counters* (the host's ``reclaim`` scope); returns the
         number of fds reclaimed.
         """
@@ -300,30 +275,6 @@ class Syscalls:
         sock.conn.send(bytes(data))
         return len(data)
 
-    def sendv(self, fd: int, chunks) -> Generator:
-        """Vectored send: N buffers through one crossing (writev).
-
-        The kernel-stack answer to the libOS batch push - the copies are
-        still per-byte, but the privilege crossing and socket
-        bookkeeping are paid once for the whole vector.
-        """
-        sock = self.kernel._lookup(fd, "tcp")
-        if sock.conn is None:
-            raise KernelError("sendv on unconnected socket")
-        chunks = list(chunks)
-        if not chunks:
-            raise KernelError("sendv of no buffers")
-        total = sum(len(c) for c in chunks)
-        yield self._syscall(self.costs.kernel_sock_op_ns +
-                            self.costs.copy_ns(total))
-        self.kernel.copied(names.BYTES_COPIED_TX, total)
-        self.kernel.count(names.SENDV_CALLS)
-        if len(chunks) > 1:
-            self.kernel.count(names.SENDV_SYSCALLS_SAVED, len(chunks) - 1)
-        for chunk in chunks:
-            sock.conn.send(bytes(chunk))
-        return total
-
     def recv(self, fd: int, max_bytes: int = 65536) -> Generator:
         """Blocking copying recv; b'' means peer closed."""
         sock = self.kernel._lookup(fd, "tcp")
@@ -386,45 +337,6 @@ class Syscalls:
             raise KernelError("bad file descriptor %d" % fd)
         obj.release(self.kernel)
 
-    # -- UDP sockets -----------------------------------------------------------
-    def socket_udp(self) -> Generator:
-        yield self._syscall(self.costs.kernel_sock_op_ns)
-        return self.kernel._install_fd(_KUdpSocket(self.sim))
-
-    def bind_udp(self, fd: int, port: int) -> Generator:
-        yield self._syscall(self.costs.kernel_sock_op_ns)
-        sock = self.kernel._lookup(fd, "udp")
-        sock.port = port
-
-        def on_datagram(payload: bytes, src_ip: str, src_port: int) -> None:
-            sock.rx.append((payload, src_ip, src_port))
-            sock.wq.pulse()
-
-        self.kernel.stack.udp_bind(port, on_datagram)
-
-    def sendto(self, fd: int, data: bytes, ip: str, port: int) -> Generator:
-        sock = self.kernel._lookup(fd, "udp")
-        if sock.port is None:
-            # implicit bind to an ephemeral port on first send
-            yield from self.bind_udp(fd, 40000 + fd)
-        yield self._syscall(self.costs.kernel_sock_op_ns +
-                            self.costs.copy_ns(len(data)))
-        self.kernel.copied(names.BYTES_COPIED_TX, len(data))
-        self.kernel.stack.udp_send(sock.port, ip, port, bytes(data))
-        return len(data)
-
-    def recvfrom(self, fd: int) -> Generator:
-        """Blocking UDP receive: (payload, src_ip, src_port)."""
-        sock = self.kernel._lookup(fd, "udp")
-        yield self._syscall(self.costs.kernel_sock_op_ns)
-        while not sock.rx:
-            yield self._block(sock.wq.wait())
-            yield self._wakeup_charge()
-        payload, ip, port = sock.rx.popleft()
-        yield self.core.busy(self.costs.copy_ns(len(payload)))
-        self.kernel.copied(names.BYTES_COPIED_RX, len(payload))
-        return payload, ip, port
-
     # -- epoll -------------------------------------------------------------------
     def epoll_create(self) -> Generator:
         yield self._syscall()
@@ -457,8 +369,6 @@ class Syscalls:
         yield self._syscall(self.costs.vfs_op_ns)
         if obj.kind == "file":
             return (yield from self.kernel.vfs.read(self.core, obj, nbytes))
-        if obj.kind == "pipe_r":
-            return (yield from obj.pipe.read(self, nbytes))
         raise KernelError("fd %d not readable via read()" % fd)
 
     def write(self, fd: int, data: bytes) -> Generator:
@@ -466,8 +376,6 @@ class Syscalls:
         yield self._syscall(self.costs.vfs_op_ns)
         if obj.kind == "file":
             return (yield from self.kernel.vfs.write(self.core, obj, data))
-        if obj.kind == "pipe_w":
-            return (yield from obj.pipe.write(self, data))
         raise KernelError("fd %d not writable via write()" % fd)
 
     def fsync(self, fd: int) -> Generator:
@@ -482,25 +390,6 @@ class Syscalls:
             raise KernelError("negative seek")
         obj.offset = offset
         return offset
-
-    # -- pipes ------------------------------------------------------------------
-    def pipe(self) -> Generator:
-        """Returns (read_fd, write_fd)."""
-        yield self._syscall()
-        from .pipe import KernelPipe, make_pipe_ends
-        kpipe = KernelPipe(self.kernel)
-        read_end, write_end = make_pipe_ends(kpipe)
-        return (self.kernel._install_fd(read_end),
-                self.kernel._install_fd(write_end))
-
-    def pipe_close(self, fd: int) -> Generator:
-        yield self._syscall()
-        obj = self.kernel._fds.pop(fd, None)
-        if obj is None:
-            raise KernelError("bad file descriptor %d" % fd)
-        if obj.kind not in ("pipe_r", "pipe_w"):
-            raise KernelError("fd %d is not a pipe end" % fd)
-        obj.release(self.kernel)
 
     def epoll_wait(self, epfd: int, max_events: int = 16) -> Generator:
         """Blocking level-triggered wait; returns ready fds.

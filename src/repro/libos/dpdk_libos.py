@@ -25,7 +25,6 @@ from typing import Generator, List, Optional, Tuple
 from ..core.api import LibOS
 from ..core.queue import DemiQueue
 from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
-from ..sim.engine import any_of
 from ..telemetry import names
 from ..hw.nic import DpdkNic
 from ..netstack.framing import Deframer, frame_message
@@ -255,8 +254,7 @@ class DpdkLibOS(LibOS):
     def __init__(self, host, nic: DpdkNic, ip: str, name: str = "catnip",
                  core=None, rx_burst_size: int = 32,
                  verify_checksums: bool = False, rx_queue: int = 0,
-                 arp_responder: bool = True, batching: bool = False,
-                 spin_budget_ns: Optional[int] = None):
+                 arp_responder: bool = True, batching: bool = False):
         super().__init__(host, name, core)
         self.nic = nic
         self.ip = ip
@@ -276,10 +274,6 @@ class DpdkLibOS(LibOS):
         #: ``rx_queue``, so a sharded server's shards never serialize
         #: behind one TX pipeline (the 8-core knee's root cause).
         self.tx_queue = rx_queue if rx_queue < nic.n_tx_queues else 0
-        #: adaptive poll/interrupt policy: spin (poll) for this budget
-        #: after going idle, then arm a coalesced interrupt and sleep.
-        #: None = pure poll mode (the classic DPDK driver).
-        self.spin_budget_ns = spin_budget_ns
         self._tx_pending: List[Tuple[str, bytes]] = []
         self.offload_engine = nic.offload
         self.stack = NetStack(
@@ -333,10 +327,7 @@ class DpdkLibOS(LibOS):
     def _poll_loop(self) -> Generator:
         """The poll-mode driver: busy-poll the RX ring, feed the stack."""
         while True:
-            if self.spin_budget_ns is None:
-                yield self.nic.rx_signal(self.rx_queue)
-            else:
-                yield from self._adaptive_wait()
+            yield self.nic.rx_signal(self.rx_queue)
             yield self.core.busy(self.costs.dpdk_poll_ns)
             frames = self.nic.rx_burst(self.rx_burst_size, self.rx_queue)
             if self.batching:
@@ -344,36 +335,6 @@ class DpdkLibOS(LibOS):
             else:
                 for frame in frames:
                     self.stack.rx_frame(frame)
-
-    def _adaptive_wait(self) -> Generator:
-        """Spin for the budget, then arm an interrupt and sleep.
-
-        Two regimes: under load, traffic arrives inside the spin budget
-        and the wake is free of interrupt cost (the spin cycles are
-        charged retroactively - they burned CPU, but concurrent work was
-        interleaved, so they must not delay the core's queue).  Idle past
-        the budget, the driver arms the NIC interrupt and blocks; the
-        next burst pays one ``interrupt_ns`` no matter how many frames it
-        carries (coalesced), and wakes the driver exactly once.
-        """
-        signal = self.nic.rx_signal(self.rx_queue)
-        if signal.triggered:
-            return
-        t0 = self.sim.now
-        budget = self.sim.timeout(self.spin_budget_ns)
-        index, _value = yield any_of(self.sim, [signal, budget])
-        if index == 0:
-            # Frames arrived mid-spin: the spin cost is the elapsed time.
-            budget.cancel()
-            self.core.charge_retro(self.sim.now - t0)
-            self.count(names.POLL_SPIN_WAKES)
-            return
-        # Budget exhausted: arm the interrupt and block.
-        self.core.charge_retro(self.spin_budget_ns)
-        self.count(names.POLL_IRQ_ARMS)
-        yield signal
-        self.core.charge_async(self.costs.interrupt_ns)
-        self.count(names.POLL_IRQ_WAKEUPS)
 
     # -- control path (Figure 3 network calls) ---------------------------------
     def socket(self, proto: str = "tcp") -> Generator:

@@ -55,19 +55,12 @@ WAIT_TIMEOUTS = "wait_timeouts"
 # reconcile both).
 BATCH_WAITS = "batch_waits"
 BATCH_WAIT_COMPLETIONS = "batch_wait_completions"
-BATCH_PUSHES = "batch_pushes"
-BATCH_POPS = "batch_pops"
 DOORBELLS = "doorbells"
 DOORBELLS_SAVED = "doorbells_saved"
 TX_BURSTS = "tx_bursts"
 TX_BURST_FRAMES = "tx_burst_frames"
 RX_BURSTS = "rx_bursts"
 RX_BURST_FRAMES = "rx_burst_frames"
-
-# ------------------------------------------- adaptive poll/interrupt policy
-POLL_SPIN_WAKES = "poll_spin_wakes"
-POLL_IRQ_ARMS = "poll_irq_arms"
-POLL_IRQ_WAKEUPS = "poll_irq_wakeups"
 
 # ---------------------------------------------------------- queue pipelines
 PIPELINE_FILTER_DROPPED = "pipeline.filter_dropped"
@@ -294,10 +287,6 @@ REPL_REDIRECTS = "repl_redirects"
 REPL_SYNCS = "repl_syncs"
 REPL_LINK_FAULTS = "repl_link_faults"
 REPL_CLIENT_RETRIES = "repl_client_retries"
-
-# ----------------------------------------------- legacy kernel batched send
-SENDV_CALLS = "sendv_calls"
-SENDV_SYSCALLS_SAVED = "sendv_syscalls_saved"
 
 # ---------------------------------------------------------------- protocols
 # The unified wire-protocol layer (repro.apps.proto): one set per

@@ -162,12 +162,11 @@ def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
                          with_offload: bool = False,
                          costs: CostModel = DEFAULT_COSTS,
                          verify_checksums: bool = False, telemetry=False,
-                         batching: bool = False,
-                         spin_budget_ns: Optional[int] = None):
+                         batching: bool = False):
     """Two hosts with DPDK libOSes: (world, client libOS, server libOS).
 
     *batching* turns on the coalesced TX/amortized-RX fast path on both
-    sides; *spin_budget_ns* arms the adaptive poll/interrupt policy.
+    sides.
     """
     from .libos.dpdk_libos import DpdkLibOS
 
@@ -182,8 +181,7 @@ def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
             OffloadEngine(host, name="%s.offload" % name).attach(nic)
         liboses.append(DpdkLibOS(host, nic, ip, name="%s.catnip" % name,
                                  verify_checksums=verify_checksums,
-                                 batching=batching,
-                                 spin_budget_ns=spin_budget_ns))
+                                 batching=batching))
     return w, liboses[0], liboses[1]
 
 

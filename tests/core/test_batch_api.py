@@ -1,8 +1,9 @@
-"""Edge cases of the batch API: push_batch, pop_batch, wait_any_n.
+"""Edge cases of wait_any_n, the batch drain over singleton pops.
 
-The batch calls amortize the syscall-shaped costs (one charge covers
-the whole batch) but must keep the singleton calls' semantics exactly:
-same errors, same exactly-one-waiter guarantee, same token lifecycle.
+One wait drains every token ready at the wake-up instant (one
+``wait_dispatch`` charge for the whole batch) but must keep the
+singleton wait's semantics exactly: same errors, same exactly-one-waiter
+guarantee, same token lifecycle.
 """
 
 import pytest
@@ -24,53 +25,54 @@ def run_proc(w, gen):
     return p.value
 
 
-class TestPushBatchEdges:
-    def test_empty_batch_rejected(self):
-        _w, libos = fresh_libos()
-        with pytest.raises(DemiError):
-            libos.push_batch([])
+class TestSingletonEdges:
+    """The errors and token lifecycle of the calls wait_any_n drains."""
 
-    def test_empty_sga_rejected(self):
+    def test_push_of_empty_sga_rejected(self):
         _w, libos = fresh_libos()
         qd = libos.queue()
         with pytest.raises(DemiError):
-            libos.push_batch([(qd, libos.sga_alloc(b"ok")),
-                              (qd, libos.sga_alloc(b""))])
+            libos.push(qd, libos.sga_alloc(b""))
+        assert libos.qtokens.created == 0
 
-    def test_unknown_qd_rejected(self):
+    def test_push_to_unknown_qd_rejected(self):
         _w, libos = fresh_libos()
-        with pytest.raises(DemiError):
-            libos.push_batch([(9999, libos.sga_alloc(b"x"))])
+        with pytest.raises(DemiError, match="bad queue descriptor"):
+            libos.push(9999, libos.sga_alloc(b"x"))
 
-    def test_batch_charge_is_amortized(self):
-        # One batched push of N charges less CPU than N singleton
-        # pushes: the fixed libos_push cost is paid once per batch.
-        _w1, solo = fresh_libos()
-        qd = solo.queue()
-        for i in range(8):
-            solo.push(qd, solo.sga_alloc(b"m%d" % i))
-        _w2, batched = fresh_libos()
-        qd2 = batched.queue()
-        batched.push_batch([(qd2, batched.sga_alloc(b"m%d" % i))
-                            for i in range(8)])
-        assert batched.core.busy_ns < solo.core.busy_ns
-
-
-class TestPopBatchEdges:
-    def test_empty_batch_rejected(self):
+    def test_pop_on_unknown_qd_rejected(self):
         _w, libos = fresh_libos()
-        with pytest.raises(DemiError):
-            libos.pop_batch([])
+        with pytest.raises(DemiError, match="bad queue descriptor"):
+            libos.pop(9999)
 
-    def test_tokens_cancellable_like_singletons(self):
+    def test_push_to_closed_qd_rejected(self):
+        w, libos = fresh_libos()
+        qd = libos.queue()
+        run_proc(w, libos.close(qd))
+        with pytest.raises(DemiError, match="is closed"):
+            libos.push(qd, libos.sga_alloc(b"x"))
+
+    def test_pop_tokens_cancellable(self):
         _w, libos = fresh_libos()
         qds = [libos.queue() for _ in range(3)]
-        tokens = libos.pop_batch(qds)
+        tokens = [libos.pop(qd) for qd in qds]
         for token in tokens:
             libos.cancel(token)
         t = libos.qtokens
         assert t.cancelled == 3
         assert t.created == t.completed + t.cancelled + t.in_flight
+
+    def test_cancelled_pop_leaves_its_element_queued(self):
+        w, libos = fresh_libos()
+        qd = libos.queue()
+
+        def proc():
+            libos.cancel(libos.pop(qd))
+            yield from libos.blocking_push(qd, libos.sga_alloc(b"kept"))
+            result = yield from libos.blocking_pop(qd)
+            return result.sga.tobytes()
+
+        assert run_proc(w, proc()) == b"kept"
 
 
 class TestWaitAnyN:
@@ -83,7 +85,7 @@ class TestWaitAnyN:
             for i in (3, 1, 0):
                 yield from libos.blocking_push(
                     qds[i], libos.sga_alloc(b"q%d" % i))
-            tokens = libos.pop_batch(qds)
+            tokens = [libos.pop(qd) for qd in qds]
             ready = yield from libos.wait_any_n(tokens)
             return ready
 
@@ -91,24 +93,25 @@ class TestWaitAnyN:
         assert [i for i, _ in ready] == [0, 1, 3]
         assert [r.sga.tobytes() for _, r in ready] == [b"q0", b"q1", b"q3"]
 
-    def test_max_n_bounds_the_drain_and_rest_stay_valid(self):
+    def test_undrained_tokens_stay_valid(self):
         w, libos = fresh_libos()
         qds = [libos.queue() for _ in range(4)]
 
         def proc():
-            for i in range(4):
+            for i in (0, 2):
                 yield from libos.blocking_push(
                     qds[i], libos.sga_alloc(b"q%d" % i))
-            tokens = libos.pop_batch(qds)
-            first = yield from libos.wait_any_n(tokens, max_n=2)
-            assert len(first) == 2
+            tokens = [libos.pop(qd) for qd in qds]
+            first = yield from libos.wait_any_n(tokens)
+            assert [i for i, _ in first] == [0, 2]
             # The undrained tokens are still waitable afterwards.
-            rest = [t for i, t in enumerate(tokens)
-                    if i not in {j for j, _ in first}]
-            results = yield from libos.wait_all(rest)
-            return len(first) + len(results)
+            for i in (1, 3):
+                yield from libos.blocking_push(
+                    qds[i], libos.sga_alloc(b"q%d" % i))
+            results = yield from libos.wait_all([tokens[1], tokens[3]])
+            return [r.sga.tobytes() for r in results]
 
-        assert run_proc(w, proc()) == 4
+        assert run_proc(w, proc()) == [b"q1", b"q3"]
 
     def test_returned_tokens_are_retired(self):
         w, libos = fresh_libos()
@@ -116,7 +119,7 @@ class TestWaitAnyN:
 
         def proc():
             yield from libos.blocking_push(qd, libos.sga_alloc(b"x"))
-            tokens = libos.pop_batch([qd])
+            tokens = [libos.pop(qd)]
             yield from libos.wait_any_n(tokens)
             with pytest.raises(DemiError):
                 yield from libos.wait(tokens[0])
@@ -139,7 +142,7 @@ class TestWaitAnyN:
         qd = libos.queue()
 
         def proc():
-            tokens = libos.pop_batch([qd])
+            tokens = [libos.pop(qd)]
             with pytest.raises(DemiTimeout):
                 yield from libos.wait_any_n(tokens, timeout_ns=10_000)
             yield from libos.blocking_push(qd, libos.sga_alloc(b"late"))
@@ -156,10 +159,55 @@ class TestWaitAnyN:
             for i in range(3):
                 yield from libos.blocking_push(
                     qds[i], libos.sga_alloc(b"q%d" % i))
-            tokens = libos.pop_batch(qds)
+            tokens = [libos.pop(qd) for qd in qds]
             yield from libos.wait_any_n(tokens)
 
         run_proc(w, proc())
         assert w.tracer.get("demi.batch_waits") == 1
         assert w.tracer.get("demi.batch_wait_completions") == 3
-        assert w.tracer.get("demi.batch_pops") == 1
+
+    def test_one_dispatch_charge_covers_the_drain(self):
+        # Three ready tokens drained by one wait_any_n cost the core less
+        # than three singleton waits: wait_dispatch is paid once.
+        def busy_after(drain):
+            w, libos = fresh_libos()
+            qds = [libos.queue() for _ in range(3)]
+
+            def proc():
+                for i, qd in enumerate(qds):
+                    yield from libos.blocking_push(
+                        qd, libos.sga_alloc(b"q%d" % i))
+                before = libos.core.busy_ns
+                tokens = [libos.pop(qd) for qd in qds]
+                yield from drain(libos, tokens)
+                return libos.core.busy_ns - before
+
+            return run_proc(w, proc())
+
+        def singly(libos, tokens):
+            for token in tokens:
+                yield from libos.wait(token)
+
+        def batched(libos, tokens):
+            ready = yield from libos.wait_any_n(tokens)
+            assert len(ready) == 3
+
+        assert busy_after(batched) < busy_after(singly)
+
+    def test_blocks_until_the_first_completion(self):
+        w, libos = fresh_libos()
+        qds = [libos.queue() for _ in range(3)]
+
+        def late_push():
+            yield w.sim.timeout(5_000)
+            yield from libos.blocking_push(qds[2], libos.sga_alloc(b"late"))
+
+        def proc():
+            tokens = [libos.pop(qd) for qd in qds]
+            w.sim.spawn(late_push())
+            ready = yield from libos.wait_any_n(tokens)
+            return w.sim.now, ready
+
+        now, ready = run_proc(w, proc())
+        assert now >= 5_000
+        assert [(i, r.sga.tobytes()) for i, r in ready] == [(2, b"late")]

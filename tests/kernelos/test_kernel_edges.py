@@ -1,4 +1,4 @@
-"""Edge-case tests for the kernel: fd misuse, UDP close, dispatch errors."""
+"""Edge-case tests for the kernel: fd misuse, dispatch errors, backlog."""
 
 import pytest
 
@@ -50,44 +50,6 @@ class TestFdTable:
         assert fd1 == 3 and fd2 == 4
 
 
-class TestUdpLifecycle:
-    def test_close_unbinds_udp_port(self):
-        w, ka, _ = make_kernel_pair()
-
-        def proc():
-            sys = ka.thread()
-            fd = yield from sys.socket_udp()
-            yield from sys.bind_udp(fd, 9000)
-            yield from sys.close(fd)
-            # Port free: bind again succeeds.
-            fd2 = yield from sys.socket_udp()
-            yield from sys.bind_udp(fd2, 9000)
-            return "rebound"
-
-        assert run(w, proc()) == "rebound"
-
-    def test_sendto_implicit_bind(self):
-        w, ka, kb = make_kernel_pair()
-        got = []
-
-        def server():
-            sys = kb.thread()
-            fd = yield from sys.socket_udp()
-            yield from sys.bind_udp(fd, 53)
-            data, ip, port = yield from sys.recvfrom(fd)
-            got.append((data, ip))
-
-        def client():
-            sys = ka.thread()
-            fd = yield from sys.socket_udp()
-            # No explicit bind: sendto binds an ephemeral port itself.
-            yield from sys.sendto(fd, b"implicit", "10.0.0.2", 53)
-
-        w.sim.spawn(server())
-        run(w, client())
-        assert got == [(b"implicit", "10.0.0.1")]
-
-
 class TestDispatchErrors:
     def make_host_kernel(self):
         from repro.kernelos.kernel import Kernel
@@ -108,26 +70,14 @@ class TestDispatchErrors:
 
         assert run(w, proc()) == "checked"
 
-    def test_write_on_pipe_read_end_raises(self):
-        w, kernel = self.make_host_kernel()
-
-        def proc():
-            sys = kernel.thread()
-            rfd, _wfd = yield from sys.pipe()
-            with pytest.raises(KernelError):
-                yield from sys.write(rfd, b"wrong way")
-            return "checked"
-
-        assert run(w, proc()) == "checked"
-
-    def test_pipe_close_on_non_pipe_raises(self):
+    def test_write_on_socket_fd_raises(self):
         w, kernel = self.make_host_kernel()
 
         def proc():
             sys = kernel.thread()
             fd = yield from sys.socket()
             with pytest.raises(KernelError):
-                yield from sys.pipe_close(fd)
+                yield from sys.write(fd, b"wrong way")
             return "checked"
 
         assert run(w, proc()) == "checked"
@@ -145,32 +95,78 @@ class TestDispatchErrors:
         assert run(w, proc()) == "checked"
 
 
-class TestEpollWithUdp:
-    def test_epoll_reports_udp_readability(self):
-        w, ka, kb = make_kernel_pair()
-        result = {}
+# Each misuse of a descriptor, against one socket, one epoll fd and one
+# closed fd: the call raises KernelError instead of touching the object.
+MISUSE = {
+    "read-epoll": lambda sys, fds: sys.read(fds["epoll"], 10),
+    "write-epoll": lambda sys, fds: sys.write(fds["epoll"], b"x"),
+    "fsync-socket": lambda sys, fds: sys.fsync(fds["socket"]),
+    "lseek-socket": lambda sys, fds: sys.lseek(fds["socket"], 0),
+    "send-epoll": lambda sys, fds: sys.send(fds["epoll"], b"x"),
+    "send-unconnected": lambda sys, fds: sys.send(fds["socket"], b"x"),
+    "recv-unconnected": lambda sys, fds: sys.recv(fds["socket"]),
+    "recv_nb-unconnected": lambda sys, fds: sys.recv_nb(fds["socket"]),
+    "listen-before-bind": lambda sys, fds: sys.listen(fds["socket"]),
+    "accept-not-listening": lambda sys, fds: sys.accept(fds["socket"]),
+    "accept_nb-not-listening": lambda sys, fds: sys.accept_nb(fds["socket"]),
+    "epoll_ctl_add-on-socket": lambda sys, fds: sys.epoll_ctl_add(
+        fds["socket"], fds["socket"]),
+    "read-closed": lambda sys, fds: sys.read(fds["closed"], 10),
+    "close-twice": lambda sys, fds: sys.close(fds["closed"]),
+}
 
-        def client():
+
+class TestMisuse:
+    @pytest.mark.parametrize("call", sorted(MISUSE))
+    def test_misuse_raises(self, call):
+        w, ka, _ = make_kernel_pair()
+
+        def proc():
             sys = ka.thread()
-            fd = yield from sys.socket_udp()
-            yield w.sim.timeout(500_000)
-            yield from sys.sendto(fd, b"dgram", "10.0.0.2", 53)
+            fds = {"socket": (yield from sys.socket()),
+                   "epoll": (yield from sys.epoll_create()),
+                   "closed": (yield from sys.socket())}
+            yield from sys.close(fds["closed"])
+            with pytest.raises(KernelError):
+                yield from MISUSE[call](sys, fds)
+            return "checked"
 
-        def server():
-            sys = kb.thread()
-            fd = yield from sys.socket_udp()
-            yield from sys.bind_udp(fd, 53)
-            epfd = yield from sys.epoll_create()
-            yield from sys.epoll_ctl_add(epfd, fd)
-            ready = yield from sys.epoll_wait(epfd)
-            assert ready == [fd]
-            data, _ip, _port = yield from sys.recvfrom(fd)
-            result["data"] = data
+        assert run(w, proc()) == "checked"
 
-        w.sim.spawn(client())
-        w.sim.spawn(server())
-        w.run()
-        assert result["data"] == b"dgram"
+
+class TestReclaimFds:
+    def test_crash_teardown_closes_every_fd_kind(self):
+        w, ka, _ = make_kernel_pair()
+
+        def proc():
+            sys = ka.thread()
+            lfd = yield from sys.socket()
+            yield from sys.bind(lfd, 80)
+            yield from sys.listen(lfd)
+            yield from sys.socket()
+            yield from sys.epoll_create()
+            return lfd
+
+        lfd = run(w, proc())
+        counters = w.tracer.scope(ka.host.name).scope("reclaim")
+        assert ka.reclaim_fds(counters) == 3
+        assert ka._fds == {}
+        prefix = "%s.reclaim." % ka.host.name
+        assert w.tracer.get(prefix + "fds_closed") == 3
+        assert w.tracer.get(prefix + "listeners_closed") == 1
+        # Nothing was connected, so there was nobody to reset.
+        assert w.tracer.get(prefix + "tcp_rsts") == 0
+
+        def rebind():
+            # The listener's port was let go with it.
+            sys = ka.thread()
+            fd = yield from sys.socket()
+            assert fd > lfd
+            yield from sys.bind(fd, 80)
+            yield from sys.listen(fd)
+            return "rebound"
+
+        assert run(w, rebind()) == "rebound"
 
 
 class TestAcceptBacklog:

@@ -1,4 +1,4 @@
-"""Tests for kernel TCP/UDP sockets: semantics and cost accounting."""
+"""Tests for kernel TCP sockets: semantics and cost accounting."""
 
 import pytest
 
@@ -184,28 +184,3 @@ class TestTcpSockets:
         # Kernel-path echo RTT lands in the tens of microseconds.
         assert rtt > 15_000
         assert w.tracer.get("server.eth0.rx_interrupts") > 0
-
-
-class TestUdpSockets:
-    def test_udp_echo(self):
-        w, ka, kb = make_kernel_pair()
-
-        def server():
-            sys = kb.thread()
-            fd = yield from sys.socket_udp()
-            yield from sys.bind_udp(fd, 53)
-            data, ip, port = yield from sys.recvfrom(fd)
-            yield from sys.sendto(fd, data[::-1], ip, port)
-            return data
-
-        def client():
-            sys = ka.thread()
-            fd = yield from sys.socket_udp()
-            yield from sys.bind_udp(fd, 5353)
-            yield from sys.sendto(fd, b"stressed", "10.0.0.2", 53)
-            data, _ip, _port = yield from sys.recvfrom(fd)
-            return data
-
-        creply, sdata = run_pair(w, client(), server())
-        assert sdata == b"stressed"
-        assert creply == b"desserts"

@@ -1,4 +1,4 @@
-"""Tests for the kernel VFS (files, page cache, fsync) and pipes."""
+"""Tests for the kernel VFS (files, page cache, fsync)."""
 
 import pytest
 
@@ -147,97 +147,3 @@ class TestVfs:
         run(w, proc())
         assert w.tracer.get("h.kernel.bytes_copied_tx") == 4096
         assert w.tracer.get("h.kernel.syscalls") == 2
-
-
-class TestPipes:
-    def test_pipe_write_then_read(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
-
-        def proc():
-            sys = kernel.thread()
-            rfd, wfd = yield from sys.pipe()
-            yield from sys.write(wfd, b"through the pipe")
-            return (yield from sys.read(rfd, 100))
-
-        assert run(w, proc()) == b"through the pipe"
-
-    def test_pipe_blocks_reader_until_data(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
-        order = []
-
-        def reader(sys, rfd):
-            data = yield from sys.read(rfd, 10)
-            order.append(("read", data, w.sim.now))
-
-        def writer(sys, wfd):
-            yield w.sim.timeout(500_000)
-            order.append(("write", w.sim.now))
-            yield from sys.write(wfd, b"late")
-
-        def main():
-            sys = kernel.thread()
-            rfd, wfd = yield from sys.pipe()
-            w.sim.spawn(reader(kernel.thread(kernel.host.cpus[1]), rfd))
-            w.sim.spawn(writer(kernel.thread(kernel.host.cpus[2]), wfd))
-
-        w.sim.spawn(main())
-        w.run()
-        assert order[0][0] == "write"
-        assert order[1][1] == b"late"
-
-    def test_pipe_backpressure_blocks_writer(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
-        from repro.kernelos.pipe import PIPE_CAPACITY
-        progress = []
-
-        def writer(sys, wfd):
-            yield from sys.write(wfd, b"x" * (PIPE_CAPACITY + 100))
-            progress.append(("writer-done", w.sim.now))
-
-        def reader(sys, rfd):
-            yield w.sim.timeout(1_000_000)
-            total = 0
-            while total < PIPE_CAPACITY + 100:
-                data = yield from sys.read(rfd, 8192)
-                total += len(data)
-            progress.append(("reader-done", w.sim.now))
-
-        def main():
-            sys = kernel.thread()
-            rfd, wfd = yield from sys.pipe()
-            w.sim.spawn(writer(kernel.thread(kernel.host.cpus[1]), wfd))
-            w.sim.spawn(reader(kernel.thread(kernel.host.cpus[2]), rfd))
-
-        w.sim.spawn(main())
-        w.run()
-        names = [p[0] for p in progress]
-        assert "writer-done" in names and "reader-done" in names
-
-    def test_read_from_closed_empty_pipe_returns_eof(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
-
-        def proc():
-            sys = kernel.thread()
-            rfd, wfd = yield from sys.pipe()
-            yield from sys.write(wfd, b"tail")
-            yield from sys.pipe_close(wfd)
-            first = yield from sys.read(rfd, 100)
-            second = yield from sys.read(rfd, 100)
-            return first, second
-
-        first, second = run(w, proc())
-        assert first == b"tail"
-        assert second == b""
-
-    def test_write_to_closed_read_end_raises(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
-
-        def proc():
-            sys = kernel.thread()
-            rfd, wfd = yield from sys.pipe()
-            yield from sys.pipe_close(rfd)
-            with pytest.raises(KernelError):
-                yield from sys.write(wfd, b"no listener")
-            return "checked"
-
-        assert run(w, proc()) == "checked"

@@ -1,14 +1,6 @@
-"""Adaptive poll/interrupt policy and batch-counter reconciliation.
+"""Batch-counter reconciliation on the DPDK poll-mode driver.
 
-The DPDK driver with a ``spin_budget_ns`` lives in two regimes:
-
-* under load, frames land inside the spin window - the wake is a
-  ``poll_spin_wakes`` and costs only the elapsed spin cycles;
-* idle past the budget, the driver counts ``poll_irq_arms``, blocks,
-  and the next burst delivers exactly one ``poll_irq_wakeups`` no
-  matter how many frames it carries.
-
-The reconciliation tests pin the batched datapath's bookkeeping:
+The tests pin the batched datapath's bookkeeping:
 every frame the libOS posts is covered by exactly one doorbell or a
 ``doorbells_saved`` credit, and every frame the stack consumed came in
 through a counted burst.
@@ -16,14 +8,11 @@ through a counted burst.
 
 from repro.testbed import make_dpdk_libos_pair
 
-US = 1_000
-MS = 1_000_000
-
 MESSAGES = [b"m%02d" % i * 8 for i in range(8)]
 
 
-def _echo_once(w, client, server, idle_ns=0, n_messages=8):
-    """Connect, optionally sit idle, then pipeline a burst of pushes."""
+def _echo_once(w, client, server, n_messages=8):
+    """Connect, then pipeline a burst of pushes."""
     messages = MESSAGES[:n_messages]
 
     def server_proc():
@@ -40,8 +29,6 @@ def _echo_once(w, client, server, idle_ns=0, n_messages=8):
     def client_proc():
         qd = yield from client.socket()
         yield from client.connect(qd, "10.0.0.2", 7)
-        if idle_ns:
-            yield client.sim.timeout(idle_ns)
         tokens = [client.push(qd, client.sga_alloc(m)) for m in messages]
         yield from client.wait_all(tokens)
 
@@ -49,50 +36,6 @@ def _echo_once(w, client, server, idle_ns=0, n_messages=8):
     w.sim.spawn(client_proc())
     w.sim.run_until_complete(sp, limit=10**14)
     assert sp.value == messages
-
-
-class TestPollInterruptTransitions:
-    def test_loaded_traffic_stays_in_spin_regime(self):
-        # A closed-loop exchange has ~7 us gaps; a 1 ms budget means the
-        # driver never exhausts its spin and never pays an interrupt.
-        w, client, server = make_dpdk_libos_pair(batching=True,
-                                                 spin_budget_ns=1 * MS)
-        _echo_once(w, client, server)
-        assert w.tracer.get("server.catnip.poll_spin_wakes") > 0
-        assert w.tracer.get("server.catnip.poll_irq_wakeups") == 0
-
-    def test_spin_budget_exhaustion_arms_interrupt(self):
-        # A 5 us budget against a 500 us idle gap: the server driver
-        # must fall out of the spin loop and arm the NIC interrupt.
-        w, client, server = make_dpdk_libos_pair(batching=True,
-                                                 spin_budget_ns=5 * US)
-        _echo_once(w, client, server, idle_ns=500 * US)
-        arms = w.tracer.get("server.catnip.poll_irq_arms")
-        wakeups = w.tracer.get("server.catnip.poll_irq_wakeups")
-        assert arms >= 1
-        assert wakeups >= 1
-        # Every wake-up was preceded by an arm; at most one arm is still
-        # pending (the driver parked when the run ended).
-        assert 0 <= arms - wakeups <= 1
-
-    def test_burst_while_armed_wakes_exactly_once(self):
-        # One long idle window, then a pipelined 8-message burst.  The
-        # 50 us budget absorbs every in-exchange gap (handshake, ACKs),
-        # so the *only* interrupt the server ever takes is the single
-        # coalesced one that ends the idle window - 8 frames, one wake.
-        w, client, server = make_dpdk_libos_pair(batching=True,
-                                                 spin_budget_ns=50 * US)
-        _echo_once(w, client, server, idle_ns=2 * MS)
-        assert w.tracer.get("server.catnip.poll_irq_wakeups") == 1
-        assert w.tracer.get("server.catnip.poll_spin_wakes") > 0
-
-    def test_interrupt_path_off_without_budget(self):
-        w, client, server = make_dpdk_libos_pair(batching=True)
-        _echo_once(w, client, server, idle_ns=500 * US)
-        for side in ("client", "server"):
-            assert w.tracer.get("%s.catnip.poll_spin_wakes" % side) == 0
-            assert w.tracer.get("%s.catnip.poll_irq_arms" % side) == 0
-            assert w.tracer.get("%s.catnip.poll_irq_wakeups" % side) == 0
 
 
 class TestCounterReconciliation:

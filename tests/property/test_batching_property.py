@@ -4,9 +4,9 @@ Three invariants the batching layers must never bend:
 
 * **FIFO per flow** - burst RX delivery and coalesced TX doorbells must
   not reorder a TCP flow's elements, loss or no loss;
-* **exactly-once completion** - ``pop_batch``/``push_batch`` tokens
-  complete exactly once each; a second wait on a drained token raises,
-  and the qtoken lifecycle identity closes;
+* **exactly-once completion** - pop and push tokens complete exactly
+  once each, drained by ``wait_any_n`` or ``wait_all``; a second wait on
+  a drained token raises, and the qtoken lifecycle identity closes;
 * **batch/singleton equivalence** - with batching on or off, the same
   workload under the same fault plan yields byte-identical streams
   (batching only moves *costs*, never bytes or ordering).
@@ -25,8 +25,7 @@ messages_lists = st.lists(st.binary(min_size=1, max_size=512),
                           min_size=1, max_size=24)
 
 
-def _run_stream(messages, batching, drop_rate=0.0, seed=5, plan=None,
-                spin_budget_ns=None):
+def _run_stream(messages, batching, drop_rate=0.0, seed=5, plan=None):
     """Pipeline *messages* client->server over TCP; return the pops.
 
     The client posts every push before waiting (pipelined), so bursts
@@ -34,8 +33,7 @@ def _run_stream(messages, batching, drop_rate=0.0, seed=5, plan=None,
     frames per poll-loop wake on the RX side.
     """
     w, client, server = make_dpdk_libos_pair(
-        drop_rate=drop_rate, seed=seed, batching=batching,
-        spin_budget_ns=spin_budget_ns)
+        drop_rate=drop_rate, seed=seed, batching=batching)
     if plan is not None:
         w.install_faults(plan)
 
@@ -104,8 +102,8 @@ class TestExactlyOnceCompletion:
     @given(st.lists(st.binary(min_size=1, max_size=64), min_size=1,
                     max_size=16))
     @settings(max_examples=25, deadline=None)
-    def test_pop_batch_completes_each_token_once(self, elements):
-        """Each pop_batch token yields exactly one element; re-wait raises."""
+    def test_drained_pops_complete_each_token_once(self, elements):
+        """Each pop token yields exactly one element; re-wait raises."""
         from repro.core.api import LibOS
 
         w = World()
@@ -114,7 +112,7 @@ class TestExactlyOnceCompletion:
         qds = [libos.queue() for _ in elements]
 
         def proc():
-            tokens = libos.pop_batch(qds)
+            tokens = [libos.pop(qd) for qd in qds]
             assert len(set(tokens)) == len(elements)
             for qd, element in zip(qds, elements):
                 yield from libos.blocking_push(qd, libos.sga_alloc(element))
@@ -135,7 +133,7 @@ class TestExactlyOnceCompletion:
         assert p.value == {i: e for i, e in enumerate(elements)}
         # A drained token is gone: waiting again must raise.
         def rewait():
-            token = libos.pop_batch([qds[0]])[0]
+            token = libos.pop(qds[0])
             libos.qtokens.cancel(token)
             try:
                 yield from libos.wait(token)
@@ -152,7 +150,7 @@ class TestExactlyOnceCompletion:
     @given(st.lists(st.binary(min_size=1, max_size=64), min_size=1,
                     max_size=12))
     @settings(max_examples=25, deadline=None)
-    def test_push_batch_mints_one_token_per_element(self, elements):
+    def test_pushes_mint_one_token_per_element(self, elements):
         from repro.core.api import LibOS
 
         w = World()
@@ -161,8 +159,7 @@ class TestExactlyOnceCompletion:
         qd = libos.queue()
 
         def proc():
-            tokens = libos.push_batch(
-                [(qd, libos.sga_alloc(e)) for e in elements])
+            tokens = [libos.push(qd, libos.sga_alloc(e)) for e in elements]
             assert len(set(tokens)) == len(elements)
             results = yield from libos.wait_all(tokens)
             out = []
