@@ -68,7 +68,6 @@ class Shard:
             core=self.core,
             rx_queue=index,
             arp_responder=(index == 0),
-            batching=True,
         )
         self.engine = KvEngine(host, name="%s.kv%d" % (host.name, index))
         server_cls = server_cls or ShardProtoServer

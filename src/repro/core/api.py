@@ -31,6 +31,10 @@ from .wait import QTokenTable
 
 __all__ = ["LibOS"]
 
+#: ``LibOS._push``'s *remote* for a plain ``push`` (``None`` is an address
+#: ``push_to`` may be given: an unaddressed datagram the kind refuses)
+_NO_REMOTE = object()
+
 
 class LibOS:
     """Base library OS: Figure 3's interface over an accelerator."""
@@ -84,6 +88,11 @@ class LibOS:
     # ------------------------------------------------- data path (Figure 3)
     def push(self, qd: int, sga: Sga) -> QToken:
         """Non-blocking push of one atomic element; returns a qtoken."""
+        return self._push(qd, sga)
+
+    def _push(self, qd: int, sga: Sga, remote=_NO_REMOTE) -> QToken:
+        """``push`` and ``push_to``: a qtoken for one element, handed to
+        the queue kind - with *remote*, to its datagram half."""
         queue = self._lookup(qd)
         if sga.nsegments == 0:
             raise DemiError("push of an empty sga")
@@ -93,7 +102,14 @@ class LibOS:
         if self.tracer.tracing:
             self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
                                nbytes=sga.nbytes)
-        queue.push_sga(sga, token)
+        try:
+            if remote is _NO_REMOTE:
+                queue.push_sga(sga, token)
+            else:
+                queue.push_sga_to(sga, token, remote)
+        except DemiError:
+            self.qtokens.cancel(token)  # the kind refused: strand no token
+            raise
         return token
 
     def pop(self, qd: int) -> QToken:
@@ -271,21 +287,7 @@ class LibOS:
 
     def push_to(self, qd: int, sga: Sga, remote) -> QToken:
         """Datagram extension: push one element to an explicit address."""
-        queue = self._lookup(qd)
-        if sga.nsegments == 0:
-            raise DemiError("push of an empty sga")
-        self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
-        self.count(names.PUSHES)
-        token, _done = self.qtokens.create()
-        if self.tracer.tracing:
-            self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
-                               nbytes=sga.nbytes)
-        try:
-            queue.push_sga_to(sga, token, remote)
-        except DemiError:
-            self.qtokens.cancel(token)  # the kind refused: strand no token
-            raise
-        return token
+        return self._push(qd, sga, remote)
 
     # -------------- which queue class to install: each libOS's own device calls
     def socket(self, *args, **kw) -> Generator:

@@ -216,6 +216,8 @@ class ListenQueue(DemiQueue):
                                       error="push on listening queue"))
 
     def listen(self, backlog: int = 128) -> Generator:
+        if self.listener is not None:
+            raise self._refused("listen again on")
         yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
         self.listener = self.libos.stack.tcp_listen(self.port, backlog)
 
@@ -254,10 +256,13 @@ class DpdkLibOS(LibOS):
     def __init__(self, host, nic: DpdkNic, ip: str, name: str = "catnip",
                  core=None, rx_burst_size: int = 32,
                  verify_checksums: bool = False, rx_queue: int = 0,
-                 arp_responder: bool = True, batching: bool = False):
+                 arp_responder: bool = True):
         super().__init__(host, name, core)
         self.nic = nic
         self.ip = ip
+        #: frames one poll takes off the RX ring; the stack charges the
+        #: first of them ``user_net_rx_ns`` and the rest
+        #: ``user_net_rx_batch_ns``
         self.rx_burst_size = rx_burst_size
         #: the NIC RX queue this instance polls.  A sharded server runs
         #: one DpdkLibOS per core, each bound to its own queue; RSS makes
@@ -266,10 +271,6 @@ class DpdkLibOS(LibOS):
         if rx_queue >= nic.n_rx_queues:
             raise DemiError("rx queue %d on a %d-queue NIC"
                             % (rx_queue, nic.n_rx_queues))
-        #: batched fast path: coalesce TX doorbells (one per burst) and
-        #: amortize per-frame RX stack costs.  Off by default - timing of
-        #: the singleton path is part of the repo's golden surface.
-        self.batching = batching
         #: the NIC TX queue this instance posts to: the mirror of
         #: ``rx_queue``, so a sharded server's shards never serialize
         #: behind one TX pipeline (the 8-core knee's root cause).
@@ -288,8 +289,7 @@ class DpdkLibOS(LibOS):
             rx_cost_ns=self.costs.user_net_rx_ns,
             verify_checksums=verify_checksums,
             arp_responder=arp_responder,
-            rx_batch_cost_ns=(self.costs.user_net_rx_batch_ns
-                              if batching else None),
+            rx_batch_cost_ns=self.costs.user_net_rx_batch_ns,
         )
         self._poll_proc = self.sim.spawn(self._poll_loop(),
                                          name="%s.poll" % name)
@@ -299,25 +299,16 @@ class DpdkLibOS(LibOS):
 
     # -- driver --------------------------------------------------------------
     def _send_frame(self, dst_mac: str, raw: bytes) -> None:
-        if self.batching:
-            # Park the descriptor; one doorbell covers everything posted
-            # at this instant.  call_in(0) runs after the current event
-            # finishes, so frames emitted together (the replies of one
-            # batch drain, a window's worth of segments) share a single
-            # ring.
-            self._tx_pending.append((dst_mac, raw))
-            if len(self._tx_pending) == 1:
-                self.sim.call_in(0, self._flush_tx)
-            return
-        # Doorbell write to hand the descriptor to the NIC.
-        self.core.charge_async(self.costs.doorbell_ns)
-        self.count(names.DOORBELLS)
-        self.nic.post_tx(dst_mac, raw, tx_queue=self.tx_queue)
+        # Park the descriptor; one doorbell covers everything posted at
+        # this instant.  call_in(0) runs after the current event finishes,
+        # so frames emitted together (the replies of one batch drain, a
+        # window's worth of segments) share a single ring.
+        self._tx_pending.append((dst_mac, raw))
+        if len(self._tx_pending) == 1:
+            self.sim.call_in(0, self._flush_tx)
 
     def _flush_tx(self) -> None:
         batch, self._tx_pending = self._tx_pending, []
-        if not batch:
-            return
         self.core.charge_async(self.costs.doorbell_ns)
         self.count(names.DOORBELLS)
         if len(batch) > 1:
@@ -329,12 +320,8 @@ class DpdkLibOS(LibOS):
         while True:
             yield self.nic.rx_signal(self.rx_queue)
             yield self.core.busy(self.costs.dpdk_poll_ns)
-            frames = self.nic.rx_burst(self.rx_burst_size, self.rx_queue)
-            if self.batching:
-                self.stack.rx_burst(frames)
-            else:
-                for frame in frames:
-                    self.stack.rx_frame(frame)
+            self.stack.rx_burst(
+                self.nic.rx_burst(self.rx_burst_size, self.rx_queue))
 
     # -- control path (Figure 3 network calls) ---------------------------------
     def socket(self, proto: str = "tcp") -> Generator:

@@ -118,6 +118,8 @@ class PosixListenQueue(DemiQueue):
                                       error="push on listening queue"))
 
     def listen(self, backlog: int = 128) -> Generator:
+        if self.fd is not None:
+            raise self._refused("listen again on")
         sys = self.libos.sys
         fd = yield from sys.socket()
         yield from sys.bind(fd, self.port)

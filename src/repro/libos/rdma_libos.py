@@ -195,6 +195,8 @@ class RdmaListenQueue(DemiQueue):
                                       error="push on listening queue"))
 
     def listen(self, backlog: int = 128) -> Generator:
+        if self.listener is not None:
+            raise self._refused("listen again on")
         yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
         self.listener = self.libos.cm.listen(self.libos.nic, self.port)
 

@@ -71,7 +71,7 @@ class NetStack:
         rx_cost_ns: int = 0,
         verify_checksums: bool = False,
         arp_responder: bool = True,
-        rx_batch_cost_ns: Optional[int] = None,
+        rx_batch_cost_ns: int = 0,
     ):
         self.sim = sim
         self.name = name
@@ -83,8 +83,7 @@ class NetStack:
         self.charge = charge or (lambda ns: None)
         self.tx_cost_ns = tx_cost_ns
         self.rx_cost_ns = rx_cost_ns
-        #: cost of the 2nd..Nth frame of one :meth:`rx_burst` call; None
-        #: disables amortization (every frame pays ``rx_cost_ns``).
+        #: cost of the 2nd..Nth frame of one :meth:`rx_burst` call
         self.rx_batch_cost_ns = rx_batch_cost_ns
         self.verify_checksums = verify_checksums
         #: answer ARP who-has requests for our IP.  When several stacks
@@ -119,20 +118,18 @@ class NetStack:
         """Deliver a burst of frames in one driver crossing.
 
         Protocol processing is identical to calling :meth:`rx_frame` per
-        frame; the difference is cost accounting: with
-        ``rx_batch_cost_ns`` set, only the first frame pays the full
-        ``rx_cost_ns`` (cache warm-up, ring bookkeeping) and the rest run
-        the hot loop at the amortized rate.
+        frame; the difference is cost accounting: only the first frame
+        pays the full ``rx_cost_ns`` (cache warm-up, ring bookkeeping) and
+        the rest run the hot loop at ``rx_batch_cost_ns``.
         """
         if not frames:
             return
         self.counters.count(names.RX_BURSTS)
         self.counters.count(names.RX_BURST_FRAMES, len(frames))
-        for i, raw in enumerate(frames):
-            if i == 0 or self.rx_batch_cost_ns is None:
-                self.charge(self.rx_cost_ns)
-            else:
-                self.charge(self.rx_batch_cost_ns)
+        cost = self.rx_cost_ns
+        for raw in frames:
+            self.charge(cost)
+            cost = self.rx_batch_cost_ns
             self.counters.count(names.RX_FRAMES)
             self._dispatch_frame(raw)
 

@@ -161,13 +161,8 @@ def make_net_pair(drop_rate: float = 0.0, seed: int = 42, telemetry=False):
 def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
                          with_offload: bool = False,
                          costs: CostModel = DEFAULT_COSTS,
-                         verify_checksums: bool = False, telemetry=False,
-                         batching: bool = False):
-    """Two hosts with DPDK libOSes: (world, client libOS, server libOS).
-
-    *batching* turns on the coalesced TX/amortized-RX fast path on both
-    sides.
-    """
+                         verify_checksums: bool = False, telemetry=False):
+    """Two hosts with DPDK libOSes: (world, client libOS, server libOS)."""
     from .libos.dpdk_libos import DpdkLibOS
 
     w = World(costs=costs, drop_rate=drop_rate, seed=seed,
@@ -180,8 +175,7 @@ def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
         if with_offload:
             OffloadEngine(host, name="%s.offload" % name).attach(nic)
         liboses.append(DpdkLibOS(host, nic, ip, name="%s.catnip" % name,
-                                 verify_checksums=verify_checksums,
-                                 batching=batching))
+                                 verify_checksums=verify_checksums))
     return w, liboses[0], liboses[1]
 
 

@@ -1,12 +1,14 @@
 """Batch-counter reconciliation on the DPDK poll-mode driver.
 
-The tests pin the batched datapath's bookkeeping:
+The tests pin the datapath's bookkeeping:
 every frame the libOS posts is covered by exactly one doorbell or a
 ``doorbells_saved`` credit, and every frame the stack consumed came in
 through a counted burst.
 """
 
+from repro.sim.faults import FaultPlan
 from repro.testbed import make_dpdk_libos_pair
+from repro.testing import run_scenario
 
 MESSAGES = [b"m%02d" % i * 8 for i in range(8)]
 
@@ -40,7 +42,7 @@ def _echo_once(w, client, server, n_messages=8):
 
 class TestCounterReconciliation:
     def test_doorbells_cover_every_posted_frame(self):
-        w, client, server = make_dpdk_libos_pair(batching=True)
+        w, client, server = make_dpdk_libos_pair()
         _echo_once(w, client, server)
         for side, nic in (("client", "dpdk0"), ("server", "dpdk0")):
             posted = w.tracer.get("%s.%s.tx_frames" % (side, nic))
@@ -50,17 +52,17 @@ class TestCounterReconciliation:
             assert doorbells + saved == posted, (
                 "%s: %d doorbells + %d saved != %d frames posted"
                 % (side, doorbells, saved, posted))
-            # With batching, every post goes through the burst path.
+            # Every post goes through the burst path.
             assert w.tracer.get("%s.%s.tx_burst_frames"
                                 % (side, nic)) == posted
 
     def test_coalescing_saves_doorbells_on_pipelined_bursts(self):
-        w, client, server = make_dpdk_libos_pair(batching=True)
+        w, client, server = make_dpdk_libos_pair()
         _echo_once(w, client, server)
         assert w.tracer.get("client.catnip.doorbells_saved") > 0
 
     def test_burst_frames_reconcile_with_stack_deliveries(self):
-        w, client, server = make_dpdk_libos_pair(batching=True)
+        w, client, server = make_dpdk_libos_pair()
         _echo_once(w, client, server)
         for side in ("client", "server"):
             delivered = w.tracer.get("%s.catnip.stack.rx_frames" % side)
@@ -69,11 +71,14 @@ class TestCounterReconciliation:
             assert delivered > 0
             assert via_bursts == delivered
 
-    def test_singleton_path_posts_one_doorbell_per_frame(self):
-        w, client, server = make_dpdk_libos_pair(batching=False)
-        _echo_once(w, client, server)
-        for side in ("client", "server"):
-            posted = w.tracer.get("%s.dpdk0.tx_frames" % side)
-            doorbells = w.tracer.get("%s.catnip.doorbells" % side)
-            assert doorbells == posted
-            assert w.tracer.get("%s.catnip.doorbells_saved" % side) == 0
+    def test_the_single_core_open_loop_server_coalesces(self):
+        # The one-core ProtoServer answers a pipelined batch with several
+        # replies in one instant: they share a doorbell, as a shard's do.
+        result = run_scenario("open-loop", "dpdk", plan=FaultPlan(seed=7),
+                              rate_ops_per_s=200_000, duration_ms=2,
+                              n_connections=8).require_ok()
+        tracer = result.world.tracer
+        assert tracer.get("server.catnip.doorbells_saved") > 0
+        assert (tracer.get("server.catnip.doorbells")
+                + tracer.get("server.catnip.doorbells_saved")
+                == tracer.get("server.dpdk0.tx_frames"))

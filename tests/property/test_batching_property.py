@@ -1,15 +1,18 @@
-"""Property battery for the batched datapath fast path (ISSUE 6).
+"""Property battery for the DPDK libOS's batched datapath.
 
-Three invariants the batching layers must never bend:
+Three invariants burst RX delivery and coalesced TX doorbells must never
+bend:
 
-* **FIFO per flow** - burst RX delivery and coalesced TX doorbells must
-  not reorder a TCP flow's elements, loss or no loss;
+* **FIFO per flow** - they must not reorder a TCP flow's elements, loss
+  or no loss;
 * **exactly-once completion** - pop and push tokens complete exactly
   once each, drained by ``wait_any_n`` or ``wait_all``; a second wait on
   a drained token raises, and the qtoken lifecycle identity closes;
-* **batch/singleton equivalence** - with batching on or off, the same
-  workload under the same fault plan yields byte-identical streams
-  (batching only moves *costs*, never bytes or ordering).
+* **burst-size equivalence** - polling one frame at a time
+  (``rx_burst_size=1``: every frame pays the full ``user_net_rx_ns``) or
+  a whole burst, the same workload under the same fault plan yields
+  byte-identical streams (the burst only moves *costs*, never bytes or
+  ordering).
 """
 
 from hypothesis import given, settings
@@ -25,15 +28,16 @@ messages_lists = st.lists(st.binary(min_size=1, max_size=512),
                           min_size=1, max_size=24)
 
 
-def _run_stream(messages, batching, drop_rate=0.0, seed=5, plan=None):
+def _run_stream(messages, rx_burst_size=32, drop_rate=0.0, seed=5,
+                plan=None):
     """Pipeline *messages* client->server over TCP; return the pops.
 
     The client posts every push before waiting (pipelined), so bursts
     actually form: several frames per doorbell on the TX side, several
     frames per poll-loop wake on the RX side.
     """
-    w, client, server = make_dpdk_libos_pair(
-        drop_rate=drop_rate, seed=seed, batching=batching)
+    w, client, server = make_dpdk_libos_pair(drop_rate=drop_rate, seed=seed)
+    client.rx_burst_size = server.rx_burst_size = rx_burst_size
     if plan is not None:
         w.install_faults(plan)
 
@@ -62,7 +66,8 @@ def _run_stream(messages, batching, drop_rate=0.0, seed=5, plan=None):
 
 @st.composite
 def recoverable_plans(draw):
-    """Fault plans inside TCP's retry budget: loss + reorder windows."""
+    """Fault plans inside TCP's retry budget: loss, reorder and
+    duplication windows."""
     plan = FaultPlan(seed=draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         start = draw(st.integers(0, 800 * US))
@@ -73,6 +78,10 @@ def recoverable_plans(draw):
         plan.reorder(start, start + draw(st.integers(50 * US, 600 * US)),
                      rate=draw(st.floats(0.1, 0.5, allow_nan=False)),
                      jitter_ns=draw(st.integers(10 * US, 150 * US)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 800 * US))
+        plan.duplicate(start, start + draw(st.integers(50 * US, 600 * US)),
+                       rate=draw(st.floats(0.1, 0.5, allow_nan=False)))
     return plan
 
 
@@ -80,8 +89,8 @@ class TestBurstFifoOrder:
     @given(messages_lists)
     @settings(max_examples=15, deadline=None)
     def test_burst_delivery_preserves_fifo(self, messages):
-        """Pipelined pushes arrive whole and in order with batching on."""
-        got, w = _run_stream(messages, batching=True)
+        """Pipelined pushes arrive whole and in order."""
+        got, w = _run_stream(messages)
         assert got == messages
         # The fast path actually engaged: bursts were counted and every
         # burst frame is accounted for by the per-frame counter.
@@ -91,10 +100,9 @@ class TestBurstFifoOrder:
 
     @given(messages_lists, st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
-    def test_fifo_survives_loss_with_batching(self, messages, seed):
+    def test_fifo_survives_loss(self, messages, seed):
         """Retransmissions under loss cannot reorder the batched flow."""
-        got, _w = _run_stream(messages, batching=True, drop_rate=0.08,
-                              seed=seed)
+        got, _w = _run_stream(messages, drop_rate=0.08, seed=seed)
         assert got == messages
 
 
@@ -177,26 +185,24 @@ class TestExactlyOnceCompletion:
         assert t.created == t.completed + t.cancelled + t.in_flight
 
 
-class TestBatchSingletonEquivalence:
+class TestBurstSizeEquivalence:
     @given(messages_lists, recoverable_plans())
     @settings(max_examples=10, deadline=None)
     def test_byte_identical_streams_under_faults(self, messages, plan):
-        """Batching only moves costs: same plan, same bytes, same order."""
-        singleton, _ = _run_stream(
-            messages, batching=False, seed=3,
+        """The burst only moves costs: same plan, same bytes, same order."""
+        single, _ = _run_stream(
+            messages, rx_burst_size=1, seed=3,
             plan=FaultPlan(plan.seed, list(plan.events)))
-        batched, _ = _run_stream(
-            messages, batching=True, seed=3,
-            plan=FaultPlan(plan.seed, list(plan.events)))
-        assert singleton == batched == messages
+        burst, _ = _run_stream(
+            messages, seed=3, plan=FaultPlan(plan.seed, list(plan.events)))
+        assert single == burst == messages
 
     @given(messages_lists, st.floats(0.0, 0.1, allow_nan=False),
            st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
     def test_byte_identical_streams_under_loss(self, messages, drop_rate,
                                                seed):
-        singleton, _ = _run_stream(messages, batching=False,
-                                   drop_rate=drop_rate, seed=seed)
-        batched, _ = _run_stream(messages, batching=True,
-                                 drop_rate=drop_rate, seed=seed)
-        assert singleton == batched == messages
+        single, _ = _run_stream(messages, rx_burst_size=1,
+                                drop_rate=drop_rate, seed=seed)
+        burst, _ = _run_stream(messages, drop_rate=drop_rate, seed=seed)
+        assert single == burst == messages

@@ -28,20 +28,24 @@ REQUESTS = 4 * 50
 #: null span or metric is called and `wait` reads no clock: 21 calls per
 #: request gone), 184_162 now (PR 22: a push no longer bounces from the
 #: queue into its libOS, which pays for the one place a received element
-#: is born); 3.12 inlines comprehensions and counts fewer.  The
-#: budget sits 4 % above the measurement, 37 calls per request: a call
-#: added to every counter bump (62 per request), or three to each of a
-#: request's 17 events, trips it; two per event do not.
-CALL_BUDGET = 191_500
+#: is born), 187_070 now (every dpdk libOS takes the batched datapath:
+#: the four clients flush TX through a ``call_in(0)`` per instant, and a
+#: push and a ``push_to`` share one body); 3.12 inlines comprehensions
+#: and counts fewer.  The budget sits 4 % above the measurement, 37 calls
+#: per request: a call added to every counter bump (62 per request), or
+#: two to each of a request's 20 events, trips it; one per event does not.
+CALL_BUDGET = 194_553
 
 #: events scheduled and the heap's peak length for the same 200 requests:
-#: 4175 and 166 before PR 20, 3803 and 32 now (TCP's timers are one
+#: 4175 and 166 before PR 20, 3803 and 32 after it (TCP's timers are one
 #: re-armable ``Timer`` each: a request no longer leaves a superseded RTO
-#: event on the heap to fire 100 us later as a no-op).  The budgets sit
-#: 4 % and 25 % above the measurements: one stale timer event per request
-#: is +200 events and trips the first, and events that outlive their work
-#: by a timeout pile up and trip the second.
-EVENT_BUDGET = 3_955
+#: event on the heap to fire 100 us later as a no-op), 4022 and 32 now
+#: (the four clients ring their doorbell from one flush event per instant,
+#: as the shards already did).  The budgets sit 4 % and 25 % above the
+#: measurements: one stale timer event per request is +200 events and
+#: trips the first, and events that outlive their work by a timeout pile
+#: up and trip the second.
+EVENT_BUDGET = 4_183
 HEAP_PEAK_BUDGET = 40
 
 #: the replicated path's guard: the ``replica-crash-middle`` chaos run on
