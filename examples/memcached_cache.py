@@ -44,7 +44,7 @@ def GET(key):
 def main():
     world, client_libos, server_libos = make_dpdk_libos_pair()
     server = cache_server(server_libos, port=PORT, max_entries=3)
-    stats = server.service.store.cache.stats
+    stats = server.service.store.stats
     world.sim.spawn(server.start(), name="cache-server")
 
     def scenario():

@@ -4,8 +4,6 @@ from .cache import CacheStats, LruTtlCache, cache_server
 from .echo import (
     demi_echo_client,
     demi_echo_server,
-    demi_udp_echo_client,
-    demi_udp_echo_server,
     mtcp_echo_client,
     mtcp_echo_server,
     posix_echo_client,
@@ -19,7 +17,6 @@ from .kvstore import (
     posix_kv_client,
     posix_kv_server,
 )
-from .relay import run_relay
 from .steering import SteeringPipeline, partition_of
 from .storelog import demi_log_writer, posix_log_writer
 
@@ -29,8 +26,6 @@ __all__ = [
     "cache_server",
     "demi_echo_server",
     "demi_echo_client",
-    "demi_udp_echo_server",
-    "demi_udp_echo_client",
     "posix_echo_server",
     "posix_echo_client",
     "mtcp_echo_server",
@@ -42,7 +37,6 @@ __all__ = [
     "posix_kv_server",
     "posix_kv_client",
     "kv_workload",
-    "run_relay",
     "SteeringPipeline",
     "partition_of",
     "demi_log_writer",

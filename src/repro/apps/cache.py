@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from ..core.api import LibOS
 from .proto.legacy import LegacyCacheCodec
-from .proto.server import LruCacheStore, ProtoServer
+from .proto.server import ProtoServer
 
 __all__ = ["CacheStats", "LruTtlCache", "cache_server"]
 
@@ -103,21 +103,15 @@ class LruTtlCache:
             del self._entries[key]
             self.stats.expirations += 1
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
 
 def cache_server(libos: LibOS, port: int = 11211,
                  max_entries: int = 1024) -> ProtoServer:
     """An LRU+TTL cache behind :class:`ProtoServer`, sweep timer armed.
 
-    The cache (and its :class:`CacheStats`) is ``server.service.store.
-    cache``.
+    The cache (and its :class:`CacheStats`) is ``server.service.store``.
     """
     cache = LruTtlCache(lambda: libos.sim.now, max_entries)
-    server = ProtoServer(libos, LegacyCacheCodec, LruCacheStore(cache),
-                         port=port)
+    server = ProtoServer(libos, LegacyCacheCodec, cache, port=port)
     server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired,
                           periodic=True)
     return server

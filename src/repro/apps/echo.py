@@ -23,8 +23,6 @@ from ..sim.trace import LatencyStats
 __all__ = [
     "demi_echo_server",
     "demi_echo_client",
-    "demi_udp_echo_server",
-    "demi_udp_echo_client",
     "posix_echo_server",
     "posix_echo_client",
     "mtcp_echo_server",
@@ -59,40 +57,6 @@ def demi_echo_client(libos: LibOS, server_addr: str,
     """Send each message, wait for its echo; returns (replies, stats)."""
     stats = stats if stats is not None else LatencyStats("rtt")
     qd = yield from libos.socket()
-    yield from libos.connect(qd, server_addr, port)
-    replies: List[bytes] = []
-    for message in messages:
-        start = libos.sim.now
-        yield from libos.blocking_push(qd, libos.sga_alloc(message))
-        result = yield from libos.blocking_pop(qd)
-        stats.add(libos.sim.now - start)
-        replies.append(result.sga.tobytes())
-    yield from libos.close(qd)
-    return replies, stats
-
-
-def demi_udp_echo_server(libos, port: int = 7,
-                         max_requests: int = 0) -> Generator:
-    """Datagram echo: each element is one datagram, no connection setup."""
-    qd = yield from libos.socket("udp")
-    yield from libos.bind(qd, port)
-    served = 0
-    while max_requests == 0 or served < max_requests:
-        result = yield from libos.blocking_pop(qd)
-        if result.error is not None:
-            break
-        token = libos.push_to(qd, result.sga, result.value)
-        yield from libos.wait(token)
-        served += 1
-    return served
-
-
-def demi_udp_echo_client(libos, server_addr: str,
-                         messages: Sequence[bytes], port: int = 7,
-                         stats: LatencyStats = None) -> Generator:
-    """UDP echo client: one datagram per message (no handshake at all)."""
-    stats = stats if stats is not None else LatencyStats("udp-rtt")
-    qd = yield from libos.socket("udp")
     yield from libos.connect(qd, server_addr, port)
     replies: List[bytes] = []
     for message in messages:

@@ -9,7 +9,7 @@ One storage engine (:class:`KvEngine`) and one binary wire format
   :func:`demi_kv_client` is the closed-loop client for it;
 * :class:`UdpKvServer` - one datagram per request, replies leave by
   ``push_to`` as zero-copy sgas (the reply's value segment *is* the
-  stored buffer), optionally fronted by the NIC-resident
+  stored segment), optionally fronted by the NIC-resident
   :class:`KvNicOffload` GET program (claim C6);
 * :func:`posix_kv_server` - the same engine behind kernel sockets, with
   the copies and syscalls that entails (the baseline C1/C2 compare
@@ -17,7 +17,9 @@ One storage engine (:class:`KvEngine`) and one binary wire format
 
 The engine follows the section-4.5 PUT pattern - allocate a fresh value
 buffer and swap the pointer, never update in place - so free-protection
-makes the old buffer safe to free even mid-DMA.
+makes the old buffer safe to free even mid-DMA.  It stores each value as
+an :class:`~repro.core.types.SgaSegment` of its buffer, so a value keeps
+its own length: a buffer is never empty, an empty value is.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from ..core.api import LibOS
 from ..core.types import DemiError, DemiTimeout, Sga, SgaSegment
 from ..kernelos.kernel import Kernel
-from ..memory.buffer import Buffer
 from ..netstack.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from ..netstack.framing import Deframer, FramingError, frame_message
 from ..netstack.ipv4 import PROTO_UDP, Ipv4Packet
@@ -76,7 +77,7 @@ def get_result(reply: Response) -> Tuple[bool, Optional[bytes]]:
 # ---------------------------------------------------------------------------
 
 class KvEngine:
-    """Hash table of key -> value :class:`Buffer` with Redis-like costs."""
+    """Hash table of key -> value segment with Redis-like costs."""
 
     def __init__(self, host, name: str = "kv"):
         self.host = host
@@ -84,7 +85,7 @@ class KvEngine:
         self.costs = host.costs
         self.tracer = host.tracer
         self.name = name
-        self._table: Dict[bytes, Buffer] = {}
+        self._table: Dict[bytes, SgaSegment] = {}
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -93,15 +94,15 @@ class KvEngine:
     def parse_cost(self) -> int:
         return self.costs.kv_parse_ns
 
-    def get(self, key: bytes) -> Optional[Buffer]:
-        """GET work (hash lookup); the value buffer is shared, not copied."""
+    def get(self, key: bytes) -> Optional[SgaSegment]:
+        """GET work (hash lookup); the value is shared, not copied."""
         self.gets += 1
-        buf = self._table.get(key)
-        if buf is None:
+        value = self._table.get(key)
+        if value is None:
             self.misses += 1
-        return buf
+        return value
 
-    def put(self, key: bytes, value: bytes) -> Buffer:
+    def put(self, key: bytes, value: bytes) -> SgaSegment:
         """The section-4.5 pattern: new buffer, pointer swap, free old.
 
         The old buffer may still be referenced by an in-flight zero-copy
@@ -111,11 +112,12 @@ class KvEngine:
         self.puts += 1
         new_buf = self.mm.alloc(max(1, len(value)))
         new_buf.write(0, value)
+        stored = SgaSegment(new_buf, 0, len(value))
         old = self._table.get(key)
-        self._table[key] = new_buf
-        if old is not None and not old.freed:
-            self.mm.free(old)
-        return new_buf
+        self._table[key] = stored
+        if old is not None and not old.buf.freed:
+            self.mm.free(old.buf)
+        return stored
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; same pointer-swap discipline as :meth:`put`.
@@ -123,12 +125,12 @@ class KvEngine:
         The freed buffer may still back an in-flight zero-copy GET
         response; free-protection covers that window.
         """
-        buf = self._table.pop(key, None)
-        if buf is None:
+        stored = self._table.pop(key, None)
+        if stored is None:
             return False
         self.deletes += 1
-        if not buf.freed:
-            self.mm.free(buf)
+        if not stored.buf.freed:
+            self.mm.free(stored.buf)
         return True
 
     def service_cost(self, op: str) -> int:
@@ -247,16 +249,16 @@ class UdpKvServer:
             engine.put(request.key, request.value)
             reply = libos.sga_alloc(codec.encode(Response(ST_STORED)))
         else:
-            buf = engine.get(request.key)
-            if buf is None:
+            value = engine.get(request.key)
+            if value is None:
                 reply = libos.sga_alloc(codec.encode(Response(ST_MISS)))
             else:
                 # Zero-copy response: header segment + the stored value
-                # buffer itself as the second segment.
-                header = codec.value_header(buf.capacity)
+                # segment itself as the second segment.
+                header = codec.value_header(value.nbytes)
                 header_buf = libos.mm.alloc(len(header))
                 header_buf.write(0, header)
-                reply = Sga([SgaSegment(header_buf), SgaSegment(buf)])
+                reply = Sga([SgaSegment(header_buf), value])
         push_token = libos.push_to(qd, reply, result.value)
         yield from libos.qtokens.wait(push_token)
         self.service_stats.add(libos.sim.now - service_start)
@@ -309,9 +311,6 @@ class KvNicOffload:
     def install(self) -> None:
         self.nic.install_rx_program(self)
 
-    def uninstall(self) -> None:
-        self.nic.install_rx_program(None)
-
     def __call__(self, frame: bytes):
         offload = self.nic.offload
         # -- filter stage: a KV request is UDP to our (ip, port) -----------
@@ -336,18 +335,18 @@ class KvNicOffload:
             return None
         key = request.key
         if request.op == "get":
-            buf = self.engine.get(key)
-            if buf is None:
+            value = self.engine.get(key)
+            if value is None:
                 self.misses += 1
                 offload.count(names.OFFLOAD_KV_MISSES)
                 return self._reply(frame, codec.encode(Response(ST_MISS)))
-            if buf.capacity <= INLINE_VALUE_LIMIT:
+            if value.nbytes <= INLINE_VALUE_LIMIT:
                 # DMA the value out of host memory: device time, not CPU.
-                offload.charge_device(self.nic.costs.dma_ns(buf.capacity))
+                offload.charge_device(self.nic.costs.dma_ns(value.nbytes))
                 self.hits += 1
                 offload.count(names.OFFLOAD_KV_HITS)
                 return self._reply(frame, codec.encode(
-                    Response(ST_VALUE, value=buf.read())))
+                    Response(ST_VALUE, value=value.tobytes())))
         # -- steer stage: the owning shard's RX queue ----------------------
         self.steered += 1
         offload.count(names.OFFLOAD_KV_STEERED)
@@ -403,17 +402,17 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
                 engine.put(request.key, request.value)
                 reply = codec.encode(Response(ST_STORED))
             else:
-                buf = engine.get(request.key)
-                if buf is None:
+                value = engine.get(request.key)
+                if value is None:
                     reply = codec.encode(Response(ST_MISS))
                 else:
                     # POSIX cannot hand the stored buffer to the NIC: the
                     # value is copied into the reply (and copied again
                     # crossing into the kernel inside send()).
-                    yield core.busy(kernel.costs.copy_ns(buf.capacity))
+                    yield core.busy(kernel.costs.copy_ns(value.nbytes))
                     kernel.count(names.KV_VALUE_COPIES)
                     reply = codec.encode(
-                        Response(ST_VALUE, value=buf.read()))
+                        Response(ST_VALUE, value=value.tobytes()))
             yield from sys.send(conn_fd, frame_message(reply))
             served += 1
     return served

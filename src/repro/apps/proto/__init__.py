@@ -13,7 +13,7 @@ from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
 from .legacy import LegacyCacheCodec, LegacyKvCodec
 from .memcached import MemcachedCodec
 from .resp import RespCodec
-from .server import KvEngineStore, LruCacheStore, ProtoServer, ProtoService
+from .server import KvEngineStore, ProtoServer, ProtoService
 
 #: registry name -> codec class (loadgen and workloads look these up)
 CODECS = {
@@ -35,7 +35,6 @@ __all__ = [
     "ProtoServer",
     "ProtoService",
     "KvEngineStore",
-    "LruCacheStore",
     "CODECS",
     "ST_STORED",
     "ST_VALUE",

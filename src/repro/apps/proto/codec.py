@@ -26,7 +26,7 @@ up.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 __all__ = [
@@ -115,9 +115,6 @@ class _StreamBuffer:
 
     def find(self, needle: bytes, start: int = 0) -> int:
         return self._data.find(needle, start)
-
-    def pending(self) -> bool:
-        return bool(self._data)
 
 
 class Codec(ABC):
@@ -209,7 +206,7 @@ class Codec(ABC):
     # -- introspection -----------------------------------------------------
     def pending(self) -> bool:
         """True if a partially-received message is buffered."""
-        return self._rx.pending() or self._rx_replies.pending()
+        return bool(len(self._rx) or len(self._rx_replies))
 
 
 def _exactly_one(messages: list, what: str, data: bytes):

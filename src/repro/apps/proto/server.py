@@ -6,9 +6,10 @@ DemiEventLoop` - and the only stream server in the repo, with the
 protocol factored out: pass ``RespCodec`` and it is a Redis; pass
 ``MemcachedCodec`` and it is a memcached; pass a legacy codec and it
 speaks the repo's original binary formats.  The storage behind it is
-equally pluggable: :class:`KvEngineStore` adapts the
-:class:`~repro.apps.kvstore.KvEngine`, :class:`LruCacheStore` adapts
-the TTL+LRU :class:`~repro.apps.cache.LruTtlCache`.
+equally pluggable: a store is anything with ``get(key)``, ``set(key,
+value, ttl_ms)`` and ``delete(key)`` - :class:`KvEngineStore` adapts the
+:class:`~repro.apps.kvstore.KvEngine`, and the TTL+LRU
+:class:`~repro.apps.cache.LruTtlCache` is one as it stands.
 
 Because the codec is incremental, the server is indifferent to how the
 client chunked its bytes: one element may hold half a request (buffered)
@@ -35,7 +36,7 @@ from ..steering import key_partition
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
 
-__all__ = ["KvEngineStore", "LruCacheStore", "ProtoService", "ProtoServer"]
+__all__ = ["KvEngineStore", "ProtoService", "ProtoServer"]
 
 
 class KvEngineStore:
@@ -49,30 +50,14 @@ class KvEngineStore:
         self.engine = engine
 
     def get(self, key: bytes) -> Optional[bytes]:
-        buf = self.engine.get(key)
-        return None if buf is None else buf.read()
+        value = self.engine.get(key)
+        return None if value is None else value.tobytes()
 
     def set(self, key: bytes, value: bytes, ttl_ms: int = 0) -> None:
         self.engine.put(key, value)
 
     def delete(self, key: bytes) -> bool:
         return self.engine.delete(key)
-
-
-class LruCacheStore:
-    """An :class:`~repro.apps.cache.LruTtlCache` behind the store contract."""
-
-    def __init__(self, cache):
-        self.cache = cache
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self.cache.get(key)
-
-    def set(self, key: bytes, value: bytes, ttl_ms: int = 0) -> None:
-        self.cache.set(key, value, ttl_ms)
-
-    def delete(self, key: bytes) -> bool:
-        return self.cache.delete(key)
 
 
 class ProtoService:

@@ -58,10 +58,6 @@ class SteeringPipeline:
         self._router_proc = libos.sim.spawn(self._router(),
                                             name="%s.steer" % libos.name)
 
-    @property
-    def on_device(self) -> bool:
-        return self.runner.on_device
-
     def _router(self) -> Generator:
         libos = self.libos
         n = self.n_partitions

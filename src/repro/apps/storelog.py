@@ -17,29 +17,7 @@ from ..kernelos.kernel import Kernel
 from ..libos.spdk_libos import SpdkLibOS
 from ..sim.trace import LatencyStats
 
-__all__ = ["demi_log_writer", "demi_log_scan", "posix_log_writer"]
-
-
-def demi_log_scan(libos: SpdkLibOS, records: Sequence[bytes], predicate,
-                  path: str = "/log", on_device: bool = True) -> Generator:
-    """Append+sync *records*, then predicate-scan the whole log.
-
-    The storage half of claim C6 / "BPF for storage": with
-    ``on_device=True`` the scan loop runs inside the NVMe controller
-    (:meth:`LogStore.scan`) and only matches cross PCIe; with
-    ``on_device=False`` the host loops per-record reads
-    (:meth:`LogStore.scan_host`), paying CPU and transfer for every
-    record.  Returns the list of ``(record_id, payload)`` matches.
-    """
-    qd = yield from libos.creat(path)
-    for record in records:
-        yield from libos.blocking_push(qd, libos.sga_alloc(record))
-    yield from libos.fsync(qd)
-    if on_device:
-        matches = yield from libos.store.scan(predicate)
-    else:
-        matches = yield from libos.store.scan_host(predicate)
-    return matches
+__all__ = ["demi_log_writer", "posix_log_writer"]
 
 
 def demi_log_writer(libos: SpdkLibOS, records: Sequence[bytes],

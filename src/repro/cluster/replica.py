@@ -726,12 +726,12 @@ class ReplicaNode:
             if (chain is not None and self._is_tail(chain_id)
                     and chain.applied >= chain.read_floor):
                 yield libos.core.busy(self.engine.service_cost(req.op))
-                buf = self.engine.get(req.key)
-                if buf is None:
+                value = self.engine.get(req.key)
+                if value is None:
                     reply = codec.encode(Response(ST_MISS))
                 else:
                     reply = codec.encode(
-                        Response(ST_VALUE, value=buf.read()))
+                        Response(ST_VALUE, value=value.tobytes()))
         if reply is None:
             self.counters.count(names.REPL_REDIRECTS)
             reply = bytes([STATUS_MOVED])

@@ -53,10 +53,6 @@ class ElementRunner:
         self.engine = engine if (engine is not None
                                  and engine.supports(operator)) else None
 
-    @property
-    def on_device(self) -> bool:
-        return self.engine is not None
-
     def run(self, fn: Callable, sga: Sga) -> Generator:
         """Sim-coroutine: returns fn(sga), charging the right place."""
         if self.engine is not None:
@@ -330,10 +326,6 @@ class SortedQueue(_DerivedQueue):
 
     def has_room(self) -> bool:
         return len(self._heap) < (self.capacity or DERIVED_QUEUE_CAPACITY)
-
-    @property
-    def ready_elements(self) -> int:
-        return len(self._heap)
 
     def _push_driver(self, sga: Sga, token: QToken) -> Generator:
         result = yield from self._forward_push(self.sources[0], sga)

@@ -155,14 +155,6 @@ class DemiQueue:
         self.libos.qtokens.complete(token, result)
 
     # -- state -------------------------------------------------------------------
-    @property
-    def ready_elements(self) -> int:
-        return len(self._ready)
-
-    @property
-    def pending_pop_count(self) -> int:
-        return len(self._pending_pops)
-
     def has_room(self) -> bool:
         return self.capacity is None or len(self._ready) < self.capacity
 

@@ -46,23 +46,6 @@ class RetryBudgetExceeded(DemiError):
         self.last_error = last_error
 
 
-def backoff_delays(rng, *, base_delay_ns: int, max_delay_ns: int,
-                   factor: float, attempts: int):
-    """The (deterministic, seeded) delay sequence a retry loop follows.
-
-    Equal jitter: the n-th delay is drawn uniformly from
-    ``[cap/2, cap]`` where ``cap = min(max, base * factor**n)``.  Kept
-    separate from the loop so property tests can assert the schedule
-    without running a simulator.
-    """
-    delays = []
-    for n in range(attempts):
-        cap = min(max_delay_ns, int(base_delay_ns * (factor ** n)))
-        cap = max(cap, 1)
-        delays.append(rng.randint(cap // 2 if cap > 1 else 1, cap))
-    return delays
-
-
 def retry_with_backoff(sim, attempt: Callable, *, rng,
                        retry_on: Tuple[Type[BaseException], ...] = (DemiError,),
                        base_delay_ns: int = 10_000,
@@ -77,8 +60,10 @@ def retry_with_backoff(sim, attempt: Callable, *, rng,
     propagates immediately (a programming error is not transient).
     Gives up - raising :class:`RetryBudgetExceeded` - after
     *max_attempts* tries or once *budget_ns* of simulated time has
-    elapsed, whichever comes first.  Jitter draws from *rng*, so two
-    runs with the same seed back off identically.
+    elapsed, whichever comes first.  Equal jitter: the delay after the
+    n-th failure is one ``rng.randint`` from ``[cap/2, cap]``, where
+    ``cap = min(max_delay_ns, base_delay_ns * factor**n)``, so two runs
+    with the same seed back off identically.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")

@@ -165,7 +165,3 @@ class QResult:
     nbytes: int = 0
     error: Optional[str] = None
     value: object = None         # operation-specific extra (e.g. new qd)
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None

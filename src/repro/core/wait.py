@@ -125,10 +125,6 @@ class QTokenTable:
         return done
 
     @property
-    def outstanding(self) -> int:
-        return len(self._pending)
-
-    @property
     def in_flight(self) -> int:
         """Tokens whose operation has neither completed nor cancelled."""
         return sum(1 for d in self._pending.values() if not d.triggered)

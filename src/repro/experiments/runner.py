@@ -62,16 +62,6 @@ class RunResult:
             "metrics": dict(self.metrics),
         }
 
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "RunResult":
-        spec = ExperimentSpec(workload=row["workload"], libos=row["libos"],
-                              cores=row["cores"],
-                              fault_plan=row["fault_plan"],
-                              seed=row["seed"])
-        return cls(spec=spec, status=row["status"], ok=row["ok"],
-                   failures=list(row["failures"]),
-                   metrics=dict(row["metrics"]))
-
 
 def execute_spec(spec: ExperimentSpec) -> RunResult:
     """Run one spec; any exception becomes a ``failed`` result."""

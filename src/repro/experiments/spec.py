@@ -2,8 +2,8 @@
 
 An :class:`ExperimentSpec` is the unit of execution: one workload, on
 one libOS, at one core count, under one fault plan, at one seed.  It is
-a plain JSON/dict-serializable value - ``spec == ExperimentSpec.
-from_json(spec.to_json())`` holds exactly - and its :attr:`run_id`
+a plain JSON-serializable value - ``spec == ExperimentSpec.from_dict(
+spec.to_dict())`` holds exactly - and its :attr:`run_id`
 (a digest of the canonical JSON) names the run everywhere: in
 trajectory rows, in resume bookkeeping, in log lines.
 
@@ -102,13 +102,6 @@ class ExperimentSpec:
             raise SpecError("spec missing required field 'workload'")
         return cls(**{k: data[k] for k in _SPEC_FIELDS if k in data})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
-
     def canonical(self) -> str:
         """Canonical JSON: the spec's identity (sorted keys, no spaces)."""
         return json.dumps(self.to_dict(), sort_keys=True,
@@ -169,11 +162,6 @@ class Matrix:
                             % ", ".join(unknown))
         return cls(base=data.get("base"), axes=data.get("axes"),
                    skip_invalid=bool(data.get("skip_invalid", False)))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"base": dict(self.base), "axes": {k: list(v) for k, v
-                                                  in self.axes.items()},
-                "skip_invalid": self.skip_invalid}
 
     def expand(self) -> List[ExperimentSpec]:
         """The cross product as specs: deterministic order, deduplicated.

@@ -80,7 +80,3 @@ class Iommu:
     @property
     def mapped_ranges(self) -> int:
         return len(self._maps)
-
-    @property
-    def mapped_bytes(self) -> int:
-        return sum(size for _base, size in self._maps.values())

@@ -345,9 +345,6 @@ class DpdkNic(_EthernetNic):
         self.counters.gauge(names.rxq_occupancy(queue)).set(
             len(self._rx_rings[queue]))
 
-    def rx_pending(self, queue: int = 0) -> int:
-        return len(self._rx_rings[queue])
-
     def drain_rx(self) -> int:
         """Empty every RX ring (link failure / crash teardown)."""
         dropped = 0
@@ -491,9 +488,6 @@ class HwCq:
         while self._cqes and len(out) < max_cqes:
             out.append(self._cqes.popleft())
         return out
-
-    def pending(self) -> int:
-        return len(self._cqes)
 
     def signal(self) -> Completion:
         done = Completion(self.sim, ("%s.signal", self.name))

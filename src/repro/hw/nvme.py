@@ -82,10 +82,6 @@ class NvmeDevice(Device):
         self._inflight: Dict[int, Dict[str, Any]] = {}
 
     # -- geometry helpers ----------------------------------------------------
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_blocks * self.block_size
-
     def _check_range(self, lba: int, nblocks: int) -> None:
         if nblocks <= 0:
             raise NvmeError("nblocks must be positive")

@@ -56,7 +56,6 @@ class _KTcpSocket(KObject):
         self.port: Optional[int] = None
         self.listener = None      # netstack TcpListener once listening
         self.conn = None          # netstack TcpConnection once connected
-        self.nonblocking = False
 
     def release(self, kernel: "Kernel") -> None:
         if self.conn is not None:
@@ -107,9 +106,6 @@ class _Epoll(KObject):
             if src not in self._hooked:
                 src.subscribe(self.wq.pulse)
                 self._hooked.append(src)
-
-    def unwatch(self, fd: int) -> None:
-        self.interest.pop(fd, None)
 
     def scan_ready(self) -> List[int]:
         return [fd for fd, sock in self.interest.items() if sock.readable()]
@@ -316,20 +312,6 @@ class Syscalls:
         self.kernel.copied(names.BYTES_COPIED_RX, len(data))
         return data
 
-    def accept_nb(self, fd: int):
-        """Non-blocking accept; EWOULDBLOCK when the queue is empty."""
-        yield self._syscall(self.costs.kernel_sock_op_ns)
-        sock = self.kernel._lookup(fd, "tcp")
-        if sock.listener is None:
-            raise KernelError("accept on non-listening socket")
-        conn = sock.listener.accept_nb()
-        if conn is None:
-            self.kernel.count(names.EWOULDBLOCK)
-            return EWOULDBLOCK
-        child = _KTcpSocket()
-        child.conn = conn
-        return self.kernel._install_fd(child)
-
     def close(self, fd: int) -> Generator:
         yield self._syscall(self.costs.kernel_sock_op_ns)
         obj = self.kernel._fds.pop(fd, None)
@@ -348,21 +330,11 @@ class Syscalls:
         sock = self.kernel._lookup(fd)
         ep.watch(fd, sock)
 
-    def epoll_ctl_del(self, epfd: int, fd: int) -> Generator:
-        yield self._syscall()
-        ep = self.kernel._lookup(epfd, "epoll")
-        ep.unwatch(fd)
-
     # -- files (VFS attached via repro.kernelos.vfs) ---------------------------
     def creat(self, path: str) -> Generator:
         yield self._syscall(self.costs.vfs_op_ns)
         from .vfs import create_file
         return self.kernel._install_fd(create_file(self.kernel, path))
-
-    def open(self, path: str) -> Generator:
-        yield self._syscall(self.costs.vfs_op_ns)
-        from .vfs import open_file
-        return self.kernel._install_fd(open_file(self.kernel, path))
 
     def read(self, fd: int, nbytes: int) -> Generator:
         obj = self.kernel._lookup(fd)

@@ -61,9 +61,6 @@ class Vfs:
         kernel.vfs = self
 
     # -- namespace ---------------------------------------------------------
-    def lookup(self, path: str) -> Optional[Inode]:
-        return self._files.get(path)
-
     def create(self, path: str) -> Inode:
         if path in self._files:
             raise KernelError("file exists: %s" % path)
@@ -158,21 +155,6 @@ class Vfs:
         yield self.nvme.submit_flush()
         self.kernel.count(names.FSYNCS)
         return len(dirty)
-
-    @property
-    def dirty_blocks(self) -> int:
-        return len(self._dirty)
-
-
-def open_file(kernel: Kernel, path: str) -> _KFile:
-    """Kernel-internal open (the syscall wrapper lives on Syscalls)."""
-    vfs = kernel.vfs
-    if vfs is None:
-        raise KernelError("no filesystem mounted")
-    inode = vfs.lookup(path)
-    if inode is None:
-        raise KernelError("no such file: %s" % path)
-    return _KFile(inode)
 
 
 def create_file(kernel: Kernel, path: str) -> _KFile:

@@ -75,14 +75,7 @@ class Buffer:
         self.write(0, payload)
         return self
 
-    def __len__(self) -> int:
-        return self.capacity
-
     # -- device reference counting -----------------------------------------
-    @property
-    def device_refs(self) -> int:
-        return self._device_refs
-
     @property
     def in_use_by_device(self) -> bool:
         return self._device_refs > 0

@@ -53,13 +53,6 @@ class Region:
         #: device name -> iommu handle
         self.handles: Dict[str, int] = {}
 
-    @property
-    def free(self) -> int:
-        return self.size - self.used
-
-    def contains(self, addr: int, nbytes: int) -> bool:
-        return self.base <= addr and addr + nbytes <= self.base + self.size
-
 
 class MemoryManager:
     """Region-based allocator with transparent device registration."""

@@ -40,6 +40,3 @@ class EthernetFrame:
         (ethertype,) = _ETHERTYPE.unpack_from(raw, 12)
         return cls(bytes_to_mac(raw[0:6]), bytes_to_mac(raw[6:12]), ethertype,
                    raw[14:])
-
-    def __len__(self) -> int:
-        return ETH_HEADER_LEN + len(self.payload)

@@ -75,10 +75,6 @@ class Deframer:
             self.partial_inspections += 1
         return out
 
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
-
     def pending(self) -> bool:
         """True if a partially-received message is buffered."""
         return bool(self._buffer) or self._need is not None

@@ -387,14 +387,6 @@ class NetStack:
         self._tcp_listeners.pop(listener.port, None)
 
     # ------------------------------------------------------------- helpers
-    @property
-    def tcp_connection_count(self) -> int:
-        return len(self._tcp_conns)
-
-    def seed_arp(self, ip: str, mac: str) -> None:
-        """Pre-populate the ARP table (tests, static configurations)."""
-        self.arp_table[ip] = mac
-
     def relearn_arp(self) -> None:
         """Invalidate the ARP cache after a link flap.
 

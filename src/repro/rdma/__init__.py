@@ -1,11 +1,10 @@
 """RDMA verbs and connection management over the simulated RDMA NIC."""
 
 from .cm import CmListener, RdmaCm
-from .verbs import MemoryRegion, ProtectionDomain, QueuePair, VerbsError
+from .verbs import ProtectionDomain, QueuePair, VerbsError
 
 __all__ = [
     "ProtectionDomain",
-    "MemoryRegion",
     "QueuePair",
     "VerbsError",
     "RdmaCm",

@@ -46,19 +46,6 @@ class CmListener:
         self._accept_queue.append((qp, established))
         self.accept_wq.pulse()
 
-    def _finish_accept(self, qp: QueuePair, established) -> QueuePair:
-        # The client's connect() completes only now - after the server
-        # accepted - once the notification travels back (rdmacm semantics).
-        self.cm.sim.call_in(self.cm.connect_delay_ns // 2,
-                            established.trigger, None)
-        return qp
-
-    def accept_nb(self):
-        if self._accept_queue:
-            qp, established = self._accept_queue.pop(0)
-            return self._finish_accept(qp, established)
-        return None
-
     def accept(self) -> Generator:
         """Sim-coroutine: wait for and return the next connected QP."""
         while not self._accept_queue:
@@ -67,7 +54,11 @@ class CmListener:
                                  % (self.nic.addr, self.port))
             yield self.accept_wq.wait()
         qp, established = self._accept_queue.pop(0)
-        return self._finish_accept(qp, established)
+        # The client's connect() completes only now - after the server
+        # accepted - once the notification travels back (rdmacm semantics).
+        self.cm.sim.call_in(self.cm.connect_delay_ns // 2,
+                            established.trigger, None)
+        return qp
 
     def close(self) -> None:
         if self.closed:

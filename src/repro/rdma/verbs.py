@@ -2,20 +2,20 @@
 
 This is the substrate today's RDMA applications program against (and the
 one the paper says demands "enormous engineering effort"): protection
-domains, explicit memory regions, queue pairs, and completion-queue
-polling.  The RDMA libOS (``repro.libos.rdma_libos``) builds the
-Demikernel abstraction on top of it, supplying the buffer management and
-flow control the hardware does not.
+domains, queue pairs, and completion-queue polling; memory is registered
+by the host's memory manager.  The RDMA libOS
+(``repro.libos.rdma_libos``) builds the Demikernel abstraction on top of
+it, supplying the buffer management and flow control the hardware does
+not.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
 from ..hw.nic import HwCq, HwQp, RdmaNic
-from ..telemetry import names
 
-__all__ = ["ProtectionDomain", "MemoryRegion", "QueuePair", "VerbsError"]
+__all__ = ["ProtectionDomain", "QueuePair", "VerbsError"]
 
 
 class VerbsError(Exception):
@@ -23,46 +23,10 @@ class VerbsError(Exception):
 
 
 class ProtectionDomain:
-    """Groups QPs and MRs that may be used together."""
+    """Groups the QPs that may be used together."""
 
     def __init__(self, nic: RdmaNic):
         self.nic = nic
-        self.mrs: List["MemoryRegion"] = []
-
-    def reg_mr(self, buffer: Any) -> "MemoryRegion":
-        """Explicitly register one buffer.
-
-        With a Demikernel memory manager in transparent mode this is
-        unnecessary (regions are pre-registered); it exists to model the
-        legacy per-buffer path and to serve raw-verbs applications.
-        """
-        mr = MemoryRegion(self, buffer)
-        self.mrs.append(mr)
-        return mr
-
-
-class MemoryRegion:
-    """An explicitly registered memory range."""
-
-    def __init__(self, pd: ProtectionDomain, buffer: Any):
-        self.pd = pd
-        self.buffer = buffer
-        self.addr = buffer.addr
-        self.length = buffer.capacity
-        nic = pd.nic
-        if not nic.iommu.covers(self.addr, self.length):
-            self._handle = nic.iommu.map(self.addr, self.length)
-            nic.host.cpu.charge_async(
-                nic.costs.registration_ns(self.length, per_buffer=True)
-            )
-            nic.count(names.EXPLICIT_MR_REGISTRATIONS)
-        else:
-            self._handle = None  # already covered by a transparent region
-
-    def dereg(self) -> None:
-        if self._handle is not None:
-            self.pd.nic.iommu.unmap(self._handle)
-            self._handle = None
 
 
 class QueuePair:
@@ -91,10 +55,6 @@ class QueuePair:
     @property
     def recv_cq(self) -> HwCq:
         return self.hw.recv_cq
-
-    @property
-    def connected(self) -> bool:
-        return self.hw.connected
 
     def connect(self, remote_nic_addr: str, remote_qpn: int) -> None:
         self.nic.connect_qp(self.hw, remote_nic_addr, remote_qpn)

@@ -219,12 +219,6 @@ class RingConsumer:
                                       struct.pack("!Q", self.next_seq - 1))
         return payload
 
-    def flush_cursor(self) -> Generator:
-        """Publish consumption progress immediately (producer unblocking)."""
-        self._since_cursor_update = 0
-        yield from self.ops.write(self.ring.cursor_addr,
-                                  struct.pack("!Q", self.next_seq - 1))
-
 
 class LocalRingConsumer:
     """The pop side for a ring living in *this* host's own arena.

@@ -17,7 +17,7 @@ factor, where crossovers fall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = ["CostModel", "DEFAULT_COSTS", "fast_network_profile", "slow_device_profile"]
@@ -28,7 +28,6 @@ class CostModel:
     """All simulated latency constants, in nanoseconds unless noted."""
 
     # ------------------------------------------------------------- CPU
-    cpu_ghz: float = 4.0
     #: user<->kernel privilege round trip (entry + exit + KPTI flushes)
     syscall_ns: int = 500
     #: full thread context switch (save/restore + scheduler)
@@ -167,9 +166,6 @@ class CostModel:
         pages = max(1, (nbytes + self.copy_page_bytes - 1) // self.copy_page_bytes)
         base = self.buffer_register_ns if per_buffer else self.region_register_ns
         return base + pages * self.pin_page_ns
-
-    def cycles_ns(self, cycles: float) -> int:
-        return int(round(cycles / self.cpu_ghz))
 
     def with_overrides(self, **kw) -> "CostModel":
         """A copy of the model with the given fields replaced."""

@@ -2,8 +2,7 @@
 
 A :class:`Core` is a serial resource: work charged to it executes FIFO, so
 two processes charging the same core contend and queue, exactly like two
-threads pinned to one hardware thread.  Work is charged in nanoseconds;
-:meth:`Core.cycles` converts from cycles using the core's clock rate.
+threads pinned to one hardware thread.  Work is charged in nanoseconds.
 
 The model is intentionally non-preemptive at sub-slice granularity: each
 ``busy()`` chunk runs to completion.  Callers that want preemptible work
@@ -34,17 +33,12 @@ def _whole_ns(ns) -> int:
 class Core:
     """One hardware thread with a FIFO run queue."""
 
-    def __init__(self, sim: Simulator, index: int = 0, ghz: float = 4.0):
+    def __init__(self, sim: Simulator, index: int = 0):
         self.sim = sim
         self.index = index
-        self.ghz = ghz
         self._free_at = 0
         self.busy_ns = 0
         self.jobs = 0
-
-    def cycles(self, n: float) -> int:
-        """Convert a cycle count to nanoseconds on this core."""
-        return int(round(n / self.ghz))
 
     def busy(self, ns: int) -> Completion:
         """Charge *ns* of CPU time; the completion fires when the work ends.
@@ -91,10 +85,6 @@ class Core:
         self.busy_ns += ns
         self.jobs += 1
 
-    @property
-    def free_at(self) -> int:
-        return self._free_at
-
     def utilization(self, elapsed_ns: Optional[int] = None) -> float:
         """Fraction of elapsed simulated time this core spent busy."""
         elapsed = elapsed_ns if elapsed_ns is not None else self.sim.now
@@ -107,23 +97,19 @@ class Core:
 
 
 class CpuSet:
-    """A host's collection of cores with a trivial least-loaded picker."""
+    """A host's collection of cores."""
 
-    def __init__(self, sim: Simulator, count: int = 1, ghz: float = 4.0):
+    def __init__(self, sim: Simulator, count: int = 1):
         if count < 1:
             raise ValueError("a host needs at least one core")
         self.sim = sim
-        self.cores: List[Core] = [Core(sim, i, ghz) for i in range(count)]
+        self.cores: List[Core] = [Core(sim, i) for i in range(count)]
 
     def __len__(self) -> int:
         return len(self.cores)
 
     def __getitem__(self, i: int) -> Core:
         return self.cores[i]
-
-    def pick(self) -> Core:
-        """The core that frees up soonest (used for unpinned work)."""
-        return min(self.cores, key=lambda c: c.free_at)
 
     def total_busy_ns(self) -> int:
         return sum(c.busy_ns for c in self.cores)

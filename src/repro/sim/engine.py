@@ -101,10 +101,6 @@ class Completion:
             raise self._exc
         return self._value
 
-    @property
-    def failed(self) -> bool:
-        return self._done and self._exc is not None
-
     # -- firing --------------------------------------------------------
     def trigger(self, value: Any = None) -> "Completion":
         """Fire the completion now, delivering *value* to all waiters."""
@@ -439,10 +435,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active
 
     # -- scheduling -------------------------------------------------------
     def _schedule_at(self, when: int, fn: Callable,

@@ -79,9 +79,6 @@ class Fabric:
         self.ports[addr] = port
         return port
 
-    def detach(self, addr: str) -> None:
-        self.ports.pop(addr, None)
-
     def transmit(self, src_addr: str, dst_addr: str, frame: Any, nbytes: int) -> None:
         """Submit a frame from *src_addr* toward *dst_addr*.
 

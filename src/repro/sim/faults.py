@@ -26,7 +26,7 @@ flash) the OS layers are supposed to mask.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .rand import Rng
@@ -221,11 +221,6 @@ class FaultPlan:
         return [e for e in self.events
                 if e.kind in DEVICE_KINDS and e.matches_device(name)]
 
-    @property
-    def horizon(self) -> int:
-        """When the last fault window closes (all faults healed)."""
-        return max((e.end for e in self.events), default=0)
-
     def describe(self) -> str:
         lines = ["FaultPlan(seed=%d, %d events)" % (self.seed, len(self.events))]
         for e in self.events:
@@ -252,10 +247,6 @@ class FaultPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "FaultPlan.from_json(%r)" % self.to_json()
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FaultPlan)
-                and self.to_dict() == other.to_dict())
 
 
 class DeviceFaultView:

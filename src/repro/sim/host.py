@@ -12,11 +12,11 @@ off the host so they can find each other without import cycles:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .costs import CostModel, DEFAULT_COSTS
 from .cpu import Core, CpuSet
-from .engine import Process, Simulator
+from .engine import Simulator
 from .trace import Tracer
 
 __all__ = ["Host"]
@@ -40,7 +40,7 @@ class Host:
         self.counters = self.tracer.scope(name)
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
         self.count = self.counters.count
-        self.cpus = CpuSet(sim, cores, costs.cpu_ghz)
+        self.cpus = CpuSet(sim, cores)
         #: core 0 (where single-threaded apps run)
         self.cpu: Core = self.cpus[0]
         # Components attached by their builders:
@@ -49,13 +49,6 @@ class Host:
         self.nics: List[Any] = []
         self.nvme: Any = None
         self.extras: Dict[str, Any] = {}
-
-    def spawn(self, gen: Generator, name: str = "") -> Process:
-        """Start an application process on this host."""
-        return self.sim.spawn(gen, name="%s/%s" % (self.name, name or "proc"))
-
-    def nic(self, index: int = 0) -> Any:
-        return self.nics[index]
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Host %s cores=%d nics=%d>" % (self.name, len(self.cpus), len(self.nics))

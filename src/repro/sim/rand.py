@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Sequence, TypeVar
-
-T = TypeVar("T")
 
 __all__ = ["Rng"]
 
@@ -36,14 +33,8 @@ class Rng:
         return self.fork(zlib.crc32(label.encode("utf-8")))
 
     # -- primitives --------------------------------------------------------
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._r.uniform(lo, hi)
-
     def randint(self, lo: int, hi: int) -> int:
         return self._r.randint(lo, hi)
-
-    def random(self) -> float:
-        return self._r.random()
 
     def chance(self, p: float) -> bool:
         """True with probability *p*."""
@@ -52,12 +43,6 @@ class Rng:
         if p >= 1.0:
             return True
         return self._r.random() < p
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._r.choice(seq)
-
-    def shuffle(self, seq: List[T]) -> None:
-        self._r.shuffle(seq)
 
     def bytes(self, n: int) -> bytes:
         return self._r.getrandbits(8 * n).to_bytes(n, "little") if n else b""

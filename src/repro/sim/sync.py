@@ -13,9 +13,7 @@ class WaitQueue:
     """A pulse-style wait queue: ``wait()`` parks, ``pulse()`` wakes.
 
     ``pulse()`` wakes *all* current waiters (callers re-check their
-    condition, classic condition-variable usage); ``pulse_one()`` wakes
-    exactly one in FIFO order - the primitive the Demikernel ``wait_*``
-    scheduler builds its no-thundering-herd guarantee on.
+    condition, classic condition-variable usage).
     """
 
     def __init__(self, sim: Simulator, name: str = "waitq"):
@@ -39,12 +37,6 @@ class WaitQueue:
         """
         self._observers.append(callback)
 
-    def unsubscribe(self, callback) -> None:
-        try:
-            self._observers.remove(callback)
-        except ValueError:
-            pass
-
     def pulse(self, value: Any = None) -> int:
         """Wake every waiter; returns how many woke."""
         self.pulses += 1
@@ -54,15 +46,3 @@ class WaitQueue:
         for observer in list(self._observers):
             observer()
         return len(waiters)
-
-    def pulse_one(self, value: Any = None) -> bool:
-        """Wake the oldest waiter only; returns True if one existed."""
-        self.pulses += 1
-        if not self._waiters:
-            return False
-        self._waiters.pop(0).trigger(value)
-        return True
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)

@@ -50,8 +50,8 @@ class CounterScope:
     def __init__(self, tracer: "Tracer", prefix: str):
         self.tracer = tracer
         self.prefix = prefix
-        #: the tracer's own dict (``Tracer.reset`` clears it in place), so
-        #: a bump is one memo lookup and one add, not a format per call
+        #: the tracer's own dict, so a bump is one memo lookup and one
+        #: add, not a format per call
         self._counters = tracer.counters
         #: leaf name -> full counter name, filled on first use
         self._keys: Dict[str, str] = {}
@@ -65,9 +65,6 @@ class CounterScope:
         except KeyError:
             key = self._keys[name] = self._full(name)
         self._counters[key] += n
-
-    def get(self, name: str) -> int:
-        return self._counters.get(self._full(name), 0)
 
     def scope(self, suffix: str) -> "CounterScope":
         """A nested scope: ``scope("a").scope("b")`` prefixes ``a.b``."""
@@ -109,9 +106,6 @@ class Tracer:
         self.metrics: Dict[str, Union[Gauge, LatencyStats]] = {}
         self._next_span_id = 1
 
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] += n
-
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
@@ -151,13 +145,6 @@ class Tracer:
     def distribution(self, name: str) -> "LatencyStats":
         """The distribution called *name*, made on first use."""
         return self._metric(LatencyStats, name)
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.events.clear()
-        self.spans.clear()
-        self.metrics.clear()
-        self._next_span_id = 1
 
     def snapshot(self) -> Dict[str, int]:
         return dict(self.counters)
@@ -200,9 +187,6 @@ class LatencyStats:
     def extend(self, values) -> None:
         self.samples.extend(float(v) for v in values)
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     @property
     def count(self) -> int:
         return len(self.samples)
@@ -242,13 +226,6 @@ class LatencyStats:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-    def stdev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((s - mu) ** 2 for s in self.samples) / (n - 1))
 
     def summary(self) -> Dict[str, float]:
         return {

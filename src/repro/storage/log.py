@@ -346,7 +346,3 @@ class LogStore:
         self._buffer_base = offset
         self._tail_block = tail_block
         return found
-
-    @property
-    def unsynced_bytes(self) -> int:
-        return len(self._buffer)

@@ -181,7 +181,6 @@ RECV_LENGTH_ERRORS = "recv_length_errors"
 RX_SENDS_DELIVERED = "rx_sends_delivered"
 RX_WRITES_APPLIED = "rx_writes_applied"
 RX_READS_SERVED = "rx_reads_served"
-EXPLICIT_MR_REGISTRATIONS = "explicit_mr_registrations"
 LINK_FLAPS = "link_flaps"
 LINK_DOWN_DROPS = "link_down_drops"
 RING_REINITS = "ring_reinits"
@@ -254,7 +253,6 @@ MM_DEALLOCATIONS = "deallocations"
 MM_REGIONS_RECLAIMED = "regions_reclaimed"
 
 # -------------------------------------------------------------------- apps
-RELAY_ESTABLISHED = "relay_established"
 KV_VALUE_COPIES = "kv_value_copies"
 
 # --------------------------------------------------- serve loop / cluster

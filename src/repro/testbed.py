@@ -2,14 +2,16 @@
 
 Everything here is composition - hosts, NICs, kernels, libOSes wired to
 one fabric - so tests, examples, and benchmarks build identical worlds
-from one place.
+from one place: a :class:`World` and one maker per stack (kernel pair,
+DPDK / POSIX / RDMA libOS pairs, the sharded KV world, the SPDK host,
+the remote-memory ring and the mTCP pair).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .hw.nic import DpdkNic, KernelNic, RdmaNic
+from .hw.nic import DpdkNic, RdmaNic
 from .hw.nvme import NvmeDevice
 from .hw.offload import OffloadEngine
 from .memory.manager import MemoryManager
@@ -22,14 +24,13 @@ from .sim.trace import Tracer
 
 __all__ = [
     "World",
-    "NetHost",
     "make_kernel_pair",
-    "make_net_pair",
     "make_dpdk_libos_pair",
     "make_sharded_kv_world",
     "make_posix_libos_pair",
     "make_rdma_libos_pair",
     "make_spdk_libos",
+    "make_rmem_world",
     "make_mtcp_pair",
 ]
 
@@ -78,12 +79,6 @@ class World:
         host.mm.attach_device(nic)
         return nic
 
-    def add_kernel_nic(self, host: Host, mac: Optional[str] = None) -> KernelNic:
-        nic = KernelNic(host, self.fabric, mac or ("%s-eth" % host.name),
-                        name="%s.eth0" % host.name)
-        host.nics.append(nic)
-        return nic
-
     def add_rdma(self, host: Host, addr: Optional[str] = None) -> RdmaNic:
         nic = RdmaNic(host, self.fabric, addr or ("%s-rdma" % host.name),
                       name="%s.rdma0" % host.name)
@@ -98,39 +93,6 @@ class World:
 
     def run(self, until: Optional[int] = None) -> int:
         return self.sim.run(until)
-
-
-class NetHost:
-    """A host with a DPDK NIC, a user-level NetStack, and an RX poll loop."""
-
-    def __init__(self, world: World, name: str, ip: str):
-        from .netstack.stack import NetStack
-
-        self.world = world
-        self.host = world.add_host(name)
-        # Numbered by the world, not the process: a run is a pure
-        # function of its seed however many worlds came before it.
-        mac = "02:00:00:00:00:%02x" % len(world.hosts)
-        self.nic = world.add_dpdk(self.host, mac=mac)
-        costs = world.costs
-        self.stack = NetStack(
-            sim=world.sim,
-            name="%s.stack" % name,
-            mac=mac,
-            ip=ip,
-            send_frame=lambda dst, raw: self.nic.post_tx(dst, raw),
-            tracer=world.tracer,
-            charge=self.host.cpu.charge_async,
-            tx_cost_ns=costs.user_net_tx_ns,
-            rx_cost_ns=costs.user_net_rx_ns,
-        )
-        world.sim.spawn(self._poll_loop(), name="%s.rxpoll" % name)
-
-    def _poll_loop(self):
-        while True:
-            yield self.nic.rx_signal()
-            for frame in self.nic.rx_burst(64):
-                self.stack.rx_frame(frame)
 
 
 def make_kernel_pair(drop_rate: float = 0.0, seed: int = 42, cores: int = 4,
@@ -148,14 +110,6 @@ def make_kernel_pair(drop_rate: float = 0.0, seed: int = 42, cores: int = 4,
     kb = Kernel(b, w.fabric, "02:00:00:00:01:02", "10.0.0.2",
                 verify_checksums=verify_checksums)
     return w, ka, kb
-
-
-def make_net_pair(drop_rate: float = 0.0, seed: int = 42, telemetry=False):
-    """Two raw NetStack hosts: (world, client NetHost, server NetHost)."""
-    w = World(drop_rate=drop_rate, seed=seed, telemetry=telemetry)
-    a = NetHost(w, "client", "10.0.0.1")
-    b = NetHost(w, "server", "10.0.0.2")
-    return w, a, b
 
 
 def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,

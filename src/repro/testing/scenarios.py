@@ -126,9 +126,6 @@ class ScenarioResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def counter(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
     def repro_line(self) -> str:
         """One line that replays this exact run (the shrunk test case)."""
         return ("repro: scenario=%s kind=%s seed=%d plan=%s"

@@ -1,7 +1,7 @@
 """The LRU+TTL cache behind ProtoServer, under every cache-capable codec.
 
 There is no cache-specific server: ``cache_server`` is ``ProtoServer``
-over an ``LruCacheStore`` plus a sweep timer on its event loop.  The
+over an ``LruTtlCache`` plus a sweep timer on its event loop.  The
 cases below run once per wire format, so the policy is checked
 independently of the protocol.
 """
@@ -9,7 +9,7 @@ independently of the protocol.
 import pytest
 
 from repro.apps.cache import SWEEP_INTERVAL_NS, LruTtlCache, cache_server
-from repro.apps.proto import (LegacyCacheCodec, LruCacheStore, MemcachedCodec,
+from repro.apps.proto import (LegacyCacheCodec, MemcachedCodec,
                               ProtoServer, RespCodec)
 from repro.apps.proto.codec import (ST_COUNT, ST_MISS, ST_STORED, ST_VALUE,
                                     Request)
@@ -66,12 +66,11 @@ def start_server(codec_cls, max_entries=1024):
                               max_entries=max_entries)
     else:
         cache = LruTtlCache(lambda: server_libos.sim.now, max_entries)
-        server = ProtoServer(server_libos, codec_cls, LruCacheStore(cache),
-                             port=PORT)
+        server = ProtoServer(server_libos, codec_cls, cache, port=PORT)
         server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired,
                               periodic=True)
     w.sim.spawn(server.start(), name="cache-server")
-    return w, client, server, server.service.store.cache
+    return w, client, server, server.service.store
 
 
 def run_requests(codec_cls, requests, max_entries=1024):
@@ -117,6 +116,10 @@ class TestBasicOps:
             GET(b"k"),
         ])
         assert replies[2] == (HIT, b"new")
+
+    def test_empty_value_reads_back_empty(self, codec_cls):
+        _cache, replies = run_requests(codec_cls, [SET(b"k", b""), GET(b"k")])
+        assert replies == [(STORED, None), (HIT, b"")]
 
 
 @pytest.mark.parametrize("codec_cls", ALL_CODECS, ids=by_name)
@@ -174,12 +177,12 @@ class TestTtl:
             ])
             # Let the periodic sweep (1 ms cadence) run past the TTL.
             yield w.sim.timeout(5_000_000)
-            return cache.entry_count
+            return list(cache._entries)
 
         p = w.sim.spawn(scenario())
         w.sim.run_until_complete(p, limit=10**13)
         server.stop()
-        assert p.value == 1  # only the TTL-free entry survives
+        assert p.value == [b"forever"]  # only the TTL-free entry survives
         assert cache.stats.expirations == 1
         assert server.loop.timer_fires >= 4
         assert server.loop.wasted_wakeups == 0

@@ -117,40 +117,3 @@ class TestTheC5Ordering:
         assert demi_rtt * 3 < kernel_rtt      # the gap the paper targets
         assert demi_rtt * 3 < mtcp_rtt
 
-
-class TestUdpEcho:
-    def test_udp_echo_roundtrip(self):
-        from repro.apps.echo import demi_udp_echo_client, demi_udp_echo_server
-        from ..conftest import make_dpdk_libos_pair
-        w, client, server = make_dpdk_libos_pair()
-        sp = w.sim.spawn(demi_udp_echo_server(server, max_requests=3))
-        cp = w.sim.spawn(demi_udp_echo_client(client, "10.0.0.2", MESSAGES))
-        w.sim.run_until_complete(cp, limit=10**13)
-        replies, _stats = cp.value
-        assert replies == MESSAGES
-        assert sp.value == 3
-
-    def test_udp_echo_faster_than_tcp_echo(self):
-        """No framing, no handshake state: the datagram path is leaner."""
-        from repro.apps.echo import (
-            demi_echo_client,
-            demi_echo_server,
-            demi_udp_echo_client,
-            demi_udp_echo_server,
-        )
-        from ..conftest import make_dpdk_libos_pair
-
-        w1, c1, s1 = make_dpdk_libos_pair()
-        w1.sim.spawn(demi_udp_echo_server(s1))
-        p1 = w1.sim.spawn(demi_udp_echo_client(c1, "10.0.0.2",
-                                               [b"u" * 64] * 10))
-        w1.sim.run_until_complete(p1, limit=10**13)
-        udp_rtt = p1.value[1].samples[-1]
-
-        w2, c2, s2 = make_dpdk_libos_pair()
-        w2.sim.spawn(demi_echo_server(s2))
-        p2 = w2.sim.spawn(demi_echo_client(c2, "10.0.0.2",
-                                           [b"u" * 64] * 10))
-        w2.sim.run_until_complete(p2, limit=10**13)
-        tcp_rtt = p2.value[1].samples[-1]
-        assert udp_rtt <= tcp_rtt

@@ -49,6 +49,12 @@ class TestNicGetPath:
         assert srv.requests_served == 4
         assert prog.steered == 4
 
+    def test_empty_value_answered_on_device(self):
+        w, client, server, srv, prog, results = run_kv(
+            [(OP_PUT, b"k", b""), (OP_GET, b"k", None)])
+        assert results[1] == (True, b"")
+        assert prog.hits == 1
+
     def test_missing_key_answered_on_device(self):
         w, client, server, srv, prog, results = run_kv(
             [(OP_GET, b"nope", None)])
@@ -137,7 +143,7 @@ class TestStop:
         assert w.sim.run_until_complete(proc, limit=w.sim.now + 10**7) == 1
         qt = server.qtokens
         assert qt.cancelled == 0, "the second datagram was not queued yet"
-        assert qt.in_flight == 0 and qt.outstanding == 0 and qt.identity_ok
+        assert qt.in_flight == 0 and len(qt._pending) == 0 and qt.identity_ok
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_server_stops_under_a_duplicating_plan(self, seed):
@@ -167,7 +173,7 @@ class TestInstallationGuards:
         srv = UdpKvServer(server, port=6379)
         prog = KvNicOffload(server.nic, srv.engine, server.ip, port=6379)
         prog.install()
-        prog.uninstall()
+        server.nic.install_rx_program(None)
         w.sim.spawn(srv.run(), name="server")
 
         p = w.sim.spawn(demi_kv_client(client, server.ip, ops, proto="udp"),

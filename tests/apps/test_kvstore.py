@@ -6,6 +6,7 @@ from repro.apps.kvstore import (
     OP_GET,
     OP_PUT,
     KvEngine,
+    UdpKvServer,
     demi_kv_client,
     get_result,
     kv_workload,
@@ -30,7 +31,7 @@ class TestEngine:
         host = world.add_host("h")
         engine = KvEngine(host)
         engine.put(b"k", b"value")
-        assert engine.get(b"k").read(0, 5) == b"value"
+        assert engine.get(b"k").tobytes() == b"value"
         assert engine.misses == 0
 
     def test_miss_counted(self, world):
@@ -39,11 +40,19 @@ class TestEngine:
         assert engine.get(b"nope") is None
         assert engine.misses == 1
 
+    def test_empty_value_keeps_its_length(self, world):
+        host = world.add_host("h")
+        engine = KvEngine(host)
+        stored = engine.put(b"k", b"")
+        assert stored.buf.capacity >= 1   # a buffer is never empty
+        assert engine.get(b"k").nbytes == 0
+        assert engine.get(b"k").tobytes() == b""
+
     def test_put_swaps_buffer_and_frees_old(self, world):
         host = world.add_host("h")
         engine = KvEngine(host)
-        old = engine.put(b"k", b"old")
-        new = engine.put(b"k", b"new")
+        old = engine.put(b"k", b"old").buf
+        new = engine.put(b"k", b"new").buf
         assert old is not new
         assert old.freed          # section 4.5: old buffer freed on swap
         assert not new.freed
@@ -53,7 +62,7 @@ class TestEngine:
         mid-DMA (a zero-copy GET response); the free defers."""
         host = world.add_host("h")
         engine = KvEngine(host)
-        old = engine.put(b"k", b"old-value")
+        old = engine.put(b"k", b"old-value").buf
         old.hold()  # NIC is sending this value right now
         engine.put(b"k", b"new-value")
         assert old.freed and not old.deallocated
@@ -104,6 +113,15 @@ class TestKvServer:
         _w, _server, results = self.run_ops(codec_cls, ops)
         assert results[2] == (True, b"v2-new")
 
+    def test_overwrite_with_empty_value(self, codec_cls):
+        ops = [
+            (OP_PUT, b"k", b"not empty"),
+            (OP_PUT, b"k", b""),
+            (OP_GET, b"k", None),
+        ]
+        _w, _server, results = self.run_ops(codec_cls, ops)
+        assert results[2] == (True, b"")
+
     def test_many_operations(self, codec_cls):
         rng = Rng(7)
         ops = kv_workload(rng, 50, n_keys=10, value_size=128,
@@ -120,6 +138,31 @@ class TestKvServer:
                 ok, got = result
                 if key in latest:
                     assert ok and got == latest[key]
+
+
+class TestEmptyValue:
+    """A stored empty value reads back empty off the UDP and POSIX servers
+    too (the stream codecs: ``TestKvServer.test_overwrite_with_empty_value``):
+    the engine keeps the value's length, not its buffer's (never empty)."""
+
+    EMPTY = [(OP_PUT, b"k", b""), (OP_GET, b"k", None)]
+
+    def test_udp_zero_copy_reply(self):
+        w, client, server_libos = make_dpdk_libos_pair()
+        srv = UdpKvServer(server_libos, port=6379)
+        w.sim.spawn(srv.run(), name="server")
+        cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", self.EMPTY,
+                                        proto="udp"))
+        w.sim.run_until_complete(cp, limit=10**12)
+        srv.stop()
+        assert cp.value[0][1] == (True, b"")
+
+    def test_posix_server(self):
+        w, ka, kb = make_kernel_pair()
+        w.sim.spawn(posix_kv_server(kb, KvEngine(kb.host), max_requests=2))
+        cp = w.sim.spawn(posix_kv_client(ka, "10.0.0.2", self.EMPTY))
+        w.run()
+        assert cp.value[0][1] == (True, b"")
 
 
 class TestDemiKvClient:

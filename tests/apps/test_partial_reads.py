@@ -14,10 +14,8 @@ from repro.apps.cache import LruTtlCache
 from repro.apps.kvstore import (OP_GET, OP_PUT, KvEngine, UdpKvServer,
                                 demi_kv_client)
 from repro.apps.proto import (KvEngineStore, LegacyCacheCodec, LegacyKvCodec,
-                              LruCacheStore, MemcachedCodec, ProtoServer,
-                              RespCodec)
+                              MemcachedCodec, ProtoServer, RespCodec)
 from repro.apps.proto.codec import Request
-from repro.telemetry import names
 
 from ..conftest import chunk_client, make_dpdk_libos_pair
 
@@ -42,7 +40,7 @@ def start_server(codec_cls):
     if codec_cls is LegacyKvCodec:
         store = KvEngineStore(KvEngine(server_libos.host))
     else:
-        store = LruCacheStore(LruTtlCache(lambda: server_libos.sim.now))
+        store = LruTtlCache(lambda: server_libos.sim.now)
     server = ProtoServer(server_libos, codec_cls, store, port=PORT)
     w.sim.spawn(server.start(), name="proto-server")
     return w, client, server_libos, server
@@ -71,7 +69,7 @@ def check_cache_script(server, replies, note=""):
         "stored", "value", "count", "miss"], note
     assert replies[1].value == b"v"
     assert server.decode_errors == 0
-    stats = server.service.store.cache.stats
+    stats = server.service.store.stats
     assert (stats.sets, stats.hits, stats.deletes) == (1, 1, 1)
 
 
@@ -128,7 +126,8 @@ class TestMalformedStream:
         assert cp.value[1].value == b"v"
         assert server.requests_served == 2  # the garbage served nothing
         assert server.decode_errors == 1
-        assert server_libos.counters.get(names.PROTO_DECODE_ERRORS) == 1
+        assert server_libos.tracer.get(
+            "server.catnip.proto_decode_errors") == 1
 
 
 def run_udp(body_for):
@@ -161,8 +160,8 @@ class TestUdpKvServerMalformedDatagram:
         server_libos, server, results = run_udp(bad_then_good)
         assert results == [None, (True, b"v")]
         assert server.requests_served == 2
-        assert server_libos.counters.get(
-            names.KV_MALFORMED_REQUESTS) == 1
+        assert server_libos.tracer.get(
+            "server.catnip.kv_malformed_requests") == 1
 
     def test_truncated_put_is_rejected_not_stored(self):
         # The original bug: a PUT cut short stored the partial value.
@@ -182,5 +181,5 @@ class TestUdpKvServerMalformedDatagram:
         server_libos, server, results = run_udp(body)
         assert results == [(False, None)]  # nothing stored, not garbage
         assert server.engine.puts == 0
-        assert server_libos.counters.get(
-            names.KV_MALFORMED_REQUESTS) == 1
+        assert server_libos.tracer.get(
+            "server.catnip.kv_malformed_requests") == 1

@@ -13,8 +13,7 @@ import pytest
 from repro.apps.cache import LruTtlCache
 from repro.apps.kvstore import KvEngine
 from repro.apps.proto import (KvEngineStore, LegacyCacheCodec, LegacyKvCodec,
-                              LruCacheStore, MemcachedCodec, ProtoServer,
-                              RespCodec)
+                              MemcachedCodec, ProtoServer, RespCodec)
 from repro.apps.proto.codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG,
                                     ST_STORED, ST_VALUE, Request)
 from repro.apps.steering import key_partition
@@ -44,8 +43,7 @@ def serve(make_pair, codec_cls, chunks, n_replies, store="kv"):
     if store == "kv":
         backing = KvEngineStore(KvEngine(server_libos.host, name="test.kv"))
     else:
-        backing = LruCacheStore(
-            LruTtlCache(lambda: server_libos.sim.now))
+        backing = LruTtlCache(lambda: server_libos.sim.now)
     server = ProtoServer(server_libos, codec_cls, backing, port=PORT)
     sp = w.sim.spawn(server.start(), name="proto-server")
     cp = w.sim.spawn(chunk_client(client, codec_cls, chunks, n_replies,
@@ -168,7 +166,7 @@ class TestConnectionsArriveWhileParked:
         if store == "kv":
             backing = KvEngineStore(KvEngine(server_libos.host))
         else:
-            backing = LruCacheStore(LruTtlCache(lambda: server_libos.sim.now))
+            backing = LruTtlCache(lambda: server_libos.sim.now)
         server = ProtoServer(server_libos, codec_cls, backing, port=PORT)
         w.sim.spawn(server.start(), name="proto-server")
         wire = codec_cls().encode_request(Request(op="get", key=b"k"))
@@ -235,8 +233,7 @@ class TestTtlThroughCacheStore:
     def test_resp_px_expiry_against_lru_cache(self):
         w, client, server_libos = make_dpdk_libos_pair()
         cache = LruTtlCache(lambda: server_libos.sim.now)
-        server = ProtoServer(server_libos, RespCodec, LruCacheStore(cache),
-                             port=PORT)
+        server = ProtoServer(server_libos, RespCodec, cache, port=PORT)
         sp = w.sim.spawn(server.start(), name="proto-server")
         cp = w.sim.spawn(ttl_client(client))
         w.sim.run_until_complete(cp, limit=10**13)

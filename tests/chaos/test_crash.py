@@ -34,13 +34,13 @@ def test_golden_crash_mid_stream_dpdk():
     # cancels the qtoken, RSTs the live connection (the server takes the
     # RST: it sits at exactly RCV.NXT) and frees the whole registered heap.
     r = run_golden("crash-mid-stream", "dpdk")
-    assert r.counter("fault.proc_crashes") == 1
-    assert r.counter("client.reclaim.runs") == 1
-    assert r.counter("client.reclaim.qtokens_cancelled") == 1
-    assert r.counter("client.reclaim.tcp_rsts") == 1
-    assert r.counter("server.catnip.stack.tcp_rsts_accepted") == 1
-    assert r.counter("client.reclaim.buffers_freed") == 117
-    assert r.counter("client.reclaim.regions_unmapped") == 1
+    assert r.counters.get("fault.proc_crashes", 0) == 1
+    assert r.counters.get("client.reclaim.runs", 0) == 1
+    assert r.counters.get("client.reclaim.qtokens_cancelled", 0) == 1
+    assert r.counters.get("client.reclaim.tcp_rsts", 0) == 1
+    assert r.counters.get("server.catnip.stack.tcp_rsts_accepted", 0) == 1
+    assert r.counters.get("client.reclaim.buffers_freed", 0) == 117
+    assert r.counters.get("client.reclaim.regions_unmapped", 0) == 1
     assert r.data["outcome"] == "connection reset by peer"
     assert 0 < r.data["served"] < 600
 
@@ -50,11 +50,11 @@ def test_golden_crash_mid_stream_posix():
     # socket.  (The kill lands between two echoes here, with no qtoken
     # parked; the dpdk cell above has the parked pop.)
     r = run_golden("crash-mid-stream", "posix")
-    assert r.counter("client.reclaim.fds_closed") == 1
-    assert r.counter("client.reclaim.qtokens_cancelled") == 0
-    assert r.counter("client.reclaim.tcp_rsts") == 1
-    assert r.counter("server.kstack.tcp_rsts_accepted") == 1
-    assert r.counter("client.reclaim.buffers_freed") == 183
+    assert r.counters.get("client.reclaim.fds_closed", 0) == 1
+    assert r.counters.get("client.reclaim.qtokens_cancelled", 0) == 0
+    assert r.counters.get("client.reclaim.tcp_rsts", 0) == 1
+    assert r.counters.get("server.kstack.tcp_rsts_accepted", 0) == 1
+    assert r.counters.get("client.reclaim.buffers_freed", 0) == 183
     assert r.data["outcome"] == "connection reset by peer"
 
 
@@ -62,9 +62,9 @@ def test_golden_crash_mid_stream_rdma():
     # RC has no RST: teardown destroys the QP (flushing the in-flight
     # WR) and the server's next send exhausts its retries instead.
     r = run_golden("crash-mid-stream", "rdma")
-    assert r.counter("client.reclaim.qps_destroyed") == 1
-    assert r.counter("client.rdma0.wr_flushes") == 1
-    assert r.counter("client.reclaim.buffers_freed") == 131
+    assert r.counters.get("client.reclaim.qps_destroyed", 0) == 1
+    assert r.counters.get("client.rdma0.wr_flushes", 0) == 1
+    assert r.counters.get("client.reclaim.buffers_freed", 0) == 131
     assert r.data["outcome"] in ("retry-exceeded", "idle-timeout")
 
 
@@ -72,10 +72,10 @@ def test_golden_crash_storage():
     # The storage process dies with an NVMe write in flight; reclaim
     # aborts it and the device ends with an empty submission queue.
     r = run_golden("crash-storage", "spdk")
-    assert r.counter("fault.proc_crashes") == 1
-    assert r.counter("h.reclaim.nvme_aborts") == 1
-    assert r.counter("h.nvme0.aborts") == 1
-    assert r.counter("h.reclaim.buffers_freed") == 8
+    assert r.counters.get("fault.proc_crashes", 0) == 1
+    assert r.counters.get("h.reclaim.nvme_aborts", 0) == 1
+    assert r.counters.get("h.nvme0.aborts", 0) == 1
+    assert r.counters.get("h.reclaim.buffers_freed", 0) == 8
     assert r.data["reclaim"]["nvme_aborted"] == 1
 
 
@@ -88,10 +88,10 @@ def test_golden_nvme_transient_outage():
     # retries past it and the workload completes without ever escalating
     # to a controller reset.
     r = run_golden("nvme-transient-outage", "spdk")
-    assert r.counter("h.nvme0.timeouts") == 2
-    assert r.counter("h.nvme0.retries") == 2
-    assert r.counter("h.nvme0.ctrl_resets") == 0
-    assert r.counter("h.nvme0.device_failures") == 0
+    assert r.counters.get("h.nvme0.timeouts", 0) == 2
+    assert r.counters.get("h.nvme0.retries", 0) == 2
+    assert r.counters.get("h.nvme0.ctrl_resets", 0) == 0
+    assert r.counters.get("h.nvme0.device_failures", 0) == 0
     assert r.data["flushed"] > 0
 
 
@@ -99,10 +99,10 @@ def test_golden_nvme_fatal_outage():
     # A failure outlasting all 3 attempts *and* the controller reset:
     # the post-reset attempt times out too and DeviceFailed surfaces.
     r = run_golden("nvme-fatal-outage", "spdk")
-    assert r.counter("h.nvme0.timeouts") == 4
-    assert r.counter("h.nvme0.retries") == 3
-    assert r.counter("h.nvme0.ctrl_resets") == 1
-    assert r.counter("h.nvme0.device_failures") == 1
+    assert r.counters.get("h.nvme0.timeouts", 0) == 4
+    assert r.counters.get("h.nvme0.retries", 0) == 3
+    assert r.counters.get("h.nvme0.ctrl_resets", 0) == 1
+    assert r.counters.get("h.nvme0.device_failures", 0) == 1
     assert r.data["failed_op"] == "write"
     assert r.data["attempts"] == 4
 
@@ -120,10 +120,10 @@ def test_golden_link_flap_dpdk():
     # the rings re-initialize on recovery, the stack re-ARPs, and TCP
     # retransmits its way back to a complete echo stream.
     r = run_golden("link-flap", "dpdk")
-    assert r.counter("client.dpdk0.link_flaps") == 1
-    assert r.counter("client.dpdk0.ring_reinits") == 1
-    assert r.counter("client.dpdk0.link_down_drops") == 3
-    assert r.counter("client.catnip.stack.arp_relearns") == 1
+    assert r.counters.get("client.dpdk0.link_flaps", 0) == 1
+    assert r.counters.get("client.dpdk0.ring_reinits", 0) == 1
+    assert r.counters.get("client.dpdk0.link_down_drops", 0) == 3
+    assert r.counters.get("client.catnip.stack.arp_relearns", 0) == 1
     assert r.data["served"] == 20
 
 
@@ -131,9 +131,9 @@ def test_golden_link_flap_posix():
     # The same flap under the kernel NIC: the in-kernel stack relearns
     # its ARP entry and the stream still completes.
     r = run_golden("link-flap", "posix")
-    assert r.counter("client.eth0.link_flaps") == 1
-    assert r.counter("client.eth0.ring_reinits") == 1
-    assert r.counter("client.kstack.arp_relearns") == 1
+    assert r.counters.get("client.eth0.link_flaps", 0) == 1
+    assert r.counters.get("client.eth0.ring_reinits", 0) == 1
+    assert r.counters.get("client.kstack.arp_relearns", 0) == 1
     assert r.data["served"] == 20
 
 

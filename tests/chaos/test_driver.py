@@ -88,10 +88,12 @@ def test_unknown_names_kinds_and_keywords_are_rejected():
 
 def test_plans_resolve_by_name_next_to_the_table():
     assert named_plans() == tuple(sorted(GOLDEN_SCENARIOS) + ["none"])
-    assert plan_by_name("none") == FaultPlan(seed=1)
-    assert plan_by_name("none", seed=5) == FaultPlan(seed=5)
+    assert plan_by_name("none").to_dict() == FaultPlan(seed=1).to_dict()
+    assert (plan_by_name("none", seed=5).to_dict()
+            == FaultPlan(seed=5).to_dict())
     pinned = golden_plan("partition-heal", "rdma")
-    assert plan_by_name("partition-heal", kind="rdma") == pinned
+    assert (plan_by_name("partition-heal", kind="rdma").to_dict()
+            == pinned.to_dict())
     reseeded = plan_by_name("partition-heal", kind="rdma", seed=77)
     assert reseeded.seed == 77
     assert reseeded.events == pinned.events

@@ -31,8 +31,8 @@ def test_golden_handshake_loss():
     # A total blackout eats the SYN and its first retransmit; the
     # exponential-backoff retry at ~300us escapes the window.
     r = run_golden("handshake-loss", "dpdk")
-    assert r.counter("fault.lost_frames") == 3
-    assert r.counter("client.catnip.stack.tcp_retransmits") == 2
+    assert r.counters.get("fault.lost_frames", 0) == 3
+    assert r.counters.get("client.catnip.stack.tcp_retransmits", 0) == 2
     assert r.data["served"] == 20
 
 
@@ -40,18 +40,18 @@ def test_golden_handshake_loss_rdma():
     # The rdmacm rendezvous is off-fabric, so the burst hits the first
     # data exchange instead; go-back-N resends until the window heals.
     r = run_golden("handshake-loss", "rdma")
-    assert r.counter("fault.lost_frames") == 4
-    assert r.counter("client.rdma0.retransmits") == 4
+    assert r.counters.get("fault.lost_frames", 0) == 4
+    assert r.counters.get("client.rdma0.retransmits", 0) == 4
 
 
 def test_golden_reorder_dup_storm():
     # Heavy jitter + duplication across the whole KV run: TCP absorbs
     # both with at most a couple of retransmits.
     r = run_golden("reorder-dup-storm", "dpdk")
-    assert r.counter("fault.reordered_frames") == 56
-    assert r.counter("fault.duplicated_frames") == 32
-    assert r.counter("client.catnip.stack.tcp_fast_retransmits") == 0
-    assert r.counter("client.catnip.stack.tcp_retransmits") == 1
+    assert r.counters.get("fault.reordered_frames", 0) == 56
+    assert r.counters.get("fault.duplicated_frames", 0) == 32
+    assert r.counters.get("client.catnip.stack.tcp_fast_retransmits", 0) == 0
+    assert r.counters.get("client.catnip.stack.tcp_retransmits", 0) == 1
     assert r.data["served"] == 40
 
 
@@ -59,9 +59,9 @@ def test_golden_partition_heal():
     # A 1ms full partition mid-workload: both sides back off and
     # retransmit their way out once it heals.
     r = run_golden("partition-heal", "dpdk")
-    assert r.counter("fault.partitioned_frames") == 7
-    assert r.counter("client.catnip.stack.tcp_retransmits") == 5
-    assert r.counter("server.catnip.stack.tcp_retransmits") == 4
+    assert r.counters.get("fault.partitioned_frames", 0) == 7
+    assert r.counters.get("client.catnip.stack.tcp_retransmits", 0) == 5
+    assert r.counters.get("server.catnip.stack.tcp_retransmits", 0) == 4
     assert r.data["served"] == 40
 
 
@@ -69,18 +69,18 @@ def test_golden_rx_ring_overflow():
     # The server NIC's RX ring collapses to zero for 300us: inbound
     # frames die at the ring (not the fabric) and TCP recovers.
     r = run_golden("rx-ring-overflow", "dpdk")
-    assert r.counter("server.dpdk0.rx_ring_drops") == 4
-    assert r.counter("fault.ring_clamped_checks") == 4
-    assert r.counter("client.catnip.stack.tcp_retransmits") == 3
-    assert r.counter("fault.lost_frames") == 0  # fabric never dropped
+    assert r.counters.get("server.dpdk0.rx_ring_drops", 0) == 4
+    assert r.counters.get("fault.ring_clamped_checks", 0) == 4
+    assert r.counters.get("client.catnip.stack.tcp_retransmits", 0) == 3
+    assert r.counters.get("fault.lost_frames", 0) == 0  # fabric never dropped
 
 
 def test_golden_slow_nvme():
     # A 40x slow-flash window: appends crawl through it, everything
     # reads back intact afterwards.
     r = run_golden("slow-nvme", "spdk")
-    assert r.counter("fault.slow_ios") == 2
-    assert r.counter("h.catfish.file_appends") == 12
+    assert r.counters.get("fault.slow_ios", 0) == 2
+    assert r.counters.get("h.catfish.file_appends", 0) == 12
     assert r.data["flushed"] > 0
 
 
@@ -89,12 +89,12 @@ def test_golden_corruption_storm():
     # caught by the IPv4 header checksum (rx_malformed) or the TCP
     # checksum (bad_checksum_drops) - none reach the application.
     r = run_golden("corruption-storm", "dpdk")
-    assert r.counter("fault.corrupted_frames") == 12
-    caught = (r.counter("client.catnip.stack.tcp_bad_checksum_drops")
-              + r.counter("server.catnip.stack.tcp_bad_checksum_drops")
-              + r.counter("client.catnip.stack.rx_malformed")
-              + r.counter("server.catnip.stack.rx_malformed"))
-    assert caught == r.counter("fault.corrupted_frames")
+    assert r.counters.get("fault.corrupted_frames", 0) == 12
+    caught = (r.counters.get("client.catnip.stack.tcp_bad_checksum_drops", 0)
+              + r.counters.get("server.catnip.stack.tcp_bad_checksum_drops", 0)
+              + r.counters.get("client.catnip.stack.rx_malformed", 0)
+              + r.counters.get("server.catnip.stack.rx_malformed", 0))
+    assert caught == r.counters.get("fault.corrupted_frames", 0)
     assert r.data["served"] == 20  # and the echo stream was exact
 
 
@@ -140,7 +140,8 @@ def test_repro_line_replays_the_run():
     # round-trip the plan through its JSON form and re-run.
     original = run_scenario("corruption-storm", "dpdk")
     replayed_plan = FaultPlan.from_json(original.plan.to_json())
-    assert replayed_plan == golden_plan("corruption-storm", "dpdk")
+    assert (replayed_plan.to_dict()
+            == golden_plan("corruption-storm", "dpdk").to_dict())
     replayed = run_scenario("corruption-storm", "dpdk", plan=replayed_plan)
     assert replayed.signature == original.signature
 

@@ -151,6 +151,18 @@ class TestHappyPath:
             assert node.engine.get(b"key-0") is not None
         assert_no_lost_wakeup(nodes)
 
+    def test_an_empty_value_reads_back_empty_at_the_tail(self):
+        world, directory, nodes, (client,) = build_cluster()
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            yield from client.put(b"k", b"")
+            found, value = yield from client.get(b"k")
+            yield from client.close()
+            return found, bytes(value)
+
+        assert run_driver(world, driver()) == (True, b"")
+
     def test_put_latency_does_not_depend_on_when_it_was_issued(self):
         """The same PUT on an idle chain, issued at eight start offsets
         750 ns apart, takes exactly the same time.  The pumps and commit

@@ -40,7 +40,7 @@ class TestCloseWithPendingPop:
         w.sim.spawn(closer())
         w.run()
         assert len(seen) == 1
-        assert not seen[0].ok
+        assert seen[0].error is not None
         assert seen[0].error == "closed"
 
     def test_waiter_cleanup_close_is_charged_noop(self):
@@ -80,7 +80,7 @@ class TestCloseWithPendingPop:
         p = w.sim.spawn(closer())
         w.run()
         assert p.value.error == "closed"
-        assert libos.qtokens.outstanding == 0
+        assert len(libos.qtokens._pending) == 0
 
     def test_lookup_after_close_says_closed(self):
         w, libos = make_libos()

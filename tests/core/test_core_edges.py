@@ -32,7 +32,7 @@ class TestPipelineLifecycle:
             # The pump should die; pushes to src just buffer now.
             yield from libos.blocking_push(src, libos.sga_alloc(b"x"))
             yield w.sim.timeout(100_000)
-            return libos.queue_of(src).ready_elements
+            return len(libos.queue_of(src)._ready)
 
         remaining = run(w, proc())
         assert remaining == 1  # pump no longer consumed it
@@ -107,7 +107,7 @@ class TestWaitCharging:
             token = libos.push(qd, libos.sga_alloc(b"x"))
             yield w.sim.timeout(10_000)  # completion long since fired
             result = yield from libos.wait(token)
-            return result.ok
+            return result.error is None
 
         assert run(w, proc()) is True
 

@@ -231,7 +231,7 @@ class TestAcceptAndStop:
         assert sorted(served) == sorted(
             m for i in range(3) for m in (b"a%d" % i, b"b%d" % i))
         assert loop.wasted_wakeups == 0 == loop.cross_wakeups
-        assert not server.counters.get("wait_timeouts")
+        assert not server.tracer.get("server.catnip.wait_timeouts")
 
     def test_stop_wakes_a_parked_dispatcher_and_ends_the_acceptor(self):
         w, _client, server, loop, sp, _served = self.serve()
@@ -241,7 +241,7 @@ class TestAcceptAndStop:
         # No timeout is armed anywhere, so only stop() can end it.
         assert w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000) == 0
         assert not any(p.alive for p in loop._acceptors)
-        assert not server.counters.get("wait_timeouts")
+        assert not server.tracer.get("server.catnip.wait_timeouts")
         t = server.qtokens
         assert t.created == t.completed + t.cancelled + t.in_flight
 

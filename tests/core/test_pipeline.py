@@ -249,7 +249,7 @@ class TestQconnect:
         def proc():
             yield from libos.blocking_push(q_in, libos.sga_alloc(b"stranded"))
             yield w.sim.timeout(1_000_000)
-            return libos.queue_of(q_out).ready_elements
+            return len(libos.queue_of(q_out)._ready)
 
         assert run(w, proc()) == 0
 

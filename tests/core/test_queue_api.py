@@ -33,7 +33,7 @@ class TestPushPop:
             return result
 
         result = run(w, proc())
-        assert result.ok
+        assert result.error is None
         assert result.sga.tobytes() == b"element"
 
     def test_pop_before_push_completes_on_arrival(self):
@@ -153,7 +153,7 @@ class TestWaitSemantics:
             tokens = [libos.push(qd, libos.sga_alloc(b"%d" % i))
                       for i in range(5)]
             results = yield from libos.wait_all(tokens)
-            return [r.ok for r in results]
+            return [r.error is None for r in results]
 
         assert run(w, proc()) == [True] * 5
 

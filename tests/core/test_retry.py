@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.retry import (RetryBudgetExceeded, backoff_delays,
-                              retry_with_backoff)
+from repro.core.retry import RetryBudgetExceeded, retry_with_backoff
 from repro.core.types import DemiError
 from repro.sim.engine import Simulator
 from repro.sim.rand import Rng
@@ -17,11 +16,34 @@ def drive(sim, gen):
     return proc
 
 
+def schedule(seed, *, base_delay_ns, max_delay_ns, factor, attempts):
+    """The delays ``retry_with_backoff`` sleeps after *attempts* failures,
+    read off the loop: the gaps between the starts of instant attempts."""
+    sim = Simulator()
+    starts = []
+
+    def attempt():
+        starts.append(sim.now)
+        raise DemiError("down")
+        yield  # pragma: no cover - makes this a generator
+
+    def body():
+        with pytest.raises(RetryBudgetExceeded):
+            yield from retry_with_backoff(
+                sim, attempt, rng=Rng(seed), base_delay_ns=base_delay_ns,
+                max_delay_ns=max_delay_ns, factor=factor,
+                max_attempts=attempts + 1, budget_ns=10**15)
+
+    drive(sim, body())
+    return [b - a for a, b in zip(starts, starts[1:])]
+
+
 class TestBackoffSchedule:
     def test_delays_grow_exponentially_up_to_the_cap(self):
-        delays = backoff_delays(Rng(1), base_delay_ns=1_000,
-                                max_delay_ns=16_000, factor=2.0, attempts=8)
+        delays = schedule(1, base_delay_ns=1_000, max_delay_ns=16_000,
+                          factor=2.0, attempts=8)
         caps = [min(16_000, 1_000 * 2 ** n) for n in range(8)]
+        assert len(delays) == 8
         for delay, cap in zip(delays, caps):
             assert cap // 2 <= delay <= cap
         # The cap binds from attempt 4 on: delays stop growing past it.
@@ -30,8 +52,47 @@ class TestBackoffSchedule:
     def test_schedule_is_seed_deterministic(self):
         kw = dict(base_delay_ns=10_000, max_delay_ns=1_000_000,
                   factor=2.0, attempts=6)
-        assert backoff_delays(Rng(42), **kw) == backoff_delays(Rng(42), **kw)
-        assert backoff_delays(Rng(42), **kw) != backoff_delays(Rng(43), **kw)
+        assert schedule(42, **kw) == schedule(42, **kw)
+        assert schedule(42, **kw) != schedule(43, **kw)
+
+    def test_one_draw_per_failure_that_is_retried(self):
+        # The loop's only use of its rng: one randint per failure it
+        # retries (none for the last), so a replica run's stream is fixed.
+        class Counting(Rng):
+            draws = 0
+
+            def randint(self, lo, hi):
+                self.draws += 1
+                return super().randint(lo, hi)
+
+        sim, rng = Simulator(), Counting(3)
+
+        def down():
+            raise DemiError("down")
+            yield  # pragma: no cover - makes this a generator
+
+        def body():
+            with pytest.raises(RetryBudgetExceeded):
+                yield from retry_with_backoff(sim, down, rng=rng,
+                                              max_attempts=5)
+
+        drive(sim, body())
+        assert rng.draws == 4
+
+    def test_no_draw_when_the_first_attempt_succeeds(self):
+        sim, rng = Simulator(), Rng(3)
+        untouched = Rng(3)
+
+        def up():
+            return "ok"
+            yield  # pragma: no cover - makes this a generator
+
+        def body():
+            return (yield from retry_with_backoff(sim, up, rng=rng))
+
+        assert drive(sim, body()).value == "ok"
+        assert sim.now == 0
+        assert rng.randint(0, 2**30) == untouched.randint(0, 2**30)
 
 
 class TestRetryLoop:

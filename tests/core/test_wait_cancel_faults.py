@@ -46,11 +46,11 @@ def test_cancelled_pop_does_not_lose_data():
     token = libos.pop(qd)
     libos.cancel(token)
     queue = libos.queue_of(qd)
-    assert queue.pending_pop_count == 0  # on_cancel unregistered the pop
+    assert len(queue._pending_pops) == 0  # on_cancel unregistered the pop
     # The element arrives after the cancel: it must buffer, not chase
     # the dead token.
     queue.deliver(libos.sga_alloc(b"survives"))
-    assert queue.ready_elements == 1
+    assert len(queue._ready) == 1
 
     def reader():
         result = yield from libos.blocking_pop(qd)

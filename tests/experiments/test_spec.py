@@ -13,12 +13,12 @@ class TestSpecRoundTrip:
         spec = ExperimentSpec(workload="kv", libos="posix", cores=2,
                               fault_plan="reorder-dup-storm", seed=11,
                               params={"n_ops": 80})
-        assert ExperimentSpec.from_json(spec.to_json()) == spec
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_defaults_round_trip(self):
         spec = ExperimentSpec(workload="kv")
-        clone = ExperimentSpec.from_json(spec.to_json())
+        clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert clone.libos == "dpdk" and clone.cores == 1
         assert clone.fault_plan == "none" and clone.seed == 7
@@ -28,7 +28,7 @@ class TestSpecRoundTrip:
 
         plan = FaultPlan(seed=3).loss(0, 1000, rate=1.0)
         spec = ExperimentSpec(workload="kv", fault_plan=plan.to_dict())
-        clone = ExperimentSpec.from_json(spec.to_json())
+        clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert clone.resolve_plan().to_dict() == plan.to_dict()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw.iommu import IommuFault
 
-from ..conftest import World
+from ..conftest import World, add_kernel_nic
 
 
 def two_dpdk_hosts():
@@ -30,7 +30,7 @@ class TestDpdkNic:
         w.run()
         first = nic_b.rx_burst(max_frames=4)
         assert len(first) == 4
-        assert nic_b.rx_pending() == 6
+        assert len(nic_b._rx_rings[0]) == 6
 
     def test_rx_ring_overflow_drops(self):
         w = World()
@@ -41,7 +41,7 @@ class TestDpdkNic:
         for i in range(8):
             nic_a.post_tx(nic_b.mac, b"x")
         w.run()
-        assert nic_b.rx_pending() == 4
+        assert len(nic_b._rx_rings[0]) == 4
         assert w.tracer.get("b.dpdk0.rx_ring_drops") == 4
 
     def test_rx_signal_wakes_waiter(self):
@@ -95,15 +95,15 @@ class TestDpdkNic:
         buf = host_a.mm.alloc(64)  # transparent registration covers it
         nic_a.post_tx(nic_b.mac, b"data", dma_addrs=[(buf.addr, 64)])
         w.run()
-        assert nic_b.rx_pending() == 1
+        assert len(nic_b._rx_rings[0]) == 1
 
 
 class TestKernelNic:
     def test_rx_invokes_irq_handler(self):
         w = World()
         a, b = w.add_host("a"), w.add_host("b")
-        nic_a = w.add_kernel_nic(a)
-        nic_b = w.add_kernel_nic(b)
+        nic_a = add_kernel_nic(w, a)
+        nic_b = add_kernel_nic(w, b)
         got = []
         nic_b.irq_handler = got.append
         nic_a.post_tx(nic_b.mac, b"pkt")
@@ -113,8 +113,8 @@ class TestKernelNic:
     def test_rx_charges_interrupt_cost_on_core(self):
         w = World()
         a, b = w.add_host("a"), w.add_host("b")
-        nic_a = w.add_kernel_nic(a)
-        nic_b = w.add_kernel_nic(b)
+        nic_a = add_kernel_nic(w, a)
+        nic_b = add_kernel_nic(w, b)
         nic_b.irq_handler = lambda f: None
         nic_a.post_tx(nic_b.mac, b"pkt")
         w.run()
@@ -123,8 +123,8 @@ class TestKernelNic:
     def test_rx_without_handler_drops(self):
         w = World()
         a, b = w.add_host("a"), w.add_host("b")
-        nic_a = w.add_kernel_nic(a)
-        nic_b = w.add_kernel_nic(b)
+        nic_a = add_kernel_nic(w, a)
+        nic_b = add_kernel_nic(w, b)
         nic_a.post_tx(nic_b.mac, b"pkt")
         w.run()
         assert w.tracer.get("b.eth0.rx_no_handler_drops") == 1

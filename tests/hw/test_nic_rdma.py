@@ -173,4 +173,4 @@ class TestCq:
             nic_a.post_send(qp_a, i, b"m")
         w.run()
         assert len(qp_b.recv_cq.poll(max_cqes=2)) == 2
-        assert qp_b.recv_cq.pending() == 3
+        assert len(qp_b.recv_cq.poll()) == 3  # the rest stayed queued

@@ -45,25 +45,25 @@ class TestRss:
         for _ in range(8):
             nic_a.post_tx(nic_b.mac, udp_frame(nic_b.mac, 5555, 80))
         w.run()
-        occupied = [q for q in range(4) if nic_b.rx_pending(q) > 0]
+        occupied = [q for q in range(4) if len(nic_b._rx_rings[q]) > 0]
         assert len(occupied) == 1
-        assert nic_b.rx_pending(occupied[0]) == 8
+        assert len(nic_b._rx_rings[occupied[0]]) == 8
 
     def test_different_flows_spread_across_queues(self):
         w, nic_a, nic_b = make_rss_pair()
         for src_port in range(5000, 5064):
             nic_a.post_tx(nic_b.mac, udp_frame(nic_b.mac, src_port, 80))
         w.run()
-        occupied = [q for q in range(4) if nic_b.rx_pending(q) > 0]
+        occupied = [q for q in range(4) if len(nic_b._rx_rings[q]) > 0]
         assert len(occupied) >= 3  # 64 flows land on >= 3 of 4 queues
-        assert sum(nic_b.rx_pending(q) for q in range(4)) == 64
+        assert sum(len(nic_b._rx_rings[q]) for q in range(4)) == 64
 
     def test_non_ip_traffic_lands_in_queue_zero(self):
         w, nic_a, nic_b = make_rss_pair()
         nic_a.post_tx(nic_b.mac, b"\x00" * 40)  # junk, not IPv4
         w.run()
-        assert nic_b.rx_pending(0) == 1
-        assert all(nic_b.rx_pending(q) == 0 for q in range(1, 4))
+        assert len(nic_b._rx_rings[0]) == 1
+        assert all(len(nic_b._rx_rings[q]) == 0 for q in range(1, 4))
 
     def test_per_queue_signals_are_independent(self):
         w, nic_a, nic_b = make_rss_pair()

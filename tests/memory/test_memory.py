@@ -36,8 +36,8 @@ class TestBuffer:
         buf = Buffer(0x1000, 16)
         buf.hold()
         buf.hold()
-        assert buf.device_refs == 2
         buf.release()
+        assert buf.in_use_by_device  # one hold left
         buf.release()
         assert not buf.in_use_by_device
 

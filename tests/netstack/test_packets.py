@@ -123,14 +123,14 @@ class TestEthernet:
         parsed = EthernetFrame.unpack(frame.pack())
         assert parsed == frame
 
+    def test_packed_length_includes_header(self):
+        frame = EthernetFrame("02:00:00:00:00:02", "02:00:00:00:00:01",
+                              ETHERTYPE_IPV4, b"12345")
+        assert len(frame.pack()) == 14 + 5
+
     def test_too_short_rejected(self):
         with pytest.raises(PacketError):
             EthernetFrame.unpack(b"\x00" * 10)
-
-    def test_len_includes_header(self):
-        frame = EthernetFrame("02:00:00:00:00:02", "02:00:00:00:00:01",
-                              ETHERTYPE_IPV4, b"12345")
-        assert len(frame) == 14 + 5
 
 
 class TestArp:
@@ -281,7 +281,7 @@ def _stack(verify_checksums=False):
     stack = NetStack(Simulator(), "s", MAC_B, IP_B,
                      lambda dst_mac, raw: sent.append((dst_mac, raw)),
                      tracer, verify_checksums=verify_checksums)
-    stack.seed_arp(IP_A, MAC_A)
+    stack.arp_table[IP_A] = MAC_A
     return stack, tracer, sent
 
 
@@ -338,7 +338,7 @@ class TestStackCodecAgainstTheDataclassChain:
         stack.arp_table.clear()
         seg = TcpSegment(80, 49152, 1, 2, ACK, 3, b"queued")
         stack._tcp_transmit(_Peer, seg)          # ident 1, parked behind ARP
-        stack.seed_arp(IP_A, MAC_A)
+        stack.arp_table[IP_A] = MAC_A
         stack._tcp_transmit(_Peer, seg)          # ident 2, leaves first
         stack._flush_arp_pending(IP_A)
         l4 = seg.pack(IP_B, IP_A)
@@ -473,3 +473,24 @@ def test_foreign_or_malformed_frame_bumps_exactly_its_counters(case):
     assert tracer.snapshot() == expected
     assert len(sent) == bumped.get("tx_frames", 0)
     assert not stack._tcp_conns
+
+
+def _reference_decode(raw: bytes, verify_checksums: bool):
+    """*raw* through the dataclass decoders, one ``unpack`` per layer."""
+    frame = EthernetFrame.unpack(raw)
+    if frame.ethertype != ETHERTYPE_IPV4:
+        return ArpPacket.unpack(frame.payload)
+    pkt = Ipv4Packet.unpack(frame.payload, verify_checksum=verify_checksums)
+    layer = TcpSegment if pkt.proto == PROTO_TCP else UdpDatagram
+    return layer.unpack(pkt.payload)
+
+
+@pytest.mark.parametrize("case", sorted(
+    name for name, (_raw, _verify, bumped) in _FOREIGN_AND_MALFORMED.items()
+    if "rx_malformed" in bumped))
+def test_reference_decoders_reject_what_the_stack_calls_malformed(case):
+    # The stack parses headers in place; the dataclass decoders are the
+    # reference it mirrors, so each frame it drops as malformed fails there.
+    raw, verify_checksums, _bumped = _FOREIGN_AND_MALFORMED[case]
+    with pytest.raises(PacketError):
+        _reference_decode(raw, verify_checksums)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netstack.packet import PacketError
 
-from ..conftest import NetHost, World, make_net_pair
+from ..conftest import make_net_pair
 
 
 class TestArp:
@@ -46,7 +46,7 @@ class TestArp:
 
     def test_seed_arp_skips_resolution(self):
         w, a, b = make_net_pair()
-        a.stack.seed_arp("10.0.0.2", b.stack.mac)
+        a.stack.arp_table["10.0.0.2"] = b.stack.mac
         got = []
         b.stack.udp_bind(7, lambda data, ip, port: got.append(data))
         a.stack.udp_send(7, "10.0.0.2", 7, b"direct")
@@ -89,7 +89,7 @@ class TestUdp:
 
     def test_oversized_datagram_rejected(self):
         w, a, b = make_net_pair()
-        a.stack.seed_arp("10.0.0.2", b.stack.mac)
+        a.stack.arp_table["10.0.0.2"] = b.stack.mac
         with pytest.raises(PacketError):
             a.stack.udp_send(1, "10.0.0.2", 2, b"x" * 2000)
 

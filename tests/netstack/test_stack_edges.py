@@ -36,8 +36,8 @@ class TestFrameFiltering:
 class TestTcpDemux:
     def test_stray_data_segment_draws_rst(self):
         w, a, b = make_net_pair()
-        a.stack.seed_arp("10.0.0.2", b.stack.mac)
-        b.stack.seed_arp("10.0.0.1", a.stack.mac)
+        a.stack.arp_table["10.0.0.2"] = b.stack.mac
+        b.stack.arp_table["10.0.0.1"] = a.stack.mac
         # A data segment for a connection that does not exist.
         seg = TcpSegment(50000, 80, seq=1234, ack=5678,
                          flags=PSH | ACK, window=100, payload=b"ghost")
@@ -52,8 +52,8 @@ class TestTcpDemux:
     def test_rst_segment_never_answered_with_rst(self):
         from repro.netstack.tcp import RST
         w, a, b = make_net_pair()
-        a.stack.seed_arp("10.0.0.2", b.stack.mac)
-        b.stack.seed_arp("10.0.0.1", a.stack.mac)
+        a.stack.arp_table["10.0.0.2"] = b.stack.mac
+        b.stack.arp_table["10.0.0.1"] = a.stack.mac
         seg = TcpSegment(50000, 80, seq=1, ack=1, flags=RST, window=0)
         packet = Ipv4Packet("10.0.0.1", "10.0.0.2", 6,
                             seg.pack("10.0.0.1", "10.0.0.2"))
@@ -97,8 +97,8 @@ class TestConnectionCounting:
         b.stack.tcp_listen(80)
         conn = a.stack.tcp_connect("10.0.0.2", 80)
         w.run()
-        assert a.stack.tcp_connection_count == 1
-        assert b.stack.tcp_connection_count == 1
+        assert len(a.stack._tcp_conns) == 1
+        assert len(b.stack._tcp_conns) == 1
         conn.close()
         w.run()
         # Client side lingers in TIME_WAIT then clears; server closes on
@@ -106,5 +106,5 @@ class TestConnectionCounting:
         for c in list(b.stack._tcp_conns.values()):
             c.close()
         w.run()
-        assert a.stack.tcp_connection_count == 0
-        assert b.stack.tcp_connection_count == 0
+        assert len(a.stack._tcp_conns) == 0
+        assert len(b.stack._tcp_conns) == 0

@@ -278,8 +278,8 @@ class TestClose:
         server.close()
         w.run()
         # TIME_WAIT expiry happens in sim time; run covers it.
-        assert a.stack.tcp_connection_count == 0
-        assert b.stack.tcp_connection_count == 0
+        assert len(a.stack._tcp_conns) == 0
+        assert len(b.stack._tcp_conns) == 0
 
     def test_a_closed_connection_owns_no_armed_timer(self):
         w, a, b = make_net_pair()

@@ -42,29 +42,6 @@ class TestVerbs:
         assert sp.value["status"] == "ok"
         assert buf.read(0, 13) == b"verbs message"
 
-    def test_explicit_mr_registration_on_unregistered_memory(self):
-        w, (a, nic_a), _, _cm = make_rdma_world()
-        a.mm.transparent = False
-        from repro.memory.buffer import Buffer
-        raw = Buffer(0x5000_0000, 4096)  # not from the managed heap
-        pd = ProtectionDomain(nic_a)
-        before = w.tracer.get("a.rdma0.explicit_mr_registrations")
-        mr = pd.reg_mr(raw)
-        assert w.tracer.get("a.rdma0.explicit_mr_registrations") == before + 1
-        nic_a.iommu.translate(raw.addr, 4096)
-        mr.dereg()
-        from repro.hw.iommu import IommuFault
-        with pytest.raises(IommuFault):
-            nic_a.iommu.translate(raw.addr, 4096)
-
-    def test_mr_on_transparent_region_skips_remap(self):
-        w, (a, nic_a), _, _cm = make_rdma_world()
-        buf = a.mm.alloc(256)  # transparent registration covers it
-        pd = ProtectionDomain(nic_a)
-        mr = pd.reg_mr(buf)
-        assert mr._handle is None
-        assert w.tracer.get("a.rdma0.explicit_mr_registrations") == 0
-
 
 class TestCm:
     def test_connect_accept_exchange_qps(self):

@@ -331,7 +331,7 @@ class TestLocalRingConsumer:
         proc = w.sim.spawn(self.popper(w, consumer, []))
         w.run()
         written = consumer.arena.written
-        assert written.waiting == 1
+        assert len(written._waiters) == 1
         proc.interrupt("chain reconfig")
         qp_down.destroy()
         consumer.mm.free(consumer.arena)

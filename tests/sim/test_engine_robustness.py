@@ -40,12 +40,12 @@ class TestNestedSpawning:
         order = []
 
         def child():
-            order.append(("child starts", sim.active_process.name))
+            order.append(("child starts", sim._active.name))
             yield sim.timeout(0)
 
         def parent():
             proc = sim.spawn(child(), name="child")
-            order.append(("parent goes on", sim.active_process.name,
+            order.append(("parent goes on", sim._active.name,
                           proc.alive))
             yield sim.timeout(0)
 
@@ -176,7 +176,7 @@ class TestInterruptCascades:
         assert not started
         assert join.value == ("joined an interrupted process", "early")
         for proc, cause in ((joined, "early"), (unjoined, "early too")):
-            assert not proc.alive and proc.failed
+            assert not proc.alive
             with pytest.raises(Interrupt) as caught:
                 _ = proc.value
             assert caught.value.cause == cause
@@ -216,7 +216,7 @@ class TestCompletionOrdering:
         sim = Simulator()
         done = sim.completion()
         done.fail(ValueError("broken"))
-        assert done.failed
+        assert done.triggered
         with pytest.raises(ValueError):
             _ = done.value
 
@@ -233,8 +233,8 @@ class TestCompletionOrdering:
         done = sim.completion()
         done.fail(ValueError("nobody listened"))
         seen = []
-        done.subscribe(lambda c: seen.append((c.failed, c._callbacks)))
-        assert seen == [(True, [])]
+        done.subscribe(lambda c: seen.append((type(c._exc), c._callbacks)))
+        assert seen == [(ValueError, [])]
 
 
 class TestSchedulingEdges:

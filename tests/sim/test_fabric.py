@@ -106,14 +106,3 @@ def test_port_counters():
     assert fabric.ports["a"].tx_bytes == 500
     assert port_b.rx_frames == 1
     assert port_b.rx_bytes == 500
-
-
-def test_detach_stops_delivery():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.attach("a", lambda f: None)
-    fabric.attach("b", lambda f: got.append(f))
-    fabric.detach("b")
-    fabric.transmit("a", "b", "x", 10)
-    sim.run()
-    assert got == []

@@ -142,10 +142,9 @@ def test_plan_roundtrips_through_json():
             .nvme_slow("nvme0", 0, 1000, factor=20.0)
             .nic_ring_clamp("dpdk0", 10, 20, limit=4))
     again = FaultPlan.from_json(plan.to_json())
-    assert again == plan
+    assert again.to_dict() == plan.to_dict()
     assert again.seed == 9
     assert len(again.events) == 5  # partition adds two directional events
-    assert again.horizon == 1000
 
 
 def test_plan_event_partitions_by_kind():
@@ -271,8 +270,8 @@ def test_rng_fork_named_is_stable_and_distinct():
 def test_tracer_signature_tracks_counters_and_events():
     t1, t2 = Tracer(keep_events=True), Tracer(keep_events=True)
     for t in (t1, t2):
-        t.count("x", 3)
+        t.scope("").count("x", 3)
         t.record(10, "e", "detail")
     assert t1.signature() == t2.signature()
-    t2.count("x")
+    t2.scope("").count("x")
     assert t1.signature() != t2.signature()

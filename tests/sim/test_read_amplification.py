@@ -57,7 +57,7 @@ def test_sequential_pop_back_moves_each_flushed_block_once():
 
     nvme, block = libos.nvme, libos.nvme.block_size
     flushed = N_RECORDS * (RECORD_HEADER_LEN + RECORD_SIZE)
-    assert libos.store.tail == flushed and not libos.store.unsynced_bytes
+    assert libos.store.tail == flushed and not libos.store._buffer
     blocks = -(-flushed // block)
     on_disk = RECORD_HEADER_LEN + RECORD_SIZE
     straddlers = sum(1 for i in range(N_RECORDS)

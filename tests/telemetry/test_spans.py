@@ -78,14 +78,3 @@ class TestDisabled:
     def test_off_by_default(self):
         assert Tracer().tracing is False
 
-    def test_reset(self):
-        t = Tracer()
-        t.span("op", "app", "x", 0, 1)
-        t.gauge("g").set(1)
-        t.distribution("d").add(1)
-        t.count("c")
-        t.reset()
-        assert t.spans == []
-        assert t.metrics == {}
-        assert t.counters == {}
-        assert t.span("op", "app", "x", 0).id == 1

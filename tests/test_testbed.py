@@ -1,17 +1,17 @@
 """Smoke tests for the testbed builders (what examples/benches rely on)."""
 
 from repro.testbed import (
-    NetHost,
     World,
     make_dpdk_libos_pair,
     make_kernel_pair,
     make_mtcp_pair,
-    make_net_pair,
     make_posix_libos_pair,
     make_rdma_libos_pair,
     make_rmem_world,
     make_spdk_libos,
 )
+
+from .conftest import NetHost, make_net_pair
 
 
 class TestWorld:
