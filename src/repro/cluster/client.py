@@ -15,16 +15,16 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..apps.kvstore import OP_GET, OP_PUT, get_result, op_request
-from ..apps.proto.codec import ST_STORED, ST_VALUE, CodecError
+from ..apps.proto.codec import CodecError
 from ..apps.proto.legacy import LegacyKvCodec
 from ..apps.steering import key_partition
 from ..core.retry import retry_with_backoff
-from ..core.types import DemiError, DemiTimeout
+from ..core.types import DemiError, DemiTimeout, QToken, Sga
 from ..hw.nic import rss_queue_for_flow
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 from ..telemetry import names
-from .replica import DEFAULT_KV_PORT
+from .replica import ACK, DEFAULT_KV_PORT, REQUEST_HEADER, STATUS_ACKED
 
 __all__ = ["src_port_for_queue", "shard_workload", "ReplicatedKvClient"]
 
@@ -91,13 +91,23 @@ class ReplicatedKvClient:
     operation - PUTs go to the key's chain head, GETs to its tail - and
     owns the whole failure policy: every transient fault (connect
     refused by a dying node, a request timing out because the server
-    crashed mid-flight, an ``ECONNRESET``-style pop error, a
-    ``STATUS_MOVED`` redirect from a stale route) closes the cached
-    connection, re-resolves the chain against the directory, and retries
-    under one seeded-backoff budget.  An operation fails only when
+    crashed mid-flight, an ``ECONNRESET``-style push or pop error, a
+    ``STATUS_MOVED`` redirect from a stale route) re-resolves the chain
+    against the directory and retries under one seeded-backoff budget.
+    The connection a push or pop failed on is closed, and so is a GET's
+    when the GET times out: a late reply on it could pass for the next
+    GET's.  An operation fails only when
     :class:`~repro.core.retry.RetryBudgetExceeded` says the budget is
     spent - which the replication scenarios treat as "this write was
     never acknowledged", the only loss chain replication permits.
+
+    The tail acknowledges a PUT, not the head: every request carries the
+    client's tag and the operation's number (each retry of an operation
+    reuses it), every connection opens by naming the tag, and a PUT waits
+    on its head and tail connections with one ``wait_any``.  An ack of an
+    earlier operation is dropped and counted; a late one for this
+    operation, from an earlier attempt, completes it - so a PUT that
+    times out keeps both connections.
     """
 
     def __init__(self, libos, directory, rng: Rng):
@@ -106,7 +116,15 @@ class ReplicatedKvClient:
         self.rng = rng
         self.stats = LatencyStats("repl-kv-rtt")
         self.codec = LegacyKvCodec()
+        self.tag = directory.client_tag()
+        #: the number of the operation in progress
+        self.op_number = 0
         self._conns: Dict[str, int] = {}
+        #: qd -> its pop, kept across waits: an ack that lands between two
+        #: operations is still there for the next one to drop
+        self._pops: Dict[int, QToken] = {}
+        #: (target, token, sga) of every push not yet waited for
+        self._pushes: List[Tuple[str, QToken, Sga]] = []
 
     # -- public ops ---------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> Generator:
@@ -123,10 +141,12 @@ class ReplicatedKvClient:
             qd = self._conns[target]
             yield from self.libos.close(qd)
         self._conns.clear()
+        self._pops.clear()
 
     # -- machinery ----------------------------------------------------------
     def _op(self, op: int, key: bytes, value: Optional[bytes]) -> Generator:
         start = self.libos.sim.now
+        self.op_number += 1
         result = yield from retry_with_backoff(
             self.libos.sim, lambda: self._attempt(op, key, value),
             rng=self.rng, retry_on=(DemiError,),
@@ -141,15 +161,28 @@ class ReplicatedKvClient:
     def _attempt(self, op: int, key: bytes,
                  value: Optional[bytes]) -> Generator:
         chain_id = self.directory.chain_for_key(key)
-        target = (self.directory.head(chain_id) if op == OP_PUT
-                  else self.directory.tail(chain_id))
+        tail = self.directory.tail(chain_id)
+        target = self.directory.head(chain_id) if op == OP_PUT else tail
         if target is None:
             raise DemiError("chain %d has no live members" % chain_id)
         try:
-            qd = yield from self._conn(target)
+            # The tail's connection first: it must know where our acks go
+            # before the head can log the write.
+            yield from self._connect([tail, target])
             request = op_request(op, key, value)
-            data = yield from self._request(
-                qd, self.codec.encode_request(request))
+            self._push(target, REQUEST_HEADER.pack(self.tag, self.op_number)
+                       + self.codec.encode_request(request))
+            yield from self._pushed()
+            try:
+                data = yield from self._reply([target, tail])
+            except DemiTimeout:
+                if op == OP_GET:
+                    # A late reply on it could pass for the next GET's.  A
+                    # late ack carries its operation's number.
+                    yield from self._drop(tail)
+                raise DemiError("request timed out")
+            if data is None:
+                return None   # the tail's ack
             try:
                 reply = self.codec.decode_reply(data)
             except CodecError:
@@ -159,52 +192,93 @@ class ReplicatedKvClient:
                                 % (request.op, target, data[:1]))
             if op == OP_GET:
                 return get_result(reply)
-            if reply.status not in (ST_STORED, ST_VALUE):
-                raise DemiError("PUT not acknowledged by %s (%s)"
-                                % (target, reply.status))
-            return None
+            raise DemiError("PUT answered by %s (%s)"
+                            % (target, reply.status))
         except DemiError:
             self.libos.count(names.REPL_CLIENT_RETRIES)
-            yield from self._drop(target)
             raise
 
-    def _conn(self, target: str) -> Generator:
-        qd = self._conns.get(target)
-        if qd is not None:
-            return qd
+    def _connect(self, targets: List[str]) -> Generator:
+        """Connect each of *targets* not connected yet.
+
+        Every socket comes first: a socket call waits for the core, which
+        the first connection's memory registration then holds for ~100 us.
+        A new connection names our tag, so that should its node be (or
+        become) a tail its acks for us leave on it; the push is waited for
+        with the request's.
+        """
         libos = self.libos
-        qd = yield from libos.socket()
+        new: Dict[str, int] = {}
+        for target in targets:
+            if target not in self._conns and target not in new:
+                new[target] = yield from libos.socket()
         try:
-            yield from libos.connect(qd, self.directory.addr_of(target),
-                                     DEFAULT_KV_PORT)
+            for target, qd in new.items():
+                yield from libos.connect(qd, self.directory.addr_of(target),
+                                         DEFAULT_KV_PORT)
         except Exception as exc:
             # VerbsError from a closed/crashed listener is transient from
             # the router's point of view: surface it typed so the retry
             # loop re-resolves the chain and tries the new member.
-            yield from libos.close(qd)
+            for qd in new.values():
+                yield from libos.close(qd)
             if isinstance(exc, DemiError):
                 raise
             raise DemiError("connect to %s failed: %s" % (target, exc))
-        self._conns[target] = qd
-        return qd
+        for target, qd in new.items():
+            self._conns[target] = qd
+            self._push(target, REQUEST_HEADER.pack(self.tag, 0))
 
-    def _request(self, qd: int, request: bytes) -> Generator:
+    def _push(self, target: str, data: bytes) -> None:
+        sga = self.libos.sga_alloc(data)
+        token = self.libos.push(self._conns[target], sga)
+        self._pushes.append((target, token, sga))
+
+    def _pushed(self) -> Generator:
+        """Wait for every push issued and free its buffer; DemiError, its
+        connection closed, if one failed."""
+        pushes, self._pushes = self._pushes, []
+        results = yield from self.libos.wait_all(
+            [token for _target, token, _sga in pushes])
+        error = None
+        for (target, _token, sga), result in zip(pushes, results):
+            self.libos.sga_free(sga)
+            if result.error is not None:
+                error = "push to %s failed: %s" % (target, result.error)
+                yield from self._drop(target)
+        if error is not None:
+            raise DemiError(error)
+
+    def _reply(self, targets: List[str]) -> Generator:
+        """The first reply from any of *targets* that is not an ack of an
+        earlier operation - ``None`` for this one's ack.  DemiTimeout
+        after ``REQUEST_TIMEOUT_NS``."""
         libos = self.libos
-        pushed = yield from libos.blocking_push(qd, libos.sga_alloc(request))
-        if pushed.error is not None:
-            raise DemiError("push failed: %s" % pushed.error)
-        token = libos.pop(qd)
-        try:
-            _index, result = yield from libos.wait_any(
-                [token], timeout_ns=REQUEST_TIMEOUT_NS)
-        except DemiTimeout:
-            libos.cancel(token)
-            raise DemiError("request timed out")
-        if result.error is not None:
-            raise DemiError("connection failed: %s" % result.error)
-        return result.sga.tobytes()
+        targets = list(dict.fromkeys(targets))   # the head may be the tail
+        qds = [self._conns[target] for target in targets]
+        deadline = libos.sim.now + REQUEST_TIMEOUT_NS
+        while True:
+            for qd in qds:
+                if qd not in self._pops:
+                    self._pops[qd] = libos.pop(qd)
+            index, result = yield from libos.wait_any(
+                [self._pops[qd] for qd in qds],
+                timeout_ns=deadline - libos.sim.now)
+            del self._pops[qds[index]]
+            if result.error is not None:
+                yield from self._drop(targets[index])
+                raise DemiError("connection to %s failed: %s"
+                                % (targets[index], result.error))
+            data = result.sga.tobytes()
+            libos.sga_free(result.sga)
+            if data[0] != STATUS_ACKED:
+                return data
+            if ACK.unpack(data)[1] == self.op_number:
+                return None
+            libos.count(names.REPL_STALE_ACKS)
 
     def _drop(self, target: str) -> Generator:
         qd = self._conns.pop(target, None)
         if qd is not None:
+            self._pops.pop(qd, None)
             yield from self.libos.close(qd)

@@ -16,12 +16,15 @@ interval), logs it, and forwards again.  Log, forward, apply - in that
 order: a member's log is what it has *received*, and one applier per
 chain per node works through it behind the forwarder, so the applies of
 a chain overlap instead of queueing up on every PUT's path.  The
-tail's apply is the *commit point*: committed sequence numbers flow back
-upstream through one-sided writes into each predecessor's commit cell,
-a member counts an entry committed once it has heard that *and* applied
-it, and only then does the head acknowledge the client.  An acknowledged
-write therefore exists on every live replica, and reads served at the
-tail are linearizable per key.
+tail's apply is the *commit point*, and the tail acknowledges the write
+itself, as chain replication was published (van Renesse and Schneider,
+OSDI 2004): a PUT carries its client's tag and operation number into the
+entry, every client names its tag on each connection it opens, and the
+tail pushes the ack down the connection that named it.  The head
+answers only a PUT it cannot take.  An acknowledged write is therefore
+logged on every live replica - each logs before it forwards - and
+applied at the tail, and reads served at the tail are linearizable per
+key.
 
 Failure handling is the point.  Adjacent chain members exchange
 one-sided heartbeats into each other's lease cells; a peer's death
@@ -33,9 +36,8 @@ expiring.  Either way the survivor reports the death to the
 every live node to *reconfigure*: stale links are torn down, the chain
 is spliced around the dead node (the new upstream replays its log
 suffix into the new downstream, from what that has logged - replicas are
-never left behind), and a new tail declares everything it has applied
-committed.  Clients route
-via the directory and retry with seeded backoff
+never left behind), and a new tail acknowledges what it applies from
+then on.  Clients route via the directory and retry with seeded backoff
 (:class:`~repro.cluster.client.ReplicatedKvClient`); a replica that is
 not the right head/tail for a key answers :data:`STATUS_MOVED` so a
 stale route corrects itself.
@@ -47,8 +49,7 @@ import struct
 from typing import Dict, Generator, List, Optional, Sequence
 
 from ..apps.kvstore import KvEngine
-from ..apps.proto.codec import (ST_MISS, ST_STORED, ST_VALUE, CodecError,
-                                Response)
+from ..apps.proto.codec import ST_MISS, ST_VALUE, CodecError, Response
 from ..apps.proto.legacy import LegacyKvCodec
 from ..apps.steering import key_partition
 from ..core.retry import RetryBudgetExceeded, retry_with_backoff
@@ -60,16 +61,25 @@ from ..rdma.cm import RdmaCm
 from ..rdma.verbs import QueuePair, VerbsError
 from ..rmem.ring import (LocalRingConsumer, OneSided, RemoteRing,
                          RingProducer)
-from ..sim.engine import any_of
 from ..sim.rand import Rng
 from ..sim.sync import WaitQueue
 from ..telemetry import names
 
 __all__ = ["ClusterDirectory", "ReplicaNode", "STATUS_MOVED",
-           "encode_entry", "decode_entry", "DEFAULT_KV_PORT"]
+           "STATUS_ACKED", "REQUEST_HEADER", "ACK", "encode_entry",
+           "decode_entry", "DEFAULT_KV_PORT"]
 
 #: a replica that is not the right chain member for the request
 STATUS_MOVED = ord("M")
+#: the tail's acknowledgement of a replicated PUT
+STATUS_ACKED = ord("A")
+
+#: the client plane's envelope, before every request's LegacyKvCodec
+#: bytes: the client's tag and the operation's number.  Alone, it names
+#: the tag on the connection it arrives on.
+REQUEST_HEADER = struct.Struct("!IQ")
+#: a tail's ack: STATUS_ACKED and the number of the operation it commits
+ACK = struct.Struct("!BQ")
 
 #: the client plane's port, on every replica and in every client
 DEFAULT_KV_PORT = 6380
@@ -82,33 +92,34 @@ N_SLOTS = 32
 #: heartbeat period, and how long a silent peer keeps its lease
 HB_INTERVAL_NS = 20_000
 LEASE_NS = 150_000
-#: how long a client write may wait on the tail before the head gives
-#: up on it
-COMMIT_TIMEOUT_NS = 1_000_000
-#: an idle client connection is closed after this long
+#: a client connection no request reached for this long is closed,
+#: unless its client's acks leave on it
 IDLE_TIMEOUT_NS = 2_000_000
 
 _U64 = struct.Struct("!Q")
-#: replication log entry: chain-local seq, key, value
-_ENTRY = struct.Struct("!QH")   # seq, klen (value length-prefixed after key)
-#: chain_id, epoch, commit-cell addr, hb-cell addr, sender-name length
-_SYNC_REQ = struct.Struct("!IIQQH")
+#: replication log entry: chain-local seq, the client's tag and op number
+#: (whom the tail acks), klen (value length-prefixed after key)
+_ENTRY = struct.Struct("!QIQH")
+#: chain_id, epoch, hb-cell addr, sender-name length
+_SYNC_REQ = struct.Struct("!IIQH")
 #: ring base, slot_size, n_slots, receiver's logged seq, hb-cell addr
 _SYNC_RESP = struct.Struct("!QIIQQ")
 _HANDSHAKE_BYTES = 256
 
 
-def encode_entry(seq: int, key: bytes, value: bytes) -> bytes:
-    return (_ENTRY.pack(seq, len(key)) + key
+def encode_entry(seq: int, tag: int, op: int, key: bytes,
+                 value: bytes) -> bytes:
+    return (_ENTRY.pack(seq, tag, op, len(key)) + key
             + struct.pack("!I", len(value)) + value)
 
 
 def decode_entry(payload: bytes):
-    seq, klen = _ENTRY.unpack_from(payload, 0)
+    """``(seq, tag, op, key, value)`` of one :func:`encode_entry` record."""
+    seq, tag, op, klen = _ENTRY.unpack_from(payload, 0)
     key = payload[_ENTRY.size:_ENTRY.size + klen]
     (vlen,) = struct.unpack_from("!I", payload, _ENTRY.size + klen)
     off = _ENTRY.size + klen + 4
-    return seq, key, payload[off:off + vlen]
+    return seq, tag, op, key, payload[off:off + vlen]
 
 
 class ClusterDirectory:
@@ -133,10 +144,17 @@ class ClusterDirectory:
         self.counters = tracer.scope("cluster")
         self._members: Dict[str, "ReplicaNode"] = {}
         self._addrs: Dict[str, str] = {}
+        self._client_tags = 0
 
     def register(self, node: "ReplicaNode") -> None:
         self._members[node.name] = node
         self._addrs[node.name] = node.nic.addr
+
+    def client_tag(self) -> int:
+        """A tag no other client of the tier holds: tails address their
+        acks by it."""
+        self._client_tags += 1
+        return self._client_tags
 
     def addr_of(self, name: str) -> str:
         return self._addrs[name]
@@ -182,23 +200,17 @@ class _Chain:
 
     def __init__(self, chain_id: int, sim, owner: str):
         self.chain_id = chain_id
-        #: every entry this member has received, (key, value) by seq - 1:
-        #: dense, never trimmed, and ``len(log)`` is the highest seq logged
+        #: every entry this member has received, ``(tag, op, key, value)``
+        #: by seq - 1: dense, never trimmed, and ``len(log)`` is the
+        #: highest seq logged
         self.log: List[tuple] = []
         #: highest seq applied to the local engine; the chain's applier
-        #: is its only writer
+        #: is its only writer, so ``applied <= len(log)`` at every instant
         self.applied = 0
-        #: highest commit watermark heard (the successor's cell; at the
-        #: tail, its own ``applied``) - it can run ahead of ``applied``
-        self.heard = 0
-        #: highest seq known committed: ``min(heard, applied)``, so
-        #: ``committed <= applied <= len(log)`` at every instant
-        self.committed = 0
         #: a tail serves no read before it has applied this much: what it
         #: had logged when the membership last changed (see
         #: :meth:`ReplicaNode.schedule_reconfigure`)
         self.read_floor = 0
-        self.commit_wq = WaitQueue(sim, "%s.c%d.commit" % (owner, chain_id))
         self.fwd_wq = WaitQueue(sim, "%s.c%d.fwd" % (owner, chain_id))
         self.apply_wq = WaitQueue(sim, "%s.c%d.apply" % (owner, chain_id))
         self.down: Optional[_DownLink] = None
@@ -209,12 +221,11 @@ class _DownLink:
     """Outbound leg to the chain successor (we produce, they consume)."""
 
     def __init__(self, peer: str, qp: QueuePair, producer: RingProducer,
-                 commit_cell, hb_cell, peer_hb_addr: int, sent_seq: int):
+                 hb_cell, peer_hb_addr: int, sent_seq: int):
         self.peer = peer
         self.qp = qp
         self.producer = producer
         self.ops = producer.ops          # the hb writer issues through it too
-        self.commit_cell = commit_cell   # successor writes committed here
         self.hb_cell = hb_cell           # successor heartbeats here
         self.peer_hb_addr = peer_hb_addr
         self.sent_seq = sent_seq
@@ -225,15 +236,13 @@ class _UpLink:
     """Inbound leg from the chain predecessor (ring lives in our arena)."""
 
     def __init__(self, peer: str, qp: QueuePair, ring: RemoteRing, arena,
-                 consumer: LocalRingConsumer, peer_commit_addr: int,
-                 peer_hb_addr: int, hb_cell):
+                 consumer: LocalRingConsumer, peer_hb_addr: int, hb_cell):
         self.peer = peer
         self.qp = qp
-        self.ops = OneSided(qp)          # shared by hb + commit publisher
+        self.ops = OneSided(qp)          # the hb writer's
         self.ring = ring
         self.arena = arena
         self.consumer = consumer
-        self.peer_commit_addr = peer_commit_addr
         self.peer_hb_addr = peer_hb_addr
         self.hb_cell = hb_cell           # predecessor heartbeats here
         self.procs: List = []
@@ -259,6 +268,9 @@ class ReplicaNode:
         self.codec = LegacyKvCodec()
         self.counters = self.host.tracer.scope(name)
         self.chains: Dict[int, _Chain] = {}
+        #: client tag -> the connection it last named it on: where this
+        #: node's acks for that client leave while it is a tail
+        self._ack_qds: Dict[int, int] = {}
         self.crashed = False
         self._procs: List = []
         #: every raw replication QP this node connected or accepted, from
@@ -299,8 +311,8 @@ class ReplicaNode:
         from landing one-sided writes into soon-to-be-freed memory and
         making peers' writes fail fast); then the ordinary
         :func:`~repro.kernelos.reclaim.crash_teardown` walk reclaims the
-        client plane, every registered buffer - ring arenas, lease and
-        commit cells included - and the IOMMU mappings beneath them.
+        client plane, every registered buffer - ring arenas and lease
+        cells included - and the IOMMU mappings beneath them.
         """
         self.crashed = True
         for proc in self._procs:
@@ -389,10 +401,6 @@ class ReplicaNode:
                         continue
                 if spliced:
                     self.counters.count(names.REPL_CHAIN_SPLICES)
-            if succ is None:
-                # We are the tail now: our apply is the commit point, so
-                # everything already applied commits retroactively.
-                self._advance_commit(chain, chain.applied)
 
     # -- downstream link (we are the producer) ------------------------------
     def _establish_down(self, chain: _Chain, peer: str) -> Generator:
@@ -411,8 +419,6 @@ class ReplicaNode:
                         "c%d.fwd" % chain.chain_id),
             self._spawn(self._hb_writer(link, link.ops, link.peer_hb_addr),
                         "c%d.hb.down" % chain.chain_id),
-            self._spawn(self._commit_monitor(chain, link),
-                        "c%d.commitmon" % chain.chain_id),
             self._spawn(self._lease_monitor(link, link.hb_cell),
                         "c%d.lease.down" % chain.chain_id),
         ]
@@ -422,8 +428,6 @@ class ReplicaNode:
         qp = yield from self.cm.connect(
             self.nic, self.directory.addr_of(peer), REPL_PORT)
         self._qps.append(qp)
-        commit_cell = self.mm.alloc(8)
-        commit_cell.write(0, _U64.pack(0))
         hb_cell = self.mm.alloc(8)
         hb_cell.write(0, _U64.pack(0))
         recv_buf = self.mm.alloc(_HANDSHAKE_BYTES)
@@ -431,8 +435,8 @@ class ReplicaNode:
             qp.post_recv(recv_buf)
             name_bytes = self.name.encode("ascii")
             qp.post_send(_SYNC_REQ.pack(chain.chain_id, self.directory.epoch,
-                                        commit_cell.addr, hb_cell.addr,
-                                        len(name_bytes)) + name_bytes)
+                                        hb_cell.addr, len(name_bytes))
+                         + name_bytes)
             cqe = yield from qp.wait_send_completion()
             if cqe["status"] != "ok":
                 raise DemiError("sync send failed: %s" % cqe["status"])
@@ -449,7 +453,6 @@ class ReplicaNode:
             # An interrupt is delivered a turn after crash() ran: by then
             # the kernel has reclaimed every buffer of this process.
             if not self.crashed:
-                self.mm.free(commit_cell)
                 self.mm.free(hb_cell)
                 if not recv_buf.freed:
                     self.mm.free(recv_buf)
@@ -458,9 +461,8 @@ class ReplicaNode:
         producer = RingProducer(qp, ring)
         # Resume from what the successor has *logged*: its applier owes
         # its engine the rest whatever happens to this link.
-        return _DownLink(peer, qp, producer, commit_cell, hb_cell,
-                         peer_hb_addr, sent_seq=min(peer_logged,
-                                                    len(chain.log)))
+        return _DownLink(peer, qp, producer, hb_cell, peer_hb_addr,
+                         sent_seq=min(peer_logged, len(chain.log)))
 
     def _teardown_down(self, chain: _Chain) -> None:
         link = chain.down
@@ -471,7 +473,6 @@ class ReplicaNode:
             if proc.alive:
                 proc.interrupt("chain reconfig")
         link.qp.destroy()
-        self.mm.free(link.commit_cell)
         self.mm.free(link.hb_cell)
 
     def _forwarder(self, chain: _Chain, link: _DownLink) -> Generator:
@@ -481,24 +482,14 @@ class ReplicaNode:
             while True:
                 while link.sent_seq < len(chain.log):
                     seq = link.sent_seq + 1
-                    key, value = chain.log[seq - 1]
-                    yield from link.producer.push(encode_entry(seq, key,
-                                                               value))
+                    yield from link.producer.push(encode_entry(
+                        seq, *chain.log[seq - 1]))
                     link.sent_seq = seq
                     self.counters.count(names.REPL_ENTRIES_FORWARDED)
                 yield chain.fwd_wq.wait()
         except (DemiError, QpError):
             self.counters.count(names.REPL_LINK_FAULTS)
             self._suspect(link.peer)
-
-    def _commit_monitor(self, chain: _Chain, link: _DownLink) -> Generator:
-        """Spins on the local commit cell the successor one-sided-writes:
-        woken by each write into it, like a ring consumer."""
-        written = self.mm.watch(link.commit_cell)
-        while True:
-            (heard,) = _U64.unpack(link.commit_cell.read(0, 8))
-            self._advance_commit(chain, heard)
-            yield written.wait()
 
     # -- upstream link (predecessor produces into our arena) ----------------
     def _repl_acceptor(self) -> Generator:
@@ -522,8 +513,7 @@ class ReplicaNode:
             return
         data = cqe["buffer"].read(0, _HANDSHAKE_BYTES)
         self.mm.free(cqe["buffer"])
-        chain_id, _epoch, commit_addr, hb_addr, nlen = _SYNC_REQ.unpack_from(
-            data, 0)
+        chain_id, _epoch, hb_addr, nlen = _SYNC_REQ.unpack_from(data, 0)
         peer = data[_SYNC_REQ.size:_SYNC_REQ.size + nlen].decode("ascii")
         chain = self.chains.get(chain_id)
         if chain is None or peer not in self.directory.alive:
@@ -546,8 +536,7 @@ class ReplicaNode:
             self.mm.free(hb_cell)
             return
         consumer = LocalRingConsumer(self.host, ring)
-        link = _UpLink(peer, qp, ring, arena, consumer, commit_addr,
-                       hb_addr, hb_cell)
+        link = _UpLink(peer, qp, ring, arena, consumer, hb_addr, hb_cell)
         chain.up = link
         self.counters.count(names.REPL_SYNCS)
         link.procs = [
@@ -555,8 +544,6 @@ class ReplicaNode:
                         "c%d.pump" % chain_id),
             self._spawn(self._hb_writer(link, link.ops, link.peer_hb_addr),
                         "c%d.hb.up" % chain_id),
-            self._spawn(self._commit_publisher(chain, link),
-                        "c%d.commitpub" % chain_id),
             self._spawn(self._lease_monitor(link, link.hb_cell),
                         "c%d.lease.up" % chain_id),
         ]
@@ -577,51 +564,42 @@ class ReplicaNode:
         """Logs the entries the predecessor lands in our ring."""
         while True:
             payload = yield from link.consumer.pop()
-            seq, key, value = decode_entry(payload)
+            seq, tag, op, key, value = decode_entry(payload)
             if seq == len(chain.log) + 1:   # else a replayed duplicate
-                self._log(chain, key, value)
+                self._log(chain, (tag, op, key, value))
 
-    def _log(self, chain: _Chain, key: bytes, value: bytes) -> int:
-        """Append one received entry; forwarding and applying follow, in
-        processes of their own.  Returns its seq."""
-        chain.log.append((key, value))
+    def _log(self, chain: _Chain, entry: tuple) -> None:
+        """Append one received ``(tag, op, key, value)``; forwarding and
+        applying follow, in processes of their own."""
+        chain.log.append(entry)
         chain.fwd_wq.pulse()
         chain.apply_wq.pulse()
-        return len(chain.log)
 
     def _applier(self, chain: _Chain) -> Generator:
         """The one writer of ``chain.applied`` and of this chain's keys in
-        the engine: works through the log, re-evaluating the commit after
-        every entry (a watermark may have been heard before it)."""
+        the engine: works through the log and, at the tail, acks every
+        entry it applies."""
         while True:
             while chain.applied < len(chain.log):
-                key, value = chain.log[chain.applied]
+                tag, op, key, value = chain.log[chain.applied]
                 yield self.libos.core.busy(self.engine.service_cost("set"))
                 self.engine.put(key, value)
                 chain.applied += 1
                 self.counters.count(names.REPL_ENTRIES_APPLIED)
-                # The tail's apply is the commit point: it hears itself.
-                self._advance_commit(
-                    chain, chain.applied if self._is_tail(chain.chain_id)
-                    else 0)
+                # The tail's apply is the commit point: it acks the client.
+                if self._is_tail(chain.chain_id):
+                    self._ack(tag, op)
             yield chain.apply_wq.wait()
 
-    def _commit_publisher(self, chain: _Chain, link: _UpLink) -> Generator:
-        """Pushes our committed watermark into the predecessor's cell."""
-        published = 0
-        try:
-            while True:
-                if chain.committed > published:
-                    watermark = chain.committed
-                    yield from link.ops.write(link.peer_commit_addr,
-                                              _U64.pack(watermark))
-                    published = watermark
-                    self.counters.count(names.REPL_COMMIT_PUBLISHES)
-                else:
-                    yield chain.commit_wq.wait()
-        except (DemiError, QpError):
-            self.counters.count(names.REPL_LINK_FAULTS)
-            self._suspect(link.peer)
+    def _ack(self, tag: int, op: int) -> None:
+        """Push the ack of *op* down the connection *tag* named here; a
+        client that named none here times out and retries."""
+        qd = self._ack_qds.get(tag)
+        if qd is None or self.crashed:
+            return
+        self.counters.count(names.REPL_WRITES_ACKED)
+        self.sim.spawn(self._send(qd, ACK.pack(STATUS_ACKED, op)),
+                       name="%s.ack" % self.name)
 
     # -- shared link machinery ----------------------------------------------
     def _hb_writer(self, link, ops: OneSided, peer_hb_addr: int) -> Generator:
@@ -648,33 +626,6 @@ class ReplicaNode:
                 return
             last = beat
 
-    # -- the write path ------------------------------------------------------
-    def _advance_commit(self, chain: _Chain, heard: int) -> None:
-        """Remember the watermark *heard* and commit what is both heard
-        and applied.  Clamping and forgetting it would leave a PUT whose
-        commit beat this member's own apply waiting for the next one."""
-        if heard > chain.heard:
-            chain.heard = heard
-        committed = min(chain.heard, chain.applied)
-        if committed > chain.committed:
-            chain.committed = committed
-            chain.commit_wq.pulse()
-
-    def _wait_committed(self, chain: _Chain, seq: int) -> Generator:
-        """True once *seq* is committed; False at the deadline.
-
-        ``committed`` only moves through :meth:`_advance_commit`, which
-        pulses ``commit_wq``, and a crash interrupts the serving process,
-        so there is nothing a periodic re-check would observe.
-        """
-        deadline = self.sim.timeout(COMMIT_TIMEOUT_NS)
-        try:
-            while chain.committed < seq and not deadline.triggered:
-                yield any_of(self.sim, [chain.commit_wq.wait(), deadline])
-        finally:
-            deadline.cancel()
-        return chain.committed >= seq
-
     # -- the client plane ----------------------------------------------------
     def _client_plane(self) -> Generator:
         libos = self.libos
@@ -687,19 +638,25 @@ class ReplicaNode:
 
     def _serve_conn(self, qd: int) -> Generator:
         libos = self.libos
+        token = libos.pop(qd)
         while True:
-            token = libos.pop(qd)
             try:
                 _index, result = yield from libos.wait_any(
                     [token], timeout_ns=IDLE_TIMEOUT_NS)
             except DemiTimeout:
+                if qd in self._ack_qds.values():
+                    continue   # its client's acks leave on it
                 libos.cancel(token)
                 break
             if result.error is not None:
                 break
             parsed = yield from self._serve_request(qd, result.sga.tobytes())
+            libos.sga_free(result.sga)
             if not parsed:
                 break
+            token = libos.pop(qd)
+        self._ack_qds = {tag: q for tag, q in self._ack_qds.items()
+                         if q != qd}
         yield from libos.close(qd)
 
     def _serve_request(self, qd: int, request: bytes) -> Generator:
@@ -708,8 +665,14 @@ class ReplicaNode:
         codec = self.codec
         yield libos.core.busy(self.engine.parse_cost())
         try:
-            req = codec.decode_message(request)
-        except CodecError:
+            tag, op = REQUEST_HEADER.unpack_from(request)
+            if len(request) == REQUEST_HEADER.size:
+                # The client names its tag: a tail's acks for it leave on
+                # this connection from now on.
+                self._ack_qds[tag] = qd
+                return True
+            req = codec.decode_message(request[REQUEST_HEADER.size:])
+        except (CodecError, struct.error):
             libos.count(names.KV_MALFORMED_REQUESTS)
             return False
         chain_id = self.directory.chain_for_key(req.key)
@@ -717,23 +680,35 @@ class ReplicaNode:
         reply: Optional[bytes] = None
         if req.op == "set":
             if chain is not None and self._is_head(chain_id):
-                seq = self._log(chain, req.key, req.value)
-                committed = yield from self._wait_committed(chain, seq)
-                if committed:
-                    self.counters.count(names.REPL_WRITES_ACKED)
-                    reply = codec.encode(Response(ST_STORED))
-        else:
-            if (chain is not None and self._is_tail(chain_id)
-                    and chain.applied >= chain.read_floor):
-                yield libos.core.busy(self.engine.service_cost(req.op))
-                value = self.engine.get(req.key)
-                if value is None:
-                    reply = codec.encode(Response(ST_MISS))
-                else:
-                    reply = codec.encode(
-                        Response(ST_VALUE, value=value.tobytes()))
+                self._log(chain, (tag, op, req.key, req.value))
+                return True   # the tail acks it
+        elif (chain is not None and self._is_tail(chain_id)
+              and chain.applied >= chain.read_floor):
+            yield libos.core.busy(self.engine.service_cost(req.op))
+            value = self.engine.get(req.key)
+            if value is None:
+                reply = codec.encode(Response(ST_MISS))
+            else:
+                reply = codec.encode(Response(ST_VALUE,
+                                              value=value.tobytes()))
         if reply is None:
             self.counters.count(names.REPL_REDIRECTS)
             reply = bytes([STATUS_MOVED])
-        yield from libos.blocking_push(qd, libos.sga_alloc(reply))
+        yield from self._send(qd, reply)
         return True
+
+    def _send(self, qd: int, data: bytes) -> Generator:
+        """Push *data* on *qd* now; the sim-coroutine returned frees its
+        buffer once the push completes."""
+        libos = self.libos
+        sga = libos.sga_alloc(data)
+        return self._free_when_pushed(libos.push(qd, sga), sga)
+
+    def _free_when_pushed(self, token, sga) -> Generator:
+        # A crash may come between the push and a spawned waiter's first
+        # step, and reclaims the token and the buffer itself.
+        if self.crashed:
+            return
+        yield from self.libos.wait(token)
+        if not self.crashed:
+            self.libos.sga_free(sga)

@@ -270,13 +270,13 @@ SHARD_BATCH_COMPLETIONS = "shard_batch_completions"
 
 # -------------------------------------------------------------- replication
 # Chain-replicated KV tier (repro.cluster.replica).  Counted against the
-# replica host's tracer scope ("repl") except the client-side retry
-# counters, which land under the client libOS scope.
+# replica host's tracer scope ("repl") except the client-side retry and
+# stale-ack counters, which land under the client libOS scope.
+#: acks a tail pushed, one per applied entry whose client it can reach
 REPL_WRITES_ACKED = "repl_writes_acked"
 REPL_ENTRIES_FORWARDED = "repl_entries_forwarded"
 REPL_ENTRIES_APPLIED = "repl_entries_applied"
 REPL_ENTRIES_REPLAYED = "repl_entries_replayed"
-REPL_COMMIT_PUBLISHES = "repl_commit_publishes"
 REPL_HEARTBEATS = "repl_heartbeats"
 REPL_LEASE_EXPIRIES = "repl_lease_expiries"
 REPL_CHAIN_SPLICES = "repl_chain_splices"
@@ -285,6 +285,9 @@ REPL_REDIRECTS = "repl_redirects"
 REPL_SYNCS = "repl_syncs"
 REPL_LINK_FAULTS = "repl_link_faults"
 REPL_CLIENT_RETRIES = "repl_client_retries"
+#: acks of an earlier operation a client dropped (a retried PUT's second
+#: ack, or one that arrived after the client gave up)
+REPL_STALE_ACKS = "repl_stale_acks"
 
 # ---------------------------------------------------------------- protocols
 # The unified wire-protocol layer (repro.apps.proto): one set per

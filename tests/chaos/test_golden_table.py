@@ -42,10 +42,10 @@ SIGNATURES = {
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
     ("link-flap", "dpdk"): "98fa94b980a8dcd8ceea7eddad754112ea077445",
     ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",
-    ("replica-crash-head", "rdma"): "5568aa81cd558b96b5a217adf98dce7a07dcf311",
+    ("replica-crash-head", "rdma"): "004a6e20d63849a23c5b2ac3c2fb301560098d3f",
     ("replica-crash-middle", "rdma"):
-        "be6aa215c90dc54cc928b1dfaa7bf58801eed396",
-    ("replica-crash-tail", "rdma"): "5866e717bea42dadf995c165336500917e4a571c",
+        "b6a5e4253bc083a68f3fe1ba8d0c04cd275aa1c0",
+    ("replica-crash-tail", "rdma"): "389eef5ee3108a19e9eef9de9467b04d8cbea212",
 }
 
 

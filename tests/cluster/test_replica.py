@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster.client import ReplicatedKvClient
-from repro.cluster.replica import (DEFAULT_KV_PORT, ClusterDirectory,
-                                   ReplicaNode, decode_entry, encode_entry)
+from repro.cluster.replica import (DEFAULT_KV_PORT, REQUEST_HEADER,
+                                   ClusterDirectory, ReplicaNode,
+                                   decode_entry, encode_entry)
 from repro.core.retry import RetryBudgetExceeded
 from repro.core.types import DemiError, DemiTimeout
 from repro.libos.rdma_libos import RdmaLibOS
@@ -52,20 +53,15 @@ def run_driver(world, gen):
 def assert_no_lost_wakeup(nodes):
     """At quiescence nothing a one-sided write landed is still unseen.
 
-    A pump or commit monitor parks on the writer's signal instead of
-    polling, so a wake-up lost anywhere would strand data for good: a
-    commit cell above what its node believes committed, or a decodable
-    record in the slot a consumer is waiting on.  And no wake-up was for
-    nothing - ``empty_polls`` is the ring's ``wasted_wakeups``.
+    A pump parks on the writer's signal instead of polling, so a wake-up
+    lost anywhere would strand data for good: a decodable record in the
+    slot a consumer is waiting on.  And no wake-up was for nothing -
+    ``empty_polls`` is the ring's ``wasted_wakeups``.
     """
     for node in nodes:
         if node.crashed:
             continue
         for chain in node.chains.values():
-            if chain.down is not None:
-                cell = int.from_bytes(chain.down.commit_cell.read(0, 8),
-                                      "big")
-                assert cell <= chain.committed, (node.name, cell)
             if chain.up is not None:
                 consumer, ring = chain.up.consumer, chain.up.ring
                 slot = node.mm.read_mem(ring.slot_addr(consumer.next_seq),
@@ -120,10 +116,10 @@ class TestDirectory:
 
 class TestEntryCodec:
     def test_roundtrip(self):
-        for seq, key, value in [(1, b"k", b"v"), (2 ** 40, b"key-xyz", b""),
-                                (7, b"", b"x" * 300)]:
-            assert decode_entry(encode_entry(seq, key, value)) == (seq, key,
-                                                                   value)
+        for entry in [(1, 1, 1, b"k", b"v"),
+                      (2 ** 40, 7, 2 ** 33, b"key-xyz", b""),
+                      (7, 2, 5, b"", b"x" * 300)]:
+            assert decode_entry(encode_entry(*entry)) == entry
 
 
 class TestHappyPath:
@@ -144,10 +140,10 @@ class TestHappyPath:
 
         run_driver(world, driver())
         assert out["reads"] == [(True, b"value-%d" % i) for i in range(8)]
-        # An acked write lives on EVERY chain member, applied == committed.
+        # An acked write lives on EVERY chain member.
         for node in nodes:
             chain = node.chains[0]
-            assert chain.applied == 8 and chain.committed == 8
+            assert chain.applied == len(chain.log) == 8
             assert node.engine.get(b"key-0") is not None
         assert_no_lost_wakeup(nodes)
 
@@ -193,14 +189,15 @@ class TestHappyPath:
             run_driver(world, driver())
             assert_no_lost_wakeup(nodes)
         assert len(puts) == 1, sorted(puts)
-        # 4 971 before and after the pumps stopped polling.  Since a PUT
-        # waits out one apply instead of three (1.8 us shorter), phase 1's
-        # GET reaches the tail 199 ns after the tail's own heartbeat
-        # writer rang its doorbell: `doorbell_ns` (200) is charged to the
-        # tail's one core, which frees 1 ns after the request arrives.  A
-        # collision can cost a GET at most one doorbell.
-        assert {ns for k, ns in gets.items() if k != 1} == {4_971}
-        assert gets[1] == 4_972
+        # 4 971 before and after the pumps stopped polling, 4 972 since a
+        # request carries its client's tag and op number (12 bytes more on
+        # the wire).  Since the tail acks a PUT itself (3.6 us shorter),
+        # phase 5's GET reaches the tail as the tail's own heartbeat writer
+        # rings its doorbell: `doorbell_ns` (200) is charged to the tail's
+        # one core ahead of the request.  A collision can cost a GET at
+        # most one doorbell.
+        assert {ns for k, ns in gets.items() if k != 5} == {4_972}
+        assert gets[5] == 5_172
 
     def test_multi_chain_places_keys_on_distinct_heads(self):
         world, directory, nodes, (client,) = build_cluster(
@@ -250,8 +247,9 @@ class TestHappyPath:
             qd = yield from libos.socket()
             yield from libos.connect(qd, nodes[0].nic.addr, DEFAULT_KV_PORT)
             yield from libos.blocking_push(
-                qd, libos.sga_alloc(LegacyKvCodec().encode_request(
-                    Request(op="get", key=b"moved-key"))))
+                qd, libos.sga_alloc(REQUEST_HEADER.pack(client.tag, 99)
+                                    + LegacyKvCodec().encode_request(
+                                        Request(op="get", key=b"moved-key"))))
             result = yield from libos.blocking_pop(qd)
             out["status"] = result.sga.tobytes()[0]
             yield from libos.close(qd)
@@ -261,6 +259,34 @@ class TestHappyPath:
         assert out["status"] == STATUS_MOVED
         assert world.tracer.get("replica0.%s" % names.REPL_REDIRECTS) >= 1
 
+    def test_an_ack_for_an_earlier_operation_is_dropped(self):
+        """The tail's core is held up for 500 us as a PUT reaches it, so
+        the client times out and writes the value again through a new head
+        connection; its tail connection stays.  The ack of the first entry
+        - the attempt that timed out - completes the PUT.  The second
+        entry's ack comes after it, ahead of the next GET's reply: it
+        carries an earlier operation's number, so the client drops and
+        counts it, and the GET returns its own reply."""
+        world, directory, nodes, (client,) = build_cluster()
+        tail = nodes[2]
+        out = {}
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            yield from client.put(b"warm", b"up")
+            tail.libos.core.charge_async(500 * _US)
+            yield from client.put(b"k", b"v")
+            out["get"] = yield from client.get(b"k")
+            yield from client.close()
+
+        run_driver(world, driver())
+        assert out["get"] == (True, b"v")
+        assert world.tracer.get(
+            "cl0.catmint.%s" % names.REPL_CLIENT_RETRIES) == 1
+        assert world.tracer.get(
+            "cl0.catmint.%s" % names.REPL_STALE_ACKS) == 1
+        assert world.tracer.get(
+            "replica2.%s" % names.REPL_WRITES_ACKED) == 3
 
     def test_malformed_request_closes_only_its_own_connection(self):
         """Bytes that do not parse end that connection - counted, closed -
@@ -304,41 +330,52 @@ class TestHappyPath:
         assert world.tracer.get("replica0.catmint.%s"
                                 % names.KV_MALFORMED_REQUESTS) == 1
         assert directory.alive == {"replica0", "replica1", "replica2"}
-        assert all(node.chains[0].committed == 3 for node in nodes)
+        assert all(node.chains[0].applied == len(node.chains[0].log) == 3
+                   for node in nodes)
 
 
 class TestLogForwardApply:
     """A member logs an entry, forwards it, and applies it - in that
     order, the apply in a process of its own."""
 
-    @pytest.mark.parametrize("members,put_ns", [(3, 12_397), (2, 8_784)])
+    @pytest.mark.parametrize("members,put_ns", [(3, 8_794), (2, 6_983)])
     def test_a_put_pays_for_one_apply_whatever_the_chain_length(
             self, members, put_ns):
         """An idle PUT costs its transport, one parse and ONE apply - the
-        tail's, the commit point.  Every member logs and forwards an entry
-        before it applies it, so the head's and a middle's applies (900 ns
-        each) overlap the forward: a member more adds one forward and one
-        commit write, 12 397 - 8 784 = 3 613 ns, and nothing else.  While
-        each member applied before it forwarded this read 14 197 and
-        9 684, 4 513 apart."""
+        tail's, the commit point, which acks the client itself.  Every
+        member logs and forwards an entry before it applies it, so the
+        head's and a middle's applies (900 ns each) overlap the forward: a
+        member more adds one forward, 8 794 - 6 983 = 1 811 ns, and
+        nothing else.  The head pushes nothing for a PUT it accepts, and
+        the tail exactly one ack.  While the head answered, once each
+        member had written its commit into its predecessor's cell, this
+        read 12 397 and 8 784, 3 613 apart; while each member also applied
+        before it forwarded, 14 197 and 9 684."""
         world, directory, nodes, (client,) = build_cluster(
             n_nodes=members, replication=members)
         out = {}
+
+        def pushes():
+            return [world.tracer.get("%s.catmint.%s" % (node.name,
+                                                        names.PUSHES))
+                    for node in nodes]
 
         def driver():
             yield world.sim.timeout(50 * _US)
             yield from client.put(b"warm", b"up")
             yield world.sim.timeout(400 * _US - world.sim.now)
-            issued = world.sim.now
+            issued, before = world.sim.now, pushes()
             yield from client.put(b"key", b"value")
             out["put_ns"] = world.sim.now - issued
+            out["pushed"] = [n - b for n, b in zip(pushes(), before)]
             yield from client.close()
 
         run_driver(world, driver())
         assert out["put_ns"] == put_ns
+        assert out["pushed"] == [0] * (members - 1) + [1]
         for node in nodes:
             chain = node.chains[0]
-            assert chain.committed == chain.applied == len(chain.log) == 2
+            assert chain.applied == len(chain.log) == 2
             assert world.tracer.get(
                 "%s.%s" % (node.name, names.REPL_ENTRIES_APPLIED)) == 2
         assert_no_lost_wakeup(nodes)
@@ -373,6 +410,7 @@ class TestLogForwardApply:
             tail.libos.core.charge_async(40 * _US)
             yield from client.put(b"k2", b"v2")
             seen["get"] = yield from client.get(b"k2")
+            yield world.sim.timeout(100 * _US)   # the middle syncs in again
             yield from client.close()
 
         run_driver(world, driver())
@@ -380,68 +418,64 @@ class TestLogForwardApply:
         assert not seen["old_pump"].alive
         assert seen["get"] == (True, b"v2")
         assert directory.alive == {"replica0", "replica1", "replica2"}
-        assert chain.committed == chain.applied == len(chain.log) == 2
+        assert chain.applied == len(chain.log) == 2
         assert world.tracer.get(
             "replica2.%s" % names.REPL_ENTRIES_APPLIED) == 2
         assert world.tracer.get("replica2.%s" % names.REPL_SYNCS) == 2
         assert_no_lost_wakeup(nodes)
 
-    def test_a_commit_that_beats_the_apply_is_remembered(self):
+    def test_the_ack_does_not_wait_for_an_upstream_apply(self):
         """The head's core is held up for 30 us right after it logs an
-        entry: the entry is forwarded, applied at the tail and its commit
-        watermark is back in the head's cell (~10 us) long before the
-        head's own apply.  The watermark is remembered, and the PUT is
-        acknowledged when that apply ends - not at the next PUT's commit
-        and not after ``COMMIT_TIMEOUT_NS``, as with a watermark clamped
-        to ``applied`` and forgotten."""
+        entry.  The entry is forwarded all the same - posting a one-sided
+        write waits for no core - applied at the tail and acknowledged
+        from there, long before the head's own apply: an acked write is
+        logged on every member and applied at the tail.  While the ack
+        walked back up the chain, the head answered only once that apply
+        had ended."""
         stall_ns = 30 * _US
         world, directory, nodes, (client,) = build_cluster()
         head = nodes[0]
-        chain = head.chains[0]
         seen = {}
 
         def stall():
             head.libos.core.charge_async(stall_ns)
             seen["stalled_at"] = world.sim.now
-            world.sim.call_in(stall_ns // 2, lambda: seen.update(midway=(
-                int.from_bytes(chain.down.commit_cell.read(0, 8), "big"),
-                chain.applied, chain.committed)))
 
-        on_logged(chain, 2, stall)
+        on_logged(head.chains[0], 2, stall)
 
         def driver():
             yield world.sim.timeout(50 * _US)
             yield from client.put(b"k1", b"v1")
             yield from client.put(b"k2", b"v2")
             seen["acked_at"] = world.sim.now
+            seen["applied"] = [node.chains[0].applied for node in nodes]
+            yield world.sim.timeout(stall_ns)
             yield from client.close()
 
         run_driver(world, driver())
-        # Midway the tail's watermark is in the cell, the apply to come.
-        assert seen["midway"] == (2, 1, 1)
-        apply_ends = (seen["stalled_at"] + stall_ns
-                      + head.engine.service_cost("set"))
-        # The reply leaves when the apply ends and takes a GET's way back.
-        assert apply_ends < seen["acked_at"] < apply_ends + 4_971
-        assert chain.committed == chain.applied == len(chain.log) == 2
+        assert seen["acked_at"] < seen["stalled_at"] + stall_ns
+        assert seen["applied"] == [1, 2, 2]
+        for node in nodes:
+            assert node.chains[0].applied == len(node.chains[0].log) == 2
         assert world.tracer.get(
             "cl0.catmint.%s" % names.REPL_CLIENT_RETRIES) == 0
+
 
 class TestFailover:
     @pytest.fixture(autouse=True)
     def log_invariant(self, monkeypatch):
-        """``committed <= applied <= len(log)`` on every chain of a node,
-        at every pop of each of its pumps and after every apply (and every
-        watermark heard) - through the crash, the splice and the replay."""
+        """``applied <= len(log)`` on every chain of a node, at every pop
+        of each of its pumps and after every entry it logs - through the
+        crash, the splice and the replay."""
         checked = set()
 
         def check(node):
             for chain in node.chains.values():
-                assert chain.committed <= chain.applied <= len(chain.log), (
-                    node.name, chain.committed, chain.applied, len(chain.log))
+                assert chain.applied <= len(chain.log), (
+                    node.name, chain.applied, len(chain.log))
             checked.add(node.name)
 
-        pump, advance = ReplicaNode._pump, ReplicaNode._advance_commit
+        pump, log = ReplicaNode._pump, ReplicaNode._log
 
         def checked_pump(node, chain, link):
             pop = link.consumer.pop
@@ -454,12 +488,12 @@ class TestFailover:
             link.consumer.pop = checked_pop
             return pump(node, chain, link)
 
-        def checked_advance(node, chain, heard):
-            advance(node, chain, heard)
+        def checked_log(node, chain, entry):
+            log(node, chain, entry)
             check(node)
 
         monkeypatch.setattr(ReplicaNode, "_pump", checked_pump)
-        monkeypatch.setattr(ReplicaNode, "_advance_commit", checked_advance)
+        monkeypatch.setattr(ReplicaNode, "_log", checked_log)
         yield
         assert checked == {"replica0", "replica1", "replica2"}
 
@@ -494,7 +528,7 @@ class TestFailover:
         assert out["reads"] == [(True, b"rv-%d" % i) for i in range(10)]
         assert directory.chain_members(0) == ["replica0", "replica2"]
         recruit = nodes[2].chains[0]
-        assert recruit.applied == 10 and recruit.committed == 10
+        assert recruit.applied == len(recruit.log) == 10
         assert world.tracer.get("replica0.%s" % names.REPL_ENTRIES_REPLAYED) \
             >= 6  # the pre-crash log reached the recruit
         assert reports and reports[0].as_dict()
@@ -503,8 +537,8 @@ class TestFailover:
     def test_middle_death_splices_the_chain_around_it(self):
         """Three replicas, the middle one dies: its predecessor syncs
         straight into its successor, every acked write is on both, and
-        the pump and commit monitor the splice tore down (parked on
-        buffers it freed) left nothing behind."""
+        the pump and lease monitor the splice tore down (parked on and
+        sampling buffers it freed) left nothing behind."""
         world, directory, nodes, (client,) = build_cluster()
         reports = []
         out = {}
@@ -531,11 +565,42 @@ class TestFailover:
         assert directory.chain_members(0) == ["replica0", "replica2"]
         for node in (nodes[0], nodes[2]):
             chain = node.chains[0]
-            assert chain.applied == 10 and chain.committed == 10
+            assert chain.applied == len(chain.log) == 10
         assert nodes[2].chains[0].up.peer == "replica0"
         old_down, old_up = out["old_links"]
-        assert old_down.commit_cell.deallocated and old_up.arena.deallocated
+        assert old_down.hb_cell.deallocated and old_up.arena.deallocated
         assert not any(proc.alive for proc in old_down.procs + old_up.procs)
+        assert_no_lost_wakeup(nodes)
+
+    def test_a_put_whose_head_dies_after_forwarding_is_acked_by_the_tail(
+            self):
+        """The head logs a PUT, forwards it, and dies in the instant its
+        successor logs it.  The tail applies the entry and acks the
+        client, which waits on its head and tail connections at once: the
+        PUT completes with no retry, and reads back through the new head's
+        chain.  While the head answered, the client timed out and wrote
+        the value again."""
+        world, directory, nodes, (client,) = build_cluster()
+        head, middle, _tail = nodes
+        reports = []
+        out = {}
+        on_logged(middle.chains[0], 2,
+                  lambda: self.crash(world, head, reports))
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            yield from client.put(b"k1", b"v1")
+            yield from client.put(b"k2", b"v2")
+            yield world.sim.timeout(2 * _MS)   # detected and spliced
+            out["get"] = yield from client.get(b"k2")
+            yield from client.close()
+
+        run_driver(world, driver())
+        assert head.crashed and reports
+        assert directory.head(0) == "replica1"
+        assert out["get"] == (True, b"v2")
+        assert world.tracer.get(
+            "cl0.catmint.%s" % names.REPL_CLIENT_RETRIES) == 0
         assert_no_lost_wakeup(nodes)
 
     def test_head_death_loses_no_acked_write(self):
@@ -568,11 +633,11 @@ class TestFailover:
         assert directory.head(0) == "replica1"
         assert len(acked) >= 4
         survivors = nodes[1:]
-        states = {(n.chains[0].applied, n.chains[0].committed)
+        states = {(n.chains[0].applied, len(n.chains[0].log))
                   for n in survivors}
         assert len(states) == 1
-        applied, committed = states.pop()
-        assert applied == committed
+        applied, logged = states.pop()
+        assert applied == logged
         assert_no_lost_wakeup(nodes)
 
     def test_a_promoted_tail_serves_no_read_below_what_the_old_tail_served(

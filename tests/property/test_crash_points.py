@@ -11,8 +11,8 @@ runs under ``proc_crash("replica<i>", t)`` and ``proc_crash(..., t + 1)``
 for each - the plan's event is inserted before the workload's, so ``t``
 is "before everything at that instant" and ``t + 1`` "after it".  Every
 run must come back ``ok``: no acknowledged write lost, reads
-linearizable, survivors converged with ``committed == applied ==
-len(log)`` (no entry logged and stranded), the dead host reclaimed to
+linearizable, survivors converged with ``applied == len(log)`` (no
+entry logged and stranded), the dead host reclaimed to
 zero buffers and zero IOMMU mappings, and no exception out of the
 simulator.  A failure prints the one-line repro, like the chaos
 battery's.
@@ -60,7 +60,7 @@ WIRING_NS = (0, 64_800)
 #: 63 614 ns in this scenario) is never declared dead: no peer holds a
 #: lease on it yet and the client router's ``RetryBudgetExceeded`` reports
 #: nothing to the directory, so these two are what such a run says.
-#: Recorded under ROADMAP item 6 (ii); everything else - the reclaim, no
+#: Recorded under ROADMAP item 10; everything else - the reclaim, no
 #: exception - is required of those instants too.
 HEAD_WATCHED_FROM_NS = 63_614
 UNWATCHED_HEAD = {"a replica died but the directory never failed over",
