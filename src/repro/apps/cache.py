@@ -112,6 +112,5 @@ def cache_server(libos: LibOS, port: int = 11211,
     """
     cache = LruTtlCache(lambda: libos.sim.now, max_entries)
     server = ProtoServer(libos, LegacyCacheCodec, cache, port=port)
-    server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired,
-                          periodic=True)
+    server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired)
     return server

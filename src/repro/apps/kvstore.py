@@ -28,7 +28,8 @@ import struct
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.api import LibOS
-from ..core.types import DemiError, DemiTimeout, Sga, SgaSegment
+from ..core.eventloop import DemiEventLoop
+from ..core.types import DemiError, Sga, SgaSegment
 from ..kernelos.kernel import Kernel
 from ..netstack.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from ..netstack.framing import Deframer, FramingError, frame_message
@@ -202,38 +203,26 @@ class UdpKvServer:
         self.engine = KvEngine(libos.host, name=libos.name + ".kv")
         self.port = port
         self.codec = LegacyKvCodec()
+        self.loop = DemiEventLoop(libos)
         self.requests_served = 0
         self.service_stats = LatencyStats("kv-service")
-        self._stop = False
 
     def stop(self) -> None:
-        self._stop = True
+        self.loop.stop()
 
     def run(self) -> Generator:
+        """Spawn-me: bind, then serve each datagram until stopped."""
         libos = self.libos
         qd = yield from libos.socket("udp")
         yield from libos.bind(qd, self.port)
-        token = libos.pop(qd)
-        while not self._stop:
-            try:
-                _index, result = yield from libos.wait_any(
-                    [token], timeout_ns=1_000_000)
-            except DemiTimeout:
-                continue
-            if result.error is not None:
-                return self.requests_served
-            yield from self._serve(qd, result)
-            token = libos.pop(qd)
-        if libos.qtokens.completion_of(token).triggered:
-            # A datagram was already queued (a duplicate, a late retry):
-            # the pop is complete, so it is waited for and dropped.
-            yield from libos.wait(token)
-        else:
-            libos.cancel(token)
+        self.loop.add_pop_event(qd, lambda result: self._serve(qd, result))
+        yield from self.loop.run()
         return self.requests_served
 
     def _serve(self, qd: int, result) -> Generator:
         libos = self.libos
+        if result.error is not None:
+            return  # the socket is gone; the loop retires the event
         engine = self.engine
         codec = self.codec
         service_start = libos.sim.now
@@ -259,8 +248,7 @@ class UdpKvServer:
                 header_buf = libos.mm.alloc(len(header))
                 header_buf.write(0, header)
                 reply = Sga([SgaSegment(header_buf), value])
-        push_token = libos.push_to(qd, reply, result.value)
-        yield from libos.qtokens.wait(push_token)
+        yield from libos.wait(libos.push_to(qd, reply, result.value))
         self.service_stats.add(libos.sim.now - service_start)
         self.requests_served += 1
 

@@ -3,11 +3,13 @@
 The paper: "In the future, we plan to implement a libevent-based
 Demikernel OS, which would enable applications, like memcached, to
 achieve the benefits of kernel-bypass transparently."  This module is
-that layer, and the only serve loop for stream connections in the repo:
+that layer, and the serve loop of every Demikernel server in the repo:
 applications register callbacks against queues, listening sockets and
 timers; one dispatcher multiplexes every armed operation through a
 single ``wait_any_n`` - so callback-structured legacy code ports without
-knowing about qtokens at all.
+knowing about qtokens at all.  A listening socket is one more queue: its
+pop completes once per accepted connection, with the new qd, so a
+connection is an ordinary completion in the same wait set.
 
 The dispatcher is *wake-one*: the wait carries no timeout unless a timer
 is registered, one crossing drains every completion that is ready at the
@@ -25,16 +27,13 @@ libevent's synchronous callback model.
 from __future__ import annotations
 
 import inspect
-import struct
 from typing import Callable, Generator, List, Optional
 
 from ..telemetry import names
 from .api import LibOS
-from .types import OP_POP, DemiTimeout, QResult, QToken
+from .types import OP_POP, DemiError, DemiTimeout, QResult, QToken
 
 __all__ = ["DemiEventLoop", "EventHandle"]
-
-_QD = struct.Struct("!I")   # an accepted qd travelling the accept channel
 
 
 class EventHandle:
@@ -53,21 +52,20 @@ class EventHandle:
 
 class _PopEvent:
     def __init__(self, handle: EventHandle, qd: int, callback,
-                 persistent: bool, token: QToken):
+                 token: QToken):
         self.handle = handle
         self.qd = qd
         self.callback = callback
-        self.persistent = persistent
-        self.token = token
+        #: the armed pop; None once a wait has taken its result
+        self.token: Optional[QToken] = token
 
 
 class _TimerEvent:
     def __init__(self, handle: EventHandle, delay_ns: int, callback,
-                 periodic: bool, fire_at: int):
+                 fire_at: int):
         self.handle = handle
         self.delay_ns = delay_ns
         self.callback = callback
-        self.periodic = periodic
         self.fire_at = fire_at
 
 
@@ -78,10 +76,10 @@ class DemiEventLoop:
     from inside a callback, never from another process while the
     dispatcher is parked: the wait set is rebuilt only when the
     dispatcher wakes, so an event slipped in from outside would sit
-    un-armed until some unrelated completion arrived.  New connections
-    are the one thing that must arrive from outside; they come through
-    :meth:`add_accept_event`, which turns each accept into a completion
-    the dispatcher is already waiting on.
+    un-armed until some unrelated completion arrived.  Connections need
+    no exception: a listening queue's pop completes with each new qd, so
+    :meth:`add_accept_event` is a pop event like any other and its
+    ``on_conn`` registers the connection from inside a callback.
     """
 
     def __init__(self, libos: LibOS):
@@ -89,7 +87,6 @@ class DemiEventLoop:
         self.sim = libos.sim
         self._events: List[_PopEvent] = []    # in wait-set order
         self._timers: List[_TimerEvent] = []
-        self._acceptors: list = []            # acceptor processes we own
         self._stopped = False
         #: completed by :meth:`stop`, so a parked dispatcher wakes for it
         self._stop_token: Optional[QToken] = None
@@ -100,77 +97,59 @@ class DemiEventLoop:
         self.cross_wakeups = 0
 
     # -- registration ---------------------------------------------------------
-    def add_pop_event(self, qd: int, callback: Callable[[QResult], object],
-                      persistent: bool = True) -> EventHandle:
+    def add_pop_event(self, qd: int,
+                      callback: Callable[[QResult], object]) -> EventHandle:
         """Run ``callback(result)`` whenever *qd* yields an element.
 
-        Persistent events re-arm after each callback returns
-        (EV_PERSIST); one-shot events fire once.  The callback receives
-        the QResult - data included, no second call, exactly one
-        wake-up.  An error result (EOF, reset, closed) is delivered once
-        and retires the event.
+        The event re-arms after each callback returns (libevent's
+        EV_PERSIST) until :meth:`remove`.  The callback receives the
+        QResult - data included, no second call, exactly one wake-up.
+        An error result (EOF, reset, closed) is delivered once and
+        retires the event.
         """
         handle = EventHandle("pop", qd)
-        self._events.append(_PopEvent(handle, qd, callback, persistent,
+        self._events.append(_PopEvent(handle, qd, callback,
                                       self.libos.pop(qd)))
         return handle
 
     def add_accept_event(self, listen_qd: int,
                          on_conn: Callable[[int], object]) -> EventHandle:
-        """Run ``on_conn(qd)`` for every connection *listen_qd* accepts.
-
-        ``accept`` blocks, so it runs in an acceptor process the loop
-        owns; the acceptor forwards each new qd through an in-memory
-        Demikernel queue, which makes "a connection arrived" one more
-        pop in the dispatcher's uniform wait set.
-        """
-        libos = self.libos
-        chan = libos.queue()
-
-        def acceptor() -> Generator:
-            while True:
-                qd = yield from libos.accept(listen_qd)
-                yield from libos.blocking_push(
-                    chan, libos.sga_alloc(_QD.pack(qd)))
-
-        self._acceptors.append(self.sim.spawn(
-            acceptor(), name="%s.acceptor" % libos.name))
-
-        def on_handoff(result: QResult):
+        """Run ``on_conn(qd)`` for every connection *listen_qd* accepts: a
+        listening queue's pop completes with the new qd as its value."""
+        def on_accept(result: QResult):
             if result.error is None:
-                return on_conn(_QD.unpack(result.sga.tobytes())[0])
+                return on_conn(result.value)
 
-        return self.add_pop_event(chan, on_handoff)
+        return self.add_pop_event(listen_qd, on_accept)
 
-    def add_timer(self, delay_ns: int, callback: Callable[[], object],
-                  periodic: bool = False) -> EventHandle:
-        """Run ``callback()`` after *delay_ns* (repeatedly if periodic)."""
+    def add_timer(self, delay_ns: int,
+                  callback: Callable[[], object]) -> EventHandle:
+        """Run ``callback()`` every *delay_ns* until :meth:`remove`."""
         if delay_ns <= 0:
             raise ValueError("timer delay must be positive")
         handle = EventHandle("timer", delay_ns)
         self._timers.append(_TimerEvent(handle, delay_ns, callback,
-                                        periodic, self.sim.now + delay_ns))
+                                        self.sim.now + delay_ns))
         return handle
 
     def remove(self, handle: EventHandle) -> None:
-        """Deactivate an event; its pending operation is abandoned."""
+        """Deactivate an event; a pop in flight completes unserved."""
         handle.active = False
         self._timers = [t for t in self._timers if t.handle is not handle]
 
     def stop(self) -> None:
-        """End :meth:`run` after the batch in service, and the acceptors.
+        """End :meth:`run` after the batch in service, leaving nothing armed.
 
         A parked dispatcher wakes because its stop token completes - a
         real completion, not a timeout or an interrupt - so a request
-        being served when ``stop()`` is called is always finished.
+        being served when ``stop()`` is called is always finished.  Then
+        :meth:`run` cancels every pop still pending, the accept pop too.
         """
         if self._stopped:
             return
         self._stopped = True
         if self._stop_token is not None:
             self.libos.qtokens.complete(self._stop_token, QResult(OP_POP, -1))
-        for proc in self._acceptors:
-            proc.interrupt("event loop stopped")
 
     # -- dispatch ---------------------------------------------------------------
     def _run_callback(self, callback, *args) -> Generator:
@@ -184,10 +163,23 @@ class DemiEventLoop:
     def _fire(self, timer: _TimerEvent) -> Generator:
         self.timer_fires += 1
         yield from self._run_callback(timer.callback)
-        if timer.periodic and timer.handle.active:
-            timer.fire_at = self.sim.now + timer.delay_ns
-        else:
-            self.remove(timer.handle)
+        timer.fire_at = self.sim.now + timer.delay_ns
+
+    def _disarm(self) -> Generator:
+        """Cancel each pop still pending; retire each completed one."""
+        libos = self.libos
+        tokens = [e.token for e in self._events if e.token is not None]
+        if self._stop_token is not None:
+            tokens.append(self._stop_token)
+        for token in tokens:
+            try:
+                done = libos.qtokens.completion_of(token)
+            except DemiError:
+                continue  # a crash teardown reaped it first
+            if done.triggered:
+                yield from libos.qtokens.wait(token)
+            else:
+                libos.cancel(token)
 
     def run(self) -> Generator:
         """The dispatcher body - spawn it as a process."""
@@ -202,7 +194,7 @@ class DemiEventLoop:
             # Entries retired by the last batch leave the wait set here,
             # never mid-batch: the indexes a batch reports stay stable.
             events = self._events = [e for e in self._events
-                                     if e.handle.active]
+                                     if e.token is not None]
             armed = len(events)
             tokens = [e.token for e in events] + [self._stop_token]
             try:
@@ -224,9 +216,11 @@ class DemiEventLoop:
             # ``ready`` is sorted by index and events registered by a
             # callback append past every index in the batch.
             for index, result in ready:
-                if index == armed:
-                    continue  # the stop token; the loop condition ends us
+                if index == armed:  # the loop condition ends us
+                    self._stop_token = None
+                    continue
                 event = events[index]
+                event.token = None  # the wait retired it
                 if not event.handle.active:
                     continue  # removed while its pop was in flight
                 if result.qd != event.qd:  # pragma: no cover - the claim
@@ -234,9 +228,10 @@ class DemiEventLoop:
                     libos.count(names.SHARD_CROSS_WAKEUPS)
                 self.dispatches += 1
                 yield from self._run_callback(event.callback, result)
-                if (event.persistent and result.error is None
-                        and event.handle.active):
+                if (result.error is None and event.handle.active
+                        and not self._stopped):
                     event.token = libos.pop(event.qd)
                 else:
                     event.handle.active = False
+        yield from self._disarm()
         return self.dispatches

@@ -14,13 +14,14 @@ buffer into.  Device-backed queues (network, RDMA, storage) subclass
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
+from ..sim.engine import Interrupt, Process
 from ..sim.sync import WaitQueue
 from ..telemetry import names
 from .types import OP_POP, OP_PUSH, DemiError, QResult, QToken, Sga
 
-__all__ = ["DemiQueue", "MemoryQueue"]
+__all__ = ["DemiQueue", "ListeningQueue", "MemoryQueue"]
 
 
 class DemiQueue:
@@ -225,6 +226,71 @@ class DemiQueue:
         return "<%s qd=%d ready=%d pending=%d%s>" % (
             type(self).__name__, self.qd, len(self._ready),
             len(self._pending_pops), " closed" if self.closed else "")
+
+
+class ListeningQueue(DemiQueue):
+    """A passive socket: each pop completes with one accepted connection,
+    ``QResult(OP_POP, qd, value=new_qd)``, so connections and data share
+    one ``wait_any`` (section 4.4).  A pop runs the kind's own
+    :meth:`accept` (which ``LibOS.accept`` calls directly) in a driver; a
+    cancelled or closed pop interrupts it before it takes a connection,
+    so it installs no queue and the next pop gets the connection."""
+
+    #: what the kind listens with once ``listen`` ran (a netstack
+    #: ``TcpListener``, an rdmacm ``CmListener``); closed on the way out
+    listener = None
+
+    def __init__(self, libos, qd: int, port: int):
+        super().__init__(libos, qd)
+        self.port = port
+        self._accepts: Dict[QToken, Process] = {}  # pop token -> driver
+
+    def push_sga(self, sga: Sga, token: QToken) -> None:
+        self._complete(token, QResult(OP_PUSH, self.qd,
+                                      error="push on listening queue"))
+
+    def pop_sga(self, token: QToken) -> None:
+        if self.closed:
+            self._complete(token, QResult(OP_POP, self.qd, error="closed"))
+            return
+        self._accepts[token] = self.sim.spawn(
+            self._accept_driver(token),
+            name="%s.q%d.accept" % (self.libos.name, self.qd))
+
+    def _accept_driver(self, token: QToken) -> Generator:
+        try:
+            qd = yield from self.accept()
+        except Interrupt:
+            return  # cancelled or closed: the token is settled already
+        except Exception as err:
+            result = QResult(OP_POP, self.qd, error=str(err))
+        else:
+            result = QResult(OP_POP, self.qd, value=qd)
+        del self._accepts[token]
+        self._complete(token, result)
+
+    def cancel_pop(self, token: QToken) -> None:
+        driver = self._accepts.pop(token, None)
+        if driver is not None:
+            driver.interrupt("accept cancelled")
+
+    def close(self) -> None:
+        super().close()
+        accepts, self._accepts = self._accepts, {}
+        for token, driver in accepts.items():
+            driver.interrupt("queue closed")
+            self._complete(token, QResult(OP_POP, self.qd, error="closed"))
+
+    def shutdown(self) -> Generator:
+        if self.listener is not None:
+            self.listener.close()
+        return
+        yield  # pragma: no cover
+
+    def crash_abort(self, counters) -> None:
+        if self.listener is not None:
+            self.listener.close()
+            counters.count(names.RECLAIM_LISTENERS_CLOSED)
 
 
 class MemoryQueue(DemiQueue):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Tuple
 
 from ..core.api import LibOS
-from ..core.queue import DemiQueue
+from ..core.queue import DemiQueue, ListeningQueue
 from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
 from ..telemetry import names
 from ..hw.nic import DpdkNic
@@ -201,19 +201,10 @@ class TcpQueue(DemiQueue):
         self.reap()
 
 
-class ListenQueue(DemiQueue):
+class ListenQueue(ListeningQueue):
     """A passive TCP socket; ``accept`` pops connected queues off it."""
 
     kind = "tcp-listen"
-
-    def __init__(self, libos, qd: int, port: int):
-        super().__init__(libos, qd)
-        self.port = port
-        self.listener = None       # netstack TcpListener
-
-    def push_sga(self, sga: Sga, token: QToken) -> None:
-        self._complete(token, QResult(OP_PUSH, self.qd,
-                                      error="push on listening queue"))
 
     def listen(self, backlog: int = 128) -> Generator:
         if self.listener is not None:
@@ -235,17 +226,6 @@ class ListenQueue(DemiQueue):
         new_queue.attach_connection(conn)
         libos.count(names.ACCEPTS)
         return new_queue.qd
-
-    def shutdown(self) -> Generator:
-        if self.listener is not None:
-            self.listener.close()
-        return
-        yield  # pragma: no cover
-
-    def crash_abort(self, counters) -> None:
-        if self.listener is not None:
-            self.listener.close()
-            counters.count(names.RECLAIM_LISTENERS_CLOSED)
 
 
 class DpdkLibOS(LibOS):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..core.api import LibOS
-from ..core.queue import DemiQueue
+from ..core.queue import DemiQueue, ListeningQueue
 from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
 from ..kernelos.kernel import Kernel, KernelError
 from ..netstack.framing import Deframer, frame_message
@@ -103,19 +103,11 @@ class PosixTcpQueue(DemiQueue):
     # underneath, exactly as exit(2) would.
 
 
-class PosixListenQueue(DemiQueue):
+class PosixListenQueue(ListeningQueue):
     """A kernel listening socket behind the queue abstraction."""
 
     kind = "posix-listen"
-
-    def __init__(self, libos, qd: int, port: int):
-        super().__init__(libos, qd)
-        self.fd: Optional[int] = None
-        self.port = port
-
-    def push_sga(self, sga: Sga, token: QToken) -> None:
-        self._complete(token, QResult(OP_PUSH, self.qd,
-                                      error="push on listening queue"))
+    fd: Optional[int] = None   # the kernel socket, once listening
 
     def listen(self, backlog: int = 128) -> Generator:
         if self.fd is not None:

@@ -25,7 +25,7 @@ import struct
 from typing import Generator, Optional
 
 from ..core.api import LibOS
-from ..core.queue import DemiQueue
+from ..core.queue import DemiQueue, ListeningQueue
 from ..core.types import OP_PUSH, QResult, QToken, Sga
 from ..hw.nic import RdmaNic
 from ..rdma.cm import RdmaCm
@@ -180,19 +180,10 @@ class RdmaQueue(DemiQueue):
         self.reap()
 
 
-class RdmaListenQueue(DemiQueue):
+class RdmaListenQueue(ListeningQueue):
     """A passive rdmacm endpoint behind the queue abstraction."""
 
     kind = "rdma-listen"
-
-    def __init__(self, libos, qd: int, port: int):
-        super().__init__(libos, qd)
-        self.port = port
-        self.listener = None
-
-    def push_sga(self, sga: Sga, token: QToken) -> None:
-        self._complete(token, QResult(OP_PUSH, self.qd,
-                                      error="push on listening queue"))
 
     def listen(self, backlog: int = 128) -> Generator:
         if self.listener is not None:
@@ -208,17 +199,6 @@ class RdmaListenQueue(DemiQueue):
         new_queue.attach_qp(qp)
         self.libos.count(names.ACCEPTS)
         return new_queue.qd
-
-    def shutdown(self) -> Generator:
-        if self.listener is not None:
-            self.listener.close()
-        return
-        yield  # pragma: no cover
-
-    def crash_abort(self, counters) -> None:
-        if self.listener is not None:
-            self.listener.close()
-            counters.count(names.RECLAIM_LISTENERS_CLOSED)
 
 
 class RdmaLibOS(LibOS):

@@ -312,14 +312,10 @@ class _Run:
         return [rng.bytes(size) for _ in range(count)]
 
     def serve(self, server, name: str) -> None:
-        """Spawn *server*; the driver stops it once the legs have joined.
-
-        It may legitimately hold one in-flight pop on a connection the
-        client abandoned (RDMA has no FIN); the identity still holds.
-        """
+        """Spawn *server*; the driver stops it once the legs have joined,
+        and a stopped server leaves no pop in flight."""
         self.servers.append((server, self.sim.spawn(server.start(),
                                                     name=name)))
-        self.undrained.append(server.libos)
 
     def on_crash(self, host: str, teardown, name: str) -> None:
         """When the plan kills *host*, spawn ``teardown(report_to)``."""

@@ -67,8 +67,7 @@ def start_server(codec_cls, max_entries=1024):
     else:
         cache = LruTtlCache(lambda: server_libos.sim.now, max_entries)
         server = ProtoServer(server_libos, codec_cls, cache, port=PORT)
-        server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired,
-                              periodic=True)
+        server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired)
     w.sim.spawn(server.start(), name="cache-server")
     return w, client, server, server.service.store
 

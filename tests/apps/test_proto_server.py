@@ -22,7 +22,7 @@ from repro.cluster.shard import ShardProtoServer
 from repro.testbed import make_sharded_kv_world
 
 from ..conftest import (chunk_client, make_dpdk_libos_pair,
-                        make_posix_libos_pair)
+                        make_posix_libos_pair, make_rdma_libos_pair)
 
 PORT = 6390
 SHARD_PORT = 6379
@@ -204,6 +204,52 @@ class TestConnectionsArriveWhileParked:
         assert pb.value <= 2 * pa.value
         assert server.requests_served == 3
         assert server.loop.wasted_wakeups == 0
+
+
+PAIRS = {"dpdk": (make_dpdk_libos_pair, "10.0.0.2"),
+         "posix": (make_posix_libos_pair, "10.0.0.2"),
+         "rdma": (make_rdma_libos_pair, "server-rdma")}
+
+
+def idle_connections(flavor, n_conns):
+    """*n_conns* clients connect and close, sending nothing; the server
+    is stopped once they are gone.  Returns (server, its libOS)."""
+    make_pair, addr = PAIRS[flavor]
+    w, client, server_libos = make_pair()
+    server = ProtoServer(server_libos, RespCodec,
+                         KvEngineStore(KvEngine(server_libos.host)),
+                         port=PORT)
+    sp = w.sim.spawn(server.start(), name="proto-server")
+
+    def connect_and_close():
+        qd = yield from client.socket()
+        yield from client.connect(qd, addr, PORT)
+        yield from client.close(qd)
+
+    for _ in range(n_conns):
+        w.sim.run_until_complete(w.sim.spawn(connect_and_close()),
+                                 limit=10**13)
+    w.run(until=w.sim.now + 1_000_000)
+    server.stop()
+    w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000)
+    assert server.connections_accepted == n_conns
+    return server, server_libos
+
+
+class TestConnectionsLeaveNothingBehind:
+    def test_an_accepted_connection_leaves_no_buffer(self):
+        live = [idle_connections("dpdk", n)[1].mm.live_buffer_count
+                for n in (1, 4)]
+        assert live[0] == live[1]
+
+    @pytest.mark.parametrize("flavor", sorted(PAIRS))
+    def test_a_stopped_server_leaves_no_pop_in_flight(self, flavor):
+        # RDMA has no FIN: a connection its client closed still has its
+        # pop armed when the server stops.
+        server, server_libos = idle_connections(flavor, 3)
+        t = server_libos.qtokens
+        assert t.in_flight == 0 and t.identity_ok
+        assert server.loop.wasted_wakeups == 0 == server.loop.cross_wakeups
 
 
 def ttl_client(libos, port=PORT):

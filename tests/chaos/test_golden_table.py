@@ -23,12 +23,12 @@ SIGNATURES = {
     ("handshake-loss", "dpdk"): "d8996f5911ee39c6ced0071dbc7499b025e29c32",
     ("handshake-loss", "posix"): "6860dd4c360eea821acea908499294ba63f9aba3",
     ("handshake-loss", "rdma"): "955ce80f0f49a2316965d4842db5738579470fb5",
-    ("reorder-dup-storm", "dpdk"): "bbcecae247ba82c1f89cbdbb030c718454419514",
-    ("reorder-dup-storm", "posix"): "4f800e0a2ef68e4f72d99deabdd2d58b5f53bfea",
-    ("reorder-dup-storm", "rdma"): "a381702cf3377d63bd2a611a9dbe7aa0bc151651",
-    ("partition-heal", "dpdk"): "5e10cf91a3a49694e3bc4e2f2a59b023be76190a",
-    ("partition-heal", "posix"): "628e703b0bd4301ac4c6e8dff23b4c196491c602",
-    ("partition-heal", "rdma"): "c06d4bb4b3a2c0f285bc73e03873029ee7ab49cf",
+    ("reorder-dup-storm", "dpdk"): "67c7a8ecbc21963aba74a700aa40995ef96f64eb",
+    ("reorder-dup-storm", "posix"): "e19e1fc918845f159aa689718281ac690b9f2b39",
+    ("reorder-dup-storm", "rdma"): "d6d33e02553c8b6e99795fd99b7a0ef11d6fc4a1",
+    ("partition-heal", "dpdk"): "b3264be8866dbf24b6e071e0a74766bd773f026b",
+    ("partition-heal", "posix"): "9141b54d8c94932b8991119d58cbaa0d3d6e9285",
+    ("partition-heal", "rdma"): "a5690d699f1500bd11496384c7a28aededf78dca",
     ("rx-ring-overflow", "dpdk"): "f2b3db500616017096c66f21ce74a6fbe670a072",
     ("slow-nvme", "spdk"): "14e54e9cdb2fe6c3f6eabe8ac1a1736993dccd89",
     ("corruption-storm", "dpdk"): "25f43199073ef3af06ccf76930c6fa49e46208a3",

@@ -28,12 +28,11 @@ class TestPopEvents:
         loop.stop()
         assert got == [b"ev-1"]
 
-    def test_persistent_event_fires_repeatedly(self):
+    def test_event_fires_repeatedly(self):
         w, libos, loop = make_loop()
         qd = libos.queue()
         got = []
-        loop.add_pop_event(qd, lambda r: got.append(r.sga.tobytes()),
-                           persistent=True)
+        loop.add_pop_event(qd, lambda r: got.append(r.sga.tobytes()))
 
         def producer():
             for i in range(5):
@@ -46,12 +45,16 @@ class TestPopEvents:
         assert got == [b"0", b"1", b"2", b"3", b"4"]
         assert loop.dispatches == 5
 
-    def test_oneshot_event_fires_once(self):
+    def test_an_event_its_callback_removes_fires_once(self):
         w, libos, loop = make_loop()
         qd = libos.queue()
         got = []
-        loop.add_pop_event(qd, lambda r: got.append(r.sga.tobytes()),
-                           persistent=False)
+
+        def once(result):
+            got.append(result.sga.tobytes())
+            loop.remove(handle)
+
+        handle = loop.add_pop_event(qd, once)
 
         def producer():
             for i in range(3):
@@ -110,20 +113,24 @@ class TestPopEvents:
 
 
 class TestTimers:
-    def test_oneshot_timer(self):
+    def test_a_timer_its_callback_removes_fires_once(self):
         w, libos, loop = make_loop()
         fired = []
-        loop.add_timer(50_000, lambda: fired.append(w.sim.now))
+
+        def once():
+            fired.append(w.sim.now)
+            loop.remove(handle)
+
+        handle = loop.add_timer(50_000, once)
         w.run(until=1_000_000)
         loop.stop()
         assert len(fired) == 1
         assert fired[0] >= 50_000
 
-    def test_periodic_timer(self):
+    def test_timer_repeats(self):
         w, libos, loop = make_loop()
         fired = []
-        loop.add_timer(100_000, lambda: fired.append(w.sim.now),
-                       periodic=True)
+        loop.add_timer(100_000, lambda: fired.append(w.sim.now))
         w.run(until=1_000_000)
         loop.stop()
         assert len(fired) >= 8
@@ -132,7 +139,7 @@ class TestTimers:
         w, libos, loop = make_loop()
         qd = libos.queue()
         got = []
-        loop.add_timer(30_000, lambda: got.append("timer"), periodic=True)
+        loop.add_timer(30_000, lambda: got.append("timer"))
         loop.add_pop_event(qd, lambda r: got.append("pop"))
         w.sim.call_in(50_000, lambda: libos.push(qd, libos.sga_alloc(b"x")))
         w.run(until=100_000)
@@ -147,8 +154,7 @@ class TestTimers:
     def test_remove_timer(self):
         w, libos, loop = make_loop()
         fired = []
-        handle = loop.add_timer(50_000, lambda: fired.append(1),
-                                periodic=True)
+        handle = loop.add_timer(50_000, lambda: fired.append(1))
         w.run(until=120_000)
         loop.remove(handle)
         count = len(fired)
@@ -233,17 +239,17 @@ class TestAcceptAndStop:
         assert loop.wasted_wakeups == 0 == loop.cross_wakeups
         assert not server.tracer.get("server.catnip.wait_timeouts")
 
-    def test_stop_wakes_a_parked_dispatcher_and_ends_the_acceptor(self):
+    def test_stop_wakes_a_parked_dispatcher_and_leaves_nothing_in_flight(self):
         w, _client, server, loop, sp, _served = self.serve()
         w.run(until=1_000_000)             # idle: parked, nothing to do
         assert sp.alive and loop.wakeups == 0
         loop.stop()
         # No timeout is armed anywhere, so only stop() can end it.
         assert w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000) == 0
-        assert not any(p.alive for p in loop._acceptors)
         assert not server.tracer.get("server.catnip.wait_timeouts")
         t = server.qtokens
-        assert t.created == t.completed + t.cancelled + t.in_flight
+        assert t.in_flight == 0 and t.identity_ok
+        assert t.cancelled == 1  # the accept pop
 
     def test_stop_does_not_abandon_the_request_in_service(self):
         from repro.apps.echo import demi_echo_client

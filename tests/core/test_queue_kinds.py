@@ -171,7 +171,8 @@ def concrete_queue_kinds():
         for cls in stack.pop().__subclasses__():
             stack.append(cls)
             if (cls.__module__.startswith("repro.")
-                    and not cls.__name__.startswith("_")):
+                    and not cls.__name__.startswith("_")
+                    and cls.kind != DemiQueue.kind):  # a shared base
                 found.add(cls)
     return found
 
@@ -214,6 +215,10 @@ def test_nothing_a_queue_spawned_outlives_its_owner(kind):
         assert len(queue_procs(spawned, libos)) == n_procs
         if last_words == "pop":
             libos.pop(qd)
+            if kind.endswith("-listen"):
+                # An accept pop is a driver parked in the kind's accept.
+                w.run(until=w.sim.now + 50_000)
+                assert len(queue_procs(spawned, libos)) == n_procs + 1
         elif refused(libos, libos.push(qd, libos.sga_alloc(b"last words"))):
             continue  # nothing was spawned: a listener, an unaddressed udp
         user_code_ran = len(USER_CODE_RAN)
@@ -225,6 +230,40 @@ def test_nothing_a_queue_spawned_outlives_its_owner(kind):
         assert not libos._queues
         assert len(USER_CODE_RAN) == user_code_ran, last_words
         assert libos.host.mm.live_buffer_count == 0, last_words
+
+
+@pytest.mark.parametrize("flavor", sorted(PAIRS))
+def test_a_cancelled_accept_takes_nothing_and_the_next_pop_gets_it(flavor):
+    make_pair, addr = PAIRS[flavor]
+    w, client, server = make_pair()
+    spawned = record_spawns(w.sim)
+    lqd = run(w, listening(server))
+    cancelled = server.pop(lqd)
+    w.run(until=w.sim.now + 50_000)        # parked in the kind's accept
+    server.cancel(cancelled)
+    dialer = w.sim.spawn(connected(client, addr))
+    w.run(until=w.sim.now + 1_000_000)     # the connection is waiting
+    assert set(server._queues) == {lqd}
+    assert queue_procs(spawned, server) == []
+    result = run(w, server.wait(server.pop(lqd)))
+    assert result.error is None and set(server._queues) == {lqd, result.value}
+    w.sim.run_until_complete(dialer, limit=w.sim.now + 10**9)
+    assert server.qtokens.in_flight == 0 and server.qtokens.identity_ok
+
+
+@pytest.mark.parametrize("flavor", sorted(PAIRS))
+def test_closing_a_listener_fails_its_accept_pop(flavor):
+    make_pair, _addr = PAIRS[flavor]
+    w, _client, server = make_pair()
+    spawned = record_spawns(w.sim)
+    lqd = run(w, listening(server))
+    token = server.pop(lqd)
+    w.run(until=w.sim.now + 50_000)        # parked in the kind's accept
+    run(w, server.close(lqd))
+    assert server.qtokens.completion_of(token).value.error is not None
+    w.run(until=w.sim.now + 1_000_000)
+    assert queue_procs(spawned, server) == []
+    assert server.qtokens.in_flight == 0
 
 
 # -- control-path misuse ------------------------------------------------------

@@ -12,7 +12,12 @@ metrics moved, the device side did not; ``kv``, ``kv-rtt``,
 ``kv-scaling`` and ``proto-slo`` on dpdk when every dpdk libOS began to
 ring one doorbell per TX burst and amortise its RX bursts: their times,
 rates and server CPU moved, ``kv-offload/dpdk`` sends too few frames at
-once to move):
+once to move; ``kv`` on all three libOSes, ``kv-rtt/dpdk``,
+``kv-scaling/dpdk`` and ``proto-slo`` when a pop on a listening queue
+began to deliver each connection and the event loop's hand-off queue
+went - 330 ns and one buffer less per accepted connection; and
+``kv-offload/dpdk`` when the UDP server began to wait for its replies
+through the libOS, paying the wait's ``wait_dispatch_ns``):
 the sha256 of the canonical JSON of the metrics of every registered
 workload on every flavor it validates for, at schema defaults and seed 7.  This is the only pin on ``echo-rtt`` (5 flavors)
 and ``kv-rtt`` (2), which no committed trajectory covers.  ``chaos`` has
@@ -45,23 +50,23 @@ ORACLE = {
     "echo-rtt/rdma":
         "280fcf57b4730033f1576d15a1801a08c41b6f69c787af1187df6a27f6ca02f1",
     "kv-offload/dpdk":
-        "3dbed5a869c258861b930aed9d4c6d582153706cb965a49d92075e8ddb8ae234",
+        "e1768158b6ce6ed8cd61b7c5c7db35694ca0862284ee32fd66b819874acdb15e",
     "kv-rtt/dpdk":
-        "21c2045b2113b4f1240b8eadd6efa28d859e7fb1d017c570d6df2dd24b6c95bb",
+        "abcac2d5cd77263dddc7b730738e3269cbc074a6880ebc8c6abeeb2d06474534",
     "kv-rtt/posix":
         "2f0a6dcc13170b5d2a29ae2cc45d4e32e1d2ddaa4c6acd4fff857a7e33c8e837",
     "kv-scaling/dpdk":
-        "b21857add8027ad5d887cb0d5873fb4e2426a5e6dd99779449f2abdd9ec95b7f",
+        "d47d15377d549bbcce88ef5a764e851e800140d48ff185816641df7493754fbc",
     "kv/dpdk":
-        "434586f1cf34695dba6adf2acbc8d6129a7f2fb6541700aeedefc9fb365f50b2",
+        "f5ad2cd9240801b25d7a592a73a427b4f4fb5267d3461305c3367f4a584e20db",
     "kv/posix":
-        "7ec6856c43aa141f8b6cb196c0a01449540dd136c46741ba740ec6b763bf7b55",
+        "79f401906d50685886308c27f9f9a1709ab6f4b06241d361d112105953882528",
     "kv/rdma":
-        "eb7d23e8c2ac4c9124d7a91e5c7863ef3add7f8e8cd8a8a45108ef162f65c963",
+        "06e958efa54bb790163c1a10639428fe7f9065014b6cacb0af58b5aad1703e15",
     "proto-slo/dpdk":
-        "81b49d7bd39b2d3ec24d718f0fe9659ba1e556249749f47122536bebf03a0355",
+        "8e66550bf92549a9bf967026c5b86fb7ae7231f57d490f801caa47a86bdde3df",
     "proto-slo/posix":
-        "b42fb6b70523714e53caaf4db9e8fd140b25bc3b300bc918a9f28831e8688189",
+        "88eb88f3e79ac8885c93f63431bd420023fbe1838059a980251eaf2dffb0b095",
     "storelog-scan/spdk":
         "8292d8375aa436156acec7f1e253a7f10699d4716250e294e38d03df28b599aa",
 }

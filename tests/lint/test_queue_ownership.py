@@ -113,3 +113,21 @@ def test_the_kernel_does_not_ask_an_fd_object_what_it_is():
             and call.args[0].id == "obj"]
     assert not hits, ("give the fd object a method (KObject.release / "
                       "abort):\n" + "\n".join(hits))
+
+
+def test_an_app_waits_through_its_libos():
+    """Only ``repro/core`` waits on the qtoken table itself: everything
+    above it waits through ``LibOS.wait*``, which charges the crossing
+    (``wait_dispatch_ns``) a wait on the table directly would skip."""
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.parent == SRC / "core":
+            continue
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("wait")
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "qtokens"):
+                hits.append("%s:%d qtokens.%s" % (path.relative_to(SRC),
+                                                  node.lineno, node.attr))
+    assert not hits, "wait through the libOS:\n" + "\n".join(hits)

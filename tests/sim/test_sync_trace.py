@@ -136,7 +136,7 @@ class TestCounterScope:
         from repro.testing import run_scenario
         result = run_scenario("partition-heal", "dpdk")
         result.require_ok()
-        assert result.signature == "5e10cf91a3a49694e3bc4e2f2a59b023be76190a"
+        assert result.signature == "b3264be8866dbf24b6e071e0a74766bd773f026b"
 
 
 class TestLatencyStats:
