@@ -16,15 +16,17 @@ interval), logs it, and forwards again.  Log, forward, apply - in that
 order: a member's log is what it has *received*, and one applier per
 chain per node works through it behind the forwarder, so the applies of
 a chain overlap instead of queueing up on every PUT's path.  The
-tail's apply is the *commit point*, and the tail acknowledges the write
-itself, as chain replication was published (van Renesse and Schneider,
-OSDI 2004): a PUT carries its client's tag and operation number into the
-entry, every client names its tag on each connection it opens, and the
-tail pushes the ack down the connection that named it.  The head
-answers only a PUT it cannot take.  An acknowledged write is therefore
-logged on every live replica - each logs before it forwards - and
-applied at the tail, and reads served at the tail are linearizable per
-key.
+tail's log is the *commit point*, and the tail acknowledges the write
+itself as it logs it, as chain replication was published (van Renesse
+and Schneider, OSDI 2004): a PUT carries its client's tag and operation
+number into the entry, every client names its tag on each connection it
+opens, and the tail pushes the ack down the connection that named it.
+The head answers only a PUT it cannot take.  An acknowledged write is
+therefore logged on every live replica - each logs before it forwards.
+The tail applies it after the ack has left, so a read at the tail first
+waits for its applier to reach what the tail had logged when the read
+arrived (commit, then apply, as Raft does), and reads served at the
+tail are linearizable per key.
 
 Failure handling is the point.  Adjacent chain members exchange
 one-sided heartbeats into each other's lease cells; a peer's death
@@ -36,8 +38,9 @@ expiring.  Either way the survivor reports the death to the
 every live node to *reconfigure*: stale links are torn down, the chain
 is spliced around the dead node (the new upstream replays its log
 suffix into the new downstream, from what that has logged - replicas are
-never left behind), and a new tail acknowledges what it applies from
-then on.  Clients route via the directory and retry with seeded backoff
+never left behind), and a new tail acknowledges what it has logged and
+not applied, and from then on every entry as it logs it.  Clients route
+via the directory and retry with seeded backoff
 (:class:`~repro.cluster.client.ReplicatedKvClient`); a replica that is
 not the right head/tail for a key answers :data:`STATUS_MOVED` so a
 stale route corrects itself.
@@ -207,12 +210,15 @@ class _Chain:
         #: highest seq applied to the local engine; the chain's applier
         #: is its only writer, so ``applied <= len(log)`` at every instant
         self.applied = 0
-        #: a tail serves no read before it has applied this much: what it
-        #: had logged when the membership last changed (see
-        #: :meth:`ReplicaNode.schedule_reconfigure`)
-        self.read_floor = 0
+        #: highest seq this node has acked as the tail; it only grows, so
+        #: no node acks an entry twice
+        self.acked = 0
         self.fwd_wq = WaitQueue(sim, "%s.c%d.fwd" % (owner, chain_id))
         self.apply_wq = WaitQueue(sim, "%s.c%d.apply" % (owner, chain_id))
+        #: pulsed by the applier after every apply: a tail's read waits
+        #: on it for the entries logged before the read arrived
+        self.applied_wq = WaitQueue(sim, "%s.c%d.applied"
+                                    % (owner, chain_id))
         self.down: Optional[_DownLink] = None
         self.up: Optional[_UpLink] = None
 
@@ -350,12 +356,13 @@ class ReplicaNode:
     def schedule_reconfigure(self) -> None:
         """The membership changed (the directory calls this in the same
         instant), or the node starts."""
-        # A member promoted to tail has logged everything the old tail
-        # can have applied and served, but its own applier may still owe
-        # the engine some of it: no read until it has caught up to here.
+        # A member promoted to tail acks what it has logged and not yet
+        # applied: every member upstream has logged it too, and the old
+        # tail may have died before it acked.  A node that was the tail
+        # already has acked all of its log.
         for chain_id, chain in self.chains.items():
             if self._is_tail(chain_id):
-                chain.read_floor = len(chain.log)
+                self._ack_logged(chain, max(chain.acked, chain.applied))
         self._reconfig_dirty = True
         if self._reconfig_proc is None or not self._reconfig_proc.alive:
             self._reconfig_proc = self._spawn(self._reconfigure_loop(),
@@ -570,36 +577,45 @@ class ReplicaNode:
 
     def _log(self, chain: _Chain, entry: tuple) -> None:
         """Append one received ``(tag, op, key, value)``; forwarding and
-        applying follow, in processes of their own."""
+        applying follow, in processes of their own.  The tail's log is
+        the commit point: it acks the entry from here, as a middle
+        member forwards it."""
         chain.log.append(entry)
+        if self._is_tail(chain.chain_id):
+            self._ack_logged(chain, chain.acked)
         chain.fwd_wq.pulse()
         chain.apply_wq.pulse()
 
-    def _applier(self, chain: _Chain) -> Generator:
-        """The one writer of ``chain.applied`` and of this chain's keys in
-        the engine: works through the log and, at the tail, acks every
-        entry it applies."""
-        while True:
-            while chain.applied < len(chain.log):
-                tag, op, key, value = chain.log[chain.applied]
-                yield self.libos.core.busy(self.engine.service_cost("set"))
-                self.engine.put(key, value)
-                chain.applied += 1
-                self.counters.count(names.REPL_ENTRIES_APPLIED)
-                # The tail's apply is the commit point: it acks the client.
-                if self._is_tail(chain.chain_id):
-                    self._ack(tag, op)
-            yield chain.apply_wq.wait()
+    def _ack_logged(self, chain: _Chain, done: int) -> None:
+        """Ack every logged entry past seq *done*."""
+        for seq in range(done + 1, len(chain.log) + 1):
+            self._ack(chain, seq)
+        chain.acked = len(chain.log)
 
-    def _ack(self, tag: int, op: int) -> None:
-        """Push the ack of *op* down the connection *tag* named here; a
-        client that named none here times out and retries."""
+    def _ack(self, chain: _Chain, seq: int) -> None:
+        """Push the ack of entry *seq* down the connection its client's
+        tag named here; a client that named none here times out and
+        retries."""
+        tag, op, _key, _value = chain.log[seq - 1]
         qd = self._ack_qds.get(tag)
         if qd is None or self.crashed:
             return
         self.counters.count(names.REPL_WRITES_ACKED)
         self.sim.spawn(self._send(qd, ACK.pack(STATUS_ACKED, op)),
                        name="%s.ack" % self.name)
+
+    def _applier(self, chain: _Chain) -> Generator:
+        """The one writer of ``chain.applied`` and of this chain's keys in
+        the engine: works through the log, off every ack's path."""
+        while True:
+            while chain.applied < len(chain.log):
+                _tag, _op, key, value = chain.log[chain.applied]
+                yield self.libos.core.busy(self.engine.service_cost("set"))
+                self.engine.put(key, value)
+                chain.applied += 1
+                self.counters.count(names.REPL_ENTRIES_APPLIED)
+                chain.applied_wq.pulse()
+            yield chain.apply_wq.wait()
 
     # -- shared link machinery ----------------------------------------------
     def _hb_writer(self, link, ops: OneSided, peer_hb_addr: int) -> Generator:
@@ -682,8 +698,12 @@ class ReplicaNode:
             if chain is not None and self._is_head(chain_id):
                 self._log(chain, (tag, op, req.key, req.value))
                 return True   # the tail acks it
-        elif (chain is not None and self._is_tail(chain_id)
-              and chain.applied >= chain.read_floor):
+        elif chain is not None and self._is_tail(chain_id):
+            # Every write acked before this read arrived is logged here;
+            # the read waits until it is applied too.
+            fence = len(chain.log)
+            while chain.applied < fence:
+                yield chain.applied_wq.wait()
             yield libos.core.busy(self.engine.service_cost(req.op))
             value = self.engine.get(req.key)
             if value is None:

@@ -22,7 +22,7 @@ so no framing layer is needed (contrast with the TCP libOSes).
 from __future__ import annotations
 
 import struct
-from typing import Generator, Optional
+from typing import Generator, List, Optional
 
 from ..core.api import LibOS
 from ..core.queue import DemiQueue, ListeningQueue
@@ -59,6 +59,8 @@ class RdmaQueue(DemiQueue):
         self.credits = 0
         self.credit_wq = WaitQueue(self.sim, "q%d.credits" % qd)
         self.consumed_since_return = 0
+        #: the receive pool, posted on the QP for the queue's lifetime
+        self.pool: List = []
 
     def attach_qp(self, qp: QueuePair) -> None:
         self.qp = qp
@@ -67,6 +69,7 @@ class RdmaQueue(DemiQueue):
         # previously wrote by hand.
         for _ in range(POOL_BUFFERS):
             buf = self.libos.mm.alloc(POOL_BUFFER_SIZE)
+            self.pool.append(buf)
             qp.post_recv(buf)
         self._spawn_pump(self._rx_pump(), "rx")
 
@@ -164,6 +167,11 @@ class RdmaQueue(DemiQueue):
     def shutdown(self) -> Generator:
         if self.qp is not None:
             self.qp.destroy()
+            # The destroyed QP has flushed every posted receive: the pool
+            # goes back to the heap, and a buffer a device still holds is
+            # deallocated when it lets go (free-protection).
+            for buf in self.pool:
+                self.libos.mm.free(buf)
         return
         yield  # pragma: no cover
 

@@ -1272,7 +1272,8 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
     "replica-crash-tail": {
         "workload": "kv-replicated", "kinds": ("rdma",),
         "blurb": "the tail (the commit point) dies; its predecessor"
-                 " becomes the tail and reads stay linearizable",
+                 " becomes the tail, acks what it logged and had not"
+                 " applied, and reads stay linearizable",
         "plan": _kill_replica(2),
     },
 }

@@ -22,30 +22,30 @@ from repro.testing import GOLDEN_SCENARIOS, run_scenario
 SIGNATURES = {
     ("handshake-loss", "dpdk"): "d8996f5911ee39c6ced0071dbc7499b025e29c32",
     ("handshake-loss", "posix"): "6860dd4c360eea821acea908499294ba63f9aba3",
-    ("handshake-loss", "rdma"): "955ce80f0f49a2316965d4842db5738579470fb5",
+    ("handshake-loss", "rdma"): "a728d3219f4b8bb8d113c7b3d39b85a317ef48d3",
     ("reorder-dup-storm", "dpdk"): "67c7a8ecbc21963aba74a700aa40995ef96f64eb",
     ("reorder-dup-storm", "posix"): "e19e1fc918845f159aa689718281ac690b9f2b39",
-    ("reorder-dup-storm", "rdma"): "d6d33e02553c8b6e99795fd99b7a0ef11d6fc4a1",
+    ("reorder-dup-storm", "rdma"): "d87b6bcde555943e8ce186f90a74bf6cecaef138",
     ("partition-heal", "dpdk"): "b3264be8866dbf24b6e071e0a74766bd773f026b",
     ("partition-heal", "posix"): "9141b54d8c94932b8991119d58cbaa0d3d6e9285",
-    ("partition-heal", "rdma"): "a5690d699f1500bd11496384c7a28aededf78dca",
+    ("partition-heal", "rdma"): "d7d89922151e24a4d06e36bb2a388d4fba55581a",
     ("rx-ring-overflow", "dpdk"): "f2b3db500616017096c66f21ce74a6fbe670a072",
     ("slow-nvme", "spdk"): "14e54e9cdb2fe6c3f6eabe8ac1a1736993dccd89",
     ("corruption-storm", "dpdk"): "25f43199073ef3af06ccf76930c6fa49e46208a3",
     ("corruption-storm", "posix"): "f675410d977b1a80dc8dc6fa0a402bc1d3c659ed",
     ("crash-mid-stream", "dpdk"): "f5088887702cc6bccefe452ce7d7ec40df9895d3",
     ("crash-mid-stream", "posix"): "5243063a0e6ad7b964fc8e0693826da665c7313c",
-    ("crash-mid-stream", "rdma"): "bdcfea1d23e01a6d7d654cb5d8de5df6cf9b97eb",
+    ("crash-mid-stream", "rdma"): "1bbdc93d70bcd20ad3e4fa7b7fc675221e4cef16",
     ("crash-storage", "spdk"): "9744062b7db70ed64e370a5d5cf3b1a5b12442e2",
     ("nvme-transient-outage", "spdk"):
         "df93479e06bf14198ca209de2e34e9399a26b444",
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
     ("link-flap", "dpdk"): "98fa94b980a8dcd8ceea7eddad754112ea077445",
     ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",
-    ("replica-crash-head", "rdma"): "004a6e20d63849a23c5b2ac3c2fb301560098d3f",
+    ("replica-crash-head", "rdma"): "d5e63054f31b867cdefc345b5fe294cb175d0c24",
     ("replica-crash-middle", "rdma"):
-        "b6a5e4253bc083a68f3fe1ba8d0c04cd275aa1c0",
-    ("replica-crash-tail", "rdma"): "389eef5ee3108a19e9eef9de9467b04d8cbea212",
+        "50245affcef9d925861069435fa13c07bd27ff54",
+    ("replica-crash-tail", "rdma"): "ec8c28a77d7cc168f4d06abd0e3f5d50b7f14652",
 }
 
 

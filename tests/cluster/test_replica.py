@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.client import ReplicatedKvClient
+from repro.cluster.client import REQUEST_TIMEOUT_NS, ReplicatedKvClient
 from repro.cluster.replica import (DEFAULT_KV_PORT, REQUEST_HEADER,
                                    ClusterDirectory, ReplicaNode,
                                    decode_entry, encode_entry)
@@ -13,6 +13,7 @@ from repro.rdma.cm import RdmaCm
 from repro.rmem.ring import decode_record
 from repro.sim.rand import Rng
 from repro.telemetry import names
+from repro.testing import run_scenario
 
 from ..conftest import World
 
@@ -191,13 +192,14 @@ class TestHappyPath:
         assert len(puts) == 1, sorted(puts)
         # 4 971 before and after the pumps stopped polling, 4 972 since a
         # request carries its client's tag and op number (12 bytes more on
-        # the wire).  Since the tail acks a PUT itself (3.6 us shorter),
-        # phase 5's GET reaches the tail as the tail's own heartbeat writer
-        # rings its doorbell: `doorbell_ns` (200) is charged to the tail's
+        # the wire).  A GET can meet the tail's own heartbeat writer
+        # ringing its doorbell: `doorbell_ns` (200) charged to the tail's
         # one core ahead of the request.  A collision can cost a GET at
-        # most one doorbell.
-        assert {ns for k, ns in gets.items() if k != 5} == {4_972}
-        assert gets[5] == 5_172
+        # most one doorbell.  While the tail acked a PUT once it had
+        # applied it (900 ns later), phase 5's GET met the whole doorbell
+        # (5 172); since it acks as it logs, phase 7's meets its last 2 ns.
+        assert {ns for k, ns in gets.items() if k != 7} == {4_972}
+        assert gets[7] == 4_974
 
     def test_multi_chain_places_keys_on_distinct_heads(self):
         world, directory, nodes, (client,) = build_cluster(
@@ -260,21 +262,24 @@ class TestHappyPath:
         assert world.tracer.get("replica0.%s" % names.REPL_REDIRECTS) >= 1
 
     def test_an_ack_for_an_earlier_operation_is_dropped(self):
-        """The tail's core is held up for 500 us as a PUT reaches it, so
-        the client times out and writes the value again through a new head
-        connection; its tail connection stays.  The ack of the first entry
-        - the attempt that timed out - completes the PUT.  The second
-        entry's ack comes after it, ahead of the next GET's reply: it
-        carries an earlier operation's number, so the client drops and
-        counts it, and the GET returns its own reply."""
+        """The head's core is held up for 500 us as a PUT reaches it, so
+        the entry is logged - and acked at the tail - only after the
+        client has timed out and sent the PUT again on the same
+        connections.  The ack of the first entry - the attempt that timed
+        out - completes the PUT.  The second entry's ack comes after it,
+        ahead of the next GET's reply: it carries an earlier operation's
+        number, so the client drops and counts it, and the GET returns its
+        own reply.  (The tail acks an entry as it logs it, and its core
+        takes no part in that: holding the tail's core, as this test did
+        while the tail acked at apply, delays no ack.)"""
         world, directory, nodes, (client,) = build_cluster()
-        tail = nodes[2]
+        head = nodes[0]
         out = {}
 
         def driver():
             yield world.sim.timeout(50 * _US)
             yield from client.put(b"warm", b"up")
-            tail.libos.core.charge_async(500 * _US)
+            head.libos.core.charge_async(500 * _US)
             yield from client.put(b"k", b"v")
             out["get"] = yield from client.get(b"k")
             yield from client.close()
@@ -338,19 +343,20 @@ class TestLogForwardApply:
     """A member logs an entry, forwards it, and applies it - in that
     order, the apply in a process of its own."""
 
-    @pytest.mark.parametrize("members,put_ns", [(3, 8_794), (2, 6_983)])
-    def test_a_put_pays_for_one_apply_whatever_the_chain_length(
+    @pytest.mark.parametrize("members,put_ns", [(3, 7_894), (2, 6_083)])
+    def test_a_put_waits_out_no_apply_whatever_the_chain_length(
             self, members, put_ns):
-        """An idle PUT costs its transport, one parse and ONE apply - the
-        tail's, the commit point, which acks the client itself.  Every
-        member logs and forwards an entry before it applies it, so the
-        head's and a middle's applies (900 ns each) overlap the forward: a
-        member more adds one forward, 8 794 - 6 983 = 1 811 ns, and
-        nothing else.  The head pushes nothing for a PUT it accepts, and
-        the tail exactly one ack.  While the head answered, once each
-        member had written its commit into its predecessor's cell, this
-        read 12 397 and 8 784, 3 613 apart; while each member also applied
-        before it forwarded, 14 197 and 9 684."""
+        """An idle PUT costs its transport and one parse, and no apply:
+        the tail acks an entry as it logs it - the commit point - and
+        every member logs and forwards an entry before it applies it, so
+        each member's apply (900 ns) runs off the PUT's path.  A member
+        more adds one forward, 7 894 - 6 083 = 1 811 ns, and nothing else.
+        The head pushes nothing for a PUT it accepts, and the tail exactly
+        one ack.  While the tail acked an entry once it had applied it,
+        this read 8 794 and 6 983 (one ``kv_put_ns`` more); while the head
+        answered, once each member had written its commit into its
+        predecessor's cell, 12 397 and 8 784, 3 613 apart; while each
+        member also applied before it forwarded, 14 197 and 9 684."""
         world, directory, nodes, (client,) = build_cluster(
             n_nodes=members, replication=members)
         out = {}
@@ -379,6 +385,47 @@ class TestLogForwardApply:
             assert world.tracer.get(
                 "%s.%s" % (node.name, names.REPL_ENTRIES_APPLIED)) == 2
         assert_no_lost_wakeup(nodes)
+
+    def test_a_read_at_the_tail_waits_for_the_writes_acked_before_it(self):
+        """The tail's core is held up for 500 us as five PUTs of one key
+        reach it.  The tail acks each as it logs it, so all five complete
+        with no retry, in a small part of ``REQUEST_TIMEOUT_NS``, while
+        its applier still owes its engine all five.  A GET that reaches
+        the tail during the hold waits for those applies: it returns
+        ``v5``, and not before the hold ends.  Without that wait the FIFO
+        core lets each of the GET's three charges (wait, parse, lookup)
+        slip in between two applies, and it reads ``v3``."""
+        world, directory, nodes, (client,) = build_cluster()
+        tail = nodes[2]
+        chain = tail.chains[0]
+        hold_ns = 500 * _US
+        seen = {}
+
+        def driver():
+            sim = world.sim
+            yield sim.timeout(50 * _US)
+            yield from client.put(b"warm", b"up")
+            held_at = sim.now
+            tail.libos.core.charge_async(hold_ns)
+            for i in range(1, 6):
+                yield from client.put(b"k", b"v%d" % i)
+            seen["puts_ns"] = sim.now - held_at
+            # Late enough that the GET's wait for the core stays within
+            # its own REQUEST_TIMEOUT_NS.
+            yield sim.timeout(held_at + 200 * _US - sim.now)
+            seen["owed"] = len(chain.log) - chain.applied
+            seen["get"] = yield from client.get(b"k")
+            seen["get_after_hold_ns"] = sim.now - (held_at + hold_ns)
+            yield from client.close()
+
+        run_driver(world, driver())
+        assert seen["puts_ns"] < REQUEST_TIMEOUT_NS // 10
+        assert seen["owed"] == 5
+        assert seen["get"] == (True, b"v5")
+        assert seen["get_after_hold_ns"] >= 0
+        assert world.tracer.get(
+            "cl0.catmint.%s" % names.REPL_CLIENT_RETRIES) == 0
+        assert world.tracer.get("replica2.%s" % names.REPL_REDIRECTS) == 0
 
     def test_a_relinked_pump_cannot_strand_a_logged_entry(self):
         """The tail logs an entry while its core is held up, so the apply
@@ -427,11 +474,10 @@ class TestLogForwardApply:
     def test_the_ack_does_not_wait_for_an_upstream_apply(self):
         """The head's core is held up for 30 us right after it logs an
         entry.  The entry is forwarded all the same - posting a one-sided
-        write waits for no core - applied at the tail and acknowledged
-        from there, long before the head's own apply: an acked write is
-        logged on every member and applied at the tail.  While the ack
-        walked back up the chain, the head answered only once that apply
-        had ended."""
+        write waits for no core - logged at the tail and acknowledged from
+        there, long before the head's own apply: an acked write is logged
+        on every member.  While the ack walked back up the chain, the head
+        answered only once that apply had ended."""
         stall_ns = 30 * _US
         world, directory, nodes, (client,) = build_cluster()
         head = nodes[0]
@@ -643,17 +689,20 @@ class TestFailover:
     def test_a_promoted_tail_serves_no_read_below_what_the_old_tail_served(
             self):
         """The middle's core is held up while eight PUTs of one key pass
-        through it: logged and forwarded there, applied - and read - at
-        the tail.  The tail dies and the middle is the tail.  Its applier
-        still owes its engine most of those entries, and the FIFO core
-        lets a GET's charges slip in between two applies: unguarded it
-        answered ``v4`` to the reader that had already seen ``v8``.  It
-        answers ``STATUS_MOVED`` until it has applied what it had logged
-        when it was promoted, and the router's retry reads on from
-        there."""
+        through it: logged and forwarded there, logged - acked - and read
+        at the tail.  The tail dies and the middle is the tail.  Its
+        applier still owes its engine most of those entries, and the FIFO
+        core lets a GET's charges slip in between two applies: unguarded
+        it answered ``v4`` to the reader that had already seen ``v8``.  A
+        read at the tail waits until what the tail had logged when the
+        read arrived is applied, so the promoted tail answers ``v8`` - no
+        redirect, no retry.  (Until the tail acked as it logged, a
+        promoted tail answered ``STATUS_MOVED`` below a floor it set at
+        promotion, and the router's retry read on from there.)"""
         world, directory, nodes, clients = build_cluster(n_clients=9)
         _head, middle, tail = nodes
         reader, writers = clients[0], clients[1:]
+        chain = middle.chains[0]
         seen = {}
 
         def version(reply):
@@ -672,10 +721,11 @@ class TestFailover:
                     for i, writer in enumerate(writers)]
             yield sim.timeout(25 * _US)
             seen["at_old_tail"] = version((yield from reader.get(b"k")))
-            seen["owed"] = (len(middle.chains[0].log)
-                            - middle.chains[0].applied)
+            seen["owed"] = len(chain.log) - chain.applied
             self.crash(world, tail, [])
             yield sim.timeout(150 * _US)            # detected, promoted
+            seen["promoted"] = directory.tail(0)
+            seen["owed_at_read"] = len(chain.log) - chain.applied
             seen["at_new_tail"] = version((yield from reader.get(b"k")))
             for put in puts:
                 yield put
@@ -683,10 +733,105 @@ class TestFailover:
                 yield from client.close()
 
         run_driver(world, driver())
-        assert directory.tail(0) == "replica1"
-        assert seen["owed"] >= 7
+        assert seen["promoted"] == "replica1"
+        assert seen["owed"] >= 7 and seen["owed_at_read"] >= 7
         assert seen["at_new_tail"] >= seen["at_old_tail"] >= 7
-        assert world.tracer.get("replica1.%s" % names.REPL_REDIRECTS) >= 1
+        assert world.tracer.get("replica1.%s" % names.REPL_REDIRECTS) == 0
+        assert world.tracer.get(
+            "cl0.catmint.%s" % names.REPL_CLIENT_RETRIES) == 0
+
+
+class TestPromotionAcks:
+    """A member promoted to tail acks, once each, what it has logged and
+    not applied; a tail acks each entry as it logs it; no node acks one
+    entry twice."""
+
+    def recording_acks(self, monkeypatch):
+        """Every ack a node pushes, as ``(node, chain, seq)``."""
+        acks = []
+        ack = ReplicaNode._ack
+
+        def recording(node, chain, seq):
+            name = "%s.%s" % (node.name, names.REPL_WRITES_ACKED)
+            before = node.host.tracer.get(name)
+            ack(node, chain, seq)
+            if node.host.tracer.get(name) != before:
+                acks.append((node.name, chain.chain_id, seq))
+
+        monkeypatch.setattr(ReplicaNode, "_ack", recording)
+        return acks
+
+    def test_a_promoted_tail_acks_what_it_logged_and_had_not_applied(
+            self, monkeypatch):
+        """Two members, four writers.  In the instant the head logs the
+        first of four concurrent PUTs its core is held up for 300 us and
+        the tail dies before any of the four reaches it.  The head logs
+        all four and is promoted while its applier still owes its engine
+        every one of them: it acks each once, at promotion - long before
+        the hold ends and it applies them - and every PUT completes
+        without a retry."""
+        world, directory, nodes, clients = build_cluster(
+            n_nodes=2, replication=2, n_clients=4)
+        head, tail = nodes
+        chain = head.chains[0]
+        acks = self.recording_acks(monkeypatch)
+        seen = {}
+
+        def hold_and_kill():
+            head.libos.core.charge_async(300 * _US)
+            seen["hold_ends"] = world.sim.now + 300 * _US
+            world.sim.spawn(tail.crash(), name="replica1.crash")
+
+        on_logged(chain, 5, hold_and_kill)
+        reconfigure = head.schedule_reconfigure
+
+        def promoted():
+            seen["at_promotion"] = (chain.applied, len(chain.log))
+            reconfigure()
+
+        def driver():
+            sim = world.sim
+            yield sim.timeout(50 * _US)
+            for client in clients:                 # open every connection
+                yield from client.put(b"k", b"v0")
+            head.schedule_reconfigure = promoted
+            puts = [sim.spawn(client.put(b"k", b"v%d" % (i + 1)))
+                    for i, client in enumerate(clients)]
+            for put in puts:
+                yield put
+            seen["puts_done"] = sim.now
+            seen["get"] = yield from clients[0].get(b"k")
+            for client in clients:
+                yield from client.close()
+
+        run_driver(world, driver())
+        applied, logged = seen["at_promotion"]
+        assert directory.chain_members(0) == ["replica0"]
+        assert (applied, logged) == (4, 8)
+        assert seen["puts_done"] < seen["hold_ends"]
+        assert [seq for name, _c, seq in acks if name == "replica0"] == \
+            list(range(applied + 1, logged + 1))
+        assert world.tracer.get("replica0.%s" % names.REPL_WRITES_ACKED) \
+            == logged - applied
+        assert sum(world.tracer.get("cl%d.catmint.%s"
+                                    % (i, names.REPL_CLIENT_RETRIES))
+                   for i in range(4)) == 0
+        assert seen["get"][0]
+
+    @pytest.mark.parametrize("scenario", ["replica-crash-head",
+                                          "replica-crash-middle",
+                                          "replica-crash-tail"])
+    def test_no_node_acks_an_entry_twice(self, scenario, monkeypatch):
+        """Through each pinned crash - a splice, a recruit-free promotion
+        of the middle, a new head - every ack a node pushes is for an
+        entry it has not acked before, and ``repl_writes_acked`` counts
+        exactly those."""
+        acks = self.recording_acks(monkeypatch)
+        result = run_scenario(scenario, "rdma").require_ok()
+        assert acks and len(set(acks)) == len(acks)
+        assert sum(value for name, value in result.counters.items()
+                   if name.endswith("." + names.REPL_WRITES_ACKED)) \
+            == len(acks)
 
 
 class TestCrashInsideTheSyncHandshake:

@@ -274,6 +274,45 @@ class TestRdmaSpecifics:
         assert w.tracer.get("server.catmint.credit_returns_sent") >= 2
         assert w.tracer.get("client.catmint.credit_returns_received") >= 2
 
+    def test_a_closed_connection_gives_its_receive_pool_back(self):
+        """Each connection posts POOL_BUFFERS receive buffers on each side.
+        Closing it destroys the QP and frees the pool: after three
+        open/exchange/close cycles both heaps hold what they held before
+        the first (they kept 3 x 64 buffers each while only a crash
+        teardown's ``free_all`` freed a pool)."""
+        w, client, server = make_rdma_libos_pair()
+        cycles = 3
+        baseline = {}
+
+        def server_proc():
+            lqd = yield from server.socket()
+            yield from server.bind(lqd, 1)
+            yield from server.listen(lqd)
+            for _ in range(cycles):
+                qd = yield from server.accept(lqd)
+                result = yield from server.blocking_pop(qd)
+                server.sga_free(result.sga)
+                yield from server.close(qd)
+
+        def client_proc():
+            yield w.sim.timeout(1_000)   # the server listens
+            baseline["live"] = (client.mm.live_buffer_count,
+                                server.mm.live_buffer_count)
+            for i in range(cycles):
+                qd = yield from client.socket()
+                yield from client.connect(qd, "server-rdma", 1)
+                sga = client.sga_alloc(b"cycle %d" % i)
+                yield from client.blocking_push(qd, sga)
+                client.sga_free(sga)
+                yield from client.close(qd)
+            yield w.sim.timeout(100_000)   # the server closes its side
+
+        w.sim.spawn(server_proc())
+        w.sim.spawn(client_proc())
+        w.run()
+        assert baseline["live"] == (client.mm.live_buffer_count,
+                                    server.mm.live_buffer_count)
+
 
 class TestPosixSpecifics:
     def test_posix_path_pays_syscalls_and_copies(self):
