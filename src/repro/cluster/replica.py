@@ -12,10 +12,16 @@ downstream by RDMA-WRITING a torn-write-proof record
 successor's CPU, spinning on its own memory, sees the record as the
 write lands (it parks on the arena's
 :meth:`~repro.memory.manager.MemoryManager.watch` queue: no poll
-interval), logs it, and forwards again.  Log, forward, apply - in that
-order: a member's log is what it has *received*, and one applier per
-chain per node works through it behind the forwarder, so the applies of
-a chain overlap instead of queueing up on every PUT's path.  The
+interval), logs it, and forwards again.  A forwarder posts each entry's
+WRITE as soon as the ring has room and waits for no completion - a
+link keeps its ring's window of WRITEs in flight, and a reaper takes
+their completions in post order - and its flow control reads the
+successor's cursor from the heartbeat the successor already writes
+into the forwarder's lease cell, so a healthy chain issues no RDMA
+READ.  Log, forward, apply - in that order: a member's log is what it
+has *received*, and one applier per chain per node works through it
+behind the forwarder, so the applies of a chain overlap instead of
+queueing up on every PUT's path.  The
 tail's log is the *commit point*, and the tail acknowledges the write
 itself as it logs it, as chain replication was published (van Renesse
 and Schneider, OSDI 2004): a PUT carries its client's tag and operation
@@ -49,7 +55,8 @@ stale route corrects itself.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional, Sequence
+from collections import deque
+from typing import Deque, Dict, Generator, List, Optional, Sequence
 
 from ..apps.kvstore import KvEngine
 from ..apps.proto.codec import ST_MISS, ST_VALUE, CodecError, Response
@@ -100,6 +107,10 @@ LEASE_NS = 150_000
 IDLE_TIMEOUT_NS = 2_000_000
 
 _U64 = struct.Struct("!Q")
+#: what a downstream member's heartbeat writes into its upstream's lease
+#: cell: the beat, then its ring consumer's cursor (the upstream's ring
+#: producer reads that instead of fetching the cursor over the fabric)
+_HB_CURSOR = struct.Struct("!QQ")
 #: replication log entry: chain-local seq, the client's tag and op number
 #: (whom the tail acks), klen (value length-prefixed after key)
 _ENTRY = struct.Struct("!QIQH")
@@ -227,14 +238,23 @@ class _DownLink:
     """Outbound leg to the chain successor (we produce, they consume)."""
 
     def __init__(self, peer: str, qp: QueuePair, producer: RingProducer,
-                 hb_cell, peer_hb_addr: int, sent_seq: int):
+                 hb_cell, peer_hb_addr: int, sent_seq: int,
+                 posted_wq: WaitQueue):
         self.peer = peer
         self.qp = qp
         self.producer = producer
         self.ops = producer.ops          # the hb writer issues through it too
         self.hb_cell = hb_cell           # successor heartbeats here
         self.peer_hb_addr = peer_hb_addr
+        #: highest seq posted to the ring, landed or not
         self.sent_seq = sent_seq
+        #: the wrs of the ring WRITEs posted and not yet reaped, in order
+        self.in_flight: Deque[int] = deque()
+        #: pulsed at every post: the reaper parks on it when none is
+        #: in flight
+        self.posted_wq = posted_wq
+        #: the forwarder or the reaper has reported the link's fault
+        self.faulted = False
         self.procs: List = []
 
 
@@ -424,8 +444,8 @@ class ReplicaNode:
         link.procs = [
             self._spawn(self._forwarder(chain, link),
                         "c%d.fwd" % chain.chain_id),
-            self._spawn(self._hb_writer(link, link.ops, link.peer_hb_addr),
-                        "c%d.hb.down" % chain.chain_id),
+            self._spawn(self._reaper(link), "c%d.reap" % chain.chain_id),
+            self._spawn(self._hb_writer(link), "c%d.hb.down" % chain.chain_id),
             self._spawn(self._lease_monitor(link, link.hb_cell),
                         "c%d.lease.down" % chain.chain_id),
         ]
@@ -435,8 +455,8 @@ class ReplicaNode:
         qp = yield from self.cm.connect(
             self.nic, self.directory.addr_of(peer), REPL_PORT)
         self._qps.append(qp)
-        hb_cell = self.mm.alloc(8)
-        hb_cell.write(0, _U64.pack(0))
+        hb_cell = self.mm.alloc(_HB_CURSOR.size)
+        hb_cell.write(0, bytes(_HB_CURSOR.size))
         recv_buf = self.mm.alloc(_HANDSHAKE_BYTES)
         try:
             qp.post_recv(recv_buf)
@@ -465,11 +485,16 @@ class ReplicaNode:
                     self.mm.free(recv_buf)
             raise
         ring = RemoteRing(ring_base, slot_size, n_slots)
-        producer = RingProducer(qp, ring)
+        producer = RingProducer(
+            qp, ring, published_cursor=lambda: _HB_CURSOR.unpack(
+                hb_cell.read(0, _HB_CURSOR.size))[1])
         # Resume from what the successor has *logged*: its applier owes
-        # its engine the rest whatever happens to this link.
+        # its engine the rest whatever happens to this link, and a WRITE
+        # lost in flight with the old link is replayed.
         return _DownLink(peer, qp, producer, hb_cell, peer_hb_addr,
-                         sent_seq=min(peer_logged, len(chain.log)))
+                         sent_seq=min(peer_logged, len(chain.log)),
+                         posted_wq=WaitQueue(self.sim, "%s.c%d.posted"
+                                             % (self.name, chain.chain_id)))
 
     def _teardown_down(self, chain: _Chain) -> None:
         link = chain.down
@@ -483,18 +508,40 @@ class ReplicaNode:
         self.mm.free(link.hb_cell)
 
     def _forwarder(self, chain: _Chain, link: _DownLink) -> Generator:
-        """The single writer of this link's ring: ships the log suffix
-        (replay after a splice) then follows the log as it grows."""
+        """The single writer of this link's ring: posts the log suffix
+        (replay after a splice) then each entry as it is logged, as soon
+        as the ring has room - it waits for no completion."""
         try:
             while True:
                 while link.sent_seq < len(chain.log):
                     seq = link.sent_seq + 1
-                    yield from link.producer.push(encode_entry(
+                    wr = yield from link.producer.post(encode_entry(
                         seq, *chain.log[seq - 1]))
                     link.sent_seq = seq
-                    self.counters.count(names.REPL_ENTRIES_FORWARDED)
+                    link.in_flight.append(wr)
+                    link.posted_wq.pulse()
                 yield chain.fwd_wq.wait()
         except (DemiError, QpError):
+            self._link_fault(link)
+
+    def _reaper(self, link: _DownLink) -> Generator:
+        """Reaps the link's ring WRITEs in post order, counting each one
+        forwarded; a failed completion is the link's fault."""
+        try:
+            while True:
+                while link.in_flight:
+                    yield from link.ops.complete(link.in_flight[0])
+                    link.in_flight.popleft()
+                    self.counters.count(names.REPL_ENTRIES_FORWARDED)
+                yield link.posted_wq.wait()
+        except (DemiError, QpError):
+            self._link_fault(link)
+
+    def _link_fault(self, link: _DownLink) -> None:
+        """The forwarder or the reaper found the ring's QP failed: the
+        first of them reports it."""
+        if not link.faulted:
+            link.faulted = True
             self.counters.count(names.REPL_LINK_FAULTS)
             self._suspect(link.peer)
 
@@ -532,7 +579,7 @@ class ReplicaNode:
         arena = self.mm.alloc(probe.total_bytes)
         arena.write(0, bytes(probe.total_bytes))
         ring = RemoteRing(arena.addr, SLOT_SIZE, N_SLOTS)
-        hb_cell = self.mm.alloc(8)
+        hb_cell = self.mm.alloc(_U64.size)
         hb_cell.write(0, _U64.pack(0))
         qp.post_send(_SYNC_RESP.pack(ring.base_addr, SLOT_SIZE, N_SLOTS,
                                      len(chain.log), hb_cell.addr))
@@ -549,7 +596,7 @@ class ReplicaNode:
         link.procs = [
             self._spawn(self._pump(chain, link),
                         "c%d.pump" % chain_id),
-            self._spawn(self._hb_writer(link, link.ops, link.peer_hb_addr),
+            self._spawn(self._hb_writer(link, link.consumer),
                         "c%d.hb.up" % chain_id),
             self._spawn(self._lease_monitor(link, link.hb_cell),
                         "c%d.lease.up" % chain_id),
@@ -618,12 +665,17 @@ class ReplicaNode:
             yield chain.apply_wq.wait()
 
     # -- shared link machinery ----------------------------------------------
-    def _hb_writer(self, link, ops: OneSided, peer_hb_addr: int) -> Generator:
+    def _hb_writer(self, link,
+                   consumer: Optional[LocalRingConsumer] = None) -> Generator:
+        """Beats into the peer's lease cell; an uplink's beat also carries
+        its ring *consumer*'s cursor, for the peer's flow control."""
         beat = 0
         try:
             while True:
                 beat += 1
-                yield from ops.write(peer_hb_addr, _U64.pack(beat))
+                yield from link.ops.write(
+                    link.peer_hb_addr, _U64.pack(beat) if consumer is None
+                    else _HB_CURSOR.pack(beat, consumer.next_seq - 1))
                 self.counters.count(names.REPL_HEARTBEATS)
                 yield self.sim.timeout(HB_INTERVAL_NS)
         except (DemiError, QpError):
@@ -635,7 +687,7 @@ class ReplicaNode:
         last = None
         while True:
             yield self.sim.timeout(LEASE_NS)
-            beat = hb_cell.read(0, 8)
+            beat = hb_cell.read(0, _U64.size)
             if beat == last:
                 self.counters.count(names.REPL_LEASE_EXPIRIES)
                 self._suspect(link.peer)

@@ -10,12 +10,15 @@ runs on the data path.
 Layout of a ring in remote memory::
 
     base +  0: consumer cursor (u64)  - written by the consumer, read by
-               the producer when the ring looks full
+               the producer when the ring looks full and no fresher
+               published copy says otherwise
     base + 16: slot[0] .. slot[n-1], each ``slot_size`` bytes:
                [seq u64][length u32][payload][stamp u64]
 
 Single producer, single consumer.  The producer writes a whole slot
-(header+payload+stamp) with one RDMA WRITE.  A record counts as present
+(header+payload+stamp) with one RDMA WRITE, and :meth:`RingProducer.post`
+returns without waiting for it, so a producer may keep up to ``n_slots``
+WRITEs in flight: RC lands them in post order.  A record counts as present
 only when *both* commit markers agree: the leading sequence number must
 be the expected one (slot for seq *s* is slot ``(s-1) % n``, so a stale
 slot holds a seq exactly *n* smaller - never the expected one) **and**
@@ -34,12 +37,19 @@ models the way it models every poll-mode reader (a NIC's RX ring, a
 completion queue) - parked on the writer's signal, here the arena's
 :meth:`~repro.memory.manager.MemoryManager.watch` queue, so a record is
 seen at the instant the NIC lands it and an idle ring costs no event.
+
+Flow control needs the consumer's cursor at the producer.  The in-ring
+cursor costs an RDMA READ to fetch; a consumer that already writes to
+the producer's host - a replica's heartbeat into its upstream's lease
+cell - can carry its cursor along, and a producer given that published
+cursor reads it with a local load.  It READs the in-ring cursor only
+when that copy says the ring is full, so a healthy chain issues no READ.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..core.queue import DemiQueue
 from ..core.types import OP_PUSH, DemiError, QResult, QToken, Sga
@@ -137,7 +147,15 @@ class OneSided:
         self.sim = qp.nic.sim
 
     def write(self, raddr: int, payload: bytes) -> Generator:
+        # complete()'s body, inline: a heartbeat issues one write a beat
         wr = self.qp.post_write(payload, raddr)
+        cqe = yield from self.qp.wait_send_cqe(wr)
+        if cqe["status"] != "ok":
+            raise DemiError("one-sided op failed: %s" % cqe["status"])
+
+    def complete(self, wr: int) -> Generator:
+        """Sim-coroutine: wait for work request *wr*'s completion; a
+        failed one raises."""
         cqe = yield from self.qp.wait_send_cqe(wr)
         if cqe["status"] != "ok":
             raise DemiError("one-sided op failed: %s" % cqe["status"])
@@ -161,31 +179,64 @@ class OneSided:
 
 
 class RingProducer:
-    """The push side: one RDMA WRITE per element."""
+    """The push side: one RDMA WRITE per element.
 
-    def __init__(self, qp: QueuePair, ring: RemoteRing):
+    Flow control keeps it at most ``n_slots`` ahead of the consumer's
+    cursor.  With *published_cursor* - a function returning the cursor
+    the consumer last published to the producer's host, by a local load -
+    a ring that looks full first takes that; only a ring it says is full
+    too costs an RDMA READ of the in-ring cursor.
+    """
+
+    def __init__(self, qp: QueuePair, ring: RemoteRing,
+                 published_cursor: Optional[Callable[[], int]] = None):
         self.ring = ring
         self.ops = OneSided(qp)
+        self.published_cursor = published_cursor
         self.next_seq = 1
         self._cached_consumed = 0
         self.full_stalls = 0
 
-    def push(self, payload: bytes) -> Generator:
-        """Sim-coroutine: write one element; blocks while the ring is full."""
+    def post(self, payload: bytes) -> Generator:
+        """Sim-coroutine: wait while the ring is full, then post the
+        element's WRITE; returns its wr without waiting for the
+        completion.  Posts land in order: RC delivers them in order."""
         ring = self.ring
         if len(payload) > ring.max_payload:
             raise DemiError("element of %d bytes exceeds slot payload %d"
                             % (len(payload), ring.max_payload))
-        # Flow control: producer may run at most n_slots ahead.
-        while self.next_seq - self._cached_consumed > ring.n_slots:
+        if self.next_seq - self._cached_consumed > ring.n_slots:
+            yield from self._wait_for_room()
+        seq = self.next_seq
+        wr = self.ops.qp.post_write(encode_record(seq, payload),
+                                    ring.slot_addr(seq))
+        self.next_seq = seq + 1
+        return wr
+
+    def push(self, payload: bytes) -> Generator:
+        """Sim-coroutine: write one element; blocks while the ring is full
+        and until the WRITE completes."""
+        wr = yield from self.post(payload)
+        yield from self.ops.complete(wr)
+
+    def _wait_for_room(self) -> Generator:
+        ring = self.ring
+        while True:
+            if self.published_cursor is not None:
+                self._consumed(self.published_cursor())
+                if self.next_seq - self._cached_consumed <= ring.n_slots:
+                    return
             cursor_raw = yield from self.ops.read(ring.cursor_addr, 8)
-            (self._cached_consumed,) = struct.unpack("!Q", cursor_raw)
-            if self.next_seq - self._cached_consumed > ring.n_slots:
-                self.full_stalls += 1
-                yield self.ops.sim.timeout(POLL_INTERVAL_NS)
-        slot = encode_record(self.next_seq, payload)
-        yield from self.ops.write(ring.slot_addr(self.next_seq), slot)
-        self.next_seq += 1
+            self._consumed(struct.unpack("!Q", cursor_raw)[0])
+            if self.next_seq - self._cached_consumed <= ring.n_slots:
+                return
+            self.full_stalls += 1
+            yield self.ops.sim.timeout(POLL_INTERVAL_NS)
+
+    def _consumed(self, cursor: int) -> None:
+        # Either source may lag the other: the cursor only moves forward.
+        if cursor > self._cached_consumed:
+            self._cached_consumed = cursor
 
 
 class RingConsumer:
@@ -222,6 +273,10 @@ class RingConsumer:
 
 class LocalRingConsumer:
     """The pop side for a ring living in *this* host's own arena.
+
+    It publishes its cursor into the ring's first word every
+    ``CURSOR_EVERY`` records; a replica's heartbeat carries the exact
+    one, ``next_seq - 1``, to the producer's host.
 
     A replica's replication log is RDMA-WRITTEN into its memory by the
     upstream node; the local CPU spins on the write window directly, so

@@ -964,9 +964,10 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
     Checked, beyond the usual libOS/DMA/reclaim invariants: **no
     acknowledged write is lost** and every read is linearizable per key
     (the :class:`_KeyTracker` model), the survivors converge (equal
-    ``applied``, ``applied == len(log)`` - no entry logged and
-    stranded), no pump was woken for nothing (``empty_polls``, the
-    ring's ``wasted_wakeups``) and the failover actually happened
+    ``applied``, equal logs - no entry logged twice or out of order -
+    and ``applied == len(log)`` - no entry logged and stranded), no pump
+    was woken for nothing (``empty_polls``, the ring's
+    ``wasted_wakeups``) and the failover actually happened
     (directory epoch bumped; chain spliced, if the victim ever held a
     link to splice around).
     """
@@ -1001,6 +1002,10 @@ def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
         if len({applied for _, applied, _ in states}) > 1:
             run.failures.append("chain %d diverged after failover: %s"
                                 % (chain_id, states))
+        elif len({tuple(n.chains[chain_id].log) for n in survivors
+                  if n.name in directory.chain_members(chain_id)}) > 1:
+            run.failures.append("chain %d's members logged different "
+                                "entries" % chain_id)
         for node_name, applied, logged in states:
             if applied != logged:
                 run.failures.append(

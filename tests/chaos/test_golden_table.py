@@ -42,10 +42,10 @@ SIGNATURES = {
     ("nvme-fatal-outage", "spdk"): "9421f12b510ccbdf99f796b730762afe8016c2e1",
     ("link-flap", "dpdk"): "98fa94b980a8dcd8ceea7eddad754112ea077445",
     ("link-flap", "posix"): "fc7f19d92f7e86da70a42353bdb98cb427db2939",
-    ("replica-crash-head", "rdma"): "d5e63054f31b867cdefc345b5fe294cb175d0c24",
+    ("replica-crash-head", "rdma"): "5ab24692add07df47ce977af16f0adbffa3adf19",
     ("replica-crash-middle", "rdma"):
-        "50245affcef9d925861069435fa13c07bd27ff54",
-    ("replica-crash-tail", "rdma"): "ec8c28a77d7cc168f4d06abd0e3f5d50b7f14652",
+        "dc7f7656ce4aa66ea1200e3036d87eeb2e2c294b",
+    ("replica-crash-tail", "rdma"): "c6141a8ad5344797f47b5ace0f72160c17ddb40b",
 }
 
 

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.cluster.client import REQUEST_TIMEOUT_NS, ReplicatedKvClient
-from repro.cluster.replica import (DEFAULT_KV_PORT, REQUEST_HEADER,
-                                   ClusterDirectory, ReplicaNode,
-                                   decode_entry, encode_entry)
+from repro.cluster.replica import (DEFAULT_KV_PORT, N_SLOTS,
+                                   REQUEST_HEADER, ClusterDirectory,
+                                   ReplicaNode, decode_entry, encode_entry)
 from repro.core.retry import RetryBudgetExceeded
 from repro.core.types import DemiError, DemiTimeout
 from repro.libos.rdma_libos import RdmaLibOS
 from repro.rdma.cm import RdmaCm
-from repro.rmem.ring import decode_record
+from repro.rmem.ring import LocalRingConsumer, decode_record
 from repro.sim.rand import Rng
+from repro.sim.sync import WaitQueue
 from repro.telemetry import names
 from repro.testing import run_scenario
 
@@ -74,8 +75,9 @@ def assert_no_lost_wakeup(nodes):
 
 def on_logged(chain, seq, action):
     """Run *action* in the instant *chain* logs entry *seq*, whoever logs
-    it: before the forwarder, the applier or anything else it wakes."""
-    class Log(list):
+    it: before the forwarder, the applier or anything else it wakes.
+    Hooks stack: a log already watched keeps running its own."""
+    class Log(type(chain.log)):
         def append(self, entry):
             super().append(entry)
             if len(self) == seq:
@@ -197,9 +199,13 @@ class TestHappyPath:
         # one core ahead of the request.  A collision can cost a GET at
         # most one doorbell.  While the tail acked a PUT once it had
         # applied it (900 ns later), phase 5's GET met the whole doorbell
-        # (5 172); since it acks as it logs, phase 7's meets its last 2 ns.
+        # (5 172); since it acks as it logs, phase 7's met its last 2 ns
+        # (4 974).  Since a heartbeat also carries its sender's ring cursor
+        # (8 bytes more), each beat's WRITE completes a little later and
+        # the tail's heartbeat clock drifts: phase 7's GET meets the
+        # doorbell's last 17 ns.
         assert {ns for k, ns in gets.items() if k != 7} == {4_972}
-        assert gets[7] == 4_974
+        assert gets[7] == 4_989
 
     def test_multi_chain_places_keys_on_distinct_heads(self):
         world, directory, nodes, (client,) = build_cluster(
@@ -505,6 +511,134 @@ class TestLogForwardApply:
             assert node.chains[0].applied == len(node.chains[0].log) == 2
         assert world.tracer.get(
             "cl0.catmint.%s" % names.REPL_CLIENT_RETRIES) == 0
+
+
+def cursor_reads(world, node):
+    """The RDMA READs *node*'s NIC issued: on the replication plane only
+    a ring producer's cursor fallback issues one."""
+    return world.tracer.get("%s.%s" % (node.nic.name,
+                                       names.tx_packet_kind("read_req")))
+
+
+class TestForwardWindow:
+    """A link's flow control reads the cursor its successor's heartbeat
+    publishes, and its forwarder keeps the ring's window of WRITEs in
+    flight."""
+
+    def test_a_healthy_chain_reads_no_cursor(self):
+        """100 PUTs through an idle 3-chain - three times around each
+        32-slot ring - and no member READs its successor's cursor: the
+        heartbeat brings it, at most 20 us old, and the ring never looks
+        full by that.  While the producer READ the cursor whenever it had
+        gone ``N_SLOTS`` entries without one, each forwarding member
+        issued three."""
+        world, directory, nodes, (client,) = build_cluster()
+        n_puts = 100
+        assert n_puts > 3 * N_SLOTS
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            for i in range(n_puts):
+                yield from client.put(b"key-%d" % (i % 8), b"value-%d" % i)
+            yield from client.close()
+
+        run_driver(world, driver())
+        assert [cursor_reads(world, node) for node in nodes] == [0, 0, 0]
+        for node in nodes:
+            chain = node.chains[0]
+            assert chain.applied == len(chain.log) == n_puts
+            if chain.down is not None:
+                assert chain.down.producer.full_stalls == 0
+        assert_no_lost_wakeup(nodes)
+
+    def test_two_entries_logged_together_land_a_slot_apart(self):
+        """The head logs two entries in one instant.  Both WRITEs are
+        posted at once, so the second lands in the successor's log a
+        slot's transfer after the first - less than the one WRITE
+        completion the forwarder used to wait for between them."""
+        world, directory, nodes, (client,) = build_cluster()
+        head, middle, _tail = nodes
+        landed, completed, seen = [], [], {}
+        on_logged(middle.chains[0], 2, lambda: landed.append(world.sim.now))
+        on_logged(middle.chains[0], 3, lambda: landed.append(world.sim.now))
+
+        def driver():
+            yield world.sim.timeout(50 * _US)
+            yield from client.put(b"warm", b"up")
+            ops = head.chains[0].down.ops
+            complete = ops.complete
+
+            def timed_complete(wr):
+                yield from complete(wr)
+                completed.append(world.sim.now)
+
+            ops.complete = timed_complete
+            seen["logged_at"] = world.sim.now
+            chain = head.chains[0]
+            for i in (1, 2):
+                # No client named tag 0 here: the tail acks no one.
+                head._log(chain, (0, i, b"k%d" % i, b"v%d" % i))
+            yield world.sim.timeout(20 * _US)
+            yield from client.close()
+
+        run_driver(world, driver())
+        first_round_trip = completed[0] - seen["logged_at"]
+        assert len(landed) == 2 and len(completed) == 2
+        assert 0 < landed[1] - landed[0] < first_round_trip
+        assert landed[1] < completed[0]
+        for node in nodes:
+            chain = node.chains[0]
+            assert chain.applied == len(chain.log) == 3
+        assert_no_lost_wakeup(nodes)
+
+    def test_a_ring_that_is_really_full_stops_the_producer(
+            self, monkeypatch):
+        """The middle's pump is held while the head logs ``N_SLOTS`` + 8
+        entries.  The head posts exactly ``N_SLOTS`` - the heartbeat's
+        cursor says the ring is full - and falls back to READing the
+        in-ring cursor, which says so too: it stalls.  Released, the
+        middle and the tail log every entry once, in order."""
+        world, directory, nodes, (client,) = build_cluster()
+        head, middle, tail = nodes
+        held, release = [True], WaitQueue(world.sim, "test.release")
+        pop = LocalRingConsumer.pop
+
+        def held_pop(consumer):
+            while held[0] and consumer.host is middle.host:
+                yield release.wait()
+            return (yield from pop(consumer))
+
+        monkeypatch.setattr(LocalRingConsumer, "pop", held_pop)
+        entries = [(0, i, b"k%02d" % i, b"v%02d" % i)
+                   for i in range(N_SLOTS + 8)]
+        seen = {}
+
+        def driver():
+            yield world.sim.timeout(100 * _US)   # every link is up
+            chain = head.chains[0]
+            for entry in entries:
+                head._log(chain, entry)
+            yield world.sim.timeout(60 * _US)
+            producer = chain.down.producer
+            seen["posted"] = producer.next_seq - 1
+            seen["stalls"] = producer.full_stalls
+            seen["reads"] = cursor_reads(world, head)
+            seen["middle_logged"] = len(middle.chains[0].log)
+            held[0] = False
+            release.pulse()
+            yield world.sim.timeout(200 * _US)
+            yield from client.close()
+
+        run_driver(world, driver())
+        assert seen["posted"] == N_SLOTS
+        assert seen["middle_logged"] == 0
+        assert seen["stalls"] > 0 and seen["reads"] > 0
+        for node in nodes:
+            chain = node.chains[0]
+            assert chain.log == entries, node.name
+            assert chain.applied == len(entries)
+        assert directory.alive == {"replica0", "replica1", "replica2"}
+        assert_no_lost_wakeup(nodes)
 
 
 class TestFailover:

@@ -17,10 +17,13 @@ zero buffers and zero IOMMU mappings, and no exception out of the
 simulator.  A failure prints the one-line repro, like the chaos
 battery's.
 
-Tier-1 sweeps two dense windows: the initial wiring (the rdmacm
-rendezvous and both SYNC handshakes) and one replicated PUT on warm
-connections, from issue to ack.  ``CRASH_POINTS_WINDOW_NS=60000:400000``
-(CI) sweeps that whole window instead, at the scenario's own size.
+Tier-1 sweeps three dense windows: the initial wiring (the rdmacm
+rendezvous and both SYNC handshakes), one replicated PUT on warm
+connections, from issue to ack, and - with two clients - two PUTs issued
+in one instant, from issue to both acks: each link then has two WRITEs
+in flight when a member dies, and the splice must replay what was lost
+with them.  ``CRASH_POINTS_WINDOW_NS=60000:400000`` (CI) sweeps that
+whole window instead, at the scenario's own size.
 
 Found by this sweep at its first run, on the commit before it existed
 (44 of 3 426 instants): a replica killed inside its SYNC handshake
@@ -36,8 +39,10 @@ import os
 import pytest
 
 from repro.cluster.client import ReplicatedKvClient
+from repro.rmem.ring import RingProducer
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultPlan
+from repro.telemetry import names
 from repro.testing import run_scenario, scenarios
 
 US = 1_000
@@ -48,11 +53,12 @@ SEED = 1201
 POSITIONS = ("replica0", "replica1", "replica2")
 
 #: ``lo:hi`` in ns widens the sweep to every instant of that window at
-#: the scenario's default size; unset, tier-1's two dense windows at a
-#: size that still holds one PUT on warm connections
+#: the scenario's default size; unset, tier-1's three dense windows at
+#: sizes that still hold PUTs on warm connections
 WINDOW = os.environ.get("CRASH_POINTS_WINDOW_NS")
-PARAMS = {} if WINDOW else {"n_clients": 1, "n_ops": 4,
-                            "settle_ns": 200 * US}
+ONE_CLIENT = {"n_clients": 1, "n_ops": 4, "settle_ns": 200 * US}
+#: both clients issue their first PUT on warm connections in one instant
+TWO_CLIENTS = dict(ONE_CLIENT, n_clients=2)
 #: the initial wiring ends when the last link is up, 64 769 ns in
 WIRING_NS = (0, 64_800)
 
@@ -76,11 +82,13 @@ def short_quiesce(monkeypatch):
     monkeypatch.setattr(scenarios, "QUIESCE_NS", 2 * MS)
 
 
-def dry_run():
+def dry_run(params):
     """``(every distinct time the engine scheduled, (issue, ack) of every
-    PUT)`` of the fault-free run."""
+    PUT, (time, ring WRITEs in flight on its link) at every post)`` of the
+    fault-free run."""
     schedule_at, put = Simulator._schedule_at, ReplicatedKvClient.put
-    times, puts = set(), []
+    post = RingProducer.post
+    times, puts, posts = set(), [], []
 
     def recording_schedule_at(sim, when, fn, args=()):
         times.add(when)
@@ -91,52 +99,82 @@ def dry_run():
         yield from put(client, key, value)
         puts.append((issued, client.libos.sim.now))
 
+    def recording_post(producer, payload):
+        wr = yield from post(producer, payload)
+        ring, qp = producer.ring, producer.ops.qp
+        posts.append((producer.ops.sim.now, sum(
+            1 for pkt, _retries, _epoch in qp.hw.inflight.values()
+            if ring.base_addr <= pkt.raddr < ring.base_addr
+            + ring.total_bytes)))
+        return wr
+
     Simulator._schedule_at = recording_schedule_at
     ReplicatedKvClient.put = recording_put
+    RingProducer.post = recording_post
     try:
         run_scenario("kv-replicated", "rdma", plan=FaultPlan(seed=SEED),
-                     **PARAMS).require_ok()
+                     **params).require_ok()
     finally:
         Simulator._schedule_at, ReplicatedKvClient.put = schedule_at, put
-    return sorted(times), sorted(puts)
+        RingProducer.post = post
+    return sorted(times), sorted(puts), posts
 
 
-def instants():
-    times, puts = dry_run()
+def sweeps():
+    """``(scenario params, instants to kill at, whether a WRITE is in
+    flight to the victim)`` of every sweep."""
     if WINDOW:
-        windows = [tuple(int(bound) for bound in WINDOW.split(":"))]
-    else:
-        # Each client's first PUT opens its connections (~170 us): the
-        # first quick one is the first on a warm path.
-        issued, acked = next(put for put in puts if put[1] - put[0] < 20 * US)
-        windows = [WIRING_NS, (issued, acked + 1)]
-    return [t for t in times if any(lo <= t < hi for lo, hi in windows)]
+        lo, hi = (int(bound) for bound in WINDOW.split(":"))
+        times, _puts, _posts = dry_run({})
+        return [({}, [t for t in times if lo <= t < hi], False)]
+    times, puts, _posts = dry_run(ONE_CLIENT)
+    # Each client's first PUT opens its connections (~170 us): the first
+    # quick one is the first on a warm path.
+    issued, acked = next(put for put in puts if put[1] - put[0] < 20 * US)
+    windows = [WIRING_NS, (issued, acked + 1)]
+    one = [t for t in times if any(lo <= t < hi for lo, hi in windows)]
+    times, puts, posts = dry_run(TWO_CLIENTS)
+    issued = next(a for (a, ack), (b, _ack) in zip(puts, puts[1:])
+                  if a == b and ack - a < 20 * US)
+    acked = max(ack for at, ack in puts if at == issued)
+    assert max(n for at, n in posts if issued <= at <= acked) >= 2, (
+        "two PUTs issued in one instant never had two WRITEs in flight")
+    two = [t for t in times if issued <= t < acked + 1]
+    return [(ONE_CLIENT, one, False), (TWO_CLIENTS, two, True)]
 
 
-def crash_at(host: str, at: int):
-    """The failures of the run that kills *host* at *at*, and its repro."""
+def crash_at(host: str, at: int, params, in_flight: bool = False):
+    """The failures of the run that kills *host* at *at*, and its repro.
+    With *in_flight*, a survivor must also have counted a link fault: a
+    WRITE to the victim failed, whether the forwarder's or a
+    heartbeat's."""
     plan = FaultPlan(seed=SEED).proc_crash(host, at)
     try:
-        result = run_scenario("kv-replicated", "rdma", plan=plan, **PARAMS)
+        result = run_scenario("kv-replicated", "rdma", plan=plan, **params)
     except Exception as err:  # out of the quiesce: the driver joins no leg
         return (["%s out of the simulator: %s" % (type(err).__name__, err)],
                 "repro: scenario=kv-replicated kind=rdma seed=%d plan=%s"
                 % (SEED, plan.to_json()))
     failures = set(result.failures)
+    if in_flight and not sum(
+            result.world.tracer.get("%s.%s" % (name, names.REPL_LINK_FAULTS))
+            for name in POSITIONS):
+        failures.add("no survivor counted a link fault")
     if host == POSITIONS[0] and at < HEAD_WATCHED_FROM_NS:
         failures -= UNWATCHED_HEAD
     return sorted(failures), result.repro_line()
 
 
 def test_a_replica_may_die_at_any_instant():
-    times = instants()
-    assert len(times) >= 50, "the windows hold no PUT: %d" % len(times)
-    broken = []
-    for host in POSITIONS:
-        for at in (t + after for t in times for after in (0, 1)):
-            failures, repro = crash_at(host, at)
-            if failures:
-                broken.append("(%r, %d): %s\n    %s"
-                              % (host, at, "; ".join(failures), repro))
+    broken, runs = [], 0
+    for params, times, in_flight in sweeps():
+        assert len(times) >= 50, "the windows hold no PUT: %d" % len(times)
+        for host in POSITIONS:
+            for at in (t + after for t in times for after in (0, 1)):
+                runs += 1
+                failures, repro = crash_at(host, at, params, in_flight)
+                if failures:
+                    broken.append("(%r, %d): %s\n    %s"
+                                  % (host, at, "; ".join(failures), repro))
     assert not broken, "%d of %d crash instants fail:\n%s" % (
-        len(broken), 2 * len(times) * len(POSITIONS), "\n".join(broken))
+        len(broken), runs, "\n".join(broken))

@@ -304,6 +304,91 @@ class TestLocalRingConsumer:
         # were device writes, and each woke it for something.
         assert len(landed) == 12 and consumer.empty_polls == 0
 
+    def test_posted_writes_in_flight_land_and_decode_in_seq_order(self):
+        """``post`` waits for no completion: eight WRITEs posted in one
+        instant are all in flight at once, land one after the other -
+        RC delivers them in post order - and pop in seq order; their
+        completions come back in that order too."""
+        w, producer, consumer, _qp, landed = self.make_world()
+        out, wrs, reaped = [], [], []
+        w.sim.spawn(self.popper(w, consumer, out))
+        k = 8
+
+        def produce():
+            for i in range(k):
+                wrs.append((yield from producer.post(b"in-flight-%d" % i)))
+            in_flight = len(producer.ops.qp.hw.inflight)
+            for wr in wrs:
+                yield from producer.ops.complete(wr)
+                reaped.append(w.sim.now)
+            return in_flight
+
+        pp = w.sim.spawn(produce())
+        w.run()
+        assert pp.value == k
+        assert [payload for _when, payload in out] == [
+            b"in-flight-%d" % i for i in range(k)]
+        assert [when for when, _payload in out] == landed
+        assert landed == sorted(landed) and len(set(landed)) == k
+        assert reaped == sorted(reaped)
+        # Pipelined: the last lands before the first completion is back.
+        assert landed[-1] < reaped[0]
+        assert consumer.empty_polls == 0
+
+    def test_a_published_cursor_spares_the_read(self):
+        """A producer given the cursor its consumer publishes to the
+        producer's host - as a replica's heartbeat does - takes it from
+        there when the ring looks full: twelve records through four slots
+        and not one RDMA READ.  Without it, the same run READs the
+        in-ring cursor each time the ring looks full."""
+        reads = {}
+        for published in (True, False):
+            w, producer, consumer, _qp, _landed = self.make_world(n_slots=4)
+            cursor = [0]
+            if published:
+                producer.published_cursor = lambda: cursor[0]
+            out = []
+
+            def consume():
+                for _ in range(12):
+                    out.append((yield from consumer.pop()))
+                    cursor[0] = consumer.next_seq - 1
+
+            def produce():
+                for i in range(12):
+                    yield from producer.push(b"wrap-%02d" % i)
+
+            w.sim.spawn(produce())
+            cp = w.sim.spawn(consume())
+            w.sim.run_until_complete(cp, limit=10**12)
+            assert out == [b"wrap-%02d" % i for i in range(12)]
+            reads[published] = w.tracer.get("up.rdma0.tx_read_req")
+        assert reads == {True: 0, False: reads[False]} and reads[False] > 0
+
+    def test_a_stale_published_cursor_falls_back_to_the_read(self):
+        """A published cursor that says the ring is full is not the last
+        word: the producer READs the in-ring cursor and, while the ring is
+        really full, stalls."""
+        w, producer, consumer, _qp, _landed = self.make_world(n_slots=4)
+        producer.published_cursor = lambda: 0   # never published: stale
+        out = []
+
+        def slow_consume():
+            for _ in range(8):
+                yield w.sim.timeout(20_000)
+                out.append((yield from consumer.pop()))
+
+        def produce():
+            for i in range(8):
+                yield from producer.push(b"stale-%d" % i)
+
+        w.sim.spawn(produce())
+        cp = w.sim.spawn(slow_consume())
+        w.sim.run_until_complete(cp, limit=10**12)
+        assert out == [b"stale-%d" % i for i in range(8)]
+        assert producer.full_stalls > 0
+        assert w.tracer.get("up.rdma0.tx_read_req") > 0
+
     def test_a_torn_prefix_wakes_it_for_nothing_and_delivers_once(self):
         w, _producer, consumer, _qp, _landed = self.make_world()
         out = []

@@ -63,9 +63,13 @@ HEAP_PEAK_BUDGET = 40
 #: tail acking an entry as it logs it, not as it applies it, moves the
 #: count by a dozen calls (786_285 -> 786_273 on Python 3.11); a closed
 #: RDMA connection freeing its 64-buffer receive pool adds 6_996 (793_269:
-#: ``mm.free`` per buffer, where the pool used to leak).  The budget sits
-#: 3 % above that measurement: a timer that ticks through the idle time
-#: again (a heartbeat is one per 20 us per link) trips it.
+#: ``mm.free`` per buffer, where the pool used to leak).  795_093 since a
+#: forwarder posts its ring WRITEs without waiting for each and one
+#: reaper per link takes their completions (+0.2 %: a post, a pulse and a
+#: wake-up of the reaper per entry, less the cursor READs the heartbeat
+#: made unneeded).  The budget sits 2.8 % above that measurement: a timer
+#: that ticks through the idle time again (a heartbeat is one per 20 us
+#: per link) trips it.
 REPLICA_CALL_BUDGET = 817_500
 
 _SCRIPT = """
