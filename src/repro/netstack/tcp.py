@@ -1,13 +1,17 @@
 """TCP (RFC 9293): segments, connection state machine, reliability.
 
-This is a real - if compact - TCP: three-way handshake, sequence-number
-based in-order delivery with out-of-order segment buffering, cumulative
-acks with duplicate-ack fast retransmit, delayed acks that ride on the
-reply (RFC 9293 3.8.6.3, RFC 5681 4.2), adaptive RTO with RFC 6298's
-timer management (started by the first unacknowledged segment, restarted
-by an ack of new data, never by a send), sequence-checked resets with
-challenge acks (RFC 5961 3), receiver flow control with window probes,
-and the full close handshake (FIN/ACK both directions, TIME_WAIT).
+This is a real - if compact - TCP: three-way handshake and simultaneous
+open, sequence-number based in-order delivery with out-of-order segment
+buffering, cumulative acks with duplicate-ack fast retransmit (after
+three, or after one fewer than the segments outstanding when two or
+three are and nothing new may be sent: early retransmit, RFC 5827),
+delayed acks that ride on the reply (RFC 9293 3.8.6.3, RFC 5681 4.2),
+adaptive RTO with RFC 6298's timer management (started by the first
+unacknowledged segment, restarted by an ack of new data, never by a
+send) and Karn's rule for both kinds of retransmission, challenge acks
+for in-window RSTs and for any SYN on a synchronised connection (RFC
+5961 3 and 4), receiver flow control with window probes, and the full
+close handshake (FIN/ACK both directions, TIME_WAIT).
 
 Congestion control is NewReno-flavoured: slow start from IW10, AIMD in
 congestion avoidance, multiplicative decrease on fast retransmit, and a
@@ -199,6 +203,7 @@ class TcpConnection:
         self._tx_spans: Dict[int, object] = {}
         self.peer_window = 1
         self._dupacks = 0
+        self._fast_rexmitted = False  # in this run of duplicate ACKs
 
         # congestion control (NewReno-flavoured)
         self.cwnd = 10 * mss                # IW10 (RFC 6928)
@@ -324,7 +329,8 @@ class TcpConnection:
         self._rto_timer.arm(self._rto)
 
     def start_passive(self, syn: TcpSegment) -> None:
-        """Server side: we've received a SYN; reply SYN-ACK."""
+        """We've received a SYN - at a listener, or crossing ours in
+        SYN-SENT; reply SYN-ACK."""
         self.irs = syn.seq
         self.rcv_nxt = syn.seq + 1
         if syn.mss:
@@ -346,6 +352,13 @@ class TcpConnection:
 
         if self.state == SYN_SENT:
             self._on_segment_syn_sent(seg)
+            return
+        if seg.flags & SYN and self.state != SYN_RCVD:
+            # A SYN on a synchronised connection, wherever its sequence
+            # number lies, draws a challenge ACK and is dropped (RFC 5961
+            # 4): a peer that restarted answers with an exact RST.
+            self.stack.counters.count(names.TCP_CHALLENGE_ACKS)
+            self._send_ack()
             return
         if self.state == SYN_RCVD and seg.flags & ACK and seg.ack == self.snd_nxt:
             self.state = ESTABLISHED
@@ -406,14 +419,19 @@ class TcpConnection:
             if not self.established.triggered:
                 self.established.trigger(self)
             self._push()
+        elif seg.flags & SYN and not seg.flags & ACK:
+            # Simultaneous open (RFC 9293 3.5): the peer's SYN crossed
+            # ours.  Answer SYN,ACK; its SYN,ACK will establish us.
+            self.start_passive(seg)
 
     def _on_ack(self, seg: TcpSegment) -> None:
-        self.peer_window = seg.window
+        window, self.peer_window = self.peer_window, seg.window
         una = self.snd_una
         if seg.ack > una:
             acked = seg.ack - una
             self.snd_una = seg.ack
             self._dupacks = 0
+            self._fast_rexmitted = False
             self._retries = 0
             # Congestion window growth per newly-acked data.
             if self.cwnd < self.ssthresh:
@@ -442,10 +460,21 @@ class TcpConnection:
             if self._fin_sent_seq is not None and seg.ack > self._fin_sent_seq:
                 self._on_fin_acked()
             self.send_wq.pulse()
-        elif seg.ack == una and self._inflight and not seg.payload:
+        elif (seg.ack == una and self._inflight and not seg.payload
+              and seg.window == window and not seg.flags & (SYN | FIN)):
+            # A duplicate ACK (RFC 5681 2).  The third repairs the head;
+            # so does one fewer than the segments outstanding when two or
+            # three are and no new one may go out to draw more (early
+            # retransmit, RFC 5827 2.1).  Once per run of them.
             self._dupacks += 1
-            if self._dupacks == 3:
-                self._fast_retransmit()
+            oseg = len(self._inflight)
+            threshold = 3
+            if 2 <= oseg <= 3 and (
+                    not self._send_queue
+                    or min(window, self.cwnd) <= self.snd_nxt - una):
+                threshold = oseg - 1
+            if self._dupacks >= threshold and not self._fast_rexmitted:
+                self._fast_retransmit(early=threshold < 3)
         self._push()
 
     def _on_data(self, seg: TcpSegment) -> None:
@@ -669,8 +698,15 @@ class TcpConnection:
         self.cwnd_reductions += 1
         self.stack.counters.count(names.TCP_CWND_REDUCTIONS)
 
-    def _fast_retransmit(self) -> None:
-        self.stack.counters.count(names.TCP_FAST_RETRANSMITS)
+    def _fast_retransmit(self, early: bool) -> None:
+        counters = self.stack.counters
+        counters.count(names.TCP_FAST_RETRANSMITS)
+        if early:
+            counters.count(names.TCP_EARLY_RETRANSMITS)
+        self._fast_rexmitted = True
+        if self._rtt_probe is not None \
+                and self._rtt_probe[0] == self._inflight[0][0]:
+            self._rtt_probe = None  # Karn: that segment is now sent twice
         self._congestion_event(to_one_mss=False)
         self._retransmit_head()
 

@@ -130,6 +130,7 @@ TCP_NAGLE_DELAYS = "tcp_nagle_delays"
 TCP_DELAYED_ACKS = "tcp_delayed_acks"
 TCP_RETRANSMITS = "tcp_retransmits"
 TCP_FAST_RETRANSMITS = "tcp_fast_retransmits"
+TCP_EARLY_RETRANSMITS = "tcp_early_retransmits"
 TCP_CWND_REDUCTIONS = "tcp_cwnd_reductions"
 TCP_WINDOW_PROBES = "tcp_window_probes"
 TCP_ACCEPT_OVERFLOW = "tcp_accept_overflow"

@@ -13,6 +13,8 @@ from repro.netstack.tcp import (
     MIN_RTO_NS,
     PSH,
     RST,
+    SYN,
+    SYN_RCVD,
     TIME_WAIT,
     WINDOW_PROBE_NS,
     TcpError,
@@ -45,6 +47,20 @@ def tap(w, host, lose=lambda seg: False):
 
     host.stack._tcp_transmit = recording
     return log
+
+
+def losing(w, seq, times=1):
+    """A *lose* for :func:`tap` taking the first *times* transmissions
+    of the data segment at *seq*, and the list of when it took them."""
+    lost = []
+
+    def lose(seg):
+        if seg.seq == seq and seg.payload and len(lost) < times:
+            lost.append(w.sim.now)
+            return True
+        return False
+
+    return lose, lost
 
 
 class TestHandshake:
@@ -80,6 +96,60 @@ class TestHandshake:
         w.run()
         # Eventually establishes despite drops.
         assert client.state == ESTABLISHED
+
+    def test_simultaneous_open_completes(self):
+        # Each end's SYN reaches the other in SYN-SENT (RFC 9293 3.5):
+        # both answer SYN,ACK and both establish without a retransmit.
+        w, a, b = make_net_pair()
+        from_left, from_right = tap(w, a), tap(w, b)
+        left = a.stack.tcp_connect("10.0.0.2", 7000, src_port=6000)
+        right = b.stack.tcp_connect("10.0.0.1", 6000, src_port=7000)
+        w.run()
+        assert left.state == right.state == ESTABLISHED
+        for log in (from_left, from_right):
+            assert [seg.flags for _at, seg in log] == [SYN, SYN | ACK]
+        left.send(b"from the left")
+        right.send(b"from the right")
+        w.run()
+        assert right.recv() == b"from the left"
+        assert left.recv() == b"from the right"
+        assert w.tracer.get("client.stack.tcp_retransmits") == 0
+        assert w.tracer.get("server.stack.tcp_retransmits") == 0
+
+    def test_a_bare_syn_in_syn_sent_answers_syn_ack(self):
+        w, a, _b = make_net_pair()
+        sent = tap(w, a, lose=lambda seg: True)
+        conn = a.stack.tcp_connect("10.0.0.2", 7000, src_port=6000)
+        conn.on_segment(TcpSegment(7000, 6000, 5000, 0, SYN, 1000, mss=536))
+        assert conn.state == SYN_RCVD
+        assert (conn.rcv_nxt, conn.peer_window, conn.mss) == (5001, 1000, 536)
+        syn_ack = sent[-1][1]
+        assert (syn_ack.flags, syn_ack.seq, syn_ack.ack) \
+            == (SYN | ACK, conn.iss, 5001)
+        assert conn._rto_timer.armed
+
+    def test_a_lost_third_ack_is_repaired_by_a_challenge_ack(self):
+        # The client is established and has nothing to say, so only the
+        # server's retransmitted SYN,ACK can draw the ACK it lost.
+        w, a, b = make_net_pair()
+        listener = b.stack.tcp_listen(80)
+        lost = []
+
+        def lose(seg):
+            if seg.flags == ACK and not lost:
+                lost.append(seg)
+                return True
+            return False
+
+        tap(w, a, lose)
+        client = a.stack.tcp_connect("10.0.0.2", 80)
+        w.run()
+        server = listener.accept_nb()
+        assert len(lost) == 1
+        assert client.state == ESTABLISHED
+        assert server is not None and server.state == ESTABLISHED
+        assert w.tracer.get("server.stack.tcp_retransmits") == 1
+        assert w.tracer.get("client.stack.tcp_challenge_acks") == 1
 
     def test_duplicate_listen_rejected(self):
         w, _a, b = make_net_pair()
@@ -313,6 +383,28 @@ class TestRtt:
         assert client._srtt is not None
         assert client._srtt < 100_000
         assert client._rto >= client._srtt
+
+    def test_a_fast_retransmitted_segment_gives_no_rtt_sample(self):
+        # Karn's rule: the ACK that ends a recovery cannot say which
+        # transmission it answers, so the probe timing the head is dropped
+        # on a fast retransmit as it is on an RTO.
+        w, a, b = make_net_pair()
+        client, server = connect(w, a, b)
+        client.send(b"warm up")
+        w.run()
+        estimate = (client._srtt, client._rttvar, client._rto)
+        samples = []
+        sample = client._rtt_sample
+        client._rtt_sample = lambda rtt: (samples.append(rtt), sample(rtt))
+        tap(w, a, losing(w, client.snd_nxt)[0])
+        for i in range(5):
+            client.send(b"%d" % i * 100)
+        w.run()
+        assert server.recv() == b"warm up" + b"".join(
+            b"%d" % i * 100 for i in range(5))
+        assert w.tracer.get("client.stack.tcp_fast_retransmits") == 1
+        assert samples == []
+        assert (client._srtt, client._rttvar, client._rto) == estimate
 
 
 class TestAckOfUnsentData:
@@ -565,6 +657,18 @@ class TestReset:
         assert w.tracer.get("server.stack.tcp_challenge_acks") == 2
         assert w.tracer.get("server.stack.tcp_rsts_accepted") == 0
 
+    def test_a_syn_on_a_synchronised_connection_draws_a_challenge_ack(self):
+        # RFC 5961 4: wherever its sequence number lies.  A peer that
+        # restarted answers the ACK with a RST at exactly RCV.NXT.
+        w, server, sent = receiver()
+        for offset in (0, 1, -5000, 2**20):
+            inject(server, offset, flags=SYN)
+        inject(server, 0, flags=SYN | ACK)
+        assert server.state == ESTABLISHED and server.error is None
+        assert [(seg.flags, seg.seq, seg.ack) for _at, seg in sent] \
+            == [(ACK, server.snd_nxt, server.rcv_nxt)] * 5
+        assert w.tracer.get("server.stack.tcp_challenge_acks") == 5
+
     def test_rst_outside_the_window_is_dropped(self):
         w, server, sent = receiver()
         for offset in (-1, -5000, server.recv_window, 2**20):
@@ -619,3 +723,125 @@ class TestReset:
         assert w.tracer.get("client.stack.tcp_rst_sent") == 1
         assert w.tracer.get("server.stack.tcp_rsts_accepted") == 1
         assert server.state == CLOSED and server.error is not None
+
+
+def peer_ack(conn, window=65535):
+    """Hand *conn* a payload-less ACK of exactly ``snd_una`` from its
+    peer: a duplicate ACK if *window* is the one it last advertised."""
+    conn.on_segment(TcpSegment(conn.remote[1], conn.local[1], conn.rcv_nxt,
+                               conn.snd_una, ACK, window))
+
+
+class TestEarlyRetransmit:
+    """RFC 5827 2.1: with two or three segments outstanding and nothing
+    new to send, one fewer duplicate ACKs than segments repairs the
+    head.  The injected tests hand a sender whose output is lost the ACKs
+    its peer would send."""
+
+    def test_a_lost_head_of_two_is_resent_on_the_first_duplicate_ack(self):
+        w, a, b = make_net_pair()
+        client, server = connect(w, a, b)
+        head = client.snd_nxt
+        sent = tap(w, a, losing(w, head)[0])
+        start = w.sim.now
+        client.send(b"a" * 100)
+        client.send(b"b" * 100)
+        w.run(until=start + MIN_RTO_NS // 2)
+        assert server.recv() == b"a" * 100 + b"b" * 100
+        assert [at for at, seg in sent if seg.seq == head][0] == start
+        assert w.tracer.get("client.stack.tcp_early_retransmits") == 1
+        assert w.tracer.get("client.stack.tcp_fast_retransmits") == 1
+        assert w.tracer.get("client.stack.tcp_retransmits") == 1
+
+    @pytest.mark.parametrize("segments,then,threshold", [
+        pytest.param(2, None, 1, id="two-out"),
+        pytest.param(3, None, 2, id="three-out"),
+        pytest.param(4, None, 3, id="four-out"),
+        pytest.param(2, "nagle", 3, id="two-out-more-sendable"),
+        pytest.param(2, "window", 1, id="two-out-more-held-by-window"),
+        pytest.param(2, "cwnd", 1, id="two-out-more-held-by-cwnd"),
+    ])
+    def test_threshold(self, segments, then, threshold):
+        w, conn, sent = receiver()
+        window = 65535
+        for i in range(segments):
+            conn.send(b"%d" % i * 100)
+        if then == "nagle":
+            conn.nodelay = False  # holds a sub-MSS write, window open
+        elif then == "window":
+            window = conn.snd_nxt - conn.snd_una
+            peer_ack(conn, window)  # a window update, no duplicate
+        elif then == "cwnd":
+            conn.cwnd = conn.snd_nxt - conn.snd_una
+        if then:
+            conn.send(b"queued")
+            assert conn._send_queue
+        for n in range(1, 5):
+            peer_ack(conn, window)
+            assert w.tracer.get("server.stack.tcp_retransmits") \
+                == (n >= threshold), n
+        assert w.tracer.get("server.stack.tcp_fast_retransmits") == 1
+        assert w.tracer.get("server.stack.tcp_early_retransmits") \
+            == (threshold < 3)
+
+    def test_once_per_run_of_duplicate_acks(self):
+        # A flight that grows behind the lost head would meet the early
+        # threshold again at every ACK; only an ACK of new data ends the
+        # run and lets the next one repair.
+        w, conn, sent = receiver()
+        conn.send(b"a" * 100)
+        conn.send(b"b" * 100)
+        peer_ack(conn)
+        conn.send(b"c" * 100)
+        peer_ack(conn)
+        conn.send(b"d" * 100)
+        peer_ack(conn)
+        peer_ack(conn)
+        assert w.tracer.get("server.stack.tcp_retransmits") == 1
+        conn.on_segment(TcpSegment(conn.remote[1], conn.local[1],
+                                   conn.rcv_nxt, conn.snd_una + 200, ACK,
+                                   65535))
+        peer_ack(conn)
+        assert w.tracer.get("server.stack.tcp_retransmits") == 2
+        assert sent[-1][1].payload == b"c" * 100
+        assert w.tracer.get("server.stack.tcp_early_retransmits") == 2
+
+    @pytest.mark.parametrize("windows,flags", [
+        pytest.param((30_000, 40_000, 50_000), ACK, id="window-update"),
+        pytest.param((65535,) * 3, FIN | ACK, id="fin"),
+    ])
+    def test_only_a_duplicate_ack_counts(self, windows, flags):
+        # RFC 5681 2: a duplicate ACK carries no data, SYN or FIN and
+        # leaves the advertised window as it was.  A receiver reopening
+        # its window (``recv()`` after it closed) would otherwise fake
+        # one, and at these thresholds one is enough to retransmit.
+        w, conn, sent = receiver()
+        conn.send(b"a" * 100)
+        conn.send(b"b" * 100)
+        seq = conn.rcv_nxt
+        for window in windows:
+            conn.on_segment(TcpSegment(conn.remote[1], conn.local[1], seq,
+                                       conn.snd_una, flags, window))
+        assert conn._dupacks == 0 and conn.peer_window == windows[-1]
+        assert w.tracer.get("server.stack.tcp_retransmits") == 0
+        peer_ack(conn, windows[-1])
+        assert w.tracer.get("server.stack.tcp_early_retransmits") == 1
+
+    def test_a_lost_early_retransmit_falls_back_to_the_rto(self):
+        w, a, b = make_net_pair()
+        client, server = connect(w, a, b)
+        head = client.snd_nxt
+        lose, lost = losing(w, head, times=2)  # the original, the early one
+        sent = tap(w, a, lose)
+        start = w.sim.now
+        for chunk in (b"a" * 100, b"b" * 100, b"c" * 100):
+            client.send(chunk)
+        w.run()
+        head_sent = [at for at, seg in sent if seg.seq == head]
+        assert head_sent[:2] == lost and head_sent[0] == start
+        assert head_sent[1] - start < MIN_RTO_NS // 2
+        assert head_sent[2:] == [start + MIN_RTO_NS]  # its timer runs on
+        assert w.tracer.get("client.stack.tcp_early_retransmits") == 1
+        assert w.tracer.get("client.stack.tcp_fast_retransmits") == 1
+        assert w.tracer.get("client.stack.tcp_retransmits") == 2
+        assert server.recv() == b"a" * 100 + b"b" * 100 + b"c" * 100

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netstack.tcp import CLOSED, DELAYED_ACK_NS
+from repro.netstack.tcp import CLOSED, DEFAULT_MSS, DELAYED_ACK_NS, MIN_RTO_NS
 
 from ..conftest import make_net_pair
 from .test_faults_property import EXAMPLES, tcp_safe_plans
@@ -76,6 +76,51 @@ class TestStreamIntegrity:
         w.run()
         assert server.recv() == b"".join(payloads)
         assert server.peer_closed
+
+
+class TestEarlyRetransmit:
+    @given(sizes=st.lists(st.integers(1, DEFAULT_MSS), min_size=2,
+                          max_size=3),
+           dropped=st.integers(0, 2))
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+    def test_a_short_flight_survives_losing_one_segment(self, sizes,
+                                                        dropped):
+        # A lost head draws a duplicate ACK from every segment behind it:
+        # early retransmit repairs it before the RTO could.  A segment lost
+        # behind the head draws none - the first one past it acknowledges
+        # the head, whose ACK was being delayed, and only the segments
+        # after that one repeat it - so the RTO repairs that loss, as a
+        # lost tail.
+        dropped %= len(sizes)
+        w, a, b = make_net_pair()
+        client, server = open_connection(w, a, b)
+        lost_seq = client.snd_nxt + sum(sizes[:dropped])
+        lost = []
+        transmit = a.stack._tcp_transmit
+
+        def lossy(conn, seg):
+            if seg.seq == lost_seq and seg.payload and not lost:
+                lost.append(seg)
+            else:
+                transmit(conn, seg)
+
+        a.stack._tcp_transmit = lossy
+        payloads = [bytes([65 + i]) * n for i, n in enumerate(sizes)]
+        start = w.sim.now
+        for payload in payloads:
+            client.send(payload)
+        assert len(client._inflight) == len(sizes)
+        w.run(until=start + MIN_RTO_NS - 1)
+        before_rto = server.recv()
+        w.run()
+        assert before_rto + server.recv() == b"".join(payloads)
+        assert len(lost) == 1
+        assert w.tracer.get("client.stack.tcp_retransmits") == 1
+        early = w.tracer.get("client.stack.tcp_early_retransmits")
+        if dropped == 0:
+            assert before_rto == b"".join(payloads) and early == 1
+        else:
+            assert before_rto == b"".join(payloads[:dropped]) and early == 0
 
 
 class Watch:
