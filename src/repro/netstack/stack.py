@@ -363,7 +363,7 @@ class NetStack:
                                                        262144))
             conn._listener = listener
             self._tcp_conns[key] = conn
-            conn.start_passive(seg)
+            conn.on_syn(seg)
             return
         # No home for this segment: RST (unless it was itself a RST).
         if not seg.flags & RST:

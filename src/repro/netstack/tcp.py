@@ -13,10 +13,17 @@ for in-window RSTs and for any SYN on a synchronised connection (RFC
 5961 3 and 4), receiver flow control with window probes, and the full
 close handshake (FIN/ACK both directions, TIME_WAIT).
 
+SYN, SYN,ACK, data and FIN share one retransmission queue: each waits in
+it from its first send until it is cumulatively acknowledged, and one
+path sends it, first time and every resend alike.  One RTO handler
+resends the queue's head, whatever it is; in a simultaneous open the
+SYN,ACK replaces the queued SYN.
+
 Congestion control is NewReno-flavoured: slow start from IW10, AIMD in
 congestion avoidance, multiplicative decrease on fast retransmit, and a
-collapse to one MSS on RTO.  Not modelled: SACK, urgent data, and exotic
-options (only MSS is sent).
+collapse to one MSS on RTO - a lost SYN or SYN,ACK's too, so such a
+connection starts at one segment (RFC 5681 3.1).  Not modelled: SACK,
+urgent data, and exotic options (only MSS is sent).
 
 The connection object is transport-only; ``repro.netstack.stack.NetStack``
 owns demux and hands segments in/out.
@@ -198,7 +205,10 @@ class TcpConnection:
         self.snd_una = iss
         self.snd_nxt = iss
         self._send_queue = bytearray()      # not yet segmented
-        self._inflight: List[Tuple[int, bytes, int]] = []  # (seq, data, flags)
+        #: the retransmission queue: every segment that consumes sequence
+        #: space - SYN, SYN,ACK, data, FIN - from its first send until it
+        #: is cumulatively acknowledged, as (seq, data, flags)
+        self._inflight: List[Tuple[int, bytes, int]] = []
         #: tx->ack spans keyed by each segment's end seq (tracing only)
         self._tx_spans: Dict[int, object] = {}
         self.peer_window = 1
@@ -247,6 +257,9 @@ class TcpConnection:
         self.recv_wq = WaitQueue(self.sim, "tcp.recv")
         self.send_wq = WaitQueue(self.sim, "tcp.send")
         self.error: Optional[TcpError] = None
+        #: the listener whose accept queue takes this connection once it
+        #: is established (passive open only)
+        self._listener: Optional[TcpListener] = None
 
     # ------------------------------------------------------------- public
     @property
@@ -323,25 +336,26 @@ class TcpConnection:
     # -------------------------------------------------------- connecting
     def start_connect(self) -> None:
         self.state = SYN_SENT
-        self._emit(TcpSegment(self.local[1], self.remote[1], self.iss, 0,
-                              SYN, self.recv_window, mss=self.mss))
-        self.snd_nxt = self.iss + 1
-        self._rto_timer.arm(self._rto)
+        self._send_new(b"", SYN)
 
-    def start_passive(self, syn: TcpSegment) -> None:
-        """We've received a SYN - at a listener, or crossing ours in
-        SYN-SENT; reply SYN-ACK."""
+    def on_syn(self, syn: TcpSegment) -> None:
+        """Take in the peer's SYN - at a listener, crossing ours in
+        SYN-SENT, or on the SYN,ACK that answers ours.  A SYN,ACK is
+        acknowledged at once; a bare SYN is answered with SYN,ACK."""
         self.irs = syn.seq
         self.rcv_nxt = syn.seq + 1
+        self.peer_window = syn.window
         if syn.mss:
             self.mss = min(self.mss, syn.mss)
+        if syn.flags & ACK:
+            self._send_ack()
+            return
+        # In SYN-SENT this is simultaneous open (RFC 9293 3.5): the
+        # SYN,ACK takes our queued SYN's place, at the same ISS.
         self.state = SYN_RCVD
-        self.peer_window = syn.window
-        self._emit(TcpSegment(self.local[1], self.remote[1], self.iss,
-                              self.rcv_nxt, SYN | ACK, self.recv_window,
-                              mss=self.mss))
-        self.snd_nxt = self.iss + 1
-        self._rto_timer.arm(self._rto)
+        self._inflight.clear()
+        self.snd_nxt = self.iss
+        self._send_new(b"", SYN | ACK)
 
     # ------------------------------------------------------ segment input
     def on_segment(self, seg: TcpSegment) -> None:
@@ -351,24 +365,19 @@ class TcpConnection:
             return
 
         if self.state == SYN_SENT:
-            self._on_segment_syn_sent(seg)
-            return
-        if seg.flags & SYN and self.state != SYN_RCVD:
+            # Only a SYN, bare or acknowledging ours, moves SYN-SENT on
+            # (RFC 9293 3.10.7.3).
+            if not seg.flags & SYN or (seg.flags & ACK
+                                       and seg.ack != self.snd_nxt):
+                return
+            self.on_syn(seg)
+        elif seg.flags & SYN and self.state != SYN_RCVD:
             # A SYN on a synchronised connection, wherever its sequence
             # number lies, draws a challenge ACK and is dropped (RFC 5961
             # 4): a peer that restarted answers with an exact RST.
             self.stack.counters.count(names.TCP_CHALLENGE_ACKS)
             self._send_ack()
             return
-        if self.state == SYN_RCVD and seg.flags & ACK and seg.ack == self.snd_nxt:
-            self.state = ESTABLISHED
-            self._retries = 0
-            if not self.established.triggered:
-                self.established.trigger(self)
-            listener = getattr(self, "_listener", None)
-            if listener is not None:
-                listener._deliver(self)
-
         if seg.flags & ACK:
             if seg.ack > self.snd_nxt:
                 # Acknowledges data never sent (RFC 9293 3.10.7.4): send
@@ -404,40 +413,14 @@ class TcpConnection:
         else:
             counters.count(names.TCP_RST_DROPS)
 
-    def _on_segment_syn_sent(self, seg: TcpSegment) -> None:
-        if seg.flags & SYN and seg.flags & ACK and seg.ack == self.snd_nxt:
-            self.irs = seg.seq
-            self.rcv_nxt = seg.seq + 1
-            self.snd_una = seg.ack
-            self.peer_window = seg.window
-            if seg.mss:
-                self.mss = min(self.mss, seg.mss)
-            self.state = ESTABLISHED
-            self._retries = 0
-            self._rto_timer.stop()  # the SYN is acknowledged
-            self._send_ack()
-            if not self.established.triggered:
-                self.established.trigger(self)
-            self._push()
-        elif seg.flags & SYN and not seg.flags & ACK:
-            # Simultaneous open (RFC 9293 3.5): the peer's SYN crossed
-            # ours.  Answer SYN,ACK; its SYN,ACK will establish us.
-            self.start_passive(seg)
-
     def _on_ack(self, seg: TcpSegment) -> None:
         window, self.peer_window = self.peer_window, seg.window
         una = self.snd_una
         if seg.ack > una:
-            acked = seg.ack - una
             self.snd_una = seg.ack
             self._dupacks = 0
             self._fast_rexmitted = False
             self._retries = 0
-            # Congestion window growth per newly-acked data.
-            if self.cwnd < self.ssthresh:
-                self.cwnd += min(acked, self.mss)          # slow start
-            else:
-                self.cwnd += max(1, self.mss * self.mss // self.cwnd)
             # RTT sample (Karn: only for never-retransmitted probes)
             if self._rtt_probe is not None and seg.ack > self._rtt_probe[0]:
                 self._rtt_sample(self.sim.now - self._rtt_probe[1])
@@ -452,20 +435,34 @@ class TcpConnection:
                     self._tx_spans.pop(end_seq).end(self.sim.now)
             # RFC 6298 5.2/5.3: an ACK of new data restarts the timer
             # while anything is outstanding and stops it otherwise.
-            if self._inflight or self.snd_nxt > self.snd_una:
+            if self._inflight:
                 self._rto_timer.arm(self._rto)
             else:
                 self._rto_timer.stop()
+            if self.state in (SYN_SENT, SYN_RCVD):
+                # Our SYN is acknowledged, in either open.  It carried no
+                # data, so the congestion window does not grow.
+                self.state = ESTABLISHED
+                self.established.trigger(self)
+                if self._listener is not None:
+                    self._listener._deliver(self)
+            elif self.cwnd < self.ssthresh:
+                self.cwnd += min(seg.ack - una, self.mss)  # slow start
+            else:
+                self.cwnd += max(1, self.mss * self.mss // self.cwnd)
             # FIN acked?
             if self._fin_sent_seq is not None and seg.ack > self._fin_sent_seq:
                 self._on_fin_acked()
             self.send_wq.pulse()
         elif (seg.ack == una and self._inflight and not seg.payload
-              and seg.window == window and not seg.flags & (SYN | FIN)):
-            # A duplicate ACK (RFC 5681 2).  The third repairs the head;
-            # so does one fewer than the segments outstanding when two or
-            # three are and no new one may go out to draw more (early
-            # retransmit, RFC 5827 2.1).  Once per run of them.
+              and seg.window == window and not seg.flags & (SYN | FIN)
+              and self.state != SYN_RCVD):
+            # A duplicate ACK (RFC 5681 2), on a synchronised connection:
+            # a queued SYN,ACK is only ever resent by the RTO.  The third
+            # repairs the head; so does one fewer than the segments
+            # outstanding when two or three are and no new one may go out
+            # to draw more (early retransmit, RFC 5827 2.1).  Once per run
+            # of them.
             self._dupacks += 1
             oseg = len(self._inflight)
             threshold = 3
@@ -586,8 +583,6 @@ class TcpConnection:
             payload = bytes(self._send_queue[:take])
             del self._send_queue[:take]
             seq = self.snd_nxt
-            self.snd_nxt += take
-            self._inflight.append((seq, payload, PSH | ACK))
             if self.stack.tracer.tracing:
                 # tx->ack span: ends when the cumulative ack covers the
                 # segment (retransmits extend it, as they should).
@@ -596,23 +591,31 @@ class TcpConnection:
                     seq=seq, nbytes=take)
             if self._rtt_probe is None:
                 self._rtt_probe = (seq, self.sim.now)
-            self._emit(TcpSegment(self.local[1], self.remote[1], seq,
-                                  self.rcv_nxt, PSH | ACK, self.recv_window,
-                                  payload))
-            # RFC 6298 5.1: sending starts the timer only if it is not
-            # running; restarting it would let a sender that keeps
-            # sending postpone its oldest segment's timeout for ever.
-            if not self._rto_timer.armed:
-                self._rto_timer.arm(self._rto)
+            self._send_new(payload, PSH | ACK)
         if self._fin_queued and not self._send_queue and self._fin_sent_seq is None:
-            seq = self.snd_nxt
-            self._fin_sent_seq = seq
-            self.snd_nxt += 1
-            self._inflight.append((seq, b"", FIN | ACK))
-            self._emit(TcpSegment(self.local[1], self.remote[1], seq,
-                                  self.rcv_nxt, FIN | ACK, self.recv_window))
-            if not self._rto_timer.armed:
-                self._rto_timer.arm(self._rto)
+            self._fin_sent_seq = self.snd_nxt
+            self._send_new(b"", FIN | ACK)
+
+    def _send_new(self, payload: bytes, flags: int) -> None:
+        """First send of the segment at ``snd_nxt``: it joins the
+        retransmission queue and takes sequence space, one number for a
+        SYN or FIN."""
+        seq = self.snd_nxt
+        self.snd_nxt += len(payload) or 1
+        self._inflight.append((seq, payload, flags))
+        self._transmit(seq, payload, flags)
+        # RFC 6298 5.1: sending starts the timer only if it is not
+        # running; restarting it would let a sender that keeps sending
+        # postpone its oldest segment's timeout for ever.
+        if not self._rto_timer.armed:
+            self._rto_timer.arm(self._rto)
+
+    def _transmit(self, seq: int, payload: bytes, flags: int) -> None:
+        """Put a segment of the retransmission queue on the wire, first
+        send or resend alike; a SYN carries the MSS option."""
+        self._emit(TcpSegment(self.local[1], self.remote[1], seq,
+                              self.rcv_nxt, flags, self.recv_window, payload,
+                              self.mss if flags & SYN else None))
 
     def _send_ack(self) -> None:
         self._emit(TcpSegment(self.local[1], self.remote[1], self.snd_nxt,
@@ -655,34 +658,15 @@ class TcpConnection:
         self._probe_timer.stop()
 
     def _rto_fired(self) -> None:
-        if self.state == SYN_SENT:
-            self._retries += 1
-            if self._retries > MAX_SYN_RETRIES:
-                self._fail(TcpError("connection timed out (SYN)"))
-                return
-            self.stack.counters.count(names.TCP_RETRANSMITS)
-            self._emit(TcpSegment(self.local[1], self.remote[1], self.iss, 0,
-                                  SYN, self.recv_window, mss=self.mss))
-            self._rto = min(MAX_RTO_NS, self._rto * 2)
-            self._rto_timer.arm(self._rto)
-            return
-        if self.state == SYN_RCVD:
-            self._retries += 1
-            if self._retries > MAX_SYN_RETRIES:
-                self._fail(TcpError("connection timed out (SYN-ACK)"))
-                return
-            self.stack.counters.count(names.TCP_RETRANSMITS)
-            self._emit(TcpSegment(self.local[1], self.remote[1], self.iss,
-                                  self.rcv_nxt, SYN | ACK, self.recv_window,
-                                  mss=self.mss))
-            self._rto = min(MAX_RTO_NS, self._rto * 2)
-            self._rto_timer.arm(self._rto)
-            return
-        if not self._inflight:
-            return
+        """The timer runs only while the queue holds something: resend its
+        head, whatever that is, collapse the window to one segment (after
+        a lost SYN or SYN,ACK too: RFC 5681 3.1), and back off."""
+        flags = self._inflight[0][2]
         self._retries += 1
-        if self._retries > MAX_DATA_RETRIES:
-            self._fail(TcpError("connection timed out (data)"))
+        if self._retries > (MAX_SYN_RETRIES if flags & SYN
+                            else MAX_DATA_RETRIES):
+            what = {SYN: "SYN", SYN | ACK: "SYN-ACK"}.get(flags, "data")
+            self._fail(TcpError("connection timed out (%s)" % what))
             return
         self._congestion_event(to_one_mss=True)
         self._retransmit_head()
@@ -711,12 +695,8 @@ class TcpConnection:
         self._retransmit_head()
 
     def _retransmit_head(self) -> None:
-        if not self._inflight:
-            return
-        seq, payload, flags = self._inflight[0]
         self.stack.counters.count(names.TCP_RETRANSMITS)
-        self._emit(TcpSegment(self.local[1], self.remote[1], seq,
-                              self.rcv_nxt, flags, self.recv_window, payload))
+        self._transmit(*self._inflight[0])
 
     def _window_probe(self) -> None:
         """The one persist timer (RFC 9293 3.8.6.1): a probe every

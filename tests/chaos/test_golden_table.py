@@ -20,8 +20,8 @@ import pytest
 from repro.testing import GOLDEN_SCENARIOS, run_scenario
 
 SIGNATURES = {
-    ("handshake-loss", "dpdk"): "d8996f5911ee39c6ced0071dbc7499b025e29c32",
-    ("handshake-loss", "posix"): "6860dd4c360eea821acea908499294ba63f9aba3",
+    ("handshake-loss", "dpdk"): "35b59e6b87f87d19a9dab66fddf0261d08e825a8",
+    ("handshake-loss", "posix"): "66b5d9d9bf06a1361c81acfc40a4fbf9b30a481c",
     ("handshake-loss", "rdma"): "a728d3219f4b8bb8d113c7b3d39b85a317ef48d3",
     ("reorder-dup-storm", "dpdk"): "67c7a8ecbc21963aba74a700aa40995ef96f64eb",
     ("reorder-dup-storm", "posix"): "e19e1fc918845f159aa689718281ac690b9f2b39",

@@ -6,10 +6,13 @@ from repro.netstack.tcp import (
     ACK,
     CLOSE_WAIT,
     CLOSED,
+    DEFAULT_MSS,
     DELAYED_ACK_NS,
     ESTABLISHED,
     FIN,
     FIN_WAIT_2,
+    MAX_RTO_NS,
+    MAX_SYN_RETRIES,
     MIN_RTO_NS,
     PSH,
     RST,
@@ -17,6 +20,7 @@ from repro.netstack.tcp import (
     SYN_RCVD,
     TIME_WAIT,
     WINDOW_PROBE_NS,
+    TcpConnection,
     TcpError,
     TcpSegment,
 )
@@ -156,6 +160,97 @@ class TestHandshake:
         b.stack.tcp_listen(80)
         with pytest.raises(ValueError):
             b.stack.tcp_listen(80)
+
+
+#: when each RTO of a handshake fires, from the first send: the timer
+#: starts at ``MIN_RTO_NS`` and doubles, up to ``MAX_RTO_NS``
+HANDSHAKE_RTOS = [sum(min(MAX_RTO_NS, MIN_RTO_NS << i) for i in range(n + 1))
+                  for n in range(MAX_SYN_RETRIES + 1)]
+
+
+class TestHandshakeRetransmission:
+    """The SYN and the SYN,ACK wait in the retransmission queue as data
+    does, and the one RTO path resends them: ``MAX_SYN_RETRIES`` times,
+    then the connection fails."""
+
+    @pytest.mark.parametrize("side,flags,reason", [
+        ("client", SYN, "connection timed out (SYN)"),
+        ("server", SYN | ACK, "connection timed out (SYN-ACK)"),
+    ], ids=["syn", "syn-ack"])
+    def test_a_handshake_segment_never_answered_times_out(
+            self, monkeypatch, side, flags, reason):
+        w, a, b = make_net_pair()
+        failures = []
+        fail = TcpConnection._fail
+
+        def recording_fail(conn, err):
+            failures.append((w.sim.now, conn, str(err)))
+            fail(conn, err)
+
+        monkeypatch.setattr(TcpConnection, "_fail", recording_fail)
+        host = a if side == "client" else b
+        sent = tap(w, host, lose=lambda seg: bool(seg.flags & SYN))
+        b.stack.tcp_listen(80)
+        a.stack.tcp_connect("10.0.0.2", 80)
+        w.run()
+        handshake = [(at, seg) for at, seg in sent if seg.flags & SYN]
+        assert [seg.flags for _at, seg in handshake] \
+            == [flags] * (MAX_SYN_RETRIES + 1)
+        first = handshake[0][0]
+        assert [at - first for at, _seg in handshake] \
+            == [0] + HANDSHAKE_RTOS[:-1]
+        [(at, conn, why)] = [f for f in failures if f[1].stack is host.stack]
+        assert (at - first, why) == (HANDSHAKE_RTOS[-1], reason)
+        assert isinstance(conn.error, TcpError) and conn.state == CLOSED
+        # Every resend is the first send again: the ISS and the MSS option.
+        assert {(seg.seq, seg.mss) for _at, seg in handshake} \
+            == {(conn.iss, DEFAULT_MSS)}
+        assert w.tracer.get("%s.stack.tcp_retransmits" % side) \
+            == MAX_SYN_RETRIES
+
+    @pytest.mark.parametrize("lost", [0, SYN, SYN | ACK],
+                             ids=["none", "syn", "syn-ack"])
+    def test_an_established_connection_queues_nothing(self, lost):
+        w, a, b = make_net_pair()
+        dropped = []
+
+        def lose_first(seg):
+            if seg.flags == lost and not dropped:
+                dropped.append(seg)
+                return True
+            return False
+
+        sender = b if lost == SYN | ACK else a
+        tap(w, sender, lose_first)
+        client, server = connect(w, a, b)
+        assert len(dropped) == bool(lost)
+        for conn in (client, server):
+            assert conn.state == ESTABLISHED
+            assert conn._inflight == [] and not conn._rto_timer.armed
+        # RFC 5681 3.1: if the SYN or SYN,ACK is lost, the initial window
+        # used after a correctly transmitted SYN MUST be one segment.  It
+        # used to stay IW10 whatever the handshake cost.
+        conn = server if sender is b else client
+        if lost:
+            assert (conn.cwnd, conn.ssthresh, conn.cwnd_reductions) \
+                == (conn.mss, 2 * conn.mss, 1)
+        else:
+            assert (conn.cwnd, conn.cwnd_reductions) == (10 * conn.mss, 0)
+
+    def test_duplicate_acks_in_syn_received_resend_nothing(self):
+        # A queued SYN,ACK is resent by the RTO alone: duplicate ACKs
+        # count only on a synchronised connection.
+        w, a, _b = make_net_pair()
+        sent = tap(w, a, lose=lambda seg: True)
+        conn = a.stack.tcp_connect("10.0.0.2", 7000, src_port=6000)
+        conn.on_segment(TcpSegment(7000, 6000, 5000, 0, SYN, 1000))
+        for _ in range(3):
+            conn.on_segment(TcpSegment(7000, 6000, 5001, conn.iss, ACK,
+                                       1000))
+        assert conn.state == SYN_RCVD
+        assert conn._inflight == [(conn.iss, b"", SYN | ACK)]
+        assert [seg.flags for _at, seg in sent] == [SYN, SYN | ACK]
+        assert w.tracer.get("client.stack.tcp_retransmits") == 0
 
 
 class TestTransfer:

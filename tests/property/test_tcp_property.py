@@ -1,9 +1,21 @@
 """Property-based tests over the whole TCP stack: stream integrity."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.netstack.tcp import CLOSED, DEFAULT_MSS, DELAYED_ACK_NS, MIN_RTO_NS
+from repro.netstack.tcp import (
+    ACK,
+    CLOSED,
+    DEFAULT_MSS,
+    DELAYED_ACK_NS,
+    ESTABLISHED,
+    MAX_SYN_RETRIES,
+    MIN_RTO_NS,
+    SYN,
+    SYN_RCVD,
+    SYN_SENT,
+    TcpError,
+)
 
 from ..conftest import make_net_pair
 from .test_faults_property import EXAMPLES, tcp_safe_plans
@@ -121,6 +133,66 @@ class TestEarlyRetransmit:
             assert before_rto == b"".join(payloads) and early == 1
         else:
             assert before_rto == b"".join(payloads[:dropped]) and early == 0
+
+
+#: which transmissions of a handshake segment are lost: any subset of
+#: the first send and its ``MAX_SYN_RETRIES`` resends but not all of them
+lost_transmissions = st.sets(st.integers(0, MAX_SYN_RETRIES),
+                             max_size=MAX_SYN_RETRIES)
+
+
+class TestHandshakeLoss:
+    @given(syn_lost=lost_transmissions, syn_ack_lost=lost_transmissions,
+           payload=st.binary(min_size=1, max_size=4000))
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+    @example(syn_lost=set(range(MAX_SYN_RETRIES)),
+             syn_ack_lost=set(range(MAX_SYN_RETRIES)), payload=b"late")
+    def test_lost_handshake_segments_establish_or_fail_typed(
+            self, syn_lost, syn_ack_lost, payload):
+        # Each end may outlast its own retries and still lose the race:
+        # a SYN that gets through late can meet a server whose SYN,ACKs
+        # then arrive after the client gave up.  Either way the outcome is
+        # whole - the connection carries the stream, or it fails with a
+        # TcpError - and an established end holds no SYN in its queue.
+        w, a, b = make_net_pair()
+        listener = b.stack.tcp_listen(80)
+
+        def losing(host, flags, lost):
+            transmit, sends = host.stack._tcp_transmit, [0]
+
+            def lossy(conn, seg):
+                if conn.state not in (CLOSED, SYN_SENT, SYN_RCVD):
+                    assert not [f for _s, _d, f in conn._inflight if f & SYN]
+                if seg.flags == flags:
+                    sends[0] += 1
+                    if sends[0] - 1 in lost:
+                        return
+                transmit(conn, seg)
+
+            host.stack._tcp_transmit = lossy
+
+        losing(a, SYN, syn_lost)
+        losing(b, SYN | ACK, syn_ack_lost)
+        client = a.stack.tcp_connect("10.0.0.2", 80)
+
+        def write():
+            try:
+                yield client.established
+            except TcpError:
+                return
+            client.send(payload)
+
+        w.sim.spawn(write())
+        w.run()
+        server = listener.accept_nb()
+        if client.error is not None:
+            assert isinstance(client.error, TcpError)
+            assert client.state == CLOSED and server is None
+            return
+        assert client.state == server.state == ESTABLISHED
+        assert server.recv() == payload
+        for conn in (client, server):
+            assert conn._inflight == [] and not conn._rto_timer.armed
 
 
 class Watch:
