@@ -1,10 +1,13 @@
 """ABL4 - interrupt coalescing: the legacy dilemma bypass escapes.
 
-Before kernel bypass, the standard answer to interrupt overhead was NIC
-interrupt moderation: batch frames under one interrupt.  That saves CPU
-under load but *adds latency* - up to a full coalescing window per frame.
-Poll-mode bypass gets both (no interrupts at all, no added latency),
-which is the historical context for Figure 1's right-hand side.
+Before kernel bypass, the kernel's answers to interrupt overhead were
+NAPI - an interrupt starts a poll that takes every frame landing before
+the softirq work drains - and NIC interrupt moderation, which parks
+frames that land after the poll under one interrupt at a window's end.
+NAPI saves interrupts only while frames keep arriving; moderation saves
+more but *adds latency* - up to a full window per frame.  Poll-mode
+bypass gets both (no interrupts at all, no added latency), which is the
+historical context for Figure 1's right-hand side.
 
 Measured here: kernel-path echo RTT and interrupts/frame with coalescing
 off vs a 20 us window, against the DPDK libOS reference.
@@ -91,9 +94,12 @@ def run_kernel_stream(coalesce_ns):
     sp = w.sim.spawn(server())
     w.sim.spawn(client())
     w.sim.run_until_complete(sp, limit=10**14)
-    frames = w.tracer.get("server.eth0.rx_frames")
-    interrupts = w.tracer.get("server.eth0.rx_interrupts")
-    return {"interrupts_per_frame": interrupts / max(1, frames)}
+    frames = max(1, w.tracer.get("server.eth0.rx_frames"))
+    return {
+        "interrupts_per_frame":
+            w.tracer.get("server.eth0.rx_interrupts") / frames,
+        "polled_per_frame": w.tracer.get("server.eth0.rx_polled") / frames,
+    }
 
 
 def test_abl4_interrupt_coalescing(benchmark, once):
@@ -121,18 +127,20 @@ def test_abl4_interrupt_coalescing(benchmark, once):
     stream_plain = run_kernel_stream(0)
     stream_coalesced = run_kernel_stream(WINDOW_NS)
     print_table(
-        "ABL4b: 200KB bulk receive - interrupts per frame",
-        ["setting", "interrupts/frame"],
-        [("no coalescing", "%.2f" % stream_plain["interrupts_per_frame"]),
-         ("%dus window" % (WINDOW_NS // 1000),
-          "%.2f" % stream_coalesced["interrupts_per_frame"])],
+        "ABL4b: 200KB bulk receive - interrupts and NAPI-polled per frame",
+        ["setting", "interrupts/frame", "polled/frame"],
+        [(name, "%.2f" % r["interrupts_per_frame"],
+          "%.2f" % r["polled_per_frame"])
+         for name, r in (("no coalescing", stream_plain),
+                         ("%dus window" % (WINDOW_NS // 1000),
+                          stream_coalesced))],
     )
 
     # Coalescing trades latency (ping-pong RTT up)...
     assert coalesced["rtt_ns"] > plain["rtt_ns"]
-    # ...for CPU (streaming interrupts per frame sharply down)...
-    assert (stream_coalesced["interrupts_per_frame"]
-            < stream_plain["interrupts_per_frame"] / 2)
+    # ...for interrupts NAPI already saves under a stream: without a
+    # window, its poll takes at least 95 % of streamed frames...
+    assert stream_plain["polled_per_frame"] >= 0.95
     # ...while bypass simply wins both axes.
     assert bypass["rtt_ns"] < plain["rtt_ns"]
     assert bypass["interrupts_per_frame"] == 0.0

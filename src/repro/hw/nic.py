@@ -374,13 +374,20 @@ class DpdkNic(_EthernetNic):
 class KernelNic(_EthernetNic):
     """Interrupt-driven NIC owned by the legacy in-kernel stack.
 
-    Supports interrupt coalescing (`coalesce_ns` > 0): after an interrupt
-    fires, frames arriving within the window queue up and are delivered
-    together at the window's end under a single interrupt - the classic
-    NIC ITR / NAPI trade: fewer interrupts per frame under load, up to a
-    full window of added latency per frame.  Kernel-bypass polling makes
-    the dilemma disappear, which is exactly why benchmark ABL4 measures
-    both sides of it.
+    Receive is NAPI, as in Linux since 2.6: an interrupt starts a poll on
+    the IRQ core (``irq_core``) that lasts until the core's free horizon,
+    read once the handler has charged its receive work - on the FIFO core
+    the instant the softirq work finishes.  A frame that arrives before
+    the poll ends is handed over by the running poll (the handler's
+    ``kernel_net_rx_ns``, no ``interrupt_ns``; counted ``rx_polled``) and
+    extends it; one that arrives after raises its own interrupt.
+
+    Interrupt moderation (ITR, ``coalesce_ns`` > 0) is the NIC's own,
+    separate trade: after an interrupt, frames that arrive while no poll
+    runs are parked until the window ends and delivered under one more
+    interrupt - fewer interrupts when the poll cannot keep up, up to a
+    full window of added latency per frame.  Kernel-bypass polling has
+    neither cost, which is why benchmark ABL4 measures both sides.
     """
 
     kind = "kernel-nic"
@@ -389,17 +396,18 @@ class KernelNic(_EthernetNic):
                  iommu=None, coalesce_ns=0):
         super().__init__(host, fabric, mac, name, rx_ring_size, iommu)
         self.irq_handler: Optional[Callable[[bytes], None]] = None
-        self.irq_core_index = 0
+        self.irq_core = host.cpu
         self.coalesce_ns = coalesce_ns
+        self._poll_ends_at = 0
         self._window_ends_at = 0
         self._coalesced: List[Any] = []
 
     def _fire_interrupt(self, frames: List[Any]) -> None:
-        core = self.host.cpus[self.irq_core_index]
-        core.charge_async(self.costs.interrupt_ns)
+        self.irq_core.charge_async(self.costs.interrupt_ns)
         self.count(names.RX_INTERRUPTS)
         for frame in frames:
             self.irq_handler(frame)
+        self._poll_ends_at = self.irq_core.free_at
 
     def _rx_ready(self, frame: Any) -> None:
         self.count(names.RX_FRAMES)
@@ -407,6 +415,12 @@ class KernelNic(_EthernetNic):
             self.count(names.RX_NO_HANDLER_DROPS)
             return
         now = self.sim._now
+        if now < self._poll_ends_at:
+            # The poll an earlier interrupt started is still draining.
+            self.count(names.RX_POLLED)
+            self.irq_handler(frame)
+            self._poll_ends_at = self.irq_core.free_at
+            return
         if self.coalesce_ns and now < self._window_ends_at:
             # Inside a coalescing window: park the frame for the flush.
             self.count(names.RX_COALESCED)
@@ -426,7 +440,8 @@ class KernelNic(_EthernetNic):
             self.sim.call_in(self.coalesce_ns, self._flush_window)
 
     def drain_rx(self) -> int:
-        """Drop frames parked in the coalescing window."""
+        """End the poll and drop frames parked in the coalescing window."""
+        self._poll_ends_at = 0
         dropped = len(self._coalesced)
         self._coalesced.clear()
         return dropped

@@ -132,7 +132,7 @@ class Kernel:
             ip=ip,
             send_frame=lambda dst, raw: self.nic.post_tx(dst, raw),
             tracer=self.tracer,
-            charge=host.cpus[0].charge_async,  # softirq core
+            charge=self.nic.irq_core.charge_async,  # softirq core
             tx_cost_ns=self.costs.kernel_net_tx_ns,
             rx_cost_ns=self.costs.kernel_net_rx_ns,
             verify_checksums=verify_checksums,

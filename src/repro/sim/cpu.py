@@ -85,6 +85,11 @@ class Core:
         self.busy_ns += ns
         self.jobs += 1
 
+    @property
+    def free_at(self) -> int:
+        """The instant the work already charged here runs out (may be past)."""
+        return self._free_at
+
     def utilization(self, elapsed_ns: Optional[int] = None) -> float:
         """Fraction of elapsed simulated time this core spent busy."""
         elapsed = elapsed_ns if elapsed_ns is not None else self.sim.now

@@ -165,6 +165,7 @@ RX_RING_DROPS = "rx_ring_drops"
 RX_INTERRUPTS = "rx_interrupts"
 RX_NO_HANDLER_DROPS = "rx_no_handler_drops"
 RX_COALESCED = "rx_coalesced"
+RX_POLLED = "rx_polled"
 QPS_CREATED = "qps_created"
 POSTED_RECVS = "posted_recvs"
 WR_FLUSHES = "wr_flushes"

@@ -21,7 +21,10 @@ through the libOS, paying the wait's ``wait_dispatch_ns``; and
 ``kv/rdma`` when closing an RDMA connection began to free its 64
 receive-pool buffers: the client's close takes 64 ``free_ns`` longer, so
 ``elapsed_ns`` grows by 3 840 and the rate falls with it, every RTT as
-it was):
+it was; and the five posix cells when the kernel NIC began to take a
+frame that lands while its NAPI poll is still draining without an
+interrupt of its own: ``interrupts_per_req``, server CPU, and the times
+and rates that wait on the softirq core moved):
 the sha256 of the canonical JSON of the metrics of every registered
 workload on every flavor it validates for, at schema defaults and seed 7.  This is the only pin on ``echo-rtt`` (5 flavors)
 and ``kv-rtt`` (2), which no committed trajectory covers.  ``chaos`` has
@@ -48,9 +51,9 @@ ORACLE = {
     "echo-rtt/mtcp":
         "bc043ab5e1cfd59de30202cf9e6ae8a5d2accac015928dc6ed573b7996cdf40d",
     "echo-rtt/posix":
-        "02438cfa0e7e55b0d6eccd68bb80b0a23e7731116bb570c37b9dfeb129988ec7",
+        "023f17c01364e0d2d7909c715f1f46ee927e7bb168376a2de9bf067931dd3c2b",
     "echo-rtt/posix-libos":
-        "367c8f154c95171bb3e9868def8c0d8f980ee913f13809e95624dc78fb3b3c46",
+        "70eb4f30ae1ae7925c081902e8c0f0eb88de1e5bd8c586cce9f36f92a1ad71bc",
     "echo-rtt/rdma":
         "280fcf57b4730033f1576d15a1801a08c41b6f69c787af1187df6a27f6ca02f1",
     "kv-offload/dpdk":
@@ -58,19 +61,19 @@ ORACLE = {
     "kv-rtt/dpdk":
         "abcac2d5cd77263dddc7b730738e3269cbc074a6880ebc8c6abeeb2d06474534",
     "kv-rtt/posix":
-        "2f0a6dcc13170b5d2a29ae2cc45d4e32e1d2ddaa4c6acd4fff857a7e33c8e837",
+        "9d0b60029decf1782227c7f516f35bfc9d1d872acd585f616b51c19fab500d3e",
     "kv-scaling/dpdk":
         "d47d15377d549bbcce88ef5a764e851e800140d48ff185816641df7493754fbc",
     "kv/dpdk":
         "f5ad2cd9240801b25d7a592a73a427b4f4fb5267d3461305c3367f4a584e20db",
     "kv/posix":
-        "79f401906d50685886308c27f9f9a1709ab6f4b06241d361d112105953882528",
+        "4cb483c4338f6913638b525ba1a2f63c4c07ff0857587db7db07a6e246a06eea",
     "kv/rdma":
         "dda9916494811bff065c624818344a78e7c0fbc5c0b13540584ee026dd597283",
     "proto-slo/dpdk":
         "8e66550bf92549a9bf967026c5b86fb7ae7231f57d490f801caa47a86bdde3df",
     "proto-slo/posix":
-        "88eb88f3e79ac8885c93f63431bd420023fbe1838059a980251eaf2dffb0b095",
+        "e2078eb5e62189ccabda8375727affe7948672269b9ce0c0c789467080503c5f",
     "storelog-scan/spdk":
         "8292d8375aa436156acec7f1e253a7f10699d4716250e294e38d03df28b599aa",
 }
