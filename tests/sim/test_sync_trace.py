@@ -129,15 +129,6 @@ class TestCounterScope:
                                     "bare": 3}
         assert nested.prefix == "a.b"
 
-    def test_golden_chaos_signature_unchanged(self):
-        # every counter name and value of a whole fault-injected run, pinned
-        # at the commit before the memo landed; re-pinned when every dpdk
-        # libOS took the one batched datapath (its burst counters appeared)
-        from repro.testing import run_scenario
-        result = run_scenario("partition-heal", "dpdk")
-        result.require_ok()
-        assert result.signature == "b3264be8866dbf24b6e071e0a74766bd773f026b"
-
 
 class TestLatencyStats:
     def test_empty_stats_are_nan(self):
