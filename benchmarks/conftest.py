@@ -28,9 +28,12 @@ def once():
 
 @pytest.fixture
 def metrics():
-    """``metrics(workload, flavor, **params)``: one registered workload's
-    metrics row, exactly what ``repro exp run`` would record for it."""
-    def run(workload, flavor, **params):
-        return run_spec(ExperimentSpec(workload, libos=flavor,
-                                       params=params))["metrics"]
+    """``metrics(workload, flavor, cores=1, **params)``: one registered
+    workload's metrics row, exactly what ``repro exp run`` would record
+    for it; a row that is not ``ok`` fails the bench."""
+    def run(workload, flavor, cores=1, **params):
+        out = run_spec(ExperimentSpec(workload, libos=flavor, cores=cores,
+                                      params=params))
+        assert out["ok"], out["failures"]
+        return out["metrics"]
     return run

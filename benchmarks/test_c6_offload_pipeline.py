@@ -1,76 +1,33 @@
 """C6 - offloadable queue pipelines (sections 4.2-4.3).
 
-The key-steering pipeline from the paper's FlexNIC example: a partition
-function evaluated on every inbound element, placed either on the host
-CPU (plain NIC) or on the device's offload engine (programmable NIC).
-Offload removes the per-element evaluation from the host entirely.
+The FlexNIC example: a filter -> map -> steer pipeline on a programmable
+NIC.  The ``kv-offload`` workload runs the same UDP KV GET trace twice,
+once served by the host and once with the NIC-resident GET program
+(``KvNicOffload``) installed, which parses each request, answers GETs
+from the device and steers the rest to the shard that owns the key.
+Offload removes the per-request work from the host CPU.
 """
 
-from repro.apps.steering import SteeringPipeline
 from repro.bench.report import print_table, us
-from repro.core.api import LibOS
-from repro.hw.offload import OffloadEngine
-from repro.testbed import World
 
-N_ELEMENTS = 400
-N_PARTITIONS = 4
+N_GETS = 200
 
 
-def run_steering(with_offload):
-    w = World()
-    host = w.add_host("h", cores=2)
-    libos = LibOS(host, "demi")
-    engine = None
-    if with_offload:
-        engine = OffloadEngine(host)
-        libos.offload_engine = engine
-    pipeline = SteeringPipeline(libos, N_PARTITIONS)
-    payloads = [bytes([i % 251]) + b"x" * 127 for i in range(N_ELEMENTS)]
-    expected = [0] * N_PARTITIONS
-    for p in payloads:
-        expected[p[0] % N_PARTITIONS] += 1
-
-    def proc():
-        start = w.sim.now
-        yield from pipeline.inject(payloads)
-        for partition in range(N_PARTITIONS):
-            yield from pipeline.drain_partition(partition,
-                                                expected[partition])
-        return w.sim.now - start
-
-    pr = w.sim.spawn(proc())
-    w.sim.run_until_complete(pr, limit=10**13)
-    pipeline.stop()
-    return {
-        "placement": "device" if with_offload else "host CPU",
-        "elapsed_ns": pr.value,
-        "host_cpu_ns": libos.core.busy_ns,
-        "device_ns": engine.device_busy_ns if engine else 0,
-        "routed": pipeline.routed,
-    }
-
-
-def test_c6_offload_pipeline(benchmark, once):
-    def run():
-        return [run_steering(False), run_steering(True)]
-
-    cpu_run, dev_run = once(benchmark, run)
-    rows = [
-        (r["placement"], r["routed"], us(r["host_cpu_ns"]),
-         us(r["device_ns"]), us(r["host_cpu_ns"] / N_ELEMENTS))
-        for r in (cpu_run, dev_run)
-    ]
+def test_c6_offload_pipeline(benchmark, once, metrics):
+    row = once(benchmark, lambda: metrics("kv-offload", "dpdk",
+                                          n_gets=N_GETS))
+    host_ns = row["host_cpu_per_op_host_ns"]
+    offload_ns = row["host_cpu_per_op_offload_ns"]
     print_table(
-        "C6: key-steering filter placement (%d elements, %d partitions)"
-        % (N_ELEMENTS, N_PARTITIONS),
-        ["placement", "elements routed", "host CPU total",
-         "device total", "host CPU / element"],
-        rows,
+        "C6: UDP KV GETs, host-served vs NIC-resident program (%d GETs)"
+        % N_GETS,
+        ["placement", "host CPU / op", "RTT p50", "served on host"],
+        [("host CPU", us(host_ns), us(row["rtt_p50_host_ns"]),
+          row["served_on_host_baseline"]),
+         ("device (offloaded)", us(offload_ns),
+          us(row["rtt_p50_offload_ns"]), row["served_on_host_offload"])],
     )
-    assert cpu_run["routed"] == dev_run["routed"] == N_ELEMENTS
-    saved = cpu_run["host_cpu_ns"] - dev_run["host_cpu_ns"]
-    # The evaluation cost moved to the device, element for element.
-    per_element = 250  # costs.pipeline_element_cpu_ns
-    assert saved >= 0.9 * N_ELEMENTS * per_element
-    assert dev_run["device_ns"] > 0
-    benchmark.extra_info["host_cpu_saved_ns"] = saved
+    # Every GET answered on the device, at half the host CPU or better.
+    assert row["offload_kv_hits"] == N_GETS
+    assert offload_ns * 2 <= host_ns
+    benchmark.extra_info["host_cpu_saved_per_op_ns"] = host_ns - offload_ns

@@ -2,87 +2,30 @@
 
 Kernel bypass's other dividend: with per-core RX rings (receive-side
 scaling), adding cores adds capacity without locks or cross-core wakeups.
-A fixed batch of 256 flows' frames is drained by 1, 2, or 4 pollers, each
-pinned to its own core and ring; drain time should drop with core count.
+The ``kv-scaling`` workload at 1, 2 and 4 shared-nothing shards, each
+shard one core and one RX queue with its own steered client; throughput
+should rise with core count.
 """
 
 from repro.bench.report import print_table, us
-from repro.hw.nic import DpdkNic
-from repro.netstack.ethernet import ETHERTYPE_IPV4, EthernetFrame
-from repro.netstack.ipv4 import Ipv4Packet, PROTO_UDP
-from repro.netstack.udp import UdpDatagram
-from repro.testbed import World
 
-N_FRAMES = 256
+CORES = (1, 2, 4)
 
 
-def _udp_frame(dst_mac, src_port):
-    datagram = UdpDatagram(src_port, 80, b"p" * 200)
-    packet = Ipv4Packet("10.0.0.1", "10.0.0.2", PROTO_UDP,
-                        datagram.pack("10.0.0.1", "10.0.0.2"))
-    return EthernetFrame(dst_mac, "02:00:00:00:60:01",
-                         ETHERTYPE_IPV4, packet.pack()).pack()
-
-
-def run_scaling(n_queues):
-    w = World()
-    a = w.add_host("a")
-    b = w.add_host("b", cores=max(4, n_queues))
-    nic_a = DpdkNic(a, w.fabric, "02:00:00:00:60:01", name="a.dpdk0")
-    nic_b = DpdkNic(b, w.fabric, "02:00:00:00:60:02", name="b.dpdk0",
-                    n_rx_queues=n_queues)
-    drained = []
-    done_at = {}
-
-    # Per-frame work: stack receive + application service (the KV
-    # request-handling cost) - enough that a single core is the
-    # bottleneck, which is the scenario RSS exists for.
-    per_frame_ns = (w.costs.user_net_rx_ns + w.costs.kv_parse_ns
-                    + w.costs.kv_get_ns)
-
-    def poller(queue, core):
-        while True:
-            yield nic_b.rx_signal(queue)
-            yield core.busy(w.costs.dpdk_poll_ns)
-            for frame in nic_b.rx_burst(32, queue=queue):
-                yield core.busy(per_frame_ns)
-                drained.append(frame)
-            done_at[queue] = w.sim.now
-
-    for q in range(n_queues):
-        w.sim.spawn(poller(q, b.cpus[q]))
-    for i in range(N_FRAMES):
-        nic_a.post_tx(nic_b.mac, _udp_frame(nic_b.mac, 5000 + i))
-
-    # Run until all frames are drained (pollers never exit: bound time).
-    deadline = 100_000_000
-    while len(drained) < N_FRAMES and w.sim.now < deadline:
-        w.run(until=w.sim.now + 100_000)
-    finish = max(done_at.values())
-    return {
-        "queues": n_queues,
-        "drain_ns": finish,
-        "frames": len(drained),
-    }
-
-
-def test_ext2_rss_scaling(benchmark, once):
-    def run():
-        return [run_scaling(n) for n in (1, 2, 4)]
-
-    rows = once(benchmark, run)
+def test_ext2_rss_scaling(benchmark, once, metrics):
+    rows = once(benchmark, lambda: [metrics("kv-scaling", "dpdk", cores=n)
+                                    for n in CORES])
     print_table(
-        "EXT2: draining %d flows' frames with N RX queues/cores" % N_FRAMES,
-        ["RX queues (cores)", "drain time", "frames"],
-        [(r["queues"], us(r["drain_ns"]), r["frames"]) for r in rows],
+        "EXT2: sharded KV throughput with N RX queues/cores",
+        ["RX queues (cores)", "requests", "ops/s", "server CPU/op",
+         "wasted/cross wakes"],
+        [(r["cores"], r["requests"], "%.0f" % r["throughput_ops_per_s"],
+          us(r["per_op_server_cpu_ns"]),
+          "%d/%d" % (r["wasted_wakeups"], r["cross_shard_wakeups"]))
+         for r in rows],
     )
-    by_queues = {r["queues"]: r for r in rows}
-    for r in rows:
-        assert r["frames"] == N_FRAMES
-    # More cores, faster drain; 4 cores at least 2x faster than 1.
-    assert by_queues[2]["drain_ns"] < by_queues[1]["drain_ns"]
-    assert by_queues[4]["drain_ns"] * 2 < by_queues[1]["drain_ns"]
-    # ...until arrival rate, not CPU, limits: perfect scaling isn't
-    # expected at 4 cores (frames arrive serialized from one sender NIC).
-    benchmark.extra_info["speedup_4_cores"] = (
-        by_queues[1]["drain_ns"] / by_queues[4]["drain_ns"])
+    throughput = [r["throughput_ops_per_s"] for r in rows]
+    # More cores, more throughput; 4 cores at least 2x one.
+    assert throughput[0] < throughput[1] < throughput[2]
+    assert throughput[2] >= 2 * throughput[0]
+    benchmark.extra_info["speedup_4_cores"] = throughput[2] / throughput[0]

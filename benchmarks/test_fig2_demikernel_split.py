@@ -4,10 +4,12 @@ Control-path operations (connection setup - infrequent, allowed to be
 slow, left to kernel-style services) vs data-path operations (push+pop
 round trips - on every I/O) across every library OS.  The architecture
 holds if the data path is microsecond-scale on the bypass libOSes while
-control-path costs are comparable (and much larger) everywhere.
+control-path costs are comparable (and much larger) everywhere.  A
+network libOS's data path is the ``echo-rtt`` workload's mean RTT at
+64 B; the storage libOS's is a push+pop on one file queue.
 """
 
-from repro.apps.echo import demi_echo_client, demi_echo_server
+from repro.apps.echo import demi_echo_server
 from repro.bench.report import print_table, us
 from repro.testbed import (
     make_dpdk_libos_pair,
@@ -19,34 +21,22 @@ from repro.testbed import (
 N_MESSAGES = 20
 
 
-def _network_split(make_pair, server_addr):
-    """(control-path connect ns, data-path RTT mean ns) for one libOS."""
+def _connect_ns(make_pair, server_addr):
+    """Control path: one connect to a listening echo server."""
+    w, client, server = make_pair()
+    w.sim.spawn(demi_echo_server(server))
     result = {}
 
-    # Control path: a throwaway world so the probe connection doesn't
-    # consume the single-accept echo server below.
-    w1, client1, server1 = make_pair()
-    w1.sim.spawn(demi_echo_server(server1))
-
     def connect_probe():
-        qd = yield from client1.socket()
-        start = w1.sim.now
-        yield from client1.connect(qd, server_addr, 7)
-        result["control_ns"] = w1.sim.now - start
-        yield from client1.close(qd)
+        qd = yield from client.socket()
+        start = w.sim.now
+        yield from client.connect(qd, server_addr, 7)
+        result["control_ns"] = w.sim.now - start
+        yield from client.close(qd)
 
-    p = w1.sim.spawn(connect_probe())
-    w1.sim.run_until_complete(p, limit=10**13)
-
-    # Data path: fresh world, steady-state echo RTT.
-    w2, client2, server2 = make_pair()
-    w2.sim.spawn(demi_echo_server(server2))
-    cp = w2.sim.spawn(demi_echo_client(client2, server_addr,
-                                       [b"d" * 64] * N_MESSAGES))
-    w2.sim.run_until_complete(cp, limit=10**13)
-    _, stats = cp.value
-    result["data_ns"] = sum(stats.samples[3:]) / len(stats.samples[3:])
-    return result
+    p = w.sim.spawn(connect_probe())
+    w.sim.run_until_complete(p, limit=10**13)
+    return result["control_ns"]
 
 
 def _storage_split():
@@ -71,17 +61,20 @@ def _storage_split():
     return result
 
 
-def test_fig2_demikernel_split(benchmark, once):
+def test_fig2_demikernel_split(benchmark, once, metrics):
     def run():
         rows = []
-        for name, make_pair, addr in (
-            ("catnip (DPDK)", make_dpdk_libos_pair, "10.0.0.2"),
-            ("catmint (RDMA)", make_rdma_libos_pair, "server-rdma"),
-            ("catnap (POSIX)", make_posix_libos_pair, "10.0.0.2"),
+        for name, make_pair, addr, flavor in (
+            ("catnip (DPDK)", make_dpdk_libos_pair, "10.0.0.2", "dpdk"),
+            ("catmint (RDMA)", make_rdma_libos_pair, "server-rdma", "rdma"),
+            ("catnap (POSIX)", make_posix_libos_pair, "10.0.0.2",
+             "posix-libos"),
         ):
-            r = _network_split(make_pair, addr)
-            rows.append((name, us(r["control_ns"]), us(r["data_ns"]),
-                         r["control_ns"] / r["data_ns"]))
+            control_ns = _connect_ns(make_pair, addr)
+            data_ns = metrics("echo-rtt", flavor,
+                              message_size=64)["rtt_mean_ns"]
+            rows.append((name, us(control_ns), us(data_ns),
+                         control_ns / data_ns))
         r = _storage_split()
         rows.append(("catfish (SPDK)", us(r["control_ns"]), us(r["data_ns"]),
                      r["control_ns"] / r["data_ns"]))

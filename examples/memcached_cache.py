@@ -5,13 +5,14 @@
 which would enable applications, like memcached, to achieve the benefits
 of kernel-bypass transparently."  This example runs that application: a
 callback-structured LRU+TTL cache server on DemiEventLoop over the DPDK
-libOS, with a periodic timer sweeping expired entries.
+libOS, with a periodic timer sweeping expired entries.  It speaks RESP
+(Redis's protocol; a TTL travels as ``SET key value PX ms``).
 
 Run:  python examples/memcached_cache.py
 """
 
 from repro.apps.cache import cache_server
-from repro.apps.proto import (ST_MISS, ST_VALUE, LegacyCacheCodec, Request)
+from repro.apps.proto import ST_MISS, ST_VALUE, Request, RespCodec
 from repro.bench.report import print_table
 from repro.testbed import make_dpdk_libos_pair
 
@@ -20,7 +21,7 @@ PORT = 11211
 
 def cache_client(libos, requests):
     """Closed loop: one request, then its reply."""
-    codec = LegacyCacheCodec()
+    codec = RespCodec()
     qd = yield from libos.socket()
     yield from libos.connect(qd, "10.0.0.2", PORT)
     replies = []

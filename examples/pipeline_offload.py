@@ -2,14 +2,13 @@
 """Queue pipelines and device offload (sections 4.2-4.3).
 
 Composes filter -> map pipelines out of Demikernel queue operators,
-then runs the FlexNIC-style key-steering pipeline twice - once with the
-element functions on the host CPU, once offloaded to a programmable
-NIC's engine - and prints the host-CPU difference.
+then runs one key filter twice - once with its predicate on the host
+CPU, once offloaded to a programmable NIC's engine - and prints the
+host-CPU difference.
 
 Run:  python examples/pipeline_offload.py
 """
 
-from repro.apps.steering import SteeringPipeline
 from repro.bench.report import print_table, us
 from repro.core.api import LibOS
 from repro.hw.offload import OffloadEngine
@@ -45,7 +44,9 @@ def composed_pipeline():
     assert p.value == [b"FIRST", b"SECOND", b"THIRD"]
 
 
-def steering_comparison():
+def filter_placement():
+    """The same key filter with its predicate on the host CPU, then on
+    the device: libos.filter places it wherever the engine supports it."""
     rows = []
     for offloaded in (False, True):
         world = World()
@@ -53,26 +54,29 @@ def steering_comparison():
         libos = LibOS(host, "demi")
         if offloaded:
             libos.offload_engine = OffloadEngine(host)
-        pipeline = SteeringPipeline(libos, n_partitions=4)
+        source = libos.queue()
+        even_keys = libos.filter(source,
+                                 lambda sga: sga.tobytes()[0] % 2 == 0)
         payloads = [bytes([i % 16]) + b"key-data" for i in range(200)]
 
         def proc():
-            yield from pipeline.inject(payloads)
-            for partition in range(4):
-                yield from pipeline.drain_partition(partition, 50)
+            for payload in payloads:
+                yield from libos.blocking_push(source,
+                                               libos.sga_alloc(payload))
+            for _ in range(100):
+                yield from libos.blocking_pop(even_keys)
 
         p = world.sim.spawn(proc())
         world.sim.run_until_complete(p, limit=10**12)
-        pipeline.stop()
         rows.append((
             "device (offloaded)" if offloaded else "host CPU",
             us(libos.core.busy_ns),
             us(libos.offload_engine.device_busy_ns) if offloaded else "-",
         ))
-    print_table("key steering: 200 elements through the partition filter",
+    print_table("key filter: 200 elements through one predicate",
                 ["placement", "host CPU", "device time"], rows)
 
 
 if __name__ == "__main__":
     composed_pipeline()
-    steering_comparison()
+    filter_placement()

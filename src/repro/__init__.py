@@ -15,7 +15,7 @@ on inside a nanosecond-resolution discrete-event simulator:
 * ``repro.storage``  - the log-structured accelerator storage layout
 * ``repro.core``     - the Demikernel: queues, the Figure-3 API, wait_*
 * ``repro.libos``    - one library OS per accelerator class
-* ``repro.apps``     - echo / KV store / worker pools / steering / logs
+* ``repro.apps``     - echo / KV store / cache / worker pools / logs
 * ``repro.testbed``  - assembled clusters for experiments
 
 Quickstart::

@@ -17,7 +17,6 @@ from .kvstore import (
     posix_kv_client,
     posix_kv_server,
 )
-from .steering import SteeringPipeline, partition_of
 from .storelog import demi_log_writer, posix_log_writer
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "posix_kv_server",
     "posix_kv_client",
     "kv_workload",
-    "SteeringPipeline",
-    "partition_of",
     "demi_log_writer",
     "posix_log_writer",
 ]

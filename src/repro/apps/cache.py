@@ -9,8 +9,9 @@ a periodic expiry timer - running entirely on
 libOS.  There is no cache-specific server class: :func:`cache_server`
 builds a :class:`~repro.apps.proto.server.ProtoServer` over an
 :class:`LruTtlCache` and registers the sweep timer on its loop.  It
-speaks :class:`repro.apps.proto.legacy.LegacyCacheCodec`; put the same
-store behind ``RespCodec`` or ``MemcachedCodec`` for a real protocol.
+speaks RESP (:class:`repro.apps.proto.resp.RespCodec`, TTLs in ms
+through ``SET ... PX``); the same store behind ``MemcachedCodec`` speaks
+memcached-binary.
 
 Cache policy lives in :class:`LruTtlCache` - bounded entry count with
 LRU eviction; per-entry TTL enforced lazily on access and eagerly by
@@ -23,7 +24,7 @@ from collections import OrderedDict
 from typing import Callable, Optional
 
 from ..core.api import LibOS
-from .proto.legacy import LegacyCacheCodec
+from .proto.resp import RespCodec
 from .proto.server import ProtoServer
 
 __all__ = ["CacheStats", "LruTtlCache", "cache_server"]
@@ -111,6 +112,6 @@ def cache_server(libos: LibOS, port: int = 11211,
     The cache (and its :class:`CacheStats`) is ``server.service.store``.
     """
     cache = LruTtlCache(lambda: libos.sim.now, max_entries)
-    server = ProtoServer(libos, LegacyCacheCodec, cache, port=port)
+    server = ProtoServer(libos, RespCodec, cache, port=port)
     server.loop.add_timer(SWEEP_INTERVAL_NS, cache.sweep_expired)
     return server

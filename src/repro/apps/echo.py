@@ -36,7 +36,8 @@ __all__ = [
 
 def demi_echo_server(libos: LibOS, port: int = 7,
                      max_requests: int = 0) -> Generator:
-    """Accept one connection and echo every element back."""
+    """Accept one connection and echo every element back; returns how
+    many echoes went out.  A failed pop or push ends the session."""
     listen_qd = yield from libos.socket()
     yield from libos.bind(listen_qd, port)
     yield from libos.listen(listen_qd)
@@ -46,7 +47,9 @@ def demi_echo_server(libos: LibOS, port: int = 7,
         result = yield from libos.blocking_pop(qd)
         if result.error is not None:
             break
-        yield from libos.blocking_push(qd, result.sga)
+        reply = yield from libos.blocking_push(qd, result.sga)
+        if reply.error is not None:
+            break
         served += 1
     return served
 

@@ -1,8 +1,8 @@
 """Real wire protocols on Demikernel queues (the section-4.4 proof point).
 
-One incremental :class:`~repro.apps.proto.codec.Codec` contract, four
-implementations - RESP2 (Redis), memcached-binary, and the repo's two
-legacy binary formats - behind one :class:`~repro.apps.proto.server.
+One incremental :class:`~repro.apps.proto.codec.Codec` contract, three
+implementations - RESP2 (Redis), memcached-binary, and the repo's
+original binary KV format - behind one :class:`~repro.apps.proto.server.
 ProtoServer` that runs unchanged on any libOS and, via
 :class:`repro.cluster.shard.ShardProtoServer`, on the sharded cluster
 path.  See docs/protocols.md.
@@ -10,7 +10,7 @@ path.  See docs/protocols.md.
 
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
-from .legacy import LegacyCacheCodec, LegacyKvCodec
+from .legacy import LegacyKvCodec
 from .memcached import MemcachedCodec
 from .resp import RespCodec
 from .server import KvEngineStore, ProtoServer, ProtoService
@@ -20,7 +20,6 @@ CODECS = {
     RespCodec.name: RespCodec,
     MemcachedCodec.name: MemcachedCodec,
     LegacyKvCodec.name: LegacyKvCodec,
-    LegacyCacheCodec.name: LegacyCacheCodec,
 }
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "RespCodec",
     "MemcachedCodec",
     "LegacyKvCodec",
-    "LegacyCacheCodec",
     "ProtoServer",
     "ProtoService",
     "KvEngineStore",

@@ -126,7 +126,7 @@ class Codec(ABC):
     never leaks between the two directions.
     """
 
-    #: registry name ("resp", "memcached", "legacy-kv", "legacy-cache")
+    #: registry name ("resp", "memcached", "legacy-kv")
     name = "?"
 
     def __init__(self):

@@ -20,7 +20,7 @@ Conventions (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional, Sequence, Set, Type
+from typing import Callable, Dict, Generator, Optional, Sequence, Type
 
 from ..sim.cpu import Core
 from ..sim.host import Host
@@ -54,17 +54,17 @@ class LibOS:
         #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
         self.count = self.counters.count
         self.qtokens = QTokenTable(self.sim, self.tracer, name)
+        #: open queues; a qd is never reused, so one below ``_next_qd``
+        #: that is not here was closed (and close() of it is a no-op)
         self._queues: Dict[int, DemiQueue] = {}
-        #: qds that existed once and were closed - close() is idempotent
-        self._closed_qds: Set[int] = set()
         self._next_qd = 1
         self.offload_engine = None
 
     # ------------------------------------------------------------ qd table
     def _install(self, queue_cls: Type[DemiQueue], *args, **kw) -> DemiQueue:
-        qd = self._next_qd
+        queue = self._seat(self._next_qd, queue_cls, *args, **kw)
         self._next_qd += 1
-        return self._seat(qd, queue_cls, *args, **kw)
+        return queue
 
     def _seat(self, qd: int, queue_cls: Type[DemiQueue], *args,
               **kw) -> DemiQueue:
@@ -76,7 +76,7 @@ class LibOS:
     def _lookup(self, qd: int) -> DemiQueue:
         queue = self._queues.get(qd)
         if queue is None:
-            if qd in self._closed_qds:
+            if 1 <= qd < self._next_qd:
                 raise DemiError("queue descriptor %d is closed" % qd)
             raise DemiError("bad queue descriptor %d" % qd)
         return queue
@@ -256,7 +256,7 @@ class LibOS:
         """
         queue = self._queues.get(qd)
         if queue is None:
-            if qd not in self._closed_qds:
+            if not 1 <= qd < self._next_qd:
                 raise DemiError("bad queue descriptor %d" % qd)
             # Idempotent re-close (e.g. a pop waiter's cleanup racing the
             # original close): charge the syscall, change nothing.
@@ -267,7 +267,6 @@ class LibOS:
         yield self.core.busy(self.costs.syscall_ns)  # control path may cross
         queue.close()
         self._queues.pop(qd, None)
-        self._closed_qds.add(qd)
         self.count(names.CTRL_CLOSE)
         queue.reap()
 

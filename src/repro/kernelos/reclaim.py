@@ -92,7 +92,6 @@ def reclaim_process(libos, app_proc=None) -> ReclaimReport:
         queue.close()
         queue.crash_abort(counters)
         libos._queues.pop(qd, None)
-        libos._closed_qds.add(qd)
         counters.count(names.RECLAIM_QDS_CLOSED)
         report.qds_closed += 1
 

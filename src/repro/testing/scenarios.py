@@ -705,11 +705,11 @@ def _crash_echo_server(libos, port: int, n_limit: int,
                        idle_timeout_ns: int) -> Generator:
     """An echo server that survives its peer's death.
 
-    Unlike :func:`~repro.apps.echo.demi_echo_server` it breaks on *push*
-    errors too (an RDMA peer's death surfaces on the send side as
-    ``retry-exceeded``) and backstops the pop with a timeout - RDMA RC
-    gives no wire-visible crash signal while the server is quiescent, so
-    failure detection needs a timer, exactly as on real verbs hardware.
+    Unlike :func:`~repro.apps.echo.demi_echo_server` it backstops the pop
+    with a timeout - RDMA RC gives no wire-visible crash signal while the
+    server is quiescent (a peer's death surfaces only on the send side,
+    as ``retry-exceeded``), so failure detection needs a timer, exactly
+    as on real verbs hardware.
     Returns ``(served, outcome)`` where *outcome* names what ended the
     session.
     """

@@ -9,17 +9,17 @@ independently of the protocol.
 import pytest
 
 from repro.apps.cache import SWEEP_INTERVAL_NS, LruTtlCache, cache_server
-from repro.apps.proto import (LegacyCacheCodec, MemcachedCodec,
-                              ProtoServer, RespCodec)
-from repro.apps.proto.codec import (ST_COUNT, ST_MISS, ST_STORED, ST_VALUE,
-                                    Request)
+from repro.apps.proto import MemcachedCodec, ProtoServer, RespCodec
+from repro.apps.proto.codec import (ST_COUNT, ST_MISS, ST_PONG, ST_STORED,
+                                    ST_VALUE, Request)
 
-from ..conftest import make_dpdk_libos_pair, proto_client
+from ..conftest import chunk_client, make_dpdk_libos_pair, proto_client
 
 PORT = 11211
-ALL_CODECS = [LegacyCacheCodec, RespCodec, MemcachedCodec]
-#: memcached-binary carries expiry in whole seconds; the TTL cases need ms
-MS_TTL_CODECS = [LegacyCacheCodec, RespCodec]
+ALL_CODECS = [RespCodec, MemcachedCodec]
+#: the smallest TTL each wire carries: RESP's PX is in ms, memcached-binary
+#: carries expiry in whole seconds - the TTL cases run in these units
+TTL_UNIT_MS = {RespCodec: 1, MemcachedCodec: 1000}
 
 
 def by_name(codec_cls):
@@ -61,7 +61,7 @@ def cache_client(libos, codec_cls, requests):
 
 def start_server(codec_cls, max_entries=1024):
     w, client, server_libos = make_dpdk_libos_pair()
-    if codec_cls is LegacyCacheCodec:
+    if codec_cls is RespCodec:
         server = cache_server(server_libos, port=PORT,
                               max_entries=max_entries)
     else:
@@ -146,15 +146,16 @@ class TestLru:
         assert replies[-1] == (MISS, None)
 
 
-@pytest.mark.parametrize("codec_cls", MS_TTL_CODECS, ids=by_name)
+@pytest.mark.parametrize("codec_cls", ALL_CODECS, ids=by_name)
 class TestTtl:
     def test_expired_entry_misses_on_access(self, codec_cls):
         w, client, server, cache = start_server(codec_cls)
+        unit_ms = TTL_UNIT_MS[codec_cls]
 
         def scenario():
             replies = yield from cache_client(
-                client, codec_cls, [SET(b"t", b"v", ttl_ms=1)])
-            yield w.sim.timeout(2_000_000)  # 2 ms > 1 ms TTL
+                client, codec_cls, [SET(b"t", b"v", ttl_ms=unit_ms)])
+            yield w.sim.timeout(2 * unit_ms * 1_000_000)  # 2 units > TTL
             replies += yield from cache_client(client, codec_cls,
                                                [GET(b"t")])
             return replies
@@ -168,14 +169,15 @@ class TestTtl:
 
     def test_timer_sweep_removes_expired_entries(self, codec_cls):
         w, client, server, cache = start_server(codec_cls)
+        unit_ms = TTL_UNIT_MS[codec_cls]
 
         def scenario():
             yield from cache_client(client, codec_cls, [
-                SET(b"short", b"v", ttl_ms=1),
+                SET(b"short", b"v", ttl_ms=unit_ms),
                 SET(b"forever", b"v"),
             ])
             # Let the periodic sweep (1 ms cadence) run past the TTL.
-            yield w.sim.timeout(5_000_000)
+            yield w.sim.timeout(5 * unit_ms * 1_000_000)
             return list(cache._entries)
 
         p = w.sim.spawn(scenario())
@@ -192,7 +194,7 @@ class TestTtl:
         def scenario():
             yield from cache_client(client, codec_cls,
                                     [SET(b"k", b"v", ttl_ms=0)])
-            yield w.sim.timeout(10_000_000)
+            yield w.sim.timeout(10 * TTL_UNIT_MS[codec_cls] * 1_000_000)
             return (yield from cache_client(client, codec_cls, [GET(b"k")]))
 
         p = w.sim.spawn(scenario())
@@ -213,3 +215,25 @@ class TestMultipleClients:
         w.sim.run_until_complete(rp, limit=10**13)
         server.stop()
         assert rp.value == [(HIT, b"data")]
+
+
+class TestCacheServerSpeaksResp:
+    def test_hand_written_resp_commands(self):
+        # cache_server's wire is RESP: PX and EX expiries both land in the
+        # cache in ms, and a PING is answered by the same server.
+        w, client, server, cache = start_server(RespCodec)
+        wire = [b"*5\r\n$3\r\nSET\r\n$1\r\na\r\n$1\r\n1\r\n"
+                b"$2\r\nPX\r\n$3\r\n250\r\n",
+                b"*5\r\n$3\r\nset\r\n$1\r\nb\r\n$1\r\n2\r\n"
+                b"$2\r\nex\r\n$1\r\n1\r\n",
+                b"*2\r\n$3\r\nGET\r\n$1\r\na\r\n",
+                b"*1\r\n$4\r\nPING\r\n"]
+        cp = w.sim.spawn(chunk_client(client, RespCodec, wire, 4, port=PORT))
+        w.sim.run_until_complete(cp, limit=10**13)
+        server.stop()
+        assert [r.status for r in cp.value] == [ST_STORED, ST_STORED,
+                                                ST_VALUE, ST_PONG]
+        assert cp.value[2].value == b"1"
+        ttl_gap_ns = (cache._entries[b"b"].expires_at
+                      - cache._entries[b"a"].expires_at)
+        assert ttl_gap_ns == pytest.approx(750_000_000, abs=1_000_000)

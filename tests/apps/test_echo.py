@@ -8,6 +8,7 @@ from repro.apps.echo import (
     posix_echo_client,
     posix_echo_server,
 )
+from repro.sim.faults import FaultPlan
 
 from ..conftest import (
     make_dpdk_libos_pair,
@@ -47,6 +48,29 @@ class TestDemiEcho:
         w.run()
         replies, _ = cp.value
         assert replies == MESSAGES
+
+    def test_failed_push_is_not_served(self):
+        # The server's frames stop reaching the client after the connect,
+        # so its one echo exhausts the RDMA retries: the push fails, the
+        # session ends, and nothing counts as served.
+        w, client, server = make_rdma_libos_pair()
+        w.install_faults(FaultPlan(seed=1).loss(
+            80_000, 10**12, rate=1.0, src="server-rdma"))
+        sp = w.sim.spawn(demi_echo_server(server, max_requests=1))
+
+        def one_message():
+            qd = yield from client.socket()
+            yield from client.connect(qd, "server-rdma", 7)
+            assert w.sim.now < 80_000
+            yield w.sim.timeout(100_000 - w.sim.now)
+            yield from client.blocking_push(qd, client.sga_alloc(b"lost"))
+
+        w.sim.spawn(one_message())
+        w.run(until=10**9)
+        assert w.tracer.get("server.catmint.rdma_rx_elements") == 1
+        assert w.tracer.get("server.rdma0.qp_errors") == 1
+        assert not sp.alive
+        assert sp.value == 0
 
     def test_rtt_stats_are_positive_and_ordered(self):
         w, client, server = make_dpdk_libos_pair()

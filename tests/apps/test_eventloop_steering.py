@@ -1,7 +1,11 @@
-"""Tests for worker pools (C4) and steering pipelines (C6)."""
+"""Tests for the worker pools (C4) and key steering (C6)."""
+
+from collections import Counter
+
+import pytest
 
 from repro.apps.eventloop import EpollWorkerPool, WaitAnyWorkerPool
-from repro.apps.steering import SteeringPipeline, partition_of
+from repro.apps.steering import key_partition
 from repro.core.api import LibOS
 
 from ..conftest import World, make_kernel_pair
@@ -83,61 +87,19 @@ class TestWaitAnyWorkerPool:
         assert pool.wakeups == pool.requests_served
 
 
-class TestSteering:
-    def _make(self, with_offload):
-        w = World()
-        host = w.add_host("h")
-        libos = LibOS(host, "demi")
-        if with_offload:
-            from repro.hw.offload import OffloadEngine
-            libos.offload_engine = OffloadEngine(host)
-        return w, libos
+class TestKeyPartition:
+    def test_owner_is_fixed_by_the_key_bytes(self):
+        # Shard ownership is the NIC's RSS hash, not Python's hash(): it
+        # is the same in every process, whatever PYTHONHASHSEED is.
+        assert [key_partition(b"key-%d" % i, 4) for i in range(4)] \
+            == [2, 3, 0, 1]
+        assert key_partition(b"k", 4) == 3
+        assert key_partition(b"k", 1) == key_partition(b"k", 0) == 0
 
-    def test_elements_reach_their_partition(self):
-        w, libos = self._make(False)
-        pipeline = SteeringPipeline(libos, n_partitions=4)
-        payloads = [bytes([i]) + b"-data" for i in range(16)]
-
-        def proc():
-            yield from pipeline.inject(payloads)
-            out = {}
-            for p in range(4):
-                out[p] = yield from pipeline.drain_partition(p, 4)
-            return out
-
-        pr = w.sim.spawn(proc())
-        w.sim.run_until_complete(pr, limit=10**12)
-        out = pr.value
-        for p in range(4):
-            assert len(out[p]) == 4
-            for payload in out[p]:
-                assert payload[0] % 4 == p
-        assert pipeline.routed == 16
-
-    def test_device_placement_saves_host_cpu(self):
-        def host_cpu(with_offload):
-            w, libos = self._make(with_offload)
-            pipeline = SteeringPipeline(libos, n_partitions=2)
-            payloads = [bytes([i % 2]) + b"x" * 63 for i in range(200)]
-
-            def proc():
-                yield from pipeline.inject(payloads)
-                yield from pipeline.drain_partition(0, 100)
-                yield from pipeline.drain_partition(1, 100)
-
-            pr = w.sim.spawn(proc())
-            w.sim.run_until_complete(pr, limit=10**12)
-            pipeline.stop()
-            return libos.core.busy_ns
-
-        cpu_placed = host_cpu(False)
-        device_placed = host_cpu(True)
-        expected_saving = 200 * 250  # elements x pipeline_element_cpu_ns
-        assert cpu_placed - device_placed >= expected_saving * 0.9
-
-    def test_partition_of_is_stable(self, world):
-        host = world.add_host("h")
-        libos = LibOS(host, "demi")
-        sga = libos.sga_alloc(bytes([7]) + b"xyz")
-        assert partition_of(sga, 4) == 3
-        assert partition_of(sga, 2) == 1
+    @pytest.mark.parametrize("n_partitions", [2, 3, 4, 8])
+    def test_keys_spread_over_every_partition(self, n_partitions):
+        owners = Counter(key_partition(b"key-%d" % i, n_partitions)
+                         for i in range(400))
+        assert sorted(owners) == list(range(n_partitions))
+        fair = 400 / n_partitions
+        assert all(0.9 * fair <= n <= 1.1 * fair for n in owners.values())

@@ -13,8 +13,8 @@ import pytest
 from repro.apps.cache import LruTtlCache
 from repro.apps.kvstore import (OP_GET, OP_PUT, KvEngine, UdpKvServer,
                                 demi_kv_client)
-from repro.apps.proto import (KvEngineStore, LegacyCacheCodec, LegacyKvCodec,
-                              MemcachedCodec, ProtoServer, RespCodec)
+from repro.apps.proto import (KvEngineStore, LegacyKvCodec, MemcachedCodec,
+                              ProtoServer, RespCodec)
 from repro.apps.proto.codec import Request
 
 from ..conftest import chunk_client, make_dpdk_libos_pair
@@ -23,12 +23,11 @@ PORT = 11211
 
 #: codec -> bytes that desynchronise its request stream
 GARBAGE = {
-    LegacyCacheCodec: b"\xff\x00\x01x",       # opcode 0xFF
     LegacyKvCodec: b"\xff\x00\x03abc",        # not 'G' or 'P'
     RespCodec: b"GARBAGE\r\n",
     MemcachedCodec: b"\x42" + b"\x00" * 23,   # wrong magic byte
 }
-CACHE_CODECS = [LegacyCacheCodec, RespCodec, MemcachedCodec]
+CACHE_CODECS = [RespCodec, MemcachedCodec]
 
 
 def by_name(codec_cls):
@@ -95,6 +94,38 @@ class TestSplitRequests:
         check_cache_script(server, replies)
         # Four requests, one wake-up's worth of element, one reply push.
         assert server.loop.dispatches == 2  # the accept + the element
+
+
+def kv_script():
+    """PUT(k)=v, GET(k) hit, GET of a key never stored - 3 replies."""
+    codec = LegacyKvCodec()
+    return b"".join(codec.encode_request(r) for r in [
+        Request(op="set", key=b"k", value=b"v"), Request(op="get", key=b"k"),
+        Request(op="get", key=b"nope")])
+
+
+def check_kv_script(server, replies, note=""):
+    # Legacy-kv acks a PUT as OK + an empty value on the wire.
+    assert [r.status for r in replies] == ["value", "value", "miss"], note
+    assert [r.value for r in replies[:2]] == [b"", b"v"], note
+    assert server.decode_errors == 0
+    assert server.requests_served == 3
+
+
+class TestLegacyKvSplitRequests:
+    """The KV format has no cache verbs, so it gets its own script."""
+
+    def test_every_split_offset_serves_identically(self):
+        script = kv_script()
+        for cut in range(1, len(script)):
+            server, replies = run_chunks(
+                LegacyKvCodec, [script[:cut], script[cut:]], 3)
+            check_kv_script(server, replies, "split at %d" % cut)
+
+    def test_one_byte_at_a_time(self):
+        server, replies = run_chunks(
+            LegacyKvCodec, [bytes([b]) for b in kv_script()], 3)
+        check_kv_script(server, replies)
 
 
 @pytest.mark.parametrize("codec_cls", list(GARBAGE), ids=by_name)

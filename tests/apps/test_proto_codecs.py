@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.proto import (CODECS, LegacyCacheCodec, LegacyKvCodec,
-                              MemcachedCodec, RespCodec)
+from repro.apps.proto import CODECS, LegacyKvCodec, MemcachedCodec, RespCodec
 from repro.apps.proto.codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG,
                                     ST_STORED, ST_VALUE, CodecError, Request,
                                     Response)
@@ -74,6 +73,28 @@ class TestRespGoldenBytes:
         assert codec.encode(Response(status=ST_COUNT, count=2)) == b":2\r\n"
         assert codec.encode(Response(status=ST_ERROR, message="boom")) \
             == b"-ERR boom\r\n"
+
+    def test_decode_set_px_keeps_milliseconds(self):
+        request = Request(op="set", key=b"k", value=b"v", ttl_ms=1500)
+        [decoded] = RespCodec().feed(RespCodec().encode_request(request))
+        assert decoded == request
+
+    def test_decode_set_ex_is_seconds(self):
+        [decoded] = RespCodec().feed(b"*5\r\n$3\r\nSET\r\n$1\r\nk\r\n"
+                                     b"$1\r\nv\r\n$2\r\nex\r\n$1\r\n2\r\n")
+        assert (decoded.op, decoded.ttl_ms) == ("set", 2000)
+
+    @pytest.mark.parametrize("unit,amount", [(b"XX", b"5"), (b"PX", b"-5")],
+                             ids=["unknown-unit", "negative"])
+    def test_decode_set_bad_expiry_is_invalid(self, unit, amount):
+        wire = (b"*5\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
+                b"$%d\r\n%s\r\n$%d\r\n%s\r\n"
+                % (len(unit), unit, len(amount), amount))
+        wire += RespCodec().encode_request(Request(op="ping"))
+        # A bad expiry is the request's error, not a desync of the stream.
+        bad, ping = RespCodec().feed(wire)
+        assert (bad.op, bad.error) == ("invalid", "syntax error")
+        assert ping.op == "ping"
 
     def test_decode_request_case_insensitive(self):
         reqs = RespCodec().feed(b"*2\r\n$3\r\ngEt\r\n$1\r\nk\r\n")
@@ -226,41 +247,24 @@ class TestLegacyGoldenBytes:
         with pytest.raises(CodecError):
             LegacyKvCodec.decode_reply(b"M")  # the replica tier's MOVED
 
-    def test_cache_requests(self):
-        codec = LegacyCacheCodec()
-        assert codec.encode_request(
-            Request(op="set", key=b"k", value=b"v", ttl_ms=250)) \
-            == (struct.pack("!BH", ord("S"), 1) + b"k"
-                + struct.pack("!II", 250, 1) + b"v")
-        assert codec.encode_request(Request(op="get", key=b"k")) \
-            == struct.pack("!BH", ord("G"), 1) + b"k"
-        assert codec.encode_request(Request(op="delete", key=b"k")) \
-            == struct.pack("!BH", ord("D"), 1) + b"k"
-
-    def test_cache_reply_statuses(self):
-        codec = LegacyCacheCodec()
-        assert codec.encode(Response(status=ST_VALUE, value=b"x")) \
-            == struct.pack("!BI", ord("H"), 1) + b"x"
-        assert codec.encode(Response(status=ST_MISS)) == b"M"
-        assert codec.encode(Response(status=ST_STORED)) == b"S"
-        assert codec.encode(Response(status=ST_COUNT, count=1)) == b"D"
-        assert codec.encode(Response(status=ST_COUNT, count=0)) == b"M"
-
     def test_legacy_codecs_reject_inline_errors(self):
-        # Neither legacy format has an error status on the wire.
-        for codec in (LegacyKvCodec(), LegacyCacheCodec()):
-            with pytest.raises(CodecError):
-                codec.encode(Response(status=ST_ERROR, message="nope"))
+        # The legacy format has no error status on the wire.
+        with pytest.raises(CodecError):
+            LegacyKvCodec().encode(Response(status=ST_ERROR, message="nope"))
 
 
 def _request_wire(codec_cls):
     codec = codec_cls()
     reqs = [r for r in KV_REQUESTS
             if codec_cls is not LegacyKvCodec or r.op in ("get", "set")]
-    if codec_cls is LegacyCacheCodec:
-        reqs = [Request(op=r.op, key=r.key, value=r.value, ttl_ms=r.ttl_ms)
-                for r in reqs]
     return b"".join(codec.encode_request(r) for r in reqs), reqs
+
+
+def test_registry_is_keyed_by_wire_name():
+    # Workloads and the load generator look a codec up by its name.
+    assert {name: cls.name for name, cls in CODECS.items()} \
+        == {"resp": "resp", "memcached": "memcached",
+            "legacy-kv": "legacy-kv"}
 
 
 class TestEverySplitOffset:

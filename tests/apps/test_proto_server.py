@@ -12,8 +12,8 @@ import pytest
 
 from repro.apps.cache import LruTtlCache
 from repro.apps.kvstore import KvEngine
-from repro.apps.proto import (KvEngineStore, LegacyCacheCodec, LegacyKvCodec,
-                              MemcachedCodec, ProtoServer, RespCodec)
+from repro.apps.proto import (KvEngineStore, LegacyKvCodec, MemcachedCodec,
+                              ProtoServer, RespCodec)
 from repro.apps.proto.codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG,
                                     ST_STORED, ST_VALUE, Request)
 from repro.apps.steering import key_partition
@@ -158,8 +158,8 @@ class TestConnectionsArriveWhileParked:
     speaks (the old acceptor registered events the loop never saw)."""
 
     @pytest.mark.parametrize("codec_cls,store",
-                             [(RespCodec, "kv"), (LegacyCacheCodec, "cache")],
-                             ids=["resp", "legacy-cache"])
+                             [(RespCodec, "kv"), (MemcachedCodec, "cache")],
+                             ids=["resp", "memcached-cache"])
     def test_idle_connection_does_not_delay_the_next_one(self, codec_cls,
                                                           store):
         w, client, server_libos = make_dpdk_libos_pair()

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.api import LibOS
 from repro.core.types import DemiError, DemiTimeout
+from repro.kernelos.reclaim import reclaim_process
 
 from ..conftest import World
 
@@ -96,6 +97,71 @@ class TestCloseWithPendingPop:
         # A never-allocated descriptor still reads as plain bad.
         with pytest.raises(DemiError, match="bad queue descriptor"):
             libos.queue_of(qd + 999)
+
+
+class TestQdTable:
+    """A qd is never reused, so the table alone tells a closed descriptor
+    (one handed out, no longer open) from one never handed out."""
+
+    @pytest.mark.parametrize("qd", [0, -1])
+    def test_descriptors_below_the_first_are_bad(self, qd):
+        _w, libos = make_libos()
+        libos.queue()
+        with pytest.raises(DemiError, match="bad queue descriptor"):
+            libos.queue_of(qd)
+
+    def test_next_descriptor_is_bad_until_handed_out(self):
+        _w, libos = make_libos()
+        qd = libos.queue()
+        with pytest.raises(DemiError, match="bad queue descriptor"):
+            libos.queue_of(qd + 1)
+        assert libos.queue() == qd + 1
+        assert libos.queue_of(qd + 1) is not None
+
+    def test_close_of_a_never_handed_out_qd_raises(self):
+        w, libos = make_libos()
+        qd = libos.queue()
+
+        def proc():
+            with pytest.raises(DemiError, match="bad queue descriptor"):
+                yield from libos.close(qd + 1)
+            with pytest.raises(DemiError, match="bad queue descriptor"):
+                yield from libos.close(0)
+
+        w.sim.spawn(proc())
+        w.run()
+        assert libos.tracer.counters["demi.ctrl.close_noop"] == 0
+        assert libos.queue_of(qd) is not None
+
+    def test_a_closed_qd_is_never_reused(self):
+        w, libos = make_libos()
+        first = libos.queue()
+
+        def proc():
+            yield from libos.close(first)
+
+        w.sim.spawn(proc())
+        w.run()
+        second = libos.queue()
+        assert second != first
+        with pytest.raises(DemiError, match="is closed"):
+            libos.queue_of(first)
+
+    def test_reclaimed_qds_read_as_closed(self):
+        w, libos = make_libos()
+        qds = [libos.queue(), libos.queue()]
+        report = reclaim_process(libos)
+        assert report.qds_closed == 2
+
+        def proc():
+            for qd in qds:
+                with pytest.raises(DemiError, match="is closed"):
+                    libos.queue_of(qd)
+                yield from libos.close(qd)  # a charged no-op, not an error
+
+        w.sim.spawn(proc())
+        w.run()
+        assert libos.tracer.counters["demi.ctrl.close_noop"] == 2
 
 
 class TestLegacyTimeoutShim:

@@ -129,6 +129,7 @@ def test_any_interleaving_fires_what_the_model_fires(steps):
             if timer.armed:
                 assert entries and entries[0][0] <= timer.deadline
     # Two timers due in the same nanosecond fire in heap order, which the
-    # model does not know: both sides are sorted.
-    assert sorted(fired) == expected
+    # model does not know: both sides are sorted (one run's due list is,
+    # but a timer armed for "now" after a run fires at that run's instant).
+    assert sorted(fired) == sorted(expected)
     assert sim.peek() is None

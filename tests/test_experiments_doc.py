@@ -16,6 +16,14 @@ def echo_rtt(flavor, message_size):
         params={"message_size": message_size}))["metrics"]
 
 
+def metrics(workload, cores=1, **params):
+    """A dpdk row of *workload*, as its benchmark reads it."""
+    out = run_spec(ExperimentSpec(workload, libos="dpdk", cores=cores,
+                                  params=params))
+    assert out["ok"], out["failures"]
+    return out["metrics"]
+
+
 class TestRecordedAnchors:
     def test_kernel_echo_rtt_as_documented(self):
         # EXPERIMENTS.md FIG1: kernel RTT at 64 B = 19.05 us.
@@ -31,6 +39,11 @@ class TestRecordedAnchors:
         # EXPERIMENTS.md FIG2: catmint data path = 3.98 us.
         result = echo_rtt("rdma", message_size=64)
         assert result["rtt_mean_ns"] == pytest.approx(3_980, rel=0.02)
+
+    def test_posix_libos_echo_rtt_as_documented(self):
+        # EXPERIMENTS.md FIG2: catnap data path = 21.63 us.
+        result = echo_rtt("posix-libos", message_size=64)
+        assert result["rtt_mean_ns"] == pytest.approx(21_630, rel=0.02)
 
     def test_mtcp_echo_rtt_as_documented(self):
         # EXPERIMENTS.md C5: mTCP shim at 64 B = 40.0 us.
@@ -53,3 +66,28 @@ class TestRecordedAnchors:
         assert 3.5 < small < 5.0
         assert 5.0 < large < 6.0
         assert large > mid > small
+
+    def test_kv_throughput_as_documented(self):
+        # EXPERIMENTS.md TPUT: 4 clients x 30 ops, 1 KiB values = 260 kops/s.
+        row = metrics("kv", cores=4, n_ops=30, n_keys=50, value_size=1024,
+                      get_fraction=0.9)
+        assert row["requests"] == 120
+        assert row["throughput_ops_per_s"] == pytest.approx(259_700,
+                                                            rel=0.02)
+
+    def test_rss_scaling_as_documented(self):
+        # EXPERIMENTS.md EXT2: 153 / 306 / 607 kops/s at 1 / 2 / 4 cores.
+        for cores, ops_per_s in ((1, 153_500), (2, 305_700), (4, 606_700)):
+            row = metrics("kv-scaling", cores=cores)
+            assert row["throughput_ops_per_s"] == pytest.approx(ops_per_s,
+                                                                rel=0.02)
+
+    def test_offload_host_cpu_as_documented(self):
+        # EXPERIMENTS.md C6: 3.19 -> 0.76 us of host CPU per GET, every
+        # GET answered on the NIC.
+        row = metrics("kv-offload")
+        assert row["host_cpu_per_op_host_ns"] == pytest.approx(3_185,
+                                                               rel=0.02)
+        assert row["host_cpu_per_op_offload_ns"] == pytest.approx(757,
+                                                                  rel=0.02)
+        assert row["offload_kv_hits"] == 200
