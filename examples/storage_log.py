@@ -41,7 +41,9 @@ def spdk_path():
         n = yield from recovered_libos.mount()
         qd = yield from recovered_libos.open("/recovered")
         first = yield from recovered_libos.blocking_pop(qd)
-        return n, first.sga.tobytes()
+        data = first.sga.tobytes()
+        recovered_libos.sga_free(first.sga)   # a pop is lent: free it
+        return n, data
 
     p = world.sim.spawn(recover())
     world.sim.run_until_complete(p, limit=10**14)

@@ -23,12 +23,18 @@ __all__ = ["demi_log_writer", "posix_log_writer"]
 def demi_log_writer(libos: SpdkLibOS, records: Sequence[bytes],
                     sync_every: int = 8, path: str = "/log",
                     stats: LatencyStats = None) -> Generator:
-    """Append+fsync via file queues; returns (per-batch stats, readback)."""
+    """Append+fsync via file queues; returns (per-batch stats, readback).
+
+    Every element it pushes or pops is freed - a pop is lent a slice of
+    the log's read span, which a kept pop would pin whole - and both
+    queues are closed, so the heap ends as it started."""
     stats = stats if stats is not None else LatencyStats("append-batch")
     qd = yield from libos.creat(path)
     batch_start = libos.sim.now
     for i, record in enumerate(records):
-        yield from libos.blocking_push(qd, libos.sga_alloc(record))
+        sga = libos.sga_alloc(record)
+        yield from libos.blocking_push(qd, sga)
+        libos.sga_free(sga)
         if (i + 1) % sync_every == 0:
             yield from libos.fsync(qd)
             stats.add(libos.sim.now - batch_start)
@@ -42,6 +48,9 @@ def demi_log_writer(libos: SpdkLibOS, records: Sequence[bytes],
     for _ in records:
         result = yield from libos.blocking_pop(read_qd)
         readback.append(result.sga.tobytes())
+        libos.sga_free(result.sga)
+    yield from libos.close(read_qd)
+    yield from libos.close(qd)
     return stats, readback
 
 

@@ -316,7 +316,13 @@ class LibOS:
         return Sga.from_bytes(self.mm, data)
 
     def sga_free(self, sga: Sga) -> None:
-        """Free an sga's buffers (free-protection applies automatically)."""
-        for buf in sga.buffers():
-            if not buf.freed:
-                self.mm.free(buf)
+        """Free an sga: its own buffers are freed (free-protection applies
+        automatically) and a lent segment is given back to its lender.  A
+        popped element may be lent memory - a Catfish pop is a slice of
+        the log's read span - so free every one; a second free of a lent
+        segment raises ``BufferError``."""
+        for seg in sga.segments:
+            if seg.lent:
+                self.mm.give_back(seg)
+            elif not seg.buf.freed:
+                self.mm.free(seg.buf)

@@ -74,6 +74,9 @@ class SgaSegment:
     #: what *length* comes to; a segment is immutable and a buffer never
     #: resizes, so it is worked out once
     nbytes: int = field(init=False, repr=False, compare=False)
+    #: a slice of a buffer someone else owns, holding a reference on it
+    #: (``MemoryManager.lend``): freeing it gives that reference back
+    lent: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         length = self.length if self.length is not None else self.buf.capacity - self.offset
@@ -115,9 +118,6 @@ class Sga:
         if len(segments) == 1:
             return segments[0].tobytes()
         return b"".join([seg.tobytes() for seg in segments])
-
-    def buffers(self) -> List[Buffer]:
-        return [seg.buf for seg in self.segments]
 
     def dma_ranges(self) -> List[tuple]:
         """(addr, len) pairs for IOMMU validation of zero-copy I/O."""

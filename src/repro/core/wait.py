@@ -72,7 +72,9 @@ class QTokenTable:
         self._spans[token] = self.counters.span(name, names.CAT_LIBOS,
                                                 self.sim.now, **args)
 
-    def complete(self, token: QToken, result: QResult) -> None:
+    def complete(self, token: QToken, result: QResult) -> bool:
+        """Deliver *result* to the token's waiter; False if the token was
+        cancelled and the result dropped (whoever made it frees it)."""
         done = self._pending.get(token)
         if done is None:
             if token in self._cancelled:
@@ -80,7 +82,7 @@ class QTokenTable:
                 # device finally finished).  The token's waiter is gone;
                 # dropping the result here is what keeps cancel safe.
                 self.counters.count(names.LATE_COMPLETIONS_DROPPED)
-                return
+                return False
             raise DemiError("completion of unknown qtoken %r" % token)
         self.completed += 1
         self.counters.count(names.QTOKENS_COMPLETED)
@@ -92,6 +94,7 @@ class QTokenTable:
                 self.counters.distribution(names.QTOKEN_LIFETIME_NS).add(
                     span.duration_ns)
         done.trigger(result)
+        return True
 
     def cancel(self, token: QToken) -> None:
         """Abandon a not-yet-completed operation.

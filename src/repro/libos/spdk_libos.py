@@ -13,7 +13,8 @@ Durability: like ``write(2)``, a completed push means *accepted*, not
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from collections import deque
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..core.api import LibOS
 from ..core.queue import DemiQueue
@@ -27,7 +28,14 @@ __all__ = ["SpdkLibOS", "FileQueue"]
 
 
 class FileQueue(DemiQueue):
-    """One append-only file as a queue of records."""
+    """One append-only file as a queue of records.
+
+    A pop completes with a slice of the log's read span, lent rather
+    than copied (a record not yet flushed comes as a copy); free it with
+    ``sga_free`` like any popped element.  One read driver serves a
+    queue's pops in pop order, so pops armed together share the blocks
+    the first one's read brings in.
+    """
 
     kind = "file"
 
@@ -40,6 +48,10 @@ class FileQueue(DemiQueue):
         self.record_ids: List[int] = list(record_ids or [])
         #: next record index a pop will return
         self.cursor = 0
+        #: (pop token, record id) the read driver has yet to start, in
+        #: pop order
+        self._reads: Deque[Tuple[QToken, int]] = deque()
+        self._reader = None   # the read driver, while it runs
 
     def push_sga(self, sga: Sga, token: QToken) -> None:
         self.sim.spawn(self._append_driver(sga, token),
@@ -50,13 +62,26 @@ class FileQueue(DemiQueue):
             self._complete(token, QResult(OP_POP, self.qd, error="closed"))
             return
         if self.cursor < len(self.record_ids):
-            record_id = self.record_ids[self.cursor]
-            self.cursor += 1
-            self.sim.spawn(self._read_driver(record_id, token),
-                           name="%s.q%d.read" % (self.libos.name, self.qd))
+            self._read(token)
             return
         # At the tail: wait for the next append (tail-follow semantics).
         self._pending_pops.append(token)
+
+    def _read(self, token: QToken) -> None:
+        """Hand *token* the record at the cursor, through the read driver."""
+        self._reads.append((token, self.record_ids[self.cursor]))
+        self.cursor += 1
+        if self._reader is None:
+            self._reader = self.sim.spawn(
+                self._read_driver(),
+                name="%s.q%d.read" % (self.libos.name, self.qd))
+
+    def close(self) -> None:
+        """A closed file reads no more: the store lets its read span go,
+        so a log nobody reads holds no memory (a reader of another file
+        of the same store pays one miss)."""
+        super().close()
+        self.store.drop_read_span()
 
     # -- datapath drivers -----------------------------------------------------
     def _append_driver(self, sga: Sga, token: QToken) -> Generator:
@@ -80,32 +105,36 @@ class FileQueue(DemiQueue):
         libos.count(names.FILE_APPENDS)
         # Tail-follow: satisfy a waiting pop with the new record.
         if self._pending_pops:
-            waiting = self._pending_pops.popleft()
-            self.cursor += 1
-            self.sim.spawn(self._read_driver(record_id, waiting),
-                           name="%s.q%d.read" % (libos.name, self.qd))
+            self._read(self._pending_pops.popleft())
         libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
                                               nbytes=sga.nbytes,
                                               value=record_id))
 
-    def _read_driver(self, record_id: int, token: QToken) -> Generator:
+    def _read_driver(self) -> Generator:
+        """Complete the queued pops in order, one record read at a time.
+        A pop cancelled while its record was read drops its result in the
+        qtoken table, and its slice goes straight back."""
         libos = self.libos
-        if self.closed:  # a buffer allocated now would outlive the reclaim
-            self._complete(token, QResult(OP_POP, self.qd, error="closed"))
-            return
-        try:
-            payload = yield from self.store.read(record_id)
-        except Exception as err:
-            libos.qtokens.complete(token, QResult(
-                OP_POP, self.qd, error=str(err),
-                value=err if isinstance(err, DeviceFailed) else None))
-            return
-        buf = libos.mm.alloc(max(1, len(payload)))
-        buf.write(0, payload)
-        libos.count(names.FILE_READS)
-        libos.qtokens.complete(token, QResult(
-            OP_POP, self.qd, sga=Sga.from_buffer(buf, len(payload)),
-            nbytes=len(payload), value=record_id))
+        while self._reads:
+            token, record_id = self._reads.popleft()
+            if self.closed:  # a span read now would outlive the reclaim
+                self._complete(token, QResult(OP_POP, self.qd,
+                                              error="closed"))
+                continue
+            try:
+                segment = yield from self.store.read(record_id)
+            except Exception as err:
+                libos.qtokens.complete(token, QResult(
+                    OP_POP, self.qd, error=str(err),
+                    value=err if isinstance(err, DeviceFailed) else None))
+                continue
+            libos.count(names.FILE_READS)
+            sga = Sga([segment])
+            if not libos.qtokens.complete(token, QResult(
+                    OP_POP, self.qd, sga=sga, nbytes=sga.nbytes,
+                    value=record_id)):
+                libos.sga_free(sga)
+        self._reader = None
 
 
 class SpdkLibOS(LibOS):

@@ -2,13 +2,16 @@
 
 A :class:`Buffer` is a contiguous range of simulated host memory: it has a
 fake virtual address (used by IOMMU checks and one-sided RDMA), a backing
-``bytearray`` holding real payload bytes, and a device reference count.
+``bytearray`` holding real payload bytes, and a reference count.
 
-Free-protection (paper section 4.5): while a device holds a reference
-(DMA in flight), ``free()`` only *marks* the buffer; the memory manager
-defers the actual deallocation until the last device reference drops.
-Without this, the application would either corrupt in-flight DMA or have
-to coordinate with the device itself.
+Free-protection (paper section 4.5): while anyone holds a reference (a
+device with DMA in flight, or a slice of the buffer lent to the
+application by :meth:`MemoryManager.lend
+<repro.memory.manager.MemoryManager.lend>`), ``free()`` only *marks* the
+buffer; the memory manager defers the actual deallocation until the last
+reference drops.  Without this, the application would either corrupt
+in-flight DMA or have to coordinate with the device itself, and an owner
+could not free a buffer while someone else still reads a slice of it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ class BufferError(Exception):
 class Buffer:
     """A registered-memory I/O buffer."""
 
-    __slots__ = ("addr", "capacity", "data", "region", "_device_refs",
+    __slots__ = ("addr", "capacity", "data", "region", "_refs",
                  "freed", "deallocated", "_on_last_release", "written")
 
     def __init__(self, addr: int, capacity: int, region: Optional[object] = None):
@@ -35,7 +38,7 @@ class Buffer:
         self.capacity = capacity
         self.data = bytearray(capacity)
         self.region = region
-        self._device_refs = 0
+        self._refs = 0
         self.freed = False        # application called free()
         self.deallocated = False  # memory actually returned
         self._on_last_release = None
@@ -75,29 +78,30 @@ class Buffer:
         self.write(0, payload)
         return self
 
-    # -- device reference counting -----------------------------------------
+    # -- reference counting ------------------------------------------------
     @property
-    def in_use_by_device(self) -> bool:
-        return self._device_refs > 0
+    def in_use(self) -> bool:
+        return self._refs > 0
 
     def hold(self) -> "Buffer":
-        """A device takes a reference for the duration of a DMA."""
+        """Take a reference: a device for the duration of a DMA, or a
+        lent slice until it is given back."""
         self._check_live()
-        self._device_refs += 1
+        self._refs += 1
         return self
 
     def release(self) -> None:
-        """A device drops its reference; may fire the deferred-free hook."""
-        if self._device_refs <= 0:
+        """Drop a reference; may fire the deferred-free hook."""
+        if self._refs <= 0:
             raise BufferError("release() without hold() on buffer @%#x" % self.addr)
-        self._device_refs -= 1
-        if self._device_refs == 0 and self._on_last_release is not None:
+        self._refs -= 1
+        if self._refs == 0 and self._on_last_release is not None:
             hook, self._on_last_release = self._on_last_release, None
             hook(self)
 
     def on_last_release(self, hook) -> None:
         """Install the deferred-free hook (memory-manager internal)."""
-        if self._device_refs == 0:
+        if self._refs == 0:
             hook(self)
         else:
             self._on_last_release = hook
@@ -105,4 +109,4 @@ class Buffer:
     def __repr__(self) -> str:  # pragma: no cover
         state = "dealloc" if self.deallocated else ("freed" if self.freed else "live")
         return "<Buffer @%#x cap=%d refs=%d %s>" % (
-            self.addr, self.capacity, self._device_refs, state)
+            self.addr, self.capacity, self._refs, state)

@@ -11,7 +11,10 @@ Two jobs distinguish it from an ordinary allocator:
 
 2. **Free-protection.**  ``free()`` on a buffer a device is still DMA-ing
    defers deallocation until the device drops its reference, turning a
-   use-after-free-by-DMA bug into a harmless deferred free.
+   use-after-free-by-DMA bug into a harmless deferred free.  The same
+   holds for a *lent* slice (:meth:`MemoryManager.lend`): memory its
+   owner handed the application without a copy - a popped record in the
+   log's read span - keeps the buffer alive until ``give_back``.
 
 The manager also exposes ``read_mem``/``write_mem`` hooks so RDMA NICs can
 serve one-sided operations against registered memory, and an *explicit*
@@ -71,6 +74,8 @@ class MemoryManager:
         self._buffers: Dict[int, Buffer] = {}
         # explicit per-buffer registrations: addr -> [(device, handle)]
         self._buffer_handles: Dict[int, List[Tuple[Any, int]]] = {}
+        # segments lent out and not yet given back, by identity
+        self._lent: Dict[int, Any] = {}
         self.live_bytes = 0
         host.mm = self
 
@@ -150,13 +155,32 @@ class MemoryManager:
         buf.freed = True
         self.host.cpu.charge_async(self.costs.free_ns)
         self.counters.count(names.MM_FREES)
-        if buf.in_use_by_device:
+        if buf.in_use:
             # Free-protection: the unprotected path would have reused this
-            # memory under an active DMA.
+            # memory under an active DMA or a lent slice.
             self.counters.count(names.MM_DEFERRED_FREES)
             buf.on_last_release(self._deallocate)
         else:
             self._deallocate(buf)
+
+    def lend(self, segment):
+        """Lend *segment* (an ``SgaSegment`` with ``lent`` set) of a buffer
+        someone else owns: it holds one reference on the buffer until
+        :meth:`give_back`, so its owner may free the buffer meanwhile."""
+        segment.buf.hold()
+        self._lent[id(segment)] = segment
+        return segment
+
+    def give_back(self, segment) -> None:
+        """Return a lent segment: drop its reference, charging
+        ``free_ns`` like a free.  Its buffer goes once its owner freed it
+        and nothing else holds it."""
+        if self._lent.pop(id(segment), None) is not segment:
+            raise BufferError("double free of a lent slice of buffer @%#x"
+                              % segment.buf.addr)
+        self.host.cpu.charge_async(self.costs.free_ns)
+        self.counters.count(names.MM_LENT_RETURNS)
+        segment.buf.release()
 
     def _deallocate(self, buf: Buffer) -> None:
         if buf.deallocated:
@@ -218,11 +242,14 @@ class MemoryManager:
 
     # -- teardown / reclamation ----------------------------------------------
     def free_all(self) -> int:
-        """Crash teardown: free every still-live buffer the dead process
-        left behind.  Buffers a device is mid-DMA on get the normal
-        free-protection (deallocation defers to the last reference drop);
-        already-freed-but-deferred buffers are left to resolve on their
-        own.  Returns the number of buffers newly freed."""
+        """Crash teardown: give back every slice the dead process was lent
+        and free every still-live buffer it left behind.  Buffers a device
+        is mid-DMA on get the normal free-protection (deallocation defers
+        to the last reference drop); already-freed-but-deferred buffers
+        are left to resolve on their own.  Returns the number of buffers
+        newly freed."""
+        for segment in list(self._lent.values()):
+            self.give_back(segment)
         freed = 0
         for buf in list(self._buffers.values()):
             if not buf.freed:

@@ -27,10 +27,15 @@ that has lost its tail reads exactly the blocks each record needs.
 Read-ahead pays off for a reader that walks the log forward, one miss
 at a time, which is every reader the store has: a reader jumping about,
 or several misses in flight at once, would each fetch a whole depth.
-It is one buffer, not a page cache - no second copy, no eviction
-policy - and it is dropped whenever it could lie: at every ``sync()``
-(the partial head block is rewritten), at ``mount()``, and at any record
-that fails its checks, so a retry goes back to flash.
+It is one registered buffer, not a page cache - no eviction policy -
+and the device read lands in it.  A flushed record is read as a *lent*
+slice of it (:meth:`~repro.memory.manager.MemoryManager.lend`), not a
+copy: the slice holds a reference on the buffer, so when the store lets
+the span go the buffer lives on, under free-protection, until the last
+slice is given back.  The span is dropped whenever it could lie: at
+every ``sync()`` (the partial head block is rewritten), at ``mount()``,
+and at any record that fails its checks, so a retry goes back to flash;
+and a closed file queue drops it, so a log nobody reads holds no memory.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ import struct
 import zlib
 from typing import Generator, List, Optional, Tuple
 
+from ..core.types import SgaSegment
 from ..hw.nvme import NvmeDevice
+from ..memory.buffer import Buffer
 from ..sim.cpu import Core
 from ..telemetry import names
 
@@ -65,6 +72,8 @@ class LogStore:
                  lba_start: int = 0, lba_count: Optional[int] = None):
         self.nvme = nvme
         self.core = core
+        #: the host memory the device's reads land in
+        self.mm = nvme.host.mm
         self.costs = nvme.costs
         self.block_size = nvme.block_size
         self.lba_start = lba_start
@@ -79,9 +88,9 @@ class LogStore:
         #: sync's read-modify-write needs no device read
         self._tail_block = b""
         #: the read-side twin: the blocks the last device read brought
-        #: in, as (first_lba, bytes), so the records that share them need
-        #: no further command
-        self._read_span: Tuple[int, bytes] = (0, b"")
+        #: in, as (first_lba, the buffer they landed in - None if no
+        #: span), so the records that share them need no further command
+        self._read_span: Tuple[int, Optional[Buffer]] = (0, None)
         #: bumped at every drop, so a read that was in flight across one
         #: does not install what it fetched before it
         self._span_drops = 0
@@ -151,7 +160,7 @@ class LogStore:
         yield self.core.busy(self.costs.spdk_submit_ns)
         # The write fills what a span over the old tail block holds as
         # zero padding.
-        self._drop_read_span()
+        self.drop_read_span()
         yield self.nvme.submit_write(self._lba_of(start_offset), bytes(data))
         yield self.core.busy(self.costs.spdk_submit_ns)
         yield self.nvme.submit_flush()
@@ -162,10 +171,17 @@ class LogStore:
 
     # -- reads -----------------------------------------------------------------------
     def read(self, record_id: int) -> Generator:
-        """Sim-coroutine: fetch one record's payload by id."""
+        """Sim-coroutine: one record's payload by id, as an
+        :class:`~repro.core.types.SgaSegment` the caller frees
+        (``LibOS.sga_free``).
+
+        A flushed record is a lent slice of the read span: no copy, and
+        its reference keeps the span's buffer alive however long the
+        caller holds it.  A record still in the write buffer is copied
+        into a buffer of its own, since the next sync reuses that memory.
+        """
         if record_id < 0 or record_id >= self.tail:
             raise LogError("bad record id %d" % record_id)
-        # Serve from the write buffer when the record is not yet flushed.
         if record_id >= self._buffer_base:
             local = record_id - self._buffer_base
             header = bytes(self._buffer[local:local + RECORD_HEADER_LEN])
@@ -173,25 +189,48 @@ class LogStore:
             payload = bytes(self._buffer[local + RECORD_HEADER_LEN:
                                          local + RECORD_HEADER_LEN + length])
             yield self.core.busy(self.costs.spdk_submit_ns // 4)
-        else:
-            header, payload = yield from self._read_from_device(record_id)
+            self._accept(header, payload, record_id)
+            buf = self.mm.alloc(length)
+            buf.write(0, payload)
+            return SgaSegment(buf, 0, length)
+        buf, at = yield from self._read_from_device(record_id)
+        try:
+            header, payload = self._unpack(buf, at)
+            self._accept(header, payload, record_id)
+            return self.mm.lend(SgaSegment(buf, at + RECORD_HEADER_LEN,
+                                           len(payload), lent=True))
+        finally:
+            buf.release()
+
+    def _accept(self, header: bytes, payload: bytes, record_id: int) -> None:
+        """Raise :class:`LogError` unless these bytes are the record."""
         why = self._mismatch(header, payload)
         if why:
             raise LogError(why % record_id)
         self.records_read += 1
-        return payload
+
+    @staticmethod
+    def _unpack(buf: Buffer, at: int) -> Tuple[bytes, bytes]:
+        """The header and the payload it claims of the record at *at*."""
+        head = at + RECORD_HEADER_LEN
+        end = head + _HEADER.unpack_from(buf.data, at)[1]
+        return bytes(buf.data[at:head]), bytes(buf.data[head:end])
 
     def _read_from_device(self, offset: int) -> Generator:
-        """Header and payload of the flushed record at *offset*.
+        """``(buf, at)``: a buffer that holds the flushed record at
+        *offset* - its header and the payload the header claims - from
+        *at* on, with a reference taken for the caller to release.
 
         Served from the read span when it holds every block the record
         covers: a quarter submission of CPU and no command, what
-        :meth:`read` charges for a record still in the write buffer, and
-        only the record's bytes are copied out.  Otherwise one submission
-        reads the blocks the span is missing - those past the prefix it
-        holds, or all of them - reading ahead in that same command, and
-        those blocks become the span.  A read that raises installs
-        nothing.
+        :meth:`read` charges for a record still in the write buffer.
+        Otherwise one submission reads the blocks the span is missing -
+        those past the prefix it holds, or all of them - reading ahead in
+        that same command.  They land in a new buffer, behind the prefix,
+        which replaces the span (one allocation per miss) - unless a drop
+        came while the read was in flight: then the store keeps nothing,
+        and the buffer lives as long as the caller's reference and what
+        it lends.  A read that raises installs nothing.
         """
         bs = self.block_size
         first_lba = self._lba_of(offset)
@@ -200,18 +239,20 @@ class LogStore:
         span_lba, span = self._read_span
         drops = self._span_drops
         skip = (first_lba - span_lba) * bs
-        # The record's header and payload, indexed in the span in place.
-        at = skip + start
-        head = at + RECORD_HEADER_LEN
-        if skip >= 0 and head <= len(span):
-            end = head + _HEADER.unpack_from(span, at)[1]
-            if end <= len(span):
+        if span is not None and skip >= 0:
+            # The record's header and payload, indexed in the span in place.
+            at = skip + start
+            head = at + RECORD_HEADER_LEN
+            if (head <= span.capacity and head + _HEADER.unpack_from(
+                    span.data, at)[1] <= span.capacity):
                 self.nvme.count(names.LOG_READ_SPAN_HITS)
+                span.hold()   # a sync meanwhile lets the span go, not it
                 yield self.core.busy(self.costs.spdk_submit_ns // 4)
-                return span[at:head], span[head:end]
+                return span, at
         self.nvme.count(names.LOG_READ_SPAN_MISSES)
         yield self.core.busy(self.costs.spdk_submit_ns)
-        held = span[skip:] if skip >= 0 else b""
+        held = bytes(span.data[skip:]) if span is not None and skip >= 0 \
+            else b""
         # Read ahead, but not into blocks no sync has filled yet - the
         # flushed tail lies inside the LBA range, so the read does too.
         flushed = -(-self._buffer_base // bs) - (first_lba - self.lba_start)
@@ -219,9 +260,17 @@ class LogStore:
         held = yield from self._cover(first_lba, held, need)
         end = body + _HEADER.unpack_from(held, start)[1]
         held = yield from self._cover(first_lba, held, end)
-        if drops == self._span_drops:
-            self._read_span = (first_lba, held)
-        return held[start:body], held[body:end]
+        install = drops == self._span_drops
+        if install:
+            self._release_span()   # first, so the allocator can reuse it
+        buf = self.mm.alloc(len(held))
+        buf.write(0, held)         # where the device's DMA landed
+        buf.hold()
+        if install:
+            self._read_span = (first_lba, buf)
+        else:
+            self.mm.free(buf)
+        return buf, start
 
     def _cover(self, first_lba: int, held: bytes, need: int) -> Generator:
         """*held*, the blocks from *first_lba* on, read forward until it
@@ -233,8 +282,17 @@ class LogStore:
                 first_lba + len(held) // self.block_size, missing)
         return held
 
-    def _drop_read_span(self) -> None:
-        self._read_span = (0, b"")
+    def _release_span(self) -> None:
+        """Let the span's buffer go: freed, or once its lent slices are
+        given back."""
+        buf = self._read_span[1]
+        self._read_span = (0, None)
+        if buf is not None:
+            self.mm.free(buf)
+
+    def drop_read_span(self) -> None:
+        """Let the span go, and make a read in flight install nothing."""
+        self._release_span()
         self._span_drops += 1
 
     def _mismatch(self, header: bytes, payload: bytes) -> Optional[str]:
@@ -250,7 +308,7 @@ class LogStore:
             why = _BAD_CHECKSUM
         else:
             return None
-        self._drop_read_span()
+        self.drop_read_span()
         return why
 
     # -- scans ("BPF for storage") ------------------------------------------------------
@@ -306,7 +364,9 @@ class LogStore:
         matches = []
         offset = 0
         while offset + RECORD_HEADER_LEN <= self._buffer_base:
-            header, payload = yield from self._read_from_device(offset)
+            buf, at = yield from self._read_from_device(offset)
+            header, payload = self._unpack(buf, at)
+            buf.release()
             why = self._mismatch(header, payload)
             if why == _BAD_MAGIC:
                 break
@@ -325,16 +385,18 @@ class LogStore:
         Returns the list of valid record ids found.  Stops at the first
         hole or corrupt header, exactly like log replay after a crash.
         """
-        self._drop_read_span()
+        self.drop_read_span()
         offset = 0
         found: List[int] = []
         # The valid bytes of the block *offset* is in, for the next sync.
         tail_block = b""
         while offset + RECORD_HEADER_LEN <= self.capacity_bytes:
             try:
-                header, payload = yield from self._read_from_device(offset)
+                buf, at = yield from self._read_from_device(offset)
             except Exception:
                 break
+            header, payload = self._unpack(buf, at)
+            buf.release()
             if self._mismatch(header, payload):
                 break
             found.append(offset)

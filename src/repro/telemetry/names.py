@@ -252,6 +252,9 @@ MM_BUFFER_REGISTRATIONS = "buffer_registrations"
 MM_FREES = "frees"
 MM_DEFERRED_FREES = "deferred_frees"
 MM_DEALLOCATIONS = "deallocations"
+# A lent slice (a popped record in the log's read span) given back with
+# sga_free: free_ns, its reference on the lender's buffer dropped.
+MM_LENT_RETURNS = "lent_returns"
 MM_REGIONS_RECLAIMED = "regions_reclaimed"
 
 # -------------------------------------------------------------------- apps

@@ -630,9 +630,13 @@ def _kv_udp(run: _Run, n_keys: int = 20, n_gets: int = 200,
 
 
 def _storage_legs(libos, records: Sequence[bytes]) -> Generator:
+    """Append, fsync, read back; free every element and close both
+    queues, so the heap ends as it started."""
     qd = yield from libos.creat("/chaos")
     for record in records:
-        result = yield from libos.blocking_push(qd, libos.sga_alloc(record))
+        sga = libos.sga_alloc(record)
+        result = yield from libos.blocking_push(qd, sga)
+        libos.sga_free(sga)
         if result.error is not None:
             raise SimulationError("append failed: %s" % result.error)
     flushed = yield from libos.fsync(qd)
@@ -643,6 +647,9 @@ def _storage_legs(libos, records: Sequence[bytes]) -> Generator:
         if result.error is not None:
             raise SimulationError("read failed: %s" % result.error)
         out.append(result.sga.tobytes())
+        libos.sga_free(result.sga)
+    yield from libos.close(qd2)
+    yield from libos.close(qd)
     return out, flushed
 
 

@@ -27,6 +27,16 @@ class TestDemiLogWriter:
         assert readback == RECORDS
         assert stats.count == 4  # 32 records / 8 per sync
 
+    def test_the_heap_ends_as_it_started(self):
+        """It frees every element it pushes and pops and closes both
+        queues: a kept pop would pin the whole read span it lives in."""
+        w, libos = make_spdk_libos()
+        start = libos.mm.live_buffer_count
+        p = w.sim.spawn(demi_log_writer(libos, RECORDS, sync_every=8))
+        w.run()
+        assert p.value[1] == RECORDS
+        assert libos.mm.live_buffer_count == start
+
     def test_no_kernel_involvement(self):
         w, libos = make_spdk_libos()
         p = w.sim.spawn(demi_log_writer(libos, RECORDS[:8]))

@@ -84,6 +84,14 @@ def test_golden_slow_nvme():
     assert r.data["flushed"] > 0
 
 
+def test_the_storage_leg_ends_with_the_heap_it_started_with():
+    # The world starts with no buffer; the leg frees what it pushes and
+    # pops and closes both queues, so a pop it kept would pin the whole
+    # read span its slice lives in.
+    r = run_golden("slow-nvme", "spdk")
+    assert r.world.hosts["h"].mm.live_buffer_count == 0
+
+
 def test_golden_corruption_storm():
     # Random bit flips past the ethernet header: every mangled frame is
     # caught by the IPv4 header checksum (rx_malformed) or the TCP

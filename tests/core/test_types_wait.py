@@ -54,9 +54,9 @@ class TestSga:
         buf = mm.alloc(16)
         sga = Sga.from_buffer(buf)
         sga.hold_all()
-        assert buf.in_use_by_device
+        assert buf.in_use
         sga.release_all()
-        assert not buf.in_use_by_device
+        assert not buf.in_use
 
 
 class TestQTokenTable:

@@ -37,9 +37,9 @@ class TestBuffer:
         buf.hold()
         buf.hold()
         buf.release()
-        assert buf.in_use_by_device  # one hold left
+        assert buf.in_use  # one hold left
         buf.release()
-        assert not buf.in_use_by_device
+        assert not buf.in_use
 
     def test_release_without_hold_rejected(self):
         buf = Buffer(0x1000, 16)

@@ -33,7 +33,7 @@ class TestAppendRead:
 
         def proc():
             rid = yield from store.append(b"record-one")
-            data = yield from store.read(rid)
+            data = (yield from store.read(rid)).tobytes()
             return rid, data
 
         rid, data = run(w, proc())
@@ -46,7 +46,7 @@ class TestAppendRead:
         def proc():
             rid = yield from store.append(b"durable-record")
             yield from store.sync()
-            data = yield from store.read(rid)
+            data = (yield from store.read(rid)).tobytes()
             return data
 
         assert run(w, proc()) == b"durable-record"
@@ -72,7 +72,7 @@ class TestAppendRead:
         def proc():
             rid = yield from store.append(payload)
             yield from store.sync()
-            return (yield from store.read(rid))
+            return (yield from store.read(rid)).tobytes()
 
         assert run(w, proc()) == payload
 
@@ -117,8 +117,8 @@ class TestAppendRead:
             yield from store.sync()
             r2 = yield from store.append(b"second")
             yield from store.sync()
-            d1 = yield from store.read(r1)
-            d2 = yield from store.read(r2)
+            d1 = (yield from store.read(r1)).tobytes()
+            d2 = (yield from store.read(r2)).tobytes()
             return d1, d2
 
         assert run(w, proc()) == (b"first", b"second")
@@ -154,7 +154,7 @@ def read_costs(w, store, nvme, payloads, order):
         out = []
         for i in order:
             before = device_reads(nvme)
-            out.append((yield from store.read(ids[i])))
+            out.append((yield from store.read(ids[i])).tobytes())
             after = device_reads(nvme)
             costs.append((after[0] - before[0], after[1] - before[1]))
         return out
@@ -179,7 +179,7 @@ class TestReadSpan:
             cpu["before"] = store.core.busy_ns
             out = []
             for rid in ids:
-                out.append((yield from store.read(rid)))
+                out.append((yield from store.read(rid)).tobytes())
             cpu["reads"] = store.core.busy_ns - cpu["before"]
             return out
 
@@ -187,9 +187,11 @@ class TestReadSpan:
         assert device_reads(nvme) == (1, 1)
         assert nvme.tracer.get("h.nvme0.read_span_misses") == 1
         assert nvme.tracer.get("h.nvme0.read_span_hits") == 39
-        # One submission, then the write buffer's charge per record.
+        # One submission and the allocation its blocks land in, then the
+        # write buffer's charge per record.
         submit = store.costs.spdk_submit_ns
-        assert cpu["reads"] == submit + 39 * (submit // 4)
+        assert cpu["reads"] == (submit + store.costs.malloc_ns
+                                + 39 * (submit // 4))
 
     def test_straddling_records_cost_one_read_ahead(self):
         w, store, nvme = make_store()
@@ -221,8 +223,8 @@ class TestReadSpan:
             for payload in payloads:
                 ids.append((yield from store.append(payload)))
             yield from store.sync()
-            cold = yield from store.read(ids[1])   # header in blocks 0-1
-            warm = yield from store.read(ids[0])
+            cold = (yield from store.read(ids[1])).tobytes()   # header: blocks 0-1
+            warm = (yield from store.read(ids[0])).tobytes()
             return cold, warm
 
         assert run(w, proc()) == (payloads[1], payloads[0])
@@ -236,12 +238,12 @@ class TestReadSpan:
         def proc():
             first = yield from store.append(b"first")
             yield from store.sync()
-            out = [(yield from store.read(first))]   # span: the tail block
+            out = [(yield from store.read(first)).tobytes()]   # span: the tail block
             second = yield from store.append(b"second")
             third = yield from store.append(b"third")
             yield from store.sync()
             for rid in (second, third, first):
-                out.append((yield from store.read(rid)))
+                out.append((yield from store.read(rid)).tobytes())
             return out
 
         assert run(w, proc()) == [b"first", b"second", b"third", b"first"]
@@ -264,7 +266,8 @@ class TestReadSpan:
             flusher = w.sim.spawn(writer())
             yield reader
             yield flusher
-            return reader.value, (yield from store.read(ids["second"]))
+            return (reader.value.tobytes(),
+                    (yield from store.read(ids["second"])).tobytes())
 
         assert run(w, proc()) == (b"first", b"second")
 
@@ -281,7 +284,7 @@ class TestReadSpan:
             with pytest.raises(LogError, match="checksum"):
                 yield from store.read(rid)
             nvme._blocks[0] = good   # the device repaired it (a scrub)
-            return (yield from store.read(rid))
+            return (yield from store.read(rid)).tobytes()
 
         assert run(w, proc()) == b"precious"
         assert device_reads(nvme) == (2, 2)
@@ -302,18 +305,18 @@ class TestReadSpan:
             for payload in payloads:
                 ids.append((yield from store.append(payload)))
             yield from store.sync()
-            out = [(yield from store.read(ids[0]))]   # span: blocks 0-67
+            out = [(yield from store.read(ids[0])).tobytes()]   # span: blocks 0-67
             assert store._read_span[0] == 0
-            assert len(store._read_span[1]) == depth * nvme.block_size
+            assert store._read_span[1].capacity == depth * nvme.block_size
             yield w.sim.timeout(1_000_000 - w.sim.now)
             with pytest.raises(DeviceFailed):
                 yield from store.read(ids[1])         # block 68 never comes
             before = device_reads(nvme)
-            out.append((yield from store.read(ids[0])))   # still 0-67
+            out.append((yield from store.read(ids[0])).tobytes())   # still 0-67
             assert device_reads(nvme) == before
             yield w.sim.timeout(6_000_000 - w.sim.now)
             for rid in ids[1:]:
-                out.append((yield from store.read(rid)))
+                out.append((yield from store.read(rid)).tobytes())
             return out
 
         assert run(w, proc()) == [payloads[0], payloads[0], payloads[1],
@@ -389,7 +392,7 @@ class TestReadAhead:
             out = []
             for rid in [ids[1]] + ids[8:]:
                 before = device_reads(nvme)
-                out.append((yield from store.read(rid)))
+                out.append((yield from store.read(rid)).tobytes())
                 after = device_reads(nvme)
                 costs.append((after[0] - before[0], after[1] - before[1]))
             return out
@@ -413,9 +416,9 @@ class TestReadAhead:
                     ids.append((yield from store.append(payloads[-1])))
                 yield from store.sync()
                 for rid in ids:
-                    out.append((yield from store.read(rid)))
+                    out.append((yield from store.read(rid)).tobytes())
                     span_lba, span = store._read_span
-                    spans.append((span_lba + len(span) // bs,
+                    spans.append((span_lba + span.capacity // bs,
                                   -(-store._buffer_base // bs)))
             expected = [p for batch in range(6)
                         for p in payloads[:20 * (batch + 1)]]
@@ -450,7 +453,7 @@ class TestReadAhead:
             nvme.submit_read = spy
             out = []
             for rid in ids:
-                out.append((yield from stores[1].read(rid)))
+                out.append((yield from stores[1].read(rid)).tobytes())
             return out
 
         assert run(w, proc()) == block_records(8, bs, fill=8)
@@ -474,7 +477,7 @@ class TestRecovery:
             found = yield from recovered.mount()
             payloads = []
             for rid in found:
-                payloads.append((yield from recovered.read(rid)))
+                payloads.append((yield from recovered.read(rid)).tobytes())
             return found, payloads
 
         found, payloads = run(w, recover_phase())
@@ -557,14 +560,14 @@ class TestRecovery:
             return durable
 
         durable = run(w, write_phase())
-        assert store._read_span[1]
+        assert store._read_span[1] is not None
         recovered = LogStore(nvme, store.core)
 
         def recover_phase():
             found = yield from recovered.mount()
             out = []
             for rid in found:
-                out.append((yield from recovered.read(rid)))
+                out.append((yield from recovered.read(rid)).tobytes())
             return found, out
 
         found, out = run(w, recover_phase())
@@ -587,7 +590,7 @@ class TestRecovery:
             yield from other.sync()
             out = []
             for rid in (yield from store.mount()):
-                out.append((yield from store.read(rid)))
+                out.append((yield from store.read(rid)).tobytes())
             return out
 
         assert run(w, write_phase()) == [b"mine", b"theirs"]
@@ -610,7 +613,7 @@ class TestRecovery:
             yield from recovered.sync()
             out = []
             for rid in found:
-                out.append((yield from recovered.read(rid)))
+                out.append((yield from recovered.read(rid)).tobytes())
             return out
 
         assert run(w, recover_phase()) == [b"durable", b"appended"]

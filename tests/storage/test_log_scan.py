@@ -55,7 +55,7 @@ class TestScanResults:
             matches = yield from store.scan(lambda p: b"cherry" in p)
             rid, payload = matches[0]
             again = yield from store.read(rid)
-            return payload, again
+            return payload, again.tobytes()
 
         payload, again = run(w, proc())
         assert payload == again == b"cherry-4"
