@@ -48,6 +48,7 @@ def demi_echo_server(libos: LibOS, port: int = 7,
         if result.error is not None:
             break
         reply = yield from libos.blocking_push(qd, result.sga)
+        libos.sga_free(result.sga)
         if reply.error is not None:
             break
         served += 1
@@ -68,6 +69,7 @@ def demi_echo_client(libos: LibOS, server_addr: str,
         result = yield from libos.blocking_pop(qd)
         stats.add(libos.sim.now - start)
         replies.append(result.sga.tobytes())
+        libos.sga_free(result.sga)
     yield from libos.close(qd)
     return replies, stats
 

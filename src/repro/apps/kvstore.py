@@ -178,6 +178,7 @@ def demi_kv_client(libos: LibOS, server_addr: str,
             if result.error is not None:
                 raise DemiError("kv connection lost: %s" % result.error)
             replies = codec.feed_responses(result.sga.tobytes())
+            libos.sga_free(result.sga)
         stats.add(libos.sim.now - start)
         results.append(get_result(replies[0]) if op == OP_GET else None)
     yield from libos.close(qd)

@@ -232,6 +232,7 @@ class ProtoServer:
             if reply:
                 yield from libos.blocking_push(qd, libos.sga_alloc(reply))
                 self.service_stats.add(libos.sim.now - service_start)
+            libos.sga_free(result.sga)
             libos.count(names.SHARD_REQUESTS)
             if not ok:
                 self.decode_errors += 1

@@ -88,9 +88,11 @@ class DemiQueue:
         """An element arrived: match the oldest pending pop or buffer it.
 
         *value* rides along in the QResult (e.g. a datagram's source
-        address); buffered elements keep it too.
+        address); buffered elements keep it too.  This is the one place a
+        received element is born; a closed queue frees it instead.
         """
         if self.closed:
+            self.libos.sga_free(sga)
             return
         if self._pending_pops:
             token = self._pending_pops.popleft()
@@ -107,8 +109,7 @@ class DemiQueue:
                         value: object = None) -> None:
         """An element arrived off the device as bytes: land it in a
         registered buffer (where DMA would have put it), count it under
-        the libOS's *counter* and deliver it - the one place a received
-        element is born."""
+        the libOS's *counter* and :meth:`deliver` it."""
         nbytes = len(payload)
         buf = self.libos.mm.alloc(max(1, nbytes))
         buf.write(0, payload)
@@ -160,14 +161,17 @@ class DemiQueue:
         return self.capacity is None or len(self._ready) < self.capacity
 
     def close(self) -> None:
-        """Fail outstanding pops and refuse further traffic."""
+        """Fail outstanding pops, free the elements nobody popped and
+        refuse further traffic."""
         if self.closed:
             return
         self.closed = True
         while self._pending_pops:
             token = self._pending_pops.popleft()
             self._complete(token, QResult(OP_POP, self.qd, error="closed"))
-        self._ready.clear()
+        while self._ready:
+            sga, _value = self._ready.popleft()
+            self.libos.sga_free(sga)
         self.space_wq.pulse()
 
     # -- the device half: control path and teardown ---------------------------

@@ -9,11 +9,16 @@ exactly those two missing pieces so applications never see them:
 
 * **Buffer management** - a pool of fixed-size receive buffers drawn
   from the transparently-registered heap, pre-posted on every QP and
-  re-posted as the application pops elements.
+  re-posted as the application frees the elements it popped.  A pop is
+  no copy: it is a slice of the pool buffer the message landed in, lent
+  to the application (``MemoryManager.lend``) until ``sga_free`` gives
+  it back.
 * **Flow control** - credit-based: a sender holds one credit per
   receive buffer it may consume; the receiver returns credits in
   batches as buffers are re-posted.  Without this, a fast sender draws
-  RNR NAKs and QP resets (which the raw-verbs tests demonstrate).
+  RNR NAKs and QP resets (which the raw-verbs tests demonstrate).  So
+  an application that holds popped elements slows its sender through
+  the credits it has not returned, and never starves the NIC.
 
 One verbs ``send`` carries one sga: RDMA messages are naturally atomic,
 so no framing layer is needed (contrast with the TCP libOSes).
@@ -26,7 +31,7 @@ from typing import Generator, List, Optional
 
 from ..core.api import LibOS
 from ..core.queue import DemiQueue, ListeningQueue
-from ..core.types import OP_PUSH, QResult, QToken, Sga
+from ..core.types import OP_PUSH, QResult, QToken, Sga, SgaSegment
 from ..hw.nic import RdmaNic
 from ..rdma.cm import RdmaCm
 from ..rdma.verbs import QueuePair
@@ -34,10 +39,16 @@ from ..sim.sync import WaitQueue
 from ..telemetry import names
 
 __all__ = ["RdmaLibOS", "RdmaQueue", "RdmaListenQueue",
-           "POOL_BUFFERS", "POOL_BUFFER_SIZE"]
+           "POOL_BUFFERS", "POOL_BUFFER_SIZE", "CREDITS"]
 
 POOL_BUFFERS = 64
 POOL_BUFFER_SIZE = 8192
+#: credits a sender starts with: one short of the receiver's pool.
+#: Credits come back ``POOL_BUFFERS // 2`` at a time and fewer than
+#: ``POOL_BUFFERS`` are ever out, so at most one credit message is in
+#: flight, and the buffer kept for it is posted however many elements
+#: the application holds - a credit return never draws an RNR NAK.
+CREDITS = POOL_BUFFERS - 1
 
 _MSG_DATA = 0
 _MSG_CREDIT = 1
@@ -59,12 +70,13 @@ class RdmaQueue(DemiQueue):
         self.credits = 0
         self.credit_wq = WaitQueue(self.sim, "q%d.credits" % qd)
         self.consumed_since_return = 0
-        #: the receive pool, posted on the QP for the queue's lifetime
+        #: the receive pool, for the queue's lifetime: each buffer is
+        #: posted on the QP or lent to the application (or a push)
         self.pool: List = []
 
     def attach_qp(self, qp: QueuePair) -> None:
         self.qp = qp
-        self.credits = POOL_BUFFERS
+        self.credits = CREDITS
         # Pre-post the receive pool: the buffer management applications
         # previously wrote by hand.
         for _ in range(POOL_BUFFERS):
@@ -78,46 +90,48 @@ class RdmaQueue(DemiQueue):
             self._complete(token, QResult(OP_PUSH, self.qd,
                                           error="not connected"))
             return
+        # The push holds the element's buffers from now until its send
+        # completes: a lent slice the application frees meanwhile - an
+        # echoed pop - is not re-posted while the NIC still reads it.
+        sga.hold_all()
         self.sim.spawn(self._push_driver(sga, token),
                        name="%s.q%d.tx" % (self.libos.name, self.qd))
 
     def _push_driver(self, sga: Sga, token: QToken) -> Generator:
+        error = yield from self._send(sga)
+        sga.release_all()
+        if error is not None:
+            self._complete(token, QResult(OP_PUSH, self.qd, error=error))
+            return
+        self.libos.count(names.RDMA_TX_ELEMENTS)
+        self._complete(token, QResult(OP_PUSH, self.qd, nbytes=sga.nbytes))
+
+    def _send(self, sga: Sga) -> Generator:
+        """Sim-coroutine: send one element as one message; returns None,
+        or why it was not delivered."""
         libos = self.libos
         if self.closed:  # died in the instant it pushed: the element is gone
-            self._complete(token, QResult(OP_PUSH, self.qd, error="closed"))
-            return
+            return "closed"
         payload = sga.tobytes()
         if len(payload) > MAX_ELEMENT:
-            libos.qtokens.complete(token, QResult(
-                OP_PUSH, self.qd,
-                error="element exceeds pool buffer size"))
-            return
+            return "element exceeds pool buffer size"
         # Flow control: block until the receiver has a buffer for us.
         while self.credits == 0 and not self.closed:
             libos.count(names.FLOW_CONTROL_STALLS)
             yield self.credit_wq.wait()
         if self.closed:
-            libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
-                                                  error="closed"))
-            return
+            return "closed"
+        # Zero-copy transmit: the NIC reads the element's own buffers, so
+        # their extents are what the IOMMU validates - the wire message
+        # is a header longer and would overrun a region's last slot.
+        for addr, size in sga.dma_ranges():
+            libos.nic.iommu.translate(addr, size)
         self.credits -= 1
-        sga.hold_all()
-        # Zero-copy transmit: the NIC reads the element's own buffer, so
-        # its extent is what the IOMMU validates - the wire message is a
-        # header longer and would overrun a region's last slot.
-        libos.nic.iommu.translate(*sga.dma_ranges()[0])
         message = _HDR.pack(_MSG_DATA, len(payload)) + payload
         wr = self.qp.post_send(message)
         # Wait for the NIC's ack-driven send completion.
         cqe = yield from self.qp.wait_send_cqe(wr)
-        sga.release_all()
-        if cqe["status"] != "ok":
-            libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
-                                                  error=cqe["status"]))
-            return
-        libos.count(names.RDMA_TX_ELEMENTS)
-        libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
-                                              nbytes=sga.nbytes))
+        return None if cqe["status"] == "ok" else cqe["status"]
 
     def _rx_pump(self) -> Generator:
         qp, libos = self.qp, self.libos
@@ -138,13 +152,26 @@ class RdmaQueue(DemiQueue):
                     libos.count(names.CREDIT_RETURNS_RECEIVED)
                     qp.post_recv(buf)  # control buffers recycle immediately
                     continue
-                self.deliver_payload(buf.read(_HDR.size, value),
-                                     names.RDMA_RX_ELEMENTS)
-                # Buffer management: re-post and batch credit returns.
-                qp.post_recv(buf)
-                self.consumed_since_return += 1
-                if self.consumed_since_return >= POOL_BUFFERS // 2:
-                    self._return_credits()
+                # The element is the message where it landed: lend the
+                # application that slice of the pool buffer, which goes
+                # back on the QP when the slice comes back.
+                libos.count(names.RDMA_RX_ELEMENTS)
+                segment = libos.mm.lend(
+                    SgaSegment(buf, _HDR.size, value, lent=True))
+                buf.on_last_release(self._repost)
+                self.deliver(Sga([segment]))
+
+    def _repost(self, buf) -> None:
+        """The last reference on a lent pool buffer dropped - the
+        application freed its slice and no push still reads it: post it
+        again and batch the credit returns.  A closed queue or an errored
+        QP takes nothing more; its pool goes back to the heap."""
+        if self.closed or self.qp.hw.error:
+            return
+        self.qp.post_recv(buf)
+        self.consumed_since_return += 1
+        if self.consumed_since_return >= POOL_BUFFERS // 2:
+            self._return_credits()
 
     def _return_credits(self) -> None:
         count = self.consumed_since_return
@@ -164,6 +191,12 @@ class RdmaQueue(DemiQueue):
         libos.count(names.CONNECTS)
         return 0
 
+    def close(self) -> None:
+        super().close()
+        # Wake any push driver parked on flow-control credits so it
+        # observes the closed queue and exits.
+        self.credit_wq.pulse()
+
     def shutdown(self) -> Generator:
         if self.qp is not None:
             self.qp.destroy()
@@ -182,9 +215,6 @@ class RdmaQueue(DemiQueue):
         if self.qp is not None:
             self.qp.destroy()
             counters.count(names.RECLAIM_QPS_DESTROYED)
-        # Wake any push driver parked on flow-control credits so it
-        # observes the closed queue and exits.
-        self.credit_wq.pulse()
         self.reap()
 
 

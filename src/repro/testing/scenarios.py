@@ -739,6 +739,7 @@ def _crash_echo_server(libos, port: int, n_limit: int,
             outcome = result.error
             break
         reply = yield from libos.blocking_push(qd, result.sga)
+        libos.sga_free(result.sga)
         if reply.error is not None:
             outcome = reply.error
             break

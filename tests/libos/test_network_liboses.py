@@ -210,6 +210,7 @@ class TestRdmaSpecifics:
             while got < n_messages:
                 result = yield from server.blocking_pop(qd)
                 assert result.error is None
+                server.sga_free(result.sga)
                 got += 1
             return got
 
@@ -259,7 +260,8 @@ class TestRdmaSpecifics:
             yield from server.listen(lqd)
             qd = yield from server.accept(lqd)
             for _ in range(POOL_BUFFERS * 2):
-                yield from server.blocking_pop(qd)
+                result = yield from server.blocking_pop(qd)
+                server.sga_free(result.sga)
 
         def client_proc():
             qd = yield from client.socket()

@@ -48,6 +48,7 @@ class TestRdmaUnderLoss:
             for _ in range(n):
                 result = yield from server.blocking_pop(qd)
                 out.append(result.sga.tobytes())
+                server.sga_free(result.sga)
             return out
 
         def client_proc():
