@@ -83,7 +83,7 @@ def test_abl1_rx_burst_size(benchmark, once):
 
 def test_abl1_poll_vs_interrupt(benchmark, once, metrics):
     def run():
-        return metrics("echo-rtt", "dpdk"), metrics("echo-rtt", "posix")
+        return metrics("echo-rtt", "dpdk"), metrics("echo-rtt", "kernel")
 
     poll, interrupt = once(benchmark, run)
     print_table(

@@ -44,7 +44,7 @@ def test_c2_copy_overhead_end_to_end(benchmark, once, metrics):
         for size in SIZES:
             posix, demi = (metrics("kv-rtt", flavor, value_size=size,
                                    n_gets=15)["get_rtt_mean_ns"]
-                           for flavor in ("posix", "dpdk"))
+                           for flavor in ("kernel", "dpdk"))
             rows.append({"value_size": size, "posix_rtt_ns": posix,
                          "demi_rtt_ns": demi,
                          "posix_over_demi": posix / demi})

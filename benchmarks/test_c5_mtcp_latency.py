@@ -21,7 +21,7 @@ def test_c5_mtcp_latency(benchmark, once, metrics):
     def run():
         rows = []
         for size in SIZES:
-            kernel = metrics("echo-rtt", "posix", message_size=size)
+            kernel = metrics("echo-rtt", "kernel", message_size=size)
             mtcp = metrics("echo-rtt", "mtcp", message_size=size)
             demi = metrics("echo-rtt", "dpdk", message_size=size)
             rows.append((size,

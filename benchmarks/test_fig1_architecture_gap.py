@@ -15,7 +15,7 @@ def test_fig1_architecture_gap(benchmark, once, metrics):
     def run():
         rows = []
         for size in SIZES:
-            kernel = metrics("echo-rtt", "posix", message_size=size)
+            kernel = metrics("echo-rtt", "kernel", message_size=size)
             bypass = metrics("echo-rtt", "dpdk", message_size=size)
             rows.append((size,
                          us(kernel["rtt_mean_ns"]),

@@ -67,8 +67,7 @@ def test_fig2_demikernel_split(benchmark, once, metrics):
         for name, make_pair, addr, flavor in (
             ("catnip (DPDK)", make_dpdk_libos_pair, "10.0.0.2", "dpdk"),
             ("catmint (RDMA)", make_rdma_libos_pair, "server-rdma", "rdma"),
-            ("catnap (POSIX)", make_posix_libos_pair, "10.0.0.2",
-             "posix-libos"),
+            ("catnap (POSIX)", make_posix_libos_pair, "10.0.0.2", "posix"),
         ):
             control_ns = _connect_ns(make_pair, addr)
             data_ns = metrics("echo-rtt", flavor,

@@ -59,10 +59,11 @@ DRAIN_TIMEOUT_NS = 100_000_000
 @dataclass
 class LoadConfig:
     """One offered-load point's worth of traffic knobs (the wire
-    protocol is the server's: the legs read it off the server they load)."""
+    protocol is the server's: the legs read it off the server they load).
+    Its defaults are the ``open-loop`` rows', and so ``proto-slo``'s."""
 
     rate_ops_per_s: float = 50_000.0   # total offered load, all connections
-    duration_ms: int = 40              # measurement window (sim time)
+    duration_ms: int = 20              # measurement window (sim time)
     n_connections: int = 4
     pipeline_max: int = 16             # max requests coalesced per push
     n_keys: int = 64

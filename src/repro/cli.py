@@ -40,7 +40,7 @@ from .telemetry import (breakdown_from_events, chrome_trace_events, names,
 from .testbed import make_dpdk_libos_pair
 from .testing.scenarios import WORKLOADS as SCENARIO_WORKLOADS
 from .testing.scenarios import (GOLDEN_SCENARIOS, named_plans, plan_by_name,
-                                run_scenario)
+                                run_scenario, scenario_problem)
 
 __all__ = ["main"]
 
@@ -60,24 +60,24 @@ def cmd_demo(_args) -> int:
 def cmd_experiments(_args) -> int:
     from .experiments import ExperimentSpec, run_spec
 
-    def metrics(workload, flavor, **params):
-        return run_spec(ExperimentSpec(workload, libos=flavor,
+    def metrics(workload, kind, **params):
+        return run_spec(ExperimentSpec(workload, libos=kind,
                                        params=params))["metrics"]
 
-    rows = [(flavor, metrics("echo-rtt", flavor, count=15))
-            for flavor in ("posix", "mtcp", "posix-libos", "dpdk", "rdma")]
+    rows = [(kind, metrics("echo-rtt", kind, count=15))
+            for kind in ("kernel", "mtcp", "posix", "dpdk", "rdma")]
     print_table(
         "echo RTT across every stack (64 B messages)",
         ["stack", "RTT mean", "RTT p99", "syscalls/req", "copied B/req"],
-        [(flavor, us(r["rtt_mean_ns"]), us(r["rtt_p99_ns"]),
+        [(kind, us(r["rtt_mean_ns"]), us(r["rtt_p99_ns"]),
           "%.1f" % r["syscalls_per_req"],
-          "%.0f" % r["copies_bytes_per_req"]) for flavor, r in rows],
+          "%.0f" % r["copies_bytes_per_req"]) for kind, r in rows],
     )
     sweep = []
     for size in (64, 4096):
-        posix, demi = (metrics("kv-rtt", flavor, value_size=size,
+        posix, demi = (metrics("kv-rtt", kind, value_size=size,
                                n_gets=10)["get_rtt_mean_ns"]
-                       for flavor in ("posix", "dpdk"))
+                       for kind in ("kernel", "dpdk"))
         sweep.append((size, us(posix), us(demi), "%.2f" % (posix / demi)))
     print_table(
         "KV GET: POSIX copies vs Demikernel zero-copy",
@@ -153,9 +153,9 @@ def cmd_chaos(args) -> int:
     (``repro exp run experiments/chaos_battery.json``)."""
     scenario = GOLDEN_SCENARIOS[args.scenario]
     kind = args.libos or scenario["kinds"][0]
-    if kind not in scenario["kinds"]:
-        raise SystemExit("scenario %r runs on %s, not %r"
-                         % (args.scenario, "/".join(scenario["kinds"]), kind))
+    problem = scenario_problem(args.scenario, kind)
+    if problem is not None:
+        raise SystemExit(problem)
     if args.plan:
         with open(args.plan) as fh:
             plan = FaultPlan.from_json(fh.read())

@@ -20,18 +20,20 @@ invariant checker reports (qtoken identity, nothing in flight after a
 drained run, no wake-up without work, no IOMMU fault, crash reclaim) is
 a failure of the row.
 
-The spec's ``cores`` axis means what the workload says it means:
+The spec's ``libos`` is a scenario kind (``kernel``, ``mtcp``,
+``posix``, ``dpdk``, ``rdma``, ``spdk``): a workload runs on exactly the
+kinds its scenario row lists.  ``cores`` means what the workload says:
 server *shards* for ``kv-scaling`` and ``proto-slo`` (dpdk only -
 sharding rides RSS), concurrent closed-loop *client sessions* for
-``kv`` (any network libOS).  ``params.counters`` (a list of leaf names)
-merges a :func:`repro.telemetry.counter_rollup` slice of the run's
-counters into the metrics for workloads that expose them.
+``kv``.  ``params.counters`` (a list of leaf names) merges a
+:func:`repro.telemetry.counter_rollup` slice of the run's counters into
+the metrics for workloads that expose them.
 
-Every ``run`` reads its parameters through :func:`spec_params`, which
-lays ``spec.params`` over the schema's defaults at read time.  The
-defaults are written once, in the schema, and never into the spec - a
-spec that omits a param and one that spells its default out are
-different specs with different ``run_id`` s, as they always were.
+A schema is the scenario row's ``params`` (names, defaults, types by
+default) less what the workload sets itself, plus the params only the
+experiment reads.  :func:`spec_params` lays ``spec.params`` over the
+defaults at read time, never into the spec - a spec that omits a param
+and one that spells its default out have different ``run_id`` s.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..apps.proto import CODECS
 from ..telemetry import counter_rollup
-from ..testing.scenarios import (GOLDEN_SCENARIOS, NET_LIBOS_KINDS,
-                                 plan_by_name, run_scenario, scenario_problem)
+from ..testing.scenarios import WORKLOADS as SCENARIO_ROWS
+from ..testing.scenarios import (GOLDEN_SCENARIOS, plan_by_name,
+                                 run_scenario, scenario_problem)
 from .spec import ExperimentSpec
 
 __all__ = ["WORKLOADS", "register_workload", "workload_names",
@@ -55,7 +58,6 @@ WORKLOADS: Dict[str, Dict[str, Any]] = {}
 #: schema "type" -> accepted Python types (bool is NOT an int here)
 _SCHEMA_TYPES: Dict[str, tuple] = {
     "int": (int,),
-    "float": (float, int),
     "number": (float, int),
     "str": (str,),
     "bool": (bool,),
@@ -173,24 +175,41 @@ def spec_params(spec: ExperimentSpec) -> Dict[str, Any]:
     return params
 
 
-def _runs_on(bench: str, flavors: Sequence[str], multicore: bool = False):
-    """The validator of a workload that runs on *flavors* only, and at
-    ``cores == 1`` unless it is *multicore*."""
+#: the schema type of a default's Python type
+_DEFAULT_TYPES = {bool: "bool", int: "int", float: "number", str: "str",
+                  list: "list"}
+
+
+def _row_schema(row: str, sets: Sequence[str] = (),
+                **extra: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """The schema of a workload over scenario *row*: each of the row's
+    ``params`` but those the workload *sets* itself, typed by its
+    default, plus the *extra* params only the experiment reads."""
+    schema = {key: {"type": _DEFAULT_TYPES[type(default)],
+                    "default": default}
+              for key, default in SCENARIO_ROWS[row]["params"].items()
+              if key not in sets}
+    schema.update(extra)
+    return schema
+
+
+def _runs_on(row, multicore: bool = False):
+    """The validator of a workload over scenario *row* (a name, or a
+    function of the spec naming it): the spec's libOS is one of the
+    row's kinds, and ``cores == 1`` unless the workload is *multicore*."""
     def validate(spec: ExperimentSpec) -> Optional[str]:
-        if spec.libos not in flavors:
-            return ("%r runs on flavors %s, not %r"
-                    % (bench, ", ".join(flavors), spec.libos))
-        if spec.cores != 1 and not multicore:
-            return "%r is a single-core bench (cores must be 1)" % bench
-        return None
+        reason = scenario_problem(row(spec) if callable(row) else row,
+                                  spec.libos)
+        if reason is None and spec.cores != 1 and not multicore:
+            reason = ("%r is a single-core bench (cores must be 1)"
+                      % spec.workload)
+        return reason
     return validate
 
 
-def _scenario(spec: ExperimentSpec, row: str, kind: Optional[str] = None,
-              **params):
+def _scenario(spec: ExperimentSpec, row: str, **params):
     """One leg of *spec*: scenario *row* under the spec's plan."""
-    return run_scenario(row, kind or spec.libos, plan=spec.resolve_plan(),
-                        **params)
+    return run_scenario(row, spec.libos, plan=spec.resolve_plan(), **params)
 
 
 def _outcome(metrics: Dict[str, Any], *results,
@@ -216,15 +235,10 @@ def _merge_counters(metrics: Dict[str, Any], counters,
 
 # -- kv: N concurrent closed-loop clients against one KV server ------------
 @register_workload(
-    "kv", validate=_runs_on("kv", NET_LIBOS_KINDS, multicore=True),
+    "kv", validate=_runs_on("kv-concurrent", multicore=True),
     blurb="cores concurrent closed-loop KV clients, any network libOS",
-    schema={
-        "n_ops": {"type": "int", "default": 40},
-        "n_keys": {"type": "int", "default": 16},
-        "value_size": {"type": "int", "default": 256},
-        "get_fraction": {"type": "number", "default": 0.7},
-        "counters": {"type": "list"},
-    })
+    schema=_row_schema("kv-concurrent", sets=("n_clients",),
+                       counters={"type": "list"}))
 def _kv_run(spec: ExperimentSpec) -> Dict[str, Any]:
     params = spec_params(spec)
     result = _scenario(spec, "kv-concurrent", n_clients=spec.cores,
@@ -233,7 +247,6 @@ def _kv_run(spec: ExperimentSpec) -> Dict[str, Any]:
     metrics = _numeric_data(result.data)
     # the trajectory's column; a run that hung served nothing it can count
     metrics["requests"] = metrics.pop("served", 0)
-    metrics["signature"] = result.signature
     _merge_counters(metrics, result.counters, params)
     return _outcome(metrics, result)
 
@@ -248,14 +261,10 @@ def _chaos_scenario(spec: ExperimentSpec) -> Optional[str]:
 
 
 def _chaos_validate(spec: ExperimentSpec) -> Optional[str]:
-    scenario = _chaos_scenario(spec)
-    if scenario is None:
+    if _chaos_scenario(spec) is None:
         return ("'chaos' needs params.scenario or a golden-scenario "
                 "fault_plan name")
-    reason = scenario_problem(scenario, spec.libos)
-    if reason is None and spec.cores != 1:
-        reason = "'chaos' scenarios are single-core (cores must be 1)"
-    return reason
+    return _runs_on(_chaos_scenario)(spec)
 
 
 @register_workload(
@@ -298,15 +307,10 @@ _DRIVER_DATA = ("finished_at", "reclaim")
 
 
 @register_workload(
-    "kv-scaling", validate=_runs_on("kv-scaling", ("dpdk",), multicore=True),
+    "kv-scaling", validate=_runs_on("kv-sharded", multicore=True),
     blurb="sharded KV throughput at cores shards (dpdk), wake-one"
           " counters checked",
-    schema={
-        "n_ops": {"type": "int", "default": 200},
-        "n_keys": {"type": "int", "default": 32},
-        "value_size": {"type": "int", "default": 256},
-        "get_fraction": {"type": "number", "default": 0.9},
-    })
+    schema=_row_schema("kv-sharded"))
 def _kv_scaling_run(spec: ExperimentSpec) -> Dict[str, Any]:
     """The ``kv-sharded`` row is the whole measurement; its ``data`` is
     the trajectory row (docs/api.md has the columns)."""
@@ -317,24 +321,15 @@ def _kv_scaling_run(spec: ExperimentSpec) -> Dict[str, Any]:
     return _outcome(metrics, result)
 
 
-# -- echo-rtt / kv-rtt: the claim-suite latency benches --------------------
-#: flavor -> the scenario driver's stack kind: ``posix`` is kernel
-#: sockets, ``mtcp`` a user stack behind POSIX semantics, the rest the
-#: Demikernel libOSes
-_STACK_KINDS = {"posix": "kernel", "mtcp": "mtcp", "posix-libos": "posix",
-                "dpdk": "dpdk", "rdma": "rdma"}
-
-
+# -- echo-rtt / kv-rtt: the claim-suite latency benches, on the legacy
+# stacks (``kernel`` sockets, ``mtcp``) as on the libOSes ------------------
 @register_workload(
-    "echo-rtt", validate=_runs_on("echo-rtt", tuple(_STACK_KINDS)),
+    "echo-rtt", validate=_runs_on("echo-rtt"),
     blurb="echo round-trip + per-request syscall/copy/interrupt costs",
-    schema={
-        "message_size": {"type": "int", "default": 64},
-        "count": {"type": "int", "default": 20},
-    })
+    schema=_row_schema("echo-rtt"))
 def _echo_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
     params = spec_params(spec)
-    result = _scenario(spec, "echo-rtt", _STACK_KINDS[spec.libos], **params)
+    result = _scenario(spec, "echo-rtt", **params)
     data = result.data
     per_req = max(1, params["count"])
     metrics = {
@@ -352,15 +347,12 @@ def _echo_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
 
 
 @register_workload(
-    "kv-rtt", validate=_runs_on("kv-rtt", ("posix", "dpdk")),
+    "kv-rtt", validate=_runs_on("kv-rtt"),
     blurb="KV GET round-trip + server CPU per request",
-    schema={
-        "value_size": {"type": "int", "default": 1024},
-        "n_gets": {"type": "int", "default": 20},
-    })
+    schema=_row_schema("kv-rtt"))
 def _kv_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
     params = spec_params(spec)
-    result = _scenario(spec, "kv-rtt", _STACK_KINDS[spec.libos], **params)
+    result = _scenario(spec, "kv-rtt", **params)
     metrics = {"value_size": params["value_size"]}
     for column in ("get_rtt_mean_ns", "get_rtt_p99_ns",
                    "server_cpu_per_req_ns"):
@@ -389,14 +381,10 @@ def _columns(data: Dict[str, Any], columns: Dict[str, str]) -> Dict[str, Any]:
 
 
 @register_workload(
-    "kv-offload", validate=_runs_on("kv-offload", ("dpdk",)),
+    "kv-offload", validate=_runs_on("kv-udp"),
     blurb="host CPU/op for UDP KV GETs with vs without the NIC-resident"
           " GET program",
-    schema={
-        "n_keys": {"type": "int", "default": 20},
-        "n_gets": {"type": "int", "default": 200},
-        "value_size": {"type": "int", "default": 64},
-    })
+    schema=_row_schema("kv-udp", sets=("nic_program",)))
 def _kv_offload_run(spec: ExperimentSpec) -> Dict[str, Any]:
     base, off, failures = _variants(spec, "kv-udp", "nic_program",
                                     ("host", "offload"))
@@ -416,12 +404,10 @@ def _kv_offload_run(spec: ExperimentSpec) -> Dict[str, Any]:
 
 
 @register_workload(
-    "storelog-scan", validate=_runs_on("storelog-scan", ("spdk",)),
+    "storelog-scan", validate=_runs_on("log-scan"),
     blurb="log predicate scan on-device vs host read loop, host CPU and"
           " PCIe traffic compared",
-    schema={
-        "n_records": {"type": "int", "default": 400},
-    })
+    schema=_row_schema("log-scan", sets=("on_device",)))
 def _storelog_scan_run(spec: ExperimentSpec) -> Dict[str, Any]:
     host, dev, failures = _variants(spec, "log-scan", "on_device",
                                     ("host", "device"))
@@ -444,39 +430,26 @@ def _storelog_scan_run(spec: ExperimentSpec) -> Dict[str, Any]:
 
 
 # -- proto-slo: open-loop SLO sweep against the protocol servers -----------
+def _open_loop_row(spec: ExperimentSpec) -> str:
+    return "open-loop-sharded" if spec.cores > 1 else "open-loop"
+
+
 def _proto_slo_validate(spec: ExperimentSpec) -> Optional[str]:
-    reason = _runs_on("proto-slo", ("dpdk", "posix"), multicore=True)(spec)
-    if reason is not None:
-        return reason
-    if spec.cores > 1 and spec.libos != "dpdk":
-        return "'proto-slo' sharded runs (cores > 1) are dpdk only"
     protocol = spec_params(spec)["protocol"]
     if protocol not in CODECS:
         return ("unknown protocol %r (have: %s)"
                 % (protocol, ", ".join(sorted(CODECS))))
-    return None
+    return _runs_on(_open_loop_row, multicore=True)(spec)
 
 
 @register_workload(
     "proto-slo", validate=_proto_slo_validate,
     blurb="open-loop Poisson/Zipf load sweep against a RESP or memcached"
           " server; goodput + tail latency per offered-load point",
-    schema={
-        "protocol": {"type": "str", "default": "resp"},
-        "base_rate_ops_per_s": {"type": "number", "default": 240000},
-        "load_fractions": {"type": "list", "default": [0.3, 0.7, 1.0, 1.3]},
-        "duration_ms": {"type": "int", "default": 20},
-        "n_connections": {"type": "int", "default": 4},
-        "pipeline_max": {"type": "int", "default": 16},
-        "n_keys": {"type": "int", "default": 64},
-        "value_size": {"type": "int", "default": 128},
-        "get_fraction": {"type": "number", "default": 0.9},
-        "zipf_skew": {"type": "number", "default": 0.99},
-        "churn_every": {"type": "int", "default": 0},
-        "stall_conns": {"type": "int", "default": 0},
-        "stall_ns": {"type": "int", "default": 2000000},
-        "chunk_bytes": {"type": "int", "default": 0},
-    })
+    schema=_row_schema(
+        "open-loop", sets=("rate_ops_per_s",),
+        base_rate_ops_per_s={"type": "number", "default": 240000},
+        load_fractions={"type": "list", "default": [0.3, 0.7, 1.0, 1.3]}))
 def _proto_slo_run(spec: ExperimentSpec) -> Dict[str, Any]:
     """The whole sweep runs in one spec so budgets can gate the curve.
 
@@ -502,9 +475,9 @@ def _proto_slo_run(spec: ExperimentSpec) -> Dict[str, Any]:
         "stalls": 0,
     }
     for fraction in fractions:
-        result = _scenario(
-            spec, "open-loop-sharded" if sharded else "open-loop",
-            rate_ops_per_s=base_rate * fraction, **sharded, **params)
+        result = _scenario(spec, _open_loop_row(spec),
+                           rate_ops_per_s=base_rate * fraction, **sharded,
+                           **params)
         results.append(result)
         row = result.data
         pct = int(round(fraction * 100))

@@ -43,25 +43,14 @@ __all__ = ["DpdkNic", "KernelNic", "RdmaNic", "HwCq", "HwQp", "RdmaPacket",
 class _EthernetNic(Device):
     """Shared TX/RX machinery for frame-oriented NICs."""
 
-    def __init__(
-        self,
-        host,
-        fabric: Fabric,
-        mac: str,
-        name: str,
-        rx_ring_size: int = 1024,
-        iommu: Optional[Iommu] = None,
-        n_tx_queues: int = 1,
-    ):
+    def __init__(self, host, fabric: Fabric, mac: str, name: str,
+                 n_tx_queues: int):
         super().__init__(host, name)
         self.fabric = fabric
         self.mac = mac
-        self.rx_ring_size = rx_ring_size
-        self.iommu = iommu or Iommu(host.tracer, name + ".iommu")
+        self.iommu = Iommu(host.tracer, name + ".iommu")
         self.port = fabric.attach(mac, self._on_wire_rx)
         self.offload = None  # set by hw.offload.OffloadEngine.attach()
-        if n_tx_queues < 1:
-            raise ValueError("a NIC needs at least one TX queue")
         self.n_tx_queues = n_tx_queues
         # Each TX queue owns a serial pipeline (its own DMA engine);
         # descriptors posted to different queues proceed independently,
@@ -225,18 +214,17 @@ class DpdkNic(_EthernetNic):
 
     kind = "dpdk-nic"
 
-    def __init__(self, host, fabric, mac, name="dpdk0", rx_ring_size=1024,
-                 iommu=None, n_rx_queues=1, replicate_non_ip=False,
-                 n_tx_queues=None):
+    def __init__(self, host, fabric, mac, name="dpdk0", n_rx_queues=1,
+                 replicate_non_ip=False):
         if n_rx_queues < 1:
             raise ValueError("a NIC needs at least one RX queue")
-        # Symmetric queues by default: each polling core gets a private
-        # TX pipeline to match its private RX ring, so shards never
-        # serialize behind one DMA engine (the 8-core knee).
-        if n_tx_queues is None:
-            n_tx_queues = n_rx_queues
-        super().__init__(host, fabric, mac, name, rx_ring_size, iommu,
-                         n_tx_queues=n_tx_queues)
+        # Symmetric queues: each polling core gets a private TX pipeline
+        # to match its private RX ring, so shards never serialize behind
+        # one DMA engine (the 8-core knee).
+        super().__init__(host, fabric, mac, name, n_tx_queues=n_rx_queues)
+        #: descriptors per RX ring (a ``nic_ring_clamp`` fault lowers the
+        #: effective limit for its window)
+        self.rx_ring_size = 1024
         self.n_rx_queues = n_rx_queues
         self.replicate_non_ip = replicate_non_ip
         #: device-resident RX program (FlexNIC-style match+action): runs
@@ -392,9 +380,8 @@ class KernelNic(_EthernetNic):
 
     kind = "kernel-nic"
 
-    def __init__(self, host, fabric, mac, name="eth0", rx_ring_size=4096,
-                 iommu=None, coalesce_ns=0):
-        super().__init__(host, fabric, mac, name, rx_ring_size, iommu)
+    def __init__(self, host, fabric, mac, name="eth0", coalesce_ns=0):
+        super().__init__(host, fabric, mac, name, n_tx_queues=1)
         self.irq_handler: Optional[Callable[[bytes], None]] = None
         self.irq_core = host.cpu
         self.coalesce_ns = coalesce_ns

@@ -60,12 +60,12 @@ class Region:
 class MemoryManager:
     """Region-based allocator with transparent device registration."""
 
-    def __init__(self, host, transparent: bool = True):
+    def __init__(self, host):
         self.host = host
         self.costs = host.costs
         self.tracer = host.tracer
         self.counters = host.tracer.scope(names.MM)
-        self.transparent = transparent
+        self.transparent = True  # cleared: C7's per-buffer registration
         self.regions: List[Region] = []
         self.devices: List[Any] = []
         self._next_base = _HEAP_BASE

@@ -328,15 +328,25 @@ class FaultInjector:
 
     # -- wiring ---------------------------------------------------------------
     def install(self, world) -> "FaultInjector":
-        """Attach to a testbed ``World``: fabric hook + device views."""
+        """Attach to a testbed ``World``: fabric hook + device views.
+
+        A device event that names no NIC or NVMe device of *world* is a
+        :class:`ValueError`: a fault that lands nowhere would pass a
+        fault-free run off as one that survived it.
+        """
+        devices = [device for host in world.hosts.values()
+                   for device in host.nics + [host.nvme] if device is not None]
+        for e in self.plan.events:
+            if e.kind in DEVICE_KINDS and not any(
+                    e.matches_device(device.name) for device in devices):
+                raise ValueError(
+                    "%s event for device %r matches no device of this world"
+                    " (devices: %s)" % (e.kind, e.device, ", ".join(
+                        device.name for device in devices)))
         self.attach_fabric(world.fabric)
-        for host in world.hosts.values():
-            for nic in getattr(host, "nics", []):
-                self.attach_device(nic)
-            nvme = getattr(host, "nvme", None)
-            if nvme is not None:
-                self.attach_device(nvme)
-        self._schedule_transitions(world)
+        for device in devices:
+            self.attach_device(device)
+        self._schedule_transitions(world.sim, devices)
         return self
 
     def on_crash(self, host: str, handler) -> None:
@@ -348,19 +358,16 @@ class FaultInjector:
         """
         self._crash_handlers.setdefault(host, []).append(handler)
 
-    def _schedule_transitions(self, world) -> None:
+    def _schedule_transitions(self, sim, devices) -> None:
         """Schedule the plan's point-in-time events (crashes, link
         transitions).  Purely time-driven - no RNG draws - so the
         probabilistic frame stream is untouched."""
-        sim = world.sim
-        nics = [nic for host in world.hosts.values()
-                for nic in getattr(host, "nics", [])]
         for e in self.plan.events:
             if e.kind == "proc_crash":
                 sim.call_in(max(0, e.start - sim.now),
                             self._fire_crash, e.host)
             elif e.kind == "nic_link_flap":
-                for nic in nics:
+                for nic in devices:
                     if (e.matches_device(nic.name)
                             and hasattr(nic, "link_fail")):
                         sim.call_in(max(0, e.start - sim.now),

@@ -13,7 +13,6 @@ docs/faults.md.
 
 from .scenarios import (
     GOLDEN_SCENARIOS,
-    NET_LIBOS_KINDS,
     WORKLOADS,
     ScenarioFailure,
     ScenarioResult,
@@ -36,5 +35,4 @@ __all__ = [
     "named_plans",
     "WORKLOADS",
     "GOLDEN_SCENARIOS",
-    "NET_LIBOS_KINDS",
 ]

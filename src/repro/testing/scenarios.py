@@ -37,6 +37,7 @@ is the whole contract (see :func:`check_reproducible`).
 from __future__ import annotations
 
 from contextlib import suppress
+from dataclasses import fields
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -69,7 +70,6 @@ from ..testbed import (World, make_dpdk_libos_pair, make_kernel_pair,
                        make_spdk_libos)
 
 __all__ = [
-    "NET_LIBOS_KINDS",
     "ScenarioFailure",
     "ScenarioResult",
     "run_scenario",
@@ -341,7 +341,7 @@ def _check_echo_stream(run: _Run, replies, messages) -> None:
             % (intact, len(messages), len(replies)))
 
 
-def _echo(run: _Run, n_messages: int = 20, message_size: int = 512):
+def _echo(run: _Run, n_messages: int, message_size: int):
     """Ping-pong echo under faults: every byte back, in order, once."""
     messages = run.payloads(n_messages, message_size)
     server_proc = run.sim.spawn(
@@ -369,7 +369,7 @@ _ECHO_APPS = {
 }
 
 
-def _echo_rtt(run: _Run, count: int = 20, message_size: int = 64):
+def _echo_rtt(run: _Run, count: int, message_size: int):
     """The claim suite's echo round trip on every stack, the legacy ones
     included: warm-up trimmed RTT plus the syscalls, copied bytes and
     interrupts the *count* measured requests (and their warm-up) cost."""
@@ -400,17 +400,15 @@ def _echo_rtt(run: _Run, count: int = 20, message_size: int = 64):
         rx_interrupts=costs.get("rx_interrupts", 0))
 
 
-def _one_client(rng: Rng, n_ops: int = 40, n_keys: int = 32,
-                value_size: int = 256):
+def _one_client(rng: Rng, n_ops: int, n_keys: int, value_size: int):
     """The ``kv`` op stream: one synchronous client over the whole key
     space."""
     return [kv_workload(rng, n_ops, n_keys=n_keys, value_size=value_size,
                         get_fraction=0.7)]
 
 
-def _disjoint_clients(rng: Rng, n_clients: int = 2, n_ops: int = 40,
-                      n_keys: int = 16, value_size: int = 256,
-                      get_fraction: float = 0.7):
+def _disjoint_clients(rng: Rng, n_clients: int, n_ops: int, n_keys: int,
+                      value_size: int, get_fraction: float):
     """The ``kv-concurrent`` op streams: every client owns a disjoint key
     space (keys are prefixed with the client index), so concurrency
     cannot legitimately reorder observations within one connection."""
@@ -477,7 +475,7 @@ def _kv(run: _Run, streams, **shape):
         rtt_p99_ns=stats.p99)
 
 
-def _kv_rtt(run: _Run, n_gets: int = 20, value_size: int = 1024):
+def _kv_rtt(run: _Run, n_gets: int, value_size: int):
     """One PUT, then GETs of that key: GET round trip and server CPU per
     request, the engine behind kernel sockets (a copy on every hop)
     against the libOS server that replies with the stored buffer."""
@@ -524,8 +522,8 @@ def _start_shards(run: _Run):
     return servers
 
 
-def _kv_sharded(run: _Run, n_ops: int = 200, n_keys: int = 32,
-                value_size: int = 256, get_fraction: float = 0.9):
+def _kv_sharded(run: _Run, n_ops: int, n_keys: int, value_size: int,
+                get_fraction: float):
     """Closed-loop sharded KV run: one steered client per shard.
 
     Every client pins its flow to its shard's RX queue and draws only
@@ -578,8 +576,8 @@ def _kv_sharded(run: _Run, n_ops: int = 200, n_keys: int = 32,
     run.data.update(row)
 
 
-def _kv_udp(run: _Run, n_keys: int = 20, n_gets: int = 200,
-            value_size: int = 64, nic_program: bool = False):
+def _kv_udp(run: _Run, n_keys: int, n_gets: int, value_size: int,
+            nic_program: bool):
     """Closed-loop UDP KV: PUT the keyspace, hammer GETs, one miss.
 
     The trace is the same with and without *nic_program*; the only
@@ -653,7 +651,7 @@ def _storage_legs(libos, records: Sequence[bytes]) -> Generator:
     return out, flushed
 
 
-def _storage(run: _Run, n_records: int = 12, record_size: int = 2048):
+def _storage(run: _Run, n_records: int, record_size: int):
     """Append + fsync + read-back on the SPDK libOS under device faults."""
     records = run.payloads(n_records, record_size)
     proc = run.sim.spawn(_storage_legs(run.libos["h"], records),
@@ -680,7 +678,7 @@ def _log_scan_legs(libos, records: Sequence[bytes], predicate,
     return matches, libos.core.busy_ns - cpu_start, libos.sim.now - start
 
 
-def _log_scan(run: _Run, n_records: int = 400, on_device: bool = False):
+def _log_scan(run: _Run, n_records: int, on_device: bool):
     """Append + fsync a log, then predicate-scan it: the in-controller
     predicate loop (only matches cross PCIe) or the host read loop."""
     libos = run.libos["h"]
@@ -749,8 +747,8 @@ def _crash_echo_server(libos, port: int, n_limit: int,
     return served, outcome
 
 
-def _crash_echo(run: _Run, n_messages: int = 600, message_size: int = 128,
-                idle_timeout_ns: int = 5 * _MS, strict: bool = True):
+def _crash_echo(run: _Run, n_messages: int, message_size: int,
+                idle_timeout_ns: int, strict: bool):
     """Kill the client mid-stream; the kernel reclaims, the peer unblocks.
 
     The plan's ``proc_crash("client", at)`` event interrupts the client
@@ -805,7 +803,7 @@ def _crash_storage_legs(libos, records: Sequence[bytes]) -> Generator:
             yield from libos.fsync(qd)
 
 
-def _crash_storage(run: _Run, n_records: int = 8, record_size: int = 2048):
+def _crash_storage(run: _Run, n_records: int, record_size: int):
     """Kill the SPDK storage process mid-append; reclaim aborts the NVMe
     commands it left in flight and frees its registered heap."""
     libos = run.libos["h"]
@@ -839,7 +837,7 @@ def _nvme_outage_legs(libos, records: Sequence[bytes]) -> Generator:
     return appended, None
 
 
-def _nvme_outage(run: _Run, n_records: int = 6, record_size: int = 1024):
+def _nvme_outage(run: _Run, n_records: int, record_size: int):
     """A controller failure the retry ladder cannot outlast: the flush
     climbs timeout -> abort -> retry -> controller reset, exhausts its
     attempts, and surfaces a *typed* :class:`DeviceFailed` from the
@@ -964,8 +962,8 @@ def _replica_client_legs(client: ReplicatedKvClient, index: int,
     yield from client.close()
 
 
-def _kv_replicated(run: _Run, n_ops: int = 40, n_keys: int = 8,
-                   value_size: int = 64, settle_ns: int = 2 * _MS):
+def _kv_replicated(run: _Run, n_ops: int, n_keys: int, value_size: int,
+                   settle_ns: int):
     """Kill one replica of a chain mid-stream; the tier must not blink.
 
     Clients keep writing through the crash via the retrying router.
@@ -1108,7 +1106,7 @@ def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
         server_requests=sum(s.requests_served for s in servers))
 
 
-def _open_loop(run: _Run, protocol: str = "resp", **knobs):
+def _open_loop(run: _Run, protocol: str, **knobs):
     """One offered-load point against one :class:`ProtoServer` speaking
     *protocol*; *knobs* are :class:`~repro.bench.loadgen.LoadConfig`'s."""
     cfg = LoadConfig(**knobs)
@@ -1136,34 +1134,61 @@ def _open_loop_sharded(run: _Run, **knobs):
     yield from _offer_load(run, cfg, _start_shards(run), tier.ip, lanes)
 
 
-#: name -> the stack kinds it runs on and its ``legs``; ``world`` picks a
-#: world-table row other than the kind's, ``shape`` names the keywords
-#: that row's builder takes.  A new workload is one row here.
+#: every :class:`~repro.bench.loadgen.LoadConfig` knob at its default: the
+#: open-loop rows' keywords
+_LOAD_KNOBS = {knob.name: knob.default for knob in fields(LoadConfig)}
+
+#: name -> the stack kinds it runs on, its ``legs`` and ``params``, every
+#: keyword the legs take at its default (the one place a workload's
+#: defaults are written: ``repro.experiments`` reads them from here);
+#: ``world`` picks a world-table row other than the kind's, ``shape``
+#: names the keywords that row's builder takes.  A new workload is one
+#: row here.
 WORKLOADS: Dict[str, Dict[str, Any]] = {
-    "echo": {"kinds": NET_LIBOS_KINDS, "legs": _echo},
+    "echo": {"kinds": NET_LIBOS_KINDS, "legs": _echo,
+             "params": {"n_messages": 20, "message_size": 512}},
     "echo-rtt": {"kinds": ("kernel", "mtcp") + NET_LIBOS_KINDS,
-                 "legs": _echo_rtt},
+                 "legs": _echo_rtt,
+                 "params": {"count": 20, "message_size": 64}},
     "kv": {"kinds": NET_LIBOS_KINDS,
-           "legs": partial(_kv, streams=_one_client)},
+           "legs": partial(_kv, streams=_one_client),
+           "params": {"n_ops": 40, "n_keys": 32, "value_size": 256}},
     "kv-concurrent": {"kinds": NET_LIBOS_KINDS,
-                      "legs": partial(_kv, streams=_disjoint_clients)},
-    "kv-rtt": {"kinds": ("kernel", "dpdk"), "legs": _kv_rtt},
+                      "legs": partial(_kv, streams=_disjoint_clients),
+                      "params": {"n_clients": 2, "n_ops": 40, "n_keys": 16,
+                                 "value_size": 256, "get_fraction": 0.7}},
+    "kv-rtt": {"kinds": ("kernel", "dpdk"), "legs": _kv_rtt,
+               "params": {"n_gets": 20, "value_size": 1024}},
     "kv-sharded": {"kinds": ("dpdk",), "legs": _kv_sharded,
-                   "world": "sharded", "shape": ("cores",)},
+                   "world": "sharded", "shape": ("cores",),
+                   "params": {"n_ops": 200, "n_keys": 32, "value_size": 256,
+                              "get_fraction": 0.9}},
     "kv-udp": {"kinds": ("dpdk",), "legs": _kv_udp,
-               "world": "dpdk-offload"},
-    "open-loop": {"kinds": ("dpdk", "posix"), "legs": _open_loop},
+               "world": "dpdk-offload",
+               "params": {"n_keys": 20, "n_gets": 200, "value_size": 64,
+                          "nic_program": False}},
+    "open-loop": {"kinds": ("dpdk", "posix"), "legs": _open_loop,
+                  "params": {"protocol": "resp", **_LOAD_KNOBS}},
     "open-loop-sharded": {"kinds": ("dpdk",), "legs": _open_loop_sharded,
                           "world": "sharded",
-                          "shape": ("cores", "protocol")},
-    "storage": {"kinds": ("spdk",), "legs": _storage},
-    "log-scan": {"kinds": ("spdk",), "legs": _log_scan},
-    "crash-echo": {"kinds": NET_LIBOS_KINDS, "legs": _crash_echo},
-    "crash-storage": {"kinds": ("spdk",), "legs": _crash_storage},
-    "nvme-outage": {"kinds": ("spdk",), "legs": _nvme_outage},
+                          "shape": ("cores", "protocol"),
+                          "params": _LOAD_KNOBS},
+    "storage": {"kinds": ("spdk",), "legs": _storage,
+                "params": {"n_records": 12, "record_size": 2048}},
+    "log-scan": {"kinds": ("spdk",), "legs": _log_scan,
+                 "params": {"n_records": 400, "on_device": False}},
+    "crash-echo": {"kinds": NET_LIBOS_KINDS, "legs": _crash_echo,
+                   "params": {"n_messages": 600, "message_size": 128,
+                              "idle_timeout_ns": 5 * _MS, "strict": True}},
+    "crash-storage": {"kinds": ("spdk",), "legs": _crash_storage,
+                      "params": {"n_records": 8, "record_size": 2048}},
+    "nvme-outage": {"kinds": ("spdk",), "legs": _nvme_outage,
+                    "params": {"n_records": 6, "record_size": 1024}},
     "kv-replicated": {
         "kinds": ("rdma",), "legs": _kv_replicated, "world": "cluster",
         "shape": ("n_nodes", "replication", "n_chains", "n_clients"),
+        "params": {"n_ops": 40, "n_keys": 8, "value_size": 64,
+                   "settle_ns": 2 * _MS},
     },
 }
 
@@ -1350,7 +1375,8 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     *name* is a :data:`GOLDEN_SCENARIOS` row (*plan* defaults to its
     pinned plan) or a :data:`WORKLOADS` row (*plan* is required).
     *params* are the workload's own keywords (``n_messages``, ``n_ops``,
-    ``strict``, ...); *limit_ns* bounds each joined leg.  The loop is
+    ``strict``, ...), laid over its row's ``params``; *limit_ns* bounds
+    each joined leg.  The loop is
     always the same: build -> install the plan -> spawn and join, phase
     by phase -> stop servers -> quiesce -> check; a run that does not
     finish is recorded and still gets every check that holds for an
@@ -1363,6 +1389,7 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     workload = WORKLOADS[golden["workload"] if golden else name]
     if plan is None:
         plan = golden_plan(name, kind)
+    params = {**workload.get("params", {}), **params}
     shape = {key: params.pop(key) for key in workload.get("shape", ())
              if key in params}
     world, endpoints, tier = _WORLDS[workload.get("world", kind)](

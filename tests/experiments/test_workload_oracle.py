@@ -2,10 +2,10 @@
 
 Every simulated run is a pure function of its seed, so
 ``run_spec(...)["metrics"]`` of every registered workload on every
-flavor it validates for, at schema defaults and seed 7, is a free
+scenario kind it validates for, at schema defaults and seed 7, is a free
 refactoring oracle; the values are in
 ``tests/golden/workload_metrics.json``.  This is the only pin on
-``echo-rtt`` (5 flavors) and ``kv-rtt`` (2), which no committed
+``echo-rtt`` (5 kinds) and ``kv-rtt`` (2), which no committed
 trajectory covers.  ``chaos`` has no defaults that validate (it needs a
 scenario); the golden table pins it instead.
 """
@@ -17,17 +17,17 @@ from repro.experiments import (ExperimentSpec, run_spec, validate_spec,
 
 from .. import golden
 
-FLAVORS = ("dpdk", "posix", "rdma", "spdk", "mtcp", "posix-libos")
+KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk")
 
 
 def default_spec(cell: str) -> ExperimentSpec:
-    workload, flavor = cell.split("/")
-    return ExperimentSpec(workload, libos=flavor, seed=7)
+    workload, kind = cell.split("/")
+    return ExperimentSpec(workload, libos=kind, seed=7)
 
 
-CELLS = [cell for cell in sorted("%s/%s" % (workload, flavor)
+CELLS = [cell for cell in sorted("%s/%s" % (workload, kind)
                                  for workload in workload_names()
-                                 for flavor in FLAVORS)
+                                 for kind in KINDS)
          if validate_spec(default_spec(cell)) is None]
 
 

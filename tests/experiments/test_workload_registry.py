@@ -10,10 +10,13 @@ These tests pin the registration contract, the schema checking rules
 import pytest
 
 from repro.cli import main
-from repro.experiments import ExperimentSpec, run_spec, validate_spec
+from repro.experiments import (ExperimentSpec, execute_spec, run_spec,
+                               validate_spec)
 from repro.experiments.workloads import (WORKLOADS, check_params,
                                          register_workload, schema_summary,
                                          spec_params, workload_names)
+from repro.testing import GOLDEN_SCENARIOS
+from repro.testing import WORKLOADS as SCENARIO_ROWS
 
 
 class TestRegistration:
@@ -148,7 +151,7 @@ class TestValidateSpecGating:
         # No workload is a "performance bench, fault_plan must be
         # 'none'" any more: each runs through the scenario driver.
         for workload, libos in (("kv-scaling", "dpdk"), ("echo-rtt", "mtcp"),
-                                ("kv-rtt", "posix"), ("kv-offload", "dpdk"),
+                                ("kv-rtt", "kernel"), ("kv-offload", "dpdk"),
                                 ("storelog-scan", "spdk"),
                                 ("proto-slo", "dpdk")):
             spec = ExperimentSpec(workload=workload, libos=libos,
@@ -160,7 +163,7 @@ class TestValidateSpecGating:
 #: params that keep the run short
 FORMERLY_PLANLESS = [
     ("kv-scaling", "dpdk", 2, {"n_ops": 30}),
-    ("echo-rtt", "posix", 1, {}),
+    ("echo-rtt", "kernel", 1, {}),
     ("kv-rtt", "dpdk", 1, {}),
     ("kv-offload", "dpdk", 1, {"n_gets": 40}),
     ("storelog-scan", "spdk", 1, {"n_records": 60}),
@@ -192,3 +195,97 @@ class TestExpListCli:
         assert "workload params" in out
         assert "protocol:str='resp'" in out
         assert "n_ops:int=40" in out
+
+
+#: every stack kind a scenario row names: what ``ExperimentSpec.libos``
+#: takes
+KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk")
+
+#: (workload, cores, params) -> the scenario row it runs; chaos runs the
+#: golden scenario its params name, proto-slo its sharded row at cores > 1
+ROW_OF = [(("kv", 1, {}), "kv-concurrent"),
+          (("kv", 2, {}), "kv-concurrent"),
+          (("kv-scaling", 2, {}), "kv-sharded"),
+          (("echo-rtt", 1, {}), "echo-rtt"),
+          (("kv-rtt", 1, {}), "kv-rtt"),
+          (("kv-offload", 1, {}), "kv-udp"),
+          (("storelog-scan", 1, {}), "log-scan"),
+          (("proto-slo", 1, {}), "open-loop"),
+          (("proto-slo", 2, {}), "open-loop-sharded")] + [
+          (("chaos", 1, {"scenario": name}), name)
+          for name in sorted(GOLDEN_SCENARIOS)]
+
+
+class TestOneVocabulary:
+    def test_the_table_covers_every_workload_and_kind(self):
+        assert {workload for (workload, _c, _p), _row in ROW_OF} \
+            == set(workload_names())
+        assert {kind for row in SCENARIO_ROWS.values()
+                for kind in row["kinds"]} == set(KINDS)
+
+    @pytest.mark.parametrize("cell,row", ROW_OF,
+                             ids=["%s-%d-%s" % (w, c, p.get("scenario", ""))
+                                  for (w, c, p), _row in ROW_OF])
+    def test_a_workload_runs_on_exactly_its_rows_kinds(self, cell, row):
+        workload, cores, params = cell
+        row_kinds = (GOLDEN_SCENARIOS.get(row) or SCENARIO_ROWS[row])["kinds"]
+        accepted = tuple(kind for kind in KINDS
+                         if validate_spec(ExperimentSpec(
+                             workload, libos=kind, cores=cores,
+                             params=params)) is None)
+        assert set(accepted) == set(row_kinds)
+
+    def test_a_plan_resolves_for_the_kind_the_spec_names(self):
+        # The POSIX libOS under a golden plan pinned per kind: the spec's
+        # libos is the kind the plan is sized for.
+        assert validate_spec(ExperimentSpec(
+            "echo-rtt", libos="posix", fault_plan="crash-mid-stream")) is None
+
+    def test_kernel_and_posix_name_different_stacks(self):
+        kernel, posix = (run_spec(ExperimentSpec(
+            "echo-rtt", libos=kind, params={"count": 3}))["metrics"]
+            for kind in ("kernel", "posix"))
+        assert kernel["rtt_mean_ns"] != posix["rtt_mean_ns"]
+
+
+class TestRowSchemas:
+    def test_a_workload_schema_is_its_rows_params(self):
+        # Every default a leg takes is written once, on its scenario row.
+        for workload, row, sets in (("echo-rtt", "echo-rtt", ()),
+                                    ("kv-rtt", "kv-rtt", ()),
+                                    ("kv-scaling", "kv-sharded", ()),
+                                    ("kv", "kv-concurrent", ("n_clients",)),
+                                    ("kv-offload", "kv-udp", ("nic_program",)),
+                                    ("storelog-scan", "log-scan",
+                                     ("on_device",)),
+                                    ("proto-slo", "open-loop",
+                                     ("rate_ops_per_s",))):
+            schema = WORKLOADS[workload]["schema"]
+            for key, default in SCENARIO_ROWS[row]["params"].items():
+                if key in sets:
+                    assert key not in schema, (workload, key)
+                else:
+                    assert schema[key]["default"] == default, (workload, key)
+
+    def test_the_open_loop_defaults_are_load_configs(self):
+        from dataclasses import fields
+
+        from repro.bench.loadgen import LoadConfig
+
+        schema = WORKLOADS["proto-slo"]["schema"]
+        for knob in fields(LoadConfig):
+            if knob.name != "rate_ops_per_s":
+                assert schema[knob.name]["default"] == knob.default
+
+
+class TestDeviceFaults:
+    def test_a_fault_on_a_device_the_stack_lacks_fails_the_row(self):
+        # link-flap is pinned to client.eth0 on any kind but dpdk; the
+        # mTCP world's NIC is client.dpdk0, so the flap lands nowhere.
+        spec = ExperimentSpec("echo-rtt", libos="mtcp",
+                              fault_plan="link-flap", params={"count": 3})
+        with pytest.raises(ValueError, match="nic_link_flap.*client.dpdk0"):
+            run_spec(spec)
+        row = execute_spec(spec)
+        assert (row.status, row.ok) == ("failed", False)
+        assert "client.eth0" in row.failures[0]

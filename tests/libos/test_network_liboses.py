@@ -1,11 +1,14 @@
 """Cross-libOS tests: one Demikernel application, three library OSes.
 
-The paper's portability claim in executable form: the same echo logic,
-written once against the Figure-3 API, runs over the DPDK libOS, the
-RDMA libOS, and the POSIX libOS unchanged.
+The paper's portability claim in executable form: the same echo
+application (:mod:`repro.apps.echo`), written once against the Figure-3
+API, runs over the DPDK libOS, the RDMA libOS, and the POSIX libOS
+unchanged.
 """
 
 import pytest
+
+from repro.apps.echo import demi_echo_client, demi_echo_server
 
 from ..conftest import (
     make_dpdk_libos_pair,
@@ -26,44 +29,13 @@ SERVER_ADDR = {
 }
 
 
-def echo_server(libos, port=7):
-    """The portable Demikernel echo server."""
-    def proc():
-        lqd = yield from libos.socket()
-        yield from libos.bind(lqd, port)
-        yield from libos.listen(lqd)
-        qd = yield from libos.accept(lqd)
-        while True:
-            result = yield from libos.blocking_pop(qd)
-            if result.error is not None:
-                return result.error
-            yield from libos.blocking_push(qd, result.sga)
-    return proc()
-
-
-def echo_client(libos, server_addr, messages, port=7):
-    """The portable Demikernel echo client; returns (replies, rtts)."""
-    def proc():
-        qd = yield from libos.socket()
-        yield from libos.connect(qd, server_addr, port)
-        replies, rtts = [], []
-        for message in messages:
-            start = libos.sim.now
-            yield from libos.blocking_push(qd, libos.sga_alloc(message))
-            result = yield from libos.blocking_pop(qd)
-            rtts.append(libos.sim.now - start)
-            replies.append(result.sga.tobytes())
-        yield from libos.close(qd)
-        return replies, rtts
-    return proc()
-
-
 @pytest.mark.parametrize("flavor", ["dpdk", "posix", "rdma"])
 class TestPortableEcho:
     def test_single_echo(self, flavor):
         w, client, server = PAIR_BUILDERS[flavor]()
-        w.sim.spawn(echo_server(server))
-        cp = w.sim.spawn(echo_client(client, SERVER_ADDR[flavor], [b"ping"]))
+        w.sim.spawn(demi_echo_server(server))
+        cp = w.sim.spawn(demi_echo_client(client, SERVER_ADDR[flavor],
+                                          [b"ping"]))
         w.run()
         replies, _ = cp.value
         assert replies == [b"ping"]
@@ -71,8 +43,9 @@ class TestPortableEcho:
     def test_many_messages_in_order(self, flavor):
         w, client, server = PAIR_BUILDERS[flavor]()
         messages = [b"msg-%03d" % i for i in range(20)]
-        w.sim.spawn(echo_server(server))
-        cp = w.sim.spawn(echo_client(client, SERVER_ADDR[flavor], messages))
+        w.sim.spawn(demi_echo_server(server))
+        cp = w.sim.spawn(demi_echo_client(client, SERVER_ADDR[flavor],
+                                          messages))
         w.run()
         replies, _ = cp.value
         assert replies == messages
@@ -80,8 +53,9 @@ class TestPortableEcho:
     def test_large_elements_stay_atomic(self, flavor):
         w, client, server = PAIR_BUILDERS[flavor]()
         messages = [bytes([i]) * 4000 for i in range(5)]
-        w.sim.spawn(echo_server(server))
-        cp = w.sim.spawn(echo_client(client, SERVER_ADDR[flavor], messages))
+        w.sim.spawn(demi_echo_server(server))
+        cp = w.sim.spawn(demi_echo_client(client, SERVER_ADDR[flavor],
+                                          messages))
         w.run()
         replies, _ = cp.value
         assert replies == messages
@@ -92,12 +66,13 @@ class TestLatencyOrdering:
         """Figure 1's gap, measured."""
         def rtt_of(flavor):
             w, client, server = PAIR_BUILDERS[flavor]()
-            w.sim.spawn(echo_server(server))
-            cp = w.sim.spawn(echo_client(client, SERVER_ADDR[flavor],
-                                         [b"x" * 64] * 10))
+            w.sim.spawn(demi_echo_server(server))
+            cp = w.sim.spawn(demi_echo_client(client, SERVER_ADDR[flavor],
+                                              [b"x" * 64] * 10))
             w.run()
-            _, rtts = cp.value
-            return sum(rtts[1:]) / len(rtts[1:])  # skip warmup (ARP etc.)
+            _, stats = cp.value
+            rtts = stats.samples[1:]  # skip warmup (ARP etc.)
+            return sum(rtts) / len(rtts)
 
         posix_rtt = rtt_of("posix")
         dpdk_rtt = rtt_of("dpdk")
@@ -147,8 +122,9 @@ class TestDpdkSpecifics:
     def test_no_copies_charged_on_datapath(self):
         """Zero-copy: the DPDK libOS never charges a user<->kernel copy."""
         w, client, server = make_dpdk_libos_pair()
-        w.sim.spawn(echo_server(server))
-        cp = w.sim.spawn(echo_client(client, "10.0.0.2", [b"z" * 4096] * 5))
+        w.sim.spawn(demi_echo_server(server))
+        cp = w.sim.spawn(demi_echo_client(client, "10.0.0.2",
+                                          [b"z" * 4096] * 5))
         w.run()
         # The kernel-copy counters simply do not exist on this path.
         copies = [v for k, v in w.tracer.counters.items()
@@ -157,7 +133,7 @@ class TestDpdkSpecifics:
 
     def test_push_validates_iommu_registration(self):
         w, client, server = make_dpdk_libos_pair()
-        w.sim.spawn(echo_server(server))
+        w.sim.spawn(demi_echo_server(server))
 
         def proc():
             qd = yield from client.socket()
@@ -319,8 +295,9 @@ class TestRdmaSpecifics:
 class TestPosixSpecifics:
     def test_posix_path_pays_syscalls_and_copies(self):
         w, client, server = make_posix_libos_pair()
-        w.sim.spawn(echo_server(server))
-        cp = w.sim.spawn(echo_client(client, "10.0.0.2", [b"y" * 2048] * 3))
+        w.sim.spawn(demi_echo_server(server))
+        cp = w.sim.spawn(demi_echo_client(client, "10.0.0.2",
+                                          [b"y" * 2048] * 3))
         w.run()
         replies, _ = cp.value
         assert len(replies) == 3

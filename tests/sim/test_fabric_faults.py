@@ -258,6 +258,24 @@ def test_injector_installs_on_world():
     assert libos.nvme.faults.io_factor(1500) == 1.0
 
 
+@pytest.mark.parametrize("plan", [
+    FaultPlan().nic_link_flap("client.eth0", 1000, down_ns=500),
+    FaultPlan().nic_stall("server.rdma0", 0, 1000, extra_ns=100),
+    FaultPlan().nvme_slow("nvme0", 0, 1000, factor=2.0),
+], ids=["link-flap", "stall", "nvme-slow"])
+def test_a_device_fault_on_no_device_of_the_world_is_refused(plan):
+    from repro.testbed import make_dpdk_libos_pair
+
+    world, _client, _server = make_dpdk_libos_pair()
+    event = plan.events[0]
+    with pytest.raises(ValueError) as err:
+        world.install_faults(plan)
+    message = str(err.value)
+    assert event.kind in message and repr(event.device) in message
+    # ... and it names the devices the world does have
+    assert "client.dpdk0, server.dpdk0" in message
+
+
 def test_rng_fork_named_is_stable_and_distinct():
     a = Rng(1).fork_named("fault-injector")
     b = Rng(1).fork_named("fault-injector")

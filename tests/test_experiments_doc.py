@@ -27,7 +27,7 @@ def metrics(workload, cores=1, **params):
 class TestRecordedAnchors:
     def test_kernel_echo_rtt_as_documented(self):
         # EXPERIMENTS.md FIG1: kernel RTT at 64 B = 19.05 us.
-        result = echo_rtt("posix", message_size=64)
+        result = echo_rtt("kernel", message_size=64)
         assert result["rtt_mean_ns"] == pytest.approx(19_050, rel=0.02)
 
     def test_dpdk_echo_rtt_as_documented(self):
@@ -42,7 +42,7 @@ class TestRecordedAnchors:
 
     def test_posix_libos_echo_rtt_as_documented(self):
         # EXPERIMENTS.md FIG2: catnap data path = 21.69 us.
-        result = echo_rtt("posix-libos", message_size=64)
+        result = echo_rtt("posix", message_size=64)
         assert result["rtt_mean_ns"] == pytest.approx(21_690, rel=0.02)
 
     def test_mtcp_echo_rtt_as_documented(self):
@@ -57,11 +57,11 @@ class TestRecordedAnchors:
     def test_speedup_band_as_documented(self):
         # EXPERIMENTS.md FIG1: 3.9-5.5x across the size sweep, growing
         # with message size.
-        small = echo_rtt("posix", 64)["rtt_mean_ns"] / \
+        small = echo_rtt("kernel", 64)["rtt_mean_ns"] / \
             echo_rtt("dpdk", 64)["rtt_mean_ns"]
-        mid = echo_rtt("posix", 1500)["rtt_mean_ns"] / \
+        mid = echo_rtt("kernel", 1500)["rtt_mean_ns"] / \
             echo_rtt("dpdk", 1500)["rtt_mean_ns"]
-        large = echo_rtt("posix", 8192)["rtt_mean_ns"] / \
+        large = echo_rtt("kernel", 8192)["rtt_mean_ns"] / \
             echo_rtt("dpdk", 8192)["rtt_mean_ns"]
         assert 3.5 < small < 5.0
         assert 5.0 < large < 6.0
