@@ -10,29 +10,17 @@ Two knobs DESIGN.md calls out:
   visible in the counters).
 """
 
-from repro.apps.echo import demi_echo_client, demi_echo_server
+from repro.apps.echo import demi_echo_server
 from repro.bench.report import print_table, us
-from repro.libos.dpdk_libos import DpdkLibOS
-from repro.testbed import World
+from repro.testbed import make_dpdk_libos_pair
 
 N_MESSAGES = 40
 BURSTS = (1, 4, 32)
 
 
-def make_pair_with_burst(rx_burst_size):
-    w = World()
-    liboses = []
-    for i, (name, ip) in enumerate((("client", "10.0.0.1"),
-                                    ("server", "10.0.0.2"))):
-        host = w.add_host(name)
-        nic = w.add_dpdk(host, mac="02:00:00:00:30:%02x" % (i + 1))
-        liboses.append(DpdkLibOS(host, nic, ip, name="%s.catnip" % name,
-                                 rx_burst_size=rx_burst_size))
-    return w, liboses[0], liboses[1]
-
-
 def run_burst(rx_burst_size):
-    w, client, server = make_pair_with_burst(rx_burst_size)
+    w, client, server = make_dpdk_libos_pair()
+    client.rx_burst_size = server.rx_burst_size = rx_burst_size
     w.sim.spawn(demi_echo_server(server))
 
     # Pipelined client: keep 8 requests in flight to stress the RX ring.

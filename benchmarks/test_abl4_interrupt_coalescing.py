@@ -13,33 +13,17 @@ Measured here: kernel-path echo RTT and interrupts/frame with coalescing
 off vs a 20 us window, against the DPDK libOS reference.
 """
 
-from repro.apps.echo import (
-    demi_echo_client,
-    demi_echo_server,
-    posix_echo_client,
-    posix_echo_server,
-)
+from repro.apps.echo import posix_echo_client, posix_echo_server
 from repro.bench.report import print_table, us
-from repro.kernelos.kernel import Kernel
-from repro.testbed import World, make_dpdk_libos_pair
+from repro.testbed import make_kernel_pair
 
 N_MESSAGES = 15
 WINDOW_NS = 20_000
 
 
-def make_kernel_pair_coalesced(coalesce_ns):
-    w = World()
-    a = w.add_host("client")
-    b = w.add_host("server")
-    ka = Kernel(a, w.fabric, "02:00:00:00:90:01", "10.0.0.1")
-    kb = Kernel(b, w.fabric, "02:00:00:00:90:02", "10.0.0.2")
-    for kernel in (ka, kb):
-        kernel.nic.coalesce_ns = coalesce_ns
-    return w, ka, kb
-
-
 def run_kernel_echo(coalesce_ns):
-    w, ka, kb = make_kernel_pair_coalesced(coalesce_ns)
+    w, ka, kb = make_kernel_pair()
+    ka.nic.coalesce_ns = kb.nic.coalesce_ns = coalesce_ns
     w.sim.spawn(posix_echo_server(kb))
     cp = w.sim.spawn(posix_echo_client(ka, "10.0.0.2",
                                        [b"c" * 64] * N_MESSAGES))
@@ -56,20 +40,19 @@ def run_kernel_echo(coalesce_ns):
     }
 
 
-def run_dpdk_echo():
-    w, da, db = make_dpdk_libos_pair()
-    w.sim.spawn(demi_echo_server(db))
-    cp = w.sim.spawn(demi_echo_client(da, "10.0.0.2",
-                                      [b"c" * 64] * N_MESSAGES))
-    w.sim.run_until_complete(cp, limit=10**14)
-    _, stats = cp.value
-    steady = stats.samples[3:]
-    return {"rtt_ns": sum(steady) / len(steady), "interrupts_per_frame": 0.0}
+def run_dpdk_echo(metrics):
+    """The echo-rtt row on the DPDK libOS: N_MESSAGES echoes, the first
+    three trimmed as warm-up."""
+    row = metrics("echo-rtt", "dpdk", count=N_MESSAGES - 3)
+    # Not one interrupt at all, so none per frame either.
+    return {"rtt_ns": row["rtt_mean_ns"],
+            "interrupts_per_frame": row["interrupts_per_req"]}
 
 
 def run_kernel_stream(coalesce_ns):
     """Bulk transfer: where coalescing actually earns its keep."""
-    w, ka, kb = make_kernel_pair_coalesced(coalesce_ns)
+    w, ka, kb = make_kernel_pair()
+    ka.nic.coalesce_ns = kb.nic.coalesce_ns = coalesce_ns
 
     def server():
         sys = kb.thread()
@@ -102,13 +85,13 @@ def run_kernel_stream(coalesce_ns):
     }
 
 
-def test_abl4_interrupt_coalescing(benchmark, once):
+def test_abl4_interrupt_coalescing(benchmark, once, metrics):
     def run():
         return [
             ("kernel, no coalescing", run_kernel_echo(0)),
             ("kernel, %dus window" % (WINDOW_NS // 1000),
              run_kernel_echo(WINDOW_NS)),
-            ("DPDK libOS (poll)", run_dpdk_echo()),
+            ("DPDK libOS (poll)", run_dpdk_echo(metrics)),
         ]
 
     rows = once(benchmark, run)

@@ -3,42 +3,20 @@
 The Redis-like KV server (``ProtoServer`` over a ``KvEngine``) on the
 Demikernel DPDK libOS: server-side CPU time per GET request must land in
 the low-single-digit-microsecond range the paper's argument depends on -
-leaving no room for kernel overhead.
+leaving no room for kernel overhead.  Each value size is one
+``kv-rtt`` row on ``dpdk``: one PUT, three warm-up GETs, then *N_GETS*
+measured ones.
 """
 
-from repro.apps.kvstore import OP_GET, OP_PUT, KvEngine, demi_kv_client
-from repro.apps.proto import KvEngineStore, LegacyKvCodec, ProtoServer
 from repro.bench.report import print_table, us
-from repro.testbed import make_dpdk_libos_pair
 
-N_GETS = 50
-
-
-def run_kv_service_time(value_size):
-    w, client, server_libos = make_dpdk_libos_pair()
-    server = ProtoServer(server_libos, LegacyKvCodec,
-                         KvEngineStore(KvEngine(server_libos.host)),
-                         port=6379)
-    w.sim.spawn(server.start())
-    ops = ([(OP_PUT, b"hotkey", b"v" * value_size)]
-           + [(OP_GET, b"hotkey", None)] * N_GETS)
-    cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))
-    w.sim.run_until_complete(cp, limit=10**13)
-    server.stop()
-    _, stats = cp.value
-    get_rtts = stats.samples[4:]  # skip PUT + warmup
-    service = server.service_stats.samples[4:]
-    return {
-        "value_size": value_size,
-        "service_mean_ns": sum(service) / len(service),
-        "server_cpu_per_req_ns": server_libos.core.busy_ns / (N_GETS + 1),
-        "rtt_mean_ns": sum(get_rtts) / len(get_rtts),
-    }
+N_GETS = 47
 
 
-def test_c1_redis_service_time(benchmark, once):
+def test_c1_redis_service_time(benchmark, once, metrics):
     def run():
-        return [run_kv_service_time(size) for size in (64, 512, 1024)]
+        return [metrics("kv-rtt", "dpdk", n_gets=N_GETS, value_size=size)
+                for size in (64, 512, 1024)]
 
     rows = once(benchmark, run)
     print_table(
@@ -46,7 +24,8 @@ def test_c1_redis_service_time(benchmark, once):
         ["value B", "app service time/request", "server CPU/request "
          "(incl. stack)", "client-observed RTT"],
         [(r["value_size"], us(r["service_mean_ns"]),
-          us(r["server_cpu_per_req_ns"]), us(r["rtt_mean_ns"])) for r in rows],
+          us(r["server_cpu_per_req_ns"]), us(r["get_rtt_mean_ns"]))
+         for r in rows],
     )
     for r in rows:
         # The paper's regime: ~2 us of application service time per

@@ -11,10 +11,9 @@ one extra round trip to the memory node), but the memory node's CPU
 column is zero - that is what disaggregation buys.
 """
 
-from repro.apps.echo import demi_echo_client, demi_echo_server
 from repro.bench.report import print_table, us
 from repro.core.api import LibOS
-from repro.testbed import World, make_rdma_libos_pair, make_rmem_world
+from repro.testbed import World, make_rmem_world
 
 N_ELEMENTS = 30
 ELEMENT = b"x" * 512
@@ -39,17 +38,13 @@ def run_local_queue():
             "third_party_cpu_ns": 0}
 
 
-def run_network_queue():
-    w, client, server = make_rdma_libos_pair()
-    w.sim.spawn(demi_echo_server(server))
-    cp = w.sim.spawn(demi_echo_client(client, "server-rdma",
-                                      [ELEMENT] * N_ELEMENTS))
-    w.sim.run_until_complete(cp, limit=10**13)
-    _, stats = cp.value
-    steady = stats.samples[3:]
-    # Echo = two transfers; halve for a one-way element move.
+def run_network_queue(metrics):
+    # The echo-rtt row: N_ELEMENTS echoes, the first three trimmed as
+    # warm-up.  Echo = two transfers; halve for a one-way element move.
+    row = metrics("echo-rtt", "rdma", message_size=len(ELEMENT),
+                  count=N_ELEMENTS - 3)
     return {"path": "RDMA libOS queue (two-sided)",
-            "latency_ns": (sum(steady) / len(steady)) / 2,
+            "latency_ns": row["rtt_mean_ns"] / 2,
             "third_party_cpu_ns": 0}
 
 
@@ -83,9 +78,9 @@ def run_remote_memory_queue():
             "third_party_cpu_ns": memnode.cpu.busy_ns - memnode_cpu_before}
 
 
-def test_ext1_remote_memory(benchmark, once):
+def test_ext1_remote_memory(benchmark, once, metrics):
     def run():
-        return [run_local_queue(), run_network_queue(),
+        return [run_local_queue(), run_network_queue(metrics),
                 run_remote_memory_queue()]
 
     rows = once(benchmark, run)

@@ -8,9 +8,7 @@ dominates both; the software tax difference is the experiment.
 
 from repro.apps.storelog import demi_log_writer, posix_log_writer
 from repro.bench.report import print_table, us
-from repro.kernelos.kernel import Kernel
-from repro.kernelos.vfs import Vfs
-from repro.testbed import World, make_spdk_libos
+from repro.testbed import make_spdk_libos, make_vfs_kernel
 
 N_RECORDS = 64
 RECORD_SIZE = 1024
@@ -38,11 +36,7 @@ def run_demi():
 
 
 def run_posix():
-    w = World()
-    host = w.add_host("h")
-    kernel = Kernel(host, w.fabric, "02:00:00:00:07:01", "10.0.0.9")
-    nvme = w.add_nvme(host)
-    Vfs(kernel, nvme)
+    w, kernel = make_vfs_kernel()
     p = w.sim.spawn(posix_log_writer(kernel, records(), sync_every=SYNC_EVERY))
     w.sim.run_until_complete(p, limit=10**14)
     stats, readback = p.value
@@ -54,7 +48,7 @@ def run_posix():
         "syscalls": w.tracer.get("h.kernel.syscalls"),
         "copied_bytes": (w.tracer.get("h.kernel.bytes_copied_tx")
                          + w.tracer.get("h.kernel.bytes_copied_rx")),
-        "host_cpu_ns": host.cpus.total_busy_ns(),
+        "host_cpu_ns": kernel.host.cpus.total_busy_ns(),
     }
 
 

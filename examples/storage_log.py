@@ -11,10 +11,8 @@ Run:  python examples/storage_log.py
 
 from repro.apps.storelog import posix_log_writer
 from repro.bench.report import print_table, us
-from repro.kernelos.kernel import Kernel
-from repro.kernelos.vfs import Vfs
 from repro.libos.spdk_libos import SpdkLibOS
-from repro.testbed import World, make_spdk_libos
+from repro.testbed import make_spdk_libos, make_vfs_kernel
 
 RECORDS = [b"event-%03d:" % i + b"d" * 200 for i in range(20)]
 
@@ -55,11 +53,7 @@ def spdk_path():
 
 
 def vfs_path():
-    world = World()
-    host = world.add_host("h")
-    kernel = Kernel(host, world.fabric, "02:00:00:00:09:01", "10.0.0.9")
-    nvme = world.add_nvme(host)
-    Vfs(kernel, nvme)
+    world, kernel = make_vfs_kernel()
     p = world.sim.spawn(posix_log_writer(kernel, RECORDS, sync_every=20))
     world.sim.run_until_complete(p, limit=10**14)
     return world

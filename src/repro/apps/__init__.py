@@ -4,8 +4,6 @@ from .cache import CacheStats, LruTtlCache, cache_server
 from .echo import (
     demi_echo_client,
     demi_echo_server,
-    mtcp_echo_client,
-    mtcp_echo_server,
     posix_echo_client,
     posix_echo_server,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "demi_echo_client",
     "posix_echo_server",
     "posix_echo_client",
-    "mtcp_echo_server",
-    "mtcp_echo_client",
     "EpollWorkerPool",
     "WaitAnyWorkerPool",
     "KvEngine",

@@ -1,14 +1,14 @@
 """Echo servers and clients for every OS interface in the repository.
 
-The same measurement (request-response RTT) across four software stacks:
+One measurement (request-response RTT), two applications, five stacks:
 
 * :func:`demi_echo_server` / :func:`demi_echo_client` - the portable
   Demikernel application: runs unchanged on the DPDK, RDMA, and POSIX
   libOSes (the paper's portability argument, executable);
 * :func:`posix_echo_server` / :func:`posix_echo_client` - the legacy
-  application written directly against kernel sockets;
-* :func:`mtcp_echo_server` / :func:`mtcp_echo_client` - the same legacy
-  application on the mTCP-style shim (C5's baseline).
+  application written against the kernel's socket calls: runs unchanged
+  on the kernel and on the mTCP-style shim (C5's baseline), which keeps
+  the POSIX abstraction and so its taxes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Generator, List, Sequence
 
 from ..core.api import LibOS
-from ..kernelos.kernel import Kernel
-from ..libos.mtcp_shim import MtcpShim
+from ..core.types import DemiError
 from ..sim.trace import LatencyStats
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "demi_echo_client",
     "posix_echo_server",
     "posix_echo_client",
-    "mtcp_echo_server",
-    "mtcp_echo_client",
 ]
 
 
@@ -58,7 +55,8 @@ def demi_echo_server(libos: LibOS, port: int = 7,
 def demi_echo_client(libos: LibOS, server_addr: str,
                      messages: Sequence[bytes], port: int = 7,
                      stats: LatencyStats = None) -> Generator:
-    """Send each message, wait for its echo; returns (replies, stats)."""
+    """Send each message, wait for its echo; returns (replies, stats).
+    A failed pop raises :class:`~repro.core.types.DemiError`."""
     stats = stats if stats is not None else LatencyStats("rtt")
     qd = yield from libos.socket()
     yield from libos.connect(qd, server_addr, port)
@@ -67,6 +65,8 @@ def demi_echo_client(libos: LibOS, server_addr: str,
         start = libos.sim.now
         yield from libos.blocking_push(qd, libos.sga_alloc(message))
         result = yield from libos.blocking_pop(qd)
+        if result.error is not None:
+            raise DemiError("echo connection lost: %s" % result.error)
         stats.add(libos.sim.now - start)
         replies.append(result.sga.tobytes())
         libos.sga_free(result.sga)
@@ -75,13 +75,13 @@ def demi_echo_client(libos: LibOS, server_addr: str,
 
 
 # ---------------------------------------------------------------------------
-# Raw POSIX over the legacy kernel
+# Raw POSIX: the kernel's sockets, or the mTCP shim's copy of them
 # ---------------------------------------------------------------------------
 
-def posix_echo_server(kernel: Kernel, port: int = 7,
-                      max_requests: int = 0) -> Generator:
-    """The classic accept/recv/send loop over kernel sockets."""
-    sys = kernel.thread()
+def posix_echo_server(os, port: int = 7, max_requests: int = 0) -> Generator:
+    """The classic accept/recv/send loop over *os*'s sockets (a
+    :class:`~repro.kernelos.kernel.Kernel` or an mTCP shim)."""
+    sys = os.thread()
     listen_fd = yield from sys.socket()
     yield from sys.bind(listen_fd, port)
     yield from sys.listen(listen_fd)
@@ -96,16 +96,15 @@ def posix_echo_server(kernel: Kernel, port: int = 7,
     return served
 
 
-def posix_echo_client(kernel: Kernel, server_ip: str,
-                      messages: Sequence[bytes], port: int = 7,
-                      stats: LatencyStats = None) -> Generator:
+def posix_echo_client(os, server_ip: str, messages: Sequence[bytes],
+                      port: int = 7, stats: LatencyStats = None) -> Generator:
     stats = stats if stats is not None else LatencyStats("rtt")
-    sys = kernel.thread()
+    sys = os.thread()
     fd = yield from sys.socket()
     yield from sys.connect(fd, server_ip, port)
     replies: List[bytes] = []
     for message in messages:
-        start = kernel.sim.now
+        start = os.sim.now
         yield from sys.send(fd, message)
         reply = b""
         while len(reply) < len(message):
@@ -113,46 +112,7 @@ def posix_echo_client(kernel: Kernel, server_ip: str,
             if not chunk:
                 break
             reply += chunk
-        stats.add(kernel.sim.now - start)
+        stats.add(os.sim.now - start)
         replies.append(reply)
     yield from sys.close(fd)
-    return replies, stats
-
-
-# ---------------------------------------------------------------------------
-# mTCP-style shim (user-level stack, POSIX semantics)
-# ---------------------------------------------------------------------------
-
-def mtcp_echo_server(shim: MtcpShim, port: int = 7,
-                     max_requests: int = 0) -> Generator:
-    listener = shim.listen(port)
-    conn = yield from shim.accept(listener)
-    served = 0
-    while max_requests == 0 or served < max_requests:
-        data = yield from conn.recv()
-        if not data:
-            break
-        yield from conn.send(data)
-        served += 1
-    return served
-
-
-def mtcp_echo_client(shim: MtcpShim, server_ip: str,
-                     messages: Sequence[bytes], port: int = 7,
-                     stats: LatencyStats = None) -> Generator:
-    stats = stats if stats is not None else LatencyStats("rtt")
-    conn = yield from shim.connect(server_ip, port)
-    replies: List[bytes] = []
-    for message in messages:
-        start = shim.sim.now
-        yield from conn.send(message)
-        reply = b""
-        while len(reply) < len(message):
-            chunk = yield from conn.recv()
-            if not chunk:
-                break
-            reply += chunk
-        stats.add(shim.sim.now - start)
-        replies.append(reply)
-    yield from conn.close()
     return replies, stats

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from typing import Generator, List, Sequence
 
+from ..core.api import LibOS
 from ..kernelos.kernel import Kernel
-from ..libos.spdk_libos import SpdkLibOS
 from ..sim.trace import LatencyStats
 
 __all__ = ["demi_log_writer", "posix_log_writer"]
 
 
-def demi_log_writer(libos: SpdkLibOS, records: Sequence[bytes],
+def demi_log_writer(libos: LibOS, records: Sequence[bytes],
                     sync_every: int = 8, path: str = "/log",
                     stats: LatencyStats = None) -> Generator:
     """Append+fsync via file queues; returns (per-batch stats, readback).

@@ -44,6 +44,10 @@ from .testing.scenarios import (GOLDEN_SCENARIOS, named_plans, plan_by_name,
 
 __all__ = ["main"]
 
+#: every stack kind a scenario row runs on (``scenario_problem`` vets a pair)
+SCENARIO_KINDS = sorted({kind for row in SCENARIO_WORKLOADS.values()
+                         for kind in row["kinds"]})
+
 
 def cmd_demo(_args) -> int:
     world, client, server = make_dpdk_libos_pair()
@@ -96,15 +100,17 @@ def cmd_costs(_args) -> int:
 
 
 def _traced_world(args):
-    """Run one workload fault-free with telemetry on; returns its World."""
-    try:
-        result = run_scenario(args.workload, args.libos,
-                              plan=FaultPlan(seed=args.seed), telemetry=True)
-    except ValueError as err:
-        raise SystemExit(str(err))
+    """Run one workload fault-free with telemetry on, on ``--libos`` or
+    the workload's first kind; returns its World and that kind."""
+    kind = args.libos or SCENARIO_WORKLOADS[args.workload]["kinds"][0]
+    problem = scenario_problem(args.workload, kind)
+    if problem is not None:
+        raise SystemExit(problem)
+    result = run_scenario(args.workload, kind, plan=FaultPlan(seed=args.seed),
+                          telemetry=True)
     for failure in result.failures:
         print("note: %s" % failure, file=sys.stderr)
-    return result.world
+    return result.world, kind
 
 
 def _print_breakdown(breakdown: dict, title: str) -> None:
@@ -123,13 +129,13 @@ def _print_breakdown(breakdown: dict, title: str) -> None:
 
 
 def cmd_trace(args) -> int:
-    world = _traced_world(args)
+    world, kind = _traced_world(args)
     n = write_chrome_trace(world.tracer, args.output)
     print("wrote %d trace events (%d spans) to %s"
           % (n, len(world.tracer.spans), args.output))
     print("load it at https://ui.perfetto.dev or chrome://tracing")
     _print_breakdown(breakdown_from_events(chrome_trace_events(world.tracer)),
-                     "per-stack time in %s/%s" % (args.workload, args.libos))
+                     "per-stack time in %s/%s" % (args.workload, kind))
     return 0
 
 
@@ -140,10 +146,9 @@ def cmd_report(args) -> int:
         breakdown = breakdown_from_events(doc)
         title = "per-stack time in %s" % args.trace_file
     else:
-        world = _traced_world(args)
+        world, kind = _traced_world(args)
         breakdown = breakdown_from_events(chrome_trace_events(world.tracer))
-        title = "per-stack time in %s/%s (inline run)" % (args.workload,
-                                                          args.libos)
+        title = "per-stack time in %s/%s (inline run)" % (args.workload, kind)
     _print_breakdown(breakdown, title)
     return 0
 
@@ -328,8 +333,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_trace = sub.add_parser(
         "trace", help="run a workload with telemetry; write a Chrome trace")
     p_trace.add_argument("workload", choices=sorted(SCENARIO_WORKLOADS))
-    p_trace.add_argument("--libos", default="dpdk",
-                         choices=("dpdk", "posix", "rdma", "spdk"))
+    p_trace.add_argument("--libos", default=None, choices=SCENARIO_KINDS,
+                         help="stack kind (default: the workload's first)")
     p_trace.add_argument("-o", "--output", default="trace.json",
                          help="trace file path (default: trace.json)")
     p_trace.add_argument("--seed", type=int, default=42)
@@ -341,8 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "omit to run the workload inline")
     p_report.add_argument("--workload", default="echo",
                           choices=sorted(SCENARIO_WORKLOADS))
-    p_report.add_argument("--libos", default="dpdk",
-                          choices=("dpdk", "posix", "rdma", "spdk"))
+    p_report.add_argument("--libos", default=None, choices=SCENARIO_KINDS,
+                          help="stack kind (default: the workload's first)")
     p_report.add_argument("--seed", type=int, default=42)
     p_report.set_defaults(fn=cmd_report)
     p_exp = sub.add_parser(
@@ -378,8 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_chaos = sub.add_parser(
         "chaos", help="run one chaos scenario and check its invariants")
     p_chaos.add_argument("scenario", choices=sorted(GOLDEN_SCENARIOS))
-    p_chaos.add_argument("--libos", default=None,
-                         choices=("dpdk", "posix", "rdma", "spdk"),
+    p_chaos.add_argument("--libos", default=None, choices=SCENARIO_KINDS,
                          help="libOS kind (default: the scenario's first)")
     p_chaos.add_argument("--seed", type=int, default=None,
                          help="override the plan's RNG seed")

@@ -357,6 +357,8 @@ def _kv_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
     for column in ("get_rtt_mean_ns", "get_rtt_p99_ns",
                    "server_cpu_per_req_ns"):
         metrics[column] = result.data.get(column, 0.0)
+    if spec.libos != "kernel":  # the libOS server's service time
+        metrics["service_mean_ns"] = result.data.get("service_mean_ns", 0.0)
     return _outcome(metrics, result,
                     failures=[] if metrics["get_rtt_mean_ns"] > 0
                     else ["no GET samples recorded"])

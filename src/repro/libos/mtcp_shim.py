@@ -31,7 +31,9 @@ __all__ = ["MtcpShim"]
 
 
 class MtcpShim:
-    """POSIX-ish sockets over a user-level stack with a stack thread."""
+    """POSIX sockets over a user-level stack with a stack thread: the
+    kernel's socket calls (:meth:`thread`), so a legacy application runs
+    on it unchanged."""
 
     def __init__(self, host, nic: DpdkNic, ip: str, name: str = "mtcp"):
         self.host = host
@@ -56,6 +58,10 @@ class MtcpShim:
             tx_cost_ns=self.costs.user_net_tx_ns,
             rx_cost_ns=self.costs.user_net_rx_ns,
         )
+        #: fd -> what the socket is so far: None, its bound port, then a
+        #: TcpListener or a TcpConnection
+        self._fds = {}
+        self._next_fd = 3
         self.sim.spawn(self._poll_loop(), name="%s.poll" % name)
 
     def _poll_loop(self) -> Generator:
@@ -79,63 +85,77 @@ class MtcpShim:
         yield self.sim.timeout(wait_for_cycle)
         yield self.stack_core.busy(self.costs.mtcp_queue_hop_ns)
 
-    # -- the legacy API -----------------------------------------------------------
-    def listen(self, port: int, backlog: int = 128):
-        """Plain call (control path): start listening."""
-        return self.stack.tcp_listen(port, backlog)
+    # -- the legacy API: the kernel's socket calls, on fds --------------------
+    def thread(self) -> "MtcpShim":
+        """An application thread's socket calls: the shim's own."""
+        return self
 
-    def accept(self, listener) -> Generator:
-        """Blocking accept; returns an mTCP connection handle."""
+    def _install(self, endpoint) -> int:
+        fd = self._next_fd
+        self._next_fd += 1
+        self._fds[fd] = endpoint
+        return fd
+
+    # socket, bind and listen are control path: no stack-thread hop
+    def socket(self) -> Generator:
+        yield from ()
+        return self._install(None)
+
+    def bind(self, fd: int, port: int) -> Generator:
+        yield from ()
+        self._fds[fd] = port
+
+    def listen(self, fd: int, backlog: int = 128) -> Generator:
+        yield from ()
+        self._fds[fd] = self.stack.tcp_listen(self._fds[fd], backlog)
+
+    def accept(self, fd: int) -> Generator:
+        """Blocking accept; returns a new connected fd."""
+        listener = self._fds[fd]
         yield from self._exchange()
         while True:
             conn = listener.accept_nb()
             if conn is not None:
-                return _MtcpConnection(self, conn)
+                return self._install(conn)
             yield listener.accept_signal()
 
-    def connect(self, ip: str, port: int) -> Generator:
+    def connect(self, fd: int, ip: str, port: int) -> Generator:
         yield from self._exchange()
-        conn = self.stack.tcp_connect(ip, port)
+        conn = self._fds[fd] = self.stack.tcp_connect(ip, port)
         yield conn.established
         yield from self._exchange()
-        return _MtcpConnection(self, conn)
 
-
-class _MtcpConnection:
-    """One mTCP socket: POSIX stream semantics, batched stack access."""
-
-    def __init__(self, shim: MtcpShim, conn):
-        self.shim = shim
-        self.conn = conn
-
-    def send(self, data: bytes) -> Generator:
-        shim = self.shim
+    def send(self, fd: int, data: bytes) -> Generator:
+        conn = self._fds[fd]
         # POSIX semantics force the copy into stack-owned buffers.
-        yield shim.app_core.busy(shim.costs.copy_ns(len(data)))
-        shim.count(names.BYTES_COPIED_TX, len(data))
-        yield from shim._exchange()
-        self.conn.send(bytes(data))
+        yield self.app_core.busy(self.costs.copy_ns(len(data)))
+        self.count(names.BYTES_COPIED_TX, len(data))
+        yield from self._exchange()
+        conn.send(bytes(data))
         return len(data)
 
-    def recv(self, max_bytes: int = 65536) -> Generator:
-        """Blocking stream recv: returns whatever bytes are available.
+    def recv(self, fd: int, max_bytes: int = 65536) -> Generator:
+        """Blocking stream recv: returns whatever bytes are available;
+        b'' means the peer closed.
 
         The batching penalty lands on the *response* path: data sits in
         the stack thread's buffers until its next cycle hands it over.
         """
-        shim = self.shim
+        conn = self._fds[fd]
         while True:
-            data = self.conn.recv(max_bytes)
+            data = conn.recv(max_bytes)
             if data:
                 break
-            if self.conn.peer_closed or self.conn.error is not None:
+            if conn.peer_closed or conn.error is not None:
                 return b""
-            yield self.conn.recv_signal()
-        yield from shim._exchange()
-        yield shim.app_core.busy(shim.costs.copy_ns(len(data)))
-        shim.count(names.BYTES_COPIED_RX, len(data))
+            yield conn.recv_signal()
+        yield from self._exchange()
+        yield self.app_core.busy(self.costs.copy_ns(len(data)))
+        self.count(names.BYTES_COPIED_RX, len(data))
         return data
 
-    def close(self) -> Generator:
-        yield from self.shim._exchange()
-        self.conn.close()
+    def close(self, fd: int) -> Generator:
+        """Close a connection or a listener."""
+        endpoint = self._fds.pop(fd)
+        yield from self._exchange()
+        endpoint.close()

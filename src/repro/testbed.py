@@ -3,8 +3,8 @@
 Everything here is composition - hosts, NICs, kernels, libOSes wired to
 one fabric - so tests, examples, and benchmarks build identical worlds
 from one place: a :class:`World` and one maker per stack (kernel pair,
-DPDK / POSIX / RDMA libOS pairs, the sharded KV world, the SPDK host,
-the remote-memory ring and the mTCP pair).
+DPDK / POSIX / RDMA libOS pairs, the sharded KV world, the SPDK host and
+its kernel-VFS counterpart, the remote-memory ring and the mTCP pair).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "make_posix_libos_pair",
     "make_rdma_libos_pair",
     "make_spdk_libos",
+    "make_vfs_kernel",
     "make_rmem_world",
     "make_mtcp_pair",
 ]
@@ -208,6 +209,19 @@ def make_spdk_libos(seed: int = 42, costs: CostModel = DEFAULT_COSTS,
     nvme = w.add_nvme(host)
     libos = SpdkLibOS(host, nvme, name="h.catfish")
     return w, libos
+
+
+def make_vfs_kernel():
+    """One host with an NVMe device under the legacy kernel's VFS:
+    (world, kernel); ``kernel.vfs`` and ``kernel.host.nvme`` are set."""
+    from .kernelos.kernel import Kernel
+    from .kernelos.vfs import Vfs
+
+    w = World()
+    host = w.add_host("h")
+    kernel = Kernel(host, w.fabric, "02:00:00:00:09:01", "10.0.0.9")
+    Vfs(kernel, w.add_nvme(host))
+    return w, kernel
 
 
 def make_rmem_world(slot_size: int = 4096, n_slots: int = 16,

@@ -42,7 +42,6 @@ from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..apps.echo import (demi_echo_client, demi_echo_server,
-                         mtcp_echo_client, mtcp_echo_server,
                          posix_echo_client, posix_echo_server)
 from ..apps.kvstore import (OP_GET, OP_PUT, KvEngine, KvNicOffload,
                             UdpKvServer, demi_kv_client, kv_workload,
@@ -361,11 +360,11 @@ def _echo(run: _Run, n_messages: int, message_size: int):
     run.data.update(served=served, rtt_p50=stats.p50, rtt_max=stats.maximum)
 
 
-#: kind -> (server, client) on the two legacy stacks; every libOS kind runs
-#: the one portable Demikernel pair
+#: kind -> (server, client): the two legacy stacks run the one legacy
+#: application, every libOS kind the one portable Demikernel pair
 _ECHO_APPS = {
     "kernel": (posix_echo_server, posix_echo_client),
-    "mtcp": (mtcp_echo_server, mtcp_echo_client),
+    "mtcp": (posix_echo_server, posix_echo_client),
 }
 
 
@@ -478,7 +477,8 @@ def _kv(run: _Run, streams, **shape):
 def _kv_rtt(run: _Run, n_gets: int, value_size: int):
     """One PUT, then GETs of that key: GET round trip and server CPU per
     request, the engine behind kernel sockets (a copy on every hop)
-    against the libOS server that replies with the stored buffer."""
+    against the libOS server that replies with the stored buffer - whose
+    application service time per request (C1's ~2 us) is read too."""
     ops = ([(OP_PUT, b"bench-key", b"v" * value_size)]
            + [(OP_GET, b"bench-key", None)] * (n_gets + WARMUP))
     client, server = run.libos["client"], run.libos["server"]
@@ -502,6 +502,8 @@ def _kv_rtt(run: _Run, n_gets: int, value_size: int):
         # charged at once (the driver's own stop() is then a no-op).
         kv.stop()
         server_cpu_ns = server.core.busy_ns
+        service = kv.service_stats.samples[1 + WARMUP:]
+        run.data["service_mean_ns"] = sum(service) / len(service)
     yield
     intact = sum(1 for result in results[1:]
                  if result == (True, b"v" * value_size))

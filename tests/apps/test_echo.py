@@ -1,13 +1,14 @@
-"""Tests for the echo applications across all four stacks."""
+"""Tests for the two echo applications across all five stacks."""
+
+import pytest
 
 from repro.apps.echo import (
     demi_echo_client,
     demi_echo_server,
-    mtcp_echo_client,
-    mtcp_echo_server,
     posix_echo_client,
     posix_echo_server,
 )
+from repro.core.types import DemiError
 from repro.sim.faults import FaultPlan
 
 from ..conftest import (
@@ -72,6 +73,26 @@ class TestDemiEcho:
         assert not sp.alive
         assert sp.value == 0
 
+    def test_failed_pop_raises(self):
+        # The server echoes one of three messages and closes: the client's
+        # second pop fails, which ends the session with an error.
+        w, client, server = make_dpdk_libos_pair()
+
+        def one_echo_then_close():
+            listen_qd = yield from server.socket()
+            yield from server.bind(listen_qd, 7)
+            yield from server.listen(listen_qd)
+            qd = yield from server.accept(listen_qd)
+            result = yield from server.blocking_pop(qd)
+            yield from server.blocking_push(qd, result.sga)
+            server.sga_free(result.sga)
+            yield from server.close(qd)
+
+        w.sim.spawn(one_echo_then_close())
+        cp = w.sim.spawn(demi_echo_client(client, "10.0.0.2", MESSAGES))
+        with pytest.raises(DemiError, match="echo connection lost"):
+            w.sim.run_until_complete(cp, limit=10**12)
+
     def test_rtt_stats_are_positive_and_ordered(self):
         w, client, server = make_dpdk_libos_pair()
         w.sim.spawn(demi_echo_server(server, max_requests=10))
@@ -83,34 +104,31 @@ class TestDemiEcho:
         assert stats.p50 <= stats.p99 <= stats.maximum
 
 
-class TestPosixEcho:
-    def test_kernel_sockets(self):
-        w, ka, kb = make_kernel_pair()
-        sp = w.sim.spawn(posix_echo_server(kb, max_requests=3))
-        cp = w.sim.spawn(posix_echo_client(ka, "10.0.0.2", MESSAGES))
+@pytest.mark.parametrize("make_pair", [make_kernel_pair, make_mtcp_pair],
+                         ids=["kernel", "mtcp"])
+class TestLegacyEcho:
+    """One legacy application, unchanged on kernel sockets and on the
+    mTCP shim's copy of them."""
+
+    def test_echoes_every_message(self, make_pair):
+        w, client, server = make_pair()
+        sp = w.sim.spawn(posix_echo_server(server, max_requests=3))
+        cp = w.sim.spawn(posix_echo_client(client, "10.0.0.2", MESSAGES))
         w.run()
         replies, _ = cp.value
         assert replies == MESSAGES
         assert sp.value == 3
 
-
-class TestMtcpEcho:
-    def test_mtcp_shim(self):
-        w, client, server = make_mtcp_pair()
-        sp = w.sim.spawn(mtcp_echo_server(server, max_requests=3))
-        cp = w.sim.spawn(mtcp_echo_client(client, "10.0.0.2", MESSAGES))
+    def test_pays_copies_and_only_mtcp_pays_hops(self, make_pair):
+        w, client, server = make_pair()
+        w.sim.spawn(posix_echo_server(server, max_requests=2))
+        w.sim.spawn(posix_echo_client(client, "10.0.0.2", [b"x" * 1000] * 2))
         w.run()
-        replies, _ = cp.value
-        assert replies == MESSAGES
-        assert sp.value == 3
-
-    def test_mtcp_pays_hops_and_copies(self):
-        w, client, server = make_mtcp_pair()
-        w.sim.spawn(mtcp_echo_server(server, max_requests=2))
-        cp = w.sim.spawn(mtcp_echo_client(client, "10.0.0.2", [b"x" * 1000] * 2))
-        w.run()
-        assert w.tracer.get("client.mtcp.queue_hops") > 0
-        assert w.tracer.get("client.mtcp.bytes_copied_tx") == 2000
+        prefix = client.counters.prefix
+        assert w.tracer.get(prefix + ".bytes_copied_tx") == 2000
+        # The stack thread's cross-thread queues are the shim's own tax.
+        hops = w.tracer.get(prefix + ".queue_hops")
+        assert (hops > 0) == (make_pair is make_mtcp_pair)
 
 
 class TestTheC5Ordering:
@@ -126,8 +144,8 @@ class TestTheC5Ordering:
         kernel_rtt = cp1.value[1].p50
 
         w2, ma, mb = make_mtcp_pair()
-        w2.sim.spawn(mtcp_echo_server(mb, max_requests=10))
-        cp2 = w2.sim.spawn(mtcp_echo_client(ma, "10.0.0.2", messages))
+        w2.sim.spawn(posix_echo_server(mb, max_requests=10))
+        cp2 = w2.sim.spawn(posix_echo_client(ma, "10.0.0.2", messages))
         w2.run()
         mtcp_rtt = cp2.value[1].p50
 

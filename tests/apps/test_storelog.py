@@ -1,21 +1,9 @@
 """Tests for the log-writer storage workload on both stacks."""
 
 from repro.apps.storelog import demi_log_writer, posix_log_writer
-from repro.kernelos.kernel import Kernel
-from repro.kernelos.vfs import Vfs
-
-from ..conftest import World, make_spdk_libos
+from repro.testbed import make_spdk_libos, make_vfs_kernel
 
 RECORDS = [b"record-%04d-" % i + b"x" * 500 for i in range(32)]
-
-
-def make_vfs_host():
-    w = World()
-    host = w.add_host("h")
-    kernel = Kernel(host, w.fabric, "02:00:00:00:03:01", "10.0.0.9")
-    nvme = w.add_nvme(host)
-    Vfs(kernel, nvme)
-    return w, kernel
 
 
 class TestDemiLogWriter:
@@ -46,7 +34,7 @@ class TestDemiLogWriter:
 
 class TestPosixLogWriter:
     def test_writes_and_reads_back(self):
-        w, kernel = make_vfs_host()
+        w, kernel = make_vfs_kernel()
         p = w.sim.spawn(posix_log_writer(kernel, RECORDS, sync_every=8))
         w.run()
         stats, readback = p.value
@@ -54,7 +42,7 @@ class TestPosixLogWriter:
         assert stats.count == 4
 
     def test_pays_syscalls_and_copies(self):
-        w, kernel = make_vfs_host()
+        w, kernel = make_vfs_kernel()
         p = w.sim.spawn(posix_log_writer(kernel, RECORDS[:8]))
         w.run()
         assert w.tracer.get("h.kernel.syscalls") > 8
@@ -70,7 +58,7 @@ class TestStorShape:
         w1.run()
         demi_batch = p1.value[0].mean
 
-        w2, kernel = make_vfs_host()
+        w2, kernel = make_vfs_kernel()
         p2 = w2.sim.spawn(posix_log_writer(kernel, RECORDS, sync_every=4))
         w2.run()
         posix_batch = p2.value[0].mean

@@ -81,6 +81,24 @@ class TestCli:
         assert "echo RTT across every stack" in out
         assert "dpdk" in out
 
+    def test_trace_and_report_take_every_kind_of_the_row(self, tmp_path,
+                                                         capsys):
+        # The legacy stacks are scenario kinds too, and a row that runs
+        # on one kind needs no flag.
+        assert main(["trace", "echo-rtt", "--libos", "kernel",
+                     "-o", str(tmp_path / "kernel.json")]) == 0
+        assert main(["report", "--workload", "echo-rtt",
+                     "--libos", "mtcp"]) == 0
+        assert main(["trace", "storage",
+                     "-o", str(tmp_path / "storage.json")]) == 0
+        out = capsys.readouterr().out
+        for cell in ("echo-rtt/kernel", "echo-rtt/mtcp", "storage/spdk"):
+            assert "per-stack time in %s" % cell in out
+
+    def test_report_refuses_a_kind_its_row_does_not_run_on(self):
+        with pytest.raises(SystemExit, match="'echo' does not run on 'mtcp'"):
+            main(["report", "--libos", "mtcp"])
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -2,21 +2,8 @@
 
 import pytest
 
-from repro.hw.nvme import NvmeDevice
-from repro.kernelos.kernel import Kernel, KernelError
-from repro.kernelos.vfs import Vfs
-
-from ..conftest import World
-
-
-def make_fs_host():
-    w = World()
-    host = w.add_host("h")
-    kernel = Kernel(host, w.fabric, "02:00:00:00:02:01", "10.0.0.9")
-    nvme = NvmeDevice(host, name="h.nvme0")
-    host.nvme = nvme
-    vfs = Vfs(kernel, nvme)
-    return w, kernel, vfs, nvme
+from repro.kernelos.kernel import KernelError
+from repro.testbed import make_vfs_kernel
 
 
 def run(w, gen):
@@ -27,7 +14,7 @@ def run(w, gen):
 
 class TestVfs:
     def test_create_write_read_roundtrip(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
 
         def proc():
             sys = kernel.thread()
@@ -39,7 +26,7 @@ class TestVfs:
         assert run(w, proc()) == b"persistent bytes"
 
     def test_create_duplicate_raises(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
 
         def proc():
             sys = kernel.thread()
@@ -51,7 +38,8 @@ class TestVfs:
         assert run(w, proc()) == "checked"
 
     def test_write_is_cached_until_fsync(self):
-        w, kernel, vfs, nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
+        nvme = kernel.host.nvme
 
         def proc():
             sys = kernel.thread()
@@ -66,7 +54,8 @@ class TestVfs:
         assert nvme.flushes == 1
 
     def test_data_durable_on_device_after_fsync(self):
-        w, kernel, vfs, nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
+        vfs, nvme = kernel.vfs, kernel.host.nvme
 
         def proc():
             sys = kernel.thread()
@@ -79,7 +68,8 @@ class TestVfs:
         assert nvme.peek_block(lba) == b"A" * 4096
 
     def test_reread_after_cache_drop_hits_device(self):
-        w, kernel, vfs, nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
+        vfs, nvme = kernel.vfs, kernel.host.nvme
 
         def write_phase():
             sys = kernel.thread()
@@ -101,7 +91,7 @@ class TestVfs:
         assert nvme.tracer.get("h.nvme0.reads") >= 1
 
     def test_read_past_eof_returns_empty(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
 
         def proc():
             sys = kernel.thread()
@@ -112,7 +102,7 @@ class TestVfs:
         assert run(w, proc()) == b""
 
     def test_unaligned_write_spanning_blocks(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
 
         def proc():
             sys = kernel.thread()
@@ -125,7 +115,7 @@ class TestVfs:
         assert run(w, proc()) == b"0123456789"
 
     def test_file_io_charges_copies_and_syscalls(self):
-        w, kernel, _vfs, _nvme = make_fs_host()
+        w, kernel = make_vfs_kernel()
 
         def proc():
             sys = kernel.thread()

@@ -247,13 +247,18 @@ class TestMtcpEdges:
         w, client, server = make_mtcp_pair()
 
         def server_proc():
-            listener = server.listen(7)
-            conn = yield from server.accept(listener)
-            yield from conn.close()
+            sys = server.thread()
+            listen_fd = yield from sys.socket()
+            yield from sys.bind(listen_fd, 7)
+            yield from sys.listen(listen_fd)
+            fd = yield from sys.accept(listen_fd)
+            yield from sys.close(fd)
 
         def client_proc():
-            conn = yield from client.connect("10.0.0.2", 7)
-            data = yield from conn.recv()
+            sys = client.thread()
+            fd = yield from sys.socket()
+            yield from sys.connect(fd, "10.0.0.2", 7)
+            data = yield from sys.recv(fd)
             return data
 
         w.sim.spawn(server_proc())

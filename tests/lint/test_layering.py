@@ -1,4 +1,5 @@
-"""Lint: the simulated system never imports the harnesses built on it.
+"""Lint: the simulated system never imports the harnesses built on it,
+and an application never imports a library OS.
 
 ``repro.testing`` (the scenario driver), ``repro.experiments``,
 ``repro.bench`` and ``repro.cli`` sit *above* the simulator, the
@@ -6,7 +7,9 @@ devices, the library OSes, the applications and telemetry.  An import in
 the other direction - at module level or tucked inside a function - lets
 a harness table leak into the system under test (``sim.faults`` once
 reached up into ``repro.testing`` to find the golden plans).  This test
-parses every lower-layer module and resolves its imports.
+parses every lower-layer module and resolves its imports.  The same
+walk keeps ``repro.libos`` out of ``repro/apps/``: an application that
+names a stack no longer runs unchanged on the others.
 """
 
 import ast
@@ -37,17 +40,19 @@ def imported_modules(source, package):
                 yield node.lineno, ".".join(base + [alias.name])
 
 
-def reaches_up(module):
-    return any(module == up or module.startswith(up + ".") for up in UPPER)
+def reaches(module, targets):
+    return any(module == t or module.startswith(t + ".") for t in targets)
 
 
-def upward_imports():
+def imports_into(layers, targets):
+    """``path:line imports module`` for every import of a *targets*
+    module by a module of one of *layers*."""
     hits = []
-    for layer in LOWER:
+    for layer in layers:
         for path in sorted((SRC / "repro" / layer).rglob("*.py")):
             package = list(path.relative_to(SRC).parts[:-1])
             for lineno, module in imported_modules(path.read_text(), package):
-                if reaches_up(module):
+                if reaches(module, targets):
                     hits.append("%s:%d imports %s"
                                 % (path.relative_to(SRC.parent), lineno,
                                    module))
@@ -55,9 +60,17 @@ def upward_imports():
 
 
 def test_lower_layers_do_not_import_the_harnesses():
-    hits = upward_imports()
+    hits = imports_into(LOWER, UPPER)
     assert not hits, ("upward imports found (the system under test must "
                       "not know its harnesses):\n" + "\n".join(hits))
+
+
+def test_an_application_names_no_stack():
+    # An application is written against core.api.LibOS or the kernel's
+    # socket calls, so it runs unchanged on every stack that offers them.
+    hits = imports_into(("apps",), ("repro.libos",))
+    assert not hits, ("an application imports a library OS:\n"
+                      + "\n".join(hits))
 
 
 def test_the_lint_resolves_relative_and_nested_imports():
@@ -70,6 +83,6 @@ def test_the_lint_resolves_relative_and_nested_imports():
               "    from .engine import Simulator\n")
     found = {module for _line, module
              in imported_modules(source, ["repro", "sim"])
-             if reaches_up(module)}
+             if reaches(module, UPPER)}
     assert found == {"repro.testing", "repro.experiments.spec",
                      "repro.experiments.spec.Matrix"}

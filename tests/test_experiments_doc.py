@@ -45,7 +45,7 @@ class TestRecordedAnchors:
         result = echo_rtt("posix", message_size=64)
         assert result["rtt_mean_ns"] == pytest.approx(21_690, rel=0.02)
 
-    def test_mtcp_echo_rtt_as_documented(self):
+    def test_mtcp_shim_echo_rtt_as_documented(self):
         # EXPERIMENTS.md C5: mTCP shim at 64 B = 40.0 us.
         result = echo_rtt("mtcp", message_size=64)
         assert result["rtt_mean_ns"] == pytest.approx(40_000, rel=0.02)
@@ -66,6 +66,14 @@ class TestRecordedAnchors:
         assert 3.5 < small < 5.0
         assert 5.0 < large < 6.0
         assert large > mid > small
+
+    def test_redis_service_time_as_documented(self):
+        # EXPERIMENTS.md C1: 1.74 us of app service time and 5.04 us of
+        # server CPU per request at 1 KiB, the 51-op kv-rtt run.
+        row = metrics("kv-rtt", n_gets=47, value_size=1024)
+        assert row["service_mean_ns"] == pytest.approx(1_740, rel=0.02)
+        assert row["server_cpu_per_req_ns"] == pytest.approx(5_043.9,
+                                                             rel=0.02)
 
     def test_kv_throughput_as_documented(self):
         # EXPERIMENTS.md TPUT: 4 clients x 30 ops, 1 KiB values = 260 kops/s.
