@@ -151,16 +151,18 @@ def demi_kv_client(libos: LibOS, server_addr: str,
                    port: int = 6379,
                    stats: Optional[LatencyStats] = None,
                    proto: Optional[str] = None,
-                   src_port: Optional[int] = None) -> Generator:
+                   src_port: Optional[int] = None,
+                   codec=None) -> Generator:
     """Run (op, key, value) operations; returns (results, stats).
 
     *proto* picks the socket kind (``"udp"`` for :class:`UdpKvServer`;
     default: the libOS's stream socket).  *src_port* pins the source
     port, which is how a client steers its flow onto one shard's RX
-    queue (:func:`repro.cluster.client.src_port_for_queue`).
+    queue (:func:`repro.cluster.client.src_port_for_queue`).  *codec*
+    is the wire protocol (default: a fresh :class:`LegacyKvCodec`).
     """
     stats = stats if stats is not None else LatencyStats("kv-rtt")
-    codec = LegacyKvCodec()
+    codec = codec if codec is not None else LegacyKvCodec()
     qd = yield from (libos.socket() if proto is None
                      else libos.socket(proto))
     if src_port is None:

@@ -7,6 +7,9 @@ then read them all back - on the two storage stacks:
   submissions + the custom log layout, no syscalls/copies/page cache);
 * :func:`posix_log_writer` - the kernel VFS (syscall + copy + page cache
   per write, block layer + interrupts per flush).
+
+The ``storage`` row of :data:`repro.testing.WORKLOADS` runs them on its
+``spdk`` and ``vfs`` kinds, under any fault plan.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from typing import Generator, List, Sequence
 
 from ..core.api import LibOS
+from ..core.types import DemiError
 from ..kernelos.kernel import Kernel
 from ..sim.trace import LatencyStats
 
@@ -27,14 +31,17 @@ def demi_log_writer(libos: LibOS, records: Sequence[bytes],
 
     Every element it pushes or pops is freed - a pop is lent a slice of
     the log's read span, which a kept pop would pin whole - and both
-    queues are closed, so the heap ends as it started."""
+    queues are closed, so the heap ends as it started.  A failed append
+    or read raises :class:`DemiError`."""
     stats = stats if stats is not None else LatencyStats("append-batch")
     qd = yield from libos.creat(path)
     batch_start = libos.sim.now
     for i, record in enumerate(records):
         sga = libos.sga_alloc(record)
-        yield from libos.blocking_push(qd, sga)
+        result = yield from libos.blocking_push(qd, sga)
         libos.sga_free(sga)
+        if result.error is not None:
+            raise DemiError("append failed: %s" % result.error)
         if (i + 1) % sync_every == 0:
             yield from libos.fsync(qd)
             stats.add(libos.sim.now - batch_start)
@@ -47,6 +54,8 @@ def demi_log_writer(libos: LibOS, records: Sequence[bytes],
     read_qd = yield from libos.open(path)
     for _ in records:
         result = yield from libos.blocking_pop(read_qd)
+        if result.error is not None:
+            raise DemiError("read failed: %s" % result.error)
         readback.append(result.sga.tobytes())
         libos.sga_free(result.sga)
     yield from libos.close(read_qd)

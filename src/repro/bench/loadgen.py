@@ -23,10 +23,12 @@ Production-shaped traffic, all knobs seeded and deterministic:
   arbitrary chunks, exercising the codecs' incremental reassembly on
   the server.
 
-This module is traffic only: :func:`preload` and :func:`connection` are
-the client legs of the ``open-loop`` / ``open-loop-sharded`` rows of
-:data:`repro.testing.WORKLOADS`.  The scenario driver builds the world,
-joins the legs, stops the servers and checks the run; the ``proto-slo``
+This module is traffic only: :func:`connection` is the client leg of
+the ``open-loop`` / ``open-loop-sharded`` rows of
+:data:`repro.testing.WORKLOADS` (their preload is the closed-loop
+:func:`~repro.apps.kvstore.demi_kv_client` speaking the server's
+codec).  The scenario driver builds the world, joins the legs, stops
+the servers and checks the run; the ``proto-slo``
 experiment maps a list of load fractions over those rows - the
 goodput-vs-offered-load curve and the tail percentiles that
 ``BENCH_protocols.json`` persists.
@@ -48,7 +50,7 @@ from ..sim.trace import LatencyStats
 from ..telemetry import names
 
 __all__ = ["LoadConfig", "ConnMetrics", "PORT", "arrival_times",
-           "connection", "preload", "shard_keys", "steered_ports"]
+           "connection", "shard_keys", "steered_ports"]
 
 #: the port every open-loop server listens on
 PORT = 6390
@@ -250,25 +252,6 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
         pop_token = yield from drain(pop_token)
     if pop_token is not None:
         libos.cancel(pop_token)
-    yield from libos.close(qd)
-
-
-def preload(libos, cfg: LoadConfig, codec_cls, rng: Rng, server_ip: str,
-            keys: Sequence[bytes],
-            src_port: Optional[int] = None) -> Generator:
-    """Closed-loop SET of every key so GETs hit during measurement."""
-    codec = codec_cls()
-    qd = yield from libos.socket()
-    if src_port is not None:
-        yield from libos.connect(qd, server_ip, PORT, src_port=src_port)
-    else:
-        yield from libos.connect(qd, server_ip, PORT)
-    for key in keys:
-        wire = codec.encode_request(
-            Request(op="set", key=key, value=rng.bytes(cfg.value_size)))
-        yield from libos.blocking_push(qd, libos.sga_alloc(wire))
-        result = yield from libos.blocking_pop(qd)
-        codec.feed_responses(result.sga.tobytes())
     yield from libos.close(qd)
 
 

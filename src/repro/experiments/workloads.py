@@ -21,11 +21,11 @@ drained run, no wake-up without work, no IOMMU fault, crash reclaim) is
 a failure of the row.
 
 The spec's ``libos`` is a scenario kind (``kernel``, ``mtcp``,
-``posix``, ``dpdk``, ``rdma``, ``spdk``): a workload runs on exactly the
-kinds its scenario row lists.  ``cores`` means what the workload says:
-server *shards* for ``kv-scaling`` and ``proto-slo`` (dpdk only -
-sharding rides RSS), concurrent closed-loop *client sessions* for
-``kv``.  ``params.counters`` (a list of leaf names) merges a
+``posix``, ``dpdk``, ``rdma``, ``spdk``, ``vfs``): a workload runs on
+exactly the kinds its scenario row lists.  ``cores`` means what the
+workload says: server *shards* for ``kv-scaling`` and ``proto-slo``
+(dpdk only - sharding rides RSS), concurrent closed-loop *client
+sessions* for ``kv``.  ``params.counters`` (a list of leaf names) merges a
 :func:`repro.telemetry.counter_rollup` slice of the run's counters into
 the metrics for workloads that expose them.
 
@@ -300,25 +300,33 @@ def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
     return _outcome(metrics, result, failures=failures)
 
 
-# -- kv-scaling: the sharded throughput sweep (one row per run); shards ride
-# RSS, so dpdk only --------------------------------------------------------
+# -- kv-scaling / storage: the scenario row is the whole measurement; its
+# ``data``, less the driver's keys, is the trajectory row ------------------
 #: what the driver, not the workload, records in ``ScenarioResult.data``
 _DRIVER_DATA = ("finished_at", "reclaim")
 
 
-@register_workload(
+def _row_data(row: str):
+    """The ``run`` of a workload over scenario *row*'s data (docs/api.md
+    has ``kv-sharded``'s columns); ``cores`` > 1 shards the server."""
+    def run(spec: ExperimentSpec) -> Dict[str, Any]:
+        cores = {"cores": spec.cores} if spec.cores > 1 else {}
+        result = _scenario(spec, row, **cores, **spec_params(spec))
+        return _outcome({key: value for key, value in result.data.items()
+                         if key not in _DRIVER_DATA}, result)
+    return run
+
+
+register_workload(
     "kv-scaling", validate=_runs_on("kv-sharded", multicore=True),
     blurb="sharded KV throughput at cores shards (dpdk), wake-one"
           " counters checked",
-    schema=_row_schema("kv-sharded"))
-def _kv_scaling_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    """The ``kv-sharded`` row is the whole measurement; its ``data`` is
-    the trajectory row (docs/api.md has the columns)."""
-    result = _scenario(spec, "kv-sharded", cores=spec.cores,
-                       **spec_params(spec))
-    metrics = {key: value for key, value in result.data.items()
-               if key not in _DRIVER_DATA}
-    return _outcome(metrics, result)
+    schema=_row_schema("kv-sharded"))(_row_data("kv-sharded"))
+register_workload(
+    "storage", validate=_runs_on("storage"),
+    blurb="STOR's log writer on the SPDK libOS or the kernel VFS: fsync"
+          " batch latency, syscalls, copies, host CPU",
+    schema=_row_schema("storage"))(_row_data("storage"))
 
 
 # -- echo-rtt / kv-rtt: the claim-suite latency benches, on the legacy

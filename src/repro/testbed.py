@@ -211,13 +211,13 @@ def make_spdk_libos(seed: int = 42, costs: CostModel = DEFAULT_COSTS,
     return w, libos
 
 
-def make_vfs_kernel():
+def make_vfs_kernel(seed: int = 42, telemetry=False):
     """One host with an NVMe device under the legacy kernel's VFS:
     (world, kernel); ``kernel.vfs`` and ``kernel.host.nvme`` are set."""
     from .kernelos.kernel import Kernel
     from .kernelos.vfs import Vfs
 
-    w = World()
+    w = World(seed=seed, telemetry=telemetry)
     host = w.add_host("h")
     kernel = Kernel(host, w.fabric, "02:00:00:00:09:01", "10.0.0.9")
     Vfs(kernel, w.add_nvme(host))

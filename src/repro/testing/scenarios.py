@@ -47,8 +47,9 @@ from ..apps.kvstore import (OP_GET, OP_PUT, KvEngine, KvNicOffload,
                             UdpKvServer, demi_kv_client, kv_workload,
                             posix_kv_client, posix_kv_server)
 from ..apps.proto import CODECS, KvEngineStore, LegacyKvCodec, ProtoServer
+from ..apps.storelog import demi_log_writer, posix_log_writer
 from ..bench.loadgen import (PORT, ConnMetrics, LoadConfig, connection,
-                             preload, shard_keys, steered_ports)
+                             shard_keys, steered_ports)
 from ..cluster.client import (ReplicatedKvClient, shard_workload,
                               src_port_for_queue)
 from ..cluster.replica import ClusterDirectory, ReplicaNode
@@ -58,7 +59,6 @@ from ..core.types import DemiTimeout, DeviceFailed
 from ..kernelos.reclaim import crash_teardown
 from ..libos.rdma_libos import RdmaLibOS
 from ..rdma.cm import RdmaCm
-from ..sim.engine import SimulationError
 from ..sim.faults import CRASH_KINDS, FaultPlan
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
@@ -66,7 +66,7 @@ from ..telemetry import counter_rollup, names
 from ..testbed import (World, make_dpdk_libos_pair, make_kernel_pair,
                        make_mtcp_pair, make_posix_libos_pair,
                        make_rdma_libos_pair, make_sharded_kv_world,
-                       make_spdk_libos)
+                       make_spdk_libos, make_vfs_kernel)
 
 __all__ = [
     "ScenarioFailure",
@@ -268,6 +268,7 @@ _WORLDS = {
     # their endpoints are kernels / mTCP shims, which mint no qtokens.
     "kernel": _testbed(make_kernel_pair, verify_checksums=True),
     "mtcp": _testbed(make_mtcp_pair),
+    "vfs": _testbed(make_vfs_kernel),
     "dpdk-offload": _testbed(make_dpdk_libos_pair, verify_checksums=True,
                              with_offload=True),
     "sharded": _sharded_server,
@@ -629,42 +630,34 @@ def _kv_udp(run: _Run, n_keys: int, n_gets: int, value_size: int,
            for leaf in ("hits", "misses", "steered", "punts")})
 
 
-def _storage_legs(libos, records: Sequence[bytes]) -> Generator:
-    """Append, fsync, read back; free every element and close both
-    queues, so the heap ends as it started."""
-    qd = yield from libos.creat("/chaos")
-    for record in records:
-        sga = libos.sga_alloc(record)
-        result = yield from libos.blocking_push(qd, sga)
-        libos.sga_free(sga)
-        if result.error is not None:
-            raise SimulationError("append failed: %s" % result.error)
-    flushed = yield from libos.fsync(qd)
-    qd2 = yield from libos.open("/chaos")
-    out: List[bytes] = []
-    for _ in records:
-        result = yield from libos.blocking_pop(qd2)
-        if result.error is not None:
-            raise SimulationError("read failed: %s" % result.error)
-        out.append(result.sga.tobytes())
-        libos.sga_free(result.sga)
-    yield from libos.close(qd2)
-    yield from libos.close(qd)
-    return out, flushed
+#: kind -> the log writer: the SPDK libOS's file queues, or the same
+#: application through the kernel VFS's syscalls
+_STORAGE_APPS = {"spdk": demi_log_writer, "vfs": posix_log_writer}
 
 
-def _storage(run: _Run, n_records: int, record_size: int):
-    """Append + fsync + read-back on the SPDK libOS under device faults."""
+def _storage(run: _Run, n_records: int, record_size: int, sync_every: int):
+    """Append, fsync every *sync_every* records, read back - STOR's log
+    writer under device faults: the fsync batch latency and the software
+    taxes (syscalls, copied bytes, host CPU) the run paid."""
+    host = run.libos["h"]
     records = run.payloads(n_records, record_size)
-    proc = run.sim.spawn(_storage_legs(run.libos["h"], records),
-                         name="chaos.storage")
-    (out, flushed), = yield [proc]
+    (stats, readback), = yield [run.sim.spawn(
+        _STORAGE_APPS[run.kind](host, records, sync_every=sync_every),
+        name="chaos.storage")]
+    costs = counter_rollup(run.world.tracer, leaves=(
+        "syscalls", "bytes_copied_tx", "bytes_copied_rx"))
+    host_cpu_ns = host.host.cpus.total_busy_ns()
     yield
-    if out != records:
-        intact = sum(1 for got, put in zip(out, records) if got == put)
+    if readback != records:
+        intact = sum(1 for got, put in zip(readback, records) if got == put)
         run.failures.append("storage read-back mismatch: %d/%d records intact"
                             % (intact, n_records))
-    run.data.update(flushed=flushed)
+    run.data.update(
+        batch_mean_ns=stats.mean, batch_p99_ns=stats.p99,
+        syscalls=costs.get("syscalls", 0),
+        bytes_copied=(costs.get("bytes_copied_tx", 0)
+                      + costs.get("bytes_copied_rx", 0)),
+        host_cpu_ns=host_cpu_ns)
 
 
 def _log_scan_legs(libos, records: Sequence[bytes], predicate,
@@ -672,12 +665,17 @@ def _log_scan_legs(libos, records: Sequence[bytes], predicate,
     """Returns (matches, host CPU ns of the scan, its wall-clock ns)."""
     qd = yield from libos.creat("/log")
     for record in records:
-        yield from libos.blocking_push(qd, libos.sga_alloc(record))
+        sga = libos.sga_alloc(record)
+        yield from libos.blocking_push(qd, sga)
+        libos.sga_free(sga)
     yield from libos.fsync(qd)
     cpu_start, start = libos.core.busy_ns, libos.sim.now
     scan = libos.store.scan if on_device else libos.store.scan_host
     matches = yield from scan(predicate)
-    return matches, libos.core.busy_ns - cpu_start, libos.sim.now - start
+    scan_cpu_ns, scan_wall_ns = (libos.core.busy_ns - cpu_start,
+                                 libos.sim.now - start)
+    yield from libos.close(qd)
+    return matches, scan_cpu_ns, scan_wall_ns
 
 
 def _log_scan(run: _Run, n_records: int, on_device: bool):
@@ -790,7 +788,7 @@ def _crash_echo(run: _Run, n_messages: int, message_size: int,
     run.data.update(served=served, outcome=outcome)
 
 
-def _crash_storage_legs(libos, records: Sequence[bytes]) -> Generator:
+def _append_until_killed(libos, records: Sequence[bytes]) -> Generator:
     """Append forever, fsyncing every few records - the crash is the only
     exit, so NVMe commands are periodically in flight when it lands."""
     qd = yield from libos.creat("/chaos")
@@ -810,7 +808,7 @@ def _crash_storage(run: _Run, n_records: int, record_size: int):
     commands it left in flight and frees its registered heap."""
     libos = run.libos["h"]
     records = run.payloads(n_records, record_size)
-    proc = run.sim.spawn(_crash_storage_legs(libos, records),
+    proc = run.sim.spawn(_append_until_killed(libos, records),
                          name="chaos.crash.storage")
     run.on_crash("h", lambda reports: crash_teardown(
         libos, proc, report_to=reports), "chaos.crash.reclaim")
@@ -1073,9 +1071,12 @@ def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
     stats = LatencyStats("loadgen-rtt")
     metrics = ConnMetrics()
     for libos, keys, alloc in lanes:
+        values = rng.fork_named("preload")
+        puts = [(OP_PUT, key, values.bytes(cfg.value_size)) for key in keys]
         yield [run.sim.spawn(
-            preload(libos, cfg, codec_cls, rng.fork_named("preload"),
-                    server_ip, keys, src_port=alloc() if alloc else None),
+            demi_kv_client(libos, server_ip, puts, port=PORT,
+                           src_port=alloc() if alloc else None,
+                           codec=codec_cls()),
             name="loadgen.preload")]
     measure_start = run.sim.now
     procs = []
@@ -1175,8 +1176,9 @@ WORKLOADS: Dict[str, Dict[str, Any]] = {
                           "world": "sharded",
                           "shape": ("cores", "protocol"),
                           "params": _LOAD_KNOBS},
-    "storage": {"kinds": ("spdk",), "legs": _storage,
-                "params": {"n_records": 12, "record_size": 2048}},
+    "storage": {"kinds": ("spdk", "vfs"), "legs": _storage,
+                "params": {"n_records": 12, "record_size": 2048,
+                           "sync_every": 12}},
     "log-scan": {"kinds": ("spdk",), "legs": _log_scan,
                  "params": {"n_records": 400, "on_device": False}},
     "crash-echo": {"kinds": NET_LIBOS_KINDS, "legs": _crash_echo,
@@ -1247,7 +1249,7 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
             "server.dpdk0", 200 * _US, 500 * _US, limit=0),
     },
     "slow-nvme": {
-        "workload": "storage", "kinds": ("spdk",),
+        "workload": "storage", "kinds": ("spdk", "vfs"),
         "blurb": "a 40x slow-flash window during appends",
         "plan": lambda kind: FaultPlan(seed=505).nvme_slow(
             "nvme0", 0, 3 * _MS, factor=40.0),
@@ -1274,7 +1276,7 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
         "plan": lambda kind: FaultPlan(seed=808).proc_crash("h", 200 * _US),
     },
     "nvme-transient-outage": {
-        "workload": "storage", "kinds": ("spdk",),
+        "workload": "storage", "kinds": ("spdk", "vfs"),
         "blurb": "a controller-failure window the retry ladder outlasts",
         # Ends before the ladder exhausts: a retry (or the post-reset
         # attempt) lands after the window and the workload completes.

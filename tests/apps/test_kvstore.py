@@ -166,13 +166,17 @@ class TestEmptyValue:
 
 
 class TestDemiKvClient:
-    def test_closed_loop_results_and_stats(self):
+    @pytest.mark.parametrize("codec_cls", [None, RespCodec],
+                             ids=["default-legacy", "resp"])
+    def test_closed_loop_results_and_stats(self, codec_cls):
         w, client, server_libos = make_dpdk_libos_pair()
-        server = kv_server(server_libos)
+        server = kv_server(server_libos, codec_cls or LegacyKvCodec)
         w.sim.spawn(server.start(), name="kv-server")
         ops = kv_workload(Rng(7), 50, n_keys=10, value_size=128,
                           get_fraction=0.5)
-        cp = w.sim.spawn(demi_kv_client(client, "10.0.0.2", ops))
+        cp = w.sim.spawn(demi_kv_client(
+            client, "10.0.0.2", ops,
+            codec=codec_cls() if codec_cls else None))
         w.sim.run_until_complete(cp, limit=10**12)
         server.stop()
         results, stats = cp.value

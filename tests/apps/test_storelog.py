@@ -1,7 +1,12 @@
 """Tests for the log-writer storage workload on both stacks."""
 
+import pytest
+
 from repro.apps.storelog import demi_log_writer, posix_log_writer
-from repro.testbed import make_spdk_libos, make_vfs_kernel
+from repro.core.types import DemiError
+from repro.libos.spdk_libos import SpdkLibOS
+from repro.storage.log import RECORD_HEADER_LEN
+from repro.testbed import World, make_spdk_libos, make_vfs_kernel
 
 RECORDS = [b"record-%04d-" % i + b"x" * 500 for i in range(32)]
 
@@ -24,6 +29,35 @@ class TestDemiLogWriter:
         w.run()
         assert p.value[1] == RECORDS
         assert libos.mm.live_buffer_count == start
+
+    def test_a_failed_append_raises_instead_of_hanging(self):
+        # One 4 KiB block holds one of three 2 KiB records ("log full"):
+        # the read-back would wait for ever on records never appended.
+        w = World()
+        host = w.add_host("h")
+        libos = SpdkLibOS(host, w.add_nvme(host, capacity_blocks=1),
+                          name="h.catfish")
+        p = w.sim.spawn(demi_log_writer(libos, [b"x" * 2048] * 3))
+        with pytest.raises(DemiError, match="append failed: log full"):
+            w.sim.run_until_complete(p, limit=10**12)
+
+    def test_a_failed_read_raises(self):
+        # Flash loses the first record's payload once the fsync lands:
+        # its read-back fails the checksum, and the pop carries no sga.
+        w, libos = make_spdk_libos()
+        nvme = libos.nvme
+
+        def corrupt_once_flushed():
+            while not w.tracer.get("h.nvme0.flushes"):
+                yield w.sim.timeout(1_000)
+            block = bytearray(nvme.peek_block(0))
+            block[RECORD_HEADER_LEN] ^= 0xFF
+            nvme._blocks[0] = bytes(block)
+
+        w.sim.spawn(corrupt_once_flushed())
+        p = w.sim.spawn(demi_log_writer(libos, RECORDS[:8]))
+        with pytest.raises(DemiError, match="read failed: checksum"):
+            w.sim.run_until_complete(p, limit=10**12)
 
     def test_no_kernel_involvement(self):
         w, libos = make_spdk_libos()

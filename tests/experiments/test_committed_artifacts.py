@@ -22,9 +22,10 @@ ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 #: spec file -> (runs, first run_id, sha256 of the comma-joined run_ids)
 #: as expanded by the commit before ``repro bench`` was retired.  Only
 #: kv_scaling.json differs from it: it had the 1- and 4-core runs then,
-#: which the full sweep keeps (below).
+#: which the full sweep keeps (below).  chaos_battery.json has since
+#: gained the ``vfs`` kind's six runs; its 72 earlier run ids are kept.
 PINNED_RUN_IDS = {
-    "chaos_battery.json": (72, "cc22f7288956", "3e20d6a29720ca38"),
+    "chaos_battery.json": (78, "cc22f7288956", "54c959089c738308"),
     "ci_matrix.json": (8, "280c95a97cc3", "c7e9bd756d6fca55"),
     "kv_offload.json": (4, "04cc84087c2e", "69a9f0cbc18205f2"),
     "kv_scaling.json": (6, "c52e2036478f", "d6e394ad0f8f7961"),

@@ -17,7 +17,7 @@ from repro.experiments import (ExperimentSpec, run_spec, validate_spec,
 
 from .. import golden
 
-KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk")
+KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk", "vfs")
 
 
 def default_spec(cell: str) -> ExperimentSpec:

@@ -199,7 +199,7 @@ class TestExpListCli:
 
 #: every stack kind a scenario row names: what ``ExperimentSpec.libos``
 #: takes
-KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk")
+KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk", "vfs")
 
 #: (workload, cores, params) -> the scenario row it runs; chaos runs the
 #: golden scenario its params name, proto-slo its sharded row at cores > 1
@@ -210,6 +210,7 @@ ROW_OF = [(("kv", 1, {}), "kv-concurrent"),
           (("kv-rtt", 1, {}), "kv-rtt"),
           (("kv-offload", 1, {}), "kv-udp"),
           (("storelog-scan", 1, {}), "log-scan"),
+          (("storage", 1, {}), "storage"),
           (("proto-slo", 1, {}), "open-loop"),
           (("proto-slo", 2, {}), "open-loop-sharded")] + [
           (("chaos", 1, {"scenario": name}), name)
@@ -258,6 +259,7 @@ class TestRowSchemas:
                                     ("kv-offload", "kv-udp", ("nic_program",)),
                                     ("storelog-scan", "log-scan",
                                      ("on_device",)),
+                                    ("storage", "storage", ()),
                                     ("proto-slo", "open-loop",
                                      ("rate_ops_per_s",))):
             schema = WORKLOADS[workload]["schema"]

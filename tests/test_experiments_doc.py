@@ -16,9 +16,10 @@ def echo_rtt(flavor, message_size):
         params={"message_size": message_size}))["metrics"]
 
 
-def metrics(workload, cores=1, **params):
-    """A dpdk row of *workload*, as its benchmark reads it."""
-    out = run_spec(ExperimentSpec(workload, libos="dpdk", cores=cores,
+def metrics(workload, cores=1, libos="dpdk", **params):
+    """A row of *workload* (on dpdk by default), as its benchmark reads
+    it."""
+    out = run_spec(ExperimentSpec(workload, libos=libos, cores=cores,
                                   params=params))
     assert out["ok"], out["failures"]
     return out["metrics"]
@@ -74,6 +75,21 @@ class TestRecordedAnchors:
         assert row["service_mean_ns"] == pytest.approx(1_740, rel=0.02)
         assert row["server_cpu_per_req_ns"] == pytest.approx(5_043.9,
                                                              rel=0.02)
+
+    def test_storage_path_as_documented(self):
+        # EXPERIMENTS.md STOR: 64 x 1 KB appends, fsync every 8 - batches
+        # of 160.9 us on the kernel VFS vs 132.8 us on the SPDK libOS,
+        # which pays 65 us of host CPU to the VFS's 396 us and no syscall
+        # and no copy.
+        vfs, spdk = (metrics("storage", libos=kind, n_records=64,
+                             record_size=1024, sync_every=8)
+                     for kind in ("vfs", "spdk"))
+        assert vfs["batch_mean_ns"] == pytest.approx(160_900, rel=0.02)
+        assert spdk["batch_mean_ns"] == pytest.approx(132_800, rel=0.02)
+        assert vfs["host_cpu_ns"] == pytest.approx(396_300, rel=0.02)
+        assert spdk["host_cpu_ns"] == pytest.approx(64_960, rel=0.02)
+        assert (vfs["syscalls"], vfs["bytes_copied"]) == (138, 131_072)
+        assert (spdk["syscalls"], spdk["bytes_copied"]) == (0, 0)
 
     def test_kv_throughput_as_documented(self):
         # EXPERIMENTS.md TPUT: 4 clients x 30 ops, 1 KiB values = 260 kops/s.
