@@ -44,6 +44,13 @@ class _DeferredScan:
 class NvmeDevice(Device):
     """Block storage with parallel flash channels.
 
+    A command takes the least busy of ``channels`` channels, so commands
+    in flight together run side by side: a host that keeps several
+    outstanding (the log store's read-ahead beside its reader, or its
+    scan cut into one piece per channel) waits for the longest of them,
+    not for their sum.  A host that submits each command after the
+    last one completed leaves all channels but one idle.
+
     Recovery ladder (engaged only when the fault plan schedules
     ``nvme_ctrl_fail`` windows for this device): a command whose
     completion lands inside a failure window *times out*; the driver
@@ -76,6 +83,8 @@ class NvmeDevice(Device):
         self.capacity_blocks = capacity_blocks
         self.block_size = block_size
         self._blocks: Dict[int, bytes] = {}
+        #: flash channels: how many commands make progress at once
+        self.channels = channels
         self._channel_free = [0] * channels
         self.flushes = 0
         #: commands submitted but not yet completed/aborted

@@ -24,30 +24,51 @@ reads ahead in the same command, up to the device's bandwidth-delay
 product (the blocks whose transfer takes as long as one command's fixed
 latency) and never past the flushed tail - so ``mount()`` on a store
 that has lost its tail reads exactly the blocks each record needs.
+The first read that hits the span then submits the next window - the
+same depth, from the block after the span, never past the flushed tail
+- and goes on serving the span while the device reads it, so the miss
+that reaches the span's end takes those blocks, without a wait if the
+reader spent longer on the span than the device on the window.  A
+sequential reader then waits on the device once per read-back, not
+once per depth.  There is at most one read-ahead per
+store; a hit leaves one in flight alone, and replaces only one that has
+landed somewhere the reader has left.  A read-ahead that fails or is
+aborted is forgotten, and the miss reads as if it never was.
 Read-ahead pays off for a reader that walks the log forward, one miss
 at a time, which is every reader the store has: a reader jumping about,
-or several misses in flight at once, would each fetch a whole depth.
+or readers of several files of the store taking turns, would each fetch
+a whole depth per miss.
 It is one registered buffer, not a page cache - no eviction policy -
 and the device read lands in it.  A flushed record is read as a *lent*
 slice of it (:meth:`~repro.memory.manager.MemoryManager.lend`), not a
 copy: the slice holds a reference on the buffer, so when the store lets
 the span go the buffer lives on, under free-protection, until the last
-slice is given back.  The span is dropped whenever it could lie: at
-every ``sync()`` (the partial head block is rewritten), at ``mount()``,
-and at any record that fails its checks, so a retry goes back to flash;
-and a closed file queue drops it, so a log nobody reads holds no memory.
+slice is given back.  The span, and a read-ahead with it, is dropped
+whenever it could lie: at every ``sync()`` (the partial head block is
+rewritten), at ``mount()``, and at any record that fails its checks, so
+a retry goes back to flash; and a closed file queue drops it, so a log
+nobody reads holds no memory.
+
+The on-device :meth:`LogStore.scan` cuts the flushed log into one piece
+per flash channel and submits them together, so the device walks them
+side by side.  It cuts only where a record starts: the store notes the
+first record that starts in each read-ahead window as it appends (and
+``mount()`` notes them again from its walk), and picks its cuts from
+those.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left
 from typing import Generator, List, Optional, Tuple
 
 from ..core.types import SgaSegment
 from ..hw.nvme import NvmeDevice
 from ..memory.buffer import Buffer
 from ..sim.cpu import Core
+from ..sim.engine import Completion
 from ..telemetry import names
 
 __all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
@@ -94,13 +115,21 @@ class LogStore:
         #: bumped at every drop, so a read that was in flight across one
         #: does not install what it fetched before it
         self._span_drops = 0
-        #: blocks a miss reads, from the record's first block:
-        #: the device's bandwidth-delay product, so reading ahead at most
-        #: doubles the miss's device time (the whole range if transfer is
-        #: free)
+        #: the read-ahead: (first lba, the read's completion) of the
+        #: window after the span, or None; a drop forgets it
+        self._ahead: Optional[Tuple[int, Completion]] = None
+        #: blocks a miss reads, from the record's first block, and a
+        #: read-ahead from the span's end: the device's bandwidth-delay
+        #: product, so reading ahead at most doubles the miss's device
+        #: time (the whole range if transfer is free)
         block_ns = self.block_size * self.costs.nvme_ns_per_byte
         self._ahead_blocks = (max(1, int(self.costs.nvme_read_ns // block_ns))
                               if block_ns else self.lba_count)
+        #: where scan() may cut the log: the first record id that starts
+        #: in each read-ahead window, in log order, and the offset where
+        #: the window after the last of them begins
+        self._starts: List[int] = []
+        self._next_window = 0
         self.records_appended = 0
         self.records_read = 0
 
@@ -111,6 +140,19 @@ class LogStore:
 
     def _lba_of(self, offset: int) -> int:
         return self.lba_start + offset // self.block_size
+
+    def _flushed_end(self) -> int:
+        """The LBA after the last block a sync has written (the block
+        holding the flushed tail included)."""
+        return self.lba_start + -(-self._buffer_base // self.block_size)
+
+    def _note_start(self, record_id: int) -> None:
+        """Keep *record_id*, the first record to start in its read-ahead
+        window, as a scan cut (the caller checked it is past
+        ``_next_window``)."""
+        window = self._ahead_blocks * self.block_size
+        self._starts.append(record_id)
+        self._next_window = (record_id // window + 1) * window
 
     # -- appends ------------------------------------------------------------------
     def append(self, payload: bytes) -> Generator:
@@ -129,6 +171,8 @@ class LogStore:
         self._buffer.extend(record)
         self.tail += len(record)
         self.records_appended += 1
+        if record_id >= self._next_window:
+            self._note_start(record_id)
         # User-space bookkeeping only - no syscall, no copy to a kernel
         # buffer; the eventual DMA reads the user pages directly.
         yield self.core.busy(self.costs.spdk_submit_ns // 4)
@@ -223,14 +267,17 @@ class LogStore:
 
         Served from the read span when it holds every block the record
         covers: a quarter submission of CPU and no command, what
-        :meth:`read` charges for a record still in the write buffer.
-        Otherwise one submission reads the blocks the span is missing -
-        those past the prefix it holds, or all of them - reading ahead in
-        that same command.  They land in a new buffer, behind the prefix,
-        which replaces the span (one allocation per miss) - unless a drop
-        came while the read was in flight: then the store keeps nothing,
-        and the buffer lives as long as the caller's reference and what
-        it lends.  A read that raises installs nothing.
+        :meth:`read` charges for a record still in the write buffer - and
+        the first such hit submits the read-ahead (:meth:`_read_ahead`).
+        Otherwise the blocks the span is missing - those past the prefix
+        it holds, or all of them - come from the read-ahead if it starts
+        right there (a quarter submission again, and no wait once it has
+        landed), else from one submission that reads ahead in that same
+        command.  They land in a new buffer, behind the prefix, which
+        replaces the span (one allocation per miss) - unless a drop came
+        while the read was in flight: then the store keeps nothing, and
+        the buffer lives as long as the caller's reference and what it
+        lends.  A read that raises installs nothing.
         """
         bs = self.block_size
         first_lba = self._lba_of(offset)
@@ -247,15 +294,24 @@ class LogStore:
                     span.data, at)[1] <= span.capacity):
                 self.nvme.count(names.LOG_READ_SPAN_HITS)
                 span.hold()   # a sync meanwhile lets the span go, not it
+                end_lba = span_lba + span.capacity // bs
+                ahead = self._ahead
+                if ahead is None or (ahead[0] != end_lba
+                                     and ahead[1].triggered):
+                    yield from self._read_ahead(end_lba)
                 yield self.core.busy(self.costs.spdk_submit_ns // 4)
                 return span, at
-        self.nvme.count(names.LOG_READ_SPAN_MISSES)
-        yield self.core.busy(self.costs.spdk_submit_ns)
         held = bytes(span.data[skip:]) if span is not None and skip >= 0 \
             else b""
+        landed = yield from self._take_ahead(first_lba + len(held) // bs)
+        if landed is None:
+            self.nvme.count(names.LOG_READ_SPAN_MISSES)
+        else:
+            held += landed
+            yield self.core.busy(self.costs.spdk_submit_ns // 4)
         # Read ahead, but not into blocks no sync has filled yet - the
         # flushed tail lies inside the LBA range, so the read does too.
-        flushed = -(-self._buffer_base // bs) - (first_lba - self.lba_start)
+        flushed = self._flushed_end() - first_lba
         need = max(body, min(self._ahead_blocks, flushed) * bs)
         held = yield from self._cover(first_lba, held, need)
         end = body + _HEADER.unpack_from(held, start)[1]
@@ -272,12 +328,47 @@ class LogStore:
             self.mm.free(buf)
         return buf, start
 
+    def _read_ahead(self, lba: int) -> Generator:
+        """Submit one depth of blocks from *lba*, the block after the
+        span, as the read-ahead, never past the flushed tail (nothing if
+        the flushed log ends there).  It replaces ``_ahead``, which the
+        caller checked is None, or landed and starts elsewhere."""
+        window = min(self._ahead_blocks, self._flushed_end() - lba)
+        if window <= 0:
+            return
+        ahead, drops = self._ahead, self._span_drops
+        yield self.core.busy(self.costs.spdk_submit_ns)
+        # A drop, or another reader's read-ahead, came meanwhile.
+        if drops == self._span_drops and self._ahead is ahead:
+            self._ahead = (lba, self.nvme.submit_read(lba, window))
+
+    def _take_ahead(self, lba: int) -> Generator:
+        """The read-ahead's blocks if it starts at *lba*, else None.
+        Blocks that had landed count as a read-ahead hit; waiting for
+        them counts as a miss.  A read-ahead that failed or was aborted
+        is forgotten and yields None, so the miss reads as if it never
+        was."""
+        ahead = self._ahead
+        if ahead is None or ahead[0] != lba:
+            return None
+        self._ahead = None
+        done = ahead[1]
+        waited = not done.triggered
+        try:
+            blocks = yield done
+        except Exception:
+            return None
+        self.nvme.count(names.LOG_READ_SPAN_MISSES if waited
+                        else names.LOG_READ_AHEAD_HITS)
+        return blocks
+
     def _cover(self, first_lba: int, held: bytes, need: int) -> Generator:
         """*held*, the blocks from *first_lba* on, read forward until it
-        is at least *need* bytes."""
+        is at least *need* bytes: one submission, if any."""
         if len(held) < need:
             missing = ((need - len(held) + self.block_size - 1)
                        // self.block_size)
+            yield self.core.busy(self.costs.spdk_submit_ns)
             held += yield self.nvme.submit_read(
                 first_lba + len(held) // self.block_size, missing)
         return held
@@ -291,8 +382,10 @@ class LogStore:
             self.mm.free(buf)
 
     def drop_read_span(self) -> None:
-        """Let the span go, and make a read in flight install nothing."""
+        """Let the span go, forget the read-ahead, and make a read in
+        flight install nothing."""
         self._release_span()
+        self._ahead = None
         self._span_drops += 1
 
     def _mismatch(self, header: bytes, payload: bytes) -> Optional[str]:
@@ -319,39 +412,50 @@ class LogStore:
         (:meth:`~repro.hw.nvme.NvmeDevice.submit_scan`): the device
         streams the flushed region past a program that validates record
         framing and applies *predicate* to each payload, and only the
-        matches cross PCIe.  The host submits one command and sleeps -
-        zero host CPU charged for the loop.  Returns a list of
-        ``(record_id, payload)`` matches.  Unflushed (buffered) records
-        are not visible to the device; :meth:`sync` first if they matter.
+        matches cross PCIe.  The log goes out as up to one piece per
+        flash channel (:meth:`_cuts`), all submitted before the host
+        sleeps, so the pieces run side by side; each submission is
+        charged once and the loop not at all.  A piece shares the block
+        its cut falls in with the piece before it.  Returns a list of
+        ``(record_id, payload)`` matches in log order, as one walk of the
+        whole log would: a bad magic ends the log there, whatever the
+        pieces after it found, and a record that fails its length or
+        checksum raises :class:`LogError` unless the log ended before
+        it (a length corrupted to reach past its piece's blocks reads as
+        truncated, where one walk may read a bad checksum).  Unflushed
+        (buffered) records are not visible to the device; :meth:`sync`
+        first if they matter.
         """
         flushed = self._buffer_base
-        yield self.core.busy(self.costs.spdk_submit_ns)
         if flushed < RECORD_HEADER_LEN:
+            yield self.core.busy(self.costs.spdk_submit_ns)
             return []
-        nblocks = (flushed + self.block_size - 1) // self.block_size
-
-        def program(data: bytes):
-            matches = []
-            offset = 0
-            while offset + RECORD_HEADER_LEN <= flushed:
-                magic, length, crc = _HEADER.unpack_from(data, offset)
-                if magic != _MAGIC:
-                    break
-                payload = bytes(data[offset + RECORD_HEADER_LEN:
-                                     offset + RECORD_HEADER_LEN + length])
-                if len(payload) != length:
-                    raise LogError(_TRUNCATED % offset)
-                if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    raise LogError(_BAD_CHECKSUM % offset)
-                if predicate(payload):
-                    matches.append((offset, payload))
-                offset += RECORD_HEADER_LEN + length
-            return matches
-
-        matches = yield self.nvme.submit_scan(
-            self._lba_of(0), nblocks, program)
+        cuts = self._cuts(flushed)
+        pieces = []
+        for start, end in zip(cuts, cuts[1:]):
+            yield self.core.busy(self.costs.spdk_submit_ns)
+            first = start - start % self.block_size
+            nblocks = -(-end // self.block_size) - first // self.block_size
+            pieces.append(self.nvme.submit_scan(
+                self._lba_of(first), nblocks,
+                _piece_walk(predicate, first, start, end, flushed)))
+        matches = []
+        for done in pieces:
+            found, whole = yield done
+            matches.extend(found)
+            if not whole:
+                break
         self.nvme.count(names.NVME_SCAN_MATCHES, len(matches))
         return matches
+
+    def _cuts(self, flushed: int) -> List[int]:
+        """The piece boundaries of a scan of the first *flushed* bytes:
+        0, up to one record start per channel but one - spread evenly
+        over the starts :meth:`_note_start` kept - and *flushed*."""
+        starts = self._starts[1:bisect_left(self._starts, flushed)]
+        pieces = min(self.nvme.channels, len(starts) + 1)
+        return ([0] + [starts[len(starts) * k // pieces]
+                       for k in range(1, pieces)] + [flushed])
 
     def scan_host(self, predicate) -> Generator:
         """Sim-coroutine: the same predicate scan with the loop on the host.
@@ -386,6 +490,7 @@ class LogStore:
         hole or corrupt header, exactly like log replay after a crash.
         """
         self.drop_read_span()
+        self._starts, self._next_window = [], 0
         offset = 0
         found: List[int] = []
         # The valid bytes of the block *offset* is in, for the next sync.
@@ -400,6 +505,8 @@ class LogStore:
             if self._mismatch(header, payload):
                 break
             found.append(offset)
+            if offset >= self._next_window:
+                self._note_start(offset)
             offset += RECORD_HEADER_LEN + len(payload)
             fill = offset % self.block_size
             tail_block = (tail_block + header + payload)[-fill:] if fill else b""
@@ -408,3 +515,31 @@ class LogStore:
         self._buffer_base = offset
         self._tail_block = tail_block
         return found
+
+
+def _piece_walk(predicate, base: int, start: int, end: int, flushed: int):
+    """The device program for the scan piece whose records start in
+    ``[start, end)``, handed the blocks from log offset *base* on: its
+    ``(matches, whole)``, where *whole* is False if a bad magic ended
+    the log inside it."""
+
+    def program(data: bytes):
+        matches = []
+        offset = start
+        while offset < end and offset + RECORD_HEADER_LEN <= flushed:
+            at = offset - base
+            magic, length, crc = _HEADER.unpack_from(data, at)
+            if magic != _MAGIC:
+                return matches, False
+            payload = bytes(data[at + RECORD_HEADER_LEN:
+                                 at + RECORD_HEADER_LEN + length])
+            if len(payload) != length:
+                raise LogError(_TRUNCATED % offset)
+            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+                raise LogError(_BAD_CHECKSUM % offset)
+            if predicate(payload):
+                matches.append((offset, payload))
+            offset += RECORD_HEADER_LEN + length
+        return matches, True
+
+    return program

@@ -238,9 +238,11 @@ NVME_SCAN_BYTES = "scan_bytes"
 NVME_SCAN_MATCHES = "scan_matches"
 NVME_SCAN_FAULTS = "scan_faults"
 # The log store's read path, counted on the device it spares: a record
-# served from the blocks the last read brought in (no command), or one
-# that had to submit a read.
+# served from the blocks the last read brought in (no command), one
+# served from the read-ahead's blocks once they had landed (no wait),
+# or one that waited on a device read.
 LOG_READ_SPAN_HITS = "read_span_hits"
+LOG_READ_AHEAD_HITS = "read_ahead_hits"
 LOG_READ_SPAN_MISSES = "read_span_misses"
 
 # ------------------------------------------------------------------ memory

@@ -6,7 +6,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
 from repro.hw.nvme import NvmeDevice
-from repro.storage.log import LogStore
+from repro.sim.costs import DEFAULT_COSTS
+from repro.storage.log import RECORD_HEADER_LEN, LogError, LogStore
 
 from ..conftest import World
 
@@ -229,3 +230,112 @@ class TestNvmeProperties:
         p = w.sim.spawn(proc())
         w.run()
         assert p.triggered
+
+
+#: 512-byte blocks and a transfer cost that makes the read-ahead window
+#: (and so the scan's cut granularity) 2 blocks, so a few dozen records
+#: span enough windows for a scan to go out in eight pieces
+SMALL_BLOCK = 512
+SMALL_WINDOW_COSTS = DEFAULT_COSTS.with_overrides(nvme_ns_per_byte=60.0)
+
+PREDICATES = {
+    "all": lambda p: True,
+    "none": lambda p: False,
+    "odd-first-byte": lambda p: p[0] % 2 == 1,
+    "long": lambda p: len(p) > 600,
+    "mod-5": lambda p: sum(p[:4]) % 5 == 0,
+}
+
+
+def scanned_log(channels, records, sync_after, remount, corrupt, predicate):
+    """Write *records* (syncing after the indices in *sync_after*) on a
+    device of *channels* channels, optionally mount a fresh store over
+    it, poke each ``(record index, field)`` of *corrupt* into flash and
+    scan: the matches, or the error's type and message."""
+    w = World(SMALL_WINDOW_COSTS)
+    host = w.add_host("h")
+    nvme = NvmeDevice(host, name="h.nvme0", block_size=SMALL_BLOCK,
+                      channels=channels)
+    store = LogStore(nvme, host.cpu)
+    ids = []
+
+    def write():
+        for i, record in enumerate(records):
+            ids.append((yield from store.append(record)))
+            if i in sync_after:
+                yield from store.sync()
+        yield from store.sync()
+
+    run(w, write())
+    if remount:
+        store = LogStore(nvme, host.cpu)
+        assert run(w, store.mount()) == ids
+    for index, field in corrupt:
+        # the magic's first byte, or the payload's
+        at = ids[index] + (0 if field == "magic" else RECORD_HEADER_LEN)
+        lba, byte = divmod(at, SMALL_BLOCK)
+        block = bytearray(nvme.peek_block(lba))
+        block[byte] ^= 0xFF
+        nvme._blocks[lba] = bytes(block)
+
+    def scan():
+        try:
+            return (yield from store.scan(PREDICATES[predicate]))
+        except LogError as err:
+            return ("LogError", str(err))
+
+    return run(w, scan()), w.tracer.get("h.nvme0.scans")
+
+
+class TestSplitScan:
+    """The scan cut into one piece per channel returns what one command
+    over the whole log returns, record for record."""
+
+    @given(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 1500)),
+                    min_size=1, max_size=100),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_split_scan_equals_one_command_scan(self, shapes, data):
+        # (first byte, size): cheap to draw at sizes that fill windows
+        records = [bytes((first + i) % 256 for i in range(size))
+                   for first, size in shapes]
+        n = len(records)
+        sync_after = set(data.draw(st.lists(
+            st.integers(0, n - 1), max_size=6), label="sync_after"))
+        remount = data.draw(st.booleans(), label="remount")
+        corrupt = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1),
+                      st.sampled_from(["magic", "checksum"])),
+            max_size=2, unique_by=lambda c: c[0]), label="corrupt")
+        predicate = data.draw(st.sampled_from(sorted(PREDICATES)),
+                              label="predicate")
+        split, pieces = scanned_log(8, records, sync_after, remount,
+                                    corrupt, predicate)
+        whole, commands = scanned_log(1, records, sync_after, remount,
+                                      corrupt, predicate)
+        assert commands == 1
+        assert split == whole
+        assert 1 <= pieces <= 8
+
+    def test_a_bad_magic_mid_log_truncates_both_the_same(self):
+        records = [bytes([i]) * 700 for i in range(60)]
+        split, pieces = scanned_log(8, records, {19, 40}, False,
+                                    [(30, "magic"), (50, "checksum")],
+                                    "all")
+        whole, _ = scanned_log(1, records, {19, 40}, False,
+                               [(30, "magic"), (50, "checksum")], "all")
+        assert pieces == 8
+        # The log ends at record 30; record 50's bad checksum, in a
+        # later piece, is past the end and never raises.
+        assert split == whole
+        assert [p for _rid, p in split] == records[:30]
+
+    def test_a_bad_checksum_raises_the_same_error(self):
+        records = [bytes([i]) * 700 for i in range(60)]
+        split, pieces = scanned_log(8, records, set(), True,
+                                    [(45, "checksum")], "odd-first-byte")
+        whole, _ = scanned_log(1, records, set(), True,
+                               [(45, "checksum")], "odd-first-byte")
+        assert pieces == 8
+        assert split == whole
+        assert split[0] == "LogError" and "checksum mismatch" in split[1]

@@ -141,9 +141,10 @@ def straddling_payloads(bs):
             sized(4, 2 * bs + 1000)]
 
 
-def read_costs(w, store, nvme, payloads, order):
-    """Append and sync *payloads*, then read them back in *order*: the
-    payloads read and the (commands, blocks) each read cost."""
+def read_costs(w, store, nvme, payloads, order, work_ns=0):
+    """Append and sync *payloads*, then read them back in *order*,
+    spending *work_ns* on each: the payloads read and the (commands,
+    blocks) each read cost."""
     costs = []
 
     def proc():
@@ -157,6 +158,8 @@ def read_costs(w, store, nvme, payloads, order):
             out.append((yield from store.read(ids[i])).tobytes())
             after = device_reads(nvme)
             costs.append((after[0] - before[0], after[1] - before[1]))
+            if work_ns:
+                yield w.sim.timeout(work_ns)
         return out
 
     return run(w, proc()), costs
@@ -291,9 +294,11 @@ class TestReadSpan:
 
     def test_failed_read_leaves_the_span_and_the_next_read_correct(self):
         # 3 timed-out attempts, a controller reset and a last attempt fit
-        # inside the window; the reads after it see a healthy device.
+        # inside the window twice over: once for b's read and once for
+        # the read-ahead the hit after it submits.  The reads after it
+        # see a healthy device.
         plan = FaultPlan(seed=5).nvme_ctrl_fail("h.nvme0", 1_000_000,
-                                                6_000_000)
+                                                9_000_000)
         w, store, nvme = make_store(plan)
         depth = store._ahead_blocks
         # b ends one block past what a read-ahead from block 0 brings in.
@@ -313,15 +318,24 @@ class TestReadSpan:
                 yield from store.read(ids[1])         # block 68 never comes
             before = device_reads(nvme)
             out.append((yield from store.read(ids[0])).tobytes())   # still 0-67
-            assert device_reads(nvme) == before
-            yield w.sim.timeout(6_000_000 - w.sim.now)
+            # The hit read ahead: block 68, which fails in its turn.
+            assert device_reads(nvme) == (before[0] + 1, before[1] + 1)
+            yield w.sim.timeout(9_000_000 - w.sim.now)
+            assert nvme.tracer.get("h.nvme0.device_failures") == 2
+            # The failed read-ahead is forgotten, not handed to b: its
+            # read goes back to flash and succeeds.
             for rid in ids[1:]:
                 out.append((yield from store.read(rid)).tobytes())
             return out
 
         assert run(w, proc()) == [payloads[0], payloads[0], payloads[1],
                                   payloads[2]]
-        assert nvme.tracer.get("h.nvme0.device_failures") == 1
+        assert nvme.tracer.get("h.nvme0.device_failures") == 2
+        assert nvme.tracer.get("h.nvme0.read_ahead_hits") == 0
+
+
+#: blocks per read-ahead with the default costs
+DEFAULT_DEPTH = 68
 
 
 def block_records(n, bs, fill=0):
@@ -348,15 +362,106 @@ class TestReadAhead:
                                            False))
 
     def test_a_sequential_reader_pays_one_command_per_depth(self):
+        """And waits on the first: the first hit in each window submits
+        the next, which has landed when a reader that spends 3 us on a
+        block gets there (68 of them outlast its ~140 us)."""
+        commands, counts = self._sequential_read_back(work_ns=3_000)
+        depth = DEFAULT_DEPTH
+        # Blocks 0-67 on record 0's miss; 68-135 read ahead by the hit
+        # on record 1, and 136-149 by the one on record 69.
+        assert commands == [(0, (1, depth)), (1, (1, depth)),
+                            (depth + 1, (1, 150 - 2 * depth))]
+        assert counts == {"read_span_misses": 1, "read_ahead_hits": 2,
+                          "read_span_hits": 147}
+
+    def test_a_reader_faster_than_the_device_waits_on_each_window(self):
+        """The same commands; a reader that spends nothing on a record
+        reaches each read-ahead before it lands, and waits on it."""
+        commands, counts = self._sequential_read_back(work_ns=0)
+        assert [i for i, _cost in commands] == [0, 1, DEFAULT_DEPTH + 1]
+        assert counts == {"read_span_misses": 3, "read_ahead_hits": 0,
+                          "read_span_hits": 147}
+
+    @staticmethod
+    def _sequential_read_back(work_ns):
+        """150 one-block records read in order: the reads that cost a
+        command, with their (commands, blocks), and the read counters."""
         w, store, nvme = make_store()
+        assert store._ahead_blocks == DEFAULT_DEPTH
         payloads = block_records(150, nvme.block_size)
-        out, costs = read_costs(w, store, nvme, payloads, order=range(150))
+        out, costs = read_costs(w, store, nvme, payloads, order=range(150),
+                                work_ns=work_ns)
         assert out == payloads
-        depth = store._ahead_blocks
-        misses = [(i, cost) for i, cost in enumerate(costs) if cost != (0, 0)]
-        # Blocks 0-67, 68-135, 136-149.
-        assert misses == [(0, (1, depth)), (depth, (1, depth)),
-                          (2 * depth, (1, 150 - 2 * depth))]
+        commands = [(i, cost) for i, cost in enumerate(costs)
+                    if cost != (0, 0)]
+        counts = {leaf: nvme.tracer.get("h.nvme0." + leaf) for leaf in (
+            "read_span_misses", "read_ahead_hits", "read_span_hits")}
+        return commands, counts
+
+    def test_a_read_served_by_the_read_ahead_costs_what_a_hit_costs(self):
+        """CPU per read: the submission goes to the hit that makes it,
+        and the read that takes its blocks pays a hit's quarter
+        submission, the allocation they land in and the free of the span
+        they replace."""
+        w, store, nvme = make_store()
+        payloads = block_records(80, nvme.block_size)
+        cpu = []
+
+        def proc():
+            ids = []
+            for payload in payloads:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            for rid in ids:
+                before = store.core.busy_ns
+                (yield from store.read(rid)).buf.release()
+                cpu.append(store.core.busy_ns - before)
+
+        run(w, proc())
+        c = store.costs
+        hit, depth = c.spdk_submit_ns // 4, store._ahead_blocks
+        assert cpu[0] == c.spdk_submit_ns + c.malloc_ns        # the miss
+        assert cpu[1] == hit + c.spdk_submit_ns   # submits blocks 68-79
+        assert cpu[depth] == hit + c.malloc_ns + c.free_ns   # takes them
+        assert set(cpu[2:depth] + cpu[depth + 1:]) == {hit}
+
+    def test_a_read_ahead_in_flight_is_never_displaced(self):
+        """At most one read-ahead per store: one submitted while the
+        device is slow is still in flight when the reader has jumped
+        elsewhere, and the hits there submit nothing - until it lands;
+        then the next hit replaces it with the window the reader needs.
+        """
+        plan = FaultPlan(seed=5).nvme_slow("h.nvme0", 1_000_000, 1_100_000)
+        w, store, nvme = make_store(plan)
+        payloads = block_records(300, nvme.block_size)
+        trail = []
+
+        def read(rid):
+            (yield from store.read(rid)).buf.release()
+            trail.append((device_reads(nvme)[0], store._ahead[0]
+                          if store._ahead is not None else None))
+
+        def proc():
+            ids = []
+            for payload in payloads:
+                ids.append((yield from store.append(payload)))
+            yield from store.sync()
+            yield from read(ids[0])               # blocks 0-67
+            yield w.sim.timeout(1_000_000 - w.sim.now)
+            yield from read(ids[1])               # reads 68-135, slowly
+            yield w.sim.timeout(1_200_000 - w.sim.now)
+            yield from read(ids[200])             # 200-267, landed first
+            assert not store._ahead[1].triggered
+            yield from read(ids[201])             # a hit: 68-135 stays
+            yield w.sim.timeout(3_000_000 - w.sim.now)
+            yield from read(ids[202])             # landed: 268-299
+            yield w.sim.timeout(4_000_000 - w.sim.now)
+            yield from read(ids[268])             # takes it, landed
+
+        run(w, proc())
+        assert trail == [(1, None), (2, 68), (3, 68), (3, 68), (4, 268),
+                         (4, None)]
+        assert nvme.tracer.get("h.nvme0.read_ahead_hits") == 1
 
     def test_reads_in_any_order_see_their_own_records(self):
         """Backward, just behind the span, far behind it, past it: each

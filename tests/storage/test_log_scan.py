@@ -136,3 +136,68 @@ class TestScanCosts:
 
         assert run(w, proc()) == "raised"
         assert nvme.tracer.get("h.nvme0.scan_faults") == 1
+
+
+class TestScanPieces:
+    """The scan goes out in one piece per flash channel, cut at record
+    starts the store noted as it appended, one per read-ahead window."""
+
+    #: 268 bytes on flash each: 12 000 of them fill 786 blocks, 11.6
+    #: read-ahead windows
+    RECORDS = [b"%05d" % i + b"s" * 251 for i in range(12_000)]
+
+    def _scan(self, payloads, **kw):
+        w, store, nvme = make_store(**kw)
+        out = {}
+
+        def proc():
+            yield from fill(store, payloads)
+            start, cpu = w.sim.now, store.core.busy_ns
+            out["matches"] = yield from store.scan(lambda p: p[5] == 0x73)
+            out["wall_ns"] = w.sim.now - start
+            out["cpu_ns"] = store.core.busy_ns - cpu
+
+        run(w, proc())
+        get = nvme.tracer.get
+        out.update(scans=get("h.nvme0.scans"),
+                   blocks=get("h.nvme0.scan_bytes") // nvme.block_size)
+        return out, store, nvme, w
+
+    def test_a_long_log_goes_out_in_one_piece_per_channel(self):
+        out, store, nvme, _ = self._scan(self.RECORDS)
+        assert [p for _rid, p in out["matches"]] == self.RECORDS
+        assert out["scans"] == nvme.channels == 8
+        assert out["cpu_ns"] == 8 * store.costs.spdk_submit_ns
+        # Each cut that falls inside a block scans that block twice.
+        blocks = -(-store.tail // nvme.block_size)
+        assert blocks < out["blocks"] <= blocks + 7
+        # Side by side: the scan takes its longest piece, two windows and
+        # a shared block, not the whole log.
+        costs = store.costs
+        longest = (2 * store._ahead_blocks + 1) * nvme.block_size
+        piece_ns = (costs.nvme_io_ns(longest, False)
+                    + int(longest * costs.nvme_scan_ns_per_byte))
+        assert out["wall_ns"] <= piece_ns + out["cpu_ns"]
+
+    def test_a_log_shorter_than_a_window_is_one_command(self):
+        """The 400-record storelog-scan rows: nothing to cut at."""
+        payloads = self.RECORDS[:400]
+        out, store, _, _ = self._scan(payloads)
+        assert out["scans"] == 1
+        assert store._starts == [0]
+
+    def test_one_piece_per_window_up_to_the_channels(self):
+        out = self._scan(self.RECORDS[:3000])[0]
+        assert out["scans"] == 3   # 196 blocks: windows 0, 1 and 2
+        out = self._scan(self.RECORDS)[0]
+        assert out["scans"] == 8   # of 12 record starts kept
+
+    def test_mount_notes_the_same_cuts(self):
+        _, store, nvme, w = self._scan(self.RECORDS)
+        recovered = LogStore(nvme, store.core)
+        assert len(run(w, recovered.mount())) == len(self.RECORDS)
+        assert recovered._starts == store._starts
+        assert len(store._starts) == 12
+        starts = list(store._starts)
+        run(w, store.mount())   # a remount notes them afresh
+        assert store._starts == starts
