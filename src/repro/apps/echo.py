@@ -4,7 +4,11 @@ One measurement (request-response RTT), two applications, five stacks:
 
 * :func:`demi_echo_server` / :func:`demi_echo_client` - the portable
   Demikernel application: runs unchanged on the DPDK, RDMA, and POSIX
-  libOSes (the paper's portability argument, executable);
+  libOSes (the paper's portability argument, executable).  The server
+  backstops each pop with an optional idle timeout, returns
+  ``(served, outcome)`` and closes both queues it opened, so the
+  crash battery's ``crash-echo`` row kills the client of this very
+  server, not of a copy;
 * :func:`posix_echo_server` / :func:`posix_echo_client` - the legacy
   application written against the kernel's socket calls: runs unchanged
   on the kernel and on the mTCP-style shim (C5's baseline), which keeps
@@ -13,10 +17,10 @@ One measurement (request-response RTT), two applications, five stacks:
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from ..core.api import LibOS
-from ..core.types import DemiError
+from ..core.types import DemiError, DemiTimeout
 from ..sim.trace import LatencyStats
 
 __all__ = [
@@ -31,25 +35,47 @@ __all__ = [
 # Demikernel (portable across libOSes)
 # ---------------------------------------------------------------------------
 
-def demi_echo_server(libos: LibOS, port: int = 7,
-                     max_requests: int = 0) -> Generator:
-    """Accept one connection and echo every element back; returns how
-    many echoes went out.  A failed pop or push ends the session."""
+def demi_echo_server(libos: LibOS, port: int = 7, max_requests: int = 0,
+                     idle_timeout_ns: Optional[int] = None) -> Generator:
+    """Accept one connection and echo every element back.
+
+    Each request is a ``pop`` waited on with *idle_timeout_ns* (None arms
+    no timer): RDMA RC gives no wire-visible signal of a peer's death
+    while the server is quiescent (it surfaces only on the send side, as
+    ``retry-exceeded``), so detecting it needs a timer, as on real verbs
+    hardware.  A timeout cancels the pop and ends the session, as does a
+    failed pop or push.  Returns ``(served, outcome)``: the echoes that
+    went out and what ended the session (``"served-all"`` after
+    *max_requests*, ``"idle-timeout"``, or the failed operation's
+    error).  Both queues it opened are closed on the way out.
+    """
     listen_qd = yield from libos.socket()
     yield from libos.bind(listen_qd, port)
     yield from libos.listen(listen_qd)
     qd = yield from libos.accept(listen_qd)
     served = 0
+    outcome = "served-all"
     while max_requests == 0 or served < max_requests:
-        result = yield from libos.blocking_pop(qd)
+        token = libos.pop(qd)
+        try:
+            _index, result = yield from libos.wait_any(
+                [token], timeout_ns=idle_timeout_ns)
+        except DemiTimeout:
+            libos.cancel(token)
+            outcome = "idle-timeout"
+            break
         if result.error is not None:
+            outcome = result.error
             break
         reply = yield from libos.blocking_push(qd, result.sga)
         libos.sga_free(result.sga)
         if reply.error is not None:
+            outcome = reply.error
             break
         served += 1
-    return served
+    yield from libos.close(qd)
+    yield from libos.close(listen_qd)
+    return served, outcome
 
 
 def demi_echo_client(libos: LibOS, server_addr: str,

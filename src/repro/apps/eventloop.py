@@ -112,3 +112,4 @@ class WaitAnyWorkerPool:
             self.requests_served += 1
             if reply:
                 yield from libos.blocking_push(qd, result.sga)
+            libos.sga_free(result.sga)

@@ -55,7 +55,7 @@ from ..cluster.client import (ReplicatedKvClient, shard_workload,
 from ..cluster.replica import ClusterDirectory, ReplicaNode
 from ..core.api import LibOS
 from ..core.retry import RetryBudgetExceeded
-from ..core.types import DemiTimeout, DeviceFailed
+from ..core.types import DeviceFailed
 from ..kernelos.reclaim import crash_teardown
 from ..libos.rdma_libos import RdmaLibOS
 from ..rdma.cm import RdmaCm
@@ -352,7 +352,7 @@ def _echo(run: _Run, n_messages: int, message_size: int):
         demi_echo_client(run.libos["client"], _SERVER_ADDR[run.kind],
                          messages, port=7),
         name="chaos.echo.client")
-    (replies, stats), served = yield [client_proc, server_proc]
+    (replies, stats), (served, _outcome) = yield [client_proc, server_proc]
     yield
     _check_echo_stream(run, replies, messages)
     if served != n_messages:
@@ -706,47 +706,6 @@ def _log_scan(run: _Run, n_records: int, on_device: bool):
         scan_matches=len(matches))
 
 
-def _crash_echo_server(libos, port: int, n_limit: int,
-                       idle_timeout_ns: int) -> Generator:
-    """An echo server that survives its peer's death.
-
-    Unlike :func:`~repro.apps.echo.demi_echo_server` it backstops the pop
-    with a timeout - RDMA RC gives no wire-visible crash signal while the
-    server is quiescent (a peer's death surfaces only on the send side,
-    as ``retry-exceeded``), so failure detection needs a timer, exactly
-    as on real verbs hardware.
-    Returns ``(served, outcome)`` where *outcome* names what ended the
-    session.
-    """
-    listen_qd = yield from libos.socket()
-    yield from libos.bind(listen_qd, port)
-    yield from libos.listen(listen_qd)
-    qd = yield from libos.accept(listen_qd)
-    served = 0
-    outcome = "served-all"
-    while served < n_limit:
-        token = libos.pop(qd)
-        try:
-            _idx, result = yield from libos.wait_any([token],
-                                                     timeout_ns=idle_timeout_ns)
-        except DemiTimeout:
-            libos.cancel(token)
-            outcome = "idle-timeout"
-            break
-        if result.error is not None:
-            outcome = result.error
-            break
-        reply = yield from libos.blocking_push(qd, result.sga)
-        libos.sga_free(result.sga)
-        if reply.error is not None:
-            outcome = reply.error
-            break
-        served += 1
-    yield from libos.close(qd)
-    yield from libos.close(listen_qd)
-    return served, outcome
-
-
 def _crash_echo(run: _Run, n_messages: int, message_size: int,
                 idle_timeout_ns: int, strict: bool):
     """Kill the client mid-stream; the kernel reclaims, the peer unblocks.
@@ -765,8 +724,9 @@ def _crash_echo(run: _Run, n_messages: int, message_size: int,
     client = run.libos["client"]
     messages = run.payloads(n_messages, message_size)
     server_proc = run.sim.spawn(
-        _crash_echo_server(run.libos["server"], 7, n_messages,
-                           idle_timeout_ns),
+        demi_echo_server(run.libos["server"], port=7,
+                         max_requests=n_messages,
+                         idle_timeout_ns=idle_timeout_ns),
         name="chaos.crash.server")
     client_proc = run.sim.spawn(
         demi_echo_client(client, _SERVER_ADDR[run.kind], messages, port=7),
@@ -788,27 +748,12 @@ def _crash_echo(run: _Run, n_messages: int, message_size: int,
     run.data.update(served=served, outcome=outcome)
 
 
-def _append_until_killed(libos, records: Sequence[bytes]) -> Generator:
-    """Append forever, fsyncing every few records - the crash is the only
-    exit, so NVMe commands are periodically in flight when it lands."""
-    qd = yield from libos.creat("/chaos")
-    appended = 0
-    while True:
-        record = records[appended % len(records)]
-        result = yield from libos.blocking_push(qd, libos.sga_alloc(record))
-        if result.error is not None:
-            return appended
-        appended += 1
-        if appended % 4 == 0:
-            yield from libos.fsync(qd)
-
-
 def _crash_storage(run: _Run, n_records: int, record_size: int):
     """Kill the SPDK storage process mid-append; reclaim aborts the NVMe
     commands it left in flight and frees its registered heap."""
     libos = run.libos["h"]
     records = run.payloads(n_records, record_size)
-    proc = run.sim.spawn(_append_until_killed(libos, records),
+    proc = run.sim.spawn(demi_log_writer(libos, records, sync_every=4),
                          name="chaos.crash.storage")
     run.on_crash("h", lambda reports: crash_teardown(
         libos, proc, report_to=reports), "chaos.crash.reclaim")
@@ -820,21 +765,14 @@ def _crash_storage(run: _Run, n_records: int, record_size: int):
         appended=run.world.tracer.get("%s.file_appends" % libos.name))
 
 
-def _nvme_outage_legs(libos, records: Sequence[bytes]) -> Generator:
-    """Append then fsync into a dead controller; returns the typed
+def _until_device_fails(libos, records: Sequence[bytes]) -> Generator:
+    """The log writer into a dead controller: returns the typed
     :class:`DeviceFailed` the recovery ladder surfaces (or None)."""
-    qd = yield from libos.creat("/outage")
-    appended = 0
-    for record in records:
-        result = yield from libos.blocking_push(qd, libos.sga_alloc(record))
-        if result.error is not None:
-            break
-        appended += 1
     try:
-        yield from libos.fsync(qd)
+        yield from demi_log_writer(libos, records)
     except DeviceFailed as err:
-        return appended, err
-    return appended, None
+        return err
+    return None
 
 
 def _nvme_outage(run: _Run, n_records: int, record_size: int):
@@ -844,9 +782,9 @@ def _nvme_outage(run: _Run, n_records: int, record_size: int):
     fsync instead of hanging or returning a stringly error."""
     libos = run.libos["h"]
     records = run.payloads(n_records, record_size)
-    proc = run.sim.spawn(_nvme_outage_legs(libos, records),
+    proc = run.sim.spawn(_until_device_fails(libos, records),
                          name="chaos.nvme.outage")
-    (appended, err), = yield [proc]
+    err, = yield [proc]
     yield
     if err is None:
         run.failures.append("device outage never surfaced: fsync completed"
@@ -858,7 +796,8 @@ def _nvme_outage(run: _Run, n_records: int, record_size: int):
         run.data.update(failed_op=err.op, attempts=err.attempts)
     if run.world.tracer.get("%s.device_failures" % libos.nvme.name) < 1:
         run.failures.append("recovery ladder never recorded a device failure")
-    run.data.update(appended=appended)
+    run.data.update(
+        appended=run.world.tracer.get("%s.file_appends" % libos.name))
 
 
 class _KeyTracker:

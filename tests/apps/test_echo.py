@@ -31,7 +31,7 @@ class TestDemiEcho:
         w.run()
         replies, stats = cp.value
         assert replies == MESSAGES
-        assert sp.value == 3
+        assert sp.value == (3, "served-all")
         assert stats.count == 3
 
     def test_rdma(self):
@@ -71,7 +71,31 @@ class TestDemiEcho:
         assert w.tracer.get("server.catmint.rdma_rx_elements") == 1
         assert w.tracer.get("server.rdma0.qp_errors") == 1
         assert not sp.alive
-        assert sp.value == 0
+        assert sp.value == (0, "retry-exceeded")
+
+    @pytest.mark.parametrize("make_pair,addr", [
+        (make_dpdk_libos_pair, "10.0.0.2"),
+        (make_posix_libos_pair, "10.0.0.2"),
+        (make_rdma_libos_pair, "server-rdma"),
+    ], ids=["dpdk", "posix", "rdma"])
+    def test_idle_peer_times_out_and_closes_everything(self, make_pair,
+                                                       addr):
+        # A client that connects and never sends: the idle backstop
+        # cancels the parked pop, and the server closes both its queues.
+        w, client, server = make_pair()
+        sp = w.sim.spawn(demi_echo_server(server, max_requests=3,
+                                          idle_timeout_ns=2_000_000))
+
+        def connect_and_idle():
+            qd = yield from client.socket()
+            yield from client.connect(qd, addr, 7)
+
+        w.sim.spawn(connect_and_idle())
+        w.sim.run_until_complete(sp, limit=10**9)
+        assert sp.value == (0, "idle-timeout")
+        assert server.qtokens.in_flight == 0
+        assert server.qtokens.identity_ok
+        assert not server._queues
 
     def test_failed_pop_raises(self):
         # The server echoes one of three messages and closes: the client's

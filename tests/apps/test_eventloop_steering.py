@@ -85,6 +85,8 @@ class TestWaitAnyWorkerPool:
         assert pool.requests_served == 10
         assert pool.wasted_wakeups == 0
         assert pool.wakeups == pool.requests_served
+        # Each worker frees what it popped: the heap ends as it started.
+        assert pool.libos.host.mm.live_buffer_count == 0
 
 
 class TestKeyPartition:

@@ -69,12 +69,14 @@ def test_golden_crash_mid_stream_rdma():
 
 def test_golden_crash_storage():
     # The storage process dies with an NVMe write in flight; reclaim
-    # aborts it and the device ends with an empty submission queue.
+    # aborts it and the device ends with an empty submission queue.  The
+    # log writer frees each record once its append completes, so reclaim
+    # finds no buffer left to free.
     r = run_golden("crash-storage", "spdk")
     assert r.counters.get("fault.proc_crashes", 0) == 1
     assert r.counters.get("h.reclaim.nvme_aborts", 0) == 1
     assert r.counters.get("h.nvme0.aborts", 0) == 1
-    assert r.counters.get("h.reclaim.buffers_freed", 0) == 8
+    assert r.counters.get("h.reclaim.buffers_freed", 0) == 0
     assert r.data["reclaim"]["nvme_aborted"] == 1
 
 

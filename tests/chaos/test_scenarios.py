@@ -102,6 +102,20 @@ def test_the_log_scan_leg_ends_with_the_heap_it_started_with(on_device):
     assert r.world.hosts["h"].mm.live_buffer_count == 0
 
 
+def test_the_echo_server_returns_its_receive_pool_on_rdma():
+    # The server closes what it opened once the stream is served, and
+    # closing an RDMA queue frees its 64-buffer receive pool.
+    r = run_scenario("echo", "rdma", plan=FaultPlan(seed=7)).require_ok()
+    assert r.world.hosts["server"].mm.live_buffer_count == 0
+
+
+def test_the_outage_leg_frees_every_append():
+    # The log writer frees each record once its append completes, even
+    # when the fsync after them dies with DeviceFailed.
+    r = run_golden("nvme-fatal-outage", "spdk")
+    assert r.world.hosts["h"].mm.live_buffer_count == 0
+
+
 def test_golden_corruption_storm():
     # Random bit flips past the ethernet header: every mangled frame is
     # caught by the IPv4 header checksum (rx_malformed) or the TCP

@@ -59,6 +59,32 @@ def imports_into(layers, targets):
     return hits
 
 
+def called_names(source):
+    """``(line, name)`` for every call in *source*: the attribute for
+    ``obj.name(...)``, the bare name for ``name(...)``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                yield node.lineno, func.attr
+            elif isinstance(func, ast.Name):
+                yield node.lineno, func.id
+
+
+def calls_into(layers, names):
+    """``path:line calls name(`` for every call of one of *names* by a
+    module of one of *layers*."""
+    hits = []
+    for layer in layers:
+        for path in sorted((SRC / "repro" / layer).rglob("*.py")):
+            for lineno, name in called_names(path.read_text()):
+                if name in names:
+                    hits.append("%s:%d calls %s("
+                                % (path.relative_to(SRC.parent), lineno,
+                                   name))
+    return hits
+
+
 def test_lower_layers_do_not_import_the_harnesses():
     hits = imports_into(LOWER, UPPER)
     assert not hits, ("upward imports found (the system under test must "
@@ -86,3 +112,19 @@ def test_the_lint_resolves_relative_and_nested_imports():
              if reaches(module, UPPER)}
     assert found == {"repro.testing", "repro.experiments.spec",
                      "repro.experiments.spec.Matrix"}
+
+
+def test_the_scenario_driver_runs_no_server():
+    # A chaos leg spawns the applications that ship (apps.echo,
+    # apps.storelog, apps.proto, ...): a server loop written inside the
+    # driver would check that a copy is reclaimed, not the application.
+    hits = calls_into(("testing",), ("listen", "accept"))
+    assert not hits, ("the scenario driver runs its own server:\n"
+                      + "\n".join(hits))
+
+
+def test_the_call_lint_sees_methods_and_bare_names():
+    source = ("def serve(libos, qd):\n"
+              "    yield from libos.listen(qd)\n"
+              "    return accept(qd)\n")
+    assert sorted(called_names(source)) == [(2, "listen"), (3, "accept")]
