@@ -7,7 +7,8 @@ One measurement (request-response RTT), two applications, five stacks:
   libOSes (the paper's portability argument, executable).  The server
   backstops each pop with an optional idle timeout, returns
   ``(served, outcome)`` and closes both queues it opened, so the
-  crash battery's ``crash-echo`` row kills the client of this very
+  crash battery's ``crash-mid-stream`` scenario - the ``echo`` row
+  under a plan that kills its client - kills the client of this very
   server, not of a copy;
 * :func:`posix_echo_server` / :func:`posix_echo_client` - the legacy
   application written against the kernel's socket calls: runs unchanged

@@ -300,8 +300,8 @@ def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
     return _outcome(metrics, result, failures=failures)
 
 
-# -- kv-scaling / storage: the scenario row is the whole measurement; its
-# ``data``, less the driver's keys, is the trajectory row ------------------
+# -- kv-scaling / storage / echo-rtt / kv-rtt: the scenario row is the whole
+# measurement; its ``data``, less the driver's keys, is the trajectory row --
 #: what the driver, not the workload, records in ``ScenarioResult.data``
 _DRIVER_DATA = ("finished_at", "reclaim")
 
@@ -327,49 +327,16 @@ register_workload(
     blurb="STOR's log writer on the SPDK libOS or the kernel VFS: fsync"
           " batch latency, syscalls, copies, host CPU",
     schema=_row_schema("storage"))(_row_data("storage"))
-
-
-# -- echo-rtt / kv-rtt: the claim-suite latency benches, on the legacy
-# stacks (``kernel`` sockets, ``mtcp``) as on the libOSes ------------------
-@register_workload(
+# The claim-suite latency benches, on the legacy stacks (``kernel``
+# sockets, ``mtcp``) as on the libOSes.
+register_workload(
     "echo-rtt", validate=_runs_on("echo-rtt"),
     blurb="echo round-trip + per-request syscall/copy/interrupt costs",
-    schema=_row_schema("echo-rtt"))
-def _echo_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    params = spec_params(spec)
-    result = _scenario(spec, "echo-rtt", **params)
-    data = result.data
-    per_req = max(1, params["count"])
-    metrics = {
-        "message_size": params["message_size"],
-        "rtt_mean_ns": data.get("rtt_mean_ns", 0.0),
-        "rtt_p50_ns": data.get("rtt_p50_ns", 0.0),
-        "rtt_p99_ns": data.get("rtt_p99_ns", 0.0),
-        "syscalls_per_req": data.get("syscalls", 0) / per_req,
-        "copies_bytes_per_req": data.get("bytes_copied", 0) / per_req,
-        "interrupts_per_req": data.get("rx_interrupts", 0) / per_req,
-    }
-    return _outcome(metrics, result,
-                    failures=[] if metrics["rtt_mean_ns"] > 0
-                    else ["no RTT samples recorded"])
-
-
-@register_workload(
+    schema=_row_schema("echo-rtt"))(_row_data("echo-rtt"))
+register_workload(
     "kv-rtt", validate=_runs_on("kv-rtt"),
     blurb="KV GET round-trip + server CPU per request",
-    schema=_row_schema("kv-rtt"))
-def _kv_rtt_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    params = spec_params(spec)
-    result = _scenario(spec, "kv-rtt", **params)
-    metrics = {"value_size": params["value_size"]}
-    for column in ("get_rtt_mean_ns", "get_rtt_p99_ns",
-                   "server_cpu_per_req_ns"):
-        metrics[column] = result.data.get(column, 0.0)
-    if spec.libos != "kernel":  # the libOS server's service time
-        metrics["service_mean_ns"] = result.data.get("service_mean_ns", 0.0)
-    return _outcome(metrics, result,
-                    failures=[] if metrics["get_rtt_mean_ns"] > 0
-                    else ["no GET samples recorded"])
+    schema=_row_schema("kv-rtt"))(_row_data("kv-rtt"))
 
 
 # -- kv-offload / storelog-scan: the same trace with and without the device

@@ -279,7 +279,8 @@ _WORLDS = {
 class _Run:
     """One run's working state: what the driver hands a workload."""
 
-    def __init__(self, world: World, endpoints, tier, kind: str, seed: int):
+    def __init__(self, world: World, endpoints, tier, kind: str, seed: int,
+                 crashed):
         self.world = world
         self.sim = world.sim
         #: host name (the name fault plans use) -> what a leg on that host
@@ -294,6 +295,8 @@ class _Run:
         #: nodes or the sharded server
         self.tier = tier
         self.kind = kind
+        #: the hosts the plan kills: a leg on one is reclaimed, not joined
+        self.crashed = crashed
         self.rng = Rng(seed)
         self.failures: List[str] = []
         self.data: Dict[str, Any] = {}
@@ -341,17 +344,44 @@ def _check_echo_stream(run: _Run, replies, messages) -> None:
             % (intact, len(messages), len(replies)))
 
 
-def _echo(run: _Run, n_messages: int, message_size: int):
-    """Ping-pong echo under faults: every byte back, in order, once."""
+def _echo(run: _Run, n_messages: int, message_size: int,
+          idle_timeout_ns: Optional[int], strict: bool):
+    """Ping-pong echo under faults: every byte back, in order, once.
+
+    When the plan kills the client, only the server is joined: it must
+    see the death mid-stream (a reset on the TCP kinds) rather than hang;
+    *idle_timeout_ns* backstops each of its pops, and *strict=False*
+    keeps only the reclaim invariant, for a kill before the connect or
+    after the last echo.
+    """
+    client = run.libos["client"]
     messages = run.payloads(n_messages, message_size)
     server_proc = run.sim.spawn(
         demi_echo_server(run.libos["server"], port=7,
-                         max_requests=n_messages),
+                         max_requests=n_messages,
+                         idle_timeout_ns=idle_timeout_ns),
         name="chaos.echo.server")
     client_proc = run.sim.spawn(
-        demi_echo_client(run.libos["client"], _SERVER_ADDR[run.kind],
-                         messages, port=7),
+        demi_echo_client(client, _SERVER_ADDR[run.kind], messages, port=7),
         name="chaos.echo.client")
+    if "client" in run.crashed:
+        run.on_crash("client", lambda reports: crash_teardown(
+            client, client_proc, report_to=reports), "chaos.crash.reclaim")
+        # A client killed before it connects leaves the server in accept().
+        run.may_hang = not strict
+        (served, outcome), = yield [server_proc]
+        yield
+        if strict and served >= n_messages:
+            run.failures.append("crash landed after the whole stream"
+                                " finished (served=%d) - move proc_crash"
+                                " earlier" % served)
+        if strict and run.kind in ("dpdk", "posix") \
+                and "reset" not in outcome:
+            run.failures.append("peer did not observe the RST: outcome=%r"
+                                " (expected a connection-reset error)"
+                                % (outcome,))
+        run.data.update(served=served, outcome=outcome)
+        return
     (replies, stats), (served, _outcome) = yield [client_proc, server_proc]
     yield
     _check_echo_stream(run, replies, messages)
@@ -372,7 +402,8 @@ _ECHO_APPS = {
 def _echo_rtt(run: _Run, count: int, message_size: int):
     """The claim suite's echo round trip on every stack, the legacy ones
     included: warm-up trimmed RTT plus the syscalls, copied bytes and
-    interrupts the *count* measured requests (and their warm-up) cost."""
+    interrupts the run cost per measured request (the warm-up's are in
+    the totals).  Its ``data`` is the ``echo-rtt`` trajectory row."""
     serve, call = _ECHO_APPS.get(run.kind,
                                  (demi_echo_server, demi_echo_client))
     client, server = run.libos["client"], run.libos["server"]
@@ -392,12 +423,16 @@ def _echo_rtt(run: _Run, count: int, message_size: int):
     _check_echo_stream(run, replies, messages)
     rtt = LatencyStats("echo-rtt")
     rtt.extend(stats.samples[WARMUP:])
+    per_req = max(1, count)
     run.data.update(
+        message_size=message_size,
         rtt_mean_ns=rtt.mean, rtt_p50_ns=rtt.p50, rtt_p99_ns=rtt.p99,
-        syscalls=costs.get("syscalls", 0),
-        bytes_copied=(costs.get("bytes_copied_tx", 0)
-                      + costs.get("bytes_copied_rx", 0)),
-        rx_interrupts=costs.get("rx_interrupts", 0))
+        syscalls_per_req=costs.get("syscalls", 0) / per_req,
+        copies_bytes_per_req=(costs.get("bytes_copied_tx", 0)
+                              + costs.get("bytes_copied_rx", 0)) / per_req,
+        interrupts_per_req=costs.get("rx_interrupts", 0) / per_req)
+    if not rtt.mean > 0:
+        run.failures.append("no RTT samples recorded")
 
 
 def _one_client(rng: Rng, n_ops: int, n_keys: int, value_size: int):
@@ -417,6 +452,28 @@ def _disjoint_clients(rng: Rng, n_clients: int, n_ops: int, n_keys: int,
                  rng.fork(i), n_ops, n_keys=n_keys, value_size=value_size,
                  get_fraction=get_fraction)]
             for i in range(n_clients)]
+
+
+def _check_replay(run: _Run, logs, outputs) -> None:
+    """Every op of every client's log completed, and every GET matches a
+    sequential replay of that log: each client is synchronous and owns its
+    keys, so a GET must observe exactly the PUTs before it."""
+    for i, (ops, (results, _stats)) in enumerate(zip(logs, outputs)):
+        model: Dict[bytes, bytes] = {}
+        stale = 0
+        for (op, key, value), result in zip(ops, results):
+            if op == OP_PUT:
+                model[key] = value
+                continue
+            found, got = result
+            if found != (key in model) or (found and got != model[key]):
+                stale += 1
+        if stale:
+            run.failures.append("client %d: %d GETs returned wrong/stale data"
+                                % (i, stale))
+        if len(results) != len(ops):
+            run.failures.append("client %d completed %d of %d operations"
+                                % (i, len(results), len(ops)))
 
 
 def _kv(run: _Run, streams, **shape):
@@ -440,25 +497,9 @@ def _kv(run: _Run, streams, **shape):
         name="chaos.kv.client%d" % i) for i, ops in enumerate(logs)]
     joined_at = run.sim.now
     yield
+    _check_replay(run, logs, outputs)
     stats = LatencyStats("kv")
-    for i, (ops, (results, client_stats)) in enumerate(zip(logs, outputs)):
-        # Replay the log sequentially: each client is synchronous and owns
-        # its keys, so every GET must observe exactly the preceding PUTs.
-        model: Dict[bytes, bytes] = {}
-        stale = 0
-        for (op, key, value), result in zip(ops, results):
-            if op == OP_PUT:
-                model[key] = value
-                continue
-            found, got = result
-            if found != (key in model) or (found and got != model[key]):
-                stale += 1
-        if stale:
-            run.failures.append("client %d: %d GETs returned wrong/stale data"
-                                % (i, stale))
-        if len(results) != len(ops):
-            run.failures.append("client %d completed %d of %d operations"
-                                % (i, len(results), len(ops)))
+    for _results, client_stats in outputs:
         # Trim each client's cold start (ARP + connect) individually.
         stats.extend(client_stats.samples[WARMUP:])
     total_ops = sum(len(ops) for ops in logs)
@@ -479,10 +520,12 @@ def _kv_rtt(run: _Run, n_gets: int, value_size: int):
     """One PUT, then GETs of that key: GET round trip and server CPU per
     request, the engine behind kernel sockets (a copy on every hop)
     against the libOS server that replies with the stored buffer - whose
-    application service time per request (C1's ~2 us) is read too."""
+    application service time per request (C1's ~2 us) is read too.  Its
+    ``data`` is the ``kv-rtt`` trajectory row."""
     ops = ([(OP_PUT, b"bench-key", b"v" * value_size)]
            + [(OP_GET, b"bench-key", None)] * (n_gets + WARMUP))
     client, server = run.libos["client"], run.libos["server"]
+    service = None
     if run.kind == "kernel":
         run.sim.spawn(posix_kv_server(server, KvEngine(server.host),
                                       max_requests=len(ops)),
@@ -504,7 +547,6 @@ def _kv_rtt(run: _Run, n_gets: int, value_size: int):
         kv.stop()
         server_cpu_ns = server.core.busy_ns
         service = kv.service_stats.samples[1 + WARMUP:]
-        run.data["service_mean_ns"] = sum(service) / len(service)
     yield
     intact = sum(1 for result in results[1:]
                  if result == (True, b"v" * value_size))
@@ -513,8 +555,13 @@ def _kv_rtt(run: _Run, n_gets: int, value_size: int):
                             % (intact, len(ops) - 1))
     gets = LatencyStats("get")
     gets.extend(stats.samples[1 + WARMUP:])  # skip the PUT + warm-up
-    run.data.update(get_rtt_mean_ns=gets.mean, get_rtt_p99_ns=gets.p99,
+    run.data.update(value_size=value_size, get_rtt_mean_ns=gets.mean,
+                    get_rtt_p99_ns=gets.p99,
                     server_cpu_per_req_ns=server_cpu_ns / len(ops))
+    if service is not None:  # the libOS server's service time
+        run.data["service_mean_ns"] = sum(service) / len(service)
+    if not gets.mean > 0:
+        run.failures.append("no GET samples recorded")
 
 
 def _start_shards(run: _Run):
@@ -546,12 +593,12 @@ def _kv_sharded(run: _Run, n_ops: int, n_keys: int, value_size: int,
     # cold-start samples in the mean.
     per_client = [LatencyStats("kv-rtt-shard%d" % i)
                   for i in range(n_shards)]
+    logs = [shard_workload(rng.fork(i), n_ops, i, n_shards, n_keys=n_keys,
+                           value_size=value_size, get_fraction=get_fraction)
+            for i in range(n_shards)]
     procs = []
-    for i in range(n_shards):
+    for i, ops in enumerate(logs):
         client = run.libos["client%d" % i]
-        ops = shard_workload(rng.fork(i), n_ops, i, n_shards, n_keys=n_keys,
-                             value_size=value_size,
-                             get_fraction=get_fraction)
         procs.append(run.sim.spawn(
             demi_kv_client(client, server.ip, ops, port=server.port,
                            stats=per_client[i],
@@ -559,10 +606,12 @@ def _kv_sharded(run: _Run, n_ops: int, n_keys: int, value_size: int,
                                client.ip, server.ip, i, n_shards,
                                server.port)),
             name="bench.client%d" % i))
-    yield procs
+    outputs = yield procs
     # The row is the run: read it before stop() wakes every dispatcher.
     row = server.metrics_row(run.sim.now, run.world.tracer)
     yield
+    # Keys are disjoint across shards, so each client's replay is exact.
+    _check_replay(run, logs, outputs)
     stats = LatencyStats("kv-rtt-sharded")
     for client_stats in per_client:
         stats.extend(client_stats.samples[WARMUP:])
@@ -635,19 +684,71 @@ def _kv_udp(run: _Run, n_keys: int, n_gets: int, value_size: int,
 _STORAGE_APPS = {"spdk": demi_log_writer, "vfs": posix_log_writer}
 
 
-def _storage(run: _Run, n_records: int, record_size: int, sync_every: int):
+def _device_outcome(writer: Generator) -> Generator:
+    """Run *writer*; returns ``(its value, None)`` or ``(None, the
+    DeviceFailed it raised)``: an outcome to check, not an aborted run."""
+    try:
+        return (yield from writer), None
+    except DeviceFailed as err:
+        return None, err
+
+
+def _storage(run: _Run, n_records: int, record_size: int, sync_every: int,
+             device_fails: bool):
     """Append, fsync every *sync_every* records, read back - STOR's log
     writer under device faults: the fsync batch latency and the software
-    taxes (syscalls, copied bytes, host CPU) the run paid."""
+    taxes (syscalls, copied bytes, host CPU) the run paid.
+
+    When the plan kills ``h`` nothing is joined, and the crash teardown
+    aborts the writer's NVMe commands.  *device_fails* says the plan
+    outlasts the NVMe recovery ladder: the writer must end in a typed
+    :class:`DeviceFailed`, which fails any other run.
+    """
     host = run.libos["h"]
     records = run.payloads(n_records, record_size)
-    (stats, readback), = yield [run.sim.spawn(
-        _STORAGE_APPS[run.kind](host, records, sync_every=sync_every),
-        name="chaos.storage")]
+    proc = run.sim.spawn(_device_outcome(
+        _STORAGE_APPS[run.kind](host, records, sync_every=sync_every)),
+        name="chaos.storage")
+
+    def appended() -> int:  # the SPDK libOS counts them, the VFS does not
+        return counter_rollup(run.world.tracer, leaves=(
+            names.FILE_APPENDS,)).get(names.FILE_APPENDS, 0)
+
+    if "h" in run.crashed:
+        # Crash teardown reclaims a libOS; the kernel VFS's writer has
+        # none, and the driver reports that no teardown ran.
+        if isinstance(host, LibOS):
+            run.on_crash("h", lambda reports: crash_teardown(
+                host, proc, report_to=reports), "chaos.crash.reclaim")
+        yield  # nothing to join: the driver runs the world past the crash
+        if proc.alive:
+            run.failures.append("workload still running after the crash"
+                                " fired")
+        run.data.update(appended=appended())
+        return
+    (written, err), = yield [proc]
     costs = counter_rollup(run.world.tracer, leaves=(
         "syscalls", "bytes_copied_tx", "bytes_copied_rx"))
     host_cpu_ns = host.host.cpus.total_busy_ns()
     yield
+    if device_fails or err is not None:
+        nvme = host.host.nvme
+        if err is None:
+            run.failures.append("device outage never surfaced: fsync"
+                                " completed without DeviceFailed")
+        else:
+            if not device_fails:
+                run.failures.append("the recovery ladder gave up: %s" % err)
+            if err.device != nvme.name:
+                run.failures.append("DeviceFailed names device %r, expected"
+                                    " %r" % (err.device, nvme.name))
+            run.data.update(failed_op=err.op, attempts=err.attempts)
+        if run.world.tracer.get("%s.device_failures" % nvme.name) < 1:
+            run.failures.append("recovery ladder never recorded a device"
+                                " failure")
+        run.data.update(appended=appended())
+        return
+    stats, readback = written
     if readback != records:
         intact = sum(1 for got, put in zip(readback, records) if got == put)
         run.failures.append("storage read-back mismatch: %d/%d records intact"
@@ -704,100 +805,6 @@ def _log_scan(run: _Run, n_records: int, on_device: bool):
         nvme_scans=counters.get("scans", 0),
         nvme_reads=counters.get("reads", 0),
         scan_matches=len(matches))
-
-
-def _crash_echo(run: _Run, n_messages: int, message_size: int,
-                idle_timeout_ns: int, strict: bool):
-    """Kill the client mid-stream; the kernel reclaims, the peer unblocks.
-
-    The plan's ``proc_crash("client", at)`` event interrupts the client
-    application with pushes/pops outstanding and runs
-    :func:`~repro.kernelos.reclaim.crash_teardown`.  Checked: the crash-
-    reclaim invariant on the dead host (buffers=0, IOMMU=0, empty qd/fd
-    tables) and the peer-visible semantics - the server observes an
-    RST-driven reset error (TCP kinds) instead of hanging until RTO
-    exhaustion.  *strict=False* relaxes the timing/outcome assertions
-    (for property tests that sweep the crash over the whole horizon,
-    including before connect and after the stream ends) while keeping
-    the reclamation invariant itself.
-    """
-    client = run.libos["client"]
-    messages = run.payloads(n_messages, message_size)
-    server_proc = run.sim.spawn(
-        demi_echo_server(run.libos["server"], port=7,
-                         max_requests=n_messages,
-                         idle_timeout_ns=idle_timeout_ns),
-        name="chaos.crash.server")
-    client_proc = run.sim.spawn(
-        demi_echo_client(client, _SERVER_ADDR[run.kind], messages, port=7),
-        name="chaos.crash.client")
-    run.on_crash("client", lambda reports: crash_teardown(
-        client, client_proc, report_to=reports), "chaos.crash.reclaim")
-    # A client killed before it connects leaves the server in accept().
-    run.may_hang = not strict
-    # Only the survivor is joined: the client's exit is the crash.
-    (served, outcome), = yield [server_proc]
-    yield
-    if strict and served >= n_messages:
-        run.failures.append("crash landed after the whole stream finished"
-                            " (served=%d) - move proc_crash earlier" % served)
-    if strict and run.kind in ("dpdk", "posix") and "reset" not in outcome:
-        run.failures.append("peer did not observe the RST: outcome=%r"
-                            " (expected a connection-reset error)"
-                            % (outcome,))
-    run.data.update(served=served, outcome=outcome)
-
-
-def _crash_storage(run: _Run, n_records: int, record_size: int):
-    """Kill the SPDK storage process mid-append; reclaim aborts the NVMe
-    commands it left in flight and frees its registered heap."""
-    libos = run.libos["h"]
-    records = run.payloads(n_records, record_size)
-    proc = run.sim.spawn(demi_log_writer(libos, records, sync_every=4),
-                         name="chaos.crash.storage")
-    run.on_crash("h", lambda reports: crash_teardown(
-        libos, proc, report_to=reports), "chaos.crash.reclaim")
-    # Nothing to join: the driver runs the world past the plan's crash.
-    yield
-    if proc.alive:
-        run.failures.append("workload still running after the crash fired")
-    run.data.update(
-        appended=run.world.tracer.get("%s.file_appends" % libos.name))
-
-
-def _until_device_fails(libos, records: Sequence[bytes]) -> Generator:
-    """The log writer into a dead controller: returns the typed
-    :class:`DeviceFailed` the recovery ladder surfaces (or None)."""
-    try:
-        yield from demi_log_writer(libos, records)
-    except DeviceFailed as err:
-        return err
-    return None
-
-
-def _nvme_outage(run: _Run, n_records: int, record_size: int):
-    """A controller failure the retry ladder cannot outlast: the flush
-    climbs timeout -> abort -> retry -> controller reset, exhausts its
-    attempts, and surfaces a *typed* :class:`DeviceFailed` from the
-    fsync instead of hanging or returning a stringly error."""
-    libos = run.libos["h"]
-    records = run.payloads(n_records, record_size)
-    proc = run.sim.spawn(_until_device_fails(libos, records),
-                         name="chaos.nvme.outage")
-    err, = yield [proc]
-    yield
-    if err is None:
-        run.failures.append("device outage never surfaced: fsync completed"
-                            " without DeviceFailed")
-    else:
-        if err.device != libos.nvme.name:
-            run.failures.append("DeviceFailed names device %r, expected %r"
-                                % (err.device, libos.nvme.name))
-        run.data.update(failed_op=err.op, attempts=err.attempts)
-    if run.world.tracer.get("%s.device_failures" % libos.nvme.name) < 1:
-        run.failures.append("recovery ladder never recorded a device failure")
-    run.data.update(
-        appended=run.world.tracer.get("%s.file_appends" % libos.name))
 
 
 class _KeyTracker:
@@ -1085,10 +1092,11 @@ _LOAD_KNOBS = {knob.name: knob.default for knob in fields(LoadConfig)}
 #: defaults are written: ``repro.experiments`` reads them from here);
 #: ``world`` picks a world-table row other than the kind's, ``shape``
 #: names the keywords that row's builder takes.  A new workload is one
-#: row here.
+#: row here; a fault - a crash included - is a plan, never a row.
 WORKLOADS: Dict[str, Dict[str, Any]] = {
     "echo": {"kinds": NET_LIBOS_KINDS, "legs": _echo,
-             "params": {"n_messages": 20, "message_size": 512}},
+             "params": {"n_messages": 20, "message_size": 512,
+                        "idle_timeout_ns": None, "strict": True}},
     "echo-rtt": {"kinds": ("kernel", "mtcp") + NET_LIBOS_KINDS,
                  "legs": _echo_rtt,
                  "params": {"count": 20, "message_size": 64}},
@@ -1117,16 +1125,9 @@ WORKLOADS: Dict[str, Dict[str, Any]] = {
                           "params": _LOAD_KNOBS},
     "storage": {"kinds": ("spdk", "vfs"), "legs": _storage,
                 "params": {"n_records": 12, "record_size": 2048,
-                           "sync_every": 12}},
+                           "sync_every": 12, "device_fails": False}},
     "log-scan": {"kinds": ("spdk",), "legs": _log_scan,
                  "params": {"n_records": 400, "on_device": False}},
-    "crash-echo": {"kinds": NET_LIBOS_KINDS, "legs": _crash_echo,
-                   "params": {"n_messages": 600, "message_size": 128,
-                              "idle_timeout_ns": 5 * _MS, "strict": True}},
-    "crash-storage": {"kinds": ("spdk",), "legs": _crash_storage,
-                      "params": {"n_records": 8, "record_size": 2048}},
-    "nvme-outage": {"kinds": ("spdk",), "legs": _nvme_outage,
-                    "params": {"n_records": 6, "record_size": 1024}},
     "kv-replicated": {
         "kinds": ("rdma",), "legs": _kv_replicated, "world": "cluster",
         "shape": ("n_nodes", "replication", "n_chains", "n_clients"),
@@ -1147,8 +1148,10 @@ def _kill_replica(index: int):
                          .proc_crash("replica%d" % index, 200 * _US))
 
 
-#: name -> which workload drives it, which libOS kinds it runs on, and
-#: ``plan(kind)``, its pinned fault plan.  A new scenario is one row here.
+#: name -> which workload drives it, which libOS kinds it runs on,
+#: ``plan(kind)``, its pinned fault plan, and ``params``, laid over the
+#: workload's defaults and under the caller's keywords.  A new scenario is
+#: one row here.
 #:
 #: Windows are sized to each transport's retry budget: the RDMA
 #: transport aborts the QP after ~8 retries at a ~10us RTO, so its
@@ -1200,9 +1203,11 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
                                                          rate=0.25),
     },
     "crash-mid-stream": {
-        "workload": "crash-echo", "kinds": ("dpdk", "posix", "rdma"),
+        "workload": "echo", "kinds": ("dpdk", "posix", "rdma"),
         "blurb": "the client process is killed mid-stream; the kernel"
                  " reclaims its resources and the peer sees a reset",
+        "params": {"n_messages": 600, "message_size": 128,
+                   "idle_timeout_ns": 5 * _MS},
         # Pinned mid-stream: each kind's echo cadence differs, so the
         # kill lands while roughly half the messages are outstanding.
         "plan": lambda kind: FaultPlan(seed=707).proc_crash(
@@ -1210,8 +1215,9 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
             {"dpdk": 400 * _US, "posix": 2 * _MS, "rdma": 300 * _US}[kind]),
     },
     "crash-storage": {
-        "workload": "crash-storage", "kinds": ("spdk",),
+        "workload": "storage", "kinds": ("spdk",),
         "blurb": "the storage process dies with NVMe commands in flight",
+        "params": {"n_records": 8, "record_size": 2048, "sync_every": 4},
         "plan": lambda kind: FaultPlan(seed=808).proc_crash("h", 200 * _US),
     },
     "nvme-transient-outage": {
@@ -1223,9 +1229,11 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
             "nvme0", 0, 350 * _US),
     },
     "nvme-fatal-outage": {
-        "workload": "nvme-outage", "kinds": ("spdk",),
+        "workload": "storage", "kinds": ("spdk",),
         "blurb": "a controller failure outlasting the ladder: typed"
                  " DeviceFailed surfaces from wait",
+        "params": {"n_records": 6, "record_size": 1024,
+                   "device_fails": True},
         # Outlasts the whole ladder: typed DeviceFailed must surface.
         "plan": lambda kind: FaultPlan(seed=1010).nvme_ctrl_fail(
             "nvme0", 0, DEFAULT_LIMIT_NS),
@@ -1318,8 +1326,9 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     *name* is a :data:`GOLDEN_SCENARIOS` row (*plan* defaults to its
     pinned plan) or a :data:`WORKLOADS` row (*plan* is required).
     *params* are the workload's own keywords (``n_messages``, ``n_ops``,
-    ``strict``, ...), laid over its row's ``params``; *limit_ns* bounds
-    each joined leg.  The loop is
+    ``strict``, ...), laid over its row's ``params`` (a golden row's over
+    its workload's); *limit_ns* bounds each joined leg.  The legs know
+    which hosts the plan kills before they spawn.  The loop is
     always the same: build -> install the plan -> spawn and join, phase
     by phase -> stop servers -> quiesce -> check; a run that does not
     finish is recorded and still gets every check that holds for an
@@ -1332,14 +1341,17 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     workload = WORKLOADS[golden["workload"] if golden else name]
     if plan is None:
         plan = golden_plan(name, kind)
-    params = {**workload.get("params", {}), **params}
+    params = {**workload.get("params", {}),
+              **(golden or {}).get("params", {}), **params}
     shape = {key: params.pop(key) for key in workload.get("shape", ())
              if key in params}
     world, endpoints, tier = _WORLDS[workload.get("world", kind)](
         plan.seed, telemetry, **shape)
     world.tracer.keep_events = True
     world.install_faults(plan)
-    run = _Run(world, endpoints, tier, kind, plan.seed)
+    crashes = [e for e in plan.events if e.kind in CRASH_KINDS]
+    crashed = {e.host for e in crashes}
+    run = _Run(world, endpoints, tier, kind, plan.seed, crashed)
     sim, failures = world.sim, run.failures
     check = workload["legs"](run, **params)
     legs = next(check)
@@ -1370,10 +1382,8 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
             failures.append("server failed to stop: %s: %s"
                             % (type(err).__name__, err))
     # A crash the plan schedules lands before the checks run even when it
-    # is the workload's only exit (crash-storage joins nothing).
-    crashes = [e for e in plan.events if e.kind in CRASH_KINDS]
+    # is the workload's only exit (a killed storage writer joins nothing).
     world.run(until=max([sim.now] + [e.end for e in crashes]) + QUIESCE_NS)
-    crashed = {e.host for e in crashes}
     if run.reclaims:
         run.data["reclaim"] = run.reclaims[0].as_dict()
     elif crashed:

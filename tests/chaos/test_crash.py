@@ -18,7 +18,11 @@ import pytest
 
 from repro.cli import main
 from repro.core.types import DeviceFailed
-from repro.testing import check_reproducible, run_scenario
+from repro.sim.faults import FaultPlan
+from repro.testing import check_reproducible, golden_plan, run_scenario
+
+US = 1_000
+MS = 1_000_000
 
 
 def run_golden(name, kind):
@@ -80,6 +84,29 @@ def test_golden_crash_storage():
     assert r.data["reclaim"]["nvme_aborted"] == 1
 
 
+# A crash is a fault plan, not a workload: the rows that ship run under a
+# plan that kills their host.
+@pytest.mark.parametrize("kind,at", [("dpdk", 400 * US), ("posix", 2 * MS),
+                                     ("rdma", 300 * US)])
+def test_echo_runs_under_a_plan_that_kills_its_client(kind, at):
+    plan = FaultPlan(seed=7).proc_crash("client", at)
+    r = run_scenario("echo", kind, plan=plan, n_messages=600,
+                     idle_timeout_ns=5 * MS).require_ok()
+    client = r.world.hosts["client"]
+    assert client.mm.live_buffer_count == 0
+    assert client.mm.registered_bytes() == 0
+    assert r.data["reclaim"]["regions_released"] == 1
+    assert 0 < r.data["served"] < 600
+
+
+def test_storage_runs_under_a_plan_that_kills_its_host():
+    plan = FaultPlan(seed=7).proc_crash("h", 200 * US)
+    r = run_scenario("storage", "spdk", plan=plan).require_ok()
+    assert r.data["reclaim"]["nvme_aborted"] == 1
+    assert r.world.hosts["h"].nvme.inflight_commands == 0
+    assert r.world.hosts["h"].mm.live_buffer_count == 0
+
+
 # ---------------------------------------------------------------------------
 # Device recovery: the NVMe retry ladder and NIC link flaps
 # ---------------------------------------------------------------------------
@@ -106,6 +133,20 @@ def test_golden_nvme_fatal_outage():
     assert r.counters.get("h.nvme0.device_failures", 0) == 1
     assert r.data["failed_op"] == "write"
     assert r.data["attempts"] == 4
+
+
+def test_storage_fails_a_run_with_the_wrong_device_outcome():
+    # The fatal outage without device_fails: the ladder gave up on a
+    # fault the run expected it to outlast.
+    r = run_scenario("storage", "spdk",
+                     plan=golden_plan("nvme-fatal-outage", "spdk"))
+    assert not r.ok
+    assert r.failures[0].startswith("the recovery ladder gave up")
+    # The transient outage with it: the ladder outlasted a fault the run
+    # expected to surface.
+    r = run_scenario("nvme-transient-outage", "spdk", device_fails=True)
+    assert not r.ok
+    assert r.failures[0].startswith("device outage never surfaced")
 
 
 def test_device_failed_is_typed():
@@ -168,8 +209,6 @@ def test_chaos_cli_runs_a_scenario(capsys):
 
 
 def test_chaos_cli_replays_a_plan_file(tmp_path, capsys):
-    from repro.testing import golden_plan
-
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(golden_plan("nvme-transient-outage", "spdk").to_json())
     rc = main(["chaos", "nvme-transient-outage", "--plan", str(plan_file)])

@@ -57,6 +57,7 @@ def test_every_golden_row_names_a_workload_it_can_run_on():
     for name, row in GOLDEN_SCENARIOS.items():
         workload = WORKLOADS[row["workload"]]
         assert set(row["kinds"]) <= set(workload["kinds"]), name
+        assert set(row.get("params", {})) <= set(workload["params"]), name
         for kind in row["kinds"]:
             assert isinstance(row["plan"](kind), FaultPlan)
 

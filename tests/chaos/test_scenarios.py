@@ -14,6 +14,7 @@ may not.
 
 import pytest
 
+from repro.apps.proto import KvEngineStore
 from repro.sim.faults import FaultPlan
 from repro.testing import (GOLDEN_SCENARIOS, check_reproducible, golden_plan,
                            run_scenario)
@@ -114,6 +115,18 @@ def test_the_outage_leg_frees_every_append():
     # when the fsync after them dies with DeviceFailed.
     r = run_golden("nvme-fatal-outage", "spdk")
     assert r.world.hosts["h"].mm.live_buffer_count == 0
+
+
+def test_a_wrong_value_fails_the_sharded_kv_leg(monkeypatch):
+    # Keys are disjoint across shards, so each client's log replays
+    # exactly: a store that answers a GET with the wrong value fails the
+    # run, as it does on one server.
+    monkeypatch.setattr(KvEngineStore, "get", lambda self, key: b"wrong")
+    r = run_scenario("kv-sharded", "dpdk", plan=FaultPlan(seed=7), cores=2,
+                     n_ops=40)
+    assert not r.ok
+    assert [f.split(":")[0] for f in r.failures] == ["client 0", "client 1"]
+    assert all("GETs returned wrong/stale data" in f for f in r.failures)
 
 
 def test_golden_corruption_storm():
