@@ -38,7 +38,6 @@ from ..netstack.packet import bytes_to_ip, bytes_to_mac, ip_to_bytes
 from ..netstack.udp import UdpDatagram
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
-from ..telemetry import names
 from .proto.codec import (ST_MISS, ST_STORED, ST_VALUE, CodecError, Request,
                           Response)
 from .proto.legacy import LegacyKvCodec
@@ -234,7 +233,7 @@ class UdpKvServer:
             request = codec.decode_message(result.sga.tobytes())
         except CodecError:
             # UDP has no stream to desync: drop the datagram and move on.
-            libos.count(names.KV_MALFORMED_REQUESTS)
+            libos.counters.kv_malformed_requests += 1
             return
         yield libos.core.busy(engine.service_cost(request.op))
         if request.op == "set":
@@ -309,12 +308,12 @@ class KvNicOffload:
                 or frame[14] != 0x45 or frame[23] != PROTO_UDP
                 or frame[30:34] != ip_to_bytes(self.ip)):
             self.punts += 1
-            offload.count(names.OFFLOAD_KV_PUNTS)
+            offload.counters.offload_kv_punts += 1
             return None
         (dst_port,) = struct.unpack_from("!H", frame, 36)
         if dst_port != self.port:
             self.punts += 1
-            offload.count(names.OFFLOAD_KV_PUNTS)
+            offload.counters.offload_kv_punts += 1
             return None
         # -- map stage: parse + key hash -----------------------------------
         codec = self.codec
@@ -322,25 +321,25 @@ class KvNicOffload:
             request = codec.decode_message(frame[42:])
         except CodecError:
             self.punts += 1
-            offload.count(names.OFFLOAD_KV_PUNTS)
+            offload.counters.offload_kv_punts += 1
             return None
         key = request.key
         if request.op == "get":
             value = self.engine.get(key)
             if value is None:
                 self.misses += 1
-                offload.count(names.OFFLOAD_KV_MISSES)
+                offload.counters.offload_kv_misses += 1
                 return self._reply(frame, codec.encode(Response(ST_MISS)))
             if value.nbytes <= INLINE_VALUE_LIMIT:
                 # DMA the value out of host memory: device time, not CPU.
                 offload.charge_device(self.nic.costs.dma_ns(value.nbytes))
                 self.hits += 1
-                offload.count(names.OFFLOAD_KV_HITS)
+                offload.counters.offload_kv_hits += 1
                 return self._reply(frame, codec.encode(
                     Response(ST_VALUE, value=value.tobytes())))
         # -- steer stage: the owning shard's RX queue ----------------------
         self.steered += 1
-        offload.count(names.OFFLOAD_KV_STEERED)
+        offload.counters.offload_kv_steered += 1
         return ("steer", key_partition(key, self.n_shards))
 
     def _reply(self, request_frame: bytes, payload: bytes):
@@ -383,7 +382,7 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
         except (CodecError, FramingError):
             # A stream cannot be resynchronised past a record that does
             # not parse: this connection is over, the simulation is not.
-            kernel.count(names.KV_MALFORMED_REQUESTS)
+            kernel.counters.kv_malformed_requests += 1
             yield from sys.close(conn_fd)
             break
         for request in requests:
@@ -401,7 +400,7 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
                     # value is copied into the reply (and copied again
                     # crossing into the kernel inside send()).
                     yield core.busy(kernel.costs.copy_ns(value.nbytes))
-                    kernel.count(names.KV_VALUE_COPIES)
+                    kernel.counters.kv_value_copies += 1
                     reply = codec.encode(
                         Response(ST_VALUE, value=value.tobytes()))
             yield from sys.send(conn_fd, frame_message(reply))

@@ -31,7 +31,6 @@ from typing import Callable, Dict, Generator, Optional
 
 from ...core.eventloop import DemiEventLoop
 from ...sim.trace import LatencyStats
-from ...telemetry import names
 from ..steering import key_partition
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
@@ -89,14 +88,14 @@ class ProtoService:
         if (self.n_shards > 1 and request.key and key_partition(
                 request.key, self.n_shards) != self.shard_index):
             self.misrouted += 1
-            libos.count(names.SHARD_MISROUTED)
+            libos.counters.shard_misrouted_requests += 1
         yield libos.core.busy(libos.costs.kv_parse_ns)
         op = request.op
         self.requests_served += 1
-        libos.count(names.PROTO_REQUESTS)
+        libos.counters.proto_requests += 1
         if op == "invalid":
             self.error_replies += 1
-            libos.count(names.PROTO_ERROR_REPLIES)
+            libos.counters.proto_error_replies += 1
             return Response(status=ST_ERROR, message=request.error,
                             opaque=request.opaque, op=op)
         if op in ("ping", "noop"):
@@ -135,7 +134,7 @@ class ProtoService:
                 self._cas[key] = self._cas_counter
             return Response(status=ST_STORED, opaque=request.opaque, op=op)
         self.error_replies += 1
-        libos.count(names.PROTO_ERROR_REPLIES)
+        libos.counters.proto_error_replies += 1
         return Response(status=ST_ERROR, message="unsupported op %r" % op,
                         opaque=request.opaque, op=op)
 
@@ -153,13 +152,13 @@ class ProtoService:
         try:
             requests = codec.feed(data)
         except CodecError:
-            libos.count(names.PROTO_DECODE_ERRORS)
+            libos.counters.proto_decode_errors += 1
             return False, b""
         if not requests:
-            libos.count(names.PROTO_PARTIAL_FEEDS)
+            libos.counters.proto_partial_feeds += 1
             return True, b""
         if len(requests) > 1:
-            libos.count(names.PROTO_PIPELINE_BATCHES)
+            libos.counters.proto_pipeline_batches += 1
         out = bytearray()
         for request in requests:
             response = yield from self.apply(request)
@@ -169,7 +168,7 @@ class ProtoService:
                 # This format has no wire shape for the reply (e.g. an
                 # inline error on the legacy binary protocols): closing
                 # is the only honest answer.
-                libos.count(names.PROTO_DECODE_ERRORS)
+                libos.counters.proto_decode_errors += 1
                 return False, bytes(out)
         return True, bytes(out)
 
@@ -221,7 +220,7 @@ class ProtoServer:
         libos = self.libos
         codec = self.codec_factory()  # per-connection incremental state
         self.connections_accepted += 1
-        libos.count(names.PROTO_CONNS)
+        libos.counters.proto_connections += 1
 
         def on_data(result):
             if result.error is not None:
@@ -233,7 +232,7 @@ class ProtoServer:
                 yield from libos.blocking_push(qd, libos.sga_alloc(reply))
                 self.service_stats.add(libos.sim.now - service_start)
             libos.sga_free(result.sga)
-            libos.count(names.SHARD_REQUESTS)
+            libos.counters.shard_requests += 1
             if not ok:
                 self.decode_errors += 1
                 self.loop.remove(handle)

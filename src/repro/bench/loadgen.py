@@ -47,7 +47,6 @@ from ..cluster.client import src_port_for_queue
 from ..core.types import DemiTimeout
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
-from ..telemetry import names
 
 __all__ = ["LoadConfig", "ConnMetrics", "PORT", "arrival_times",
            "connection", "shard_keys", "steered_ports"]
@@ -139,7 +138,7 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
                                      src_port=src_port_alloc())
         else:
             yield from libos.connect(qd, server_ip, PORT)
-        libos.count(names.LOADGEN_CONNECTS)
+        libos.counters.loadgen_connects += 1
         return qd
 
     def absorb(data: bytes) -> None:
@@ -192,7 +191,7 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
                 if not stalled_once:
                     stalled_once = True
                     metrics.stalls += 1
-                    libos.count(names.LOADGEN_STALLS)
+                    libos.counters.loadgen_stalls += 1
                 # A slow reader: sleep without reading replies.
                 yield libos.sim.timeout(target - now)
             else:
@@ -246,7 +245,7 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             qd = yield from connect()
             pop_token = libos.pop(qd)
             metrics.reconnects += 1
-            libos.count(names.LOADGEN_RECONNECTS)
+            libos.counters.loadgen_reconnects += 1
             since_churn = 0
     if pop_token is not None:
         pop_token = yield from drain(pop_token)

@@ -23,7 +23,6 @@ from ..core.types import DemiError, DemiTimeout, QToken, Sga
 from ..hw.nic import rss_queue_for_flow
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
-from ..telemetry import names
 from .replica import ACK, DEFAULT_KV_PORT, REQUEST_HEADER, STATUS_ACKED
 
 __all__ = ["src_port_for_queue", "shard_workload", "ReplicatedKvClient"]
@@ -195,7 +194,7 @@ class ReplicatedKvClient:
             raise DemiError("PUT answered by %s (%s)"
                             % (target, reply.status))
         except DemiError:
-            self.libos.count(names.REPL_CLIENT_RETRIES)
+            self.libos.counters.repl_client_retries += 1
             raise
 
     def _connect(self, targets: List[str]) -> Generator:
@@ -275,7 +274,7 @@ class ReplicatedKvClient:
                 return data
             if ACK.unpack(data)[1] == self.op_number:
                 return None
-            libos.count(names.REPL_STALE_ACKS)
+            libos.counters.repl_stale_acks += 1
 
     def _drop(self, target: str) -> Generator:
         qd = self._conns.pop(target, None)

@@ -73,7 +73,6 @@ from ..rmem.ring import (LocalRingConsumer, OneSided, RemoteRing,
                          RingProducer)
 from ..sim.rand import Rng
 from ..sim.sync import WaitQueue
-from ..telemetry import names
 
 __all__ = ["ClusterDirectory", "ReplicaNode", "STATUS_MOVED",
            "STATUS_ACKED", "REQUEST_HEADER", "ACK", "encode_entry",
@@ -202,7 +201,7 @@ class ClusterDirectory:
             return
         self.alive.discard(name)
         self.epoch += 1
-        self.counters.count(names.REPL_FAILOVERS)
+        self.counters.repl_failovers += 1
         for survivor in self.node_names:
             node = self._members.get(survivor)
             if survivor in self.alive and node is not None:
@@ -410,7 +409,7 @@ class ReplicaNode:
                     # The upstream side of a splice: our predecessor
                     # changed (a new one will sync in, or we are the new
                     # head).
-                    self.counters.count(names.REPL_CHAIN_SPLICES)
+                    self.counters.repl_chain_splices += 1
             current = chain.down.peer if chain.down is not None else None
             if current != succ:
                 spliced = self.directory.epoch > 0
@@ -422,12 +421,12 @@ class ReplicaNode:
                         # Can't even open a control-path connection to the
                         # successor: treat it as dead so the next pass
                         # splices around it instead of retrying forever.
-                        self.counters.count(names.REPL_LINK_FAULTS)
+                        self.counters.repl_link_faults += 1
                         self._suspect(succ)
                         self._reconfig_dirty = True
                         continue
                 if spliced:
-                    self.counters.count(names.REPL_CHAIN_SPLICES)
+                    self.counters.repl_chain_splices += 1
 
     # -- downstream link (we are the producer) ------------------------------
     def _establish_down(self, chain: _Chain, peer: str) -> Generator:
@@ -440,7 +439,7 @@ class ReplicaNode:
         chain.down = link
         replay = len(chain.log) - link.sent_seq
         if replay > 0:
-            self.counters.count(names.REPL_ENTRIES_REPLAYED, replay)
+            self.counters.repl_entries_replayed += replay
         link.procs = [
             self._spawn(self._forwarder(chain, link),
                         "c%d.fwd" % chain.chain_id),
@@ -532,7 +531,7 @@ class ReplicaNode:
                 while link.in_flight:
                     yield from link.ops.complete(link.in_flight[0])
                     link.in_flight.popleft()
-                    self.counters.count(names.REPL_ENTRIES_FORWARDED)
+                    self.counters.repl_entries_forwarded += 1
                 yield link.posted_wq.wait()
         except (DemiError, QpError):
             self._link_fault(link)
@@ -542,7 +541,7 @@ class ReplicaNode:
         first of them reports it."""
         if not link.faulted:
             link.faulted = True
-            self.counters.count(names.REPL_LINK_FAULTS)
+            self.counters.repl_link_faults += 1
             self._suspect(link.peer)
 
     # -- upstream link (predecessor produces into our arena) ----------------
@@ -592,7 +591,7 @@ class ReplicaNode:
         consumer = LocalRingConsumer(self.host, ring)
         link = _UpLink(peer, qp, ring, arena, consumer, hb_addr, hb_cell)
         chain.up = link
-        self.counters.count(names.REPL_SYNCS)
+        self.counters.repl_syncs += 1
         link.procs = [
             self._spawn(self._pump(chain, link),
                         "c%d.pump" % chain_id),
@@ -647,7 +646,7 @@ class ReplicaNode:
         qd = self._ack_qds.get(tag)
         if qd is None or self.crashed:
             return
-        self.counters.count(names.REPL_WRITES_ACKED)
+        self.counters.repl_writes_acked += 1
         self.sim.spawn(self._send(qd, ACK.pack(STATUS_ACKED, op)),
                        name="%s.ack" % self.name)
 
@@ -660,7 +659,7 @@ class ReplicaNode:
                 yield self.libos.core.busy(self.engine.service_cost("set"))
                 self.engine.put(key, value)
                 chain.applied += 1
-                self.counters.count(names.REPL_ENTRIES_APPLIED)
+                self.counters.repl_entries_applied += 1
                 chain.applied_wq.pulse()
             yield chain.apply_wq.wait()
 
@@ -676,10 +675,10 @@ class ReplicaNode:
                 yield from link.ops.write(
                     link.peer_hb_addr, _U64.pack(beat) if consumer is None
                     else _HB_CURSOR.pack(beat, consumer.next_seq - 1))
-                self.counters.count(names.REPL_HEARTBEATS)
+                self.counters.repl_heartbeats += 1
                 yield self.sim.timeout(HB_INTERVAL_NS)
         except (DemiError, QpError):
-            self.counters.count(names.REPL_LINK_FAULTS)
+            self.counters.repl_link_faults += 1
             self._suspect(link.peer)
 
     def _lease_monitor(self, link, hb_cell) -> Generator:
@@ -689,7 +688,7 @@ class ReplicaNode:
             yield self.sim.timeout(LEASE_NS)
             beat = hb_cell.read(0, _U64.size)
             if beat == last:
-                self.counters.count(names.REPL_LEASE_EXPIRIES)
+                self.counters.repl_lease_expiries += 1
                 self._suspect(link.peer)
                 return
             last = beat
@@ -741,7 +740,7 @@ class ReplicaNode:
                 return True
             req = codec.decode_message(request[REQUEST_HEADER.size:])
         except (CodecError, struct.error):
-            libos.count(names.KV_MALFORMED_REQUESTS)
+            libos.counters.kv_malformed_requests += 1
             return False
         chain_id = self.directory.chain_for_key(req.key)
         chain = self.chains.get(chain_id)
@@ -764,7 +763,7 @@ class ReplicaNode:
                 reply = codec.encode(Response(ST_VALUE,
                                               value=value.tobytes()))
         if reply is None:
-            self.counters.count(names.REPL_REDIRECTS)
+            self.counters.repl_redirects += 1
             reply = bytes([STATUS_MOVED])
         yield from self._send(qd, reply)
         return True

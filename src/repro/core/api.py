@@ -51,8 +51,6 @@ class LibOS:
         self.name = name
         self.core = core or host.cpu
         self.counters = self.tracer.scope(name)
-        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
-        self.count = self.counters.count
         self.qtokens = QTokenTable(self.sim, self.tracer, name)
         #: open queues; a qd is never reused, so one below ``_next_qd``
         #: that is not here was closed (and close() of it is a no-op)
@@ -97,7 +95,7 @@ class LibOS:
         if sga.nsegments == 0:
             raise DemiError("push of an empty sga")
         self.core.charge_async(self.costs.libos_push_ns + self.costs.qtoken_ns)
-        self.count(names.PUSHES)
+        self.counters.pushes += 1
         token, _done = self.qtokens.create()
         if self.tracer.tracing:
             self.qtokens.trace(token, names.SPAN_PUSH, qd=qd,
@@ -116,7 +114,7 @@ class LibOS:
         """Non-blocking pop request for the next element; returns a qtoken."""
         queue = self._lookup(qd)
         self.core.charge_async(self.costs.libos_pop_ns + self.costs.qtoken_ns)
-        self.count(names.POPS)
+        self.counters.pops += 1
         token, _done = self.qtokens.create(on_cancel=queue.cancel_pop)
         if self.tracer.tracing:
             self.qtokens.trace(token, names.SPAN_POP, qd=qd)
@@ -129,7 +127,7 @@ class LibOS:
         operation, and a late device completion is dropped - it can never
         wake a waiter."""
         self.core.charge_async(self.costs.qtoken_ns)
-        self.count(names.CANCELS)
+        self.counters.cancels += 1
         self.qtokens.cancel(token)
 
     def _wait_charge(self):
@@ -210,37 +208,37 @@ class LibOS:
     # ----------------------------------------- queue pipelines (control path)
     def queue(self, capacity: Optional[int] = None) -> int:
         """An in-memory Demikernel queue (the ``queue()`` syscall)."""
-        self.count(names.CTRL_QUEUE)
+        self.counters.count(names.CTRL_QUEUE)
         return self._install(MemoryQueue, capacity).qd
 
     def merge(self, qd1: int, qd2: int) -> int:
         """A queue combining two queues (section 4.3 ``merge``)."""
         from .pipeline import MergedQueue
-        self.count(names.CTRL_MERGE)
+        self.counters.count(names.CTRL_MERGE)
         return self._install(MergedQueue, self._lookup(qd1), self._lookup(qd2)).qd
 
     def filter(self, qd: int, predicate: Callable[[Sga], bool]) -> int:
         """A queue passing only elements where *predicate* holds."""
         from .pipeline import FilteredQueue
-        self.count(names.CTRL_FILTER)
+        self.counters.count(names.CTRL_FILTER)
         return self._install(FilteredQueue, self._lookup(qd), predicate).qd
 
     def sort(self, qd: int, key: Callable[[Sga], object]) -> int:
         """A queue reordering elements by priority *key* (lowest first)."""
         from .pipeline import SortedQueue
-        self.count(names.CTRL_SORT)
+        self.counters.count(names.CTRL_SORT)
         return self._install(SortedQueue, self._lookup(qd), key).qd
 
     def map(self, qd: int, fn: Callable[[Sga], Sga]) -> int:
         """A queue applying *fn* to every element."""
         from .pipeline import MappedQueue
-        self.count(names.CTRL_MAP)
+        self.counters.count(names.CTRL_MAP)
         return self._install(MappedQueue, self._lookup(qd), fn).qd
 
     def qconnect(self, qd_in: int, qd_out: int):
         """Plumb qd_in's elements into qd_out; returns a stoppable handle."""
         from .pipeline import QueueConnector
-        self.count(names.CTRL_QCONNECT)
+        self.counters.count(names.CTRL_QCONNECT)
         return QueueConnector(self, self._lookup(qd_in), self._lookup(qd_out))
 
     def close(self, qd: int) -> Generator:
@@ -261,13 +259,13 @@ class LibOS:
             # Idempotent re-close (e.g. a pop waiter's cleanup racing the
             # original close): charge the syscall, change nothing.
             yield self.core.busy(self.costs.syscall_ns)
-            self.count(names.CTRL_CLOSE_NOOP)
+            self.counters.count(names.CTRL_CLOSE_NOOP)
             return
         yield from queue.shutdown()
         yield self.core.busy(self.costs.syscall_ns)  # control path may cross
         queue.close()
         self._queues.pop(qd, None)
-        self.count(names.CTRL_CLOSE)
+        self.counters.count(names.CTRL_CLOSE)
         queue.reap()
 
     # ------------------- device control path: the queue kind knows what to do

@@ -29,7 +29,6 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Generator, List, Optional
 
-from ..telemetry import names
 from .api import LibOS
 from .types import OP_POP, DemiError, DemiTimeout, QResult, QToken
 
@@ -208,11 +207,11 @@ class DemiEventLoop:
                 if not timer.handle.active:
                     # The timer we armed for was removed while we slept.
                     self.wasted_wakeups += 1
-                    libos.count(names.SHARD_WASTED_WAKEUPS)
+                    libos.counters.shard_wasted_wakeups += 1
                 continue
             self.wakeups += 1
-            libos.count(names.SHARD_WAKEUPS)
-            libos.count(names.SHARD_BATCH_COMPLETIONS, len(ready))
+            libos.counters.shard_wakeups += 1
+            libos.counters.shard_batch_completions += len(ready)
             # ``ready`` is sorted by index and events registered by a
             # callback append past every index in the batch.
             for index, result in ready:
@@ -225,7 +224,7 @@ class DemiEventLoop:
                     continue  # removed while its pop was in flight
                 if result.qd != event.qd:  # pragma: no cover - the claim
                     self.cross_wakeups += 1
-                    libos.count(names.SHARD_CROSS_WAKEUPS)
+                    libos.counters.shard_cross_wakeups += 1
                 self.dispatches += 1
                 yield from self._run_callback(event.callback, result)
                 if (result.error is None and event.handle.active

@@ -55,11 +55,12 @@ class ElementRunner:
 
     def run(self, fn: Callable, sga: Sga) -> Generator:
         """Sim-coroutine: returns fn(sga), charging the right place."""
+        counters = self.libos.counters
         if self.engine is not None:
-            self.libos.count(names.pipeline_device_elements(self.operator))
+            counters.count(names.pipeline_device_elements(self.operator))
             result = yield self.engine.run(self.operator, fn, sga)
             return result
-        self.libos.count(names.pipeline_cpu_elements(self.operator))
+        counters.count(names.pipeline_cpu_elements(self.operator))
         yield self.libos.core.busy(self.libos.costs.pipeline_element_cpu_ns)
         return fn(sga)
 
@@ -208,13 +209,13 @@ class FilteredQueue(_DerivedQueue):
         keep = yield from self.runner.run(self.predicate, sga)
         if keep:
             return sga
-        self.libos.count(names.PIPELINE_FILTER_DROPPED)
+        self.libos.counters.count(names.PIPELINE_FILTER_DROPPED)
         return None
 
     def _push_driver(self, sga: Sga, token: QToken) -> Generator:
         keep = yield from self.runner.run(self.predicate, sga)
         if not keep:
-            self.libos.count(names.PIPELINE_FILTER_DROPPED)
+            self.libos.counters.count(names.PIPELINE_FILTER_DROPPED)
             self._complete(token, QResult(OP_PUSH, self.qd, nbytes=0,
                                           value="filtered"))
             return

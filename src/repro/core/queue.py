@@ -113,7 +113,7 @@ class DemiQueue:
         nbytes = len(payload)
         buf = self.libos.mm.alloc(max(1, nbytes))
         buf.write(0, payload)
-        self.libos.count(counter)
+        self.libos.counters.count(counter)
         self.deliver(Sga.from_buffer(buf, nbytes), value)
 
     def _trace_depth(self) -> None:
@@ -294,7 +294,7 @@ class ListeningQueue(DemiQueue):
     def crash_abort(self, counters) -> None:
         if self.listener is not None:
             self.listener.close()
-            counters.count(names.RECLAIM_LISTENERS_CLOSED)
+            counters.listeners_closed += 1
 
 
 class MemoryQueue(DemiQueue):

@@ -7,7 +7,7 @@ return ``qtoken`` handles that ``wait_*`` resolves to results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # typing-only: keeps core.types import-cycle-free so
@@ -64,28 +64,37 @@ class DeviceFailed(DemiError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
 class SgaSegment:
-    """One scatter-gather segment: a slice of a registered buffer."""
+    """One scatter-gather segment: a slice of a registered buffer.
 
-    buf: Buffer
-    offset: int = 0
-    length: Optional[int] = None  # None = rest of the buffer
-    #: what *length* comes to; a segment is immutable and a buffer never
-    #: resizes, so it is worked out once
-    nbytes: int = field(init=False, repr=False, compare=False)
-    #: a slice of a buffer someone else owns, holding a reference on it
-    #: (``MemoryManager.lend``): freeing it gives that reference back
-    lent: bool = field(default=False, compare=False)
+    A segment is immutable by contract: nothing assigns to one once it
+    is made.  Like an :class:`Sga`, it is equal only to itself.
+    """
 
-    def __post_init__(self):
-        length = self.length if self.length is not None else self.buf.capacity - self.offset
-        if self.offset < 0 or length < 0 or self.offset + length > self.buf.capacity:
+    __slots__ = ("buf", "offset", "length", "nbytes", "lent")
+
+    def __init__(self, buf: Buffer, offset: int = 0,
+                 length: Optional[int] = None, lent: bool = False):
+        nbytes = length if length is not None else buf.capacity - offset
+        if offset < 0 or nbytes < 0 or offset + nbytes > buf.capacity:
             raise DemiError(
                 "segment [%d, %d) outside buffer of %d bytes"
-                % (self.offset, self.offset + length, self.buf.capacity)
+                % (offset, offset + nbytes, buf.capacity)
             )
-        object.__setattr__(self, "nbytes", length)
+        self.buf = buf
+        self.offset = offset
+        #: None = the rest of the buffer
+        self.length = length
+        #: what *length* comes to; a buffer never resizes, so it is
+        #: worked out once
+        self.nbytes = nbytes
+        #: a slice of a buffer someone else owns, holding a reference on
+        #: it (``MemoryManager.lend``): freeing it gives that reference back
+        self.lent = lent
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "SgaSegment(buf=%r, offset=%r, length=%r, lent=%r)" % (
+            self.buf, self.offset, self.length, self.lent)
 
     def tobytes(self) -> bytes:
         return self.buf.read(self.offset, self.nbytes)

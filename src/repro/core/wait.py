@@ -35,8 +35,9 @@ class QTokenTable:
         self.tracer = tracer
         self.name = name
         self.counters = tracer.scope(name)
-        self._pending: Dict[QToken, Completion] = {}
-        self._on_cancel: Dict[QToken, Callable[[QToken], None]] = {}
+        #: token -> (its completion, what runs if it is cancelled)
+        self._pending: Dict[QToken, Tuple[Completion, Optional[
+            Callable[[QToken], None]]]] = {}
         self._cancelled: Set[QToken] = set()
         #: token -> span covering the operation's lifetime (tracing only)
         self._spans: Dict[QToken, object] = {}
@@ -59,11 +60,9 @@ class QTokenTable:
         token = self._next_token
         self._next_token += 1
         done = Completion(self.sim, ("%s.%d", self.name, token))
-        self._pending[token] = done
-        if on_cancel is not None:
-            self._on_cancel[token] = on_cancel
+        self._pending[token] = (done, on_cancel)
         self.created += 1
-        self.counters.count(names.QTOKENS_CREATED)
+        self.counters.qtokens_created += 1
         return token, done
 
     def trace(self, token: QToken, name: str, **args) -> None:
@@ -75,17 +74,18 @@ class QTokenTable:
     def complete(self, token: QToken, result: QResult) -> bool:
         """Deliver *result* to the token's waiter; False if the token was
         cancelled and the result dropped (whoever made it frees it)."""
-        done = self._pending.get(token)
-        if done is None:
+        entry = self._pending.get(token)
+        if entry is None:
             if token in self._cancelled:
                 # The operation raced its own cancellation (e.g. a stalled
                 # device finally finished).  The token's waiter is gone;
                 # dropping the result here is what keeps cancel safe.
-                self.counters.count(names.LATE_COMPLETIONS_DROPPED)
+                self.counters.late_completions_dropped += 1
                 return False
             raise DemiError("completion of unknown qtoken %r" % token)
+        done = entry[0]
         self.completed += 1
-        self.counters.count(names.QTOKENS_COMPLETED)
+        self.counters.qtokens_completed += 1
         if self.tracer.tracing:
             span = self._spans.pop(token, None)
             if span is not None:
@@ -104,33 +104,34 @@ class QTokenTable:
         silently dropped.  Cancelling a token whose operation already
         completed is an error - wait for it instead.
         """
-        done = self._pending.get(token)
-        if done is None:
+        entry = self._pending.get(token)
+        if entry is None:
             raise DemiError("cancel of unknown qtoken %r" % token)
+        done, on_cancel = entry
         if done.triggered:
             raise DemiError("cancel of already-completed qtoken %r" % token)
         del self._pending[token]
         self._cancelled.add(token)
         self.cancelled += 1
-        on_cancel = self._on_cancel.pop(token, None)
         if on_cancel is not None:
             on_cancel(token)
         if self.tracer.tracing:
             span = self._spans.pop(token, None)
             if span is not None:
                 span.end(self.sim.now, cancelled=True)
-        self.counters.count(names.QTOKENS_CANCELLED)
+        self.counters.qtokens_cancelled += 1
 
     def completion_of(self, token: QToken) -> Completion:
-        done = self._pending.get(token)
-        if done is None:
+        entry = self._pending.get(token)
+        if entry is None:
             raise DemiError("unknown or already-waited qtoken %r" % token)
-        return done
+        return entry[0]
 
     @property
     def in_flight(self) -> int:
         """Tokens whose operation has neither completed nor cancelled."""
-        return sum(1 for d in self._pending.values() if not d.triggered)
+        return sum(1 for done, _ in self._pending.values()
+                   if not done.triggered)
 
     @property
     def identity_ok(self) -> bool:
@@ -140,7 +141,6 @@ class QTokenTable:
 
     def _retire(self, token: QToken) -> None:
         self._pending.pop(token, None)
-        self._on_cancel.pop(token, None)
 
     def reap_all(self) -> Tuple[int, int]:
         """Crash teardown: retire every live token at once.
@@ -153,7 +153,7 @@ class QTokenTable:
         Returns ``(cancelled, retired)``.
         """
         cancelled = retired = 0
-        for token, done in list(self._pending.items()):
+        for token, (done, _) in list(self._pending.items()):
             if done.triggered:
                 self._retire(token)
                 retired += 1
@@ -177,7 +177,7 @@ class QTokenTable:
         self._retire(token)
         if charge is not None:
             yield charge()
-        self.counters.count(names.WAITS)
+        self.counters.waits += 1
         if entered is not None:
             self._trace_dispatch(entered)
         return result
@@ -203,7 +203,7 @@ class QTokenTable:
         index, value = yield any_of(self.sim, events)
         if timer is not None:
             if index == len(tokens):
-                self.counters.count(names.WAIT_TIMEOUTS)
+                self.counters.wait_timeouts += 1
                 raise DemiTimeout(timeout_ns, tokens)
             # A token won before the deadline: withdraw the timer so it
             # doesn't linger on the sim heap until the deadline passes.
@@ -211,7 +211,7 @@ class QTokenTable:
         self._retire(tokens[index])
         if charge is not None:
             yield charge()
-        self.counters.count(names.WAITS)
+        self.counters.waits += 1
         if entered is not None:
             self._trace_dispatch(entered)
         return index, value
@@ -244,7 +244,7 @@ class QTokenTable:
         index, value = yield any_of(self.sim, events)
         if timer is not None:
             if index == len(tokens):
-                self.counters.count(names.WAIT_TIMEOUTS)
+                self.counters.wait_timeouts += 1
                 raise DemiTimeout(timeout_ns, tokens)
             timer.cancel()
             events.pop()  # what is left is the tokens' completions
@@ -257,9 +257,9 @@ class QTokenTable:
             self._retire(tokens[i])
         if charge is not None:
             yield charge()
-        self.counters.count(names.WAITS)
-        self.counters.count(names.BATCH_WAITS)
-        self.counters.count(names.BATCH_WAIT_COMPLETIONS, len(ready))
+        self.counters.waits += 1
+        self.counters.batch_waits += 1
+        self.counters.batch_wait_completions += len(ready)
         if entered is not None:
             self._trace_dispatch(entered)
         return ready
@@ -281,7 +281,7 @@ class QTokenTable:
                 # Budget exhausted between rounds: raise right away
                 # instead of re-subscribing to every remaining
                 # completion with a zero-ns timer race.
-                self.counters.count(names.WAIT_TIMEOUTS)
+                self.counters.wait_timeouts += 1
                 raise DemiTimeout(timeout_ns, tokens)
             budget = None if deadline is None else deadline - self.sim.now
             pending_tokens = [tokens[i] for i in sorted(remaining)]

@@ -22,8 +22,6 @@ class Device:
         self.tracer = host.tracer
         self.name = name
         self.counters = self.tracer.scope(name)
-        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
-        self.count = self.counters.count
         #: set by repro.sim.faults.FaultInjector; None = no faults
         self.faults = None
 

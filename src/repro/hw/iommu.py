@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..sim.trace import Tracer
-from ..telemetry import names
 
 __all__ = ["Iommu", "IommuFault"]
 
@@ -54,14 +53,14 @@ class Iommu:
         handle = self._next_handle
         self._next_handle += 1
         self._maps[handle] = (base, size)
-        self.counters.count(names.IOMMU_MAPS)
+        self.counters.maps += 1
         return handle
 
     def unmap(self, handle: int) -> None:
         if handle not in self._maps:
             raise KeyError("unknown IOMMU mapping handle %r" % handle)
         del self._maps[handle]
-        self.counters.count(names.IOMMU_UNMAPS)
+        self.counters.unmaps += 1
 
     def covers(self, addr: int, size: int) -> bool:
         """True if the whole range falls inside one mapped region."""
@@ -73,9 +72,9 @@ class Iommu:
     def translate(self, addr: int, size: int) -> None:
         """Validate a DMA target; raises :class:`IommuFault` if unmapped."""
         if not self.covers(addr, size):
-            self.counters.count(names.IOMMU_FAULTS)
+            self.counters.faults += 1
             raise IommuFault(addr, size, device=self.name)
-        self.counters.count(names.IOMMU_TRANSLATIONS)
+        self.counters.translations += 1
 
     @property
     def mapped_ranges(self) -> int:

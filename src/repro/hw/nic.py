@@ -74,7 +74,7 @@ class _EthernetNic(Device):
                 self.iommu.translate(addr, size)
         if not self.link_up:
             # No carrier: the descriptor completes but the frame is lost.
-            self.count(names.LINK_DOWN_DROPS)
+            self.counters.link_down_drops += 1
             return
         nbytes = len(frame)
         work = self.costs.dma_ns(nbytes) + self.costs.nic_process_ns
@@ -86,8 +86,8 @@ class _EthernetNic(Device):
         start = max(now, self._tx_free_at[tx_queue])
         done = start + work
         self._tx_free_at[tx_queue] = done
-        self.count(names.TX_FRAMES)
-        self.count(names.TX_BYTES, nbytes)
+        self.counters.tx_frames += 1
+        self.counters.tx_bytes += nbytes
         if self.tracer.tracing:
             # The emission instant is computed analytically, so the span
             # can close now without scheduling anything.
@@ -124,15 +124,15 @@ class _EthernetNic(Device):
         """
         if not descs:
             return
-        self.count(names.TX_BURSTS)
-        self.count(names.TX_BURST_FRAMES, len(descs))
+        self.counters.tx_bursts += 1
+        self.counters.tx_burst_frames += len(descs)
         for dst_mac, frame in descs:
             self._tx_one(dst_mac, frame, None, tx_queue)
 
     # -- receive ----------------------------------------------------------
     def _on_wire_rx(self, frame: Any) -> None:
         if not self.link_up:
-            self.count(names.LINK_DOWN_DROPS)
+            self.counters.link_down_drops += 1
             return
         nbytes = len(frame)
         delay = self.costs.nic_process_ns + self.costs.dma_ns(nbytes)
@@ -153,7 +153,7 @@ class _EthernetNic(Device):
         if not self.link_up:
             return
         self.link_up = False
-        self.count(names.LINK_FLAPS)
+        self.counters.link_flaps += 1
         self.drain_rx()
 
     def link_recover(self) -> None:
@@ -163,7 +163,7 @@ class _EthernetNic(Device):
         self.link_up = True
         # every TX pipeline restarts empty
         self._tx_free_at = [0] * self.n_tx_queues
-        self.count(names.RING_REINITS)
+        self.counters.ring_reinits += 1
         for hook in list(self.on_link_recovered):
             hook()
 
@@ -282,7 +282,7 @@ class DpdkNic(_EthernetNic):
             except Exception:
                 # A buggy program must not take RX down: count the fault
                 # and fall back to the normal (host) path for this frame.
-                self.offload.count(names.OFFLOAD_ELEMENT_FAULTS)
+                self.offload.counters.offload_element_faults += 1
                 action = None
             if action is not None:
                 verb = action[0]
@@ -308,11 +308,11 @@ class DpdkNic(_EthernetNic):
         if self.faults is not None:
             limit = self.faults.ring_limit(self.sim.now, limit)
         if len(ring) >= limit:
-            self.count(names.RX_RING_DROPS)
+            self.counters.rx_ring_drops += 1
             return
         ring.append(frame)
-        self.count(names.RX_FRAMES)
-        self.count(self._rxq_frames[queue])
+        self.counters.rx_frames += 1
+        self.counters.count(self._rxq_frames[queue])
         if self.tracer.tracing:
             self._trace_occupancy(queue)
         waiters, self._rx_waiters[queue] = self._rx_waiters[queue], []
@@ -391,26 +391,26 @@ class KernelNic(_EthernetNic):
 
     def _fire_interrupt(self, frames: List[Any]) -> None:
         self.irq_core.charge_async(self.costs.interrupt_ns)
-        self.count(names.RX_INTERRUPTS)
+        self.counters.rx_interrupts += 1
         for frame in frames:
             self.irq_handler(frame)
         self._poll_ends_at = self.irq_core.free_at
 
     def _rx_ready(self, frame: Any) -> None:
-        self.count(names.RX_FRAMES)
+        self.counters.rx_frames += 1
         if self.irq_handler is None:
-            self.count(names.RX_NO_HANDLER_DROPS)
+            self.counters.rx_no_handler_drops += 1
             return
         now = self.sim._now
         if now < self._poll_ends_at:
             # The poll an earlier interrupt started is still draining.
-            self.count(names.RX_POLLED)
+            self.counters.rx_polled += 1
             self.irq_handler(frame)
             self._poll_ends_at = self.irq_core.free_at
             return
         if self.coalesce_ns and now < self._window_ends_at:
             # Inside a coalescing window: park the frame for the flush.
-            self.count(names.RX_COALESCED)
+            self.counters.rx_coalesced += 1
             self._coalesced.append(frame)
             return
         self._fire_interrupt([frame])
@@ -550,7 +550,7 @@ class RdmaNic(Device):
             recv_cq=HwCq(self.sim, "%s.qp%d.rcq" % (self.name, qpn)),
         )
         self.qps[qpn] = qp
-        self.count(names.QPS_CREATED)
+        self.counters.qps_created += 1
         return qp
 
     def connect_qp(self, qp: HwQp, remote_nic: str, remote_qpn: int) -> None:
@@ -580,7 +580,7 @@ class RdmaNic(Device):
             pkt.release_landing()
             qp.send_cq.push({"wr_id": pkt.wr_id, "status": "flush",
                              "opcode": pkt.kind, "qpn": qp.qpn})
-            self.count(names.WR_FLUSHES)
+            self.counters.wr_flushes += 1
         qp.inflight.clear()
 
     # -- verbs: posting work ----------------------------------------------
@@ -588,7 +588,7 @@ class RdmaNic(Device):
         """Post a receive buffer; buffer needs .addr/.capacity/.write()."""
         self.iommu.translate(buffer.addr, buffer.capacity)
         qp.recv_buffers.append((wr_id, buffer))
-        self.count(names.POSTED_RECVS)
+        self.counters.posted_recvs += 1
 
     def post_send(self, qp: HwQp, wr_id: int, payload: bytes,
                   addr: Optional[int] = None) -> None:
@@ -658,7 +658,7 @@ class RdmaNic(Device):
             drained += len(qp.recv_buffers)
             qp.recv_buffers.clear()
         if drained:
-            self.count(names.WR_FLUSHES, drained)
+            self.counters.wr_flushes += drained
         return drained
 
     # -- the wire -----------------------------------------------------------
@@ -669,7 +669,7 @@ class RdmaNic(Device):
             qp.inflight[pkt.seq] = (pkt, retries, epoch)
             self.sim.call_in(self._rto(), self._maybe_retransmit, qp, pkt.seq, epoch)
         delay = self.costs.rdma_nic_process_ns + self.costs.dma_ns(len(pkt.payload))
-        self.count(names.tx_packet_kind(pkt.kind))
+        self.counters.count(names.tx_packet_kind(pkt.kind))
         self.sim.call_in(delay, self.fabric.transmit, self.addr, qp.remote_nic,
                          pkt, pkt.nbytes)
 
@@ -687,7 +687,7 @@ class RdmaNic(Device):
             # Blocked behind a head-of-line hole: the receiver drops
             # out-of-order packets, so this isn't *this* packet failing.
             # Retransmit without burning retry budget (go-back-N spirit).
-            self.count(names.RETRANSMITS)
+            self.counters.retransmits += 1
             self._emit(qp, pkt, retries)
             return
         if retries + 1 > self.MAX_RETRIES:
@@ -696,19 +696,19 @@ class RdmaNic(Device):
             pkt.release_landing()
             qp.send_cq.push({"wr_id": pkt.wr_id, "status": "retry-exceeded",
                              "opcode": pkt.kind, "qpn": qp.qpn})
-            self.count(names.QP_ERRORS)
+            self.counters.qp_errors += 1
             # The QP is now in the error state: nothing else in flight
             # will ever retransmit, so flush it (real RC hardware
             # completes the rest with IBV_WC_WR_FLUSH_ERR).  Without
             # this, those WRs strand forever with no CQE at all.
             self._flush_inflight(qp)
             return
-        self.count(names.RETRANSMITS)
+        self.counters.retransmits += 1
         self._emit(qp, pkt, retries + 1)
 
     def _on_wire_rx(self, pkt: Any) -> None:
         if not isinstance(pkt, RdmaPacket):
-            self.count(names.NON_RDMA_FRAMES_DROPPED)
+            self.counters.non_rdma_frames_dropped += 1
             return
         delay = self.costs.rdma_nic_process_ns + self.costs.dma_ns(len(pkt.payload))
         if self.faults is not None:
@@ -718,11 +718,11 @@ class RdmaNic(Device):
     def _process_rx(self, pkt: RdmaPacket) -> None:
         qp = self.qps.get(pkt.dst_qp)
         if qp is None:
-            self.count(names.RX_UNKNOWN_QP)
+            self.counters.rx_unknown_qp += 1
             return
         handler = getattr(self, "_rx_" + pkt.kind, None)
         if handler is None:
-            self.count(names.RX_UNKNOWN_KIND)
+            self.counters.rx_unknown_kind += 1
             return
         handler(qp, pkt)
 
@@ -747,7 +747,7 @@ class RdmaNic(Device):
 
     def _rx_nak_rnr(self, qp: HwQp, pkt: RdmaPacket) -> None:
         """Receiver-not-ready: retry the send after a back-off."""
-        self.count(names.RNR_NAKS_RECEIVED)
+        self.counters.rnr_naks_received += 1
         entry = qp.inflight.get(pkt.seq)
         if entry is None:
             return
@@ -757,7 +757,7 @@ class RdmaNic(Device):
             del qp.inflight[pkt.seq]
             qp.send_cq.push({"wr_id": orig.wr_id, "status": "rnr-exceeded",
                              "opcode": orig.kind, "qpn": qp.qpn})
-            self.count(names.QP_ERRORS)
+            self.counters.qp_errors += 1
             self._flush_inflight(qp)
             return
         del qp.inflight[pkt.seq]
@@ -769,7 +769,7 @@ class RdmaNic(Device):
 
     def _rx_nak_remote_access(self, qp: HwQp, pkt: RdmaPacket) -> None:
         """Remote access violation: fatal for the QP, as on real RC QPs."""
-        self.count(names.REMOTE_ACCESS_NAKS)
+        self.counters.remote_access_naks += 1
         qp.error = True
         self._complete_send(qp, pkt.seq, "remote-access-error")
 
@@ -792,10 +792,10 @@ class RdmaNic(Device):
             return
         if pkt.seq > qp.recv_expect:
             # Out of order: RC NICs drop and wait for retransmit.
-            self.count(names.RX_OUT_OF_ORDER_DROPPED)
+            self.counters.rx_out_of_order_dropped += 1
             return
         if not qp.recv_buffers:
-            self.count(names.RNR_NAKS_SENT)
+            self.counters.rnr_naks_sent += 1
             self._reply(qp, pkt, "nak_rnr")
             return
         wr_id, buffer = qp.recv_buffers.popleft()
@@ -803,7 +803,7 @@ class RdmaNic(Device):
             # Message too big for the posted buffer: fatal on real RC QPs.
             qp.recv_cq.push({"wr_id": wr_id, "status": "length-error",
                              "opcode": "recv", "qpn": qp.qpn, "nbytes": 0})
-            self.count(names.RECV_LENGTH_ERRORS)
+            self.counters.recv_length_errors += 1
             qp.recv_expect += 1
             self._reply(qp, pkt, "ack")
             return
@@ -812,7 +812,7 @@ class RdmaNic(Device):
         qp.recv_cq.push({"wr_id": wr_id, "status": "ok", "opcode": "recv",
                          "qpn": qp.qpn, "nbytes": len(pkt.payload),
                          "buffer": buffer})
-        self.count(names.RX_SENDS_DELIVERED)
+        self.counters.rx_sends_delivered += 1
         self._reply(qp, pkt, "ack")
 
     def _one_sided_ok(self, addr: int, size: int) -> bool:
@@ -827,32 +827,32 @@ class RdmaNic(Device):
             self._reply(qp, pkt, "write_ack")
             return
         if pkt.seq > qp.recv_expect:
-            self.count(names.RX_OUT_OF_ORDER_DROPPED)
+            self.counters.rx_out_of_order_dropped += 1
             return
         qp.recv_expect += 1
         if not self._one_sided_ok(pkt.raddr, len(pkt.payload)) or self.mem is None:
-            self.count(names.REMOTE_ACCESS_ERRORS)
+            self.counters.remote_access_errors += 1
             self._reply(qp, pkt, "nak_remote_access")
             return
         # One-sided: remote CPU never runs; the NIC writes memory itself.
         self.mem.write_mem(pkt.raddr, pkt.payload)
-        self.count(names.RX_WRITES_APPLIED)
+        self.counters.rx_writes_applied += 1
         self._reply(qp, pkt, "write_ack")
 
     def _rx_read_req(self, qp: HwQp, pkt: RdmaPacket) -> None:
         if pkt.seq < qp.recv_expect:
             pass  # duplicate: re-serve the read below
         elif pkt.seq > qp.recv_expect:
-            self.count(names.RX_OUT_OF_ORDER_DROPPED)
+            self.counters.rx_out_of_order_dropped += 1
             return
         else:
             qp.recv_expect += 1
         if not self._one_sided_ok(pkt.raddr, pkt.rlen) or self.mem is None:
-            self.count(names.REMOTE_ACCESS_ERRORS)
+            self.counters.remote_access_errors += 1
             self._reply(qp, pkt, "nak_remote_access")
             return
         data = self.mem.read_mem(pkt.raddr, pkt.rlen)
-        self.count(names.RX_READS_SERVED)
+        self.counters.rx_reads_served += 1
         # Response carries the data; extra DMA on the responder NIC.
         resp = RdmaPacket(
             kind="read_resp", src_nic=self.addr, src_qp=qp.qpn,

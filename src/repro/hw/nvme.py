@@ -124,8 +124,8 @@ class NvmeDevice(Device):
         self._check_range(lba, nblocks)
         nbytes = nblocks * self.block_size
         delay = self._occupy_channel(self.costs.nvme_io_ns(nbytes, write=False))
-        self.count(names.NVME_READS)
-        self.count(names.NVME_READ_BYTES, nbytes)
+        self.counters.reads += 1
+        self.counters.read_bytes += nbytes
         if self.tracer.tracing:
             self._trace_command(names.SPAN_NVME_READ, delay,
                                 lba=lba, nbytes=nbytes)
@@ -146,8 +146,8 @@ class NvmeDevice(Device):
         nblocks = len(data) // self.block_size
         self._check_range(lba, nblocks)
         delay = self._occupy_channel(self.costs.nvme_io_ns(len(data), write=True))
-        self.count(names.NVME_WRITES)
-        self.count(names.NVME_WRITE_BYTES, len(data))
+        self.counters.writes += 1
+        self.counters.write_bytes += len(data)
         if self.tracer.tracing:
             self._trace_command(names.SPAN_NVME_WRITE, delay,
                                 lba=lba, nbytes=len(data))
@@ -171,8 +171,8 @@ class NvmeDevice(Device):
         self._check_range(lba, nblocks)
         nbytes = nblocks * self.block_size
         delay = self._occupy_channel(self._work_ns("scan", nbytes, False))
-        self.count(names.NVME_SCANS)
-        self.count(names.NVME_SCAN_BYTES, nbytes)
+        self.counters.scans += 1
+        self.counters.scan_bytes += nbytes
         if self.tracer.tracing:
             self._trace_command(names.SPAN_NVME_SCAN, delay,
                                 lba=lba, nbytes=nbytes)
@@ -191,7 +191,7 @@ class NvmeDevice(Device):
     def submit_flush(self) -> Completion:
         """Barrier: completion fires after the flush latency."""
         self.flushes += 1
-        self.count(names.NVME_FLUSHES)
+        self.counters.flushes += 1
         delay = self._occupy_channel(self.costs.nvme_flush_ns)
         if self.tracer.tracing:
             self._trace_command(names.SPAN_NVME_FLUSH, delay)
@@ -233,7 +233,7 @@ class NvmeDevice(Device):
             try:
                 value = value.fn()
             except Exception as exc:
-                self.count(names.NVME_SCAN_FAULTS)
+                self.counters.scan_faults += 1
                 record["done"].fail(exc)
                 return
         record["done"].trigger(value)
@@ -252,26 +252,26 @@ class NvmeDevice(Device):
                 return
             # The completion landed inside a controller-failure window:
             # the command timed out.  Abort it and climb the ladder.
-            self.count(names.NVME_TIMEOUTS)
-            self.count(names.NVME_ABORTS)
+            self.counters.timeouts += 1
+            self.counters.aborts += 1
             if attempts < self.MAX_ATTEMPTS:
                 yield self.sim.timeout(
                     self.RETRY_BACKOFF_NS << (attempts - 1))
             elif not reset_done:
                 reset_done = True
-                self.count(names.NVME_CTRL_RESETS)
+                self.counters.ctrl_resets += 1
                 if self.tracer.tracing:
                     self._trace_command(names.SPAN_NVME_CTRL_RESET,
                                         self.CTRL_RESET_NS)
                 yield self.sim.timeout(self.CTRL_RESET_NS)
             else:
-                self.count(names.NVME_DEVICE_FAILURES)
+                self.counters.device_failures += 1
                 self._inflight.pop(id(record), None)
                 record["done"].fail(DeviceFailed(self.name, op, attempts))
                 return
             if record["aborted"]:
                 return
-            self.count(names.NVME_RETRIES)
+            self.counters.retries += 1
             delay = self._occupy_channel(self._work_ns(op, nbytes, write))
 
     def abort_all(self, reason: str = "aborted") -> int:
@@ -287,7 +287,7 @@ class NvmeDevice(Device):
             if not record["aborted"]:
                 record["aborted"] = True
                 aborted += 1
-                self.count(names.NVME_ABORTS)
+                self.counters.aborts += 1
                 record["done"].fail(
                     DeviceFailed(self.name, record["op"], 1, reason))
         self._inflight.clear()

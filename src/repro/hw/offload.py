@@ -85,7 +85,7 @@ class OffloadEngine(Device):
                 "%s does not support %r offload" % (self.name, operator)
             )
         delay = self._occupy(self.element_ns)
-        self.count(names.offloaded(operator))
+        self.counters.count(names.offloaded(operator))
         done = self.sim.completion("%s.%s" % (self.name, operator))
         self.sim.call_in(delay, self._execute, done, operator, fn, element)
         return done
@@ -95,7 +95,7 @@ class OffloadEngine(Device):
         try:
             result = fn(element)
         except Exception as exc:
-            self.count(names.OFFLOAD_ELEMENT_FAULTS)
+            self.counters.offload_element_faults += 1
             done.fail(exc)
             return
         done.trigger(result)
@@ -113,5 +113,5 @@ class OffloadEngine(Device):
                 "%s does not support %r offload" % (self.name, operator)
             )
         self._occupy(self.element_ns)
-        self.count(names.offloaded(operator))
+        self.counters.count(names.offloaded(operator))
         return fn(element)

@@ -68,10 +68,10 @@ class _KTcpSocket(KObject):
         # until RTO exhaustion.
         if self.conn is not None and self.conn.state != "CLOSED":
             self.conn.abort()
-            counters.count(names.RECLAIM_TCP_RSTS)
+            counters.tcp_rsts += 1
         if self.listener is not None:
             self.listener.close()
-            counters.count(names.RECLAIM_LISTENERS_CLOSED)
+            counters.listeners_closed += 1
 
     def readiness_queues(self) -> List[WaitQueue]:
         queues = []
@@ -121,8 +121,6 @@ class Kernel:
         self.costs = host.costs
         self.tracer = host.tracer
         self.counters = host.tracer.scope(host.name).scope("kernel")
-        #: ``count(leaf, n=1)`` bumps ``<host>.kernel.<leaf>``
-        self.count = self.counters.count
         self.nic = KernelNic(host, fabric, mac, name="%s.eth0" % host.name)
         host.nics.append(self.nic)
         self.stack = NetStack(
@@ -179,7 +177,7 @@ class Kernel:
             obj.abort(self, counters)
             del self._fds[fd]
             reclaimed += 1
-            counters.count(names.RECLAIM_FDS_CLOSED)
+            counters.fds_closed += 1
         return reclaimed
 
     def copied(self, direction: str, n: int) -> None:
@@ -205,17 +203,17 @@ class Syscalls:
 
     # -- accounting helpers ---------------------------------------------------
     def _syscall(self, op_ns: int = 0):
-        self.kernel.count(names.SYSCALLS)
+        self.kernel.counters.syscalls += 1
         return self.core.busy(self.costs.syscall_ns + op_ns)
 
     def _block(self, wq_completion):
         """Sleep on a kernel wait queue: switch out, later switch back in."""
-        self.kernel.count(names.BLOCKS)
+        self.kernel.counters.blocks += 1
         self.core.charge_async(self.costs.context_switch_ns)
         return wq_completion
 
     def _wakeup_charge(self):
-        self.kernel.count(names.WAKEUPS)
+        self.kernel.counters.wakeups += 1
         return self.core.busy(self.costs.thread_wakeup_ns +
                               self.costs.context_switch_ns)
 
@@ -306,7 +304,7 @@ class Syscalls:
         if not data:
             if sock.conn.peer_closed:
                 return b""
-            self.kernel.count(names.EWOULDBLOCK)
+            self.kernel.counters.ewouldblock += 1
             return EWOULDBLOCK
         yield self.core.busy(self.costs.copy_ns(len(data)))
         self.kernel.copied(names.BYTES_COPIED_RX, len(data))
@@ -376,8 +374,8 @@ class Syscalls:
             ready = ep.scan_ready()
             if ready:
                 yield self.core.busy(self.costs.epoll_event_ns * len(ready))
-                self.kernel.count(names.EPOLL_RETURNS)
+                self.kernel.counters.epoll_returns += 1
                 return ready[:max_events]
             yield self._block(ep.wq.wait())
             yield self._wakeup_charge()
-            self.kernel.count(names.EPOLL_WAKEUPS)
+            self.kernel.counters.epoll_wakeups += 1

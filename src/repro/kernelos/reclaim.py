@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..telemetry import names
+from .kernel import Kernel
 
 __all__ = ["ReclaimReport", "reclaim_process", "crash_teardown",
            "QUIESCE_POLL_NS", "DEFAULT_QUIESCE_LIMIT_NS"]
@@ -66,38 +67,42 @@ class ReclaimReport:
 
 def reclaim_process(libos, app_proc=None) -> ReclaimReport:
     """Synchronously tear down a dead process's resources (steps 1-7
-    above, minus the quiesce).  *app_proc* is the application's sim
-    process, interrupted first if still alive.  Returns a
+    above, minus the quiesce).  *libos* is what the process ran on: a
+    libOS, or a :class:`Kernel` for a process that only made syscalls
+    (steps 2-4 then have nothing to reclaim; its fds close in step 5).
+    *app_proc* is the application's sim process, interrupted first if
+    still alive.  Returns a
     :class:`ReclaimReport`; call :func:`crash_teardown` instead when the
     final region unmap matters (it almost always does).
     """
     host = libos.host
     counters = host.tracer.scope(host.name).scope(names.RECLAIM)
-    counters.count(names.RECLAIM_RUNS)
+    counters.runs += 1
     report = ReclaimReport()
 
     if app_proc is not None and app_proc.alive:
         app_proc.interrupt("proc_crash")
 
-    cancelled, retired = libos.qtokens.reap_all()
-    report.qtokens_cancelled = cancelled
-    report.qtokens_retired = retired
-    if cancelled:
-        counters.count(names.RECLAIM_QTOKENS_CANCELLED, cancelled)
-    if retired:
-        counters.count(names.RECLAIM_QTOKENS_RETIRED, retired)
+    if not isinstance(libos, Kernel):  # a process on the kernel has only fds
+        cancelled, retired = libos.qtokens.reap_all()
+        report.qtokens_cancelled = cancelled
+        report.qtokens_retired = retired
+        if cancelled:
+            counters.qtokens_cancelled += cancelled
+        if retired:
+            counters.qtokens_retired += retired
 
-    for qd in sorted(libos._queues):
-        queue = libos._queues[qd]
-        queue.close()
-        queue.crash_abort(counters)
-        libos._queues.pop(qd, None)
-        counters.count(names.RECLAIM_QDS_CLOSED)
-        report.qds_closed += 1
+        for qd in sorted(libos._queues):
+            queue = libos._queues[qd]
+            queue.close()
+            queue.crash_abort(counters)
+            libos._queues.pop(qd, None)
+            counters.qds_closed += 1
+            report.qds_closed += 1
 
-    for proc in libos.crash_background_procs():
-        if proc is not None and proc.alive:
-            proc.interrupt("proc_crash")
+        for proc in libos.crash_background_procs():
+            if proc is not None and proc.alive:
+                proc.interrupt("proc_crash")
 
     if host.kernel is not None:
         report.fds_closed = host.kernel.reclaim_fds(counters)
@@ -107,15 +112,15 @@ def reclaim_process(libos, app_proc=None) -> ReclaimReport:
         aborted = nvme.abort_all(reason="owner crashed")
         report.nvme_aborted = aborted
         if aborted:
-            counters.count(names.RECLAIM_NVME_ABORTS, aborted)
+            counters.nvme_aborts += aborted
     for nic in host.nics:
         report.frames_drained += nic.drain_rx()
-        counters.count(names.RECLAIM_RINGS_DRAINED)
+        counters.rings_drained += 1
 
     freed = host.mm.free_all()
     report.buffers_freed = freed
     if freed:
-        counters.count(names.RECLAIM_BUFFERS_FREED, freed)
+        counters.buffers_freed += freed
     return report
 
 
@@ -142,8 +147,7 @@ def crash_teardown(libos, app_proc=None,
         yield host.sim.timeout(poll_ns)
     report.regions_released = host.mm.reclaim_regions()
     if report.regions_released:
-        counters.count(names.RECLAIM_REGIONS_UNMAPPED,
-                       report.regions_released)
+        counters.regions_unmapped += report.regions_released
     if report_to is not None:
         report_to.append(report)
     return report

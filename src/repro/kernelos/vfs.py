@@ -82,9 +82,9 @@ class Vfs:
         cached = self._cache.get(key)
         if cached is not None:
             yield core.busy(self.costs.page_cache_hit_ns)
-            self.kernel.count(names.PAGE_CACHE_HITS)
+            self.kernel.counters.page_cache_hits += 1
             return cached
-        self.kernel.count(names.PAGE_CACHE_MISSES)
+        self.kernel.counters.page_cache_misses += 1
         block = bytearray(self.block_size)
         lba = inode.blocks.get(block_index)
         if lba is not None:
@@ -153,7 +153,7 @@ class Vfs:
         if pending:
             yield all_of(self.sim, pending)
         yield self.nvme.submit_flush()
-        self.kernel.count(names.FSYNCS)
+        self.kernel.counters.fsyncs += 1
         return len(dirty)
 
 

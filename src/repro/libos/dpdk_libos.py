@@ -83,7 +83,7 @@ class UdpQueue(DemiQueue):
         libos.stack.udp_send(self.port, remote[0], remote[1], payload)
         # The NIC is done with the buffers once the frame is DMA'd out.
         self.sim.call_in(libos.costs.dma_ns(sga.nbytes), sga.release_all)
-        libos.count(names.UDP_TX_ELEMENTS)
+        libos.counters.udp_tx_elements += 1
         libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
                                               nbytes=sga.nbytes))
 
@@ -108,7 +108,7 @@ class UdpQueue(DemiQueue):
     def crash_abort(self, counters) -> None:
         if self.port is not None:
             self.libos.stack.udp_unbind(self.port)
-            counters.count(names.RECLAIM_UDP_UNBOUND)
+            counters.udp_unbound += 1
 
 
 class TcpQueue(DemiQueue):
@@ -145,7 +145,7 @@ class TcpQueue(DemiQueue):
                 OP_PUSH, self.qd, error=str(err)))
             return
         self.sim.call_in(libos.costs.dma_ns(sga.nbytes), sga.release_all)
-        libos.count(names.TCP_TX_ELEMENTS)
+        libos.counters.tcp_tx_elements += 1
         libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
                                               nbytes=sga.nbytes))
 
@@ -183,7 +183,7 @@ class TcpQueue(DemiQueue):
         conn = libos.stack.tcp_connect(ip, port, src_port=src_port)
         yield conn.established
         self.attach_connection(conn)
-        libos.count(names.CONNECTS)
+        libos.counters.connects += 1
         return 0
 
     def shutdown(self) -> Generator:
@@ -197,7 +197,7 @@ class TcpQueue(DemiQueue):
         hang."""
         if self.conn is not None and self.conn.state != "CLOSED":
             self.conn.abort()
-            counters.count(names.RECLAIM_TCP_RSTS)
+            counters.tcp_rsts += 1
         self.reap()
 
 
@@ -224,7 +224,7 @@ class ListenQueue(ListeningQueue):
             yield self.listener.accept_signal()
         new_queue = libos._install(TcpQueue)
         new_queue.attach_connection(conn)
-        libos.count(names.ACCEPTS)
+        libos.counters.accepts += 1
         return new_queue.qd
 
 
@@ -290,9 +290,9 @@ class DpdkLibOS(LibOS):
     def _flush_tx(self) -> None:
         batch, self._tx_pending = self._tx_pending, []
         self.core.charge_async(self.costs.doorbell_ns)
-        self.count(names.DOORBELLS)
+        self.counters.doorbells += 1
         if len(batch) > 1:
-            self.count(names.DOORBELLS_SAVED, len(batch) - 1)
+            self.counters.doorbells_saved += len(batch) - 1
         self.nic.post_tx_burst(batch, tx_queue=self.tx_queue)
 
     def _poll_loop(self) -> Generator:

@@ -25,7 +25,6 @@ from typing import Generator
 
 from ..hw.nic import DpdkNic
 from ..netstack.stack import NetStack
-from ..telemetry import names
 
 __all__ = ["MtcpShim"]
 
@@ -42,8 +41,6 @@ class MtcpShim:
         self.tracer = host.tracer
         self.name = name
         self.counters = self.tracer.scope(name)
-        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
-        self.count = self.counters.count
         self.app_core = host.cpus[0]
         self.stack_core = host.cpus[min(1, len(host.cpus) - 1)]
         self.nic = nic
@@ -78,7 +75,7 @@ class MtcpShim:
         the request waits for the next cycle boundary before the hop
         completes.
         """
-        self.count(names.QUEUE_HOPS, 2)
+        self.counters.queue_hops += 2
         yield self.app_core.busy(self.costs.mtcp_queue_hop_ns)
         cycle = self.costs.mtcp_cycle_ns
         wait_for_cycle = cycle - (self.sim.now % cycle)
@@ -129,7 +126,7 @@ class MtcpShim:
         conn = self._fds[fd]
         # POSIX semantics force the copy into stack-owned buffers.
         yield self.app_core.busy(self.costs.copy_ns(len(data)))
-        self.count(names.BYTES_COPIED_TX, len(data))
+        self.counters.bytes_copied_tx += len(data)
         yield from self._exchange()
         conn.send(bytes(data))
         return len(data)
@@ -151,7 +148,7 @@ class MtcpShim:
             yield conn.recv_signal()
         yield from self._exchange()
         yield self.app_core.busy(self.costs.copy_ns(len(data)))
-        self.count(names.BYTES_COPIED_RX, len(data))
+        self.counters.bytes_copied_rx += len(data)
         return data
 
     def close(self, fd: int) -> Generator:

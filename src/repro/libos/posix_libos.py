@@ -58,7 +58,7 @@ class PosixTcpQueue(DemiQueue):
             libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
                                                   error=str(err)))
             return
-        libos.count(names.TCP_TX_ELEMENTS)
+        libos.counters.tcp_tx_elements += 1
         libos.qtokens.complete(token, QResult(OP_PUSH, self.qd,
                                               nbytes=sga.nbytes))
 
@@ -91,7 +91,7 @@ class PosixTcpQueue(DemiQueue):
         fd = yield from sys.socket()
         yield from sys.connect(fd, ip, port)
         self.attach_fd(fd)
-        self.libos.count(names.CONNECTS)
+        self.libos.counters.connects += 1
         return 0
 
     def shutdown(self) -> Generator:
@@ -124,7 +124,7 @@ class PosixListenQueue(ListeningQueue):
         conn_fd = yield from self.libos.sys.accept(self.fd)
         new_queue = self.libos._install(PosixTcpQueue)
         new_queue.attach_fd(conn_fd)
-        self.libos.count(names.ACCEPTS)
+        self.libos.counters.accepts += 1
         return new_queue.qd
 
     def shutdown(self) -> Generator:

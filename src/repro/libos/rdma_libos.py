@@ -36,7 +36,6 @@ from ..hw.nic import RdmaNic
 from ..rdma.cm import RdmaCm
 from ..rdma.verbs import QueuePair
 from ..sim.sync import WaitQueue
-from ..telemetry import names
 
 __all__ = ["RdmaLibOS", "RdmaQueue", "RdmaListenQueue",
            "POOL_BUFFERS", "POOL_BUFFER_SIZE", "CREDITS"]
@@ -103,7 +102,7 @@ class RdmaQueue(DemiQueue):
         if error is not None:
             self._complete(token, QResult(OP_PUSH, self.qd, error=error))
             return
-        self.libos.count(names.RDMA_TX_ELEMENTS)
+        self.libos.counters.rdma_tx_elements += 1
         self._complete(token, QResult(OP_PUSH, self.qd, nbytes=sga.nbytes))
 
     def _send(self, sga: Sga) -> Generator:
@@ -117,7 +116,7 @@ class RdmaQueue(DemiQueue):
             return "element exceeds pool buffer size"
         # Flow control: block until the receiver has a buffer for us.
         while self.credits == 0 and not self.closed:
-            libos.count(names.FLOW_CONTROL_STALLS)
+            libos.counters.flow_control_stalls += 1
             yield self.credit_wq.wait()
         if self.closed:
             return "closed"
@@ -142,20 +141,20 @@ class RdmaQueue(DemiQueue):
                 continue
             for cqe in cqes:
                 if cqe["status"] != "ok":
-                    libos.count(names.RDMA_RX_ERRORS)
+                    libos.counters.rdma_rx_errors += 1
                     continue
                 buf = cqe["buffer"]
                 kind, value = _HDR.unpack(buf.read(0, _HDR.size))
                 if kind == _MSG_CREDIT:
                     self.credits += value
                     self.credit_wq.pulse()
-                    libos.count(names.CREDIT_RETURNS_RECEIVED)
+                    libos.counters.credit_returns_received += 1
                     qp.post_recv(buf)  # control buffers recycle immediately
                     continue
                 # The element is the message where it landed: lend the
                 # application that slice of the pool buffer, which goes
                 # back on the QP when the slice comes back.
-                libos.count(names.RDMA_RX_ELEMENTS)
+                libos.counters.rdma_rx_elements += 1
                 segment = libos.mm.lend(
                     SgaSegment(buf, _HDR.size, value, lent=True))
                 buf.on_last_release(self._repost)
@@ -177,7 +176,7 @@ class RdmaQueue(DemiQueue):
         count = self.consumed_since_return
         self.consumed_since_return = 0
         self.qp.post_send(_HDR.pack(_MSG_CREDIT, count))
-        self.libos.count(names.CREDIT_RETURNS_SENT)
+        self.libos.counters.credit_returns_sent += 1
 
     def bind(self, port: int) -> Generator:
         yield self.libos.core.busy(self.libos.costs.kernel_sock_op_ns)
@@ -188,7 +187,7 @@ class RdmaQueue(DemiQueue):
         libos = self.libos
         qp = yield from libos.cm.connect(libos.nic, remote_addr, port)
         self.attach_qp(qp)
-        libos.count(names.CONNECTS)
+        libos.counters.connects += 1
         return 0
 
     def close(self) -> None:
@@ -214,7 +213,7 @@ class RdmaQueue(DemiQueue):
         rest of the process's buffers in ``MemoryManager.free_all``."""
         if self.qp is not None:
             self.qp.destroy()
-            counters.count(names.RECLAIM_QPS_DESTROYED)
+            counters.qps_destroyed += 1
         self.reap()
 
 
@@ -235,7 +234,7 @@ class RdmaListenQueue(ListeningQueue):
         qp = yield from self.listener.accept()
         new_queue = self.libos._install(RdmaQueue)
         new_queue.attach_qp(qp)
-        self.libos.count(names.ACCEPTS)
+        self.libos.counters.accepts += 1
         return new_queue.qd
 
 

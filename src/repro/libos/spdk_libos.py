@@ -102,7 +102,7 @@ class FileQueue(DemiQueue):
         sga.release_all()
         self.record_ids.append(record_id)
         libos._directory[self.name] = self.record_ids
-        libos.count(names.FILE_APPENDS)
+        libos.counters.file_appends += 1
         # Tail-follow: satisfy a waiting pop with the new record.
         if self._pending_pops:
             self._read(self._pending_pops.popleft())
@@ -128,7 +128,7 @@ class FileQueue(DemiQueue):
                     OP_POP, self.qd, error=str(err),
                     value=err if isinstance(err, DeviceFailed) else None))
                 continue
-            libos.count(names.FILE_READS)
+            libos.counters.file_reads += 1
             sga = Sga([segment])
             if not libos.qtokens.complete(token, QResult(
                     OP_POP, self.qd, sga=sga, nbytes=sga.nbytes,
@@ -159,7 +159,7 @@ class SpdkLibOS(LibOS):
             raise DemiError("file exists: %s" % path)
         self._directory[path] = []
         queue = self._install(FileQueue, path, self.store, [])
-        self.count(names.CTRL_CREAT)
+        self.counters.count(names.CTRL_CREAT)
         return queue.qd
 
     def open(self, path: str) -> Generator:
@@ -169,14 +169,14 @@ class SpdkLibOS(LibOS):
         if records is None:
             raise DemiError("no such file: %s" % path)
         queue = self._install(FileQueue, path, self.store, records)
-        self.count(names.CTRL_OPEN)
+        self.counters.count(names.CTRL_OPEN)
         return queue.qd
 
     def fsync(self, qd: int) -> Generator:
         """Flush this libOS's buffered appends to flash and barrier."""
         self._lookup(qd)  # validate the descriptor
         flushed = yield from self.store.sync()
-        self.count(names.CTRL_FSYNC)
+        self.counters.count(names.CTRL_FSYNC)
         return flushed
 
     def mount(self) -> Generator:

@@ -97,7 +97,7 @@ class MemoryManager:
         handle = device.iommu.map(region.base, region.size)
         region.handles[device.name] = handle
         self.host.cpu.charge_async(self.costs.registration_ns(region.size))
-        self.counters.count(names.MM_REGION_REGISTRATIONS)
+        self.counters.region_registrations += 1
 
     # -- allocation ---------------------------------------------------------
     def _new_region(self, at_least: int) -> Region:
@@ -105,7 +105,7 @@ class MemoryManager:
         region = Region(self._next_base, size)
         self._next_base += size + 4096  # guard gap
         self.regions.append(region)
-        self.counters.count(names.MM_REGIONS_CREATED)
+        self.counters.regions_created += 1
         if self.transparent:
             for device in self.devices:
                 self._register_region(region, device)
@@ -131,7 +131,7 @@ class MemoryManager:
         self._buffers[addr] = buf
         self.live_bytes += nbytes
         self.host.cpu.charge_async(self.costs.malloc_ns)
-        self.counters.count(names.MM_ALLOCS)
+        self.counters.allocs += 1
         return buf
 
     def register_buffer(self, buf: Buffer, device: Any) -> None:
@@ -146,7 +146,7 @@ class MemoryManager:
         self.host.cpu.charge_async(
             self.costs.registration_ns(buf.capacity, per_buffer=True)
         )
-        self.counters.count(names.MM_BUFFER_REGISTRATIONS)
+        self.counters.buffer_registrations += 1
 
     def free(self, buf: Buffer) -> None:
         """Free a buffer; deferred if a device still references it."""
@@ -154,11 +154,11 @@ class MemoryManager:
             raise BufferError("double free of buffer @%#x" % buf.addr)
         buf.freed = True
         self.host.cpu.charge_async(self.costs.free_ns)
-        self.counters.count(names.MM_FREES)
+        self.counters.frees += 1
         if buf.in_use:
             # Free-protection: the unprotected path would have reused this
             # memory under an active DMA or a lent slice.
-            self.counters.count(names.MM_DEFERRED_FREES)
+            self.counters.deferred_frees += 1
             buf.on_last_release(self._deallocate)
         else:
             self._deallocate(buf)
@@ -179,7 +179,7 @@ class MemoryManager:
             raise BufferError("double free of a lent slice of buffer @%#x"
                               % segment.buf.addr)
         self.host.cpu.charge_async(self.costs.free_ns)
-        self.counters.count(names.MM_LENT_RETURNS)
+        self.counters.lent_returns += 1
         segment.buf.release()
 
     def _deallocate(self, buf: Buffer) -> None:
@@ -198,7 +198,7 @@ class MemoryManager:
             self._buffer_addrs.pop(idx)
         self._buffers.pop(buf.addr, None)
         self.live_bytes -= buf.capacity
-        self.counters.count(names.MM_DEALLOCATIONS)
+        self.counters.deallocations += 1
 
     # -- resolution (one-sided RDMA, device access) --------------------------
     def resolve(self, addr: int, nbytes: int) -> Tuple[Buffer, int]:
@@ -209,7 +209,7 @@ class MemoryManager:
             buf = self._buffers[base]
             if addr + nbytes <= base + buf.capacity:
                 return buf, addr - base
-        self.counters.count(names.IOMMU_FAULTS)
+        self.counters.faults += 1
         raise IommuFault(addr, nbytes, device="%s.mm" % self.host.name)
 
     def read_mem(self, addr: int, nbytes: int) -> bytes:
@@ -274,7 +274,7 @@ class MemoryManager:
                     if handle is not None:
                         device.iommu.unmap(handle)
                 released += 1
-                self.counters.count(names.MM_REGIONS_RECLAIMED)
+                self.counters.regions_reclaimed += 1
             else:
                 kept.append(region)
         self.regions = kept

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Simulator
-from ..telemetry import names
 from .arp import ARP_REPLY, ARP_REQUEST, ArpPacket
 from .ethernet import (ETH_HEADER_LEN, ETHERTYPE_ARP, ETHERTYPE_IPV4,
                        EthernetFrame, ethernet_header)
@@ -111,7 +110,7 @@ class NetStack:
     def rx_frame(self, raw: bytes) -> None:
         """Entry point from the driver (poll loop or interrupt handler)."""
         self.charge(self.rx_cost_ns)
-        self.counters.count(names.RX_FRAMES)
+        self.counters.rx_frames += 1
         self._dispatch_frame(raw)
 
     def rx_burst(self, frames: List[bytes]) -> None:
@@ -124,22 +123,22 @@ class NetStack:
         """
         if not frames:
             return
-        self.counters.count(names.RX_BURSTS)
-        self.counters.count(names.RX_BURST_FRAMES, len(frames))
+        self.counters.rx_bursts += 1
+        self.counters.rx_burst_frames += len(frames)
         cost = self.rx_cost_ns
         for raw in frames:
             self.charge(cost)
             cost = self.rx_batch_cost_ns
-            self.counters.count(names.RX_FRAMES)
+            self.counters.rx_frames += 1
             self._dispatch_frame(raw)
 
     def _dispatch_frame(self, raw: bytes) -> None:
         if len(raw) < ETH_HEADER_LEN:
-            self.counters.count(names.RX_MALFORMED)
+            self.counters.rx_malformed += 1
             return
         dst = raw[:6]
         if dst != self._mac_bytes and dst != _BROADCAST:
-            self.counters.count(names.RX_WRONG_MAC)
+            self.counters.rx_wrong_mac += 1
             return
         ethertype = raw[12] << 8 | raw[13]
         if ethertype == ETHERTYPE_IPV4:
@@ -147,11 +146,11 @@ class NetStack:
         elif ethertype == ETHERTYPE_ARP:
             self._rx_arp(raw[ETH_HEADER_LEN:])
         else:
-            self.counters.count(names.RX_UNKNOWN_ETHERTYPE)
+            self.counters.rx_unknown_ethertype += 1
 
     def _tx_frame(self, dst_mac: str, ethertype: int, payload: bytes) -> None:
         self.charge(self.tx_cost_ns)
-        self.counters.count(names.TX_FRAMES)
+        self.counters.tx_frames += 1
         frame = EthernetFrame(dst=dst_mac, src=self.mac,
                               ethertype=ethertype, payload=payload)
         self.send_frame(dst_mac, frame.pack())
@@ -161,7 +160,7 @@ class NetStack:
         try:
             arp = ArpPacket.unpack(payload)
         except PacketError:
-            self.counters.count(names.RX_MALFORMED)
+            self.counters.rx_malformed += 1
             return
         # Opportunistic learning.
         self.arp_table[arp.sender_ip] = arp.sender_mac
@@ -184,12 +183,12 @@ class NetStack:
             return
         if attempt >= ARP_MAX_RETRIES:
             dropped = self._arp_pending.pop(dst_ip, [])
-            self.counters.count(names.ARP_UNRESOLVED_DROPS, len(dropped))
+            self.counters.arp_unresolved_drops += len(dropped)
             return
         req = ArpPacket(ARP_REQUEST, self.mac, self.ip,
                         "00:00:00:00:00:00", dst_ip)
         self._tx_frame(BROADCAST_MAC, ETHERTYPE_ARP, req.pack())
-        self.counters.count(names.ARP_REQUESTS)
+        self.counters.arp_requests += 1
         self.sim.call_in(ARP_RETRY_NS, self._send_arp_request, dst_ip, attempt + 1)
 
     def _flush_arp_pending(self, ip: str) -> None:
@@ -207,7 +206,7 @@ class NetStack:
         """
         size = len(raw) - ETH_HEADER_LEN
         if size < IPV4_HEADER_LEN:
-            self.counters.count(names.RX_MALFORMED)
+            self.counters.rx_malformed += 1
             return
         (ver_ihl, _tos, total_len, _ident, _flags, _ttl, proto, _csum,
          src, dst) = IPV4_HEADER.unpack_from(raw, ETH_HEADER_LEN)
@@ -215,10 +214,10 @@ class NetStack:
                 or total_len > size  # truncated
                 or (self.verify_checksums and internet_checksum(
                     raw[ETH_HEADER_LEN:_L4_OFFSET]) != 0)):
-            self.counters.count(names.RX_MALFORMED)
+            self.counters.rx_malformed += 1
             return
         if dst != self._ip_bytes:
-            self.counters.count(names.RX_WRONG_IP)
+            self.counters.rx_wrong_ip += 1
             return
         # a total_len below the header's own length leaves no L4 bytes
         end = (ETH_HEADER_LEN + total_len if total_len > IPV4_HEADER_LEN
@@ -228,7 +227,7 @@ class NetStack:
         elif proto == PROTO_UDP:
             self._rx_udp(raw[_L4_OFFSET:end], bytes_to_ip(src))
         else:
-            self.counters.count(names.RX_UNKNOWN_PROTO)
+            self.counters.rx_unknown_proto += 1
 
     def _tx_ipv4(self, src_ip: str, dst_ip: str, proto: int, l4: bytes,
                  ident: Optional[int] = None) -> None:
@@ -252,7 +251,7 @@ class NetStack:
                                                  ident=ident))
             return
         self.charge(self.tx_cost_ns)
-        self.counters.count(names.TX_FRAMES)
+        self.counters.tx_frames += 1
         try:
             ethernet = self._eth_headers[dst_mac]
         except KeyError:
@@ -283,16 +282,16 @@ class NetStack:
 
     def _rx_udp(self, l4: bytes, src_ip: str) -> None:
         if self.verify_checksums and not udp_checksum_ok(l4, src_ip, self.ip):
-            self.counters.count(names.UDP_BAD_CHECKSUM_DROPS)
+            self.counters.udp_bad_checksum_drops += 1
             return
         try:
             datagram = UdpDatagram.unpack(l4)
         except PacketError:
-            self.counters.count(names.RX_MALFORMED)
+            self.counters.rx_malformed += 1
             return
         handler = self._udp_handlers.get(datagram.dst_port)
         if handler is None:
-            self.counters.count(names.UDP_NO_LISTENER)
+            self.counters.udp_no_listener += 1
             return
         handler(datagram.payload, src_ip, datagram.src_port)
 
@@ -340,12 +339,12 @@ class NetStack:
                 raw[_L4_OFFSET:end], src_ip, self.ip):
             # Corrupted segment: discard silently; the sender's RTO or
             # fast retransmit recovers, exactly as on a real stack.
-            self.counters.count(names.TCP_BAD_CHECKSUM_DROPS)
+            self.counters.tcp_bad_checksum_drops += 1
             return
         try:
             seg = TcpSegment.unpack_from(raw, _L4_OFFSET, end)
         except PacketError:
-            self.counters.count(names.RX_MALFORMED)
+            self.counters.rx_malformed += 1
             return
         key = (self.ip, seg.dst_port, src_ip, seg.src_port)
         conn = self._tcp_conns.get(key)
@@ -367,7 +366,7 @@ class NetStack:
             return
         # No home for this segment: RST (unless it was itself a RST).
         if not seg.flags & RST:
-            self.counters.count(names.TCP_RST_SENT)
+            self.counters.tcp_rst_sent += 1
             rst = TcpSegment(seg.dst_port, seg.src_port,
                              seg.ack, seg.seq + len(seg.payload) + 1,
                              RST | ACK, 0)
@@ -375,7 +374,7 @@ class NetStack:
                           rst.pack(self.ip, src_ip))
 
     def _tcp_transmit(self, conn: TcpConnection, seg: TcpSegment) -> None:
-        self.counters.count(names.TCP_SEGMENTS_TX)
+        self.counters.tcp_segments_tx += 1
         src_ip, dst_ip = conn.local[0], conn.remote[0]
         self._tx_ipv4(src_ip, dst_ip, PROTO_TCP, seg.pack(src_ip, dst_ip))
 
@@ -397,5 +396,5 @@ class NetStack:
         Register this as a NIC ``on_link_recovered`` hook.
         """
         if self.arp_table:
-            self.counters.count(names.ARP_RELEARNS, len(self.arp_table))
+            self.counters.arp_relearns += len(self.arp_table)
         self.arp_table.clear()

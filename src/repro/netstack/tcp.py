@@ -375,14 +375,14 @@ class TcpConnection:
             # A SYN on a synchronised connection, wherever its sequence
             # number lies, draws a challenge ACK and is dropped (RFC 5961
             # 4): a peer that restarted answers with an exact RST.
-            self.stack.counters.count(names.TCP_CHALLENGE_ACKS)
+            self.stack.counters.tcp_challenge_acks += 1
             self._send_ack()
             return
         if seg.flags & ACK:
             if seg.ack > self.snd_nxt:
                 # Acknowledges data never sent (RFC 9293 3.10.7.4): send
                 # an ACK, drop the segment.
-                self.stack.counters.count(names.TCP_UNSENT_ACK_DROPS)
+                self.stack.counters.tcp_unsent_ack_drops += 1
                 self._send_ack()
                 return
             self._on_ack(seg)
@@ -405,13 +405,13 @@ class TcpConnection:
         else:
             offset = seg.seq - self.rcv_nxt
         if offset == 0:
-            counters.count(names.TCP_RSTS_ACCEPTED)
+            counters.tcp_rsts_accepted += 1
             self._fail(TcpError("connection reset by peer"))
         elif 0 < offset < self.recv_window:
-            counters.count(names.TCP_CHALLENGE_ACKS)
+            counters.tcp_challenge_acks += 1
             self._send_ack()
         else:
-            counters.count(names.TCP_RST_DROPS)
+            counters.tcp_rst_drops += 1
 
     def _on_ack(self, seg: TcpSegment) -> None:
         window, self.peer_window = self.peer_window, seg.window
@@ -484,7 +484,7 @@ class TcpConnection:
             # Out of order: buffer (bounded by window) and dup-ack.
             if seq - self.rcv_nxt < self.recv_capacity:
                 self._ooo.setdefault(seq, payload)
-                self.stack.counters.count(names.TCP_OOO_BUFFERED)
+                self.stack.counters.tcp_ooo_buffered += 1
             self._send_ack()
             return
         # Trim any already-received prefix.
@@ -504,7 +504,7 @@ class TcpConnection:
         room = self.recv_capacity - len(self._recv_buffer)
         if len(payload) > room:
             payload = payload[:room]  # receiver never advertised this; drop
-            self.stack.counters.count(names.TCP_WINDOW_OVERRUN_TRIMMED)
+            self.stack.counters.tcp_window_overrun_trimmed += 1
         self._recv_buffer.extend(payload)
         self.rcv_nxt += len(payload)
 
@@ -578,7 +578,7 @@ class TcpConnection:
                     and self.snd_nxt > self.snd_una
                     and not self._fin_queued):
                 # Nagle: a sub-MSS segment waits while data is unacked.
-                self.stack.counters.count(names.TCP_NAGLE_DELAYS)
+                self.stack.counters.tcp_nagle_delays += 1
                 break
             payload = bytes(self._send_queue[:take])
             del self._send_queue[:take]
@@ -633,7 +633,7 @@ class TcpConnection:
             self._ack_timer.arm(DELAYED_ACK_NS)
 
     def _delayed_ack_fired(self) -> None:
-        self.stack.counters.count(names.TCP_DELAYED_ACKS)
+        self.stack.counters.tcp_delayed_acks += 1
         self._send_ack()
 
     def _emit(self, seg: TcpSegment) -> None:
@@ -680,13 +680,13 @@ class TcpConnection:
         self.ssthresh = max(2 * self.mss, outstanding // 2)
         self.cwnd = self.mss if to_one_mss else self.ssthresh
         self.cwnd_reductions += 1
-        self.stack.counters.count(names.TCP_CWND_REDUCTIONS)
+        self.stack.counters.tcp_cwnd_reductions += 1
 
     def _fast_retransmit(self, early: bool) -> None:
         counters = self.stack.counters
-        counters.count(names.TCP_FAST_RETRANSMITS)
+        counters.tcp_fast_retransmits += 1
         if early:
-            counters.count(names.TCP_EARLY_RETRANSMITS)
+            counters.tcp_early_retransmits += 1
         self._fast_rexmitted = True
         if self._rtt_probe is not None \
                 and self._rtt_probe[0] == self._inflight[0][0]:
@@ -695,7 +695,7 @@ class TcpConnection:
         self._retransmit_head()
 
     def _retransmit_head(self) -> None:
-        self.stack.counters.count(names.TCP_RETRANSMITS)
+        self.stack.counters.tcp_retransmits += 1
         self._transmit(*self._inflight[0])
 
     def _window_probe(self) -> None:
@@ -704,7 +704,7 @@ class TcpConnection:
         if (self.state in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1) and
                 self._send_queue and
                 self.peer_window - (self.snd_nxt - self.snd_una) <= 0):
-            self.stack.counters.count(names.TCP_WINDOW_PROBES)
+            self.stack.counters.tcp_window_probes += 1
             self._send_ack()  # zero-window probe (degenerate)
             self._probe_timer.arm(WINDOW_PROBE_NS)
 
@@ -728,7 +728,7 @@ class TcpListener:
     def _deliver(self, conn: TcpConnection) -> None:
         if len(self._accept_queue) >= self.backlog:
             conn.abort()
-            self.stack.counters.count(names.TCP_ACCEPT_OVERFLOW)
+            self.stack.counters.tcp_accept_overflow += 1
             return
         self._accept_queue.append(conn)
         self.accept_wq.pulse()

@@ -384,7 +384,7 @@ class RmemQueue(DemiQueue):
         except DemiError as err:
             self._complete(token, QResult(OP_PUSH, self.qd, error=str(err)))
             return
-        self.libos.count(names.RMEM_TX_ELEMENTS)
+        self.libos.counters.rmem_tx_elements += 1
         self._complete(token, QResult(OP_PUSH, self.qd, nbytes=sga.nbytes))
 
     def crash_abort(self, counters) -> None:
@@ -395,7 +395,7 @@ class RmemQueue(DemiQueue):
         for end in (self.producer, self.consumer):
             if end is not None:
                 end.ops.qp.destroy()
-                counters.count(names.RECLAIM_QPS_DESTROYED)
+                counters.qps_destroyed += 1
 
     def _consume_pump(self) -> Generator:
         while not self.closed:

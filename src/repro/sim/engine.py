@@ -36,7 +36,6 @@ Example::
 from __future__ import annotations
 
 import heapq
-from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -346,27 +345,26 @@ class Process(Completion):
 class _MultiWait(Completion):
     """Shared machinery for :func:`any_of` / :func:`all_of`.
 
-    When the wait resolves ("any" mode wins, or either mode fails), the
-    callbacks planted on the still-pending events are detached again.
-    Without that, every ``wait_any`` leaves a stale closure on each
-    losing completion - on a long-lived connection queue that is waited
-    thousands of times, the callback list grows without bound.
+    One bound callback is planted on every event.  When the wait
+    resolves ("any" mode wins, or either mode fails), it is detached
+    from the events still pending.  Without that, every ``wait_any``
+    leaves a stale callback on each losing completion - on a long-lived
+    connection queue that is waited thousands of times, the callback
+    list grows without bound.
     """
 
-    __slots__ = ("remaining", "mode", "results", "_events", "_cbs")
+    __slots__ = ("remaining", "mode", "_events", "_cb")
 
     def __init__(self, sim: "Simulator", events: List[Completion], mode: str):
         Completion.__init__(self, sim)
         self.mode = mode
-        self.results: List[Any] = [None] * len(events)
         self.remaining = len(events)
         self._events = events
-        self._cbs: List[Optional[Callable]] = [None] * len(events)
         if not events:
             self.trigger([])
             return
-        for i, ev in enumerate(events):
-            cb = self._cbs[i] = partial(self._on_event, i)
+        cb = self._cb = self._on_event
+        for ev in events:
             ev.subscribe(cb)
             if self._done:
                 # An already-triggered event resolved the wait mid-
@@ -374,7 +372,7 @@ class _MultiWait(Completion):
                 # to the rest, they would leak.
                 break
 
-    def _on_event(self, index: int, ev: Completion) -> None:
+    def _on_event(self, ev: Completion) -> None:
         if self._done:
             return
         # Detach before triggering: dispatch resumes the waiting
@@ -383,31 +381,30 @@ class _MultiWait(Completion):
         if ev._exc is not None:
             self._detach()
             self.fail(ev._exc)
-            return
-        self.results[index] = ev._value
-        self.remaining -= 1
-        if self.mode == "any":
+        elif self.mode == "any":
+            index = self._events.index(ev)
             self._detach()
             self.trigger((index, ev._value))
-        elif self.remaining == 0:
-            self._events = []
-            self._cbs = []
-            self.trigger(list(self.results))
+        else:
+            self.remaining -= 1
+            if self.remaining == 0:
+                events, self._events, self._cb = self._events, [], None
+                self.trigger([each._value for each in events])
 
     def _name(self) -> str:
-        return "%s(%d)" % (self.mode, len(self.results))
+        return "%s(%d)" % (self.mode, len(self._events))
 
     def _detach(self) -> None:
-        """Remove our callbacks from the events that did not fire."""
-        for ev, cb in zip(self._events, self._cbs):
-            if cb is None or ev._done:
-                continue
-            try:
-                ev._callbacks.remove(cb)
-            except ValueError:
-                pass
+        """Remove our callback from the events that did not fire (and
+        drop it: it holds us, a cycle)."""
+        cb, self._cb = self._cb, None
+        for ev in self._events:
+            if not ev._done:
+                try:
+                    ev._callbacks.remove(cb)
+                except ValueError:
+                    pass
         self._events = []
-        self._cbs = []
 
 
 def any_of(sim: "Simulator", events: Iterable[Completion]) -> Completion:

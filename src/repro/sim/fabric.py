@@ -95,8 +95,8 @@ class Fabric:
         arrive = start + serialize + self.costs.link_latency_ns
         src.tx_frames += 1
         src.tx_bytes += nbytes
-        self.counters.count(names.TX_FRAMES)
-        self.counters.count(names.TX_BYTES, nbytes)
+        self.counters.tx_frames += 1
+        self.counters.tx_bytes += nbytes
 
         if dst_addr == BROADCAST_ADDR:
             # Drop decisions are per destination: one replica being lost
@@ -110,7 +110,7 @@ class Fabric:
         dst = self.ports.get(dst_addr)
         if dst is None:
             # Like a real switch: frames to unknown addresses vanish.
-            self.counters.count(names.UNKNOWN_DST_FRAMES)
+            self.counters.unknown_dst_frames += 1
             return
         self._deliver_one(src_addr, dst, frame, nbytes, arrive - now)
 
@@ -134,10 +134,10 @@ class Fabric:
 
     def _drop(self, dst: Port) -> None:
         dst.dropped_frames += 1
-        self.counters.count(names.DROPPED_FRAMES)
+        self.counters.dropped_frames += 1
 
     def _arrive(self, port: Port, frame: Any, nbytes: int) -> None:
         port.rx_frames += 1
         port.rx_bytes += nbytes
-        self.counters.count(names.RX_FRAMES)
+        self.counters.rx_frames += 1
         port.deliver(frame)

@@ -38,8 +38,6 @@ class Host:
         self.costs = costs
         self.tracer = tracer or Tracer()
         self.counters = self.tracer.scope(name)
-        #: ``count(leaf, n=1)`` bumps ``<name>.<leaf>``
-        self.count = self.counters.count
         self.cpus = CpuSet(sim, cores)
         #: core 0 (where single-threaded apps run)
         self.cpu: Core = self.cpus[0]

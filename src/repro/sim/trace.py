@@ -3,8 +3,11 @@ spans, gauges and distributions.
 
 Experiments reason about *why* a path is slow, not just how slow it is, so
 every subsystem increments named counters on a shared :class:`Tracer`
-(syscalls made, bytes copied, wake-ups wasted, frames dropped...).  Tests
-assert on the counters; benchmark reports print them next to latencies.
+(syscalls made, bytes copied, wake-ups wasted, frames dropped...).  A
+counter is an integer field of its subsystem's :class:`CounterScope`, so a
+bump is one attribute add; the tracer rolls the fields up into full names
+only when it is read.  Tests assert on the counters; benchmark reports
+print them next to latencies.
 
 The same tracer also holds what is recorded only when ``tracing`` is on
 (``World(telemetry=True)``): a :class:`~repro.telemetry.Span` per
@@ -27,6 +30,7 @@ import math
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..telemetry import names
 from ..telemetry.metrics import Gauge
 from ..telemetry.spans import Span
 
@@ -34,41 +38,36 @@ __all__ = ["Tracer", "CounterScope", "LatencyStats"]
 
 
 class CounterScope:
-    """A tracer handle bound to one name prefix.
+    """A tracer handle bound to one name prefix, holding that prefix's
+    counters as integer fields: ``self.counters.tx_frames += 1``.
 
-    Subsystems hold a scope for their own prefix (``host.tracer.scope(
-    self.name)``) and bump leaf names from the registry
-    (:mod:`repro.telemetry.names`) - the full counter name is
-    ``"<prefix>.<leaf>"``, exactly the string the old inline
-    ``"%s.%s" % (self.name, counter)`` formatting produced, so every
-    pinned golden counter keeps its name.  The prefix is also the track
-    of the scope's spans and the prefix of its gauges and distributions.
+    Every leaf of ``names.COUNTER_FIELDS`` is a class-level 0, so the
+    first bump creates the field and a leaf the registry lacks raises
+    :class:`AttributeError`.  Computed (``rxq%d_frames``) and dotted
+    (``ctrl.*``) leaves go through :meth:`count`, on the same storage.
+    The full counter name is ``"<prefix>.<leaf>"``, so every pinned
+    golden counter keeps its name.  The prefix is also the track of the
+    scope's spans and the prefix of its gauges and distributions.
     """
 
-    __slots__ = ("tracer", "prefix", "_counters", "_keys")
+    #: the instance ``__dict__`` holds only counters: leaf -> value
+    __slots__ = ("tracer", "prefix", "__dict__")
 
     def __init__(self, tracer: "Tracer", prefix: str):
         self.tracer = tracer
         self.prefix = prefix
-        #: the tracer's own dict, so a bump is one memo lookup and one
-        #: add, not a format per call
-        self._counters = tracer.counters
-        #: leaf name -> full counter name, filled on first use
-        self._keys: Dict[str, str] = {}
 
     def _full(self, name: str) -> str:
         return "%s.%s" % (self.prefix, name) if self.prefix else name
 
     def count(self, name: str, n: int = 1) -> None:
-        try:
-            key = self._keys[name]
-        except KeyError:
-            key = self._keys[name] = self._full(name)
-        self._counters[key] += n
+        """Bump leaf *name* by *n*; ``count(name, 0)`` creates it at 0."""
+        fields = self.__dict__
+        fields[name] = fields.get(name, 0) + n
 
     def scope(self, suffix: str) -> "CounterScope":
         """A nested scope: ``scope("a").scope("b")`` prefixes ``a.b``."""
-        return CounterScope(self.tracer, self._full(suffix))
+        return self.tracer.scope(self._full(suffix))
 
     # Tracing: call these only under ``if tracer.tracing:``.
     def span(self, name: str, cat: str, start_ns: int,
@@ -88,12 +87,21 @@ class CounterScope:
         return "<CounterScope %r>" % self.prefix
 
 
+for _leaf in names.COUNTER_FIELDS:
+    if hasattr(CounterScope, _leaf):
+        raise TypeError("counter leaf %r shadows CounterScope.%s"
+                        % (_leaf, _leaf))
+    setattr(CounterScope, _leaf, 0)
+del _leaf
+
+
 class Tracer:
     """Named counters plus an optional bounded event log; with
     :attr:`tracing` on, also the run's spans, gauges and distributions."""
 
     def __init__(self, keep_events: bool = False, max_events: int = 100000):
-        self.counters: Dict[str, int] = defaultdict(int)
+        #: full prefix -> its one scope, in the order first asked for
+        self._scopes: Dict[str, CounterScope] = {}
         self.keep_events = keep_events
         self.max_events = max_events
         self.events: List[Tuple[int, str, Any]] = []
@@ -106,12 +114,30 @@ class Tracer:
         self.metrics: Dict[str, Union[Gauge, LatencyStats]] = {}
         self._next_span_id = 1
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Every counter by full name, rolled up from the scopes' fields
+        at this read.  The dict is new on every read, so a never-bumped
+        name reads 0 from it without the tracer ever holding that name."""
+        out: Dict[str, int] = defaultdict(int)
+        for prefix, scope in self._scopes.items():
+            for leaf, value in scope.__dict__.items():
+                name = "%s.%s" % (prefix, leaf) if prefix else leaf
+                # "a" + "b.c" and "a.b" + "c" are one counter, as they
+                # were when every bump wrote one dict
+                out[name] += value
+        return out
+
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def scope(self, prefix: str) -> CounterScope:
-        """A bound handle that prefixes every counter with ``prefix.``."""
-        return CounterScope(self, prefix)
+        """The handle that prefixes every counter with ``prefix.``: one
+        per prefix, so two asks share their fields."""
+        scope = self._scopes.get(prefix)
+        if scope is None:
+            scope = self._scopes[prefix] = CounterScope(self, prefix)
+        return scope
 
     def record(self, now: int, event: str, detail: Any = None) -> None:
         if self.keep_events and len(self.events) < self.max_events:
@@ -167,8 +193,9 @@ class Tracer:
         the same with tracing on or off.
         """
         digest = hashlib.sha1()
-        for name in sorted(self.counters):
-            digest.update(("%s=%d;" % (name, self.counters[name])).encode())
+        counters = self.counters
+        for name in sorted(counters):
+            digest.update(("%s=%d;" % (name, counters[name])).encode())
         for now, event, detail in self.events:
             digest.update(("%d:%s:%r;" % (now, event, detail)).encode())
         return digest.hexdigest()

@@ -69,7 +69,6 @@ from ..hw.nvme import NvmeDevice
 from ..memory.buffer import Buffer
 from ..sim.cpu import Core
 from ..sim.engine import Completion
-from ..telemetry import names
 
 __all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
 
@@ -292,7 +291,7 @@ class LogStore:
             head = at + RECORD_HEADER_LEN
             if (head <= span.capacity and head + _HEADER.unpack_from(
                     span.data, at)[1] <= span.capacity):
-                self.nvme.count(names.LOG_READ_SPAN_HITS)
+                self.nvme.counters.read_span_hits += 1
                 span.hold()   # a sync meanwhile lets the span go, not it
                 end_lba = span_lba + span.capacity // bs
                 ahead = self._ahead
@@ -305,7 +304,7 @@ class LogStore:
             else b""
         landed = yield from self._take_ahead(first_lba + len(held) // bs)
         if landed is None:
-            self.nvme.count(names.LOG_READ_SPAN_MISSES)
+            self.nvme.counters.read_span_misses += 1
         else:
             held += landed
             yield self.core.busy(self.costs.spdk_submit_ns // 4)
@@ -358,8 +357,10 @@ class LogStore:
             blocks = yield done
         except Exception:
             return None
-        self.nvme.count(names.LOG_READ_SPAN_MISSES if waited
-                        else names.LOG_READ_AHEAD_HITS)
+        if waited:
+            self.nvme.counters.read_span_misses += 1
+        else:
+            self.nvme.counters.read_ahead_hits += 1
         return blocks
 
     def _cover(self, first_lba: int, held: bytes, need: int) -> Generator:
@@ -445,7 +446,7 @@ class LogStore:
             matches.extend(found)
             if not whole:
                 break
-        self.nvme.count(names.NVME_SCAN_MATCHES, len(matches))
+        self.nvme.counters.scan_matches += len(matches)
         return matches
 
     def _cuts(self, flushed: int) -> List[int]:

@@ -5,14 +5,16 @@ format strings scattered across the tree, which meant a rename silently
 forked a counter and nothing could enumerate what the repo measures.
 Now every leaf name is a constant (or, for parameterised families, a
 function) in this module, and subsystems bump them through a
-:class:`repro.sim.trace.CounterScope` bound to their own prefix.  The
+:class:`repro.sim.trace.CounterScope` bound to their own prefix: a
+registered leaf is a field of the scope (``self.counters.pushes += 1``),
+a computed or dotted one goes through ``count(name, n)``.  The
 same goes for what the tracer records only while tracing is on: span
 names, the four span categories, and gauge / distribution leaf names
 (the last section of this file).
 
 ``tests/lint/test_counter_names.py`` greps ``src/`` for raw
 ``.count("`` and ``.span("`` literals so the stringly-typed API cannot
-creep back.
+creep back, and for field bumps of leaves this module does not register.
 
 The *strings* are part of the repo's stable surface: chaos golden tests
 pin exact counter values by full name, so renaming a constant's value is
@@ -318,6 +320,15 @@ KV_MALFORMED_REQUESTS = "kv_malformed_requests"
 LOADGEN_CONNECTS = "loadgen_connects"
 LOADGEN_RECONNECTS = "loadgen_reconnects"
 LOADGEN_STALLS = "loadgen_stalls"
+
+#: Every leaf a scope holds as a field (``scope.tx_frames += 1``): the
+#: identifier-valued constants above, less the four scope prefixes.  The
+#: parameterised families and the dotted names (``ctrl.*``,
+#: ``pipeline.*``) are bumped with ``CounterScope.count``.
+COUNTER_FIELDS = frozenset(
+    value for key, value in list(globals().items())
+    if key.isupper() and isinstance(value, str) and value.isidentifier()
+) - {FABRIC, FAULT, RECLAIM, MM}
 
 # ------------------------------------------------------ spans (tracing on)
 # Recorded only while ``Tracer.tracing`` is set; none of these names ever

@@ -185,18 +185,19 @@ def _check_reclaimed(failures: List[str], libos) -> None:
     if nvme is not None and nvme.inflight_commands:
         failures.append("%s still has %d NVMe command(s) in flight after"
                         " reclaim" % (nvme.name, nvme.inflight_commands))
-    if libos._queues:
-        failures.append("%s qd table not empty after reclaim: %s"
-                        % (libos.name, sorted(libos._queues)))
-    qt = libos.qtokens
-    if qt.in_flight:
-        failures.append("%s kept %d qtoken(s) in flight after reclaim"
-                        % (libos.name, qt.in_flight))
-    if qt.created != qt.completed + qt.cancelled:
-        failures.append(
-            "%s qtoken identity broken after reclaim: created=%d !="
-            " completed=%d + cancelled=%d"
-            % (libos.name, qt.created, qt.completed, qt.cancelled))
+    if isinstance(libos, LibOS):  # a kernel process holds only fds
+        if libos._queues:
+            failures.append("%s qd table not empty after reclaim: %s"
+                            % (libos.name, sorted(libos._queues)))
+        qt = libos.qtokens
+        if qt.in_flight:
+            failures.append("%s kept %d qtoken(s) in flight after reclaim"
+                            % (libos.name, qt.in_flight))
+        if qt.created != qt.completed + qt.cancelled:
+            failures.append(
+                "%s qtoken identity broken after reclaim: created=%d !="
+                " completed=%d + cancelled=%d"
+                % (libos.name, qt.created, qt.completed, qt.cancelled))
     if host.kernel is not None and host.kernel._fds:
         failures.append("%s kernel fd table not empty after reclaim: %s"
                         % (host.name, sorted(host.kernel._fds)))
@@ -288,9 +289,10 @@ class _Run:
         self.libos: Dict[str, Any] = {}
         for each in endpoints:
             self.libos.setdefault(each.host.name, each)
-        #: every libOS of the world: what the invariant checker walks
-        self.checked = [each for each in endpoints
-                        if isinstance(each, LibOS)]
+        #: every libOS of the world, and the kernel of a host the plan
+        #: kills: what the invariant checker walks
+        self.checked = [each for each in endpoints if isinstance(each, LibOS)
+                        or each.host.name in crashed]
         #: the server tier the world row built, if any: the replica
         #: nodes or the sharded server
         self.tier = tier
@@ -700,7 +702,8 @@ def _storage(run: _Run, n_records: int, record_size: int, sync_every: int,
     taxes (syscalls, copied bytes, host CPU) the run paid.
 
     When the plan kills ``h`` nothing is joined, and the crash teardown
-    aborts the writer's NVMe commands.  *device_fails* says the plan
+    reclaims the writer: on spdk it aborts its NVMe commands, on vfs it
+    closes its file descriptor.  *device_fails* says the plan
     outlasts the NVMe recovery ladder: the writer must end in a typed
     :class:`DeviceFailed`, which fails any other run.
     """
@@ -715,11 +718,8 @@ def _storage(run: _Run, n_records: int, record_size: int, sync_every: int,
             names.FILE_APPENDS,)).get(names.FILE_APPENDS, 0)
 
     if "h" in run.crashed:
-        # Crash teardown reclaims a libOS; the kernel VFS's writer has
-        # none, and the driver reports that no teardown ran.
-        if isinstance(host, LibOS):
-            run.on_crash("h", lambda reports: crash_teardown(
-                host, proc, report_to=reports), "chaos.crash.reclaim")
+        run.on_crash("h", lambda reports: crash_teardown(
+            host, proc, report_to=reports), "chaos.crash.reclaim")
         yield  # nothing to join: the driver runs the world past the crash
         if proc.alive:
             run.failures.append("workload still running after the crash"
@@ -1215,7 +1215,7 @@ GOLDEN_SCENARIOS: Dict[str, Dict[str, Any]] = {
             {"dpdk": 400 * _US, "posix": 2 * _MS, "rdma": 300 * _US}[kind]),
     },
     "crash-storage": {
-        "workload": "storage", "kinds": ("spdk",),
+        "workload": "storage", "kinds": ("spdk", "vfs"),
         "blurb": "the storage process dies with NVMe commands in flight",
         "params": {"n_records": 8, "record_size": 2048, "sync_every": 4},
         "plan": lambda kind: FaultPlan(seed=808).proc_crash("h", 200 * _US),

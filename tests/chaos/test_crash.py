@@ -107,6 +107,21 @@ def test_storage_runs_under_a_plan_that_kills_its_host():
     assert r.world.hosts["h"].mm.live_buffer_count == 0
 
 
+def test_a_kernel_process_is_torn_down_through_its_fd_table():
+    # The VFS writer makes only syscalls: its teardown has no qtoken or
+    # queue descriptor to reap and closes its one file descriptor.  The
+    # kernel owns the NVMe queue, so its commands complete rather than
+    # abort, and the host ends as the crash-reclaim invariant requires.
+    r = run_golden("crash-storage", "vfs")
+    assert r.data["reclaim"]["fds_closed"] == 1
+    assert r.data["reclaim"]["qds_closed"] == 0
+    assert r.data["reclaim"]["nvme_aborted"] == 0
+    host = r.world.hosts["h"]
+    assert host.kernel._fds == {}
+    assert host.nvme.inflight_commands == 0
+    assert r.counters["h.reclaim.fds_closed"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Device recovery: the NVMe retry ladder and NIC link flaps
 # ---------------------------------------------------------------------------
@@ -187,6 +202,7 @@ def test_golden_link_flap_posix():
     ("crash-mid-stream", "posix"),
     ("crash-mid-stream", "rdma"),
     ("crash-storage", "spdk"),
+    ("crash-storage", "vfs"),
     ("nvme-fatal-outage", "spdk"),
     ("link-flap", "dpdk"),
 ])

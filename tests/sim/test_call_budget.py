@@ -28,13 +28,17 @@ REQUESTS = 4 * 50
 #: null span or metric is called and `wait` reads no clock: 21 calls per
 #: request gone), 184_162 now (PR 22: a push no longer bounces from the
 #: queue into its libOS, which pays for the one place a received element
-#: is born), 187_070 now (every dpdk libOS takes the batched datapath:
+#: is born), 187_070 later (every dpdk libOS takes the batched datapath:
 #: the four clients flush TX through a ``call_in(0)`` per instant, and a
 #: push and a ``push_to`` share one body); 3.12 inlines comprehensions
-#: and counts fewer.  The budget sits 4 % above the measurement, 37 calls
-#: per request: a call added to every counter bump (62 per request), or
-#: two to each of a request's 20 events, trips it; one per event does not.
-CALL_BUDGET = 194_553
+#: and counts fewer.  193_130 before counters became fields and 180_455
+#: after: a bump is an attribute add, not a call (58 per request), a wait
+#: plants one bound callback, and a qtoken is one record, retired with
+#: one ``pop``.  The budget sits 4 % above the measurement, 36 calls per
+#: request: a call put back into every counter bump (62 per request), or
+#: two added to each of a request's 20 events, trips it; one per event
+#: does not.
+CALL_BUDGET = 187_673
 
 #: events scheduled and the heap's peak length for the same 200 requests:
 #: 4175 and 166 before PR 20, 3803 and 32 after it (TCP's timers are one
@@ -67,10 +71,11 @@ HEAP_PEAK_BUDGET = 40
 #: forwarder posts its ring WRITEs without waiting for each and one
 #: reaper per link takes their completions (+0.2 %: a post, a pulse and a
 #: wake-up of the reaper per entry, less the cursor READs the heartbeat
-#: made unneeded).  The budget sits 2.8 % above that measurement: a timer
-#: that ticks through the idle time again (a heartbeat is one per 20 us
-#: per link) trips it.
-REPLICA_CALL_BUDGET = 817_500
+#: made unneeded).  788_585 before counters became fields and 741_093
+#: after (a bump is an attribute add, not a call).  The budget sits 4 %
+#: above that measurement: a timer that ticks through the idle time
+#: again (a heartbeat is one per 20 us per link) trips it.
+REPLICA_CALL_BUDGET = 770_737
 
 _SCRIPT = """
 import cProfile, pstats

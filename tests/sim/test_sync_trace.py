@@ -117,8 +117,9 @@ class TestCounterScope:
         assert t.get("h.x") == 2
 
     def test_memoised_names_are_the_formatted_names(self):
-        # count() memoises leaf -> full key per scope; every name must be
-        # the one the '%'-format produced, on the first bump and after.
+        # The tracer joins each scope's prefix and leaf when it is read;
+        # every name must be the one the '%'-format produced, on the
+        # first bump and after.
         t = Tracer()
         nested = t.scope("a").scope("b")
         for _ in range(3):
