@@ -86,21 +86,13 @@ class KvEngine:
         self.tracer = host.tracer
         self.name = name
         self._table: Dict[bytes, SgaSegment] = {}
-        self.gets = 0
-        self.puts = 0
-        self.deletes = 0
-        self.misses = 0
 
     def parse_cost(self) -> int:
         return self.costs.kv_parse_ns
 
     def get(self, key: bytes) -> Optional[SgaSegment]:
         """GET work (hash lookup); the value is shared, not copied."""
-        self.gets += 1
-        value = self._table.get(key)
-        if value is None:
-            self.misses += 1
-        return value
+        return self._table.get(key)
 
     def put(self, key: bytes, value: bytes) -> SgaSegment:
         """The section-4.5 pattern: new buffer, pointer swap, free old.
@@ -109,7 +101,6 @@ class KvEngine:
         GET response; free-protection defers its deallocation until the
         device lets go - no coordination needed here.
         """
-        self.puts += 1
         new_buf = self.mm.alloc(max(1, len(value)))
         new_buf.write(0, value)
         stored = SgaSegment(new_buf, 0, len(value))
@@ -128,7 +119,6 @@ class KvEngine:
         stored = self._table.pop(key, None)
         if stored is None:
             return False
-        self.deletes += 1
         if not stored.buf.freed:
             self.mm.free(stored.buf)
         return True
@@ -293,10 +283,6 @@ class KvNicOffload:
         self.port = port
         self.n_shards = n_shards
         self.codec = LegacyKvCodec()
-        self.hits = 0
-        self.misses = 0
-        self.steered = 0
-        self.punts = 0
 
     def install(self) -> None:
         self.nic.install_rx_program(self)
@@ -307,12 +293,10 @@ class KvNicOffload:
         if (len(frame) < 42 or frame[12:14] != b"\x08\x00"
                 or frame[14] != 0x45 or frame[23] != PROTO_UDP
                 or frame[30:34] != ip_to_bytes(self.ip)):
-            self.punts += 1
             offload.counters.offload_kv_punts += 1
             return None
         (dst_port,) = struct.unpack_from("!H", frame, 36)
         if dst_port != self.port:
-            self.punts += 1
             offload.counters.offload_kv_punts += 1
             return None
         # -- map stage: parse + key hash -----------------------------------
@@ -320,25 +304,21 @@ class KvNicOffload:
         try:
             request = codec.decode_message(frame[42:])
         except CodecError:
-            self.punts += 1
             offload.counters.offload_kv_punts += 1
             return None
         key = request.key
         if request.op == "get":
             value = self.engine.get(key)
             if value is None:
-                self.misses += 1
                 offload.counters.offload_kv_misses += 1
                 return self._reply(frame, codec.encode(Response(ST_MISS)))
             if value.nbytes <= INLINE_VALUE_LIMIT:
                 # DMA the value out of host memory: device time, not CPU.
                 offload.charge_device(self.nic.costs.dma_ns(value.nbytes))
-                self.hits += 1
                 offload.counters.offload_kv_hits += 1
                 return self._reply(frame, codec.encode(
                     Response(ST_VALUE, value=value.tobytes())))
         # -- steer stage: the owning shard's RX queue ----------------------
-        self.steered += 1
         offload.counters.offload_kv_steered += 1
         return ("steer", key_partition(key, self.n_shards))
 
@@ -443,12 +423,12 @@ def posix_kv_client(kernel: Kernel, server_ip: str,
 # ---------------------------------------------------------------------------
 
 def kv_workload(rng: Rng, n_ops: int, n_keys: int = 1000,
-                value_size: int = 1024, get_fraction: float = 0.9,
-                zipf_skew: float = 0.99) -> List[Tuple[int, bytes, Optional[bytes]]]:
+                value_size: int = 1024, get_fraction: float = 0.9
+                ) -> List[Tuple[int, bytes, Optional[bytes]]]:
     """A YCSB-ish operation mix with a Zipf-hot key distribution."""
     ops: List[Tuple[int, bytes, Optional[bytes]]] = []
     for _ in range(n_ops):
-        key = b"key-%08d" % rng.zipf_index(n_keys, zipf_skew)
+        key = b"key-%08d" % rng.zipf_index(n_keys)
         if rng.chance(get_fraction):
             ops.append((OP_GET, key, None))
         else:

@@ -98,11 +98,9 @@ class _StreamBuffer:
 
     def __init__(self):
         self._data = bytearray()
-        self.bytes_in = 0
 
     def extend(self, chunk: bytes) -> None:
         self._data.extend(chunk)
-        self.bytes_in += len(chunk)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -132,11 +130,6 @@ class Codec(ABC):
     def __init__(self):
         self._rx = _StreamBuffer()        # server side: requests in
         self._rx_replies = _StreamBuffer()  # client side: responses in
-        #: feeds that completed no message (the C3 wasted-inspection
-        #: analog, same contract as netstack.framing.Deframer)
-        self.partial_feeds = 0
-        self.requests_decoded = 0
-        self.responses_decoded = 0
 
     # -- server side -------------------------------------------------------
     def feed(self, chunk: bytes) -> List[Request]:
@@ -148,9 +141,6 @@ class Codec(ABC):
             if req is None:
                 break
             out.append(req)
-        self.requests_decoded += len(out)
-        if not out:
-            self.partial_feeds += 1
         return out
 
     @abstractmethod
@@ -171,7 +161,6 @@ class Codec(ABC):
             if resp is None:
                 break
             out.append(resp)
-        self.responses_decoded += len(out)
         return out
 
     # -- message transports ------------------------------------------------

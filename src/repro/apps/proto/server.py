@@ -74,11 +74,6 @@ class ProtoService:
         self.store = store
         self.shard_index = shard_index
         self.n_shards = n_shards
-        self.requests_served = 0
-        self.error_replies = 0
-        #: requests for keys another shard owns - nonzero means the
-        #: client's flow steering and key partitioning disagree
-        self.misrouted = 0
         self._cas: Dict[bytes, int] = {}
         self._cas_counter = 0
 
@@ -87,14 +82,12 @@ class ProtoService:
         libos = self.libos
         if (self.n_shards > 1 and request.key and key_partition(
                 request.key, self.n_shards) != self.shard_index):
-            self.misrouted += 1
+            # the client's flow steering and key partitioning disagree
             libos.counters.shard_misrouted_requests += 1
         yield libos.core.busy(libos.costs.kv_parse_ns)
         op = request.op
-        self.requests_served += 1
         libos.counters.proto_requests += 1
         if op == "invalid":
-            self.error_replies += 1
             libos.counters.proto_error_replies += 1
             return Response(status=ST_ERROR, message=request.error,
                             opaque=request.opaque, op=op)
@@ -133,7 +126,6 @@ class ProtoService:
                 self._cas_counter += 1
                 self._cas[key] = self._cas_counter
             return Response(status=ST_STORED, opaque=request.opaque, op=op)
-        self.error_replies += 1
         libos.counters.proto_error_replies += 1
         return Response(status=ST_ERROR, message="unsupported op %r" % op,
                         opaque=request.opaque, op=op)
@@ -184,24 +176,18 @@ class ProtoServer:
         self.port = port
         self.loop = DemiEventLoop(libos)
         self.service = ProtoService(libos, store, shard_index, n_shards)
-        self.connections_accepted = 0
-        self.decode_errors = 0
         #: application service time per served element: pop completion
         #: -> reply push completion (what C1 measures)
         self.service_stats = LatencyStats("kv-service")
 
-    # -- aggregates the benches read --------------------------------------
+    # -- the counters perfbench reads ------------------------------------
     @property
-    def requests_served(self) -> int:
-        return self.service.requests_served
+    def decode_errors(self) -> int:
+        return self.libos.counters.proto_decode_errors
 
     @property
     def error_replies(self) -> int:
-        return self.service.error_replies
-
-    @property
-    def misrouted(self) -> int:
-        return self.service.misrouted
+        return self.libos.counters.proto_error_replies
 
     def start(self) -> Generator:
         """Spawn-me: listen, then dispatch the event loop until stopped."""
@@ -211,7 +197,6 @@ class ProtoServer:
         yield from libos.listen(listen_qd)
         self.loop.add_accept_event(listen_qd, self._on_conn)
         yield from self.loop.run()
-        return self.requests_served
 
     def stop(self) -> None:
         self.loop.stop()
@@ -219,7 +204,6 @@ class ProtoServer:
     def _on_conn(self, qd: int) -> None:
         libos = self.libos
         codec = self.codec_factory()  # per-connection incremental state
-        self.connections_accepted += 1
         libos.counters.proto_connections += 1
 
         def on_data(result):
@@ -234,7 +218,6 @@ class ProtoServer:
             libos.sga_free(result.sga)
             libos.counters.shard_requests += 1
             if not ok:
-                self.decode_errors += 1
                 self.loop.remove(handle)
                 yield from libos.close(qd)
 

@@ -12,13 +12,13 @@ Production-shaped traffic, all knobs seeded and deterministic:
 
 * **Poisson arrivals** per connection (``rate_ops_per_s`` split evenly);
   arrivals that fall due while a push is blocked pipeline into one
-  element (up to ``pipeline_max`` - the batching real clients do).
-* **Zipfian keys** (``zipf_skew``) over a preloaded keyspace with a
-  GET/SET mix.
+  element (up to :data:`PIPELINE_MAX` - the batching real clients do).
+* **Zipfian keys** (:data:`repro.sim.rand.ZIPF_SKEW`) over a preloaded
+  keyspace with a GET/SET mix.
 * **Connection churn**: every ``churn_every`` requests a connection
   drains, disconnects and reconnects (TIME_WAIT-style churn).
 * **Slow readers**: the first ``stall_conns`` connections stop reading
-  replies for ``stall_ns`` mid-run while still sending.
+  replies for :data:`STALL_NS` mid-run while still sending.
 * **Split writes**: ``chunk_bytes`` slices the encoded batch into
   arbitrary chunks, exercising the codecs' incremental reassembly on
   the server.
@@ -55,6 +55,10 @@ __all__ = ["LoadConfig", "ConnMetrics", "PORT", "arrival_times",
 PORT = 6390
 #: bound on a connection's end-of-run (and pre-churn) reply drain
 DRAIN_TIMEOUT_NS = 100_000_000
+#: the most requests one push coalesces
+PIPELINE_MAX = 16
+#: how long a stalled reader stops reading
+STALL_NS = 2_000_000
 
 
 @dataclass
@@ -66,14 +70,11 @@ class LoadConfig:
     rate_ops_per_s: float = 50_000.0   # total offered load, all connections
     duration_ms: int = 20              # measurement window (sim time)
     n_connections: int = 4
-    pipeline_max: int = 16             # max requests coalesced per push
     n_keys: int = 64
     value_size: int = 128
     get_fraction: float = 0.9
-    zipf_skew: float = 0.99
     churn_every: int = 0               # reconnect after N requests (0 = never)
     stall_conns: int = 0               # first N connections stall mid-run
-    stall_ns: int = 2_000_000          # how long a stalled reader stops
     chunk_bytes: int = 0               # split pushed bytes (0 = whole batch)
 
 
@@ -122,8 +123,8 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
                              window_ns)
     start_ns = libos.sim.now
     stall_at = start_ns + window_ns // 3
-    stall_until = stall_at + cfg.stall_ns
-    stalls_enabled = conn_id < cfg.stall_conns and cfg.stall_ns > 0
+    stall_until = stall_at + STALL_NS
+    stalls_enabled = conn_id < cfg.stall_conns
     stalled_once = False
 
     codec = codec_cls()
@@ -210,8 +211,8 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
         batch: List[Request] = []
         while (i < len(arrivals)
                and start_ns + arrivals[i] <= libos.sim.now
-               and len(batch) < cfg.pipeline_max):
-            key = keys[rng.zipf_index(len(keys), cfg.zipf_skew) - 1]
+               and len(batch) < PIPELINE_MAX):
+            key = keys[rng.zipf_index(len(keys)) - 1]
             if rng.chance(cfg.get_fraction):
                 batch.append(Request(op="get", key=key, opaque=i))
             else:

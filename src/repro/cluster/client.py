@@ -54,7 +54,7 @@ def src_port_for_queue(client_ip: str, server_ip: str, queue: int,
 
 def shard_workload(rng: Rng, n_ops: int, shard: int, n_shards: int,
                    n_keys: int = 256, value_size: int = 256,
-                   get_fraction: float = 0.9, zipf_skew: float = 0.99
+                   get_fraction: float = 0.9
                    ) -> List[Tuple[int, bytes, Optional[bytes]]]:
     """A YCSB-ish mix restricted to keys *shard* owns.
 
@@ -75,7 +75,7 @@ def shard_workload(rng: Rng, n_ops: int, shard: int, n_shards: int,
     ops: List[Tuple[int, bytes, Optional[bytes]]] = [
         (OP_PUT, key, rng.bytes(value_size)) for key in owned]
     for _ in range(max(0, n_ops - len(owned))):
-        key = owned[rng.zipf_index(len(owned), zipf_skew)]
+        key = owned[rng.zipf_index(len(owned))]
         if rng.chance(get_fraction):
             ops.append((OP_GET, key, None))
         else:

@@ -121,33 +121,26 @@ class ShardedKvServer:
         for shard in self.shards:
             shard.stop()
 
-    # -- aggregates ------------------------------------------------------
-    @property
-    def requests_served(self) -> int:
-        return sum(s.server.requests_served for s in self.shards)
-
-    @property
-    def wakeups(self) -> int:
-        return sum(s.server.loop.wakeups for s in self.shards)
-
+    # -- the counters perfbench reads, summed over the shards -------------
     @property
     def wasted_wakeups(self) -> int:
-        return sum(s.server.loop.wasted_wakeups for s in self.shards)
+        return sum(s.libos.counters.shard_wasted_wakeups for s in self.shards)
 
     @property
     def cross_wakeups(self) -> int:
-        return sum(s.server.loop.cross_wakeups for s in self.shards)
+        return sum(s.libos.counters.shard_cross_wakeups for s in self.shards)
 
     @property
     def misrouted(self) -> int:
-        return sum(s.server.misrouted for s in self.shards)
+        return sum(s.libos.counters.shard_misrouted_requests
+                   for s in self.shards)
 
     @property
     def decode_errors(self) -> int:
-        return sum(s.server.decode_errors for s in self.shards)
+        return sum(s.libos.counters.proto_decode_errors for s in self.shards)
 
     def per_shard_requests(self) -> List[int]:
-        return [s.server.requests_served for s in self.shards]
+        return [s.libos.counters.proto_requests for s in self.shards]
 
     def utilizations(self, elapsed_ns: int) -> List[float]:
         return [s.core.utilization(elapsed_ns) for s in self.shards]
@@ -155,43 +148,39 @@ class ShardedKvServer:
     def qtoken_identity_ok(self) -> bool:
         return all(s.libos.qtokens.identity_ok for s in self.shards)
 
-    def metrics_row(self, elapsed_ns: int, tracer) -> dict:
+    def metrics_row(self, elapsed_ns: int) -> dict:
         """One scaling-bench row's worth of server-side accounting.
 
         Everything the ``kv-scaling`` workload records from the server
         (docs/api.md): request totals, the wake-one counters that must
         stay zero, the qtoken identity, and the batched-fast-path cost
-        columns.  The workload adds the client-side latency numbers on
-        top.
+        columns, each read off the shards' libOS scopes.  The workload
+        adds the client-side latency numbers on top.
         """
-        requests = self.requests_served
-        wait_timeouts = doorbells = doorbells_saved = 0
-        server_busy_ns = 0
-        for shard in self.shards:
-            scope = shard.libos.name
-            wait_timeouts += tracer.get("%s.wait_timeouts" % scope) or 0
-            doorbells += tracer.get("%s.doorbells" % scope) or 0
-            doorbells_saved += tracer.get("%s.doorbells_saved" % scope) or 0
-            server_busy_ns += shard.core.busy_ns
+        per_shard = self.per_shard_requests()
+        requests = sum(per_shard)
+        scopes = [s.libos.counters for s in self.shards]
+        wakeups = sum(c.shard_wakeups for c in scopes)
         return {
             "cores": self.n_shards,
             "requests": requests,
             "elapsed_ns": elapsed_ns,
             "throughput_ops_per_s": (requests / (elapsed_ns / 1e9)
                                      if elapsed_ns else 0.0),
-            "per_shard_requests": self.per_shard_requests(),
+            "per_shard_requests": per_shard,
             "per_core_utilization": [round(u, 4) for u in
                                      self.utilizations(elapsed_ns)],
-            "wakeups": self.wakeups,
+            "wakeups": wakeups,
             "wasted_wakeups": self.wasted_wakeups,
             "cross_shard_wakeups": self.cross_wakeups,
             "misrouted_requests": self.misrouted,
-            "wait_timeouts": wait_timeouts,
+            "wait_timeouts": sum(c.wait_timeouts for c in scopes),
             "qtoken_identity_ok": self.qtoken_identity_ok(),
             # -- batched fast-path accounting ----------------------------
-            "per_op_server_cpu_ns": round(server_busy_ns / max(1, requests),
-                                          1),
-            "doorbells": doorbells,
-            "doorbells_saved": doorbells_saved,
-            "requests_per_wakeup": round(requests / max(1, self.wakeups), 3),
+            "per_op_server_cpu_ns": round(
+                sum(s.core.busy_ns for s in self.shards) / max(1, requests),
+                1),
+            "doorbells": sum(c.doorbells for c in scopes),
+            "doorbells_saved": sum(c.doorbells_saved for c in scopes),
+            "requests_per_wakeup": round(requests / max(1, wakeups), 3),
         }

@@ -15,9 +15,10 @@ The dispatcher is *wake-one*: the wait carries no timeout unless a timer
 is registered, one crossing drains every completion that is ready at the
 wake-up instant, and each event is re-armed only after its callback
 returns.  Every wake-up therefore carries real work, which the loop
-makes measurable rather than assumed - ``wasted_wakeups`` (woke with
-nothing to do) and ``cross_wakeups`` (woke for a queue the event does
-not own) must both end a run at zero.
+makes measurable rather than assumed: it counts on its libOS's scope, and
+``shard_wasted_wakeups`` (woke with nothing to do) and
+``shard_cross_wakeups`` (woke for a queue the event does not own) must
+both end a run at zero.
 
 Callbacks may be plain callables (run inline) or generator functions
 (sim-coroutines, driven to completion before the next dispatch), mirroring
@@ -91,9 +92,6 @@ class DemiEventLoop:
         self._stop_token: Optional[QToken] = None
         self.dispatches = 0
         self.timer_fires = 0
-        self.wakeups = 0
-        self.wasted_wakeups = 0
-        self.cross_wakeups = 0
 
     # -- registration ---------------------------------------------------------
     def add_pop_event(self, qd: int,
@@ -206,10 +204,8 @@ class DemiEventLoop:
             except DemiTimeout:
                 if not timer.handle.active:
                     # The timer we armed for was removed while we slept.
-                    self.wasted_wakeups += 1
                     libos.counters.shard_wasted_wakeups += 1
                 continue
-            self.wakeups += 1
             libos.counters.shard_wakeups += 1
             libos.counters.shard_batch_completions += len(ready)
             # ``ready`` is sorted by index and events registered by a
@@ -223,7 +219,6 @@ class DemiEventLoop:
                 if not event.handle.active:
                     continue  # removed while its pop was in flight
                 if result.qd != event.qd:  # pragma: no cover - the claim
-                    self.cross_wakeups += 1
                     libos.counters.shard_cross_wakeups += 1
                 self.dispatches += 1
                 yield from self._run_callback(event.callback, result)

@@ -309,7 +309,6 @@ class SortedQueue(_DerivedQueue):
         while self._pending_pops and self._heap:
             token = self._pending_pops.popleft()
             _key, _seq, sga = heapq.heappop(self._heap)
-            self.popped_elements += 1
             self._complete(token, QResult(OP_POP, self.qd, sga=sga,
                                           nbytes=sga.nbytes))
         self.space_wq.pulse()
@@ -341,7 +340,6 @@ class QueueConnector:
         self.libos = libos
         self.q_in = q_in
         self.q_out = q_out
-        self.moved = 0
         self.stopped = False
         self._proc = libos.sim.spawn(
             self._run(), name="%s.qconnect" % libos.name)
@@ -355,7 +353,6 @@ class QueueConnector:
                 self.q_out.qd, result.sga)
             if push_result.error is not None:
                 break
-            self.moved += 1
 
     def stop(self) -> None:
         self.stopped = True

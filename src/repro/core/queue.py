@@ -44,8 +44,6 @@ class DemiQueue:
         #: pulsed when _ready drains (producers with bounded buffers wait)
         self.space_wq = WaitQueue(self.sim, "q%d.space" % qd)
         self.capacity: Optional[int] = None  # None = unbounded
-        self.pushed_elements = 0
-        self.popped_elements = 0
         #: processes that live as long as the queue; reap() ends them
         self._pumps: List = []
 
@@ -70,7 +68,6 @@ class DemiQueue:
             return
         if self._ready:
             sga, value = self._ready.popleft()
-            self.popped_elements += 1
             if self.libos.tracer.tracing:
                 self._trace_depth()
             self.space_wq.pulse()
@@ -97,7 +94,6 @@ class DemiQueue:
         if self._pending_pops:
             token = self._pending_pops.popleft()
             # Tokens are single-shot; complete exactly this one and stop.
-            self.popped_elements += 1
             self._complete(token, QResult(OP_POP, self.qd, sga=sga,
                                           nbytes=sga.nbytes, value=value))
             return
@@ -313,6 +309,5 @@ class MemoryQueue(DemiQueue):
         if not self.has_room():
             self._complete(token, QResult(OP_PUSH, self.qd, error="full"))
             return
-        self.pushed_elements += 1
         self.deliver(sga)
         self._complete(token, QResult(OP_PUSH, self.qd, nbytes=sga.nbytes))

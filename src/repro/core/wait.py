@@ -42,12 +42,6 @@ class QTokenTable:
         #: token -> span covering the operation's lifetime (tracing only)
         self._spans: Dict[QToken, object] = {}
         self._next_token: QToken = 1
-        # Lifecycle accounting: every minted token must end up exactly one
-        # of completed or cancelled - chaos tests assert the identity
-        # ``created == completed + cancelled + in_flight``.
-        self.created = 0
-        self.completed = 0
-        self.cancelled = 0
 
     # -- creation / completion (queue side) -----------------------------------
     def create(self, on_cancel: Optional[Callable[[QToken], None]] = None
@@ -61,7 +55,6 @@ class QTokenTable:
         self._next_token += 1
         done = Completion(self.sim, ("%s.%d", self.name, token))
         self._pending[token] = (done, on_cancel)
-        self.created += 1
         self.counters.qtokens_created += 1
         return token, done
 
@@ -84,7 +77,6 @@ class QTokenTable:
                 return False
             raise DemiError("completion of unknown qtoken %r" % token)
         done = entry[0]
-        self.completed += 1
         self.counters.qtokens_completed += 1
         if self.tracer.tracing:
             span = self._spans.pop(token, None)
@@ -112,7 +104,6 @@ class QTokenTable:
             raise DemiError("cancel of already-completed qtoken %r" % token)
         del self._pending[token]
         self._cancelled.add(token)
-        self.cancelled += 1
         if on_cancel is not None:
             on_cancel(token)
         if self.tracer.tracing:
@@ -127,6 +118,22 @@ class QTokenTable:
             raise DemiError("unknown or already-waited qtoken %r" % token)
         return entry[0]
 
+    # Lifecycle accounting: every minted token must end up exactly one of
+    # completed or cancelled - chaos tests assert the identity
+    # ``created == completed + cancelled + in_flight``.  The table's
+    # scope counts them; these read it for perfbench.
+    @property
+    def created(self) -> int:
+        return self.counters.qtokens_created
+
+    @property
+    def completed(self) -> int:
+        return self.counters.qtokens_completed
+
+    @property
+    def cancelled(self) -> int:
+        return self.counters.qtokens_cancelled
+
     @property
     def in_flight(self) -> int:
         """Tokens whose operation has neither completed nor cancelled."""
@@ -137,7 +144,10 @@ class QTokenTable:
     def identity_ok(self) -> bool:
         """The lifecycle identity: every minted token is exactly one of
         completed, cancelled or still in flight."""
-        return self.created == self.completed + self.cancelled + self.in_flight
+        counters = self.counters
+        return counters.qtokens_created == (counters.qtokens_completed
+                                            + counters.qtokens_cancelled
+                                            + self.in_flight)
 
     def _retire(self, token: QToken) -> None:
         self._pending.pop(token, None)

@@ -86,7 +86,6 @@ class NvmeDevice(Device):
         #: flash channels: how many commands make progress at once
         self.channels = channels
         self._channel_free = [0] * channels
-        self.flushes = 0
         #: commands submitted but not yet completed/aborted
         self._inflight: Dict[int, Dict[str, Any]] = {}
 
@@ -190,7 +189,6 @@ class NvmeDevice(Device):
 
     def submit_flush(self) -> Completion:
         """Barrier: completion fires after the flush latency."""
-        self.flushes += 1
         self.counters.flushes += 1
         delay = self._occupy_channel(self.costs.nvme_flush_ns)
         if self.tracer.tracing:

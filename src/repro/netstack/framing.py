@@ -42,9 +42,7 @@ class Deframer:
     def __init__(self):
         self._buffer = bytearray()
         self._need: Optional[int] = None
-        self.messages_out = 0
         self.partial_inspections = 0
-        self.bytes_in = 0
 
     def feed(self, chunk: bytes) -> List[bytes]:
         """Consume a stream chunk; return every *complete* message in it.
@@ -53,7 +51,6 @@ class Deframer:
         message - that is a wasted inspection, and it is counted.
         """
         self._buffer.extend(chunk)
-        self.bytes_in += len(chunk)
         out: List[bytes] = []
         while True:
             if self._need is None:
@@ -70,7 +67,6 @@ class Deframer:
             del self._buffer[:self._need]
             self._need = None
             out.append(payload)
-            self.messages_out += 1
         if not out:
             self.partial_inspections += 1
         return out

@@ -32,16 +32,14 @@ class UdpDatagram:
     dst_port: int
     payload: bytes
 
-    def pack(self, src_ip: str, dst_ip: str, with_checksum: bool = True) -> bytes:
+    def pack(self, src_ip: str, dst_ip: str) -> bytes:
         length = UDP_HEADER_LEN + len(self.payload)
         header = struct.pack("!HHHH", self.src_port, self.dst_port, length, 0)
-        if with_checksum:
-            pseudo = pseudo_header(src_ip, dst_ip, 17, length)
-            csum = internet_checksum(pseudo + header + self.payload)
-            if csum == 0:
-                csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-            header = header[:6] + struct.pack("!H", csum)
-        return header + self.payload
+        pseudo = pseudo_header(src_ip, dst_ip, 17, length)
+        csum = internet_checksum(pseudo + header + self.payload)
+        if csum == 0:
+            csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
+        return header[:6] + struct.pack("!H", csum) + self.payload
 
     @classmethod
     def unpack(cls, raw: bytes) -> "UdpDatagram":

@@ -38,7 +38,6 @@ class Core:
         self.index = index
         self._free_at = 0
         self.busy_ns = 0
-        self.jobs = 0
 
     def busy(self, ns: int) -> Completion:
         """Charge *ns* of CPU time; the completion fires when the work ends.
@@ -55,7 +54,6 @@ class Core:
         done = start + ns
         self._free_at = done
         self.busy_ns += ns
-        self.jobs += 1
         return Timeout(self.sim, done - now)
 
     def charge_async(self, ns: int) -> None:
@@ -68,7 +66,6 @@ class Core:
             start = now
         self._free_at = start + ns
         self.busy_ns += ns
-        self.jobs += 1
 
     def charge_retro(self, ns: int) -> None:
         """Account CPU time that was burned while wall time already passed.
@@ -83,7 +80,6 @@ class Core:
         if ns.__class__ is not int or ns < 0:
             ns = _whole_ns(ns)
         self.busy_ns += ns
-        self.jobs += 1
 
     @property
     def free_at(self) -> int:

@@ -426,7 +426,6 @@ class Simulator:
         self._seq = 0
         self._tombstones = 0
         self._active: Optional[Process] = None
-        self.processes_spawned = 0
 
     @property
     def now(self) -> int:
@@ -478,7 +477,6 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start *gen* as a new process; returns its join handle."""
-        self.processes_spawned += 1
         return Process(self, gen, name)
 
     # -- running ------------------------------------------------------------

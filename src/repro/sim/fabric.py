@@ -33,12 +33,6 @@ class Port:
         self.addr = addr
         self.deliver = deliver
         self._egress_free_at = 0
-        self.tx_frames = 0
-        self.rx_frames = 0
-        self.tx_bytes = 0
-        self.rx_bytes = 0
-        #: frames destined for this port that the switch dropped
-        self.dropped_frames = 0
 
 
 class Fabric:
@@ -93,8 +87,6 @@ class Fabric:
         start = max(now, src._egress_free_at)
         src._egress_free_at = start + serialize
         arrive = start + serialize + self.costs.link_latency_ns
-        src.tx_frames += 1
-        src.tx_bytes += nbytes
         self.counters.tx_frames += 1
         self.counters.tx_bytes += nbytes
 
@@ -118,26 +110,20 @@ class Fabric:
                      nbytes: int, base_delay: int) -> None:
         """Decide and schedule one (frame, destination) delivery."""
         if self.drop_rate and self.rng.chance(self.drop_rate):
-            self._drop(dst)
+            self.counters.dropped_frames += 1
             return
         if self.fault_filter is not None:
             fate = self.fault_filter(src_addr, dst.addr, frame, nbytes)
             if fate is not None:
                 if not fate:
-                    self._drop(dst)
+                    self.counters.dropped_frames += 1
                     return
                 for extra_ns, out_frame in fate:
                     self.sim.call_in(base_delay + extra_ns, self._arrive,
-                                     dst, out_frame, nbytes)
+                                     dst, out_frame)
                 return
-        self.sim.call_in(base_delay, self._arrive, dst, frame, nbytes)
+        self.sim.call_in(base_delay, self._arrive, dst, frame)
 
-    def _drop(self, dst: Port) -> None:
-        dst.dropped_frames += 1
-        self.counters.dropped_frames += 1
-
-    def _arrive(self, port: Port, frame: Any, nbytes: int) -> None:
-        port.rx_frames += 1
-        port.rx_bytes += nbytes
+    def _arrive(self, port: Port, frame: Any) -> None:
         self.counters.rx_frames += 1
         port.deliver(frame)

@@ -10,7 +10,10 @@ from __future__ import annotations
 import random
 import zlib
 
-__all__ = ["Rng"]
+__all__ = ["Rng", "ZIPF_SKEW"]
+
+#: the key-popularity skew of every workload (YCSB's zipfian constant)
+ZIPF_SKEW = 0.99
 
 
 class Rng:
@@ -54,25 +57,23 @@ class Rng:
             raise ValueError("mean must be positive")
         return self._r.expovariate(1.0 / mean)
 
-    def zipf_index(self, n: int, skew: float = 0.99) -> int:
-        """A Zipf-distributed index in [0, n) (hot-key workloads)."""
+    def zipf_index(self, n: int) -> int:
+        """A Zipf-distributed index in [0, n), skew :data:`ZIPF_SKEW`
+        (hot-key workloads)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        if skew <= 0:
-            return self._r.randrange(n)
         # Inverse-CDF over the generalized harmonic weights, computed lazily
-        # and cached per (n, skew).
-        key = (n, skew)
-        cdf = _ZIPF_CACHE.get(key)
+        # and cached per n.
+        cdf = _ZIPF_CACHE.get(n)
         if cdf is None:
-            weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
+            weights = [1.0 / ((i + 1) ** ZIPF_SKEW) for i in range(n)]
             total = sum(weights)
             acc = 0.0
             cdf = []
             for w in weights:
                 acc += w / total
                 cdf.append(acc)
-            _ZIPF_CACHE[key] = cdf
+            _ZIPF_CACHE[n] = cdf
         u = self._r.random()
         lo, hi = 0, n - 1
         while lo < hi:

@@ -22,7 +22,6 @@ class WaitQueue:
         self._wait_label = "%s.wait" % name
         self._waiters: List[Completion] = []
         self._observers: List[Any] = []
-        self.pulses = 0
 
     def wait(self) -> Completion:
         done = Completion(self.sim, self._wait_label)
@@ -39,7 +38,6 @@ class WaitQueue:
 
     def pulse(self, value: Any = None) -> int:
         """Wake every waiter; returns how many woke."""
-        self.pulses += 1
         waiters, self._waiters = self._waiters, []
         for w in waiters:
             w.trigger(value)

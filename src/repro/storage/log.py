@@ -129,8 +129,6 @@ class LogStore:
         #: the window after the last of them begins
         self._starts: List[int] = []
         self._next_window = 0
-        self.records_appended = 0
-        self.records_read = 0
 
     # -- geometry --------------------------------------------------------------
     @property
@@ -169,7 +167,6 @@ class LogStore:
         record_id = self.tail
         self._buffer.extend(record)
         self.tail += len(record)
-        self.records_appended += 1
         if record_id >= self._next_window:
             self._note_start(record_id)
         # User-space bookkeeping only - no syscall, no copy to a kernel
@@ -250,7 +247,6 @@ class LogStore:
         why = self._mismatch(header, payload)
         if why:
             raise LogError(why % record_id)
-        self.records_read += 1
 
     @staticmethod
     def _unpack(buf: Buffer, at: int) -> Tuple[bytes, bytes]:

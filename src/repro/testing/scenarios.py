@@ -149,21 +149,21 @@ class ScenarioResult:
 # Invariant checks
 # ---------------------------------------------------------------------------
 
-def _check_libos(failures: List[str], world, libos, drained: bool) -> None:
-    qt = libos.qtokens
+def _check_libos(failures: List[str], libos, drained: bool) -> None:
+    qt, counters = libos.qtokens, libos.counters
     if not qt.identity_ok:
         failures.append(
             "%s qtoken leak: created=%d != completed=%d + cancelled=%d"
-            " + in_flight=%d" % (libos.name, qt.created, qt.completed,
-                                 qt.cancelled, qt.in_flight))
+            " + in_flight=%d" % (libos.name, counters.qtokens_created,
+                                 counters.qtokens_completed,
+                                 counters.qtokens_cancelled, qt.in_flight))
     if drained and qt.in_flight:
         failures.append("%s finished with %d qtokens still in flight"
                         % (libos.name, qt.in_flight))
-    waits = world.tracer.get("%s.waits" % libos.name)
-    completed = world.tracer.get("%s.qtokens_completed" % libos.name)
-    if waits > completed:
+    if counters.waits > counters.qtokens_completed:
         failures.append("%s woke without work: %d waits > %d completions"
-                        % (libos.name, waits, completed))
+                        % (libos.name, counters.waits,
+                           counters.qtokens_completed))
 
 
 def _check_reclaimed(failures: List[str], libos) -> None:
@@ -189,15 +189,17 @@ def _check_reclaimed(failures: List[str], libos) -> None:
         if libos._queues:
             failures.append("%s qd table not empty after reclaim: %s"
                             % (libos.name, sorted(libos._queues)))
-        qt = libos.qtokens
+        qt, counters = libos.qtokens, libos.counters
         if qt.in_flight:
             failures.append("%s kept %d qtoken(s) in flight after reclaim"
                             % (libos.name, qt.in_flight))
-        if qt.created != qt.completed + qt.cancelled:
+        if counters.qtokens_created != (counters.qtokens_completed
+                                        + counters.qtokens_cancelled):
             failures.append(
                 "%s qtoken identity broken after reclaim: created=%d !="
                 " completed=%d + cancelled=%d"
-                % (libos.name, qt.created, qt.completed, qt.cancelled))
+                % (libos.name, counters.qtokens_created,
+                   counters.qtokens_completed, counters.qtokens_cancelled))
     if host.kernel is not None and host.kernel._fds:
         failures.append("%s kernel fd table not empty after reclaim: %s"
                         % (host.name, sorted(host.kernel._fds)))
@@ -505,14 +507,15 @@ def _kv(run: _Run, streams, **shape):
         # Trim each client's cold start (ARP + connect) individually.
         stats.extend(client_stats.samples[WARMUP:])
     total_ops = sum(len(ops) for ops in logs)
-    if kv.requests_served != total_ops:
+    served = server.counters.proto_requests
+    if served != total_ops:
         run.failures.append("server served %d of %d requests"
-                            % (kv.requests_served, total_ops))
+                            % (served, total_ops))
     run.data.update(
-        served=kv.requests_served,
+        served=served,
         clients=len(logs),
         elapsed_ns=joined_at,
-        throughput_ops_per_s=(kv.requests_served / (joined_at / 1e9)
+        throughput_ops_per_s=(served / (joined_at / 1e9)
                               if joined_at else 0.0),
         rtt_mean_ns=stats.mean,
         rtt_p99_ns=stats.p99)
@@ -610,7 +613,7 @@ def _kv_sharded(run: _Run, n_ops: int, n_keys: int, value_size: int,
             name="bench.client%d" % i))
     outputs = yield procs
     # The row is the run: read it before stop() wakes every dispatcher.
-    row = server.metrics_row(run.sim.now, run.world.tracer)
+    row = server.metrics_row(run.sim.now)
     yield
     # Keys are disjoint across shards, so each client's replay is exact.
     _check_replay(run, logs, outputs)
@@ -664,10 +667,13 @@ def _kv_udp(run: _Run, n_keys: int, n_gets: int, value_size: int,
                             % (got_ok, n_gets))
     if got_missing != 1:
         run.failures.append("%d misses (expected 1)" % got_missing)
+    # the world's NIC always has the engine: without the program these
+    # counters stay 0
+    offload = server.nic.offload.counters
     if prog is not None:
-        if prog.hits != n_gets:
+        if offload.offload_kv_hits != n_gets:
             run.failures.append("%d/%d GETs answered on the NIC"
-                                % (prog.hits, n_gets))
+                                % (offload.offload_kv_hits, n_gets))
         if srv.requests_served != n_keys:
             run.failures.append("host served %d requests, expected only"
                                 " the %d PUTs"
@@ -677,8 +683,8 @@ def _kv_udp(run: _Run, n_keys: int, n_gets: int, value_size: int,
         host_cpu_per_op_ns=server.core.busy_ns // max(1, len(ops)),
         served_on_host=srv.requests_served,
         rtt_p50_ns=stats.percentile(50),
-        **{leaf: getattr(prog, leaf, 0)
-           for leaf in ("hits", "misses", "steered", "punts")})
+        hits=offload.offload_kv_hits, misses=offload.offload_kv_misses,
+        steered=offload.offload_kv_steered, punts=offload.offload_kv_punts)
 
 
 #: kind -> the log writer: the SPDK libOS's file queues, or the same
@@ -743,7 +749,7 @@ def _storage(run: _Run, n_records: int, record_size: int, sync_every: int,
                 run.failures.append("DeviceFailed names device %r, expected"
                                     " %r" % (err.device, nvme.name))
             run.data.update(failed_op=err.op, attempts=err.attempts)
-        if run.world.tracer.get("%s.device_failures" % nvme.name) < 1:
+        if nvme.counters.device_failures < 1:
             run.failures.append("recovery ladder never recorded a device"
                                 " failure")
         run.data.update(appended=appended())
@@ -923,7 +929,7 @@ def _kv_replicated(run: _Run, n_ops: int, n_keys: int, value_size: int,
     (directory epoch bumped; chain spliced, if the victim ever held a
     link to splice around).
     """
-    nodes, tracer = run.tier, run.world.tracer
+    nodes = run.tier
     directory = nodes[0].directory
     clients = [ReplicatedKvClient(libos, directory,
                                   run.rng.fork_named("%s.retry" % host))
@@ -972,16 +978,14 @@ def _kv_replicated(run: _Run, n_ops: int, n_keys: int, value_size: int,
                     % (chain_id, node.name, chain.up.consumer.empty_polls))
     # -- the failover must actually have been exercised ---------------------
     acked = sum(t.acked for t in trackers)
-    splices = sum(tracer.get("%s.%s" % (n.name, names.REPL_CHAIN_SPLICES))
-                  for n in nodes)
-    failovers = tracer.get("cluster.%s" % names.REPL_FAILOVERS)
+    splices = sum(n.counters.repl_chain_splices for n in nodes)
+    failovers = directory.counters.repl_failovers
     if dead and not failovers:
         run.failures.append(
             "a replica died but the directory never failed over")
     # A splice is owed only around a victim that held a link: one that
     # completed a heartbeat had a peer on the other end of it.
-    linked = any(tracer.get("%s.%s" % (n.name, names.REPL_HEARTBEATS))
-                 for n in dead)
+    linked = any(n.counters.repl_heartbeats for n in dead)
     if linked and not splices:
         run.failures.append(
             "a replica died but no survivor spliced the chain")
@@ -995,12 +999,9 @@ def _kv_replicated(run: _Run, n_ops: int, n_keys: int, value_size: int,
         acked=acked, lost_acked=len(violations),
         rtt_p99_ns=int(rtt.p99) if rtt.samples else 0,
         failovers=failovers, splices=splices,
-        log_replayed=sum(
-            tracer.get("%s.%s" % (n.name, names.REPL_ENTRIES_REPLAYED))
-            for n in nodes),
-        client_retries=sum(
-            tracer.get("%s.%s" % (c.libos.name, names.REPL_CLIENT_RETRIES))
-            for c in clients))
+        log_replayed=sum(n.counters.repl_entries_replayed for n in nodes),
+        client_retries=sum(c.libos.counters.repl_client_retries
+                           for c in clients))
 
 
 def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
@@ -1048,11 +1049,14 @@ def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
         p99_ns=stats.percentile(99),
         p999_ns=stats.percentile(99.9),
         client_decode_errors=metrics.client_decode_errors,
-        server_decode_errors=sum(s.decode_errors for s in servers),
-        error_replies=sum(s.error_replies for s in servers),
+        server_decode_errors=sum(s.libos.counters.proto_decode_errors
+                                 for s in servers),
+        error_replies=sum(s.libos.counters.proto_error_replies
+                          for s in servers),
         reconnects=metrics.reconnects,
         stalls=metrics.stalls,
-        server_requests=sum(s.requests_served for s in servers))
+        server_requests=sum(s.libos.counters.proto_requests
+                            for s in servers))
 
 
 def _open_loop(run: _Run, protocol: str, **knobs):
@@ -1392,7 +1396,7 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
         if each.host.name in crashed:
             _check_reclaimed(failures, each)
         else:
-            _check_libos(failures, world, each,
+            _check_libos(failures, each,
                          drained=finished and each not in run.undrained)
     _check_dma(failures, world)
     if finished:

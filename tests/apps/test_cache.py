@@ -186,7 +186,7 @@ class TestTtl:
         assert p.value == [b"forever"]  # only the TTL-free entry survives
         assert cache.stats.expirations == 1
         assert server.loop.timer_fires >= 4
-        assert server.loop.wasted_wakeups == 0
+        assert server.libos.counters.shard_wasted_wakeups == 0
 
     def test_ttl_zero_never_expires(self, codec_cls):
         w, client, server, _cache = start_server(codec_cls)

@@ -34,32 +34,32 @@ def run_kv(ops, with_program=True, port=6379):
     srv.stop()
     w.sim.run(until=w.sim.now + 5_000_000)
     results, stats = cproc.value
-    return w, client, server, srv, prog, results
+    return w, client, server, srv, server.nic.offload.counters, results
 
 
 class TestNicGetPath:
     def test_gets_answered_on_device_with_correct_values(self):
         ops = ([(OP_PUT, b"k%d" % i, b"value-%d" % i) for i in range(4)]
                + [(OP_GET, b"k%d" % i, None) for i in range(4)])
-        w, client, server, srv, prog, results = run_kv(ops)
+        w, client, server, srv, kv, results = run_kv(ops)
         gets = [r for r in results if r is not None]
         assert gets == [(True, b"value-%d" % i) for i in range(4)]
-        assert prog.hits == 4
+        assert kv.offload_kv_hits == 4
         # The host never saw the GETs - only the 4 PUTs.
         assert srv.requests_served == 4
-        assert prog.steered == 4
+        assert kv.offload_kv_steered == 4
 
     def test_empty_value_answered_on_device(self):
-        w, client, server, srv, prog, results = run_kv(
+        w, client, server, srv, kv, results = run_kv(
             [(OP_PUT, b"k", b""), (OP_GET, b"k", None)])
         assert results[1] == (True, b"")
-        assert prog.hits == 1
+        assert kv.offload_kv_hits == 1
 
     def test_missing_key_answered_on_device(self):
-        w, client, server, srv, prog, results = run_kv(
+        w, client, server, srv, kv, results = run_kv(
             [(OP_GET, b"nope", None)])
         assert results == [(False, None)]
-        assert prog.misses == 1
+        assert kv.offload_kv_misses == 1
         assert srv.requests_served == 0
 
     def test_host_cpu_drops_with_program_installed(self):
@@ -71,16 +71,16 @@ class TestNicGetPath:
         assert server_off.core.busy_ns < server_host.core.busy_ns / 2
 
     def test_oversized_values_steer_to_host(self):
-        w, client, server, srv, prog, results = run_kv(
+        w, client, server, srv, kv, results = run_kv(
             [(OP_PUT, b"big", b"x" * 1400), (OP_GET, b"big", None)])
         assert results[-1] == (True, b"x" * 1400)
-        assert prog.hits == 0  # too big to inline on the NIC
-        assert prog.steered == 2  # the PUT and the punted GET
+        assert kv.offload_kv_hits == 0  # too big to inline on the NIC
+        assert kv.offload_kv_steered == 2  # the PUT and the punted GET
         assert srv.requests_served == 2
 
     def test_qtoken_ledger_closes_on_both_sides(self):
         ops = ([(OP_PUT, b"k", b"v")] + [(OP_GET, b"k", None)] * 10)
-        w, client, server, srv, prog, _ = run_kv(ops)
+        w, client, server, srv, _kv, _ = run_kv(ops)
         for libos in (client, server):
             qt = libos.qtokens
             assert qt.in_flight == 0
@@ -111,8 +111,10 @@ class TestNicGetPath:
         p = w.sim.spawn(sender(), name="sender")
         w.sim.run_until_complete(p, limit=10**12)
         assert p.value == b"ping"
-        assert prog.punts > 0  # the foreign-port frames went to RSS
-        assert prog.hits == prog.misses == prog.steered == 0
+        kv = server.nic.offload.counters
+        assert kv.offload_kv_punts > 0  # the foreign-port frames went to RSS
+        assert kv.offload_kv_hits == kv.offload_kv_misses \
+            == kv.offload_kv_steered == 0
 
 
 class TestStop:
@@ -183,5 +185,5 @@ class TestInstallationGuards:
         w.sim.run(until=w.sim.now + 5_000_000)
         results, _stats = p.value
         assert results[-1] == (True, b"v")
-        assert prog.hits == 0
+        assert server.nic.offload.counters.offload_kv_hits == 0
         assert srv.requests_served == 2  # everything back on the host

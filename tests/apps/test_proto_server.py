@@ -83,7 +83,7 @@ class TestProtoServerPairs:
                                 [wire_for(codec_cls)], len(SCRIPT))
         assert [r.status for r in replies] == SCRIPT_STATUSES
         assert replies[1].value == b"0123456789"
-        assert server.requests_served == len(SCRIPT)
+        assert server.libos.counters.proto_requests == len(SCRIPT)
         assert server.decode_errors == 0
 
     @pytest.mark.parametrize("codec_cls", [RespCodec, MemcachedCodec],
@@ -116,7 +116,7 @@ class TestProtoServerPairs:
         # Legacy-kv acks a PUT as OK+empty value on the wire.
         assert replies[0].status in (ST_STORED, ST_VALUE)
         assert replies[1].value == b"v"
-        assert server.requests_served == 2
+        assert server.libos.counters.proto_requests == 2
 
 
 class TestErrorPolicy:
@@ -141,7 +141,7 @@ class TestErrorPolicy:
                                 [b"\x42" + b"\x00" * 23], 1)
         assert replies == []
         assert server.decode_errors == 1
-        assert server.requests_served == 0
+        assert server.libos.counters.proto_requests == 0
 
     def test_resp_desync_after_valid_request(self):
         # First request serves, then garbage kills the stream.
@@ -202,8 +202,8 @@ class TestConnectionsArriveWhileParked:
         w.sim.run_until_complete(pb, limit=10**13)
         server.stop()
         assert pb.value <= 2 * pa.value
-        assert server.requests_served == 3
-        assert server.loop.wasted_wakeups == 0
+        assert server.libos.counters.proto_requests == 3
+        assert server.libos.counters.shard_wasted_wakeups == 0
 
 
 PAIRS = {"dpdk": (make_dpdk_libos_pair, "10.0.0.2"),
@@ -232,7 +232,7 @@ def idle_connections(flavor, n_conns):
     w.run(until=w.sim.now + 1_000_000)
     server.stop()
     w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000)
-    assert server.connections_accepted == n_conns
+    assert server_libos.counters.proto_connections == n_conns
     return server, server_libos
 
 
@@ -249,7 +249,9 @@ class TestConnectionsLeaveNothingBehind:
         server, server_libos = idle_connections(flavor, 3)
         t = server_libos.qtokens
         assert t.in_flight == 0 and t.identity_ok
-        assert server.loop.wasted_wakeups == 0 == server.loop.cross_wakeups
+        counters = server_libos.counters
+        assert counters.shard_wasted_wakeups == 0
+        assert counters.shard_cross_wakeups == 0
 
 
 def ttl_client(libos, port=PORT):
@@ -353,5 +355,6 @@ class TestShardedProtoServer:
         assert server.wasted_wakeups == 0
         assert server.cross_wakeups == 0
         assert server.decode_errors == 0
-        assert server.requests_served == sum(2 * len(k) for k in owned)
+        assert sum(server.per_shard_requests()) \
+            == sum(2 * len(k) for k in owned)
         assert server.qtoken_identity_ok()

@@ -150,7 +150,7 @@ class TestKvServerMultiConnection:
         server.stop()
         assert pa.value[0][1] == (True, b"a-value")
         assert pb.value[0][1] == (True, b"b-value")
-        assert server.requests_served == 4
+        assert server.libos.counters.proto_requests == 4
 
 
 class TestSpdkEdges:

@@ -236,13 +236,15 @@ class TestAcceptAndStop:
         w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000)
         assert sorted(served) == sorted(
             m for i in range(3) for m in (b"a%d" % i, b"b%d" % i))
-        assert loop.wasted_wakeups == 0 == loop.cross_wakeups
+        counters = server.counters
+        assert counters.shard_wasted_wakeups == 0
+        assert counters.shard_cross_wakeups == 0
         assert not server.tracer.get("server.catnip.wait_timeouts")
 
     def test_stop_wakes_a_parked_dispatcher_and_leaves_nothing_in_flight(self):
         w, _client, server, loop, sp, _served = self.serve()
         w.run(until=1_000_000)             # idle: parked, nothing to do
-        assert sp.alive and loop.wakeups == 0
+        assert sp.alive and server.counters.shard_wakeups == 0
         loop.stop()
         # No timeout is armed anywhere, so only stop() can end it.
         assert w.sim.run_until_complete(sp, limit=w.sim.now + 1_000_000) == 0

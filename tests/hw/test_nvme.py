@@ -136,7 +136,7 @@ def test_flush_counts_and_delays():
 
     when = run(sim, proc())
     assert when == dev.costs.nvme_flush_ns
-    assert dev.flushes == 1
+    assert dev.counters.flushes == 1
 
 
 def test_bad_geometry_rejected():

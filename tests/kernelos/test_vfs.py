@@ -51,7 +51,7 @@ class TestVfs:
 
         assert run(w, proc()) == 2
         assert nvme.tracer.get("h.nvme0.writes") == 2
-        assert nvme.flushes == 1
+        assert nvme.counters.flushes == 1
 
     def test_data_durable_on_device_after_fsync(self):
         w, kernel = make_vfs_kernel()

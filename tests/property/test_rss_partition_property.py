@@ -99,7 +99,7 @@ class TestQtokenIdentityAfterShardedChaos:
 
         _, server, _ = run_sharded(n_shards=2, n_ops=12,
                                    drop_rate=drop_rate, seed=seed)
-        assert server.requests_served == 2 * 12
+        assert sum(server.per_shard_requests()) == 2 * 12
         assert server.wasted_wakeups == 0
         assert server.cross_wakeups == 0
         for shard in server.shards:

@@ -250,13 +250,3 @@ class TestSchedulingEdges:
         assert sim.peek() is None
         sim.call_in(250, lambda: None)
         assert sim.peek() == 250
-
-    def test_processes_spawned_counter(self):
-        sim = Simulator()
-
-        def noop():
-            yield sim.timeout(1)
-
-        for _ in range(3):
-            sim.spawn(noop())
-        assert sim.processes_spawned == 3

@@ -96,13 +96,14 @@ def test_loss_injection_drops_some_frames():
     assert 50 < dropped < 150
 
 
-def test_port_counters():
+def test_frame_and_byte_counters():
     sim, fabric = make_fabric()
+    got = []
     fabric.attach("a", lambda f: None)
-    port_b = fabric.attach("b", lambda f: None)
+    fabric.attach("b", got.append)
     fabric.transmit("a", "b", "x", nbytes=500)
     sim.run()
-    assert fabric.ports["a"].tx_frames == 1
-    assert fabric.ports["a"].tx_bytes == 500
-    assert port_b.rx_frames == 1
-    assert port_b.rx_bytes == 500
+    assert got == ["x"]
+    counters = fabric.counters
+    assert (counters.tx_frames, counters.tx_bytes, counters.rx_frames) \
+        == (1, 500, 1)

@@ -34,7 +34,7 @@ class TestWaitQueue:
         sim.spawn(waiter())
         sim.run()  # both block
         assert wq.pulse() == 2
-        assert wq.pulses == 1
+        assert wq.pulse() == 0  # the woken left; nobody waits now
 
     def test_observers_run_on_every_pulse(self):
         sim = Simulator()
