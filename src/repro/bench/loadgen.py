@@ -101,8 +101,6 @@ class ConnMetrics:
         self.completed = 0
         self.error_replies = 0
         self.client_decode_errors = 0
-        self.reconnects = 0
-        self.stalls = 0
 
 
 def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
@@ -191,7 +189,6 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             if in_stall:
                 if not stalled_once:
                     stalled_once = True
-                    metrics.stalls += 1
                     libos.counters.loadgen_stalls += 1
                 # A slow reader: sleep without reading replies.
                 yield libos.sim.timeout(target - now)
@@ -245,7 +242,6 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             codec = codec_cls()   # fresh stream state on the new conn
             qd = yield from connect()
             pop_token = libos.pop(qd)
-            metrics.reconnects += 1
             libos.counters.loadgen_reconnects += 1
             since_churn = 0
     if pop_token is not None:

@@ -301,10 +301,8 @@ class TcpConnection:
 
     def recv_signal(self):
         """Completion firing when data (or FIN/error) is available."""
-        done = self.sim.completion("tcp.recv_signal")
         if self._recv_buffer or self._peer_fin or self.error:
-            done.trigger(None)
-            return done
+            return self.sim.completion("tcp.recv_signal").trigger(None)
         return self.recv_wq.wait()
 
     def close(self) -> None:

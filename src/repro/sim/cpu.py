@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .engine import Completion, Simulator, Timeout
+from .engine import Simulator, Sleep
 
 __all__ = ["Core", "CpuSet"]
 
@@ -39,8 +39,9 @@ class Core:
         self._free_at = 0
         self.busy_ns = 0
 
-    def busy(self, ns: int) -> Completion:
-        """Charge *ns* of CPU time; the completion fires when the work ends.
+    def busy(self, ns: int) -> Sleep:
+        """Charge *ns* of CPU time; the process that yields the returned
+        :class:`~repro.sim.engine.Sleep` resumes when the work ends.
 
         If the core is already busy the work queues behind the in-flight
         jobs (FIFO), modelling contention between co-located threads.
@@ -54,7 +55,7 @@ class Core:
         done = start + ns
         self._free_at = done
         self.busy_ns += ns
-        return Timeout(self.sim, done - now)
+        return Sleep(done)
 
     def charge_async(self, ns: int) -> None:
         """Account CPU time that nobody waits on (e.g. softirq work)."""

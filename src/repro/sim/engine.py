@@ -12,13 +12,18 @@ generators:
   ``yield``-ing :class:`Completion` objects (or :class:`Timeout`, which is
   a completion triggered by the clock).  When the completion fires, the
   process resumes and receives the completion's value as the result of the
-  ``yield`` expression.
+  ``yield`` expression.  It may also yield a :class:`Sleep` (what a CPU
+  charge returns): the process resumes at its instant, with ``None``,
+  straight from the heap entry - no completion is built or fired.
 * Sub-routines compose with ``yield from`` and return values with
   ``return``, so simulated call stacks read like ordinary Python.
 
-Three ways to run something later, one per need: :meth:`Simulator.call_in`
-for a one-shot nobody withdraws, :meth:`Timeout.cancel` for a deadline a
-*process* waits on, :class:`Timer` for anything re-armed or stopped.
+Four ways to run something later, one per need: :meth:`Simulator.call_in`
+for a one-shot nobody withdraws, a yielded :class:`Sleep` for a process
+that only waits out an instant (only an interrupt withdraws it),
+:class:`Timeout` for a deadline a process waits on beside other events
+(:meth:`Timeout.cancel` withdraws it), :class:`Timer` for anything
+re-armed or stopped.
 
 Example::
 
@@ -42,6 +47,7 @@ __all__ = [
     "Simulator",
     "Completion",
     "Timeout",
+    "Sleep",
     "Timer",
     "Process",
     "SimulationError",
@@ -156,7 +162,7 @@ class Timeout(Completion):
             raise SimulationError("negative timeout %r" % delay)
         if delay.__class__ is not int:
             delay = int(delay)
-        # Completion.__init__, inlined: most completions are timeouts
+        # Completion.__init__, inlined: every timed wait builds one
         self.sim = sim
         self._value = self._exc = None
         self._done = False
@@ -181,6 +187,19 @@ class Timeout(Completion):
         self._done = True  # never fires; waiters were never going to win
         self._callbacks = []
         self.sim._cancel_scheduled(self._entry)
+
+
+class Sleep:
+    """What :meth:`repro.sim.cpu.Core.busy` returns.  Yielded in the
+    instant it was made, it resumes the process at ``until`` with ``None``
+    from the process's own heap entry, ordered among that instant's
+    entries at the yield.  It is no completion: nothing can subscribe to
+    it or race it in :func:`any_of` (that is :meth:`Simulator.timeout`)."""
+
+    __slots__ = ("until",)
+
+    def __init__(self, until: int):
+        self.until = until
 
 
 class Timer:
@@ -249,7 +268,8 @@ class Process(Completion):
         super().__init__(sim, label="process(%s)" % (name or "anon"))
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "proc")
-        self._waiting_on: Optional[Completion] = None
+        #: the completion it is parked on, or the heap entry of its sleep
+        self._waiting_on: Any = None
         self._interrupts: List[Interrupt] = []
         self.alive = True
         #: ``_resume``, bound once: what every completion this process
@@ -284,6 +304,11 @@ class Process(Completion):
                 else:
                     target = self.gen.send(value)
                 exc = None
+                if target.__class__ is Sleep:
+                    # the heap entry is what an interrupt withdraws
+                    self._waiting_on = sim._schedule_at(
+                        target.until, self._wake, _NOTHING_HAPPENED)
+                    return
                 try:
                     done = target._done
                 except AttributeError:
@@ -332,12 +357,16 @@ class Process(Completion):
         waiting = self._waiting_on
         if waiting is not None:
             self._waiting_on = None
-            # Detach from whatever it was waiting on and resume with the
-            # interrupt at the next event-loop turn.
-            try:
-                waiting._callbacks.remove(self._wake)
-            except ValueError:
-                pass
+            # Detach from whatever it was waiting on - a sleep's heap
+            # entry or a completion - and resume with the interrupt at
+            # the next event-loop turn.
+            if waiting.__class__ is list:
+                self.sim._cancel_scheduled(waiting)
+            else:
+                try:
+                    waiting._callbacks.remove(self._wake)
+                except ValueError:
+                    pass
             self.sim._schedule_at(self.sim._now, self._wake,
                                   _NOTHING_HAPPENED)
 

@@ -1038,6 +1038,9 @@ def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
     # Goodput is over the window the connections ran, not the quiesce.
     elapsed_ns = run.sim.now - measure_start
     yield
+    # lanes that share a libOS name share its counter scope: count it once
+    clients = {libos.counters.prefix: libos.counters
+               for libos, _keys, _alloc in lanes}.values()
     run.data.update(
         offered_ops_per_s=cfg.rate_ops_per_s,
         elapsed_ns=elapsed_ns,
@@ -1053,8 +1056,8 @@ def _offer_load(run: _Run, cfg: LoadConfig, servers, server_ip: str,
                                  for s in servers),
         error_replies=sum(s.libos.counters.proto_error_replies
                           for s in servers),
-        reconnects=metrics.reconnects,
-        stalls=metrics.stalls,
+        reconnects=sum(c.loadgen_reconnects for c in clients),
+        stalls=sum(c.loadgen_stalls for c in clients),
         server_requests=sum(s.libos.counters.proto_requests
                             for s in servers))
 

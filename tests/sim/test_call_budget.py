@@ -38,21 +38,24 @@ REQUESTS = 4 * 50
 #: one dataclass ``__init__`` of all of them; counted per code object the
 #: same run was 182_118 calls, and 179_913 once the attribute tallies
 #: that twinned a counter, or that nothing read, were gone (a charge, a
-#: spawn, a frame and a pop no longer add to a field nobody reads).  The
-#: budget sits 4 % above the measurement, 36 calls per request: a call
-#: put back into every counter bump (62 per request), or two added to
-#: each of a request's 20 events, trips it; one per event does not.
-CALL_BUDGET = 187_110
+#: spawn, a frame and a pop no longer add to a field nobody reads).
+#: 176_528 once a charge is a ``Sleep``: no ``Timeout`` built, no
+#: ``trigger`` called (17 calls per request).  The budget sits 4 % above
+#: the measurement, 35 calls per request: a call put back into every
+#: counter bump (62 per request), or two added to each of a request's 20
+#: events, trips it; one per event does not.
+CALL_BUDGET = 183_590
 
 #: events scheduled and the heap's peak length for the same 200 requests:
 #: 4175 and 166 before PR 20, 3803 and 32 after it (TCP's timers are one
 #: re-armable ``Timer`` each: a request no longer leaves a superseded RTO
-#: event on the heap to fire 100 us later as a no-op), 4022 and 32 now
-#: (the four clients ring their doorbell from one flush event per instant,
-#: as the shards already did).  The budgets sit 4 % and 25 % above the
-#: measurements: one stale timer event per request is +200 events and
-#: trips the first, and events that outlive their work by a timeout pile
-#: up and trip the second.
+#: event on the heap to fire 100 us later as a no-op), 4022 and 32 once
+#: the four clients rang their doorbell from one flush event per instant,
+#: as the shards already did; 4030 and 32 now, unchanged when a charge
+#: became a ``Sleep``, which is still one heap entry.  The budgets sit 4 %
+#: and 25 % above the measurements: one stale timer event per request is
+#: +200 events and trips the first, and events that outlive their work by
+#: a timeout pile up and trip the second.
 EVENT_BUDGET = 4_183
 HEAP_PEAK_BUDGET = 40
 
@@ -79,10 +82,11 @@ HEAP_PEAK_BUDGET = 40
 #: after (a bump is an attribute add, not a call).  Counted per code
 #: object, not by pstats (which keeps one dataclass ``__init__``), that
 #: run was 751_261 calls, and 749_729 without the attribute tallies
-#: nothing read.  The budget sits 4 % above that measurement: a timer
-#: that ticks through the idle time again (a heartbeat is one per 20 us
-#: per link) trips it.
-REPLICA_CALL_BUDGET = 779_718
+#: nothing read; 747_056 once a charge is a ``Sleep``: no ``Timeout``
+#: built, no ``trigger`` called.  The budget sits 4 % above that
+#: measurement: a timer that ticks through the idle time again (a
+#: heartbeat is one per 20 us per link) trips it.
+REPLICA_CALL_BUDGET = 776_939
 
 #: one run under the profiler: *setup*, then *body* profiled.  The count
 #: is per code object.  ``pstats.Stats(...).total_calls`` keys a function

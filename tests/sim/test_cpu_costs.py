@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.costs import DEFAULT_COSTS, CostModel, fast_network_profile
 from repro.sim.cpu import Core, CpuSet
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 
 
 class TestCore:
@@ -86,6 +86,51 @@ class TestCore:
         charge(2.9)
         assert core.busy_ns == 102 and isinstance(core.busy_ns, int)
         assert isinstance(core._free_at, int)
+
+    def test_an_interrupted_charge_resumes_once_and_keeps_its_cost(self):
+        # A charge is a sleep on one heap entry: the interrupt withdraws
+        # it, so nothing wakes the process at 1000 and the clock stops
+        # where the last live event was.
+        sim = Simulator()
+        core = Core(sim)
+        resumes = []
+
+        def work():
+            try:
+                yield core.busy(1000)
+                resumes.append(("woke", sim.now))
+            except Interrupt as intr:
+                resumes.append((intr.cause, sim.now))
+            yield sim.completion("never")
+            resumes.append(("woke again", sim.now))
+
+        p = sim.spawn(work())
+        sim.call_in(300, p.interrupt, "crash")
+        assert sim.run() == 300
+        assert resumes == [("crash", 300)]
+        assert core.busy_ns == 1000 and core.free_at == 1000
+
+    def test_a_zero_charge_keeps_its_place_among_same_instant_events(self):
+        # busy(0) resumes the process after what was scheduled for the
+        # instant before the yield, and before what was scheduled after.
+        sim = Simulator()
+        core = Core(sim)
+        order = []
+
+        def charging():
+            sim.call_in(0, order.append, "before")
+            yield core.busy(0)
+            order.append("charged")
+
+        def later():
+            sim.call_in(0, order.append, "after")
+            yield sim.timeout(0)
+
+        sim.spawn(charging())
+        sim.spawn(later())
+        sim.run()
+        assert order == ["before", "charged", "after"]
+        assert sim.now == 0
 
     def test_charge_async_accumulates_without_waiter(self):
         sim = Simulator()
