@@ -59,11 +59,10 @@ class LruTtlCache:
     no libOS dependency and any protocol frontend can wrap it.
     """
 
-    def __init__(self, clock: Callable[[], int], max_entries: int = 1024,
-                 stats: Optional[CacheStats] = None):
+    def __init__(self, clock: Callable[[], int], max_entries: int = 1024):
         self.clock = clock
         self.max_entries = max_entries
-        self.stats = stats or CacheStats()
+        self.stats = CacheStats()
         self._entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
 
     def get(self, key: bytes) -> Optional[bytes]:

@@ -80,11 +80,10 @@ def demi_echo_server(libos: LibOS, port: int = 7, max_requests: int = 0,
 
 
 def demi_echo_client(libos: LibOS, server_addr: str,
-                     messages: Sequence[bytes], port: int = 7,
-                     stats: LatencyStats = None) -> Generator:
+                     messages: Sequence[bytes], port: int = 7) -> Generator:
     """Send each message, wait for its echo; returns (replies, stats).
     A failed pop raises :class:`~repro.core.types.DemiError`."""
-    stats = stats if stats is not None else LatencyStats("rtt")
+    stats = LatencyStats("rtt")
     qd = yield from libos.socket()
     yield from libos.connect(qd, server_addr, port)
     replies: List[bytes] = []
@@ -124,8 +123,8 @@ def posix_echo_server(os, port: int = 7, max_requests: int = 0) -> Generator:
 
 
 def posix_echo_client(os, server_ip: str, messages: Sequence[bytes],
-                      port: int = 7, stats: LatencyStats = None) -> Generator:
-    stats = stats if stats is not None else LatencyStats("rtt")
+                      port: int = 7) -> Generator:
+    stats = LatencyStats("rtt")
     sys = os.thread()
     fd = yield from sys.socket()
     yield from sys.connect(fd, server_ip, port)

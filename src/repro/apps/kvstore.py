@@ -41,7 +41,6 @@ from ..sim.trace import LatencyStats
 from .proto.codec import (ST_MISS, ST_STORED, ST_VALUE, CodecError, Request,
                           Response)
 from .proto.legacy import LegacyKvCodec
-from .steering import key_partition
 
 __all__ = [
     "KvEngine",
@@ -263,17 +262,16 @@ class KvNicOffload:
       device: the engine fetches the value buffer over DMA (charged to
       the *device* pipeline, zero host CPU) and transmits the reply
       frame directly (``offload_kv_hits`` / ``offload_kv_misses``).
-    * **steer** - PUTs and oversized GETs go to the RX queue of the
-      shard that owns the key (``key_partition``, the same function the
-      host uses), overriding flow-tuple RSS (``offload_kv_steered``).
+    * **steer** - PUTs and oversized GETs go to RX queue 0, where the
+      one host server polls, overriding flow-tuple RSS
+      (``offload_kv_steered``).
 
     The engine's value table is host memory shared with the
     :class:`KvEngine`; the device reads it zero-copy, exactly like a
     zero-copy TX descriptor would.
     """
 
-    def __init__(self, nic, engine: KvEngine, ip: str, port: int = 6379,
-                 n_shards: int = 1):
+    def __init__(self, nic, engine: KvEngine, ip: str, port: int = 6379):
         if nic.offload is None:
             raise ValueError("KvNicOffload needs a NIC with an offload "
                              "engine attached")
@@ -281,7 +279,6 @@ class KvNicOffload:
         self.engine = engine
         self.ip = ip
         self.port = port
-        self.n_shards = n_shards
         self.codec = LegacyKvCodec()
 
     def install(self) -> None:
@@ -318,9 +315,9 @@ class KvNicOffload:
                 offload.counters.offload_kv_hits += 1
                 return self._reply(frame, codec.encode(
                     Response(ST_VALUE, value=value.tobytes())))
-        # -- steer stage: the owning shard's RX queue ----------------------
+        # -- steer stage: RX queue 0, where the host server polls ---------
         offload.counters.offload_kv_steered += 1
-        return ("steer", key_partition(key, self.n_shards))
+        return ("steer", 0)
 
     def _reply(self, request_frame: bytes, payload: bytes):
         """Build the on-NIC response frame by mirroring the request."""
@@ -390,9 +387,8 @@ def posix_kv_server(kernel: Kernel, engine: KvEngine, port: int = 6379,
 
 def posix_kv_client(kernel: Kernel, server_ip: str,
                     operations: Sequence[Tuple[int, bytes, Optional[bytes]]],
-                    port: int = 6379,
-                    stats: Optional[LatencyStats] = None) -> Generator:
-    stats = stats if stats is not None else LatencyStats("kv-rtt")
+                    port: int = 6379) -> Generator:
+    stats = LatencyStats("kv-rtt")
     sys = kernel.thread()
     fd = yield from sys.socket()
     yield from sys.connect(fd, server_ip, port)

@@ -25,15 +25,14 @@ __all__ = ["demi_log_writer", "posix_log_writer"]
 
 
 def demi_log_writer(libos: LibOS, records: Sequence[bytes],
-                    sync_every: int = 8, path: str = "/log",
-                    stats: LatencyStats = None) -> Generator:
+                    sync_every: int = 8, path: str = "/log") -> Generator:
     """Append+fsync via file queues; returns (per-batch stats, readback).
 
     Every element it pushes or pops is freed - a pop is lent a slice of
     the log's read span, which a kept pop would pin whole - and both
     queues are closed, so the heap ends as it started.  A failed append
     or read raises :class:`DemiError`."""
-    stats = stats if stats is not None else LatencyStats("append-batch")
+    stats = LatencyStats("append-batch")
     qd = yield from libos.creat(path)
     batch_start = libos.sim.now
     for i, record in enumerate(records):
@@ -64,10 +63,9 @@ def demi_log_writer(libos: LibOS, records: Sequence[bytes],
 
 
 def posix_log_writer(kernel: Kernel, records: Sequence[bytes],
-                     sync_every: int = 8, path: str = "/log",
-                     stats: LatencyStats = None) -> Generator:
+                     sync_every: int = 8, path: str = "/log") -> Generator:
     """The same workload through creat/write/fsync/read syscalls."""
-    stats = stats if stats is not None else LatencyStats("append-batch")
+    stats = LatencyStats("append-batch")
     sys = kernel.thread()
     fd = yield from sys.creat(path)
     sizes: List[int] = []

@@ -298,7 +298,7 @@ class MemoryQueue(DemiQueue):
 
     kind = "memory"
 
-    def __init__(self, libos, qd: int, capacity: Optional[int] = None):
+    def __init__(self, libos, qd: int, capacity: Optional[int]):
         super().__init__(libos, qd)
         self.capacity = capacity
 

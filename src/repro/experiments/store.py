@@ -21,7 +21,7 @@ from typing import Any, List
 __all__ = ["atomic_write_json", "load_payload", "append_document"]
 
 
-def atomic_write_json(path: str, payload: Any, indent: int = 2) -> None:
+def atomic_write_json(path: str, payload: Any) -> None:
     """Write *payload* as JSON such that *path* is never seen partial."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory,
@@ -29,7 +29,7 @@ def atomic_write_json(path: str, payload: Any, indent: int = 2) -> None:
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=indent, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())

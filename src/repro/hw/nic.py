@@ -101,14 +101,14 @@ class _EthernetNic(Device):
         dst_mac: str,
         frame: bytes,
         dma_addrs: Optional[List[Tuple[int, int]]] = None,
-        tx_queue: int = 0,
     ) -> None:
-        """Device-side transmit: gather-DMA the frame, process, emit.
+        """Device-side transmit on TX queue 0: gather-DMA the frame,
+        process, emit.
 
         ``dma_addrs`` are the host-memory ranges the descriptor points at;
         each is validated against the IOMMU (zero-copy safety).
         """
-        self._tx_one(dst_mac, frame, dma_addrs, tx_queue)
+        self._tx_one(dst_mac, frame, dma_addrs, 0)
 
     def post_tx_burst(
         self,
@@ -777,10 +777,10 @@ class RdmaNic(Device):
         self._complete_send(qp, pkt.seq, "ok")
 
     # responder side ---------------------------------------------------------
-    def _reply(self, qp: HwQp, pkt: RdmaPacket, kind: str, payload: bytes = b"") -> None:
+    def _reply(self, qp: HwQp, pkt: RdmaPacket, kind: str) -> None:
         resp = RdmaPacket(
             kind=kind, src_nic=self.addr, src_qp=qp.qpn,
-            dst_qp=pkt.src_qp, seq=pkt.seq, payload=payload,
+            dst_qp=pkt.src_qp, seq=pkt.seq,
         )
         delay = self.costs.rdma_nic_process_ns
         self.sim.call_in(delay, self.fabric.transmit, self.addr, pkt.src_nic,

@@ -68,6 +68,8 @@ class NvmeDevice(Device):
     RETRY_BACKOFF_NS = 100_000
     #: a controller reset is three orders slower than an I/O
     CTRL_RESET_NS = 2_000_000
+    #: flash channels: how many commands make progress at once
+    channels = 8
 
     def __init__(
         self,
@@ -75,7 +77,6 @@ class NvmeDevice(Device):
         name: str = "nvme0",
         capacity_blocks: int = 262144,
         block_size: int = 4096,
-        channels: int = 8,
     ):
         super().__init__(host, name)
         if capacity_blocks <= 0 or block_size <= 0:
@@ -83,9 +84,7 @@ class NvmeDevice(Device):
         self.capacity_blocks = capacity_blocks
         self.block_size = block_size
         self._blocks: Dict[int, bytes] = {}
-        #: flash channels: how many commands make progress at once
-        self.channels = channels
-        self._channel_free = [0] * channels
+        self._channel_free = [0] * self.channels
         #: commands submitted but not yet completed/aborted
         self._inflight: Dict[int, Dict[str, Any]] = {}
 

@@ -36,12 +36,12 @@ from ..telemetry import names
 from .kernel import Kernel
 
 __all__ = ["ReclaimReport", "reclaim_process", "crash_teardown",
-           "QUIESCE_POLL_NS", "DEFAULT_QUIESCE_LIMIT_NS"]
+           "QUIESCE_POLL_NS", "QUIESCE_LIMIT_NS"]
 
 #: how often the quiesce loop re-checks for deferred frees resolving
 QUIESCE_POLL_NS = 100_000
 #: give in-flight DMA this long to drop its last buffer references
-DEFAULT_QUIESCE_LIMIT_NS = 50_000_000
+QUIESCE_LIMIT_NS = 50_000_000
 
 
 class ReclaimReport:
@@ -125,14 +125,12 @@ def reclaim_process(libos, app_proc=None) -> ReclaimReport:
 
 
 def crash_teardown(libos, app_proc=None,
-                   quiesce_limit_ns: int = DEFAULT_QUIESCE_LIMIT_NS,
-                   poll_ns: int = QUIESCE_POLL_NS,
                    report_to: Optional[list] = None) -> Generator:
     """Sim-coroutine: full teardown - reclaim, quiesce DMA, unmap regions.
 
     After :func:`reclaim_process`, buffers a device was still DMA-ing
     sit in deferred-free limbo until the device drops its last
-    reference; this waits (bounded by *quiesce_limit_ns*) for the heap
+    reference; this waits (bounded by ``QUIESCE_LIMIT_NS``) for the heap
     to empty, then releases every region - the step that actually
     returns the IOMMU to zero mapped ranges.  The finished
     :class:`ReclaimReport` is the coroutine's return value and is also
@@ -142,9 +140,9 @@ def crash_teardown(libos, app_proc=None,
     host = libos.host
     counters = host.tracer.scope(host.name).scope(names.RECLAIM)
     report = reclaim_process(libos, app_proc)
-    deadline = host.sim.now + quiesce_limit_ns
+    deadline = host.sim.now + QUIESCE_LIMIT_NS
     while host.mm.live_buffer_count and host.sim.now < deadline:
-        yield host.sim.timeout(poll_ns)
+        yield host.sim.timeout(QUIESCE_POLL_NS)
     report.regions_released = host.mm.reclaim_regions()
     if report.regions_released:
         counters.regions_unmapped += report.regions_released

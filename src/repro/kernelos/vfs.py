@@ -9,7 +9,7 @@ without any of those taxes.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Set, Tuple
+from typing import Dict, Generator, Set, Tuple
 
 from ..hw.nvme import NvmeDevice
 from ..sim.engine import all_of
@@ -40,17 +40,15 @@ class _KFile(KObject):
 class Vfs:
     """A minimal in-kernel filesystem with a write-back page cache."""
 
-    def __init__(self, kernel: Kernel, nvme: NvmeDevice,
-                 lba_start: int = 0, lba_count: Optional[int] = None):
+    def __init__(self, kernel: Kernel, nvme: NvmeDevice):
         self.kernel = kernel
         self.sim = kernel.sim
         self.costs = kernel.costs
         self.nvme = nvme
         self.block_size = nvme.block_size
-        self.lba_start = lba_start
-        self.lba_limit = lba_start + (lba_count if lba_count is not None
-                                      else nvme.capacity_blocks - lba_start)
-        self._next_lba = lba_start
+        #: the filesystem owns the whole device, allocated from LBA 0 up
+        self.lba_limit = nvme.capacity_blocks
+        self._next_lba = 0
         self._files: Dict[str, Inode] = {}
         #: numbered by the filesystem, not the process: a second world's
         #: inodes start at 1 again

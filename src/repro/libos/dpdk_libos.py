@@ -234,8 +234,7 @@ class DpdkLibOS(LibOS):
     device_kind = "kernel-bypass"
 
     def __init__(self, host, nic: DpdkNic, ip: str, name: str = "catnip",
-                 core=None, rx_burst_size: int = 32,
-                 verify_checksums: bool = False, rx_queue: int = 0,
+                 core=None, verify_checksums: bool = False, rx_queue: int = 0,
                  arp_responder: bool = True):
         super().__init__(host, name, core)
         self.nic = nic
@@ -243,7 +242,7 @@ class DpdkLibOS(LibOS):
         #: frames one poll takes off the RX ring; the stack charges the
         #: first of them ``user_net_rx_ns`` and the rest
         #: ``user_net_rx_batch_ns``
-        self.rx_burst_size = rx_burst_size
+        self.rx_burst_size = 32
         #: the NIC RX queue this instance polls.  A sharded server runs
         #: one DpdkLibOS per core, each bound to its own queue; RSS makes
         #: the NIC deliver each flow to exactly one of them.

@@ -137,8 +137,8 @@ class PosixLibOS(LibOS):
 
     device_kind = "legacy-kernel"
 
-    def __init__(self, host, kernel: Kernel, name: str = "catnap", core=None):
-        super().__init__(host, name, core)
+    def __init__(self, host, kernel: Kernel, name: str = "catnap"):
+        super().__init__(host, name)
         self.kernel = kernel
         self.sys = kernel.thread(self.core)
 

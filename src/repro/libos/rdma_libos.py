@@ -243,9 +243,8 @@ class RdmaLibOS(LibOS):
 
     device_kind = "rdma"
 
-    def __init__(self, host, nic: RdmaNic, cm: RdmaCm, name: str = "catmint",
-                 core=None):
-        super().__init__(host, name, core)
+    def __init__(self, host, nic: RdmaNic, cm: RdmaCm, name: str = "catmint"):
+        super().__init__(host, name)
         self.nic = nic
         self.cm = cm
         self.offload_engine = nic.offload

@@ -14,7 +14,7 @@ Durability: like ``write(2)``, a completed push means *accepted*, not
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Tuple
 
 from ..core.api import LibOS
 from ..core.queue import DemiQueue
@@ -40,12 +40,12 @@ class FileQueue(DemiQueue):
     kind = "file"
 
     def __init__(self, libos, qd: int, name: str, store: LogStore,
-                 record_ids: Optional[List[int]] = None):
+                 record_ids: List[int]):
         super().__init__(libos, qd)
         self.name = name
         self.store = store
         #: ids of every record in this file, in append order
-        self.record_ids: List[int] = list(record_ids or [])
+        self.record_ids: List[int] = list(record_ids)
         #: next record index a pop will return
         self.cursor = 0
         #: (pop token, record id) the read driver has yet to start, in
@@ -142,12 +142,10 @@ class SpdkLibOS(LibOS):
 
     device_kind = "spdk"
 
-    def __init__(self, host, nvme: NvmeDevice, name: str = "catfish",
-                 core=None, lba_start: int = 0,
-                 lba_count: Optional[int] = None):
-        super().__init__(host, name, core)
+    def __init__(self, host, nvme: NvmeDevice, name: str = "catfish"):
+        super().__init__(host, name)
         self.nvme = nvme
-        self.store = LogStore(nvme, self.core, lba_start, lba_count)
+        self.store = LogStore(nvme, self.core)
         #: name -> list of record ids (the "directory")
         self._directory: Dict[str, List[int]] = {}
 

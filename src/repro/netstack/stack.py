@@ -306,15 +306,14 @@ class NetStack:
         return listener
 
     def tcp_connect(self, dst_ip: str, dst_port: int,
-                    src_port: Optional[int] = None,
-                    recv_capacity: int = 262144) -> TcpConnection:
+                    src_port: Optional[int] = None) -> TcpConnection:
         if src_port is None:
             src_port = self._alloc_ephemeral()
         key = (self.ip, src_port, dst_ip, dst_port)
         if key in self._tcp_conns:
             raise ValueError("connection %r already exists" % (key,))
         conn = TcpConnection(self, (self.ip, src_port), (dst_ip, dst_port),
-                             iss=self._alloc_isn(), recv_capacity=recv_capacity)
+                             iss=self._alloc_isn())
         self._tcp_conns[key] = conn
         conn.start_connect()
         return conn

@@ -191,14 +191,14 @@ class TcpConnection:
         remote: Tuple[str, int],
         iss: int,
         recv_capacity: int = 262144,
-        mss: int = DEFAULT_MSS,
     ):
         self.stack = stack
         self.sim = stack.sim
         self.local = local
         self.remote = remote
         self.state = CLOSED
-        self.mss = mss
+        #: lowered to the peer's MSS option when its SYN carries one
+        self.mss = DEFAULT_MSS
 
         # send side
         self.iss = iss
@@ -216,7 +216,7 @@ class TcpConnection:
         self._fast_rexmitted = False  # in this run of duplicate ACKs
 
         # congestion control (NewReno-flavoured)
-        self.cwnd = 10 * mss                # IW10 (RFC 6928)
+        self.cwnd = 10 * DEFAULT_MSS        # IW10 (RFC 6928)
         self.ssthresh = 64 * 1024 * 1024    # effectively open at start
         self.cwnd_reductions = 0
 

@@ -93,17 +93,14 @@ class RdmaCm:
         self._listeners[key] = listener
         return listener
 
-    def connect(self, nic: RdmaNic, remote_addr: str, port: int,
-                pd: ProtectionDomain = None) -> Generator:
+    def connect(self, nic: RdmaNic, remote_addr: str, port: int) -> Generator:
         """Sim-coroutine: returns a connected client-side QueuePair."""
         yield self.sim.timeout(self.connect_delay_ns)
         listener = self._listeners.get((remote_addr, port))
         if listener is None:
             raise VerbsError("connection refused: %s:%d" % (remote_addr, port))
-        client_pd = pd or ProtectionDomain(nic)
-        server_pd = ProtectionDomain(listener.nic)
-        client_qp = QueuePair(client_pd)
-        server_qp = QueuePair(server_pd)
+        client_qp = QueuePair(ProtectionDomain(nic))
+        server_qp = QueuePair(ProtectionDomain(listener.nic))
         client_qp.connect(listener.nic.addr, server_qp.qpn)
         server_qp.connect(nic.addr, client_qp.qpn)
         # The server learns of the request after the request leg; the

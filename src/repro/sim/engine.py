@@ -169,11 +169,17 @@ class Timeout(Completion):
         self._callbacks = []
         self.label = ""
         self.delay = delay
-        self._entry = sim._schedule_at(sim._now + delay, self.trigger,
+        self._entry = sim._schedule_at(sim._now + delay, self._fire,
                                        (value,))
 
     def _name(self) -> str:
         return "timeout(%d)" % self.delay
+
+    def _fire(self, value: Any) -> None:
+        # The spent heap entry refers back to this timeout: let it go, so
+        # a fired timeout is freed by reference count, not the collector.
+        self._entry = None
+        self.trigger(value)
 
     def cancel(self) -> None:
         """Withdraw the pending trigger; no-op once fired.

@@ -138,39 +138,32 @@ class FaultPlan:
                                    src=src, dst=dst))
 
     def reorder(self, start: int, end: int, rate: float = 0.5,
-                jitter_ns: int = 200_000, src: Optional[str] = None,
-                dst: Optional[str] = None) -> "FaultPlan":
-        """Reordering: matching frames gain a random extra delay up to
-        *jitter_ns*, letting later frames overtake them."""
+                jitter_ns: int = 200_000) -> "FaultPlan":
+        """Reordering: frames on any link gain a random extra delay up
+        to *jitter_ns*, letting later frames overtake them."""
         return self.add(FaultEvent("reorder", start, end, rate=rate,
-                                   extra_ns=jitter_ns, src=src, dst=dst))
+                                   extra_ns=jitter_ns))
 
-    def duplicate(self, start: int, end: int, rate: float = 0.3,
-                  src: Optional[str] = None,
-                  dst: Optional[str] = None) -> "FaultPlan":
-        """Duplication: matching frames are delivered twice."""
-        return self.add(FaultEvent("duplicate", start, end, rate=rate,
-                                   src=src, dst=dst))
+    def duplicate(self, start: int, end: int,
+                  rate: float = 0.3) -> "FaultPlan":
+        """Duplication: frames on any link are delivered twice."""
+        return self.add(FaultEvent("duplicate", start, end, rate=rate))
 
-    def corrupt(self, start: int, end: int, rate: float = 0.2,
-                src: Optional[str] = None,
-                dst: Optional[str] = None) -> "FaultPlan":
-        """Corruption: one bit flips in a matching byte-frame (checksums
-        must catch it); non-byte frames drop, as a real NIC's ICRC does."""
-        return self.add(FaultEvent("corrupt", start, end, rate=rate,
-                                   src=src, dst=dst))
+    def corrupt(self, start: int, end: int,
+                rate: float = 0.2) -> "FaultPlan":
+        """Corruption: one bit flips in a byte-frame on any link
+        (checksums must catch it); non-byte frames drop, as a real NIC's
+        ICRC does."""
+        return self.add(FaultEvent("corrupt", start, end, rate=rate))
 
     def partition(self, a: str, b: str, start: int, end: int) -> "FaultPlan":
         """A link partition between ports *a* and *b* that heals at *end*."""
         self.add(FaultEvent("partition", start, end, src=a, dst=b))
         return self.add(FaultEvent("partition", start, end, src=b, dst=a))
 
-    def latency(self, start: int, end: int, extra_ns: int,
-                src: Optional[str] = None,
-                dst: Optional[str] = None) -> "FaultPlan":
-        """A per-link latency spike: every matching frame is delayed."""
-        return self.add(FaultEvent("latency", start, end, extra_ns=extra_ns,
-                                   src=src, dst=dst))
+    def latency(self, start: int, end: int, extra_ns: int) -> "FaultPlan":
+        """A latency spike: every frame on every link is delayed."""
+        return self.add(FaultEvent("latency", start, end, extra_ns=extra_ns))
 
     def nic_stall(self, device: str, start: int, end: int,
                   extra_ns: int) -> "FaultPlan":

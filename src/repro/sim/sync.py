@@ -36,11 +36,11 @@ class WaitQueue:
         """
         self._observers.append(callback)
 
-    def pulse(self, value: Any = None) -> int:
+    def pulse(self) -> int:
         """Wake every waiter; returns how many woke."""
         waiters, self._waiters = self._waiters, []
         for w in waiters:
-            w.trigger(value)
+            w.trigger()
         for observer in list(self._observers):
             observer()
         return len(waiters)

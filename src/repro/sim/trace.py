@@ -71,11 +71,10 @@ class CounterScope:
 
     # Tracing: call these only under ``if tracer.tracing:``.
     def span(self, name: str, cat: str, start_ns: int,
-             end_ns: Optional[int] = None, parent: Optional[Span] = None,
-             **args) -> Span:
+             end_ns: Optional[int] = None, **args) -> Span:
         """:meth:`Tracer.span` on this scope's track."""
         return self.tracer.span(name, cat, self.prefix, start_ns, end_ns,
-                                parent, **args)
+                                **args)
 
     def gauge(self, name: str) -> Gauge:
         return self.tracer.gauge(self._full(name))
@@ -265,16 +264,8 @@ class LatencyStats:
             "max": self.maximum,
         }
 
-    def describe(self, unit: str = "ns") -> str:
+    def describe(self) -> str:
         if not self.samples:
             return "%s: no samples" % (self.name or "stats")
-        return "%s: n=%d mean=%.0f%s p50=%.0f%s p99=%.0f%s" % (
-            self.name or "stats",
-            self.count,
-            self.mean,
-            unit,
-            self.p50,
-            unit,
-            self.p99,
-            unit,
-        )
+        return "%s: n=%d mean=%.0fns p50=%.0fns p99=%.0fns" % (
+            self.name or "stats", self.count, self.mean, self.p50, self.p99)

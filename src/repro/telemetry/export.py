@@ -120,14 +120,13 @@ def snapshot(tracer) -> dict:
     }
 
 
-def counter_rollup(tracer, leaves=(), prefixes=()) -> Dict[str, int]:
+def counter_rollup(tracer, leaves=()) -> Dict[str, int]:
     """Sum a tracer's counters by leaf name across scopes.
 
     The experiment layer persists a compact, deterministic slice of a
     run's counters into its trajectory rows: ``leaves`` selects which
-    leaf names to keep (e.g. ``("retransmissions", "syscalls")``),
-    ``prefixes`` optionally restricts which scopes contribute (e.g.
-    ``("server.",)``).  Empty *leaves* keeps every leaf.  Counters like
+    leaf names to keep (e.g. ``("retransmissions", "syscalls")``).
+    Empty *leaves* keeps every leaf.  Counters like
     ``client.shard0.retransmissions`` and ``server.retransmissions``
     both roll up under the ``retransmissions`` key.  Accepts a
     :class:`~repro.sim.trace.Tracer` or a plain ``{name: value}``
@@ -136,8 +135,6 @@ def counter_rollup(tracer, leaves=(), prefixes=()) -> Dict[str, int]:
     counters = getattr(tracer, "counters", tracer)
     out: Dict[str, int] = {}
     for name, value in counters.items():
-        if prefixes and not any(name.startswith(p) for p in prefixes):
-            continue
         leaf = name.rsplit(".", 1)[-1]
         if leaves and leaf not in leaves:
             continue

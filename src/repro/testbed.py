@@ -80,8 +80,8 @@ class World:
         host.mm.attach_device(nic)
         return nic
 
-    def add_rdma(self, host: Host, addr: Optional[str] = None) -> RdmaNic:
-        nic = RdmaNic(host, self.fabric, addr or ("%s-rdma" % host.name),
+    def add_rdma(self, host: Host) -> RdmaNic:
+        nic = RdmaNic(host, self.fabric, "%s-rdma" % host.name,
                       name="%s.rdma0" % host.name)
         host.nics.append(nic)
         host.mm.attach_device(nic)
@@ -135,8 +135,7 @@ def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
 
 
 def make_sharded_kv_world(n_shards: int, drop_rate: float = 0.0,
-                          seed: int = 42, costs: CostModel = DEFAULT_COSTS,
-                          port: int = 6379, telemetry=False,
+                          seed: int = 42, port: int = 6379, telemetry=False,
                           server_cls=None, server_kwargs=None):
     """A server sharded across *n_shards* cores plus one client per shard.
 
@@ -150,8 +149,7 @@ def make_sharded_kv_world(n_shards: int, drop_rate: float = 0.0,
     from .cluster.shard import ShardedKvServer
     from .libos.dpdk_libos import DpdkLibOS
 
-    w = World(costs=costs, drop_rate=drop_rate, seed=seed,
-              telemetry=telemetry)
+    w = World(drop_rate=drop_rate, seed=seed, telemetry=telemetry)
     server_host = w.add_host("server", cores=max(4, n_shards))
     server_nic = w.add_dpdk(server_host, mac="02:00:00:00:30:64",
                             n_rx_queues=n_shards,
@@ -169,12 +167,11 @@ def make_sharded_kv_world(n_shards: int, drop_rate: float = 0.0,
 
 
 def make_posix_libos_pair(drop_rate: float = 0.0, seed: int = 42,
-                          costs: CostModel = DEFAULT_COSTS,
                           verify_checksums: bool = False, telemetry=False):
     """Two hosts with POSIX libOSes over legacy kernels."""
     from .libos.posix_libos import PosixLibOS
 
-    w, ka, kb = make_kernel_pair(drop_rate=drop_rate, seed=seed, costs=costs,
+    w, ka, kb = make_kernel_pair(drop_rate=drop_rate, seed=seed,
                                  verify_checksums=verify_checksums,
                                  telemetry=telemetry)
     la = PosixLibOS(ka.host, ka, name="client.catnap")
@@ -183,13 +180,12 @@ def make_posix_libos_pair(drop_rate: float = 0.0, seed: int = 42,
 
 
 def make_rdma_libos_pair(drop_rate: float = 0.0, seed: int = 42,
-                         costs: CostModel = DEFAULT_COSTS, telemetry=False):
+                         telemetry=False):
     """Two hosts with RDMA libOSes over verbs + a shared CM."""
     from .libos.rdma_libos import RdmaLibOS
     from .rdma.cm import RdmaCm
 
-    w = World(costs=costs, drop_rate=drop_rate, seed=seed,
-              telemetry=telemetry)
+    w = World(drop_rate=drop_rate, seed=seed, telemetry=telemetry)
     cm = RdmaCm(w.sim)
     liboses = []
     for name in ("client", "server"):
@@ -199,12 +195,11 @@ def make_rdma_libos_pair(drop_rate: float = 0.0, seed: int = 42,
     return w, liboses[0], liboses[1]
 
 
-def make_spdk_libos(seed: int = 42, costs: CostModel = DEFAULT_COSTS,
-                    telemetry=False):
+def make_spdk_libos(seed: int = 42, telemetry=False):
     """One host with an NVMe device and an SPDK libOS: (world, libOS)."""
     from .libos.spdk_libos import SpdkLibOS
 
-    w = World(costs=costs, seed=seed, telemetry=telemetry)
+    w = World(seed=seed, telemetry=telemetry)
     host = w.add_host("h")
     nvme = w.add_nvme(host)
     libos = SpdkLibOS(host, nvme, name="h.catfish")
@@ -225,7 +220,7 @@ def make_vfs_kernel(seed: int = 42, telemetry=False):
 
 
 def make_rmem_world(slot_size: int = 4096, n_slots: int = 16,
-                    seed: int = 42, costs: CostModel = DEFAULT_COSTS):
+                    seed: int = 42):
     """Producer + consumer + passive memory node, ring in the node's arena.
 
     Returns (world, producer RingProducer, consumer RingConsumer,
@@ -234,7 +229,7 @@ def make_rmem_world(slot_size: int = 4096, n_slots: int = 16,
     from .rdma.verbs import ProtectionDomain, QueuePair
     from .rmem.ring import RemoteRing, RingConsumer, RingProducer
 
-    w = World(costs=costs, seed=seed)
+    w = World(seed=seed)
     hosts = {name: w.add_host(name) for name in ("producer", "consumer",
                                                  "memnode")}
     nics = {name: w.add_rdma(host) for name, host in hosts.items()}
@@ -252,13 +247,11 @@ def make_rmem_world(slot_size: int = 4096, n_slots: int = 16,
     return w, producer, consumer, hosts["memnode"]
 
 
-def make_mtcp_pair(drop_rate: float = 0.0, seed: int = 42,
-                   costs: CostModel = DEFAULT_COSTS, telemetry=False):
+def make_mtcp_pair(seed: int = 42, telemetry=False):
     """Two hosts with mTCP-style shims: (world, client shim, server shim)."""
     from .libos.mtcp_shim import MtcpShim
 
-    w = World(costs=costs, drop_rate=drop_rate, seed=seed,
-              telemetry=telemetry)
+    w = World(seed=seed, telemetry=telemetry)
     shims = []
     for i, (name, ip) in enumerate((("client", "10.0.0.1"),
                                     ("server", "10.0.0.2"))):

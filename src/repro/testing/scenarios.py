@@ -235,9 +235,7 @@ def _sharded_server(seed: int, telemetry, cores: int = 1,
     return world, clients + [shard.libos for shard in server.shards], server
 
 
-def _replica_cluster(seed: int, telemetry, n_nodes: int = 3,
-                     replication: int = 3, n_chains: int = 1,
-                     n_clients: int = 2):
+def _replica_cluster(seed: int, telemetry, n_clients: int = 2):
     """A chain-replicated KV tier plus its client hosts, all over RDMA.
 
     Three hosts form one chain (head -> middle -> tail) so a plan's
@@ -245,9 +243,8 @@ def _replica_cluster(seed: int, telemetry, n_nodes: int = 3,
     """
     world = World(seed=seed, telemetry=telemetry)
     cm = RdmaCm(world.sim)
-    node_names = ["replica%d" % i for i in range(n_nodes)]
-    directory = ClusterDirectory(world.tracer, node_names,
-                                 replication=replication, n_chains=n_chains)
+    node_names = ["replica%d" % i for i in range(3)]
+    directory = ClusterDirectory(world.tracer, node_names, n_chains=1)
     rng = Rng(seed)
     nodes = [ReplicaNode(world, node_name, directory, cm,
                          rng=rng.fork_named(node_name))
@@ -1137,7 +1134,7 @@ WORKLOADS: Dict[str, Dict[str, Any]] = {
                  "params": {"n_records": 400, "on_device": False}},
     "kv-replicated": {
         "kinds": ("rdma",), "legs": _kv_replicated, "world": "cluster",
-        "shape": ("n_nodes", "replication", "n_chains", "n_clients"),
+        "shape": ("n_clients",),
         "params": {"n_ops": 40, "n_keys": 8, "value_size": 64,
                    "settle_ns": 2 * _MS},
     },

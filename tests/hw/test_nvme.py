@@ -7,10 +7,14 @@ from repro.sim.engine import Simulator
 from repro.sim.host import Host
 
 
-def make_device(**kw):
+class OneChannelNvme(NvmeDevice):
+    channels = 1
+
+
+def make_device(cls=NvmeDevice, **kw):
     sim = Simulator()
     host = Host(sim, "h0")
-    dev = NvmeDevice(host, **kw)
+    dev = cls(host, **kw)
     return sim, dev
 
 
@@ -105,7 +109,7 @@ def test_write_faster_than_read():
 
 
 def test_channels_give_parallelism():
-    sim1, dev1 = make_device(channels=1)
+    sim1, dev1 = make_device(OneChannelNvme)
     done1 = []
 
     def io(dev, done):
@@ -119,7 +123,8 @@ def test_channels_give_parallelism():
     sim1.run()
     assert done1[1] == 2 * done1[0]  # serialized on one channel
 
-    sim8, dev8 = make_device(channels=8)
+    sim8, dev8 = make_device()
+    assert dev8.channels == 8
     done8 = []
     sim8.spawn(io(dev8, done8))
     sim8.spawn(io(dev8, done8))

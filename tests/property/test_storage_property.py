@@ -238,6 +238,10 @@ class TestNvmeProperties:
 SMALL_BLOCK = 512
 SMALL_WINDOW_COSTS = DEFAULT_COSTS.with_overrides(nvme_ns_per_byte=60.0)
 
+class OneChannelNvme(NvmeDevice):
+    channels = 1
+
+
 PREDICATES = {
     "all": lambda p: True,
     "none": lambda p: False,
@@ -254,8 +258,8 @@ def scanned_log(channels, records, sync_after, remount, corrupt, predicate):
     scan: the matches, or the error's type and message."""
     w = World(SMALL_WINDOW_COSTS)
     host = w.add_host("h")
-    nvme = NvmeDevice(host, name="h.nvme0", block_size=SMALL_BLOCK,
-                      channels=channels)
+    device = {1: OneChannelNvme, 8: NvmeDevice}[channels]
+    nvme = device(host, name="h.nvme0", block_size=SMALL_BLOCK)
     store = LogStore(nvme, host.cpu)
     ids = []
 

@@ -83,9 +83,11 @@ HEAP_PEAK_BUDGET = 40
 #: object, not by pstats (which keeps one dataclass ``__init__``), that
 #: run was 751_261 calls, and 749_729 without the attribute tallies
 #: nothing read; 747_056 once a charge is a ``Sleep``: no ``Timeout``
-#: built, no ``trigger`` called.  The budget sits 4 % above that
-#: measurement: a timer that ticks through the idle time again (a
-#: heartbeat is one per 20 us per link) trips it.
+#: built, no ``trigger`` called; 751_638 once a fired ``Timeout`` lets
+#: its spent heap entry go (one ``_fire`` call per fired timeout, so none
+#: is left to the cycle collector).  The budget sits 4 % above 747_056
+#: (3.4 % above the count now): a timer that ticks through the idle time
+#: again (a heartbeat is one per 20 us per link) trips it.
 REPLICA_CALL_BUDGET = 776_939
 
 #: one run under the profiler: *setup*, then *body* profiled.  The count

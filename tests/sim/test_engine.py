@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import (
@@ -28,6 +31,30 @@ def test_timeout_advances_clock():
     sim.run()
     assert p.value == 250
     assert sim.now == 250
+
+
+class _Token:
+    """A value a timeout carries: a slotted ``Timeout`` takes no weak
+    reference, so the test watches what it holds."""
+
+
+def test_a_fired_timeout_is_freed_by_reference_count():
+    """Firing lets the spent heap entry go: no timeout -> entry ->
+    bound callback -> timeout cycle is left for the collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        token = _Token()
+        alive = weakref.ref(token)
+        timer = sim.timeout(5, token)
+        sim.run()
+        assert timer.triggered and timer.value is token
+        del timer, token
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_zero_timeout_runs_same_timestep():

@@ -19,9 +19,9 @@ class TestWaitQueue:
 
         for name in ("a", "b", "c"):
             sim.spawn(waiter(name))
-        sim.call_in(10, wq.pulse, "go")
+        sim.call_in(10, wq.pulse)
         sim.run()
-        assert sorted(woken) == [("a", "go"), ("b", "go"), ("c", "go")]
+        assert sorted(woken) == [("a", None), ("b", None), ("c", None)]
 
     def test_pulse_returns_wake_count(self):
         sim = Simulator()
