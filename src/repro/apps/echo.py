@@ -104,16 +104,17 @@ def demi_echo_client(libos: LibOS, server_addr: str,
 # Raw POSIX: the kernel's sockets, or the mTCP shim's copy of them
 # ---------------------------------------------------------------------------
 
-def posix_echo_server(os, port: int = 7, max_requests: int = 0) -> Generator:
+def posix_echo_server(os, port: int = 7) -> Generator:
     """The classic accept/recv/send loop over *os*'s sockets (a
-    :class:`~repro.kernelos.kernel.Kernel` or an mTCP shim)."""
+    :class:`~repro.kernelos.kernel.Kernel` or an mTCP shim), until the
+    client closes; returns the requests it echoed."""
     sys = os.thread()
     listen_fd = yield from sys.socket()
     yield from sys.bind(listen_fd, port)
     yield from sys.listen(listen_fd)
     conn_fd = yield from sys.accept(listen_fd)
     served = 0
-    while max_requests == 0 or served < max_requests:
+    while True:
         data = yield from sys.recv(conn_fd)
         if not data:
             break

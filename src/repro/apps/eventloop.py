@@ -37,14 +37,14 @@ class EpollWorkerPool:
         self._stop = False
         self._procs = []
 
-    def start(self, epfd: int, conn_fd: int, reply: bool = True) -> None:
+    def start(self, epfd: int, conn_fd: int) -> None:
         """Spawn the workers (call after the connection is registered)."""
         for i in range(self.n_workers):
             core = self.kernel.host.cpus[
                 min(i + 1, len(self.kernel.host.cpus) - 1)]
             sys = self.kernel.thread(core)
             proc = self.kernel.sim.spawn(
-                self._worker(sys, epfd, conn_fd, reply),
+                self._worker(sys, epfd, conn_fd),
                 name="epoll.worker%d" % i)
             self._procs.append(proc)
 
@@ -54,7 +54,7 @@ class EpollWorkerPool:
             if proc.alive:
                 proc.interrupt("pool stopped")
 
-    def _worker(self, sys, epfd: int, conn_fd: int, reply: bool) -> Generator:
+    def _worker(self, sys, epfd: int, conn_fd: int) -> Generator:
         while not self._stop:
             ready = yield from sys.epoll_wait(epfd)
             if self._stop:
@@ -69,8 +69,7 @@ class EpollWorkerPool:
                 self.wasted_wakeups += 1
                 continue
             self.requests_served += 1
-            if reply:
-                yield from sys.send(conn_fd, data)
+            yield from sys.send(conn_fd, data)
 
 
 class WaitAnyWorkerPool:

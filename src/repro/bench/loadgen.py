@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Sequence
 
 from ..apps.proto import Request
-from ..apps.proto.codec import ST_ERROR, CodecError
+from ..apps.proto.codec import CodecError
 from ..apps.steering import key_partition
 from ..cluster.client import src_port_for_queue
 from ..core.types import DemiTimeout
@@ -99,7 +99,6 @@ class ConnMetrics:
     def __init__(self):
         self.sent = 0
         self.completed = 0
-        self.error_replies = 0
         self.client_decode_errors = 0
 
 
@@ -147,15 +146,13 @@ def connection(libos, cfg: LoadConfig, codec_cls, rng: Rng, conn_id: int,
             metrics.client_decode_errors += 1
             return
         now = libos.sim.now
-        for reply in replies:
+        for _reply in replies:
             if not pending:
                 metrics.client_decode_errors += 1
                 return
             send_time = pending.popleft()
             stats.add(now - send_time)
             metrics.completed += 1
-            if reply.status == ST_ERROR:
-                metrics.error_replies += 1
 
     def drain(token: int) -> Generator:
         """Pop replies until nothing is owed or the drain budget runs out.

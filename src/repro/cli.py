@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
 from .apps.echo import demi_echo_client, demi_echo_server
 from .bench.report import print_table, us
@@ -316,7 +316,7 @@ def cmd_exp_validate(args) -> int:
     return status
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Demikernel reproduction (HotOS 2019) - simulated "
@@ -397,4 +397,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -327,7 +327,7 @@ class ReplicaNode:
         self._procs.append(proc)
         return proc
 
-    def crash(self, report_to: Optional[list] = None) -> Generator:
+    def crash(self) -> Generator:
         """Sim-coroutine: die abruptly and let the kernel reclaim.
 
         Raw replication QPs - a link's, or a SYNC handshake's that is
@@ -351,9 +351,7 @@ class ReplicaNode:
         for chain in self.chains.values():
             chain.down = None
             chain.up = None
-        report = yield from crash_teardown(self.libos, None,
-                                           report_to=report_to)
-        return report
+        yield from crash_teardown(self.libos)
 
     # -- roles --------------------------------------------------------------
     def _members(self, chain_id: int) -> List[str]:

@@ -25,6 +25,9 @@ from .types import DemiError
 
 __all__ = ["RetryBudgetExceeded", "retry_with_backoff"]
 
+#: each retry's delay cap is this many times the last one's
+BACKOFF_FACTOR = 2
+
 
 class RetryBudgetExceeded(DemiError):
     """All retries spent without success.
@@ -50,7 +53,6 @@ def retry_with_backoff(sim, attempt: Callable, *, rng,
                        retry_on: Tuple[Type[BaseException], ...] = (DemiError,),
                        base_delay_ns: int = 10_000,
                        max_delay_ns: int = 1_000_000,
-                       factor: float = 2.0,
                        max_attempts: int = 8,
                        budget_ns: int = 10_000_000,
                        op: str = "operation"):
@@ -62,8 +64,8 @@ def retry_with_backoff(sim, attempt: Callable, *, rng,
     *max_attempts* tries or once *budget_ns* of simulated time has
     elapsed, whichever comes first.  Equal jitter: the delay after the
     n-th failure is one ``rng.randint`` from ``[cap/2, cap]``, where
-    ``cap = min(max_delay_ns, base_delay_ns * factor**n)``, so two runs
-    with the same seed back off identically.
+    ``cap = min(max_delay_ns, base_delay_ns * BACKOFF_FACTOR**n)``, so
+    two runs with the same seed back off identically.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -79,7 +81,7 @@ def retry_with_backoff(sim, attempt: Callable, *, rng,
         if n + 1 >= max_attempts or elapsed >= budget_ns:
             raise RetryBudgetExceeded(op, n + 1, elapsed,
                                       last_error) from last_error
-        cap = min(max_delay_ns, int(base_delay_ns * (factor ** n)))
+        cap = min(max_delay_ns, int(base_delay_ns * (BACKOFF_FACTOR ** n)))
         cap = max(cap, 1)
         delay = rng.randint(cap // 2 if cap > 1 else 1, cap)
         # Never sleep past the budget: clamp so the final attempt still

@@ -303,7 +303,7 @@ def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
 # -- kv-scaling / storage / echo-rtt / kv-rtt: the scenario row is the whole
 # measurement; its ``data``, less the driver's keys, is the trajectory row --
 #: what the driver, not the workload, records in ``ScenarioResult.data``
-_DRIVER_DATA = ("finished_at", "reclaim")
+_DRIVER_DATA = ("finished_at",)
 
 
 def _row_data(row: str):

@@ -380,11 +380,12 @@ class KernelNic(_EthernetNic):
 
     kind = "kernel-nic"
 
-    def __init__(self, host, fabric, mac, name="eth0", coalesce_ns=0):
+    def __init__(self, host, fabric, mac, name="eth0"):
         super().__init__(host, fabric, mac, name, n_tx_queues=1)
         self.irq_handler: Optional[Callable[[bytes], None]] = None
         self.irq_core = host.cpu
-        self.coalesce_ns = coalesce_ns
+        #: off; benchmark ABL4 sets it
+        self.coalesce_ns = 0
         self._poll_ends_at = 0
         self._window_ends_at = 0
         self._coalesced: List[Any] = []

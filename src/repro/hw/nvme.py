@@ -70,19 +70,12 @@ class NvmeDevice(Device):
     CTRL_RESET_NS = 2_000_000
     #: flash channels: how many commands make progress at once
     channels = 8
+    #: geometry: 1 GiB of 4 KiB blocks
+    capacity_blocks = 262144
+    block_size = 4096
 
-    def __init__(
-        self,
-        host,
-        name: str = "nvme0",
-        capacity_blocks: int = 262144,
-        block_size: int = 4096,
-    ):
+    def __init__(self, host, name: str = "nvme0"):
         super().__init__(host, name)
-        if capacity_blocks <= 0 or block_size <= 0:
-            raise NvmeError("bad geometry")
-        self.capacity_blocks = capacity_blocks
-        self.block_size = block_size
         self._blocks: Dict[int, bytes] = {}
         self._channel_free = [0] * self.channels
         #: commands submitted but not yet completed/aborted

@@ -16,7 +16,7 @@ CPU if necessary").
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, Optional
+from typing import Any, Callable, FrozenSet
 
 from ..telemetry import names
 from .device import Device
@@ -31,20 +31,10 @@ class OffloadEngine(Device):
 
     kind = "offload-engine"
 
-    def __init__(
-        self,
-        host,
-        name: str = "offload0",
-        capabilities: Optional[Iterable[str]] = None,
-        element_ns: Optional[int] = None,
-    ):
+    def __init__(self, host, name: str = "offload0"):
         super().__init__(host, name)
-        caps = frozenset(capabilities) if capabilities is not None else ALL_OFFLOADS
-        unknown = caps - ALL_OFFLOADS
-        if unknown:
-            raise ValueError("unknown offload capabilities: %s" % sorted(unknown))
-        self.capabilities = caps
-        self.element_ns = element_ns if element_ns is not None else self.costs.offload_element_ns
+        self.capabilities = ALL_OFFLOADS
+        self.element_ns = self.costs.offload_element_ns
         self._busy_free_at = 0
         self.device_busy_ns = 0
 

@@ -1,7 +1,7 @@
 """The legacy in-kernel OS baseline (sockets+copies, epoll, VFS)."""
 
 from .kernel import EWOULDBLOCK, Kernel, KernelError, Syscalls
-from .reclaim import ReclaimReport, crash_teardown, reclaim_process
+from .reclaim import crash_teardown, reclaim_process
 from .vfs import Inode, Vfs
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "EWOULDBLOCK",
     "Vfs",
     "Inode",
-    "ReclaimReport",
     "reclaim_process",
     "crash_teardown",
 ]

@@ -163,22 +163,18 @@ class Kernel:
         """A syscall interface bound to the calling thread's core."""
         return Syscalls(self, core or self.host.cpu)
 
-    def reclaim_fds(self, counters) -> int:
+    def reclaim_fds(self, counters) -> None:
         """Crash teardown: close every fd the dead process left open.
 
         What ``exit(2)`` guarantees and a bypassed kernel cannot: each
         descriptor's :meth:`KObject.abort` - live connections are reset
-        and listeners close.  Counts what it
-        did on *counters* (the host's ``reclaim`` scope); returns the
-        number of fds reclaimed.
+        and listeners close.  Counts what it did on *counters* (the
+        host's ``reclaim`` scope).
         """
-        reclaimed = 0
         for fd, obj in list(self._fds.items()):
             obj.abort(self, counters)
             del self._fds[fd]
-            reclaimed += 1
             counters.fds_closed += 1
-        return reclaimed
 
     def copied(self, direction: str, n: int) -> None:
         """Account one user<->kernel copy: the byte counter, and while

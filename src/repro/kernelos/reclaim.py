@@ -30,13 +30,13 @@ the qd/fd tables are empty.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..telemetry import names
 from .kernel import Kernel
 
-__all__ = ["ReclaimReport", "reclaim_process", "crash_teardown",
-           "QUIESCE_POLL_NS", "QUIESCE_LIMIT_NS"]
+__all__ = ["reclaim_process", "crash_teardown", "QUIESCE_POLL_NS",
+           "QUIESCE_LIMIT_NS"]
 
 #: how often the quiesce loop re-checks for deferred frees resolving
 QUIESCE_POLL_NS = 100_000
@@ -44,49 +44,25 @@ QUIESCE_POLL_NS = 100_000
 QUIESCE_LIMIT_NS = 50_000_000
 
 
-class ReclaimReport:
-    """What one reclamation pass recovered."""
-
-    def __init__(self):
-        self.qtokens_cancelled = 0
-        self.qtokens_retired = 0
-        self.qds_closed = 0
-        self.fds_closed = 0
-        self.nvme_aborted = 0
-        self.frames_drained = 0
-        self.buffers_freed = 0
-        self.regions_released = 0
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "ReclaimReport(%s)" % ", ".join(
-            "%s=%d" % kv for kv in sorted(vars(self).items()))
-
-
-def reclaim_process(libos, app_proc=None) -> ReclaimReport:
+def reclaim_process(libos, app_proc=None) -> None:
     """Synchronously tear down a dead process's resources (steps 1-7
     above, minus the quiesce).  *libos* is what the process ran on: a
     libOS, or a :class:`Kernel` for a process that only made syscalls
     (steps 2-4 then have nothing to reclaim; its fds close in step 5).
     *app_proc* is the application's sim process, interrupted first if
-    still alive.  Returns a
-    :class:`ReclaimReport`; call :func:`crash_teardown` instead when the
-    final region unmap matters (it almost always does).
+    still alive.  What it recovers is counted on the host's
+    ``<host>.reclaim.*`` counters; call :func:`crash_teardown` instead
+    when the final region unmap matters (it almost always does).
     """
     host = libos.host
     counters = host.tracer.scope(host.name).scope(names.RECLAIM)
     counters.runs += 1
-    report = ReclaimReport()
 
     if app_proc is not None and app_proc.alive:
         app_proc.interrupt("proc_crash")
 
     if not isinstance(libos, Kernel):  # a process on the kernel has only fds
         cancelled, retired = libos.qtokens.reap_all()
-        report.qtokens_cancelled = cancelled
-        report.qtokens_retired = retired
         if cancelled:
             counters.qtokens_cancelled += cancelled
         if retired:
@@ -98,54 +74,43 @@ def reclaim_process(libos, app_proc=None) -> ReclaimReport:
             queue.crash_abort(counters)
             libos._queues.pop(qd, None)
             counters.qds_closed += 1
-            report.qds_closed += 1
 
         for proc in libos.crash_background_procs():
             if proc is not None and proc.alive:
                 proc.interrupt("proc_crash")
 
     if host.kernel is not None:
-        report.fds_closed = host.kernel.reclaim_fds(counters)
+        host.kernel.reclaim_fds(counters)
 
     nvme = getattr(libos, "nvme", None)
     if nvme is not None:
         aborted = nvme.abort_all(reason="owner crashed")
-        report.nvme_aborted = aborted
         if aborted:
             counters.nvme_aborts += aborted
     for nic in host.nics:
-        report.frames_drained += nic.drain_rx()
+        nic.drain_rx()
         counters.rings_drained += 1
 
     freed = host.mm.free_all()
-    report.buffers_freed = freed
     if freed:
         counters.buffers_freed += freed
-    return report
 
 
-def crash_teardown(libos, app_proc=None,
-                   report_to: Optional[list] = None) -> Generator:
+def crash_teardown(libos, app_proc=None) -> Generator:
     """Sim-coroutine: full teardown - reclaim, quiesce DMA, unmap regions.
 
     After :func:`reclaim_process`, buffers a device was still DMA-ing
     sit in deferred-free limbo until the device drops its last
     reference; this waits (bounded by ``QUIESCE_LIMIT_NS``) for the heap
     to empty, then releases every region - the step that actually
-    returns the IOMMU to zero mapped ranges.  The finished
-    :class:`ReclaimReport` is the coroutine's return value and is also
-    appended to *report_to* when given (handy for fault-injector crash
-    handlers that cannot consume return values).
+    returns the IOMMU to zero mapped ranges.
     """
     host = libos.host
     counters = host.tracer.scope(host.name).scope(names.RECLAIM)
-    report = reclaim_process(libos, app_proc)
+    reclaim_process(libos, app_proc)
     deadline = host.sim.now + QUIESCE_LIMIT_NS
     while host.mm.live_buffer_count and host.sim.now < deadline:
         yield host.sim.timeout(QUIESCE_POLL_NS)
-    report.regions_released = host.mm.reclaim_regions()
-    if report.regions_released:
-        counters.regions_unmapped += report.regions_released
-    if report_to is not None:
-        report_to.append(report)
-    return report
+    released = host.mm.reclaim_regions()
+    if released:
+        counters.regions_unmapped += released

@@ -56,7 +56,7 @@ class Ipv4Packet:
                          self.payload))
 
     @classmethod
-    def unpack(cls, raw: bytes, verify_checksum: bool = True) -> "Ipv4Packet":
+    def unpack(cls, raw: bytes) -> "Ipv4Packet":
         if len(raw) < IPV4_HEADER_LEN:
             raise PacketError("IPv4 packet too short: %d bytes" % len(raw))
         (ver_ihl, _tos, total_len, ident, _flags, ttl, proto, _csum,
@@ -69,7 +69,7 @@ class Ipv4Packet:
             raise PacketError("IP options unsupported (ihl=%d)" % ihl)
         if total_len > len(raw):
             raise PacketError("truncated IPv4 packet")
-        if verify_checksum and internet_checksum(raw[0:IPV4_HEADER_LEN]) != 0:
+        if internet_checksum(raw[0:IPV4_HEADER_LEN]) != 0:
             raise PacketError("bad IPv4 header checksum")
         return cls(bytes_to_ip(src), bytes_to_ip(dst), proto,
                    raw[IPV4_HEADER_LEN:total_len], ttl, ident)

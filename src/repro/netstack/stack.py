@@ -296,12 +296,10 @@ class NetStack:
         handler(datagram.payload, src_ip, datagram.src_port)
 
     # ---------------------------------------------------------------- TCP
-    def tcp_listen(self, port: int, backlog: int = 128,
-                   recv_capacity: int = 262144) -> TcpListener:
+    def tcp_listen(self, port: int, backlog: int = 128) -> TcpListener:
         if port in self._tcp_listeners:
             raise ValueError("TCP port %d already listening" % port)
         listener = TcpListener(self, port, backlog)
-        listener.recv_capacity = recv_capacity
         self._tcp_listeners[port] = listener
         return listener
 
@@ -356,9 +354,7 @@ class NetStack:
                 and not seg.flags & ACK:
             conn = TcpConnection(self, (self.ip, seg.dst_port),
                                  (src_ip, seg.src_port),
-                                 iss=self._alloc_isn(),
-                                 recv_capacity=getattr(listener, "recv_capacity",
-                                                       262144))
+                                 iss=self._alloc_isn())
             conn._listener = listener
             self._tcp_conns[key] = conn
             conn.on_syn(seg)

@@ -59,6 +59,9 @@ ACK = 0x10
 
 TCP_HEADER_LEN = 20
 DEFAULT_MSS = 1460
+#: bytes a connection buffers for its reader (the window it can offer
+#: is this, clamped to 65 535: no window scaling)
+RECV_CAPACITY = 262144
 
 #: ports, seq, ack, data offset, flags, window, checksum, urgent pointer
 _HEADER = struct.Struct("!HHIIBBHHH")
@@ -190,7 +193,6 @@ class TcpConnection:
         local: Tuple[str, int],
         remote: Tuple[str, int],
         iss: int,
-        recv_capacity: int = 262144,
     ):
         self.stack = stack
         self.sim = stack.sim
@@ -232,7 +234,7 @@ class TcpConnection:
         # receive side
         self.irs = 0
         self.rcv_nxt = 0
-        self.recv_capacity = recv_capacity
+        self.recv_capacity = RECV_CAPACITY
         self._recv_buffer = bytearray()
         self._ooo: Dict[int, bytes] = {}
         self._peer_fin = False

@@ -62,37 +62,32 @@ class QueuePair:
     def destroy(self) -> None:
         self.nic.destroy_qp(self.hw)
 
-    def _wr_id(self, explicit: Optional[int]) -> int:
-        if explicit is not None:
-            return explicit
+    def _wr_id(self) -> int:
         wr = self._next_wr
         self._next_wr += 1
         return wr
 
     # -- work requests -------------------------------------------------------
-    def post_recv(self, buffer: Any, wr_id: Optional[int] = None) -> int:
-        wr = self._wr_id(wr_id)
+    def post_recv(self, buffer: Any) -> int:
+        wr = self._wr_id()
         self.nic.post_recv(self.hw, wr, buffer)
         return wr
 
-    def post_send(self, payload: bytes, wr_id: Optional[int] = None,
-                  addr: Optional[int] = None) -> int:
-        wr = self._wr_id(wr_id)
+    def post_send(self, payload: bytes, addr: Optional[int] = None) -> int:
+        wr = self._wr_id()
         self.nic.host.cpu.charge_async(self.nic.costs.doorbell_ns)
         self.nic.post_send(self.hw, wr, payload, addr=addr)
         return wr
 
     def post_write(self, payload: bytes, raddr: int,
-                   wr_id: Optional[int] = None,
                    addr: Optional[int] = None) -> int:
-        wr = self._wr_id(wr_id)
+        wr = self._wr_id()
         self.nic.host.cpu.charge_async(self.nic.costs.doorbell_ns)
         self.nic.post_write(self.hw, wr, payload, raddr, addr=addr)
         return wr
 
-    def post_read(self, raddr: int, rlen: int, local_buffer: Any,
-                  wr_id: Optional[int] = None) -> int:
-        wr = self._wr_id(wr_id)
+    def post_read(self, raddr: int, rlen: int, local_buffer: Any) -> int:
+        wr = self._wr_id()
         self.nic.host.cpu.charge_async(self.nic.costs.doorbell_ns)
         self.nic.post_read(self.hw, wr, raddr, rlen, local_buffer)
         return wr

@@ -56,19 +56,19 @@ CRASH_KINDS = ("proc_crash",)
 class FaultEvent:
     """One time-windowed fault.  Active while ``start <= now < end``.
 
-    ``src``/``dst`` filter network faults by fabric port address (None
-    matches any).  ``device`` names the target of device faults; it
-    matches a device's full name, or a dotted prefix/suffix of it
-    (``"client.dpdk0"``, ``"dpdk0"``, ``"client"`` all match
-    ``client.dpdk0``).
+    ``src``/``dst`` scope a partition to one direction of a link by
+    fabric port address (None matches any).  ``device`` names the target
+    of device faults; it matches a device's full name, or a dotted
+    prefix/suffix of it (``"client.dpdk0"``, ``"dpdk0"``, ``"client"``
+    all match ``client.dpdk0``).
     """
 
     kind: str
     start: int
     end: int
     rate: float = 1.0          # per-frame probability (probabilistic kinds)
-    src: Optional[str] = None  # source port filter (network kinds)
-    dst: Optional[str] = None  # destination port filter (network kinds)
+    src: Optional[str] = None  # source port filter (partition)
+    dst: Optional[str] = None  # destination port filter (partition)
     extra_ns: int = 0          # latency spike / reorder jitter / stall length
     factor: float = 1.0        # nvme_slow latency multiplier
     limit: int = 0             # nic_ring_clamp effective ring size
@@ -131,11 +131,9 @@ class FaultPlan:
         self.events.append(event)
         return self
 
-    def loss(self, start: int, end: int, rate: float = 1.0,
-             src: Optional[str] = None, dst: Optional[str] = None) -> "FaultPlan":
-        """A loss burst: each matching frame drops with *rate*."""
-        return self.add(FaultEvent("loss", start, end, rate=rate,
-                                   src=src, dst=dst))
+    def loss(self, start: int, end: int, rate: float = 1.0) -> "FaultPlan":
+        """A loss burst: each frame on any link drops with *rate*."""
+        return self.add(FaultEvent("loss", start, end, rate=rate))
 
     def reorder(self, start: int, end: int, rate: float = 0.5,
                 jitter_ns: int = 200_000) -> "FaultPlan":

@@ -98,11 +98,14 @@ class Tracer:
     """Named counters plus an optional bounded event log; with
     :attr:`tracing` on, also the run's spans, gauges and distributions."""
 
-    def __init__(self, keep_events: bool = False, max_events: int = 100000):
+    #: the fault timeline keeps at most this many events
+    MAX_EVENTS = 100_000
+
+    def __init__(self):
         #: full prefix -> its one scope, in the order first asked for
         self._scopes: Dict[str, CounterScope] = {}
-        self.keep_events = keep_events
-        self.max_events = max_events
+        #: off; ``run_scenario`` keeps the fault timeline
+        self.keep_events = False
         self.events: List[Tuple[int, str, Any]] = []
         #: the one switch (``World(telemetry=True)`` sets it); every
         #: recording site checks it before it touches what follows
@@ -139,16 +142,15 @@ class Tracer:
         return scope
 
     def record(self, now: int, event: str, detail: Any = None) -> None:
-        if self.keep_events and len(self.events) < self.max_events:
+        if self.keep_events and len(self.events) < self.MAX_EVENTS:
             self.events.append((now, event, detail))
 
     def span(self, name: str, cat: str, track: str, start_ns: int,
-             end_ns: Optional[int] = None, parent: Optional[Span] = None,
-             **args) -> Span:
+             end_ns: Optional[int] = None, **args) -> Span:
         """A span from *start_ns*.  It joins :attr:`spans` when it ends:
         at once if *end_ns* is given, else at its ``end(end_ns)``."""
         span = Span(self, self._next_span_id, name, cat, track, start_ns,
-                    parent, args)
+                    args)
         self._next_span_id += 1
         if end_ns is not None:
             span.end(end_ns)

@@ -86,19 +86,16 @@ class LogError(Exception):
 
 
 class LogStore:
-    """Append-only checksummed record log on one NVMe LBA range."""
+    """Append-only checksummed record log over a whole NVMe device, from
+    LBA 0."""
 
-    def __init__(self, nvme: NvmeDevice, core: Core,
-                 lba_start: int = 0, lba_count: Optional[int] = None):
+    def __init__(self, nvme: NvmeDevice, core: Core):
         self.nvme = nvme
         self.core = core
         #: the host memory the device's reads land in
         self.mm = nvme.host.mm
         self.costs = nvme.costs
         self.block_size = nvme.block_size
-        self.lba_start = lba_start
-        self.lba_count = (lba_count if lba_count is not None
-                          else nvme.capacity_blocks - lba_start)
         #: next append position, as a byte offset into the log region
         self.tail = 0
         #: write buffer: bytes accepted but not yet flushed to flash
@@ -123,7 +120,7 @@ class LogStore:
         #: time (the whole range if transfer is free)
         block_ns = self.block_size * self.costs.nvme_ns_per_byte
         self._ahead_blocks = (max(1, int(self.costs.nvme_read_ns // block_ns))
-                              if block_ns else self.lba_count)
+                              if block_ns else nvme.capacity_blocks)
         #: where scan() may cut the log: the first record id that starts
         #: in each read-ahead window, in log order, and the offset where
         #: the window after the last of them begins
@@ -133,15 +130,15 @@ class LogStore:
     # -- geometry --------------------------------------------------------------
     @property
     def capacity_bytes(self) -> int:
-        return self.lba_count * self.block_size
+        return self.nvme.capacity_blocks * self.block_size
 
     def _lba_of(self, offset: int) -> int:
-        return self.lba_start + offset // self.block_size
+        return offset // self.block_size
 
     def _flushed_end(self) -> int:
         """The LBA after the last block a sync has written (the block
         holding the flushed tail included)."""
-        return self.lba_start + -(-self._buffer_base // self.block_size)
+        return -(-self._buffer_base // self.block_size)
 
     def _note_start(self, record_id: int) -> None:
         """Keep *record_id*, the first record to start in its read-ahead

@@ -62,8 +62,6 @@ def chrome_trace_events(tracer) -> List[dict]:
                            "tid": tid, "args": {"name": span.cat or "spans"}})
         args = dict(span.args)
         args["span_id"] = span.id
-        if span.parent_id:
-            args["parent_id"] = span.parent_id
         events.append({
             "name": span.name,
             "cat": span.cat or "span",

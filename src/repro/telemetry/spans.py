@@ -3,8 +3,8 @@
 A span covers one logical operation - a push from syscall to
 completion, a pop from request to wake-up, a TCP segment from transmit
 to ack, an NVMe command from submit to complete - with sim-time start
-and end plus an optional parent link, so a trace viewer can show where
-inside a request the nanoseconds went (the attribution the paper's
+and end, so a trace viewer can show where inside a request the
+nanoseconds went (the attribution the paper's
 claims C1-C5 argue about).
 
 Spans are made by :meth:`repro.sim.trace.Tracer.span` (or a
@@ -24,11 +24,10 @@ class Span:
     """One timed operation: [start_ns, end_ns] on a named track."""
 
     __slots__ = ("tracer", "id", "name", "cat", "track",
-                 "start_ns", "end_ns", "parent_id", "args")
+                 "start_ns", "end_ns", "args")
 
     def __init__(self, tracer, span_id: int, name: str, cat: str, track: str,
-                 start_ns: int, parent: Optional["Span"] = None,
-                 args: Optional[dict] = None):
+                 start_ns: int, args: Optional[dict] = None):
         self.tracer = tracer
         self.id = span_id
         self.name = name
@@ -36,7 +35,6 @@ class Span:
         self.track = track
         self.start_ns = start_ns
         self.end_ns: Optional[int] = None
-        self.parent_id = parent.id if parent is not None else 0
         self.args = dict(args) if args else {}
 
     @property

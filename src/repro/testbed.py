@@ -87,8 +87,8 @@ class World:
         host.mm.attach_device(nic)
         return nic
 
-    def add_nvme(self, host: Host, **kw) -> NvmeDevice:
-        nvme = NvmeDevice(host, name="%s.nvme0" % host.name, **kw)
+    def add_nvme(self, host: Host) -> NvmeDevice:
+        nvme = NvmeDevice(host, name="%s.nvme0" % host.name)
         host.nvme = nvme
         return nvme
 
@@ -134,9 +134,9 @@ def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
     return w, liboses[0], liboses[1]
 
 
-def make_sharded_kv_world(n_shards: int, drop_rate: float = 0.0,
-                          seed: int = 42, port: int = 6379, telemetry=False,
-                          server_cls=None, server_kwargs=None):
+def make_sharded_kv_world(n_shards: int, seed: int = 42, port: int = 6379,
+                          telemetry=False, server_cls=None,
+                          server_kwargs=None):
     """A server sharded across *n_shards* cores plus one client per shard.
 
     The server host gets ``max(4, n_shards)`` cores and a DPDK NIC with
@@ -149,7 +149,7 @@ def make_sharded_kv_world(n_shards: int, drop_rate: float = 0.0,
     from .cluster.shard import ShardedKvServer
     from .libos.dpdk_libos import DpdkLibOS
 
-    w = World(drop_rate=drop_rate, seed=seed, telemetry=telemetry)
+    w = World(seed=seed, telemetry=telemetry)
     server_host = w.add_host("server", cores=max(4, n_shards))
     server_nic = w.add_dpdk(server_host, mac="02:00:00:00:30:64",
                             n_rx_queues=n_shards,
@@ -179,13 +179,12 @@ def make_posix_libos_pair(drop_rate: float = 0.0, seed: int = 42,
     return w, la, lb
 
 
-def make_rdma_libos_pair(drop_rate: float = 0.0, seed: int = 42,
-                         telemetry=False):
+def make_rdma_libos_pair(seed: int = 42, telemetry=False):
     """Two hosts with RDMA libOSes over verbs + a shared CM."""
     from .libos.rdma_libos import RdmaLibOS
     from .rdma.cm import RdmaCm
 
-    w = World(drop_rate=drop_rate, seed=seed, telemetry=telemetry)
+    w = World(seed=seed, telemetry=telemetry)
     cm = RdmaCm(w.sim)
     liboses = []
     for name in ("client", "server"):
@@ -219,8 +218,7 @@ def make_vfs_kernel(seed: int = 42, telemetry=False):
     return w, kernel
 
 
-def make_rmem_world(slot_size: int = 4096, n_slots: int = 16,
-                    seed: int = 42):
+def make_rmem_world(slot_size: int = 4096, n_slots: int = 16):
     """Producer + consumer + passive memory node, ring in the node's arena.
 
     Returns (world, producer RingProducer, consumer RingConsumer,
@@ -229,7 +227,7 @@ def make_rmem_world(slot_size: int = 4096, n_slots: int = 16,
     from .rdma.verbs import ProtectionDomain, QueuePair
     from .rmem.ring import RemoteRing, RingConsumer, RingProducer
 
-    w = World(seed=seed)
+    w = World()
     hosts = {name: w.add_host(name) for name in ("producer", "consumer",
                                                  "memnode")}
     nics = {name: w.add_rdma(host) for name, host in hosts.items()}

@@ -307,8 +307,6 @@ class _Run:
         self.undrained: List[Any] = []
         #: a leg that never returns is an admissible outcome
         self.may_hang = False
-        #: ReclaimReports of the crash teardowns that ran
-        self.reclaims: List[Any] = []
 
     def payloads(self, count: int, size: int) -> List[bytes]:
         """*count* seeded random messages / records of *size* bytes."""
@@ -322,9 +320,9 @@ class _Run:
                                                     name=name)))
 
     def on_crash(self, host: str, teardown, name: str) -> None:
-        """When the plan kills *host*, spawn ``teardown(report_to)``."""
+        """When the plan kills *host*, spawn ``teardown()``."""
         self.world.injector.on_crash(host, lambda: self.sim.spawn(
-            teardown(self.reclaims), name=name))
+            teardown(), name=name))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +364,8 @@ def _echo(run: _Run, n_messages: int, message_size: int,
         demi_echo_client(client, _SERVER_ADDR[run.kind], messages, port=7),
         name="chaos.echo.client")
     if "client" in run.crashed:
-        run.on_crash("client", lambda reports: crash_teardown(
-            client, client_proc, report_to=reports), "chaos.crash.reclaim")
+        run.on_crash("client", lambda: crash_teardown(client, client_proc),
+                     "chaos.crash.reclaim")
         # A client killed before it connects leaves the server in accept().
         run.may_hang = not strict
         (served, outcome), = yield [server_proc]
@@ -721,8 +719,8 @@ def _storage(run: _Run, n_records: int, record_size: int, sync_every: int,
             names.FILE_APPENDS,)).get(names.FILE_APPENDS, 0)
 
     if "h" in run.crashed:
-        run.on_crash("h", lambda reports: crash_teardown(
-            host, proc, report_to=reports), "chaos.crash.reclaim")
+        run.on_crash("h", lambda: crash_teardown(host, proc),
+                     "chaos.crash.reclaim")
         yield  # nothing to join: the driver runs the world past the crash
         if proc.alive:
             run.failures.append("workload still running after the crash"
@@ -934,9 +932,7 @@ def _kv_replicated(run: _Run, n_ops: int, n_keys: int, value_size: int,
                if host not in directory.node_names]
     for node in nodes:
         node.start()
-        run.on_crash(node.host.name,
-                     lambda reports, n=node: n.crash(report_to=reports),
-                     "%s.crash" % node.name)
+        run.on_crash(node.host.name, node.crash, "%s.crash" % node.name)
         run.undrained.append(node.libos)
     trackers = [_KeyTracker() for _ in clients]
     violations: List[str] = []
@@ -1323,20 +1319,19 @@ def scenario_problem(name: str, kind: str) -> Optional[str]:
 
 
 def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
-                 telemetry=False, limit_ns: int = DEFAULT_LIMIT_NS,
-                 **params) -> ScenarioResult:
+                 telemetry=False, **params) -> ScenarioResult:
     """Run one golden scenario, or a bare workload under a given plan.
 
     *name* is a :data:`GOLDEN_SCENARIOS` row (*plan* defaults to its
     pinned plan) or a :data:`WORKLOADS` row (*plan* is required).
     *params* are the workload's own keywords (``n_messages``, ``n_ops``,
     ``strict``, ...), laid over its row's ``params`` (a golden row's over
-    its workload's); *limit_ns* bounds each joined leg.  The legs know
-    which hosts the plan kills before they spawn.  The loop is
-    always the same: build -> install the plan -> spawn and join, phase
-    by phase -> stop servers -> quiesce -> check; a run that does not
-    finish is recorded and still gets every check that holds for an
-    undrained world.
+    its workload's); :data:`DEFAULT_LIMIT_NS` bounds each joined leg.
+    The legs know which hosts the plan kills before they spawn.  The
+    loop is always the same: build -> install the plan -> spawn and
+    join, phase by phase -> stop servers -> quiesce -> check; a run that
+    does not finish is recorded and still gets every check that holds
+    for an undrained world.
     """
     problem = scenario_problem(name, kind)
     if problem is not None:
@@ -1361,8 +1356,8 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     legs = next(check)
     while legs is not None:  # one phase of legs; None is the bare yield
         try:
-            outputs = [sim.run_until_complete(proc, limit=sim.now + limit_ns)
-                       for proc in legs]
+            outputs = [sim.run_until_complete(
+                proc, limit=sim.now + DEFAULT_LIMIT_NS) for proc in legs]
         except Exception as err:
             # Timeouts AND hard workload errors (a transport giving up, a
             # buffer fault) must surface as reportable failures: the
@@ -1388,10 +1383,11 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     # A crash the plan schedules lands before the checks run even when it
     # is the workload's only exit (a killed storage writer joins nothing).
     world.run(until=max([sim.now] + [e.end for e in crashes]) + QUIESCE_NS)
-    if run.reclaims:
-        run.data["reclaim"] = run.reclaims[0].as_dict()
-    elif crashed:
-        failures.append("crash teardown never ran (no proc_crash fired?)")
+    counters = world.tracer.counters
+    for host in sorted(crashed):
+        if not counters.get("%s.%s.runs" % (host, names.RECLAIM)):
+            failures.append("crash teardown never ran on %s (no proc_crash"
+                            " fired?)" % host)
     for each in run.checked:
         if each.host.name in crashed:
             _check_reclaimed(failures, each)

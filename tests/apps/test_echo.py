@@ -9,7 +9,7 @@ from repro.apps.echo import (
     posix_echo_server,
 )
 from repro.core.types import DemiError
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultEvent, FaultPlan
 
 from ..conftest import (
     make_dpdk_libos_pair,
@@ -55,8 +55,8 @@ class TestDemiEcho:
         # so its one echo exhausts the RDMA retries: the push fails, the
         # session ends, and nothing counts as served.
         w, client, server = make_rdma_libos_pair()
-        w.install_faults(FaultPlan(seed=1).loss(
-            80_000, 10**12, rate=1.0, src="server-rdma"))
+        w.install_faults(FaultPlan(seed=1).add(FaultEvent(
+            "partition", 80_000, 10**12, src="server-rdma")))
         sp = w.sim.spawn(demi_echo_server(server, max_requests=1))
 
         def one_message():
@@ -136,7 +136,7 @@ class TestLegacyEcho:
 
     def test_echoes_every_message(self, make_pair):
         w, client, server = make_pair()
-        sp = w.sim.spawn(posix_echo_server(server, max_requests=3))
+        sp = w.sim.spawn(posix_echo_server(server))
         cp = w.sim.spawn(posix_echo_client(client, "10.0.0.2", MESSAGES))
         w.run()
         replies, _ = cp.value
@@ -145,7 +145,7 @@ class TestLegacyEcho:
 
     def test_pays_copies_and_only_mtcp_pays_hops(self, make_pair):
         w, client, server = make_pair()
-        w.sim.spawn(posix_echo_server(server, max_requests=2))
+        w.sim.spawn(posix_echo_server(server))
         w.sim.spawn(posix_echo_client(client, "10.0.0.2", [b"x" * 1000] * 2))
         w.run()
         prefix = client.counters.prefix
@@ -162,13 +162,13 @@ class TestTheC5Ordering:
         messages = [b"q" * 64] * 10
 
         w1, ka, kb = make_kernel_pair()
-        w1.sim.spawn(posix_echo_server(kb, max_requests=10))
+        w1.sim.spawn(posix_echo_server(kb))
         cp1 = w1.sim.spawn(posix_echo_client(ka, "10.0.0.2", messages))
         w1.run()
         kernel_rtt = cp1.value[1].p50
 
         w2, ma, mb = make_mtcp_pair()
-        w2.sim.spawn(posix_echo_server(mb, max_requests=10))
+        w2.sim.spawn(posix_echo_server(mb))
         cp2 = w2.sim.spawn(posix_echo_client(ma, "10.0.0.2", messages))
         w2.run()
         mtcp_rtt = cp2.value[1].p50

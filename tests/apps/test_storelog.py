@@ -35,8 +35,9 @@ class TestDemiLogWriter:
         # the read-back would wait for ever on records never appended.
         w = World()
         host = w.add_host("h")
-        libos = SpdkLibOS(host, w.add_nvme(host, capacity_blocks=1),
-                          name="h.catfish")
+        nvme = w.add_nvme(host)
+        nvme.capacity_blocks = 1
+        libos = SpdkLibOS(host, nvme, name="h.catfish")
         p = w.sim.spawn(demi_log_writer(libos, [b"x" * 2048] * 3))
         with pytest.raises(DemiError, match="append failed: log full"):
             w.sim.run_until_complete(p, limit=10**12)

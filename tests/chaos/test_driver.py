@@ -12,7 +12,7 @@ import pytest
 
 from repro.sim.faults import FaultPlan
 from repro.testing import (GOLDEN_SCENARIOS, WORKLOADS, golden_plan,
-                           named_plans, plan_by_name, run_scenario)
+                           named_plans, plan_by_name, run_scenario, scenarios)
 
 MS = 1_000_000
 
@@ -21,11 +21,12 @@ MS = 1_000_000
 # One policy for runs that do not finish
 # ---------------------------------------------------------------------------
 
-def test_a_hang_is_recorded_and_the_undrained_checks_still_run():
+def test_a_hang_is_recorded_and_the_undrained_checks_still_run(monkeypatch):
+    monkeypatch.setattr(scenarios, "DEFAULT_LIMIT_NS", 5 * MS)
     # The partition outlives the 5 ms limit, so the client is still
     # retransmitting SYNs when the driver gives up on it.
     plan = FaultPlan(seed=99).partition(None, None, 0, 10_000 * MS)
-    result = run_scenario("echo", "dpdk", plan=plan, limit_ns=5 * MS)
+    result = run_scenario("echo", "dpdk", plan=plan)
     assert not result.ok
     hangs = [f for f in result.failures if "did not finish" in f]
     assert len(hangs) == 1
@@ -35,15 +36,15 @@ def test_a_hang_is_recorded_and_the_undrained_checks_still_run():
     assert result.data["finished_at"] > 5 * MS  # it still quiesced
     # The repro line alone replays the run.
     text = re.search(r"plan=(\{.*\})", result.repro_line()).group(1)
-    replayed = run_scenario("echo", "dpdk", plan=FaultPlan.from_json(text),
-                            limit_ns=5 * MS)
+    replayed = run_scenario("echo", "dpdk", plan=FaultPlan.from_json(text))
     assert replayed.signature == result.signature
     assert replayed.failures == result.failures
 
 
-def test_a_hang_still_stops_the_server():
+def test_a_hang_still_stops_the_server(monkeypatch):
+    monkeypatch.setattr(scenarios, "DEFAULT_LIMIT_NS", 5 * MS)
     plan = FaultPlan(seed=98).partition(None, None, 0, 10_000 * MS)
-    result = run_scenario("kv", "posix", plan=plan, limit_ns=5 * MS)
+    result = run_scenario("kv", "posix", plan=plan)
     assert [f for f in result.failures if "did not finish" in f]
     assert not [f for f in result.failures if "failed to stop" in f]
     assert not [f for f in result.failures if "qtoken leak" in f]

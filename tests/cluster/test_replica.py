@@ -683,23 +683,21 @@ class TestFailover:
         yield
         assert checked == {"replica0", "replica1", "replica2"}
 
-    def crash(self, world, node, reports):
-        world.sim.spawn(node.crash(report_to=reports),
-                        name="%s.crash" % node.name)
+    def crash(self, world, node):
+        world.sim.spawn(node.crash(), name="%s.crash" % node.name)
 
     def test_tail_death_recruits_spare_and_replays_full_log(self):
         """replication=2 over 3 nodes: chain 0 is [replica0, replica1];
         killing the tail must recruit replica2 from scratch - the whole
         log replays into it and it becomes the new commit point."""
         world, directory, nodes, (client,) = build_cluster(replication=2)
-        reports = []
         out = {}
 
         def driver():
             yield world.sim.timeout(50 * _US)
             for i in range(6):
                 yield from client.put(b"rk-%d" % i, b"rv-%d" % i)
-            self.crash(world, nodes[1], reports)
+            self.crash(world, nodes[1])
             yield world.sim.timeout(2 * _MS)  # detect + splice + replay
             for i in range(6, 10):
                 yield from client.put(b"rk-%d" % i, b"rv-%d" % i)
@@ -717,7 +715,7 @@ class TestFailover:
         assert recruit.applied == len(recruit.log) == 10
         assert world.tracer.get("replica0.%s" % names.REPL_ENTRIES_REPLAYED) \
             >= 6  # the pre-crash log reached the recruit
-        assert reports and reports[0].as_dict()
+        assert world.tracer.get("replica1.reclaim.runs") == 1
         assert_no_lost_wakeup(nodes)
 
     def test_middle_death_splices_the_chain_around_it(self):
@@ -726,7 +724,6 @@ class TestFailover:
         the pump and lease monitor the splice tore down (parked on and
         sampling buffers it freed) left nothing behind."""
         world, directory, nodes, (client,) = build_cluster()
-        reports = []
         out = {}
 
         def driver():
@@ -735,7 +732,7 @@ class TestFailover:
                 yield from client.put(b"mk-%d" % i, b"mv-%d" % i)
             out["old_links"] = (nodes[0].chains[0].down,
                                 nodes[2].chains[0].up)
-            self.crash(world, nodes[1], reports)
+            self.crash(world, nodes[1])
             yield world.sim.timeout(2 * _MS)  # detect + splice
             for i in range(6, 10):
                 yield from client.put(b"mk-%d" % i, b"mv-%d" % i)
@@ -768,10 +765,9 @@ class TestFailover:
         the value again."""
         world, directory, nodes, (client,) = build_cluster()
         head, middle, _tail = nodes
-        reports = []
         out = {}
         on_logged(middle.chains[0], 2,
-                  lambda: self.crash(world, head, reports))
+                  lambda: self.crash(world, head))
 
         def driver():
             yield world.sim.timeout(50 * _US)
@@ -782,7 +778,8 @@ class TestFailover:
             yield from client.close()
 
         run_driver(world, driver())
-        assert head.crashed and reports
+        assert head.crashed
+        assert world.tracer.get("%s.reclaim.runs" % head.host.name) == 1
         assert directory.head(0) == "replica1"
         assert out["get"] == (True, b"v2")
         assert world.tracer.get(
@@ -791,7 +788,6 @@ class TestFailover:
 
     def test_head_death_loses_no_acked_write(self):
         world, directory, nodes, (client,) = build_cluster()
-        reports = []
         acked = {}
         out = {"unacked": 0}
 
@@ -800,7 +796,7 @@ class TestFailover:
             for i in range(4):
                 yield from client.put(b"hk-%d" % i, b"hv-%d" % i)
                 acked[b"hk-%d" % i] = b"hv-%d" % i
-            self.crash(world, nodes[0], reports)
+            self.crash(world, nodes[0])
             for i in range(4, 12):
                 key, val = b"hk-%d" % i, b"hv-%d" % i
                 try:
@@ -862,7 +858,7 @@ class TestFailover:
             yield sim.timeout(25 * _US)
             seen["at_old_tail"] = version((yield from reader.get(b"k")))
             seen["owed"] = len(chain.log) - chain.applied
-            self.crash(world, tail, [])
+            self.crash(world, tail)
             yield sim.timeout(150 * _US)            # detected, promoted
             seen["promoted"] = directory.tail(0)
             seen["owed_at_read"] = len(chain.log) - chain.applied
@@ -1008,11 +1004,12 @@ class TestCrashInsideTheSyncHandshake:
         assert len(times) >= 10, times
         for at in (t + after for t in times for after in (0, 1)):
             world, directory, nodes, _clients = build_cluster(n_clients=0)
-            node, reports = nodes[victim], []
+            node = nodes[victim]
             world.sim.call_in(at, lambda: world.sim.spawn(
-                node.crash(report_to=reports), name="crash"))
+                node.crash(), name="crash"))
             world.run(until=at + 4 * _MS)   # a double free raises out of here
-            assert reports, at
+            assert world.tracer.get(
+                "%s.reclaim.runs" % node.host.name) == 1, at
             assert node.mm.live_buffer_count == 0, at
             assert node.nic.iommu.mapped_ranges == 0, at
             faults = {name: value

@@ -16,6 +16,7 @@ from repro.apps.kvstore import demi_kv_client
 from repro.apps.proto import LegacyKvCodec
 from repro.cluster import shard_workload, src_port_for_queue
 from repro.experiments import ExperimentSpec, check_payload, run_spec
+from repro.sim.faults import FaultPlan
 from repro.sim.rand import Rng
 from repro.sim.trace import LatencyStats
 from repro.testbed import make_sharded_kv_world
@@ -40,11 +41,12 @@ def committed_sweeps():
         return json.load(fh)
 
 
-def run_sharded(n_shards=N_SHARDS, n_ops=OPS_PER_SHARD, drop_rate=0.0,
+def run_sharded(n_shards=N_SHARDS, n_ops=OPS_PER_SHARD, loss_rate=0.0,
                 seed=11):
     w, server, clients = make_sharded_kv_world(
-        n_shards, seed=seed, drop_rate=drop_rate,
-        server_kwargs={"codec_factory": LegacyKvCodec})
+        n_shards, seed=seed, server_kwargs={"codec_factory": LegacyKvCodec})
+    if loss_rate:
+        w.install_faults(FaultPlan(seed=seed).loss(0, 10**13, rate=loss_rate))
     server.start()
     rng = Rng(seed).fork_named("cluster-test")
     procs, results = [], []
@@ -113,7 +115,7 @@ class TestShardedUnderChaos:
     """Drops force TCP retransmits; the shard invariants must survive."""
 
     def test_lossy_run_keeps_invariants(self):
-        w, server, results = run_sharded(drop_rate=0.02, seed=23)
+        w, server, results = run_sharded(loss_rate=0.02, seed=23)
         assert sum(server.per_shard_requests()) == N_SHARDS * OPS_PER_SHARD
         assert server.misrouted == 0
         assert server.wasted_wakeups == 0
@@ -121,7 +123,7 @@ class TestShardedUnderChaos:
         assert server.qtoken_identity_ok()
 
     def test_lossy_run_is_deterministic(self):
-        rows = [run_sharded(drop_rate=0.02, seed=23)[1].per_shard_requests()
+        rows = [run_sharded(loss_rate=0.02, seed=23)[1].per_shard_requests()
                 for _ in range(2)]
         assert rows[0] == rows[1]
 

@@ -14,7 +14,9 @@ def make_libos(with_offload=False, capabilities=None):
     host = w.add_host("h", cores=4)
     libos = LibOS(host, "demi")
     if with_offload:
-        libos.offload_engine = OffloadEngine(host, capabilities=capabilities)
+        libos.offload_engine = OffloadEngine(host)
+        if capabilities is not None:
+            libos.offload_engine.capabilities = frozenset(capabilities)
     return w, libos
 
 

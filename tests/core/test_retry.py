@@ -16,7 +16,7 @@ def drive(sim, gen):
     return proc
 
 
-def schedule(seed, *, base_delay_ns, max_delay_ns, factor, attempts):
+def schedule(seed, *, base_delay_ns, max_delay_ns, attempts):
     """The delays ``retry_with_backoff`` sleeps after *attempts* failures,
     read off the loop: the gaps between the starts of instant attempts."""
     sim = Simulator()
@@ -31,8 +31,8 @@ def schedule(seed, *, base_delay_ns, max_delay_ns, factor, attempts):
         with pytest.raises(RetryBudgetExceeded):
             yield from retry_with_backoff(
                 sim, attempt, rng=Rng(seed), base_delay_ns=base_delay_ns,
-                max_delay_ns=max_delay_ns, factor=factor,
-                max_attempts=attempts + 1, budget_ns=10**15)
+                max_delay_ns=max_delay_ns, max_attempts=attempts + 1,
+                budget_ns=10**15)
 
     drive(sim, body())
     return [b - a for a, b in zip(starts, starts[1:])]
@@ -41,7 +41,7 @@ def schedule(seed, *, base_delay_ns, max_delay_ns, factor, attempts):
 class TestBackoffSchedule:
     def test_delays_grow_exponentially_up_to_the_cap(self):
         delays = schedule(1, base_delay_ns=1_000, max_delay_ns=16_000,
-                          factor=2.0, attempts=8)
+                          attempts=8)
         caps = [min(16_000, 1_000 * 2 ** n) for n in range(8)]
         assert len(delays) == 8
         for delay, cap in zip(delays, caps):
@@ -51,7 +51,7 @@ class TestBackoffSchedule:
 
     def test_schedule_is_seed_deterministic(self):
         kw = dict(base_delay_ns=10_000, max_delay_ns=1_000_000,
-                  factor=2.0, attempts=6)
+                  attempts=6)
         assert schedule(42, **kw) == schedule(42, **kw)
         assert schedule(42, **kw) != schedule(43, **kw)
 

@@ -22,7 +22,7 @@ from repro.telemetry import names
 
 def make():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = Tracer()
     return sim, tracer, QTokenTable(sim, tracer, "qt")
 
 

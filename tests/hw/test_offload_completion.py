@@ -29,7 +29,8 @@ def make_host():
 class TestDeferredExecution:
     def test_fn_runs_at_completion_time_not_submit(self):
         sim, host = make_host()
-        eng = OffloadEngine(host, element_ns=100)
+        eng = OffloadEngine(host)
+        eng.element_ns = 100
         calls = []
         eng.run("map", lambda x: calls.append(sim.now) or x, 1)
         # Nothing ran at submit time: the device pipeline has not
@@ -40,7 +41,8 @@ class TestDeferredExecution:
 
     def test_waiter_sees_result_after_element_delay(self):
         sim, host = make_host()
-        eng = OffloadEngine(host, element_ns=150)
+        eng = OffloadEngine(host)
+        eng.element_ns = 150
 
         def proc():
             result = yield eng.run("map", lambda x: x * 2, 21)
@@ -53,7 +55,8 @@ class TestDeferredExecution:
     def test_submit_time_state_change_is_visible_to_fn(self):
         """The function observes state as of execution, not submission."""
         sim, host = make_host()
-        eng = OffloadEngine(host, element_ns=100)
+        eng = OffloadEngine(host)
+        eng.element_ns = 100
         box = {"v": "at-submit"}
         p = sim.spawn(iter_run(eng, lambda _x: box["v"]))
         box["v"] = "at-completion"
@@ -81,7 +84,8 @@ class TestDeferredExecution:
 
     def test_raising_fn_still_charges_device_time(self):
         sim, host = make_host()
-        eng = OffloadEngine(host, element_ns=200)
+        eng = OffloadEngine(host)
+        eng.element_ns = 200
 
         def proc():
             try:
@@ -96,7 +100,8 @@ class TestDeferredExecution:
 
     def test_pipelined_elements_execute_in_fifo_order(self):
         sim, host = make_host()
-        eng = OffloadEngine(host, element_ns=100)
+        eng = OffloadEngine(host)
+        eng.element_ns = 100
         order = []
         for i in range(3):
             eng.run("map", lambda x: order.append((x, sim.now)), i)
@@ -105,7 +110,8 @@ class TestDeferredExecution:
 
     def test_charge_device_extends_the_pipeline(self):
         sim, host = make_host()
-        eng = OffloadEngine(host, element_ns=100)
+        eng = OffloadEngine(host)
+        eng.element_ns = 100
         delay = eng.charge_device(500)
         assert delay == 500
         assert eng.device_busy_ns == 500

@@ -6,6 +6,8 @@ the whole Demikernel stack - application -> libOS -> protocol -> NIC ->
 lossy fabric - and require end-to-end exactness.
 """
 
+from repro.sim.faults import FaultPlan
+
 from ..conftest import make_dpdk_libos_pair, make_rdma_libos_pair
 
 
@@ -36,7 +38,8 @@ class TestDpdkUnderLoss:
 class TestRdmaUnderLoss:
     def test_credited_stream_survives_loss(self):
         from repro.libos.rdma_libos import POOL_BUFFERS
-        w, client, server = make_rdma_libos_pair(drop_rate=0.1, seed=17)
+        w, client, server = make_rdma_libos_pair(seed=17)
+        w.install_faults(FaultPlan(seed=17).loss(0, 10**14, rate=0.1))
         n = POOL_BUFFERS + 20  # crosses a credit-return boundary
 
         def server_proc():

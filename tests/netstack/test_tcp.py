@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netstack import tcp
 from repro.netstack.tcp import (
     ACK,
     CLOSE_WAIT,
@@ -28,14 +29,20 @@ from repro.netstack.tcp import (
 from ..conftest import make_net_pair
 
 
-def connect(w, a, b, port=80, **listen_kwargs):
+def connect(w, a, b, port=80):
     """Handshake helper: returns (client_conn, server_conn)."""
-    listener = b.stack.tcp_listen(port, **listen_kwargs)
+    listener = b.stack.tcp_listen(port)
     client = a.stack.tcp_connect("10.0.0.2", port)
     w.run()
     server = listener.accept_nb()
     assert server is not None, "accept queue empty after handshake"
     return client, server
+
+
+def small_buffers(monkeypatch, nbytes):
+    """Every connection opened from here on buffers *nbytes* for its
+    reader, so a few writes close its window."""
+    monkeypatch.setattr(tcp, "RECV_CAPACITY", nbytes)
 
 
 def tap(w, host, lose=lambda seg: False):
@@ -329,9 +336,10 @@ class TestTransfer:
 
 
 class TestFlowControl:
-    def test_receiver_window_limits_sender(self):
+    def test_receiver_window_limits_sender(self, monkeypatch):
+        small_buffers(monkeypatch, 2000)
         w, a, b = make_net_pair()
-        listener = b.stack.tcp_listen(80, recv_capacity=2000)
+        listener = b.stack.tcp_listen(80)
         client = a.stack.tcp_connect("10.0.0.2", 80)
         w.run()
         server = listener.accept_nb()
@@ -353,9 +361,10 @@ class TestFlowControl:
         # The sender never overran what the receiver advertised.
         assert w.tracer.get("server.stack.tcp_window_overrun_trimmed") == 0
 
-    def test_zero_window_recovers_via_updates(self):
+    def test_zero_window_recovers_via_updates(self, monkeypatch):
+        small_buffers(monkeypatch, 1000)
         w, a, b = make_net_pair()
-        listener = b.stack.tcp_listen(80, recv_capacity=1000)
+        listener = b.stack.tcp_listen(80)
         client = a.stack.tcp_connect("10.0.0.2", 80)
         w.run()
         server = listener.accept_nb()
@@ -381,12 +390,13 @@ class TestFlowControl:
         w.run()
         assert b"".join(collected) == b"Z" * 5000
 
-    def test_a_closed_window_is_probed_by_one_timer(self):
+    def test_a_closed_window_is_probed_by_one_timer(self, monkeypatch):
         # RFC 9293 3.8.6.1 has one persist timer.  Every write against the
         # closed window, and every ACK that left it closed, used to start
         # another self-re-arming probe chain: four of them here.
+        small_buffers(monkeypatch, 2000)
         w, a, b = make_net_pair()
-        client, _server = connect(w, a, b, recv_capacity=2000)
+        client, _server = connect(w, a, b)
         start = w.sim.now
         for i in range(5):
             w.sim.call_in(10_000 * i, client.send, b"x" * 1000)
@@ -446,9 +456,10 @@ class TestClose:
         assert len(a.stack._tcp_conns) == 0
         assert len(b.stack._tcp_conns) == 0
 
-    def test_a_closed_connection_owns_no_armed_timer(self):
+    def test_a_closed_connection_owns_no_armed_timer(self, monkeypatch):
+        small_buffers(monkeypatch, 1000)
         w, a, b = make_net_pair()
-        client, server = connect(w, a, b, recv_capacity=1000)
+        client, server = connect(w, a, b)
         client.send(b"x" * 3000)  # the window closes: RTO, then probes
         w.run(until=w.sim.now + 10_000)
         server.send(b"y")  # and the client owes an ACK
@@ -579,13 +590,13 @@ class TestRtoUnderContinuousSending:
         assert not client._rto_timer.armed
 
 
-def receiver(**listen_kwargs):
+def receiver():
     """An established server connection to hand segments to with
     :func:`inject`: ``(world, connection, log)``.  What it answers is
     logged but never delivered, so nothing but the rule under test is on
     the wire."""
     w, a, b = make_net_pair()
-    _client, server = connect(w, a, b, **listen_kwargs)
+    _client, server = connect(w, a, b)
     return w, server, tap(w, b, lose=lambda seg: True)
 
 
@@ -703,8 +714,10 @@ class TestDelayedAck:
         assert len(sent) == 1  # the debt is paid: the timer finds nothing
         assert w.tracer.get("server.stack.tcp_delayed_acks") == 0
 
-    def test_recv_reopening_a_closed_window_says_so_at_once(self):
-        w, server, sent = receiver(recv_capacity=1000)
+    def test_recv_reopening_a_closed_window_says_so_at_once(self,
+                                                            monkeypatch):
+        small_buffers(monkeypatch, 1000)
+        w, server, sent = receiver()
         base = server.rcv_nxt
         inject(server, 0, b"f" * 1000)
         assert sent == [] and server.recv_window == 0

@@ -42,7 +42,7 @@ def frame_kind(frame: bytes) -> str:
     eth = EthernetFrame.unpack(frame)
     if eth.ethertype != ETHERTYPE_IPV4:
         return "ethertype 0x%04x" % eth.ethertype
-    packet = Ipv4Packet.unpack(eth.payload, verify_checksum=False)
+    packet = Ipv4Packet.unpack(eth.payload)
     if packet.proto != PROTO_TCP:
         return "ip proto %d" % packet.proto
     segment = TcpSegment.unpack(packet.payload)

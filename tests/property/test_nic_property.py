@@ -29,8 +29,8 @@ def test_every_frame_once_in_order_and_idle_arrivals_interrupt(frames,
     w = World()
     a, b = w.add_host("a"), w.add_host("b")
     nic_a = KernelNic(a, w.fabric, "02:00:00:00:80:01", name="a.eth0")
-    nic_b = KernelNic(b, w.fabric, "02:00:00:00:80:02", name="b.eth0",
-                      coalesce_ns=coalesce_ns)
+    nic_b = KernelNic(b, w.fabric, "02:00:00:00:80:02", name="b.eth0")
+    nic_b.coalesce_ns = coalesce_ns
     charges = {}
     got = []
 

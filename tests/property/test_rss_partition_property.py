@@ -91,14 +91,14 @@ class TestKeyPartition:
 
 class TestQtokenIdentityAfterShardedChaos:
     @given(seed=st.integers(min_value=0, max_value=2**16),
-           drop_rate=st.floats(min_value=0.0, max_value=0.05,
+           loss_rate=st.floats(min_value=0.0, max_value=0.05,
                                allow_nan=False))
     @settings(max_examples=8, deadline=None)
-    def test_identity_holds_per_shard(self, seed, drop_rate):
+    def test_identity_holds_per_shard(self, seed, loss_rate):
         from tests.cluster.test_sharded import run_sharded
 
         _, server, _ = run_sharded(n_shards=2, n_ops=12,
-                                   drop_rate=drop_rate, seed=seed)
+                                   loss_rate=loss_rate, seed=seed)
         assert sum(server.per_shard_requests()) == 2 * 12
         assert server.wasted_wakeups == 0
         assert server.cross_wakeups == 0

@@ -212,7 +212,7 @@ class TestNvmeProperties:
     def test_blocks_hold_last_write(self, data):
         w = World()
         host = w.add_host("h")
-        dev = NvmeDevice(host, name="h.nvme0", capacity_blocks=64)
+        dev = NvmeDevice(host, name="h.nvme0")
         expected = {}
 
         def proc():
@@ -259,7 +259,8 @@ def scanned_log(channels, records, sync_after, remount, corrupt, predicate):
     w = World(SMALL_WINDOW_COSTS)
     host = w.add_host("h")
     device = {1: OneChannelNvme, 8: NvmeDevice}[channels]
-    nvme = device(host, name="h.nvme0", block_size=SMALL_BLOCK)
+    nvme = device(host, name="h.nvme0")
+    nvme.block_size = SMALL_BLOCK
     store = LogStore(nvme, host.cpu)
     ids = []
 

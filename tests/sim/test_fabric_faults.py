@@ -138,7 +138,7 @@ def test_fault_event_window():
 
 def test_plan_roundtrips_through_json():
     plan = (FaultPlan(seed=9)
-            .loss(0, 100, rate=0.5, src="a")
+            .loss(0, 100, rate=0.5)
             .partition("a", "b", 50, 150)
             .nvme_slow("nvme0", 0, 1000, factor=20.0)
             .nic_ring_clamp("dpdk0", 10, 20, limit=4))
@@ -226,10 +226,11 @@ def test_latency_event_delays_deterministically():
 
 
 def test_link_filter_scopes_faults():
-    plan = FaultPlan().loss(0, 1000, rate=1.0, src="a", dst="b")
+    plan = FaultPlan().partition("a", "b", 0, 1000)
     sim, fabric, tracer, injector = make_injector(plan)
     assert injector.frame_fate("a", "b", b"x", 1) == []
-    assert injector.frame_fate("b", "a", b"x", 1) is None
+    assert injector.frame_fate("b", "a", b"x", 1) == []
+    assert injector.frame_fate("a", "c", b"x", 1) is None
 
 
 def test_same_plan_same_decisions():
@@ -287,8 +288,9 @@ def test_rng_fork_named_is_stable_and_distinct():
 
 
 def test_tracer_signature_tracks_counters_and_events():
-    t1, t2 = Tracer(keep_events=True), Tracer(keep_events=True)
+    t1, t2 = Tracer(), Tracer()
     for t in (t1, t2):
+        t.keep_events = True
         t.scope("").count("x", 3)
         t.record(10, "e", "detail")
     assert t1.signature() == t2.signature()

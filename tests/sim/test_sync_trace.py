@@ -65,19 +65,22 @@ class TestTracer:
         assert t.diff(snap) == {"a": 2, "b": 7}
 
     def test_events_recorded_when_enabled(self):
-        t = Tracer(keep_events=True)
+        t = Tracer()
+        t.keep_events = True
         t.record(100, "frame_rx", {"len": 64})
         t.record(200, "frame_tx")
         assert t.events == [(100, "frame_rx", {"len": 64}),
                             (200, "frame_tx", None)]
 
     def test_events_dropped_when_disabled(self):
-        t = Tracer(keep_events=False)
+        t = Tracer()
         t.record(1, "ignored")
         assert t.events == []
 
-    def test_event_cap_respected(self):
-        t = Tracer(keep_events=True, max_events=3)
+    def test_event_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "MAX_EVENTS", 3)
+        t = Tracer()
+        t.keep_events = True
         for i in range(10):
             t.record(i, "e")
         assert len(t.events) == 3

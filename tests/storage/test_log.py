@@ -11,13 +11,15 @@ from repro.storage.log import RECORD_HEADER_LEN, LogError, LogStore
 from ..conftest import World
 
 
-def make_store(plan=None, costs=DEFAULT_COSTS, **kw):
+def make_store(plan=None, costs=DEFAULT_COSTS, capacity_blocks=None):
     w = World(costs)
     host = w.add_host("h")
     nvme = host.nvme = NvmeDevice(host, name="h.nvme0")
+    if capacity_blocks is not None:
+        nvme.capacity_blocks = capacity_blocks
     if plan is not None:
         w.install_faults(plan)
-    store = LogStore(nvme, host.cpu, **kw)
+    store = LogStore(nvme, host.cpu)
     return w, store, nvme
 
 
@@ -98,7 +100,7 @@ class TestAppendRead:
         assert run(w, proc()) == "checked"
 
     def test_log_full_rejected(self):
-        w, store, _ = make_store(lba_count=1)
+        w, store, _ = make_store(capacity_blocks=1)
 
         def proc():
             yield from store.append(b"y" * 2000)
@@ -351,7 +353,7 @@ class TestReadAhead:
     def test_depth_is_the_device_bandwidth_delay_product(self):
         for per_byte, depth in ((0.25, 68), (0.5, 34), (0.0, 16)):
             costs = DEFAULT_COSTS.with_overrides(nvme_ns_per_byte=per_byte)
-            w, store, nvme = make_store(costs=costs, lba_count=16)
+            w, store, nvme = make_store(costs=costs, capacity_blocks=16)
             assert store._ahead_blocks == depth
             # The depth is a read that at most doubles a command's time
             # (and the whole range when transfer costs nothing).
@@ -532,37 +534,6 @@ class TestReadAhead:
         assert run(w, proc())
         assert all(end <= flushed for end, flushed in spans)
         assert any(end == flushed for end, flushed in spans)
-
-    def test_never_past_the_lba_range(self):
-        """Three stores side by side on one device, each full: reading
-        the middle one sequentially reads its own blocks only."""
-        w, store, nvme = make_store()
-        bs = nvme.block_size
-        stores = [LogStore(nvme, store.core, lba_start=8 * i, lba_count=8)
-                  for i in range(3)]
-        reads = []
-        submit_read = nvme.submit_read
-
-        def spy(lba, nblocks):
-            reads.append((lba, nblocks))
-            return submit_read(lba, nblocks)
-
-        def proc():
-            ids = []
-            for s, each in enumerate(stores):
-                for payload in block_records(8, bs, fill=s * 8):
-                    rid = yield from each.append(payload)
-                    if each is stores[1]:
-                        ids.append(rid)
-                yield from each.sync()
-            nvme.submit_read = spy
-            out = []
-            for rid in ids:
-                out.append((yield from stores[1].read(rid)).tobytes())
-            return out
-
-        assert run(w, proc()) == block_records(8, bs, fill=8)
-        assert reads == [(8, 8)]
 
 
 class TestRecovery:

@@ -8,7 +8,8 @@ from repro.telemetry import (breakdown_from_events, chrome_trace_events,
 
 
 def make_populated():
-    t = Tracer(keep_events=True)
+    t = Tracer()
+    t.keep_events = True
     t.span("push", "libos", "catnip", 0, 1_000, qd=3)
     t.span("rx", "netstack", "catnip", 0, 2_500)
     t.span("nic_tx", "device", "dpdk0", 0, 500)

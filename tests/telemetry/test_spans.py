@@ -41,13 +41,6 @@ class TestSpan:
         assert t.spans == [second, first]
         assert never.end_ns is None and never.duration_ns == 0
 
-    def test_parent_link(self):
-        t = Tracer()
-        parent = t.span("outer", "app", "x", 0)
-        child = t.span("inner", "app", "x", 0, parent=parent)
-        assert child.parent_id == parent.id
-        assert parent.parent_id == 0
-
     def test_args_and_annotate(self):
         t = Tracer()
         span = t.span("op", "app", "x", 0, qd=3)
