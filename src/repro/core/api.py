@@ -20,9 +20,10 @@ Conventions (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional, Sequence, Type
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Type
 
 from ..sim.cpu import Core
+from ..sim.engine import AnyWait
 from ..sim.host import Host
 from ..telemetry import names
 from .queue import DemiQueue, MemoryQueue
@@ -130,19 +131,9 @@ class LibOS:
         self.counters.cancels += 1
         self.qtokens.cancel(token)
 
-    def _wait_charge(self):
-        return self.core.busy(self.costs.wait_dispatch_ns)
-
-    @staticmethod
-    def _raise_device_failed(result: Optional[QResult]) -> None:
-        """Surface a typed device failure out of ``wait_*``.
-
-        A device whose recovery ladder is exhausted completes the token
-        with ``value`` holding the :class:`DeviceFailed`; string errors
-        (protocol errors, 'closed'...) keep returning in-band.
-        """
-        if result is not None and isinstance(result.value, DeviceFailed):
-            raise result.value
+    # Each wait is one frame.  A device whose recovery ladder is exhausted
+    # completes a token with ``value`` holding the :class:`DeviceFailed`,
+    # which the wait raises; string errors ('closed'...) return in-band.
 
     def wait(self, token: QToken) -> Generator:
         """Block on one qtoken; returns its QResult (with the data).
@@ -150,8 +141,16 @@ class LibOS:
         Raises :class:`DeviceFailed` if the operation was lost to an
         unrecoverable device (retry ladder exhausted / crash abort).
         """
-        result = yield from self.qtokens.wait(token, charge=self._wait_charge)
-        self._raise_device_failed(result)
+        qtokens = self.qtokens
+        entered = self.sim.now if self.tracer.tracing else None
+        result = yield qtokens.completion_of(token)
+        qtokens.retire(token)
+        yield self.core.busy(self.costs.wait_dispatch_ns)
+        self.counters.waits += 1
+        if entered is not None:
+            qtokens._trace_dispatch(entered)
+        if isinstance(result.value, DeviceFailed):
+            raise result.value
         return result
 
     def wait_any(self, tokens: Sequence[QToken],
@@ -159,12 +158,28 @@ class LibOS:
         """Block until any token completes: (index, QResult).
 
         The improved-epoll of section 4.4: returns the data directly and
-        wakes exactly one waiter per completion.  A timeout raises
-        :class:`DemiTimeout` (losing tokens stay waitable).
+        wakes exactly one waiter per completion, because each token has
+        exactly one completion and this call consumes it.  A timeout
+        raises :class:`DemiTimeout`; the losing (and timed-out) tokens
+        stay waitable.
         """
-        index, result = yield from self.qtokens.wait_any(
-            tokens, timeout_ns, charge=self._wait_charge)
-        self._raise_device_failed(result)
+        if not tokens:
+            raise DemiError("wait_any on no tokens")
+        qtokens = self.qtokens
+        entered = self.sim.now if self.tracer.tracing else None
+        index, result = yield AnyWait(
+            qtokens.completions_of(tokens),
+            None if timeout_ns is None else self.sim.now + timeout_ns)
+        if index == len(tokens):
+            self.counters.wait_timeouts += 1
+            raise DemiTimeout(timeout_ns, tokens)
+        qtokens.retire(tokens[index])
+        yield self.core.busy(self.costs.wait_dispatch_ns)
+        self.counters.waits += 1
+        if entered is not None:
+            qtokens._trace_dispatch(entered)
+        if isinstance(result.value, DeviceFailed):
+            raise result.value
         return index, result
 
     def wait_any_n(self, tokens: Sequence[QToken],
@@ -174,25 +189,76 @@ class LibOS:
         Returns a non-empty list of ``(index, QResult)`` pairs sorted by
         index - all the completions that were ready at the wake-up
         instant, in one crossing (one ``wait_dispatch`` charge for the
-        whole batch).  Tokens not returned stay waitable.  A timeout
-        raises :class:`DemiTimeout`.
+        whole batch, where N waits would pay N).  Every returned token is
+        retired, so the exactly-one-waiter guarantee is untouched; tokens
+        not returned stay waitable.  A timeout raises
+        :class:`DemiTimeout`.
         """
-        ready = yield from self.qtokens.wait_any_n(
-            tokens, timeout_ns, charge=self._wait_charge)
-        for _index, result in ready:
-            self._raise_device_failed(result)
+        if not tokens:
+            raise DemiError("wait_any_n on no tokens")
+        qtokens = self.qtokens
+        entered = self.sim.now if self.tracer.tracing else None
+        events = qtokens.completions_of(tokens)
+        index, _result = yield AnyWait(
+            events, None if timeout_ns is None else self.sim.now + timeout_ns)
+        if index == len(tokens):
+            self.counters.wait_timeouts += 1
+            raise DemiTimeout(timeout_ns, tokens)
+        # the winner and whatever else is done at this instant, in order
+        ready = [(i, done._value) for i, done in enumerate(events)
+                 if done._done]
+        for i, _ in ready:
+            qtokens.retire(tokens[i])
+        yield self.core.busy(self.costs.wait_dispatch_ns)
+        counters = self.counters
+        counters.waits += 1
+        counters.batch_waits += 1
+        counters.batch_wait_completions += len(ready)
+        if entered is not None:
+            qtokens._trace_dispatch(entered)
+        for _i, result in ready:
+            if isinstance(result.value, DeviceFailed):
+                raise result.value
         return ready
 
     def wait_all(self, tokens: Sequence[QToken],
                  timeout_ns: Optional[int] = None) -> Generator:
         """Block until every token completes: list of QResults.
 
-        A timeout raises :class:`DemiTimeout`.
+        Each completion is taken as it comes (one counted wait each) and
+        the batch pays one ``wait_dispatch``.  A timeout raises
+        :class:`DemiTimeout`; the tokens not yet taken stay waitable.
         """
-        results = yield from self.qtokens.wait_all(
-            tokens, timeout_ns, charge=self._wait_charge)
+        if not tokens:
+            return []
+        qtokens = self.qtokens
+        results: List[Optional[QResult]] = [None] * len(tokens)
+        remaining = list(range(len(tokens)))
+        deadline = None if timeout_ns is None else self.sim.now + timeout_ns
+        while remaining:
+            now = self.sim.now
+            if deadline is not None and now >= deadline:
+                # Budget spent between rounds: raise right away instead
+                # of parking on every remaining completion until now.
+                self.counters.wait_timeouts += 1
+                raise DemiTimeout(timeout_ns, tokens)
+            entered = now if self.tracer.tracing else None
+            index, result = yield AnyWait(
+                qtokens.completions_of([tokens[i] for i in remaining]),
+                deadline)
+            if index == len(remaining):
+                self.counters.wait_timeouts += 1
+                raise DemiTimeout(timeout_ns, tokens)
+            taken = remaining.pop(index)
+            qtokens.retire(tokens[taken])
+            self.counters.waits += 1
+            if entered is not None:
+                qtokens._trace_dispatch(entered)
+            results[taken] = result
+        yield self.core.busy(self.costs.wait_dispatch_ns)
         for result in results:
-            self._raise_device_failed(result)
+            if isinstance(result.value, DeviceFailed):
+                raise result.value
         return results
 
     def blocking_push(self, qd: int, sga: Sga) -> Generator:

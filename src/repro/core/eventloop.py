@@ -27,7 +27,7 @@ libevent's synchronous callback model.
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Callable, Generator, List, Optional
 
 from .api import LibOS
@@ -149,17 +149,14 @@ class DemiEventLoop:
             self.libos.qtokens.complete(self._stop_token, QResult(OP_POP, -1))
 
     # -- dispatch ---------------------------------------------------------------
-    def _run_callback(self, callback, *args) -> Generator:
-        result = callback(*args)
-        if inspect.isgenerator(result):
-            yield from result
-
     def _next_timer(self) -> Optional[_TimerEvent]:
         return min(self._timers, key=lambda t: t.fire_at, default=None)
 
     def _fire(self, timer: _TimerEvent) -> Generator:
         self.timer_fires += 1
-        yield from self._run_callback(timer.callback)
+        ran = timer.callback()
+        if ran.__class__ is GeneratorType:
+            yield from ran
         timer.fire_at = self.sim.now + timer.delay_ns
 
     def _disarm(self) -> Generator:
@@ -221,7 +218,9 @@ class DemiEventLoop:
                 if result.qd != event.qd:  # pragma: no cover - the claim
                     libos.counters.shard_cross_wakeups += 1
                 self.dispatches += 1
-                yield from self._run_callback(event.callback, result)
+                ran = event.callback(result)
+                if ran.__class__ is GeneratorType:
+                    yield from ran
                 if (result.error is None and event.handle.active
                         and not self._stopped):
                     event.token = libos.pop(event.qd)

@@ -267,11 +267,11 @@ class MergedQueue(_DerivedQueue):
             sub_token, _done = self.libos.qtokens.create()
             source.push_sga(sga, sub_token)
             tokens.append(sub_token)
-        results = yield from self.libos.qtokens.wait_all(tokens)
         error = None
-        for r in results:
-            if r.error is not None:
-                error = r.error
+        for sub_token in tokens:
+            result = yield from self.libos.qtokens.wait(sub_token)
+            if result.error is not None:
+                error = result.error
         self._complete(token, QResult(OP_PUSH, self.qd, nbytes=sga.nbytes,
                                       error=error))
 

@@ -1,8 +1,8 @@
-"""The qtoken table and the ``wait_*`` scheduler (paper section 4.4).
+"""The qtoken table behind the ``wait_*`` calls (paper section 4.4).
 
 Every non-blocking ``push``/``pop`` mints a qtoken bound to exactly one
 queue operation.  Because tokens are per-operation (not per-descriptor
-like POSIX fds), the scheduler can guarantee the two properties the paper
+like POSIX fds), a wait can guarantee the two properties the paper
 claims over epoll:
 
 1. ``wait`` returns the operation's *data* directly - no second syscall
@@ -10,21 +10,20 @@ claims over epoll:
 2. each completion wakes exactly one waiter - no thundering herd, no
    wasted wake-ups.
 
-Timeouts raise :class:`repro.core.types.DemiTimeout`.
+The table mints, completes, cancels and retires tokens; the
+application's waits are :class:`repro.core.api.LibOS`'s, each one frame
+that parks the process on the tokens' completions.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from ..sim.engine import Completion, Simulator, any_of
+from ..sim.engine import Completion, Simulator
 from ..telemetry import names
-from .types import DemiError, DemiTimeout, QResult, QToken
+from .types import DemiError, QResult, QToken
 
-__all__ = ["QTokenTable", "WAIT_TIMEOUT"]
-
-#: sentinel used internally to tag the timeout event in ``any_of``
-WAIT_TIMEOUT = "timeout"
+__all__ = ["QTokenTable"]
 
 
 class QTokenTable:
@@ -118,6 +117,15 @@ class QTokenTable:
             raise DemiError("unknown or already-waited qtoken %r" % token)
         return entry[0]
 
+    def completions_of(self, tokens: Sequence[QToken]) -> List[Completion]:
+        """The completions of *tokens*, in order: what a wait parks on."""
+        pending = self._pending
+        try:
+            return [pending[token][0] for token in tokens]
+        except KeyError as unknown:
+            raise DemiError("unknown or already-waited qtoken %r"
+                            % unknown.args[0]) from None
+
     # Lifecycle accounting: every minted token must end up exactly one of
     # completed or cancelled - chaos tests assert the identity
     # ``created == completed + cancelled + in_flight``.  The table's
@@ -149,7 +157,8 @@ class QTokenTable:
                                             + counters.qtokens_cancelled
                                             + self.in_flight)
 
-    def _retire(self, token: QToken) -> None:
+    def retire(self, token: QToken) -> None:
+        """Forget a token whose result a wait has taken."""
         self._pending.pop(token, None)
 
     def reap_all(self) -> Tuple[int, int]:
@@ -165,146 +174,31 @@ class QTokenTable:
         cancelled = retired = 0
         for token, (done, _) in list(self._pending.items()):
             if done.triggered:
-                self._retire(token)
+                self.retire(token)
                 retired += 1
             else:
                 self.cancel(token)
                 cancelled += 1
         return cancelled, retired
 
-    # -- waiting (application side) ---------------------------------------------
-    def _trace_dispatch(self, entered: int) -> None:
-        """One sample of how long a ``wait_*`` call took, entry to
-        return; a caller reads *entered* off the clock only if tracing."""
-        self.counters.distribution(names.WAIT_DISPATCH_NS).add(
-            self.sim.now - entered)
+    # -- waiting ---------------------------------------------------------------
+    def wait(self, token: QToken) -> Generator:
+        """Sim-coroutine: block until *token* completes; returns QResult.
 
-    def wait(self, token: QToken, charge=None) -> Generator:
-        """Sim-coroutine: block until *token* completes; returns QResult."""
+        Uncharged: a libOS's own machinery (a derived queue's pump, the
+        event loop's teardown) waits here; an application waits through
+        :meth:`repro.core.api.LibOS.wait`, which pays ``wait_dispatch``.
+        """
         entered = self.sim.now if self.tracer.tracing else None
-        done = self.completion_of(token)
-        result = yield done
-        self._retire(token)
-        if charge is not None:
-            yield charge()
+        result = yield self.completion_of(token)
+        self.retire(token)
         self.counters.waits += 1
         if entered is not None:
             self._trace_dispatch(entered)
         return result
 
-    def wait_any(self, tokens: Sequence[QToken], timeout_ns: Optional[int] = None,
-                 charge=None) -> Generator:
-        """Sim-coroutine: first completion among *tokens*.
-
-        Returns ``(index, QResult)``; raises :class:`DemiTimeout` if
-        *timeout_ns* elapses first.  The losing (and timed-out) tokens
-        stay valid - wait for them later.  Exactly one waiter wakes per
-        completion because each token has exactly one completion and
-        this call consumes it.
-        """
-        if not tokens:
-            raise DemiError("wait_any on no tokens")
-        entered = self.sim.now if self.tracer.tracing else None
-        events = [self.completion_of(t) for t in tokens]
-        timer = None
-        if timeout_ns is not None:
-            timer = self.sim.timeout(timeout_ns, WAIT_TIMEOUT)
-            events.append(timer)
-        index, value = yield any_of(self.sim, events)
-        if timer is not None:
-            if index == len(tokens):
-                self.counters.wait_timeouts += 1
-                raise DemiTimeout(timeout_ns, tokens)
-            # A token won before the deadline: withdraw the timer so it
-            # doesn't linger on the sim heap until the deadline passes.
-            timer.cancel()
-        self._retire(tokens[index])
-        if charge is not None:
-            yield charge()
-        self.counters.waits += 1
-        if entered is not None:
-            self._trace_dispatch(entered)
-        return index, value
-
-    def wait_any_n(self, tokens: Sequence[QToken],
-                   timeout_ns: Optional[int] = None,
-                   charge=None) -> Generator:
-        """Sim-coroutine: batch drain - every ready token in one crossing.
-
-        Blocks like :meth:`wait_any` until at least one token completes,
-        then sweeps the rest of *tokens* and also returns any that are
-        already triggered at that same instant.
-        Returns a list of ``(index, QResult)`` pairs sorted by index;
-        the list is never empty.  Tokens not returned stay valid.
-
-        This is the crossing-amortization primitive: a server that waited
-        N times to drain N completions now pays one ``wait_dispatch``
-        per *batch*.  The exactly-one-waiter guarantee is untouched -
-        every returned token is retired here, so a second wait on it
-        raises.
-        """
-        if not tokens:
-            raise DemiError("wait_any_n on no tokens")
-        entered = self.sim.now if self.tracer.tracing else None
-        events = [self.completion_of(t) for t in tokens]
-        timer = None
-        if timeout_ns is not None:
-            timer = self.sim.timeout(timeout_ns, WAIT_TIMEOUT)
-            events.append(timer)
-        index, value = yield any_of(self.sim, events)
-        if timer is not None:
-            if index == len(tokens):
-                self.counters.wait_timeouts += 1
-                raise DemiTimeout(timeout_ns, tokens)
-            timer.cancel()
-            events.pop()  # what is left is the tokens' completions
-        ready: List[Tuple[int, QResult]] = [(index, value)]
-        for i, done in enumerate(events):
-            if i != index and done.triggered:
-                ready.append((i, done.value))
-        ready.sort(key=lambda pair: pair[0])
-        for i, _ in ready:
-            self._retire(tokens[i])
-        if charge is not None:
-            yield charge()
-        self.counters.waits += 1
-        self.counters.batch_waits += 1
-        self.counters.batch_wait_completions += len(ready)
-        if entered is not None:
-            self._trace_dispatch(entered)
-        return ready
-
-    def wait_all(self, tokens: Sequence[QToken], timeout_ns: Optional[int] = None,
-                 charge=None) -> Generator:
-        """Sim-coroutine: wait for every token; returns list of QResults.
-
-        Raises :class:`DemiTimeout` if *timeout_ns* elapses first
-        (individual tokens remain waitable).
-        """
-        if not tokens:
-            return []
-        results: List[Optional[QResult]] = [None] * len(tokens)
-        remaining = set(range(len(tokens)))
-        deadline = None if timeout_ns is None else self.sim.now + timeout_ns
-        while remaining:
-            if deadline is not None and self.sim.now >= deadline:
-                # Budget exhausted between rounds: raise right away
-                # instead of re-subscribing to every remaining
-                # completion with a zero-ns timer race.
-                self.counters.wait_timeouts += 1
-                raise DemiTimeout(timeout_ns, tokens)
-            budget = None if deadline is None else deadline - self.sim.now
-            pending_tokens = [tokens[i] for i in sorted(remaining)]
-            index_map = sorted(remaining)
-            try:
-                index, value = yield from self.wait_any(pending_tokens, budget,
-                                                        charge=None)
-            except DemiTimeout:
-                # The inner wait_any already counted WAIT_TIMEOUTS once;
-                # re-wrap with the caller's full timeout/token set only.
-                raise DemiTimeout(timeout_ns, tokens)
-            results[index_map[index]] = value
-            remaining.discard(index_map[index])
-        if charge is not None:
-            yield charge()
-        return results  # type: ignore[return-value]
+    def _trace_dispatch(self, entered: int) -> None:
+        """One sample of how long a ``wait_*`` call took, entry to
+        return; a caller reads *entered* off the clock only if tracing."""
+        self.counters.distribution(names.WAIT_DISPATCH_NS).add(
+            self.sim.now - entered)

@@ -3,6 +3,7 @@
 from .costs import DEFAULT_COSTS, CostModel
 from .cpu import Core, CpuSet
 from .engine import (
+    AnyWait,
     Completion,
     Interrupt,
     Process,
@@ -10,7 +11,6 @@ from .engine import (
     Simulator,
     Timeout,
     all_of,
-    any_of,
 )
 from .fabric import BROADCAST_ADDR, Fabric, Port
 from .faults import DeviceFaultView, FaultEvent, FaultInjector, FaultPlan
@@ -25,7 +25,7 @@ __all__ = [
     "Process",
     "Interrupt",
     "SimulationError",
-    "any_of",
+    "AnyWait",
     "all_of",
     "Core",
     "CpuSet",

@@ -14,16 +14,17 @@ generators:
   process resumes and receives the completion's value as the result of the
   ``yield`` expression.  It may also yield a :class:`Sleep` (what a CPU
   charge returns): the process resumes at its instant, with ``None``,
-  straight from the heap entry - no completion is built or fired.
+  straight from the heap entry - no completion is built or fired - or an
+  :class:`AnyWait`, which parks it on several completions at once.
 * Sub-routines compose with ``yield from`` and return values with
   ``return``, so simulated call stacks read like ordinary Python.
 
 Four ways to run something later, one per need: :meth:`Simulator.call_in`
 for a one-shot nobody withdraws, a yielded :class:`Sleep` for a process
-that only waits out an instant (only an interrupt withdraws it),
-:class:`Timeout` for a deadline a process waits on beside other events
-(:meth:`Timeout.cancel` withdraws it), :class:`Timer` for anything
-re-armed or stopped.
+that only waits out an instant, a yielded :class:`AnyWait` with a
+deadline for a process that waits on events until a time (what wins
+withdraws the rest; an interrupt withdraws either), :class:`Timer` for
+anything re-armed or stopped.
 
 Example::
 
@@ -48,11 +49,11 @@ __all__ = [
     "Completion",
     "Timeout",
     "Sleep",
+    "AnyWait",
     "Timer",
     "Process",
     "SimulationError",
     "Interrupt",
-    "any_of",
     "all_of",
 ]
 
@@ -146,53 +147,38 @@ class Completion:
         return "<Completion %s %s>" % (self._name() or hex(id(self)), state)
 
 
-#: the arguments of a :meth:`Process._resume` that has no outcome to
-#: deliver - a first step, or an interrupt's delivery: one completion
-#: that fired with neither a value nor an exception
-_NOTHING_HAPPENED = (Completion(None, "nothing").trigger(),)
+#: the completion a :meth:`Process._resume` is given when it has no
+#: outcome to deliver - a first step, an interrupt's delivery, the end of
+#: a sleep or an :class:`AnyWait`'s deadline: it fired with neither a
+#: value nor an exception
+_NOTHING = Completion(None, "nothing").trigger()
+_NOTHING_HAPPENED = (_NOTHING,)
 
 
 class Timeout(Completion):
     """A completion triggered by the clock after a fixed delay."""
 
-    __slots__ = ("delay", "_entry")
+    __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: int):
         if delay < 0:
             raise SimulationError("negative timeout %r" % delay)
         if delay.__class__ is not int:
             delay = int(delay)
-        # Completion.__init__, inlined: every timed wait builds one
+        # Completion.__init__, inlined: pacing and heartbeats build
+        # one per round
         self.sim = sim
         self._value = self._exc = None
         self._done = False
         self._callbacks = []
         self.label = ""
         self.delay = delay
-        self._entry = sim._schedule_at(sim._now + delay, self._fire,
-                                       (value,))
+        # Nothing withdraws a timeout, so it keeps no hold on its entry:
+        # fired, the entry goes, and the timeout with it by reference count.
+        sim._schedule_at(sim._now + delay, self.trigger)
 
     def _name(self) -> str:
         return "timeout(%d)" % self.delay
-
-    def _fire(self, value: Any) -> None:
-        # The spent heap entry refers back to this timeout: let it go, so
-        # a fired timeout is freed by reference count, not the collector.
-        self._entry = None
-        self.trigger(value)
-
-    def cancel(self) -> None:
-        """Withdraw the pending trigger; no-op once fired.
-
-        A wait that wins before its deadline must cancel its timer, or
-        the dead entry sits on the heap until the deadline passes - at
-        millions of timed waits that is unbounded heap growth.
-        """
-        if self._done:
-            return
-        self._done = True  # never fires; waiters were never going to win
-        self._callbacks = []
-        self.sim._cancel_scheduled(self._entry)
 
 
 class Sleep:
@@ -200,12 +186,34 @@ class Sleep:
     instant it was made, it resumes the process at ``until`` with ``None``
     from the process's own heap entry, ordered among that instant's
     entries at the yield.  It is no completion: nothing can subscribe to
-    it or race it in :func:`any_of` (that is :meth:`Simulator.timeout`)."""
+    it or race it (a deadline that races events is an :class:`AnyWait`'s)."""
 
     __slots__ = ("until",)
 
     def __init__(self, until: int):
         self.until = until
+
+
+class AnyWait:
+    """Yielded by a process: resume it with ``(index, value)`` of the
+    first of *events* done, or with that event's exception, or - if
+    *until* is not None and comes first - with ``(len(events), None)`` at
+    that instant.
+
+    An event already done wins at the yield (the first in order).
+    Otherwise the process plants its one bound callback on each event and,
+    for a deadline, its own heap entry at *until*; whichever fires first
+    withdraws the rest, and so does an interrupt.  Nothing else is built:
+    no completion stands for the wait.
+    """
+
+    __slots__ = ("events", "until", "entry")
+
+    def __init__(self, events: List[Completion], until: Optional[int]):
+        self.events = events
+        self.until = until
+        #: the deadline's heap entry while parked with one, else None
+        self.entry: Optional[List[Any]] = None
 
 
 class Timer:
@@ -293,13 +301,35 @@ class Process(Completion):
     # -- driving ---------------------------------------------------------
     def _resume(self, completion: Completion) -> None:
         """Run the generator on from *completion*'s outcome until it parks
-        on a pending completion or ends: the only way into it."""
+        or ends: the only way into it.  *completion* is what it parked on,
+        an event of its :class:`AnyWait`, or :data:`_NOTHING`."""
         if not self.alive:
             return
+        waiting = self._waiting_on
+        if waiting is completion:
+            value, exc = completion._value, completion._exc
+        elif waiting.__class__ is AnyWait:
+            if completion is _NOTHING:  # the deadline: its entry is spent
+                waiting.entry = None
+                value, exc = (len(waiting.events), None), None
+            else:
+                try:
+                    index = waiting.events.index(completion)
+                except ValueError:
+                    return  # an event of a wait it has already left
+                exc = completion._exc
+                value = None if exc is not None else (index,
+                                                      completion._value)
+            self._leave(waiting)
+        elif completion is not _NOTHING:
+            # an event of a wait it left, firing in the cascade of the
+            # one that won it
+            return
+        else:
+            value = exc = None
         self._waiting_on = None
-        value, exc = completion._value, completion._exc
         sim = self.sim
-        sim._active = self
+        outer, sim._active = sim._active, self
         sync_spins = 0
         try:
             while True:
@@ -309,36 +339,50 @@ class Process(Completion):
                     target = self.gen.throw(exc)
                 else:
                     target = self.gen.send(value)
-                exc = None
-                if target.__class__ is Sleep:
+                cls = target.__class__
+                if cls is Sleep:
                     # the heap entry is what an interrupt withdraws
                     self._waiting_on = sim._schedule_at(
                         target.until, self._wake, _NOTHING_HAPPENED)
                     return
-                try:
-                    done = target._done
-                except AttributeError:
-                    raise SimulationError(
-                        "process %s yielded %r; processes must yield "
-                        "Completion objects" % (self.name, target)
-                    ) from None
-                if done:
-                    # Already done: continue synchronously with its value.
-                    sync_spins += 1
-                    if sync_spins > self.MAX_SYNC_CONTINUATIONS:
+                if cls is AnyWait:
+                    index = 0
+                    for event in target.events:
+                        if event._done:
+                            break
+                        index += 1
+                    else:
+                        wake = self._wake
+                        for event in target.events:
+                            event._callbacks.append(wake)
+                        if target.until is not None:
+                            target.entry = sim._schedule_at(
+                                target.until, wake, _NOTHING_HAPPENED)
+                        self._waiting_on = target
+                        return
+                    exc = event._exc
+                    value = None if exc is not None else (index, event._value)
+                else:
+                    try:
+                        done = target._done
+                    except AttributeError:
                         raise SimulationError(
-                            "process %s looks livelocked: %d consecutive "
-                            "yields of already-triggered completions "
-                            "without simulated time advancing"
-                            % (self.name, sync_spins))
-                    if target._exc is not None:
-                        value, exc = None, target._exc
-                        continue
-                    value = target._value
-                    continue
-                self._waiting_on = target
-                target._callbacks.append(self._wake)
-                return
+                            "process %s yielded %r; processes must yield "
+                            "Completion, Sleep or AnyWait objects"
+                            % (self.name, target)) from None
+                    if not done:
+                        self._waiting_on = target
+                        target._callbacks.append(self._wake)
+                        return
+                    value, exc = target._value, target._exc
+                # Already done: continue synchronously with its outcome.
+                sync_spins += 1
+                if sync_spins > self.MAX_SYNC_CONTINUATIONS:
+                    raise SimulationError(
+                        "process %s looks livelocked: %d consecutive "
+                        "yields of already-triggered completions "
+                        "without simulated time advancing"
+                        % (self.name, sync_spins))
         except StopIteration as stop:
             self.alive = False
             self._wake = None
@@ -352,7 +396,19 @@ class Process(Completion):
                 raise
             self.fail(err)
         finally:
-            sim._active = None
+            sim._active = outer
+
+    def _leave(self, wait: AnyWait) -> None:
+        """Withdraw from *wait*: the callback from every event still
+        pending, and the deadline's entry from the heap."""
+        entry = wait.entry
+        if entry is not None:
+            wait.entry = None
+            self.sim._cancel_scheduled(entry)
+        wake = self._wake
+        for event in wait.events:
+            if not event._done:
+                event._callbacks.remove(wake)
 
     # -- control ---------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
@@ -364,10 +420,13 @@ class Process(Completion):
         if waiting is not None:
             self._waiting_on = None
             # Detach from whatever it was waiting on - a sleep's heap
-            # entry or a completion - and resume with the interrupt at
-            # the next event-loop turn.
-            if waiting.__class__ is list:
+            # entry, an AnyWait or a completion - and resume with the
+            # interrupt at the next event-loop turn.
+            cls = waiting.__class__
+            if cls is list:
                 self.sim._cancel_scheduled(waiting)
+            elif cls is AnyWait:
+                self._leave(waiting)
             else:
                 try:
                     waiting._callbacks.remove(self._wake)
@@ -377,22 +436,18 @@ class Process(Completion):
                                   _NOTHING_HAPPENED)
 
 
-class _MultiWait(Completion):
-    """Shared machinery for :func:`any_of` / :func:`all_of`.
+class _AllOf(Completion):
+    """What :func:`all_of` returns.
 
-    One bound callback is planted on every event.  When the wait
-    resolves ("any" mode wins, or either mode fails), it is detached
-    from the events still pending.  Without that, every ``wait_any``
-    leaves a stale callback on each losing completion - on a long-lived
-    connection queue that is waited thousands of times, the callback
-    list grows without bound.
+    One bound callback is planted on every event.  A failure detaches
+    it from the events still pending (it holds us, a cycle) and fails
+    the wait.
     """
 
-    __slots__ = ("remaining", "mode", "_events", "_cb")
+    __slots__ = ("remaining", "_events", "_cb")
 
-    def __init__(self, sim: "Simulator", events: List[Completion], mode: str):
+    def __init__(self, sim: "Simulator", events: List[Completion]):
         Completion.__init__(self, sim)
-        self.mode = mode
         self.remaining = len(events)
         self._events = events
         if not events:
@@ -402,54 +457,36 @@ class _MultiWait(Completion):
         for ev in events:
             ev.subscribe(cb)
             if self._done:
-                # An already-triggered event resolved the wait mid-
-                # construction ("any" win or a failure); never subscribe
-                # to the rest, they would leak.
+                # An already-failed event resolved the wait mid-
+                # construction; never subscribe to the rest, they would
+                # leak.
                 break
 
     def _on_event(self, ev: Completion) -> None:
         if self._done:
             return
-        # Detach before triggering: dispatch resumes the waiting
-        # process synchronously, and it must not observe our stale
-        # callbacks still planted on the losing events.
         if ev._exc is not None:
-            self._detach()
+            # Detach before failing: the waiting process resumes
+            # synchronously and must not see our callbacks still planted.
+            cb, self._cb = self._cb, None
+            for other in self._events:
+                if not other._done:
+                    try:
+                        other._callbacks.remove(cb)
+                    except ValueError:
+                        pass
+            self._events = []
             self.fail(ev._exc)
-        elif self.mode == "any":
-            index = self._events.index(ev)
-            self._detach()
-            self.trigger((index, ev._value))
-        else:
-            self.remaining -= 1
-            if self.remaining == 0:
-                events, self._events, self._cb = self._events, [], None
-                self.trigger([each._value for each in events])
-
-    def _name(self) -> str:
-        return "%s(%d)" % (self.mode, len(self._events))
-
-    def _detach(self) -> None:
-        """Remove our callback from the events that did not fire (and
-        drop it: it holds us, a cycle)."""
-        cb, self._cb = self._cb, None
-        for ev in self._events:
-            if not ev._done:
-                try:
-                    ev._callbacks.remove(cb)
-                except ValueError:
-                    pass
-        self._events = []
-
-
-def any_of(sim: "Simulator", events: Iterable[Completion]) -> Completion:
-    """Completion firing with ``(index, value)`` of the first event done."""
-    return _MultiWait(sim, list(events), "any")
+            return
+        self.remaining -= 1
+        if self.remaining == 0:
+            events, self._events, self._cb = self._events, [], None
+            self.trigger([each._value for each in events])
 
 
 def all_of(sim: "Simulator", events: Iterable[Completion]) -> Completion:
     """Completion firing with the list of all values once every event fires."""
-    return _MultiWait(sim, list(events), "all")
+    return _AllOf(sim, list(events))
 
 
 class Simulator:
@@ -502,9 +539,9 @@ class Simulator:
             delay = int(delay)
         self._schedule_at(self._now + delay, fn, args)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
+    def timeout(self, delay: int) -> Timeout:
         """A completion that fires *delay* ns from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def completion(self, label: str = "") -> Completion:
         """A fresh untriggered completion."""

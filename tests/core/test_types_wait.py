@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import LibOS
 from repro.core.types import DemiError, DemiTimeout, Sga, SgaSegment
 from repro.core.wait import QTokenTable
 from repro.core.types import OP_POP, QResult
@@ -64,6 +65,13 @@ class TestQTokenTable:
         sim = Simulator()
         return sim, QTokenTable(sim, Tracer(), "t")
 
+    def make_libos(self):
+        """``(sim, table, libos)``: the multi-token waits are the
+        libOS's calls, over its table."""
+        w = World()
+        libos = LibOS(w.add_host("h"), "t")
+        return w.sim, libos.qtokens, libos
+
     def test_tokens_are_unique(self):
         _sim, table = self.make()
         t1, _ = table.create()
@@ -96,12 +104,12 @@ class TestQTokenTable:
             table.complete(42, QResult(OP_POP, 1))
 
     def test_wait_any_returns_first(self):
-        sim, table = self.make()
+        sim, table, libos = self.make_libos()
         t1, _ = table.create()
         t2, _ = table.create()
 
         def waiter():
-            index, result = yield from table.wait_any([t1, t2])
+            index, result = yield from libos.wait_any([t1, t2])
             return index, result.nbytes
 
         p = sim.spawn(waiter())
@@ -113,12 +121,12 @@ class TestQTokenTable:
         assert len(table._pending) in (0, 1)
 
     def test_wait_any_timeout(self):
-        sim, table = self.make()
+        sim, table, libos = self.make_libos()
         token, _ = table.create()
 
         def waiter():
             try:
-                yield from table.wait_any([token], timeout_ns=1000)
+                yield from libos.wait_any([token], timeout_ns=1000)
             except DemiTimeout as err:
                 return err
 
@@ -131,24 +139,24 @@ class TestQTokenTable:
         assert len(table._pending) == 1
 
     def test_wait_any_empty_rejected(self):
-        sim, table = self.make()
+        sim, table, libos = self.make_libos()
 
         def waiter():
-            yield from table.wait_any([])
+            yield from libos.wait_any([])
 
         p = sim.spawn(waiter())
         with pytest.raises(DemiError):
             sim.run()
 
     def test_wait_all_collects_every_result(self):
-        sim, table = self.make()
+        sim, table, libos = self.make_libos()
         tokens = []
         for i in range(3):
             t, _ = table.create()
             tokens.append(t)
 
         def waiter():
-            results = yield from table.wait_all(tokens)
+            results = yield from libos.wait_all(tokens)
             return [r.nbytes for r in results]
 
         p = sim.spawn(waiter())
@@ -160,13 +168,13 @@ class TestQTokenTable:
         assert p.value == [0, 1, 2]
 
     def test_wait_all_timeout_raises(self):
-        sim, table = self.make()
+        sim, table, libos = self.make_libos()
         t1, _ = table.create()
         t2, _ = table.create()
 
         def waiter():
             try:
-                yield from table.wait_all([t1, t2], timeout_ns=1000)
+                yield from libos.wait_all([t1, t2], timeout_ns=1000)
             except DemiTimeout as err:
                 return err
 
@@ -177,10 +185,10 @@ class TestQTokenTable:
         assert p.value.timeout_ns == 1000
 
     def test_wait_all_empty_is_instant(self):
-        sim, table = self.make()
+        sim, table, libos = self.make_libos()
 
         def waiter():
-            return (yield from table.wait_all([]))
+            return (yield from libos.wait_all([]))
 
         p = sim.spawn(waiter())
         sim.run()

@@ -69,6 +69,40 @@ def test_a_stream_across_the_2_32_sequence_wrap_arrives_whole():
 
 
 # ---------------------------------------------------------------------------
+# ROADMAP item 3: buffer lifecycle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=KnownDefect, reason="ROADMAP item 3")
+def test_the_passive_side_pushing_first_draws_no_rnr_nak():
+    # The accepting side's first SEND can reach the connecting side
+    # before that side has posted its receive pool: one RNR NAK at
+    # sequence 0, which the NIC's retry then recovers.
+    w, client, server = make_rdma_libos_pair()
+
+    def server_proc():
+        lqd = yield from server.socket()
+        yield from server.bind(lqd, 1)
+        yield from server.listen(lqd)
+        qd = yield from server.accept(lqd)
+        yield from server.blocking_push(qd, server.sga_alloc(b"first"))
+
+    def client_proc():
+        qd = yield from client.socket()
+        yield from client.connect(qd, "server-rdma", 1)
+        result = yield from client.blocking_pop(qd)
+        data = result.sga.tobytes()
+        client.sga_free(result.sga)
+        return data
+
+    w.sim.spawn(server_proc())
+    proc = w.sim.spawn(client_proc())
+    assert w.sim.run_until_complete(proc, limit=10 * MS) == b"first"
+    naks = w.tracer.get("client.rdma0.rnr_naks_sent")
+    if naks:
+        raise KnownDefect("%d RNR NAK(s) on a fresh connection" % naks)
+
+
+# ---------------------------------------------------------------------------
 # ROADMAP item 18: lent memory is a checked capability
 # ---------------------------------------------------------------------------
 

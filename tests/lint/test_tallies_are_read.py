@@ -1,11 +1,13 @@
 """Lint: a tally the program keeps is a tally the program reads.
 
-An attribute bumped with ``self.<name> += n`` (or ``-=``) on a hot path
-costs an add per frame, pop or charge.  If nothing in ``src/``,
-``perfbench/``, ``benchmarks/`` or ``examples/`` loads ``.<name>``, only
-a test sees it: the count is kept for its own test, and where a tracer
-counter already counts the same thing it is a second tally of one fact.
-Count it once, in its counter scope (``self.counters.<leaf> += n``, which
+An attribute bumped with ``self.<name> += n`` (or ``-=``), or on any
+other plain name (``metrics.<name> += n``), on a hot path costs an add
+per frame, pop or charge.  If nothing in ``src/``, ``perfbench/``,
+``benchmarks/`` or ``examples/`` loads ``.<name>``, only a test sees it:
+the count is kept for its own test, and where a tracer counter already
+counts the same thing it is a second tally of one fact.  Count it once,
+in its counter scope (``self.counters.<leaf> += n``, or ``counters.<leaf>
++= n`` where a function holds the scope - always under that name - which
 this lint leaves alone), or not at all.
 
 The one exception is :data:`ALLOWED`: a tally a tier-1 test observes
@@ -32,14 +34,19 @@ ALLOWED = {
 }
 
 
+#: what a counter scope is called wherever a function holds one
+SCOPE_NAME = "counters"
+
+
 def tallies(source):
-    """``(line, name)`` for every ``self.<name> +=`` / ``-=``."""
+    """``(line, name)`` for every ``<plain name>.<name> +=`` / ``-=`` but
+    a counter scope's (``counters.<name> +=``)."""
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.AugAssign)
                 and isinstance(node.op, (ast.Add, ast.Sub))
                 and isinstance(node.target, ast.Attribute)
                 and isinstance(node.target.value, ast.Name)
-                and node.target.value.id == "self"):
+                and node.target.value.id != SCOPE_NAME):
             yield node.lineno, node.target.attr
 
 
@@ -68,7 +75,7 @@ def test_every_tally_in_src_is_read_outside_the_tests():
     readers = _texts(sorted(p for root in READERS for p in root.rglob("*.py")))
     unread = write_only({p.relative_to(ROOT): t for p, t in sources.items()},
                         readers.values())
-    hits = ["%s: self.%s" % (where, name) for where, name in unread
+    hits = ["%s: .%s" % (where, name) for where, name in unread
             if name not in ALLOWED]
     assert not hits, (
         "tallies nothing outside the tests reads (delete them, or count "
@@ -93,3 +100,15 @@ def test_the_lint_catches_a_write_only_tally():
         ("q.py:7", "pushed")]
     assert write_only({"q.py": planted},
                       [reader, "print(q.pushed)"]) == []
+
+
+def test_the_lint_sees_a_tally_on_any_plain_name_but_a_counter_scope():
+    planted = ("def record(metrics, conn):\n"
+               "    metrics.sent += 1\n"
+               "    metrics.acked += 1\n"
+               "    counters = conn.counters\n"
+               "    counters.frames += 1\n"
+               "    conn.counters.resets -= 1\n")
+    reader = "def report(m):\n    return m.acked\n"
+    assert write_only({"m.py": planted}, [planted, reader]) == [
+        ("m.py:2", "sent")]

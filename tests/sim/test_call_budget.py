@@ -40,11 +40,14 @@ REQUESTS = 4 * 50
 #: that twinned a counter, or that nothing read, were gone (a charge, a
 #: spawn, a frame and a pop no longer add to a field nobody reads).
 #: 176_528 once a charge is a ``Sleep``: no ``Timeout`` built, no
-#: ``trigger`` called (17 calls per request).  The budget sits 4 % above
-#: the measurement, 35 calls per request: a call put back into every
-#: counter bump (62 per request), or two added to each of a request's 20
-#: events, trips it; one per event does not.
-CALL_BUDGET = 183_590
+#: ``trigger`` called (17 calls per request).  175_744 before a wait was
+#: one frame parked on its tokens (an ``AnyWait``: no ``any_of``
+#: completion, no ``Timeout``, no second generator layer) and 166_920
+#: after it (44 calls per request).  The budget sits 4 % above the
+#: measurement, 33 calls per request: a call put back into every counter
+#: bump (62 per request), or two added to each of a request's 20 events,
+#: trips it; one per event does not.
+CALL_BUDGET = 173_597
 
 #: events scheduled and the heap's peak length for the same 200 requests:
 #: 4175 and 166 before PR 20, 3803 and 32 after it (TCP's timers are one
@@ -85,10 +88,12 @@ HEAP_PEAK_BUDGET = 40
 #: nothing read; 747_056 once a charge is a ``Sleep``: no ``Timeout``
 #: built, no ``trigger`` called; 751_638 once a fired ``Timeout`` lets
 #: its spent heap entry go (one ``_fire`` call per fired timeout, so none
-#: is left to the cycle collector).  The budget sits 4 % above 747_056
-#: (3.4 % above the count now): a timer that ticks through the idle time
-#: again (a heartbeat is one per 20 us per link) trips it.
-REPLICA_CALL_BUDGET = 776_939
+#: is left to the cycle collector); 751_685 before a wait was one frame
+#: parked on its tokens and 733_859 after it (a fired timeout triggers
+#: straight from its heap entry, no ``_fire``).  The budget sits 4 % above
+#: 733_859: a timer that ticks through the idle time again (a heartbeat
+#: is one per 20 us per link) trips it.
+REPLICA_CALL_BUDGET = 763_213
 
 #: one run under the profiler: *setup*, then *body* profiled.  The count
 #: is per code object.  ``pstats.Stats(...).total_calls`` keys a function

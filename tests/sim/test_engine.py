@@ -1,17 +1,16 @@
 """Unit tests for the discrete-event engine."""
 
-import gc
-import weakref
+import sys
 
 import pytest
 
 from repro.sim.engine import (
+    AnyWait,
     Completion,
     Interrupt,
     SimulationError,
     Simulator,
     all_of,
-    any_of,
 )
 
 
@@ -33,28 +32,16 @@ def test_timeout_advances_clock():
     assert sim.now == 250
 
 
-class _Token:
-    """A value a timeout carries: a slotted ``Timeout`` takes no weak
-    reference, so the test watches what it holds."""
-
-
 def test_a_fired_timeout_is_freed_by_reference_count():
-    """Firing lets the spent heap entry go: no timeout -> entry ->
-    bound callback -> timeout cycle is left for the collector."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        sim = Simulator()
-        token = _Token()
-        alive = weakref.ref(token)
-        timer = sim.timeout(5, token)
-        sim.run()
-        assert timer.triggered and timer.value is token
-        del timer, token
-        assert alive() is None
-    finally:
-        if enabled:
-            gc.enable()
+    """Firing lets the spent heap entry go and the timeout keeps no hold
+    on it: no timeout -> entry -> bound callback -> timeout cycle is left
+    for the collector, so only its owner still holds a fired timeout."""
+    sim = Simulator()
+    timer = sim.timeout(5)
+    held = sys.getrefcount(timer)  # the heap entry's callback among them
+    sim.run()
+    assert timer.triggered
+    assert sys.getrefcount(timer) == held - 1
 
 
 def test_zero_timeout_runs_same_timestep():
@@ -221,23 +208,55 @@ def test_unjoined_process_crash_surfaces_from_run():
         sim.run()
 
 
-def test_any_of_returns_first_completion():
+def test_any_wait_resumes_with_the_first_event_done():
     sim = Simulator()
-    slow = sim.timeout(100, "slow")
-    fast = sim.timeout(10, "fast")
+    slow, fast = sim.completion("slow"), sim.completion("fast")
+    sim.call_in(100, slow.trigger, "slow")
+    sim.call_in(10, fast.trigger, "fast")
 
     def waiter():
-        index, value = yield any_of(sim, [slow, fast])
+        index, value = yield AnyWait([slow, fast], None)
         return (index, value, sim.now)
 
     p = sim.spawn(waiter())
     sim.run()
     assert p.value == (1, "fast", 10)
+    assert slow._callbacks == []  # the loser was let go at the win
+
+
+def test_any_wait_deadline_resumes_past_the_last_index():
+    sim = Simulator()
+    never = sim.completion("never")
+
+    def waiter():
+        index, value = yield AnyWait([never], 50)
+        return (index, value, sim.now)
+
+    p = sim.spawn(waiter())
+    assert sim.run() == 50
+    assert p.value == (1, None, 50)
+    assert never._callbacks == []
+
+
+def test_any_wait_won_before_its_deadline_withdraws_it():
+    sim = Simulator()
+    event = sim.completion("event")
+    sim.call_in(10, event.trigger, "won")
+
+    def waiter():
+        return (yield AnyWait([event], 10**6))
+
+    p = sim.spawn(waiter())
+    assert sim.run() == 10  # the deadline's entry moved nothing
+    assert p.value == (0, "won")
+    assert sim._heap == []
 
 
 def test_all_of_waits_for_every_completion():
     sim = Simulator()
-    events = [sim.timeout(t, t) for t in (30, 10, 20)]
+    events = [sim.completion() for _ in range(3)]
+    for event, t in zip(events, (30, 10, 20)):
+        sim.call_in(t, event.trigger, t)
 
     def waiter():
         values = yield all_of(sim, events)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.sim.engine import (
+    AnyWait,
     Interrupt,
     SimulationError,
     Simulator,
-    any_of,
 )
 
 
@@ -53,6 +53,30 @@ class TestNestedSpawning:
         sim.run()
         assert order == [("parent goes on", "parent", True),
                          ("child starts", "child")]
+
+    def test_a_process_that_wakes_another_is_still_the_active_one(self):
+        # The woken process runs inside the waker's trigger; when it
+        # parks, the waker is the active process again, not nobody.
+        sim = Simulator()
+        done = sim.completion("done")
+        order = []
+
+        def waiter():
+            yield done
+            order.append(("waiter woke", sim._active.name))
+
+        def waker():
+            yield sim.timeout(1)
+            done.trigger()
+            order.append(("waker goes on", sim._active
+                          and sim._active.name))
+
+        sim.spawn(waiter(), name="waiter")
+        sim.spawn(waker(), name="waker")
+        sim.run()
+        assert order == [("waiter woke", "waiter"),
+                         ("waker goes on", "waker")]
+        assert sim._active is None
 
     def test_fan_out_fan_in(self):
         sim = Simulator()
@@ -123,15 +147,14 @@ class TestInterruptCascades:
         assert p.value == ["first", "second"]
 
 
-    def test_interrupt_while_parked_on_any_of_resumes_exactly_once(self):
+    def test_interrupt_while_parked_on_an_any_wait_resumes_exactly_once(self):
         sim = Simulator()
         a, b = sim.completion("a"), sim.completion("b")
-        waits, resumed = [], []
+        resumed = []
 
         def waiter():
-            waits.append(any_of(sim, [a, b]))
             try:
-                yield waits[0]
+                yield AnyWait([a, b], 10**6)
             except Interrupt as intr:
                 resumed.append(("interrupt", intr.cause, sim.now))
             yield sim.timeout(50)
@@ -139,17 +162,38 @@ class TestInterruptCascades:
 
         p = sim.spawn(waiter())
         sim.run(until=10)
-        assert waits[0]._callbacks and not resumed
+        assert a._callbacks and b._callbacks and not resumed
         p.interrupt("stop")
-        # detached at once: nothing of the process stays on the wait it
-        # abandoned, so the wait resolving later cannot resume it again
-        assert waits[0]._callbacks == []
-        sim.run()
+        # detached at once: nothing of the process stays on the events
+        # it abandoned, so one firing later cannot resume it again, and
+        # its deadline is withdrawn
+        assert a._callbacks == [] and b._callbacks == []
+        assert sim.run() == 60
         a.trigger("late")
-        sim.run()
-        assert waits[0].value == (0, "late")
+        assert sim.run() == 60
         assert resumed == [("interrupt", "stop", 10), ("timeout", 60)]
         assert not p.alive and p.value is None
+
+    def test_an_event_left_in_a_cascade_does_not_resume_the_waiter(self):
+        # b's trigger runs a callback that triggers a: the waiter wins
+        # with a while still planted in b's callback list in flight, and
+        # that stale call must not resume it where it parks next.
+        sim = Simulator()
+        a, b, later = (sim.completion("a"), sim.completion("b"),
+                       sim.completion("later"))
+        b.subscribe(lambda _b: a.trigger("a"))
+        got = []
+
+        def waiter():
+            got.append((yield AnyWait([a, b], None)))
+            got.append((yield later))
+
+        sim.spawn(waiter())
+        sim.run()
+        b.trigger("b")
+        assert got == [(0, "a")]
+        later.trigger("later")
+        assert got == [(0, "a"), "later"]
 
     def test_interrupt_before_the_first_step_fails_the_process_with_it(self):
         # The throw lands on the unstarted generator: its body never
@@ -183,33 +227,36 @@ class TestInterruptCascades:
 
 
 class TestCompletionOrdering:
-    def test_any_of_with_pretriggered_event(self):
+    def test_any_wait_with_pretriggered_event(self):
         sim = Simulator()
         instant = sim.completion()
         instant.trigger("now")
-        later = sim.timeout(1000, "later")
+        later = sim.timeout(1000)
 
         def waiter():
-            index, value = yield any_of(sim, [later, instant])
+            index, value = yield AnyWait([later, instant], 10**6)
             return index, value
 
         p = sim.spawn(waiter())
-        sim.run()
+        sim.run(until=0)
         assert p.value == (1, "now")
+        # won at the yield: nothing planted, no deadline scheduled
+        assert later._callbacks == []
+        assert sim.run() == 1000
 
-    def test_any_of_failure_propagates(self):
+    def test_any_wait_failure_propagates(self):
         sim = Simulator()
         doomed = sim.completion()
 
         def waiter():
             try:
-                yield any_of(sim, [doomed, sim.timeout(10**6)])
+                yield AnyWait([doomed], 10**6)
             except RuntimeError as err:
                 return "caught:%s" % err
 
         p = sim.spawn(waiter())
         sim.call_in(10, doomed.fail, RuntimeError("bad"))
-        sim.run()
+        assert sim.run() == 10
         assert p.value == "caught:bad"
 
     def test_callbacks_on_failed_completion(self):
