@@ -4,6 +4,11 @@ N workers serve one request stream.  epoll (level-triggered, shared fd)
 wakes every blocked worker per arrival; one wins the recv race, the rest
 wasted a wake-up and a syscall.  wait_any workers block on distinct
 qtokens: one completion, one wake-up, data included.
+
+The table compares wake-ups, not the full cost of a request.  An epoll
+worker sends one reply per request, so its ``syscalls/req`` column
+includes that ``send``.  A wait_any worker pops from a local queue and
+sends nothing.
 """
 
 from repro.apps.eventloop import EpollWorkerPool, WaitAnyWorkerPool
@@ -59,7 +64,7 @@ def run_wait_any(n_workers):
     libos = LibOS(host, "demi")
     qd = libos.queue()
     pool = WaitAnyWorkerPool(libos, n_workers)
-    pool.start(qd, reply=False)
+    pool.start(qd)
 
     def producer():
         for i in range(N_REQUESTS):

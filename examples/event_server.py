@@ -54,7 +54,7 @@ def wait_any_side():
     libos = LibOS(host, "demi")
     qd = libos.queue()
     pool = WaitAnyWorkerPool(libos, N_WORKERS)
-    pool.start(qd, reply=False)
+    pool.start(qd)
 
     def producer():
         for i in range(N_REQUESTS):

@@ -73,7 +73,11 @@ class EpollWorkerPool:
 
 
 class WaitAnyWorkerPool:
-    """N Demikernel workers each blocking on their own pop qtoken."""
+    """N Demikernel workers each blocking on their own pop qtoken.
+
+    A worker frees what it pops and sends no reply: on the one queue all
+    of them pop, a reply would be popped again by another worker.
+    """
 
     def __init__(self, libos: LibOS, n_workers: int):
         self.libos = libos
@@ -84,9 +88,9 @@ class WaitAnyWorkerPool:
         self._stop = False
         self._procs = []
 
-    def start(self, qd: int, reply: bool = True) -> None:
+    def start(self, qd: int) -> None:
         for i in range(self.n_workers):
-            proc = self.libos.sim.spawn(self._worker(qd, reply),
+            proc = self.libos.sim.spawn(self._worker(qd),
                                         name="waitany.worker%d" % i)
             self._procs.append(proc)
 
@@ -96,7 +100,7 @@ class WaitAnyWorkerPool:
             if proc.alive:
                 proc.interrupt("pool stopped")
 
-    def _worker(self, qd: int, reply: bool) -> Generator:
+    def _worker(self, qd: int) -> Generator:
         libos = self.libos
         while not self._stop:
             token = libos.pop(qd)
@@ -109,6 +113,4 @@ class WaitAnyWorkerPool:
             # wait_any returned the data itself: no second call needed,
             # and nobody else woke for this element.
             self.requests_served += 1
-            if reply:
-                yield from libos.blocking_push(qd, result.sga)
             libos.sga_free(result.sga)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Generator, Set, Tuple
 
 from ..hw.nvme import NvmeDevice
-from ..sim.engine import all_of
 from .kernel import Kernel, KernelError, KObject
 from ..telemetry import names
 
@@ -148,8 +147,8 @@ class Vfs:
             yield core.busy(self.costs.kernel_block_ns)
             pending.append(self.nvme.submit_write(lba, bytes(self._cache[key])))
             self._dirty.discard(key)
-        if pending:
-            yield all_of(self.sim, pending)
+        for done in pending:
+            yield done
         yield self.nvme.submit_flush()
         self.kernel.counters.fsyncs += 1
         return len(dirty)

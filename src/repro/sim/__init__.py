@@ -9,8 +9,6 @@ from .engine import (
     Process,
     SimulationError,
     Simulator,
-    Timeout,
-    all_of,
 )
 from .fabric import BROADCAST_ADDR, Fabric, Port
 from .faults import DeviceFaultView, FaultEvent, FaultInjector, FaultPlan
@@ -21,12 +19,10 @@ from .trace import LatencyStats, Tracer
 __all__ = [
     "Simulator",
     "Completion",
-    "Timeout",
     "Process",
     "Interrupt",
     "SimulationError",
     "AnyWait",
-    "all_of",
     "Core",
     "CpuSet",
     "CostModel",

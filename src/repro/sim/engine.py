@@ -9,13 +9,12 @@ generators:
 
 * A :class:`Simulator` owns the event heap and the clock.
 * A *process* is a generator driven by the engine.  It advances by
-  ``yield``-ing :class:`Completion` objects (or :class:`Timeout`, which is
-  a completion triggered by the clock).  When the completion fires, the
-  process resumes and receives the completion's value as the result of the
-  ``yield`` expression.  It may also yield a :class:`Sleep` (what a CPU
-  charge returns): the process resumes at its instant, with ``None``,
-  straight from the heap entry - no completion is built or fired - or an
-  :class:`AnyWait`, which parks it on several completions at once.
+  ``yield``-ing one of three things: a :class:`Completion` (it resumes
+  when the completion fires, and the ``yield`` expression evaluates to
+  the completion's value), a :class:`Sleep` (what ``sim.timeout(d)`` and
+  a CPU charge return: it resumes at that instant, with ``None``,
+  straight from its own heap entry - no completion is built or fired)
+  or an :class:`AnyWait`, which parks it on several completions at once.
 * Sub-routines compose with ``yield from`` and return values with
   ``return``, so simulated call stacks read like ordinary Python.
 
@@ -42,19 +41,17 @@ Example::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 __all__ = [
     "Simulator",
     "Completion",
-    "Timeout",
     "Sleep",
     "AnyWait",
     "Timer",
     "Process",
     "SimulationError",
     "Interrupt",
-    "all_of",
 ]
 
 
@@ -74,8 +71,8 @@ class Completion:
     """A one-shot event that processes can wait on.
 
     A completion starts *pending*; it may be triggered exactly once with a
-    value (or failed with an exception).  Any number of processes and
-    callbacks may subscribe; they all run when it fires.
+    value (or failed with an exception).  Any number of processes may
+    wait on it; they all resume when it fires.
     """
 
     __slots__ = ("sim", "_value", "_exc", "_done", "_callbacks", "label")
@@ -134,14 +131,6 @@ class Completion:
                 cb(self)
         return self
 
-    # -- subscription ----------------------------------------------------
-    def subscribe(self, callback: Callable[["Completion"], None]) -> None:
-        """Run *callback(completion)* when this fires (immediately if done)."""
-        if self._done:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._done else "pending"
         return "<Completion %s %s>" % (self._name() or hex(id(self)), state)
@@ -155,38 +144,13 @@ _NOTHING = Completion(None, "nothing").trigger()
 _NOTHING_HAPPENED = (_NOTHING,)
 
 
-class Timeout(Completion):
-    """A completion triggered by the clock after a fixed delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: int):
-        if delay < 0:
-            raise SimulationError("negative timeout %r" % delay)
-        if delay.__class__ is not int:
-            delay = int(delay)
-        # Completion.__init__, inlined: pacing and heartbeats build
-        # one per round
-        self.sim = sim
-        self._value = self._exc = None
-        self._done = False
-        self._callbacks = []
-        self.label = ""
-        self.delay = delay
-        # Nothing withdraws a timeout, so it keeps no hold on its entry:
-        # fired, the entry goes, and the timeout with it by reference count.
-        sim._schedule_at(sim._now + delay, self.trigger)
-
-    def _name(self) -> str:
-        return "timeout(%d)" % self.delay
-
-
 class Sleep:
-    """What :meth:`repro.sim.cpu.Core.busy` returns.  Yielded in the
-    instant it was made, it resumes the process at ``until`` with ``None``
-    from the process's own heap entry, ordered among that instant's
-    entries at the yield.  It is no completion: nothing can subscribe to
-    it or race it (a deadline that races events is an :class:`AnyWait`'s)."""
+    """What :meth:`Simulator.timeout` and :meth:`repro.sim.cpu.Core.busy`
+    return.  Yielded in the instant it was made, it resumes the process at
+    ``until`` with ``None`` from the process's own heap entry, ordered
+    among that instant's entries at the yield.  It is no completion:
+    nothing can subscribe to it or race it (a deadline that races events
+    is an :class:`AnyWait`'s)."""
 
     __slots__ = ("until",)
 
@@ -436,59 +400,6 @@ class Process(Completion):
                                   _NOTHING_HAPPENED)
 
 
-class _AllOf(Completion):
-    """What :func:`all_of` returns.
-
-    One bound callback is planted on every event.  A failure detaches
-    it from the events still pending (it holds us, a cycle) and fails
-    the wait.
-    """
-
-    __slots__ = ("remaining", "_events", "_cb")
-
-    def __init__(self, sim: "Simulator", events: List[Completion]):
-        Completion.__init__(self, sim)
-        self.remaining = len(events)
-        self._events = events
-        if not events:
-            self.trigger([])
-            return
-        cb = self._cb = self._on_event
-        for ev in events:
-            ev.subscribe(cb)
-            if self._done:
-                # An already-failed event resolved the wait mid-
-                # construction; never subscribe to the rest, they would
-                # leak.
-                break
-
-    def _on_event(self, ev: Completion) -> None:
-        if self._done:
-            return
-        if ev._exc is not None:
-            # Detach before failing: the waiting process resumes
-            # synchronously and must not see our callbacks still planted.
-            cb, self._cb = self._cb, None
-            for other in self._events:
-                if not other._done:
-                    try:
-                        other._callbacks.remove(cb)
-                    except ValueError:
-                        pass
-            self._events = []
-            self.fail(ev._exc)
-            return
-        self.remaining -= 1
-        if self.remaining == 0:
-            events, self._events, self._cb = self._events, [], None
-            self.trigger([each._value for each in events])
-
-
-def all_of(sim: "Simulator", events: Iterable[Completion]) -> Completion:
-    """Completion firing with the list of all values once every event fires."""
-    return _AllOf(sim, list(events))
-
-
 class Simulator:
     """The event loop: a heap of ``(time, seq, fn, args)`` entries."""
 
@@ -539,9 +450,13 @@ class Simulator:
             delay = int(delay)
         self._schedule_at(self._now + delay, fn, args)
 
-    def timeout(self, delay: int) -> Timeout:
-        """A completion that fires *delay* ns from now."""
-        return Timeout(self, delay)
+    def timeout(self, delay: int) -> Sleep:
+        """A :class:`Sleep` that ends *delay* ns from now: yield it at once."""
+        if delay < 0:
+            raise SimulationError("negative timeout %r" % delay)
+        if delay.__class__ is not int:
+            delay = int(delay)
+        return Sleep(self._now + delay)
 
     def completion(self, label: str = "") -> Completion:
         """A fresh untriggered completion."""

@@ -60,7 +60,7 @@ class TestWaitAnyWorkerPool:
         libos = LibOS(host, "demi")
         qd = libos.queue()
         pool = WaitAnyWorkerPool(libos, n_workers)
-        pool.start(qd, reply=False)
+        pool.start(qd)
 
         def producer():
             for i in range(n_requests):

@@ -90,10 +90,12 @@ HEAP_PEAK_BUDGET = 40
 #: its spent heap entry go (one ``_fire`` call per fired timeout, so none
 #: is left to the cycle collector); 751_685 before a wait was one frame
 #: parked on its tokens and 733_859 after it (a fired timeout triggers
-#: straight from its heap entry, no ``_fire``).  The budget sits 4 % above
-#: 733_859: a timer that ticks through the idle time again (a heartbeat
-#: is one per 20 us per link) trips it.
-REPLICA_CALL_BUDGET = 763_213
+#: straight from its heap entry, no ``_fire``); 724_863 once
+#: ``sim.timeout`` is a ``Sleep``: no ``Timeout`` built, no ``trigger``
+#: called per heartbeat, lease check or poll round.  The budget sits 4 %
+#: above 724_863: a timer that ticks through the idle time again (a
+#: heartbeat is one per 20 us per link) trips it.
+REPLICA_CALL_BUDGET = 753_857
 
 #: one run under the profiler: *setup*, then *body* profiled.  The count
 #: is per code object.  ``pstats.Stats(...).total_calls`` keys a function
