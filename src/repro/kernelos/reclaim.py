@@ -24,19 +24,18 @@ Ordering is load-bearing:
    which the (now empty) regions are unmapped from every IOMMU.
 
 The end state is the crash-reclaim invariant the chaos scenarios assert:
-``mm.live_buffer_count == 0``, every IOMMU has zero mapped ranges, and
-the qd/fd tables are empty.
+``holdings(host, liboses)`` is all zero.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Dict, Generator, Sequence
 
 from ..telemetry import names
 from .kernel import Kernel
 
-__all__ = ["reclaim_process", "crash_teardown", "QUIESCE_POLL_NS",
-           "QUIESCE_LIMIT_NS"]
+__all__ = ["reclaim_process", "crash_teardown", "holdings",
+           "QUIESCE_POLL_NS", "QUIESCE_LIMIT_NS"]
 
 #: how often the quiesce loop re-checks for deferred frees resolving
 QUIESCE_POLL_NS = 100_000
@@ -114,3 +113,20 @@ def crash_teardown(libos, app_proc=None) -> Generator:
     released = host.mm.reclaim_regions()
     if released:
         counters.regions_unmapped += released
+
+
+def holdings(host, liboses: Sequence) -> Dict[str, int]:
+    """What *host* still owns, and its *liboses* with it: the one record
+    every "owns nothing" check reads.  Each field is a count the tree
+    already keeps; the host's part covers every process on it."""
+    return {
+        "live_buffers": host.mm.live_buffer_count,
+        "registered_bytes": host.mm.registered_bytes(),
+        "iommu_ranges": sum(nic.iommu.mapped_ranges for nic in host.nics),
+        "kernel_fds": 0 if host.kernel is None else len(host.kernel._fds),
+        "nvme_in_flight": (0 if host.nvme is None
+                           else host.nvme.inflight_commands),
+        "open_qds": sum(len(libos._queues) for libos in liboses),
+        "qtokens_in_flight": sum(libos.qtokens.in_flight
+                                 for libos in liboses),
+    }

@@ -12,7 +12,7 @@ off the host so they can find each other without import cycles:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from .costs import CostModel, DEFAULT_COSTS
 from .cpu import Core, CpuSet
@@ -46,7 +46,6 @@ class Host:
         self.mm: Any = None
         self.nics: List[Any] = []
         self.nvme: Any = None
-        self.extras: Dict[str, Any] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Host %s cores=%d nics=%d>" % (self.name, len(self.cpus), len(self.nics))

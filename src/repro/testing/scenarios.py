@@ -25,7 +25,8 @@ must uphold no matter how the devices misbehave:
 4. **No DMA use-after-free** - no IOMMU ``*.faults`` counter fired
    (a :class:`~repro.memory.buffer.BufferError` would abort the run
    outright).
-5. **Crash reclaim** - a host the plan killed owns nothing afterwards.
+5. **Crash reclaim** - a host the plan killed owns nothing afterwards:
+   every field of its :attr:`ScenarioResult.holdings` record is 0.
 
 Workloads and golden scenarios are table rows (:data:`WORKLOADS`,
 :data:`GOLDEN_SCENARIOS`).  Violations are collected on a
@@ -56,7 +57,7 @@ from ..cluster.replica import ClusterDirectory, ReplicaNode
 from ..core.api import LibOS
 from ..core.retry import RetryBudgetExceeded
 from ..core.types import DeviceFailed
-from ..kernelos.reclaim import crash_teardown
+from ..kernelos.reclaim import crash_teardown, holdings
 from ..libos.rdma_libos import RdmaLibOS
 from ..rdma.cm import RdmaCm
 from ..sim.faults import CRASH_KINDS, FaultPlan
@@ -108,7 +109,8 @@ class ScenarioResult:
     """Everything one scenario run produced, plus how to reproduce it."""
 
     def __init__(self, name: str, kind: str, plan: FaultPlan, world: World,
-                 failures: List[str], data: Dict[str, Any]):
+                 holdings: Dict[str, Dict[str, int]], failures: List[str],
+                 data: Dict[str, Any]):
         self.name = name
         self.kind = kind
         self.plan = plan
@@ -118,6 +120,9 @@ class ScenarioResult:
         self.signature = world.tracer.signature()
         self.counters = world.tracer.snapshot()
         self.events: List[Tuple[int, str, Any]] = list(world.tracer.events)
+        #: host name -> what it still owned when the run ended
+        #: (:func:`~repro.kernelos.reclaim.holdings`)
+        self.holdings = holdings
         self.failures = failures
         self.data = data
 
@@ -149,7 +154,8 @@ class ScenarioResult:
 # Invariant checks
 # ---------------------------------------------------------------------------
 
-def _check_libos(failures: List[str], libos, drained: bool) -> None:
+def _check_libos(failures: List[str], libos, drained: bool,
+                 crashed: bool) -> None:
     qt, counters = libos.qtokens, libos.counters
     if not qt.identity_ok:
         failures.append(
@@ -157,6 +163,8 @@ def _check_libos(failures: List[str], libos, drained: bool) -> None:
             " + in_flight=%d" % (libos.name, counters.qtokens_created,
                                  counters.qtokens_completed,
                                  counters.qtokens_cancelled, qt.in_flight))
+    if crashed:  # what reclaim left in flight, the host's holdings count
+        return
     if drained and qt.in_flight:
         failures.append("%s finished with %d qtokens still in flight"
                         % (libos.name, qt.in_flight))
@@ -164,45 +172,6 @@ def _check_libos(failures: List[str], libos, drained: bool) -> None:
         failures.append("%s woke without work: %d waits > %d completions"
                         % (libos.name, counters.waits,
                            counters.qtokens_completed))
-
-
-def _check_reclaimed(failures: List[str], libos) -> None:
-    """The crash-reclaim invariant: after teardown the dead process owns
-    *nothing* - no registered buffers, no IOMMU mappings, no queue
-    descriptors, no kernel fds, no in-flight qtokens or NVMe commands."""
-    host = libos.host
-    if host.mm.live_buffer_count:
-        failures.append("%s leaked %d registered buffers after reclaim"
-                        % (host.name, host.mm.live_buffer_count))
-    if host.mm.registered_bytes():
-        failures.append("%s kept %d bytes of registered regions after"
-                        " reclaim" % (host.name, host.mm.registered_bytes()))
-    for nic in host.nics:
-        if nic.iommu.mapped_ranges:
-            failures.append("%s IOMMU still maps %d range(s) after reclaim"
-                            % (nic.name, nic.iommu.mapped_ranges))
-    nvme = getattr(host, "nvme", None)
-    if nvme is not None and nvme.inflight_commands:
-        failures.append("%s still has %d NVMe command(s) in flight after"
-                        " reclaim" % (nvme.name, nvme.inflight_commands))
-    if isinstance(libos, LibOS):  # a kernel process holds only fds
-        if libos._queues:
-            failures.append("%s qd table not empty after reclaim: %s"
-                            % (libos.name, sorted(libos._queues)))
-        qt, counters = libos.qtokens, libos.counters
-        if qt.in_flight:
-            failures.append("%s kept %d qtoken(s) in flight after reclaim"
-                            % (libos.name, qt.in_flight))
-        if counters.qtokens_created != (counters.qtokens_completed
-                                        + counters.qtokens_cancelled):
-            failures.append(
-                "%s qtoken identity broken after reclaim: created=%d !="
-                " completed=%d + cancelled=%d"
-                % (libos.name, counters.qtokens_created,
-                   counters.qtokens_completed, counters.qtokens_cancelled))
-    if host.kernel is not None and host.kernel._fds:
-        failures.append("%s kernel fd table not empty after reclaim: %s"
-                        % (host.name, sorted(host.kernel._fds)))
 
 
 def _check_dma(failures: List[str], world) -> None:
@@ -288,10 +257,9 @@ class _Run:
         self.libos: Dict[str, Any] = {}
         for each in endpoints:
             self.libos.setdefault(each.host.name, each)
-        #: every libOS of the world, and the kernel of a host the plan
-        #: kills: what the invariant checker walks
-        self.checked = [each for each in endpoints if isinstance(each, LibOS)
-                        or each.host.name in crashed]
+        #: every libOS of the world: what the invariant checker walks
+        self.liboses = [each for each in endpoints
+                        if isinstance(each, LibOS)]
         #: the server tier the world row built, if any: the replica
         #: nodes or the sharded server
         self.tier = tier
@@ -1383,23 +1351,26 @@ def run_scenario(name: str, kind: str, plan: Optional[FaultPlan] = None,
     # A crash the plan schedules lands before the checks run even when it
     # is the workload's only exit (a killed storage writer joins nothing).
     world.run(until=max([sim.now] + [e.end for e in crashes]) + QUIESCE_NS)
+    held = {name: holdings(host, [each for each in run.liboses
+                                  if each.host is host])
+            for name, host in sorted(world.hosts.items())}
     counters = world.tracer.counters
     for host in sorted(crashed):
         if not counters.get("%s.%s.runs" % (host, names.RECLAIM)):
             failures.append("crash teardown never ran on %s (no proc_crash"
                             " fired?)" % host)
-    for each in run.checked:
-        if each.host.name in crashed:
-            _check_reclaimed(failures, each)
-        else:
-            _check_libos(failures, each,
-                         drained=finished and each not in run.undrained)
+        kept = {field: n for field, n in held.get(host, {}).items() if n}
+        if kept:
+            failures.append("%s still holds %s after reclaim" % (host, kept))
+    for each in run.liboses:
+        _check_libos(failures, each, finished and each not in run.undrained,
+                     each.host.name in crashed)
     _check_dma(failures, world)
     if finished:
         with suppress(StopIteration):  # the workload's own check returns
             next(check)
     run.data["finished_at"] = sim.now
-    return ScenarioResult(name, kind, plan, world, failures, run.data)
+    return ScenarioResult(name, kind, plan, world, held, failures, run.data)
 
 
 def check_reproducible(runner, *args, **kw) -> Tuple[ScenarioResult,

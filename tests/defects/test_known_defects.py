@@ -19,7 +19,7 @@ from repro.core.types import DemiError
 from repro.sim.faults import FaultPlan
 from repro.testbed import (make_posix_libos_pair, make_rdma_libos_pair,
                            make_spdk_libos)
-from repro.testing import WORKLOADS, run_scenario, scenarios
+from repro.testing import run_scenario, scenarios
 
 from ..conftest import make_net_pair
 
@@ -201,45 +201,3 @@ def test_a_head_killed_before_its_successor_watches_it_is_failed_over(
     if never in result.failures:
         raise KnownDefect(never)
     assert result.ok, result.failures
-
-
-# ---------------------------------------------------------------------------
-# ROADMAP item 22: a finished run owns nothing
-# ---------------------------------------------------------------------------
-
-#: the fault-free cells that end owning nothing already
-QUIESCENT = [("echo-rtt", "mtcp"), ("storage", "spdk"), ("log-scan", "spdk")]
-
-
-def held_after_a_fault_free_run(row, kind):
-    """What the hosts of *row* on *kind* still own once the run is over:
-    live buffers, kernel fds and IOMMU ranges."""
-    result = run_scenario(row, kind, plan=FaultPlan(seed=7))
-    assert result.ok, result.failures
-    held = []
-    for name, host in sorted(result.world.hosts.items()):
-        if host.mm.live_buffer_count:
-            held.append("%s: %d live buffers"
-                        % (name, host.mm.live_buffer_count))
-        if host.kernel is not None and host.kernel._fds:
-            held.append("%s: %d kernel fds" % (name, len(host.kernel._fds)))
-        ranges = sum(nic.iommu.mapped_ranges for nic in host.nics)
-        if ranges:
-            held.append("%s: %d IOMMU ranges" % (name, ranges))
-    return held
-
-
-@pytest.mark.xfail(strict=True, raises=KnownDefect, reason="ROADMAP item 22")
-@pytest.mark.parametrize("row,kind", [
-    (row, kind) for row, spec in WORKLOADS.items() for kind in spec["kinds"]
-    if (row, kind) not in QUIESCENT])
-def test_a_fault_free_run_ends_owning_nothing(row, kind):
-    held = held_after_a_fault_free_run(row, kind)
-    if held:
-        raise KnownDefect("; ".join(held))
-
-
-@pytest.mark.parametrize("row,kind", QUIESCENT)
-def test_a_cell_that_ends_owning_nothing_stays_so(row, kind):
-    # Not an entry: the cells item 22's entries leave out, held to it.
-    assert held_after_a_fault_free_run(row, kind) == []
