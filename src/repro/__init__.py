@@ -44,5 +44,4 @@ __all__ = [
     "Simulator",
     "CostModel",
     "DEFAULT_COSTS",
-    "__version__",
 ]

@@ -18,7 +18,6 @@ from .kvstore import (
 from .storelog import demi_log_writer, posix_log_writer
 
 __all__ = [
-    "CacheStats",
     "LruTtlCache",
     "cache_server",
     "demi_echo_server",

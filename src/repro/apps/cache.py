@@ -27,7 +27,7 @@ from ..core.api import LibOS
 from .proto.resp import RespCodec
 from .proto.server import ProtoServer
 
-__all__ = ["CacheStats", "LruTtlCache", "cache_server"]
+__all__ = ["LruTtlCache", "cache_server"]
 
 #: cadence of the eager expiry sweep
 SWEEP_INTERVAL_NS = 1_000_000  # 1 ms

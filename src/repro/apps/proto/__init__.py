@@ -31,7 +31,6 @@ __all__ = [
     "MemcachedCodec",
     "LegacyKvCodec",
     "ProtoServer",
-    "ProtoService",
     "KvEngineStore",
     "CODECS",
     "ST_STORED",

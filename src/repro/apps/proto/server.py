@@ -35,7 +35,7 @@ from ..steering import key_partition
 from .codec import (ST_COUNT, ST_ERROR, ST_MISS, ST_PONG, ST_STORED,
                     ST_VALUE, Codec, CodecError, Request, Response)
 
-__all__ = ["KvEngineStore", "ProtoService", "ProtoServer"]
+__all__ = ["KvEngineStore", "ProtoServer"]
 
 
 class KvEngineStore:

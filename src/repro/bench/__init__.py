@@ -5,5 +5,4 @@ from .report import fmt, print_table, us
 __all__ = [
     "print_table",
     "us",
-    "fmt",
 ]

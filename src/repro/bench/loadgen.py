@@ -48,8 +48,8 @@ from ..core.types import DemiTimeout
 from ..sim.rand import Rng
 from ..sim.trace import LatencyStats
 
-__all__ = ["LoadConfig", "ConnMetrics", "PORT", "arrival_times",
-           "connection", "shard_keys", "steered_ports"]
+__all__ = ["LoadConfig", "ConnMetrics", "PORT", "connection", "shard_keys",
+           "steered_ports"]
 
 #: the port every open-loop server listens on
 PORT = 6390

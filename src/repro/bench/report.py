@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["print_table", "us", "fmt"]
+__all__ = ["print_table", "us"]
 
 
 def us(ns: float) -> str:

@@ -20,7 +20,6 @@ from .replica import (DEFAULT_KV_PORT, STATUS_MOVED, ClusterDirectory,
 from .shard import Shard, ShardProtoServer, ShardedKvServer
 
 __all__ = [
-    "Shard",
     "ShardProtoServer",
     "ShardedKvServer",
     "ClusterDirectory",
@@ -28,8 +27,6 @@ __all__ = [
     "ReplicatedKvClient",
     "STATUS_MOVED",
     "DEFAULT_KV_PORT",
-    "encode_entry",
-    "decode_entry",
     "shard_workload",
     "src_port_for_queue",
 ]

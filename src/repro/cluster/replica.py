@@ -75,8 +75,7 @@ from ..sim.rand import Rng
 from ..sim.sync import WaitQueue
 
 __all__ = ["ClusterDirectory", "ReplicaNode", "STATUS_MOVED",
-           "STATUS_ACKED", "REQUEST_HEADER", "ACK", "encode_entry",
-           "decode_entry", "DEFAULT_KV_PORT"]
+           "STATUS_ACKED", "REQUEST_HEADER", "ACK", "DEFAULT_KV_PORT"]
 
 #: a replica that is not the right chain member for the request
 STATUS_MOVED = ord("M")

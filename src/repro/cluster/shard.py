@@ -31,7 +31,7 @@ from ..apps.proto.resp import RespCodec
 from ..apps.proto.server import KvEngineStore, ProtoServer
 from ..libos.dpdk_libos import DpdkLibOS
 
-__all__ = ["Shard", "ShardProtoServer", "ShardedKvServer"]
+__all__ = ["ShardProtoServer", "ShardedKvServer"]
 
 
 class ShardProtoServer(ProtoServer):

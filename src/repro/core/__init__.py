@@ -17,7 +17,6 @@ from .wait import QTokenTable
 __all__ = [
     "LibOS",
     "DemiEventLoop",
-    "EventHandle",
     "DemiQueue",
     "MemoryQueue",
     "FilteredQueue",

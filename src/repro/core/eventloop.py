@@ -33,7 +33,7 @@ from typing import Callable, Generator, List, Optional
 from .api import LibOS
 from .types import OP_POP, DemiError, DemiTimeout, QResult, QToken
 
-__all__ = ["DemiEventLoop", "EventHandle"]
+__all__ = ["DemiEventLoop"]
 
 
 class EventHandle:

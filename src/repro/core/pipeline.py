@@ -33,7 +33,7 @@ from .queue import DemiQueue
 from .types import OP_POP, OP_PUSH, DemiError, QResult, QToken, Sga
 
 __all__ = ["FilteredQueue", "MappedQueue", "MergedQueue", "SortedQueue",
-           "QueueConnector", "ElementRunner"]
+           "QueueConnector"]
 
 #: derived queues buffer at most this many prefetched elements
 DERIVED_QUEUE_CAPACITY = 1024

@@ -13,15 +13,16 @@ only producer of a ``BENCH_*.json``::
   libos, cores, fault_plan, seed, params; JSON round-trippable, with a
   content-addressed ``run_id``), :class:`Matrix` axis expansion, and
   the ``experiments/*.json`` batch loader;
-* :mod:`~repro.experiments.workloads` - the registry: each workload
-  (chaos scenarios, sharded scaling bench, RTT benches, offload and SLO
-  sweeps) is one schema-declared ``run`` behind the uniform
-  validate/run contract - one or more :func:`repro.testing.run_scenario`
-  legs plus a metrics function over their results, so every workload
-  takes a fault plan and is checked by the driver's one invariant
-  checker; nothing in this package builds a world;
+* :mod:`~repro.experiments.workloads` - the registry, one table: each
+  workload (chaos scenarios, sharded scaling bench, RTT benches, offload
+  and SLO sweeps) names its scenario row, whether it takes more than one
+  core, its param schema, an optional check and an optional ``run`` -
+  one or more :func:`repro.testing.run_scenario` legs plus a metrics
+  function over their results, so every workload takes a fault plan and
+  is checked by the driver's one invariant checker; nothing in this
+  package builds a world;
 * :mod:`~repro.experiments.runner` - :class:`Runner` fan-out over host
-  processes, typed :class:`RunResult` rows, resumable batches;
+  processes, one row dict per spec, resumable batches;
 * :mod:`~repro.experiments.schema` - validation of the one document
   kind, ``experiment`` (structural keys + budgets + monotonicity +
   reductions);
@@ -31,13 +32,11 @@ only producer of a ``BENCH_*.json``::
 CLI: ``repro exp run|list|validate`` (see docs/experiments.md).
 """
 
-from .runner import (RunResult, Runner, completed_rows, execute_spec,
-                     trajectory_document)
+from .runner import Runner, completed_rows, execute_spec, trajectory_document
 from .schema import check_document, check_payload, validate_file
 from .spec import ExperimentSpec, Matrix, SpecBatch, SpecError, load_spec_file
 from .store import append_document, atomic_write_json, load_payload
-from .workloads import (WORKLOADS, register_workload, run_spec,
-                        validate_spec, workload_names)
+from .workloads import WORKLOADS, run_spec, validate_spec, workload_names
 
 __all__ = [
     "ExperimentSpec",
@@ -45,20 +44,14 @@ __all__ = [
     "SpecBatch",
     "SpecError",
     "load_spec_file",
-    "RunResult",
     "Runner",
-    "execute_spec",
     "trajectory_document",
     "completed_rows",
     "check_document",
     "check_payload",
-    "validate_file",
-    "atomic_write_json",
     "append_document",
     "load_payload",
     "WORKLOADS",
-    "register_workload",
-    "workload_names",
     "validate_spec",
     "run_spec",
 ]

@@ -1,6 +1,6 @@
 """Execute experiment specs and assemble schema-valid trajectories.
 
-One spec in, one typed :class:`RunResult` out; a batch in, one
+One spec in, one row dict out; a batch in, one
 ``bench: "experiment"`` document out - appended to a ``BENCH_*.json``
 trajectory through :mod:`repro.experiments.store` and gated by
 :mod:`repro.experiments.schema`.
@@ -25,59 +25,40 @@ Execution is deterministic and resumable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from .spec import ExperimentSpec, SpecBatch
 from .workloads import run_spec
 
-__all__ = ["RunResult", "execute_spec", "Runner", "trajectory_document",
-           "completed_rows"]
+__all__ = ["Runner", "trajectory_document", "completed_rows"]
 
 #: the experiment-trajectory document schema this runner emits
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunResult:
-    """One executed spec: the typed row an experiment trajectory holds."""
-
-    spec: ExperimentSpec
-    status: str                      # "ok" | "failed"
-    ok: bool
-    failures: List[str] = field(default_factory=list)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-
-    def to_row(self) -> Dict[str, Any]:
-        return {
-            "run_id": self.spec.run_id,
-            "workload": self.spec.workload,
-            "libos": self.spec.libos,
-            "cores": self.spec.cores,
-            "fault_plan": self.spec.fault_plan,
-            "seed": self.spec.seed,
-            "status": self.status,
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "metrics": dict(self.metrics),
-        }
-
-
-def execute_spec(spec: ExperimentSpec) -> RunResult:
-    """Run one spec; any exception becomes a ``failed`` result."""
+def execute_spec(spec: ExperimentSpec) -> Dict[str, Any]:
+    """Run one spec into its trajectory row; any exception becomes a
+    ``failed`` row."""
     try:
         out = run_spec(spec)
     except Exception as exc:
-        return RunResult(spec=spec, status="failed", ok=False,
-                         failures=["%s: %s" % (type(exc).__name__, exc)])
-    return RunResult(spec=spec, status="ok", ok=bool(out["ok"]),
-                     failures=[str(f) for f in out["failures"]],
-                     metrics=out["metrics"])
-
-
-def _execute_spec_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: dicts in, dicts out (picklable both ways)."""
-    return execute_spec(ExperimentSpec.from_dict(payload)).to_row()
+        out = {"metrics": {}, "ok": False,
+               "failures": ["%s: %s" % (type(exc).__name__, exc)]}
+        status = "failed"
+    else:
+        status = "ok"
+    return {
+        "run_id": spec.run_id,
+        "workload": spec.workload,
+        "libos": spec.libos,
+        "cores": spec.cores,
+        "fault_plan": spec.fault_plan,
+        "seed": spec.seed,
+        "status": status,
+        "ok": bool(out["ok"]),
+        "failures": [str(f) for f in out["failures"]],
+        "metrics": dict(out["metrics"]),
+    }
 
 
 class Runner:
@@ -113,7 +94,7 @@ class Runner:
         if todo:
             if self.workers == 1 or len(todo) == 1:
                 for i in todo:
-                    rows[i] = _execute_spec_dict(specs[i].to_dict())
+                    rows[i] = execute_spec(specs[i])
                     self._progress(self._done_line(rows[i]))
             else:
                 rows_out = self._fan_out([specs[i] for i in todo])
@@ -125,13 +106,12 @@ class Runner:
     def _fan_out(self, specs: List[ExperimentSpec]) -> List[Dict[str, Any]]:
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [spec.to_dict() for spec in specs]
         out: List[Dict[str, Any]] = []
         with ProcessPoolExecutor(max_workers=min(self.workers,
                                                  len(specs))) as pool:
             # executor.map preserves input order; exceptions are already
             # folded into rows inside the worker.
-            for row in pool.map(_execute_spec_dict, payloads):
+            for row in pool.map(execute_spec, specs):
                 out.append(row)
                 self._progress(self._done_line(row))
         return out

@@ -23,11 +23,9 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "EXPERIMENT_ROW_KEYS",
     "check_document",
     "check_payload",
     "summarize",
-    "validate_file",
 ]
 
 #: every experiment-trajectory row must carry these keys

@@ -18,7 +18,7 @@ import os
 import tempfile
 from typing import Any, List
 
-__all__ = ["atomic_write_json", "load_payload", "append_document"]
+__all__ = ["load_payload", "append_document"]
 
 
 def atomic_write_json(path: str, payload: Any) -> None:

@@ -5,29 +5,34 @@ A workload is one measurement: one or more
 :data:`repro.testing.WORKLOADS` - this module builds no world, joins no
 process, stops no server and checks no invariant) plus a pure function
 from their :class:`~repro.testing.ScenarioResult` s to the metrics of a
-trajectory row, behind the uniform experiment contract:
+trajectory row.  :data:`WORKLOADS` is one table; each entry gives
 
-* ``validate(spec)`` - ``None`` if the spec is runnable, else a reason
-  string (used by :meth:`Matrix.expand` to reject or skip invalid
-  combinations, and by ``repro exp validate`` before any run starts);
-* ``run(spec)`` - execute it and return ``{"metrics": {...}, "ok":
-  bool, "failures": [...]}``; metrics must be JSON-serializable and
-  deterministic for a given spec (same seed, same trajectory - the
-  Runner's tests assert this byte-for-byte).
+* ``row`` - the scenario row it runs, or a function of the spec naming
+  it (``chaos`` runs the golden scenario its ``fault_plan`` names,
+  ``proto-slo`` the sharded row at ``cores`` > 1);
+* ``multicore`` - whether ``cores`` may exceed 1;
+* ``schema`` - the ``spec.params`` it accepts, and ``blurb`` - what
+  ``repro exp list`` says of it;
+* ``check`` (optional) - its own test of a spec: ``None`` or a reason;
+* ``run`` (optional, :func:`_row_data` by default) - ``spec ->
+  {"metrics": {...}, "ok": bool, "failures": [...]}``; metrics must be
+  JSON-serializable and deterministic for a given spec (same seed, same
+  trajectory - the Runner's tests assert this byte-for-byte).
 
-Every workload takes a fault plan, and every failure the driver's one
-invariant checker reports (qtoken identity, nothing in flight after a
-drained run, no wake-up without work, no IOMMU fault, crash reclaim) is
-a failure of the row.
+:func:`validate_spec` reads them: ``None`` if the spec is runnable, else
+a reason string (:meth:`Matrix.expand` rejects or skips on it, and
+``repro exp validate`` asks it before any run starts).  Every workload
+takes a fault plan, and every failure the driver's one invariant checker
+reports (qtoken identity, nothing in flight after a drained run, no
+wake-up without work, no IOMMU fault, crash reclaim) is a failure of the
+row.
 
 The spec's ``libos`` is a scenario kind (``kernel``, ``mtcp``,
 ``posix``, ``dpdk``, ``rdma``, ``spdk``, ``vfs``): a workload runs on
 exactly the kinds its scenario row lists.  ``cores`` means what the
 workload says: server *shards* for ``kv-scaling`` and ``proto-slo``
 (dpdk only - sharding rides RSS), concurrent closed-loop *client
-sessions* for ``kv``.  ``params.counters`` (a list of leaf names) merges a
-:func:`repro.telemetry.counter_rollup` slice of the run's counters into
-the metrics for workloads that expose them.
+sessions* for ``kv``.
 
 A schema is the scenario row's ``params`` (names, defaults, types by
 default) less what the workload sets itself, plus the params only the
@@ -38,22 +43,15 @@ and one that spells its default out have different ``run_id`` s.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..apps.proto import CODECS
-from ..telemetry import counter_rollup
 from ..testing.scenarios import WORKLOADS as SCENARIO_ROWS
-from ..testing.scenarios import (GOLDEN_SCENARIOS, plan_by_name,
-                                 run_scenario, scenario_problem)
+from ..testing.scenarios import (GOLDEN_SCENARIOS, run_scenario,
+                                 scenario_problem)
 from .spec import ExperimentSpec
 
-__all__ = ["WORKLOADS", "register_workload", "workload_names",
-           "validate_spec", "run_spec", "spec_params", "check_params",
-           "schema_summary"]
-
-#: name -> {"validate": spec -> Optional[str], "run": spec -> dict,
-#:          "blurb": str, "schema": dict}
-WORKLOADS: Dict[str, Dict[str, Any]] = {}
+__all__ = ["WORKLOADS", "validate_spec", "run_spec", "schema_summary"]
 
 #: schema "type" -> accepted Python types (bool is NOT an int here)
 _SCHEMA_TYPES: Dict[str, tuple] = {
@@ -63,44 +61,6 @@ _SCHEMA_TYPES: Dict[str, tuple] = {
     "bool": (bool,),
     "list": (list, tuple),
 }
-
-
-def register_workload(name: str, *, schema: Dict[str, Dict[str, Any]],
-                      validate: Optional[Callable] = None, blurb: str = ""):
-    """Register the decorated function as workload *name*'s ``run``::
-
-        @register_workload("my-bench", validate=_my_validate,
-                           blurb="...", schema={
-                               "n_ops": {"type": "int", "default": 40},
-                           })
-        def _my_run(spec): ...
-
-    *schema* declares the accepted ``spec.params`` keys: ``{name:
-    {"type": ..., "default": ...}}`` with type one of %s.
-    :func:`validate_spec` rejects unknown params and type mismatches
-    before the workload's own ``validate`` runs, :func:`spec_params`
-    fills the defaults in for ``run``, and ``repro exp list`` prints the
-    schema - no silently-ignored typos in spec files.
-    """ % ", ".join(sorted(_SCHEMA_TYPES))
-    for key, entry in schema.items():
-        if entry.get("type") not in _SCHEMA_TYPES:
-            raise ValueError(
-                "schema for %r param %r: unknown type %r (have: %s)"
-                % (name, key, entry.get("type"),
-                   ", ".join(sorted(_SCHEMA_TYPES))))
-
-    def _install(run_fn: Callable) -> Callable:
-        if name in WORKLOADS:
-            raise ValueError("workload %r already registered" % name)
-        WORKLOADS[name] = {
-            "validate": validate or (lambda spec: None),
-            "run": run_fn,
-            "blurb": blurb,
-            "schema": schema,
-        }
-        return run_fn
-
-    return _install
 
 
 def workload_names() -> List[str]:
@@ -139,6 +99,12 @@ def schema_summary(schema: Dict[str, Dict[str, Any]]) -> str:
     return " ".join(parts)
 
 
+def _row(spec: ExperimentSpec) -> str:
+    """The scenario row *spec*'s workload runs."""
+    row = WORKLOADS[spec.workload]["row"]
+    return row(spec) if callable(row) else row
+
+
 def validate_spec(spec: ExperimentSpec) -> Optional[str]:
     """``None`` if *spec* can run, else why it cannot."""
     entry = WORKLOADS.get(spec.workload)
@@ -146,7 +112,10 @@ def validate_spec(spec: ExperimentSpec) -> Optional[str]:
         return ("unknown workload %r (have: %s)"
                 % (spec.workload, ", ".join(workload_names())))
     reason = (check_params(spec.params, entry["schema"])
-              or entry["validate"](spec))
+              or entry.get("check", lambda spec: None)(spec)
+              or scenario_problem(_row(spec), spec.libos))
+    if reason is None and spec.cores != 1 and not entry["multicore"]:
+        reason = "%r is a single-core bench (cores must be 1)" % spec.workload
     if reason is not None:
         return reason
     # Plan resolution failures (unknown name, malformed inline dict)
@@ -163,7 +132,7 @@ def run_spec(spec: ExperimentSpec) -> Dict[str, Any]:
     reason = validate_spec(spec)
     if reason is not None:
         raise ValueError("invalid spec (%s): %s" % (spec.describe(), reason))
-    return WORKLOADS[spec.workload]["run"](spec)
+    return WORKLOADS[spec.workload].get("run", _row_data)(spec)
 
 
 def spec_params(spec: ExperimentSpec) -> Dict[str, Any]:
@@ -193,23 +162,10 @@ def _row_schema(row: str, sets: Sequence[str] = (),
     return schema
 
 
-def _runs_on(row, multicore: bool = False):
-    """The validator of a workload over scenario *row* (a name, or a
-    function of the spec naming it): the spec's libOS is one of the
-    row's kinds, and ``cores == 1`` unless the workload is *multicore*."""
-    def validate(spec: ExperimentSpec) -> Optional[str]:
-        reason = scenario_problem(row(spec) if callable(row) else row,
-                                  spec.libos)
-        if reason is None and spec.cores != 1 and not multicore:
-            reason = ("%r is a single-core bench (cores must be 1)"
-                      % spec.workload)
-        return reason
-    return validate
-
-
-def _scenario(spec: ExperimentSpec, row: str, **params):
-    """One leg of *spec*: scenario *row* under the spec's plan."""
-    return run_scenario(row, spec.libos, plan=spec.resolve_plan(), **params)
+def _scenario(spec: ExperimentSpec, **params):
+    """One leg of *spec*: its scenario row under the spec's plan."""
+    return run_scenario(_row(spec), spec.libos, plan=spec.resolve_plan(),
+                        **params)
 
 
 def _outcome(metrics: Dict[str, Any], *results,
@@ -226,207 +182,83 @@ def _numeric_data(data: Dict[str, Any]) -> Dict[str, Any]:
             if isinstance(v, (int, float)) and not isinstance(v, bool)}
 
 
-def _merge_counters(metrics: Dict[str, Any], counters,
-                    params: Dict[str, Any]) -> None:
-    leaves = params.get("counters", ())
-    if leaves:
-        metrics.update(counter_rollup(counters, leaves=tuple(leaves)))
-
-
-# -- kv: N concurrent closed-loop clients against one KV server ------------
-@register_workload(
-    "kv", validate=_runs_on("kv-concurrent", multicore=True),
-    blurb="cores concurrent closed-loop KV clients, any network libOS",
-    schema=_row_schema("kv-concurrent", sets=("n_clients",),
-                       counters={"type": "list"}))
-def _kv_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    params = spec_params(spec)
-    result = _scenario(spec, "kv-concurrent", n_clients=spec.cores,
-                       **{k: v for k, v in params.items()
-                          if k != "counters"})
-    metrics = _numeric_data(result.data)
-    # the trajectory's column; a run that hung served nothing it can count
-    metrics["requests"] = metrics.pop("served", 0)
-    _merge_counters(metrics, result.counters, params)
-    return _outcome(metrics, result)
-
-
-# -- chaos: one golden scenario under its (seed-overridden) plan -----------
-def _chaos_scenario(spec: ExperimentSpec) -> Optional[str]:
-    scenario = spec.params.get("scenario")
-    if scenario is None and (isinstance(spec.fault_plan, str)
-                             and spec.fault_plan in GOLDEN_SCENARIOS):
-        scenario = spec.fault_plan
-    return scenario
-
-
-def _chaos_validate(spec: ExperimentSpec) -> Optional[str]:
-    if _chaos_scenario(spec) is None:
-        return ("'chaos' needs params.scenario or a golden-scenario "
-                "fault_plan name")
-    return _runs_on(_chaos_scenario)(spec)
-
-
-@register_workload(
-    "chaos", validate=_chaos_validate,
-    blurb="one golden chaos scenario (params.scenario) incl. replay"
-          " determinism check",
-    schema={
-        "scenario": {"type": "str"},
-        "check_reproducible": {"type": "bool", "default": True},
-        "counters": {"type": "list"},
-    })
-def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    params = spec_params(spec)
-    scenario = _chaos_scenario(spec)
-    # fault_plan "none" on a golden scenario means "its golden plan at
-    # this spec's seed" - a chaos scenario without its faults would not
-    # exercise anything.
-    if spec.fault_plan == "none" and scenario in GOLDEN_SCENARIOS:
-        plan = plan_by_name(scenario, kind=spec.libos, seed=spec.seed)
-    else:
-        plan = spec.resolve_plan()
-    result = run_scenario(scenario, spec.libos, plan=plan)
-    failures = []
-    metrics = _numeric_data(result.data)
-    metrics["signature"] = result.signature
-    if params["check_reproducible"]:
-        second = run_scenario(scenario, spec.libos, plan=plan)
-        metrics["replayed"] = 1
-        if second.signature != result.signature:
-            failures.append("non-deterministic: replay signature %s != %s"
-                            % (second.signature, result.signature))
-    _merge_counters(metrics, result.counters, params)
-    return _outcome(metrics, result, failures=failures)
-
-
-# -- kv-scaling / storage / echo-rtt / kv-rtt: the scenario row is the whole
-# measurement; its ``data``, less the driver's keys, is the trajectory row --
-#: what the driver, not the workload, records in ``ScenarioResult.data``
-_DRIVER_DATA = ("finished_at",)
-
-
-def _row_data(row: str):
-    """The ``run`` of a workload over scenario *row*'s data (docs/api.md
-    has ``kv-sharded``'s columns); ``cores`` > 1 shards the server."""
-    def run(spec: ExperimentSpec) -> Dict[str, Any]:
-        cores = {"cores": spec.cores} if spec.cores > 1 else {}
-        result = _scenario(spec, row, **cores, **spec_params(spec))
-        return _outcome({key: value for key, value in result.data.items()
-                         if key not in _DRIVER_DATA}, result)
-    return run
-
-
-register_workload(
-    "kv-scaling", validate=_runs_on("kv-sharded", multicore=True),
-    blurb="sharded KV throughput at cores shards (dpdk), wake-one"
-          " counters checked",
-    schema=_row_schema("kv-sharded"))(_row_data("kv-sharded"))
-register_workload(
-    "storage", validate=_runs_on("storage"),
-    blurb="STOR's log writer on the SPDK libOS or the kernel VFS: fsync"
-          " batch latency, syscalls, copies, host CPU",
-    schema=_row_schema("storage"))(_row_data("storage"))
-# The claim-suite latency benches, on the legacy stacks (``kernel``
-# sockets, ``mtcp``) as on the libOSes.
-register_workload(
-    "echo-rtt", validate=_runs_on("echo-rtt"),
-    blurb="echo round-trip + per-request syscall/copy/interrupt costs",
-    schema=_row_schema("echo-rtt"))(_row_data("echo-rtt"))
-register_workload(
-    "kv-rtt", validate=_runs_on("kv-rtt"),
-    blurb="KV GET round-trip + server CPU per request",
-    schema=_row_schema("kv-rtt"))(_row_data("kv-rtt"))
-
-
-# -- kv-offload / storelog-scan: the same trace with and without the device
-# program, so the host-CPU delta is exactly the offloaded work ------------
-def _variants(spec: ExperimentSpec, row: str, switch: str, labels):
-    """Run scenario *row* with *switch* off, then on; returns the two
-    ``data`` dicts and the failures, each tagged with its variant."""
-    datas, failures = [], []
-    for on, label in zip((False, True), labels):
-        result = _scenario(spec, row, **{switch: on}, **spec_params(spec))
-        datas.append(result.data)
-        failures.extend("[%s] %s" % (label, f) for f in result.failures)
-    return datas[0], datas[1], failures
-
-
 def _columns(data: Dict[str, Any], columns: Dict[str, str]) -> Dict[str, Any]:
     """``{column: data[key]}``; a leg that did not finish reads as 0."""
     return {column: data.get(key, 0) for column, key in columns.items()}
 
 
-@register_workload(
-    "kv-offload", validate=_runs_on("kv-udp"),
-    blurb="host CPU/op for UDP KV GETs with vs without the NIC-resident"
-          " GET program",
-    schema=_row_schema("kv-udp", sets=("nic_program",)))
-def _kv_offload_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    base, off, failures = _variants(spec, "kv-udp", "nic_program",
-                                    ("host", "offload"))
-    metrics = _columns(base, {
-        "host_cpu_per_op_host_ns": "host_cpu_per_op_ns",
-        "rtt_p50_host_ns": "rtt_p50_ns",
-        "served_on_host_baseline": "served_on_host"})
-    metrics.update(_columns(off, {
-        "host_cpu_per_op_offload_ns": "host_cpu_per_op_ns",
-        "rtt_p50_offload_ns": "rtt_p50_ns",
-        "served_on_host_offload": "served_on_host",
-        "offload_kv_hits": "hits",
-        "offload_kv_misses": "misses",
-        "offload_kv_steered": "steered",
-        "offload_kv_punts": "punts"}))
-    return _outcome(metrics, failures=failures)
+#: what the driver, not the workload, records in ``ScenarioResult.data``
+_DRIVER_DATA = ("finished_at",)
 
 
-@register_workload(
-    "storelog-scan", validate=_runs_on("log-scan"),
-    blurb="log predicate scan on-device vs host read loop, host CPU and"
-          " PCIe traffic compared",
-    schema=_row_schema("log-scan", sets=("on_device",)))
-def _storelog_scan_run(spec: ExperimentSpec) -> Dict[str, Any]:
-    host, dev, failures = _variants(spec, "log-scan", "on_device",
-                                    ("host", "device"))
-    metrics = _columns(host, {
-        "scan_cpu_per_record_host_ns": "scan_cpu_per_record_ns",
-        "scan_cpu_host_ns": "scan_cpu_ns",
-        "scan_wall_host_ns": "scan_wall_ns",
-        "nvme_reads_host": "nvme_reads"})
-    metrics.update(_columns(dev, {
-        "scan_cpu_per_record_device_ns": "scan_cpu_per_record_ns",
-        "scan_cpu_device_ns": "scan_cpu_ns",
-        "scan_wall_device_ns": "scan_wall_ns",
-        "nvme_scans_device": "nvme_scans",
-        "scan_matches": "scan_matches"}))
-    if not metrics["scan_matches"]:
-        failures.append("predicate matched nothing - bench is vacuous")
-    if metrics["nvme_scans_device"] < 1:
-        failures.append("device variant issued no scan commands")
-    return _outcome(metrics, failures=failures)
+def _row_data(spec: ExperimentSpec) -> Dict[str, Any]:
+    """The scenario row is the whole measurement: its ``data``, less the
+    driver's keys, is the trajectory row (docs/api.md has
+    ``kv-sharded``'s columns); ``cores`` > 1 shards the server."""
+    cores = {"cores": spec.cores} if spec.cores > 1 else {}
+    result = _scenario(spec, **cores, **spec_params(spec))
+    return _outcome({key: value for key, value in result.data.items()
+                     if key not in _DRIVER_DATA}, result)
 
 
-# -- proto-slo: open-loop SLO sweep against the protocol servers -----------
-def _open_loop_row(spec: ExperimentSpec) -> str:
-    return "open-loop-sharded" if spec.cores > 1 else "open-loop"
+def _kv_run(spec: ExperimentSpec) -> Dict[str, Any]:
+    result = _scenario(spec, n_clients=spec.cores, **spec_params(spec))
+    metrics = _numeric_data(result.data)
+    # the trajectory's column; a run that hung served nothing it can count
+    metrics["requests"] = metrics.pop("served", 0)
+    return _outcome(metrics, result)
 
 
-def _proto_slo_validate(spec: ExperimentSpec) -> Optional[str]:
+def _chaos_check(spec: ExperimentSpec) -> Optional[str]:
+    if not (isinstance(spec.fault_plan, str)
+            and spec.fault_plan in GOLDEN_SCENARIOS):
+        return "'chaos' needs a golden scenario's name as its fault_plan"
+    return None
+
+
+def _chaos_run(spec: ExperimentSpec) -> Dict[str, Any]:
+    """The golden scenario, then its replay: the two signatures match."""
+    plan = spec.resolve_plan()
+    result, replay = (run_scenario(spec.fault_plan, spec.libos, plan=plan)
+                      for _ in range(2))
+    metrics = _numeric_data(result.data)
+    metrics["signature"] = result.signature
+    metrics["replayed"] = 1
+    failures = ([] if replay.signature == result.signature else
+                ["non-deterministic: replay signature %s != %s"
+                 % (replay.signature, result.signature)])
+    return _outcome(metrics, result, failures=failures)
+
+
+def _variants(switch: str, labels: Sequence[str],
+              columns: Sequence[Dict[str, str]],
+              checks: Sequence[tuple] = ()):
+    """The run of a workload over the same trace without, then with, the
+    device program (*switch*), so the host-CPU delta is exactly the
+    offloaded work.  ``columns[i]`` maps each variant's data to metrics,
+    a variant's failures carry ``labels[i]``, and a ``(metric,
+    failure)`` of *checks* fails the row when its metric reads 0."""
+    def run(spec: ExperimentSpec) -> Dict[str, Any]:
+        metrics: Dict[str, Any] = {}
+        failures: List[str] = []
+        for on, label, column_map in zip((False, True), labels, columns):
+            result = _scenario(spec, **{switch: on}, **spec_params(spec))
+            metrics.update(_columns(result.data, column_map))
+            failures += ["[%s] %s" % (label, f) for f in result.failures]
+        failures += [failure for metric, failure in checks
+                     if not metrics[metric]]
+        return _outcome(metrics, failures=failures)
+    return run
+
+
+def _proto_slo_check(spec: ExperimentSpec) -> Optional[str]:
     protocol = spec_params(spec)["protocol"]
     if protocol not in CODECS:
         return ("unknown protocol %r (have: %s)"
                 % (protocol, ", ".join(sorted(CODECS))))
-    return _runs_on(_open_loop_row, multicore=True)(spec)
+    return None
 
 
-@register_workload(
-    "proto-slo", validate=_proto_slo_validate,
-    blurb="open-loop Poisson/Zipf load sweep against a RESP or memcached"
-          " server; goodput + tail latency per offered-load point",
-    schema=_row_schema(
-        "open-loop", sets=("rate_ops_per_s",),
-        base_rate_ops_per_s={"type": "number", "default": 240000},
-        load_fractions={"type": "list", "default": [0.3, 0.7, 1.0, 1.3]}))
 def _proto_slo_run(spec: ExperimentSpec) -> Dict[str, Any]:
     """The whole sweep runs in one spec so budgets can gate the curve.
 
@@ -452,9 +284,8 @@ def _proto_slo_run(spec: ExperimentSpec) -> Dict[str, Any]:
         "stalls": 0,
     }
     for fraction in fractions:
-        result = _scenario(spec, _open_loop_row(spec),
-                           rate_ops_per_s=base_rate * fraction, **sharded,
-                           **params)
+        result = _scenario(spec, rate_ops_per_s=base_rate * fraction,
+                           **sharded, **params)
         results.append(result)
         row = result.data
         pct = int(round(fraction * 100))
@@ -476,3 +307,82 @@ def _proto_slo_run(spec: ExperimentSpec) -> Dict[str, Any]:
             failures.append("load %d%%: %d server / %d client decode errors"
                             % ((pct,) + decode_errors))
     return _outcome(metrics, *results, failures=failures)
+
+
+#: name -> workload; the module docstring says what each field means
+WORKLOADS: Dict[str, Dict[str, Any]] = {
+    "kv": {
+        "row": "kv-concurrent", "multicore": True, "run": _kv_run,
+        "blurb": "cores concurrent closed-loop KV clients, any network libOS",
+        "schema": _row_schema("kv-concurrent", sets=("n_clients",))},
+    "chaos": {
+        "row": lambda spec: spec.fault_plan, "multicore": False,
+        "check": _chaos_check, "run": _chaos_run,
+        "blurb": "the golden chaos scenario fault_plan names, then its"
+                 " replay: the signatures must match",
+        "schema": {}},
+    "kv-scaling": {
+        "row": "kv-sharded", "multicore": True,
+        "blurb": "sharded KV throughput at cores shards (dpdk), wake-one"
+                 " counters checked",
+        "schema": _row_schema("kv-sharded")},
+    "storage": {
+        "row": "storage", "multicore": False,
+        "blurb": "STOR's log writer on the SPDK libOS or the kernel VFS:"
+                 " fsync batch latency, syscalls, copies, host CPU",
+        "schema": _row_schema("storage")},
+    # The claim-suite latency benches, on the legacy stacks (``kernel``
+    # sockets, ``mtcp``) as on the libOSes.
+    "echo-rtt": {
+        "row": "echo-rtt", "multicore": False,
+        "blurb": "echo round-trip + per-request syscall/copy/interrupt costs",
+        "schema": _row_schema("echo-rtt")},
+    "kv-rtt": {
+        "row": "kv-rtt", "multicore": False,
+        "blurb": "KV GET round-trip + server CPU per request",
+        "schema": _row_schema("kv-rtt")},
+    "kv-offload": {
+        "row": "kv-udp", "multicore": False,
+        "run": _variants("nic_program", ("host", "offload"), (
+            {"host_cpu_per_op_host_ns": "host_cpu_per_op_ns",
+             "rtt_p50_host_ns": "rtt_p50_ns",
+             "served_on_host_baseline": "served_on_host"},
+            {"host_cpu_per_op_offload_ns": "host_cpu_per_op_ns",
+             "rtt_p50_offload_ns": "rtt_p50_ns",
+             "served_on_host_offload": "served_on_host",
+             "offload_kv_hits": "hits",
+             "offload_kv_misses": "misses",
+             "offload_kv_steered": "steered",
+             "offload_kv_punts": "punts"})),
+        "blurb": "host CPU/op for UDP KV GETs with vs without the"
+                 " NIC-resident GET program",
+        "schema": _row_schema("kv-udp", sets=("nic_program",))},
+    "storelog-scan": {
+        "row": "log-scan", "multicore": False,
+        "run": _variants("on_device", ("host", "device"), (
+            {"scan_cpu_per_record_host_ns": "scan_cpu_per_record_ns",
+             "scan_cpu_host_ns": "scan_cpu_ns",
+             "scan_wall_host_ns": "scan_wall_ns",
+             "nvme_reads_host": "nvme_reads"},
+            {"scan_cpu_per_record_device_ns": "scan_cpu_per_record_ns",
+             "scan_cpu_device_ns": "scan_cpu_ns",
+             "scan_wall_device_ns": "scan_wall_ns",
+             "nvme_scans_device": "nvme_scans",
+             "scan_matches": "scan_matches"}), checks=(
+            ("scan_matches", "predicate matched nothing - bench is vacuous"),
+            ("nvme_scans_device", "device variant issued no scan commands"))),
+        "blurb": "log predicate scan on-device vs host read loop, host CPU"
+                 " and PCIe traffic compared",
+        "schema": _row_schema("log-scan", sets=("on_device",))},
+    "proto-slo": {
+        "row": lambda spec: ("open-loop-sharded" if spec.cores > 1
+                             else "open-loop"),
+        "multicore": True, "check": _proto_slo_check, "run": _proto_slo_run,
+        "blurb": "open-loop Poisson/Zipf load sweep against a RESP or"
+                 " memcached server; goodput + tail latency per"
+                 " offered-load point",
+        "schema": _row_schema(
+            "open-loop", sets=("rate_ops_per_s",),
+            base_rate_ops_per_s={"type": "number", "default": 240000},
+            load_fractions={"type": "list", "default": [0.3, 0.7, 1.0, 1.3]})},
+}

@@ -13,12 +13,9 @@ __all__ = [
     "DpdkNic",
     "KernelNic",
     "RdmaNic",
-    "RdmaPacket",
     "HwQp",
     "HwCq",
     "QpError",
     "NvmeDevice",
-    "NvmeError",
     "OffloadEngine",
-    "ALL_OFFLOADS",
 ]

@@ -31,8 +31,8 @@ from ..telemetry import names
 from .device import Device
 from .iommu import Iommu
 
-__all__ = ["DpdkNic", "KernelNic", "RdmaNic", "HwCq", "HwQp", "RdmaPacket",
-           "QpError", "rss_hash", "rss_queue_for_flow"]
+__all__ = ["DpdkNic", "KernelNic", "RdmaNic", "HwCq", "HwQp", "QpError",
+           "rss_hash", "rss_queue_for_flow"]
 
 
 # --------------------------------------------------------------------------

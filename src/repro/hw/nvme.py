@@ -19,7 +19,7 @@ from ..sim.engine import Completion
 from ..telemetry import names
 from .device import Device
 
-__all__ = ["NvmeDevice", "NvmeError"]
+__all__ = ["NvmeDevice"]
 
 
 class NvmeError(Exception):

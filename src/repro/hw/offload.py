@@ -21,7 +21,7 @@ from typing import Any, Callable, FrozenSet
 from ..telemetry import names
 from .device import Device
 
-__all__ = ["OffloadEngine", "ALL_OFFLOADS"]
+__all__ = ["OffloadEngine"]
 
 ALL_OFFLOADS: FrozenSet[str] = frozenset({"filter", "map", "sort"})
 

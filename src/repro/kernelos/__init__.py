@@ -10,7 +10,5 @@ __all__ = [
     "KernelError",
     "EWOULDBLOCK",
     "Vfs",
-    "Inode",
-    "reclaim_process",
     "crash_teardown",
 ]

@@ -34,8 +34,7 @@ from typing import Dict, Generator, Sequence
 from ..telemetry import names
 from .kernel import Kernel
 
-__all__ = ["reclaim_process", "crash_teardown", "holdings",
-           "QUIESCE_POLL_NS", "QUIESCE_LIMIT_NS"]
+__all__ = ["crash_teardown", "holdings"]
 
 #: how often the quiesce loop re-checks for deferred frees resolving
 QUIESCE_POLL_NS = 100_000

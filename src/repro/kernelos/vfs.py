@@ -15,7 +15,7 @@ from ..hw.nvme import NvmeDevice
 from .kernel import Kernel, KernelError, KObject
 from ..telemetry import names
 
-__all__ = ["Vfs", "Inode"]
+__all__ = ["Vfs"]
 
 
 class Inode:

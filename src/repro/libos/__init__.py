@@ -8,17 +8,8 @@ from .spdk_libos import FileQueue, SpdkLibOS
 
 __all__ = [
     "DpdkLibOS",
-    "UdpQueue",
-    "TcpQueue",
-    "ListenQueue",
     "PosixLibOS",
-    "PosixTcpQueue",
-    "PosixListenQueue",
     "RdmaLibOS",
-    "RdmaQueue",
-    "POOL_BUFFERS",
-    "POOL_BUFFER_SIZE",
     "SpdkLibOS",
-    "FileQueue",
     "MtcpShim",
 ]

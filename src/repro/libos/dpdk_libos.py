@@ -32,7 +32,7 @@ from ..netstack.ipv4 import DEFAULT_MTU, IPV4_HEADER_LEN
 from ..netstack.stack import NetStack
 from ..netstack.udp import UDP_HEADER_LEN
 
-__all__ = ["DpdkLibOS", "UdpQueue", "TcpQueue", "ListenQueue"]
+__all__ = ["DpdkLibOS"]
 
 #: largest single UDP element (headers must fit the MTU)
 MAX_UDP_ELEMENT = DEFAULT_MTU - IPV4_HEADER_LEN - UDP_HEADER_LEN

@@ -18,7 +18,7 @@ from ..kernelos.kernel import Kernel, KernelError
 from ..netstack.framing import Deframer, frame_message
 from ..telemetry import names
 
-__all__ = ["PosixLibOS", "PosixTcpQueue", "PosixListenQueue"]
+__all__ = ["PosixLibOS"]
 
 
 class PosixTcpQueue(DemiQueue):

@@ -37,8 +37,7 @@ from ..rdma.cm import RdmaCm
 from ..rdma.verbs import QueuePair
 from ..sim.sync import WaitQueue
 
-__all__ = ["RdmaLibOS", "RdmaQueue", "RdmaListenQueue",
-           "POOL_BUFFERS", "POOL_BUFFER_SIZE", "CREDITS"]
+__all__ = ["RdmaLibOS"]
 
 POOL_BUFFERS = 64
 POOL_BUFFER_SIZE = 8192

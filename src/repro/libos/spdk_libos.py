@@ -24,7 +24,7 @@ from ..hw.nvme import NvmeDevice
 from ..storage.log import LogStore
 from ..telemetry import names
 
-__all__ = ["SpdkLibOS", "FileQueue"]
+__all__ = ["SpdkLibOS"]
 
 
 class FileQueue(DemiQueue):

@@ -3,4 +3,4 @@
 from .buffer import Buffer, BufferError
 from .manager import MemoryManager, Region
 
-__all__ = ["Buffer", "BufferError", "MemoryManager", "Region"]
+__all__ = ["Buffer", "BufferError", "MemoryManager"]

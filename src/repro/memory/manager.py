@@ -32,7 +32,7 @@ from ..sim.sync import WaitQueue
 from .buffer import Buffer, BufferError
 from ..telemetry import names
 
-__all__ = ["MemoryManager", "Region"]
+__all__ = ["MemoryManager"]
 
 #: Regions start at a high fake virtual address so 0/low addresses are
 #: obviously invalid in tests.

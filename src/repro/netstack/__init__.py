@@ -11,7 +11,6 @@ from .udp import UdpDatagram
 
 __all__ = [
     "NetStack",
-    "BROADCAST_MAC",
     "EthernetFrame",
     "ArpPacket",
     "Ipv4Packet",
@@ -19,7 +18,6 @@ __all__ = [
     "TcpSegment",
     "TcpConnection",
     "TcpListener",
-    "TcpError",
     "Deframer",
     "frame_message",
     "FramingError",

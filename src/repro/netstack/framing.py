@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional
 
-__all__ = ["frame_message", "Deframer", "FramingError", "LENGTH_PREFIX_LEN"]
+__all__ = ["frame_message", "Deframer", "FramingError"]
 
 LENGTH_PREFIX_LEN = 4
 _LEN = struct.Struct("!I")

@@ -40,7 +40,7 @@ from .tcp import (ACK, RST, SYN, TcpConnection, TcpListener, TcpSegment,
                   tcp_checksum_ok)
 from .udp import UdpDatagram, udp_checksum_ok
 
-__all__ = ["NetStack", "BROADCAST_MAC"]
+__all__ = ["NetStack"]
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 _BROADCAST = mac_to_bytes(BROADCAST_MAC)

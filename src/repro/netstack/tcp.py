@@ -44,11 +44,8 @@ __all__ = [
     "TcpSegment",
     "TcpConnection",
     "TcpListener",
-    "TcpError",
     "tcp_checksum_ok",
-    "FIN", "SYN", "RST", "PSH", "ACK",
-    "TCP_HEADER_LEN",
-    "DEFAULT_MSS",
+    "FIN", "SYN", "RST", "ACK",
 ]
 
 FIN = 0x01

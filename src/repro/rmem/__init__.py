@@ -14,6 +14,4 @@ __all__ = [
     "RingProducer",
     "RingConsumer",
     "RmemQueue",
-    "RING_HEADER_BYTES",
-    "SLOT_HEADER",
 ]

@@ -58,9 +58,7 @@ from ..rdma.verbs import QueuePair
 from ..telemetry import names
 
 __all__ = ["RemoteRing", "OneSided", "RingProducer", "RingConsumer",
-           "LocalRingConsumer", "RmemQueue", "RING_HEADER_BYTES",
-           "SLOT_HEADER", "RECORD_STAMP", "RECORD_MAGIC",
-           "encode_record", "decode_record"]
+           "LocalRingConsumer", "RmemQueue"]
 
 SLOT_HEADER = struct.Struct("!QI")  # seq, payload length
 RECORD_STAMP = struct.Struct("!Q")  # trailing commit marker: seq ^ MAGIC

@@ -21,19 +21,14 @@ __all__ = [
     "Completion",
     "Process",
     "Interrupt",
-    "SimulationError",
     "AnyWait",
     "Core",
     "CpuSet",
     "CostModel",
     "DEFAULT_COSTS",
     "Fabric",
-    "Port",
-    "BROADCAST_ADDR",
-    "FaultEvent",
     "FaultPlan",
     "FaultInjector",
-    "DeviceFaultView",
     "Host",
     "Rng",
     "Tracer",

@@ -50,7 +50,6 @@ __all__ = [
     "AnyWait",
     "Timer",
     "Process",
-    "SimulationError",
     "Interrupt",
 ]
 

@@ -21,7 +21,7 @@ from .rand import Rng
 from .trace import Tracer
 from ..telemetry import names
 
-__all__ = ["Fabric", "Port", "BROADCAST_ADDR"]
+__all__ = ["Fabric"]
 
 BROADCAST_ADDR = "ff:ff:ff:ff:ff:ff"
 

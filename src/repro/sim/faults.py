@@ -33,12 +33,8 @@ from .rand import Rng
 from ..telemetry import names
 
 __all__ = [
-    "FaultEvent",
     "FaultPlan",
     "FaultInjector",
-    "DeviceFaultView",
-    "NETWORK_KINDS",
-    "DEVICE_KINDS",
     "CRASH_KINDS",
 ]
 

@@ -2,4 +2,4 @@
 
 from .log import LogError, LogStore, RECORD_HEADER_LEN
 
-__all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
+__all__ = ["LogStore"]

@@ -70,7 +70,7 @@ from ..memory.buffer import Buffer
 from ..sim.cpu import Core
 from ..sim.engine import Completion
 
-__all__ = ["LogStore", "LogError", "RECORD_HEADER_LEN"]
+__all__ = ["LogStore"]
 
 _MAGIC = 0x4C4F4752  # "LOGR"
 _HEADER = struct.Struct("!III")

@@ -26,11 +26,8 @@ from .scenarios import (
 
 __all__ = [
     "ScenarioResult",
-    "ScenarioFailure",
     "run_scenario",
     "scenario_problem",
-    "check_reproducible",
-    "golden_plan",
     "plan_by_name",
     "named_plans",
     "WORKLOADS",

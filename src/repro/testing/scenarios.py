@@ -70,12 +70,9 @@ from ..testbed import (World, make_dpdk_libos_pair, make_kernel_pair,
                        make_spdk_libos, make_vfs_kernel)
 
 __all__ = [
-    "ScenarioFailure",
     "ScenarioResult",
     "run_scenario",
     "scenario_problem",
-    "check_reproducible",
-    "golden_plan",
     "plan_by_name",
     "named_plans",
     "WORKLOADS",

@@ -40,7 +40,7 @@ class TestDeterminism:
                     params={"n_ops": 20, "n_keys": 8})
         a = execute_spec(ExperimentSpec(seed=1, **base))
         b = execute_spec(ExperimentSpec(seed=2, **base))
-        assert a.metrics != b.metrics
+        assert a["metrics"] != b["metrics"]
 
 
 class TestRows:
@@ -66,8 +66,7 @@ class TestRows:
         # a deeper level: an inline plan whose events dict is malformed
         # passes validate (it's a dict) but explodes at resolve time.
         row = execute_spec(ExperimentSpec(
-            workload="kv", fault_plan={"seed": 1, "events": [{"bad": 1}]}
-        )).to_row()
+            workload="kv", fault_plan={"seed": 1, "events": [{"bad": 1}]}))
         assert row["status"] == "failed"
         assert row["ok"] is False
         assert row["failures"]

@@ -6,8 +6,9 @@ scenario kind it validates for, at schema defaults and seed 7, is a free
 refactoring oracle; the values are in
 ``tests/golden/workload_metrics.json``.  This is the only pin on
 ``echo-rtt`` (5 kinds) and ``kv-rtt`` (2), which no committed
-trajectory covers.  ``chaos`` has no defaults that validate (it needs a
-scenario); the golden table pins it instead.
+trajectory covers.  ``chaos`` has no defaults that validate (its
+``fault_plan`` must name a golden scenario); the golden table pins it
+instead.
 """
 
 import pytest

@@ -1,10 +1,12 @@
-"""The decorated workload registry and its param schemas.
+"""The workload table and its param schemas.
 
-The registry replaced stringly-typed dispatch: workloads register via
-``@register_workload`` with a declared param schema, and validate_spec
-rejects unknown params and type mismatches before a single sim tick.
-These tests pin the registration contract, the schema checking rules
-(bool is not an int), and the proto-slo workload's own gates.
+The registry replaced stringly-typed dispatch: ``WORKLOADS`` is one
+literal table whose entries name a scenario row, whether ``cores`` may
+exceed 1, a declared param schema and optionally a check and a ``run``,
+and validate_spec rejects unknown params and type mismatches before a
+single sim tick.  These tests check the table's own shape, the schema
+checking rules (bool is not an int), and the chaos and proto-slo
+workloads' own gates.
 """
 
 import pytest
@@ -12,59 +14,30 @@ import pytest
 from repro.cli import main
 from repro.experiments import (ExperimentSpec, execute_spec, run_spec,
                                validate_spec)
-from repro.experiments.workloads import (WORKLOADS, check_params,
-                                         register_workload, schema_summary,
+from repro.experiments.workloads import (_SCHEMA_TYPES, WORKLOADS,
+                                         check_params, schema_summary,
                                          spec_params, workload_names)
 from repro.testing import GOLDEN_SCENARIOS
 from repro.testing import WORKLOADS as SCENARIO_ROWS
 
 
-class TestRegistration:
-    def test_decorator_registers_and_returns_fn(self):
-        @register_workload("t-reg-decorated", blurb="test entry",
-                           schema={"n": {"type": "int", "default": 1}})
-        def run(spec):
-            return {"metrics": {}, "ok": True, "failures": []}
+class TestTheTable:
+    def test_every_entry_has_the_tables_fields(self):
+        for name, entry in WORKLOADS.items():
+            assert {"row", "multicore", "blurb", "schema"} <= set(entry) \
+                <= {"row", "multicore", "blurb", "schema", "check", "run"}, \
+                name
+            assert isinstance(entry["multicore"], bool), name
 
-        try:
-            entry = WORKLOADS["t-reg-decorated"]
-            assert entry["run"] is run
-            assert entry["blurb"] == "test entry"
-            assert entry["schema"]["n"]["type"] == "int"
-        finally:
-            del WORKLOADS["t-reg-decorated"]
+    def test_every_schema_type_is_a_schema_type_name(self):
+        for name, entry in WORKLOADS.items():
+            for key, param in entry["schema"].items():
+                assert param["type"] in _SCHEMA_TYPES, (name, key)
 
-    def test_decorator_with_a_schema_is_the_only_form(self):
-        # No run= / three-positional direct call, no replace=, and no
-        # schema-less "accepts anything" registration.
-        run = lambda spec: {"metrics": {}, "ok": True, "failures": []}
-        with pytest.raises(TypeError):
-            register_workload("t-reg-legacy", lambda spec: None, run)
-        with pytest.raises(TypeError):
-            register_workload("t-reg-legacy", run=run, schema={})
-        with pytest.raises(TypeError):
-            register_workload("t-reg-legacy")
-        assert "t-reg-legacy" not in WORKLOADS
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @register_workload("kv", schema={})
-            def run(spec):
-                pass
-
-    def test_a_name_cannot_be_shadowed(self):
-        original = WORKLOADS["kv"]
-        with pytest.raises(TypeError):
-            register_workload("kv", replace=True, schema={})
-        assert WORKLOADS["kv"] is original
-
-    def test_bad_schema_type_rejected_at_registration(self):
-        with pytest.raises(ValueError, match="unknown type"):
-            @register_workload("t-reg-bad-schema",
-                               schema={"x": {"type": "complex"}})
-            def run(spec):
-                pass
-        assert "t-reg-bad-schema" not in WORKLOADS
+    def test_every_static_row_is_a_scenario_row(self):
+        rows = [entry["row"] for entry in WORKLOADS.values()
+                if not callable(entry["row"])]
+        assert rows and set(rows) <= set(SCENARIO_ROWS)
 
     def test_every_builtin_workload_declares_a_schema(self):
         # The redesign's point: no more silently-ignored params anywhere.
@@ -201,20 +174,20 @@ class TestExpListCli:
 #: takes
 KINDS = ("kernel", "mtcp", "posix", "dpdk", "rdma", "spdk", "vfs")
 
-#: (workload, cores, params) -> the scenario row it runs; chaos runs the
-#: golden scenario its params name, proto-slo its sharded row at cores > 1
-ROW_OF = [(("kv", 1, {}), "kv-concurrent"),
-          (("kv", 2, {}), "kv-concurrent"),
-          (("kv-scaling", 2, {}), "kv-sharded"),
-          (("echo-rtt", 1, {}), "echo-rtt"),
-          (("kv-rtt", 1, {}), "kv-rtt"),
-          (("kv-offload", 1, {}), "kv-udp"),
-          (("storelog-scan", 1, {}), "log-scan"),
-          (("storage", 1, {}), "storage"),
-          (("proto-slo", 1, {}), "open-loop"),
-          (("proto-slo", 2, {}), "open-loop-sharded")] + [
-          (("chaos", 1, {"scenario": name}), name)
-          for name in sorted(GOLDEN_SCENARIOS)]
+#: (workload, cores, fault_plan) -> the scenario row it runs; chaos runs
+#: the golden scenario its fault_plan names, proto-slo its sharded row at
+#: cores > 1
+ROW_OF = [(("kv", 1, "none"), "kv-concurrent"),
+          (("kv", 2, "none"), "kv-concurrent"),
+          (("kv-scaling", 2, "none"), "kv-sharded"),
+          (("echo-rtt", 1, "none"), "echo-rtt"),
+          (("kv-rtt", 1, "none"), "kv-rtt"),
+          (("kv-offload", 1, "none"), "kv-udp"),
+          (("storelog-scan", 1, "none"), "log-scan"),
+          (("storage", 1, "none"), "storage"),
+          (("proto-slo", 1, "none"), "open-loop"),
+          (("proto-slo", 2, "none"), "open-loop-sharded")] + [
+          (("chaos", 1, name), name) for name in sorted(GOLDEN_SCENARIOS)]
 
 
 class TestOneVocabulary:
@@ -225,16 +198,25 @@ class TestOneVocabulary:
                 for kind in row["kinds"]} == set(KINDS)
 
     @pytest.mark.parametrize("cell,row", ROW_OF,
-                             ids=["%s-%d-%s" % (w, c, p.get("scenario", ""))
+                             ids=["%s-%d-%s" % (w, c, "" if p == "none" else p)
                                   for (w, c, p), _row in ROW_OF])
     def test_a_workload_runs_on_exactly_its_rows_kinds(self, cell, row):
-        workload, cores, params = cell
+        workload, cores, plan = cell
         row_kinds = (GOLDEN_SCENARIOS.get(row) or SCENARIO_ROWS[row])["kinds"]
         accepted = tuple(kind for kind in KINDS
                          if validate_spec(ExperimentSpec(
                              workload, libos=kind, cores=cores,
-                             params=params)) is None)
+                             fault_plan=plan)) is None)
         assert set(accepted) == set(row_kinds)
+
+    @pytest.mark.parametrize("plan", ["none", {"seed": 7, "events": []}],
+                             ids=["none", "inline"])
+    def test_chaos_needs_a_golden_scenarios_name(self, plan):
+        # The plan is the scenario: no name, nothing to run, on any kind.
+        for kind in KINDS:
+            reason = validate_spec(ExperimentSpec("chaos", libos=kind,
+                                                  fault_plan=plan))
+            assert "golden scenario's name" in reason, kind
 
     def test_a_plan_resolves_for_the_kind_the_spec_names(self):
         # The POSIX libOS under a golden plan pinned per kind: the spec's
@@ -289,5 +271,5 @@ class TestDeviceFaults:
         with pytest.raises(ValueError, match="nic_link_flap.*client.dpdk0"):
             run_spec(spec)
         row = execute_spec(spec)
-        assert (row.status, row.ok) == ("failed", False)
-        assert "client.eth0" in row.failures[0]
+        assert (row["status"], row["ok"]) == ("failed", False)
+        assert "client.eth0" in row["failures"][0]
