@@ -114,8 +114,7 @@ class _Epoll(KObject):
 class Kernel:
     """One host's kernel: NIC driver, sockets, epoll, VFS glue."""
 
-    def __init__(self, host, fabric, mac: str, ip: str,
-                 verify_checksums: bool = False):
+    def __init__(self, host, fabric, mac: str, ip: str):
         self.host = host
         self.sim = host.sim
         self.costs = host.costs
@@ -133,7 +132,6 @@ class Kernel:
             charge=self.nic.irq_core.charge_async,  # softirq core
             tx_cost_ns=self.costs.kernel_net_tx_ns,
             rx_cost_ns=self.costs.kernel_net_rx_ns,
-            verify_checksums=verify_checksums,
         )
         self.nic.irq_handler = self.stack.rx_frame
         # After a link flap the fabric's MAC tables may have moved; flush

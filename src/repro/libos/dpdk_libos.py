@@ -234,8 +234,7 @@ class DpdkLibOS(LibOS):
     device_kind = "kernel-bypass"
 
     def __init__(self, host, nic: DpdkNic, ip: str, name: str = "catnip",
-                 core=None, verify_checksums: bool = False, rx_queue: int = 0,
-                 arp_responder: bool = True):
+                 core=None, rx_queue: int = 0, arp_responder: bool = True):
         super().__init__(host, name, core)
         self.nic = nic
         self.ip = ip
@@ -266,7 +265,6 @@ class DpdkLibOS(LibOS):
             charge=self.core.charge_async,
             tx_cost_ns=self.costs.user_net_tx_ns,
             rx_cost_ns=self.costs.user_net_rx_ns,
-            verify_checksums=verify_checksums,
             arp_responder=arp_responder,
             rx_batch_cost_ns=self.costs.user_net_rx_batch_ns,
         )

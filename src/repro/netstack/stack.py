@@ -68,7 +68,6 @@ class NetStack:
         charge: Optional[Callable[[int], None]] = None,
         tx_cost_ns: int = 0,
         rx_cost_ns: int = 0,
-        verify_checksums: bool = False,
         arp_responder: bool = True,
         rx_batch_cost_ns: int = 0,
     ):
@@ -84,7 +83,6 @@ class NetStack:
         self.rx_cost_ns = rx_cost_ns
         #: cost of the 2nd..Nth frame of one :meth:`rx_burst` call
         self.rx_batch_cost_ns = rx_batch_cost_ns
-        self.verify_checksums = verify_checksums
         #: answer ARP who-has requests for our IP.  When several stacks
         #: share one NIC and IP (per-core shards behind RSS), exactly one
         #: of them must own the responder role or every request draws N
@@ -212,8 +210,7 @@ class NetStack:
          src, dst) = IPV4_HEADER.unpack_from(raw, ETH_HEADER_LEN)
         if (ver_ihl != VERSION_IHL  # not IPv4, or IP options
                 or total_len > size  # truncated
-                or (self.verify_checksums and internet_checksum(
-                    raw[ETH_HEADER_LEN:_L4_OFFSET]) != 0)):
+                or internet_checksum(raw[ETH_HEADER_LEN:_L4_OFFSET]) != 0):
             self.counters.rx_malformed += 1
             return
         if dst != self._ip_bytes:
@@ -281,7 +278,7 @@ class NetStack:
                       datagram.pack(self.ip, dst_ip))
 
     def _rx_udp(self, l4: bytes, src_ip: str) -> None:
-        if self.verify_checksums and not udp_checksum_ok(l4, src_ip, self.ip):
+        if not udp_checksum_ok(l4, src_ip, self.ip):
             self.counters.udp_bad_checksum_drops += 1
             return
         try:
@@ -332,8 +329,7 @@ class NetStack:
 
     def _rx_tcp(self, raw: bytes, src_ip: str, end: int) -> None:
         """The TCP segment at ``raw[_L4_OFFSET:end]``, from *src_ip* to us."""
-        if self.verify_checksums and not tcp_checksum_ok(
-                raw[_L4_OFFSET:end], src_ip, self.ip):
+        if not tcp_checksum_ok(raw[_L4_OFFSET:end], src_ip, self.ip):
             # Corrupted segment: discard silently; the sender's RTO or
             # fast retransmit recovers, exactly as on a real stack.
             self.counters.tcp_bad_checksum_drops += 1

@@ -233,6 +233,9 @@ class TcpConnection:
         self.rcv_nxt = 0
         self.recv_capacity = RECV_CAPACITY
         self._recv_buffer = bytearray()
+        #: the right edge of the window last advertised (``ack + window``
+        #: of the last segment sent): how far the peer may send
+        self._adv_edge = 0
         self._ooo: Dict[int, bytes] = {}
         self._peer_fin = False
         #: delayed ACK (RFC 9293 3.8.6.3): in-order bytes not yet
@@ -293,8 +296,12 @@ class TcpConnection:
         take = min(max_bytes, len(self._recv_buffer))
         data = bytes(self._recv_buffer[:take])
         del self._recv_buffer[:take]
-        # Window opened: let the peer know if it was closed.
-        if take and self.recv_window == take:
+        # Window opened: announce it if the peer is held at the edge last
+        # advertised and the edge moves by an MSS or half the buffer
+        # (RFC 9293 3.8.6.2.2, receiver-side silly window avoidance).
+        if (take and self._adv_edge - self.rcv_nxt < self.mss
+                and self.rcv_nxt + self.recv_window - self._adv_edge
+                >= min(self.mss, self.recv_capacity // 2)):
             self._send_ack()
         return data
 
@@ -637,6 +644,7 @@ class TcpConnection:
         # Every segment carries ACK = rcv_nxt, so it pays the ACK debt.
         self._ack_debt = 0
         self._ack_timer.stop()
+        self._adv_edge = seg.ack + seg.window
         self.stack._tcp_transmit(self, seg)
 
     # ------------------------------------------------------------- timers

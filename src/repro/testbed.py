@@ -97,8 +97,7 @@ class World:
 
 
 def make_kernel_pair(drop_rate: float = 0.0, seed: int = 42, cores: int = 4,
-                     costs: CostModel = DEFAULT_COSTS,
-                     verify_checksums: bool = False, telemetry=False):
+                     costs: CostModel = DEFAULT_COSTS, telemetry=False):
     """Two hosts running the legacy kernel: (world, client, server)."""
     from .kernelos.kernel import Kernel
 
@@ -106,17 +105,14 @@ def make_kernel_pair(drop_rate: float = 0.0, seed: int = 42, cores: int = 4,
               telemetry=telemetry)
     a = w.add_host("client", cores=cores)
     b = w.add_host("server", cores=cores)
-    ka = Kernel(a, w.fabric, "02:00:00:00:01:01", "10.0.0.1",
-                verify_checksums=verify_checksums)
-    kb = Kernel(b, w.fabric, "02:00:00:00:01:02", "10.0.0.2",
-                verify_checksums=verify_checksums)
+    ka = Kernel(a, w.fabric, "02:00:00:00:01:01", "10.0.0.1")
+    kb = Kernel(b, w.fabric, "02:00:00:00:01:02", "10.0.0.2")
     return w, ka, kb
 
 
 def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
                          with_offload: bool = False,
-                         costs: CostModel = DEFAULT_COSTS,
-                         verify_checksums: bool = False, telemetry=False):
+                         costs: CostModel = DEFAULT_COSTS, telemetry=False):
     """Two hosts with DPDK libOSes: (world, client libOS, server libOS)."""
     from .libos.dpdk_libos import DpdkLibOS
 
@@ -129,8 +125,7 @@ def make_dpdk_libos_pair(drop_rate: float = 0.0, seed: int = 42,
         nic = w.add_dpdk(host, mac="02:00:00:00:10:%02x" % (i + 1))
         if with_offload:
             OffloadEngine(host, name="%s.offload" % name).attach(nic)
-        liboses.append(DpdkLibOS(host, nic, ip, name="%s.catnip" % name,
-                                 verify_checksums=verify_checksums))
+        liboses.append(DpdkLibOS(host, nic, ip, name="%s.catnip" % name))
     return w, liboses[0], liboses[1]
 
 
@@ -167,12 +162,11 @@ def make_sharded_kv_world(n_shards: int, seed: int = 42, port: int = 6379,
 
 
 def make_posix_libos_pair(drop_rate: float = 0.0, seed: int = 42,
-                          verify_checksums: bool = False, telemetry=False):
+                          telemetry=False):
     """Two hosts with POSIX libOSes over legacy kernels."""
     from .libos.posix_libos import PosixLibOS
 
     w, ka, kb = make_kernel_pair(drop_rate=drop_rate, seed=seed,
-                                 verify_checksums=verify_checksums,
                                  telemetry=telemetry)
     la = PosixLibOS(ka.host, ka, name="client.catnap")
     lb = PosixLibOS(kb.host, kb, name="server.catnap")

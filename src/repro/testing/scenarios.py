@@ -223,20 +223,20 @@ def _replica_cluster(seed: int, telemetry, n_clients: int = 2):
     return world, clients + [node.libos for node in nodes], nodes
 
 
-# TCP-based kinds verify L4 checksums so corruption faults surface as
-# drops + retransmits rather than silent data damage.
+# Every stack verifies IPv4, UDP and TCP checksums, so a corruption fault
+# surfaces as a drop (and, on TCP, a retransmit), never as silent data
+# damage, in every world alike.
 _WORLDS = {
-    "dpdk": _testbed(make_dpdk_libos_pair, verify_checksums=True),
-    "posix": _testbed(make_posix_libos_pair, verify_checksums=True),
+    "dpdk": _testbed(make_dpdk_libos_pair),
+    "posix": _testbed(make_posix_libos_pair),
     "rdma": _testbed(make_rdma_libos_pair),
     "spdk": _testbed(make_spdk_libos),
     # The legacy stacks the claim suite measures the libOSes against:
     # their endpoints are kernels / mTCP shims, which mint no qtokens.
-    "kernel": _testbed(make_kernel_pair, verify_checksums=True),
+    "kernel": _testbed(make_kernel_pair),
     "mtcp": _testbed(make_mtcp_pair),
     "vfs": _testbed(make_vfs_kernel),
-    "dpdk-offload": _testbed(make_dpdk_libos_pair, verify_checksums=True,
-                             with_offload=True),
+    "dpdk-offload": _testbed(make_dpdk_libos_pair, with_offload=True),
     "sharded": _sharded_server,
     "cluster": _replica_cluster,
 }

@@ -14,13 +14,15 @@ List the register with ``pytest tests/defects -q -rxX``.
 
 import pytest
 
-from repro.apps.echo import demi_echo_client, demi_echo_server
+from repro.apps.storelog import posix_log_writer
 from repro.core.types import DemiError
+from repro.kernelos.reclaim import crash_teardown, holdings
 from repro.sim.faults import FaultPlan
-from repro.testbed import (make_posix_libos_pair, make_rdma_libos_pair,
-                           make_spdk_libos)
+from repro.testbed import (make_rdma_libos_pair, make_spdk_libos,
+                           make_vfs_kernel)
 from repro.testing import run_scenario, scenarios
 
+from ..chaos.test_corruption import corruption
 from ..conftest import make_net_pair
 
 MS = 1_000_000
@@ -34,20 +36,6 @@ class KnownDefect(AssertionError):
 # ---------------------------------------------------------------------------
 # ROADMAP item 1: TCP
 # ---------------------------------------------------------------------------
-
-@pytest.mark.xfail(strict=True, raises=DemiError, reason="ROADMAP item 1(c)")
-def test_a_512_kib_posix_echo_comes_back_whole():
-    # The receiver never announces the window a large read reopens, and
-    # the persist timer's probe carries no data, so nothing recovers it:
-    # the server's idle timeout ends the session and the client sees eof.
-    w, client, server = make_posix_libos_pair()
-    element = bytes(range(256)) * 2048
-    w.sim.spawn(demi_echo_server(server, max_requests=1,
-                                 idle_timeout_ns=20 * MS))
-    proc = w.sim.spawn(demi_echo_client(client, "10.0.0.2", [element]))
-    replies, _stats = w.sim.run_until_complete(proc, limit=100 * MS)
-    assert replies == [element]
-
 
 @pytest.mark.xfail(strict=True, raises=KnownDefect, reason="ROADMAP item 1(b)")
 def test_a_stream_across_the_2_32_sequence_wrap_arrives_whole():
@@ -66,6 +54,22 @@ def test_a_stream_across_the_2_32_sequence_wrap_arrives_whole():
     received = len(server.recv())
     if received != 5000:
         raise KnownDefect("%d of 5000 bytes crossed the wrap" % received)
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP item 2: the datagram question
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=KnownDefect, reason="ROADMAP item 2")
+def test_a_udp_kv_client_under_corruption_gets_every_reply():
+    # The server drops a datagram whose checksum fails, as every stack
+    # does, and the UDP client never resends a request: it waits for its
+    # lost reply until the run's limit.
+    result = run_scenario("kv-udp", "dpdk", plan=corruption(1))
+    hung = [f for f in result.failures if "did not finish within" in f]
+    if hung:
+        raise KnownDefect(hung[0])
+    assert result.ok, result.failures
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,46 @@ def test_two_readers_in_turns_cost_no_more_reads_than_one_after_the_other():
     if in_turns > one_after_the_other:
         raise KnownDefect("%d device reads in turns, %d one after the other"
                           % (in_turns, one_after_the_other))
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP item 22: a finished run owns nothing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=KnownDefect, reason="ROADMAP item 22")
+def test_a_posix_log_writer_killed_mid_append_leaves_no_write_in_flight():
+    # Reclaim aborts the NVMe commands of ``libos.nvme``; a Kernel keeps
+    # its device in its Vfs, so the write the dead writer issued is
+    # still on the device when the teardown ends.
+    w, kernel = make_vfs_kernel()
+    records = [bytes([i]) * 512 for i in range(64)]
+    proc = w.sim.spawn(posix_log_writer(kernel, records, sync_every=4))
+    w.run(until=w.sim.now + 200 * US)
+    assert proc.alive, "the writer must die mid-append"
+    w.sim.run_until_complete(w.sim.spawn(crash_teardown(kernel, proc)),
+                             limit=w.sim.now + 100 * MS)
+    held = holdings(kernel.host, [])
+    if held["nvme_in_flight"]:
+        raise KnownDefect("%d NVMe command(s) in flight after teardown"
+                          % held["nvme_in_flight"])
+    assert not any(held.values()), held
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP item 23: one contract for the queue API
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=KnownDefect, reason="ROADMAP item 23")
+def test_an_rdma_echo_under_corruption_is_served_whole():
+    # A damaged RDMA frame is dropped as a real ICRC would drop it.  The
+    # client gets every echo intact, but the server counts its last
+    # request unserved: the contract does not say what a push completion
+    # promises once the peer has closed.
+    result = run_scenario("echo", "rdma", plan=corruption(1))
+    short = [f for f in result.failures if f.startswith("server served")]
+    if short:
+        raise KnownDefect(short[0])
+    assert result.ok, result.failures
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.netstack.packet import (
     internet_checksum,
     ip_to_bytes,
     mac_to_bytes,
+    pseudo_header,
 )
 from repro.netstack.stack import NetStack
 from repro.netstack.tcp import ACK, PSH, SYN, TcpSegment
@@ -268,13 +269,13 @@ MAC_A, MAC_B = "02:00:00:00:00:01", "02:00:00:00:00:02"
 IP_A, IP_B = "10.0.0.1", "10.0.0.2"
 
 
-def _stack(verify_checksums=False):
+def _stack():
     """A bare NetStack at (MAC_B, IP_B) that knows A: (stack, tracer,
     the ``(dst_mac, raw)`` frames it sent)."""
     tracer, sent = Tracer(), []
     stack = NetStack(Simulator(), "s", MAC_B, IP_B,
                      lambda dst_mac, raw: sent.append((dst_mac, raw)),
-                     tracer, verify_checksums=verify_checksums)
+                     tracer)
     stack.arp_table[IP_A] = MAC_A
     return stack, tracer, sent
 
@@ -342,7 +343,7 @@ class TestStackCodecAgainstTheDataclassChain:
 
     @pytest.mark.parametrize("padding", [b"", b"\x00" * 6, b"\xff" * 7])
     def test_tcp_parse_equals_the_chain(self, padding):
-        stack, tracer, _sent = _stack(verify_checksums=True)
+        stack, tracer, _sent = _stack()
         seen = []
 
         class Conn:
@@ -360,7 +361,7 @@ class TestStackCodecAgainstTheDataclassChain:
 
     @pytest.mark.parametrize("padding", [b"", b"\x00" * 18])
     def test_udp_parse_equals_the_chain(self, padding):
-        stack, _tracer, _sent = _stack(verify_checksums=True)
+        stack, _tracer, _sent = _stack()
         seen = []
         stack.udp_bind(53, lambda *args: seen.append(args))
         for payload in (b"", b"u", b"odd", bytes(range(256)) * 5):
@@ -374,93 +375,95 @@ class TestStackCodecAgainstTheDataclassChain:
 
 
 def _patched(raw: bytes, offset: int, value: bytes,
-             fix_ip_checksum: bool = False) -> bytes:
-    """*raw* with *value* written at *offset* (and, on request, the IPv4
-    header checksum recomputed over the result)."""
+             fix_checksums: bool = True) -> bytes:
+    """*raw* with *value* written at *offset*, then (unless
+    *fix_checksums* is false) with its IPv4 header checksum and its TCP
+    or UDP checksum made good, so that the frame reaches the check its
+    case names instead of a checksum drop.  An L4 too short to hold its
+    checksum field is left as it is."""
     out = bytearray(raw)
     out[offset:offset + len(value)] = value
-    if fix_ip_checksum:
-        out[24:26] = b"\x00\x00"
-        out[24:26] = internet_checksum(bytes(out[14:34])).to_bytes(2, "big")
+    if not fix_checksums or len(out) < 34:
+        return bytes(out)
+    out[24:26] = b"\x00\x00"
+    out[24:26] = internet_checksum(bytes(out[14:34])).to_bytes(2, "big")
+    proto = out[23]
+    # where the L4 checksum lies, and where total_len ends the L4 bytes
+    field = {PROTO_TCP: 34 + 16, PROTO_UDP: 34 + 6}.get(proto)
+    end = min(len(out), 14 + int.from_bytes(out[16:18], "big"))
+    if field is not None and field + 2 <= end:
+        out[field:field + 2] = b"\x00\x00"
+        pseudo = pseudo_header(bytes_to_ip(bytes(out[26:30])),
+                               bytes_to_ip(bytes(out[30:34])), proto,
+                               end - 34)
+        out[field:field + 2] = internet_checksum(
+            pseudo + bytes(out[34:end])).to_bytes(2, "big")
     return bytes(out)
 
 
 _DATA = _chain(TcpSegment(49152, 80, 1, 2, PSH | ACK, 3, b"payload").pack(
     IP_A, IP_B), PROTO_TCP, ident=5)
 
-#: name -> (frame, verify_checksums, every counter the frame may bump),
-#: as the stack behaved before its parser read headers in place
+#: name -> (frame, every counter the frame may bump).  Every stack
+#: verifies checksums, and an L4 too short to carry one fails that check
+#: before it can be parsed.
 _FOREIGN_AND_MALFORMED = {
-    "13-byte frame": (_DATA[:13], False, {"rx_malformed": 1}),
+    "13-byte frame": (_DATA[:13], {"rx_malformed": 1}),
     "wrong unicast MAC": (
-        _patched(_DATA, 0, b"\x02\x00\x00\x00\x00\x09"), False,
+        _patched(_DATA, 0, b"\x02\x00\x00\x00\x00\x09"),
         {"rx_wrong_mac": 1}),
     "broadcast is ours": (
         _patched(_chain(UdpDatagram(1, 9, b"hi").pack(IP_A, IP_B),
-                        PROTO_UDP), 0, b"\xff" * 6), False,
+                        PROTO_UDP), 0, b"\xff" * 6),
         {"udp_no_listener": 1}),
     "unknown ethertype": (
-        _patched(_DATA, 12, b"\x86\xdd"), False,
-        {"rx_unknown_ethertype": 1}),
-    "ethernet header only": (_DATA[:14], False, {"rx_malformed": 1}),
-    "IPv4 header cut short": (_DATA[:33], False, {"rx_malformed": 1}),
-    "IP version 6": (
-        _patched(_DATA, 14, b"\x65"), False, {"rx_malformed": 1}),
-    "IHL 6": (_patched(_DATA, 14, b"\x46"), False, {"rx_malformed": 1}),
+        _patched(_DATA, 12, b"\x86\xdd"), {"rx_unknown_ethertype": 1}),
+    "ethernet header only": (_DATA[:14], {"rx_malformed": 1}),
+    "IPv4 header cut short": (_DATA[:33], {"rx_malformed": 1}),
+    "IP version 6": (_patched(_DATA, 14, b"\x65"), {"rx_malformed": 1}),
+    "IHL 6": (_patched(_DATA, 14, b"\x46"), {"rx_malformed": 1}),
     "total_len beyond the frame": (
-        _patched(_DATA, 16, (len(_DATA) - 13).to_bytes(2, "big")), False,
+        _patched(_DATA, 16, (len(_DATA) - 13).to_bytes(2, "big")),
         {"rx_malformed": 1}),
     "total_len < 20": (
-        _patched(_DATA, 16, b"\x00\x13"), False, {"rx_malformed": 1}),
-    "total_len < 20, checksums verified": (
-        _patched(_DATA, 16, b"\x00\x13", fix_ip_checksum=True), True,
-        {"tcp_bad_checksum_drops": 1}),
-    "bad header checksum, verified": (
-        _patched(_DATA, 22, b"\x3f"), True, {"rx_malformed": 1}),
-    "bad header checksum, not verified": (
-        _patched(_DATA, 24, b"\x00\x00"), False,
-        {"tcp_rst_sent": 1, "tx_frames": 1}),
+        _patched(_DATA, 16, b"\x00\x13"), {"tcp_bad_checksum_drops": 1}),
+    "bad header checksum": (
+        _patched(_DATA, 22, b"\x3f", fix_checksums=False),
+        {"rx_malformed": 1}),
     "wrong destination IP": (
-        _patched(_DATA, 30, b"\x0a\x00\x00\x63"), False, {"rx_wrong_ip": 1}),
-    "protocol 1": (
-        _patched(_DATA, 23, b"\x01"), False, {"rx_unknown_proto": 1}),
+        _patched(_DATA, 30, b"\x0a\x00\x00\x63"), {"rx_wrong_ip": 1}),
+    "protocol 1": (_patched(_DATA, 23, b"\x01"), {"rx_unknown_proto": 1}),
     "TCP shorter than 20 bytes": (
-        _patched(_DATA[:53], 16, b"\x00\x27"), False, {"rx_malformed": 1}),
-    "TCP shorter than 20 bytes, checksums verified": (
-        _patched(_DATA[:53], 16, b"\x00\x27", fix_ip_checksum=True), True,
+        _patched(_DATA[:53], 16, b"\x00\x27"),
         {"tcp_bad_checksum_drops": 1}),
-    "data offset 4": (
-        _patched(_DATA, 46, b"\x40"), False, {"rx_malformed": 1}),
+    "data offset 4": (_patched(_DATA, 46, b"\x40"), {"rx_malformed": 1}),
     "data offset past the end": (
-        _patched(_DATA, 46, b"\x70"), False, {"rx_malformed": 1}),
+        _patched(_DATA, 46, b"\x70"), {"rx_malformed": 1}),
     "data offset past total_len, inside the padding": (
-        _patched(_DATA + bytes(8), 46, b"\x70"), False,
-        {"rx_malformed": 1}),
-    "bad TCP checksum, verified": (
-        _patched(_DATA, 60, b"P"), True, {"tcp_bad_checksum_drops": 1}),
-    "bad TCP checksum, not verified": (
-        _patched(_DATA, 60, b"P"), False,
-        {"tcp_rst_sent": 1, "tx_frames": 1}),
+        _patched(_DATA + bytes(8), 46, b"\x70"), {"rx_malformed": 1}),
+    "bad TCP checksum": (
+        _patched(_DATA, 60, b"P", fix_checksums=False),
+        {"tcp_bad_checksum_drops": 1}),
     "UDP shorter than 8 bytes": (
-        _chain(b"\x00\x01\x00\x09\x00", PROTO_UDP), False,
-        {"rx_malformed": 1}),
+        _chain(b"\x00\x01\x00\x09\x00", PROTO_UDP),
+        {"udp_bad_checksum_drops": 1}),
     "UDP length beyond the datagram": (
-        _chain(b"\x00\x01\x00\x09\x00\x10\x00\x00hi", PROTO_UDP), False,
+        _chain(b"\x00\x01\x00\x09\x00\x10\x00\x00hi", PROTO_UDP),
         {"rx_malformed": 1}),
-    "bad UDP checksum, verified": (
+    "bad UDP checksum": (
         _patched(_chain(UdpDatagram(1, 9, b"hi").pack(IP_A, IP_B),
-                        PROTO_UDP), 42, b"HI"), True,
+                        PROTO_UDP), 42, b"HI", fix_checksums=False),
         {"udp_bad_checksum_drops": 1}),
     "truncated ARP": (
-        EthernetFrame(MAC_B, MAC_A, 0x0806, b"\x00\x01\x08").pack(), False,
+        EthernetFrame(MAC_B, MAC_A, 0x0806, b"\x00\x01\x08").pack(),
         {"rx_malformed": 1}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FOREIGN_AND_MALFORMED))
 def test_foreign_or_malformed_frame_bumps_exactly_its_counters(case):
-    raw, verify_checksums, bumped = _FOREIGN_AND_MALFORMED[case]
-    stack, tracer, sent = _stack(verify_checksums)
+    raw, bumped = _FOREIGN_AND_MALFORMED[case]
+    stack, tracer, sent = _stack()
     stack.rx_frame(raw)
     expected = {"s.%s" % leaf: n for leaf, n in bumped.items()}
     expected["s.rx_frames"] = 1
@@ -469,27 +472,22 @@ def test_foreign_or_malformed_frame_bumps_exactly_its_counters(case):
     assert not stack._tcp_conns
 
 
-def _reference_decode(raw: bytes, verify_checksums: bool):
-    """*raw* through the dataclass decoders, one ``unpack`` per layer;
-    where the stack does not verify checksums, the IPv4 header's is made
-    good first, as the stack does not read it."""
+def _reference_decode(raw: bytes):
+    """*raw* through the dataclass decoders, one ``unpack`` per layer."""
     frame = EthernetFrame.unpack(raw)
     if frame.ethertype != ETHERTYPE_IPV4:
         return ArpPacket.unpack(frame.payload)
-    payload = frame.payload
-    if not verify_checksums and len(payload) >= 20:
-        payload = _patched(raw, 0, b"", fix_ip_checksum=True)[14:]
-    pkt = Ipv4Packet.unpack(payload)
+    pkt = Ipv4Packet.unpack(frame.payload)
     layer = TcpSegment if pkt.proto == PROTO_TCP else UdpDatagram
     return layer.unpack(pkt.payload)
 
 
 @pytest.mark.parametrize("case", sorted(
-    name for name, (_raw, _verify, bumped) in _FOREIGN_AND_MALFORMED.items()
+    name for name, (_raw, bumped) in _FOREIGN_AND_MALFORMED.items()
     if "rx_malformed" in bumped))
 def test_reference_decoders_reject_what_the_stack_calls_malformed(case):
     # The stack parses headers in place; the dataclass decoders are the
     # reference it mirrors, so each frame it drops as malformed fails there.
-    raw, verify_checksums, _bumped = _FOREIGN_AND_MALFORMED[case]
+    raw, _bumped = _FOREIGN_AND_MALFORMED[case]
     with pytest.raises(PacketError):
-        _reference_decode(raw, verify_checksums)
+        _reference_decode(raw)

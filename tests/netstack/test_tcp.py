@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.echo import demi_echo_client, demi_echo_server
 from repro.netstack import tcp
 from repro.netstack.tcp import (
     ACK,
@@ -25,6 +26,7 @@ from repro.netstack.tcp import (
     TcpError,
     TcpSegment,
 )
+from repro.testbed import make_posix_libos_pair
 
 from ..conftest import make_net_pair
 
@@ -405,6 +407,19 @@ class TestFlowControl:
         assert w.tracer.get("client.stack.tcp_window_probes") == 10
         assert sum(1 for event in w.sim._heap
                    if event[2] == client._probe_timer._fire) == 1
+
+    def test_a_512_kib_posix_echo_comes_back_whole(self):
+        # A read of more than 64 KiB out of the full 256 KiB buffer leaves
+        # a window of 65 535 (the 16-bit clamp), not the bytes it took;
+        # it is announced because it moves the right edge the sender is
+        # held at (RFC 9293 3.8.6.2.2).
+        w, client, server = make_posix_libos_pair()
+        element = bytes(range(256)) * 2048
+        w.sim.spawn(demi_echo_server(server, max_requests=1,
+                                     idle_timeout_ns=20_000_000))
+        proc = w.sim.spawn(demi_echo_client(client, "10.0.0.2", [element]))
+        replies, _stats = w.sim.run_until_complete(proc, limit=100_000_000)
+        assert replies == [element]
 
 
 class TestClose:

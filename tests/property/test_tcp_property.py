@@ -263,7 +263,6 @@ class TestAckAndTimerDiscipline:
         # The server echoes, so ACKs ride on data in both directions while
         # the plan drops, duplicates, reorders, corrupts and partitions.
         w, a, b = make_net_pair()
-        a.stack.verify_checksums = b.stack.verify_checksums = True
         w.install_faults(plan)
         listener = b.stack.tcp_listen(80)
         client = a.stack.tcp_connect("10.0.0.2", 80)
